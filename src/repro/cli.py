@@ -562,6 +562,11 @@ def _cmd_profile(args) -> int:
             prof.phase_seconds,
             prof.wall_s,
         ))
+        if any(prof.funnel.values()):
+            print("rebuild funnel: " + ", ".join(
+                f"{key.split('.', 1)[1]} {count}"
+                for key, count in prof.funnel.items()
+            ))
         if prof.missing_phases:
             failures.append(
                 f"{name}: missing phases {list(prof.missing_phases)}"

@@ -23,6 +23,8 @@ from repro.md.boundary import Box
 
 __all__ = ["CellList", "all_pairs", "concatenated_ranges"]
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
 #: Half stencil: one offset per unordered offset pair (+o covers -o).
 #: (0, 0, 0) is excluded — same-cell pairs are generated with i < j.
 _HALF_STENCIL = [
@@ -39,11 +41,11 @@ def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    base = np.repeat(starts, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return base + offsets
+    # arange(total) restarts at each range when the range's own offset
+    # into the output is subtracted from its start
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
 
 
 def all_pairs(
@@ -69,7 +71,9 @@ class CellList:
     """Spatial binning for one configuration.
 
     Build once per neighbor-list rebuild; ``candidate_pairs`` then
-    produces every undirected pair within the bin cutoff exactly once.
+    produces every undirected pair within the bin cutoff exactly once,
+    and ``pairs_within`` the same stream already cut at a radius (the
+    form rebuilds consume).
 
     ``subdivide=k`` bins at cell edge >= cutoff/k and widens the half
     stencil to radius k (with corner blocks farther than the cutoff
@@ -150,6 +154,7 @@ class CellList:
             self._sorted_coords = np.empty((n, 3), dtype=np.int64)
             self._cid = np.empty(n, dtype=np.int64)
             self._nb = np.empty((n, 3), dtype=np.int64)
+            self._cols = np.empty((3, n), dtype=np.float64)
             self._n_buf = n
         self._bin_into_buffers(positions)
         ntot = int(np.prod(self._ncell))
@@ -167,9 +172,12 @@ class CellList:
         np.take(self._coords, self._order, axis=0, out=self._sorted_coords)
         # Cell-sorted flat ids: offsets that cross no periodic dim
         # locate their neighbor cells by pure flat-id arithmetic
-        # (see _pairs_at_offset), skipping the per-offset coordinate
+        # (see _neighbor_cells), skipping the per-offset coordinate
         # add + re-flatten.
         self._cid_sorted = self._cid[self._order]
+        # Cell-sorted coordinate columns: the fused sweep measures pair
+        # blocks in these, one contiguous 1-D take per axis.
+        np.take(positions.T, self._order, axis=1, out=self._cols)
         self._positions = positions
 
     def _half_stencil(self, k: int) -> list[tuple[int, int, int]]:
@@ -231,10 +239,13 @@ class CellList:
         ``i < j``; cross-cell pairs use the 13-offset half stencil (the
         opposite offset is covered from the partner cell).
 
-        Pairs are a superset of interacting pairs: distance filtering is
-        the caller's job (it belongs with the positions used for forces,
-        which may have moved since the build when a skin is in use).
-        Callers that need both directions expand via
+        Pairs are a superset of interacting pairs and carry no distance
+        information.  This is the *raw* enumerator: the hot rebuild
+        path uses :meth:`pairs_within`, which walks the same block
+        stream but measures each block before mapping it to atom ids;
+        ``candidate_pairs`` stays as the oracle that stream is tested
+        against and as the probe of the raw stencil volume.  Callers
+        that need both directions expand via
         :meth:`directed_candidate_pairs`.
 
         ``live`` (optional, per-atom bool) prunes pair blocks where
@@ -246,57 +257,141 @@ class CellList:
         filtered, never reordered).
         """
         if self._use_brute:
-            n = len(self._positions)
-            ii, jj = np.triu_indices(n, k=1)
-            return ii.astype(np.int64), jj.astype(np.int64)
+            return self._brute_pairs()
+        out_i = [_EMPTY]
+        out_j = [_EMPTY]
+        for src, start, count in self._blocks(live):
+            out_i.append(np.repeat(self._order[src], count))
+            out_j.append(self._order[concatenated_ranges(start, count)])
+        return np.concatenate(out_i), np.concatenate(out_j)
+
+    def pairs_within(
+        self, reach: float, live: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """:meth:`candidate_pairs` coarsely cut at ``reach``, streamed.
+
+        Returns ``(i, j, n_raw)``: the sub-stream of
+        ``candidate_pairs(live)`` — same pairs, same order — whose
+        separation at the build positions may be within ``reach``, and
+        the length ``n_raw`` of the raw stream it was cut from.  The cut
+        only ever *over*-includes: every pair an exact distance kernel
+        would keep at ``r2 <= reach**2`` is present, so running that
+        kernel on the result decides the same set in the same order as
+        running it on the raw stream, on a fraction of the rows.
+
+        Each stencil block is measured where it is enumerated, in
+        cell-sorted coordinate columns (contiguous 1-D ``take`` /
+        ``repeat``), and only the survivors are mapped through the sort
+        order to atom ids; the raw ``(i, j)`` arrays never exist.
+
+        Over-inclusion bound.  Along an open dimension the coarse
+        component is the same IEEE subtraction of the same two doubles
+        the exact kernel performs.  Along a periodic dimension both
+        apply the nearest-image formula to that difference ``d``; a
+        kernel that rounds or contracts it differently, or breaks a
+        half-box tie the other way, lands within
+        ``4 * eps * (|d| + L)`` in magnitude, and ``|d|`` is at most the
+        coordinate span ``S`` of the build.  Summing three squares
+        costs either side at most ``3 * eps`` relative.  So a pair the
+        exact kernel keeps has a coarse ``r2`` of at most
+        ``reach**2 * (1 + 16 * eps) + 8 * reach * sum_periodic(
+        4 * eps * (S + L))``, which is the threshold used (see
+        DESIGN.md, "Neighbor search").  The brute-force fallback
+        has no blocks to measure and returns its raw stream whole.
+        """
+        if self._use_brute:
+            i, j = self._brute_pairs()
+            return i, j, len(i)
+        eps = np.finfo(np.float64).eps
+        slack = sum(
+            4.0 * eps * (np.ptp(self._cols[d]) + self.box.lengths[d])
+            for d in range(3) if self.box.periodic[d]
+        )
+        r2_max = reach * reach * (1.0 + 16.0 * eps) + 8.0 * reach * slack
+        n_raw = 0
+        out_i = [_EMPTY]
+        out_j = [_EMPTY]
+        for src, start, count in self._blocks(live):
+            n_raw += int(count.sum())
+            islot = np.repeat(src, count)
+            jslot = concatenated_ranges(start, count)
+            r2 = None
+            for d in range(3):
+                col = self._cols[d]
+                dd = col.take(jslot)
+                dd -= col.take(islot)
+                if self.box.periodic[d]:
+                    ld = self.box.lengths[d]
+                    dd -= ld * np.floor(dd / ld + 0.5)
+                np.multiply(dd, dd, out=dd)
+                r2 = dd if r2 is None else np.add(r2, dd, out=r2)
+            keep = np.nonzero(r2 <= r2_max)[0]
+            out_i.append(self._order.take(islot.take(keep)))
+            out_j.append(self._order.take(jslot.take(keep)))
+        return np.concatenate(out_i), np.concatenate(out_j), n_raw
+
+    def _brute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        ii, jj = np.triu_indices(len(self._positions), k=1)
+        return ii.astype(np.int64), jj.astype(np.int64)
+
+    def _blocks(self, live: np.ndarray | None):
+        """The half-stencil pair stream, one block per stencil offset.
+
+        Yields ``(src, start, count)`` int64 triples over *slots*
+        (positions in the cell-sorted order; ``self._order[slot]`` is
+        the atom id): slot ``src[k]`` pairs with the ``count[k] > 0``
+        consecutive slots from ``start[k]``.  Walking the blocks in
+        order, rows in order, partners in order is the one enumeration
+        order both :meth:`candidate_pairs` and :meth:`pairs_within`
+        emit.
+
+        Atoms are visited in cell-sorted order (stable argsort of the
+        flat cell id): neighbors-in-space become neighbors-in-stream,
+        so every gather downstream walks memory near-sequentially.
+        """
         if self._cid is None:
-            raise RuntimeError("candidate_pairs before build()")
-        # Atoms are visited in cell-sorted order (stable argsort of the
-        # flat cell id): neighbors-in-space become neighbors-in-stream,
-        # so every gather below walks memory near-sequentially.
-        atom_idx = self._order
+            raise RuntimeError("pair enumeration before build()")
         live_cells = src_live = None
         if live is not None:
             live_cells = np.zeros(int(np.prod(self._ncell)), dtype=bool)
             live_cells[self._cid[np.asarray(live, dtype=bool)]] = True
-            src_live = live_cells[self._cid[atom_idx]]
-        out_i: list[np.ndarray] = []
-        out_j: list[np.ndarray] = []
-        # Per-(axis, shift) validity masks, shared across the offsets
-        # of one enumeration (a radius-k stencil reuses each shift
-        # mask ~(2k+1)^2 times).
-        shift_masks: dict = {}
-        # Same-cell pairs: both atoms share a cell, keep i < j.
-        i, j = self._pairs_at_offset(atom_idx, (0, 0, 0), live_cells,
-                                     src_live, shift_masks)
-        keep = i < j
-        out_i.append(i[keep])
-        out_j.append(j[keep])
+            src_live = live_cells[self._cid_sorted]
+        # Same-cell pairs, i < j: the sort is stable, so within a cell
+        # slot order is id order and each atom pairs with the rest of
+        # its cell's slot range after itself.
+        slots = np.arange(len(self._order))
+        cid = self._cid_sorted
+        start = slots + 1
+        count = self._starts[cid] + self._counts[cid] - start
+        keep = count > 0
+        if src_live is not None:
+            keep &= src_live
+        yield slots[keep], start[keep], count[keep]
         # Cross-cell pairs: each unordered cell pair visited from one
         # side only (>= 2k+1 cells along periodic dims guarantees +o
         # and -o never wrap to the same neighbor, see build()).
+        # Per-(axis, shift) validity masks are shared across the
+        # offsets of one enumeration (a radius-k stencil reuses each
+        # shift mask ~(2k+1)^2 times).
+        shift_masks: dict = {}
         for offset in self._stencil:
-            i, j = self._pairs_at_offset(atom_idx, offset, live_cells,
-                                         src_live, shift_masks)
-            out_i.append(i)
-            out_j.append(j)
-        return np.concatenate(out_i), np.concatenate(out_j)
+            src, ncid = self._neighbor_cells(offset, shift_masks)
+            count = self._counts.take(ncid)
+            keep = count > 0
+            if live_cells is not None:
+                # Dead-cell pruning: with every atom of both cells
+                # dead, no pair of this block can own a live endpoint.
+                keep &= src_live.take(src) | live_cells.take(ncid)
+            if not keep.all():
+                src, ncid, count = src[keep], ncid[keep], count[keep]
+            if len(src):
+                yield src, self._starts.take(ncid), count
 
-    def _pairs_at_offset(
-        self,
-        atom_idx: np.ndarray,
-        offset: tuple[int, int, int],
-        live_cells: np.ndarray | None = None,
-        src_live: np.ndarray | None = None,
-        shift_masks: dict | None = None,
+    def _neighbor_cells(
+        self, offset: tuple[int, int, int], shift_masks: dict
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All (i, j) with j in the cell at ``offset`` from i's cell.
-
-        ``atom_idx`` gives the visiting order; row k of the cached
-        cell-sorted coords is the cell of atom ``atom_idx[k]``.
-        """
-        n = len(atom_idx)
-        empty = np.empty(0, dtype=np.int64)
+        """Slots whose cell has a neighbor cell at the (nonzero)
+        ``offset``, and that cell's flat id per such slot."""
         nx, ny, nz = self._ncell
         if not any(
             delta and self.box.periodic[d] for d, delta in enumerate(offset)
@@ -310,63 +405,30 @@ class CellList:
             for d, delta in enumerate(offset):
                 if not delta:
                     continue
-                key = (d, delta)
-                m = None if shift_masks is None else shift_masks.get(key)
+                m = shift_masks.get((d, delta))
                 if m is None:
                     col = self._sorted_coords[:, d]
                     if delta > 0:
                         m = col < self._ncell[d] - delta
                     else:
                         m = col >= -delta
-                    if shift_masks is not None:
-                        shift_masks[key] = m
+                    shift_masks[(d, delta)] = m
                 valid = m if valid is None else valid & m
-            flat_delta = (offset[0] * ny + offset[1]) * nz + offset[2]
-            if valid is None:
-                src = atom_idx
-                ncid = (self._cid_sorted + flat_delta if flat_delta
-                        else self._cid_sorted)
+            src = np.nonzero(valid)[0]
+            ncid = self._cid_sorted.take(src)
+            ncid += (offset[0] * ny + offset[1]) * nz + offset[2]
+            return src, ncid
+        np.add(self._sorted_coords, np.asarray(offset, dtype=np.int64),
+               out=self._nb)
+        nb = self._nb
+        valid = np.ones(len(nb), dtype=bool)
+        for d in range(3):
+            if self.box.periodic[d]:
+                nb[:, d] = np.mod(nb[:, d], self._ncell[d])
             else:
-                if not np.any(valid):
-                    return empty, empty
-                src = atom_idx[valid]
-                ncid = self._cid_sorted[valid]
-                if flat_delta:
-                    ncid += flat_delta
-            src_alive = src_live if valid is None else (
-                None if src_live is None else src_live[valid]
-            )
-        else:
-            np.add(self._sorted_coords, np.asarray(offset, dtype=np.int64),
-                   out=self._nb)
-            nb = self._nb
-            valid = np.ones(n, dtype=bool)
-            for d, delta in enumerate(offset):
-                if self.box.periodic[d]:
-                    nb[:, d] = np.mod(nb[:, d], self._ncell[d])
-                else:
-                    valid &= (nb[:, d] >= 0) & (nb[:, d] < self._ncell[d])
-            if not np.any(valid):
-                return empty, empty
-            src = atom_idx[valid]
-            ncid = self._flatten(nb[valid])
-            src_alive = None if src_live is None else src_live[valid]
-        if live_cells is not None:
-            # Dead-cell pruning: with every atom of both cells dead, no
-            # pair of this block can own a live endpoint.
-            alive = src_alive | live_cells[ncid]
-            src = src[alive]
-            ncid = ncid[alive]
-        counts = self._counts[ncid]
-        nonempty = counts > 0
-        src = src[nonempty]
-        ncid = ncid[nonempty]
-        counts = counts[nonempty]
-        if len(src) == 0:
-            return empty, empty
-        j = self._order[concatenated_ranges(self._starts[ncid], counts)]
-        i = np.repeat(src, counts)
-        return i, j
+                valid &= (nb[:, d] >= 0) & (nb[:, d] < self._ncell[d])
+        src = np.nonzero(valid)[0]
+        return src, self._flatten(nb.take(src, axis=0))
 
     def directed_candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed (double-counted) view of :meth:`candidate_pairs`."""

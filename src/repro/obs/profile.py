@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs import required_phases
+from repro.obs import metrics, required_phases
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.perfmodel.linear import LinearStepModel, fit_linear_model
@@ -24,7 +24,16 @@ __all__ = [
     "profile_spec",
     "fit_traced_linear",
     "expected_linear_constants",
+    "FUNNEL_COUNTERS",
 ]
+
+#: The neighbor rebuild funnel, widest first (registry counter names).
+FUNNEL_COUNTERS = (
+    "neighbor.rebuilds",
+    "neighbor.raw_candidates",
+    "neighbor.coarse_kept",
+    "neighbor.exact_kept",
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,11 @@ class EngineProfile:
         healthy run).
     counters:
         Engine-shaped work counters from its telemetry.
+    funnel:
+        What the run added to the :data:`FUNNEL_COUNTERS` registry
+        counters: rebuilds, and the candidates entering and leaving
+        the sweep's coarse cut and the exact kernel (exact,
+        seed-repeatable counts; all zero for the lockstep engine).
     fit:
         Table II constants regressed from the traced per-tile cycles
         (lockstep engine only; ``None`` elsewhere or if degenerate).
@@ -65,6 +79,7 @@ class EngineProfile:
     coverage: float = 0.0
     missing_phases: tuple[str, ...] = ()
     counters: dict = field(default_factory=dict)
+    funnel: dict[str, int] = field(default_factory=dict)
     fit: LinearStepModel | None = None
     fit_expected: dict[str, float] | None = None
 
@@ -145,6 +160,8 @@ def profile_spec(
                 sink.write_meta(spec=espec.to_dict())
                 tracer.add_sink(sink)
             runner = Runner.from_spec(espec, tracer=tracer)
+            reg = metrics()
+            before = {n: reg.counter(n).value for n in FUNNEL_COUNTERS}
             try:
                 telemetry = runner.run(steps)
             finally:
@@ -179,6 +196,10 @@ def profile_spec(
                 coverage=coverage,
                 missing_phases=missing,
                 counters=dict(telemetry.counters),
+                funnel={
+                    n: int(reg.counter(n).value - before[n])
+                    for n in FUNNEL_COUNTERS
+                },
                 fit=fit,
                 fit_expected=expected,
             )

@@ -222,6 +222,13 @@ class ShardPairs:
     n_local: int
     n_owned: int
     r_build: np.ndarray | None = None
+    #: (raw, coarse_kept, exact_kept) counts of the build that made this
+    #: list (see ``repro.md.neighbor_list.count_funnel``): raw is what
+    #: this tile enumerated, halo ring included; coarse and exact are
+    #: counted after the seam rule, so exact sums over tiles to the
+    #: serial build's (and coarse does wherever the rounding sliver
+    #: past the reach is empty).
+    funnel: tuple[int, int, int] = (0, 0, 0)
 
     @property
     def n_candidates(self) -> int:
@@ -376,34 +383,39 @@ def build_local_pairs(
     """
     n_local = len(local_positions)
     n_owned = int(np.count_nonzero(owned))
-    empty = np.empty(0, dtype=np.int64)
-    empty_r = np.empty(0, dtype=np.float64)
     if n_local == 0:
-        return ShardPairs(empty, empty, 0, n_owned, r_build=empty_r)
+        empty = np.empty(0, dtype=np.int64)
+        return ShardPairs(
+            empty, empty, 0, n_owned, r_build=np.empty(0, dtype=np.float64)
+        )
     if cells is None:
         cells = CellList(box, reach)
     cells.build(local_positions)
-    # Dead-cell pruning: a pair both of whose endpoints sit in cells
+    # The serial rebuild's sweep (NeighborList.rebuild): stencil blocks
+    # coarsely cut at the reach where they are enumerated.  Dead-cell
+    # pruning rides along: a pair both of whose endpoints sit in cells
     # with no owned atom can never pass the seam rule below, so the
     # halo-ring-vs-halo-ring part of the enumeration is skipped.
-    ci, cj = cells.candidate_pairs(live=owned)
+    ci, cj, n_raw = cells.pairs_within(reach, live=owned)
     # Seam rule: keep the pair iff this tile owns the smaller id.  The
     # local ids are ascending in global id, so min() in local indices
-    # picks the same member the global rule would.
+    # picks the same member the global rule would.  It is a mask on the
+    # same stream as the coarse cut, so the two commute.
     keep = owned[np.minimum(ci, cj)]
-    li = ci[keep]
-    lj = cj[keep]
-    if len(li) == 0:
-        return ShardPairs(empty, empty, n_local, n_owned, r_build=empty_r)
-    # Verlet prefilter at the build positions — identical semantics to
-    # the serial NeighborList.rebuild, so tile unions reproduce the
-    # serial candidate set exactly.  The kept separations are recorded
-    # for the cross-step pre-mask in :meth:`ShardPairs.pairs`.
+    ci = ci[keep]
+    cj = cj[keep]
+    # The exact kernel decides — identical semantics to the serial
+    # rebuild, so tile unions reproduce the serial candidate set
+    # exactly.  The kept separations are recorded for the cross-step
+    # pre-mask in :meth:`ShardPairs.pairs`.
     li, lj, _, r = active_backend().neighbor_prefilter(
-        local_positions, li, lj, _OPEN_LENGTHS, _OPEN_PERIODIC,
+        local_positions, ci, cj, _OPEN_LENGTHS, _OPEN_PERIODIC,
         reach, inclusive=True, compute_r=True,
     )
-    return ShardPairs(li, lj, n_local, n_owned, r_build=r)
+    return ShardPairs(
+        li, lj, n_local, n_owned, r_build=r,
+        funnel=(n_raw, len(ci), len(li)),
+    )
 
 
 def build_tile_pairs(
@@ -438,7 +450,7 @@ def build_tile_pairs(
     )
     return ShardPairs(
         local[sp.gi], local[sp.gj], sp.n_local, sp.n_owned,
-        r_build=sp.r_build,
+        r_build=sp.r_build, funnel=sp.funnel,
     )
 
 

@@ -72,6 +72,7 @@ import time
 
 import numpy as np
 
+from repro.md.neighbor_list import count_funnel, max_sq_displacement
 from repro.obs import NULL_TRACER, metrics
 from repro.parallel.domains import (
     owned_mask_local,
@@ -342,8 +343,9 @@ class ShardedForcePipeline:
                 # checks — the tile-local sets cover every atom), but
                 # resolved before any scatter or round, so a triggered
                 # step never ships a stale pack or wastes a pass.
-                delta = positions - self._ref_positions
-                max_d2 = float(np.max(np.einsum("ij,ij->i", delta, delta)))
+                max_d2 = max_sq_displacement(
+                    positions, self._ref_positions
+                )
                 if max_d2 > (self.skin / 2.0) ** 2:
                     reason = "displacement"
                 else:
@@ -352,6 +354,8 @@ class ShardedForcePipeline:
                 replies = self._rebuild_round(positions, reason, tr)
                 reg.counter("neighbor.rebuilds").inc()
                 reg.counter(f"neighbor.rebuilds.{reason}").inc()
+                for r in replies:
+                    count_funnel(*r[5])
             else:
                 # Clean step: ship the owned rows, post the command,
                 # publish the ghost rows while the interior pass runs.

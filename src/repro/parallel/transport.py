@@ -211,7 +211,9 @@ class ShardWorker:
 
     :meth:`handle` returns ``("ok", flag, n_pairs, seconds,
     density_seconds, halo_wait_seconds)`` replies (or
-    ``("error", type, text)``).  The compute body is identical under
+    ``("error", type, text)``); a rebuild reply carries the build's
+    ``(raw, coarse_kept, exact_kept)`` candidate funnel as a trailing
+    element.  The compute body is identical under
     every transport — forked, remote *and* inline — which is what makes
     cross-transport trajectories bitwise-equal; and identical whether
     the parent published the ghosts before or after the command
@@ -349,7 +351,9 @@ class ShardWorker:
                 if set_rows is not None:
                     set_rows(np.nonzero(owned)[0], self.ghost_rows)
                 self.d_max = 0.0
-                return self._two_phase_density(t0, None)
+                # the build's candidate funnel rides home on the reply:
+                # a forked rank's metrics registry is not the parent's
+                return (*self._two_phase_density(t0, None), shard.funnel)
             if cmd == "force":
                 seq = msg[1] if len(msg) > 1 else None
                 f_der = self.channel.get("f_der", self.n_local)

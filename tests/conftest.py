@@ -79,3 +79,28 @@ def ta_slab_state():
 @pytest.fixture()
 def ta_bulk_state():
     return bulk_state("Ta")
+
+
+def legacy_candidates(cells, positions, reach, live=None, seam=False):
+    """The staged rebuild the streaming sweep replaced, as an oracle.
+
+    ``candidate_pairs(live)`` materializes the raw stencil stream, the
+    own-smaller-id seam rule masks it (``seam=True``: ``live`` is the
+    tile's owned mask), and the exact numpy ``neighbor_prefilter`` cuts
+    it inclusively at ``reach``.  Returns the kernel's
+    ``(i, j, rij, r)`` plus the raw stream ``(ri, rj)`` the sweep's
+    coarse output must be a sub-stream of.  ``cells`` must already be
+    built at ``positions``.
+    """
+    from repro.kernels import numpy_backend
+
+    ri, rj = cells.candidate_pairs(live=live)
+    ci, cj = ri, rj
+    if seam:
+        keep = live[np.minimum(ri, rj)]
+        ci, cj = ri[keep], rj[keep]
+    exact = numpy_backend.neighbor_prefilter(
+        positions, ci, cj, cells.box.lengths, cells.box.periodic,
+        reach, inclusive=True, compute_r=True,
+    )
+    return exact, (ri, rj)

@@ -1,14 +1,29 @@
 """Verlet-list skin/rebuild policy tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import active_backend, active_backend_name, set_backend
 from repro.md.boundary import Box
-from repro.md.cell_list import all_pairs
+from repro.md.cell_list import CellList, all_pairs
 from repro.md.neighbor_list import NeighborList
 from repro.obs import metrics
+from repro.potentials.base import PairTable
+from repro.runtime import RunSpec
+from repro.runtime.engines import build_engine
+
+
+@pytest.fixture(autouse=True)
+def _restore_backend():
+    # building an engine from a spec that names a backend switches the
+    # process-wide registry; this file must leave it as it found it
+    base = active_backend_name()
+    yield
+    set_backend(base)
 
 
 @pytest.fixture()
@@ -162,3 +177,185 @@ class TestSkinProperty:
                 np.sort(a.r), np.sort(b.r), rtol=1e-12
             )
             pos = pos + rng.uniform(-0.3, 0.3, size=pos.shape)
+
+
+def kernel_table(nl, positions):
+    """What the strict kernel says about the current candidates.
+
+    The *active* backend's kernel: geometry reuse must be bit-neutral
+    against whichever exact stage the list itself runs (the CI numba
+    leg runs this file with the compiled kernel).
+    """
+    return active_backend().neighbor_prefilter(
+        positions, nl._cand_i, nl._cand_j, nl.box.lengths, nl.box.periodic,
+        nl.cutoff, inclusive=False, compute_r=True,
+    )
+
+
+def assert_table_is(table, expect):
+    for name, want in zip(("i", "j", "rij", "r"), expect):
+        assert np.array_equal(getattr(table, name), want), name
+
+
+class StagedNeighborList(NeighborList):
+    """The two-stage rebuild this list used before the sweep: raw
+    stencil stream -> kernel at the reach (indices only) -> kernel at
+    the cutoff, every query.  Kept here as the trajectory oracle."""
+
+    def pairs(self, positions):
+        if self.rebuild_reason(positions) is not None:
+            self._cells.build(positions)
+            ci, cj = self._cells.candidate_pairs()
+            self._cand_i, self._cand_j, _, _ = (
+                active_backend().neighbor_prefilter(
+                    positions, ci, cj, self.box.lengths, self.box.periodic,
+                    self.cutoff + self.skin, inclusive=True, compute_r=False,
+                )
+            )
+            self._ref_positions = positions.copy()
+            self._built_n_atoms = len(positions)
+            self.n_builds += 1
+        i, j, rij, r = kernel_table(self, positions)
+        return PairTable(i=i, j=j, rij=rij, r=r, half=True)
+
+
+class TestBuildGeometryReuse:
+    """The rebuild's own geometry serves the query that triggered it —
+    bit for bit what the kernel would have re-measured, and never any
+    other query."""
+
+    @pytest.mark.parametrize("skin", [0.0, 0.5])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_rebuild_query_equals_a_fresh_kernel_query(
+        self, cluster, skin, periodic
+    ):
+        box = Box.cube_periodic(10.0) if periodic else Box.open([25, 25, 25])
+        nl = NeighborList(box, 3.0, skin=skin)
+        table = nl.pairs(cluster)
+        assert nl.n_builds == 1
+        assert_table_is(table, kernel_table(nl, cluster))
+
+    def test_direct_rebuild_then_query_elsewhere_remeasures(self, cluster):
+        nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=1.0)
+        nl.rebuild(cluster)
+        moved = cluster + np.random.default_rng(1).uniform(
+            -0.2, 0.2, size=cluster.shape
+        )
+        table = nl.pairs(moved)
+        assert nl.n_builds == 1  # inside skin/2: reused, not rebuilt
+        assert_table_is(table, kernel_table(nl, moved))
+        expect = np.linalg.norm(moved[table.j] - moved[table.i], axis=1)
+        assert np.allclose(table.r, expect, rtol=1e-14)
+
+    def test_shell_exactly_on_the_cutoff_goes_through_the_kernel(self):
+        # simple-cubic spacing 1.5, cutoff 3.0: the (2, 0, 0) shell has
+        # r == cutoff to the bit, where sqrt(r2) cannot tell < from ==
+        g = np.arange(5) * 1.5
+        lattice = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T.copy()
+        for skin in (0.0, 0.5):
+            nl = NeighborList(Box.open([30, 30, 30]), 3.0, skin=skin)
+            table = nl.pairs(lattice)
+            assert_table_is(table, kernel_table(nl, lattice))
+            assert np.all(table.r < 3.0)
+            on_shell = np.linalg.norm(
+                lattice[nl._cand_j] - lattice[nl._cand_i], axis=1
+            ) == 3.0
+            assert np.any(on_shell)  # candidates, but not interacting
+
+    @pytest.mark.parametrize("skin", [0.0, 0.5])
+    def test_returned_arrays_survive_the_next_call(self, cluster, skin):
+        nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=skin)
+        first = nl.pairs(cluster)
+        snapshot = [a.copy() for a in (first.i, first.j, first.rij, first.r)]
+        nl.pairs(cluster + 0.2)   # reuse (skin 0.5) or rebuild (skin 0)
+        nl.pairs(cluster[::-1] * 1.3)  # certainly a rebuild
+        assert_table_is(first, snapshot)
+
+    @pytest.mark.parametrize(
+        "skin, builds, digest",
+        [
+            (0.0, 20, "0dde3af443857460d06033ff35fd4360"
+                      "d4b179011e96324714fd7f63f494ffac"),
+            (0.5, 3, "6889f68a3e404d6c8062097ff858ce9f"
+                     "ef3ac96a4310c43991a3dec7c816b5fe"),
+        ],
+    )
+    def test_trajectory_is_bitwise_the_staged_rebuilds(
+        self, skin, builds, digest
+    ):
+        # Digests of a hot 6x6x3 Ta slab after 20 steps, computed at the
+        # last commit that rebuilt in two stages (candidate_pairs ->
+        # prefilter at the reach -> prefilter at the cutoff).  They pin
+        # x86-64 numpy arithmetic; the live comparison below does not.
+        spec = RunSpec(element="Ta", reps=(6, 6, 3), engine="reference",
+                       backend="numpy", skin=skin, seed=3,
+                       temperature=3000.0)
+        engine = build_engine(spec)
+        staged = build_engine(spec)
+        staged.sim.neighbors = StagedNeighborList(
+            staged.state.box, staged.sim.neighbors.cutoff, skin
+        )
+        try:
+            engine.step(20)
+            staged.step(20)
+            got = engine.state.positions
+            assert engine.sim.neighbors.n_builds == builds
+            assert staged.sim.neighbors.n_builds == builds
+            assert np.array_equal(got, staged.state.positions)
+            assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+        finally:
+            engine.close()
+            staged.close()
+
+
+class TestNonFinitePositions:
+    """A NaN on a *reuse* step must not pass as 'nobody moved'."""
+
+    def test_nan_after_build_raises_instead_of_dropping_pairs(self, cluster):
+        nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=1.0)
+        nl.pairs(cluster)
+        poisoned = cluster.copy()
+        poisoned[7, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            nl.pairs(poisoned)
+        poisoned[7, 1] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            nl.rebuild_reason(poisoned)
+
+    def test_engine_step_fails_at_the_step_the_nan_appears(self):
+        engine = build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), engine="reference",
+        ))
+        try:
+            engine.step(2)
+            engine.state.positions[5, 0] = np.nan
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                engine.step(3)
+        finally:
+            engine.close()
+
+
+class TestFunnelCounters:
+    def test_counts_are_exact_ordered_and_repeatable(self, cluster):
+        box = Box.open([25, 25, 25])
+        seen = []
+        for _ in range(2):
+            metrics().reset()
+            nl = NeighborList(box, 3.0, skin=1.0)
+            nl.pairs(cluster)
+            nl.pairs(cluster + 0.1)   # reuse: no funnel
+            nl.pairs(cluster * 1.5)   # rebuild
+            counters = metrics().as_dict()["counters"]
+            seen.append([counters[f"neighbor.{key}"] for key in (
+                "raw_candidates", "coarse_kept", "exact_kept"
+            )])
+        raw, coarse, exact = seen[0]
+        assert seen[0] == seen[1]
+        assert raw > coarse >= exact > 0
+        cells = CellList(box, 4.0)
+        total = 0
+        for positions in (cluster, cluster * 1.5):
+            cells.build(positions)
+            total += len(cells.candidate_pairs()[0])
+        assert raw == total
+        assert nl.n_candidates <= exact  # the last build is part of it

@@ -81,6 +81,19 @@ class TestProfileSpec:
         # jitter_rel defaults to 0 -> traced cycles are exactly linear
         assert max(errors.values()) < 1e-6
 
+    def test_funnel_is_the_runs_own_and_repeats_exactly(self, tiny_spec):
+        # deltas, not registry totals: no reset between the two runs
+        first = profile_spec(tiny_spec)
+        again = profile_spec(tiny_spec)
+        funnel = first["reference"].funnel
+        assert funnel == again["reference"].funnel
+        assert funnel["neighbor.rebuilds"] >= 1
+        assert (funnel["neighbor.raw_candidates"]
+                > funnel["neighbor.coarse_kept"]
+                >= funnel["neighbor.exact_kept"] > 0)
+        # the lockstep machine keeps no neighbor list
+        assert not any(first["wse"].funnel.values())
+
     def test_steps_override(self, tiny_spec):
         metrics().reset()
         profiles = profile_spec(tiny_spec, engines=("reference",), steps=2)

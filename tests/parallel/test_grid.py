@@ -12,19 +12,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.md.boundary import Box
+from repro.md.cell_list import CellList
 from repro.md.neighbor_list import NeighborList
+from repro.obs import metrics
 from repro.parallel import domains
 from repro.parallel.domains import (
     DomainGrid,
+    build_local_pairs,
     build_shard_pairs,
     build_tile_pairs,
     plan_axis,
     plan_columns,
     plan_grid,
 )
-from tests.conftest import small_slab_state
+from tests.conftest import legacy_candidates, small_slab_state
 
 TOPOLOGIES = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 4)]
 
@@ -217,3 +222,70 @@ class TestColumnCompatibility:
             np.testing.assert_array_equal(a.gi, b.gi)
             np.testing.assert_array_equal(a.gj, b.gj)
             assert a.n_owned == b.n_owned
+
+
+@st.composite
+def tile_cases(draw):
+    """A random open-box cloud with a random owned mask.
+
+    The mask is deliberately *not* a rectangle: the seam rule and the
+    dead-cell pruning are statements about an arbitrary owned subset,
+    and ragged subsets stress them harder than any tiling would.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    reach = draw(st.floats(1.5, 3.5))
+    span = reach * np.array([draw(st.floats(0.5, 6.0)) for _ in range(3)])
+    positions = rng.uniform(0.0, 1.0, size=(n, 3)) * span
+    if draw(st.booleans()):
+        positions += 1e6
+    owned = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    return positions, Box.open(span + 10.0), reach, owned
+
+
+class TestShardSweep:
+    """``build_local_pairs`` rides the serial rebuild's streaming sweep."""
+
+    @given(tile_cases(), st.sampled_from([1, 2]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_legacy_composition_in_order(self, case, subdivide):
+        positions, box, reach, owned = case
+        cells = CellList(box, reach, subdivide=subdivide)
+        sp = build_local_pairs(
+            positions, owned, box=box, reach=reach, cells=cells
+        )
+        (li, lj, _, r), (ri, _) = legacy_candidates(
+            cells, positions, reach, live=owned, seam=True
+        )
+        assert np.array_equal(sp.gi, li)
+        assert np.array_equal(sp.gj, lj)
+        assert np.array_equal(sp.r_build, r)
+        n_raw, n_coarse, n_exact = sp.funnel
+        assert n_raw == len(ri)
+        assert n_raw >= n_coarse >= n_exact == len(li)
+
+    def test_tile_funnels_sum_to_the_serial_funnel_on_ta(self, ta_potential):
+        state = small_slab_state("Ta", (6, 6, 3), temperature=400.0)
+        reach = ta_potential.cutoff + 0.5
+        metrics().reset()
+        NeighborList(state.box, ta_potential.cutoff, 0.5).rebuild(
+            state.positions
+        )
+        serial = {
+            key: metrics().counter(f"neighbor.{key}").value
+            for key in ("raw_candidates", "coarse_kept", "exact_kept")
+        }
+        grid = plan_grid(state.positions, 2, 2, reach)
+        funnels = np.array([
+            build_tile_pairs(
+                state.positions, grid, t, box=state.box, reach=reach
+            ).funnel
+            for t in range(4)
+        ])
+        raw, coarse, exact = funnels.sum(axis=0)
+        assert exact == serial["exact_kept"]
+        # on a crystal nothing sits in the rounding sliver past the reach
+        assert coarse == serial["coarse_kept"]
+        assert coarse - exact <= 0.001 * exact
+        # halo rings are enumerated twice, dead ring-ring blocks never
+        assert raw != serial["raw_candidates"]

@@ -16,6 +16,7 @@ import pytest
 import repro.parallel as par
 from repro.kernels import active_backend_name, set_backend
 from repro.md.simulation import Simulation
+from repro.obs import metrics
 from repro.parallel import ShardedForcePipeline, unsupported_reason
 from repro.parallel.pool import fork_available
 from repro.runtime import RunSpec, SpecError, build_engine
@@ -231,3 +232,55 @@ class TestTelemetry:
         assert c["overlap_efficiency"] == 0.0
         assert "parallel.overlap" not in totals
         assert "parallel.halo_wait" not in totals
+
+
+def _inline_engine(workers=2, **fields):
+    return build_engine(RunSpec(
+        element="Ta", reps=(4, 4, 2), seed=3, backend="parallel",
+        workers=workers, transport="inline", **fields,
+    ))
+
+
+class TestNonFinitePositions:
+    def test_nan_on_a_reuse_step_raises_instead_of_reusing_packs(self):
+        engine = _inline_engine()
+        try:
+            engine.step(2)
+            assert engine.telemetry().counters["transport"] == "inline"
+            engine.state.positions[5, 0] = np.nan
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                engine.step(3)
+        finally:
+            engine.close()
+
+
+class TestFunnelCounters:
+    """Shard-side rebuild funnels reach the parent's registry — once,
+    whether the ranks share its process (inline) or not (shared)."""
+
+    def _funnel(self, engine, steps=3):
+        metrics().reset()
+        try:
+            engine.step(steps)
+        finally:
+            engine.close()
+        counters = metrics().as_dict()["counters"]
+        return [counters[f"neighbor.{key}"] for key in (
+            "rebuilds", "raw_candidates", "coarse_kept", "exact_kept"
+        )]
+
+    def test_tiles_sum_to_serial_and_repeat_exactly(self):
+        serial = self._funnel(build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, backend="numpy", skin=0.0,
+        )))
+        inline = self._funnel(_inline_engine(skin=0.0))
+        again = self._funnel(_inline_engine(skin=0.0))
+        forked = self._funnel(build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, backend="parallel",
+            workers=2, transport="shared", skin=0.0,
+        )))
+        assert inline == again == forked
+        rebuilds, raw, coarse, exact = inline
+        assert rebuilds == serial[0] > 1
+        assert exact == serial[3]
+        assert raw >= coarse >= exact > 0

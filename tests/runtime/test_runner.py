@@ -66,6 +66,24 @@ class TestLoop:
         chopped.run()
         np.testing.assert_array_equal(_positions(plain), _positions(chopped))
 
+    def test_nan_mid_run_is_a_typed_failure_at_the_step_it_appears(self):
+        # a reuse step used to take NaN > skin/2 == False for "nobody
+        # moved", drop the atom's pairs and carry on
+        runner = Runner.from_spec(
+            RunSpec(steps=12, engine="reference", **QUICK)
+        )
+
+        def poison(event):
+            event.state.positions[4, 2] = np.nan
+
+        runner.add_observer(5, poison)
+        try:
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                runner.run()
+            assert runner.engine.step_count == 5
+        finally:
+            runner.close()
+
 
 class TestCheckpointing:
     def test_final_checkpoint_always_written(self, tmp_path):

@@ -124,6 +124,27 @@ class TestSpecRuns:
     def test_missing_spec_file_exit_code_2(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "nope.toml")]) == 2
 
+    def test_nan_mid_run_exit_code_1(self, tmp_path, capsys, monkeypatch):
+        # a position going non-finite on a neighbor-list *reuse* step
+        # is a failed run with a one-line diagnostic, not a quiet one
+        from repro.md.integrators import LeapfrogVerlet
+
+        plain_step = LeapfrogVerlet.step
+        calls = []
+
+        def poisoned_step(self, state, forces):
+            plain_step(self, state, forces)
+            calls.append(1)
+            if len(calls) == 3:
+                state.positions[2, 1] = float("nan")
+
+        monkeypatch.setattr(LeapfrogVerlet, "step", poisoned_step)
+        path = self._write_spec(tmp_path, engine="reference", steps=8)
+        assert main(["run", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "run failed" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_checkpoint_and_resume(self, tmp_path, capsys):
         path = self._write_spec(tmp_path, engine="reference", steps=3)
         prefix = tmp_path / "ckpt"
@@ -203,6 +224,9 @@ class TestProfile:
         assert rc == 0
         text = capsys.readouterr().out
         assert "wse engine" not in text
+        # one first build: raw stencil pairs -> coarse cut -> exact kernel
+        assert "rebuild funnel: rebuilds 1, raw_candidates " in text
+        assert ", coarse_kept " in text and ", exact_kept " in text
 
     def test_profile_from_spec_file(self, tmp_path, capsys):
         path = tmp_path / "p.toml"
