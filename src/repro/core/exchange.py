@@ -26,9 +26,26 @@ from repro.wse.geometry import TileGrid
 __all__ = [
     "shift2d",
     "shift2d_into",
+    "shift_rects",
     "iter_neighborhood",
     "neighborhood_sources",
 ]
+
+
+def shift_rects(nx: int, ny: int, dx: int, dy: int):
+    """``(dst, src)`` slice pairs of one offset's aligned shift.
+
+    ``grid[src]`` lands on ``out[dst]`` (``out[x, y] = grid[x + dx,
+    y + dy]``); tiles of ``out`` outside ``dst`` have no neighbor at
+    this offset on the fabric.  ``None`` when the offset leaves the
+    fabric entirely.
+    """
+    xs0, xs1 = max(dx, 0), nx + min(dx, 0)
+    ys0, ys1 = max(dy, 0), ny + min(dy, 0)
+    if xs0 >= xs1 or ys0 >= ys1:
+        return None
+    dst = (slice(xs0 - dx, xs1 - dx), slice(ys0 - dy, ys1 - dy))
+    return dst, (slice(xs0, xs1), slice(ys0, ys1))
 
 
 def shift2d_into(
@@ -38,18 +55,14 @@ def shift2d_into(
 
     ``out[x, y] = grid[x + dx, y + dy]`` where the source exists,
     ``fill`` elsewhere.  Semantics identical to :func:`shift2d`; lets
-    hot loops (one shift per neighborhood offset per step) reuse a
-    preallocated exchange buffer instead of allocating every call.
+    loops over neighborhood offsets reuse a preallocated exchange
+    buffer instead of allocating every call.
     """
-    nx, ny = grid.shape[:2]
     out[...] = fill
-    xs0, xs1 = max(dx, 0), nx + min(dx, 0)
-    ys0, ys1 = max(dy, 0), ny + min(dy, 0)
-    if xs0 >= xs1 or ys0 >= ys1:
-        return out
-    xd0, xd1 = max(-dx, 0), nx + min(-dx, 0)
-    yd0, yd1 = max(-dy, 0), ny + min(-dy, 0)
-    out[xd0:xd1, yd0:yd1] = grid[xs0:xs1, ys0:ys1]
+    rects = shift_rects(*grid.shape[:2], dx, dy)
+    if rects is not None:
+        dst, src = rects
+        out[dst] = grid[src]
     return out
 
 

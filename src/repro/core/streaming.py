@@ -1,46 +1,63 @@
 """Streaming, offset-fused sweeps for the lockstep machine.
 
-The record-based lockstep passes kept one full-grid record — shifted
-positions, masks, distances, unit vectors — per neighborhood offset,
-an O(offsets x nx x ny) working set that made paper-scale grids
-(801,792 atoms, ~80 offsets) infeasible.  This module replaces them
-with two streaming sweeps over *chunks* of offsets stacked on a batch
-axis:
+One timestep of the paper (Sec. III-A) exchanges positions once, builds
+the neighbor list once, and its second exchange ships only the scalar
+``F'``.  The two sweeps here have that shape, over *chunks* of
+neighborhood offsets stacked on a batch axis:
 
-1. each offset of a chunk is shifted into a reused stack slice (the
-   candidate exchange),
-2. the whole chunk is distance-filtered at once (the neighbor mask),
-3. the surviving candidates are spline-evaluated in one batched call
-   per table family (:class:`~repro.potentials.spline.SplineGroup`),
-4. each offset's contributions are scattered into the running
-   accumulators *in exchange order*, and the chunk buffers are reused
-   for the next chunk.
+1. :meth:`StreamingSweeps.density` shifts each offset of a chunk into a
+   reused stack slice (the candidate exchange), distance-filters the
+   whole chunk at once (the neighbor list), spline-evaluates the
+   survivors in one batched call per table family
+   (:class:`~repro.potentials.spline.SplineGroup`), scatters each
+   offset's density into the running accumulator *in exchange order* —
+   and leaves one compact :class:`SurvivorRecord` per chunk: the flat
+   center / source tile of every surviving candidate, its distance and
+   unit vector, and the ``rho'`` the density spline call computed
+   anyway.
+2. :meth:`StreamingSweeps.force` consumes those records in the same
+   order: it gathers ``F'`` at the recorded tiles (the second
+   exchange), evaluates only ``phi``, scatters Eq. 4 per offset, and
+   drops each record as it is used.  It never touches the chunk stacks.
 
-Nothing proportional to the full neighborhood survives a sweep: peak
-memory is O(chunk x nx x ny), with ``chunk`` configurable (the
-``offset_chunk`` RunSpec knob).  The arithmetic per candidate and the
-per-tile accumulation order are exactly those of the record-based
-passes, so trajectories are bitwise identical — the equivalence the
-``tests/core`` streaming suite asserts.
+Memory is O(chunk x nx x ny) for the transient exchange stacks
+(``chunk`` is the ``offset_chunk`` RunSpec knob) plus O(interactions)
+for the records in flight between the two sweeps of one step; nothing
+proportional to either outlives the step.  The arithmetic per candidate
+and the per-tile accumulation order are exactly those of the
+record-per-offset passes this module replaced, so trajectories are
+bitwise identical — the equivalence the ``tests/core`` streaming suite
+asserts.
 
 The sweeps are self-contained (no reference to the parent machine), so
 the same code runs in-process for the serial path and inside forked
 workers for the offset-parallel path (:mod:`repro.parallel.offsets`),
-each worker owning a contiguous slice of the offset list.
+each worker owning a contiguous slice of the offset list and keeping
+its own records between the ``density`` and ``force`` commands.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.exchange import shift2d_into
+from repro.core.exchange import shift_rects
 
-__all__ = ["StreamingSweeps", "auto_chunk", "FAR"]
+__all__ = [
+    "StreamingSweeps",
+    "SurvivorRecord",
+    "SweepRecordError",
+    "auto_chunk",
+    "FAR",
+]
 
 #: Fabric-plane sentinel coordinate of an empty tile's "atom at
-#: infinity" (shared with :mod:`repro.core.wse_md`).
+#: infinity".  The sweeps never compare against it: an empty tile is
+#: masked by its occupancy bit, the sentinel only has to stay finite
+#: when subtracted and squared in the machine dtype.
 FAR = 1.0e15
 
 #: Element budget for the auto-sized chunk: chunk * nx * ny stays at or
@@ -60,8 +77,49 @@ def auto_chunk(nx: int, ny: int) -> int:
     return max(1, min(_AUTO_CHUNK_MAX, _AUTO_CHUNK_ELEMENTS // (nx * ny)))
 
 
+class SweepRecordError(RuntimeError):
+    """A force sweep was asked to run without a fresh density sweep."""
+
+
+class SurvivorRecord(NamedTuple):
+    """One chunk's surviving candidates, offset-major (exchange order).
+
+    Everything the force sweep needs about the chunk, so it never
+    re-runs the exchange or the filter.  Row ``p`` is one (center tile,
+    source tile) interaction; ``starts[i]:starts[i + 1]`` are the rows
+    of the chunk's ``i``-th offset, and within one offset every center
+    (and every source) tile appears at most once.
+    """
+
+    starts: np.ndarray
+    ctr: np.ndarray  # flat center tile, int32
+    src: np.ndarray  # flat source tile (the partner), int32
+    r: np.ndarray  # distance, machine dtype
+    unit: np.ndarray  # (n, 3) unit vector center -> source, machine dtype
+    rho_d_src: np.ndarray  # rho' through the source's type
+    rho_d_ctr: np.ndarray  # rho' through the center's type
+    phi_member: np.ndarray | int  # phi table per row (0 = single type)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, counting a shared single-type ``rho'`` once."""
+        arrays = [self.starts, self.ctr, self.src, self.r, self.unit,
+                  self.rho_d_src]
+        if self.rho_d_ctr is not self.rho_d_src:
+            arrays += [self.rho_d_ctr, self.phi_member]
+        return sum(a.nbytes for a in arrays)
+
+
+def _flat(grid: np.ndarray, *tail: int) -> np.ndarray:
+    """A flat-tile *view* of a caller's (nx, ny, ...) accumulator."""
+    if not grid.flags.c_contiguous:
+        raise ValueError("sweep accumulators must be C-contiguous")
+    return grid.reshape(-1, *tail)
+
+
 class StreamingSweeps:
-    """Chunked density and force sweeps over a fixed offset list.
+    """Chunked density sweep + record-driven force sweep over a fixed
+    offset list.
 
     Parameters
     ----------
@@ -85,8 +143,8 @@ class StreamingSweeps:
         Offsets stacked per batch (0 = :func:`auto_chunk`).
     force_symmetry:
         Paper Sec. VI-A half-neighborhood mode: every pair term is
-        computed once and the partner's share is scattered through the
-        reverse offset.
+        computed once and the partner's share is added at the source
+        tile (the reverse reduction).
     """
 
     def __init__(
@@ -116,82 +174,77 @@ class StreamingSweeps:
         self.force_symmetry = bool(force_symmetry)
         self.chunk = int(chunk) if chunk else auto_chunk(self.nx, self.ny)
         depth = max(1, min(self.chunk, len(self.offsets)))
-        self._depth = depth
-        # Chunk-stacked exchange buffers, reused by every chunk of both
-        # sweeps — the only allocations proportional to the grid.
-        self._d = np.empty((depth, self.nx, self.ny, 3), dtype=self.dtype)
-        self._oocc = np.empty((depth, self.nx, self.ny), dtype=bool)
+        # Chunk-stacked exchange buffers, reused by every chunk of the
+        # density sweep — the only allocations proportional to the
+        # grid.  The displacement stack starts zeroed and is only ever
+        # written with finite differences, so the tiles an offset does
+        # not reach hold stale finite values (masked, never read).
+        self._d = np.zeros((depth, self.nx, self.ny, 3), dtype=self.dtype)
         self._r2 = np.empty((depth, self.nx, self.ny), dtype=self.dtype)
-        self._both = np.empty((depth, self.nx, self.ny), dtype=bool)
-        if self.force_symmetry:
-            # reverse-reduction scatter buffers (one offset at a time)
-            self._vec = np.empty((self.nx, self.ny, 3), dtype=np.float64)
-            self._vec_shift = np.empty_like(self._vec)
-            self._scal = np.empty((self.nx, self.ny), dtype=np.float64)
-            self._scal_shift = np.empty_like(self._scal)
-        # per-chunk offset arrays for gather indexing
-        self._chunks: list[tuple[list[tuple[int, int]], np.ndarray, np.ndarray]] = []
+        self._within = np.empty((depth, self.nx, self.ny), dtype=bool)
+        self._cmp = np.empty((depth, self.nx, self.ny), dtype=bool)
+        # per chunk: each offset's shift rectangles and flat-tile shift
+        self._chunks: list[tuple[list, np.ndarray]] = []
         for start in range(0, len(self.offsets), depth):
             part = self.offsets[start:start + depth]
-            dxa = np.array([o[0] for o in part], dtype=np.int64)
-            dya = np.array([o[1] for o in part], dtype=np.int64)
-            self._chunks.append((part, dxa, dya))
+            rects = [shift_rects(self.nx, self.ny, dx, dy) for dx, dy in part]
+            shift = np.array([dx * self.ny + dy for dx, dy in part])
+            self._chunks.append((rects, shift))
+        #: survivor records between a density sweep and its force sweep
+        self._records: deque[SurvivorRecord] | None = None
 
     def buffer_bytes(self) -> int:
         """Bytes held by the reusable chunk-stacked buffers."""
-        total = self._d.nbytes + self._oocc.nbytes
-        total += self._r2.nbytes + self._both.nbytes
-        if self.force_symmetry:
-            total += self._vec.nbytes + self._vec_shift.nbytes
-            total += self._scal.nbytes + self._scal_shift.nbytes
-        return total
+        return (self._d.nbytes + self._r2.nbytes
+                + self._within.nbytes + self._cmp.nbytes)
 
-    # -- the shared exchange + filter front end ---------------------------
+    def record_bytes(self) -> int:
+        """Bytes of survivor records awaiting the force sweep (0
+        outside a step)."""
+        return sum(rec.nbytes for rec in self._records or ())
 
-    def _filter_chunk(self, part, pos, occ):
+    # -- the exchange + filter front end ----------------------------------
+
+    def _filter_chunk(self, rects, shift, pos, occ):
         """Shift + distance-filter one chunk of offsets.
 
-        Returns the candidate points in (offset-major) exchange order:
-        stack/tile indices, distances, and the exchange / neighbor
-        split of the elapsed time.  The displacement stack ``self._d``
-        holds the filtered displacements for :meth:`force` to turn into
-        unit vectors.
+        Returns the within-cutoff mask stack and the survivors' geometry
+        in (offset-major) exchange order — ``(within, starts, ctr, src,
+        r, unit)`` as in :class:`SurvivorRecord` — plus the exchange /
+        neighbor split of the elapsed time.
         """
-        c = len(part)
+        c = len(rects)
+        n_tiles = self.nx * self.ny
         d = self._d[:c]
-        oocc = self._oocc[:c]
+        within = self._within[:c]
+        cmp_ = self._cmp[:c]
         t0 = time.perf_counter()
-        for i, (dx, dy) in enumerate(part):
-            shift2d_into(d[i], pos, dx, dy, fill=FAR)
-            shift2d_into(oocc[i], occ, dx, dy, fill=False)
+        within[...] = False
+        for i, rect in enumerate(rects):
+            if rect is None:
+                continue
+            dst, src = rect
+            np.subtract(pos[src], pos[dst], out=d[i][dst])
+            np.logical_and(occ[dst], occ[src], out=within[i][dst])
         t1 = time.perf_counter()
-        np.subtract(d, pos[None], out=d)
-        both = np.logical_and(occ[None], oocc, out=self._both[:c])
-        np.copyto(d, 0.0, where=~both[..., None])
         for dim in range(3):
             if self.periodic[dim]:
                 ld = self.lengths[dim]
                 d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
         r2 = np.einsum("cxyk,cxyk->cxy", d, d, out=self._r2[:c])
-        rc2 = self.cutoff**2
-        within = both & (r2 < rc2) & (r2 > 0.0)
-        cc, xx, yy = np.nonzero(within)
-        r = np.sqrt(r2[within])
-        starts = np.searchsorted(cc, np.arange(c + 1))
+        np.less(r2, self.cutoff**2, out=cmp_)
+        within &= cmp_
+        np.greater(r2, 0.0, out=cmp_)
+        within &= cmp_
+        hit = np.flatnonzero(within)
+        starts = np.searchsorted(hit, np.arange(c + 1) * n_tiles)
+        r = np.sqrt(r2.reshape(-1).take(hit))
+        unit = d.reshape(-1, 3).take(hit, axis=0) / r[:, None]
+        which = np.repeat(np.arange(c), np.diff(starts))
+        ctr = (hit - which * n_tiles).astype(np.int32)
+        src = ctr + shift[which].astype(np.int32)
         t2 = time.perf_counter()
-        return within, cc, xx, yy, r, starts, t1 - t0, t2 - t1
-
-    @staticmethod
-    def _cand_rect(n_cand, occ, dx, dy) -> None:
-        """Count one offset's received candidates (occupied tiles whose
-        neighbor at (dx, dy) exists on the fabric) — the in-fabric mask
-        of the record-based pass is a rectangle, so this is a slice add.
-        """
-        nx, ny = occ.shape
-        x0, x1 = max(-dx, 0), nx + min(-dx, 0)
-        y0, y1 = max(-dy, 0), ny + min(-dy, 0)
-        if x0 < x1 and y0 < y1:
-            n_cand[x0:x1, y0:y1] += occ[x0:x1, y0:y1]
+        return within, starts, ctr, src, r, unit, t1 - t0, t2 - t1
 
     # -- sweep 1: density -------------------------------------------------
 
@@ -199,114 +252,118 @@ class StreamingSweeps:
         """Candidate exchange + neighbor filter + density accumulation.
 
         Accumulates into the caller's ``rho_bar`` (float64),
-        ``n_cand``/``n_int`` (int64) grids and returns
+        ``n_cand``/``n_int`` (int64) grids, leaves one
+        :class:`SurvivorRecord` per non-empty chunk for :meth:`force`
+        (replacing any unconsumed ones) and returns
         ``(t_exchange, t_neighbor, n_points)``.
         """
         grouped = self.tables.grouped()
-        nt = self.tables.n_types
+        single = self.tables.n_types == 1
+        rho_flat = _flat(rho_bar)
+        typ_flat = _flat(typ)
+        records: deque[SurvivorRecord] = deque()
+        self._records = records
         t_ex = t_nb = 0.0
         n_pts = 0
-        for part, dxa, dya in self._chunks:
-            within, cc, xx, yy, r, starts, dt_ex, dt_nb = self._filter_chunk(
-                part, pos, occ
+        for rects, shift in self._chunks:
+            within, starts, ctr, src, r, unit, dt_ex, dt_nb = (
+                self._filter_chunk(rects, shift, pos, occ)
             )
             t_ex += dt_ex
             t_nb += dt_nb
-            for dx, dy in part:
-                self._cand_rect(n_cand, occ, dx, dy)
+            # received candidates: occupied tiles whose neighbor at the
+            # offset exists on the fabric — a rectangle, so a slice add
+            for rect in rects:
+                if rect is not None:
+                    n_cand[rect[0]] += occ[rect[0]]
             n_int += within.sum(axis=0)
             if len(r) == 0:
                 continue
             n_pts += len(r)
-            if nt == 1:
-                vals = grouped.rho.evaluate(r, 0)[0]
+            if single:
+                # one table: the partner's share is the same value
+                vals, rho_d = grouped.rho.evaluate(r, 0)
+                vals_ctr, rho_d_ctr, phi_member = vals, rho_d, 0
             else:
-                src_t = typ[xx + dxa[cc], yy + dya[cc]]
-                vals = grouped.rho.evaluate(r, src_t)[0]
-            if self.force_symmetry:
-                ctr_t = 0 if nt == 1 else typ[xx, yy]
-                vals_ctr = grouped.rho.evaluate(r, ctr_t)[0]
-            for i, (dx, dy) in enumerate(part):
+                src_t = typ_flat[src]
+                ctr_t = typ_flat[ctr]
+                vals, rho_d = grouped.rho.evaluate(r, src_t)
+                vals_ctr, rho_d_ctr = grouped.rho.evaluate(r, ctr_t)
+                phi_member = grouped.phi_index[ctr_t, src_t]
+            for i in range(len(rects)):
                 s0, s1 = starts[i], starts[i + 1]
                 if s0 == s1:
                     continue
-                rho_bar[xx[s0:s1], yy[s0:s1]] += vals[s0:s1]
+                rho_flat[ctr[s0:s1]] += vals[s0:s1]
                 if self.force_symmetry:
                     # reverse reduction: the partner's density share
-                    contrib = self._scal
-                    contrib[...] = 0.0
-                    contrib[xx[s0:s1], yy[s0:s1]] = vals_ctr[s0:s1]
-                    rho_bar += shift2d_into(
-                        self._scal_shift, contrib, -dx, -dy, fill=0.0
-                    )
+                    rho_flat[src[s0:s1]] += vals_ctr[s0:s1]
+            records.append(SurvivorRecord(
+                starts, ctr, src, r, unit, rho_d, rho_d_ctr, phi_member
+            ))
         return t_ex, t_nb, n_pts
 
     # -- sweep 2: forces --------------------------------------------------
 
-    def force(self, pos, occ, typ, f_der, force, e_pair):
-        """F' exchange + Eq. 4 force/pair-energy accumulation.
+    def force(self, f_der, force, e_pair=None):
+        """F' exchange + Eq. 4 force (and pair-energy) accumulation.
 
-        Re-runs the chunk filter (positions have not moved since the
-        density sweep, so the masks and distances come out bitwise
-        identical) and accumulates into the caller's ``force`` /
-        ``e_pair`` float64 grids.  Returns
-        ``(t_exchange, t_neighbor, n_points)``.
+        Consumes the records the last :meth:`density` left — each is
+        dropped as soon as it is scattered — and accumulates into the
+        caller's float64 ``force`` grid, and into ``e_pair`` when one
+        is passed.  Returns ``(t_exchange, n_points)``; the exchange is
+        the ``F'`` gather at the recorded tiles.  Raises
+        :class:`SweepRecordError` when no fresh records exist: positions
+        may have moved since whatever density sweep came before.
         """
-        grouped = self.tables.grouped()
-        nt = self.tables.n_types
-        t_ex = t_nb = 0.0
-        n_pts = 0
-        for part, dxa, dya in self._chunks:
-            within, cc, xx, yy, r, starts, dt_ex, dt_nb = self._filter_chunk(
-                part, pos, occ
+        records, self._records = self._records, None
+        if records is None:
+            raise SweepRecordError(
+                "force sweep without a fresh density sweep: survivor "
+                "records are consumed by the first force sweep after "
+                "each density sweep"
             )
-            t_ex += dt_ex
-            if len(r) == 0:
-                t_nb += dt_nb
-                continue
+        phi = self.tables.grouped().phi
+        sym = self.force_symmetry
+        fder_flat = _flat(f_der)
+        force_rows = _flat(force, 3)
+        if e_pair is not None:
+            e_flat = _flat(e_pair)
+            # center + partner halves meet on one plane before they
+            # join the accumulator (one rounding per tile per offset)
+            e_both = np.zeros(len(e_flat)) if sym else None
+        t_ex = 0.0
+        n_pts = 0
+        while records:
+            starts, ctr, src, r, unit, rho_d_src, rho_d_ctr, member = (
+                records.popleft()
+            )
             n_pts += len(r)
             t0 = time.perf_counter()
-            unit = self._d[:len(part)][within] / r[:, None]
-            t_nb += dt_nb + (time.perf_counter() - t0)
-            fder_ctr = f_der[xx, yy]
-            fder_src = f_der[xx + dxa[cc], yy + dya[cc]]
-            if nt == 1:
-                rho_d = grouped.rho.evaluate(r, 0)[1]
-                rho_d_src = rho_d_ctr = rho_d
-                phi_v, phi_d = grouped.phi.evaluate(r, 0)
-            else:
-                src_t = typ[xx + dxa[cc], yy + dya[cc]]
-                ctr_t = typ[xx, yy]
-                rho_d_src = grouped.rho.evaluate(r, src_t)[1]
-                rho_d_ctr = grouped.rho.evaluate(r, ctr_t)[1]
-                phi_v, phi_d = grouped.phi.evaluate(
-                    r, grouped.phi_index[ctr_t, src_t]
-                )
+            fder_ctr = fder_flat[ctr]
+            fder_src = fder_flat[src]
+            t_ex += time.perf_counter() - t0
+            phi_v, phi_d = phi.evaluate(r, member)
             s = fder_ctr * rho_d_src + fder_src * rho_d_ctr + phi_d
-            fvec_pts = s[:, None] * unit
-            for i, (dx, dy) in enumerate(part):
+            fvec = s[:, None] * unit
+            for i in range(len(starts) - 1):
                 s0, s1 = starts[i], starts[i + 1]
                 if s0 == s1:
                     continue
-                px = xx[s0:s1]
-                py = yy[s0:s1]
-                if self.force_symmetry:
-                    # compute once, return the partner's (negated)
-                    # share via the reverse reduction
-                    fvec = self._vec
-                    fvec[...] = 0.0
-                    fvec[px, py] = fvec_pts[s0:s1]
-                    force += fvec
-                    force -= shift2d_into(
-                        self._vec_shift, fvec, -dx, -dy, fill=0.0
-                    )
-                    e_half = self._scal
-                    e_half[...] = 0.0
-                    e_half[px, py] = 0.5 * phi_v[s0:s1]
-                    e_pair += e_half + shift2d_into(
-                        self._scal_shift, e_half, -dx, -dy, fill=0.0
-                    )
+                at, partner = ctr[s0:s1], src[s0:s1]
+                force_rows[at] += fvec[s0:s1]
+                if sym:
+                    # computed once; the partner takes the negated share
+                    force_rows[partner] -= fvec[s0:s1]
+                if e_pair is None:
+                    continue
+                e_half = 0.5 * phi_v[s0:s1]
+                if sym:
+                    e_both[at] = e_half
+                    e_both[partner] += e_half
+                    e_flat += e_both
+                    e_both[at] = 0.0
+                    e_both[partner] = 0.0
                 else:
-                    force[px, py] += fvec_pts[s0:s1]
-                    e_pair[px, py] += 0.5 * phi_v[s0:s1]
-        return t_ex, t_nb, n_pts
+                    e_flat[at] += e_half
+        return t_ex, n_pts

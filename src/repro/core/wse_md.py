@@ -5,14 +5,18 @@ arrays, following the five-step timestep of paper Sec. III-A:
 
 1. **Candidate exchange** — streamed over the (2b+1)^2 neighborhood
    offsets in fixed-size chunks (:mod:`repro.core.streaming`), the
-   functional equivalent of the marching multicast.  No per-offset
-   record survives a pass: each chunk is shifted, filtered, reduced
-   into the running accumulators and its buffers reused, so peak
-   memory is O(chunk x grid), never O(offsets x grid).
-2. **Neighbor list** — the within-cutoff mask per offset (candidates
-   arrive in deterministic order; the mask *is* the ordinal list).
+   functional equivalent of the marching multicast.  Positions are
+   exchanged and filtered **once** per step: each chunk is shifted,
+   filtered, reduced into the running accumulators and its buffers
+   reused, so the dense working set is O(chunk x grid), never
+   O(offsets x grid).
+2. **Neighbor list** — the within-cutoff survivors per offset, kept as
+   compact per-chunk records (candidates arrive in deterministic order;
+   the record order *is* the ordinal list) until the force sweep of the
+   same step has consumed them.
 3. **Embedding calculation and exchange** — density accumulation, then
-   ``F`` and ``F'`` per tile; the second exchange ships ``F'``.
+   ``F`` and ``F'`` per tile; the second exchange ships only ``F'``,
+   gathered at the recorded tiles.
 4. **Force calculation and integration** — Eq. 4 radial terms and the
    Verlet leap-frog update (Eq. 5).
 5. **Atom swap** — every ``swap_interval`` steps, the greedy mutual
@@ -37,7 +41,7 @@ import numpy as np
 from repro.constants import MVV2E
 from repro.core.cycle_model import CycleCostModel
 from repro.core.mapping import Mapping, build_mapping
-from repro.core.streaming import StreamingSweeps
+from repro.core.streaming import FAR as _FAR, StreamingSweeps
 from repro.core.neighborhood import required_b
 from repro.core.swap import SwapEngine
 from repro.md.state import AtomsState
@@ -47,9 +51,6 @@ from repro.wse.geometry import TileGrid
 from repro.wse.trace import CycleTrace
 
 __all__ = ["WseMd"]
-
-#: Fabric-plane sentinel coordinate of an empty tile's "atom at infinity".
-_FAR = 1.0e15
 
 
 def _embed_with_border(mapping: Mapping, b: int) -> Mapping:
@@ -155,6 +156,10 @@ class WseMd:
         workers: int = 0,
         tracer=None,
     ) -> None:
+        if not np.isfinite(state.positions).all():
+            raise FloatingPointError(
+                "non-finite positions in the state handed to the wafer"
+            )
         self.potential = potential
         self.box = state.box
         self.masses = state.masses.copy()
@@ -229,8 +234,9 @@ class WseMd:
         # worker processes only the "i < j" half (the multicast is
         # cropped, Sec. VI-A) and each pair's partner share travels
         # back via the reverse reduction.  The sweeper owns the
-        # chunk-stacked exchange buffers — peak memory is
-        # O(chunk x nx x ny), never O(offsets x nx x ny).
+        # chunk-stacked exchange buffers (O(chunk x nx x ny), never
+        # O(offsets x nx x ny)) and, between the two sweeps of one
+        # step, the survivor records (O(interactions)).
         if offset_chunk < 0:
             raise ValueError(
                 f"offset_chunk must be >= 0, got {offset_chunk}"
@@ -296,7 +302,9 @@ class WseMd:
         # matching Box.minimum_image so the engines stay bit-equivalent.
         for dim in range(3):
             if self.box.periodic[dim]:
-                ld = self.box.lengths[dim]
+                # a Python float, so a float32 machine wraps in float32
+                # exactly as the streaming sweeps do
+                ld = float(self.box.lengths[dim])
                 d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
         return d
 
@@ -384,23 +392,22 @@ class WseMd:
                     f_der[m] = dv
         return f_val, f_der
 
-    def _force_sweep(self, f_der: np.ndarray):
+    def _force_sweep(self, f_der: np.ndarray, *, energy: bool = False):
         """Steps 3c-4a: F' exchange and Eq. 4 force accumulation.
 
-        Re-runs the streaming filter (positions are unchanged since the
-        density sweep, so masks and distances are bitwise identical)
-        instead of caching per-offset records — that cache was the
-        O(offsets x grid) memory blow-up this engine no longer has.
+        Consumes the survivor records the density sweep of this step
+        left (positions are exchanged and filtered once per step, as on
+        the wafer); only ``F'`` travels here.  The pair energy is
+        accumulated only when ``energy`` is set — a timestep never
+        reads it.  Returns ``(force, e_pair or None, t_exchange)``.
         """
         nx, ny = self.grid.nx, self.grid.ny
         force = np.zeros((nx, ny, 3))
-        e_pair = np.zeros((nx, ny))
+        e_pair = np.zeros((nx, ny)) if energy else None
         pool = self._ensure_pool()
         runner = pool if pool is not None else self._sweeps
-        t_ex, t_nb, _ = runner.force(
-            self.pos, self.occ, self.typ, f_der, force, e_pair
-        )
-        return force, e_pair, t_ex, t_nb
+        t_ex, _ = runner.force(f_der, force, e_pair)
+        return force, e_pair, t_ex
 
     def _integrate(self, force: np.ndarray) -> None:
         """Step 4b: leap-frog update, restricted to the occupied tiles.
@@ -413,8 +420,20 @@ class WseMd:
         occ = self.occ
         mass = self.masses[self.typ[occ]]
         accel = force[occ] / (mass[:, None] * MVV2E)
-        self.vel[occ] += (accel * self.dt).astype(self.dtype)
-        self.pos[occ] += (self.vel[occ] * self.dt).astype(self.dtype)
+        vel = self.vel[occ]
+        vel += (accel * self.dt).astype(self.dtype)
+        self.vel[occ] = vel
+        pos = self.pos[occ]
+        pos += (vel * self.dt).astype(self.dtype)
+        self.pos[occ] = pos
+        # A NaN coordinate fails every cutoff test, so the atom would
+        # silently stop interacting; a non-finite force or velocity
+        # lands here too, one step later at most.
+        if not np.isfinite(pos).all():
+            raise FloatingPointError(
+                f"non-finite positions on the wafer after step "
+                f"{self.step_count + 1}"
+            )
 
     def _record_cycles(self, n_cand: np.ndarray, n_int: np.ndarray) -> None:
         cycles = self.cost_model.step_cycles(
@@ -490,8 +509,9 @@ class WseMd:
             # engine wall time.  Each sweep reports its exchange /
             # neighbor wall-time split, recorded as child spans so the
             # taxonomy phases still tile the step: the machine performs
-            # two exchanges per step (candidates, then F'), exactly as
-            # the paper's timestep does.
+            # two exchanges per step (candidate positions, then the F'
+            # gather at the recorded survivors), exactly as the paper's
+            # timestep does, and one neighbor filter.
             with tr.phase("step"):
                 with tr.phase("density") as ph:
                     rho_bar, n_cand, n_int, t_ex, t_nb = (
@@ -506,9 +526,8 @@ class WseMd:
                 with tr.phase("embedding"):
                     _, f_der = self._embed(rho_bar)
                 with tr.phase("pair_force"):
-                    force, _, t_ex, t_nb = self._force_sweep(f_der)
+                    force, _, t_ex = self._force_sweep(f_der)
                     tr.record("exchange", t_ex, {"offsets": n_offsets})
-                    tr.record("neighbor", t_nb, {"offsets": n_offsets})
                 with tr.phase("integrate"):
                     self._integrate(force)
                 with tr.phase("cycle_account"):
@@ -526,14 +545,14 @@ class WseMd:
         """Total potential energy at the current positions (eV)."""
         rho_bar, _, _, _, _ = self._density_sweep()
         f_val, f_der = self._embed(rho_bar)
-        _, e_pair, _, _ = self._force_sweep(f_der)
+        _, e_pair, _ = self._force_sweep(f_der, energy=True)
         return float(f_val[self.occ].sum() + e_pair[self.occ].sum())
 
     def compute_forces(self) -> np.ndarray:
         """Forces on the occupied tiles' atoms, id order, (N, 3)."""
         rho_bar, _, _, _, _ = self._density_sweep()
         _, f_der = self._embed(rho_bar)
-        force, _, _, _ = self._force_sweep(f_der)
+        force, _, _ = self._force_sweep(f_der)
         order = np.argsort(self.aid[self.occ])
         return force[self.occ][order]
 

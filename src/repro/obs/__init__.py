@@ -44,7 +44,9 @@ happens outside the engine's measured wall time).  The lockstep
 machine emits the same ``parallel.pool`` span when its offset-dispatch
 pool (``workers`` on a wse spec) spawns; its streaming sweeps report
 ``exchange`` and ``neighbor`` as pre-measured child spans inside
-``density`` and ``pair_force``, so the wse taxonomy is unchanged.
+``density`` (the position shift and the one filter of the step) and
+``exchange`` again inside ``pair_force`` (the ``F'`` gather at the
+recorded survivors), so the wse taxonomy is unchanged.
 Sharded runs keep the standard taxonomy — per-shard timings ride as
 span counters (``shard_sum_s``/``shard_max_s``) and ``parallel.*``
 metrics — plus one extra leaf: each command round's exposed

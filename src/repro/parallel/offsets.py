@@ -17,9 +17,13 @@ Reproducibility contract (same as the shard pipeline's):
   serial sweep's, and the parent's ``acc += slot`` onto a zero grid is
   an identity, so one worker matches the serial path bitwise.
 
-Inputs (positions, occupancy, types, F') are copied into the arena
-before each command; outputs come back through the per-worker slots, so
-a step ships zero pickled arrays.
+Inputs are copied into the arena before each command — positions,
+occupancy and types for ``density``, only ``F'`` for ``force`` — and
+outputs come back through the per-worker slots, so a step ships zero
+pickled arrays.  Each worker keeps the survivor records of its own
+offset slice between the ``density`` and ``force`` commands of one step
+(:class:`~repro.core.streaming.SurvivorRecord`); a ``force`` with no
+fresh ``density`` before it comes back as an error reply.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
     ``shared`` holds numpy views over the fork-inherited arena; ``cfg``
     carries the static sweep geometry plus this worker's offset slice.
     The worker builds its own :class:`~repro.core.streaming.
-    StreamingSweeps` over that slice — chunk buffers are per-process,
-    so peak memory per worker is O(chunk x grid).
+    StreamingSweeps` over that slice — chunk buffers and survivor
+    records are per-process, so peak memory per worker is
+    O(chunk x grid) plus its slice's interactions.
     """
     from repro.core.streaming import StreamingSweeps
     from repro.kernels import set_backend
@@ -109,11 +114,14 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
                 conn.send(("ok", t_ex, t_nb, n_pts))
             elif cmd == "force":
                 force_slot[...] = 0.0
-                epair_slot[...] = 0.0
-                t_ex, t_nb, n_pts = sweeps.force(
-                    pos, occ, typ, f_der, force_slot, epair_slot
-                )
-                conn.send(("ok", t_ex, t_nb, n_pts))
+                # msg[1]: the parent wants the pair energy too
+                e_slot = epair_slot if msg[1] else None
+                if e_slot is not None:
+                    e_slot[...] = 0.0
+                t_ex, n_pts = sweeps.force(f_der, force_slot, e_slot)
+                conn.send(("ok", t_ex, n_pts))
+            elif cmd == "record_bytes":
+                conn.send(("ok", sweeps.record_bytes()))
             else:
                 conn.send(("error", "ValueError", f"unknown command {cmd!r}"))
         except Exception as exc:  # report, keep serving
@@ -124,7 +132,7 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
 class WseOffsetPool:
     """Fork a worker per offset slice and reduce their sweep outputs.
 
-    Exposes the same ``density`` / ``force`` runner protocol as
+    Exposes the same ``density`` / ``force`` / ``record_bytes`` protocol as
     :class:`~repro.core.streaming.StreamingSweeps`, so the lockstep
     machine swaps one for the other without branching in the passes.
 
@@ -194,16 +202,11 @@ class WseOffsetPool:
         """Bytes held by the shared input/output arena."""
         return self._arena.nbytes
 
-    def _load_inputs(self, pos, occ, typ, f_der=None) -> None:
+    def density(self, pos, occ, typ, rho_bar, n_cand, n_int):
+        """Sweep every worker's slice, reduce slots in worker order."""
         self._arena["pos"][...] = pos
         self._arena["occ"][...] = occ
         self._arena["typ"][...] = typ
-        if f_der is not None:
-            self._arena["f_der"][...] = f_der
-
-    def density(self, pos, occ, typ, rho_bar, n_cand, n_int):
-        """Sweep every worker's slice, reduce slots in worker order."""
-        self._load_inputs(pos, occ, typ)
         replies = self._pool.command(("density",))
         rho = self._arena["rho"]
         cand = self._arena["n_cand"]
@@ -219,19 +222,24 @@ class WseOffsetPool:
         n_pts = sum(r[2] for r in replies)
         return t_ex, t_nb, n_pts
 
-    def force(self, pos, occ, typ, f_der, force, e_pair):
-        """Sweep every worker's slice, reduce slots in worker order."""
-        self._load_inputs(pos, occ, typ, f_der)
-        replies = self._pool.command(("force",))
+    def force(self, f_der, force, e_pair=None):
+        """Ship F', let every worker consume its records, reduce slots
+        in worker order (``e_pair`` only when the caller passes one)."""
+        self._arena["f_der"][...] = f_der
+        replies = self._pool.command(("force", e_pair is not None))
         fslots = self._arena["force"]
         eslots = self._arena["e_pair"]
         for w in range(self.n_workers):
             force += fslots[w]
-            e_pair += eslots[w]
+            if e_pair is not None:
+                e_pair += eslots[w]
         t_ex = max(r[0] for r in replies)
-        t_nb = max(r[1] for r in replies)
-        n_pts = sum(r[2] for r in replies)
-        return t_ex, t_nb, n_pts
+        n_pts = sum(r[1] for r in replies)
+        return t_ex, n_pts
+
+    def record_bytes(self) -> int:
+        """Survivor-record bytes held worker-side (0 outside a step)."""
+        return sum(r[0] for r in self._pool.command(("record_bytes",)))
 
     def close(self) -> None:
         """Stop the workers and release the arena (idempotent)."""

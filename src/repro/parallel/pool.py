@@ -161,7 +161,9 @@ class WorkerPool:
                 error = (wid, reply[1], reply[2])
         if error is not None:
             wid, kind, text = error
-            exc_type = _RERAISABLE.get(kind, RuntimeError)
+            exc_type = _RERAISABLE.get(kind)
+            if exc_type is None:  # surfaced as RuntimeError, kind kept
+                exc_type, text = RuntimeError, f"{kind}: {text}"
             raise exc_type(f"shard worker {wid}: {text}")
         return replies
 

@@ -8,7 +8,11 @@ exactly those of the old passes.  This module pins that contract
 against a reference implementation of the record-based passes embedded
 below (the pre-streaming ``_collect_pairs`` / ``_density_pass`` /
 ``_force_pass`` logic, verbatim in structure), across dtypes, chunk
-sizes, b values, non-square grids and the force-symmetry path.
+sizes, b values, non-square grids and the force-symmetry path — a fixed
+matrix plus a Hypothesis sweep over vacancies, alloys and periodic
+boxes.  The record tests pin the lifetime contract of the per-chunk
+survivor records that carry the one filter's result from the density
+sweep to the force sweep.
 
 The memory tests assert the whole point of the restructuring: peak
 memory is O(chunk x grid), so paper-scale grids fit.  The expensive
@@ -21,10 +25,25 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.exchange import iter_neighborhood, shift2d_into
-from repro.core.streaming import FAR, StreamingSweeps, auto_chunk
+from repro.core.streaming import (
+    FAR,
+    StreamingSweeps,
+    SweepRecordError,
+    auto_chunk,
+)
 from repro.core.wse_md import WseMd
+from repro.lattice.cells import BCC
+from repro.lattice.crystals import replicate
+from repro.md.boundary import Box
+from repro.md.state import AtomsState
+from repro.obs import metrics
+from repro.potentials.alloy import mix_tables
+from repro.potentials.eam import EAMPotential
+from repro.potentials.elements import ELEMENTS, make_element_tables
 from repro.potentials.spline import SplineGroup, UniformCubicSpline
 from tests.conftest import bulk_state, small_slab_state
 
@@ -186,7 +205,7 @@ def test_sweeps_match_record_passes_bitwise(
     )
     rho, n_cand, n_int, _, _ = sim._density_sweep()
     _, f_der = sim._embed(rho)
-    force, e_pair, _, _ = sim._force_sweep(f_der)
+    force, e_pair, _ = sim._force_sweep(f_der, energy=True)
     # bitwise: the streaming sweeps ARE the record passes, reordered
     # only where reordering is exact
     assert np.array_equal(rho, rho_ref)
@@ -206,7 +225,7 @@ def test_periodic_box_matches_record_passes(ta_potential):
     rho_ref, _, _, force_ref, _ = reference_density_force(sim)
     rho, *_ = sim._density_sweep()
     _, f_der = sim._embed(rho)
-    force, _, _, _ = sim._force_sweep(f_der)
+    force, _, _ = sim._force_sweep(f_der)
     assert np.array_equal(rho, rho_ref)
     assert np.array_equal(force, force_ref)
 
@@ -228,6 +247,183 @@ def test_trajectory_chunk_invariant(ta_potential, force_symmetry):
     for other in outs[1:]:
         assert np.array_equal(outs[0].positions, other.positions)
         assert np.array_equal(outs[0].velocities, other.velocities)
+
+
+# -- property sweep: the one-filter sweeps vs the record passes ---------------
+
+
+@pytest.fixture(scope="module")
+def wta_potential():
+    return EAMPotential(
+        mix_tables(make_element_tables("W"), make_element_tables("Ta"))
+    )
+
+
+@st.composite
+def sweep_case(draw):
+    return dict(
+        reps=(draw(st.integers(4, 6)), draw(st.integers(4, 6)), 2),
+        alloy=draw(st.booleans()),
+        inplane_periodic=draw(st.booleans()),
+        vacancy=draw(st.sampled_from([0.0, 0.15, 0.4])),
+        fill=draw(st.sampled_from([0.94, 0.6])),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        chunk=draw(st.sampled_from([1, 3, 0])),
+        force_symmetry=draw(st.booleans()),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+def _sweep_machine(case, ta_potential, wta_potential):
+    """A jittered, vacancy-riddled W/Ta (or Ta) slab on the wafer."""
+    rng = np.random.default_rng(case["seed"])
+    a = ELEMENTS["Ta"].lattice_constant
+    if case["alloy"]:
+        a = 0.5 * (a + ELEMENTS["W"].lattice_constant)
+    crystal = replicate(BCC, a, case["reps"])
+    keep = rng.random(crystal.n_atoms) >= case["vacancy"]
+    pos = crystal.positions[keep] + rng.uniform(-0.12, 0.12, (keep.sum(), 3))
+    if case["inplane_periodic"]:
+        box = Box(
+            crystal.box + [0.0, 0.0, 25.0],
+            periodic=[True, True, False],
+            origin=[0.0, 0.0, -12.5],
+        )
+    else:
+        box = Box(crystal.box + 25.0, origin=np.full(3, -12.5))
+    if case["alloy"]:
+        types = (rng.random(len(pos)) < 0.5).astype(np.int64)
+        masses = np.array([ELEMENTS["W"].mass, ELEMENTS["Ta"].mass])
+    else:
+        types = np.zeros(len(pos), dtype=np.int64)
+        masses = np.array([ELEMENTS["Ta"].mass])
+    state = AtomsState(
+        positions=pos, velocities=np.zeros_like(pos), types=types,
+        masses=masses, box=box,
+    )
+    return WseMd(
+        state,
+        wta_potential if case["alloy"] else ta_potential,
+        dtype=case["dtype"],
+        offset_chunk=case["chunk"],
+        force_symmetry=case["force_symmetry"],
+        fill=case["fill"],
+    )
+
+
+@given(case=sweep_case())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+    ],
+)
+def test_sweeps_match_record_passes_property(
+    case, ta_potential, wta_potential
+):
+    sim = _sweep_machine(case, ta_potential, wta_potential)
+    rho_ref, cand_ref, int_ref, force_ref, epair_ref = (
+        reference_density_force(sim)
+    )
+    rho, n_cand, n_int, _, _ = sim._density_sweep()
+    _, f_der = sim._embed(rho)
+    force, e_pair, _ = sim._force_sweep(f_der, energy=True)
+    assert int_ref.sum() > 0, case
+    assert np.array_equal(rho, rho_ref), case
+    assert np.array_equal(n_cand, cand_ref), case
+    assert np.array_equal(n_int, int_ref), case
+    assert np.array_equal(force, force_ref), case
+    assert np.array_equal(e_pair, epair_ref), case
+    # a timestep skips the pair energy; the forces must not notice
+    sim._density_sweep()
+    force_only, none, _ = sim._force_sweep(f_der)
+    assert none is None
+    assert np.array_equal(force_only, force_ref), case
+
+
+# -- survivor records: one filter per step, nothing left behind --------------
+
+
+def _spline_calls():
+    return metrics().counter("kernels.spline_eval.calls").value
+
+
+@pytest.mark.parametrize("force_symmetry", [False, True])
+def test_one_rho_and_one_phi_call_per_chunk(ta_potential, force_symmetry):
+    """Single type: each non-empty chunk costs one rho and one phi
+    spline call per step (the second filter's two, and the partner's
+    duplicate rho call, are gone), plus the step's one embedding call."""
+    sim = WseMd(
+        small_slab_state(reps=(5, 5, 2)), ta_potential,
+        offset_chunk=3, force_symmetry=force_symmetry,
+    )
+    sim._density_sweep()
+    chunks = len(sim._sweeps._records)
+    assert 1 < chunks <= len(sim._sweeps._chunks)
+    sim._force_sweep(np.zeros(sim.occ.shape))
+    before = _spline_calls()
+    sim.step(3)
+    assert _spline_calls() - before == 3 * (2 * chunks + 1)
+
+
+@pytest.mark.parametrize("alloy,per_row", [(False, 48), (True, 64)])
+def test_record_bytes_accounting(ta_potential, wta_potential, alloy, per_row):
+    """48 B per interaction (float64, one type), 64 B for an alloy."""
+    case = dict(
+        reps=(5, 5, 2), alloy=alloy, inplane_periodic=False, vacancy=0.0,
+        fill=0.94, dtype=np.float64, chunk=4, force_symmetry=True, seed=1,
+    )
+    sim = _sweep_machine(case, ta_potential, wta_potential)
+    sweeps = sim._sweeps
+    assert sweeps.record_bytes() == 0
+    _, _, n_int, _, _ = sim._density_sweep()
+    bounds = sum(rec.starts.nbytes for rec in sweeps._records)
+    assert sweeps.record_bytes() == per_row * int(n_int.sum()) + bounds
+
+
+def test_force_needs_a_fresh_density_sweep(ta_potential):
+    sim = WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential)
+    f_der = np.zeros(sim.occ.shape)
+    with pytest.raises(SweepRecordError, match="fresh density"):
+        sim._force_sweep(f_der)
+    sim._density_sweep()
+    sim._force_sweep(f_der)
+    with pytest.raises(SweepRecordError, match="fresh density"):
+        sim._force_sweep(f_der)  # records are consumed, not replayed
+
+
+def test_no_record_outlives_a_public_call(ta_potential):
+    sim = WseMd(
+        small_slab_state(reps=(4, 4, 2)), ta_potential, force_symmetry=True
+    )
+    for call in (
+        lambda: sim.step(2), sim.compute_forces, sim.compute_energy
+    ):
+        call()
+        assert sim._sweeps.record_bytes() == 0
+        assert sim._sweeps._records is None
+
+
+@pytest.mark.parametrize("force_symmetry", [False, True])
+def test_swap_every_step_matches_record_passes(ta_potential, force_symmetry):
+    """A swap round between every two steps re-homes atoms; records
+    never span it (none exist between steps), so a machine stepped with
+    the embedded record-based passes stays bitwise in step."""
+    kw = dict(swap_interval=1, b_margin=2.0, force_symmetry=force_symmetry)
+    state = small_slab_state(reps=(5, 5, 2), temperature=900.0, seed=4)
+    sim = WseMd(state.copy(), ta_potential, **kw)
+    twin = WseMd(state.copy(), ta_potential, **kw)
+    for _ in range(12):
+        sim.step(1)
+        twin._integrate(reference_density_force(twin)[3])
+        twin.step_count += 1
+        twin._swap_round()
+        assert sim._sweeps.record_bytes() == 0
+        assert np.array_equal(sim.aid, twin.aid)
+        assert np.array_equal(sim.pos, twin.pos)
+        assert np.array_equal(sim.vel, twin.vel)
+    assert sim.swap_count == twin.swap_count > 0
 
 
 def test_auto_chunk_bounds():
@@ -306,7 +502,8 @@ def _peak_rss_run(reps, steps=2):
     return peak, sim
 
 
-def test_streaming_buffers_are_chunk_sized(ta_potential):
+@pytest.mark.parametrize("force_symmetry", [False, True])
+def test_streaming_buffers_are_chunk_sized(ta_potential, force_symmetry):
     """The sweeper's grid-proportional buffers obey the chunk budget."""
     sweeps = StreamingSweeps(
         nx=500, ny=500, dtype=np.float64,
@@ -315,10 +512,12 @@ def test_streaming_buffers_are_chunk_sized(ta_potential):
         offsets=[(dx, dy) for dx in range(-5, 6) for dy in range(-5, 6)
                  if (dx, dy) != (0, 0)],
         chunk=0,
+        force_symmetry=force_symmetry,
     )
     depth = min(auto_chunk(500, 500), 120)
-    # d-stack + occ + r2 + both per stacked tile; never O(offsets)
-    per_tile = 3 * 8 + 1 + 8 + 1
+    # d-stack + r2 + two mask planes per stacked tile; never O(offsets),
+    # and the reverse reduction owns no full-grid scratch of its own
+    per_tile = 3 * 8 + 8 + 1 + 1
     assert sweeps.buffer_bytes() == depth * 500 * 500 * per_tile
 
 
@@ -328,6 +527,31 @@ def test_memory_smoke_50k_atoms():
     peak, sim = _peak_rss_run((91, 92, 3))  # 50,232 atoms
     assert sim.n_atoms == 50_232
     assert peak < 2 * 1024**3, f"peak RSS {peak / 1e9:.2f} GB >= 2 GB"
+
+
+#: Survivor-record budget: 48 B per interaction in flight (float64, one
+#: type) plus chunk bookkeeping.
+_RECORD_BYTES_PER_INTERACTION = 56
+
+
+@pytest.mark.skipif(not SCALE_TESTS, reason="set REPRO_SCALE_TESTS to run")
+def test_record_budget_50k_atoms():
+    """Records in flight at ~50k atoms stay within the per-interaction
+    budget, and none survives the step."""
+    from repro.potentials.elements import make_element_potential
+
+    sim = WseMd(
+        small_slab_state(reps=(91, 92, 3), temperature=80.0),
+        make_element_potential("Ta"),
+        force_symmetry=True,
+    )
+    _, _, n_int, _, _ = sim._density_sweep()
+    rows = int(n_int.sum())
+    held = sim._sweeps.record_bytes()
+    assert 0 < held <= _RECORD_BYTES_PER_INTERACTION * rows
+    sim._force_sweep(np.zeros(sim.occ.shape))
+    sim.step(1)
+    assert sim._sweeps.record_bytes() == 0
 
 
 @pytest.mark.skipif(

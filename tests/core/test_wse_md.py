@@ -169,6 +169,21 @@ class TestMachineBehaviour:
         assert wse.trace.n_steps == 3
         assert wse.measured_rate() > 0
 
+    def test_cycle_trace_stops_growing(self, ta_potential):
+        """A long run holds a fixed window of per-tile planes; the
+        modeled rate still covers every step."""
+        from repro.wse.trace import WINDOW_STEPS
+
+        wse = WseMd(small_slab_state("Ta", (4, 4, 2)), ta_potential)
+        wse.step(WINDOW_STEPS + 2)
+        held = wse.trace.nbytes
+        total = wse.trace.total_cycles()
+        wse.step(2 * WINDOW_STEPS)
+        assert wse.trace.nbytes == held + 2 * WINDOW_STEPS * 16
+        assert wse.trace.n_steps == 3 * WINDOW_STEPS + 2
+        assert wse.trace.total_cycles() > total
+        assert len(wse.trace.as_array()) == WINDOW_STEPS
+
     def test_empty_tiles_have_lower_cost(self, ta_potential):
         state = small_slab_state("Ta", (5, 5, 2))
         wse = WseMd(state.copy(), ta_potential)

@@ -120,6 +120,58 @@ class TestOffsetPool:
         finally:
             pool.close()
 
+    def test_worker_records_live_between_density_and_force(
+        self, ta_potential
+    ):
+        """Each worker keeps its slice's survivor records from the
+        ``density`` command to the ``force`` command, and nothing after;
+        a ``force`` with no fresh ``density`` is an error reply."""
+        sim = WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential)
+        shape = (sim.grid.nx, sim.grid.ny)
+        pool = WseOffsetPool(
+            n_workers=2, nx=shape[0], ny=shape[1], dtype=sim.dtype,
+            lengths=sim.box.lengths, periodic=sim.box.periodic,
+            cutoff=sim.potential.cutoff, tables=sim.potential.tables,
+            offsets=sim._pass_offsets,
+        )
+        try:
+            f_der = np.zeros(shape)
+            with pytest.raises(RuntimeError, match="SweepRecordError"):
+                pool.force(f_der, np.zeros(shape + (3,)))
+            assert pool.record_bytes() == 0
+            n_int = np.zeros(shape, dtype=np.int64)
+            pool.density(
+                sim.pos, sim.occ, sim.typ, np.zeros(shape),
+                np.zeros(shape, dtype=np.int64), n_int,
+            )
+            assert pool.record_bytes() >= 48 * int(n_int.sum())
+            pool.force(f_der, np.zeros(shape + (3,)))
+            assert pool.record_bytes() == 0
+            with pytest.raises(RuntimeError, match="fresh density"):
+                pool.force(f_der, np.zeros(shape + (3,)))
+            # the pool is still serviceable after the error replies
+            pool.density(
+                sim.pos, sim.occ, sim.typ, np.zeros(shape),
+                np.zeros(shape, dtype=np.int64), n_int,
+            )
+            pool.force(f_der, np.zeros(shape + (3,)), np.zeros(shape))
+        finally:
+            pool.close()
+
+    def test_no_worker_record_outlives_a_public_call(self, ta_potential):
+        sim = WseMd(
+            small_slab_state(reps=(4, 4, 2)), ta_potential,
+            workers=2, swap_interval=1, force_symmetry=True,
+        )
+        try:
+            for call in (
+                lambda: sim.step(2), sim.compute_forces, sim.compute_energy
+            ):
+                call()
+                assert sim._pool.record_bytes() == 0
+        finally:
+            sim.close()
+
 
 def test_fork_unavailable_falls_back_serial(ta_potential, monkeypatch):
     import repro.parallel.pool as pool_mod

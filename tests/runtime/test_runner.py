@@ -84,6 +84,24 @@ class TestLoop:
         finally:
             runner.close()
 
+    def test_nan_on_the_wafer_is_a_typed_failure_too(self):
+        # the lockstep machine used to let a NaN atom drop out of every
+        # neighborhood and report a finite energy
+        runner = Runner.from_spec(RunSpec(steps=12, engine="wse", **QUICK))
+
+        def poison(event):
+            sim = runner.engine.sim
+            x, y = np.argwhere(sim.occ)[4]
+            sim.pos[x, y, 2] = np.nan
+
+        runner.add_observer(5, poison)
+        try:
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                runner.run()
+            assert runner.engine.step_count == 5
+        finally:
+            runner.close()
+
 
 class TestCheckpointing:
     def test_final_checkpoint_always_written(self, tmp_path):

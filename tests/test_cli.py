@@ -1,5 +1,6 @@
 """CLI smoke tests."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -143,6 +144,26 @@ class TestSpecRuns:
         assert main(["run", "--spec", str(path)]) == 1
         err = capsys.readouterr().err
         assert "run failed" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_nan_on_the_wafer_exit_code_1(self, tmp_path, capsys, monkeypatch):
+        from repro.core.wse_md import WseMd
+
+        plain_integrate = WseMd._integrate
+        calls = []
+
+        def poisoned_integrate(self, force):
+            calls.append(1)
+            if len(calls) == 3:
+                force[tuple(np.argwhere(self.occ)[2])] = float("nan")
+            plain_integrate(self, force)
+
+        monkeypatch.setattr(WseMd, "_integrate", poisoned_integrate)
+        path = self._write_spec(tmp_path, engine="wse", steps=8)
+        assert main(["run", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "run failed" in err and "non-finite" in err
+        assert "step 3" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_checkpoint_and_resume(self, tmp_path, capsys):

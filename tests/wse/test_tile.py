@@ -4,7 +4,7 @@ import pytest
 
 from repro.wse.machine import WSE2, MachineConfig
 from repro.wse.tile import TABLE3_FLOPS, SramBudget, TileCoreModel
-from repro.wse.trace import CycleTrace
+from repro.wse.trace import WINDOW_STEPS, CycleTrace
 
 import numpy as np
 
@@ -111,3 +111,56 @@ class TestCycleTrace:
     def test_empty_trace_raises(self):
         with pytest.raises(RuntimeError):
             CycleTrace(2).as_array()
+
+    def test_memory_is_flat_over_a_long_run(self):
+        """Per-tile planes are kept for a fixed recent window only:
+        between step 50 and step 500 a trace grows by the two whole-run
+        scalars per step and nothing proportional to the grid."""
+        rng = np.random.default_rng(1)
+        sizes = {}
+        for n_tiles in (64, 640):
+            trace = CycleTrace(n_tiles)
+            for step in range(1, 501):
+                cand = rng.integers(0, 120, n_tiles)
+                trace.record(3000.0 + cand, cand, cand // 8)
+                if step in (50, 500):
+                    sizes[n_tiles, step] = trace.nbytes
+            assert trace.n_steps == 500
+            assert trace.as_array().shape == (WINDOW_STEPS, n_tiles)
+        assert sizes[64, 500] - sizes[64, 50] == 450 * 16
+        assert sizes[640, 500] - sizes[640, 50] == 450 * 16
+
+    def test_whole_run_reductions_survive_the_window(self):
+        rng = np.random.default_rng(2)
+        trace = CycleTrace(30)
+        rows = 3477.0 * (1 + 0.0011 * rng.standard_normal((40, 30)))
+        for row in rows:
+            trace.record(row)
+        # bit-identical to reducing the full (n_steps, n_tiles) history
+        assert trace.total_cycles() == float(rows.max(axis=1).sum())
+        assert np.array_equal(
+            trace.step_cycles(reduce="max"), rows.max(axis=1)
+        )
+        np.testing.assert_allclose(
+            trace.step_cycles(reduce="mean"), rows.mean(axis=1), rtol=1e-14
+        )
+        rep = trace.stability()
+        assert rep.mean_cycles == pytest.approx(rows.mean(), rel=1e-12)
+        assert rep.per_tile_std == pytest.approx(rows.std(), rel=1e-6)
+        assert rep.array_avg_std == pytest.approx(
+            rows.mean(axis=1).std(), rel=1e-9
+        )
+        # the window is the most recent steps
+        assert np.array_equal(trace.as_array(), rows[-WINDOW_STEPS:])
+
+    def test_counts_are_windowed_int32(self):
+        trace = CycleTrace(5)
+        for step in range(WINDOW_STEPS + 3):
+            trace.record(np.full(5, 100.0 + step), np.full(5, step),
+                         np.full(5, 2 * step))
+        assert trace.has_counts
+        cycles, cand, inter = trace.count_samples()
+        assert cycles.shape == cand.shape == (WINDOW_STEPS, 5)
+        assert cand.dtype == inter.dtype == np.int32
+        assert cand[-1, 0] == WINDOW_STEPS + 2 and cand[0, 0] == 3
+        assert np.array_equal(inter, 2 * cand)
