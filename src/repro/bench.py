@@ -250,6 +250,10 @@ def _case_extra(case: BenchCase, telemetry) -> dict:
         # history is auditable (chunk is the resolved, auto-sized value)
         "offset_chunk": int(c["offset_chunk"]),
         "workers": int(c["workers"]),
+        # how many of the window's sweeps rebuilt the Verlet list: a
+        # short window can hold none, and then reads the reuse rate
+        "list_builds": int(c["list_builds"]),
+        "list_reuse_ratio": round(c["list_reuse_ratio"], 3),
     }
 
 

@@ -2,29 +2,52 @@
 
 One timestep of the paper (Sec. III-A) exchanges positions once, builds
 the neighbor list once, and its second exchange ships only the scalar
-``F'``.  The two sweeps here have that shape, over *chunks* of
-neighborhood offsets stacked on a batch axis:
+``F'``.  The wafer rebuilds that list every step because one core per
+atom makes it free; on a host it is the largest cost, and in a solid the
+list barely changes.  So the sweeps here keep an *index-only* Verlet
+list across steps and redo only the exact geometry:
 
-1. :meth:`StreamingSweeps.density` shifts each offset of a chunk into a
-   reused stack slice (the candidate exchange), distance-filters the
-   whole chunk at once (the neighbor list), spline-evaluates the
-   survivors in one batched call per table family
+1. :meth:`StreamingSweeps.density` decides, from the positions and
+   occupancy it is handed, whether the list it holds still covers every
+   pair within the cutoff (same occupancy, every tile moved less than
+   ``skin / 2`` since the build).  If not, it **builds**: each *chunk*
+   of neighborhood offsets is shifted into a reused stack (the
+   candidate exchange) and coarse-filtered at ``cutoff + skin``, and
+   only the flat center / source tile of each listed pair is kept.
+   Either way one exact routine then runs over the listed rows of each
+   chunk — gather ``pos[src] - pos[ctr]``, minimum image, keep
+   ``0 < r^2 < rc^2`` — spline-evaluates the survivors in one batched
+   call per table family
    (:class:`~repro.potentials.spline.SplineGroup`), scatters each
-   offset's density into the running accumulator *in exchange order* —
-   and leaves one compact :class:`SurvivorRecord` per chunk: the flat
-   center / source tile of every surviving candidate, its distance and
-   unit vector, and the ``rho'`` the density spline call computed
-   anyway.
+   offset's density into the running accumulator *in exchange order*,
+   and leaves one compact :class:`SurvivorRecord` per chunk: the
+   survivors' tiles, distance and unit vector, and the ``rho'`` the
+   density spline call computed anyway.
 2. :meth:`StreamingSweeps.force` consumes those records in the same
    order: it gathers ``F'`` at the recorded tiles (the second
    exchange), evaluates only ``phi``, scatters Eq. 4 per offset, and
    drops each record as it is used.  It never touches the chunk stacks.
 
-Memory is O(chunk x nx x ny) for the transient exchange stacks
-(``chunk`` is the ``offset_chunk`` RunSpec knob) plus O(interactions)
-for the records in flight between the two sweeps of one step; nothing
-proportional to either outlives the step.  The arithmetic per candidate
-and the per-tile accumulation order are exactly those of the
+Validity is decided from values alone, so nothing has to tell the
+sweeps about an atom swap, a restored checkpoint or a caller writing
+into the position grid: any of them either leaves every tile within
+``skin / 2`` of its build-time position (each position moved less than
+``skin / 2``, so ``r_now < rc`` implies ``r_build < rc + skin``,
+whichever atom sits on the tile) or forces a build.  ``skin = 0`` builds
+every step — the paper's policy — through the same code.  Survivors are
+the listed rows that pass the exact test, in list order (offset-major,
+tile-minor), so the survivor set, its order and every accumulation are
+the same on a build step and on a reuse step: trajectories do not
+depend on the skin.
+
+Memory: O(chunk x nx x ny) for the exchange stacks (``chunk`` is the
+``offset_chunk`` RunSpec knob), used on build steps only; O(interactions)
+for the records in flight between the two sweeps of one step
+(:meth:`StreamingSweeps.record_bytes`, 0 outside a step); and, between
+steps, the list — at most 8 B per listed pair plus the build-time
+position and occupancy planes and the candidate-count plane
+(:meth:`StreamingSweeps.list_bytes`).  The arithmetic per surviving
+candidate and the per-tile accumulation order are exactly those of the
 record-per-offset passes this module replaced, so trajectories are
 bitwise identical — the equivalence the ``tests/core`` streaming suite
 asserts.
@@ -33,7 +56,8 @@ The sweeps are self-contained (no reference to the parent machine), so
 the same code runs in-process for the serial path and inside forked
 workers for the offset-parallel path (:mod:`repro.parallel.offsets`),
 each worker owning a contiguous slice of the offset list and keeping
-its own records between the ``density`` and ``force`` commands.
+its own list and records; every worker reads the same shared positions
+and occupancy, so all of them build on the same steps.
 """
 
 from __future__ import annotations
@@ -110,6 +134,25 @@ class SurvivorRecord(NamedTuple):
         return sum(a.nbytes for a in arrays)
 
 
+class _SkinList(NamedTuple):
+    """The index-only Verlet list and what its validity is judged by.
+
+    ``chunks[k]`` lists chunk ``k``'s pairs within ``cutoff + skin`` at
+    build time as ``(starts, ctr, src)`` — int32, offset-major and
+    tile-minor like :class:`SurvivorRecord`, no geometry.
+    """
+
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pos: np.ndarray  # build-time position plane (a copy)
+    occ: np.ndarray  # build-time occupancy plane (a copy)
+    n_cand: np.ndarray  # received candidates per tile, int32
+
+    @property
+    def nbytes(self) -> int:
+        index = sum(a.nbytes for chunk in self.chunks for a in chunk)
+        return index + self.pos.nbytes + self.occ.nbytes + self.n_cand.nbytes
+
+
 def _flat(grid: np.ndarray, *tail: int) -> np.ndarray:
     """A flat-tile *view* of a caller's (nx, ny, ...) accumulator."""
     if not grid.flags.c_contiguous:
@@ -118,7 +161,7 @@ def _flat(grid: np.ndarray, *tail: int) -> np.ndarray:
 
 
 class StreamingSweeps:
-    """Chunked density sweep + record-driven force sweep over a fixed
+    """Listed density sweep + record-driven force sweep over a fixed
     offset list.
 
     Parameters
@@ -131,6 +174,10 @@ class StreamingSweeps:
         Box edge lengths and periodic flags (minimum-image wrap).
     cutoff:
         Interaction cutoff (A).
+    skin:
+        Verlet skin (A): the list is built at ``cutoff + skin`` and
+        reused while every tile stays within ``skin / 2`` of its
+        build-time position.  0 builds every step and retains nothing.
     tables:
         :class:`~repro.potentials.eam.EAMTables`; batched evaluation
         uses its cached :meth:`~repro.potentials.eam.EAMTables.grouped`
@@ -156,6 +203,7 @@ class StreamingSweeps:
         lengths,
         periodic,
         cutoff: float,
+        skin: float,
         tables,
         offsets: list[tuple[int, int]],
         chunk: int = 0,
@@ -163,26 +211,38 @@ class StreamingSweeps:
     ) -> None:
         if chunk < 0:
             raise ValueError(f"offset chunk must be >= 0, got {chunk}")
+        if not skin >= 0:
+            raise ValueError(f"skin must be >= 0, got {skin}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.dtype = np.dtype(dtype)
         self.lengths = tuple(float(v) for v in lengths)
         self.periodic = tuple(bool(v) for v in periodic)
         self.cutoff = float(cutoff)
+        self.skin = float(skin)
+        # The coarse cut and the exact cut are separate reductions; the
+        # few-ulp pad keeps the list a superset of the exact survivors
+        # even at skin 0, whatever order either one sums in.
+        self._reach2 = (self.cutoff + self.skin) ** 2 * (
+            1.0 + 8.0 * float(np.finfo(self.dtype).eps)
+        )
         self.tables = tables
         self.offsets = [(int(dx), int(dy)) for dx, dy in offsets]
         self.force_symmetry = bool(force_symmetry)
         self.chunk = int(chunk) if chunk else auto_chunk(self.nx, self.ny)
         depth = max(1, min(self.chunk, len(self.offsets)))
-        # Chunk-stacked exchange buffers, reused by every chunk of the
-        # density sweep — the only allocations proportional to the
+        # Chunk-stacked exchange buffers, reused by every chunk of a
+        # list build — the only allocations proportional to chunk x
         # grid.  The displacement stack starts zeroed and is only ever
         # written with finite differences, so the tiles an offset does
         # not reach hold stale finite values (masked, never read).
         self._d = np.zeros((depth, self.nx, self.ny, 3), dtype=self.dtype)
-        self._r2 = np.empty((depth, self.nx, self.ny), dtype=self.dtype)
         self._within = np.empty((depth, self.nx, self.ny), dtype=bool)
-        self._cmp = np.empty((depth, self.nx, self.ny), dtype=bool)
+        # The coarse cut only marks the stack, so its scratch is one
+        # plane, not a stack: what the list costs between steps is paid
+        # for here.
+        self._r2 = np.empty((self.nx, self.ny), dtype=self.dtype)
+        self._cmp = np.empty((self.nx, self.ny), dtype=bool)
         # per chunk: each offset's shift rectangles and flat-tile shift
         self._chunks: list[tuple[list, np.ndarray]] = []
         for start in range(0, len(self.offsets), depth):
@@ -192,9 +252,12 @@ class StreamingSweeps:
             self._chunks.append((rects, shift))
         #: survivor records between a density sweep and its force sweep
         self._records: deque[SurvivorRecord] | None = None
+        #: the list carried across steps (None: next density builds)
+        self._list: _SkinList | None = None
 
     def buffer_bytes(self) -> int:
-        """Bytes held by the reusable chunk-stacked buffers."""
+        """Bytes held by the reusable build buffers (two chunk stacks,
+        two planes)."""
         return (self._d.nbytes + self._r2.nbytes
                 + self._within.nbytes + self._cmp.nbytes)
 
@@ -203,21 +266,48 @@ class StreamingSweeps:
         outside a step)."""
         return sum(rec.nbytes for rec in self._records or ())
 
-    # -- the exchange + filter front end ----------------------------------
+    def list_bytes(self) -> int:
+        """Bytes retained between steps: the index list plus the
+        build-time planes (0 before the first build and at skin 0)."""
+        return self._list.nbytes if self._list is not None else 0
 
-    def _filter_chunk(self, rects, shift, pos, occ):
-        """Shift + distance-filter one chunk of offsets.
+    # -- the list: validity, build, exact geometry ------------------------
 
-        Returns the within-cutoff mask stack and the survivors' geometry
-        in (offset-major) exchange order — ``(within, starts, ctr, src,
-        r, unit)`` as in :class:`SurvivorRecord` — plus the exchange /
-        neighbor split of the elapsed time.
+    def _list_valid(self, pos, occ) -> bool:
+        """Does the retained list still cover every pair within the
+        cutoff?  Judged from the arrays alone: same occupancy, every
+        tile within ``skin / 2`` of its build-time position (empty
+        tiles hold the same sentinel on both planes)."""
+        held = self._list
+        if held is None or not np.array_equal(occ, held.occ):
+            return False
+        moved = pos - held.pos
+        moved2 = np.einsum("xyk,xyk->xy", moved, moved)
+        # a NaN displacement compares False: build, and let the exact
+        # test drop the atom as it always has
+        return bool(moved2.max() < (0.5 * self.skin) ** 2)
+
+    def _wrap(self, d: np.ndarray) -> None:
+        """Minimum image of a (..., 3) displacement array, in place."""
+        for dim in range(3):
+            if self.periodic[dim]:
+                ld = self.lengths[dim]
+                d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
+
+    def _list_chunk(self, rects, shift, pos, occ, n_cand):
+        """Shift one chunk of offsets and list its pairs within
+        ``cutoff + skin``.
+
+        Returns the chunk's ``(starts, ctr, src)`` index rows in
+        (offset-major) exchange order and the exchange / neighbor split
+        of the elapsed time; adds the chunk's received candidates —
+        occupied tiles whose neighbor at the offset exists on the
+        fabric, a rectangle per offset — to ``n_cand``.
         """
         c = len(rects)
         n_tiles = self.nx * self.ny
         d = self._d[:c]
         within = self._within[:c]
-        cmp_ = self._cmp[:c]
         t0 = time.perf_counter()
         within[...] = False
         for i, rect in enumerate(rects):
@@ -226,60 +316,94 @@ class StreamingSweeps:
             dst, src = rect
             np.subtract(pos[src], pos[dst], out=d[i][dst])
             np.logical_and(occ[dst], occ[src], out=within[i][dst])
+            n_cand[dst] += occ[dst]
         t1 = time.perf_counter()
-        for dim in range(3):
-            if self.periodic[dim]:
-                ld = self.lengths[dim]
-                d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
-        r2 = np.einsum("cxyk,cxyk->cxy", d, d, out=self._r2[:c])
-        np.less(r2, self.cutoff**2, out=cmp_)
-        within &= cmp_
-        np.greater(r2, 0.0, out=cmp_)
-        within &= cmp_
+        self._wrap(d)
+        for i, rect in enumerate(rects):
+            if rect is None:
+                continue
+            np.einsum("xyk,xyk->xy", d[i], d[i], out=self._r2)
+            np.less(self._r2, self._reach2, out=self._cmp)
+            within[i] &= self._cmp
         hit = np.flatnonzero(within)
         starts = np.searchsorted(hit, np.arange(c + 1) * n_tiles)
-        r = np.sqrt(r2.reshape(-1).take(hit))
-        unit = d.reshape(-1, 3).take(hit, axis=0) / r[:, None]
         which = np.repeat(np.arange(c), np.diff(starts))
         ctr = (hit - which * n_tiles).astype(np.int32)
         src = ctr + shift[which].astype(np.int32)
         t2 = time.perf_counter()
-        return within, starts, ctr, src, r, unit, t1 - t0, t2 - t1
+        return (starts.astype(np.int32), ctr, src), t1 - t0, t2 - t1
+
+    def _survivors(self, listed, pos_rows):
+        """Exact geometry of one chunk's listed pairs.
+
+        The one place a pair is admitted: returns the rows with
+        ``0 < r^2 < rc^2`` as ``(starts, ctr, src, r, unit)`` in list
+        order, plus the gather / arithmetic split of the elapsed time.
+        """
+        starts, ctr, src = listed
+        t0 = time.perf_counter()
+        d = pos_rows.take(src, axis=0)
+        d -= pos_rows.take(ctr, axis=0)
+        t1 = time.perf_counter()
+        self._wrap(d)
+        r2 = np.einsum("pk,pk->p", d, d)
+        keep = np.flatnonzero((r2 < self.cutoff**2) & (r2 > 0.0))
+        r = np.sqrt(r2.take(keep))
+        unit = d.take(keep, axis=0) / r[:, None]
+        starts = np.searchsorted(keep, starts)
+        ctr = ctr.take(keep)
+        src = src.take(keep)
+        t2 = time.perf_counter()
+        return starts, ctr, src, r, unit, t1 - t0, t2 - t1
 
     # -- sweep 1: density -------------------------------------------------
 
     def density(self, pos, occ, typ, rho_bar, n_cand, n_int):
         """Candidate exchange + neighbor filter + density accumulation.
 
-        Accumulates into the caller's ``rho_bar`` (float64),
-        ``n_cand``/``n_int`` (int64) grids, leaves one
+        Builds the list first unless the one held is still valid for
+        ``pos``/``occ``.  Accumulates into the caller's ``rho_bar``
+        (float64), ``n_cand``/``n_int`` (int64) grids, leaves one
         :class:`SurvivorRecord` per non-empty chunk for :meth:`force`
         (replacing any unconsumed ones) and returns
-        ``(t_exchange, t_neighbor, n_points)``.
+        ``(t_exchange, t_neighbor, n_points, reused)``.
         """
         grouped = self.tables.grouped()
         single = self.tables.n_types == 1
+        n_tiles = self.nx * self.ny
+        pos_rows = _flat(pos, 3)
         rho_flat = _flat(rho_bar)
+        int_flat = _flat(n_int)
         typ_flat = _flat(typ)
         records: deque[SurvivorRecord] = deque()
         self._records = records
+        reused = self._list_valid(pos, occ)
+        if reused:
+            chunks, cand = self._list.chunks, self._list.n_cand
+        else:
+            self._list = None  # a build that raises leaves no list
+            chunks, cand = [], np.zeros((self.nx, self.ny), dtype=np.int32)
         t_ex = t_nb = 0.0
         n_pts = 0
-        for rects, shift in self._chunks:
-            within, starts, ctr, src, r, unit, dt_ex, dt_nb = (
-                self._filter_chunk(rects, shift, pos, occ)
+        for k, (rects, shift) in enumerate(self._chunks):
+            if not reused:
+                listed, dt_ex, dt_nb = self._list_chunk(
+                    rects, shift, pos, occ, cand
+                )
+                chunks.append(listed)
+                t_ex += dt_ex
+                t_nb += dt_nb
+            starts, ctr, src, r, unit, dt_ex, dt_nb = self._survivors(
+                chunks[k], pos_rows
             )
             t_ex += dt_ex
             t_nb += dt_nb
-            # received candidates: occupied tiles whose neighbor at the
-            # offset exists on the fabric — a rectangle, so a slice add
-            for rect in rects:
-                if rect is not None:
-                    n_cand[rect[0]] += occ[rect[0]]
-            n_int += within.sum(axis=0)
             if len(r) == 0:
                 continue
             n_pts += len(r)
+            # within one offset a center tile appears at most once, so
+            # this is the per-tile count of offsets that interact
+            int_flat += np.bincount(ctr, minlength=n_tiles)
             if single:
                 # one table: the partner's share is the same value
                 vals, rho_d = grouped.rho.evaluate(r, 0)
@@ -301,7 +425,10 @@ class StreamingSweeps:
             records.append(SurvivorRecord(
                 starts, ctr, src, r, unit, rho_d, rho_d_ctr, phi_member
             ))
-        return t_ex, t_nb, n_pts
+        n_cand += cand
+        if not reused and self.skin > 0.0:
+            self._list = _SkinList(chunks, pos.copy(), occ.copy(), cand)
+        return t_ex, t_nb, n_pts, reused
 
     # -- sweep 2: forces --------------------------------------------------
 

@@ -5,14 +5,16 @@ arrays, following the five-step timestep of paper Sec. III-A:
 
 1. **Candidate exchange** — streamed over the (2b+1)^2 neighborhood
    offsets in fixed-size chunks (:mod:`repro.core.streaming`), the
-   functional equivalent of the marching multicast.  Positions are
-   exchanged and filtered **once** per step: each chunk is shifted,
-   filtered, reduced into the running accumulators and its buffers
-   reused, so the dense working set is O(chunk x grid), never
-   O(offsets x grid).
-2. **Neighbor list** — the within-cutoff survivors per offset, kept as
-   compact per-chunk records (candidates arrive in deterministic order;
-   the record order *is* the ordinal list) until the force sweep of the
+   functional equivalent of the marching multicast.  The wafer repeats
+   it every step because it is free there; the host keeps its result —
+   an index-only Verlet list at ``cutoff + skin`` — and repeats the
+   exchange only when an atom has moved ``skin / 2`` or the occupancy
+   changed.  A build shifts and filters one chunk at a time, so the
+   dense working set is O(chunk x grid), never O(offsets x grid).
+2. **Neighbor list** — every step, the exact ``r < rc`` test over the
+   listed pairs only; the survivors per offset are kept as compact
+   per-chunk records (candidates arrive in deterministic order; the
+   record order *is* the ordinal list) until the force sweep of the
    same step has consumed them.
 3. **Embedding calculation and exchange** — density accumulation, then
    ``F`` and ``F'`` per tile; the second exchange ships only ``F'``,
@@ -119,6 +121,14 @@ class WseMd:
         pair work halves (price it with an
         :class:`~repro.core.cycle_model.OptimizationConfig` whose
         ``interaction_factor`` is 0.5).
+    skin:
+        Verlet skin (A) of the list the sweeps carry across steps; 0
+        re-runs the exchange and filter every step (the paper's
+        policy).  A speed / memory knob only — survivors are always
+        chosen by the exact cutoff test, so any skin produces
+        bitwise-identical trajectories.  Between steps the machine
+        holds at most 8 B per listed pair plus three grid planes; the
+        survivors' geometry never outlives a step.
     offset_chunk:
         Offsets stacked per streaming batch (0 auto-sizes from the
         grid; see :func:`repro.core.streaming.auto_chunk`).  A speed /
@@ -152,6 +162,7 @@ class WseMd:
         seed: int = 0,
         rng: np.random.Generator | None = None,
         force_symmetry: bool = False,
+        skin: float = 0.5,
         offset_chunk: int = 0,
         workers: int = 0,
         tracer=None,
@@ -227,6 +238,10 @@ class WseMd:
         self.swap_count = 0
         self.last_candidates = np.zeros((nx, ny), dtype=np.int64)
         self.last_interactions = np.zeros((nx, ny), dtype=np.int64)
+        #: density sweeps that built the list / ran on the held one
+        self.list_builds = 0
+        self.list_reuses = 0
+        self.last_reused = False
         self._check_b_coverage_possible()
 
         # Streaming-sweep state: the (2b+1)^2 - 1 neighborhood offsets
@@ -235,8 +250,12 @@ class WseMd:
         # cropped, Sec. VI-A) and each pair's partner share travels
         # back via the reverse reduction.  The sweeper owns the
         # chunk-stacked exchange buffers (O(chunk x nx x ny), never
-        # O(offsets x nx x ny)) and, between the two sweeps of one
-        # step, the survivor records (O(interactions)).
+        # O(offsets x nx x ny)), between the two sweeps of one step
+        # the survivor records (O(interactions)), and across steps the
+        # index-only list it decides on its own when to rebuild.
+        if not skin >= 0:
+            raise ValueError(f"skin must be >= 0, got {skin}")
+        self.skin = float(skin)
         if offset_chunk < 0:
             raise ValueError(
                 f"offset_chunk must be >= 0, got {offset_chunk}"
@@ -261,6 +280,7 @@ class WseMd:
             lengths=self.box.lengths,
             periodic=self.box.periodic,
             cutoff=potential.cutoff,
+            skin=self.skin,
             tables=potential.tables,
             offsets=self._pass_offsets,
             chunk=self.offset_chunk,
@@ -345,6 +365,7 @@ class WseMd:
                 lengths=self.box.lengths,
                 periodic=self.box.periodic,
                 cutoff=self.potential.cutoff,
+                skin=self.skin,
                 tables=self.potential.tables,
                 offsets=self._pass_offsets,
                 chunk=self.offset_chunk,
@@ -354,7 +375,8 @@ class WseMd:
         return self._pool
 
     def _density_sweep(self):
-        """Steps 1-3a: candidate exchange, neighbor mask, density sums.
+        """Steps 1-3a: candidate exchange (on a list build), neighbor
+        test, density sums.
 
         Returns the accumulated grids plus the exchange / neighbor
         wall-time split the streaming sweep measured (recorded as child
@@ -366,11 +388,18 @@ class WseMd:
         n_int = np.zeros((nx, ny), dtype=np.int64)
         pool = self._ensure_pool()
         runner = pool if pool is not None else self._sweeps
-        t_ex, t_nb, _ = runner.density(
+        t_ex, t_nb, _, reused = runner.density(
             self.pos, self.occ, self.typ, rho_bar, n_cand, n_int
         )
         self.last_candidates = n_cand
         self.last_interactions = n_int
+        self.last_reused = reused
+        if reused:
+            self.list_reuses += 1
+            metrics().counter("wse.list.reuses").inc()
+        else:
+            self.list_builds += 1
+            metrics().counter("wse.list.builds").inc()
         return rho_bar, n_cand, n_int, t_ex, t_nb
 
     def _embed(self, rho_bar: np.ndarray):
@@ -396,8 +425,8 @@ class WseMd:
         """Steps 3c-4a: F' exchange and Eq. 4 force accumulation.
 
         Consumes the survivor records the density sweep of this step
-        left (positions are exchanged and filtered once per step, as on
-        the wafer); only ``F'`` travels here.  The pair energy is
+        left (positions are never exchanged or filtered a second time
+        in a step); only ``F'`` travels here.  The pair energy is
         accumulated only when ``energy`` is set — a timestep never
         reads it.  Returns ``(force, e_pair or None, t_exchange)``.
         """
@@ -509,16 +538,22 @@ class WseMd:
             # engine wall time.  Each sweep reports its exchange /
             # neighbor wall-time split, recorded as child spans so the
             # taxonomy phases still tile the step: the machine performs
-            # two exchanges per step (candidate positions, then the F'
-            # gather at the recorded survivors), exactly as the paper's
-            # timestep does, and one neighbor filter.
+            # two exchanges per step (candidate positions — the full
+            # shift on a list build, a gather at the listed tiles
+            # otherwise — then the F' gather at the recorded
+            # survivors), exactly as the paper's timestep does, and one
+            # neighbor filter.
             with tr.phase("step"):
                 with tr.phase("density") as ph:
                     rho_bar, n_cand, n_int, t_ex, t_nb = (
                         self._density_sweep()
                     )
                     tr.record("exchange", t_ex, {"offsets": n_offsets})
-                    tr.record("neighbor", t_nb, {"offsets": n_offsets})
+                    tr.record(
+                        "neighbor",
+                        t_nb,
+                        {"offsets": n_offsets, "reused": self.last_reused},
+                    )
                     ph.add(
                         candidates=int(n_cand.sum()),
                         interactions=int(n_int.sum()),

@@ -9,8 +9,9 @@ spends its time.  This package is the software analogue, LAMMPS-style:
   counter payloads) with self-time accounting, so per-phase totals sum
   to the traced wall time.
 * :class:`~repro.obs.metrics.MetricsRegistry` — process-wide counters,
-  gauges and histograms (``neighbor.rebuilds``, ``swap.moves``,
-  per-tile cycle distributions, kernel dispatch counts).
+  gauges and histograms (``neighbor.rebuilds``, ``wse.list.builds`` /
+  ``wse.list.reuses``, ``swap.moves``, per-tile cycle distributions,
+  kernel dispatch counts).
 * Sinks (:mod:`repro.obs.sinks`) — JSONL trace files and the
   end-of-run summary table.
 * :mod:`repro.obs.profile` — run a spec under tracing and reduce it to

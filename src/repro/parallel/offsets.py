@@ -22,8 +22,11 @@ occupancy and types for ``density``, only ``F'`` for ``force`` — and
 outputs come back through the per-worker slots, so a step ships zero
 pickled arrays.  Each worker keeps the survivor records of its own
 offset slice between the ``density`` and ``force`` commands of one step
-(:class:`~repro.core.streaming.SurvivorRecord`); a ``force`` with no
-fresh ``density`` before it comes back as an error reply.
+(:class:`~repro.core.streaming.SurvivorRecord`) and its slice of the
+index-only Verlet list across steps; every worker judges that list
+against the same shared positions and occupancy, so all of them build
+on the same steps.  A ``force`` with no fresh ``density`` before it
+comes back as an error reply.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
     ``shared`` holds numpy views over the fork-inherited arena; ``cfg``
     carries the static sweep geometry plus this worker's offset slice.
     The worker builds its own :class:`~repro.core.streaming.
-    StreamingSweeps` over that slice — chunk buffers and survivor
-    records are per-process, so peak memory per worker is
+    StreamingSweeps` over that slice — chunk buffers, survivor records
+    and the retained list are per-process, so peak memory per worker is
     O(chunk x grid) plus its slice's interactions.
     """
     from repro.core.streaming import StreamingSweeps
@@ -90,6 +93,7 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
         lengths=cfg["lengths"],
         periodic=cfg["periodic"],
         cutoff=cfg["cutoff"],
+        skin=cfg["skin"],
         tables=cfg["tables"],
         offsets=cfg["offset_slices"][wid],
         chunk=cfg["chunk"],
@@ -108,10 +112,10 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
                 rho_slot[...] = 0.0
                 cand_slot[...] = 0
                 int_slot[...] = 0
-                t_ex, t_nb, n_pts = sweeps.density(
+                t_ex, t_nb, n_pts, reused = sweeps.density(
                     pos, occ, typ, rho_slot, cand_slot, int_slot
                 )
-                conn.send(("ok", t_ex, t_nb, n_pts))
+                conn.send(("ok", t_ex, t_nb, n_pts, reused))
             elif cmd == "force":
                 force_slot[...] = 0.0
                 # msg[1]: the parent wants the pair energy too
@@ -121,7 +125,9 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
                 t_ex, n_pts = sweeps.force(f_der, force_slot, e_slot)
                 conn.send(("ok", t_ex, n_pts))
             elif cmd == "record_bytes":
-                conn.send(("ok", sweeps.record_bytes()))
+                conn.send(
+                    ("ok", sweeps.record_bytes(), sweeps.list_bytes())
+                )
             else:
                 conn.send(("error", "ValueError", f"unknown command {cmd!r}"))
         except Exception as exc:  # report, keep serving
@@ -132,7 +138,8 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
 class WseOffsetPool:
     """Fork a worker per offset slice and reduce their sweep outputs.
 
-    Exposes the same ``density`` / ``force`` / ``record_bytes`` protocol as
+    Exposes the same ``density`` / ``force`` / ``record_bytes`` /
+    ``list_bytes`` protocol as
     :class:`~repro.core.streaming.StreamingSweeps`, so the lockstep
     machine swaps one for the other without branching in the passes.
 
@@ -152,6 +159,7 @@ class WseOffsetPool:
         lengths,
         periodic,
         cutoff: float,
+        skin: float,
         tables,
         offsets: list[tuple[int, int]],
         chunk: int = 0,
@@ -184,6 +192,7 @@ class WseOffsetPool:
             "lengths": tuple(float(v) for v in lengths),
             "periodic": tuple(bool(v) for v in periodic),
             "cutoff": float(cutoff),
+            "skin": float(skin),
             "tables": tables,
             "offset_slices": split_offsets(list(offsets), w),
             "chunk": int(chunk),
@@ -220,7 +229,8 @@ class WseOffsetPool:
         t_ex = max(r[0] for r in replies)
         t_nb = max(r[1] for r in replies)
         n_pts = sum(r[2] for r in replies)
-        return t_ex, t_nb, n_pts
+        # every rank judged the same shared planes: one answer
+        return t_ex, t_nb, n_pts, replies[0][3]
 
     def force(self, f_der, force, e_pair=None):
         """Ship F', let every worker consume its records, reduce slots
@@ -240,6 +250,12 @@ class WseOffsetPool:
     def record_bytes(self) -> int:
         """Survivor-record bytes held worker-side (0 outside a step)."""
         return sum(r[0] for r in self._pool.command(("record_bytes",)))
+
+    def list_bytes(self) -> int:
+        """Bytes of the retained index lists and build-time planes,
+        summed over the workers (the ``record_bytes`` command reports
+        both)."""
+        return sum(r[1] for r in self._pool.command(("record_bytes",)))
 
     def close(self) -> None:
         """Stop the workers and release the arena (idempotent)."""

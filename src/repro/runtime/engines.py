@@ -330,6 +330,9 @@ class WseEngine:
             "swap_count": sim.swap_count,
             "offset_chunk": sim.effective_offset_chunk,
             "workers": sim.workers,
+            "list_builds": sim.list_builds,
+            "list_reuse_ratio": sim.list_reuses
+            / max(sim.list_builds + sim.list_reuses, 1),
         }
         phase_seconds: dict[str, float] = {}
         if sim.trace.n_steps > 0:
@@ -361,6 +364,7 @@ class WseEngine:
     def reset_telemetry(self) -> None:
         """Zero the accounting (keep state); for steady-state timing."""
         self.sim.trace = CycleTrace(self.sim.grid.n_tiles)
+        self.sim.list_builds = self.sim.list_reuses = 0
         self._wall_s = 0.0
         self._steps = 0
         self.sim.tracer.reset()
@@ -438,6 +442,7 @@ def build_engine(
     if spec.engine == "wse":
         kwargs = {
             "dt_fs": spec.dt_fs,
+            "skin": spec.skin,
             "swap_interval": spec.swap_interval,
             "force_symmetry": spec.force_symmetry,
             "offset_chunk": spec.offset_chunk,

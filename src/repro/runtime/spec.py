@@ -118,7 +118,12 @@ class RunSpec:
     dt_fs:
         Timestep (femtoseconds; the paper uses 2 fs).
     skin:
-        Reference-engine neighbor-list skin (A); ignored by ``wse``.
+        Verlet-list skin (A), honoured by both engines: the list is
+        built at ``cutoff + skin`` and reused until an atom has moved
+        ``skin / 2``.  0 rebuilds every step (on ``wse``: exchanges and
+        filters every step, the paper's policy).  The list only decides
+        how often the filter runs; trajectories do not depend on it on
+        ``wse``.
     backend:
         Kernel backend (``numpy``, ``numba``, ``parallel``); ``None``
         keeps the process default.

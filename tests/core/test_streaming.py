@@ -12,7 +12,11 @@ sizes, b values, non-square grids and the force-symmetry path — a fixed
 matrix plus a Hypothesis sweep over vacancies, alloys and periodic
 boxes.  The record tests pin the lifetime contract of the per-chunk
 survivor records that carry the one filter's result from the density
-sweep to the force sweep.
+sweep to the force sweep.  The list tests pin the index-only Verlet list
+the sweeps carry across steps: a machine with a skin is bitwise the
+machine that filters every step (``skin=0``), whatever is done to its
+grids between steps, and it builds exactly when an independent reading
+of the rule says it must.
 
 The memory tests assert the whole point of the restructuring: peak
 memory is O(chunk x grid), so paper-scale grids fit.  The expensive
@@ -274,8 +278,9 @@ def sweep_case(draw):
     )
 
 
-def _sweep_machine(case, ta_potential, wta_potential):
-    """A jittered, vacancy-riddled W/Ta (or Ta) slab on the wafer."""
+def _sweep_machine(case, ta_potential, wta_potential, speed=0.0, **machine):
+    """A jittered, vacancy-riddled W/Ta (or Ta) slab on the wafer, at
+    rest or with normal velocity components of ``speed`` A/ps."""
     rng = np.random.default_rng(case["seed"])
     a = ELEMENTS["Ta"].lattice_constant
     if case["alloy"]:
@@ -298,8 +303,8 @@ def _sweep_machine(case, ta_potential, wta_potential):
         types = np.zeros(len(pos), dtype=np.int64)
         masses = np.array([ELEMENTS["Ta"].mass])
     state = AtomsState(
-        positions=pos, velocities=np.zeros_like(pos), types=types,
-        masses=masses, box=box,
+        positions=pos, velocities=rng.normal(0.0, 1.0, pos.shape) * speed,
+        types=types, masses=masses, box=box,
     )
     return WseMd(
         state,
@@ -308,6 +313,7 @@ def _sweep_machine(case, ta_potential, wta_potential):
         offset_chunk=case["chunk"],
         force_symmetry=case["force_symmetry"],
         fill=case["fill"],
+        **machine,
     )
 
 
@@ -426,6 +432,202 @@ def test_swap_every_step_matches_record_passes(ta_potential, force_symmetry):
     assert sim.swap_count == twin.swap_count > 0
 
 
+# -- the list carried across steps: any skin is the skin-0 machine -----------
+
+
+class _BuildOracle:
+    """An independent reading of the rebuild rule: a density sweep must
+    build when there is no list yet, when the occupancy differs from the
+    last build's, or when a tile sits ``skin / 2`` or more from where it
+    was at the last build — and must not build otherwise."""
+
+    def __init__(self, skin):
+        self.bound2 = (0.5 * skin) ** 2
+        self.pos = self.occ = None
+        self.builds = 0
+
+    def observe(self, sim) -> bool:
+        """Call before each density sweep of ``sim``."""
+        build = self.pos is None or not np.array_equal(sim.occ, self.occ)
+        if not build:
+            moved2 = ((sim.pos - self.pos) ** 2).sum(axis=2)
+            build = not moved2.max() < self.bound2
+        if build:
+            self.pos, self.occ = sim.pos.copy(), sim.occ.copy()
+            self.builds += 1
+        return build
+
+
+def _assert_same_machine(sim, twin):
+    for name in ("pos", "vel", "aid", "occ", "typ",
+                 "last_candidates", "last_interactions"):
+        assert np.array_equal(getattr(sim, name), getattr(twin, name)), name
+
+
+def _step_twins(sim, twin, oracle, n_steps=1):
+    """Step a skinned machine and its ``skin=0`` twin in lockstep:
+    bitwise equal after every step, builds exactly where the oracle
+    says, and the twin never reuses."""
+    for _ in range(n_steps):
+        must_build = oracle.observe(sim)
+        sim.step(1)
+        twin.step(1)
+        assert sim.last_reused == (not must_build)
+        assert not twin.last_reused
+        _assert_same_machine(sim, twin)
+    assert sim.list_builds == oracle.builds
+
+
+def _assert_same_observables(sim, twin, oracle):
+    oracle.observe(sim)
+    assert np.array_equal(sim.compute_forces(), twin.compute_forces())
+    oracle.observe(sim)
+    assert sim.compute_energy() == twin.compute_energy()
+    assert sim.list_builds == oracle.builds
+    assert twin.list_reuses == 0
+
+
+@given(case=sweep_case())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+    ],
+)
+def test_default_skin_matches_skin_zero_property(
+    case, ta_potential, wta_potential
+):
+    """Hot enough (and a long enough timestep) that every case rebuilds
+    at least twice after its first build and reuses in between."""
+    hot = dict(speed=6.0, dt_fs=4.0)
+    sim = _sweep_machine(case, ta_potential, wta_potential, **hot)
+    twin = _sweep_machine(case, ta_potential, wta_potential, skin=0.0, **hot)
+    assert sim.skin == 0.5 and twin.skin == 0.0
+    oracle = _BuildOracle(sim.skin)
+    _step_twins(sim, twin, oracle, 16)
+    assert sim.list_builds >= 3, case
+    assert sim.list_reuses >= 8, case
+    assert twin.list_builds == 16
+    _assert_same_observables(sim, twin, oracle)
+
+
+def _listed_pairs(sweeps) -> int:
+    return sum(len(ctr) for _, ctr, _ in sweeps._list.chunks)
+
+
+def _twins(state, potential, **machine):
+    sim = WseMd(state.copy(), potential, **machine)
+    twin = WseMd(state.copy(), potential, skin=0.0, **machine)
+    return sim, twin, _BuildOracle(sim.skin)
+
+
+def test_fast_atom_builds_every_step(ta_potential):
+    """One atom crossing skin/2 in a single step is enough."""
+    state = small_slab_state(reps=(5, 5, 2), temperature=0.0)
+    top = int(np.argmax(state.positions[:, 2]))
+    state.velocities[top, 2] = 0.3 / 0.002  # 0.3 A per 2 fs step, outward
+    sim, twin, oracle = _twins(state, ta_potential, force_symmetry=True)
+    _step_twins(sim, twin, oracle, 6)
+    assert (sim.list_builds, sim.list_reuses) == (6, 0)
+    _assert_same_observables(sim, twin, oracle)
+
+
+@pytest.mark.parametrize("force_symmetry", [False, True])
+def test_swap_every_step_with_a_list(ta_potential, force_symmetry):
+    """Nothing tells the sweeps a swap round ran; the re-homed tiles do."""
+    state = small_slab_state(reps=(5, 5, 2), temperature=900.0, seed=4)
+    sim, twin, oracle = _twins(
+        state, ta_potential, swap_interval=1, b_margin=2.0,
+        force_symmetry=force_symmetry,
+    )
+    last_round_moved = False
+    for _ in range(12):
+        moved_before = sim.swap_count
+        built_before = sim.list_builds
+        _step_twins(sim, twin, oracle)
+        if last_round_moved:  # the round that closed the previous step
+            assert sim.list_builds == built_before + 1
+        last_round_moved = sim.swap_count > moved_before
+    assert sim.swap_count == twin.swap_count > 0
+    assert 1 < sim.list_builds < 12 and sim.list_reuses > 0
+    _assert_same_observables(sim, twin, oracle)
+
+
+def test_atom_removed_then_added_between_steps(ta_potential):
+    """Only the occupancy bit is flipped — the tile keeps its position,
+    so no displacement gives the edit away."""
+    sim, twin, oracle = _twins(
+        small_slab_state(reps=(5, 5, 2), temperature=100.0), ta_potential
+    )
+    _step_twins(sim, twin, oracle, 3)
+    assert (sim.list_builds, sim.list_reuses) == (1, 2)
+    x, y = np.argwhere(sim.occ)[sim.n_atoms // 2]
+    for present, builds in ((False, 2), (True, 3)):
+        for m in (sim, twin):
+            m.occ[x, y] = present
+        _step_twins(sim, twin, oracle, 2)
+        assert sim.list_builds == builds
+    assert sim.list_reuses == 4
+    _assert_same_observables(sim, twin, oracle)
+
+
+def test_positions_overwritten_between_steps(ta_potential):
+    sim, twin, oracle = _twins(
+        small_slab_state(reps=(5, 5, 2), temperature=100.0), ta_potential,
+        force_symmetry=True,
+    )
+    _step_twins(sim, twin, oracle)
+    (ax, ay), (bx, by) = np.argwhere(sim.occ)[[0, -1]]
+    # a nudge inside skin/2: the list still covers it
+    for m in (sim, twin):
+        m.pos[ax, ay, 0] += m.dtype.type(0.1)
+    _step_twins(sim, twin, oracle)
+    assert (sim.list_builds, sim.list_reuses) == (1, 1)
+    # a rigid shift moves every tile a full angstrom
+    for m in (sim, twin):
+        m.pos[m.occ] += m.dtype.type(1.0)
+    _step_twins(sim, twin, oracle)
+    assert (sim.list_builds, sim.list_reuses) == (2, 1)
+    # two atoms trade tiles by hand: same occupancy, different geometry
+    for m in (sim, twin):
+        for grid in (m.pos, m.vel, m.aid, m.typ):
+            grid[[ax, bx], [ay, by]] = grid[[bx, ax], [by, ay]]
+    _step_twins(sim, twin, oracle, 2)
+    assert (sim.list_builds, sim.list_reuses) == (3, 2)
+    _assert_same_observables(sim, twin, oracle)
+
+
+def test_list_bytes_accounting(ta_potential):
+    """Between steps: 8 B per listed pair (two int32 tiles), the chunk
+    bounds, and three planes — the build-time positions and occupancy
+    and the int32 candidate counts.  Nothing at skin 0."""
+    sim, twin, _ = _twins(
+        small_slab_state(reps=(5, 5, 2)), ta_potential,
+        offset_chunk=4, force_symmetry=True,
+    )
+    sweeps = sim._sweeps
+    assert sweeps.list_bytes() == 0 and sweeps._list is None
+    sim.step(1)
+    twin.step(1)
+    pairs = _listed_pairs(sweeps)
+    assert pairs >= int(sim.last_interactions.sum()) > 0
+    bounds = sum(starts.nbytes for starts, _, _ in sweeps._list.chunks)
+    assert bounds == 4 * (len(sim._pass_offsets) + len(sweeps._chunks))
+    planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
+    assert sweeps.list_bytes() == 8 * pairs + bounds + planes
+    assert sweeps.record_bytes() == 0
+    assert twin._sweeps.list_bytes() == 0 and twin._sweeps._list is None
+
+
+def test_negative_skin_rejected(ta_potential):
+    with pytest.raises(ValueError, match="skin"):
+        WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential, skin=-0.1)
+    with pytest.raises(ValueError, match="skin"):
+        WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential,
+              skin=float("nan"))
+
+
 def test_auto_chunk_bounds():
     assert auto_chunk(10, 10) == 16  # small grids cap at the max depth
     assert auto_chunk(2000, 2000) == 1  # huge grids degrade to 1
@@ -508,17 +710,17 @@ def test_streaming_buffers_are_chunk_sized(ta_potential, force_symmetry):
     sweeps = StreamingSweeps(
         nx=500, ny=500, dtype=np.float64,
         lengths=(1e3, 1e3, 1e3), periodic=(False,) * 3,
-        cutoff=ta_potential.cutoff, tables=ta_potential.tables,
+        cutoff=ta_potential.cutoff, skin=0.5, tables=ta_potential.tables,
         offsets=[(dx, dy) for dx in range(-5, 6) for dy in range(-5, 6)
                  if (dx, dy) != (0, 0)],
         chunk=0,
         force_symmetry=force_symmetry,
     )
     depth = min(auto_chunk(500, 500), 120)
-    # d-stack + r2 + two mask planes per stacked tile; never O(offsets),
-    # and the reverse reduction owns no full-grid scratch of its own
-    per_tile = 3 * 8 + 8 + 1 + 1
-    assert sweeps.buffer_bytes() == depth * 500 * 500 * per_tile
+    # d-stack + mask per stacked tile, one r2 + one compare plane for
+    # the coarse cut; never O(offsets), and the reverse reduction owns
+    # no full-grid scratch of its own
+    assert sweeps.buffer_bytes() == 500 * 500 * (depth * (3 * 8 + 1) + 8 + 1)
 
 
 @pytest.mark.skipif(not SCALE_TESTS, reason="set REPRO_SCALE_TESTS to run")
@@ -533,11 +735,15 @@ def test_memory_smoke_50k_atoms():
 #: type) plus chunk bookkeeping.
 _RECORD_BYTES_PER_INTERACTION = 56
 
+#: Retained-list budget: two int32 tile indices per listed pair.
+_LIST_BYTES_PER_PAIR = 8
+
 
 @pytest.mark.skipif(not SCALE_TESTS, reason="set REPRO_SCALE_TESTS to run")
 def test_record_budget_50k_atoms():
     """Records in flight at ~50k atoms stay within the per-interaction
-    budget, and none survives the step."""
+    budget and none survives the step; the list that does stays within
+    its per-pair budget."""
     from repro.potentials.elements import make_element_potential
 
     sim = WseMd(
@@ -552,6 +758,16 @@ def test_record_budget_50k_atoms():
     sim._force_sweep(np.zeros(sim.occ.shape))
     sim.step(1)
     assert sim._sweeps.record_bytes() == 0
+    # what does stay between steps: the index list at cutoff + skin
+    # (a thin shell more than the survivors in a crystal), chunk
+    # bounds, and three grid planes
+    pairs = _listed_pairs(sim._sweeps)
+    assert rows <= pairs <= 1.25 * rows
+    planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
+    assert sim.list_reuses == 1
+    assert sim._sweeps.list_bytes() <= (
+        _LIST_BYTES_PER_PAIR * pairs + planes + 4096
+    )
 
 
 @pytest.mark.skipif(

@@ -91,8 +91,12 @@ class TestProfileSpec:
         assert (funnel["neighbor.raw_candidates"]
                 > funnel["neighbor.coarse_kept"]
                 >= funnel["neighbor.exact_kept"] > 0)
-        # the lockstep machine keeps no neighbor list
+        # the lockstep machine's list has no funnel: it counts its
+        # builds and reuses (wse.list.*) and reports them as counters
         assert not any(first["wse"].funnel.values())
+        wse = first["wse"].counters
+        assert wse["list_builds"] >= 1
+        assert 0.0 < wse["list_reuse_ratio"] < 1.0
 
     def test_steps_override(self, tiny_spec):
         metrics().reset()

@@ -98,7 +98,8 @@ class TestOffsetPool:
         kw = dict(
             nx=sim.grid.nx, ny=sim.grid.ny, dtype=sim.dtype,
             lengths=sim.box.lengths, periodic=sim.box.periodic,
-            cutoff=sim.potential.cutoff, tables=sim.potential.tables,
+            cutoff=sim.potential.cutoff, skin=sim.skin,
+            tables=sim.potential.tables,
             offsets=offsets,
         )
         serial = StreamingSweeps(**kw)
@@ -131,7 +132,8 @@ class TestOffsetPool:
         pool = WseOffsetPool(
             n_workers=2, nx=shape[0], ny=shape[1], dtype=sim.dtype,
             lengths=sim.box.lengths, periodic=sim.box.periodic,
-            cutoff=sim.potential.cutoff, tables=sim.potential.tables,
+            cutoff=sim.potential.cutoff, skin=sim.skin,
+            tables=sim.potential.tables,
             offsets=sim._pass_offsets,
         )
         try:
@@ -171,6 +173,38 @@ class TestOffsetPool:
                 assert sim._pool.record_bytes() == 0
         finally:
             sim.close()
+
+
+@needs_fork
+def test_two_workers_with_a_list_match_their_every_step_twin(ta_potential):
+    """Every rank judges the same shared planes, so the pool builds on
+    the serial machine's steps and stays bitwise its own ``skin=0``
+    twin; the ranks' lists are reported by the ``record_bytes`` reply."""
+    state = small_slab_state(reps=(5, 5, 2), temperature=900.0, seed=4)
+    kw = dict(swap_interval=3, b_margin=2.0, force_symmetry=True)
+    sim = WseMd(state.copy(), ta_potential, workers=2, **kw)
+    twin = WseMd(state.copy(), ta_potential, workers=2, skin=0.0, **kw)
+    serial = WseMd(state.copy(), ta_potential, **kw)
+    try:
+        for _ in range(12):
+            for m in (sim, twin, serial):
+                m.step(1)
+            assert sim.last_reused == serial.last_reused
+            assert np.array_equal(sim.pos, twin.pos)
+            assert np.array_equal(sim.vel, twin.vel)
+            assert np.array_equal(sim.aid, twin.aid)
+            assert np.array_equal(sim.last_interactions,
+                                  twin.last_interactions)
+        assert 1 < sim.list_builds == serial.list_builds < 12
+        assert sim.compute_energy() == twin.compute_energy()
+        assert twin.list_reuses == 0
+        # each rank holds its own copy of the three planes
+        assert sim._pool.list_bytes() > serial._sweeps.list_bytes() > 0
+        assert twin._pool.list_bytes() == 0
+        assert sim._pool.record_bytes() == 0
+    finally:
+        sim.close()
+        twin.close()
 
 
 def test_fork_unavailable_falls_back_serial(ta_potential, monkeypatch):

@@ -128,6 +128,45 @@ class TestFactory:
         eng = build_engine(RunSpec(engine="wse", **QUICK), b_margin=3.0)
         assert eng.sim is not None  # constructed without error
 
+    def test_wse_honours_spec_skin_and_reports_its_list(self):
+        from repro.obs import metrics
+        from repro.obs.sinks import ListSink
+        from repro.obs.tracer import Tracer
+
+        sink = ListSink()
+        eng = build_engine(
+            RunSpec(engine="wse", **QUICK), tracer=Tracer([sink])
+        )
+        assert eng.sim.skin == RunSpec(**QUICK).skin == 0.5
+        reg = metrics()
+        before = {
+            name: reg.counter(f"wse.list.{name}").value
+            for name in ("builds", "reuses")
+        }
+        eng.step(4)
+        counters = eng.telemetry().counters
+        assert counters["list_builds"] == 1
+        assert counters["list_reuse_ratio"] == 0.75
+        assert reg.counter("wse.list.builds").value == before["builds"] + 1
+        assert reg.counter("wse.list.reuses").value == before["reuses"] + 3
+        reused = [
+            s.counters["reused"] for s in sink.spans if s.name == "neighbor"
+        ]
+        assert reused == [False, True, True, True]
+        # a window opened mid-stretch counts only its own sweeps
+        eng.reset_telemetry()
+        eng.step(2)
+        counters = eng.telemetry().counters
+        assert counters["list_builds"] == 0
+        assert counters["list_reuse_ratio"] == 1.0
+
+        every = build_engine(RunSpec(engine="wse", skin=0.0, **QUICK))
+        assert every.sim.skin == 0.0
+        every.step(2)
+        counters = every.telemetry().counters
+        assert counters["list_builds"] == 2
+        assert counters["list_reuse_ratio"] == 0.0
+
     def test_seed_streams_are_independent_and_named(self):
         streams = seed_streams(0)
         assert set(streams) == {"velocities", "thermostat", "engine"}

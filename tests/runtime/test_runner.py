@@ -177,6 +177,46 @@ def test_resume_matches_uninterrupted(tmp_path, engine_kwargs):
     )
 
 
+def test_wse_resume_mid_reuse_matches_skin_zero_twin(tmp_path):
+    """The wafer's Verlet list is not checkpointed: a run resumed in the
+    middle of a reuse stretch builds its own on its first step, and is
+    bitwise the ``skin=0`` run resumed at the same step."""
+    spec = RunSpec(steps=8, engine="wse", **QUICK)
+    assert spec.skin > 0
+
+    straight = Runner.from_spec(spec)
+    straight.run()
+    # one build, then reuse: a stop after step 3 is mid-stretch
+    assert straight.engine.telemetry().counters["list_builds"] == 1
+
+    resumed = {}
+    for skin in (spec.skin, 0.0):
+        skinned = dataclasses.replace(spec, skin=skin)
+        prefix = tmp_path / f"skin{skin}"
+        first = Runner.from_spec(skinned, checkpoint_prefix=prefix)
+        first.run(3)
+        first.write_checkpoint()
+        del first
+        resumed[skin] = Runner.resume(skinned, prefix)
+        resumed[skin].run()
+    counters = resumed[spec.skin].engine.telemetry().counters
+    assert counters["list_builds"] == 1
+    assert counters["list_reuse_ratio"] == 4 / 5
+    twin_counters = resumed[0.0].engine.telemetry().counters
+    assert twin_counters["list_builds"] == 5
+    assert twin_counters["list_reuse_ratio"] == 0.0
+
+    a, b = (resumed[skin].engine.state for skin in (spec.skin, 0.0))
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.velocities, b.velocities)
+    # (a resume re-maps atoms to tiles, so against the uninterrupted
+    # run it agrees to rounding, as on every engine)
+    np.testing.assert_allclose(
+        _positions(straight), _positions(resumed[spec.skin]), atol=1e-12
+    )
+
+
 def test_resume_with_longer_steps_is_legal(tmp_path):
     prefix = tmp_path / "c"
     spec = RunSpec(steps=2, **QUICK)
