@@ -567,6 +567,9 @@ def _cmd_profile(args) -> int:
                 f"{key.split('.', 1)[1]} {count}"
                 for key, count in prof.funnel.items()
             ))
+        if prof.minor_faults_per_step is not None:
+            print(f"minor page faults/step: "
+                  f"{prof.minor_faults_per_step:.0f}")
         if prof.missing_phases:
             failures.append(
                 f"{name}: missing phases {list(prof.missing_phases)}"

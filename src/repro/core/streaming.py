@@ -409,8 +409,8 @@ class StreamingSweeps:
                 vals, rho_d = grouped.rho.evaluate(r, 0)
                 vals_ctr, rho_d_ctr, phi_member = vals, rho_d, 0
             else:
-                src_t = typ_flat[src]
-                ctr_t = typ_flat[ctr]
+                src_t = typ_flat.take(src)
+                ctr_t = typ_flat.take(ctr)
                 vals, rho_d = grouped.rho.evaluate(r, src_t)
                 vals_ctr, rho_d_ctr = grouped.rho.evaluate(r, ctr_t)
                 phi_member = grouped.phi_index[ctr_t, src_t]
@@ -467,8 +467,8 @@ class StreamingSweeps:
             )
             n_pts += len(r)
             t0 = time.perf_counter()
-            fder_ctr = fder_flat[ctr]
-            fder_src = fder_flat[src]
+            fder_ctr = fder_flat.take(ctr)
+            fder_src = fder_flat.take(src)
             t_ex += time.perf_counter() - t0
             phi_v, phi_d = phi.evaluate(r, member)
             s = fder_ctr * rho_d_src + fder_src * rho_d_ctr + phi_d

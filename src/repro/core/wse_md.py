@@ -43,7 +43,7 @@ import numpy as np
 from repro.constants import MVV2E
 from repro.core.cycle_model import CycleCostModel
 from repro.core.mapping import Mapping, build_mapping
-from repro.core.streaming import FAR as _FAR, StreamingSweeps
+from repro.core.streaming import FAR as _FAR, StreamingSweeps, _flat
 from repro.core.neighborhood import required_b
 from repro.core.swap import SwapEngine
 from repro.md.state import AtomsState
@@ -446,15 +446,19 @@ class WseMd:
         stray force value on a vacated tile would silently corrupt the
         next atom swapped onto it.
         """
-        occ = self.occ
-        mass = self.masses[self.typ[occ]]
-        accel = force[occ] / (mass[:, None] * MVV2E)
-        vel = self.vel[occ]
+        # flat occupied-tile indices into row views of the grids: one
+        # index array, ``take`` gathers, integer-indexed row scatters
+        tiles = np.flatnonzero(self.occ)
+        vel_rows = _flat(self.vel, 3)
+        pos_rows = _flat(self.pos, 3)
+        mass = self.masses.take(_flat(self.typ).take(tiles))
+        accel = _flat(force, 3).take(tiles, axis=0) / (mass[:, None] * MVV2E)
+        vel = vel_rows.take(tiles, axis=0)
         vel += (accel * self.dt).astype(self.dtype)
-        self.vel[occ] = vel
-        pos = self.pos[occ]
+        vel_rows[tiles] = vel
+        pos = pos_rows.take(tiles, axis=0)
         pos += (vel * self.dt).astype(self.dtype)
-        self.pos[occ] = pos
+        pos_rows[tiles] = pos
         # A NaN coordinate fails every cutoff test, so the atom would
         # silently stop interacting; a non-finite force or velocity
         # lands here too, one step later at most.

@@ -1,20 +1,41 @@
 """Baseline NumPy kernels (always available).
 
 The fused spline evaluation is the hot loop of the whole EAM stack: one
-gather of the packed ``(nseg, 4)`` coefficient rows, then a Horner
-polynomial for value and derivative together.  The packed layout
-replaces the seed's four scattered per-coefficient gathers and the
-separate value/derivative passes.
+segment computation, one gather of the packed coefficient table, then a
+Horner polynomial for value and derivative from the same four
+coefficients (the uniformly binned table lookup of the FPGA pipelines
+in PAPERS.md, and of a WSE tile's per-segment SRAM rows).
 
 The whole-pass kernels (``neighbor_prefilter``, ``fused_density_pass``,
 ``fused_force_pass``, ``grouped_spline_eval``, ``force_integrate``) are
 the numpy ports of the loops that used to live inline in
 :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam` and
-:mod:`repro.md.integrators`.  They are deliberately written with the
-*identical* numpy operations and orderings those call sites used, so
-routing the physics modules through the kernel layer is a pure
-refactor: bitwise-identical outputs, and the per-function fallback for
-partial backends never changes a trajectory.
+:mod:`repro.md.integrators`.  Per element they perform the *identical*
+IEEE operations, on the same operands in the same order, as those call
+sites did — outputs are bitwise what the first port produced (frozen as
+``tests.legacy_kernels``, the oracle of the kernel test sweep), and the
+per-function fallback for partial backends never changes a trajectory.
+What the bodies are free to choose is how memory moves, and at these
+sizes (10^5 pairs) that, not arithmetic, is the cost.  Three rules:
+
+* **Gather with ``take``.**  ``a.take(idx, axis=0)`` is 4-8x faster
+  than ``a[idx]`` (numpy's advanced-indexing machinery) and copies the
+  same elements; in the default ``mode="raise"`` an out-of-range index
+  still raises ``IndexError`` and a negative one still wraps.  Do not
+  pass ``out=``: under ``mode="raise"`` numpy buffers ``out`` and the
+  call gets *slower* than a fresh ``take``; ``mode="clip"`` avoids the
+  buffer but drops the bounds check, so it is only legal on an index
+  the same function has just clipped.
+* **Compact through one index array.**  A filter computes
+  ``np.flatnonzero(mask)`` once and ``take``s every output through it,
+  instead of one boolean-mask copy per output.
+* **Feed ``bincount`` contiguous weights.**  A strided weight column is
+  copied inside ``bincount``; build the column contiguous (it is needed
+  by both scatter halves anyway) and no ``(P, 3)`` temporary exists.
+
+Temporaries are reused in place where the operand order allows
+(``np.add(c, val, out=val)`` is ``c + val`` written into ``val``); no
+buffer outlives a call and no kernel writes to an argument.
 
 Spline *banks* are the packed-group tuples built by
 :meth:`repro.potentials.spline.SplineGroup.bank`::
@@ -43,12 +64,23 @@ def spline_eval(
     ``(c0, c1, c2, c3)`` rows; ``k`` the segment index per point and
     ``dx`` the local offset from the segment's left knot.
     """
-    rows = coeffs[k]  # single fused gather of all four coefficients
-    c1 = rows[:, 1]
-    c2 = rows[:, 2]
-    c3 = rows[:, 3]
-    val = rows[:, 0] + dx * (c1 + dx * (c2 + dx * c3))
-    der = c1 + dx * (2.0 * c2 + dx * 3.0 * c3)
+    # One gather: ``take`` on the transposed view copies the small
+    # table column-major and fetches four contiguous coefficient
+    # columns, so the Horner passes below stream instead of striding.
+    c0, c1, c2, c3 = coeffs.T.take(k, axis=1)
+    # in place, operands in the order of the expression on the right:
+    # val = c0 + dx * (c1 + dx * (c2 + dx * c3))
+    val = dx * c3
+    np.add(c2, val, out=val)
+    np.multiply(dx, val, out=val)
+    np.add(c1, val, out=val)
+    np.multiply(dx, val, out=val)
+    np.add(c0, val, out=val)
+    # der = c1 + dx * (2.0 * c2 + dx * 3.0 * c3)
+    der = dx * 3.0 * c3
+    np.add(2.0 * c2, der, out=der)
+    np.multiply(dx, der, out=der)
+    np.add(c1, der, out=der)
     return val, der
 
 
@@ -73,32 +105,44 @@ def grouped_spline_eval(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched multi-member spline evaluation through a packed bank.
 
-    Point ``p`` is evaluated through member spline ``member[p]``
-    (``member`` broadcasts; a scalar evaluates the whole batch through
-    one member).  Per point the arithmetic is exactly
+    Point ``p`` of the 1-D batch ``x`` is evaluated through member
+    spline ``member[p]`` (a scalar ``member`` evaluates the whole batch
+    through one member, whose constants then stay scalars — no
+    per-point gathers).  Per point the arithmetic is exactly
     :meth:`repro.potentials.spline.UniformCubicSpline.evaluate`, so the
-    batch is bitwise identical to looping the member splines.
+    batch is bitwise identical to looping the member splines: one
+    segment computation in one buffer, one row gather, and boundary
+    fix-ups that cost a comparison unless a point is out of range.
     """
     coeffs, row0, x0, h, nseg, x_max, y_last, clamp_low, zero_above = bank
     g = np.asarray(member, dtype=np.int64)
-    x0g = x0[g]
-    hg = h[g]
-    t = (x - x0g) / hg
-    k = np.clip(np.floor(t).astype(np.int64), 0, nseg[g] - 1)
-    dx = x - (x0g + k * hg)
+    # ``take`` of a 0-d member returns scalars, of a 1-D one per-point rows
+    x0g = x0.take(g)
+    hg = h.take(g)
+    last = nseg.take(g) - 1
+    xmg = x_max.take(g)
+    # k = clip(floor((x - x0) / h), 0, nseg - 1);  dx = x - (x0 + k * h)
+    t = x - x0g
+    np.divide(t, hg, out=t)
+    np.floor(t, out=t)
+    k = t.astype(np.int64)
+    np.clip(k, 0, last, out=k)
+    dx = np.multiply(k, hg, out=t)
+    np.add(x0g, dx, out=dx)
+    np.subtract(x, dx, out=dx)
     if clamp_low:
-        dx = np.where(x < x0g, 0.0, dx)
-    val, der = spline_eval(coeffs, row0[g] + k, dx)
-    xmg = x_max[g]
-    if zero_above:
-        above = x >= xmg
-        val = np.where(above, 0.0, val)
-        der = np.where(above, 0.0, der)
-    else:
-        above = x > xmg
-        if np.any(above):
-            val = np.where(above, y_last[g], val)
-            der = np.where(above, 0.0, der)
+        low = x < x0g
+        if low.any():
+            dx[low] = 0.0
+    k += row0.take(g)
+    val, der = spline_eval(coeffs, k, dx)
+    above = x >= xmg if zero_above else x > xmg
+    if above.any():
+        if zero_above:
+            val[above] = 0.0
+        else:
+            val[above] = np.broadcast_to(y_last.take(g), above.shape)[above]
+        der[above] = 0.0
     return val, der
 
 
@@ -128,40 +172,41 @@ def neighbor_prefilter(
     ``assume_inside=True`` asserts the caller has *proved* every
     candidate passes the predicate (e.g. a build-time separation bound
     plus a displacement bound — the shard tier's all-inside guarantee):
-    the mask would be all-True, so the comparison and the four
-    compaction copies are skipped.  Values are bitwise-identical to the
-    masked path — compacting by an all-True mask copies elementwise and
-    ``sqrt`` is elementwise — the flag only removes work, never changes
-    bits.  The caller's proof is load-bearing: a candidate that would
-    have failed the predicate is emitted anyway.
+    every row would be kept, so the comparison and the four compaction
+    copies are skipped.  Values are bitwise-identical to the filtered
+    path — compacting by every row copies elementwise and ``sqrt`` is
+    elementwise — the flag only removes work, never changes bits.  The
+    caller's proof is load-bearing: a candidate that would have failed
+    the predicate is emitted anyway.
     """
-    rij = positions[j] - positions[i]
+    rij = positions.take(j, axis=0)
+    rij -= positions.take(i, axis=0)
     for d in range(3):
         if periodic[d]:
             ld = lengths[d]
-            rij[:, d] -= ld * np.floor(rij[:, d] / ld + 0.5)
+            col = rij[:, d]
+            # col -= ld * floor(col / ld + 0.5), one buffer
+            wrap = col / ld
+            wrap += 0.5
+            np.floor(wrap, out=wrap)
+            np.multiply(ld, wrap, out=wrap)
+            col -= wrap
     r2 = np.einsum("ij,ij->i", rij, rij)
+    no_geometry = (
+        np.empty((0, 3), dtype=np.float64),
+        np.empty(0, dtype=np.float64),
+    )
     if assume_inside:
         if not compute_r:
-            return (
-                i,
-                j,
-                np.empty((0, 3), dtype=np.float64),
-                np.empty(0, dtype=np.float64),
-            )
-        return i, j, rij, np.sqrt(r2)
-    if inclusive:
-        keep = r2 <= rmax * rmax
-    else:
-        keep = r2 < rmax * rmax
+            return (i, j, *no_geometry)
+        return i, j, rij, np.sqrt(r2, out=r2)
+    # one index array compacts all four outputs
+    rmax2 = rmax * rmax
+    keep = np.flatnonzero(r2 <= rmax2 if inclusive else r2 < rmax2)
     if not compute_r:
-        return (
-            i[keep],
-            j[keep],
-            np.empty((0, 3), dtype=np.float64),
-            np.empty(0, dtype=np.float64),
-        )
-    return i[keep], j[keep], rij[keep], np.sqrt(r2[keep])
+        return (i.take(keep), j.take(keep), *no_geometry)
+    r = r2.take(keep)
+    return i.take(keep), j.take(keep), rij.take(keep, axis=0), np.sqrt(r, out=r)
 
 
 def fused_density_pass(
@@ -221,15 +266,23 @@ def fused_force_pass(
     than silently propagating NaNs.
     """
     phi_v, phi_d = grouped_spline_eval(phi_bank, r, phi_member)
-    s = f_der[i] * d_ji + f_der[j] * d_ij + phi_d
-    with np.errstate(invalid="raise", divide="raise"):
-        unit = rij / r[:, None]
-    fvec = s[:, None] * unit
-    forces = accumulate_vec3(i, fvec, n_atoms)
-    forces -= accumulate_vec3(j, fvec, n_atoms)
-    w = 0.5 * phi_v
-    e_pair = accumulate_scalar(i, w, n_atoms)
-    e_pair += accumulate_scalar(j, w, n_atoms)
+    # s = f_der[i] * d_ji + f_der[j] * d_ij + phi_d
+    s = f_der.take(i) * d_ji
+    s += f_der.take(j) * d_ij
+    s += phi_d
+    forces = np.empty((n_atoms, 3), dtype=np.float64)
+    for axis in range(3):
+        # s * (rij / r) one contiguous column at a time: the column
+        # feeds both scatter halves and no (P, 3) temporary exists
+        with np.errstate(invalid="raise", divide="raise"):
+            w = rij[:, axis] / r
+        np.multiply(s, w, out=w)
+        col = np.bincount(i, weights=w, minlength=n_atoms)
+        col -= np.bincount(j, weights=w, minlength=n_atoms)
+        forces[:, axis] = col
+    half_phi = np.multiply(0.5, phi_v, out=phi_v)
+    e_pair = accumulate_scalar(i, half_phi, n_atoms)
+    e_pair += accumulate_scalar(j, half_phi, n_atoms)
     return e_pair, forces
 
 

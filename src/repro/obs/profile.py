@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX
+    resource = None
+
 from repro.obs import metrics, required_phases
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
@@ -64,6 +69,13 @@ class EngineProfile:
         counters: rebuilds, and the candidates entering and leaving
         the sweep's coarse cut and the exact kernel (exact,
         seed-repeatable counts; all zero for the lockstep engine).
+    minor_faults_per_step:
+        Minor page faults this process took per profiled step
+        (``ru_minflt`` delta over the run, first step included): the
+        allocation tax of per-step temporaries large enough to be
+        mapped and faulted afresh each time.  Forked workers fault in
+        their own processes and are not counted; ``None`` where the
+        ``resource`` module is missing.
     fit:
         Table II constants regressed from the traced per-tile cycles
         (lockstep engine only; ``None`` elsewhere or if degenerate).
@@ -80,6 +92,7 @@ class EngineProfile:
     missing_phases: tuple[str, ...] = ()
     counters: dict = field(default_factory=dict)
     funnel: dict[str, int] = field(default_factory=dict)
+    minor_faults_per_step: float | None = None
     fit: LinearStepModel | None = None
     fit_expected: dict[str, float] | None = None
 
@@ -96,6 +109,13 @@ class EngineProfile:
             k: abs(fitted[k] - v) / v if v else abs(fitted[k])
             for k, v in self.fit_expected.items()
         }
+
+
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far (``None``: no rusage)."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def fit_traced_linear(sim) -> LinearStepModel | None:
@@ -162,8 +182,10 @@ def profile_spec(
             runner = Runner.from_spec(espec, tracer=tracer)
             reg = metrics()
             before = {n: reg.counter(n).value for n in FUNNEL_COUNTERS}
+            faults = _minor_faults()
             try:
                 telemetry = runner.run(steps)
+                faults_after = _minor_faults()
             finally:
                 # pool teardown happens outside the engine's measured
                 # wall time; spawn is traced as ``parallel.pool``, so
@@ -200,6 +222,10 @@ def profile_spec(
                     n: int(reg.counter(n).value - before[n])
                     for n in FUNNEL_COUNTERS
                 },
+                minor_faults_per_step=(
+                    (faults_after - faults) / telemetry.steps
+                    if faults is not None and telemetry.steps else None
+                ),
                 fit=fit,
                 fit_expected=expected,
             )

@@ -140,10 +140,11 @@ class UniformCubicSpline:
         return k, dx
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value and first derivative at ``x`` (both arrays, vectorized)."""
+        """Value and first derivative at ``x``, in the shape of ``x``
+        (scalars for a 0-d ``x``)."""
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        shape = x.shape
+        x = x.reshape(-1)  # the kernels take a 1-D batch
         if self.extrapolate_low == "error" and np.any(x < self.x0):
             bad = float(np.min(x))
             raise ValueError(f"evaluation below first knot: {bad} < {self.x0}")
@@ -161,9 +162,9 @@ class UniformCubicSpline:
             if np.any(above):
                 val = np.where(above, self.y[-1], val)
                 der = np.where(above, 0.0, der)
-        if scalar:
+        if not shape:
             return val[0], der[0]
-        return val, der
+        return val.reshape(shape), der.reshape(shape)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Value only (convenience wrapper around :meth:`evaluate`)."""
@@ -286,16 +287,26 @@ class SplineGroup:
         """Value and derivative at ``x``, point ``p`` using spline
         ``member[p]``.
 
-        ``member`` broadcasts against ``x`` (a scalar evaluates the
-        whole batch through one member).  Per point the arithmetic is
-        identical to the member's own :meth:`UniformCubicSpline.evaluate`
-        — the batch dispatches to the active backend's
-        ``grouped_spline_eval`` whole-pass kernel.
+        ``x`` may have any shape and ``member`` broadcasts against it
+        (a scalar evaluates the whole batch through one member); the
+        outputs have the broadcast shape, scalars for a 0-d result.
+        Per point the arithmetic is identical to the member's own
+        :meth:`UniformCubicSpline.evaluate` — the batch dispatches to
+        the active backend's ``grouped_spline_eval`` whole-pass kernel.
         """
         x = np.asarray(x, dtype=np.float64)
         g = np.asarray(member, dtype=np.int64)
         if self.extrapolate_low == "error" and np.any(x < self._x0[g]):
             bad = float(np.min(x - self._x0[g]))
             raise ValueError(f"evaluation below first knot by {-bad}")
+        if g.ndim and g.shape != x.shape:
+            x, g = np.broadcast_arrays(x, g)
+        # the kernels take a 1-D batch (and a scalar or 1-D member)
+        shape = x.shape
         metrics().counter("kernels.spline_eval.calls").inc()
-        return active_backend().grouped_spline_eval(self.bank(), x, g)
+        val, der = active_backend().grouped_spline_eval(
+            self.bank(), x.reshape(-1), g.reshape(-1) if g.ndim else g
+        )
+        if not shape:
+            return val[0], der[0]
+        return val.reshape(shape), der.reshape(shape)

@@ -98,6 +98,28 @@ class TestProfileSpec:
         assert wse["list_builds"] >= 1
         assert 0.0 < wse["list_reuse_ratio"] < 1.0
 
+    def test_minor_faults_per_step_from_rusage(self, tiny_spec, monkeypatch):
+        import repro.obs.profile as profile_mod
+
+        # a scripted rusage: 70 faults per engine run, whatever ran
+        readings = iter(range(1000, 10_000, 70))
+        monkeypatch.setattr(
+            profile_mod, "_minor_faults", lambda: next(readings)
+        )
+        profiles = profile_spec(tiny_spec, steps=7)
+        for prof in profiles.values():
+            assert prof.minor_faults_per_step == 10.0
+        monkeypatch.undo()
+        real = profile_spec(tiny_spec, engines=("reference",), steps=3)
+        assert real["reference"].minor_faults_per_step >= 0.0
+
+    def test_minor_faults_none_without_resource(self, tiny_spec, monkeypatch):
+        import repro.obs.profile as profile_mod
+
+        monkeypatch.setattr(profile_mod, "resource", None)
+        prof = profile_spec(tiny_spec, engines=("reference",), steps=2)
+        assert prof["reference"].minor_faults_per_step is None
+
     def test_steps_override(self, tiny_spec):
         metrics().reset()
         profiles = profile_spec(tiny_spec, engines=("reference",), steps=2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.potentials.spline import (
+    SplineGroup,
     UniformCubicSpline,
     natural_cubic_second_derivatives,
 )
@@ -191,6 +192,82 @@ class TestEdgeCases:
         assert np.allclose(s.coeffs[:, 0], ys[:-1], atol=1e-12)
         v, d = s.evaluate(s.knots()[:-1])
         assert np.allclose(s.coeffs[:, 1], d, atol=1e-12)
+
+
+class TestShapes:
+    """``evaluate`` takes any shape (the kernels take a 1-D batch): the
+    grouped path used to raise "too many indices" for a 0-d or N-d
+    ``x``, and the single spline mis-gathered an ``(n, 4)`` one."""
+
+    MODES = [("linear", True), ("clamp", False)]
+
+    @staticmethod
+    def _pair(low, zero_above):
+        kw = {"extrapolate_low": low, "zero_above": zero_above}
+        a = UniformCubicSpline.from_function(np.sin, 0.0, 3.0, 20, **kw)
+        b = UniformCubicSpline.from_function(np.cos, 0.5, 4.0, 30, **kw)
+        return a, b
+
+    @staticmethod
+    def _pointwise(splines, x, member):
+        """Each point through its member's own scalar ``evaluate``."""
+        x = np.asarray(x, dtype=np.float64)
+        xb, gb = np.broadcast_arrays(x, np.asarray(member))
+        val = np.empty(xb.shape)
+        der = np.empty(xb.shape)
+        for at in np.ndindex(xb.shape):
+            val[at], der[at] = splines[gb[at]].evaluate(float(xb[at]))
+        return val, der
+
+    @pytest.mark.parametrize("low,zero_above", MODES)
+    @pytest.mark.parametrize(
+        "shape", [(), (0,), (1,), (9,), (3, 4), (2, 0), (2, 3, 2)]
+    )
+    @pytest.mark.parametrize("array_member", [False, True])
+    def test_group_matches_members_pointwise(
+        self, shape, array_member, low, zero_above
+    ):
+        splines = self._pair(low, zero_above)
+        group = SplineGroup(list(splines))
+        rng = np.random.default_rng(len(shape) + 7 * sum(shape))
+        # inside, below both first knots, on a knot, above both last knots
+        pool = np.array([1.3, -0.4, splines[1].knots()[4], 2.2, 4.5, 3.0])
+        x = rng.choice(pool, size=shape)
+        member = rng.integers(0, 2, size=shape) if array_member else 1
+        val, der = group.evaluate(x, member)
+        want_v, want_d = self._pointwise(splines, x, member)
+        assert np.shape(val) == np.shape(der) == shape
+        assert np.asarray(val).tobytes() == want_v.tobytes()
+        assert np.asarray(der).tobytes() == want_d.tobytes()
+        if shape == ():
+            assert isinstance(val, np.float64)
+            assert isinstance(der, np.float64)
+
+    def test_group_member_broadcasts_against_x(self):
+        splines = self._pair("linear", True)
+        group = SplineGroup(list(splines))
+        x = np.linspace(0.6, 2.9, 12).reshape(3, 4)
+        member = np.array([0, 1, 1, 0])
+        val, der = group.evaluate(x, member)
+        want_v, want_d = self._pointwise(splines, x, member)
+        assert val.tobytes() == want_v.tobytes()
+        assert der.tobytes() == want_d.tobytes()
+        # a 0-d x takes the shape of its members
+        val, der = group.evaluate(1.25, member)
+        want_v, want_d = self._pointwise(splines, 1.25, member)
+        assert val.shape == (4,)
+        assert val.tobytes() == want_v.tobytes()
+        assert der.tobytes() == want_d.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (5, 4), (2, 3, 2)])
+    def test_single_spline_keeps_the_shape_of_x(self, shape):
+        (a, _) = self._pair("linear", True)
+        x = np.random.default_rng(1).uniform(-0.5, 3.5, size=shape)
+        val, der = a.evaluate(x)
+        want_v, want_d = self._pointwise([a], x, 0)
+        assert val.shape == der.shape == shape
+        assert val.tobytes() == want_v.tobytes()
+        assert der.tobytes() == want_d.tobytes()
 
 
 class TestSecondDerivatives:

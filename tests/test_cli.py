@@ -248,6 +248,7 @@ class TestProfile:
         # one first build: raw stencil pairs -> coarse cut -> exact kernel
         assert "rebuild funnel: rebuilds 1, raw_candidates " in text
         assert ", coarse_kept " in text and ", exact_kept " in text
+        assert "minor page faults/step: " in text
 
     def test_profile_from_spec_file(self, tmp_path, capsys):
         path = tmp_path / "p.toml"
