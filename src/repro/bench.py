@@ -236,10 +236,6 @@ def _case_extra(case: BenchCase, telemetry) -> dict:
             out["halo_bytes_sent"] = c["halo_bytes_sent"]
             out["halo_bytes_recv"] = c["halo_bytes_recv"]
             out["halo_seconds"] = c["halo_seconds"]
-            # fraction of halo publication time hidden behind the
-            # interior kernel pass (0.0 when REPRO_PARALLEL_NO_OVERLAP
-            # forced the blocking protocol)
-            out["overlap_efficiency"] = c["overlap_efficiency"]
             out["shard_seconds"] = c["shard_seconds"]
         return out
     return {
@@ -249,7 +245,6 @@ def _case_extra(case: BenchCase, telemetry) -> dict:
         # streaming-sweep knobs, so the memory/speed trajectory in the
         # history is auditable (chunk is the resolved, auto-sized value)
         "offset_chunk": int(c["offset_chunk"]),
-        "workers": int(c["workers"]),
         # how many of the window's sweeps rebuilt the Verlet list: a
         # short window can hold none, and then reads the reuse rate
         "list_builds": int(c["list_builds"]),
@@ -438,7 +433,10 @@ def run_bench(
                     f"unavailable on this host, skipped"
                 )
             continue
-        is_parallel = (case.backend or base_backend) == "parallel"
+        is_parallel = (
+            case.engine == "reference"
+            and (case.backend or base_backend) == "parallel"
+        )
         if workers is not None and is_parallel and case.topology is None:
             case = replace(case, workers=workers)
         if transport is not None and is_parallel:

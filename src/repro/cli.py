@@ -747,9 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: $REPRO_KERNEL_BACKEND or numpy")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes for the parallel backend "
-                            "(default: os.cpu_count()), or for the wse "
-                            "engine's offset-dispatch pool (default: "
-                            "serial sweeps)")
+                            "on the reference engine (default: "
+                            "os.cpu_count())")
         p.add_argument("--topology", type=_parse_topology, default=None,
                        metavar="PXxPY",
                        help="2D domain grid for the parallel backend "
@@ -759,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["shared", "socket", "inline", "auto"],
                        help="parallel-backend transport (default: auto — "
                             "inline on core-starved hosts, else shared "
-                            "memory; or $REPRO_PARALLEL_TRANSPORT)")
+                            "memory)")
         p.add_argument("--offset-chunk", type=int, default=None,
                        help="wse streaming-sweep batch size in offsets "
                             "(default: auto-sized from the grid); a "

@@ -52,12 +52,7 @@ record-per-offset passes this module replaced, so trajectories are
 bitwise identical — the equivalence the ``tests/core`` streaming suite
 asserts.
 
-The sweeps are self-contained (no reference to the parent machine), so
-the same code runs in-process for the serial path and inside forked
-workers for the offset-parallel path (:mod:`repro.parallel.offsets`),
-each worker owning a contiguous slice of the offset list and keeping
-its own list and records; every worker reads the same shared positions
-and occupancy, so all of them build on the same steps.
+The sweeps are self-contained (no reference to the parent machine).
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ The physics is identical to the reference engine
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.constants import MVV2E
@@ -134,13 +132,6 @@ class WseMd:
         grid; see :func:`repro.core.streaming.auto_chunk`).  A speed /
         memory knob only — any chunking produces bitwise-identical
         trajectories.
-    workers:
-        Dispatch offset chunks across this many forked workers
-        (:class:`repro.parallel.offsets.WseOffsetPool`); 0 runs the
-        sweeps in-process.  Trajectories are bitwise-reproducible per
-        worker count, and ``workers=1`` matches the serial path
-        bitwise.  Falls back to serial (with a once-per-process
-        warning) where fork is unavailable.
     """
 
     def __init__(
@@ -164,7 +155,6 @@ class WseMd:
         force_symmetry: bool = False,
         skin: float = 0.5,
         offset_chunk: int = 0,
-        workers: int = 0,
         tracer=None,
     ) -> None:
         if not np.isfinite(state.positions).all():
@@ -260,10 +250,7 @@ class WseMd:
             raise ValueError(
                 f"offset_chunk must be >= 0, got {offset_chunk}"
             )
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.offset_chunk = int(offset_chunk)
-        self.workers = int(workers)
         self._offsets = [
             (int(dx), int(dy))
             for dx, dy in self.grid.neighborhood_offsets(self.b)
@@ -286,9 +273,6 @@ class WseMd:
             chunk=self.offset_chunk,
             force_symmetry=self.force_symmetry,
         )
-        self._pool = None
-        self._pool_failed = False
-        self._close_lock = threading.Lock()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -330,50 +314,6 @@ class WseMd:
 
     # -- the five-step timestep ------------------------------------------------
 
-    def _ensure_pool(self):
-        """The offset-dispatch pool, spawned lazily (or None = serial).
-
-        The spawn is traced as its own ``parallel.pool`` phase (like
-        the reference engine's shard pool) so pool setup never inflates
-        a taxonomy phase.  Where fork is unavailable the machine warns
-        once and runs the sweeps in-process.
-        """
-        if self.workers <= 0 or self._pool_failed:
-            return None
-        if self._pool is not None:
-            return self._pool
-        from repro.parallel.offsets import WseOffsetPool
-        from repro.parallel.pool import fork_available
-
-        if not fork_available():
-            self._pool_failed = True
-            import warnings
-
-            warnings.warn(
-                "fork start method unavailable; wse offset dispatch "
-                "falls back to the serial streaming sweeps",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        with self.tracer.phase("parallel.pool") as ph:
-            self._pool = WseOffsetPool(
-                n_workers=self.workers,
-                nx=self.grid.nx,
-                ny=self.grid.ny,
-                dtype=self.dtype,
-                lengths=self.box.lengths,
-                periodic=self.box.periodic,
-                cutoff=self.potential.cutoff,
-                skin=self.skin,
-                tables=self.potential.tables,
-                offsets=self._pass_offsets,
-                chunk=self.offset_chunk,
-                force_symmetry=self.force_symmetry,
-            )
-            ph.add(workers=self._pool.n_workers)
-        return self._pool
-
     def _density_sweep(self):
         """Steps 1-3a: candidate exchange (on a list build), neighbor
         test, density sums.
@@ -386,9 +326,7 @@ class WseMd:
         rho_bar = np.zeros((nx, ny))
         n_cand = np.zeros((nx, ny), dtype=np.int64)
         n_int = np.zeros((nx, ny), dtype=np.int64)
-        pool = self._ensure_pool()
-        runner = pool if pool is not None else self._sweeps
-        t_ex, t_nb, _, reused = runner.density(
+        t_ex, t_nb, _, reused = self._sweeps.density(
             self.pos, self.occ, self.typ, rho_bar, n_cand, n_int
         )
         self.last_candidates = n_cand
@@ -433,9 +371,7 @@ class WseMd:
         nx, ny = self.grid.nx, self.grid.ny
         force = np.zeros((nx, ny, 3))
         e_pair = np.zeros((nx, ny)) if energy else None
-        pool = self._ensure_pool()
-        runner = pool if pool is not None else self._sweeps
-        t_ex, _ = runner.force(f_der, force, e_pair)
+        t_ex, _ = self._sweeps.force(f_der, force, e_pair)
         return force, e_pair, t_ex
 
     def _integrate(self, force: np.ndarray) -> None:
@@ -594,19 +530,6 @@ class WseMd:
         force, _, _ = self._force_sweep(f_der)
         order = np.argsort(self.aid[self.occ])
         return force[self.occ][order]
-
-    def close(self) -> None:
-        """Release the offset-dispatch pool (no-op when running serial).
-
-        Idempotent and thread-safe — the serve scheduler may close a
-        cancelled job from a different thread than the stepping one,
-        and then again on cleanup.
-        """
-        with self._close_lock:
-            pool, self._pool = self._pool, None
-            self._pool_failed = True  # no respawn after close
-        if pool is not None:
-            pool.close()
 
     def verify_coverage(self) -> int:
         """Check every interacting pair lies within the b-neighborhood.

@@ -10,9 +10,7 @@ Selecting ``backend="parallel"`` means two things:
   (``provides_pipeline``), with the layout taken from
   ``RunSpec.workers``/``topology``/``transport``.  Workers own their
   tiles across steps (sparse halo packs, cross-step candidate reuse);
-  their inner loops still run a serial backend from this registry —
-  numpy by default, or the JIT tier via
-  ``REPRO_PARALLEL_INNER_BACKEND``.
+  their inner loops run the serial numpy kernels from this registry.
 
 Importing this module raises :class:`ImportError` when the platform
 cannot host the worker pool (no fork start method), so the registry's
@@ -32,7 +30,7 @@ from repro.kernels.numpy_backend import (  # noqa: F401  (registry contract)
     neighbor_prefilter,
     spline_eval,
 )
-from repro.parallel.pool import fork_available
+from repro.parallel import fork_available
 
 if not fork_available():  # pragma: no cover - platform-dependent
     raise ImportError(

@@ -105,8 +105,7 @@ class Simulation:
         physics.  Ignored under serial backends.
     transport:
         Sharded-pipeline transport (``"shared"``/``"socket"``/
-        ``"inline"``/``"auto"``; ``None`` reads
-        ``REPRO_PARALLEL_TRANSPORT``, defaulting to ``auto``).
+        ``"inline"``/``"auto"``; ``None`` means ``auto``).
         Ignored under serial backends.
     fuse_integrate:
         Fold the leap-frog kick+drift into the active kernel backend's

@@ -42,8 +42,7 @@ worker-pool spawn (fork + shared-memory arena), deliberately its own
 phase so pool setup never inflates ``neighbor`` and never counts
 against the ``repro profile --check`` wall-coverage gate (teardown
 happens outside the engine's measured wall time).  The lockstep
-machine emits the same ``parallel.pool`` span when its offset-dispatch
-pool (``workers`` on a wse spec) spawns; its streaming sweeps report
+machine's streaming sweeps report
 ``exchange`` and ``neighbor`` as pre-measured child spans inside
 ``density`` (the position shift and the one filter of the step) and
 ``exchange`` again inside ``pair_force`` (the ``F'`` gather at the
@@ -54,18 +53,10 @@ metrics — plus one extra leaf: each command round's exposed
 communication time lands as a pre-measured ``halo_exchange`` child
 span (with ``bytes_sent``/``bytes_recv`` counters from the transport)
 inside its enclosing phase, the host analogue of the wafer's exchange
-cost.  When the overlapped halo protocol is active (the default;
-``REPRO_PARALLEL_NO_OVERLAP=1`` disables it) each steady round also
-emits two more pre-measured leaves: ``parallel.overlap`` — the ghost
-publication time the parent hid behind the workers' interior pass —
-and ``parallel.halo_wait`` — the residual stall the slowest worker
-spent blocked on its ghost pack before the boundary pass.  Their ratio
-is the engine's ``overlap_efficiency`` telemetry counter (fraction of
-halo traffic hidden).  :data:`ENGINE_PHASES` names the subset each
+cost.  :data:`ENGINE_PHASES` names the subset each
 engine is *required* to produce, which the ``repro profile --check``
 CI smoke asserts; ``required_phases(..., sharded=True)`` adds
-``halo_exchange`` for runs the sharded pipeline actually drove, and
-``overlapped=True`` further adds the two overlap spans.
+``halo_exchange`` for runs the sharded pipeline actually drove.
 """
 
 from repro.obs.metrics import (
@@ -130,7 +121,6 @@ def required_phases(
     *,
     swap_interval: int = 0,
     sharded: bool = False,
-    overlapped: bool = False,
 ) -> tuple[str, ...]:
     """The phases a run of ``engine`` must produce.
 
@@ -139,17 +129,11 @@ def required_phases(
     ``halo_exchange`` only fires when the sharded force pipeline drove
     the run (``sharded=True`` — the caller knows from the engine's
     telemetry, since a parallel spec can legitimately fall back to the
-    serial path).  ``overlapped`` further requires the
-    ``parallel.halo_wait`` / ``parallel.overlap`` spans the overlapped
-    steady protocol emits (off when ``REPRO_PARALLEL_NO_OVERLAP=1``
-    forced the blocking path — again read from telemetry, not the
-    spec).
+    serial path).
     """
     phases = ENGINE_PHASES[engine]
     if engine == "wse" and swap_interval == 0:
         phases = tuple(p for p in phases if p != "swap")
     if sharded and engine == "reference":
         phases = (*phases, "halo_exchange")
-        if overlapped:
-            phases = (*phases, "parallel.halo_wait", "parallel.overlap")
     return phases

@@ -201,7 +201,6 @@ def profile_spec(
                 name,
                 swap_interval=espec.swap_interval,
                 sharded="transport" in telemetry.counters,
-                overlapped=bool(telemetry.counters.get("overlap_on")),
             )
             missing = tuple(p for p in required if p not in totals)
             fit = None

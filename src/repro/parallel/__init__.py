@@ -10,15 +10,15 @@ host-side analogue, split into two orthogonal layers:
   width cutoff + skin, and an own-smaller-global-id seam rule that
   keeps the tile union bit-identical to the serial candidate set.  The
   historical 1D column layout is the ``px x 1`` special case.
-* **Transport** (:mod:`~repro.parallel.transport`): how bytes reach the
-  workers — the fork + :class:`~repro.parallel.shm.SharedArena`
-  shared-memory path, or the same worker protocol over TCP sockets so
-  shards can live in other processes or hosts.
+* **Transport** (:mod:`~repro.parallel.transport`): one synchronous
+  round driver over three byte movers — forked workers on a
+  :class:`~repro.parallel.shm.SharedArena`, the same worker protocol
+  over loopback TCP sockets, or virtual workers inside the parent.
 
 The :class:`~repro.parallel.pipeline.ShardedForcePipeline` drives the
 EAM two-pass per step over whichever transport with a deterministic
 fixed-order seam reduction, so trajectories are bitwise-reproducible
-per (topology, transport) — and bitwise-identical across transports.
+per topology — and bitwise-identical across transports.
 Workers own their tiles across steps: only sparse halo packs (per-tile
 position/type/derivative prefixes and result packs) ever move, with
 per-shard Verlet candidate lists persisting between steps under an
@@ -30,7 +30,6 @@ Selection is the kernel-backend tier: ``backend="parallel"`` (or
 :func:`unsupported_reason` gates the cases it cannot shard (periodic
 boxes, potentials without the fused two-stage split, no fork), which
 fall back to the serial path with a once-per-reason warning.
-``REPRO_PARALLEL_TRANSPORT=socket`` flips the default transport.
 """
 
 from __future__ import annotations
@@ -48,14 +47,16 @@ from repro.parallel.domains import (
     plan_grid,
 )
 from repro.parallel.pipeline import ShardedForcePipeline
-from repro.parallel.pool import WorkerPool, fork_available
 from repro.parallel.shm import SharedArena
 from repro.parallel.transport import (
     TRANSPORTS,
-    ForkTransport,
-    InlineTransport,
+    ForkMover,
+    InlineMover,
     ShardWorker,
-    SocketTransport,
+    SocketMover,
+    Transport,
+    WorkerLost,
+    fork_available,
     make_transport,
     resolve_transport,
 )
@@ -63,17 +64,18 @@ from repro.parallel.transport import (
 __all__ = [
     "ShardedForcePipeline",
     "SharedArena",
-    "WorkerPool",
     "DomainGrid",
     "ShardPairs",
     "build_shard_pairs",
     "build_tile_pairs",
     "plan_columns",
     "plan_grid",
-    "ForkTransport",
-    "InlineTransport",
+    "ForkMover",
+    "InlineMover",
     "ShardWorker",
-    "SocketTransport",
+    "SocketMover",
+    "Transport",
+    "WorkerLost",
     "make_transport",
     "resolve_transport",
     "TRANSPORTS",
@@ -140,8 +142,8 @@ def warn_once(key: str, message: str) -> None:
 
     Shares the :func:`reset_warnings`-cleared cache with the fallback
     warnings, so served jobs (whose scheduler re-arms the caches) hear
-    degradations like the ``REPRO_PARALLEL_NO_REUSE`` rebuild-every-step
-    mode again.
+    degradations like a core-starved ``transport="auto"`` falling back
+    to the inline tier again.
     """
     if key in _warned_reasons:
         return

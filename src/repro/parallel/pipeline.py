@@ -2,54 +2,41 @@
 
 Each worker permanently owns its tile: halo-pack positions, types,
 owned mask, candidate pairs and the rebuild reference all live
-shard-side between steps, so a steady-state timestep is **three**
-lockstep rounds moving only sparse packs — the host analogue of the
-paper's neighbor-only fabric traffic:
+shard-side between steps, so a steady-state timestep is **two**
+synchronous lockstep rounds moving only sparse packs — the host
+analogue of the paper's neighbor-only fabric traffic, and of its fixed
+send-then-compute schedule:
 
 1. **dens** (inside the ``neighbor`` phase) — the parent evaluates the
    Verlet skin/2 trigger itself against the rebuild reference (it owns
    every position, so its global ``max |d|`` is arithmetically *equal*
    to an OR-reduce of per-tile triggers over the covering tile-local
    sets — and bit-equal to the serial NeighborList's check), then
-   ships each tile the *owned* rows of its cached halo pack
-   (``positions[own_ids_k]``, the index lists persisting until the
-   next rebuild), posts the ``dens`` command, and **publishes the
-   ghost rows asynchronously while the workers already run**: each
-   tile distance-filters and densities its *interior* candidates
-   (owned-owned pairs — no ghost row ever read) under the trigger's
-   displacement bound riding on the command, blocks on ``halo_wait``
-   only right before its *boundary* pass, then merges the two partial
-   sums in pinned interior-then-boundary order.  When the trigger
-   trips, a ``rebuild`` round runs instead: a fresh balanced
+   scatters each tile its cached halo pack (``positions[ids_k]``, one
+   ``take`` per rank, the index lists persisting until the next
+   rebuild) and runs the ``dens`` command: each tile distance-filters
+   and densities its *interior* candidates (owned-owned pairs) and its
+   *boundary* candidates (touching a ghost) under the trigger's
+   displacement bound riding on the command, and merges the two
+   partial sums in pinned interior-then-boundary order.  When the
+   trigger trips, a ``rebuild`` round runs instead: a fresh balanced
    :class:`~repro.parallel.domains.DomainGrid` is planned, new pack
-   ids are cut (with their owned/ghost row splits), and each tile
-   rebuilds its candidates from its pack alone (bit-identical to a
-   global build) — no stale-pack scatter, no speculative compute is
-   ever discarded, and rebuild packs travel whole and blocking (their
-   ids just changed; there is nothing safe to overlap).
+   ids are cut, and each tile rebuilds its candidates from its pack
+   alone (bit-identical to a global build) — no stale-pack scatter, no
+   speculative compute is ever discarded.
 2. **force** — the parent reduces the gathered ``rho`` packs by
    scatter-adding them **in fixed rank order** into an owned-region
-   accumulator, evaluates the embedding stage, ships each tile its
-   owned ``F'(rho_bar)`` rows, posts ``force``, publishes the ghost
-   rows mid-flight (interior force pass first, boundary after the
-   wait, same pinned merge), and reduces the gathered
-   pair-energy/force packs the same way.
-
-``REPRO_PARALLEL_NO_OVERLAP=1`` restores the blocking protocol —
-ghosts published *before* the command — for A/B testing and bisection.
-The worker arithmetic is identical in both modes (the split and merge
-happen either way; only the publish scheduling moves), so overlap-on
-trajectories are bitwise-identical to overlap-off.  The hidden
-publish time and the workers' residual stalls are accounted as
-``parallel.overlap`` / ``parallel.halo_wait`` spans, summarized by
-:attr:`ShardedForcePipeline.overlap_efficiency`.
+   accumulator, evaluates the embedding stage, scatters each tile its
+   ``F'(rho_bar)`` pack, runs ``force`` (interior pass, boundary pass,
+   same pinned merge), and reduces the gathered pair-energy/force
+   packs the same way.
 
 The fixed-order pack reduction makes a run bitwise-reproducible for a
-given (topology, transport) — and since both transports deliver the
-same float64 bits in the same pack layout, bitwise-identical across
-transports too.  A single tile owns every pair, so ``workers=1`` stays
-bitwise-serial.  Across topologies the physics agrees to floating-
-point summation tolerance, like any domain-decomposed MD code.
+given topology — and since every transport delivers the same float64
+bits in the same pack layout, bitwise-identical across transports too.
+A single tile owns every pair, so ``workers=1`` stays bitwise-serial.
+Across topologies the physics agrees to floating-point summation
+tolerance, like any domain-decomposed MD code.
 
 Halo accounting: every round's *exposed* communication time — pack
 scatter/gather cost plus the slack between the command's wall time and
@@ -75,7 +62,6 @@ import numpy as np
 from repro.md.neighbor_list import count_funnel, max_sq_displacement
 from repro.obs import NULL_TRACER, metrics
 from repro.parallel.domains import (
-    owned_mask_local,
     plan_grid,
     tile_local_ids,
     warn_halo_dominated,
@@ -109,14 +95,10 @@ class ShardedForcePipeline:
     ``(workers, 1)`` for the historical 1D column layout).
     ``transport``
     selects how bytes reach the workers (``"shared"``, ``"socket"``,
-    ``"inline"`` or ``"auto"``; ``None`` reads
-    ``REPRO_PARALLEL_TRANSPORT``, defaulting to ``auto`` — inline
-    virtual workers when the host has fewer cores than workers, forked
-    shared memory otherwise).  Setting ``REPRO_PARALLEL_NO_REUSE`` to a
-    non-empty,
-    non-zero value disables cross-step candidate reuse (a rebuild every
-    step — the property-test control and a debugging fallback), warned
-    about once per process.
+    ``"inline"``, or ``"auto"``/``None`` — inline virtual workers when
+    the host has fewer cores than workers, forked shared memory
+    otherwise).  ``skin=0.0`` disables cross-step candidate reuse (a
+    rebuild every step).
     """
 
     def __init__(
@@ -157,48 +139,13 @@ class ShardedForcePipeline:
         self.n_atoms = n
         self.potential = potential
         self._types = np.asarray(state.types, dtype=np.int64)
-        self.no_reuse = os.environ.get(
-            "REPRO_PARALLEL_NO_REUSE", ""
-        ) not in ("", "0")
-        # Overlapped halo exchange: ghosts publish while the round's
-        # command is already in flight.  The escape hatch restores the
-        # blocking publish-then-command order (bitwise-identical
-        # results either way; scheduling only).
-        self.overlap = os.environ.get(
-            "REPRO_PARALLEL_NO_OVERLAP", ""
-        ) in ("", "0")
-        # Shard inner loops call the active backend's fused passes; the
-        # worker-side backend defaults to numpy and may be switched to
-        # the JIT tier (sharding x compiled kernels compose) via env.
-        self.inner_backend = os.environ.get(
-            "REPRO_PARALLEL_INNER_BACKEND", "numpy"
-        )
-        # On a host with fewer cores than workers, concurrent shards
-        # timeshare cores and evict each other's caches mid-pass, so
-        # heavy rounds run fastest dispatched one rank at a time.
-        # Results are identical either way (the reduction order is
-        # fixed by rank, not arrival); this is purely a wall-clock
-        # policy, overridable via REPRO_PARALLEL_STAGGER=0/1.
-        env_stagger = os.environ.get("REPRO_PARALLEL_STAGGER", "")
-        if env_stagger in ("", "auto"):
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except (AttributeError, OSError):  # pragma: no cover
-                cpus = os.cpu_count() or 1
-            self.stagger = cpus < self.n_workers
-        else:
-            self.stagger = env_stagger != "0"
         # Tile builds bin at half the reach (radius-2 stencil): the
         # finer grid hugs the reach sphere tighter, cutting the raw
         # candidate stream the build prefilter consumes by ~40%.  Only
         # the enumeration *order* changes — the prefiltered candidate
         # set is identical — so the w=1 bitwise-serial contract pins
         # single-tile runs to the serial radius-1 enumeration.
-        env_sub = os.environ.get("REPRO_PARALLEL_BUILD_SUBDIVIDE", "")
-        if self.n_workers == 1:
-            self.build_subdivide = 1
-        else:
-            self.build_subdivide = int(env_sub) if env_sub else 2
+        self.build_subdivide = 1 if self.n_workers == 1 else 2
         cfg = {
             "potential": potential,
             "box": state.box,
@@ -206,14 +153,10 @@ class ShardedForcePipeline:
             "reach": self.reach,
             "skin": self.skin,
             "n_atoms": n,
-            "inner_backend": self.inner_backend,
             "build_subdivide": self.build_subdivide,
         }
-        kind = transport or os.environ.get(
-            "REPRO_PARALLEL_TRANSPORT", "auto"
-        )
         self.transport = make_transport(
-            kind,
+            transport,
             self.n_workers,
             inputs={
                 "positions": ((n, 3), np.float64),
@@ -226,21 +169,10 @@ class ShardedForcePipeline:
                 "forces": ((n, 3), np.float64),
             },
             cfg=cfg,
-            halo=("positions", "f_der"),
         )
         #: cached halo pack index lists, one per tile; valid until the
         #: next rebuild (None = no build yet)
         self._ids: list[np.ndarray] | None = None
-        #: per-tile owned/ghost splits of ``_ids`` — global ids and the
-        #: pack-row positions they land in — recomputed at rebuild;
-        #: steady rounds ship owned rows synchronously and publish the
-        #: ghost rows asynchronously
-        self._own_ids: list[np.ndarray] = []
-        self._own_rows: list[np.ndarray] = []
-        self._ghost_ids: list[np.ndarray] = []
-        self._ghost_rows: list[np.ndarray] = []
-        #: monotone step-publication sequence (the double-buffer clock)
-        self._seq = 0
         #: the same lists concatenated in rank order — the index vector
         #: the single-pass bincount reductions run over
         self._ids_flat: np.ndarray | None = None
@@ -269,12 +201,6 @@ class ShardedForcePipeline:
         }
         #: cumulative exposed halo-exchange seconds (bench telemetry)
         self.halo_seconds = 0.0
-        #: cumulative ghost-publish seconds spent while a round's
-        #: command was already in flight (the hidden halo share)
-        self.overlap_seconds = 0.0
-        #: cumulative slowest-rank ``halo_wait`` stall per round (the
-        #: halo share that stayed exposed inside worker compute)
-        self.halo_wait_seconds = 0.0
         #: grow-only reduction scratch (rank-concatenated pack rows)
         self._concat: dict[str, np.ndarray] = {}
         reg = metrics()
@@ -290,22 +216,6 @@ class ShardedForcePipeline:
     def halo_bytes(self) -> tuple[int, int]:
         """Cumulative (sent, received) sparse pack bytes over the transport."""
         return self.transport.bytes_sent, self.transport.bytes_recv
-
-    @property
-    def overlap_efficiency(self) -> float:
-        """Fraction of halo publication time hidden behind compute.
-
-        ``overlap / (overlap + wait)``: publish seconds spent while a
-        command was in flight, over that plus the slowest rank's
-        residual ``halo_wait`` stalls.  1.0 means every published byte
-        was fully absorbed by interior compute; with overlap disabled
-        nothing is ever hidden, so the field reads 0.0.
-        """
-        hidden = self.overlap_seconds
-        wait = self.halo_wait_seconds
-        if hidden + wait <= 0.0:
-            return 1.0 if self.overlap else 0.0
-        return hidden / (hidden + wait)
 
     # -- ghost accounting --------------------------------------------------
 
@@ -355,18 +265,16 @@ class ShardedForcePipeline:
                 reg.counter("neighbor.rebuilds").inc()
                 reg.counter(f"neighbor.rebuilds.{reason}").inc()
                 for r in replies:
-                    count_funnel(*r[5])
+                    count_funnel(*r[4])
             else:
-                # Clean step: ship the owned rows, post the command,
-                # publish the ghost rows while the interior pass runs.
+                # Clean step: scatter the cached packs, run the round.
                 # The trigger's displacement bound rides on the command
                 # — it upper-bounds every tile's local bound, feeding
                 # the shards' bit-neutral cross-step filter cuts
                 # without any per-tile displacement pass.
-                self._seq += 1
-                replies = self._steady_round(
-                    "neighbor", ("dens", d_max, self._seq),
-                    "positions", positions, tr,
+                replies = self._round(
+                    "neighbor", ("dens", d_max), tr,
+                    {"positions": positions},
                 )
                 reg.counter("neighbor.reuses").inc()
             n_pairs = int(sum(r[1] for r in replies))
@@ -377,7 +285,7 @@ class ShardedForcePipeline:
             # child so the reference taxonomy stays truthful.
             tr.record("density", den_sum)
             self._account_stage(
-                "neighbor", [r[2] - r[3] - r[4] for r in replies], ph
+                "neighbor", [r[2] - r[3] for r in replies], ph
             )
             ph.add(pairs=n_pairs, rebuilds=0 if reason is None else 1)
         t1 = time.perf_counter()
@@ -396,9 +304,8 @@ class ShardedForcePipeline:
         with tr.phase("embedding"):
             f_val, f_der = self.potential.embed(self._rho, self._types)
         with tr.phase("pair_force", pairs=n_pairs) as ph:
-            self._seq += 1
-            force_replies = self._steady_round(
-                "pair_force", ("force", self._seq), "f_der", f_der, tr,
+            force_replies = self._round(
+                "pair_force", ("force",), tr, {"f_der": f_der}
             )
             packs = self._gather_round(
                 "pair_force", ("epair", "forces"), tr
@@ -413,7 +320,7 @@ class ShardedForcePipeline:
                     minlength=self.n_atoms,
                 )
             self._account_stage(
-                "force", [r[2] - r[4] for r in force_replies], ph
+                "force", [r[2] for r in force_replies], ph
             )
         t2 = time.perf_counter()
         self.last_pair_count = n_pairs
@@ -465,15 +372,6 @@ class ShardedForcePipeline:
             return "first"
         if self.skin == 0.0:
             return "skin_zero"
-        if self.no_reuse:
-            from repro import parallel as par
-
-            par.warn_once(
-                "no_reuse",
-                "cross-step candidate reuse disabled "
-                "(REPRO_PARALLEL_NO_REUSE); rebuilding every step",
-            )
-            return "no_reuse"
         return None
 
     def _rebuild_round(
@@ -498,118 +396,43 @@ class ShardedForcePipeline:
         self._ids_flat = np.concatenate(ids) if ids else np.empty(
             0, dtype=np.int64
         )
-        # Owned/ghost split per tile, from the same half-open ownership
-        # comparisons the worker applies to its pack — bit-identical
-        # decisions, so parent row splits and worker row splits agree.
-        self._own_ids, self._own_rows = [], []
-        self._ghost_ids, self._ghost_rows = [], []
-        for t in range(self.n_workers):
-            owned = owned_mask_local(
-                positions[ids[t]], grid.tile_bounds(t)
-            )
-            own_rows = np.nonzero(owned)[0]
-            ghost_rows = np.nonzero(~owned)[0]
-            self._own_rows.append(own_rows)
-            self._ghost_rows.append(ghost_rows)
-            self._own_ids.append(ids[t][own_rows])
-            self._ghost_ids.append(ids[t][ghost_rows])
         self._ref_positions = np.array(positions, copy=True)
         self._counts = [len(i) for i in ids]
         self.ghost_atoms = int(sum(self._counts)) - self.n_atoms
         metrics().gauge("parallel.ghost_atoms").set(float(self.ghost_atoms))
         self.n_builds += 1
-        tp = self.transport
-        tp.set_counts(self._counts)
-        tpub0 = time.perf_counter()
-        tp.scatter("positions", positions, ids)
-        tp.scatter("types", self._types, ids)
-        self._charge_ghost("positions", "types")
-        t_pub = time.perf_counter() - tpub0
-        return self._round("neighbor", ("rebuild",), tr, t_pub, parts=parts)
+        self.transport.set_counts(self._counts)
+        return self._round(
+            "neighbor", ("rebuild",), tr,
+            {"positions": positions, "types": self._types}, parts=parts,
+        )
 
     # -- rounds ------------------------------------------------------------
 
-    def _steady_round(
-        self, stage: str, msg: tuple, channel: str, source, tr
-    ) -> list[tuple]:
-        """One overlapped steady round: owned scatter, post, publish, collect.
-
-        With overlap on, the ghost publish runs *after* the command is
-        posted — the workers' interior passes absorb its latency, and
-        its wall time lands in the ``parallel.overlap`` span instead of
-        the exposed halo total.  The slowest rank's residual
-        ``halo_wait`` stall (reply tail) is recorded alongside; the two
-        together feed :attr:`overlap_efficiency`.  With overlap off the
-        publish happens before the post (the historical blocking order)
-        and is charged as exposed halo time.
-        """
-        tp = self.transport
-        sent0, recv0 = tp.bytes_sent, tp.bytes_recv
-        t0 = time.perf_counter()
-        tp.scatter_rows(channel, source, self._own_ids, self._own_rows)
-        t_own = time.perf_counter() - t0
-        t_ghost = 0.0
-        if self.overlap:
-            tp.post(msg)
-            tg0 = time.perf_counter()
-            tp.publish(
-                channel, source, self._ghost_ids, self._ghost_rows,
-                self._seq,
-            )
-            t_ghost = time.perf_counter() - tg0
-        else:
-            tg0 = time.perf_counter()
-            tp.publish(
-                channel, source, self._ghost_ids, self._ghost_rows,
-                self._seq,
-            )
-            t_ghost = time.perf_counter() - tg0
-            tp.post(msg)
-        self._charge_ghost(channel)
-        tc0 = time.perf_counter()
-        replies = tp.collect()
-        wall = time.perf_counter() - tc0
-        compute = max((r[2] for r in replies if len(r) > 2), default=0.0)
-        wait_max = max((r[4] for r in replies if len(r) > 4), default=0.0)
-        exposed = t_own + max(0.0, wall - compute)
-        if self.overlap:
-            # the publish ran while the command was in flight: its cost
-            # is hidden (up to the workers' measured residual stalls)
-            self.overlap_seconds += t_ghost
-            self.halo_wait_seconds += wait_max
-            tr.record("parallel.overlap", t_ghost, {"stage": stage})
-            tr.record("parallel.halo_wait", wait_max, {"stage": stage})
-        else:
-            exposed += t_ghost
-        self._record_halo(stage, exposed, sent0, recv0, tr)
-        return replies
-
     def _round(
-        self, stage: str, msg: tuple, tr, t_pub: float = 0.0, parts=None
+        self, stage: str, msg: tuple, tr, packs: dict, parts=None
     ) -> list[tuple]:
-        """One command round, with halo-exchange accounting.
+        """One lockstep round: scatter ``packs``, run ``msg``, account.
 
-        Compute-heavy commands honor the stagger policy (one rank at a
-        time on CPU-starved hosts).
-
-        The round's exposed communication time is the pack scatter cost
-        plus the command wall time not covered by the slowest worker's
-        compute time; it lands as a pre-measured ``halo_exchange``
-        child span of the current phase, with the transport's byte
-        deltas (actual pack bytes) attached as counters.
+        ``packs`` maps channel -> source array; each rank receives its
+        cached ``source[ids_k]`` pack before the command.  The round's
+        exposed communication time is the pack scatter cost plus the
+        command wall time not covered by the slowest worker's compute
+        time; it lands as a pre-measured ``halo_exchange`` child span
+        of the current phase, with the transport's byte deltas (actual
+        pack bytes) attached as counters.
         """
         tp = self.transport
         sent0, recv0 = tp.bytes_sent, tp.bytes_recv
         t0 = time.perf_counter()
-        # Only the rebuild round is long enough (tens of ms of binning
-        # and candidate generation per rank) for one-rank-at-a-time
-        # dispatch to pay for its serialized pipe round-trips; the
-        # short steady rounds measure faster letting the OS interleave.
-        stagger = self.stagger and msg[0] == "rebuild"
-        replies = tp.command(msg, parts, stagger=stagger)
-        wall = time.perf_counter() - t0
+        for channel, source in packs.items():
+            tp.scatter(channel, source, self._ids)
+        self._charge_ghost(*packs)
+        t1 = time.perf_counter()
+        replies = tp.command(msg, parts)
+        wall = time.perf_counter() - t1
         compute = max((r[2] for r in replies), default=0.0)
-        exposed = t_pub + max(0.0, wall - compute)
+        exposed = (t1 - t0) + max(0.0, wall - compute)
         self._record_halo(stage, exposed, sent0, recv0, tr)
         return replies
 
@@ -654,8 +477,6 @@ class ShardedForcePipeline:
         for stage in self.shard_seconds:
             self.shard_seconds[stage] = [0.0] * self.n_workers
         self.halo_seconds = 0.0
-        self.overlap_seconds = 0.0
-        self.halo_wait_seconds = 0.0
 
     def close(self) -> None:
         """Reap the workers and release the transport (idempotent)."""

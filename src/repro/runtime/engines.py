@@ -197,14 +197,11 @@ class ReferenceEngine:
             counters["halo_bytes_ghost"] = pipeline.ghost_bytes
             counters["ghost_atoms"] = pipeline.ghost_atoms
             counters["halo_seconds"] = round(pipeline.halo_seconds, 6)
-            counters["overlap_on"] = pipeline.overlap
-            counters["overlap_seconds"] = round(pipeline.overlap_seconds, 6)
-            counters["halo_wait_seconds"] = round(
-                pipeline.halo_wait_seconds, 6
-            )
-            counters["overlap_efficiency"] = round(
-                pipeline.overlap_efficiency, 4
-            )
+            # rounds are synchronous (scatter, then compute): no rank
+            # ever stalls on a pack in flight and nothing is hidden; the
+            # frozen ledger still reads both keys
+            counters["halo_wait_seconds"] = 0.0
+            counters["overlap_efficiency"] = 0.0
             counters["shard_seconds"] = {
                 stage: [round(s, 4) for s in secs]
                 for stage, secs in pipeline.shard_seconds.items()
@@ -329,7 +326,6 @@ class WseEngine:
             "b": sim.b,
             "swap_count": sim.swap_count,
             "offset_chunk": sim.effective_offset_chunk,
-            "workers": sim.workers,
             "list_builds": sim.list_builds,
             "list_reuse_ratio": sim.list_reuses
             / max(sim.list_builds + sim.list_reuses, 1),
@@ -370,8 +366,7 @@ class WseEngine:
         self.sim.tracer.reset()
 
     def close(self) -> None:
-        """Release the machine's offset-dispatch pool (if spawned)."""
-        self.sim.close()
+        """Nothing to release: the lockstep machine owns no processes."""
 
     # -- checkpoint hooks --------------------------------------------------
 
@@ -446,7 +441,6 @@ def build_engine(
             "swap_interval": spec.swap_interval,
             "force_symmetry": spec.force_symmetry,
             "offset_chunk": spec.offset_chunk,
-            "workers": spec.workers,
             "rng": streams["engine"],
         }
         kwargs.update(engine_kwargs)

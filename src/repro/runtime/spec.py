@@ -129,12 +129,10 @@ class RunSpec:
         keeps the process default.
     workers:
         Worker count for the ``parallel`` backend's sharded force
-        pipeline (0 = one per CPU), or — on the ``wse`` engine — for
-        the offset-dispatch pool that sweeps neighborhood-offset
-        slices in forked workers (0 = serial sweeps).  Like
-        ``backend``, it changes speed, never physics: wse trajectories
-        are bitwise-reproducible per worker count and ``workers=1``
-        matches the serial path bitwise.
+        pipeline on the reference engine (0 = one per CPU).  Like
+        ``backend``, it changes speed, never physics: trajectories are
+        bitwise-reproducible per worker count and ``workers=1`` matches
+        the serial path bitwise.
     topology:
         Domain-grid shape ``(px, py)`` for the ``parallel`` backend's
         2D decomposition (``None`` keeps the 1D ``workers x 1`` column
@@ -289,6 +287,13 @@ class RunSpec:
             raise SpecError(
                 "langevin thermostat requires engine='reference' "
                 "(per-atom noise needs a stable atom order)"
+            )
+        if self.engine == "wse" and self.workers:
+            raise SpecError(
+                f"workers={self.workers} requires engine='reference': "
+                "the wse offset-dispatch pool was removed because it "
+                "did not beat the serial sweeps (EXPERIMENTS.md, "
+                "issue 16)"
             )
 
     # -- serialization -----------------------------------------------------

@@ -641,8 +641,6 @@ def test_invalid_chunk_rejected(ta_potential):
     with pytest.raises(ValueError, match="offset_chunk"):
         WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential,
               offset_chunk=-1)
-    with pytest.raises(ValueError, match="workers"):
-        WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential, workers=-1)
 
 
 # -- grouped spline evaluation ------------------------------------------------

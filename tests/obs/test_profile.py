@@ -24,24 +24,10 @@ def tiny_spec():
 
 
 class TestRequiredPhases:
-    def test_overlapped_adds_the_overlap_spans(self):
-        base = required_phases("reference", sharded=True)
-        over = required_phases("reference", sharded=True, overlapped=True)
-        assert "halo_exchange" in base
-        assert "parallel.halo_wait" not in base
-        assert set(over) == set(base) | {
-            "parallel.halo_wait", "parallel.overlap",
-        }
-
-    def test_overlapped_requires_sharded(self):
-        # a serial (or wse) run never owes the overlap spans, whatever
-        # the caller passes for overlapped
-        assert "parallel.overlap" not in required_phases(
-            "reference", overlapped=True
-        )
-        assert "parallel.overlap" not in required_phases(
-            "wse", overlapped=True
-        )
+    def test_sharded_adds_exactly_the_halo_exchange_span(self):
+        serial = required_phases("reference")
+        sharded = required_phases("reference", sharded=True)
+        assert set(sharded) == set(serial) | {"halo_exchange"}
 
 
 class TestProfileSpec:

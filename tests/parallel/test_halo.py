@@ -6,25 +6,23 @@ over the owned-row minimum is *exactly* the ghost (boundary) rows —
 so the traffic scales with boundary-atom count, and sub-linearly when
 the slab doubles — and trajectories agree with the serial path across
 every {1x2, 2x2, 4x1} x {shared, socket, inline} pairing, bitwise
-across transports for a fixed topology.  The overlapped halo protocol
-adds two bars of its own: overlap-on trajectories are *bitwise* equal
-to the blocking ``REPRO_PARALLEL_NO_OVERLAP=1`` control across the
-full matrix (publication scheduling may never change arithmetic), and
-steady steps reuse their grow-only staging buffers instead of
-allocating fresh packs.  The skin-trigger property rides along:
-rebuilding every step (``REPRO_PARALLEL_NO_REUSE``) reproduces the
+across transports for a fixed topology — and bitwise equal to position
+digests recorded before the transport layer was rebuilt as one round
+driver over three byte movers.  Steady steps reuse their staging
+buffers instead of allocating fresh packs.  The skin-trigger property
+rides along: rebuilding every step (``skin=0.0``) reproduces the
 lazy-reuse trajectory to seam-reduction tolerance.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.kernels import active_backend_name, set_backend
-from repro.parallel import ShardedForcePipeline
+from repro.parallel import ShardedForcePipeline, fork_available
 from repro.parallel.pipeline import _ROW_BYTES
-from repro.parallel.pool import fork_available
 from repro.runtime import RunSpec, build_engine
 from tests.conftest import small_slab_state
 
@@ -39,10 +37,7 @@ _STEP_ROW_BYTES = sum(_ROW_BYTES[c] for c in _STEP_CHANNELS)
 
 
 @pytest.fixture(autouse=True)
-def _restore_backend(monkeypatch):
-    # byte accounting and the lazy trajectory arms assume reuse is on;
-    # the CI no-reuse control leg exports the env var suite-wide
-    monkeypatch.delenv("REPRO_PARALLEL_NO_REUSE", raising=False)
+def _restore_backend():
     base = active_backend_name()
     yield
     set_backend(base)
@@ -183,6 +178,25 @@ def _run_trajectory(steps=5, seed=3, **spec_kwargs):
 TOPOLOGIES = ((1, 2), (2, 2), (4, 1))
 MATRIX_TRANSPORTS = ("shared", "socket", "inline")
 
+#: SHA-256 of the float64 positions after 12 steps of
+#: ``_run_trajectory`` (seed 3), recorded at the commit before the
+#: transport layer was rebuilt (asynchronous halo publication still in
+#: place): every transport agreed per layout, and ``w1`` is the serial
+#: digest.  A change that alters pack contents, pack order or the
+#: reduction order breaks these.
+PINNED_SHA256 = {
+    "w1": "e570b266c19c59734e19dd652528fbef6297785c48a5cee363bd8f94b03c71ee",
+    "1x2": "6d2a19c1da3567630fb9c2e98e83fc78c61699e454295a089c8d6eb630b10a1b",
+    "2x2": "35eef546c71ff483aa748cc244d8882326e3650135ada004f269d7216018777f",
+    "4x1": "025c2f8f8afc3fa55983d7344af6b101e40d5377a14e3e8fd234b8022c8c5854",
+}
+
+
+def _sha256(positions: np.ndarray) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(positions).tobytes()
+    ).hexdigest()
+
 
 class TestTrajectoryMatrix:
     @pytest.mark.parametrize(
@@ -210,65 +224,49 @@ class TestTrajectoryMatrix:
                 assert np.array_equal(pos, first[0]), transport
                 assert e == first[1], transport
 
+    def test_serial_run_ends_on_the_w1_digest(self):
+        # one tile owns every pair: w=1 is the serial run bit for bit
+        pos, _, _ = _run_trajectory(steps=12)
+        assert _sha256(pos) == PINNED_SHA256["w1"]
 
-class TestOverlapEquivalence:
-    @pytest.mark.parametrize(
-        "topology", TOPOLOGIES, ids=lambda t: f"{t[0]}x{t[1]}"
-    )
     @pytest.mark.parametrize("transport", MATRIX_TRANSPORTS)
-    def test_overlap_on_matches_blocking_control_bitwise(
-        self, topology, transport, monkeypatch
-    ):
-        """Overlap-on == REPRO_PARALLEL_NO_OVERLAP=1, bit for bit.
-
-        The overlapped protocol changes only *when* ghost packs travel
-        relative to the interior kernel pass — never which rows a
-        worker reads before each pass, nor the fixed interior+boundary
-        merge order.  So the escape hatch must reproduce the default
-        trajectory exactly, making it a safe bisection control.
-        """
-        monkeypatch.delenv("REPRO_PARALLEL_NO_OVERLAP", raising=False)
-        pos_on, e_on, _ = _run_trajectory(
-            backend="parallel", topology=topology, transport=transport
+    @pytest.mark.parametrize("layout", sorted(PINNED_SHA256))
+    def test_positions_match_the_pinned_digest(self, layout, transport):
+        """12 steps end on the bytes recorded before the refactor."""
+        if layout == "w1":
+            layout_kwargs = {"workers": 1}
+        else:
+            px, py = layout.split("x")
+            layout_kwargs = {"topology": (int(px), int(py))}
+        pos, _, _ = _run_trajectory(
+            steps=12, backend="parallel", transport=transport,
+            **layout_kwargs,
         )
-        monkeypatch.setenv("REPRO_PARALLEL_NO_OVERLAP", "1")
-        pos_off, e_off, _ = _run_trajectory(
-            backend="parallel", topology=topology, transport=transport
-        )
-        assert np.array_equal(pos_on, pos_off)
-        assert e_on == e_off
+        assert _sha256(pos) == PINNED_SHA256[layout]
 
 
 class TestSkinTriggerProperty:
-    def test_forced_rebuild_reproduces_lazy_reuse(self, monkeypatch):
+    def test_forced_rebuild_reproduces_lazy_reuse(self):
         """Rebuild-every-step vs skin-triggered reuse: same physics.
 
         Candidate reuse is a pure work-avoidance: the strict filter
-        emits the identical pair set either way, so disabling reuse
-        (the ``REPRO_PARALLEL_NO_REUSE`` control) must reproduce the
-        lazy trajectory.  Each forced step replans the grid, which
-        reorders the seam reduction — so the bar is the cross-topology
-        tolerance, not bitwise.  n_builds pins that the control and
-        the trigger actually took different paths.
+        emits the identical pair set either way, so a ``skin=0.0`` twin
+        (a forced rebuild every step) must reproduce the lazy
+        trajectory.  Each forced step replans the grid, which reorders
+        the seam reduction — so the bar is the cross-topology
+        tolerance, not bitwise.  n_builds pins that the twin and the
+        trigger actually took different paths.
         """
-        import repro.parallel as par
-
         steps = 8
-        # the lazy arm must actually reuse, even when the suite runs
-        # under REPRO_PARALLEL_NO_REUSE=1 (the CI control leg)
-        monkeypatch.delenv("REPRO_PARALLEL_NO_REUSE", raising=False)
         pos_lazy, e_lazy, nb_lazy = _run_trajectory(
             steps=steps, backend="parallel", topology=(2, 2),
             transport="inline",
         )
         assert nb_lazy < steps  # the skin trigger actually reused
-        monkeypatch.setenv("REPRO_PARALLEL_NO_REUSE", "1")
-        par._warned_reasons.discard("no_reuse")
-        with pytest.warns(RuntimeWarning, match="no_reuse|rebuilding"):
-            pos_forced, e_forced, nb_forced = _run_trajectory(
-                steps=steps, backend="parallel", topology=(2, 2),
-                transport="inline",
-            )
-        assert nb_forced == steps  # a rebuild every step, as commanded
+        pos_forced, e_forced, nb_forced = _run_trajectory(
+            steps=steps, backend="parallel", topology=(2, 2),
+            transport="inline", skin=0.0,
+        )
+        assert nb_forced == steps  # a rebuild every step
         assert abs(e_forced - e_lazy) / abs(e_lazy) <= 1e-9
         assert np.max(np.abs(pos_forced - pos_lazy)) < 1e-10

@@ -17,8 +17,11 @@ import repro.parallel as par
 from repro.kernels import active_backend_name, set_backend
 from repro.md.simulation import Simulation
 from repro.obs import metrics
-from repro.parallel import ShardedForcePipeline, unsupported_reason
-from repro.parallel.pool import fork_available
+from repro.parallel import (
+    ShardedForcePipeline,
+    fork_available,
+    unsupported_reason,
+)
 from repro.runtime import RunSpec, SpecError, build_engine
 from tests.conftest import bulk_state, small_slab_state
 
@@ -188,50 +191,6 @@ class TestTelemetry:
         assert "parallel.pool" in totals
         for phase in ("neighbor", "density", "embedding", "pair_force"):
             assert phase in totals
-
-    def test_overlap_telemetry_and_spans(self, monkeypatch):
-        from repro.obs import Tracer
-
-        monkeypatch.delenv("REPRO_PARALLEL_NO_OVERLAP", raising=False)
-        spec = RunSpec(
-            element="Ta", reps=(4, 4, 2), steps=4,
-            backend="parallel", workers=2,
-        )
-        engine = build_engine(spec, tracer=Tracer())
-        try:
-            engine.step(4)
-            telemetry = engine.telemetry()
-            totals = engine.tracer.phase_totals()
-        finally:
-            engine.close()
-        c = telemetry.counters
-        assert c["overlap_on"] is True
-        assert c["overlap_seconds"] >= 0.0
-        assert c["halo_wait_seconds"] >= 0.0
-        assert 0.0 <= c["overlap_efficiency"] <= 1.0
-        assert "parallel.overlap" in totals
-        assert "parallel.halo_wait" in totals
-
-    def test_no_overlap_control_reports_blocking(self, monkeypatch):
-        from repro.obs import Tracer
-
-        monkeypatch.setenv("REPRO_PARALLEL_NO_OVERLAP", "1")
-        spec = RunSpec(
-            element="Ta", reps=(4, 4, 2), steps=3,
-            backend="parallel", workers=2,
-        )
-        engine = build_engine(spec, tracer=Tracer())
-        try:
-            engine.step(3)
-            telemetry = engine.telemetry()
-            totals = engine.tracer.phase_totals()
-        finally:
-            engine.close()
-        c = telemetry.counters
-        assert c["overlap_on"] is False
-        assert c["overlap_efficiency"] == 0.0
-        assert "parallel.overlap" not in totals
-        assert "parallel.halo_wait" not in totals
 
 
 def _inline_engine(workers=2, **fields):

@@ -17,11 +17,11 @@ import pytest
 
 from repro.kernels import active_backend_name, set_backend
 from repro.md.simulation import Simulation
-from repro.parallel import ShardedForcePipeline
-from repro.parallel.pool import WorkerPool, fork_available
+from repro.parallel import ShardedForcePipeline, WorkerLost, fork_available
 from repro.parallel.transport import (
+    _REAP_TIMEOUT_S,
     TRANSPORTS,
-    SocketTransport,
+    SocketMover,
     make_transport,
 )
 from repro.runtime import RunSpec, SpecError, build_engine
@@ -201,43 +201,114 @@ class TestSpecFields:
         assert again.transport == "socket"
 
 
-class TestTeardownRobustness:
-    def test_pool_close_survives_dead_worker(self):
-        def _main(conn, wid, shared, cfg):
-            while True:
-                msg = conn.recv()
-                if msg[0] == "stop":
-                    break
-                conn.send(("ok", 0, 0.0))
+class _RaisingPotential:
+    """A potential whose density stage raises a named exception on
+    every rank — picklable by reference, so it also crosses the socket
+    mover's ``setup`` message."""
 
-        pool = WorkerPool(2, {}, {}, main=_main, name="repro-test")
-        victim = pool._procs[0]
+    _TYPES = {
+        "KeyError": KeyError,
+        "TypeError": TypeError,
+        "FloatingPointError": FloatingPointError,
+        "ValueError": ValueError,
+    }
+
+    def __init__(self, cutoff: float, kind: str) -> None:
+        self.cutoff = cutoff
+        self.kind = kind
+
+    def fused_density(self, n_local, table, types):
+        raise self._TYPES[self.kind]("injected fault")
+
+
+class TestWorkerErrorSurface:
+    """One failure scan for every transport: the error's type name
+    survives the trip home, whichever mover carried the reply."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize(
+        "kind,raised",
+        [
+            ("KeyError", RuntimeError),
+            ("TypeError", RuntimeError),
+            ("FloatingPointError", FloatingPointError),
+            ("ValueError", ValueError),
+        ],
+    )
+    def test_kind_survives_and_the_round_is_drained(
+        self, ta_potential, transport, kind, raised
+    ):
+        state = small_slab_state("Ta", (4, 4, 2))
+        pipe = ShardedForcePipeline(
+            state, _RaisingPotential(ta_potential.cutoff, kind),
+            workers=2, transport=transport,
+        )
+        try:
+            # both ranks fail; the lowest rank's report wins
+            with pytest.raises(raised, match="shard worker 0") as info:
+                pipe.compute(state.positions)
+            assert type(info.value) is raised
+            assert "injected fault" in str(info.value)
+            if raised is RuntimeError:  # not re-raisable by type
+                assert kind in str(info.value)
+            # rank 1's error reply was drained too: the next round on
+            # the same transport starts clean
+            pipe.transport.barrier()
+        finally:
+            pipe.close()
+
+
+class TestTeardownRobustness:
+    def test_close_survives_dead_worker(self, ta_potential):
+        state = small_slab_state("Ta", (4, 4, 2))
+        pipe = ShardedForcePipeline(
+            state, ta_potential, workers=2, transport="shared"
+        )
+        mover = pipe.transport.mover
+        victim = mover._procs[0]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5.0)
         t0 = time.perf_counter()
-        pool.close()  # must not hang or raise
+        pipe.close()  # must not hang or raise
         assert time.perf_counter() - t0 < 10.0
-        pool.close()  # idempotent
-        assert pool.n_workers == 0
+        mover.close()  # idempotent
+        assert mover._procs == []
 
-    def test_pool_command_reports_dead_worker(self):
-        def _main(conn, wid, shared, cfg):
-            while True:
-                msg = conn.recv()
-                if msg[0] == "stop":
-                    break
-                conn.send(("ok", 0, 0.0))
-
-        pool = WorkerPool(2, {}, {}, main=_main, name="repro-test")
+    def test_command_reports_dead_worker(self, ta_potential):
+        state = small_slab_state("Ta", (4, 4, 2))
+        pipe = ShardedForcePipeline(
+            state, ta_potential, workers=2, transport="shared"
+        )
         try:
-            os.kill(pool._procs[1].pid, signal.SIGKILL)
-            pool._procs[1].join(timeout=5.0)
-            with pytest.raises(RuntimeError, match="died"):
-                for _ in range(5):  # pipe buffering may delay detection
-                    pool.command(("ping",))
-                    time.sleep(0.05)
+            victim = pipe.transport.mover._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            with pytest.raises(WorkerLost, match="worker 1 died"):
+                pipe.transport.barrier()
         finally:
-            pool.close()
+            pipe.close()
+
+    @pytest.mark.parametrize("transport", ("shared", "socket"))
+    def test_killed_rank_fails_the_step_with_worker_lost(self, transport):
+        """SIGKILL between two steps: typed error, bounded, no hang."""
+        engine = build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, backend="parallel",
+            workers=2, transport=transport,
+        ))
+        try:
+            engine.step(1)
+            victim = engine.sim._pipeline.transport.mover._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert not victim.is_alive()
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerLost, match="worker 1"):
+                engine.step(1)
+            assert time.perf_counter() - t0 < 5.0
+        finally:
+            t0 = time.perf_counter()
+            engine.close()
+            assert time.perf_counter() - t0 < _REAP_TIMEOUT_S
 
     def test_pipeline_close_is_idempotent(self, ta_potential):
         state = small_slab_state("Ta", (4, 4, 2))
@@ -253,7 +324,7 @@ class TestTeardownRobustness:
         )
         pipe.compute(state.positions)
         tp = pipe.transport
-        assert isinstance(tp, SocketTransport)
+        assert isinstance(tp.mover, SocketMover)
         tp.close()
         tp.close()
         pipe.close()
@@ -265,7 +336,7 @@ class TestTeardownRobustness:
             state, ta_potential, workers=2, transport="socket"
         )
         sim.run(1)
-        procs = list(sim._pipeline.transport._procs)
+        procs = list(sim._pipeline.transport.mover._procs)
         sim.close()
         assert all(not p.is_alive() for p in procs)
 
@@ -317,28 +388,6 @@ class TestTelemetry:
         )
 
 
-class TestEnvDefault:
-    def test_env_var_selects_transport(self, ta_potential, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "socket")
-        state = small_slab_state("Ta", (4, 4, 2))
-        pipe = ShardedForcePipeline(state, ta_potential, workers=2)
-        try:
-            assert pipe.transport_kind == "socket"
-        finally:
-            pipe.close()
-
-    def test_explicit_argument_wins(self, ta_potential, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "socket")
-        state = small_slab_state("Ta", (4, 4, 2))
-        pipe = ShardedForcePipeline(
-            state, ta_potential, workers=2, transport="shared"
-        )
-        try:
-            assert pipe.transport_kind == "shared"
-        finally:
-            pipe.close()
-
-
 class TestAutoSelection:
     """``transport="auto"`` resolution against the host's core budget.
 
@@ -361,7 +410,7 @@ class TestAutoSelection:
         par.reset_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            kind = resolve_transport("auto", workers, {})
+            kind = resolve_transport("auto", workers)
         return kind, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize(
@@ -402,21 +451,13 @@ class TestAutoSelection:
         par.reset_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            resolve_transport("auto", 2, {})
-            resolve_transport("auto", 2, {})  # same shape: no re-warn
-            resolve_transport("auto", 4, {})  # new shape: warns again
+            resolve_transport("auto", 2)
+            resolve_transport("auto", 2)  # same shape: no re-warn
+            resolve_transport("auto", 4)  # new shape: warns again
         assert len(caught) == 2
-
-    def test_inner_backend_forces_shared(self, monkeypatch):
-        from repro.parallel.transport import resolve_transport
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        kind = resolve_transport("auto", 2, {"inner_backend": "numba"})
-        assert kind == "shared"
 
     def test_explicit_kind_passes_through(self, monkeypatch):
         from repro.parallel.transport import resolve_transport
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_transport("socket", 8, {}) == "socket"
+        assert resolve_transport("socket", 8) == "socket"

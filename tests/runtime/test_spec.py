@@ -51,6 +51,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="langevin"):
             RunSpec(engine="wse", thermostat=ts)
 
+    def test_workers_on_wse_rejected_with_the_reason(self):
+        # the offset-dispatch pool is gone; the message says why
+        with pytest.raises(SpecError, match="did not beat the serial"):
+            RunSpec(engine="wse", workers=2)
+        assert RunSpec(engine="wse", workers=0).workers == 0
+        assert RunSpec(engine="reference", workers=2).workers == 2
+
     def test_langevin_on_reference_ok(self):
         ts = ThermostatSpec(kind="langevin", temperature=290.0)
         spec = RunSpec(engine="reference", thermostat=ts)

@@ -1,7 +1,7 @@
 """Served jobs hear parallel degradation warnings, every job.
 
-The warn-once caches (``repro.parallel._warned_reasons`` for the
-``REPRO_PARALLEL_NO_REUSE`` rebuild-every-step fallback,
+The warn-once caches (``repro.parallel._warned_reasons`` for a
+core-starved ``transport="auto"`` falling back to the inline tier,
 ``repro.parallel.domains._warned_degenerate`` for degenerate halo
 widths) are process state: without the scheduler's per-job
 ``reset_warnings()`` re-arm, the first job would permanently silence
@@ -13,11 +13,12 @@ own loop with ``asyncio.run``.
 """
 
 import asyncio
+import os
 import warnings
 
 import pytest
 
-from repro.parallel.pool import fork_available
+from repro.parallel import fork_available
 from repro.runtime import RunSpec
 from repro.serve import JobScheduler, JobState
 
@@ -25,12 +26,13 @@ pytestmark = pytest.mark.skipif(
     not fork_available(), reason="parallel backend requires fork"
 )
 
-#: A tiny parallel job that degrades twice: reuse disabled via env
-#: (the no-reuse fallback) and a 4x1 grid over a slab too narrow for
-#: four tiles (the degenerate-halo advisory).
+#: A tiny parallel job that degrades twice: ``transport="auto"`` on a
+#: host with fewer cores than workers (the starved auto-inline pick;
+#: the fixture below pins the core count to 1) and a 4x1 grid over a
+#: slab too narrow for four tiles (the degenerate-halo advisory).
 PAR_SPEC = RunSpec(
     element="Ta", reps=(3, 3, 2), temperature=120.0, seed=5,
-    steps=2, backend="parallel", topology=(4, 1), transport="inline",
+    steps=2, backend="parallel", topology=(4, 1), transport="auto",
 )
 
 
@@ -53,21 +55,24 @@ def test_each_served_job_hears_degradations():
         first, second = _serve_twice()
     assert first.state is JobState.DONE
     assert second.state is JobState.DONE
-    no_reuse = [w for w in heard if "rebuilding every step" in str(w.message)]
+    starved = [w for w in heard if "picked the inline tier" in str(w.message)]
     halo = [w for w in heard if "ghost regions dominate" in str(w.message)]
     # once per *job*, not once per process: the scheduler re-armed the
     # caches between the two runs
-    assert len(no_reuse) == 2
+    assert len(starved) == 2
     assert len(halo) == 2
 
 
 @pytest.fixture(autouse=True)
-def _no_reuse_env(monkeypatch):
+def _one_core_host(monkeypatch):
     import repro.parallel as par
     from repro.kernels import active_backend_name, set_backend
     from repro.parallel import domains
 
-    monkeypatch.setenv("REPRO_PARALLEL_NO_REUSE", "1")
+    # resolve_transport falls back to os.cpu_count() without the
+    # affinity API: a 1-core host, whatever runs the suite
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     # start from a clean slate so earlier tests' warnings don't mask
     par._warned_reasons.clear()
     domains._warned_degenerate.clear()

@@ -514,7 +514,9 @@ class TestCli:
         capsys.readouterr()
         # inflate the baseline so the rerun must trip the gate
         report = json.loads(out.read_text())
-        for r in latest_results(report):
+        # the rows themselves: latest_results hands out normalized
+        # copies of rows that carry no ``workers`` key (wse entries)
+        for r in report["history"][-1]["results"]:
             r["steps_per_s"] *= 100
         inflated = tmp_path / "inflated.json"
         inflated.write_text(json.dumps(report))

@@ -125,6 +125,13 @@ class TestSpecRuns:
     def test_missing_spec_file_exit_code_2(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "nope.toml")]) == 2
 
+    def test_workers_on_the_wse_engine_exit_code_2(self, capsys):
+        assert main(["run", "--engine", "wse", "--workers", "2",
+                     "--reps", "4", "4", "2", "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid run spec" in err
+        assert "offset-dispatch pool was removed" in err
+
     def test_nan_mid_run_exit_code_1(self, tmp_path, capsys, monkeypatch):
         # a position going non-finite on a neighbor-list *reuse* step
         # is a failed run with a one-line diagnostic, not a quiet one
