@@ -8,6 +8,9 @@ Commands
     Run a thin-slab simulation through the unified runtime — from CLI
     flags or a declarative ``--spec`` TOML/JSON file — with optional
     checkpointing (``--checkpoint``) and resume (``--resume``).
+    ``run``, ``submit``, ``validate`` and ``profile`` all take the same
+    generated spec flags (:func:`add_spec_flags`): one per
+    :class:`~repro.runtime.RunSpec` field, each overriding the file.
 ``serve``
     Start the job server (:mod:`repro.serve`): a bounded pool of
     runner slots behind a JSON-lines TCP API, with an on-disk result
@@ -27,9 +30,9 @@ Commands
     Print quick reproductions of the corresponding paper artifacts
     (the full harness lives in ``benchmarks/``).
 ``bench``
-    Time both engines on the standard Ta/Cu/W workloads, append the run
-    to ``BENCH_kernels.json``'s history, and optionally gate against a
-    baseline report (see ``repro.bench``).
+    Time the :data:`repro.bench.CASES` table (or ``--cases NAME...``),
+    append the run to ``BENCH_kernels.json``'s history, and optionally
+    gate against a baseline report (see ``repro.bench``).
 ``profile``
     Run one workload under phase tracing on both engines: write a JSONL
     trace, print the per-phase summary tables, and (``--check``) verify
@@ -79,75 +82,70 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _parse_topology(value: str) -> tuple[int, int]:
-    """argparse type for ``--topology PXxPY`` (e.g. ``2x2``)."""
-    parts = value.lower().split("x")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise argparse.ArgumentTypeError(
-            f"expected PXxPY (e.g. 2x2), got {value!r}"
-        )
-    px, py = int(parts[0]), int(parts[1])
-    if px < 1 or py < 1:
-        raise argparse.ArgumentTypeError("topology factors must be >= 1")
-    return px, py
+#: What each spec-taking command runs when neither ``--spec`` nor a flag
+#: says otherwise, as overrides of :class:`RunSpec`'s own defaults
+#: (pinned by ``tests/test_cli.py``).  ``profile --quick`` swaps every
+#: 10 steps so the swap phase fires inside its 30-step run.
+RUN_DEFAULTS = {"engine": "wse"}
+VALIDATE_DEFAULTS = {"reps": (4, 4, 2), "steps": 10, "temperature": 150.0}
+PROFILE_QUICK_DEFAULTS = {"reps": (5, 5, 2), "steps": 30, "swap_interval": 10}
 
 
-def _set_backend(name: str | None) -> str:
-    from repro.kernels import active_backend_name, set_backend
+def add_spec_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """``--spec`` plus one generated flag per :class:`RunSpec` field.
 
-    if name:
-        set_backend(name)
-    return active_backend_name()
-
-
-def _spec_from_run_args(args):
-    """Resolve the run spec: ``--spec`` file, or the CLI flags.
-
-    With a spec file, only ``--steps``, ``--backend`` and
-    ``--checkpoint-interval`` override it when given explicitly; the
-    workload flags (element, reps, engine, ...) come from the file.
+    Flag name, type, choices and help all come from the field's
+    declaration.  Every flag defaults to ``None`` — "not typed" — so
+    :func:`spec_from_args` overrides exactly what the user asked for;
+    ``defaults`` (the command's own) ride along on the namespace.
+    ``thermostat`` is a nested table and stays spec-file only.
     """
-    from dataclasses import replace
+    from dataclasses import fields
 
-    from repro.runtime import RunSpec
+    from repro.runtime.spec import RunSpec
 
-    if args.spec:
-        spec = RunSpec.from_file(args.spec)
-        overrides = {}
-        if args.steps is not None:
-            overrides["steps"] = args.steps
-        if args.backend:
-            overrides["backend"] = args.backend
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.topology is not None:
-            overrides["topology"] = args.topology
-        if args.transport is not None:
-            overrides["transport"] = args.transport
-        if args.fuse_integrate:
-            overrides["fuse_integrate"] = True
-        if args.offset_chunk is not None:
-            overrides["offset_chunk"] = args.offset_chunk
-        if args.checkpoint_interval is not None:
-            overrides["checkpoint_interval"] = args.checkpoint_interval
-        return replace(spec, **overrides) if overrides else spec
-    return RunSpec(
-        element=args.element,
-        reps=tuple(args.reps),
-        temperature=args.temperature,
-        engine=args.engine,
-        steps=args.steps if args.steps is not None else 100,
-        seed=args.seed,
-        backend=args.backend,
-        workers=args.workers or 0,
-        topology=args.topology,
-        transport=args.transport,
-        fuse_integrate=args.fuse_integrate,
-        offset_chunk=args.offset_chunk or 0,
-        swap_interval=args.swap_interval,
-        force_symmetry=args.force_symmetry,
-        checkpoint_interval=args.checkpoint_interval or 0,
+    parser.set_defaults(spec_defaults=defaults)
+    group = parser.add_argument_group(
+        "run spec",
+        "One flag per RunSpec field.  A typed flag overrides --spec FILE, "
+        "which replaces this command's defaults: RunSpec's own"
+        + "".join(f", {k} {v}" for k, v in defaults.items()) + ".",
     )
+    group.add_argument("--spec", default=None, metavar="FILE",
+                       help="declarative RunSpec file (.toml or .json)")
+    for f in fields(RunSpec):
+        if f.name == "thermostat":
+            continue
+        kwargs = {"dest": f.name, "default": None, "help": f.metadata["help"]}
+        if isinstance(f.default, bool):
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif isinstance(f.default, tuple):
+            kwargs.update(type=int, nargs=len(f.default))
+        else:
+            # unset-by-default fields (backend, topology "PXxPY",
+            # transport) are strings RunSpec parses itself
+            kwargs["type"] = str if f.default is None else type(f.default)
+            kwargs["choices"] = f.metadata.get("choices")
+        group.add_argument("--" + f.name.replace("_", "-"), **kwargs)
+
+
+def spec_from_args(args):
+    """The one resolution order: file or command defaults, then flags.
+
+    ``RunSpec.from_file(--spec)`` if given, else ``RunSpec`` with the
+    command's defaults; then every flag the user typed replaces its
+    field, re-running validation (a bad combination is a
+    :class:`~repro.runtime.SpecError` either way).
+    """
+    from dataclasses import fields, replace
+
+    from repro.runtime.spec import RunSpec
+
+    base = (RunSpec.from_file(args.spec) if args.spec
+            else RunSpec(**args.spec_defaults))
+    typed = {f.name: getattr(args, f.name) for f in fields(RunSpec)
+             if getattr(args, f.name, None) is not None}
+    return replace(base, **typed)
 
 
 def _report_run(runner, spec) -> int:
@@ -199,13 +197,9 @@ def _report_run(runner, spec) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.runtime import CheckpointError, Runner, SpecError
+    from repro.runtime import CheckpointError, Runner
 
-    try:
-        spec = _spec_from_run_args(args)
-    except SpecError as exc:
-        print(f"error: invalid run spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+    spec = spec_from_args(args)
     try:
         if args.resume:
             runner = Runner.resume(
@@ -271,14 +265,9 @@ def _describe_served_job(job: dict, verbose: bool = True) -> None:
 
 
 def _cmd_submit(args) -> int:
-    from repro.runtime import SpecError
     from repro.serve import ServeClient
 
-    try:
-        spec = _spec_from_run_args(args)
-    except SpecError as exc:
-        print(f"error: invalid run spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+    spec = spec_from_args(args)
     sweep = None
     if args.sweep:
         name, _, values = args.sweep.partition("=")
@@ -377,25 +366,16 @@ def _cmd_jobs(args) -> int:
 
 def _cmd_validate(args) -> int:
     from repro.core.validate import validate_spec
-    from repro.runtime import RunSpec, SpecError
+    from repro.runtime import SpecError
 
+    spec = spec_from_args(args)
     try:
-        if args.spec:
-            spec = RunSpec.from_file(args.spec)
-        else:
-            spec = RunSpec(
-                element=args.element,
-                reps=tuple(args.reps),
-                temperature=args.temperature,
-                steps=args.steps,
-                seed=args.seed,
-            )
         comparison, passed = validate_spec(
             spec, tol_pos=args.tol_pos, tol_energy=args.tol_energy
         )
-    except SpecError as exc:
-        print(f"error: invalid run spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+    except SpecError:
+        # the spec cannot run on one of the two engines: main() reports it
+        raise
     except Exception as exc:
         print(f"error: validation run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
@@ -415,137 +395,59 @@ def _cmd_bench(args) -> int:
     import json
 
     from repro.bench import (
-        attach_multiwafer,
+        MAX_DROP,
+        CaseSelectionError,
         compare_to_baseline,
-        consistency_check,
-        cross_backend_notes,
-        latest_results,
         run_bench,
         write_report,
     )
 
-    if args.backend:
-        from repro.kernels import available_backends, backend_status
-
-        if args.backend not in available_backends():
-            reason = backend_status().get(args.backend, "unknown backend")
-            print(
-                f"error: --backend {args.backend} is unavailable "
-                f"({reason}); a pinned backend never benches the numpy "
-                f"fallback",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_SPEC
-    backend = _set_backend(args.backend)
     mode = "quick" if args.quick else "full"
-    print(f"repro bench: {mode} mode, {backend} kernels")
-    if args.check:
-        workers = args.workers if args.workers is not None else 2
-        label = (f"{args.topology[0]}x{args.topology[1]}"
-                 if args.topology else f"w={workers}")
-        if args.transport:
-            label += f", {args.transport} transport"
-        failures = consistency_check(
-            workers=workers, topology=args.topology,
-            transport=args.transport,
-        )
-        if failures:
-            print(f"CONSISTENCY CHECK FAILED (parallel {label} vs "
-                  f"numpy):", file=sys.stderr)
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"consistency check passed: parallel ({label}) matches "
-              f"numpy")
-    results = run_bench(
-        quick=args.quick,
-        elements=args.elements,
-        engines=args.engines,
-        steps=args.steps,
-        profile=args.profile,
-        workers=args.workers,
-        transport=args.transport,
-        progress=print,
-    )
+    print(f"repro bench: {mode} mode")
+    try:
+        results = run_bench(quick=args.quick, cases=args.cases,
+                            progress=print)
+    except CaseSelectionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     if not results:
         print("no cases selected")
-        return 2
+        return EXIT_BAD_SPEC
     for r in results:
-        speedup = (f", {r.speedup_vs_seed:.2f}x vs seed"
-                   if r.speedup_vs_seed is not None else "")
         layout = ""
         topo = r.extra.get("topology")
         if topo:
             layout = f" [{topo[0]}x{topo[1]}, {r.extra.get('transport')}]"
-        elif r.extra.get("workers"):
-            layout = (f" [w={r.extra['workers']}, "
-                      f"{r.extra.get('transport')}]")
         print(f"  {r.name}: {r.n_atoms} atoms, {r.steps} steps in "
-              f"{r.wall_s:.2f} s -> {r.steps_per_s:.2f} steps/s"
-              f"{speedup}{layout}")
+              f"{r.wall_s:.2f} s -> {r.steps_per_s:.2f} steps/s "
+              f"({r.extra['kernel_backend']} kernels){layout}")
     baseline = None
     if args.baseline:
+        # read before writing: --out may be the baseline file itself
         with open(args.baseline) as fh:
             baseline = json.load(fh)
-    for line in cross_backend_notes(results, baseline, mode=mode):
-        print(f"  vs numpy: {line}")
-    for line in attach_multiwafer(results, baseline, mode=mode):
-        print(f"  multiwafer: {line}")
-    report = write_report(args.out, results, quick=args.quick,
-                          backend=backend)
-    print(f"wrote {args.out} ({len(latest_results(report))} cases, "
+    report = write_report(args.out, results, quick=args.quick)
+    print(f"wrote {args.out} ({len(results)} cases, "
           f"{len(report['history'])} runs in history)")
     if baseline is not None:
-        failures, notes = compare_to_baseline(results, baseline,
-                                              max_drop=args.max_drop,
-                                              mode=mode)
+        failures, notes = compare_to_baseline(results, baseline, mode)
         for line in notes:
             print(f"  NO BASELINE {line}")
         if failures:
             print(f"REGRESSION vs {args.baseline}:")
             for line in failures:
                 print(f"  {line}")
-            return 1
+            return EXIT_RUN_FAILED
         print(f"no regression vs {args.baseline} "
-              f"(allowance {args.max_drop:.0%})")
-    return 0
+              f"(allowance {MAX_DROP:.0%})")
+    return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
-    from repro.runtime import RunSpec, SpecError
-
-    try:
-        if args.spec:
-            spec = RunSpec.from_file(args.spec)
-            if args.steps is not None:
-                from dataclasses import replace
-
-                spec = replace(spec, steps=args.steps)
-        else:
-            if args.quick:
-                reps = args.reps if args.reps is not None else [5, 5, 2]
-                steps = args.steps if args.steps is not None else 30
-                swap = (args.swap_interval
-                        if args.swap_interval is not None else 10)
-            else:
-                reps = args.reps if args.reps is not None else [8, 8, 3]
-                steps = args.steps if args.steps is not None else 100
-                swap = (args.swap_interval
-                        if args.swap_interval is not None else 0)
-            spec = RunSpec(
-                element=args.element,
-                reps=tuple(reps),
-                temperature=args.temperature,
-                steps=steps,
-                seed=args.seed,
-                swap_interval=swap,
-            )
-    except SpecError as exc:
-        print(f"error: invalid run spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
-
     from repro.obs.profile import profile_spec
     from repro.obs.sinks import read_trace, render_phase_table
+
+    spec = spec_from_args(args)
 
     engines = tuple(args.engines) if args.engines else ("reference", "wse")
     try:
@@ -668,7 +570,7 @@ def _cmd_table5(args) -> int:
 def _cmd_table6(args) -> int:
     from repro.core.cycle_model import CycleCostModel
     from repro.io.table_io import Table
-    from repro.perfmodel.multiwafer import MultiWaferModel
+    from repro.perfmodel import MultiWaferModel
     from repro.potentials.elements import ELEMENTS
 
     geometry = {"Cu": (283, 10), "W": (317, 8), "Ta": (317, 8)}
@@ -722,57 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Wafer-scale MD reproduction (SC 2024) command line",
     )
+    from repro.runtime.spec import ENGINES
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="machine and element summary")
 
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
-        """The flags shared by ``run`` and ``submit`` (one RunSpec)."""
-        p.add_argument("--spec", default=None, metavar="FILE",
-                       help="declarative RunSpec file (.toml or .json); "
-                            "workload flags below are ignored when given")
-        p.add_argument("--element", choices=["Cu", "W", "Ta"], default="Ta")
-        p.add_argument("--reps", type=int, nargs=3, default=[8, 8, 3],
-                       metavar=("NX", "NY", "NZ"))
-        p.add_argument("--steps", type=int, default=None,
-                       help="timesteps (default 100, or the spec file's)")
-        p.add_argument("--temperature", type=float, default=290.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--engine", choices=["wse", "reference"],
-                       default="wse")
-        p.add_argument("--swap-interval", type=int, default=0)
-        p.add_argument("--force-symmetry", action="store_true")
-        p.add_argument("--backend", default=None,
-                       help="kernel backend (numpy, numba, parallel); "
-                            "default: $REPRO_KERNEL_BACKEND or numpy")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the parallel backend "
-                            "on the reference engine (default: "
-                            "os.cpu_count())")
-        p.add_argument("--topology", type=_parse_topology, default=None,
-                       metavar="PXxPY",
-                       help="2D domain grid for the parallel backend "
-                            "(e.g. 2x2; implies px*py workers; default: "
-                            "1D columns, one per worker)")
-        p.add_argument("--transport", default=None,
-                       choices=["shared", "socket", "inline", "auto"],
-                       help="parallel-backend transport (default: auto — "
-                            "inline on core-starved hosts, else shared "
-                            "memory)")
-        p.add_argument("--offset-chunk", type=int, default=None,
-                       help="wse streaming-sweep batch size in offsets "
-                            "(default: auto-sized from the grid); a "
-                            "speed/memory knob, never physics")
-        p.add_argument("--fuse-integrate", action="store_true",
-                       help="fold the leap-frog kick+drift into the kernel "
-                            "backend's force_integrate pass (reference "
-                            "engine; a speed knob, never physics)")
-        p.add_argument("--checkpoint-interval", type=int, default=None,
-                       help="also checkpoint every N steps (default: only "
-                            "a final checkpoint)")
-
     run = sub.add_parser("run", help="run a thin-slab simulation")
-    add_workload_args(run)
+    add_spec_flags(run, RUN_DEFAULTS)
     run.add_argument("--checkpoint", default=None, metavar="PREFIX",
                      help="write checkpoints under this path prefix "
                           "(<prefix>.npz/.json/.xyz)")
@@ -803,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit a run to a job server and await the result"
     )
-    add_workload_args(submit)
+    add_spec_flags(submit, RUN_DEFAULTS)
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, default=7421)
     submit.add_argument("--timeout", type=float, default=600.0,
@@ -839,90 +698,43 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run both engines on one workload and check equivalence",
     )
-    validate.add_argument("--spec", default=None, metavar="FILE",
-                          help="RunSpec file; its engine field is ignored "
-                               "(both engines always run)")
-    validate.add_argument("--element", choices=["Cu", "W", "Ta"],
-                          default="Ta")
-    validate.add_argument("--reps", type=int, nargs=3, default=[4, 4, 2],
-                          metavar=("NX", "NY", "NZ"))
-    validate.add_argument("--steps", type=int, default=10)
-    validate.add_argument("--temperature", type=float, default=150.0)
-    validate.add_argument("--seed", type=int, default=0)
+    # a file's (or --engine's) engine is ignored: both engines always run
+    add_spec_flags(validate, VALIDATE_DEFAULTS)
     validate.add_argument("--tol-pos", type=float, default=1e-8,
                           help="max |dx| in angstrom (default 1e-8)")
     validate.add_argument("--tol-energy", type=float, default=1e-6,
                           help="max |dE| in eV (default 1e-6)")
 
     bench = sub.add_parser(
-        "bench", help="time both engines, write BENCH_kernels.json"
+        "bench", help="time the bench case table, write BENCH_kernels.json"
     )
     bench.add_argument("--quick", action="store_true",
                        help="small slabs (CI-sized, seconds not minutes)")
+    bench.add_argument("--cases", nargs="+", default=None, metavar="NAME",
+                       help="run only these repro.bench.CASES entries "
+                            "(default: all); a named case whose kernel "
+                            "backend cannot import exits 2")
     bench.add_argument("--out", default="BENCH_kernels.json")
-    bench.add_argument("--backend", default=None,
-                       choices=["numpy", "numba", "parallel"],
-                       help="kernel backend for every case (overrides "
-                            "each case's own pin)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="worker count for parallel-backend cases "
-                            "(par-Ta-*) and --check (default: each "
-                            "case's own, check 2)")
-    bench.add_argument("--topology", type=_parse_topology, default=None,
-                       metavar="PXxPY",
-                       help="2D domain grid for --check (e.g. 2x2; "
-                            "timed topology cases keep their own grid)")
-    bench.add_argument("--transport", default=None,
-                       choices=["shared", "socket", "inline", "auto"],
-                       help="transport for parallel-backend cases and "
-                            "--check (default: auto — inline on "
-                            "core-starved hosts, else shared memory)")
-    bench.add_argument("--check", action="store_true",
-                       help="first verify the parallel backend matches "
-                            "numpy on total energy (<= 1e-9 relative) "
-                            "before timing; non-zero exit on mismatch")
     bench.add_argument("--baseline", default=None,
-                       help="previous report JSON to gate against")
-    bench.add_argument("--max-drop", type=float, default=0.30,
-                       help="max fractional steps/s drop vs baseline "
-                            "(default 0.30)")
-    bench.add_argument("--steps", type=int, default=None,
-                       help="override timed steps for every case")
-    bench.add_argument("--elements", nargs="*", default=None,
-                       choices=["Cu", "W", "Ta"])
-    bench.add_argument("--engines", nargs="*", default=None,
-                       choices=["reference", "wse"])
-    bench.add_argument("--profile", action="store_true",
-                       help="trace engine phases and embed the per-phase "
-                            "breakdown in each case's report entry")
+                       help="previous report JSON to gate against "
+                            "(fails on a >30%% steps/s drop)")
 
     profile = sub.add_parser(
         "profile",
         help="trace one workload on both engines, write a JSONL trace",
     )
-    profile.add_argument("--spec", default=None, metavar="FILE",
-                         help="RunSpec file; its engine field is replaced "
-                              "per profiled engine")
-    profile.add_argument("--element", choices=["Cu", "W", "Ta"],
-                         default="Ta")
-    profile.add_argument("--reps", type=int, nargs=3, default=None,
-                         metavar=("NX", "NY", "NZ"),
-                         help="slab replications (default 8 8 3; "
-                              "--quick: 5 5 2)")
-    profile.add_argument("--steps", type=int, default=None,
-                         help="timesteps (default 100; --quick: 30)")
-    profile.add_argument("--temperature", type=float, default=290.0)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--swap-interval", type=int, default=None,
-                         help="wse swap interval (default 0; --quick: 10 "
-                              "so the swap phase fires)")
+    # a file's (or --engine's) engine is replaced per profiled engine
+    add_spec_flags(profile, {})
     profile.add_argument("--engines", nargs="*", default=None,
-                         choices=["reference", "wse"])
+                         choices=ENGINES)
     profile.add_argument("--out", default="profile_trace.jsonl",
                          help="JSONL trace path (default "
                               "profile_trace.jsonl)")
-    profile.add_argument("--quick", action="store_true",
-                         help="CI-sized workload (seconds)")
+    # replaces the command defaults add_spec_flags put on the namespace
+    profile.add_argument("--quick", action="store_const",
+                         dest="spec_defaults", const=PROFILE_QUICK_DEFAULTS,
+                         help="CI-sized default workload: reps 5 5 2, "
+                              "30 steps, swap interval 10")
     profile.add_argument("--check", action="store_true",
                          help="exit non-zero unless the trace parses, all "
                               "taxonomy phases appear, coverage >= 95%%, "
@@ -950,8 +762,15 @@ def main(argv: list[str] | None = None) -> int:
         "table6": _cmd_table6,
         "fig1": _cmd_fig1,
     }[args.command]
+    from repro.runtime.spec import SpecError
+
     try:
         return handler(args)
+    except SpecError as exc:
+        # raised by spec_from_args (or validate's engine swap) before
+        # anything ran: a malformed, out-of-range or inconsistent request
+        print(f"error: invalid run spec: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     except BrokenPipeError:
         # stdout piped into a pager/head that closed early; not an error
         devnull = os.open(os.devnull, os.O_WRONLY)

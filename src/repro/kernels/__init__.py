@@ -21,7 +21,7 @@ original scatter/spline primitives every backend must provide — a
 backend missing one is malformed and rejected outright.
 :data:`FUSED_KERNEL_FUNCTIONS` are the whole-pass kernels (neighbor
 prefilter, fused EAM density/force passes, grouped-spline batch
-evaluation, force+integrate).  A backend may provide any subset of the
+evaluation).  A backend may provide any subset of the
 fused tier: missing functions are filled per-function from the numpy
 baseline, with **one** warning naming exactly which functions degraded
 — so an older out-of-tree backend keeps working when the interface
@@ -78,7 +78,6 @@ FUSED_KERNEL_FUNCTIONS = (
     "neighbor_prefilter",   # candidate distance filter -> (i, j, rij, r)
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
-    "force_integrate",      # leap-frog kick+drift folded onto the forces
 )
 
 #: The full interface, in declaration order.

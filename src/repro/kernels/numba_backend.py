@@ -8,7 +8,7 @@ FMA contraction or reassociation) — and in practice agree bitwise on
 the core primitives.  The equivalence suite gates every function at
 1e-9 relative against numpy; bitwise identity is asserted only where
 the scalar operation sequence provably matches (the scatter-add
-accumulators and the integrator fold).
+accumulators).
 
 The whole-pass kernels are what make this tier fast: one compiled loop
 over the pair list with the packed-spline Horner evaluation inlined —
@@ -348,33 +348,6 @@ def fused_force_pass(i, j, rij, r, f_der, d_ji, d_ij, phi_bank,
     )
 
 
-@njit(cache=True)
-def _force_integrate(positions, velocities, forces, masses, dt, mvv2e):
-    n = positions.shape[0]
-    for a in range(n):
-        # divide (not reciprocal-multiply): the exact scalar sequence of
-        # the numpy pass, so the fold is bitwise across backends
-        denom = masses[a] * mvv2e
-        for ax in range(3):
-            acc = forces[a, ax] / denom
-            velocities[a, ax] += acc * dt
-            positions[a, ax] += velocities[a, ax] * dt
-
-
-def force_integrate(positions, velocities, forces, masses, dt, mvv2e):
-    """Leap-frog kick + drift folded onto the force output, in place.
-
-    ``positions``/``velocities`` must be the simulation's own
-    C-contiguous float64 arrays — they are mutated, never copied.
-    """
-    _force_integrate(
-        positions, velocities,
-        np.ascontiguousarray(forces, dtype=np.float64),
-        np.ascontiguousarray(masses, dtype=np.float64),
-        float(dt), float(mvv2e),
-    )
-
-
 def warmup() -> None:
     """Compile every kernel against tiny representative inputs.
 
@@ -418,5 +391,3 @@ def warmup() -> None:
         ci, cj, np.array([[0.3, 0.0, 0.0]]), np.array([0.3]),
         np.zeros(2), d_ji, d_ij, bank, 0, 2,
     )
-    force_integrate(pos.copy(), np.zeros((2, 3)), np.zeros((2, 3)),
-                    np.ones(2), 0.002, 1.0)

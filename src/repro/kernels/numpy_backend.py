@@ -7,10 +7,9 @@ coefficients (the uniformly binned table lookup of the FPGA pipelines
 in PAPERS.md, and of a WSE tile's per-segment SRAM rows).
 
 The whole-pass kernels (``neighbor_prefilter``, ``fused_density_pass``,
-``fused_force_pass``, ``grouped_spline_eval``, ``force_integrate``) are
-the numpy ports of the loops that used to live inline in
-:mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam` and
-:mod:`repro.md.integrators`.  Per element they perform the *identical*
+``fused_force_pass``, ``grouped_spline_eval``) are the numpy ports of
+the loops that used to live inline in :mod:`repro.md.neighbor_list` and
+:mod:`repro.potentials.eam`.  Per element they perform the *identical*
 IEEE operations, on the same operands in the same order, as those call
 sites did — outputs are bitwise what the first port produced (frozen as
 ``tests.legacy_kernels``, the oracle of the kernel test sweep), and the
@@ -285,22 +284,3 @@ def fused_force_pass(
     e_pair += accumulate_scalar(j, half_phi, n_atoms)
     return e_pair, forces
 
-
-def force_integrate(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    forces: np.ndarray,
-    masses: np.ndarray,
-    dt: float,
-    mvv2e: float,
-) -> None:
-    """Leap-frog kick + drift folded onto the force output, in place.
-
-    Exactly :class:`repro.md.integrators.LeapfrogVerlet`'s update —
-    ``v += F/(m*mvv2e) dt;  x += v dt`` with ``dt`` in ps — so the
-    fused path is bitwise identical to the unfused one under this
-    backend.
-    """
-    a = forces / (masses[:, None] * mvv2e)
-    velocities += a * dt
-    positions += velocities * dt

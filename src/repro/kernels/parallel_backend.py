@@ -23,7 +23,6 @@ from __future__ import annotations
 from repro.kernels.numpy_backend import (  # noqa: F401  (registry contract)
     accumulate_scalar,
     accumulate_vec3,
-    force_integrate,
     fused_density_pass,
     fused_force_pass,
     grouped_spline_eval,

@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.constants import MVV2E
 from repro.md.integrators import LeapfrogVerlet
 from repro.md.neighbor_list import NeighborList
 from repro.md.observables import EnergyReport, energy_report
@@ -107,13 +106,6 @@ class Simulation:
         Sharded-pipeline transport (``"shared"``/``"socket"``/
         ``"inline"``/``"auto"``; ``None`` means ``auto``).
         Ignored under serial backends.
-    fuse_integrate:
-        Fold the leap-frog kick+drift into the active kernel backend's
-        ``force_integrate`` pass instead of the Python-level
-        :class:`~repro.md.integrators.LeapfrogVerlet` update.  A speed
-        knob, never physics: the fused pass performs the identical
-        arithmetic (bitwise under numpy; 1e-9-gated under compiled
-        backends).
     """
 
     def __init__(
@@ -128,7 +120,6 @@ class Simulation:
         workers: int | None = None,
         topology: tuple[int, int] | None = None,
         transport: str | None = None,
-        fuse_integrate: bool = False,
     ) -> None:
         from repro.kernels import active_backend, active_backend_name
 
@@ -139,7 +130,6 @@ class Simulation:
         self.workers = workers
         self.topology = topology
         self.transport = transport
-        self.fuse_integrate = bool(fuse_integrate)
         self.integrator = LeapfrogVerlet(dt_fs)
         self.neighbors = NeighborList(state.box, potential.cutoff, skin=skin)
         self.thermostat = thermostat
@@ -270,22 +260,7 @@ class Simulation:
                 energies, forces = self.compute_forces()
                 t0 = time.perf_counter()
                 with tr.phase("integrate"):
-                    if self.fuse_integrate:
-                        # kick+drift folded into one backend pass over
-                        # the force output (same arithmetic as
-                        # LeapfrogVerlet.step)
-                        from repro.kernels import active_backend
-
-                        active_backend().force_integrate(
-                            self.state.positions,
-                            self.state.velocities,
-                            forces,
-                            self.state.atom_masses,
-                            self.integrator.dt,
-                            MVV2E,
-                        )
-                    else:
-                        self.integrator.step(self.state, forces)
+                    self.integrator.step(self.state, forces)
                     if self.thermostat is not None:
                         self.thermostat.apply(self.state, self.dt_fs)
                 self.stats.time_integrate_s += time.perf_counter() - t0

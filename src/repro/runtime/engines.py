@@ -425,7 +425,6 @@ def build_engine(
             "workers": spec.workers or None,
             "topology": spec.topology,
             "transport": spec.transport,
-            "fuse_integrate": spec.fuse_integrate,
         }
         kwargs.update(engine_kwargs)
         sim = Simulation(state, potential, **kwargs)

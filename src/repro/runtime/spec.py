@@ -12,6 +12,12 @@ Validation is strict and loud: unknown keys, out-of-range values and
 unsupported combinations raise :class:`SpecError` at parse time, never
 silently at step 10,000 of a campaign.
 
+Each field is declared once, with its ``metadata`` (``help``, and where
+they apply ``choices``, ``min``/``above`` bounds and ``physics``).
+:data:`PHYSICS_FIELDS`, the per-field range checks, :meth:`RunSpec.to_dict`
+and the CLI's spec flags (:func:`repro.cli.add_spec_flags`) are all
+derived from that metadata; only the cross-field rules are written out.
+
 :meth:`RunSpec.spec_hash` digests only the physics-determining fields
 (not ``steps``, ``backend`` or checkpointing knobs), so a checkpoint
 written under a spec can be resumed with a longer ``steps`` or a
@@ -22,30 +28,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-__all__ = ["SpecError", "ThermostatSpec", "RunSpec"]
+from repro.potentials.elements import ELEMENTS
+
+__all__ = ["SpecError", "ThermostatSpec", "RunSpec", "PHYSICS_FIELDS"]
 
 ENGINES = ("reference", "wse")
 THERMOSTAT_KINDS = ("berendsen", "langevin")
+#: ``repro.parallel.transport.TRANSPORTS`` plus ``auto``, spelled out so
+#: that parsing a spec (and building the CLI parser) does not import the
+#: parallel tier; ``tests/runtime/test_spec.py`` pins the two together.
+TRANSPORT_CHOICES = ("auto", "shared", "socket", "inline")
 
-#: Fields that determine the trajectory (hashed for checkpoint
-#: compatibility).  ``steps`` is run *length*, ``backend``/``workers``
-#: are run *speed*, ``checkpoint_interval`` is bookkeeping — none
-#: change physics, so all are excluded.
-PHYSICS_FIELDS = (
-    "element",
-    "reps",
-    "temperature",
-    "engine",
-    "dt_fs",
-    "skin",
-    "seed",
-    "thermostat",
-    "swap_interval",
-    "force_symmetry",
-)
+
+def _spec_field(default, help: str, **meta):
+    """A :class:`RunSpec` field carrying its own declaration metadata."""
+    return field(default=default, metadata={"help": help, **meta})
 
 
 class SpecError(ValueError):
@@ -97,6 +97,10 @@ class ThermostatSpec:
 @dataclass(frozen=True)
 class RunSpec:
     """Everything that determines one MD run.
+
+    Each field's metadata (see the module docstring) is its machine-read
+    declaration — the ``help`` line is what ``repro run --help`` prints;
+    the entries below carry the semantics and the reasons.
 
     Attributes
     ----------
@@ -151,15 +155,6 @@ class RunSpec:
         otherwise).  Never physics — every transport produces
         bitwise-identical trajectories — so it is excluded from the
         spec hash.
-    fuse_integrate:
-        Reference-engine fusion of the leap-frog kick+drift onto the
-        force output (the active kernel backend's ``force_integrate``
-        pass).  Like ``backend``, a speed knob, never physics: the
-        fused update performs the identical arithmetic — bitwise under
-        the numpy backend, within the 1e-9 equivalence gate under
-        compiled backends — so it is excluded from the spec hash and a
-        checkpoint can be resumed with the knob flipped.  Ignored by
-        ``wse``.
     offset_chunk:
         WSE streaming-sweep batch size: how many neighborhood offsets
         are stacked per exchange chunk (0 auto-sizes from the grid so
@@ -182,62 +177,73 @@ class RunSpec:
         checkpoint prefix (0 = only a final checkpoint).
     """
 
-    element: str = "Ta"
-    reps: tuple[int, int, int] = (8, 8, 3)
-    temperature: float = 290.0
-    engine: str = "reference"
-    steps: int = 100
-    seed: int = 0
-    dt_fs: float = 2.0
-    skin: float = 0.5
-    backend: str | None = None
-    workers: int = 0
-    topology: tuple[int, int] | None = None
-    transport: str | None = None
-    fuse_integrate: bool = False
-    offset_chunk: int = 0
-    thermostat: ThermostatSpec | None = None
-    swap_interval: int = 0
-    force_symmetry: bool = False
-    checkpoint_interval: int = 0
+    element: str = _spec_field(
+        "Ta", "benchmark metal", choices=tuple(ELEMENTS), physics=True)
+    reps: tuple[int, int, int] = _spec_field(
+        (8, 8, 3), "thin-slab unit-cell replications NX NY NZ", physics=True)
+    temperature: float = _spec_field(
+        290.0, "initial Maxwell-Boltzmann temperature in K (0 = cold)",
+        min=0, physics=True)
+    engine: str = _spec_field(
+        "reference", "reference (LAMMPS-analogue loop) or wse (lockstep "
+        "wafer machine)", choices=ENGINES, physics=True)
+    steps: int = _spec_field(100, "run length in timesteps", min=0)
+    seed: int = _spec_field(
+        0, "master seed of the run's random streams", physics=True)
+    dt_fs: float = _spec_field(
+        2.0, "timestep in fs (the paper uses 2)", above=0, physics=True)
+    skin: float = _spec_field(
+        0.5, "Verlet-list skin in A (0 = rebuild/filter every step)",
+        min=0, physics=True)
+    backend: str | None = _spec_field(
+        None, "kernel backend (numpy, numba, parallel); default: "
+        "$REPRO_KERNEL_BACKEND or numpy")
+    workers: int = _spec_field(
+        0, "worker processes for the parallel backend on the reference "
+        "engine (0 = one per CPU)", min=0)
+    topology: tuple[int, int] | None = _spec_field(
+        None, "2D domain grid PXxPY for the parallel backend (e.g. 2x2; "
+        "implies px*py workers; default: 1D columns, one per worker)")
+    transport: str | None = _spec_field(
+        None, "parallel-backend transport (default: auto - inline on "
+        "core-starved hosts, else shared memory)", choices=TRANSPORT_CHOICES)
+    offset_chunk: int = _spec_field(
+        0, "wse streaming-sweep batch size in offsets (0 = auto-sized from "
+        "the grid); a speed/memory knob, never physics", min=0)
+    thermostat: ThermostatSpec | None = _spec_field(
+        None, "temperature-control table (kind, temperature, tau_fs); "
+        "spec-file only", physics=True)
+    swap_interval: int = _spec_field(
+        0, "wse atom-swap remapping interval (0 disables)",
+        min=0, physics=True)
+    force_symmetry: bool = _spec_field(
+        False, "wse half-neighborhood optimization (Sec. VI-A)", physics=True)
+    checkpoint_interval: int = _spec_field(
+        0, "also checkpoint every N steps (0 = only a final checkpoint)",
+        min=0)
 
     def __post_init__(self) -> None:
-        from repro.potentials.elements import ELEMENTS
-
-        if self.element not in ELEMENTS:
-            raise SpecError(
-                f"unknown element {self.element!r}; "
-                f"expected one of {sorted(ELEMENTS)}"
-            )
-        if self.engine not in ENGINES:
-            raise SpecError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None:
+                continue
+            if "choices" in meta and value not in meta["choices"]:
+                raise SpecError(
+                    f"unknown {f.name} {value!r}; "
+                    f"expected one of {meta['choices']}"
+                )
+            if "min" in meta and value < meta["min"]:
+                raise SpecError(
+                    f"{f.name} must be >= {meta['min']}, got {value}"
+                )
+            if "above" in meta and value <= meta["above"]:
+                raise SpecError(
+                    f"{f.name} must be > {meta['above']}, got {value}"
+                )
         reps = tuple(int(r) for r in self.reps)
         if len(reps) != 3 or any(r < 1 for r in reps):
             raise SpecError(f"reps must be three positive ints, got {self.reps}")
         object.__setattr__(self, "reps", reps)
-        if self.temperature < 0:
-            raise SpecError(
-                f"temperature must be >= 0, got {self.temperature}"
-            )
-        if self.steps < 0:
-            raise SpecError(f"steps must be >= 0, got {self.steps}")
-        if self.dt_fs <= 0:
-            raise SpecError(f"dt_fs must be > 0, got {self.dt_fs}")
-        if self.skin < 0:
-            raise SpecError(f"skin must be >= 0, got {self.skin}")
-        if self.swap_interval < 0:
-            raise SpecError(
-                f"swap_interval must be >= 0, got {self.swap_interval}"
-            )
-        if self.checkpoint_interval < 0:
-            raise SpecError(
-                f"checkpoint_interval must be >= 0, "
-                f"got {self.checkpoint_interval}"
-            )
-        if self.workers < 0:
-            raise SpecError(f"workers must be >= 0, got {self.workers}")
         if self.topology is not None:
             topo = self.topology
             if isinstance(topo, str):
@@ -263,18 +269,6 @@ class RunSpec:
                     f"workers={self.workers} conflicts with topology "
                     f"{topo[0]}x{topo[1]} ({topo[0] * topo[1]} domains)"
                 )
-        if self.transport is not None:
-            from repro.parallel.transport import TRANSPORTS
-
-            if self.transport != "auto" and self.transport not in TRANSPORTS:
-                raise SpecError(
-                    f"unknown transport {self.transport!r}; "
-                    f"expected one of {TRANSPORTS} or 'auto'"
-                )
-        if self.offset_chunk < 0:
-            raise SpecError(
-                f"offset_chunk must be >= 0, got {self.offset_chunk}"
-            )
         if isinstance(self.thermostat, dict):
             object.__setattr__(
                 self, "thermostat", ThermostatSpec.from_dict(self.thermostat)
@@ -346,34 +340,25 @@ class RunSpec:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        """JSON/TOML-ready plain mapping (inverse of :meth:`from_dict`)."""
-        out = {
-            "element": self.element,
-            "reps": list(self.reps),
-            "temperature": float(self.temperature),
-            "engine": self.engine,
-            "steps": int(self.steps),
-            "seed": int(self.seed),
-            "dt_fs": float(self.dt_fs),
-            "skin": float(self.skin),
-            "swap_interval": int(self.swap_interval),
-            "force_symmetry": bool(self.force_symmetry),
-            "checkpoint_interval": int(self.checkpoint_interval),
-        }
-        if self.backend is not None:
-            out["backend"] = self.backend
-        if self.workers:
-            out["workers"] = int(self.workers)
-        if self.topology is not None:
-            out["topology"] = list(self.topology)
-        if self.transport is not None:
-            out["transport"] = self.transport
-        if self.fuse_integrate:
-            out["fuse_integrate"] = True
-        if self.offset_chunk:
-            out["offset_chunk"] = int(self.offset_chunk)
-        if self.thermostat is not None:
-            out["thermostat"] = self.thermostat.to_dict()
+        """JSON/TOML-ready plain mapping (inverse of :meth:`from_dict`).
+
+        Every field that is set, in declaration order; an unset
+        (``None``) field is omitted, since TOML has no null.
+        """
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if isinstance(value, ThermostatSpec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif f.default is not None:
+                # the declared scalar type, so numpy scalars and ints
+                # given for float fields serialize as plain JSON
+                value = type(f.default)(value)
+            out[f.name] = value
         return out
 
     def with_engine(self, engine: str) -> "RunSpec":
@@ -392,3 +377,12 @@ class RunSpec:
             payload[name] = value
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+#: Fields that determine the trajectory (hashed for checkpoint
+#: compatibility).  ``steps`` is run *length*, ``backend``/``workers``
+#: are run *speed*, ``checkpoint_interval`` is bookkeeping — none
+#: change physics, so all are excluded.
+PHYSICS_FIELDS = tuple(
+    f.name for f in fields(RunSpec) if f.metadata.get("physics")
+)

@@ -6,10 +6,11 @@ atomic, fsynced files :mod:`repro.runtime.checkpoint` writes) plus the
 run's telemetry (``<hash>-<steps>.telemetry.json``), indexed by
 ``index.json``.
 
-Because ``spec_hash`` digests only the physics-determining fields, a
-request that differs solely in speed knobs (``workers``, ``topology``,
-``transport``, ``offset_chunk``, ``backend``, ``fuse_integrate``) maps
-to the same key and hits.  A request for *more* steps of a cached spec
+Because ``spec_hash`` digests only the physics-determining fields
+(those declared ``physics=True`` in :class:`~repro.runtime.spec.RunSpec`'s
+field metadata), a request that differs solely in the others — the
+speed knobs ``backend``, ``workers``, ``topology``, ``transport`` and
+``offset_chunk`` — maps to the same key and hits.  A request for *more* steps of a cached spec
 finds the deepest shallower entry via :meth:`best_resume` and continues
 from its checkpoint instead of restarting.
 

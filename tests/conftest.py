@@ -104,3 +104,55 @@ def legacy_candidates(cells, positions, reach, live=None, seam=False):
         reach, inclusive=True, compute_r=True,
     )
     return exact, (ri, rj)
+
+
+def run_specs():
+    """Hypothesis strategy: valid :class:`RunSpec`\\ s over every field.
+
+    Honours the cross-field rules (langevin and ``workers`` need the
+    reference engine; ``workers`` must agree with ``topology``), so
+    every drawn spec constructs.
+    """
+    from hypothesis import strategies as st
+
+    from repro.runtime.spec import (
+        ENGINES, THERMOSTAT_KINDS, TRANSPORT_CHOICES, RunSpec, ThermostatSpec,
+    )
+
+    small = st.integers(0, 50)
+    positive = st.floats(0.01, 1e4, allow_nan=False)
+    non_negative = st.floats(0.0, 1e4, allow_nan=False)
+
+    @st.composite
+    def build(draw):
+        engine = draw(st.sampled_from(ENGINES))
+        kinds = [k for k in THERMOSTAT_KINDS
+                 if engine == "reference" or k != "langevin"]
+        topology = draw(st.none() | st.tuples(st.integers(1, 3),
+                                              st.integers(1, 3)))
+        domains = topology[0] * topology[1] if topology else draw(small)
+        return RunSpec(
+            element=draw(st.sampled_from(("Cu", "W", "Ta"))),
+            reps=draw(st.tuples(*[st.integers(1, 9)] * 3)),
+            temperature=draw(non_negative),
+            engine=engine,
+            steps=draw(small),
+            seed=draw(st.integers(0, 2**31)),
+            dt_fs=draw(positive),
+            skin=draw(non_negative),
+            backend=draw(st.none() | st.sampled_from(
+                ("numpy", "numba", "parallel"))),
+            workers=(draw(st.sampled_from((0, domains)))
+                     if engine == "reference" else 0),
+            topology=topology,
+            transport=draw(st.none() | st.sampled_from(TRANSPORT_CHOICES)),
+            offset_chunk=draw(small),
+            thermostat=draw(st.none() | st.builds(
+                ThermostatSpec, st.sampled_from(kinds), non_negative,
+                positive)),
+            swap_interval=draw(small),
+            force_symmetry=draw(st.booleans()),
+            checkpoint_interval=draw(small),
+        )
+
+    return build()

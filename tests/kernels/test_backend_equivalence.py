@@ -2,10 +2,10 @@
 
 Property-style random inputs, parametrized over every backend the host
 can import x every function of the widened kernel interface.  The gate
-is 1e-9 relative everywhere; the scatter-add accumulators and the
-force+integrate fold are additionally asserted **bitwise**, because
-their scalar operation sequence provably matches across backends (no
-reassociation, no FMA contraction — see the numba module docstring).
+is 1e-9 relative everywhere; the scatter-add accumulators are
+additionally asserted **bitwise**, because their scalar operation
+sequence provably matches across backends (no reassociation, no FMA
+contraction — see the numba module docstring).
 
 On hosts without numba the suite still runs over numpy + parallel (the
 parallel module re-exports the numpy kernels, so it doubles as a check
@@ -16,7 +16,6 @@ file with the JIT tier installed.
 import numpy as np
 import pytest
 
-from repro.constants import MVV2E
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_FUNCTIONS,
@@ -28,7 +27,7 @@ from repro.kernels import (
 from repro.potentials.spline import SplineGroup, UniformCubicSpline
 
 #: Functions whose outputs must match numpy bit for bit.
-BITWISE = ("accumulate_scalar", "accumulate_vec3", "force_integrate")
+BITWISE = ("accumulate_scalar", "accumulate_vec3")
 
 SEEDS = (0, 1, 2, 3)
 
@@ -149,15 +148,6 @@ def _fused_force_pass_inputs(rng):
     return (i, j, rij, r, f_der, d_ji, d_ij, bank, member, n_atoms), {}
 
 
-def _force_integrate_inputs(rng):
-    n = 40
-    positions = rng.normal(size=(n, 3)) * 5.0
-    velocities = rng.normal(size=(n, 3)) * 0.01
-    forces = rng.normal(size=(n, 3))
-    masses = rng.uniform(50.0, 200.0, size=n)
-    return (positions, velocities, forces, masses, 0.002, MVV2E), {}
-
-
 _INPUTS = {
     "spline_eval": _spline_eval_inputs,
     "accumulate_scalar": _accumulate_scalar_inputs,
@@ -166,23 +156,12 @@ _INPUTS = {
     "neighbor_prefilter": _neighbor_prefilter_inputs,
     "fused_density_pass": _fused_density_pass_inputs,
     "fused_force_pass": _fused_force_pass_inputs,
-    "force_integrate": _force_integrate_inputs,
 }
 
 
 def _call(fn_name, args, kwargs):
-    """Invoke on the active backend; normalize output to a tuple.
-
-    ``force_integrate`` mutates in place, so its observable output is
-    the mutated position/velocity arrays (called on private copies).
-    """
+    """Invoke on the active backend; normalize output to a tuple."""
     fn = getattr(active_backend(), fn_name)
-    if fn_name == "force_integrate":
-        positions, velocities, *rest = args
-        positions = positions.copy()
-        velocities = velocities.copy()
-        fn(positions, velocities, *rest, **kwargs)
-        return positions, velocities
     out = fn(*args, **kwargs)
     return out if isinstance(out, tuple) else (out,)
 

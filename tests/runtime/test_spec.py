@@ -1,10 +1,14 @@
 """RunSpec parsing, validation, round-trips and the physics hash."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.runtime import RunSpec, SpecError, ThermostatSpec
+from repro.runtime.spec import PHYSICS_FIELDS, TRANSPORT_CHOICES
+from tests.conftest import run_specs
 
 
 class TestValidation:
@@ -32,19 +36,36 @@ class TestValidation:
         assert all(isinstance(r, int) for r in spec.reps)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "name, value, bound",
         [
-            {"temperature": -1.0},
-            {"steps": -1},
-            {"dt_fs": 0.0},
-            {"skin": -0.1},
-            {"swap_interval": -5},
-            {"checkpoint_interval": -1},
+            ("temperature", -1.0, ">= 0"),
+            ("steps", -1, ">= 0"),
+            ("dt_fs", 0.0, "> 0"),
+            ("dt_fs", -2.0, "> 0"),
+            ("skin", -0.1, ">= 0"),
+            ("swap_interval", -5, ">= 0"),
+            ("checkpoint_interval", -1, ">= 0"),
+            ("workers", -2, ">= 0"),
+            ("offset_chunk", -4, ">= 0"),
         ],
     )
-    def test_out_of_range_scalars(self, kwargs):
-        with pytest.raises(SpecError):
-            RunSpec(**kwargs)
+    def test_out_of_range_scalars(self, name, value, bound):
+        # the range checks are generated from the field metadata; the
+        # message still names the field, the bound and the offender
+        with pytest.raises(SpecError) as exc:
+            RunSpec(**{name: value})
+        assert str(exc.value) == f"{name} must be {bound}, got {value}"
+
+    def test_unknown_transport_names_the_choices(self):
+        with pytest.raises(SpecError, match="unknown transport 'pigeon'"):
+            RunSpec(transport="pigeon")
+
+    def test_transport_choices_are_the_movers_plus_auto(self):
+        # spelled out in spec.py so parsing a spec never imports the
+        # parallel tier; this is the pin that keeps the two together
+        from repro.parallel.transport import TRANSPORTS
+
+        assert set(TRANSPORT_CHOICES) == {"auto", *TRANSPORTS}
 
     def test_langevin_on_wse_rejected(self):
         ts = ThermostatSpec(kind="langevin", temperature=290.0)
@@ -95,6 +116,27 @@ class TestSerialization:
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
+    @settings(max_examples=200, deadline=None)
+    @given(run_specs())
+    def test_dict_round_trip_over_every_field(self, spec):
+        data = spec.to_dict()
+        assert RunSpec.from_dict(data) == spec
+        assert RunSpec.from_dict(json.loads(json.dumps(data))) == spec
+        assert None not in data.values()  # TOML has no null
+
+    def test_to_dict_coerces_to_the_declared_scalar_type(self):
+        import numpy as np
+
+        data = RunSpec(temperature=300, steps=np.int64(7)).to_dict()
+        assert type(data["temperature"]) is float
+        assert type(data["steps"]) is int
+
+    def test_removed_fuse_integrate_is_an_unknown_key(self):
+        # the knob is gone; an old spec file or served request that
+        # still carries it is rejected like any other typo
+        with pytest.raises(SpecError, match="unknown spec keys.*fuse_integrate"):
+            RunSpec.from_dict({"element": "Ta", "fuse_integrate": True})
+
     def test_to_dict_is_json_safe(self):
         spec = RunSpec(thermostat={"kind": "langevin", "temperature": 290.0})
         json.dumps(spec.to_dict())  # must not raise
@@ -134,6 +176,29 @@ class TestSerialization:
 
 
 class TestSpecHash:
+    #: recorded at the commit before the fields grew metadata; a
+    #: checkpoint or a serve-cache entry written then must still match
+    PINNED = {
+        "927bd71db5de8d38": RunSpec(),
+        "6205cb5363226738": RunSpec(element="Cu", engine="wse",
+                                    swap_interval=7, force_symmetry=True),
+        "98b7401e20179bbe": RunSpec(
+            thermostat=ThermostatSpec("berendsen", 300.0, 50.0)),
+        "d2fd01f22c2d6076": RunSpec(skin=0.0, dt_fs=1.0),
+    }
+
+    @pytest.mark.parametrize("digest", sorted(PINNED))
+    def test_pinned_hashes(self, digest):
+        assert self.PINNED[digest].spec_hash() == digest
+
+    def test_physics_fields_are_the_flagged_fields(self):
+        assert set(PHYSICS_FIELDS) == {
+            "element", "reps", "temperature", "engine", "dt_fs", "skin",
+            "seed", "thermostat", "swap_interval", "force_symmetry",
+        }
+        for f in dataclasses.fields(RunSpec):
+            assert f.metadata["help"], f.name
+
     def test_physics_change_changes_hash(self):
         base = RunSpec()
         assert base.spec_hash() != RunSpec(seed=1).spec_hash()
@@ -142,8 +207,6 @@ class TestSpecHash:
 
     def test_non_physics_fields_do_not_change_hash(self):
         base = RunSpec(steps=10)
-        import dataclasses
-
         longer = dataclasses.replace(
             base, steps=1000, backend="numpy", checkpoint_interval=5
         )

@@ -9,6 +9,8 @@ import asyncio
 import json
 import socket
 
+import pytest
+
 from repro.runtime import RunSpec
 from repro.serve import (
     JobScheduler,
@@ -120,14 +122,17 @@ class TestOps:
 
 
 class TestErrors:
-    def test_bad_spec_maps_to_code_2(self, tmp_path):
-        response = _with_server(
-            tmp_path,
-            lambda c: c.submit({"element": "Unobtanium"}),
-        )
+    @pytest.mark.parametrize("spec, complaint", [
+        ({"element": "Unobtanium"}, "unknown element"),
+        # a field that no longer exists is an unknown key like any other
+        ({"element": "Ta", "fuse_integrate": True}, "unknown spec keys"),
+    ])
+    def test_bad_spec_maps_to_code_2(self, tmp_path, spec, complaint):
+        response = _with_server(tmp_path, lambda c: c.submit(spec))
         assert not response["ok"]
         assert response["code"] == 2
         assert "invalid run spec" in response["error"]
+        assert complaint in response["error"]
 
     def test_bad_sweep_field_maps_to_code_2(self, tmp_path):
         response = _with_server(

@@ -100,15 +100,13 @@ class TestCacheSemantics:
         )
 
     def test_speed_knob_change_still_hits(self, tmp_path):
-        """backend/workers/fuse are not physics: same cache key."""
+        """backend/offset_chunk are not physics: same cache key."""
         from dataclasses import replace
 
         async def body():
             sched = _scheduler(tmp_path)
             await sched.wait(await sched.submit(SPEC))
-            tweaked = replace(
-                SPEC, backend="numpy", fuse_integrate=True, offset_chunk=7
-            )
+            tweaked = replace(SPEC, backend="numpy", offset_chunk=7)
             job = await sched.submit(tweaked)
             await sched.wait(job)
             await sched.close()

@@ -1,9 +1,45 @@
 """CLI smoke tests."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, spec_from_args
+from repro.runtime import RunSpec
+from tests.conftest import run_specs
+
+#: the commands that take the generated spec flags
+SPEC_COMMANDS = ("run", "submit", "validate", "profile")
+TA_QUICK = Path(__file__).resolve().parents[1] / "examples/specs/ta_quick.toml"
+#: every RunSpec field with a flag (``thermostat`` is a nested table)
+FLAG_FIELDS = [f for f in dataclasses.fields(RunSpec) if f.name != "thermostat"]
+
+
+def resolve(*argv) -> RunSpec:
+    """The spec a command line means, without running the command."""
+    return spec_from_args(build_parser().parse_args([str(a) for a in argv]))
+
+
+def flags_for(spec: RunSpec) -> list[str]:
+    """The argv spelling of every set flag-field of ``spec``."""
+    argv = []
+    for f in FLAG_FIELDS:
+        value = getattr(spec, f.name)
+        flag = "--" + f.name.replace("_", "-")
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        elif f.name == "topology":
+            argv += [flag, f"{value[0]}x{value[1]}"]
+        elif isinstance(value, tuple):
+            argv += [flag, *map(str, value)]
+        else:
+            argv += [flag, repr(value) if isinstance(value, float) else value]
+    return argv
 
 
 class TestParser:
@@ -12,10 +48,19 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.element == "Ta"
-        assert args.engine == "wse"
-        assert args.reps == [8, 8, 3]
+        spec = resolve("run")
+        assert spec == RunSpec(engine="wse")
+        assert (spec.element, spec.reps, spec.steps) == ("Ta", (8, 8, 3), 100)
+        assert resolve("submit") == spec
+
+    def test_validate_and_profile_defaults(self):
+        assert resolve("validate") == RunSpec(
+            reps=(4, 4, 2), steps=10, temperature=150.0)
+        assert resolve("profile") == RunSpec()
+        assert resolve("profile", "--quick") == RunSpec(
+            reps=(5, 5, 2), steps=30, swap_interval=10)
+        # a typed flag beats the --quick default it shadows
+        assert resolve("profile", "--quick", "--steps", 6).steps == 6
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -23,13 +68,12 @@ class TestParser:
 
     def test_submit_shares_workload_flags_with_run(self):
         """run and submit accept the same RunSpec-shaping flags."""
-        args = build_parser().parse_args(
-            ["submit", "--element", "Cu", "--reps", "4", "4", "2",
-             "--steps", "7", "--engine", "reference", "--replicas", "3"]
-        )
-        assert args.element == "Cu"
-        assert args.steps == 7
+        argv = ["--element", "Cu", "--reps", "4", "4", "2",
+                "--steps", "7", "--engine", "reference"]
+        args = build_parser().parse_args(["submit", *argv, "--replicas", "3"])
         assert args.replicas == 3
+        assert spec_from_args(args) == resolve("run", *argv) == RunSpec(
+            element="Cu", reps=(4, 4, 2), steps=7)
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -40,6 +84,78 @@ class TestParser:
     def test_jobs_flags(self):
         args = build_parser().parse_args(["jobs", "--cancel", "j0001"])
         assert args.cancel == "j0001"
+
+
+class TestSpecFlags:
+    """One generated flag per RunSpec field, one resolution order."""
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_flags_override_the_spec_file(self, command):
+        in_file = RunSpec.from_file(TA_QUICK)
+        spec = resolve(
+            command, "--spec", TA_QUICK, "--seed", 7, "--temperature", 900,
+            "--element", "Cu", "--reps", 3, 3, 2, "--engine", "reference",
+            "--swap-interval", 5, "--no-force-symmetry",
+        )
+        assert spec == dataclasses.replace(
+            in_file, seed=7, temperature=900.0, element="Cu", reps=(3, 3, 2),
+            engine="reference", swap_interval=5, force_symmetry=False,
+        )
+        # ... and nothing else moved (steps 10, dt 2 fs are the file's)
+        assert (spec.steps, spec.dt_fs) == (in_file.steps, in_file.dt_fs)
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_no_flag_means_the_file(self, command):
+        assert resolve(command, "--spec", TA_QUICK) == RunSpec.from_file(
+            TA_QUICK)
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_flag_conflicting_with_the_file_exits_2(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "grid.toml"
+        path.write_text('backend = "parallel"\ntopology = "2x2"\n')
+        assert resolve(command, "--spec", path).topology == (2, 2)
+        assert main([command, "--spec", str(path), "--workers", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid run spec" in err and "conflicts with topology" in err
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_every_field_is_a_flag_documented_by_its_metadata(self, command):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        actions = {a.dest: a for a in sub._actions}
+        for f in FLAG_FIELDS:
+            action = actions[f.name]
+            assert "--" + f.name.replace("_", "-") in action.option_strings
+            assert action.help == f.metadata["help"]
+            assert action.default is None  # "not typed"
+            # argparse and __post_init__ check the very same tuple
+            assert action.choices is f.metadata.get("choices")
+        assert "thermostat" not in actions  # nested: spec-file only
+        for name in ("element", "engine", "transport"):
+            assert actions[name].choices
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_specs())
+    def test_flags_round_trip_a_spec(self, spec):
+        spec = dataclasses.replace(spec, thermostat=None)
+        for command in ("run", "submit"):
+            assert resolve(command, *flags_for(spec)) == spec
+
+    def test_spec_help_no_longer_says_flags_are_ignored(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # undo wrapping
+        assert "ignored" not in out
+        assert "A typed flag overrides --spec FILE" in out
+
+    def test_seed_flag_changes_a_spec_file_run(self, capsys):
+        # the defect this resolution order fixes: --seed used to be
+        # dropped silently whenever --spec was given
+        assert main(["run", "--spec", str(TA_QUICK)]) == 0
+        seed0 = capsys.readouterr().out
+        assert main(["run", "--spec", str(TA_QUICK), "--seed", "99"]) == 0
+        assert capsys.readouterr().out != seed0
 
 
 class TestCommands:
