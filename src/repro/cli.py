@@ -13,7 +13,7 @@ Commands
     :class:`~repro.runtime.RunSpec` field, each overriding the file.
 ``serve``
     Start the job server (:mod:`repro.serve`): a bounded pool of
-    runner slots behind a JSON-lines TCP API, with an on-disk result
+    slot processes behind a JSON-lines TCP API, with an on-disk result
     cache keyed by ``(spec_hash, n_steps)`` — identical submissions
     return the stored telemetry, longer ones resume from the stored
     checkpoint.
@@ -339,8 +339,11 @@ def _cmd_jobs(args) -> int:
             return EXIT_OK
         if args.stats:
             stats = client.stats()["stats"]
-            print(f"slots: {stats['slots']}, jobs: {stats['jobs']}, "
-                  f"states: {stats['states']}")
+            print(f"slots: {stats['slots']}, "
+                  f"slot_pids: {stats['slot_pids']}, "
+                  f"slots_busy: {stats['slots_busy']}, "
+                  f"slot_restarts: {stats['slot_restarts']}, "
+                  f"jobs: {stats['jobs']}, states: {stats['states']}")
             cache = stats.get("cache")
             if cache:
                 print(f"cache: {cache['entries']} entries, "
@@ -668,8 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="client socket timeout in seconds")
     submit.add_argument("--replicas", type=int, default=1,
-                        help="ensemble size: N jobs at seed, seed+1, ... "
-                             "sharing lattice+potential construction")
+                        help="ensemble size: N jobs at seed, seed+1, ...")
     submit.add_argument("--sweep", default=None, metavar="FIELD=V1,V2",
                         help="parameter sweep, e.g. "
                              "temperature=100,200,300 (crossed with "

@@ -97,7 +97,7 @@ _resolved: dict[str, ModuleType | SimpleNamespace] = {}
 _warmups: dict[str, float] = {}
 #: Backend names whose fallback warning has already been emitted; a
 #: long campaign calling ``set_backend`` per run warns once per name,
-#: not once per call.  Long-lived processes (the serve scheduler) call
+#: not once per call.  Long-lived processes (the serve slots) call
 #: :func:`reset_warnings` between jobs so one job's degradation does
 #: not silence the next job's — and so forked workers, which inherit
 #: this set from the parent, do not inherit its suppressions.
@@ -110,7 +110,7 @@ def reset_warnings() -> None:
     The warn-once cache is module state: without a reset it suppresses
     warnings for the life of the process *and* across fork, so a
     worker or a served job never hears about degradations that predate
-    it.  The serve scheduler calls this before each job.
+    it.  A serve slot calls this before each job.
     """
     _warned_fallbacks.clear()
 

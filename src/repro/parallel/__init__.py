@@ -98,7 +98,7 @@ def reset_warnings() -> None:
     """Re-arm the once-per-reason fallback warnings (and the domain
     planner's once-per-shape degenerate-decomposition warnings).
 
-    Called per served job by the serve scheduler; forked workers that
+    Called per served job by the serve slot; forked workers that
     inherited a populated cache can call it to hear warnings again.
     """
     from repro.parallel import domains

@@ -78,38 +78,20 @@ class Engine(Protocol):
 def build_state(
     spec: RunSpec,
     rng: np.random.Generator | None = None,
-    *,
-    workload_cache: dict | None = None,
 ) -> tuple[AtomsState, object]:
     """The spec's thin-slab workload: initial state and potential.
 
     ``rng`` is the velocity stream; when omitted it is derived from
     ``spec.seed`` exactly as :func:`build_engine` derives it, so a
     state built here matches the one a factory-built engine starts
-    from.
-
-    ``workload_cache`` amortizes lattice and potential construction
-    across an ensemble: keyed by ``(element, reps)``, it stores the
-    slab positions, box extent and potential so N replicas (different
-    seeds / temperatures — the same geometry) build the lattice once.
-    Each call still returns a *fresh* state (positions copied, box
-    rebuilt), so replicas never alias mutable arrays.
+    from.  The only expensive part, the element's potential tables, is
+    memoised per process by :func:`make_element_potential`.
     """
     el = ELEMENTS[spec.element]
-    key = (spec.element, spec.reps)
-    cached = workload_cache.get(key) if workload_cache is not None else None
-    if cached is None:
-        potential = make_element_potential(spec.element)
-        slab = make_slab(el.cell, el.lattice_constant, spec.reps)
-        extent = slab.box + 4.0 * el.cutoff
-        if workload_cache is not None:
-            workload_cache[key] = (slab.positions, extent, potential)
-        positions = slab.positions
-    else:
-        positions, extent, potential = cached
-    box = Box.open(extent)
+    potential = make_element_potential(spec.element)
+    slab = make_slab(el.cell, el.lattice_constant, spec.reps)
     state = AtomsState.from_positions(
-        np.array(positions, dtype=np.float64, copy=True), box, mass=el.mass
+        slab.positions, Box.open(slab.box + 4.0 * el.cutoff), mass=el.mass
     )
     if spec.temperature > 0:
         if rng is None:

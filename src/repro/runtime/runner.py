@@ -180,10 +180,10 @@ class Runner:
     def request_stop(self) -> None:
         """Ask a :meth:`run` in progress to break at the next chunk.
 
-        Safe from any thread — this is how the serve scheduler cancels
-        a job whose loop runs in a worker thread.  The loop still
-        writes its final checkpoint, so the partial trajectory remains
-        resumable.
+        Safe from any thread, and from an observer of the loop itself
+        — which is how a serve slot cancels its job when a ``stop``
+        message is waiting on its pipe.  The loop still writes its
+        final checkpoint, so the partial trajectory remains resumable.
         """
         self._stop.set()
 
@@ -195,9 +195,9 @@ class Runner:
     def close(self) -> None:
         """Release engine resources (e.g. the parallel worker pool).
 
-        Idempotent and thread-safe: the serve scheduler calls this both
-        from its cancellation path and from the worker thread's cleanup,
-        possibly concurrently.  Also stops any loop still running.
+        Idempotent and thread-safe: a caller may close from a cleanup
+        path and from another thread, possibly concurrently.  Also
+        stops any loop still running.
         """
         self._stop.set()
         with self._close_lock:

@@ -3,7 +3,7 @@
 The paper's wafer holds a simulation for days; the question this layer
 answers is what sits *in front* of such an engine: a job runtime that
 accepts declarative :class:`~repro.runtime.spec.RunSpec` requests,
-schedules them onto a bounded pool of persistent runner slots, and
+schedules them onto a bounded pool of persistent slot processes, and
 never recomputes what it already knows.  Results are cached by
 ``(spec_hash, n_steps)`` on top of the atomic checkpoint store — an
 identical request returns the stored telemetry without touching an
@@ -18,8 +18,10 @@ Layers (each its own module):
   and corruption-tolerant validation;
 * :mod:`~repro.serve.events` — lifecycle/progress/log streaming to
   subscribers;
-* :mod:`~repro.serve.scheduler` — slots, coalescing, ensembles,
-  cancellation;
+* :mod:`~repro.serve.slots` — the slot process an engine runs in and
+  the pipe protocol to it;
+* :mod:`~repro.serve.scheduler` — coalescing, cache decisions,
+  ensembles, cancellation, slot loss;
 * :mod:`~repro.serve.api` — the JSON-lines TCP wire protocol and the
   blocking client behind ``repro serve`` / ``repro submit`` /
   ``repro jobs``.

@@ -19,7 +19,8 @@ Ops
 ``jobs`` / ``status`` / ``cancel``
     The job table, one job by id, and cancellation.
 ``stats``
-    Scheduler snapshot: slots, job states, cache counters.
+    Scheduler snapshot: slots (pids, busy, restarts), job states,
+    cache counters.
 ``shutdown``
     Acknowledge, then stop the server loop.
 
@@ -311,6 +312,7 @@ def run_server(
             if cache_dir
             else None
         )
+        # the slots fork here, before a listener or connection exists
         scheduler = JobScheduler(
             slots=slots, cache=cache, progress_interval=progress_interval
         )

@@ -28,9 +28,12 @@ Durability and corruption tolerance:
 * an LRU byte cap bounds the directory; eviction order is a persisted
   logical clock, not wall time, so it is deterministic under test.
 
-The cache is shared by every runner slot, so all operations serialize
-behind one reentrant lock — concurrent ``put`` calls from worker
-threads must not race the ``index.json.tmp`` -> ``index.json`` rename.
+One process owns a cache directory.  Under ``repro serve`` that is the
+server: slot processes write checkpoint trios under prefixes it hands
+them, but every call below is made on its event loop, so the index
+needs no cross-process locking.  The reentrant lock keeps an instance
+shareable between threads — concurrent ``put`` calls must not race the
+``index.json.tmp`` -> ``index.json`` rename.
 """
 
 from __future__ import annotations

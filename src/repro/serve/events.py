@@ -7,11 +7,11 @@ through :meth:`EventBus.subscribe`, optionally filtered to one job; the
 API layer turns a subscription into a stream of JSON lines for
 ``repro submit --watch``.
 
-Publishing is loop-confined: the scheduler's event loop calls
-:meth:`EventBus.publish` directly, and worker threads hand events to
-the loop via ``loop.call_soon_threadsafe`` (see the scheduler's
-``_post`` helper).  Slow subscribers never block the scheduler — a
-full queue drops the oldest event and counts the drop.
+Publishing is loop-confined: only the scheduler's event loop calls
+:meth:`EventBus.publish` — progress samples taken in a slot process
+reach it as pipe messages the loop reads.  Slow subscribers never
+block the scheduler — a full queue drops the oldest event and counts
+the drop.
 """
 
 from __future__ import annotations

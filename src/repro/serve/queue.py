@@ -11,10 +11,10 @@ CI smoke.
 
 The :class:`JobTable` is the scheduler's in-memory registry: insertion-
 ordered, id-keyed, with monotonically increasing ids.  It is loop-
-confined state — only the scheduler's event loop creates jobs and
-transitions states; worker threads append log lines (list append is
-atomic under the GIL) and set result fields before the loop publishes
-the terminal transition.
+confined state of the server process — only the scheduler's event loop
+creates jobs, transitions states, appends log lines and sets result
+fields; a slot process never sees a :class:`Job`, only the spec and
+checkpoint prefixes the scheduler sends it.
 """
 
 from __future__ import annotations
@@ -63,13 +63,15 @@ class Job:
     coalesced: int = 0
     #: Batch id when submitted as part of an ensemble.
     ensemble: Optional[str] = None
+    #: Pid of the slot process that ran the job (``None`` for a hit).
+    slot_pid: Optional[int] = None
     error: Optional[str] = None
     result: Optional[dict] = None
     log: list = field(default_factory=list)
     cancel_requested: bool = False
     # loop-side handles (not serialized)
     task: object = None
-    runner: object = None
+    slot: object = None  # the Slot stepping it right now
     done_event: object = None
 
     @property
@@ -95,6 +97,7 @@ class Job:
             "resume_step": int(self.resume_step),
             "coalesced": int(self.coalesced),
             "ensemble": self.ensemble,
+            "slot_pid": self.slot_pid,
             "error": self.error,
             "result": self.result,
             "log": list(self.log),

@@ -1,62 +1,65 @@
-"""The async job scheduler: bounded runner slots over the runtime.
+"""The async job scheduler: bounded slot processes over the runtime.
 
 One :class:`JobScheduler` owns everything between an accepted
 :class:`~repro.runtime.spec.RunSpec` and a served result:
 
-* a bounded pool of **persistent runner slots** — an
-  :class:`asyncio.Semaphore` gating a thread pool of the same width,
-  so at most ``slots`` engines step concurrently while any number of
-  jobs wait queued;
+* a bounded pool of **persistent slot processes**
+  (:mod:`repro.serve.slots`) — forked when the scheduler is
+  constructed, one engine at a time each, so two jobs never share an
+  interpreter lock; any number of jobs wait queued for an idle slot;
 * **coalescing**: a submission whose ``(spec_hash, steps)`` key is
   already in flight attaches to the running job instead of spawning a
   duplicate engine run;
 * the **result cache** (:class:`~repro.serve.cache.ResultCache`):
-  exact keys return the stored telemetry without touching an engine,
-  and longer requests resume from the deepest stored checkpoint;
+  exact keys return the stored telemetry without touching, or waiting
+  for, a slot, and longer requests resume from the deepest stored
+  checkpoint;
 * **ensembles**: N replicas / parameter sweeps expanded into jobs that
-  share lattice + potential construction through the runtime's
-  workload cache and amortize slot spawn across the batch;
+  drain through the same persistent slots;
 * **lifecycle + cancellation**: ``queued -> running -> done | failed |
-  cancelled``, with cancellation delivered cross-thread through
-  :meth:`~repro.runtime.runner.Runner.request_stop` — the loop breaks
-  at the next chunk boundary and the partial trajectory is cached, so
-  cancelled work is still resumable;
+  cancelled``; a cancel crosses the pipe as a ``stop`` message, the
+  slot's loop breaks at the next chunk boundary and the partial
+  trajectory is cached, so cancelled work is still resumable; a slot
+  that dies under its job fails it with
+  :class:`~repro.serve.slots.SlotLost` and is replaced;
 * **event streaming**: state transitions, log lines, and per-interval
-  progress samples (fed by the runner's existing observer bus) pushed
-  to :class:`~repro.serve.events.EventBus` subscribers.
+  progress samples (taken inside the slot by the runner's observer
+  bus) pushed to :class:`~repro.serve.events.EventBus` subscribers.
 
-Thread discipline: job state transitions happen on the scheduler's
-event loop; the engine loop runs in a worker thread and communicates
-back only through ``loop.call_soon_threadsafe``.  Each served job
-starts by re-arming the kernel/parallel warn-once caches
-(:func:`repro.kernels.reset_warnings`) so one job's backend
-degradation warnings are not silenced by an earlier, unrelated job's.
+Process discipline: everything that decides or mutates — cache index,
+coalescing, job states, event bus, ``serve.*`` metrics — lives on the
+event loop of the server process, which starts no thread and never
+executes ``Runner.run``.  A slot gets a spec and two checkpoint
+prefixes and answers with telemetry; it writes checkpoint files into
+the cache directory, but only this process indexes them.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import replace
+from functools import partial
 
 from repro.obs import label, metrics
-from repro.runtime.runner import Runner
 from repro.runtime.spec import RunSpec, SpecError
 from repro.serve.cache import ResultCache
 from repro.serve.events import EventBus
 from repro.serve.queue import Job, JobState, JobTable
+from repro.serve.slots import Slot
 
 __all__ = ["JobScheduler"]
 
 
 class JobScheduler:
-    """Accept RunSpecs, schedule them on runner slots, cache results.
+    """Accept RunSpecs, schedule them on slot processes, cache results.
 
     Parameters
     ----------
     slots:
-        Concurrent engine runs (and worker threads).  Queued jobs wait.
+        Concurrent engine runs, one child process each, started here:
+        construct the scheduler before the process owns listeners,
+        connections or threads a fork would copy.  Queued jobs wait.
     cache:
         Optional :class:`ResultCache`; without one every job is a fresh
         run and nothing is stored.
@@ -84,14 +87,9 @@ class JobScheduler:
         self.progress_interval = int(progress_interval)
         self.jobs = JobTable()
         self._inflight: dict[tuple, Job] = {}
-        self._sem = asyncio.Semaphore(self.slots)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.slots, thread_name_prefix="repro-serve"
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        #: (element, reps) -> shared slab/potential (ensemble amortization)
-        self._workload_cache: dict = {}
-        self._workload_lock = threading.Lock()
+        self._slots = [Slot(index) for index in range(self.slots)]
+        self._idle = list(self._slots)
+        self._sem = asyncio.Semaphore(self.slots)  # a permit: an idle slot
         self._ensembles = 0
         self._closed = False
 
@@ -112,7 +110,6 @@ class JobScheduler:
         """
         if self._closed:
             raise RuntimeError("scheduler is closed")
-        self._loop = asyncio.get_running_loop()
         if steps is not None:
             spec = replace(spec, steps=int(steps))
         target = spec.steps
@@ -160,8 +157,8 @@ class JobScheduler:
 
         Replica ``i`` runs ``seed + i``; ``sweep`` maps one spec field
         to a list of values (crossed with the replicas).  All jobs in
-        the batch share lattice + potential construction through the
-        workload cache and drain through the same persistent slots.
+        the batch drain through the same persistent slots, each of
+        which builds an element's potential tables at most once.
         """
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -206,15 +203,17 @@ class JobScheduler:
         job = self.jobs.get(job_id)
         if job is None or job.terminal:
             return False
-        job.cancel_requested = True
         self._log(job, "cancellation requested")
-        runner = job.runner
-        if runner is not None:
-            runner.request_stop()
-        elif job.state is JobState.QUEUED and job.task is not None:
-            job.task.cancel()
+        self._interrupt(job)
         await job.done_event.wait()
         return job.state is JobState.CANCELLED
+
+    def _interrupt(self, job: Job) -> None:
+        job.cancel_requested = True
+        if job.slot is not None:
+            job.slot.send(("stop", job.id))
+        elif job.state is JobState.QUEUED and job.task is not None:
+            job.task.cancel()
 
     # -- loop-side internals -----------------------------------------------
 
@@ -234,25 +233,30 @@ class JobScheduler:
         job.log.append(line)
         self.bus.publish(job.id, "log", {"line": line})
 
-    def _post(self, fn, *args) -> None:
-        """Run ``fn`` on the scheduler loop from a worker thread."""
-        self._loop.call_soon_threadsafe(fn, *args)
-
     async def _run_job(self, job: Job) -> None:
         try:
-            async with self._sem:
-                if job.cancel_requested:
-                    self._set_state(job, JobState.CANCELLED)
-                    return
-                self._set_state(job, JobState.RUNNING)
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._execute, job
-                )
-                job.result = result
-                if job.cancel_requested and result.get("steps", 0) < job.steps:
-                    self._set_state(job, JobState.CANCELLED)
-                else:
-                    self._set_state(job, JobState.DONE, cache=job.cache)
+            # a hit neither waits for nor touches a slot
+            job.result = self._serve_from_cache(job)
+            if job.result is None:
+                async with self._sem:
+                    if job.cancel_requested:
+                        self._set_state(job, JobState.CANCELLED)
+                        return
+                    self._set_state(job, JobState.RUNNING)
+                    for slot in self._idle:
+                        # one that died idle is replaced here, where
+                        # its death costs no job
+                        slot.ensure_alive()
+                    slot = self._idle.pop(0)
+                    try:
+                        job.result = await self._compute(job, slot)
+                    finally:
+                        job.slot = None
+                        self._idle.append(slot)
+            if job.cancel_requested and job.result["steps"] < job.steps:
+                self._set_state(job, JobState.CANCELLED)
+            else:
+                self._set_state(job, JobState.DONE, cache=job.cache)
         except asyncio.CancelledError:
             self._set_state(job, JobState.CANCELLED)
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
@@ -263,59 +267,63 @@ class JobScheduler:
             if self._inflight.get(job.key) is job:
                 self._inflight.pop(job.key, None)
 
-    # -- worker-thread execution -------------------------------------------
-
-    def _execute(self, job: Job) -> dict:
-        """Serve one job on a worker thread; returns the result dict."""
-        from repro.kernels import reset_warnings as reset_kernel_warnings
-        from repro.parallel import reset_warnings as reset_parallel_warnings
-
-        # per-job re-arm: an earlier job's fallback must not silence
-        # this job's, and vice versa (warn-once caches are process
-        # state that also survives fork)
-        reset_kernel_warnings()
-        reset_parallel_warnings()
-
-        spec = job.spec
+    def _serve_from_cache(self, job: Job) -> dict | None:
+        """Serve the job's exact key from the cache, if it is there."""
+        if self.cache is None:
+            return None
         spec_hash, target = job.key
+        if self.cache.lookup(spec_hash, target) is None:
+            return None
+        telemetry = self.cache.telemetry(spec_hash, target)
+        if telemetry is None:
+            # checkpoint valid but telemetry sidecar unreadable:
+            # recompute
+            self.cache.evict(spec_hash, target)
+            return None
+        job.cache = "hit"
+        self._set_state(job, JobState.RUNNING)
+        self._log(
+            job,
+            f"cache hit: ({spec_hash}, {target}) served from "
+            f"stored result, no engine run",
+        )
+        return {
+            "telemetry": telemetry,
+            "cache": "hit",
+            "resume_step": 0,
+            "steps": target,
+            "checkpoint": str(self.cache.prefix(spec_hash, target)),
+        }
 
-        if self.cache is not None:
-            entry = self.cache.lookup(spec_hash, target)
+    async def _compute(self, job: Job, slot: Slot) -> dict:
+        """The server half of an engine run: pick the resume source,
+        have ``slot`` compute, adopt what it wrote into the cache."""
+        spec_hash, target = job.key
+        cache = self.cache
+        prefix = resume = None
+        if cache is not None:
+            prefix = cache.prefix(spec_hash, target)
+            entry = cache.best_resume(spec_hash, target)
             if entry is not None:
-                telemetry = self.cache.telemetry(spec_hash, target)
-                if telemetry is not None:
-                    job.cache = "hit"
-                    self._post(
-                        self._log, job,
-                        f"cache hit: ({spec_hash}, {target}) served from "
-                        f"stored result, no engine run",
-                    )
-                    return {
-                        "telemetry": telemetry,
-                        "cache": "hit",
-                        "resume_step": 0,
-                        "steps": target,
-                        "checkpoint": str(self.cache.prefix(spec_hash, target)),
-                    }
-                # checkpoint valid but telemetry sidecar unreadable:
-                # fall through and recompute
-                self.cache.evict(spec_hash, target)
-
-        runner = self._build_runner(job, spec_hash, target)
-        job.runner = runner
-        if job.cancel_requested:  # close the submit/cancel race
-            runner.request_stop()
+                resume = cache.prefix(spec_hash, entry.steps)
+                job.cache = "resume"
+                job.resume_step = entry.steps
+                self._log(
+                    job,
+                    f"resumed from cached checkpoint at step "
+                    f"{job.resume_step} (of {target})",
+                )
+        if resume is None:
+            job.cache = "miss"
+            self._log(job, "cache miss: fresh engine run")
         interval = self.progress_interval or max(1, target // 10)
-        runner.add_observer(interval, self._make_progress_observer(job))
         metrics().counter("serve.engine_runs").inc()
-        try:
-            telemetry = runner.run(target - runner.engine.step_count)
-            reached = runner.engine.step_count
-        finally:
-            runner.close()
-        job.runner = None
+        job.slot, job.slot_pid = slot, slot.process.pid
+        tele, reached = await slot.run(
+            ("run", job.id, job.spec, prefix, resume, interval),
+            partial(self._slot_event, job),
+        )
 
-        tele = telemetry.as_dict()
         tele["serve"] = {
             "job": job.id,
             "resume_step": int(job.resume_step),
@@ -323,23 +331,12 @@ class JobScheduler:
             "cache": job.cache,
         }
         checkpoint = None
-        if self.cache is not None:
-            self.cache.put(
-                spec_hash,
-                reached,
-                tele,
-                src_prefix=self.cache.prefix(spec_hash, target),
-            )
-            checkpoint = str(self.cache.prefix(spec_hash, reached))
-            self._post(
-                self._log, job,
-                f"cached result under ({spec_hash}, {reached})",
-            )
+        if cache is not None:
+            cache.put(spec_hash, reached, tele, src_prefix=prefix)
+            checkpoint = str(cache.prefix(spec_hash, reached))
+            self._log(job, f"cached result under ({spec_hash}, {reached})")
         if reached < target:
-            self._post(
-                self._log, job,
-                f"stopped at step {reached} of {target}",
-            )
+            self._log(job, f"stopped at step {reached} of {target}")
         return {
             "telemetry": tele,
             "cache": job.cache,
@@ -348,80 +345,33 @@ class JobScheduler:
             "checkpoint": checkpoint,
         }
 
-    def _build_runner(self, job: Job, spec_hash: str, target: int) -> Runner:
-        """Fresh or resumed runner, checkpointing into the cache dir."""
-        from repro.runtime.engines import build_state
-
-        spec = job.spec
-        prefix = (
-            self.cache.prefix(spec_hash, target)
-            if self.cache is not None
-            else None
-        )
-        if self.cache is not None:
-            entry = self.cache.best_resume(spec_hash, target)
-            if entry is not None:
-                runner = Runner.resume(
-                    spec,
-                    self.cache.prefix(spec_hash, entry.steps),
-                    checkpoint_prefix=prefix,
-                )
-                job.cache = "resume"
-                job.resume_step = runner.engine.step_count
-                self._post(
-                    self._log, job,
-                    f"resumed from cached checkpoint at step "
-                    f"{job.resume_step} (of {target})",
-                )
-                return runner
-        job.cache = "miss"
-        with self._workload_lock:
-            state, potential = build_state(
-                spec, workload_cache=self._workload_cache
-            )
-        self._post(self._log, job, "cache miss: fresh engine run")
-        return Runner.from_spec(
-            spec,
-            checkpoint_prefix=prefix,
-            state=state,
-            potential=potential,
-        )
-
-    def _make_progress_observer(self, job: Job):
-        """Runner observer streaming progress through the event bus."""
-
-        def observer(event) -> None:
-            step = event.step
-            payload = {"step": int(step), "of": int(job.steps)}
-            try:
-                payload["temperature"] = round(
-                    float(event.state.temperature()), 3
-                )
-            except Exception:  # pragma: no cover - engine-specific
-                pass
-            metrics().gauge(label("serve.job.step", job=job.id)).set(step)
-            self._post(self.bus.publish, job.id, "progress", payload)
-
-        return observer
+    def _slot_event(self, job: Job, kind: str, *payload) -> None:
+        """What a slot streams while its engine steps."""
+        if kind == "progress":
+            (sample,) = payload
+            metrics().gauge(
+                label("serve.job.step", job=job.id)
+            ).set(sample["step"])
+            self.bus.publish(job.id, "progress", sample)
+        elif kind == "warning":
+            category, text = payload
+            self._log(job, f"warning: {category.__name__}: {text}")
+            warnings.warn(text, category)
 
     # -- lifecycle ---------------------------------------------------------
 
     async def close(self) -> None:
-        """Cancel outstanding jobs, drain the slots, release the pool."""
+        """Cancel outstanding jobs, drain the slots, reap every slot."""
         if self._closed:
             return
         self._closed = True
         pending = [job for job in self.jobs.all() if not job.terminal]
         for job in pending:
-            job.cancel_requested = True
-            runner = job.runner
-            if runner is not None:
-                runner.request_stop()
-            elif job.state is JobState.QUEUED and job.task is not None:
-                job.task.cancel()
+            self._interrupt(job)
         for job in pending:
             await job.done_event.wait()
-        self._executor.shutdown(wait=True)
+        for slot in self._slots:
+            slot.close()
 
     def snapshot(self) -> dict:
         """JSON-ready view of the whole scheduler (API stats op)."""
@@ -430,6 +380,9 @@ class JobScheduler:
             states[job.state.value] = states.get(job.state.value, 0) + 1
         out = {
             "slots": self.slots,
+            "slot_pids": [slot.process.pid for slot in self._slots],
+            "slots_busy": self.slots - len(self._idle),
+            "slot_restarts": sum(slot.restarts for slot in self._slots),
             "jobs": len(self.jobs),
             "states": states,
         }

@@ -177,6 +177,9 @@ class TestWatch:
         assert response["ok"] and response["job"]["state"] == "done"
         kinds = {e["kind"] for e in events}
         assert "state" in kinds and "progress" in kinds
+        # the samples are taken inside the slot and cross its pipe
+        progress = [e["payload"] for e in events if e["kind"] == "progress"]
+        assert all(p["temperature"] > 0 and p["of"] == 3 for p in progress)
         states = [
             e["payload"]["state"] for e in events if e["kind"] == "state"
         ]
@@ -240,3 +243,6 @@ def test_cli_submit_and_jobs_against_live_server(tmp_path, capsys):
     assert "cache=miss" in out
     assert "cache=hit" in out
     assert "1 hits" in out
+    stats_line = next(ln for ln in out.splitlines() if ln.startswith("slots:"))
+    assert "slot_pids: [" in stats_line
+    assert "slots_busy: 0, slot_restarts: 0" in stats_line

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.parallel import fork_available
 from repro.runtime import RunSpec, Runner
 from repro.serve import JobScheduler, JobState, ResultCache
 
@@ -179,24 +180,37 @@ class TestLifecycle:
         assert any(e.kind == "progress" for e in events)
         assert all(e.job_id == job.id for e in events)
 
-    def test_failed_job_captures_error(self, tmp_path, monkeypatch):
-        def explode(self, job, spec_hash, target):
-            raise RuntimeError("engine exploded")
-
-        monkeypatch.setattr(JobScheduler, "_build_runner", explode)
+    def test_failed_job_captures_error(self, tmp_path):
+        """An engine exception raised inside a slot — a resume from a
+        checkpoint poisoned with a NaN — reaches ``job.error`` as
+        ``"<TypeName>: <message>"`` and costs neither the slot nor the
+        next job."""
+        import numpy as np
 
         async def body():
-            sched = _scheduler(tmp_path)
-            bad = await sched.submit(SPEC)
+            sched = _scheduler(tmp_path, slots=1)
+            await sched.wait(await sched.submit(SPEC))
+            npz = f"{sched.cache.prefix(SPEC.spec_hash(), 4)}.npz"
+            data = dict(np.load(npz))
+            data["positions"][5, 1] = np.nan
+            np.savez(npz, **data)
+            bad = await sched.submit(SPEC, steps=8)
             await sched.wait(bad)
             ok = await sched.cancel(bad.id)  # terminal: not cancellable
-            await sched.close()
-            return bad, ok
+            from dataclasses import replace
 
-        bad, ok = asyncio.run(body())
+            after = await sched.submit(replace(SPEC, seed=6))
+            await sched.wait(after)
+            await sched.close()
+            return bad, ok, after
+
+        bad, ok, after = asyncio.run(body())
         assert bad.state is JobState.FAILED
-        assert "engine exploded" in bad.error
+        assert bad.error.startswith("FloatingPointError: non-finite")
+        assert bad.log[-1] == f"failed: {bad.error}"
         assert not ok
+        assert after.state is JobState.DONE
+        assert after.slot_pid == bad.slot_pid  # same slot, still alive
 
     def test_cancel_queued_job_never_runs(self, tmp_path):
         async def body():
@@ -211,7 +225,8 @@ class TestLifecycle:
         queued, cancelled = asyncio.run(body())
         assert cancelled
         assert queued.state is JobState.CANCELLED
-        assert queued.runner is None  # never took a slot
+        assert queued.slot_pid is None  # never took a slot
+        assert queued.cache is None
 
     def test_cancel_unknown_or_done_job_is_false(self, tmp_path):
         async def body():
@@ -262,7 +277,6 @@ class TestEnsembles:
         assert [job.spec.seed for job in jobs] == [5, 6, 7]
         assert len({job.ensemble for job in jobs}) == 1
         assert all(job.state is JobState.DONE for job in jobs)
-        # replicas share one workload-cache slot (same element+reps)
         assert len({job.key for job in jobs}) == 3
 
     def test_sweep_crosses_with_replicas(self, tmp_path):
@@ -280,20 +294,52 @@ class TestEnsembles:
         combos = {(job.spec.temperature, job.spec.seed) for job in jobs}
         assert combos == {(50.0, 5), (50.0, 6), (150.0, 5), (150.0, 6)}
 
-    def test_ensemble_shares_workload_construction(self, tmp_path):
+    @pytest.mark.skipif(
+        not fork_available(), reason="the patched builder reaches a slot by fork"
+    )
+    def test_ensemble_builds_tables_at_most_once_per_slot(
+        self, tmp_path, monkeypatch
+    ):
+        """Three replicas on two slots: the only expensive part of a
+        workload, the Rose tables, is built once per slot process (the
+        per-process memo in ``potentials.elements``), not once per job.
+        The builder announces itself with a warning, which the slot
+        forwards into the job log."""
+        import warnings
+
+        from repro.potentials import elements
+
+        build = elements.build_rose_eam
+
+        def announcing_build(rose_spec):
+            warnings.warn("rose tables built", UserWarning)
+            return build(rose_spec)
+
+        monkeypatch.setattr(elements, "build_rose_eam", announcing_build)
+        # the slots fork from this process: start them cold
+        monkeypatch.setattr(elements, "_TABLES_CACHE", {})
+
         async def body():
-            sched = _scheduler(tmp_path)
+            sched = _scheduler(tmp_path, slots=2)
             jobs = await sched.submit_ensemble(SPEC, replicas=3)
             for job in jobs:
                 await sched.wait(job)
-            shared = dict(sched._workload_cache)
             await sched.close()
-            return jobs, shared
+            return jobs
 
-        jobs, shared = asyncio.run(body())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            jobs = asyncio.run(body())
         assert all(job.state is JobState.DONE for job in jobs)
-        # one slab+potential construction for the whole batch
-        assert list(shared) == [(SPEC.element, SPEC.reps)]
+        builds: dict[int, int] = {}
+        for job in jobs:
+            builds[job.slot_pid] = builds.get(job.slot_pid, 0) + sum(
+                "rose tables built" in line for line in job.log
+            )
+        assert builds and max(builds.values()) == 1
+        # every slot that served a replica built them exactly once
+        assert sum(builds.values()) == len(builds) <= 2
+        assert not elements._TABLES_CACHE  # nothing was built here
 
     def test_snapshot_counts_states(self, tmp_path):
         async def body():
@@ -307,3 +353,5 @@ class TestEnsembles:
         snap = asyncio.run(body())
         assert snap["states"] == {"done": 1}
         assert snap["cache"]["entries"] == 1
+        assert len(set(snap["slot_pids"])) == snap["slots"] == 2
+        assert snap["slots_busy"] == 0 and snap["slot_restarts"] == 0
