@@ -283,7 +283,14 @@ class StreamingSweeps:
         return bool(moved2.max() < (0.5 * self.skin) ** 2)
 
     def _wrap(self, d: np.ndarray) -> None:
-        """Minimum image of a (..., 3) displacement array, in place."""
+        """Minimum image of a (..., 3) displacement array, in place.
+
+        ``floor(x/L + 0.5)``, not ``round(x/L)``: ``np.round`` sends
+        half-box ties (exactly +-L/2) to the nearest *even* multiple,
+        so the wrapped sign would depend on which image the separation
+        came from.  ``floor`` maps both ties to -L/2, matching
+        ``Box.minimum_image``, so the engines stay bit-equivalent.
+        """
         for dim in range(3):
             if self.periodic[dim]:
                 ld = self.lengths[dim]

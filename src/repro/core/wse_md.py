@@ -298,20 +298,6 @@ class WseMd:
         """The resolved streaming chunk (auto-sized when 0 was passed)."""
         return self._sweeps.chunk
 
-    def _minimum_image(self, d: np.ndarray) -> np.ndarray:
-        # floor(x/L + 0.5), not round(x/L): np.round banker's-rounds
-        # half-box ties (exactly +-L/2) to the nearest *even* multiple,
-        # making the wrapped sign depend on which image the separation
-        # came from.  floor maps both ties deterministically to -L/2,
-        # matching Box.minimum_image so the engines stay bit-equivalent.
-        for dim in range(3):
-            if self.box.periodic[dim]:
-                # a Python float, so a float32 machine wraps in float32
-                # exactly as the streaming sweeps do
-                ld = float(self.box.lengths[dim])
-                d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
-        return d
-
     # -- the five-step timestep ------------------------------------------------
 
     def _density_sweep(self):
@@ -342,21 +328,14 @@ class WseMd:
 
     def _embed(self, rho_bar: np.ndarray):
         """Step 3b: embedding energy and derivative per tile."""
-        tables = self.potential.tables
         nx, ny = self.grid.nx, self.grid.ny
         f_val = np.zeros((nx, ny))
         f_der = np.zeros((nx, ny))
-        if tables.n_types == 1:
-            v, dv = tables.embed[0].evaluate(rho_bar[self.occ])
-            f_val[self.occ] = v
-            f_der[self.occ] = dv
-        else:
-            for t in range(tables.n_types):
-                m = self.occ & (self.typ == t)
-                if np.any(m):
-                    v, dv = tables.embed[t].evaluate(rho_bar[m])
-                    f_val[m] = v
-                    f_der[m] = dv
+        occ = self.occ
+        # a one-type table ignores types: gather none (the potential
+        # would also keep each fresh vector alive in its seen-cache)
+        typ = self.typ[occ] if self.potential.tables.n_types > 1 else None
+        f_val[occ], f_der[occ] = self.potential.embed(rho_bar[occ], typ)
         return f_val, f_der
 
     def _force_sweep(self, f_der: np.ndarray, *, energy: bool = False):

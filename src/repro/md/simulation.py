@@ -150,9 +150,9 @@ class Simulation:
     def close(self) -> None:
         """Release the parallel pipeline, if one was spawned.
 
-        Idempotent and thread-safe: the serve scheduler may call this
-        twice (cancellation path + worker-thread cleanup) and from a
-        different thread than the one that ran the loop.
+        Idempotent and thread-safe: a caller's cleanup path may run
+        after an explicit close, and from a different thread than the
+        one that ran the loop.
         """
         self._parallel_pending = False
         with self._close_lock:

@@ -6,10 +6,11 @@ host-side analogue, split into two orthogonal layers:
 
 * **Domains** (:mod:`~repro.parallel.domains`): the box is tiled into a
   cell-aligned ``px x py`` :class:`~repro.parallel.domains.DomainGrid`
-  of rectangular domains with balanced atom counts, halo regions of
-  width cutoff + skin, and an own-smaller-global-id seam rule that
-  keeps the tile union bit-identical to the serial candidate set.  The
-  historical 1D column layout is the ``px x 1`` special case.
+  of rectangular domains with balanced atom counts and halo regions
+  of width cutoff + skin.  Planning only: each tile's pairs are built
+  by :func:`repro.md.neighbor_list.build_candidates`, the serial list's
+  own builder, whose own-smaller-global-id seam rule keeps the tile
+  union bit-identical to the serial candidate set.
 * **Transport** (:mod:`~repro.parallel.transport`): one synchronous
   round driver over three byte movers — forked workers on a
   :class:`~repro.parallel.shm.SharedArena`, the same worker protocol
@@ -21,9 +22,10 @@ fixed-order seam reduction, so trajectories are bitwise-reproducible
 per topology — and bitwise-identical across transports.
 Workers own their tiles across steps: only sparse halo packs (per-tile
 position/type/derivative prefixes and result packs) ever move, with
-per-shard Verlet candidate lists persisting between steps under an
-OR-reduced skin-displacement rebuild trigger that exactly mirrors the
-serial :class:`~repro.md.neighbor_list.NeighborList` reuse policy.
+per-shard :class:`~repro.md.neighbor_list.Candidates` persisting
+between steps under the serial
+:class:`~repro.md.neighbor_list.NeighborList`'s own
+:func:`~repro.md.neighbor_list.skin_trigger`, asked parent-side.
 
 Selection is the kernel-backend tier: ``backend="parallel"`` (or
 ``REPRO_KERNEL_BACKEND=parallel``) turns the pipeline on;
@@ -38,14 +40,7 @@ import warnings
 
 import numpy as np
 
-from repro.parallel.domains import (
-    DomainGrid,
-    ShardPairs,
-    build_shard_pairs,
-    build_tile_pairs,
-    plan_columns,
-    plan_grid,
-)
+from repro.parallel.domains import DomainGrid, plan_grid
 from repro.parallel.pipeline import ShardedForcePipeline
 from repro.parallel.shm import SharedArena
 from repro.parallel.transport import (
@@ -65,10 +60,6 @@ __all__ = [
     "ShardedForcePipeline",
     "SharedArena",
     "DomainGrid",
-    "ShardPairs",
-    "build_shard_pairs",
-    "build_tile_pairs",
-    "plan_columns",
     "plan_grid",
     "ForkMover",
     "InlineMover",

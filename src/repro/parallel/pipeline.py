@@ -7,11 +7,12 @@ synchronous lockstep rounds moving only sparse packs — the host
 analogue of the paper's neighbor-only fabric traffic, and of its fixed
 send-then-compute schedule:
 
-1. **dens** (inside the ``neighbor`` phase) — the parent evaluates the
-   Verlet skin/2 trigger itself against the rebuild reference (it owns
+1. **dens** (inside the ``neighbor`` phase) — the parent asks
+   :func:`~repro.md.neighbor_list.skin_trigger`, the serial
+   NeighborList's own trigger, against the rebuild reference (it owns
    every position, so its global ``max |d|`` is arithmetically *equal*
    to an OR-reduce of per-tile triggers over the covering tile-local
-   sets — and bit-equal to the serial NeighborList's check), then
+   sets), then
    scatters each tile its cached halo pack (``positions[ids_k]``, one
    ``take`` per rank, the index lists persisting until the next
    rebuild) and runs the ``dens`` command: each tile distance-filters
@@ -59,7 +60,7 @@ import time
 
 import numpy as np
 
-from repro.md.neighbor_list import count_funnel, max_sq_displacement
+from repro.md.neighbor_list import count_funnel, skin_trigger
 from repro.obs import NULL_TRACER, metrics
 from repro.parallel.domains import (
     plan_grid,
@@ -92,7 +93,7 @@ class ShardedForcePipeline:
     ``topology`` is the ``(px, py)`` domain grid; ``None`` picks the
     most nearly square factorization of the worker count (least tile
     boundary, hence least ghost traffic — pass an explicit
-    ``(workers, 1)`` for the historical 1D column layout).
+    ``(workers, 1)`` for 1D columns).
     ``transport``
     selects how bytes reach the workers (``"shared"``, ``"socket"``,
     ``"inline"``, or ``"auto"``/``None`` — inline virtual workers when
@@ -177,8 +178,7 @@ class ShardedForcePipeline:
         #: the single-pass bincount reductions run over
         self._ids_flat: np.ndarray | None = None
         #: rebuild reference positions for the parent-side skin trigger
-        #: (bit-equal to the serial NeighborList's check, and to an
-        #: OR-reduce of per-tile checks over the covering local sets)
+        #: (None = no build yet)
         self._ref_positions: np.ndarray | None = None
         self._counts: list[int] = [0] * self.n_workers
         #: owned-region accumulators reused every step (steady-state
@@ -245,21 +245,14 @@ class ShardedForcePipeline:
         reg = metrics()
         t0 = time.perf_counter()
         with tr.phase("neighbor") as ph:
-            reason = self._forced_rebuild_reason()
-            d_max = 0.0
-            if reason is None:
-                # Parent-side skin trigger: same arithmetic as the
-                # serial NeighborList (and as an OR-reduce of per-tile
-                # checks — the tile-local sets cover every atom), but
-                # resolved before any scatter or round, so a triggered
-                # step never ships a stale pack or wastes a pass.
-                max_d2 = max_sq_displacement(
-                    positions, self._ref_positions
-                )
-                if max_d2 > (self.skin / 2.0) ** 2:
-                    reason = "displacement"
-                else:
-                    d_max = float(np.sqrt(max_d2))
+            # The serial list's trigger, asked parent-side (equal to
+            # an OR-reduce of per-tile checks — the tile-local sets
+            # cover every atom) and resolved before any scatter or
+            # round, so a triggered step never ships a stale pack or
+            # wastes a pass.
+            reason, d_max = skin_trigger(
+                positions, self._ref_positions, self.skin
+            )
             if reason is not None:
                 replies = self._rebuild_round(positions, reason, tr)
                 reg.counter("neighbor.rebuilds").inc()
@@ -334,7 +327,7 @@ class ShardedForcePipeline:
         }
         return self._epair + f_val, forces, info
 
-    # -- rebuild policy (the forced arms; displacement is shard-side) ------
+    # -- seam reduction ----------------------------------------------------
 
     def _reduce_1d(self, out: np.ndarray, packs: list) -> None:
         """Fixed-order seam reduction of per-tile scalar packs.
@@ -367,12 +360,7 @@ class ShardedForcePipeline:
             self._concat[key] = buf
         return np.concatenate(packs, axis=0, out=buf[:total])
 
-    def _forced_rebuild_reason(self) -> str | None:
-        if self._ids is None:
-            return "first"
-        if self.skin == 0.0:
-            return "skin_zero"
-        return None
+    # -- rounds ------------------------------------------------------------
 
     def _rebuild_round(
         self, positions: np.ndarray, reason: str, tr
@@ -406,8 +394,6 @@ class ShardedForcePipeline:
             "neighbor", ("rebuild",), tr,
             {"positions": positions, "types": self._types}, parts=parts,
         )
-
-    # -- rounds ------------------------------------------------------------
 
     def _round(
         self, stage: str, msg: tuple, tr, packs: dict, parts=None

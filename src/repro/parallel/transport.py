@@ -114,10 +114,12 @@ class ShardWorker:
     sets exactly); by the time a ``dens`` command arrives, the
     candidates are guaranteed fresh.
 
-    The candidate list is held as an **interior/boundary split**
-    (:func:`~repro.parallel.domains.split_interior_boundary`): interior
-    candidates touch only owned rows, boundary candidates touch a
-    ghost.  Each class runs its own filter + kernel pass and the
+    The candidate list is held as two
+    :class:`~repro.md.neighbor_list.Candidates`, the **interior/boundary
+    split** of what :func:`~repro.md.neighbor_list.build_candidates`
+    builds from the pack: interior candidates touch only owned rows —
+    their separations never read a ghost row — boundary candidates
+    touch a ghost.  Each class runs its own filter + kernel pass and the
     per-atom results merge as whole partial sums in a pinned order
     (``interior + boundary``) — that order *is* the summation order
     every multi-tile digest depends on — and a round with an empty
@@ -135,8 +137,8 @@ class ShardWorker:
       merge, stage the local ``rho`` pack.
     * ``("rebuild", n_local, bounds)`` — read a freshly planned pack
       (positions + types), recompute the owned mask from the tile
-      bounds, rebuild the local candidate list via the seam rule and
-      split it at the seam, then filter + density as above.
+      bounds, rebuild the local candidates under the seam rule and
+      split them at the seam, then filter + density as above.
     * ``("force",)`` — read the ``f_der`` pack, run the pair-force pass
       over the cached interior and boundary pairs, merge, stage
       ``epair``/``forces``.
@@ -165,18 +167,17 @@ class ShardWorker:
             # serial numpy kernels (nested pools are never spawned).
             set_backend("numpy")
         self.channel = channel
-        self.cfg = cfg
         self.potential = cfg["potential"]
         self.cutoff = cfg["cutoff"]
-        self.reach = cfg["reach"]
-        self.cells = CellList(  # reused buffers across rebuilds
-            cfg["box"], self.reach,
+        # knows the box and the reach; buffers reused across rebuilds
+        self.cells = CellList(
+            cfg["box"], cfg["reach"],
             subdivide=cfg.get("build_subdivide", 1),
         )
         self.n_local = 0
         self.types_l = None
-        self.shard_int = None  # interior candidates (owned-owned)
-        self.shard_bnd = None  # boundary candidates (touching a ghost)
+        self.cand_int = None  # interior candidates (owned-owned)
+        self.cand_bnd = None  # boundary candidates (touching a ghost)
         self.table_int = None
         self.table_bnd = None
         self.cache_int: dict = {}
@@ -186,17 +187,17 @@ class ShardWorker:
 
     def _two_phase_density(self, t0: float) -> tuple:
         """Interior filter + density, boundary filter + density, merge."""
-        pos = self.positions
-        self.table_int = self.shard_int.pairs(
-            pos, self.cutoff, max_disp=self.d_max
+        pos, box = self.positions, self.cells.box
+        self.table_int = self.cand_int.pairs(
+            pos, box, self.cutoff, max_disp=self.d_max
         )
         td = time.perf_counter()
         rho_int, self.cache_int = self.potential.fused_density(
             self.n_local, self.table_int, self.types_l
         )
         t_dens = time.perf_counter() - td
-        self.table_bnd = self.shard_bnd.pairs(
-            pos, self.cutoff, max_disp=self.d_max
+        self.table_bnd = self.cand_bnd.pairs(
+            pos, box, self.cutoff, max_disp=self.d_max
         )
         td = time.perf_counter()
         if self.table_bnd.n_pairs:
@@ -220,11 +221,8 @@ class ShardWorker:
 
     def handle(self, msg: tuple) -> tuple:
         """Serve one command, returning its reply tuple."""
-        from repro.parallel.domains import (
-            build_local_pairs,
-            owned_mask_local,
-            split_interior_boundary,
-        )
+        from repro.md.neighbor_list import build_candidates
+        from repro.parallel.domains import owned_mask_local
 
         cmd = msg[0]
         t0 = time.perf_counter()
@@ -246,18 +244,16 @@ class ShardWorker:
                 )
                 self.types_l = self.channel.get("types", self.n_local)
                 owned = owned_mask_local(self.positions, bounds)
-                shard = build_local_pairs(
-                    self.positions, owned,
-                    box=self.cfg["box"], reach=self.reach,
-                    cells=self.cells,
+                cand, _ = build_candidates(
+                    self.cells, self.positions, owned=owned
                 )
-                self.shard_int, self.shard_bnd = split_interior_boundary(
-                    shard, owned
+                self.cand_int, self.cand_bnd = cand.split(
+                    owned[cand.i] & owned[cand.j]
                 )
                 self.d_max = 0.0
                 # the build's candidate funnel rides home on the reply:
                 # a forked rank's metrics registry is not the parent's
-                return (*self._two_phase_density(t0), shard.funnel)
+                return (*self._two_phase_density(t0), cand.funnel)
             if cmd == "force":
                 f_der = self.channel.get("f_der", self.n_local)
                 e_int, f_int = self.potential.fused_pair_force(
@@ -391,8 +387,18 @@ class _InlineChannel:
         self.outputs[name] = data
 
 
-def _fork_worker_entry(conn, wid: int, shared: dict, cfg: dict) -> None:
-    """Fork-mover worker entry: wrap the inherited arena into a channel."""
+def _fork_worker_entry(
+    conn, wid: int, shared: dict, cfg: dict, parent_ends: list
+) -> None:
+    """Fork-mover worker entry: wrap the inherited arena into a channel.
+
+    ``parent_ends`` are the parent's pipe ends that existed at the fork
+    — this worker's own and its elder siblings'.  Held here they would
+    hide the parent's death: the pipe never reaches EOF while any
+    process keeps a write end open, so they are closed first thing.
+    """
+    for end in parent_ends:
+        end.close()
     worker_loop(_ArenaChannel(conn, wid, shared), wid, cfg)
 
 
@@ -615,7 +621,10 @@ class ForkMover:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_fork_worker_entry,
-                args=(child_conn, wid, self.arena.arrays, cfg),
+                args=(
+                    child_conn, wid, self.arena.arrays, cfg,
+                    [*self._conns, parent_conn],
+                ),
                 daemon=True,
                 name=f"{name}-{wid}",
             )

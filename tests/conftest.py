@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +108,50 @@ def legacy_candidates(cells, positions, reach, live=None, seam=False):
         reach, inclusive=True, compute_r=True,
     )
     return exact, (ri, rj)
+
+
+def tile_candidates(positions, grid, tile, box, reach):
+    """One tile's candidates, built the way a shard worker builds them.
+
+    The single-process twin of ``ShardWorker``'s rebuild: cut the
+    tile's halo pack (``tile_local_ids``), mark what it owns
+    (``owned_mask_local``) and hand both to the serial list's own
+    ``build_candidates``.  Returns ``(local, owned, candidates)``;
+    ``local[candidates.i]`` maps the pack-local indices back to global
+    ids.
+    """
+    from repro.md.cell_list import CellList
+    from repro.md.neighbor_list import build_candidates
+    from repro.parallel.domains import owned_mask_local, tile_local_ids
+
+    local = tile_local_ids(positions, grid, tile, reach)
+    owned = owned_mask_local(positions[local], grid.tile_bounds(tile))
+    cand, _ = build_candidates(
+        CellList(box, reach), positions[local], owned=owned
+    )
+    return local, owned, cand
+
+
+def pid_gone(pid: int) -> bool:
+    """No such process, or only its unreaped corpse."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+    return "\nState:\tZ" in status
+
+
+def wait_gone(pids, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if all(pid_gone(pid) for pid in pids):
+            return True
+        time.sleep(0.02)
+    return False
 
 
 def run_specs():

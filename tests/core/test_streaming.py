@@ -92,7 +92,11 @@ def reference_density_force(sim: WseMd):
         d = opos - sim.pos
         both = sim.occ & oocc
         np.copyto(d, 0.0, where=~both[:, :, None])
-        d = sim._minimum_image(d)
+        for dim in range(3):
+            if sim.box.periodic[dim]:
+                # a Python float, so a float32 machine wraps in float32
+                ld = float(sim.box.lengths[dim])
+                d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
         r2 = np.einsum("xyk,xyk->xy", d, d)
         within = both & (r2 < rc2) & (r2 > 0.0)
         if np.any(within):

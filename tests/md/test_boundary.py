@@ -93,15 +93,18 @@ class TestMinimumImage:
         assert np.all(out[:, 0] == -5.0)
 
     def test_wse_engine_minimum_image_matches_box(self):
-        from repro.core.wse_md import WseMd
+        from repro.core.streaming import StreamingSweeps
 
-        # the lockstep engine's private fold must break half-box ties
-        # the same way, or the engines drift apart at exactly +-L/2
+        # the lockstep engine's private fold (the wrap its sweeps run)
+        # must break half-box ties the same way, or the engines drift
+        # apart at exactly +-L/2
         b = Box.cube_periodic(10.0)
-        stub = object.__new__(WseMd)
-        stub.box = b
+        stub = object.__new__(StreamingSweeps)
+        stub.lengths = tuple(float(v) for v in b.lengths)
+        stub.periodic = tuple(bool(v) for v in b.periodic)
         d = np.array([[5.0, -5.0, 15.0], [1.0, -8.0, 7.0]])
-        got = WseMd._minimum_image(stub, d.copy())
+        got = d.copy()
+        StreamingSweeps._wrap(stub, got)
         np.testing.assert_array_equal(got, b.minimum_image(d))
 
 

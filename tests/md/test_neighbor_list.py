@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.kernels import active_backend, active_backend_name, set_backend
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList, all_pairs
-from repro.md.neighbor_list import NeighborList
+from repro.md.neighbor_list import Candidates, NeighborList
 from repro.obs import metrics
 from repro.potentials.base import PairTable
 from repro.runtime import RunSpec
@@ -80,7 +80,7 @@ class TestCorrectness:
 class TestRebuildPolicy:
     def test_first_call_builds(self, cluster):
         nl = NeighborList(Box.open([25, 25, 25]), 3.0)
-        assert nl.needs_rebuild(cluster)
+        assert nl.rebuild_reason(cluster) == "first"
         nl.pairs(cluster)
         assert nl.n_builds == 1
 
@@ -89,7 +89,7 @@ class TestRebuildPolicy:
         nl.pairs(cluster)
         moved = cluster.copy()
         moved[5] += np.array([0.6, 0.0, 0.0])  # > skin/2
-        assert nl.needs_rebuild(moved)
+        assert nl.rebuild_reason(moved) == "displacement"
         nl.pairs(moved)
         assert nl.n_builds == 2
 
@@ -97,7 +97,7 @@ class TestRebuildPolicy:
         nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=1.0)
         nl.pairs(cluster)
         moved = cluster + 0.1
-        assert not nl.needs_rebuild(moved)
+        assert nl.rebuild_reason(moved) is None
 
     def test_zero_skin_always_rebuilds(self, cluster):
         nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=0.0)
@@ -108,7 +108,7 @@ class TestRebuildPolicy:
     def test_atom_count_change_forces_rebuild(self, cluster):
         nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=1.0)
         nl.pairs(cluster)
-        assert nl.needs_rebuild(cluster[:-1])
+        assert nl.rebuild_reason(cluster[:-1]) == "size"
 
     def test_rejects_negative_skin(self):
         with pytest.raises(ValueError):
@@ -187,7 +187,8 @@ def kernel_table(nl, positions):
     leg runs this file with the compiled kernel).
     """
     return active_backend().neighbor_prefilter(
-        positions, nl._cand_i, nl._cand_j, nl.box.lengths, nl.box.periodic,
+        positions, nl.candidates.i, nl.candidates.j,
+        nl.box.lengths, nl.box.periodic,
         nl.cutoff, inclusive=False, compute_r=True,
     )
 
@@ -206,12 +207,11 @@ class StagedNeighborList(NeighborList):
         if self.rebuild_reason(positions) is not None:
             self._cells.build(positions)
             ci, cj = self._cells.candidate_pairs()
-            self._cand_i, self._cand_j, _, _ = (
-                active_backend().neighbor_prefilter(
-                    positions, ci, cj, self.box.lengths, self.box.periodic,
-                    self.cutoff + self.skin, inclusive=True, compute_r=False,
-                )
+            i, j, _, r = active_backend().neighbor_prefilter(
+                positions, ci, cj, self.box.lengths, self.box.periodic,
+                self.cutoff + self.skin, inclusive=True, compute_r=True,
             )
+            self.candidates = Candidates(i, j, r)
             self._ref_positions = positions.copy()
             self._built_n_atoms = len(positions)
             self.n_builds += 1
@@ -258,7 +258,7 @@ class TestBuildGeometryReuse:
             assert_table_is(table, kernel_table(nl, lattice))
             assert np.all(table.r < 3.0)
             on_shell = np.linalg.norm(
-                lattice[nl._cand_j] - lattice[nl._cand_i], axis=1
+                lattice[nl.candidates.j] - lattice[nl.candidates.i], axis=1
             ) == 3.0
             assert np.any(on_shell)  # candidates, but not interacting
 
@@ -359,3 +359,107 @@ class TestFunnelCounters:
             total += len(cells.candidate_pairs()[0])
         assert raw == total
         assert nl.n_candidates <= exact  # the last build is part of it
+
+
+# lattice constants at cutoff 3.0, skin 0.5: "on_cutoff" puts the
+# simple-cubic (2, 0, 0) shell at r == cutoff to the bit and the next
+# one (3.354) inside the reach; "gap" has every shell within the reach
+# inside the cutoff (2.04, 2.885 | 3.533), the all-inside workload
+LATTICES = {"on_cutoff": 1.5, "gap": 2.04}
+PERIODICITY = {
+    "open": (False, False, False),
+    "mixed": (True, False, True),
+    "periodic": (True, True, True),
+}
+
+
+def moving_cloud(kind, periodicity, seed):
+    """Start positions and a box whose periodic edges fit the lattice."""
+    rng = np.random.default_rng(seed)
+    if kind == "cloud":
+        length, positions = 12.0, rng.uniform(0.0, 12.0, size=(200, 3))
+    else:
+        a = LATTICES[kind]
+        n = round(12.0 / a)
+        g = np.arange(n) * a
+        length = n * a
+        positions = np.array(np.meshgrid(g, g, g)).reshape(3, -1).T.copy()
+    periodic = np.array(PERIODICITY[periodicity])
+    lengths = np.where(periodic, length, length + 10.0)
+    return positions, Box(lengths, periodic, origin=np.zeros(3)), rng
+
+
+def walk(nl, positions, rng, amp, n_queries, calls=None):
+    """Query ``nl`` along a drift (fixed per-atom directions, so the
+    displacement bound grows by ``amp`` a step until a rebuild), each
+    answer checked against the frozen strict filter run on the list's
+    own candidates."""
+    from tests import legacy_kernels
+
+    heading = rng.normal(size=positions.shape)
+    heading /= np.linalg.norm(heading, axis=1, keepdims=True)
+    for _ in range(n_queries):
+        builds = nl.n_builds
+        table = nl.pairs(positions)
+        cand = nl.candidates
+        assert_table_is(table, legacy_kernels.neighbor_prefilter(
+            positions, cand.i, cand.j, nl.box.lengths, nl.box.periodic,
+            nl.cutoff, inclusive=False, compute_r=True,
+        ))
+        if calls is not None:
+            calls.append(nl.n_builds != builds)
+        positions = positions + amp * heading
+
+
+class TestCutsAreBitNeutral:
+    """The all-inside and pre-mask cuts never show in ``pairs``: along
+    any walk the list emits, bitwise and in order, what the plain
+    strict filter makes of its candidates — under minimum image too."""
+
+    @given(
+        kind=st.sampled_from(["on_cutoff", "gap", "cloud"]),
+        periodicity=st.sampled_from(sorted(PERIODICITY)),
+        skin=st.sampled_from([0.0, 0.5]),
+        amp=st.sampled_from([0.0, 0.02, 0.05, 0.13]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_equal_the_strict_filter_on_own_candidates(
+        self, kind, periodicity, skin, amp, seed
+    ):
+        positions, box, rng = moving_cloud(kind, periodicity, seed)
+        walk(NeighborList(box, 3.0, skin=skin), positions, rng, amp, 16)
+
+    def test_one_walk_crosses_every_arm(self, monkeypatch):
+        # gap lattice, drift 0.05 a step: all-inside while twice the
+        # drift fits under cutoff - 2.885, then the plain filter (no
+        # candidate sits past the cutoff to pre-mask); the first rebuild
+        # finds a jumbled lattice with candidates past the cutoff, so
+        # the next window pre-masks until that stops paying
+        positions, box, rng = moving_cloud("gap", "periodic", 5)
+        nl = NeighborList(box, 3.0, skin=0.5)
+        backend = active_backend()
+        arms = []
+
+        def spy(positions, i, j, *args, assume_inside=False, **kwargs):
+            if kwargs["inclusive"]:
+                arms.append("build")
+            elif assume_inside:
+                arms.append("all_inside")
+            else:
+                full = len(i) == len(nl.candidates)
+                arms.append("plain" if full else "premask")
+            return backend.neighbor_prefilter(
+                positions, i, j, *args, assume_inside=assume_inside, **kwargs
+            )
+
+        monkeypatch.setattr(
+            "repro.md.neighbor_list.active_backend",
+            lambda: type("Spy", (), {"neighbor_prefilter": staticmethod(spy)}),
+        )
+        rebuilt = []
+        walk(nl, positions, rng, 0.05, 16, calls=rebuilt)
+        assert arms[:3] == ["build", "all_inside", "plain"]
+        window = arms[arms.index("build", 1) + 1:]
+        assert window[0] == "premask" and "plain" in window
+        assert sum(rebuilt) == arms.count("build") == nl.n_builds >= 3

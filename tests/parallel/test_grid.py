@@ -17,19 +17,15 @@ from hypothesis import strategies as st
 
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
-from repro.md.neighbor_list import NeighborList
+from repro.md.neighbor_list import NeighborList, build_candidates
 from repro.obs import metrics
 from repro.parallel import domains
-from repro.parallel.domains import (
-    DomainGrid,
-    build_local_pairs,
-    build_shard_pairs,
-    build_tile_pairs,
-    plan_axis,
-    plan_columns,
-    plan_grid,
+from repro.parallel.domains import DomainGrid, plan_axis, plan_grid
+from tests.conftest import (
+    legacy_candidates,
+    small_slab_state,
+    tile_candidates,
 )
-from tests.conftest import legacy_candidates, small_slab_state
 
 TOPOLOGIES = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 4)]
 
@@ -50,7 +46,7 @@ def _random_cloud(seed, n=300, span=(18.0, 12.0, 6.0)):
 def _serial_candidates(positions, box, reach):
     nl = NeighborList(box, reach - 0.5, 0.5)
     nl.rebuild(positions)
-    return _pair_set(nl._cand_i, nl._cand_j)
+    return _pair_set(nl.candidates.i, nl.candidates.j)
 
 
 class TestPlanAxisDegenerate:
@@ -61,7 +57,7 @@ class TestPlanAxisDegenerate:
 
     def test_caps_and_warns_once(self):
         x = np.full(50, 2.5)  # one cell column, however wide the cells
-        with pytest.warns(RuntimeWarning, match="capping"):
+        with pytest.warns(RuntimeWarning, match="x-axis.*capping"):
             edges = plan_axis(x, 4, cell_width=3.0)
         # warned once per (axis, requested, available) shape
         with warnings.catch_warnings():
@@ -84,10 +80,6 @@ class TestPlanAxisDegenerate:
         assert counts.sum() == len(x)
         # trailing shards beyond the cap are empty, earlier ones are not
         assert counts[0] > 0 and np.all(counts[2:] == 0)
-
-    def test_plan_columns_inherits_the_cap(self):
-        with pytest.warns(RuntimeWarning, match="x-axis"):
-            plan_columns(np.full(10, 1.0), 3, cell_width=5.0)
 
     def test_adequate_columns_do_not_warn(self):
         rng = np.random.default_rng(1)
@@ -152,11 +144,11 @@ class TestSeamRule:
         union: set = set()
         total = 0
         for tile in range(grid.n_tiles):
-            sp = build_tile_pairs(
-                positions, grid, tile, box=box, reach=reach
+            local, _, cand = tile_candidates(
+                positions, grid, tile, box, reach
             )
-            total += sp.n_candidates
-            union |= _pair_set(sp.gi, sp.gj)
+            total += len(cand)
+            union |= _pair_set(local[cand.i], local[cand.j])
         assert total == len(union)  # no tile overlap
         assert union == serial
 
@@ -166,9 +158,7 @@ class TestSeamRule:
         px, py = topology
         grid = plan_grid(positions, px, py, cell_width=3.0)
         owned = [
-            build_tile_pairs(
-                positions, grid, t, box=box, reach=3.0
-            ).n_owned
+            np.count_nonzero(tile_candidates(positions, grid, t, box, 3.0)[1])
             for t in range(grid.n_tiles)
         ]
         assert sum(owned) == len(positions)
@@ -179,13 +169,13 @@ class TestSeamRule:
         grid = plan_grid(state.positions, 2, 2, reach)
         nl = NeighborList(state.box, ta_potential.cutoff, 0.5)
         nl.rebuild(state.positions)
-        serial = _pair_set(nl._cand_i, nl._cand_j)
+        serial = _pair_set(nl.candidates.i, nl.candidates.j)
         union: set = set()
         for tile in range(4):
-            sp = build_tile_pairs(
-                state.positions, grid, tile, box=state.box, reach=reach
+            local, _, cand = tile_candidates(
+                state.positions, grid, tile, state.box, reach
             )
-            union |= _pair_set(sp.gi, sp.gj)
+            union |= _pair_set(local[cand.i], local[cand.j])
         assert union == serial
 
     def test_seam_rule_survives_unbalanced_edges(self):
@@ -201,27 +191,11 @@ class TestSeamRule:
         union: set = set()
         total = 0
         for tile in range(4):
-            sp = build_tile_pairs(positions, grid, tile, box=box, reach=3.0)
-            total += sp.n_candidates
-            union |= _pair_set(sp.gi, sp.gj)
+            local, _, cand = tile_candidates(positions, grid, tile, box, 3.0)
+            total += len(cand)
+            union |= _pair_set(local[cand.i], local[cand.j])
         assert total == len(union)
         assert union == serial
-
-
-class TestColumnCompatibility:
-    def test_build_shard_pairs_is_the_px_by_1_special_case(self):
-        positions, box = _random_cloud(20)
-        edges = plan_columns(positions[:, 0], 3, 3.0)
-        grid = DomainGrid(
-            px=3, py=1, x_edges=edges,
-            y_edges=np.array([-np.inf, np.inf]),
-        )
-        for k in range(3):
-            a = build_shard_pairs(positions, edges, k, box=box, reach=3.0)
-            b = build_tile_pairs(positions, grid, k, box=box, reach=3.0)
-            np.testing.assert_array_equal(a.gi, b.gi)
-            np.testing.assert_array_equal(a.gj, b.gj)
-            assert a.n_owned == b.n_owned
 
 
 @st.composite
@@ -244,22 +218,21 @@ def tile_cases(draw):
 
 
 class TestShardSweep:
-    """``build_local_pairs`` rides the serial rebuild's streaming sweep."""
+    """An owned subset rides the serial rebuild's streaming sweep."""
 
     @given(tile_cases(), st.sampled_from([1, 2]))
     @settings(max_examples=120, deadline=None)
     def test_equals_legacy_composition_in_order(self, case, subdivide):
         positions, box, reach, owned = case
         cells = CellList(box, reach, subdivide=subdivide)
-        sp = build_local_pairs(
-            positions, owned, box=box, reach=reach, cells=cells
-        )
-        (li, lj, _, r), (ri, _) = legacy_candidates(
+        sp, rij_build = build_candidates(cells, positions, owned=owned)
+        (li, lj, rij, r), (ri, _) = legacy_candidates(
             cells, positions, reach, live=owned, seam=True
         )
-        assert np.array_equal(sp.gi, li)
-        assert np.array_equal(sp.gj, lj)
+        assert np.array_equal(sp.i, li)
+        assert np.array_equal(sp.j, lj)
         assert np.array_equal(sp.r_build, r)
+        assert np.array_equal(rij_build, rij)
         n_raw, n_coarse, n_exact = sp.funnel
         assert n_raw == len(ri)
         assert n_raw >= n_coarse >= n_exact == len(li)
@@ -277,9 +250,8 @@ class TestShardSweep:
         }
         grid = plan_grid(state.positions, 2, 2, reach)
         funnels = np.array([
-            build_tile_pairs(
-                state.positions, grid, t, box=state.box, reach=reach
-            ).funnel
+            tile_candidates(state.positions, grid, t, state.box, reach)[2]
+            .funnel
             for t in range(4)
         ])
         raw, coarse, exact = funnels.sum(axis=0)

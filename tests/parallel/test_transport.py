@@ -9,8 +9,11 @@ closes, and post-mortem commands all surface cleanly.
 
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from repro.parallel.transport import (
     make_transport,
 )
 from repro.runtime import RunSpec, SpecError, build_engine
-from tests.conftest import small_slab_state
+from tests.conftest import small_slab_state, wait_gone
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="parallel backend requires fork"
@@ -339,6 +342,53 @@ class TestTeardownRobustness:
         procs = list(sim._pipeline.transport.mover._procs)
         sim.close()
         assert all(not p.is_alive() for p in procs)
+
+
+#: An owner process: one parallel engine, its worker pids on stdout,
+#: then steps until killed.
+_OWNER = """
+import sys
+from repro.runtime import RunSpec, build_engine
+engine = build_engine(RunSpec(
+    element="Ta", reps=(4, 4, 2), seed=3, backend="parallel",
+    workers=2, transport=sys.argv[1],
+))
+engine.step(1)
+print(*(p.pid for p in engine.sim._pipeline.transport.mover._procs),
+      flush=True)
+while True:
+    engine.step(1)
+"""
+
+
+class TestOwnerDeath:
+    @pytest.mark.parametrize("transport", ("shared", "socket"))
+    def test_sigkilled_owner_leaves_no_worker(self, transport):
+        """Workers must see EOF when their owner dies without a word:
+        no forked sibling may hold the owner's end of a pipe open."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER, transport],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            os.kill(owner.pid, signal.SIGKILL)
+            owner.wait(timeout=10)
+            assert wait_gone(pids, timeout=5.0)
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+            for pid in pids:  # a failing run must not leak its orphans
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestTelemetry:

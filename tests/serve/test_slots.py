@@ -32,6 +32,7 @@ from repro.serve import (
     ServeClient,
     ServeServer,
 )
+from tests.conftest import pid_gone, wait_gone
 
 SPEC = RunSpec(
     element="Ta", reps=(3, 3, 2), temperature=120.0, seed=5,
@@ -61,28 +62,6 @@ async def _first_progress(sched, job, timeout=30.0):
                 return event.payload
     finally:
         sub.close()
-
-
-def _gone(pid: int) -> bool:
-    """No such process, or only its unreaped corpse."""
-    try:
-        status = Path(f"/proc/{pid}/status").read_text()
-    except OSError:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        return False
-    return "\nState:\tZ" in status
-
-
-def _wait_gone(pids, timeout=5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if all(_gone(pid) for pid in pids):
-            return True
-        time.sleep(0.02)
-    return False
 
 
 class TestWhereJobsRun:
@@ -303,7 +282,7 @@ class TestSlotLoss:
         assert job.error.startswith(
             f"SlotLost: slot {index} (pid {job.slot_pid}) died under the job"
         )
-        assert _gone(job.slot_pid)
+        assert pid_gone(job.slot_pid)
         # the permit came back with a fresh process behind it
         assert after["slots_busy"] == 0 and after["slot_restarts"] == 1
         assert after["slot_pids"][index] not in before["slot_pids"]
@@ -319,7 +298,7 @@ class TestSlotLoss:
             sched = _scheduler(tmp_path)
             before = sched.snapshot()["slot_pids"]
             os.kill(before[1], signal.SIGKILL)  # not the next one in line
-            assert _wait_gone([before[1]])
+            assert wait_gone([before[1]])
             jobs = [
                 await sched.submit(replace(SPEC, seed=seed))
                 for seed in (5, 6)
@@ -342,9 +321,10 @@ class TestSlotLoss:
         not os.path.isdir("/proc/self/fd"), reason="needs /proc"
     )
     def test_killed_slot_under_a_parallel_job_is_still_noticed(self, tmp_path):
-        """The slot's shard workers outlive it, and a forked worker
-        holds every descriptor its parent held — except the slot's
-        pipe, or its EOF would never reach the scheduler."""
+        """A forked shard worker holds every descriptor its parent
+        held — except the slot's pipe, or its EOF would never reach the
+        scheduler — and leaves on its own pipe's EOF once the slot is
+        gone."""
         par = replace(
             SPEC, reps=(6, 6, 3), backend="parallel", workers=2,
             transport="shared",
@@ -365,8 +345,9 @@ class TestSlotLoss:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 job = asyncio.run(body())
+            assert wait_gone(orphans)
         finally:
-            for pid in orphans:  # the shard workers do not notice
+            for pid in orphans:  # a failing run must not leak them
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
@@ -428,7 +409,7 @@ class TestSlotLoss:
             with socket.socket() as probe:
                 probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 probe.bind(("127.0.0.1", port))
-            alive = not _gone(fresh)
+            alive = not pid_gone(fresh)
             await sched.close()
             return response, held, mine, alive
 
@@ -460,11 +441,11 @@ class TestServerProcess:
             job = client.submit(SPEC.to_dict())["job"]
             pids = client.stats()["stats"]["slot_pids"]
             assert job["state"] == "done" and job["slot_pid"] in pids
-            assert all(not _gone(pid) for pid in pids)
+            assert all(not pid_gone(pid) for pid in pids)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
             # the slots see EOF on their pipes and exit on their own
-            assert _wait_gone(pids)
+            assert wait_gone(pids)
         finally:
             proc.kill()
             proc.wait()
@@ -477,7 +458,7 @@ class TestServerProcess:
             assert len(pids) == 2 and proc.pid not in pids
             client.shutdown()
             assert proc.wait(timeout=10) == 0
-            assert _wait_gone(pids, timeout=0.5)
+            assert wait_gone(pids, timeout=0.5)
             with socket.socket() as probe:
                 probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 probe.bind(("127.0.0.1", client.port))
