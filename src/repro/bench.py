@@ -57,7 +57,7 @@ class BenchCase:
     ``quick`` holds the :class:`RunSpec` fields quick mode replaces (a
     small slab and its step count); ``None`` marks a full-mode-only
     case.  ``warmup`` is the (full, quick) count of steps run untimed
-    first, so the cell-list build and first JIT/caching costs do not
+    first, so the cell-list build and first-use caching costs do not
     pollute the steady-state rate.
     """
 
@@ -69,9 +69,9 @@ class BenchCase:
     #: Wall-clock noise on shared hosts is one-sided (throttling and
     #: interference only ever *add* time), so max-of-N windows is the
     #: consistent estimator of the steady rate.  Cases whose rates feed
-    #: cross-case ratios (``check_numba_tier.py``'s numba-Ta / ref-Ta)
-    #: and the sub-second cases the regression gate watches use 3; the
-    #: heavyweight lockstep cases keep a single window.
+    #: cross-case ratios (native-Ta / ref-Ta) and the sub-second cases
+    #: the regression gate watches use 3; the heavyweight lockstep
+    #: cases keep a single window.
     windows: int = 3
 
 
@@ -80,9 +80,10 @@ _QUICK_TA = {"reps": (8, 8, 4), "steps": 40}
 #: Standard workloads.  Reference slabs are bulk-like (the acceptance
 #: workload is the 16,000-atom Ta slab); the small lockstep case is
 #: small because the simulator carries per-tile overhead in Python, and
-#: every lockstep case benches the paper's force-symmetry path.  The
-#: ``par-Ta-*`` cases run the sharded pipeline on the same 16k-atom slab
-#: the serial ``ref-Ta`` case times, ``numba-Ta`` the JIT tier.  The Ta
+#: every lockstep case benches the paper's force-symmetry path (on the
+#: native tier).  The ``par-Ta-*`` cases run the sharded pipeline on the
+#: same 16k-atom slab the serial ``ref-Ta`` case (numpy) times, the
+#: ``native-*`` cases their ``ref-*`` twin's slab and window.  The Ta
 #: reference cases time a 40-step full-mode window: neighbor candidates
 #: persist across steps (serially and shard-side), so a representative
 #: rate must span at least two Verlet reuse periods (~16 steps each at
@@ -91,6 +92,9 @@ _QUICK_TA = {"reps": (8, 8, 4), "steps": 40}
 CASES: tuple[BenchCase, ...] = (
     BenchCase("ref-Ta", RunSpec(
         element="Ta", reps=(20, 20, 20), steps=40, backend="numpy",
+    ), _QUICK_TA),
+    BenchCase("native-Ta", RunSpec(
+        element="Ta", reps=(20, 20, 20), steps=40, backend="native",
     ), _QUICK_TA),
     # The Ta siblings are compared against ref-Ta's rate, so they run
     # immediately after it: comparison pairs timed back-to-back see the
@@ -114,18 +118,18 @@ CASES: tuple[BenchCase, ...] = (
         element="Ta", reps=(20, 20, 20), steps=40, backend="parallel",
         topology=(2, 2), transport="socket",
     ), _QUICK_TA),
-    BenchCase("numba-Ta", RunSpec(
-        element="Ta", reps=(20, 20, 20), steps=40, backend="numba",
-    ), _QUICK_TA),
     BenchCase("ref-Cu", RunSpec(
         element="Cu", reps=(16, 16, 16), steps=6, backend="numpy",
+    ), {"reps": (6, 6, 4), "steps": 40}),
+    BenchCase("native-Cu", RunSpec(
+        element="Cu", reps=(16, 16, 16), steps=6, backend="native",
     ), {"reps": (6, 6, 4), "steps": 40}),
     BenchCase("ref-W", RunSpec(
         element="W", reps=(20, 20, 20), steps=6, backend="numpy",
     ), {"reps": (8, 8, 4), "steps": 40}),
     BenchCase("wse-Ta", RunSpec(
         element="Ta", reps=(8, 8, 3), steps=20, engine="wse",
-        backend="numpy", force_symmetry=True,
+        backend="native", force_symmetry=True,
     ), {"reps": (5, 5, 2), "steps": 30}),
     # Lockstep scaling cases: the streaming sweeps keep peak memory at
     # O(chunk x grid), so the machine runs the paper's actual experiment
@@ -135,11 +139,11 @@ CASES: tuple[BenchCase, ...] = (
     # stand-in and is therefore full mode only.
     BenchCase("wse-Ta-100k", RunSpec(
         element="Ta", reps=(128, 131, 3), steps=5, engine="wse",
-        backend="numpy", force_symmetry=True,
+        backend="native", force_symmetry=True,
     ), {"reps": (48, 48, 3), "steps": 10}, warmup=(1, 1), windows=1),
     BenchCase("wse-Ta-800k", RunSpec(
         element="Ta", reps=(256, 261, 6), steps=3, engine="wse",
-        backend="numpy", force_symmetry=True,
+        backend="native", force_symmetry=True,
     ), None, warmup=(1, 1), windows=1),
 )
 
@@ -257,18 +261,13 @@ def run_case(case: BenchCase, *, quick: bool = False,
     was active before the call is active again after it, so a
     ``parallel`` case never leaks into whatever runs next.
     """
-    from repro.kernels import active_backend_name, set_backend, warmup_backend
+    from repro.kernels import active_backend, active_backend_name, set_backend
     from repro.runtime import build_engine
 
     spec = replace(case.spec, **case.quick) if quick else case.spec
     if steps is not None:
         spec = replace(spec, steps=steps)
     base_backend = active_backend_name()
-    # Pay (and record) the backend's one-time JIT compile / cache-load
-    # cost before the engine exists, so it can never leak into either
-    # the warmup steps or the timed window.  0.0 for hook-less backends;
-    # cached after the first case on each backend.
-    jit_warmup_s = warmup_backend(spec.backend)
     reset_peak_rss()
     windows = []
     try:
@@ -283,6 +282,8 @@ def run_case(case: BenchCase, *, quick: bool = False,
                 engine.step(spec.steps)
                 windows.append(engine.telemetry())
             kernel_backend = active_backend_name()
+            # seconds spent in the C compiler: 0.0 on a warm cache
+            compile_s = getattr(active_backend(), "compile_s", 0.0)
         finally:
             engine.close()
     finally:
@@ -294,7 +295,7 @@ def run_case(case: BenchCase, *, quick: bool = False,
             round(w.steps_per_s, 3) for w in windows
         ]
     extra["kernel_backend"] = kernel_backend
-    extra["jit_warmup_s"] = round(jit_warmup_s, 4)
+    extra["compile_s"] = round(compile_s, 4)
     peak = peak_rss_bytes()
     if peak is not None:
         extra["peak_rss_bytes"] = peak
@@ -319,8 +320,8 @@ def run_bench(
 ) -> list[BenchResult]:
     """Run the selected cases (default: all) in declaration order.
 
-    A case pinned to a backend this host cannot import (``numba-Ta``
-    without numba, ``par-*`` without fork) is never timed under the
+    A case pinned to a backend this host cannot load (``native-*``
+    without a C compiler, ``par-*`` without fork) is never timed under the
     numpy fallback: swept up by the default selection it is skipped
     with a progress note, *named* in ``cases`` it raises
     :class:`CaseSelectionError` before anything is timed — as does an

@@ -293,32 +293,3 @@ def build_mapping(
         origin=origin,
         atom_core=atom_core,
     )
-
-
-def _assign_columns(
-    px: np.ndarray, lo_x: float, pitch_x: float, grid: TileGrid
-) -> np.ndarray:
-    """Capacity-constrained, order-preserving column assignment.
-
-    Point-binning by x alone fails on crystals: lattice x coordinates
-    are discrete, so some grid columns would receive a multiple of
-    their capacity while neighbors stay empty, and naive spilling makes
-    displacement grow with system size.  Instead, treat each column as
-    ``grid.ny`` *slots* and assign x-sorted atoms to strictly
-    increasing slots nearest their desired position — the same cummax
-    construction as :func:`assign_rows`, generalized to capacity
-    ``ny``.  Displacement is then bounded by the local surplus (a few
-    lattice cells), independent of system size.
-    """
-    n = len(px)
-    gy = grid.ny
-    order = np.argsort(px, kind="stable")
-    desired = np.clip(
-        np.floor((px[order] - lo_x) / pitch_x).astype(np.int64),
-        0,
-        grid.nx - 1,
-    )
-    slots = assign_rows(desired * gy, grid.nx * gy)
-    columns = np.empty(n, dtype=np.int64)
-    columns[order] = slots // gy
-    return columns

@@ -14,19 +14,22 @@ list across steps and redo only the exact geometry:
    of neighborhood offsets is shifted into a reused stack (the
    candidate exchange) and coarse-filtered at ``cutoff + skin``, and
    only the flat center / source tile of each listed pair is kept.
-   Either way one exact routine then runs over the listed rows of each
-   chunk — gather ``pos[src] - pos[ctr]``, minimum image, keep
-   ``0 < r^2 < rc^2`` — spline-evaluates the survivors in one batched
-   call per table family
-   (:class:`~repro.potentials.spline.SplineGroup`), scatters each
-   offset's density into the running accumulator *in exchange order*,
-   and leaves one compact :class:`SurvivorRecord` per chunk: the
-   survivors' tiles, distance and unit vector, and the ``rho'`` the
-   density spline call computed anyway.
-2. :meth:`StreamingSweeps.force` consumes those records in the same
-   order: it gathers ``F'`` at the recorded tiles (the second
-   exchange), evaluates only ``phi``, scatters Eq. 4 per offset, and
-   drops each record as it is used.  It never touches the chunk stacks.
+   Either way the registry's ``density_chunk`` kernel
+   (:mod:`repro.kernels`) then runs over the listed rows of each chunk —
+   gather ``pos[src] - pos[ctr]``, minimum image, keep
+   ``0 < r^2 < rc^2``, ``rho`` and ``rho'`` through the table bank, each
+   offset's density added to the running accumulator *in exchange
+   order* — and leaves one compact :class:`SurvivorRecord` per chunk:
+   the survivors' tiles, distance, unit vector and ``rho'``.
+2. :meth:`StreamingSweeps.force` hands those records, in the same
+   order, to the ``force_chunk`` kernel — gather ``F'`` at the recorded
+   tiles (the second exchange), evaluate only ``phi``, scatter Eq. 4
+   per offset — and drops each as it is used.
+
+This module owns list validity, the list build and the record plumbing;
+the arithmetic of both sweeps lives behind the two kernels (whose numpy
+bodies are the code that used to live here), so the wafer runs on
+whichever tier the registry has active.
 
 Validity is decided from values alone, so nothing has to tell the
 sweeps about an atom swap, a restored checkpoint or a caller writing
@@ -64,6 +67,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.exchange import shift_rects
+from repro.kernels import active_backend
+from repro.kernels.numpy_backend import minimum_image
+from repro.obs import metrics
 
 __all__ = [
     "StreamingSweeps",
@@ -282,20 +288,6 @@ class StreamingSweeps:
         # test drop the atom as it always has
         return bool(moved2.max() < (0.5 * self.skin) ** 2)
 
-    def _wrap(self, d: np.ndarray) -> None:
-        """Minimum image of a (..., 3) displacement array, in place.
-
-        ``floor(x/L + 0.5)``, not ``round(x/L)``: ``np.round`` sends
-        half-box ties (exactly +-L/2) to the nearest *even* multiple,
-        so the wrapped sign would depend on which image the separation
-        came from.  ``floor`` maps both ties to -L/2, matching
-        ``Box.minimum_image``, so the engines stay bit-equivalent.
-        """
-        for dim in range(3):
-            if self.periodic[dim]:
-                ld = self.lengths[dim]
-                d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
-
     def _list_chunk(self, rects, shift, pos, occ, n_cand):
         """Shift one chunk of offsets and list its pairs within
         ``cutoff + skin``.
@@ -320,7 +312,7 @@ class StreamingSweeps:
             np.logical_and(occ[dst], occ[src], out=within[i][dst])
             n_cand[dst] += occ[dst]
         t1 = time.perf_counter()
-        self._wrap(d)
+        minimum_image(d.reshape(-1, 3), self.lengths, self.periodic)
         for i, rect in enumerate(rects):
             if rect is None:
                 continue
@@ -335,29 +327,6 @@ class StreamingSweeps:
         t2 = time.perf_counter()
         return (starts.astype(np.int32), ctr, src), t1 - t0, t2 - t1
 
-    def _survivors(self, listed, pos_rows):
-        """Exact geometry of one chunk's listed pairs.
-
-        The one place a pair is admitted: returns the rows with
-        ``0 < r^2 < rc^2`` as ``(starts, ctr, src, r, unit)`` in list
-        order, plus the gather / arithmetic split of the elapsed time.
-        """
-        starts, ctr, src = listed
-        t0 = time.perf_counter()
-        d = pos_rows.take(src, axis=0)
-        d -= pos_rows.take(ctr, axis=0)
-        t1 = time.perf_counter()
-        self._wrap(d)
-        r2 = np.einsum("pk,pk->p", d, d)
-        keep = np.flatnonzero((r2 < self.cutoff**2) & (r2 > 0.0))
-        r = np.sqrt(r2.take(keep))
-        unit = d.take(keep, axis=0) / r[:, None]
-        starts = np.searchsorted(keep, starts)
-        ctr = ctr.take(keep)
-        src = src.take(keep)
-        t2 = time.perf_counter()
-        return starts, ctr, src, r, unit, t1 - t0, t2 - t1
-
     # -- sweep 1: density -------------------------------------------------
 
     def density(self, pos, occ, typ, rho_bar, n_cand, n_int):
@@ -368,11 +337,14 @@ class StreamingSweeps:
         (float64), ``n_cand``/``n_int`` (int64) grids, leaves one
         :class:`SurvivorRecord` per non-empty chunk for :meth:`force`
         (replacing any unconsumed ones) and returns
-        ``(t_exchange, t_neighbor, n_points, reused)``.
+        ``(t_exchange, t_neighbor, reused)`` — the seconds a list build
+        spent shifting and coarse-filtering (0.0 on a reuse step: the
+        kernel's gather and exact test are fused with the density
+        arithmetic and cannot be timed apart).
         """
         grouped = self.tables.grouped()
-        single = self.tables.n_types == 1
-        n_tiles = self.nx * self.ny
+        kernel = active_backend().density_chunk
+        calls = metrics().counter("kernels.density_chunk.calls")
         pos_rows = _flat(pos, 3)
         rho_flat = _flat(rho_bar)
         int_flat = _flat(n_int)
@@ -386,7 +358,6 @@ class StreamingSweeps:
             self._list = None  # a build that raises leaves no list
             chunks, cand = [], np.zeros((self.nx, self.ny), dtype=np.int32)
         t_ex = t_nb = 0.0
-        n_pts = 0
         for k, (rects, shift) in enumerate(self._chunks):
             if not reused:
                 listed, dt_ex, dt_nb = self._list_chunk(
@@ -395,42 +366,18 @@ class StreamingSweeps:
                 chunks.append(listed)
                 t_ex += dt_ex
                 t_nb += dt_nb
-            starts, ctr, src, r, unit, dt_ex, dt_nb = self._survivors(
-                chunks[k], pos_rows
-            )
-            t_ex += dt_ex
-            t_nb += dt_nb
-            if len(r) == 0:
-                continue
-            n_pts += len(r)
-            # within one offset a center tile appears at most once, so
-            # this is the per-tile count of offsets that interact
-            int_flat += np.bincount(ctr, minlength=n_tiles)
-            if single:
-                # one table: the partner's share is the same value
-                vals, rho_d = grouped.rho.evaluate(r, 0)
-                vals_ctr, rho_d_ctr, phi_member = vals, rho_d, 0
-            else:
-                src_t = typ_flat.take(src)
-                ctr_t = typ_flat.take(ctr)
-                vals, rho_d = grouped.rho.evaluate(r, src_t)
-                vals_ctr, rho_d_ctr = grouped.rho.evaluate(r, ctr_t)
-                phi_member = grouped.phi_index[ctr_t, src_t]
-            for i in range(len(rects)):
-                s0, s1 = starts[i], starts[i + 1]
-                if s0 == s1:
-                    continue
-                rho_flat[ctr[s0:s1]] += vals[s0:s1]
-                if self.force_symmetry:
-                    # reverse reduction: the partner's density share
-                    rho_flat[src[s0:s1]] += vals_ctr[s0:s1]
-            records.append(SurvivorRecord(
-                starts, ctr, src, r, unit, rho_d, rho_d_ctr, phi_member
+            record = SurvivorRecord(*kernel(
+                pos_rows, chunks[k], self.lengths, self.periodic,
+                self.cutoff, typ_flat, grouped.rho.bank(),
+                grouped.phi_index, self.force_symmetry, rho_flat, int_flat,
             ))
+            calls.inc()
+            if len(record.r):
+                records.append(record)
         n_cand += cand
         if not reused and self.skin > 0.0:
             self._list = _SkinList(chunks, pos.copy(), occ.copy(), cand)
-        return t_ex, t_nb, n_pts, reused
+        return t_ex, t_nb, reused
 
     # -- sweep 2: forces --------------------------------------------------
 
@@ -440,10 +387,11 @@ class StreamingSweeps:
         Consumes the records the last :meth:`density` left — each is
         dropped as soon as it is scattered — and accumulates into the
         caller's float64 ``force`` grid, and into ``e_pair`` when one
-        is passed.  Returns ``(t_exchange, n_points)``; the exchange is
-        the ``F'`` gather at the recorded tiles.  Raises
-        :class:`SweepRecordError` when no fresh records exist: positions
-        may have moved since whatever density sweep came before.
+        is passed.  Returns the number of interactions scattered (the
+        ``F'`` exchange is the kernel's own gather at the recorded
+        tiles).  Raises :class:`SweepRecordError` when no fresh records
+        exist: positions may have moved since whatever density sweep
+        came before.
         """
         records, self._records = self._records, None
         if records is None:
@@ -452,47 +400,17 @@ class StreamingSweeps:
                 "records are consumed by the first force sweep after "
                 "each density sweep"
             )
-        phi = self.tables.grouped().phi
-        sym = self.force_symmetry
+        kernel = active_backend().force_chunk
+        calls = metrics().counter("kernels.force_chunk.calls")
+        phi_bank = self.tables.grouped().phi.bank()
         fder_flat = _flat(f_der)
         force_rows = _flat(force, 3)
-        if e_pair is not None:
-            e_flat = _flat(e_pair)
-            # center + partner halves meet on one plane before they
-            # join the accumulator (one rounding per tile per offset)
-            e_both = np.zeros(len(e_flat)) if sym else None
-        t_ex = 0.0
+        e_flat = _flat(e_pair) if e_pair is not None else None
         n_pts = 0
         while records:
-            starts, ctr, src, r, unit, rho_d_src, rho_d_ctr, member = (
-                records.popleft()
-            )
-            n_pts += len(r)
-            t0 = time.perf_counter()
-            fder_ctr = fder_flat.take(ctr)
-            fder_src = fder_flat.take(src)
-            t_ex += time.perf_counter() - t0
-            phi_v, phi_d = phi.evaluate(r, member)
-            s = fder_ctr * rho_d_src + fder_src * rho_d_ctr + phi_d
-            fvec = s[:, None] * unit
-            for i in range(len(starts) - 1):
-                s0, s1 = starts[i], starts[i + 1]
-                if s0 == s1:
-                    continue
-                at, partner = ctr[s0:s1], src[s0:s1]
-                force_rows[at] += fvec[s0:s1]
-                if sym:
-                    # computed once; the partner takes the negated share
-                    force_rows[partner] -= fvec[s0:s1]
-                if e_pair is None:
-                    continue
-                e_half = 0.5 * phi_v[s0:s1]
-                if sym:
-                    e_both[at] = e_half
-                    e_both[partner] += e_half
-                    e_flat += e_both
-                    e_both[at] = 0.0
-                    e_both[partner] = 0.0
-                else:
-                    e_flat[at] += e_half
-        return t_ex, n_pts
+            record = records.popleft()
+            n_pts += len(record.r)
+            kernel(record, fder_flat, phi_bank, self.force_symmetry,
+                   force_rows, e_flat)
+            calls.inc()
+        return n_pts

@@ -312,7 +312,7 @@ class WseMd:
         rho_bar = np.zeros((nx, ny))
         n_cand = np.zeros((nx, ny), dtype=np.int64)
         n_int = np.zeros((nx, ny), dtype=np.int64)
-        t_ex, t_nb, _, reused = self._sweeps.density(
+        t_ex, t_nb, reused = self._sweeps.density(
             self.pos, self.occ, self.typ, rho_bar, n_cand, n_int
         )
         self.last_candidates = n_cand
@@ -345,13 +345,13 @@ class WseMd:
         left (positions are never exchanged or filtered a second time
         in a step); only ``F'`` travels here.  The pair energy is
         accumulated only when ``energy`` is set — a timestep never
-        reads it.  Returns ``(force, e_pair or None, t_exchange)``.
+        reads it.  Returns ``(force, e_pair or None, n_interactions)``.
         """
         nx, ny = self.grid.nx, self.grid.ny
         force = np.zeros((nx, ny, 3))
         e_pair = np.zeros((nx, ny)) if energy else None
-        t_ex, _ = self._sweeps.force(f_der, force, e_pair)
-        return force, e_pair, t_ex
+        n_pts = self._sweeps.force(f_der, force, e_pair)
+        return force, e_pair, n_pts
 
     def _integrate(self, force: np.ndarray) -> None:
         """Step 4b: leap-frog update, restricted to the occupied tiles.
@@ -454,14 +454,11 @@ class WseMd:
         for _ in range(n_steps):
             # the "step" envelope's self-time is the loop glue between
             # phases (LAMMPS's "Other" row), so traced time tiles the
-            # engine wall time.  Each sweep reports its exchange /
-            # neighbor wall-time split, recorded as child spans so the
-            # taxonomy phases still tile the step: the machine performs
-            # two exchanges per step (candidate positions — the full
-            # shift on a list build, a gather at the listed tiles
-            # otherwise — then the F' gather at the recorded
-            # survivors), exactly as the paper's timestep does, and one
-            # neighbor filter.
+            # engine wall time.  A list build reports its exchange /
+            # neighbor split (candidate shift, coarse filter) as child
+            # spans of the density phase; the per-step gathers and the
+            # exact filter run fused inside the two sweep kernels and
+            # are the density / pair_force phases' own time.
             with tr.phase("step"):
                 with tr.phase("density") as ph:
                     rho_bar, n_cand, n_int, t_ex, t_nb = (
@@ -480,8 +477,7 @@ class WseMd:
                 with tr.phase("embedding"):
                     _, f_der = self._embed(rho_bar)
                 with tr.phase("pair_force"):
-                    force, _, t_ex = self._force_sweep(f_der)
-                    tr.record("exchange", t_ex, {"offsets": n_offsets})
+                    force, _, _ = self._force_sweep(f_der)
                 with tr.phase("integrate"):
                     self._integrate(force)
                 with tr.phase("cycle_account"):

@@ -1,4 +1,5 @@
-"""Baseline NumPy kernels (always available).
+"""Baseline NumPy kernels: always available, and the *definition* every
+other tier must equal bit for bit.
 
 The fused spline evaluation is the hot loop of the whole EAM stack: one
 segment computation, one gather of the packed coefficient table, then a
@@ -6,16 +7,14 @@ Horner polynomial for value and derivative from the same four
 coefficients (the uniformly binned table lookup of the FPGA pipelines
 in PAPERS.md, and of a WSE tile's per-segment SRAM rows).
 
-The whole-pass kernels (``neighbor_prefilter``, ``fused_density_pass``,
-``fused_force_pass``, ``grouped_spline_eval``) are the numpy ports of
-the loops that used to live inline in :mod:`repro.md.neighbor_list` and
-:mod:`repro.potentials.eam`.  Per element they perform the *identical*
-IEEE operations, on the same operands in the same order, as those call
-sites did — outputs are bitwise what the first port produced (frozen as
-``tests.legacy_kernels``, the oracle of the kernel test sweep), and the
-per-function fallback for partial backends never changes a trajectory.
-What the bodies are free to choose is how memory moves, and at these
-sizes (10^5 pairs) that, not arithmetic, is the cost.  Three rules:
+The whole-pass kernels are the numpy ports of the loops that used to
+live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`
+and (``density_chunk``, ``force_chunk``) :mod:`repro.core.streaming`.
+Per element they perform the *identical* IEEE operations, on the same
+operands in the same order, as those call sites did (the pair kernels'
+first port is frozen as ``tests.legacy_kernels``).  What the bodies are
+free to choose is how memory moves, and at these sizes (10^5 pairs)
+that, not arithmetic, is the cost.  Three rules:
 
 * **Gather with ``take``.**  ``a.take(idx, axis=0)`` is 4-8x faster
   than ``a[idx]`` (numpy's advanced-indexing machinery) and copies the
@@ -42,9 +41,10 @@ Spline *banks* are the packed-group tuples built by
     (coeffs, row0, x0, h, nseg, x_max, y_last, clamp_low, zero_above)
 
 with per-member arrays indexed by the point's member id.  ``clamp_low``
-covers the ``extrapolate_low="clamp"`` boundary (``"error"`` is checked
-by the caller before the kernel; ``"linear"`` needs no special-casing —
-the boundary polynomial continues naturally).
+covers the ``extrapolate_low="clamp"`` boundary; ``"linear"`` needs no
+special-casing (the boundary polynomial continues naturally), and a
+bank cannot raise: ``"error"`` is honoured by the spline classes'
+``evaluate``, not by the whole-pass kernels.
 """
 
 from __future__ import annotations
@@ -145,6 +145,28 @@ def grouped_spline_eval(
     return val, der
 
 
+def minimum_image(rij: np.ndarray, lengths, periodic) -> None:
+    """Minimum image of (P, 3) separations, in place.
+
+    ``floor(x/L + 0.5)``, not ``round(x/L)``: ``np.round`` sends
+    half-box ties (exactly +-L/2) to the nearest *even* multiple, so the
+    wrapped sign would depend on which image the separation came from.
+    ``floor`` maps both ties to -L/2, matching ``Box.minimum_image``, so
+    every engine wraps alike.  The edge is a Python float, so a float32
+    wafer wraps in float32.
+    """
+    for d in range(3):
+        if periodic[d]:
+            ld = float(lengths[d])
+            col = rij[:, d]
+            # col -= ld * floor(col / ld + 0.5), one buffer
+            wrap = col / ld
+            wrap += 0.5
+            np.floor(wrap, out=wrap)
+            np.multiply(ld, wrap, out=wrap)
+            col -= wrap
+
+
 def neighbor_prefilter(
     positions: np.ndarray,
     i: np.ndarray,
@@ -180,16 +202,7 @@ def neighbor_prefilter(
     """
     rij = positions.take(j, axis=0)
     rij -= positions.take(i, axis=0)
-    for d in range(3):
-        if periodic[d]:
-            ld = lengths[d]
-            col = rij[:, d]
-            # col -= ld * floor(col / ld + 0.5), one buffer
-            wrap = col / ld
-            wrap += 0.5
-            np.floor(wrap, out=wrap)
-            np.multiply(ld, wrap, out=wrap)
-            col -= wrap
+    minimum_image(rij, lengths, periodic)
     r2 = np.einsum("ij,ij->i", rij, rij)
     no_geometry = (
         np.empty((0, 3), dtype=np.float64),
@@ -284,3 +297,116 @@ def fused_force_pass(
     e_pair += accumulate_scalar(j, half_phi, n_atoms)
     return e_pair, forces
 
+
+
+# -- the lockstep wafer's two sweeps, one chunk of offsets at a time ------
+
+
+def density_chunk(
+    pos_rows: np.ndarray,
+    listed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lengths,
+    periodic,
+    cutoff: float,
+    typ_flat: np.ndarray,
+    rho_bank: tuple,
+    phi_index: np.ndarray,
+    symmetry: bool,
+    rho_flat: np.ndarray,
+    int_flat: np.ndarray,
+) -> tuple:
+    """The wafer's density sweep over one chunk of listed pairs.
+
+    ``listed`` is the chunk's ``(starts, ctr, src)`` index rows (int32;
+    ``starts[i]:starts[i + 1]`` are the rows of its ``i``-th offset, in
+    which every center and every source tile appears at most once).
+    The one place a pair is admitted: gather ``pos[src] - pos[ctr]``,
+    minimum image, keep ``0 < r^2 < cutoff^2``.  The survivors' ``rho``
+    is added to the flat ``rho_flat`` one offset at a time, in exchange
+    order — with ``symmetry`` every center share of the offset, then
+    every partner share (the reverse reduction) — and their count to
+    ``int_flat``.  Returns the survivor record ``(starts, ctr, src, r,
+    unit, rho_d_src, rho_d_ctr, phi_member)`` for :func:`force_chunk`;
+    with one table ``rho_d_ctr is rho_d_src`` and ``phi_member`` is 0.
+    """
+    starts, ctr, src = listed
+    d = pos_rows.take(src, axis=0)
+    d -= pos_rows.take(ctr, axis=0)
+    minimum_image(d, lengths, periodic)
+    r2 = np.einsum("pk,pk->p", d, d)
+    keep = np.flatnonzero((r2 < cutoff**2) & (r2 > 0.0))
+    r = np.sqrt(r2.take(keep))
+    unit = d.take(keep, axis=0) / r[:, None]
+    starts = np.searchsorted(keep, starts)
+    ctr = ctr.take(keep)
+    src = src.take(keep)
+    # within one offset a center tile appears at most once, so this is
+    # the per-tile count of offsets that interact
+    int_flat += np.bincount(ctr, minlength=len(int_flat))
+    x = np.asarray(r, dtype=np.float64)
+    if len(rho_bank[2]) == 1:
+        # one table: the partner's share is the same value
+        vals, rho_d = grouped_spline_eval(rho_bank, x, 0)
+        vals_ctr, rho_d_ctr, phi_member = vals, rho_d, 0
+    else:
+        src_t = typ_flat.take(src)
+        ctr_t = typ_flat.take(ctr)
+        vals, rho_d = grouped_spline_eval(rho_bank, x, src_t)
+        vals_ctr, rho_d_ctr = grouped_spline_eval(rho_bank, x, ctr_t)
+        phi_member = phi_index[ctr_t, src_t]
+    for i in range(len(starts) - 1):
+        s0, s1 = starts[i], starts[i + 1]
+        if s0 == s1:
+            continue
+        rho_flat[ctr[s0:s1]] += vals[s0:s1]
+        if symmetry:
+            rho_flat[src[s0:s1]] += vals_ctr[s0:s1]
+    return starts, ctr, src, r, unit, rho_d, rho_d_ctr, phi_member
+
+
+def force_chunk(
+    record: tuple,
+    f_der: np.ndarray,
+    phi_bank: tuple,
+    symmetry: bool,
+    force_rows: np.ndarray,
+    e_flat: np.ndarray | None = None,
+) -> None:
+    """The wafer's force sweep over one :func:`density_chunk` record.
+
+    Gathers the flat ``f_der`` (``F'``, the second exchange) at the
+    recorded tiles, evaluates only ``phi`` and adds the Eq. 4 force to
+    the ``(n_tiles, 3)`` ``force_rows`` one offset at a time; with
+    ``symmetry`` the partner takes the negated share after every center
+    of the offset has its own.  ``e_flat`` (optional) receives half the
+    pair energy per member tile.
+    """
+    starts, ctr, src, r, unit, rho_d_src, rho_d_ctr, member = record
+    phi_v, phi_d = grouped_spline_eval(
+        phi_bank, np.asarray(r, dtype=np.float64), member
+    )
+    s = f_der.take(ctr) * rho_d_src + f_der.take(src) * rho_d_ctr + phi_d
+    fvec = s[:, None] * unit
+    if e_flat is not None and symmetry:
+        # center + partner halves meet on one plane before they join
+        # the accumulator (one rounding per tile per offset)
+        e_both = np.zeros(len(e_flat))
+    for i in range(len(starts) - 1):
+        s0, s1 = starts[i], starts[i + 1]
+        if s0 == s1:
+            continue
+        at, partner = ctr[s0:s1], src[s0:s1]
+        force_rows[at] += fvec[s0:s1]
+        if symmetry:
+            force_rows[partner] -= fvec[s0:s1]
+        if e_flat is None:
+            continue
+        e_half = 0.5 * phi_v[s0:s1]
+        if symmetry:
+            e_both[at] = e_half
+            e_both[partner] += e_half
+            e_flat += e_both
+            e_both[at] = 0.0
+            e_both[partner] = 0.0
+        else:
+            e_flat[at] += e_half

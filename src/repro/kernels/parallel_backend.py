@@ -2,33 +2,23 @@
 
 Selecting ``backend="parallel"`` means two things:
 
-* the in-process kernels are the serial numpy ones (re-exported below —
-  the registry contract is unchanged), and
+* the in-process kernels are the default tier's (``native`` when it
+  loads, else ``numpy`` — bound below, so the library is resolved once,
+  in the parent, before any worker is forked), and
 * the reference engine's :class:`~repro.md.simulation.Simulation`
-  additionally routes force evaluation through the domain-sharded
+  routes force evaluation through the domain-sharded
   :class:`~repro.parallel.pipeline.ShardedForcePipeline`
-  (``provides_pipeline``), with the layout taken from
-  ``RunSpec.workers``/``topology``/``transport``.  Workers own their
-  tiles across steps (sparse halo packs, cross-step candidate reuse);
-  their inner loops run the serial numpy kernels from this registry.
+  (``provides_pipeline``), laid out by ``RunSpec.workers`` /
+  ``topology`` / ``transport``; the workers run the same default tier.
 
-Importing this module raises :class:`ImportError` when the platform
-cannot host the worker pool (no fork start method), so the registry's
-standard once-per-name fallback degrades ``parallel`` to ``numpy``
-exactly like a missing JIT.
+Importing this module raises :class:`ImportError` where the platform
+cannot host the worker pool (no fork start method): the registry's
+once-per-name fallback to ``numpy``, exactly like a missing compiler.
 """
 
 from __future__ import annotations
 
-from repro.kernels.numpy_backend import (  # noqa: F401  (registry contract)
-    accumulate_scalar,
-    accumulate_vec3,
-    fused_density_pass,
-    fused_force_pass,
-    grouped_spline_eval,
-    neighbor_prefilter,
-    spline_eval,
-)
+from repro.kernels import KERNEL_FUNCTIONS, default_tier
 from repro.parallel import fork_available
 
 if not fork_available():  # pragma: no cover - platform-dependent
@@ -36,6 +26,11 @@ if not fork_available():  # pragma: no cover - platform-dependent
         "parallel backend requires the fork start method "
         "(unavailable on this platform)"
     )
+
+_tier = default_tier()
+globals().update({fn: getattr(_tier, fn) for fn in KERNEL_FUNCTIONS})
+serial_tier = _tier.name  # what a shard worker activates
+compile_s = getattr(_tier, "compile_s", 0.0)
 
 #: Simulation checks this flag to enable the sharded force pipeline.
 provides_pipeline = True

@@ -152,20 +152,22 @@ class ShardWorker:
 
     ``switch_backend=False`` skips the process-global kernel-backend
     switch: the inline mover runs workers inside the parent process,
-    whose active backend (the ``parallel`` backend re-exports the numpy
-    kernels) already evaluates the identical arithmetic.
+    whose active backend (the ``parallel`` backend binds the default
+    tier's kernels) already evaluates the identical arithmetic.
     """
 
     def __init__(self, channel, cfg: dict, *, switch_backend: bool = True):
         from repro.md.cell_list import CellList
 
         if switch_backend:
-            from repro.kernels import set_backend
+            from repro.kernels import active_backend, set_backend
 
-            # The "parallel" backend name only means "drive workers
-            # from the parent"; each worker's inner loops run the
-            # serial numpy kernels (nested pools are never spawned).
-            set_backend("numpy")
+            # "parallel" only means "drive workers from the parent":
+            # a worker's inner loops run the serial tier it binds (any
+            # other active backend is serial already, and inherited).
+            serial = getattr(active_backend(), "serial_tier", None)
+            if serial is not None:
+                set_backend(serial)
         self.channel = channel
         self.potential = cfg["potential"]
         self.cutoff = cfg["cutoff"]

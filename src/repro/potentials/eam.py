@@ -337,7 +337,7 @@ class EAMPotential(Potential):
 
         The whole stage is one ``fused_density_pass`` kernel call:
         spline lookups and both scatter halves run inside the active
-        backend (a single compiled loop under numba).  Single-type
+        backend (a single compiled loop on the native tier).  Single-type
         tables evaluate the rho spline once per pair and share the
         value between directions, so the per-pair type gathers are
         skipped too.
@@ -379,7 +379,7 @@ class EAMPotential(Potential):
         The stage is one ``fused_force_pass`` kernel call: the phi
         spline lookup, the Eq. 4 radial scalar, the unit-vector
         projection and all four scatter halves run inside the active
-        backend (a single compiled loop under numba).
+        backend (a single compiled loop on the native tier).
         """
         types = self._types(n_atoms, types)
         p = pairs.n_pairs

@@ -129,8 +129,9 @@ class RunSpec:
         how often the filter runs; trajectories do not depend on it on
         ``wse``.
     backend:
-        Kernel backend (``numpy``, ``numba``, ``parallel``); ``None``
-        keeps the process default.
+        Kernel backend (``numpy``, ``native``, ``parallel``); ``None``
+        keeps the process default (``native`` where a C compiler
+        exists, else ``numpy`` — bitwise the same trajectory).
     workers:
         Worker count for the ``parallel`` backend's sharded force
         pipeline on the reference engine (0 = one per CPU).  Like
@@ -196,8 +197,9 @@ class RunSpec:
         0.5, "Verlet-list skin in A (0 = rebuild/filter every step)",
         min=0, physics=True)
     backend: str | None = _spec_field(
-        None, "kernel backend (numpy, numba, parallel); default: "
-        "$REPRO_KERNEL_BACKEND or numpy")
+        None, "kernel backend (numpy, native, parallel); default: "
+        "$REPRO_KERNEL_BACKEND, else native (compiled C, bitwise numpy; "
+        "numpy where no C compiler exists)")
     workers: int = _spec_field(
         0, "worker processes for the parallel backend on the reference "
         "engine (0 = one per CPU)", min=0)

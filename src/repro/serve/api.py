@@ -43,6 +43,9 @@ __all__ = ["ServeServer", "ServeClient", "run_server"]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
+#: Longest request line (bytes) the server reads; a longer frame is
+#: answered with an error instead of being buffered without bound.
+FRAME_LIMIT = 2**16
 
 
 class ServeServer:
@@ -70,7 +73,7 @@ class ServeServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+            self._handle, self.host, self._requested_port, limit=FRAME_LIMIT
         )
 
     async def close(self) -> None:
@@ -93,12 +96,16 @@ class ServeServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            line = await reader.readline()
-            if not line:
-                return
             try:
+                line = await reader.readline()
+                if not line:
+                    return
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
+                # malformed JSON; any other ValueError is readline's
+                # LimitOverrunError: no newline within the limit
+                if not isinstance(exc, json.JSONDecodeError):
+                    exc = f"frame exceeds {FRAME_LIMIT} bytes"
                 await self._send(writer, {
                     "ok": False, "error": f"bad request: {exc}", "code": 1,
                 })

@@ -189,7 +189,7 @@ def run_specs():
             dt_fs=draw(positive),
             skin=draw(non_negative),
             backend=draw(st.none() | st.sampled_from(
-                ("numpy", "numba", "parallel"))),
+                ("numpy", "native", "parallel"))),
             workers=(draw(st.sampled_from((0, domains)))
                      if engine == "reference" else 0),
             topology=topology,

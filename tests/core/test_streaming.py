@@ -355,26 +355,33 @@ def test_sweeps_match_record_passes_property(
 # -- survivor records: one filter per step, nothing left behind --------------
 
 
-def _spline_calls():
-    return metrics().counter("kernels.spline_eval.calls").value
+def _kernel_calls():
+    reg = metrics()
+    return tuple(
+        reg.counter(f"kernels.{name}.calls").value
+        for name in ("density_chunk", "force_chunk", "spline_eval")
+    )
 
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
 def test_one_rho_and_one_phi_call_per_chunk(ta_potential, force_symmetry):
-    """Single type: each non-empty chunk costs one rho and one phi
-    spline call per step (the second filter's two, and the partner's
-    duplicate rho call, are gone), plus the step's one embedding call."""
+    """Each chunk costs one ``density_chunk`` call per step, each
+    non-empty chunk one ``force_chunk`` call (no second filter, no
+    duplicate partner pass); the only spline call the engine itself
+    makes is the step's one embedding evaluation."""
     sim = WseMd(
         small_slab_state(reps=(5, 5, 2)), ta_potential,
         offset_chunk=3, force_symmetry=force_symmetry,
     )
     sim._density_sweep()
-    chunks = len(sim._sweeps._records)
-    assert 1 < chunks <= len(sim._sweeps._chunks)
+    chunks = len(sim._sweeps._chunks)
+    records = len(sim._sweeps._records)
+    assert 1 < records <= chunks
     sim._force_sweep(np.zeros(sim.occ.shape))
-    before = _spline_calls()
+    before = _kernel_calls()
     sim.step(3)
-    assert _spline_calls() - before == 3 * (2 * chunks + 1)
+    spent = tuple(b - a for a, b in zip(before, _kernel_calls()))
+    assert spent == (3 * chunks, 3 * records, 3)
 
 
 @pytest.mark.parametrize("alloy,per_row", [(False, 48), (True, 64)])

@@ -5,10 +5,9 @@ import pytest
 
 import repro.kernels as kernels
 from repro.kernels import (
-    CORE_KERNEL_FUNCTIONS,
     DEFAULT_BACKEND,
     ENV_VAR,
-    FUSED_KERNEL_FUNCTIONS,
+    FALLBACK_BACKEND,
     KERNEL_FUNCTIONS,
     active_backend,
     active_backend_name,
@@ -16,14 +15,13 @@ from repro.kernels import (
     backend_status,
     register_backend,
     set_backend,
-    warmup_backend,
 )
 from repro.kernels import numpy_backend
 
 
 @pytest.fixture(autouse=True)
 def restore_backend():
-    """Every test leaves the process-wide registry back on numpy."""
+    """Every test leaves the process-wide registry on the default tier."""
     yield
     set_backend(DEFAULT_BACKEND)
 
@@ -33,8 +31,14 @@ class TestRegistry:
         assert "numpy" in available_backends()
 
     def test_default_active(self):
-        set_backend(DEFAULT_BACKEND)
-        assert active_backend_name() == "numpy"
+        """``native`` where it loads, ``numpy`` (the explicit control,
+        always loadable) otherwise."""
+        assert (DEFAULT_BACKEND, FALLBACK_BACKEND) == ("native", "numpy")
+        status = backend_status()["native"]
+        name = set_backend(DEFAULT_BACKEND)
+        assert name == ("native" if status == "ok" else "numpy")
+        assert active_backend_name() == name
+        assert set_backend("numpy") == "numpy"
         assert active_backend() is numpy_backend
 
     def test_unknown_backend_falls_back_with_warning(self):
@@ -43,16 +47,35 @@ class TestRegistry:
         assert name == "numpy"
         assert active_backend_name() == "numpy"
 
-    def test_numba_degrades_gracefully_when_missing(self):
-        # container may or may not have numba; either way this must
-        # activate *some* working backend without raising
-        if "numba" in available_backends():
-            assert set_backend("numba") == "numba"
+    def test_native_loads_or_degrades_gracefully(self):
+        # with or without a C compiler this must activate *some*
+        # working backend without raising, and say which
+        kernels.reset_warnings()
+        if "native" in available_backends():
+            assert set_backend("native") == "native"
+            assert backend_status()["native"] == "ok"
         else:
-            with pytest.warns(RuntimeWarning):
-                assert set_backend("numba") == "numpy"
-            assert "numba" in backend_status()
-            assert backend_status()["numba"] != "ok"
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                assert set_backend("native") == "numpy"
+            assert backend_status()["native"] != "ok"
+
+    def test_numpy_never_loads_or_compiles_anything(self):
+        """``backend="numpy"`` is the ledger's baseline: selecting it
+        must not touch the native tier (child interpreter: this one
+        has long since loaded it)."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.runtime.runner, repro.kernels as k\n"
+            "from repro.runtime import RunSpec, build_engine\n"
+            "e = build_engine(RunSpec(element='Ta', reps=(3, 3, 2),"
+            " engine='wse', backend='numpy')); e.step(1)\n"
+            "assert k.active_backend_name() == 'numpy'\n"
+            "assert 'repro.kernels.native_backend' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": ":".join(sys.path), "PATH": ""})
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
@@ -75,87 +98,51 @@ class TestRegistry:
     def test_status_reports_ok_for_numpy(self):
         assert backend_status()["numpy"] == "ok"
 
-    def test_interface_is_two_tiered(self):
-        assert set(KERNEL_FUNCTIONS) == (
-            set(CORE_KERNEL_FUNCTIONS) | set(FUSED_KERNEL_FUNCTIONS)
-        )
-        assert not set(CORE_KERNEL_FUNCTIONS) & set(FUSED_KERNEL_FUNCTIONS)
+    def test_interface_is_one_tuple_every_name_on_numpy(self):
+        """No CORE/FUSED split: one list, and the numpy tier (what the
+        ledger builds its traced backend from) provides all of it."""
+        assert len(set(KERNEL_FUNCTIONS)) == len(KERNEL_FUNCTIONS) == 9
+        for fn in KERNEL_FUNCTIONS:
+            assert callable(getattr(numpy_backend, fn))
+        assert not hasattr(kernels, "CORE_KERNEL_FUNCTIONS")
+        assert not hasattr(kernels, "FUSED_KERNEL_FUNCTIONS")
 
-    def test_core_only_backend_degrades_per_function(self):
-        """A backend with just the core tier keeps working when the
-        interface widens: missing fused kernels are filled from numpy,
-        announced by exactly one warning naming them."""
-        import warnings as _warnings
+    def test_partial_backend_is_rejected_not_negotiated(self):
+        """A backend with only some kernels used to be filled in from
+        numpy per function; with one tier list it is malformed."""
 
-        class CoreOnly:
+        class SplinesOnly:
             spline_eval = staticmethod(numpy_backend.spline_eval)
             accumulate_scalar = staticmethod(numpy_backend.accumulate_scalar)
             accumulate_vec3 = staticmethod(numpy_backend.accumulate_vec3)
 
-        register_backend("core-only-probe", lambda: CoreOnly())
+        register_backend("splines-only-probe", lambda: SplinesOnly())
         try:
-            with pytest.warns(RuntimeWarning) as caught:
-                assert set_backend("core-only-probe") == "core-only-probe"
-            runtime = [w for w in caught
-                       if issubclass(w.category, RuntimeWarning)]
-            assert len(runtime) == 1
-            msg = str(runtime[0].message)
-            for fn in FUSED_KERNEL_FUNCTIONS:
-                assert fn in msg
-            backend = active_backend()
-            assert backend.missing_kernels == tuple(
-                f for f in FUSED_KERNEL_FUNCTIONS if f in msg
-            )
-            for fn in KERNEL_FUNCTIONS:
-                assert callable(getattr(backend, fn))
-            # the numpy fill is the real numpy implementation
-            assert backend.fused_density_pass \
-                is numpy_backend.fused_density_pass
-            # re-activating must not warn again (once per process)
-            with _warnings.catch_warnings(record=True) as again:
-                _warnings.simplefilter("always")
-                set_backend(DEFAULT_BACKEND)
-                set_backend("core-only-probe")
-            assert [w for w in again
-                    if issubclass(w.category, RuntimeWarning)] == []
+            with pytest.raises(TypeError, match="fused_density_pass"):
+                set_backend("splines-only-probe")
         finally:
-            kernels._loaders.pop("core-only-probe", None)
-            kernels._resolved.pop("core-only-probe", None)
-            kernels._warned_fallbacks.discard("core-only-probe:partial")
+            kernels._loaders.pop("splines-only-probe", None)
 
-    def test_warmup_returns_float_and_caches(self):
-        set_backend(DEFAULT_BACKEND)
-        kernels._warmups.pop("numpy", None)
-        first = warmup_backend()
-        assert isinstance(first, float)
-        assert first == 0.0  # numpy has no warmup hook
-        assert warmup_backend("numpy") == first
-
-    def test_warmup_runs_hook_once(self):
+    def test_load_failure_is_paid_for_once(self):
+        """A backend whose loader raises ImportError (failed compile,
+        failed probe) is not retried on every ``set_backend``."""
         calls = []
 
-        class Hooked:
-            spline_eval = staticmethod(numpy_backend.spline_eval)
-            accumulate_scalar = staticmethod(numpy_backend.accumulate_scalar)
-            accumulate_vec3 = staticmethod(numpy_backend.accumulate_vec3)
-            for _fn in FUSED_KERNEL_FUNCTIONS:
-                locals()[_fn] = staticmethod(getattr(numpy_backend, _fn))
-            del _fn
+        def loader():
+            calls.append(1)
+            raise ImportError("probe says no")
 
-            @staticmethod
-            def warmup():
-                calls.append(1)
-
-        register_backend("hooked-probe", lambda: Hooked())
+        register_backend("flaky-probe", loader)
         try:
-            t1 = warmup_backend("hooked-probe")
-            t2 = warmup_backend("hooked-probe")
+            with pytest.warns(RuntimeWarning, match="probe says no"):
+                assert set_backend("flaky-probe") == "numpy"
+            assert set_backend("flaky-probe") == "numpy"
+            assert backend_status()["flaky-probe"] == "probe says no"
             assert calls == [1]
-            assert t1 == t2 >= 0.0
         finally:
-            kernels._loaders.pop("hooked-probe", None)
-            kernels._resolved.pop("hooked-probe", None)
-            kernels._warmups.pop("hooked-probe", None)
+            kernels._loaders.pop("flaky-probe", None)
+            kernels._failures.pop("flaky-probe", None)
+            kernels._warned_fallbacks.discard("flaky-probe")
 
     def test_fallback_warns_once_per_name(self):
         # a campaign calling set_backend per run must not spam warnings;

@@ -33,10 +33,11 @@ def _outcome(fn, *args, **kwargs):
         return "raised", type(exc)
 
 
-def assert_same_outcome(name, *args, **kwargs):
-    """``new.<name>`` and ``old.<name>`` agree bit for bit on ``args``."""
-    kind_new, got = _outcome(getattr(new, name), *args, **kwargs)
-    kind_old, want = _outcome(getattr(old, name), *args, **kwargs)
+def assert_same_outcome(name, *args, sides=(new, old), **kwargs):
+    """``new.<name>`` and ``old.<name>`` (``sides``) agree bit for bit
+    on ``args``."""
+    kind_new, got = _outcome(getattr(sides[0], name), *args, **kwargs)
+    kind_old, want = _outcome(getattr(sides[1], name), *args, **kwargs)
     assert kind_new == kind_old, (name, got, want)
     if kind_new == "raised":
         assert got is want, (name, got, want)
@@ -111,123 +112,139 @@ SIZES = st.sampled_from([0, 1, 2, 7, 64, 300])
 # -- the sweep ---------------------------------------------------------------
 
 
-class TestBitwiseAgainstFrozenBodies:
-    @given(
-        seed=st.integers(0, 10_000),
-        n=SIZES,
-        n_members=st.sampled_from([1, 2, 4]),
-        low=st.sampled_from(["linear", "clamp"]),
-        zero_above=st.booleans(),
-        scalar_member=st.booleans(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_grouped_spline_eval(
-        self, seed, n, n_members, low, zero_above, scalar_member
-    ):
-        rng = np.random.default_rng(seed)
-        group = _group(rng, n_members, low, zero_above)
-        if scalar_member:
-            member = int(rng.integers(-n_members, n_members))
-        else:
-            member = rng.integers(-n_members, n_members, n).astype(np.int64)
-        x = _abscissae(rng, group, member, n)
-        assert_same_outcome("grouped_spline_eval", group.bank(), x, member)
+def bitwise_sweep(sides):
+    """The sweep as a test class over ``sides`` = (implementation under
+    test, its oracle).  A factory, not a base class: Hypothesis wants
+    each ``@given`` function run from one class only, and the native
+    tier (``test_native.py``) runs the same sweep with (native, numpy)."""
 
-    @given(seed=st.integers(0, 10_000), n=SIZES, negative=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_spline_eval(self, seed, n, negative):
-        rng = np.random.default_rng(seed)
-        coeffs = rng.normal(size=(int(rng.integers(1, 30)), 4))
-        lo = -len(coeffs) if negative else 0
-        k = rng.integers(lo, len(coeffs), n).astype(np.int64)
-        dx = rng.normal(size=n)
-        assert_same_outcome("spline_eval", coeffs, k, dx)
-
-    @given(
-        seed=st.integers(0, 10_000),
-        n_pairs=SIZES,
-        box=st.sampled_from(sorted(BOXES)),
-        inclusive=st.booleans(),
-        compute_r=st.booleans(),
-        assume_inside=st.booleans(),
-        negative=st.booleans(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_neighbor_prefilter(
-        self, seed, n_pairs, box, inclusive, compute_r, assume_inside,
-        negative,
-    ):
-        rng = np.random.default_rng(seed)
-        n_atoms = 40
-        lengths = rng.uniform(4.0, 9.0, 3)
-        positions = rng.uniform(0.0, 1.0, (n_atoms, 3)) * lengths
-        i, j = _indices(rng, n_atoms, n_pairs, negative=negative)
-        if n_pairs:  # a pair sitting exactly on the predicate's edge
-            d = positions[j[0]] - positions[i[0]]
-            per = np.array(BOXES[box])
-            d -= per * lengths * np.floor(d / lengths + 0.5)
-            rmax = float(np.sqrt(np.einsum("k,k->", d, d)))
-        else:
-            rmax = 3.0
-        assert_same_outcome(
-            "neighbor_prefilter", positions, i, j, lengths,
-            np.array(BOXES[box]), rmax, inclusive=inclusive,
-            compute_r=compute_r, assume_inside=assume_inside,
+    class _Sweep:
+        @given(
+            seed=st.integers(0, 10_000),
+            n=SIZES,
+            n_members=st.sampled_from([1, 2, 4]),
+            low=st.sampled_from(["linear", "clamp"]),
+            zero_above=st.booleans(),
+            scalar_member=st.booleans(),
         )
+        @settings(max_examples=200, deadline=None)
+        def test_grouped_spline_eval(
+            self, seed, n, n_members, low, zero_above, scalar_member
+        ):
+            rng = np.random.default_rng(seed)
+            group = _group(rng, n_members, low, zero_above)
+            if scalar_member:
+                member = int(rng.integers(-n_members, n_members))
+            else:
+                member = rng.integers(-n_members, n_members, n).astype(np.int64)
+            x = _abscissae(rng, group, member, n)
+            assert_same_outcome(
+                "grouped_spline_eval", group.bank(), x, member, sides=self.sides
+            )
 
-    @given(
-        seed=st.integers(0, 10_000),
-        n_pairs=SIZES,
-        n_members=st.sampled_from([1, 2, 3]),
-        negative=st.booleans(),
-        coincident=st.booleans(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_fused_passes(
-        self, seed, n_pairs, n_members, negative, coincident
-    ):
-        rng = np.random.default_rng(seed)
-        n_atoms = 30
-        rho = _group(rng, n_members, "linear", True)
-        n_phi = n_members * (n_members + 1) // 2
-        phi = _group(rng, n_phi, "linear", True)
-        i, j = _indices(rng, n_atoms, n_pairs, negative=negative)
-        rij = rng.normal(size=(n_pairs, 3))
-        r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
-        if coincident and n_pairs:
-            rij[n_pairs // 2] = 0.0
-            r[n_pairs // 2] = 0.0
-        types = rng.integers(0, n_members, n_atoms)
-        ti, tj = types[i], types[j]
-        dens = assert_same_outcome(
-            "fused_density_pass", i, j, r, ti, tj, rho.bank(), n_atoms
-        )
-        if dens is None:  # negative scatter index: both raised alike
-            d_ji = d_ij = rng.normal(size=n_pairs)
-        else:
-            _, d_ji, d_ij = dens
-        f_der = rng.normal(size=n_atoms)
-        member = 0 if n_members == 1 else rng.integers(0, n_phi, n_pairs)
-        got = assert_same_outcome(
-            "fused_force_pass", i, j, rij, r, f_der, d_ji, d_ij,
-            phi.bank(), member, n_atoms,
-        )
-        if coincident and n_pairs and not negative:
-            assert got is None  # FloatingPointError on both sides
+        @given(seed=st.integers(0, 10_000), n=SIZES, negative=st.booleans())
+        @settings(max_examples=60, deadline=None)
+        def test_spline_eval(self, seed, n, negative):
+            rng = np.random.default_rng(seed)
+            coeffs = rng.normal(size=(int(rng.integers(1, 30)), 4))
+            lo = -len(coeffs) if negative else 0
+            k = rng.integers(lo, len(coeffs), n).astype(np.int64)
+            dx = rng.normal(size=n)
+            assert_same_outcome("spline_eval", coeffs, k, dx, sides=self.sides)
 
-    def test_coincident_atoms_raise_floating_point_error(self):
-        rng = np.random.default_rng(3)
-        phi = _group(rng, 1, "linear", True)
-        i = np.array([0, 1], dtype=np.int64)
-        j = np.array([1, 2], dtype=np.int64)
-        rij = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        r = np.array([1.0, 0.0])
-        z = np.zeros(2)
-        for mod in (new, old):
-            with pytest.raises(FloatingPointError):
-                mod.fused_force_pass(
-                    i, j, rij, r, np.zeros(3), z, z, phi.bank(), 0, 3
-                )
+        @given(
+            seed=st.integers(0, 10_000),
+            n_pairs=SIZES,
+            box=st.sampled_from(sorted(BOXES)),
+            inclusive=st.booleans(),
+            compute_r=st.booleans(),
+            assume_inside=st.booleans(),
+            negative=st.booleans(),
+        )
+        @settings(max_examples=200, deadline=None)
+        def test_neighbor_prefilter(
+            self, seed, n_pairs, box, inclusive, compute_r, assume_inside,
+            negative,
+        ):
+            rng = np.random.default_rng(seed)
+            n_atoms = 40
+            lengths = rng.uniform(4.0, 9.0, 3)
+            positions = rng.uniform(0.0, 1.0, (n_atoms, 3)) * lengths
+            i, j = _indices(rng, n_atoms, n_pairs, negative=negative)
+            if n_pairs:  # a pair sitting exactly on the predicate's edge
+                d = positions[j[0]] - positions[i[0]]
+                per = np.array(BOXES[box])
+                d -= per * lengths * np.floor(d / lengths + 0.5)
+                rmax = float(np.sqrt(np.einsum("k,k->", d, d)))
+            else:
+                rmax = 3.0
+            assert_same_outcome(
+                "neighbor_prefilter", positions, i, j, lengths,
+                np.array(BOXES[box]), rmax, inclusive=inclusive,
+                compute_r=compute_r, assume_inside=assume_inside,
+                sides=self.sides,
+            )
+
+        @given(
+            seed=st.integers(0, 10_000),
+            n_pairs=SIZES,
+            n_members=st.sampled_from([1, 2, 3]),
+            negative=st.booleans(),
+            coincident=st.booleans(),
+        )
+        @settings(max_examples=200, deadline=None)
+        def test_fused_passes(
+            self, seed, n_pairs, n_members, negative, coincident
+        ):
+            rng = np.random.default_rng(seed)
+            n_atoms = 30
+            rho = _group(rng, n_members, "linear", True)
+            n_phi = n_members * (n_members + 1) // 2
+            phi = _group(rng, n_phi, "linear", True)
+            i, j = _indices(rng, n_atoms, n_pairs, negative=negative)
+            rij = rng.normal(size=(n_pairs, 3))
+            r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
+            if coincident and n_pairs:
+                rij[n_pairs // 2] = 0.0
+                r[n_pairs // 2] = 0.0
+            types = rng.integers(0, n_members, n_atoms)
+            ti, tj = types[i], types[j]
+            dens = assert_same_outcome(
+                "fused_density_pass", i, j, r, ti, tj, rho.bank(), n_atoms,
+                sides=self.sides,
+            )
+            if dens is None:  # negative scatter index: both raised alike
+                d_ji = d_ij = rng.normal(size=n_pairs)
+            else:
+                _, d_ji, d_ij = dens
+            f_der = rng.normal(size=n_atoms)
+            member = 0 if n_members == 1 else rng.integers(0, n_phi, n_pairs)
+            got = assert_same_outcome(
+                "fused_force_pass", i, j, rij, r, f_der, d_ji, d_ij,
+                phi.bank(), member, n_atoms, sides=self.sides,
+            )
+            if coincident and n_pairs and not negative:
+                assert got is None  # FloatingPointError on both sides
+
+        def test_coincident_atoms_raise_floating_point_error(self):
+            rng = np.random.default_rng(3)
+            phi = _group(rng, 1, "linear", True)
+            i = np.array([0, 1], dtype=np.int64)
+            j = np.array([1, 2], dtype=np.int64)
+            rij = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            r = np.array([1.0, 0.0])
+            z = np.zeros(2)
+            for mod in self.sides:
+                with pytest.raises(FloatingPointError):
+                    mod.fused_force_pass(
+                        i, j, rij, r, np.zeros(3), z, z, phi.bank(), 0, 3
+                    )
+
+    _Sweep.sides = sides
+    return _Sweep
+
+
+TestBitwiseAgainstFrozenBodies = bitwise_sweep((new, old))
 
 
 # -- checks every rewrite kept -----------------------------------------------

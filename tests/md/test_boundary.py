@@ -93,18 +93,15 @@ class TestMinimumImage:
         assert np.all(out[:, 0] == -5.0)
 
     def test_wse_engine_minimum_image_matches_box(self):
-        from repro.core.streaming import StreamingSweeps
+        from repro.kernels.numpy_backend import minimum_image
 
-        # the lockstep engine's private fold (the wrap its sweeps run)
-        # must break half-box ties the same way, or the engines drift
-        # apart at exactly +-L/2
+        # the kernels' fold (the wrap the lockstep sweeps and the pair
+        # prefilter run) must break half-box ties the same way, or the
+        # engines drift apart at exactly +-L/2
         b = Box.cube_periodic(10.0)
-        stub = object.__new__(StreamingSweeps)
-        stub.lengths = tuple(float(v) for v in b.lengths)
-        stub.periodic = tuple(bool(v) for v in b.periodic)
         d = np.array([[5.0, -5.0, 15.0], [1.0, -8.0, 7.0]])
         got = d.copy()
-        StreamingSweeps._wrap(stub, got)
+        minimum_image(got, b.lengths, b.periodic)
         np.testing.assert_array_equal(got, b.minimum_image(d))
 
 

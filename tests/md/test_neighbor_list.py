@@ -183,8 +183,8 @@ def kernel_table(nl, positions):
     """What the strict kernel says about the current candidates.
 
     The *active* backend's kernel: geometry reuse must be bit-neutral
-    against whichever exact stage the list itself runs (the CI numba
-    leg runs this file with the compiled kernel).
+    against whichever exact stage the list itself runs (by default, and
+    on CI's native leg, the compiled kernel).
     """
     return active_backend().neighbor_prefilter(
         positions, nl.candidates.i, nl.candidates.j,

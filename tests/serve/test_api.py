@@ -163,6 +163,28 @@ class TestErrors:
         assert not response["ok"]
         assert "bad request" in response["error"]
 
+    def test_overlong_frame_is_answered_not_dropped(self, tmp_path, caplog):
+        """A request line past the reader's limit used to raise out of
+        the handler: the client saw ECONNRESET, the server logged an
+        unhandled traceback."""
+        def run(client):
+            with socket.create_connection(
+                (client.host, client.port), timeout=30
+            ) as conn:
+                frame = json.dumps({"op": "ping", "pad": "x" * 200_000})
+                conn.sendall(frame.encode() + b"\n")
+                reply = json.loads(conn.makefile().readline())
+            return reply, client.ping()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            reply, alive = _with_server(tmp_path, run)
+        assert reply == {
+            "ok": False, "code": 1,
+            "error": "bad request: frame exceeds 65536 bytes",
+        }
+        assert alive
+        assert not caplog.records
+
 
 class TestWatch:
     def test_watch_streams_events_then_result(self, tmp_path):

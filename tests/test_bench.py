@@ -17,8 +17,16 @@ from repro.bench import (
     write_report,
 )
 from repro.cli import main
+from repro.kernels import available_backends
 
 BY_NAME = {c.name: c for c in CASES}
+
+# the lockstep cases are pinned to the compiled tier, and a *named* case
+# never benches the numpy fall-back
+needs_native = pytest.mark.skipif(
+    "native" not in available_backends(),
+    reason="the wse-* bench cases need the native tier (no C compiler)",
+)
 
 
 def fake_result(name="ref-Ta", steps_per_s=10.0, **extra):
@@ -91,15 +99,20 @@ class TestCaseTable:
         assert (ta.reps, ta.engine, ta.backend) == (
             (20, 20, 20), "reference", "numpy")
 
-    def test_numba_case_mirrors_acceptance_workload(self):
-        # the JIT tier is timed on the very same slab and window, so
-        # check_numba_tier.py's numba-Ta / ref-Ta ratio is like for like
+    @pytest.mark.parametrize("element", ["Ta", "Cu"])
+    def test_native_case_mirrors_its_reference_case(self, element):
+        # the compiled tier is timed on the very same slab and window,
+        # so the native-X / ref-X ratio is like for like
         import dataclasses
 
-        nb, ta = BY_NAME["numba-Ta"], BY_NAME["ref-Ta"]
-        assert nb.spec == dataclasses.replace(ta.spec, backend="numba")
-        assert (nb.quick, nb.warmup, nb.windows) == (
-            ta.quick, ta.warmup, ta.windows)
+        nat, ref = BY_NAME[f"native-{element}"], BY_NAME[f"ref-{element}"]
+        assert nat.spec == dataclasses.replace(ref.spec, backend="native")
+        assert (nat.quick, nat.warmup, nat.windows) == (
+            ref.quick, ref.warmup, ref.windows)
+
+    def test_lockstep_cases_run_on_the_native_tier(self):
+        for name in ("wse-Ta", "wse-Ta-100k", "wse-Ta-800k"):
+            assert BY_NAME[name].spec.backend == "native"
 
 
 class TestCompare:
@@ -187,8 +200,9 @@ class TestCompare:
             # the committed quick baseline gates every quick case
             for case in CASES:
                 hit = baseline_for_case(report, case.name, "quick")
-                if case.quick is not None and case.spec.backend != "numba":
+                if case.quick is not None:
                     assert hit["kernel_backend"] == case.spec.backend
+                    assert "compile_s" in hit
 
 
 class TestExecution:
@@ -213,11 +227,20 @@ class TestExecution:
         assert result.extra["transport"] is None
         assert "reps" not in result.extra
 
-    def test_run_case_records_backend_and_warmup(self):
+    def test_run_case_records_backend_and_compile_seconds(self):
         entry = run_case(BY_NAME["ref-Ta"], quick=True, steps=2).to_json()
         assert entry["kernel_backend"] == "numpy"
-        assert entry["jit_warmup_s"] == 0.0  # numpy has no JIT to warm
+        assert entry["compile_s"] == 0.0  # numpy compiles nothing
         assert entry["peak_rss_bytes"] > 0
+
+    @needs_native
+    def test_run_case_native_reports_what_the_compiler_cost(self):
+        from repro.kernels import native_backend
+
+        entry = run_case(BY_NAME["native-Ta"], quick=True, steps=2).to_json()
+        assert entry["kernel_backend"] == "native"
+        # 0.0 when this process loaded the cached artefact
+        assert entry["compile_s"] == round(native_backend.compile_s, 4)
 
     def test_run_case_sharded_records_layout_and_restores_backend(self):
         from repro.kernels import active_backend_name, available_backends
@@ -238,13 +261,12 @@ class TestExecution:
         monkeypatch.setattr(kernels, "available_backends", lambda: ["numpy"])
         lines = []
         results = run_bench(quick=True, steps=2, progress=lines.append)
-        assert [r.name for r in results] == [
-            "ref-Ta", "ref-Cu", "ref-W", "wse-Ta", "wse-Ta-100k",
-        ]
+        assert [r.name for r in results] == ["ref-Ta", "ref-Cu", "ref-W"]
         skipped = {ln.split(":")[0].strip() for ln in lines
                    if "unavailable" in ln}
         assert skipped == {"par-Ta-w1", "par-Ta-w2", "par-Ta-w4",
-                           "par-Ta-2x2-socket", "numba-Ta"}
+                           "par-Ta-2x2-socket", "native-Ta", "native-Cu",
+                           "wse-Ta", "wse-Ta-100k"}
         assert any("wse-Ta-800k: full mode only" in ln for ln in lines)
 
     def test_run_bench_unknown_case_name(self):
@@ -286,6 +308,7 @@ class TestExecution:
 
 
 class TestCli:
+    @needs_native
     def test_bench_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH_kernels.json"
         rc = main(["bench", "--quick", "--cases", "wse-Ta",
@@ -299,6 +322,7 @@ class TestCli:
         assert [(r["name"], r["steps"]) for r in entry["results"]] == [
             ("wse-Ta", 30)]
 
+    @needs_native
     def test_bench_gates_against_baseline(self, tmp_path, capsys):
         out = tmp_path / "a.json"
         argv = ["bench", "--quick", "--cases", "wse-Ta"]
@@ -325,6 +349,7 @@ class TestCli:
         # a failed gate still records the run it judged
         assert len(json.loads(out.read_text())["history"]) == 3
 
+    @needs_native
     def test_bench_empty_selection_errors(self, tmp_path, capsys):
         # the one full-mode-only case, asked for in quick mode
         out = tmp_path / "x.json"
@@ -354,14 +379,14 @@ class TestCli:
         )
         monkeypatch.setattr(
             kernels, "backend_status",
-            lambda: {"numba": "No module named 'numba'"},
+            lambda: {"native": "no C compiler (cc, gcc, clang) on PATH"},
         )
         out = tmp_path / "x.json"
-        rc = main(["bench", "--quick", "--cases", "ref-Ta", "numba-Ta",
+        rc = main(["bench", "--quick", "--cases", "ref-Ta", "native-Ta",
                    "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "numba" in captured.err and "unavailable" in captured.err
+        assert "no C compiler" in captured.err and "unavailable" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
         assert "ref-Ta" not in captured.out  # nothing was benched ...
         assert not out.exists()  # ... and nothing written
