@@ -447,6 +447,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.io.table_io import Table
     from repro.obs.profile import profile_spec
     from repro.obs.sinks import read_trace, render_phase_table
 
@@ -475,6 +476,13 @@ def _cmd_profile(args) -> int:
         if prof.minor_faults_per_step is not None:
             print(f"minor page faults/step: "
                   f"{prof.minor_faults_per_step:.0f}")
+        shard = prof.counters.get("shard_seconds")
+        if shard:  # the ranks stepped: what each did, and how often asked
+            print(f"rounds/step: {prof.counters['rounds'] / prof.steps:.2f}")
+            table = Table("per-rank stage seconds", ["rank", *shard])
+            for rank, row in enumerate(zip(*shard.values())):
+                table.add_row(rank, *(f"{s:.4f}" for s in row))
+            print(table.render())
         if prof.missing_phases:
             failures.append(
                 f"{name}: missing phases {list(prof.missing_phases)}"

@@ -6,10 +6,11 @@ Selecting ``backend="parallel"`` means two things:
   loads, else ``numpy`` — bound below, so the library is resolved once,
   in the parent, before any worker is forked), and
 * the reference engine's :class:`~repro.md.simulation.Simulation`
-  routes force evaluation through the domain-sharded
+  hands its atoms to the domain-sharded
   :class:`~repro.parallel.pipeline.ShardedForcePipeline`
   (``provides_pipeline``), laid out by ``RunSpec.workers`` /
-  ``topology`` / ``transport``; the workers run the same default tier.
+  ``topology`` / ``transport``: shard workers step them — forces,
+  seam reduction, embedding, leap-frog — on the same default tier.
 
 Importing this module raises :class:`ImportError` where the platform
 cannot host the worker pool (no fork start method): the registry's
@@ -32,5 +33,5 @@ globals().update({fn: getattr(_tier, fn) for fn in KERNEL_FUNCTIONS})
 serial_tier = _tier.name  # what a shard worker activates
 compile_s = getattr(_tier, "compile_s", 0.0)
 
-#: Simulation checks this flag to enable the sharded force pipeline.
+#: Simulation checks this flag to hand its atoms to the sharded pipeline.
 provides_pipeline = True

@@ -18,8 +18,9 @@ Three pieces, shared by the serial loop and every shard of
   displacement bound that feeds those cuts.
 
 :class:`NeighborList` is the trigger plus one :class:`Candidates`; a
-shard worker holds two (interior / boundary) and its pipeline asks the
-same trigger parent-side.
+shard worker holds two (interior / boundary) and measures the
+displacement of the rows it owns, which its pipeline max-reduces and
+puts to the same trigger.
 
 Candidates and the resulting :class:`~repro.potentials.base.PairTable`
 are *half* lists — each undirected pair stored once, the software
@@ -45,6 +46,8 @@ __all__ = [
     "NeighborList",
     "build_candidates",
     "count_funnel",
+    "displacement2",
+    "displacement_trigger",
     "skin_trigger",
 ]
 
@@ -60,16 +63,11 @@ def skin_trigger(
     or out of range), ``"displacement"`` (some atom moved more than
     skin/2), or ``None`` to reuse; then ``d_max`` is the largest
     displacement of any atom since the build (0.0 otherwise), the bound
-    :meth:`Candidates.pairs` takes.  One arithmetic for the serial list
-    and the sharded pipeline's parent-side check, so the two triggers
-    agree bit for bit.
-
-    Displacement is physical distance; periodic wrap is irrelevant for
-    "how far did it move" as integration never wraps positions.  Raises
-    :class:`FloatingPointError` on a non-finite result: ``np.max``
-    propagates NaN, so the check costs no extra pass, and left
-    unchecked ``NaN > bound`` is False — the list would be reused and
-    the strict filter would silently drop the atom's pairs.
+    :meth:`Candidates.pairs` takes.  The last two steps are
+    :func:`displacement2` and :func:`displacement_trigger`, which the
+    sharded pipeline runs apart — each rank the first, maximised over
+    the rows it owns, the parent the second on the maximum of the
+    maxima — so the two triggers agree bit for bit.
     """
     if ref is None:
         return "first", 0.0
@@ -77,8 +75,27 @@ def skin_trigger(
         return "skin_zero", 0.0
     if len(positions) != len(ref):
         return "size", 0.0
+    d2 = displacement2(positions, ref)
+    return displacement_trigger(float(np.max(d2, initial=0.0)), skin)
+
+
+def displacement2(positions: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Squared displacement of every row since ``ref`` (physical
+    distance: integration never wraps positions).  ``np.max`` propagates
+    NaN, so a non-finite coordinate survives into a maximum of these —
+    and a maximum of such maxima — at no extra pass."""
     delta = positions - ref
-    max_d2 = float(np.max(np.einsum("ij,ij->i", delta, delta)))
+    return np.einsum("ij,ij->i", delta, delta)
+
+
+def displacement_trigger(
+    max_d2: float, skin: float
+) -> tuple[str | None, float]:
+    """The skin/2 decision on a largest squared displacement:
+    ``("displacement", 0.0)`` or ``(None, d_max)``.  Raises
+    :class:`FloatingPointError` on a non-finite value: left unchecked
+    ``NaN > bound`` is False — the list would be reused and the strict
+    filter would silently drop the atom's pairs."""
     if not math.isfinite(max_d2):
         raise FloatingPointError(
             "non-finite positions in neighbor-list displacement check"

@@ -10,7 +10,6 @@ observability hook the ``repro bench`` harness reads.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -95,17 +94,21 @@ class Simulation:
         Optional :class:`repro.obs.Tracer`; phases are emitted through
         it in addition to the always-on :class:`SimStats` accounting.
     workers:
-        Worker count for the sharded force pipeline when the
-        ``parallel`` kernel backend is active (``None``/0 = one per
-        CPU).  Ignored under serial backends.
+        Under the ``parallel`` backend the atoms are *stepped* by shard
+        workers, not only their forces evaluated: each owns, reduces,
+        embeds and integrates the rows of its tile, and :meth:`run`
+        hands whole chunks to
+        :meth:`~repro.parallel.pipeline.ShardedForcePipeline.advance`
+        (``state`` is rewritten when a chunk returns; anything written
+        into it between calls is pushed back, by value).  This is the
+        worker count (``None``/0 = one per usable CPU).  Ignored under
+        serial backends, like the next two.
     topology:
-        ``(px, py)`` domain-grid shape for the sharded pipeline
-        (``None`` = 1D ``workers x 1`` columns).  Layout, never
-        physics.  Ignored under serial backends.
+        ``(px, py)`` domain-grid shape (``None`` = the most nearly
+        square factorization of ``workers``).  Layout, never physics.
     transport:
-        Sharded-pipeline transport (``"shared"``/``"socket"``/
+        How seam rows reach the workers (``"shared"``/``"socket"``/
         ``"inline"``/``"auto"``; ``None`` means ``auto``).
-        Ignored under serial backends.
     """
 
     def __init__(
@@ -138,7 +141,6 @@ class Simulation:
         self.stats = SimStats()
         self._observers: list[tuple[int, Callable[[StepRecord], None]]] = []
         self._pipeline = None
-        self._close_lock = threading.Lock()
         # Pipeline construction (fork + arena) is deferred to the first
         # force evaluation so its cost lands in the traced
         # ``parallel.pool`` phase, not in engine construction.
@@ -148,15 +150,10 @@ class Simulation:
         )
 
     def close(self) -> None:
-        """Release the parallel pipeline, if one was spawned.
-
-        Idempotent and thread-safe: a caller's cleanup path may run
-        after an explicit close, and from a different thread than the
-        one that ran the loop.
-        """
+        """Release the parallel pipeline, if one was spawned (idempotent:
+        a caller's cleanup path may run after an explicit close)."""
         self._parallel_pending = False
-        with self._close_lock:
-            pipeline, self._pipeline = self._pipeline, None
+        pipeline, self._pipeline = self._pipeline, None
         if pipeline is not None:
             pipeline.close()
 
@@ -197,16 +194,10 @@ class Simulation:
         if self._parallel_pending:
             self._init_pipeline()
         if self._pipeline is not None:
-            energies, forces, info = self._pipeline.compute(
+            energies, forces, delta = self._pipeline.compute(
                 self.state.positions, tr
             )
-            st = self.stats
-            st.force_evaluations += 1
-            st.neighbor_rebuilds += info["rebuilds"]
-            st.pairs_last = info["pairs"]
-            st.pairs_total += info["pairs"]
-            st.time_neighbor_s += info["t_neighbor"]
-            st.time_force_s += info["t_force"]
+            self._absorb(delta)
             return energies, forces
         builds_before = self.neighbors.n_builds
         t0 = time.perf_counter()
@@ -242,6 +233,12 @@ class Simulation:
         st.time_force_s += t2 - t1
         return out
 
+    def _absorb(self, delta: SimStats) -> None:
+        """Add a pipeline call's accounting to :attr:`stats`."""
+        for name, value in vars(delta).items():
+            setattr(self.stats, name, getattr(self.stats, name) + value)
+        self.stats.pairs_last = delta.pairs_last
+
     def potential_energy(self) -> float:
         """Total potential energy at the current positions (eV)."""
         e, _ = self.compute_forces()
@@ -252,6 +249,10 @@ class Simulation:
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
         tr = self.tracer
+        if self._parallel_pending:
+            self._init_pipeline()
+        if self._pipeline is not None:
+            return self._run_sharded(n_steps)
         for _ in range(n_steps):
             # the "step" envelope's self-time is the loop glue between
             # phases (LAMMPS's "Other" row), so traced time tiles the
@@ -268,6 +269,37 @@ class Simulation:
                 self.stats.steps += 1
                 if self._observers:
                     self._notify(energies, forces)
+
+    def _run_sharded(self, n_steps: int) -> None:
+        """:meth:`run` with the ranks stepping their own atoms.
+
+        Chunks are cut where the parent must see the state: at the next
+        due observer, and every step under a thermostat (which then
+        costs a pull and, the velocities no longer comparing equal, a
+        push).  ``step_count`` and the stats move only once a chunk's
+        pull has completed.
+        """
+        done = 0
+        while done < n_steps:
+            chunk = 1 if self.thermostat is not None else n_steps - done
+            for interval, _ in self._observers:
+                chunk = min(chunk, interval - self.step_count % interval)
+            end = self.step_count + chunk
+            observe = any(end % iv == 0 for iv, _ in self._observers)
+            delta, energies, forces = self._pipeline.advance(
+                self.state, chunk, self.integrator, self.tracer,
+                observe=observe,
+            )
+            self._absorb(delta)
+            if self.thermostat is not None:
+                t0 = time.perf_counter()
+                with self.tracer.phase("integrate"):
+                    self.thermostat.apply(self.state, self.dt_fs)
+                self.stats.time_integrate_s += time.perf_counter() - t0
+            self.step_count = end
+            done += chunk
+            if observe:
+                self._notify(energies, forces)
 
     def _notify(self, energies: np.ndarray, forces: np.ndarray) -> None:
         due = [fn for iv, fn in self._observers if self.step_count % iv == 0]

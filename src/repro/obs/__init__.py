@@ -38,24 +38,24 @@ timestep in a ``step`` envelope whose *self*-time is the loop glue
 between phases (LAMMPS's "Other" row), and the lockstep machine adds
 ``cycle_account``.  Under the ``parallel`` kernel backend the
 reference engine additionally emits ``parallel.pool`` — the one-time
-worker-pool spawn (fork + shared-memory arena), deliberately its own
-phase so pool setup never inflates ``neighbor`` and never counts
-against the ``repro profile --check`` wall-coverage gate (teardown
-happens outside the engine's measured wall time).  The lockstep
-machine's streaming sweeps report
-``exchange`` and ``neighbor`` as pre-measured child spans inside
-``density`` (the position shift and the one filter of the step) and
-``exchange`` again inside ``pair_force`` (the ``F'`` gather at the
-recorded survivors), so the wse taxonomy is unchanged.
-Sharded runs keep the standard taxonomy — per-shard timings ride as
-span counters (``shard_sum_s``/``shard_max_s``) and ``parallel.*``
-metrics — plus one extra leaf: each command round's exposed
-communication time lands as a pre-measured ``halo_exchange`` child
-span (with ``bytes_sent``/``bytes_recv`` counters from the transport)
-inside its enclosing phase, the host analogue of the wafer's exchange
-cost.  :data:`ENGINE_PHASES` names the subset each
-engine is *required* to produce, which the ``repro profile --check``
-CI smoke asserts; ``required_phases(..., sharded=True)`` adds
+worker-pool spawn, its own phase so pool setup never inflates
+``neighbor`` nor counts against the ``repro profile --check``
+wall-coverage gate (teardown happens outside the measured wall time).
+The lockstep machine's streaming sweeps report ``exchange`` and
+``neighbor`` as pre-measured child spans inside ``density`` (the
+position shift and the one filter of the step) and ``exchange`` again
+inside ``pair_force`` (the ``F'`` gather at the recorded survivors), so
+the wse taxonomy is unchanged.  Sharded runs keep the standard taxonomy
+too: the ranks step their own atoms, so stages that run rank-side
+inside another phase's round (density, embedding, the look-ahead
+filter) arrive as pre-measured children, per-shard timings ride as span
+counters (``shard_sum_s``/``shard_max_s``) and ``parallel.*`` metrics,
+and each command round's exposed communication time lands as one extra
+leaf, a pre-measured ``halo_exchange`` child span (with
+``bytes_sent``/``bytes_recv`` counters from the transport) — the host
+analogue of the wafer's exchange cost.  :data:`ENGINE_PHASES` names the
+subset each engine is *required* to produce, which the ``repro profile
+--check`` CI smoke asserts; ``required_phases(..., sharded=True)`` adds
 ``halo_exchange`` for runs the sharded pipeline actually drove.
 """
 

@@ -1,37 +1,36 @@
 """``repro.parallel``: domain-sharded execution over pluggable transports.
 
 The paper's speedup is spatial decomposition — one atom per PE with a
-locality-preserving cell-to-fabric mapping.  This package is the
-host-side analogue, split into two orthogonal layers:
+locality-preserving cell-to-fabric mapping — and its multi-wafer design
+has every node own and integrate its atoms and ship only ghost rows.
+This package is the host-side analogue, in three layers:
 
 * **Domains** (:mod:`~repro.parallel.domains`): the box is tiled into a
   cell-aligned ``px x py`` :class:`~repro.parallel.domains.DomainGrid`
-  of rectangular domains with balanced atom counts and halo regions
-  of width cutoff + skin.  Planning only: each tile's pairs are built
-  by :func:`repro.md.neighbor_list.build_candidates`, the serial list's
+  of rectangular domains with balanced atom counts and halo regions of
+  width cutoff + skin.  Planning only: each tile's pairs are built by
+  :func:`repro.md.neighbor_list.build_candidates`, the serial list's
   own builder, whose own-smaller-global-id seam rule keeps the tile
   union bit-identical to the serial candidate set.
 * **Transport** (:mod:`~repro.parallel.transport`): one synchronous
   round driver over three byte movers — forked workers on a
   :class:`~repro.parallel.shm.SharedArena`, the same worker protocol
-  over loopback TCP sockets, or virtual workers inside the parent.
-
-The :class:`~repro.parallel.pipeline.ShardedForcePipeline` drives the
-EAM two-pass per step over whichever transport with a deterministic
-fixed-order seam reduction, so trajectories are bitwise-reproducible
-per topology — and bitwise-identical across transports.
-Workers own their tiles across steps: only sparse halo packs (per-tile
-position/type/derivative prefixes and result packs) ever move, with
-per-shard :class:`~repro.md.neighbor_list.Candidates` persisting
-between steps under the serial
-:class:`~repro.md.neighbor_list.NeighborList`'s own
-:func:`~repro.md.neighbor_list.skin_trigger`, asked parent-side.
+  over loopback TCP sockets, or virtual workers inside the parent —
+  and the :class:`~repro.parallel.transport.ShardWorker` that steps a
+  tile: filter, density, seam reduction, embedding, forces, leap-frog.
+* **Pipeline** (:class:`~repro.parallel.pipeline.ShardedForcePipeline`):
+  round clock, router and observer.  It moves only seam-row partial
+  sums between the tiles that hold them (reduced at every holder in
+  one fixed rank order, so trajectories are bitwise-reproducible per
+  topology and bitwise-identical across transports) and touches full
+  state only to re-plan the grid and when a chunk of steps returns.
 
 Selection is the kernel-backend tier: ``backend="parallel"`` (or
-``REPRO_KERNEL_BACKEND=parallel``) turns the pipeline on;
-:func:`unsupported_reason` gates the cases it cannot shard (periodic
-boxes, potentials without the fused two-stage split, no fork), which
-fall back to the serial path with a once-per-reason warning.
+``REPRO_KERNEL_BACKEND=parallel``) hands the reference engine's atoms to
+the pipeline; :func:`unsupported_reason` gates the cases it cannot shard
+(periodic boxes, potentials without the fused two-stage split, no
+fork), which fall back to the serial path with a once-per-reason
+warning.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from repro.parallel.transport import (
     fork_available,
     make_transport,
     resolve_transport,
+    usable_cpus,
 )
 
 __all__ = [
@@ -71,6 +71,7 @@ __all__ = [
     "resolve_transport",
     "TRANSPORTS",
     "fork_available",
+    "usable_cpus",
     "unsupported_reason",
     "warn_fallback",
     "warn_once",

@@ -8,10 +8,9 @@ here tiles the (fully open) box into a :class:`DomainGrid` of
 only: where the edges go, which atoms a tile holds, which of them it
 owns.  The pairs a tile keeps are built by
 :func:`repro.md.neighbor_list.build_candidates` from exactly these
-outputs (``positions[tile_local_ids(...)]`` and
-``owned_mask_local(...)``).  Everything here is pure array logic — the
-worker processes call it, and the test suite calls it single-process to
-pin down the decomposition invariants without any multiprocessing.
+outputs, and :func:`seam_plan` says which rows then travel between
+tiles.  Everything here is pure array logic, so the test suite pins the
+decomposition invariants single-process, without any multiprocessing.
 
 Invariants
 ----------
@@ -43,6 +42,7 @@ __all__ = [
     "plan_grid",
     "tile_local_ids",
     "owned_mask_local",
+    "seam_plan",
     "warn_halo_dominated",
 ]
 
@@ -159,14 +159,6 @@ class DomainGrid:
             float(self.y_edges[iy + 1]),
         )
 
-    def owner_of(self, positions: np.ndarray) -> np.ndarray:
-        """Owning tile index per atom (total: every atom has one)."""
-        ix = np.searchsorted(self.x_edges, positions[:, 0], side="right") - 1
-        iy = np.searchsorted(self.y_edges, positions[:, 1], side="right") - 1
-        ix = np.clip(ix, 0, self.px - 1)
-        iy = np.clip(iy, 0, self.py - 1)
-        return iy * self.px + ix
-
 
 def plan_grid(
     positions: np.ndarray, px: int, py: int, cell_width: float
@@ -219,6 +211,44 @@ def owned_mask_local(
     x = local_positions[:, 0]
     y = local_positions[:, 1]
     return (x >= xlo) & (x < xhi) & (y >= ylo) & (y < yhi)
+
+
+def seam_plan(
+    ids: list[np.ndarray], n_atoms: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[list]]:
+    """Which rows travel between tiles each step, cut once per rebuild.
+
+    ``ids[k]`` are tile ``k``'s local global ids (ascending).  A *seam*
+    row is local to more than one tile; every holder stages its seam
+    rows' partial sums and is sent, for every *other* holder in
+    ascending rank, that holder's partials of the rows they share.
+    Returns ``(seam, take, segs)``: ``seam[k]`` are tile ``k``'s seam
+    rows (local indices — what it stages, in pack order); ``take[k]``
+    indexes the rank-concatenated staged packs (what
+    ``Transport.scatter`` ships rank ``k``); ``segs[k][m]`` says where
+    among ``seam[k]`` rank ``m``'s slice lands (``None`` at ``m == k``).
+    """
+    w = len(ids)
+    holders = np.bincount(np.concatenate(ids), minlength=n_atoms)
+    seam = [np.nonzero(holders[i] > 1)[0] for i in ids]
+    slot = np.full(n_atoms, -1, dtype=np.int64)
+    take = [[np.empty(0, dtype=np.int64)] for _ in range(w)]
+    segs: list[list] = [[] for _ in range(w)]
+    offset = 0
+    for m in range(w):
+        staged = ids[m][seam[m]]
+        slot[staged] = offset + np.arange(len(staged))
+        for k in range(w):
+            if k == m:
+                segs[k].append(None)
+                continue
+            at = slot[ids[k][seam[k]]]
+            hit = np.nonzero(at >= 0)[0]
+            take[k].append(at[hit])
+            segs[k].append(hit)
+        slot[staged] = -1
+        offset += len(staged)
+    return seam, [np.concatenate(t) for t in take], segs
 
 
 def warn_halo_dominated(

@@ -1,105 +1,94 @@
-"""The sharded force pipeline: per-step orchestration over a transport.
+"""The sharded pipeline: shard-resident stepping over a transport.
 
-Each worker permanently owns its tile: halo-pack positions, types,
-owned mask, candidate pairs and the rebuild reference all live
-shard-side between steps, so a steady-state timestep is **two**
-synchronous lockstep rounds moving only sparse packs — the host
-analogue of the paper's neighbor-only fabric traffic, and of its fixed
-send-then-compute schedule:
+Between rebuilds every rank *owns* its tile — positions and velocities
+of its local (owned + ghost) rows, types, candidates, the rebuild
+reference — and runs the timestep itself; the parent is round clock,
+router and observer.  A steady step is **two** synchronous rounds, and
+only the partial sums of *seam rows* (rows local to more than one tile)
+move, routed holder <-> holder through :meth:`Transport.gather` /
+:meth:`Transport.scatter` over index lists cut once per rebuild
+(:func:`~repro.parallel.domains.seam_plan`):
 
-1. **dens** (inside the ``neighbor`` phase) — the parent asks
-   :func:`~repro.md.neighbor_list.skin_trigger`, the serial
-   NeighborList's own trigger, against the rebuild reference (it owns
-   every position, so its global ``max |d|`` is arithmetically *equal*
-   to an OR-reduce of per-tile triggers over the covering tile-local
-   sets), then
-   scatters each tile its cached halo pack (``positions[ids_k]``, one
-   ``take`` per rank, the index lists persisting until the next
-   rebuild) and runs the ``dens`` command: each tile distance-filters
-   and densities its *interior* candidates (owned-owned pairs) and its
-   *boundary* candidates (touching a ghost) under the trigger's
-   displacement bound riding on the command, and merges the two
-   partial sums in pinned interior-then-boundary order.  When the
-   trigger trips, a ``rebuild`` round runs instead: a fresh balanced
-   :class:`~repro.parallel.domains.DomainGrid` is planned, new pack
-   ids are cut, and each tile rebuilds its candidates from its pack
-   alone (bit-identical to a global build) — no stale-pack scatter, no
-   speculative compute is ever discarded.
-2. **force** — the parent reduces the gathered ``rho`` packs by
-   scatter-adding them **in fixed rank order** into an owned-region
-   accumulator, evaluates the embedding stage, scatters each tile its
-   ``F'(rho_bar)`` pack, runs ``force`` (interior pass, boundary pass,
-   same pinned merge), and reduces the gathered pair-energy/force
-   packs the same way.
+1. **force** (``pair_force`` phase) — seam ``rho`` partials are routed;
+   each holder reduces them **in ascending rank order from 0.0** (the
+   addition sequence the parent's ``bincount`` over the
+   rank-concatenated ids used to perform, so every holder gets the same
+   bits), embeds its rows and runs the pair-force pass.
+2. **move** (``integrate``) — seam pair-energy/force partials are
+   routed and reduced the same way; each rank integrates all its local
+   rows with the caller's integrator (elementwise: an owned row gets
+   the serial bits, a ghost row the very bits its owner computes, so no
+   position ever travels), reports the largest squared displacement of
+   the rows it owns, and goes straight on to the next step's filter +
+   density.  The parent max-reduces the displacements (a maximum of
+   maxima over a partition is exact) and puts the result to
+   :func:`~repro.md.neighbor_list.displacement_trigger`, the serial
+   list's own decision.  When it trips, the density run ahead is
+   discarded and a ``rebuild`` round runs: owned positions and
+   velocities are pulled, a fresh balanced grid is planned exactly as
+   before, every tile is pushed its new pack — with the exit pull, the
+   only rounds that move full state.
 
-The fixed-order pack reduction makes a run bitwise-reproducible for a
-given topology — and since every transport delivers the same float64
-bits in the same pack layout, bitwise-identical across transports too.
-A single tile owns every pair, so ``workers=1`` stays bitwise-serial.
-Across topologies the physics agrees to floating-point summation
-tolerance, like any domain-decomposed MD code.
+A plain ``dens`` round serves the evaluations no move precedes.  A
+single tile has no seam, so ``workers=1`` stays bitwise-serial; a run
+is bitwise-reproducible per topology and identical across transports.
 
-Halo accounting: every round's *exposed* communication time — pack
-scatter/gather cost plus the slack between the command's wall time and
-the slowest worker's compute time — is emitted as a pre-measured
-``halo_exchange`` child span inside the enclosing phase, with the
-transport's byte deltas as counters.  The bytes are **actual sparse
-pack bytes** (per-tile prefix sizes, not ``nbytes x workers``
-broadcasts), and the ghost-row share — the part that scales with tile
-*boundary* area rather than system size — is tracked separately as
-``parallel.halo.bytes_ghost``.  Because the density pass runs inside
-the ``neighbor``-phase dens round, its worker seconds are
-re-attributed to the ``density`` phase via a pre-measured child span,
-keeping the reference taxonomy unchanged.
+**Authority is decided by value.**  The pipeline keeps the positions
+and velocities it last pulled or pushed; :meth:`advance` /
+:meth:`compute` push whatever no longer compares equal (a hand edit, a
+restore, a thermostat's rescale), so nothing needs a hook and only
+users of a parent-side thermostat pay its pull + push per step.
+
+Accounting: a round's *exposed* communication time — routing plus the
+slack between the command's wall time and the slowest rank's compute
+time — is a pre-measured ``halo_exchange`` child span of the enclosing
+phase, with the transport's byte deltas as counters; stages that run
+rank-side inside another phase's round (density, embedding, the
+look-ahead filter) are pre-measured children too, slowest rank each.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
-from repro.md.neighbor_list import count_funnel, skin_trigger
+from repro.md.neighbor_list import count_funnel, displacement_trigger
+from repro.md.simulation import SimStats
 from repro.obs import NULL_TRACER, metrics
 from repro.parallel.domains import (
+    owned_mask_local,
     plan_grid,
+    seam_plan,
     tile_local_ids,
     warn_halo_dominated,
 )
-from repro.parallel.transport import make_transport
+from repro.parallel.transport import WorkerLost, make_transport, usable_cpus
 
 __all__ = ["ShardedForcePipeline"]
 
-_STAGES = ("neighbor", "density", "force")
-
-#: Per-row pack bytes by channel (float64 3-vectors and scalars).
-_ROW_BYTES = {
-    "positions": 24, "types": 8, "f_der": 8,
-    "rho": 8, "epair": 8, "forces": 24,
-}
+_STAGES = ("neighbor", "density", "force", "integrate")
 
 
 class ShardedForcePipeline:
-    """Persistent domain-sharded evaluator for one simulation's forces.
+    """Persistent domain-sharded stepper for one simulation.
 
     Construct once per :class:`~repro.md.simulation.Simulation` (the
-    construction cost — arena/sockets + worker spawn — is what the
-    ``parallel.pool`` phase accounts for) and call :meth:`compute` once
-    per force evaluation.  Must be :meth:`close`\\ d to reap the
-    workers; an abandoned pipeline is cleaned up by GC/daemon
-    semantics.
+    cost — arena/sockets + worker spawn — is what the ``parallel.pool``
+    phase accounts for); :meth:`advance` runs whole chunks of timesteps
+    rank-side, :meth:`compute` evaluates without moving.  Must be
+    :meth:`close`\ d to reap the workers (an abandoned pipeline is
+    cleaned up by GC/daemon semantics).
 
     ``topology`` is the ``(px, py)`` domain grid; ``None`` picks the
-    most nearly square factorization of the worker count (least tile
-    boundary, hence least ghost traffic — pass an explicit
-    ``(workers, 1)`` for 1D columns).
-    ``transport``
-    selects how bytes reach the workers (``"shared"``, ``"socket"``,
-    ``"inline"``, or ``"auto"``/``None`` — inline virtual workers when
-    the host has fewer cores than workers, forked shared memory
-    otherwise).  ``skin=0.0`` disables cross-step candidate reuse (a
-    rebuild every step).
+    most nearly square factorization of the worker count (fewest seam
+    rows — pass ``(workers, 1)`` for 1D columns), and ``workers=None``
+    means one per usable CPU.  ``transport`` selects the byte mover
+    (``"shared"``, ``"socket"``, ``"inline"``, or ``"auto"``/``None``:
+    inline when the host has fewer usable CPUs than workers, forked
+    shared memory otherwise).  ``skin=0.0`` rebuilds every step.
     """
 
     def __init__(
@@ -125,9 +114,7 @@ class ShardedForcePipeline:
                     f"{px}x{py} ({px * py} tiles)"
                 )
         else:
-            w = max(1, int(workers if workers else (os.cpu_count() or 1)))
-            # Most nearly square factorization: least tile perimeter,
-            # hence least ghost-row traffic per step.
+            w = max(1, int(workers if workers else usable_cpus()))
             py = int(np.sqrt(w))
             while w % py:
                 py -= 1
@@ -135,74 +122,75 @@ class ShardedForcePipeline:
         self.topology = (px, py)
         self.n_workers = px * py
         self.skin = float(skin)
-        self.cutoff = float(potential.cutoff)
-        self.reach = self.cutoff + self.skin
+        self.reach = float(potential.cutoff) + self.skin
         self.n_atoms = n
-        self.potential = potential
         self._types = np.asarray(state.types, dtype=np.int64)
-        # Tile builds bin at half the reach (radius-2 stencil): the
-        # finer grid hugs the reach sphere tighter, cutting the raw
-        # candidate stream the build prefilter consumes by ~40%.  Only
-        # the enumeration *order* changes — the prefiltered candidate
-        # set is identical — so the w=1 bitwise-serial contract pins
-        # single-tile runs to the serial radius-1 enumeration.
-        self.build_subdivide = 1 if self.n_workers == 1 else 2
         cfg = {
             "potential": potential,
             "box": state.box,
-            "cutoff": self.cutoff,
+            "masses": state.masses,
+            "cutoff": float(potential.cutoff),
             "reach": self.reach,
-            "skin": self.skin,
-            "n_atoms": n,
-            "build_subdivide": self.build_subdivide,
+            # Tile builds bin at half the reach (radius-2 stencil): the
+            # finer grid hugs the reach sphere tighter, cutting the raw
+            # candidate stream the build prefilter consumes by ~40%.
+            # Only the enumeration *order* changes — the prefiltered
+            # candidate set is identical — so the w=1 bitwise-serial
+            # contract pins single-tile runs to the serial radius-1
+            # enumeration.
+            "build_subdivide": 1 if self.n_workers == 1 else 2,
         }
+        # Per-rank capacities: a tile can hold every atom, and a row
+        # with w holders is routed w - 1 partials.  Capacity is address
+        # space only — pages commit as pack prefixes touch them.
+        f8, fan = np.float64, max(1, self.n_workers - 1) * n
         self.transport = make_transport(
             transport,
             self.n_workers,
             inputs={
-                "positions": ((n, 3), np.float64),
-                "types": ((n,), np.int64),
-                "f_der": ((n,), np.float64),
+                "positions": ((n, 3), f8), "velocities": ((n, 3), f8),
+                "types": ((n,), np.int64), "rho_in": ((fan,), f8),
+                "epair_in": ((fan,), f8), "forces_in": ((fan, 3), f8),
             },
             outputs={
-                "rho": ((n,), np.float64),
-                "epair": ((n,), np.float64),
-                "forces": ((n, 3), np.float64),
+                "rho": ((n,), f8), "epair": ((n,), f8),
+                "forces": ((n, 3), f8),
+                "own_positions": ((n, 3), f8),
+                "own_velocities": ((n, 3), f8),
+                "own_energies": ((n,), f8), "own_forces": ((n, 3), f8),
             },
             cfg=cfg,
         )
-        #: cached halo pack index lists, one per tile; valid until the
-        #: next rebuild (None = no build yet)
+        #: the state as last pulled from or pushed to the ranks — what
+        #: the next call's arrays are compared against, by value
+        self._pos: np.ndarray | None = None
+        self._vel = np.array(state.velocities, dtype=f8)
+        #: local (owned + ghost) and owned global ids per tile, valid
+        #: until the next rebuild (None = no build yet, or stale ranks)
         self._ids: list[np.ndarray] | None = None
-        #: the same lists concatenated in rank order — the index vector
-        #: the single-pass bincount reductions run over
-        self._ids_flat: np.ndarray | None = None
-        #: rebuild reference positions for the parent-side skin trigger
-        #: (None = no build yet)
-        self._ref_positions: np.ndarray | None = None
-        self._counts: list[int] = [0] * self.n_workers
-        #: owned-region accumulators reused every step (steady-state
-        #: steps allocate nothing on the reduction path beyond the
-        #: returned force array itself, which the caller keeps)
-        self._rho = np.zeros(n)
-        self._epair = np.zeros(n)
+        self._own_ids: list[np.ndarray] = []
+        #: the seam plan: rows each rank stages, scatter index lists
+        self._seam: tuple[list[int], list[np.ndarray]] = ([], [])
+        self._max_d2 = 0.0  # largest squared displacement since the build
+        self._d_last = 0.0  # the largest displacement one move earlier
+        #: per-rank ``(n_pairs, density_s, filter_s)`` of a density pass
+        #: already run at the current positions (None = none in hand)
+        self._dens: list[tuple] | None = None
+        self._ahead = False  # ranks have moved since the last pull
+        self._route_s = 0.0  # routing seconds since the last round
+        self._seen = (0, 0)  # transport byte counters at the last round
         self._closed = False
         self.n_builds = 0
-        self.last_pair_count = 0
-        #: current ghost-row count, sum over tiles of (local - owned) —
-        #: the boundary-scaling share of every pack
+        self.rounds = 0
+        #: current ghost-row count, sum over tiles of (local - owned)
         self.ghost_atoms = 0
-        #: cumulative ghost-row bytes moved (the O(boundary) component
-        #: of bytes_sent + bytes_recv)
-        self.ghost_bytes = 0
-        #: cumulative per-worker seconds per stage (bench telemetry)
+        #: cumulative per-worker seconds per stage (bench telemetry);
+        #: ``integrate`` is every reduce, the embedding and the move
         self.shard_seconds: dict[str, list[float]] = {
             s: [0.0] * self.n_workers for s in _STAGES
         }
         #: cumulative exposed halo-exchange seconds (bench telemetry)
         self.halo_seconds = 0.0
-        #: grow-only reduction scratch (rank-concatenated pack rows)
-        self._concat: dict[str, np.ndarray] = {}
         reg = metrics()
         reg.gauge("parallel.workers").set(float(self.n_workers))
         reg.gauge("parallel.topology.px").set(float(px))
@@ -214,255 +202,302 @@ class ShardedForcePipeline:
 
     @property
     def halo_bytes(self) -> tuple[int, int]:
-        """Cumulative (sent, received) sparse pack bytes over the transport."""
+        """Cumulative (sent, received) pack bytes over the transport."""
         return self.transport.bytes_sent, self.transport.bytes_recv
 
-    # -- ghost accounting --------------------------------------------------
+    # -- the two entry points ----------------------------------------------
 
-    def _charge_ghost(self, *channels: str) -> None:
-        """Credit the ghost-row share of pack transfers just performed."""
-        amount = self.ghost_atoms * sum(_ROW_BYTES[c] for c in channels)
-        if amount:
-            self.ghost_bytes += amount
-            metrics().counter("parallel.halo.bytes_ghost").inc(float(amount))
+    def advance(
+        self, state, n_steps: int, integrator, tr=NULL_TRACER,
+        *, observe: bool = False,
+    ) -> tuple[SimStats, np.ndarray | None, np.ndarray | None]:
+        """Run ``n_steps`` timesteps rank-side and pull the result.
 
-    # -- the step ----------------------------------------------------------
+        ``state.positions`` / ``.velocities`` are overwritten **only**
+        once the exit pull completed: a failed chunk leaves them at
+        their last synced values (a lost rank also closes the pipeline;
+        any other error marks the ranks stale, so the next call pushes
+        the caller's state afresh).  Returns ``(stats, energies,
+        forces)`` — what the chunk adds to the caller's
+        :class:`~repro.md.simulation.SimStats`, and with ``observe`` the
+        last step's per-atom energies and forces (else ``None``).
+        """
+        stats = SimStats(steps=n_steps)
+        names = ("positions", "velocities")
+        if observe:
+            names += ("energies", "forces")
+        with self._guard():
+            self._sync(state.positions, state.velocities, tr)
+            for _ in range(n_steps):
+                with tr.phase("step"):
+                    self._evaluate(tr, stats)
+                    with tr.phase("integrate"):
+                        self._move(integrator, tr, stats)
+            t0 = time.perf_counter()
+            with tr.phase("integrate"):
+                pulled = self._pull(names, tr)
+            stats.time_integrate_s += time.perf_counter() - t0
+        state.positions[:] = self._pos
+        state.velocities[:] = self._vel
+        energies, forces = pulled[2:] if observe else (None, None)
+        return stats, energies, forces
 
     def compute(
         self, positions: np.ndarray, tr=NULL_TRACER
-    ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Energies, forces and step accounting at ``positions``.
+    ) -> tuple[np.ndarray, np.ndarray, SimStats]:
+        """Energies, forces and accounting (a
+        :class:`~repro.md.simulation.SimStats` to add) at ``positions``:
+        a step's density, force round and reduction, without the move."""
+        stats = SimStats()
+        with self._guard():
+            self._sync(positions, None, tr)
+            self._evaluate(tr, stats)
+            t0 = time.perf_counter()
+            with tr.phase("pair_force"):
+                self._move(None, tr, stats)
+                energies, forces = self._pull(("energies", "forces"), tr)
+            stats.time_force_s += time.perf_counter() - t0
+        return energies, forces, stats
 
-        Returns ``(energies, forces, info)`` where ``info`` carries
-        ``pairs``, ``rebuilds``, ``t_neighbor`` and ``t_force`` for the
-        caller's :class:`~repro.md.simulation.SimStats`.
-        """
+    @contextmanager
+    def _guard(self):
+        """Error policy of an entry point (see :meth:`advance`)."""
+        if self._closed:
+            raise RuntimeError("the sharded pipeline is closed")
+        try:
+            yield
+        except WorkerLost:
+            self.close()
+            raise
+        except Exception:
+            # ranks may be mid-step: the next call starts them afresh
+            self._ids, self._dens, self._ahead = None, None, False
+            raise
+
+    # -- value-based authority ---------------------------------------------
+
+    def _sync(self, positions, velocities, tr) -> None:
+        """Push whatever differs from what the ranks were last given."""
         if len(positions) != self.n_atoms:
             raise ValueError(
                 f"pipeline built for {self.n_atoms} atoms, "
                 f"got {len(positions)}"
             )
+        if self._ids is None:  # the rebuild about to run pushes it all
+            self._pos = np.array(positions, dtype=np.float64)
+            if velocities is not None:
+                self._vel[:] = velocities
+            return
+        names = []
+        for name, mine, theirs in (
+            ("positions", self._pos, positions),
+            ("velocities", self._vel, velocities),
+        ):
+            if theirs is not None and not np.array_equal(theirs, mine):
+                mine[:] = theirs
+                self.transport.scatter(name, mine, self._ids)
+                names.append(name)
+        if names:
+            replies = self._command("neighbor", ("push", tuple(names)), tr)
+            self._max_d2 = float(np.max([r[1] for r in replies]))
+            self._account("integrate", [r[0] for r in replies])
+            if "positions" in names:
+                self._dens = None
+
+    def _pull(self, names: tuple, tr) -> list[np.ndarray]:
+        """Gather the named owned-row arrays into global id order."""
+        replies = self._command("integrate", ("pull", names), tr)
+        self._account("integrate", [r[0] for r in replies])
+        own = np.concatenate(self._own_ids)
+        counts = [len(i) for i in self._own_ids]
+        out = []
+        for name in names:
+            packs = self.transport.gather("own_" + name, counts)
+            dest = {"positions": self._pos, "velocities": self._vel}.get(name)
+            if dest is None:
+                dest = np.zeros((self.n_atoms, *packs[0].shape[1:]))
+            dest[own] = np.concatenate(packs)
+            out.append(dest)
+        self._ahead = False
+        return out
+
+    # -- the rounds of a step ----------------------------------------------
+
+    def _evaluate(self, tr, stats: SimStats) -> None:
+        """A step up to its forces: the density pass (the one the last
+        move ran ahead, else a ``dens`` or ``rebuild`` round), then the
+        force round."""
         reg = metrics()
+        rebuilt, t_dens = 0, 0.0
         t0 = time.perf_counter()
         with tr.phase("neighbor") as ph:
-            # The serial list's trigger, asked parent-side (equal to
-            # an OR-reduce of per-tile checks — the tile-local sets
-            # cover every atom) and resolved before any scatter or
-            # round, so a triggered step never ships a stale pack or
-            # wastes a pass.
-            reason, d_max = skin_trigger(
-                positions, self._ref_positions, self.skin
-            )
-            if reason is not None:
-                replies = self._rebuild_round(positions, reason, tr)
-                reg.counter("neighbor.rebuilds").inc()
-                reg.counter(f"neighbor.rebuilds.{reason}").inc()
-                for r in replies:
-                    count_funnel(*r[4])
-            else:
-                # Clean step: scatter the cached packs, run the round.
-                # The trigger's displacement bound rides on the command
-                # — it upper-bounds every tile's local bound, feeding
-                # the shards' bit-neutral cross-step filter cuts
-                # without any per-tile displacement pass.
-                replies = self._round(
-                    "neighbor", ("dens", d_max), tr,
-                    {"positions": positions},
-                )
+            if self._dens is None:
+                if self._ids is None:
+                    reason = "first"
+                elif self.skin == 0.0:
+                    reason = "skin_zero"
+                else:
+                    reason = displacement_trigger(self._max_d2, self.skin)[0]
+                if reason is not None:
+                    if self._ahead:
+                        self._pull(("positions", "velocities"), tr)
+                    replies = self._rebuild_round(tr)
+                    reg.counter("neighbor.rebuilds").inc()
+                    reg.counter(f"neighbor.rebuilds.{reason}").inc()
+                    for r in replies:
+                        count_funnel(*r[3])
+                    rebuilt = 1
+                else:
+                    replies = self._command("neighbor", ("dens",), tr)
+                self._dens = [(r[1], r[2], r[0] - r[2]) for r in replies]
+                t_dens = max(d[1] for d in self._dens)
+                tr.record("density", t_dens)
+            if not rebuilt:
                 reg.counter("neighbor.reuses").inc()
-            n_pairs = int(sum(r[1] for r in replies))
-            den_secs = [r[3] for r in replies]
-            den_sum = sum(den_secs)
-            # The density pass ran inside the dens/rebuild round; hand
-            # its worker seconds to the density phase as a pre-measured
-            # child so the reference taxonomy stays truthful.
-            tr.record("density", den_sum)
-            self._account_stage(
-                "neighbor", [r[2] - r[3] for r in replies], ph
-            )
-            ph.add(pairs=n_pairs, rebuilds=0 if reason is None else 1)
+            dens, self._dens = self._dens, None
+            n_pairs = int(sum(d[0] for d in dens))
+            self._account("density", [d[1] for d in dens])
+            self._account("neighbor", [d[2] for d in dens], ph)
+            ph.add(pairs=n_pairs, rebuilds=rebuilt)
         t1 = time.perf_counter()
-        with tr.phase("density", pairs=n_pairs) as ph:
-            packs = self._gather_round("density", ("rho",), tr)
-            self._charge_ghost("rho")
-            # Seam reduction: accumulate every tile's pack in fixed
-            # rank order — bitwise-reproducible per topology, and
-            # elementwise (hence bitwise-serial) for a single tile.
-            # bincount over the rank-concatenated id list performs the
-            # same additions in the same order as a per-tile
-            # scatter-add loop (equal ids sum in order of appearance),
-            # just in one pass.
-            self._reduce_1d(self._rho, packs["rho"])
-            self._account_stage("density", den_secs, ph)
-        with tr.phase("embedding"):
-            f_val, f_der = self.potential.embed(self._rho, self._types)
         with tr.phase("pair_force", pairs=n_pairs) as ph:
-            force_replies = self._round(
-                "pair_force", ("force",), tr, {"f_der": f_der}
-            )
-            packs = self._gather_round(
-                "pair_force", ("epair", "forces"), tr
-            )
-            self._charge_ghost("epair", "forces")
-            self._reduce_1d(self._epair, packs["epair"])
-            pack = self._concat_packs("forces", packs["forces"])
-            forces = np.empty((self.n_atoms, 3))
-            for c in range(3):
-                forces[:, c] = np.bincount(
-                    self._ids_flat, weights=pack[:, c],
-                    minlength=self.n_atoms,
-                )
-            self._account_stage(
-                "force", [r[2] for r in force_replies], ph
-            )
-        t2 = time.perf_counter()
-        self.last_pair_count = n_pairs
+            self._route(("rho",))
+            replies = self._command("pair_force", ("force",), tr)
+            emb_secs = [r[1] for r in replies]
+            tr.record("embedding", max(emb_secs))
+            self._account("integrate", emb_secs)
+            self._account("force", [r[0] - r[1] for r in replies], ph)
+        stats.force_evaluations += 1
+        stats.neighbor_rebuilds += rebuilt
+        stats.pairs_last = n_pairs
+        stats.pairs_total += n_pairs
+        stats.time_neighbor_s += t1 - t0 - t_dens
+        stats.time_force_s += time.perf_counter() - t1 + t_dens
         reg.counter("parallel.steps").inc()
         reg.counter("parallel.pairs").inc(float(n_pairs))
-        info = {
-            "pairs": n_pairs,
-            "rebuilds": 0 if reason is None else 1,
-            "t_neighbor": max(0.0, (t1 - t0) - den_sum),
-            "t_force": (t2 - t1) + den_sum,
-        }
-        return self._epair + f_val, forces, info
 
-    # -- seam reduction ----------------------------------------------------
+    def _move(self, integrator, tr, stats: SimStats) -> None:
+        """The move round: reduce energies and forces at every holder,
+        integrate, run the next density pass ahead and keep it unless
+        the trigger trips (``integrator=None``: reduce only).
 
-    def _reduce_1d(self, out: np.ndarray, packs: list) -> None:
-        """Fixed-order seam reduction of per-tile scalar packs.
-
-        ``bincount`` over the rank-concatenated ids adds equal-index
-        contributions in order of appearance — the identical addition
-        sequence a per-tile ``out[ids] += pack`` loop performs, so the
-        result is bitwise-equal to the loop (and elementwise for a
-        single tile, preserving the ``workers=1`` bitwise-serial
-        guarantee).
+        The look-ahead is skipped when the largest displacement,
+        extrapolated one step along its last increment, crosses skin/2:
+        a rebuild is then the likely next round, and a wrong guess only
+        costs a plain ``dens`` round — never a bit.
         """
-        out[:] = np.bincount(
-            self._ids_flat,
-            weights=self._concat_packs("scalar", packs),
-            minlength=self.n_atoms,
+        t0 = time.perf_counter()
+        d_now = math.sqrt(self._max_d2)
+        ahead = self.skin > 0.0 and 2.0 * d_now - self._d_last <= self.skin / 2
+        self._route(("epair", "forces"))
+        replies = self._command(
+            "integrate", ("move", integrator, ahead), tr
         )
+        wall = time.perf_counter() - t0
+        if integrator is None:
+            self._account("integrate", [r[0] for r in replies])
+            return
+        self._ahead = True
+        self._d_last = d_now
+        self._max_d2 = float(np.max([r[1] for r in replies]))
+        self._account("integrate", [r[2] for r in replies])
+        if ahead and displacement_trigger(self._max_d2, self.skin)[0] is None:
+            self._dens = [(r[3], r[4], r[0] - r[2] - r[4]) for r in replies]
+            t_dens, t_filter = (
+                max(d[i] for d in self._dens) for i in (1, 2)
+            )
+            tr.record("neighbor", t_filter)
+            tr.record("density", t_dens)
+            stats.time_neighbor_s += t_filter
+            stats.time_force_s += t_dens
+            wall -= t_filter + t_dens
+        stats.time_integrate_s += wall
 
-    def _concat_packs(self, key: str, packs: list) -> np.ndarray:
-        """Rank-order concatenation into grow-only scratch.
-
-        Bit-identical to ``np.concatenate`` (same rows, same order);
-        the reuse just keeps steady steps off the allocator — pack
-        sizes only change on a rebuild.
-        """
-        total = sum(len(p) for p in packs)
-        buf = self._concat.get(key)
-        if buf is None or buf.shape[0] < total:
-            tail = packs[0].shape[1:] if packs else ()
-            buf = np.empty((total, *tail), dtype=np.float64)
-            self._concat[key] = buf
-        return np.concatenate(packs, axis=0, out=buf[:total])
-
-    # -- rounds ------------------------------------------------------------
-
-    def _rebuild_round(
-        self, positions: np.ndarray, reason: str, tr
-    ) -> list[tuple]:
-        """Plan a fresh grid, cut new halo packs, run the rebuild round."""
-        grid = plan_grid(
-            positions, self.topology[0], self.topology[1], self.reach
-        )
-        warn_halo_dominated(
-            positions, self.topology[0], self.topology[1], self.reach
-        )
-        ids = [
-            tile_local_ids(positions, grid, t, self.reach)
-            for t in range(self.n_workers)
-        ]
-        parts = [
-            (len(ids[t]), grid.tile_bounds(t))
-            for t in range(self.n_workers)
-        ]
+    def _rebuild_round(self, tr) -> list[tuple]:
+        """Plan a fresh grid on the pulled state, push every tile its
+        pack and seam plan, run the rebuild round."""
+        pos, (px, py) = self._pos, self.topology
+        grid = plan_grid(pos, px, py, self.reach)
+        warn_halo_dominated(pos, px, py, self.reach)
+        tiles = range(self.n_workers)
+        ids = [tile_local_ids(pos, grid, t, self.reach) for t in tiles]
+        bounds = [grid.tile_bounds(t) for t in tiles]
+        seam, take, segs = seam_plan(ids, self.n_atoms)
         self._ids = ids
-        self._ids_flat = np.concatenate(ids) if ids else np.empty(
-            0, dtype=np.int64
-        )
-        self._ref_positions = np.array(positions, copy=True)
-        self._counts = [len(i) for i in ids]
-        self.ghost_atoms = int(sum(self._counts)) - self.n_atoms
+        self._own_ids = [
+            i[owned_mask_local(pos, b)[i]] for i, b in zip(ids, bounds)
+        ]
+        self._seam = ([len(rows) for rows in seam], take)
+        self.ghost_atoms = int(sum(len(i) for i in ids)) - self.n_atoms
         metrics().gauge("parallel.ghost_atoms").set(float(self.ghost_atoms))
         self.n_builds += 1
-        self.transport.set_counts(self._counts)
-        return self._round(
-            "neighbor", ("rebuild",), tr,
-            {"positions": positions, "types": self._types}, parts=parts,
-        )
+        self._max_d2 = self._d_last = 0.0
+        for name, source in (
+            ("positions", pos), ("velocities", self._vel),
+            ("types", self._types),
+        ):
+            self.transport.scatter(name, source, ids)
+        parts = [(len(ids[t]), bounds[t], seam[t], segs[t]) for t in tiles]
+        return self._command("neighbor", ("rebuild",), tr, parts)
 
-    def _round(
-        self, stage: str, msg: tuple, tr, packs: dict, parts=None
-    ) -> list[tuple]:
-        """One lockstep round: scatter ``packs``, run ``msg``, account.
+    def _route(self, names: tuple) -> None:
+        """Move seam partials: gather what each rank staged under each
+        name, scatter every rank the rows of the other holders (they
+        ride the next command as ``<name>_in``)."""
+        t0 = time.perf_counter()
+        counts, take = self._seam
+        tp = self.transport
+        for name in names:
+            tp.scatter(
+                name + "_in", np.concatenate(tp.gather(name, counts)), take
+            )
+        self._route_s += time.perf_counter() - t0
 
-        ``packs`` maps channel -> source array; each rank receives its
-        cached ``source[ids_k]`` pack before the command.  The round's
-        exposed communication time is the pack scatter cost plus the
-        command wall time not covered by the slowest worker's compute
-        time; it lands as a pre-measured ``halo_exchange`` child span
-        of the current phase, with the transport's byte deltas (actual
-        pack bytes) attached as counters.
+    def _command(self, stage: str, msg: tuple, tr, parts=None) -> list[tuple]:
+        """One lockstep round, its exposed time accounted as halo exchange.
+
+        Exposed = the routing done since the previous round plus the
+        command wall time not covered by the slowest rank's compute
+        time; it lands as a pre-measured ``halo_exchange`` child span of
+        the current phase, with the transport's byte deltas since the
+        previous round attached as counters.
         """
         tp = self.transport
-        sent0, recv0 = tp.bytes_sent, tp.bytes_recv
         t0 = time.perf_counter()
-        for channel, source in packs.items():
-            tp.scatter(channel, source, self._ids)
-        self._charge_ghost(*packs)
-        t1 = time.perf_counter()
         replies = tp.command(msg, parts)
-        wall = time.perf_counter() - t1
-        compute = max((r[2] for r in replies), default=0.0)
-        exposed = (t1 - t0) + max(0.0, wall - compute)
-        self._record_halo(stage, exposed, sent0, recv0, tr)
-        return replies
-
-    def _gather_round(self, stage: str, names: tuple, tr) -> dict:
-        """Pull result packs; account the gather as halo exchange."""
-        tp = self.transport
-        sent0, recv0 = tp.bytes_sent, tp.bytes_recv
-        t0 = time.perf_counter()
-        packs = {name: tp.gather(name) for name in names}
-        self._record_halo(
-            stage, time.perf_counter() - t0, sent0, recv0, tr
-        )
-        return packs
-
-    def _record_halo(
-        self, stage: str, exposed: float, sent0: int, recv0: int, tr
-    ) -> None:
-        tp = self.transport
-        d_sent = tp.bytes_sent - sent0
-        d_recv = tp.bytes_recv - recv0
+        wall = time.perf_counter() - t0
+        exposed = self._route_s + max(0.0, wall - max(r[0] for r in replies))
+        self._route_s = 0.0
+        self.rounds += 1
+        self.halo_seconds += exposed
+        sent, recv = tp.bytes_sent, tp.bytes_recv
+        d_sent, d_recv = sent - self._seen[0], recv - self._seen[1]
+        self._seen = (sent, recv)
         tr.record(
-            "halo_exchange",
-            exposed,
+            "halo_exchange", exposed,
             {"bytes_sent": d_sent, "bytes_recv": d_recv, "stage": stage},
         )
-        self.halo_seconds += exposed
         reg = metrics()
+        reg.counter("parallel.rounds").inc()
         reg.counter("parallel.halo.seconds").inc(exposed)
         reg.counter("parallel.halo.bytes_sent").inc(float(d_sent))
         reg.counter("parallel.halo.bytes_recv").inc(float(d_recv))
+        return replies
 
-    def _account_stage(self, stage: str, secs: list[float], ph) -> None:
-        """Attach per-shard timings to the span, metrics and telemetry."""
+    def _account(self, stage: str, secs: list[float], ph=None) -> None:
+        """Add per-shard seconds to the telemetry (and a span)."""
         total = self.shard_seconds[stage]
         for wid, s in enumerate(secs):
             total[wid] += s
-        ph.add(shard_sum_s=sum(secs), shard_max_s=max(secs))
-        metrics().histogram(f"parallel.{stage}.shard_s").observe_many(secs)
+        if ph is not None:
+            ph.add(shard_sum_s=sum(secs), shard_max_s=max(secs))
 
     def reset_shard_stats(self) -> None:
         """Zero the cumulative shard timings (steady-state benching)."""
         for stage in self.shard_seconds:
             self.shard_seconds[stage] = [0.0] * self.n_workers
         self.halo_seconds = 0.0
+        self.rounds = 0
 
     def close(self) -> None:
         """Reap the workers and release the transport (idempotent)."""

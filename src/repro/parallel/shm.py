@@ -2,15 +2,14 @@
 
 The pipeline's per-step traffic lives in a single
 :class:`multiprocessing.shared_memory.SharedMemory` block: one
-``(n_workers, capacity, ...)`` array per channel (position/type/
-derivative halo packs in, density / energy / force result packs out),
-where each rank touches only its own row's prefix — the sparse pack
-the domain decomposition actually needs that step.  The arena is
+``(n_workers, capacity, ...)`` array per channel, where each rank
+touches only its own row's prefix — the pack the protocol needs that
+round.  A fresh segment reads as zeros and commits pages only as they
+are touched, so capacity costs address space, not memory.  The arena is
 created in the parent **before** the workers fork, so the children
 inherit the mapping directly — no attach-by-name in the children,
 which sidesteps the resource-tracker double-unlink problems of named
-attachment, and steady-state steps ship zero pickled arrays and
-allocate nothing.
+attachment, and steady-state steps ship zero pickled arrays.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class SharedArena:
             view = np.ndarray(
                 shape, dtype=dtype, buffer=self._shm.buf, offset=offsets[name]
             )
-            view.fill(0)
             self.arrays[name] = view
         # Unlink even if close() is never called (leaked arenas would
         # otherwise pin /dev/shm segments for the machine's lifetime).
@@ -83,10 +81,6 @@ class SharedArena:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
 
     def close(self) -> None:
         """Drop the views and release the segment (idempotent)."""

@@ -1,58 +1,39 @@
-"""One round driver over three byte movers: how packs reach the shards.
+"""One round driver over three byte movers: how seam rows reach the shards.
 
-The sharded force pipeline moves *sparse halo packs*, never full
-arrays, in fixed synchronous rounds — every rank is sent its pack and
-one command, then every rank computes, then every reply is drained —
-the host analogue of the paper's lockstep neighbourhood exchange.
-This module splits that into two layers so the decomposition logic
-never knows how bytes travel:
+Ranks step their own atoms (:class:`ShardWorker`); what crosses this
+module is the partial sums of *seam rows* — rows more than one tile
+holds — plus full state on the rare rounds that re-plan or observe it,
+in fixed synchronous rounds: every rank is sent its packs and one
+command, every rank computes, every reply is drained — the host
+analogue of the paper's lockstep neighbourhood exchange.  Two layers,
+so the decomposition logic never knows how bytes travel:
 
 * :class:`Transport` — the **round driver**, the only parent-side
-  protocol code.  :meth:`~Transport.scatter` stages, per rank, only
-  the rows a tile's halo region needs (``source[ids[k]]``, one
-  ``np.take`` into that rank's reused input buffer; the id lists are
-  the pipeline's cached pack indices, recomputed only on a candidate
-  rebuild).  :meth:`~Transport.command` sends one small message
-  (optionally extended with a per-rank part) to every rank and blocks
-  for every reply, in rank order; :meth:`~Transport.post` /
-  :meth:`~Transport.collect` are its two halves.  Replies are
-  ``(flag, n_pairs, seconds, density_seconds)`` tails.  Every rank is
-  drained before anything is raised: a worker-reported error re-raises
-  in the parent by exception name (unknown names as ``RuntimeError``
-  with the name kept in the text), a rank that died — on the send or
-  the receive side — as a typed :class:`WorkerLost`; the lowest failing
-  rank wins.  :meth:`~Transport.gather` returns each rank's staged
-  output prefix (partial density, pair energy, forces over its local
-  atoms), which the parent scatter-adds **in fixed rank order** (the
-  seam reduction), so a trajectory is bitwise-reproducible per
-  topology — and, because every mover delivers identical float64 bits
-  in identical pack layouts, bitwise-identical *across* movers too.
+  protocol code: :meth:`~Transport.scatter` stages ``source[ids[k]]``
+  for rank ``k``, :meth:`~Transport.command` runs one round
+  (:meth:`~Transport.post` + :meth:`~Transport.collect`, with the
+  single drain-then-raise failure scan), :meth:`~Transport.gather`
+  returns what the ranks staged.  The pipeline *routes* with these:
+  gather a seam pack, scatter its rows to the other holders.
 * a **byte mover** — only how a staged pack and a message reach rank
   ``k`` and come back: ``inputs`` (the per-rank buffers the driver
   stages into), ``send(rank, msg, packs)``, ``recv(rank)``,
   ``fetch(rank, name, n)`` and ``close()``.  Three exist:
-  :class:`ForkMover` ("shared": forked workers inherit a
-  :class:`~repro.parallel.shm.SharedArena` with one
-  ``(n_workers, capacity, ...)`` row-per-rank array per channel, the
-  input buffers *are* the arena rows, messages ride a pipe — zero
-  copies beyond the pack itself), :class:`SocketMover` ("socket": the
-  same worker protocol over loopback TCP, packs pickled onto the
-  command and the reply) and :class:`InlineMover` ("inline": virtual
-  workers inside the parent, :meth:`ShardWorker.handle` called
-  directly).
+  :class:`ForkMover` ("shared"), :class:`SocketMover` ("socket") and
+  :class:`InlineMover` ("inline"), each with a matching thin
+  worker-side channel (``get``/``put``/``recv``/``send``) under the
+  transport-agnostic :class:`ShardWorker` / :func:`worker_loop`.
 
-Each mover has a matching thin worker-side channel
-(``get``/``put``/``recv``/``send``) under the transport-agnostic
-:class:`ShardWorker` / :func:`worker_loop`.
-
+Every mover delivers the same float64 bits in the same pack layout, so
+a trajectory is bitwise-identical across movers; and
 ``bytes_sent``/``bytes_recv`` count the *actual pack prefix bytes* —
 charged when a pack is scattered and when a gathered pack is consumed —
-so halo-traffic numbers are real sparse volumes and are identical
-across movers by construction.
+so traffic numbers are real sparse volumes, identical across movers too.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -71,6 +52,7 @@ __all__ = [
     "make_transport",
     "resolve_transport",
     "fork_available",
+    "usable_cpus",
     "worker_loop",
     "TRANSPORTS",
 ]
@@ -99,61 +81,77 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _affinity() -> list[int]:
+    """The CPUs this process may run on ([] where the platform has no
+    affinity mask)."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-linux
+        return []
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask (a
+    cpuset can be smaller than the machine), else the machine's count;
+    never less than 1."""
+    return len(_affinity()) or os.cpu_count() or 1
+
+
 # -- the worker protocol (transport-independent) ---------------------------
 
 
 class ShardWorker:
-    """One tile's persistent protocol state machine.
+    """One tile's resident state and the steps it runs on it.
 
-    The worker owns its tile across steps: halo-pack positions, types,
-    the owned-region mask and the local-index candidate list (with its
-    build-time separations) all persist between commands, so a
-    steady-state step moves only the pack and the results.  The Verlet
-    skin trigger itself is evaluated parent-side (the parent owns every
-    position, so its global check equals the OR over the covering tile
-    sets exactly); by the time a ``dens`` command arrives, the
-    candidates are guaranteed fresh.
+    Between rebuilds the worker *owns* its tile: an
+    :class:`~repro.md.state.AtomsState` of its local rows (owned +
+    ghost, ascending global id; the velocities live only here), the
+    rebuild reference and the candidate list, held as the
+    **interior/boundary split** of what
+    :func:`~repro.md.neighbor_list.build_candidates` builds from the
+    local rows (interior candidates touch only owned rows, boundary
+    candidates a ghost).  Each class runs its own filter + kernel pass
+    and the per-atom results merge as whole partial sums in a pinned
+    order (``interior + boundary``); an empty class skips the merge, so
+    a single tile (no ghosts) computes the exact unsplit bits — the
+    ``w=1`` bitwise-serial hinge.
 
-    The candidate list is held as two
-    :class:`~repro.md.neighbor_list.Candidates`, the **interior/boundary
-    split** of what :func:`~repro.md.neighbor_list.build_candidates`
-    builds from the pack: interior candidates touch only owned rows —
-    their separations never read a ghost row — boundary candidates
-    touch a ghost.  Each class runs its own filter + kernel pass and the
-    per-atom results merge as whole partial sums in a pinned order
-    (``interior + boundary``) — that order *is* the summation order
-    every multi-tile digest depends on — and a round with an empty
-    class skips the merge outright: a single-tile run (no ghosts, empty
-    boundary) therefore computes the exact unsplit bits, preserving the
-    ``w=1`` bitwise-serial contract.
+    Where a row has several holders (a *seam* row) its per-tile partial
+    sums meet in :meth:`_reduce` — at **every** holder, in one order, so
+    all of them land on the same bits.  A ghost is therefore a full
+    replica: same reduced force, same velocity, and the integrator
+    (elementwise) moves it here exactly as its owner does, so positions
+    never travel between rebuilds.  Commands (replies are ``("ok",
+    seconds, ...)`` or ``("error", type, text)``):
 
-    * ``("dens", max_disp)`` — read the position pack and
-      distance-filter the candidates under the parent's global
-      displacement bound (a valid upper bound for every tile, already
-      in hand from the skin trigger): the bound either proves every
-      candidate is still inside the cutoff (the filter skips its mask
-      and compaction outright) or pre-masks candidates provably still
-      out of range.  Run the interior then the boundary density pass,
-      merge, stage the local ``rho`` pack.
-    * ``("rebuild", n_local, bounds)`` — read a freshly planned pack
-      (positions + types), recompute the owned mask from the tile
-      bounds, rebuild the local candidates under the seam rule and
-      split them at the seam, then filter + density as above.
-    * ``("force",)`` — read the ``f_der`` pack, run the pair-force pass
-      over the cached interior and boundary pairs, merge, stage
-      ``epair``/``forces``.
+    * ``("rebuild", n_local, bounds, seam, segs)`` — read a freshly
+      planned pack (local positions, velocities, types), recompute the
+      owned mask from the tile bounds, keep the seam plan
+      (:func:`~repro.parallel.domains.seam_plan`), rebuild and split
+      the candidates, then ``dens``; the reply adds the build's funnel.
+    * ``("dens",)`` — distance-filter under the local displacement
+      bound (any valid bound emits the same pairs), run the interior
+      then the boundary density pass, merge, stage the seam rows of
+      ``rho``.  Reply: ``n_pairs, density_seconds``.
+    * ``("force",)`` — reduce ``rho``, embed (elementwise, hence
+      subset-safe), run the pair-force pass, stage the seam rows'
+      pair-energy and force partials.  Reply: reduce + embed seconds.
+    * ``("move", integrator, ahead)`` — reduce pair energies and forces;
+      with an integrator (the serial loop's own ``LeapfrogVerlet``;
+      ``None`` = evaluate only) advance the local state and, if
+      ``ahead``, run the *next* step's ``dens`` on the spot (the parent
+      discards it if the max-reduced trigger trips).  Reply: the owned
+      rows' largest squared displacement since the rebuild, the move's
+      seconds, then (``ahead``) the ``dens`` reply.
+    * ``("push", names)`` / ``("pull", names)`` — overwrite local
+      ``positions`` / ``velocities`` from the parent (reply: the
+      displacement, as ``move``), or stage the owned rows of
+      ``positions`` / ``velocities`` / ``energies`` / ``forces`` for it.
 
-    :meth:`handle` returns ``("ok", flag, n_pairs, seconds,
-    density_seconds)`` replies (or ``("error", type, text)``); a
-    rebuild reply carries the build's ``(raw, coarse_kept,
-    exact_kept)`` candidate funnel as a trailing element.  The compute
-    body is identical under every mover — forked, socket *and* inline —
-    which is what makes cross-transport trajectories bitwise-equal.
-
-    ``switch_backend=False`` skips the process-global kernel-backend
-    switch: the inline mover runs workers inside the parent process,
-    whose active backend (the ``parallel`` backend binds the default
-    tier's kernels) already evaluates the identical arithmetic.
+    The body is identical under every mover.  ``switch_backend=False``
+    skips the process-global kernel-backend switch: the inline mover
+    runs workers inside the parent, whose active backend already
+    evaluates the identical arithmetic.
     """
 
     def __init__(self, channel, cfg: dict, *, switch_backend: bool = True):
@@ -171,40 +169,52 @@ class ShardWorker:
         self.channel = channel
         self.potential = cfg["potential"]
         self.cutoff = cfg["cutoff"]
+        self.masses = cfg["masses"]
         # knows the box and the reach; buffers reused across rebuilds
         self.cells = CellList(
             cfg["box"], cfg["reach"],
             subdivide=cfg.get("build_subdivide", 1),
         )
-        self.n_local = 0
-        self.types_l = None
-        self.cand_int = None  # interior candidates (owned-owned)
-        self.cand_bnd = None  # boundary candidates (touching a ghost)
-        self.table_int = None
-        self.table_bnd = None
-        self.cache_int: dict = {}
-        self.cache_bnd: dict = {}
-        self.positions = None  # current pack (persists dens -> force)
-        self.d_max = 0.0  # parent's displacement bound since the rebuild
+        self.state = None  # AtomsState of the local rows (see above)
+        self.d_max = 0.0  # local displacement bound since the rebuild
 
-    def _two_phase_density(self, t0: float) -> tuple:
+    def _rebuild(self, n_local, bounds, seam, segs):
+        from repro.md.neighbor_list import build_candidates
+        from repro.md.state import AtomsState
+        from repro.parallel.domains import owned_mask_local
+
+        ch, n = self.channel, int(n_local)
+        self.state = state = AtomsState(
+            np.array(ch.get("positions", n)), np.array(ch.get("velocities", n)),
+            np.array(ch.get("types", n)), self.masses, self.cells.box,
+        )
+        mask = owned_mask_local(state.positions, bounds)
+        self.owned = np.nonzero(mask)[0]
+        self.ref = state.positions.copy()
+        self.seam, self.segs = seam, segs
+        cand, _ = build_candidates(self.cells, state.positions, owned=mask)
+        self.cand_int, self.cand_bnd = cand.split(mask[cand.i] & mask[cand.j])
+        self.d_max = 0.0
+        return cand.funnel
+
+    def _two_phase_density(self) -> tuple:
         """Interior filter + density, boundary filter + density, merge."""
-        pos, box = self.positions, self.cells.box
+        st, box, n = self.state, self.cells.box, self.state.n_atoms
         self.table_int = self.cand_int.pairs(
-            pos, box, self.cutoff, max_disp=self.d_max
+            st.positions, box, self.cutoff, max_disp=self.d_max
         )
         td = time.perf_counter()
         rho_int, self.cache_int = self.potential.fused_density(
-            self.n_local, self.table_int, self.types_l
+            n, self.table_int, st.types
         )
         t_dens = time.perf_counter() - td
         self.table_bnd = self.cand_bnd.pairs(
-            pos, box, self.cutoff, max_disp=self.d_max
+            st.positions, box, self.cutoff, max_disp=self.d_max
         )
         td = time.perf_counter()
         if self.table_bnd.n_pairs:
             rho_bnd, self.cache_bnd = self.potential.fused_density(
-                self.n_local, self.table_bnd, self.types_l
+                n, self.table_bnd, st.types
             )
             # pinned merge order: interior partial + boundary partial;
             # an empty class skips the merge so the populated class's
@@ -217,76 +227,129 @@ class ShardWorker:
             self.cache_bnd = {}
             rho = rho_int
         t_dens += time.perf_counter() - td
-        self.channel.put("rho", rho)
-        n_pairs = self.table_int.n_pairs + self.table_bnd.n_pairs
-        return ("ok", 0, n_pairs, time.perf_counter() - t0, t_dens)
+        self.rho, self.rho_mine = rho, self._stage("rho", rho)
+        return self.table_int.n_pairs + self.table_bnd.n_pairs, t_dens
+
+    def _pair_force(self, f_der: np.ndarray) -> None:
+        """Interior pass, boundary pass, same pinned merge; stage the
+        seam rows' partials for the other holders."""
+        st, n = self.state, self.state.n_atoms
+        e_pair, forces = self.potential.fused_pair_force(
+            n, self.table_int, f_der, st.types, cache=self.cache_int
+        )
+        if self.table_bnd.n_pairs:
+            e_bnd, f_bnd = self.potential.fused_pair_force(
+                n, self.table_bnd, f_der, st.types, cache=self.cache_bnd
+            )
+            if self.table_int.n_pairs:
+                np.add(e_pair, e_bnd, out=e_pair)
+                np.add(forces, f_bnd, out=forces)
+            else:
+                e_pair, forces = e_bnd, f_bnd
+        self.e_pair, self.e_mine = e_pair, self._stage("epair", e_pair)
+        self.forces, self.f_mine = forces, self._stage("forces", forces)
+
+    def _stage(self, name: str, part: np.ndarray) -> np.ndarray:
+        """Stage the seam rows of ``part`` for the other holders; the
+        staged copy is this rank's own term of :meth:`_reduce`."""
+        mine = part[self.seam]
+        self.channel.put(name, mine)
+        return mine
+
+    def _reduce(self, part: np.ndarray, mine: np.ndarray, name: str) -> None:
+        """Overwrite the seam rows of ``part`` with their sum over holders.
+
+        ``self.segs`` lists, per rank in ascending order, where among
+        the seam rows that rank's routed slice of pack ``name`` lands
+        (``None`` marks ``mine``, this rank's own partial).  Starting
+        from 0.0 and adding in that order is, row by row, what
+        ``bincount`` over the rank-concatenated pack ids did: same
+        operands, same sequence.
+        """
+        segs = self.segs
+        pack = self.channel.get(
+            name, sum(len(at) for at in segs if at is not None)
+        )
+        acc = np.zeros_like(mine)
+        off = 0
+        for at in segs:
+            if at is None:
+                acc += mine
+            elif len(at) == len(acc):  # shares every seam row: in order
+                acc += pack[off:off + len(at)]
+                off += len(at)
+            else:
+                acc[at] += pack[off:off + len(at)]
+                off += len(at)
+        part[self.seam] = acc
+
+    def _displacement(self) -> tuple:
+        """Refresh the local bound; the owned rows' max |d|^2 for the
+        parent's trigger."""
+        from repro.md.neighbor_list import displacement2
+
+        d2 = displacement2(self.state.positions, self.ref)
+        self.d_max = math.sqrt(np.max(d2, initial=0.0))
+        return (float(np.max(d2[self.owned], initial=0.0)),)
 
     def handle(self, msg: tuple) -> tuple:
         """Serve one command, returning its reply tuple."""
-        from repro.md.neighbor_list import build_candidates
-        from repro.parallel.domains import owned_mask_local
-
-        cmd = msg[0]
+        cmd, ch, st = msg[0], self.channel, self.state
         t0 = time.perf_counter()
+        tail: tuple = ()
         try:
             if cmd == "dens":
-                self.positions = self.channel.get("positions", self.n_local)
-                # The parent's global displacement bound (from its skin
-                # trigger) rides on the command: it upper-bounds every
-                # tile's local displacement, so the tile pays no einsum
-                # of its own.  A looser bound only weakens the provably
-                # bit-neutral cross-step cuts, never the emitted pairs.
-                self.d_max = float(msg[1])
-                return self._two_phase_density(t0)
-            if cmd == "rebuild":
-                self.n_local = int(msg[1])
-                bounds = msg[2]
-                self.positions = self.channel.get(
-                    "positions", self.n_local
-                )
-                self.types_l = self.channel.get("types", self.n_local)
-                owned = owned_mask_local(self.positions, bounds)
-                cand, _ = build_candidates(
-                    self.cells, self.positions, owned=owned
-                )
-                self.cand_int, self.cand_bnd = cand.split(
-                    owned[cand.i] & owned[cand.j]
-                )
-                self.d_max = 0.0
-                # the build's candidate funnel rides home on the reply:
-                # a forked rank's metrics registry is not the parent's
-                return (*self._two_phase_density(t0), cand.funnel)
-            if cmd == "force":
-                f_der = self.channel.get("f_der", self.n_local)
-                e_int, f_int = self.potential.fused_pair_force(
-                    self.n_local, self.table_int, f_der, self.types_l,
-                    cache=self.cache_int,
-                )
-                if self.table_bnd.n_pairs:
-                    e_bnd, f_bnd = self.potential.fused_pair_force(
-                        self.n_local, self.table_bnd, f_der, self.types_l,
-                        cache=self.cache_bnd,
+                tail = self._two_phase_density()
+            elif cmd == "rebuild":
+                funnel = self._rebuild(*msg[1:])
+                tail = (*self._two_phase_density(), funnel)
+            elif cmd == "force":
+                self._reduce(self.rho, self.rho_mine, "rho_in")
+                self.f_val, f_der = self.potential.embed(self.rho, st.types)
+                tail = (time.perf_counter() - t0,)
+                self._pair_force(f_der)
+            elif cmd == "move":
+                self._reduce(self.e_pair, self.e_mine, "epair_in")
+                self._reduce(self.forces, self.f_mine, "forces_in")
+                if msg[1] is not None:
+                    msg[1].step(st, self.forces)
+                    tail = self._displacement()
+                    tail += (time.perf_counter() - t0,)
+                    if msg[2]:
+                        tail += self._two_phase_density()
+            elif cmd == "push":
+                for name in msg[1]:
+                    getattr(st, name)[:] = ch.get(name, st.n_atoms)
+                tail = self._displacement()
+            elif cmd == "pull":
+                for name in msg[1]:
+                    rows = (
+                        self.forces if name == "forces"
+                        else self.e_pair + self.f_val if name == "energies"
+                        else getattr(st, name)
                     )
-                    if self.table_int.n_pairs:
-                        e_pair = np.add(e_int, e_bnd, out=e_int)
-                        forces = np.add(f_int, f_bnd, out=f_int)
-                    else:
-                        e_pair, forces = e_bnd, f_bnd
-                else:
-                    e_pair, forces = e_int, f_int
-                self.channel.put("epair", e_pair)
-                self.channel.put("forces", forces)
-                n_pairs = self.table_int.n_pairs + self.table_bnd.n_pairs
-                return ("ok", 0, n_pairs, time.perf_counter() - t0, 0.0)
-            if cmd == "ping":
-                return ("ok", 0, 0, time.perf_counter() - t0, 0.0)
-            return ("error", "ValueError", f"unknown command {cmd!r}")
+                    ch.put("own_" + name, np.take(rows, self.owned, axis=0))
+            elif cmd != "ping":
+                return ("error", "ValueError", f"unknown command {cmd!r}")
+            return ("ok", time.perf_counter() - t0, *tail)
         except Exception as exc:  # report, keep serving
             return ("error", type(exc).__name__, str(exc))
 
 
 def worker_loop(channel, wid: int, cfg: dict) -> None:
-    """Serve :class:`ShardWorker` commands over a channel until stop."""
+    """Serve :class:`ShardWorker` commands over a channel until stop.
+
+    A rank owns its tile and, where the platform lets it, one CPU: it
+    pins itself to the ``wid``-th usable one (round-robin when ranks
+    outnumber them).  Ranks that the scheduler lets drift onto one core
+    between rounds serialise a whole round before it separates them.
+    """
+    cpus = _affinity()
+    if cpus:
+        try:
+            os.sched_setaffinity(0, {cpus[wid % len(cpus)]})
+        except OSError:  # pragma: no cover - mask changed under us
+            pass
     worker = ShardWorker(channel, cfg)
     while True:
         try:
@@ -404,6 +467,16 @@ def _fork_worker_entry(
     worker_loop(_ArenaChannel(conn, wid, shared), wid, cfg)
 
 
+def _no_delay(conn) -> None:
+    """Nagle off: a seam pack is a 4-byte header plus one sub-segment
+    payload, which would wait on the header's delayed ACK — 40 ms a
+    round."""
+    import socket
+
+    with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _socket_worker_entry(address, authkey: bytes, rank: int) -> None:
     """Socket-mover worker entry: connect, handshake, serve.
 
@@ -415,6 +488,7 @@ def _socket_worker_entry(address, authkey: bytes, rank: int) -> None:
     from multiprocessing.connection import Client
 
     conn = Client(address, authkey=authkey)
+    _no_delay(conn)
     conn.send(("hello", rank))
     msg = conn.recv()
     if msg[0] != "setup":  # pragma: no cover - protocol violation
@@ -430,10 +504,9 @@ class Transport:
     """The round driver: every parent-side protocol step, over a mover.
 
     What :class:`~repro.parallel.pipeline.ShardedForcePipeline` talks
-    to.  Owns the per-rank pack counts, pack staging and byte
-    accounting, per-rank message assembly, the post / collect round
-    with its single failure scan, and the gather length check; the
-    mover only carries bytes.
+    to.  Owns pack staging and byte accounting, per-rank message
+    assembly, the post / collect round with its single failure scan,
+    and the gather length check; the mover only carries bytes.
     """
 
     def __init__(self, mover) -> None:
@@ -446,7 +519,6 @@ class Transport:
         self.n_workers = len(self._buffers)
         self.bytes_sent = 0
         self.bytes_recv = 0
-        self._counts = [0] * self.n_workers
         #: packs scattered since the last post, handed to the mover
         #: with the next message
         self._pending: list[dict[str, np.ndarray]] = [
@@ -454,10 +526,6 @@ class Transport:
         ]
         #: ranks whose send failed in the current round (rank -> cause)
         self._lost: dict[int, BaseException] = {}
-
-    def set_counts(self, counts: list[int]) -> None:
-        """Rows each rank stages per output pack (its local-atom count)."""
-        self._counts = list(counts)
 
     def scatter(self, name: str, source, ids: list[np.ndarray]) -> None:
         """Stage ``source[ids[k]]`` as rank ``k``'s next ``name`` pack."""
@@ -525,10 +593,11 @@ class Transport:
     def barrier(self) -> None:
         self.command(("ping",))
 
-    def gather(self, name: str) -> list[np.ndarray]:
-        """Each rank's staged ``name`` output pack, in rank order."""
+    def gather(self, name: str, counts: list[int]) -> list[np.ndarray]:
+        """Each rank's staged ``name`` output pack (``counts[k]`` rows),
+        in rank order."""
         packs = []
-        for k, n in enumerate(self._counts):
+        for k, n in enumerate(counts):
             pack = self.mover.fetch(k, name, n)
             if len(pack) != n:
                 raise RuntimeError(
@@ -547,11 +616,8 @@ class Transport:
 
 
 def _plain_buffers(n_workers: int, inputs: dict) -> list[dict]:
-    """Per-rank capacity-sized input buffers in ordinary memory.
-
-    ``np.empty`` commits pages only as pack prefixes touch them, so the
-    capacity sizing costs address space, not resident memory.
-    """
+    """Per-rank capacity-sized input buffers in ordinary memory
+    (``np.empty`` commits pages only as pack prefixes touch them)."""
     return [
         {
             cname: np.empty(shape, dtype)
@@ -564,10 +630,9 @@ def _plain_buffers(n_workers: int, inputs: dict) -> list[dict]:
 def _stop_and_reap(conns: list, procs: list, stop_msg) -> None:
     """Tell every worker to stop, then join them with a timeout.
 
-    Dead-worker safe: a worker that already exited — crashed, killed,
-    or double-close — must not hang the parent, so sends to broken
-    pipes are swallowed, joins are bounded, and anything still alive
-    after the timeout is terminated.
+    Dead-worker safe: a worker that already exited must not hang the
+    parent, so sends to broken pipes are swallowed, joins are bounded,
+    and anything still alive after the timeout is terminated.
     """
     for conn in conns:
         try:
@@ -600,13 +665,7 @@ class ForkMover:
     kind = "shared"
 
     def __init__(
-        self,
-        n_workers: int,
-        inputs: dict,
-        outputs: dict,
-        cfg: dict,
-        *,
-        name: str = "repro-shard",
+        self, n_workers: int, inputs: dict, outputs: dict, cfg: dict
     ) -> None:
         self.arena = SharedArena({
             cname: ((n_workers, *shape), dtype)
@@ -628,7 +687,7 @@ class ForkMover:
                     [*self._conns, parent_conn],
                 ),
                 daemon=True,
-                name=f"{name}-{wid}",
+                name=f"repro-shard-{wid}",
             )
             proc.start()
             child_conn.close()
@@ -666,13 +725,7 @@ class SocketMover:
     kind = "socket"
 
     def __init__(
-        self,
-        n_workers: int,
-        inputs: dict,
-        outputs: dict,
-        cfg: dict,
-        *,
-        name: str = "repro-shard",
+        self, n_workers: int, inputs: dict, outputs: dict, cfg: dict
     ) -> None:
         from multiprocessing.connection import Listener
 
@@ -689,7 +742,7 @@ class SocketMover:
                 target=_socket_worker_entry,
                 args=(self._listener.address, authkey, rank),
                 daemon=True,
-                name=f"{name}-sock-{rank}",
+                name=f"repro-shard-sock-{rank}",
             )
             proc.start()
             self._procs.append(proc)
@@ -698,6 +751,7 @@ class SocketMover:
         self._conns: list = [None] * n_workers
         for _ in range(n_workers):
             conn = self._listener.accept()
+            _no_delay(conn)
             hello = conn.recv()
             if hello[0] != "hello":  # pragma: no cover - protocol violation
                 raise RuntimeError(f"expected hello, got {hello[0]!r}")
@@ -734,35 +788,21 @@ class InlineMover:
 
     Hosts ``n_workers`` :class:`ShardWorker` state machines inside the
     parent process and runs each command synchronously in rank order
-    (inside :meth:`recv`, i.e. while the driver collects).  The compute
-    body, pack layouts and fixed-order reduction are exactly the
-    forked/socket ones, so trajectories are bitwise-equal to the other
-    movers by construction — this tier changes *where* the protocol
-    runs, never what it computes.
-
-    Exists because process parallelism needs spare cores: on a host
-    with fewer CPUs than workers the forked tiers timeshare one core
-    and pay IPC + context-switch tax for zero concurrency, while the
-    tile decomposition itself is still profitable (tile-sized arrays
-    cache better than the global arrays, and dead-block pruning makes
-    tile rebuilds cheaper than a global rebuild).  ``resolve_transport``
-    picks this tier automatically on such hosts.
-
-    The driver's byte counters report the same sparse pack prefixes the
-    wire movers would carry — halo volume is a protocol property, not a
-    copper property — so accounting stays comparable across tiers.
+    (inside :meth:`recv`, i.e. while the driver collects): the compute
+    body, pack layouts and reduction order are exactly the forked ones,
+    so trajectories are bitwise-equal to the other movers — this tier
+    changes *where* the protocol runs, never what it computes or what
+    the byte counters report.  Exists because process parallelism needs
+    spare cores: with fewer CPUs than workers the forked tiers timeshare
+    and pay IPC for zero concurrency, while tile-sized arrays still
+    cache better than global ones.  ``resolve_transport`` picks this
+    tier automatically on such hosts.
     """
 
     kind = "inline"
 
     def __init__(
-        self,
-        n_workers: int,
-        inputs: dict,
-        outputs: dict,
-        cfg: dict,
-        *,
-        name: str = "repro-shard",
+        self, n_workers: int, inputs: dict, outputs: dict, cfg: dict
     ) -> None:
         self.inputs = _plain_buffers(n_workers, inputs)
         self._channels = [_InlineChannel() for _ in range(n_workers)]
@@ -793,24 +833,17 @@ _MOVERS = {"shared": ForkMover, "socket": SocketMover, "inline": InlineMover}
 def resolve_transport(kind: str | None, n_workers: int) -> str:
     """Resolve ``None``/``"auto"`` to a concrete transport kind.
 
-    Process-backed movers only pay off with spare cores: when the
-    host has fewer CPUs than workers (or only one worker), the forked
-    tiers add IPC and context-switch cost for zero concurrency, so
-    ``auto`` picks the inline tier instead — same bits, no processes.
-
-    A core-starved auto-inline pick warns once per (workers, cpus)
-    shape: the user asked for parallelism the host cannot deliver, and
-    should know the shards run in-process (``n_workers == 1`` stays
-    silent — a single worker has nothing to run beside regardless).
+    Process-backed movers only pay off with spare cores: with fewer
+    usable CPUs than workers (or one worker) ``auto`` picks the inline
+    tier — same bits, no processes — and, since the user asked for
+    parallelism the host cannot deliver, warns once per (workers, cpus)
+    shape (``n_workers == 1`` stays silent).
     """
     if kind not in (None, "auto"):
         return kind
     if n_workers == 1:
         return "inline"
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-linux
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if cpus < n_workers:
         from repro.parallel import warn_once
 
@@ -826,13 +859,7 @@ def resolve_transport(kind: str | None, n_workers: int) -> str:
 
 
 def make_transport(
-    kind: str | None,
-    n_workers: int,
-    inputs: dict,
-    outputs: dict,
-    cfg: dict,
-    *,
-    name: str = "repro-shard",
+    kind: str | None, n_workers: int, inputs: dict, outputs: dict, cfg: dict
 ) -> Transport:
     """The round driver over the named mover (``None``/``"auto"`` adapt
     to the host, see :func:`resolve_transport`)."""
@@ -841,6 +868,4 @@ def make_transport(
         raise ValueError(
             f"unknown transport {kind!r}; expected one of {TRANSPORTS}"
         )
-    return Transport(
-        _MOVERS[kind](n_workers, inputs, outputs, cfg, name=name)
-    )
+    return Transport(_MOVERS[kind](n_workers, inputs, outputs, cfg))

@@ -176,7 +176,7 @@ class ReferenceEngine:
             sent, recv = pipeline.halo_bytes
             counters["halo_bytes_sent"] = sent
             counters["halo_bytes_recv"] = recv
-            counters["halo_bytes_ghost"] = pipeline.ghost_bytes
+            counters["rounds"] = pipeline.rounds
             counters["ghost_atoms"] = pipeline.ghost_atoms
             counters["halo_seconds"] = round(pipeline.halo_seconds, 6)
             # rounds are synchronous (scatter, then compute): no rank

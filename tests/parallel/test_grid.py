@@ -94,15 +94,15 @@ class TestDomainGrid:
         positions, _ = _random_cloud(5)
         for px, py in TOPOLOGIES:
             grid = plan_grid(positions, px, py, cell_width=3.0)
-            owner = grid.owner_of(positions)
-            assert owner.min() >= 0 and owner.max() < grid.n_tiles
-            # owner_of agrees with the per-tile rectangle masks
-            counts = np.bincount(owner, minlength=grid.n_tiles)
-            for tile in range(grid.n_tiles):
-                xlo, xhi, ylo, yhi = grid.tile_bounds(tile)
-                x, y = positions[:, 0], positions[:, 1]
-                in_rect = (x >= xlo) & (x < xhi) & (y >= ylo) & (y < yhi)
-                assert counts[tile] == int(np.count_nonzero(in_rect))
+            # the ownership test the parent and every rank share puts
+            # each atom in exactly one tile's rectangle
+            owners = sum(
+                domains.owned_mask_local(
+                    positions, grid.tile_bounds(tile)
+                ).astype(int)
+                for tile in range(grid.n_tiles)
+            )
+            assert np.all(owners == 1)
 
     def test_tile_coords_round_trip(self):
         positions, _ = _random_cloud(6)
@@ -117,8 +117,13 @@ class TestDomainGrid:
     def test_balanced_counts_on_uniform_cloud(self):
         positions, _ = _random_cloud(7, n=4000, span=(40.0, 40.0, 4.0))
         grid = plan_grid(positions, 2, 2, cell_width=2.0)
-        counts = np.bincount(grid.owner_of(positions), minlength=4)
-        assert counts.max() <= 1.5 * len(positions) / 4
+        counts = [
+            np.count_nonzero(
+                domains.owned_mask_local(positions, grid.tile_bounds(t))
+            )
+            for t in range(4)
+        ]
+        assert max(counts) <= 1.5 * len(positions) / 4
 
     def test_rejects_bad_shapes(self):
         inf = np.array([-np.inf, np.inf])
@@ -261,3 +266,90 @@ class TestShardSweep:
         assert coarse - exact <= 0.001 * exact
         # halo rings are enumerated twice, dead ring-ring blocks never
         assert raw != serial["raw_candidates"]
+
+
+class _PackChannel:
+    """The two channel calls ``ShardWorker._reduce`` / ``_stage`` make."""
+
+    def __init__(self):
+        self.staged = {}
+        self.routed = {}
+
+    def put(self, name, data):
+        self.staged[name] = np.array(data)
+
+    def get(self, name, n):
+        assert len(self.routed[name]) == n
+        return self.routed[name]
+
+
+class TestSeamPlan:
+    """The seam plan and the holder-side reduction it feeds: what every
+    holder ends up with is, bit for bit, the parent-side ``bincount``
+    over the rank-concatenated ids that it replaced."""
+
+    def _tiles(self, seed, topology, reach=3.0):
+        positions, box = _random_cloud(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            grid = plan_grid(positions, *topology, cell_width=reach)
+        ids = [
+            domains.tile_local_ids(positions, grid, t, reach)
+            for t in range(grid.n_tiles)
+        ]
+        return positions, box, ids
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_seam_rows_are_the_rows_with_several_holders(self, topology):
+        positions, _, ids = self._tiles(11, topology)
+        seam, take, segs = domains.seam_plan(ids, len(positions))
+        holders = np.bincount(np.concatenate(ids), minlength=len(positions))
+        for k, local in enumerate(ids):
+            assert np.array_equal(local[seam[k]], local[holders[local] > 1])
+            assert segs[k][k] is None
+            # one routed row per (seam row, other holder)
+            assert len(take[k]) == int(np.sum(holders[local[seam[k]]] - 1))
+
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    @pytest.mark.parametrize("topology", [(2, 1), (2, 2), (3, 2), (4, 4)])
+    def test_every_holder_lands_on_the_bincount_bits(
+        self, topology, columns, ta_potential
+    ):
+        from repro.parallel.transport import ShardWorker
+
+        positions, box, ids = self._tiles(12, topology)
+        n = len(positions)
+        seam, take, segs = domains.seam_plan(ids, n)
+        rng = np.random.default_rng(13)
+        # partials of wildly different magnitude, exact zeros included:
+        # any other addition order shows up in the low bits
+        parts = [
+            rng.normal(size=(len(i), *columns))
+            * 10.0 ** rng.integers(-8, 8, size=(len(i), *columns))
+            * (rng.random(size=(len(i), *columns)) > 0.2)
+            for i in ids
+        ]
+        flat = np.concatenate(ids)
+        stacked = np.concatenate(parts).reshape(len(flat), -1)
+        expected = np.stack([
+            np.bincount(flat, weights=column, minlength=n)
+            for column in stacked.T
+        ], axis=1).reshape(n, *columns)
+        cfg = {
+            "potential": ta_potential, "cutoff": ta_potential.cutoff,
+            "masses": np.array([1.0]), "box": box, "reach": 3.0,
+        }
+        workers = []
+        for k in range(len(ids)):
+            worker = ShardWorker(_PackChannel(), cfg, switch_backend=False)
+            worker.seam, worker.segs = seam[k], segs[k]
+            workers.append(worker)
+        mine = [w._stage("x", part) for w, part in zip(workers, parts)]
+        staged = np.concatenate([w.channel.staged["x"] for w in workers])
+        for k, worker in enumerate(workers):
+            worker.channel.routed["x_in"] = staged[take[k]]
+            worker._reduce(parts[k], mine[k], "x_in")
+            assert np.array_equal(parts[k], expected[ids[k]]), k
+            # idempotent: a repeated force round reads the staged copy
+            worker._reduce(parts[k], mine[k], "x_in")
+            assert np.array_equal(parts[k], expected[ids[k]]), k

@@ -1,17 +1,21 @@
-"""Sparse-halo byte accounting and the topology x transport matrix.
+"""Seam-row byte accounting and the topology x transport matrix.
 
-The acceptance bars pinned here: a steady 2x2 step moves strictly
-fewer bytes than the full-broadcast protocol it replaced, the excess
-over the owned-row minimum is *exactly* the ghost (boundary) rows —
-so the traffic scales with boundary-atom count, and sub-linearly when
-the slab doubles — and trajectories agree with the serial path across
-every {1x2, 2x2, 4x1} x {shared, socket, inline} pairing, bitwise
-across transports for a fixed topology — and bitwise equal to position
-digests recorded before the transport layer was rebuilt as one round
-driver over three byte movers.  Steady steps reuse their staging
-buffers instead of allocating fresh packs.  The skin-trigger property
-rides along: rebuilding every step (``skin=0.0``) reproduces the
-lazy-reuse trajectory to seam-reduction tolerance.
+The acceptance bars pinned here: with the ranks stepping their own
+atoms a steady step moves *only* the partial sums of seam rows (rows
+local to more than one tile) — exactly ``seam rows x 40 B``, counted
+here from the tile id lists alone — so the traffic does not grow with
+the slab along an axis that does not lengthen the seam, grows
+sub-linearly when one does, and sits far below the whole-pack protocol
+it replaced; full state moves only on a rebuild round and on the exit
+pull.  Trajectories agree with the serial path across every
+{1x2, 2x2, 4x1} x {shared, socket, inline} pairing, bitwise across
+transports for a fixed topology — and bitwise equal to position digests
+recorded before the transport layer was rebuilt as one round driver
+over three byte movers, and to a longer matrix recorded before the
+ranks took over the stepping.  Steady steps reuse their staging buffers
+instead of allocating fresh packs.  The skin-trigger property rides
+along: rebuilding every step (``skin=0.0``) reproduces the lazy-reuse
+trajectory to seam-reduction tolerance.
 """
 
 import hashlib
@@ -21,8 +25,9 @@ import numpy as np
 import pytest
 
 from repro.kernels import active_backend_name, set_backend
+from repro.md.integrators import LeapfrogVerlet
 from repro.parallel import ShardedForcePipeline, fork_available
-from repro.parallel.pipeline import _ROW_BYTES
+from repro.potentials.elements import make_element_potential
 from repro.runtime import RunSpec, build_engine
 from tests.conftest import small_slab_state
 
@@ -30,10 +35,17 @@ pytestmark = pytest.mark.skipif(
     not fork_available(), reason="parallel backend requires fork"
 )
 
-#: Bytes per atom row crossing the transport in one steady step:
-#: positions and f_der scatter in, rho / epair / forces gather out.
-_STEP_CHANNELS = ("positions", "f_der", "rho", "epair", "forces")
-_STEP_ROW_BYTES = sum(_ROW_BYTES[c] for c in _STEP_CHANNELS)
+#: Bytes per seam row and direction in one steady step: the density
+#: partial before the force round, the pair-energy and force partials
+#: before the move.
+SEAM_ROW_BYTES = 8 + 8 + 24
+#: Bytes per row of full state: positions + velocities pulled, and the
+#: same plus the int64 type pushed to a tile on a rebuild.
+PULL_ROW_BYTES = 24 + 24
+PUSH_ROW_BYTES = PULL_ROW_BYTES + 8
+#: What the protocol this replaced moved per local row and step
+#: (positions and F' scattered whole, rho / epair / forces gathered).
+WHOLE_PACK_ROW_BYTES = 72
 
 
 @pytest.fixture(autouse=True)
@@ -43,116 +55,174 @@ def _restore_backend():
     set_backend(base)
 
 
-def _steady_step_bytes(reps, topology=(2, 2), transport="inline"):
-    """(n_atoms, ghost_atoms, sent+recv bytes of one steady step)."""
-    from repro.potentials.elements import make_element_potential
-
+def _sharded(reps, topology, transport):
     state = small_slab_state("Ta", reps, temperature=350.0)
-    pot = make_element_potential("Ta")
     with warnings.catch_warnings():
         # tiny slabs trip the (correct) halo-dominated advisory
         warnings.simplefilter("ignore", RuntimeWarning)
         pipe = ShardedForcePipeline(
-            state, pot, topology=topology, transport=transport
+            state, make_element_potential("Ta"),
+            topology=topology, transport=transport,
         )
-        try:
-            pipe.compute(state.positions)  # rebuild step
-            sent0, recv0 = pipe.halo_bytes
-            pipe.compute(state.positions)  # steady step: reuse round
-            sent1, recv1 = pipe.halo_bytes
-            return (
-                state.n_atoms,
-                pipe.ghost_atoms,
-                (sent1 - sent0) + (recv1 - recv0),
-            )
-        finally:
-            pipe.close()
+    return state, pipe
+
+
+def _seam_rows(pipe) -> tuple[int, int]:
+    """(rows routed to holders, rows staged by holders) of one seam
+    channel, counted from the tile id lists alone."""
+    ids = pipe._ids
+    holders = np.bincount(np.concatenate(ids), minlength=pipe.n_atoms)
+    seam = [i[holders[i] > 1] for i in ids]
+    routed = sum(
+        len(np.intersect1d(a, b))
+        for k, a in enumerate(seam) for m, b in enumerate(seam) if m != k
+    )
+    return routed, sum(len(rows) for rows in seam)
+
+
+def _traffic(reps, topology=(2, 2), transport="inline", steady=2):
+    """Byte deltas of a first ``advance(1)`` (rebuild + step + pull) and
+    of a following ``advance(steady)`` (steps + pull), with the counts
+    they are to be explained by."""
+    state, pipe = _sharded(reps, topology, transport)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pipe.advance(state, 1, LeapfrogVerlet(2.0))
+        first = np.array(pipe.halo_bytes)
+        pipe.advance(state, steady, LeapfrogVerlet(2.0))
+        later = np.array(pipe.halo_bytes) - first
+        assert pipe.n_builds == 1  # the later steps were all steady
+        routed, staged = _seam_rows(pipe)
+        return {
+            "n": state.n_atoms, "local": sum(len(i) for i in pipe._ids),
+            "ghost": pipe.ghost_atoms, "routed": routed, "staged": staged,
+            "first": first, "later": later, "steady": steady,
+        }
+    finally:
+        pipe.close()
+
+
+def _step_bytes(t) -> int:
+    """Sent + received bytes of one steady step (the exit pull removed)."""
+    return int(t["later"].sum() - t["n"] * PULL_ROW_BYTES) // t["steady"]
 
 
 class TestHaloBytes:
-    @pytest.mark.parametrize("transport", ("inline", "socket"))
-    def test_steady_2x2_step_below_full_broadcast(self, transport):
-        """Sparse packs beat the PR-7 full-broadcast volume strictly.
+    @pytest.mark.parametrize("transport", ("inline", "socket", "shared"))
+    def test_steady_step_moves_exactly_the_seam_rows(self, transport):
+        """Per-step bytes = seam rows x channel bytes, both directions.
 
-        The broadcast protocol shipped every per-step channel whole to
-        every worker: ``n_atoms x row_bytes x n_workers`` per channel.
-        Sparse packs carry one row per *local* (owned + ghost) atom
-        instead, and ghosts never replicate the whole system.  The
-        socket arm is the CI distributed leg's byte gate — a volume
+        The pin that replaces ``(n + ghost) x 72``: every holder stages
+        its seam rows' three partial sums and is routed the other
+        holders' — nothing that scales with the tile interior moves.
+        The socket arm is the CI distributed leg's byte gate — a volume
         assertion, deliberately not a wall-clock one.
         """
-        n, ghost, sparse = _steady_step_bytes((8, 8, 2), transport=transport)
-        broadcast = n * 4 * _STEP_ROW_BYTES
-        assert sparse < broadcast
-        # comfortably below, not within rounding of it
-        assert sparse <= 0.6 * broadcast
+        t = _traffic((8, 8, 2), transport=transport)
+        assert t["ghost"] > 0
+        sent, recv = t["later"]
+        assert sent == t["steady"] * t["routed"] * SEAM_ROW_BYTES
+        assert recv == (
+            t["steady"] * t["staged"] * SEAM_ROW_BYTES
+            + t["n"] * PULL_ROW_BYTES
+        )
 
-    def test_steady_step_excess_is_exactly_ghost_rows(self):
-        """Per-step bytes = (owned + ghost) rows: boundary-scaled.
+    def test_full_state_moves_only_on_rebuild_and_exit_pull(self):
+        """The first chunk = one push + one step + one pull; every later
+        chunk = its steps + one pull (asserted above).  Nothing else in
+        the protocol carries a whole tile."""
+        t = _traffic((8, 8, 2), topology=(1, 2))
+        sent, recv = t["first"]
+        assert sent == (
+            t["local"] * PUSH_ROW_BYTES + t["routed"] * SEAM_ROW_BYTES
+        )
+        assert recv == (
+            t["staged"] * SEAM_ROW_BYTES + t["n"] * PULL_ROW_BYTES
+        )
 
-        Pins the accounting to *actual* sparse pack sizes — the excess
-        over the ``n_atoms`` minimum is precisely the ghost-row count
-        the decomposition reports, so halo traffic provably scales
-        with boundary atoms, not system size.
-        """
-        n, ghost, sparse = _steady_step_bytes((8, 8, 2))
-        assert ghost > 0
-        assert sparse == (n + ghost) * _STEP_ROW_BYTES
+    def test_steady_step_far_below_the_whole_pack_protocol(self):
+        """On a slab wider than its halo the seam traffic is a fraction
+        of what shipping every tile its whole pack twice a step cost."""
+        t = _traffic((24, 12, 2))
+        whole_pack = (t["n"] + t["ghost"]) * WHOLE_PACK_ROW_BYTES
+        assert _step_bytes(t) <= 0.7 * whole_pack
+        t = _traffic((16, 32, 2), topology=(1, 2))
+        whole_pack = (t["n"] + t["ghost"]) * WHOLE_PACK_ROW_BYTES
+        assert _step_bytes(t) <= 0.2 * whole_pack
+
+    def test_bytes_unchanged_when_the_slab_grows_along_the_seam_normal(self):
+        """1x2 cuts the slab with one seam along x: doubling y doubles
+        the atoms and moves not one byte more per step."""
+        a = _traffic((8, 8, 2), topology=(1, 2))
+        b = _traffic((8, 16, 2), topology=(1, 2))
+        assert b["n"] == 2 * a["n"]
+        assert _step_bytes(b) == _step_bytes(a) > 0
+
+    def test_bytes_grow_sublinearly_when_a_seam_lengthens(self):
+        """Doubling x under 2x2 doubles the atoms but only the seam
+        along x: traffic must grow — and by strictly less than 2x."""
+        a = _traffic((12, 12, 2))
+        b = _traffic((24, 12, 2))
+        assert b["n"] == 2 * a["n"]
+        assert _step_bytes(a) < _step_bytes(b) < 2 * _step_bytes(a)
+        assert a["ghost"] < b["ghost"] < 2 * a["ghost"]
 
     @pytest.mark.parametrize("transport", ("inline", "shared"))
     def test_steady_steps_reuse_staging_buffers(self, transport):
-        """Steady rounds allocate no new pack staging (grow-only scratch).
+        """Steady rounds allocate no new pack staging.
 
-        After the first steady step has sized every staging buffer, the
-        transport's ``_PackStage`` and the pipeline's reduction scratch
-        must be the *same arrays* for every later step — id lists only
-        change on a rebuild, so per-step allocation would be pure churn.
+        The driver stages every routed pack into the mover's per-rank
+        input buffers (arena rows under ``shared``); they must be the
+        *same arrays* for every later step — the seam plan only changes
+        on a rebuild, so per-step allocation would be pure churn.
         """
-        from repro.potentials.elements import make_element_potential
+        state, pipe = _sharded((8, 8, 2), (2, 2), transport)
 
-        state = small_slab_state("Ta", (8, 8, 2), temperature=350.0)
-        pot = make_element_potential("Ta")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            pipe = ShardedForcePipeline(
-                state, pot, topology=(2, 2), transport=transport
-            )
         def staging():
-            tr = pipe.transport
-            if hasattr(tr, "_stage"):  # shared/socket: _PackStage scratch
-                return tr._stage._bufs
-            # inline: pre-sized per-rank input buffers are the staging
             return {
-                (k, name): buf
-                for k, bufs in enumerate(tr._buffers)
+                (k, name): id(buf)
+                for k, bufs in enumerate(pipe.transport._buffers)
                 for name, buf in bufs.items()
             }
 
         try:
-            pipe.compute(state.positions)  # rebuild: sizes everything
-            pipe.compute(state.positions)  # first steady round
-            scratch = pipe._concat
-            snap_stage = {k: id(v) for k, v in staging().items()}
-            snap_scratch = {k: id(v) for k, v in scratch.items()}
-            assert snap_stage  # the staging path actually engaged
-            for _ in range(3):
-                pipe.compute(state.positions)
-            assert {k: id(v) for k, v in staging().items()} == snap_stage
-            assert {k: id(v) for k, v in scratch.items()} == snap_scratch
+            integrator = LeapfrogVerlet(2.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                pipe.advance(state, 2, integrator)
+            snap = staging()
+            assert snap  # the staging path actually engaged
+            pipe.advance(state, 3, integrator)
+            assert pipe.n_builds == 1
+            assert staging() == snap
         finally:
             pipe.close()
 
-    def test_ghost_rows_grow_sublinearly_with_doubled_slab(self):
-        """Doubling the slab grows ghosts by strictly less than 2x.
+    def test_counts_on_the_ledger_slab_are_todays(self):
+        """16k Ta on 1x2, seed 5, 40 steps: the exact counts the ledger
+        compares, as recorded before the ranks took over the stepping."""
+        engine = build_engine(RunSpec(
+            element="Ta", reps=(20, 20, 20), seed=5, backend="parallel",
+            workers=2, transport="shared",
+        ))
+        try:
+            engine.step(1)
+            engine.total_energy()
+            engine.step(39)
+            counters = engine.telemetry().counters
+        finally:
+            engine.close()
+        assert counters["ghost_atoms"] == LEDGER_SLAB_COUNTS["ghost_atoms"]
+        for key in ("neighbor_rebuilds", "force_evaluations",
+                    "pairs_per_step"):
+            assert counters[key] == LEDGER_SLAB_COUNTS[key], key
 
-        Ghost rows live on tile boundary *area*; doubling one in-plane
-        axis doubles the atom count but only the seams parallel to
-        that axis, so the ghost count must grow — and grow sub-linearly.
-        """
-        n_a, ghost_a, _ = _steady_step_bytes((4, 4, 2))
-        n_b, ghost_b, _ = _steady_step_bytes((8, 4, 2))
-        assert n_b == 2 * n_a
-        assert ghost_a < ghost_b < 2 * ghost_a
+
+LEDGER_SLAB_COUNTS = {
+    "ghost_atoms": 2400, "neighbor_rebuilds": 3,
+    "force_evaluations": 41, "pairs_per_step": 104919.0,
+}
 
 
 def _run_trajectory(steps=5, seed=3, **spec_kwargs):
@@ -270,3 +340,125 @@ class TestSkinTriggerProperty:
         assert nb_forced == steps  # a rebuild every step
         assert abs(e_forced - e_lazy) / abs(e_lazy) <= 1e-9
         assert np.max(np.abs(pos_forced - pos_lazy)) < 1e-10
+
+
+# -- the long pinned matrix (recorded at the commit before shard-resident
+# stepping: the parent still integrated, reduced and embedded) -----------
+
+LONG_STEPS = 60
+
+
+def _long_engine(**fields):
+    """Ta 8x8x2 at 350 K: hot enough that 60 steps hold the first build
+    plus >= 2 displacement rebuilds, each re-planning the balanced grid
+    (atoms migrate between owners)."""
+    return build_engine(RunSpec(
+        element="Ta", reps=(8, 8, 2), temperature=350.0, seed=11,
+        steps=LONG_STEPS, **fields,
+    ))
+
+
+def _layout_fields(layout: str) -> dict:
+    if layout == "w1":
+        return {"workers": 1}
+    px, py = layout.split("x")
+    return {"topology": (int(px), int(py))}
+
+
+def _state_sha256(engine, *extra) -> str:
+    """Positions, velocities and any extra float64 values, hashed."""
+    state = engine.state
+    digest = hashlib.sha256(np.ascontiguousarray(state.positions).tobytes())
+    digest.update(np.ascontiguousarray(state.velocities).tobytes())
+    digest.update(np.asarray(extra, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _long_run(layout="1x2", transport="inline", chunks=(LONG_STEPS,),
+              between=None, **fields):
+    """Digest after stepping ``chunks``, calling ``between(engine)``
+    after each chunk; its float returns are hashed along."""
+    engine = _long_engine(
+        backend="parallel", transport=transport, **_layout_fields(layout),
+        **fields,
+    )
+    try:
+        extra = []
+        for n in chunks:
+            engine.step(n)
+            if between is not None:
+                extra.append(between(engine))
+        rebuilds = engine.telemetry().counters["neighbor_rebuilds"]
+        return _state_sha256(engine, *extra), rebuilds
+    finally:
+        engine.close()
+
+
+def _hand_edit(engine) -> float:
+    """Nudge one atom near the 1x2 seam and kick another, in place."""
+    state = engine.state
+    i = int(np.argmin(np.abs(state.positions[:, 1] - state.positions[:, 1].mean())))
+    state.positions[i] += (0.01, -0.02, 0.005)
+    state.velocities[(i + 7) % state.n_atoms] *= 1.5
+    return float(i)
+
+
+LONG_PINNED_SHA256 = {
+    "w1": "b4f26296656c0e1a1d640e1762830e75e5407f49f7e93cdc016848b82a9fc7c0",
+    "1x2": "24bc54143e5164a5a9cb9d3cfd625114d9e3829b59e759b51c5c42fdcde12fc5",
+    "2x2": "1fce5e46a561c76f2ef1fcf5d8b2ff4e5b2d70f803c28a5ece3fcf4bb3af10f5",
+    "4x1": "01c354806f9cfafaa9854e2167ed4ba19b5f4a677d5b9929f3e9896a48b595d5",
+}
+
+#: the same slab on 1x2 with a thermostat acting on the parent's state
+#: every step
+THERMOSTAT_PINNED_SHA256 = {
+    "berendsen": "6c230bde68be64a60b1344ff780afdfa343453fd07c55e80d34899a85e82fef6",
+    "langevin": "9b4b8fe1056c9599bd4b7fde85e9a5dc1d0dfb81a9412e264404f279668753a0",
+}
+
+#: 1x2 stepped as 6 x 10 with ``total_energy()`` asked / a hand edit
+#: made between the chunks
+ENERGY_QUERY_PINNED_SHA256 = "d2546cc73c555b1bab51ae1919d9ef2b51710cc9fa8a71aad78813d722a968af"
+HAND_EDIT_PINNED_SHA256 = "1ad11f671bc21191f5eeee72e799180168d781839d98f568eb4cbf00472a97d7"
+
+
+class TestLongPinnedMatrix:
+    def test_serial_long_run_ends_on_the_w1_digest(self):
+        engine = _long_engine()
+        try:
+            engine.step(LONG_STEPS)
+            assert _state_sha256(engine) == LONG_PINNED_SHA256["w1"]
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("transport", MATRIX_TRANSPORTS)
+    @pytest.mark.parametrize("layout", sorted(LONG_PINNED_SHA256))
+    def test_long_run_matches_the_pinned_digest(self, layout, transport):
+        sha, rebuilds = _long_run(layout, transport)
+        assert rebuilds >= 3  # the first build + >= 2 re-planned grids
+        assert sha == LONG_PINNED_SHA256[layout]
+
+    @pytest.mark.parametrize("transport", MATRIX_TRANSPORTS)
+    @pytest.mark.parametrize("kind", sorted(THERMOSTAT_PINNED_SHA256))
+    def test_thermostat_run_matches_the_pinned_digest(self, kind, transport):
+        sha, _ = _long_run(
+            transport=transport,
+            thermostat={"kind": kind, "temperature": 300.0, "tau_fs": 50.0},
+        )
+        assert sha == THERMOSTAT_PINNED_SHA256[kind]
+
+    @pytest.mark.parametrize("transport", MATRIX_TRANSPORTS)
+    def test_energy_queries_between_steps_match_the_pin(self, transport):
+        sha, _ = _long_run(
+            transport=transport, chunks=(10,) * 6,
+            between=lambda engine: engine.total_energy(),
+        )
+        assert sha == ENERGY_QUERY_PINNED_SHA256
+
+    @pytest.mark.parametrize("transport", MATRIX_TRANSPORTS)
+    def test_hand_edits_between_steps_match_the_pin(self, transport):
+        sha, _ = _long_run(
+            transport=transport, chunks=(10,) * 6, between=_hand_edit,
+        )
+        assert sha == HAND_EDIT_PINNED_SHA256

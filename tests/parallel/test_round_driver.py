@@ -114,10 +114,9 @@ class TestHealthyRound:
     def test_gather_returns_counted_prefixes_and_charges_them(
         self, driver, mover
     ):
-        driver.set_counts([2, 0, 3])
         for rank, n in enumerate((2, 0, 3)):
             mover.outputs[rank]["rho"] = np.full(n, float(rank))
-        packs = driver.gather("rho")
+        packs = driver.gather("rho", [2, 0, 3])
         assert [len(p) for p in packs] == [2, 0, 3]
         assert driver.bytes_recv == 5 * 8
 
@@ -191,11 +190,10 @@ class TestFailures:
         assert driver.command(("ping",)) == [OK[1:]] * 3
 
     def test_short_pack_on_gather_is_rejected(self, driver, mover):
-        driver.set_counts([2, 2, 2])
         for rank in range(3):
             mover.outputs[rank]["rho"] = np.zeros(2)
         mover.outputs[1]["rho"] = np.zeros(1)
         with pytest.raises(
             RuntimeError, match=r"rank 1 staged 1 rows of 'rho', expected 2"
         ):
-            driver.gather("rho")
+            driver.gather("rho", [2, 2, 2])

@@ -7,6 +7,7 @@ both transports, and teardown never hangs — dead workers, double
 closes, and post-mortem commands all surface cleanly.
 """
 
+import copy
 import os
 import signal
 import subprocess
@@ -27,6 +28,8 @@ from repro.parallel.transport import (
     SocketMover,
     make_transport,
 )
+from repro.potentials.eam import EAMPotential
+from repro.potentials.elements import make_element_potential
 from repro.runtime import RunSpec, SpecError, build_engine
 from tests.conftest import small_slab_state, wait_gone
 
@@ -66,7 +69,7 @@ class TestSocketParity:
         e, f, info, _ = _pipeline_forces(
             state, ta_potential, workers=2, transport="socket"
         )
-        assert info["pairs"] > 0
+        assert info.pairs_last > 0
         rel = abs(e.sum() - e_ref.sum()) / abs(e_ref.sum())
         assert rel <= 1e-9
         scale = np.max(np.abs(f_ref))
@@ -89,6 +92,27 @@ class TestSocketParity:
         assert halo_shm == halo_sock
         assert halo_shm[0] > 0 and halo_shm[1] > 0
 
+    def test_socket_links_do_not_wait_on_nagle(self, ta_potential):
+        """A seam pack is a 4-byte header and one sub-MSS payload: with
+        Nagle on, the payload waits for the header's delayed ACK and
+        every round of a 16k-atom run stalls 40 ms (10 steps/s measured
+        against 140).  The worker turns it off at connect; the parent's
+        end of every link is checked here."""
+        import socket
+
+        state = small_slab_state("Ta", (4, 4, 2))
+        pipe = ShardedForcePipeline(
+            state, ta_potential, workers=2, transport="socket"
+        )
+        try:
+            for conn in pipe.transport.mover._conns:
+                with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+                    assert sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+        finally:
+            pipe.close()
+
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="carrier-pigeon"):
             make_transport("carrier-pigeon", 1, {}, {}, {})
@@ -101,7 +125,7 @@ class Test2DTopology:
         e, f, info, _ = _pipeline_forces(
             state, ta_potential, topology=(2, 2)
         )
-        assert info["pairs"] > 0
+        assert info.pairs_last > 0
         rel = abs(e.sum() - e_ref.sum()) / abs(e_ref.sum())
         assert rel <= 1e-9
         scale = np.max(np.abs(f_ref))
@@ -214,6 +238,7 @@ class _RaisingPotential:
         "TypeError": TypeError,
         "FloatingPointError": FloatingPointError,
         "ValueError": ValueError,
+        "RuntimeError": RuntimeError,
     }
 
     def __init__(self, cutoff: float, kind: str) -> None:
@@ -259,6 +284,190 @@ class TestWorkerErrorSurface:
             pipe.transport.barrier()
         finally:
             pipe.close()
+
+
+class _RaisingEmbed(EAMPotential):
+    """A Ta potential whose embedding — which runs rank-side, right
+    after the seam reduction of ``rho`` — raises a named exception."""
+
+    @classmethod
+    def of_kind(cls, kind: str) -> "_RaisingEmbed":
+        potential = copy.copy(make_element_potential("Ta"))
+        potential.__class__ = cls
+        potential.kind = kind
+        return potential
+
+    def embed(self, rho_bar, types=None):
+        raise _RaisingPotential._TYPES[self.kind]("injected fault")
+
+
+class _RaisingIntegrator:
+    """An integrator whose step — run rank-side, on the rows a rank
+    holds — raises a named exception."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+
+    def step(self, state, forces):
+        raise _RaisingPotential._TYPES[self.kind]("injected fault")
+
+
+class TestRankStageErrorSurface:
+    """The stages the ranks took over from the parent report the same
+    way the kernels do: by name, lowest rank first, round drained."""
+
+    KINDS = [
+        ("KeyError", RuntimeError),
+        ("FloatingPointError", FloatingPointError),
+        ("ValueError", ValueError),
+        ("RuntimeError", RuntimeError),
+    ]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind,raised", KINDS)
+    def test_fault_in_the_reduce_and_embed_stage(
+        self, transport, kind, raised
+    ):
+        state = small_slab_state("Ta", (4, 4, 2))
+        pipe = ShardedForcePipeline(
+            state, _RaisingEmbed.of_kind(kind), workers=2, transport=transport
+        )
+        try:
+            with pytest.raises(raised, match="shard worker 0") as info:
+                pipe.compute(state.positions)
+            assert type(info.value) is raised
+            assert "injected fault" in str(info.value)
+            pipe.transport.barrier()  # rank 1's reply was drained too
+        finally:
+            pipe.close()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind,raised", KINDS)
+    def test_fault_in_the_move_leaves_the_state_unadvanced(
+        self, ta_potential, transport, kind, raised
+    ):
+        from repro.md.integrators import LeapfrogVerlet
+
+        state = small_slab_state("Ta", (4, 4, 2), temperature=300.0)
+        before = state.copy()
+        pipe = ShardedForcePipeline(
+            state, ta_potential, workers=2, transport=transport
+        )
+        try:
+            with pytest.raises(raised, match="shard worker 0") as info:
+                pipe.advance(state, 3, _RaisingIntegrator(kind))
+            assert type(info.value) is raised
+            assert np.array_equal(state.positions, before.positions)
+            assert np.array_equal(state.velocities, before.velocities)
+            # the ranks are stale, not lost: the next call starts them
+            # afresh from the caller's state and runs
+            builds = pipe.n_builds
+            pipe.advance(state, 2, LeapfrogVerlet(2.0))
+            assert pipe.n_builds == builds + 1
+            assert not np.array_equal(state.positions, before.positions)
+        finally:
+            pipe.close()
+
+
+def _kill_rank_on_round(pipe, round_no: int, rank: int = 1):
+    """Arrange for ``rank`` to be SIGKILLed just before the pipeline's
+    ``round_no``-th round from now is posted: mid-``advance``, with the
+    ranks already past the caller's state.  Returns the victim."""
+    mover = pipe.transport.mover
+    victim = mover._procs[rank]
+    post, seen = pipe.transport.post, [0]
+
+    def killing_post(msg, parts=None):
+        seen[0] += 1
+        if seen[0] == round_no:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+        post(msg, parts)
+
+    pipe.transport.post = killing_post
+    return victim
+
+
+class TestLostRankMidAdvance:
+    """A rank that dies takes its rows with it: the run fails typed,
+    the caller's state stays at its last synced values, no rank is
+    orphaned, and a checkpointed run resumes onto the same bits."""
+
+    @pytest.mark.parametrize("transport", ("shared", "socket"))
+    def test_state_and_step_count_stay_at_the_last_sync(self, transport):
+        engine = build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, backend="parallel",
+            workers=2, transport=transport,
+        ))
+        try:
+            engine.step(4)
+            pos = engine.state.positions.copy()
+            vel = engine.state.velocities.copy()
+            stats = engine.sim.stats.force_evaluations
+            pipe = engine.sim._pipeline
+            procs = list(pipe.transport.mover._procs)
+            _kill_rank_on_round(pipe, 5)  # inside the third step of six
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerLost, match="worker 1"):
+                engine.step(6)
+            assert time.perf_counter() - t0 < 5.0
+            assert engine.step_count == 4
+            assert engine.sim.stats.force_evaluations == stats
+            assert np.array_equal(engine.state.positions, pos)
+            assert np.array_equal(engine.state.velocities, vel)
+            # the pipeline closed itself: the surviving rank was reaped
+            assert wait_gone([p.pid for p in procs], timeout=5.0)
+            with pytest.raises(RuntimeError, match="closed"):
+                engine.step(1)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("transport", ("shared", "socket"))
+    def test_runner_resumes_onto_the_uninterrupted_digest(
+        self, transport, tmp_path
+    ):
+        """Killed mid-chunk after the step-10 checkpoint, resumed from
+        it.  ``skin=0`` makes every step re-plan from the positions it
+        is at, so the resumed run's first build is the interrupted
+        run's step-10 build and the digests must match exactly (with a
+        skin the resume re-plans where the original reused, which only
+        agrees to seam-reduction tolerance)."""
+        from repro.runtime import Runner
+
+        spec = RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, steps=16, skin=0.0,
+            backend="parallel", workers=2, transport=transport,
+            checkpoint_interval=5,
+        )
+        whole = Runner.from_spec(spec)
+        try:
+            whole.run()
+            expected = whole.engine.state.copy()
+        finally:
+            whole.close()
+
+        prefix = tmp_path / "ck"
+        runner = Runner.from_spec(spec, checkpoint_prefix=prefix)
+        try:
+            runner.run(10)  # checkpoints at 5 and 10
+            # four rounds a step at skin 0 (pull, rebuild, force, move)
+            _kill_rank_on_round(runner.engine.sim._pipeline, 7)
+            with pytest.raises(WorkerLost):
+                runner.run()
+            assert runner.engine.step_count == 10
+        finally:
+            runner.close()
+
+        resumed = Runner.resume(spec, prefix)
+        try:
+            assert resumed.engine.step_count == 10
+            resumed.run()
+            state = resumed.engine.state
+            assert resumed.engine.step_count == 16
+            assert np.array_equal(state.positions, expected.positions)
+            assert np.array_equal(state.velocities, expected.velocities)
+        finally:
+            resumed.close()
 
 
 class TestTeardownRobustness:
@@ -505,6 +714,32 @@ class TestAutoSelection:
             resolve_transport("auto", 2)  # same shape: no re-warn
             resolve_transport("auto", 4)  # new shape: warns again
         assert len(caught) == 2
+
+    def test_affinity_mask_sizes_the_default_pool_and_auto(
+        self, monkeypatch, ta_potential
+    ):
+        """Under a cpuset smaller than the machine (2 of 8 CPUs) the
+        default pool is 2 tiles — not 8 that ``auto`` would then have to
+        run inline with a warning — and ``auto`` keeps them forked."""
+        import repro.parallel as par
+        from repro.parallel.transport import resolve_transport
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        assert par.usable_cpus() == 2
+        par.reset_warnings()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_transport("auto", 2) == "shared"
+            state = small_slab_state("Ta", (4, 4, 2))
+            pipe = ShardedForcePipeline(state, ta_potential, workers=None)
+        try:
+            assert pipe.n_workers == 2
+            assert pipe.transport_kind == "shared"
+        finally:
+            pipe.close()
 
     def test_explicit_kind_passes_through(self, monkeypatch):
         from repro.parallel.transport import resolve_transport
