@@ -168,6 +168,28 @@ class Mapping:
         occ[self.atom_core] = True
         return occ.reshape(self.grid.nx, self.grid.ny)
 
+    def with_border(self, b: int) -> "Mapping":
+        """This mapping re-hosted on a grid at least (2b+2) wide, same
+        pitch.
+
+        Atoms keep their relative core positions; an empty border of
+        tiles is added symmetrically so the (2b+1)-square neighborhood
+        always fits on the fabric.
+        """
+        side_x = max(self.grid.nx, 2 * b + 2)
+        side_y = max(self.grid.ny, 2 * b + 2)
+        border_x = (side_x - self.grid.nx) // 2
+        border_y = (side_y - self.grid.ny) // 2
+        large = TileGrid(side_x, side_y)
+        cx, cy = self.core_xy()
+        return Mapping(
+            grid=large,
+            projection=self.projection,
+            pitch=self.pitch,
+            origin=self.origin - np.array([border_x, border_y]) * self.pitch,
+            atom_core=large.flatten(cx + border_x, cy + border_y),
+        )
+
 
 def layer_offsets(z: np.ndarray, *, max_layers: int = 128) -> np.ndarray | None:
     """Per-atom serpentine in-plane offsets derived from z-layers.

@@ -7,28 +7,29 @@ atom makes it free; on a host it is the largest cost, and in a solid the
 list barely changes.  So the sweeps here keep an *index-only* Verlet
 list across steps and redo only the exact geometry:
 
-1. :meth:`StreamingSweeps.density` decides, from the positions and
-   occupancy it is handed, whether the list it holds still covers every
-   pair within the cutoff (same occupancy, every tile moved less than
-   ``skin / 2`` since the build).  If not, it **builds**: each *chunk*
-   of neighborhood offsets is shifted into a reused stack (the
-   candidate exchange) and coarse-filtered at ``cutoff + skin``, and
-   only the flat center / source tile of each listed pair is kept.
-   Either way the registry's ``density_chunk`` kernel
-   (:mod:`repro.kernels`) then runs over the listed rows of each chunk —
-   gather ``pos[src] - pos[ctr]``, minimum image, keep
-   ``0 < r^2 < rc^2``, ``rho`` and ``rho'`` through the table bank, each
-   offset's density added to the running accumulator *in exchange
-   order* — and leaves one compact :class:`SurvivorRecord` per chunk:
-   the survivors' tiles, distance, unit vector and ``rho'``.
+1. :meth:`StreamingSweeps.density` asks the registry's ``list_valid``
+   kernel (:mod:`repro.kernels`) whether the list it holds still covers
+   every pair within the cutoff for the positions and occupancy it is
+   handed (same occupancy, every tile moved less than ``skin / 2`` since
+   the build).  If not, it **builds**: the ``list_chunk`` kernel shifts
+   each *chunk* of neighborhood offsets (the candidate exchange),
+   coarse-filters it at ``cutoff + skin`` and keeps only the flat center
+   / source tile of each listed pair.  Either way the ``density_chunk``
+   kernel then runs over the listed rows of each chunk — gather
+   ``pos[src] - pos[ctr]``, minimum image, keep ``0 < r^2 < rc^2``,
+   ``rho`` and ``rho'`` through the table bank, each offset's density
+   added to the running accumulator *in exchange order* — and leaves one
+   compact :class:`SurvivorRecord` per chunk: the survivors' tiles,
+   distance, unit vector and ``rho'``.
 2. :meth:`StreamingSweeps.force` hands those records, in the same
    order, to the ``force_chunk`` kernel — gather ``F'`` at the recorded
    tiles (the second exchange), evaluate only ``phi``, scatter Eq. 4
    per offset — and drops each as it is used.
 
-This module owns list validity, the list build and the record plumbing;
-the arithmetic of both sweeps lives behind the two kernels (whose numpy
-bodies are the code that used to live here), so the wafer runs on
+This module owns the validity *policy* (when a list exists to test, what
+the skin allows), the chunking and the record plumbing; the arithmetic
+of the list and of both sweeps lives behind the four kernels (whose
+numpy bodies are the code that used to live here), so the wafer runs on
 whichever tier the registry has active.
 
 Validity is decided from values alone, so nothing has to tell the
@@ -43,11 +44,13 @@ tile-minor), so the survivor set, its order and every accumulation are
 the same on a build step and on a reuse step: trajectories do not
 depend on the skin.
 
-Memory: O(chunk x nx x ny) for the exchange stacks (``chunk`` is the
-``offset_chunk`` RunSpec knob), used on build steps only; O(interactions)
-for the records in flight between the two sweeps of one step
-(:meth:`StreamingSweeps.record_bytes`, 0 outside a step); and, between
-steps, the list — at most 8 B per listed pair plus the build-time
+Memory: a build's scratch belongs to the tier — the numpy body stacks
+one chunk's shifted differences, O(chunk x nx x ny) for the length of
+the call (``chunk`` is the ``offset_chunk`` RunSpec knob); the native
+loop walks pair by pair and holds none.  The records in flight between
+the two sweeps of one step are O(interactions)
+(:meth:`StreamingSweeps.record_bytes`, 0 outside a step); between
+steps the list is at most 8 B per listed pair plus the build-time
 position and occupancy planes and the candidate-count plane
 (:meth:`StreamingSweeps.list_bytes`).  The arithmetic per surviving
 candidate and the per-tile accumulation order are exactly those of the
@@ -66,9 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.exchange import shift_rects
 from repro.kernels import active_backend
-from repro.kernels.numpy_backend import minimum_image
 from repro.obs import metrics
 
 __all__ = [
@@ -86,8 +87,9 @@ __all__ = [
 FAR = 1.0e15
 
 #: Element budget for the auto-sized chunk: chunk * nx * ny stays at or
-#: under this many stacked tiles (~96 MB of float64 displacement stack),
-#: capped so small grids do not build absurdly deep stacks.
+#: under this many stacked tiles (~96 MB of float64 displacement stack
+#: in the numpy list build), capped so small grids do not build absurdly
+#: deep stacks.
 _AUTO_CHUNK_ELEMENTS = 4_000_000
 _AUTO_CHUNK_MAX = 16
 
@@ -95,9 +97,9 @@ _AUTO_CHUNK_MAX = 16
 def auto_chunk(nx: int, ny: int) -> int:
     """Default offset-chunk size for an ``nx x ny`` grid.
 
-    Sized so the stacked exchange buffers stay around 100 MB however
-    large the grid is, while small grids still batch enough offsets to
-    amortize per-chunk dispatch.
+    Sized so the numpy list build's stacked exchange scratch stays
+    around 100 MB however large the grid is, while small grids still
+    batch enough offsets to amortize per-chunk dispatch.
     """
     return max(1, min(_AUTO_CHUNK_MAX, _AUTO_CHUNK_ELEMENTS // (nx * ny)))
 
@@ -232,35 +234,15 @@ class StreamingSweeps:
         self.force_symmetry = bool(force_symmetry)
         self.chunk = int(chunk) if chunk else auto_chunk(self.nx, self.ny)
         depth = max(1, min(self.chunk, len(self.offsets)))
-        # Chunk-stacked exchange buffers, reused by every chunk of a
-        # list build — the only allocations proportional to chunk x
-        # grid.  The displacement stack starts zeroed and is only ever
-        # written with finite differences, so the tiles an offset does
-        # not reach hold stale finite values (masked, never read).
-        self._d = np.zeros((depth, self.nx, self.ny, 3), dtype=self.dtype)
-        self._within = np.empty((depth, self.nx, self.ny), dtype=bool)
-        # The coarse cut only marks the stack, so its scratch is one
-        # plane, not a stack: what the list costs between steps is paid
-        # for here.
-        self._r2 = np.empty((self.nx, self.ny), dtype=self.dtype)
-        self._cmp = np.empty((self.nx, self.ny), dtype=bool)
-        # per chunk: each offset's shift rectangles and flat-tile shift
-        self._chunks: list[tuple[list, np.ndarray]] = []
-        for start in range(0, len(self.offsets), depth):
-            part = self.offsets[start:start + depth]
-            rects = [shift_rects(self.nx, self.ny, dx, dy) for dx, dy in part]
-            shift = np.array([dx * self.ny + dy for dx, dy in part])
-            self._chunks.append((rects, shift))
+        #: per chunk: its ``(dx, dy)`` offsets, an int64 (c, 2) array
+        self._chunks = [
+            np.array(self.offsets[start:start + depth], dtype=np.int64)
+            for start in range(0, len(self.offsets), depth)
+        ]
         #: survivor records between a density sweep and its force sweep
         self._records: deque[SurvivorRecord] | None = None
         #: the list carried across steps (None: next density builds)
         self._list: _SkinList | None = None
-
-    def buffer_bytes(self) -> int:
-        """Bytes held by the reusable build buffers (two chunk stacks,
-        two planes)."""
-        return (self._d.nbytes + self._r2.nbytes
-                + self._within.nbytes + self._cmp.nbytes)
 
     def record_bytes(self) -> int:
         """Bytes of survivor records awaiting the force sweep (0
@@ -272,61 +254,6 @@ class StreamingSweeps:
         build-time planes (0 before the first build and at skin 0)."""
         return self._list.nbytes if self._list is not None else 0
 
-    # -- the list: validity, build, exact geometry ------------------------
-
-    def _list_valid(self, pos, occ) -> bool:
-        """Does the retained list still cover every pair within the
-        cutoff?  Judged from the arrays alone: same occupancy, every
-        tile within ``skin / 2`` of its build-time position (empty
-        tiles hold the same sentinel on both planes)."""
-        held = self._list
-        if held is None or not np.array_equal(occ, held.occ):
-            return False
-        moved = pos - held.pos
-        moved2 = np.einsum("xyk,xyk->xy", moved, moved)
-        # a NaN displacement compares False: build, and let the exact
-        # test drop the atom as it always has
-        return bool(moved2.max() < (0.5 * self.skin) ** 2)
-
-    def _list_chunk(self, rects, shift, pos, occ, n_cand):
-        """Shift one chunk of offsets and list its pairs within
-        ``cutoff + skin``.
-
-        Returns the chunk's ``(starts, ctr, src)`` index rows in
-        (offset-major) exchange order and the exchange / neighbor split
-        of the elapsed time; adds the chunk's received candidates —
-        occupied tiles whose neighbor at the offset exists on the
-        fabric, a rectangle per offset — to ``n_cand``.
-        """
-        c = len(rects)
-        n_tiles = self.nx * self.ny
-        d = self._d[:c]
-        within = self._within[:c]
-        t0 = time.perf_counter()
-        within[...] = False
-        for i, rect in enumerate(rects):
-            if rect is None:
-                continue
-            dst, src = rect
-            np.subtract(pos[src], pos[dst], out=d[i][dst])
-            np.logical_and(occ[dst], occ[src], out=within[i][dst])
-            n_cand[dst] += occ[dst]
-        t1 = time.perf_counter()
-        minimum_image(d.reshape(-1, 3), self.lengths, self.periodic)
-        for i, rect in enumerate(rects):
-            if rect is None:
-                continue
-            np.einsum("xyk,xyk->xy", d[i], d[i], out=self._r2)
-            np.less(self._r2, self._reach2, out=self._cmp)
-            within[i] &= self._cmp
-        hit = np.flatnonzero(within)
-        starts = np.searchsorted(hit, np.arange(c + 1) * n_tiles)
-        which = np.repeat(np.arange(c), np.diff(starts))
-        ctr = (hit - which * n_tiles).astype(np.int32)
-        src = ctr + shift[which].astype(np.int32)
-        t2 = time.perf_counter()
-        return (starts.astype(np.int32), ctr, src), t1 - t0, t2 - t1
-
     # -- sweep 1: density -------------------------------------------------
 
     def density(self, pos, occ, typ, rho_bar, n_cand, n_int):
@@ -337,13 +264,14 @@ class StreamingSweeps:
         (float64), ``n_cand``/``n_int`` (int64) grids, leaves one
         :class:`SurvivorRecord` per non-empty chunk for :meth:`force`
         (replacing any unconsumed ones) and returns
-        ``(t_exchange, t_neighbor, reused)`` — the seconds a list build
-        spent shifting and coarse-filtering (0.0 on a reuse step: the
-        kernel's gather and exact test are fused with the density
-        arithmetic and cannot be timed apart).
+        ``(t_build, t_valid, reused)`` — the seconds the list build
+        spent (0.0 on a reuse step; the shift and the coarse cut are one
+        kernel) and the seconds the validity test spent (0.0 when no
+        list was held).  The kernel's gather and exact test are fused
+        with the density arithmetic and cannot be timed apart.
         """
+        kernels = active_backend()
         grouped = self.tables.grouped()
-        kernel = active_backend().density_chunk
         calls = metrics().counter("kernels.density_chunk.calls")
         pos_rows = _flat(pos, 3)
         rho_flat = _flat(rho_bar)
@@ -351,22 +279,27 @@ class StreamingSweeps:
         typ_flat = _flat(typ)
         records: deque[SurvivorRecord] = deque()
         self._records = records
-        reused = self._list_valid(pos, occ)
+        held = self._list
+        t0 = time.perf_counter()
+        reused = held is not None and kernels.list_valid(
+            pos, occ, held.pos, held.occ, (0.5 * self.skin) ** 2
+        )
+        t_valid = time.perf_counter() - t0 if held is not None else 0.0
         if reused:
-            chunks, cand = self._list.chunks, self._list.n_cand
+            chunks, cand = held.chunks, held.n_cand
         else:
             self._list = None  # a build that raises leaves no list
             chunks, cand = [], np.zeros((self.nx, self.ny), dtype=np.int32)
-        t_ex = t_nb = 0.0
-        for k, (rects, shift) in enumerate(self._chunks):
+        t_build = 0.0
+        for k, offsets in enumerate(self._chunks):
             if not reused:
-                listed, dt_ex, dt_nb = self._list_chunk(
-                    rects, shift, pos, occ, cand
-                )
-                chunks.append(listed)
-                t_ex += dt_ex
-                t_nb += dt_nb
-            record = SurvivorRecord(*kernel(
+                t0 = time.perf_counter()
+                chunks.append(kernels.list_chunk(
+                    pos, occ, offsets, self.lengths, self.periodic,
+                    self._reach2, cand,
+                ))
+                t_build += time.perf_counter() - t0
+            record = SurvivorRecord(*kernels.density_chunk(
                 pos_rows, chunks[k], self.lengths, self.periodic,
                 self.cutoff, typ_flat, grouped.rho.bank(),
                 grouped.phi_index, self.force_symmetry, rho_flat, int_flat,
@@ -377,7 +310,7 @@ class StreamingSweeps:
         n_cand += cand
         if not reused and self.skin > 0.0:
             self._list = _SkinList(chunks, pos.copy(), occ.copy(), cand)
-        return t_ex, t_nb, reused
+        return t_build, t_valid, reused
 
     # -- sweep 2: forces --------------------------------------------------
 

@@ -9,8 +9,7 @@ arrays, following the five-step timestep of paper Sec. III-A:
    it every step because it is free there; the host keeps its result —
    an index-only Verlet list at ``cutoff + skin`` — and repeats the
    exchange only when an atom has moved ``skin / 2`` or the occupancy
-   changed.  A build shifts and filters one chunk at a time, so the
-   dense working set is O(chunk x grid), never O(offsets x grid).
+   changed.  A build shifts and filters one chunk at a time.
 2. **Neighbor list** — every step, the exact ``r < rc`` test over the
    listed pairs only; the survivors per offset are kept as compact
    per-chunk records (candidates arrive in deterministic order; the
@@ -30,6 +29,9 @@ tile's actual candidate and interaction counts, into a
 :class:`~repro.wse.trace.CycleTrace` — the machine's "hardware cycle
 counter in a scratch buffer" (Sec. IV-B).
 
+Everything per tile — list test and build, both sweeps, the leap-frog
+and the cycle counter — is a kernel of the active registry tier
+(:mod:`repro.kernels`); this class sequences them and owns the grids.
 The physics is identical to the reference engine
 (:mod:`repro.md.simulation`); tests assert trajectory equivalence.
 """
@@ -38,12 +40,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import MVV2E
 from repro.core.cycle_model import CycleCostModel
 from repro.core.mapping import Mapping, build_mapping
 from repro.core.streaming import FAR as _FAR, StreamingSweeps, _flat
 from repro.core.neighborhood import required_b
 from repro.core.swap import SwapEngine
+from repro.kernels import active_backend
 from repro.md.state import AtomsState
 from repro.obs import NULL_TRACER, metrics
 from repro.potentials.eam import EAMPotential
@@ -51,28 +53,6 @@ from repro.wse.geometry import TileGrid
 from repro.wse.trace import CycleTrace
 
 __all__ = ["WseMd"]
-
-
-def _embed_with_border(mapping: Mapping, b: int) -> Mapping:
-    """Re-host a mapping on a grid at least (2b+2) wide, same pitch.
-
-    Atoms keep their relative core positions; an empty border of tiles
-    is added symmetrically so the (2b+1)-square neighborhood always fits
-    on the fabric.
-    """
-    side_x = max(mapping.grid.nx, 2 * b + 2)
-    side_y = max(mapping.grid.ny, 2 * b + 2)
-    border_x = (side_x - mapping.grid.nx) // 2
-    border_y = (side_y - mapping.grid.ny) // 2
-    large = TileGrid(side_x, side_y)
-    cx, cy = mapping.core_xy()
-    return Mapping(
-        grid=large,
-        projection=mapping.projection,
-        pitch=mapping.pitch,
-        origin=mapping.origin - np.array([border_x, border_y]) * mapping.pitch,
-        atom_core=large.flatten(cx + border_x, cy + border_y),
-    )
 
 
 class WseMd:
@@ -122,11 +102,9 @@ class WseMd:
     skin:
         Verlet skin (A) of the list the sweeps carry across steps; 0
         re-runs the exchange and filter every step (the paper's
-        policy).  A speed / memory knob only — survivors are always
+        policy).  A speed / memory knob only: survivors are always
         chosen by the exact cutoff test, so any skin produces
-        bitwise-identical trajectories.  Between steps the machine
-        holds at most 8 B per listed pair plus three grid planes; the
-        survivors' geometry never outlives a step.
+        bitwise-identical trajectories.
     offset_chunk:
         Offsets stacked per streaming batch (0 auto-sizes from the
         grid; see :func:`repro.core.streaming.auto_chunk`).  A speed /
@@ -184,20 +162,15 @@ class WseMd:
         self.grid = self.mapping.grid
         auto_sized = mapping is None and grid is None
         if b is None:
-            b = required_b(
-                self.mapping,
-                state.positions,
-                state.box,
-                potential.cutoff,
-                margin=b_margin,
-            )
+            b = required_b(self.mapping, state.positions, state.box,
+                           potential.cutoff, margin=b_margin)
             # Tiny workloads can need a neighborhood wider than the
             # snug auto-sized grid.  Embed the mapping in a larger grid
             # with an empty border at the *same pitch* (the wafer always
             # has spare tiles around a small problem); b is unchanged
             # because worker separations are unchanged.
             if auto_sized and 2 * b + 1 > min(self.grid.nx, self.grid.ny):
-                self.mapping = _embed_with_border(self.mapping, b)
+                self.mapping = self.mapping.with_border(b)
                 self.grid = self.mapping.grid
         if b < 1:
             raise ValueError(f"b must be >= 1, got {b}")
@@ -232,56 +205,39 @@ class WseMd:
         self.list_builds = 0
         self.list_reuses = 0
         self.last_reused = False
-        self._check_b_coverage_possible()
+        if 2 * self.b + 1 > max(nx, ny):
+            raise ValueError(f"neighborhood 2b+1={2 * self.b + 1} exceeds "
+                             f"grid {nx}x{ny}")
 
         # Streaming-sweep state: the (2b+1)^2 - 1 neighborhood offsets
         # depend only on the (fixed) grid and b; with force symmetry a
         # worker processes only the "i < j" half (the multicast is
         # cropped, Sec. VI-A) and each pair's partner share travels
-        # back via the reverse reduction.  The sweeper owns the
-        # chunk-stacked exchange buffers (O(chunk x nx x ny), never
-        # O(offsets x nx x ny)), between the two sweeps of one step
-        # the survivor records (O(interactions)), and across steps the
-        # index-only list it decides on its own when to rebuild.
+        # back via the reverse reduction.  The sweeper owns the survivor
+        # records between the two sweeps of one step (O(interactions))
+        # and across steps the index-only list it decides on its own
+        # when to rebuild.
         if not skin >= 0:
             raise ValueError(f"skin must be >= 0, got {skin}")
         self.skin = float(skin)
         if offset_chunk < 0:
-            raise ValueError(
-                f"offset_chunk must be >= 0, got {offset_chunk}"
-            )
+            raise ValueError(f"offset_chunk must be >= 0, got {offset_chunk}")
         self.offset_chunk = int(offset_chunk)
-        self._offsets = [
-            (int(dx), int(dy))
-            for dx, dy in self.grid.neighborhood_offsets(self.b)
-        ]
+        self._offsets = [(int(dx), int(dy)) for dx, dy
+                         in self.grid.neighborhood_offsets(self.b)]
         self._pass_offsets = [
-            (dx, dy)
-            for dx, dy in self._offsets
+            (dx, dy) for dx, dy in self._offsets
             if not self.force_symmetry or dy > 0 or (dy == 0 and dx > 0)
         ]
         self._sweeps = StreamingSweeps(
-            nx=nx,
-            ny=ny,
-            dtype=self.dtype,
-            lengths=self.box.lengths,
-            periodic=self.box.periodic,
-            cutoff=potential.cutoff,
-            skin=self.skin,
-            tables=potential.tables,
-            offsets=self._pass_offsets,
-            chunk=self.offset_chunk,
+            nx=nx, ny=ny, dtype=self.dtype, lengths=self.box.lengths,
+            periodic=self.box.periodic, cutoff=potential.cutoff,
+            skin=self.skin, tables=potential.tables,
+            offsets=self._pass_offsets, chunk=self.offset_chunk,
             force_symmetry=self.force_symmetry,
         )
 
     # -- helpers ---------------------------------------------------------------
-
-    def _check_b_coverage_possible(self) -> None:
-        if 2 * self.b + 1 > max(self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"neighborhood 2b+1={2 * self.b + 1} exceeds grid "
-                f"{self.grid.nx}x{self.grid.ny}"
-            )
 
     @property
     def n_atoms(self) -> int:
@@ -304,15 +260,16 @@ class WseMd:
         """Steps 1-3a: candidate exchange (on a list build), neighbor
         test, density sums.
 
-        Returns the accumulated grids plus the exchange / neighbor
-        wall-time split the streaming sweep measured (recorded as child
-        spans of the ``density`` phase by :meth:`step`).
+        Returns the accumulated grids plus the seconds the streaming
+        sweep spent building the list and testing the held one
+        (recorded as the ``exchange`` / ``neighbor`` child spans of the
+        ``density`` phase by :meth:`step`).
         """
         nx, ny = self.grid.nx, self.grid.ny
         rho_bar = np.zeros((nx, ny))
         n_cand = np.zeros((nx, ny), dtype=np.int64)
         n_int = np.zeros((nx, ny), dtype=np.int64)
-        t_ex, t_nb, reused = self._sweeps.density(
+        t_build, t_valid, reused = self._sweeps.density(
             self.pos, self.occ, self.typ, rho_bar, n_cand, n_int
         )
         self.last_candidates = n_cand
@@ -324,13 +281,17 @@ class WseMd:
         else:
             self.list_builds += 1
             metrics().counter("wse.list.builds").inc()
-        return rho_bar, n_cand, n_int, t_ex, t_nb
+        return rho_bar, n_cand, n_int, t_build, t_valid
 
     def _embed(self, rho_bar: np.ndarray):
-        """Step 3b: embedding energy and derivative per tile."""
-        nx, ny = self.grid.nx, self.grid.ny
-        f_val = np.zeros((nx, ny))
-        f_der = np.zeros((nx, ny))
+        """Step 3b: embedding energy and derivative per tile.
+
+        Gathers and scatters through the occupancy mask: on a wafer this
+        dense (~94% occupied) numpy's boolean indexing beats a
+        ``flatnonzero`` index with ``take`` and ``put``.
+        """
+        f_val = np.zeros(self.occ.shape)
+        f_der = np.zeros(self.occ.shape)
         occ = self.occ
         # a one-type table ignores types: gather none (the potential
         # would also keep each fresh vector alive in its seen-cache)
@@ -359,66 +320,44 @@ class WseMd:
         Empty tiles must never integrate: their sentinel positions and
         zero velocities are load-bearing for the exchange masks, and a
         stray force value on a vacated tile would silently corrupt the
-        next atom swapped onto it.
+        next atom swapped onto it.  A NaN coordinate fails every cutoff
+        test, so the atom would silently stop interacting; a non-finite
+        force or velocity lands here too, one step later at most.
         """
-        # flat occupied-tile indices into row views of the grids: one
-        # index array, ``take`` gathers, integer-indexed row scatters
-        tiles = np.flatnonzero(self.occ)
-        vel_rows = _flat(self.vel, 3)
-        pos_rows = _flat(self.pos, 3)
-        mass = self.masses.take(_flat(self.typ).take(tiles))
-        accel = _flat(force, 3).take(tiles, axis=0) / (mass[:, None] * MVV2E)
-        vel = vel_rows.take(tiles, axis=0)
-        vel += (accel * self.dt).astype(self.dtype)
-        vel_rows[tiles] = vel
-        pos = pos_rows.take(tiles, axis=0)
-        pos += (vel * self.dt).astype(self.dtype)
-        pos_rows[tiles] = pos
-        # A NaN coordinate fails every cutoff test, so the atom would
-        # silently stop interacting; a non-finite force or velocity
-        # lands here too, one step later at most.
-        if not np.isfinite(pos).all():
+        non_finite = active_backend().wafer_integrate(
+            _flat(self.pos, 3), _flat(self.vel, 3), _flat(force, 3),
+            _flat(self.occ), _flat(self.typ), self.masses, self.dt,
+        )
+        if non_finite:
             raise FloatingPointError(
                 f"non-finite positions on the wafer after step "
                 f"{self.step_count + 1}"
             )
 
     def _record_cycles(self, n_cand: np.ndarray, n_int: np.ndarray) -> None:
-        cycles = self.cost_model.step_cycles(
-            n_cand.astype(np.float64),
-            n_int.astype(np.float64),
-            self.b,
-            pbc=self.pbc_inplane,
-        )
-        # empty tiles still pay the exchange and fixed control costs
-        empty_cost = self.cost_model.exchange_cycles(
-            self.b, pbc=self.pbc_inplane
-        ) + self.cost_model.fixed_cycles()
-        cycles = np.where(self.occ, cycles, empty_cost)
+        """Per-tile cycle counter: the model's price of each tile's
+        counts (empty tiles still pay the exchange and fixed control
+        costs, and did no candidate or interaction work)."""
+        cost, pbc = self.cost_model, self.pbc_inplane
+        exchange = cost.exchange_cycles(self.b, pbc=pbc)
+        noise = None
         if self.jitter_rel > 0.0:
-            noise = self._rng.standard_normal(cycles.shape)
-            cycles = cycles * (1.0 + self.jitter_rel * noise)
-        # empty tiles did no candidate/interaction work this step
-        cand = np.where(self.occ, n_cand, 0)
-        cnt_int = np.where(self.occ, n_int, 0)
-        self.trace.record(cycles.ravel(), cand.ravel(), cnt_int.ravel())
-        reg = metrics()
-        reg.histogram("wse.cycles_per_tile").observe_many(cycles.ravel())
-        reg.counter("wse.multicast.cycles").inc(
-            float(self.grid.n_tiles)
-            * self.cost_model.exchange_cycles(self.b, pbc=self.pbc_inplane)
+            noise = self._rng.standard_normal(self.occ.shape).ravel()
+        cycles, cand, cnt_int = active_backend().wafer_cycles(
+            _flat(self.occ), _flat(n_cand), _flat(n_int), exchange,
+            cost.candidate_cycles(pbc=pbc), cost.interaction_cycles(),
+            cost.fixed_cycles(), noise, self.jitter_rel,
         )
+        moments = self.trace.record(cycles, cand, cnt_int)
+        reg = metrics()
+        reg.histogram("wse.cycles_per_tile").observe_moments(
+            cycles.size, *moments)
+        reg.counter("wse.multicast.cycles").inc(float(cycles.size) * exchange)
 
     def _swap_round(self) -> int:
-        proj3 = self.pos.copy()
-        proj = self._project_grid(proj3)
-        grids = {
-            "pos": self.pos,
-            "vel": self.vel,
-            "aid": self.aid,
-            "typ": self.typ,
-            "occ": self.occ,
-        }
+        proj = self._project_grid(self.pos.copy())
+        grids = {"pos": self.pos, "vel": self.vel, "aid": self.aid,
+                 "typ": self.typ, "occ": self.occ}
         n = self.swap_engine.apply(
             grids, proj, self.occ, self.core_centers, self.mapping.pitch
         )
@@ -454,26 +393,23 @@ class WseMd:
         for _ in range(n_steps):
             # the "step" envelope's self-time is the loop glue between
             # phases (LAMMPS's "Other" row), so traced time tiles the
-            # engine wall time.  A list build reports its exchange /
-            # neighbor split (candidate shift, coarse filter) as child
-            # spans of the density phase; the per-step gathers and the
+            # engine wall time.  The density phase reports two child
+            # spans: "exchange", a list build (candidate shift and
+            # coarse cut, one kernel; 0 on a reuse step), and "neighbor",
+            # the test of the held list.  The per-step gathers and the
             # exact filter run fused inside the two sweep kernels and
             # are the density / pair_force phases' own time.
             with tr.phase("step"):
                 with tr.phase("density") as ph:
-                    rho_bar, n_cand, n_int, t_ex, t_nb = (
+                    rho_bar, n_cand, n_int, t_build, t_valid = (
                         self._density_sweep()
                     )
-                    tr.record("exchange", t_ex, {"offsets": n_offsets})
-                    tr.record(
-                        "neighbor",
-                        t_nb,
-                        {"offsets": n_offsets, "reused": self.last_reused},
-                    )
-                    ph.add(
-                        candidates=int(n_cand.sum()),
-                        interactions=int(n_int.sum()),
-                    )
+                    tr.record("exchange", t_build, {"offsets": n_offsets})
+                    tr.record("neighbor", t_valid, {
+                        "offsets": n_offsets, "reused": self.last_reused,
+                    })
+                    ph.add(candidates=int(n_cand.sum()),
+                           interactions=int(n_int.sum()))
                 with tr.phase("embedding"):
                     _, f_der = self._embed(rho_bar)
                 with tr.phase("pair_force"):
@@ -483,10 +419,8 @@ class WseMd:
                 with tr.phase("cycle_account"):
                     self._record_cycles(n_cand, n_int)
                 self.step_count += 1
-                if (
-                    self.swap_interval
-                    and self.step_count % self.swap_interval == 0
-                ):
+                if (self.swap_interval
+                        and self.step_count % self.swap_interval == 0):
                     with tr.phase("swap") as ph:
                         moved = self._swap_round()
                         ph.add(moves=moved)
@@ -522,15 +456,11 @@ class WseMd:
         pairs = NeighborList(self.box, self.potential.cutoff, skin=0.0).pairs(
             state.positions
         )
-        occ = self.occ
-        order = np.argsort(self.aid[occ])
-        fx, fy = np.nonzero(occ)
-        cx = fx[order]
-        cy = fy[order]
-        dist = np.maximum(
-            np.abs(cx[pairs.i] - cx[pairs.j]),
-            np.abs(cy[pairs.i] - cy[pairs.j]),
-        )
+        order = np.argsort(self.aid[self.occ])
+        fx, fy = np.nonzero(self.occ)
+        cx, cy = fx[order], fy[order]
+        dist = np.maximum(np.abs(cx[pairs.i] - cx[pairs.j]),
+                          np.abs(cy[pairs.i] - cy[pairs.j]))
         return int(np.count_nonzero(dist > self.b))
 
     def assignment_cost(self) -> float:
@@ -555,10 +485,8 @@ class WseMd:
     def mean_counts(self) -> tuple[float, float]:
         """Mean (candidates, interactions) per occupied tile, last step."""
         occ = self.occ
-        return (
-            float(self.last_candidates[occ].mean()),
-            float(self.last_interactions[occ].mean()),
-        )
+        return (float(self.last_candidates[occ].mean()),
+                float(self.last_interactions[occ].mean()))
 
     def measured_rate(self) -> float:
         """Timesteps/second implied by the recorded cycle trace."""

@@ -3,7 +3,10 @@
 The physics modules (:mod:`repro.potentials`, :mod:`repro.md`,
 :mod:`repro.core`) describe *what* is computed; the kernels layer owns
 *how* the inner loops run.  Each backend is a module exposing the same
-six functions (:data:`KERNEL_FUNCTIONS`):
+ten functions (:data:`KERNEL_FUNCTIONS`): four pair kernels for the
+reference engine and the six pieces of a lockstep wafer step, so a
+wafer step runs on whichever tier is active from its list test to its
+cycle counter:
 
 ``numpy``
     The definition: fused vectorized NumPy kernels.  Always available,
@@ -52,8 +55,12 @@ KERNEL_FUNCTIONS = (
     "neighbor_prefilter",   # candidate distance filter -> (i, j, rij, r)
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
+    "list_valid",           # does the wafer's held list still cover? -> bool
+    "list_chunk",           # wafer list build, one chunk -> (starts, ctr, src)
     "density_chunk",        # wafer density sweep, one chunk -> record
     "force_chunk",          # wafer force sweep over one record
+    "wafer_integrate",      # leap-frog over occupied tiles -> non-finite count
+    "wafer_cycles",         # per-tile cycle counter -> (cycles, cand, int)
 )
 
 #: The fastest bitwise tier; resolves to :data:`FALLBACK_BACKEND` (one

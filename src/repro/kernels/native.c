@@ -1,4 +1,7 @@
-/* Native kernels: the registry's six kernels as C99 loops.
+/* Native kernels: the registry's ten kernels as C99 loops -- the four
+ * pair kernels of the reference engine and the six that make up a
+ * lockstep wafer step (list validity and build, the two sweeps, the
+ * leap-frog and the cycle counter).
  *
  * Built by native_backend.py with
  *   cc -O2 -fno-fast-math -ffp-contract=off -shared -fPIC
@@ -19,7 +22,9 @@
  * outside [0, n), or geometry on which numpy would raise.  The caller
  * then runs the numpy body on the same arguments, which wraps, raises
  * IndexError or raises FloatingPointError exactly as it always has.
- * Caller-owned accumulators are only written after the indices passed.
+ * Caller-owned accumulators and state are only written after the
+ * indices passed.  No function allocates: outputs of unknown length
+ * arrive at their upper bound and the caller shrinks them.
  */
 #include <math.h>
 #include <stdint.h>
@@ -206,29 +211,64 @@ int64_t fused_force_pass(const int64_t *i, const int64_t *j,
     return 0;
 }
 
-/* How many of a chunk's n listed pairs survive 0 < r^2 < cutoff2: sizes
- * density_chunk's record, and checks the indices it will trust. */
-int64_t density_count(const double *pos, int64_t n_tiles, const int32_t *ctr,
-                      const int32_t *src, int64_t n, const double *lengths,
-                      const uint8_t *periodic, double cutoff2)
+/* Does the list built at (held_pos, held_occ) still cover (pos, occ)?
+ * (numpy_backend.list_valid.)  Exits at the first tile whose occupancy
+ * differs or which moved bound2 or more (a NaN fails too). */
+int64_t list_valid(const double *pos, const uint8_t *occ,
+                   const double *held_pos, const uint8_t *held_occ,
+                   int64_t n_tiles, double bound2)
 {
-    int64_t kept = 0;
-    double d[3];
-    for (int64_t q = 0; q < n; q++) {
-        if (bad(ctr[q], n_tiles) || bad(src[q], n_tiles)) return -1;
-        double r2 = separation(pos, ctr[q], src[q], lengths, periodic, d);
-        kept += r2 < cutoff2 && r2 > 0.0;
+    for (int64_t t = 0; t < n_tiles; t++) {
+        if (occ[t] != held_occ[t]) return 0;
+        const double *a = pos + 3 * t, *b = held_pos + 3 * t;
+        double dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
+        if (!(R2(dx, dy, dz) < bound2)) return 0;
     }
-    return kept;
+    return 1;
 }
 
-/* The wafer's density sweep over one chunk of listed pairs
- * (numpy_backend.density_chunk), after density_count has passed its
- * indices.  Rows starts[i]:starts[i+1] belong to the chunk's i-th
- * offset.  Survivors are written, compacted, to the o_* record arrays;
- * o_starts gets their per-offset bounds.  typ == NULL means one table.
- * share is scratch for one offset's partner values.  Returns the
- * survivor count. */
+/* One chunk of the list build (numpy_backend.list_chunk), one pair at a
+ * time: per offset (dx, dy), every occupied tile whose neighbour exists
+ * on the nx x ny fabric counts a candidate, and a pair of occupied
+ * tiles under reach2 is listed, offset-major and tile-minor.  o_starts
+ * gets the n_off + 1 bounds.  Returns the number listed. */
+int64_t list_chunk(const double *pos, const uint8_t *occ, int64_t nx,
+                   int64_t ny, const int64_t *offsets, int64_t n_off,
+                   const double *lengths, const uint8_t *periodic,
+                   double reach2, int32_t *n_cand, int32_t *o_starts,
+                   int32_t *o_ctr, int32_t *o_src)
+{
+    int64_t w = 0;
+    for (int64_t o = 0; o < n_off; o++) {
+        int64_t dx = offsets[2 * o], dy = offsets[2 * o + 1];
+        int64_t x0 = dx < 0 ? -dx : 0, x1 = nx - (dx > 0 ? dx : 0);
+        int64_t y0 = dy < 0 ? -dy : 0, y1 = ny - (dy > 0 ? dy : 0);
+        o_starts[o] = (int32_t)w;
+        for (int64_t x = x0; x < x1; x++)
+            for (int64_t y = y0; y < y1; y++) {
+                int64_t at = x * ny + y, from = at + dx * ny + dy;
+                if (!occ[at]) continue;
+                n_cand[at] += 1;
+                if (!occ[from]) continue;
+                double d[3];
+                if (separation(pos, at, from, lengths, periodic, d) < reach2) {
+                    o_ctr[w] = (int32_t)at;
+                    o_src[w] = (int32_t)from;
+                    w++;
+                }
+            }
+    }
+    o_starts[n_off] = (int32_t)w;
+    return w;
+}
+
+/* The wafer's density sweep over one chunk of n listed pairs
+ * (numpy_backend.density_chunk), in one walk.  Rows starts[i]:starts[i+1]
+ * belong to the chunk's i-th offset.  Survivors are written, compacted,
+ * to the o_* record arrays (allocated for all n rows); o_starts gets
+ * their per-offset bounds.  typ == NULL means one table.  share is
+ * scratch for one offset's partner values.  Returns the survivor
+ * count. */
 int64_t density_chunk(const double *pos, int64_t n_tiles,
                       const int32_t *starts, int64_t n_off,
                       const int32_t *ctr, const int32_t *src,
@@ -241,6 +281,8 @@ int64_t density_chunk(const double *pos, int64_t n_tiles,
                       int64_t *o_member, double *share)
 {
     int64_t nt = rho->n_members, w = 0;
+    for (int64_t q = 0; q < starts[n_off]; q++)
+        if (bad(ctr[q], n_tiles) || bad(src[q], n_tiles)) return -1;
     if (typ && bad_any(typ, n_tiles, nt)) return -1;
     for (int64_t o = 0; o < n_off; o++) {
         int64_t w0 = w;
@@ -327,4 +369,50 @@ int64_t force_chunk(const int64_t *starts, int64_t n_off, const int32_t *ctr,
         for (int64_t q = s0; q < s1; q++) e_both[ctr[q]] = e_both[src[q]] = 0.0;
     }
     return n;
+}
+
+/* The leap-frog over the occupied tiles (numpy_backend.wafer_integrate):
+ * accel = f / (m * mvv2e), v += accel * dt, p += v * dt.  A type outside
+ * the mass table declines before anything is written.  Returns how many
+ * coordinates written are not finite. */
+int64_t wafer_integrate(double *pos, double *vel, const double *force,
+                        const uint8_t *occ, const int64_t *typ,
+                        int64_t n_tiles, const double *masses,
+                        int64_t n_types, double dt, double mvv2e)
+{
+    for (int64_t t = 0; t < n_tiles; t++)
+        if (occ[t] && bad(typ[t], n_types)) return -1;
+    int64_t non_finite = 0;
+    for (int64_t t = 0; t < n_tiles; t++) {
+        if (!occ[t]) continue;
+        double m = masses[typ[t]] * mvv2e;
+        for (int64_t k = 3 * t; k < 3 * t + 3; k++) {
+            vel[k] += force[k] / m * dt;
+            pos[k] += vel[k] * dt;
+            non_finite += !isfinite(pos[k]);
+        }
+    }
+    return non_finite;
+}
+
+/* One step's cycles plane and masked int32 work counts
+ * (numpy_backend.wafer_cycles); noise == NULL: no jitter. */
+int64_t wafer_cycles(const uint8_t *occ, const int64_t *n_cand,
+                     const int64_t *n_int, int64_t n_tiles, double exchange,
+                     double c_cand, double c_int, double c_fixed,
+                     const double *noise, double jitter, double *cycles,
+                     int32_t *cand, int32_t *inter)
+{
+    for (int64_t t = 0; t < n_tiles; t++) {
+        double c = exchange + c_fixed;
+        cand[t] = inter[t] = 0;
+        if (occ[t]) {
+            c = ((exchange + c_cand * (double)n_cand[t])
+                 + c_int * (double)n_int[t]) + c_fixed;
+            cand[t] = (int32_t)n_cand[t];
+            inter[t] = (int32_t)n_int[t];
+        }
+        cycles[t] = noise ? c * (1.0 + jitter * noise[t]) : c;
+    }
+    return 0;
 }

@@ -1,16 +1,19 @@
 """The native tier: ``native.c`` through the system C compiler and ctypes.
 
-Every registry kernel as a C loop in which a pair enters, is measured,
-looked up, turned into a contribution and accumulated without any
-intermediate leaving the loop (the FPGA force pipelines of PAPERS.md) —
-with outputs **bitwise** those of the numpy body of the same name
-(``native.c``'s header lists the four places that is easy to lose).
+Every registry kernel as a C loop in which a pair (or a tile) enters, is
+measured, looked up, turned into a contribution and accumulated without
+any intermediate leaving the loop (the FPGA force pipelines of
+PAPERS.md) — with outputs **bitwise** those of the numpy body of the
+same name (``native.c``'s header lists the four places that is easy to
+lose).  With all ten kernels native, a lockstep wafer step runs in C
+from the list test to the cycle counter, and Python only sequences it.
 The numpy tier stays the definition; this one may only be faster.
 
 :func:`load`, called by the registry the first time the tier is asked
 for, compiles ``native.c`` once per (source, flags, compiler) into the
 user cache directory, loads it, and runs every kernel against its numpy
-body on a few thousand fixed pairs, bit for bit.  No compiler, a failed
+body on a few thousand fixed pairs and a small holed wafer, bit for
+bit.  No compiler, a failed
 compile, an unwritable cache or a probe mismatch raise
 :class:`ImportError` with the reason — the registry's one-warning
 fall-back to numpy, never a different trajectory.
@@ -18,8 +21,8 @@ fall-back to numpy, never a different trajectory.
 Per call, a kernel *declines* to its numpy body what ``native.c`` does
 not read (a float32 wafer, index arrays other than the int64 pair lists
 and int32 wafer lists the engines build, non-contiguous views, an empty
-scatter) and what the C loop itself declines: an index outside
-``[0, n)`` or geometry numpy raises on.  Wrapped negatives,
+scatter) and what the C loop itself declines: an index or atom type
+outside ``[0, n)`` or geometry numpy raises on.  Wrapped negatives,
 ``IndexError`` and ``FloatingPointError`` so come out of the same numpy
 code as ever.
 """
@@ -38,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.constants import MVV2E
 from repro.kernels import KERNEL_FUNCTIONS, numpy_backend
 
 name = "native"
@@ -181,9 +185,12 @@ _SIGNATURES = {
     "neighbor_prefilter": "PiPPiPPdiiPPPP",
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
-    "density_count": "PiPPiPPd",
+    "list_valid": "PPPPid",
+    "list_chunk": "PPiiPiPPdPPPP",
     "density_chunk": "PiPiPPPPdPBPiPPPPPPPPPPP",
     "force_chunk": "PiPPPPPPPiBPiiPPPP",
+    "wafer_integrate": "PPPPPiPidd",
+    "wafer_cycles": "PPPiddddPdPPP",
 }
 
 
@@ -243,7 +250,14 @@ def _rows(starts: np.ndarray, n: int) -> int:
     return int(sizes.max(initial=0))
 
 
-# -- the six kernels (signatures and contracts: numpy_backend) ---------------
+def _shrink(kept: int, *arrays) -> None:
+    """Cut outputs allocated at their upper bound to ``kept`` rows, in
+    place: the tail pages native.c never touched were never resident."""
+    for a in arrays:
+        a.resize((kept, *a.shape[1:]), refcheck=False)
+
+
+# -- the ten kernels (signatures and contracts: numpy_backend) ---------------
 
 
 @_kernel
@@ -271,8 +285,7 @@ def neighbor_prefilter(positions, i, j, lengths, periodic, rmax, *,
     )
     if assume_inside:
         return i, j, rij, r
-    for a, size in ((oi, kept), (oj, kept), (rij, (kept, 3)), (r, kept)):
-        a.resize(size, refcheck=False)  # shrinks in place
+    _shrink(kept, oi, oj, rij, r)
     return oi, oj, rij, r
 
 
@@ -308,6 +321,35 @@ def fused_force_pass(i, j, rij, r, f_der, d_ji, d_ij, phi_bank, phi_member,
 
 
 @_kernel
+def list_valid(pos, occ, held_pos, held_occ, bound2):
+    nx, ny = _arr(occ, bool, -1, -1).shape
+    _arr(held_occ, bool, nx, ny)
+    _arr(pos, _F8, nx, ny, 3), _arr(held_pos, _F8, nx, ny, 3)
+    if not occ.size:  # numpy's max of nothing raises
+        raise _Decline
+    return bool(_c("list_valid", pos, occ, held_pos, held_occ, occ.size,
+                   float(bound2)))
+
+
+@_kernel
+def list_chunk(pos, occ, offsets, lengths, periodic, reach2, n_cand):
+    nx, ny = _arr(occ, bool, -1, -1).shape
+    _arr(pos, _F8, nx, ny, 3), _arr(n_cand, _I4, nx, ny)
+    offsets = _arr(np.ascontiguousarray(offsets, dtype=_I8), _I8, -1, 2)
+    if nx * ny >= 2**31:  # flat tiles are int32
+        raise _Decline
+    bound = sum(max(0, nx - abs(dx)) * max(0, ny - abs(dy))
+                for dx, dy in offsets.tolist())
+    starts = np.empty(len(offsets) + 1, dtype=_I4)
+    ctr, src = np.empty(bound, dtype=_I4), np.empty(bound, dtype=_I4)
+    listed = _c("list_chunk", pos, occ, nx, ny, offsets, len(offsets),
+                *_box(lengths, periodic), float(reach2), n_cand, starts,
+                ctr, src)
+    _shrink(listed, ctr, src)
+    return starts, ctr, src
+
+
+@_kernel
 def density_chunk(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
                   rho_bank, phi_index, symmetry, rho_flat, int_flat):
     starts, ctr, src = listed
@@ -322,20 +364,19 @@ def density_chunk(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
     else:
         _arr(typ_flat, _I8, n_tiles)
         _arr(phi_index, _I8, bank.n_members, bank.n_members)
-    box, cutoff2 = _box(lengths, periodic), float(cutoff**2)
-    # two passes: count (and check the indices), then fill a record
-    # allocated at its size
-    kept = _c("density_count", pos_rows, n_tiles, ctr, src, n, *box, cutoff2)
+    # one walk: the record is allocated for every listed row, filled with
+    # the survivors, then shrunk to them
     o_starts = np.empty(len(starts), dtype=_I8)
-    o_ctr, o_src = np.empty(kept, dtype=_I4), np.empty(kept, dtype=_I4)
-    o_r, o_unit, d_src = np.empty(kept), np.empty((kept, 3)), np.empty(kept)
-    d_ctr, member = (d_src, 0) if single else (
-        np.empty(kept), np.empty(kept, dtype=_I8))
-    _c("density_chunk", pos_rows, n_tiles, starts, len(starts) - 1, ctr, src,
-       *box, cutoff2, typ_flat, bank, phi_index, bool(symmetry), rho_flat,
-       int_flat, o_starts, o_ctr, o_src, o_r, o_unit, d_src,
-       None if single else d_ctr, None if single else member,
-       np.empty(rows))
+    o_ctr, o_src = np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
+    o_r, o_unit, d_src = np.empty(n), np.empty((n, 3)), np.empty(n)
+    extra = () if single else (np.empty(n), np.empty(n, dtype=_I8))
+    kept = _c("density_chunk", pos_rows, n_tiles, starts, len(starts) - 1,
+              ctr, src, *_box(lengths, periodic), float(cutoff**2), typ_flat,
+              bank, phi_index, bool(symmetry), rho_flat, int_flat, o_starts,
+              o_ctr, o_src, o_r, o_unit, d_src, *(extra or (None, None)),
+              np.empty(rows))
+    _shrink(kept, o_ctr, o_src, o_r, o_unit, d_src, *extra)
+    d_ctr, member = extra or (d_src, 0)
     return o_starts, o_ctr, o_src, o_r, o_unit, d_src, d_ctr, member
 
 
@@ -353,6 +394,31 @@ def force_chunk(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
     _c("force_chunk", starts, len(starts) - 1, ctr, src, r, unit, d_src,
        d_ctr, *_member(member, n), _bank(phi_bank), f_der, n_tiles,
        bool(symmetry), force_rows, e_flat, e_both, np.empty((rows, 3)))
+
+
+@_kernel
+def wafer_integrate(pos_rows, vel_rows, force_rows, occ_flat, typ_flat,
+                    masses, dt):
+    n = len(_arr(pos_rows, _F8, -1, 3))
+    _arr(vel_rows, _F8, n, 3), _arr(force_rows, _F8, n, 3)
+    _arr(occ_flat, bool, n), _arr(typ_flat, _I8, n), _arr(masses, _F8, -1)
+    return _c("wafer_integrate", pos_rows, vel_rows, force_rows, occ_flat,
+              typ_flat, n, masses, len(masses), float(dt), MVV2E)
+
+
+@_kernel
+def wafer_cycles(occ_flat, n_cand, n_int, exchange, c_cand, c_int, c_fixed,
+                 noise=None, jitter=0.0):
+    n = len(_arr(occ_flat, bool, -1))
+    _arr(n_cand, _I8, n), _arr(n_int, _I8, n)
+    if noise is not None:
+        _arr(noise, _F8, n)
+    cycles = np.empty(n)
+    cand, inter = np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
+    _c("wafer_cycles", occ_flat, n_cand, n_int, n, float(exchange),
+       float(c_cand), float(c_int), float(c_fixed), noise, float(jitter),
+       cycles, cand, inter)
+    return cycles, cand, inter
 
 
 # -- the load-time probe -----------------------------------------------------
@@ -407,7 +473,55 @@ def _probe_outputs(backend) -> dict[str, tuple]:
     force, e_flat = np.zeros((n, 3)), np.zeros(n)
     backend.force_chunk(record, f_der, phi, True, force, e_flat)
     out["force_chunk"] = force, e_flat
+    out.update(_probe_wafer(backend, rng, lengths, periodic))
     return out
+
+
+def _probe_wafer(backend, rng, lengths, periodic) -> dict[str, tuple]:
+    """The list and step kernels on a 13 x 11 wafer with holes, every
+    cut placed exactly on a value numpy computed (so one ulp of
+    difference in ``r^2`` flips the answer)."""
+    nx, ny = 13, 11
+    occ = rng.random((nx, ny)) < 0.8
+    pos = np.full((nx, ny, 3), 1.0e15)
+    pos[occ] = rng.uniform(0.0, 1.0, (occ.sum(), 3)) * [7.0, 8.0, 3.0]
+    offsets = np.array([[1, 0], [0, 1], [-2, 1], [3, -4], [20, 0]])
+    # the cut is the r^2 of one listed pair: that pair must miss it
+    d = pos[1:, :, :] - pos[:-1, :, :]
+    numpy_backend.minimum_image(d.reshape(-1, 3), lengths, periodic)
+    r2 = np.einsum("xyk,xyk->xy", d, d)[occ[1:] & occ[:-1]]
+    reach2 = float(r2[len(r2) // 2])
+    n_cand = np.zeros((nx, ny), dtype=np.int32)
+    listed = backend.list_chunk(pos, occ, offsets, lengths, periodic,
+                                reach2, n_cand)
+    moved = pos + np.where(occ[..., None], rng.normal(0.0, 0.1, pos.shape), 0)
+    step = moved - pos
+    worst = float(np.einsum("xyk,xyk->xy", step, step).max())
+    flipped, poisoned = ~occ, moved.copy()
+    poisoned[occ.nonzero()[0][0], occ.nonzero()[1][0], 1] = np.nan
+    valid = tuple(
+        backend.list_valid(p, o, pos, occ, bound2)
+        for p, o, bound2 in (
+            (moved, occ, worst), (moved, occ, np.nextafter(worst, np.inf)),
+            (moved, flipped, 1.0e3), (poisoned, occ, 1.0e3),
+        )
+    )
+    rows, vel = pos.reshape(-1, 3).copy(), rng.normal(size=(nx * ny, 3))
+    force = rng.normal(size=(nx * ny, 3))
+    typ = rng.integers(0, 2, nx * ny)
+    bad = backend.wafer_integrate(rows, vel, force, occ.ravel(), typ,
+                                  np.array([180.9, 183.8]), 0.002)
+    counts = rng.integers(0, 500, (2, nx * ny))
+    noise = rng.normal(size=nx * ny)
+    cycles = [backend.wafer_cycles(occ.ravel(), *counts, 301.5, 26.6 / 1.1,
+                                   71.4 / 1.1, 574.0, *jitter)
+              for jitter in ((), (noise, 1e-3))]
+    return {
+        "list_chunk": (*listed, n_cand),
+        "list_valid": valid,
+        "wafer_integrate": (rows, vel, bad),
+        "wafer_cycles": (*cycles[0], *cycles[1]),
+    }
 
 
 def _expected() -> dict[str, tuple]:

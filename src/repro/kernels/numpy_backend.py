@@ -9,11 +9,13 @@ binned table lookup of the FPGA pipelines in PAPERS.md, and of a WSE
 tile's per-segment SRAM rows).  A single spline is a one-member bank.
 
 The whole-pass kernels are the numpy ports of the loops that used to
-live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`
-and (``density_chunk``, ``force_chunk``) :mod:`repro.core.streaming`.
-Per element they perform the *identical* IEEE operations, on the same
-operands in the same order, as those call sites did (the pair kernels'
-first port is frozen as ``tests.legacy_kernels``).  What the bodies are
+live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`,
+:mod:`repro.core.streaming` (``list_valid``, ``list_chunk``,
+``density_chunk``, ``force_chunk``) and :mod:`repro.core.wse_md`
+(``wafer_integrate``, ``wafer_cycles``).  Per element they perform the
+*identical* IEEE operations, on the same operands in the same order, as
+those call sites did (the pair kernels' first port is frozen as
+``tests.legacy_kernels``).  What the bodies are
 free to choose is how memory moves, and at these sizes (10^5 pairs)
 that, not arithmetic, is the cost.  Three rules:
 
@@ -34,7 +36,8 @@ that, not arithmetic, is the cost.  Three rules:
 
 Temporaries are reused in place where the operand order allows
 (``np.add(c, val, out=val)`` is ``c + val`` written into ``val``); no
-buffer outlives a call and no kernel writes to an argument.
+buffer outlives a call, and a kernel writes only to the arguments its
+docstring names as accumulators or state.
 
 Spline *banks* are the packed-group tuples built by
 :meth:`repro.potentials.spline.SplineGroup.bank`::
@@ -52,6 +55,8 @@ kernels.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.constants import MVV2E
 
 name = "numpy"
 
@@ -279,6 +284,101 @@ def fused_force_pass(
     return e_pair, forces
 
 
+# -- the lockstep wafer's list, one chunk of offsets at a time ------------
+
+
+def shift_rects(nx: int, ny: int, dx: int, dy: int):
+    """``(dst, src)`` slice pairs of one offset's aligned shift.
+
+    ``grid[src]`` lands on ``out[dst]`` (``out[x, y] = grid[x + dx,
+    y + dy]``); tiles of ``out`` outside ``dst`` have no neighbor at
+    this offset on the fabric.  ``None`` when the offset leaves the
+    fabric entirely.
+    """
+    xs0, xs1 = max(dx, 0), nx + min(dx, 0)
+    ys0, ys1 = max(dy, 0), ny + min(dy, 0)
+    if xs0 >= xs1 or ys0 >= ys1:
+        return None
+    dst = (slice(xs0 - dx, xs1 - dx), slice(ys0 - dy, ys1 - dy))
+    return dst, (slice(xs0, xs1), slice(ys0, ys1))
+
+
+def list_valid(
+    pos: np.ndarray,
+    occ: np.ndarray,
+    held_pos: np.ndarray,
+    held_occ: np.ndarray,
+    bound2: float,
+) -> bool:
+    """Does a list built at ``(held_pos, held_occ)`` still cover
+    ``(pos, occ)``?  The same occupancy plane, and every tile of the
+    ``(nx, ny, 3)`` grid within ``sqrt(bound2)`` of its build-time
+    position (empty tiles hold the same sentinel on both).  A NaN
+    displacement compares False."""
+    if not np.array_equal(occ, held_occ):
+        return False
+    moved = pos - held_pos
+    moved2 = np.einsum("xyk,xyk->xy", moved, moved)
+    return bool(moved2.max() < bound2)
+
+
+def list_chunk(
+    pos: np.ndarray,
+    occ: np.ndarray,
+    offsets: np.ndarray,
+    lengths,
+    periodic,
+    reach2: float,
+    n_cand: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of the wafer's list build: shift, then a coarse cut.
+
+    For each ``(dx, dy)`` row of ``offsets`` every occupied tile of the
+    ``(nx, ny)`` grid whose neighbor at the offset exists on the fabric
+    receives one candidate, counted into the int32 ``n_cand`` plane;
+    a pair of occupied tiles whose minimum-image ``r^2`` is under
+    ``reach2`` is listed.  Returns the chunk's int32 ``(starts, ctr,
+    src)`` flat-tile rows, offset-major and tile-minor;
+    ``starts[i]:starts[i + 1]`` are the rows of offset ``i``.
+
+    The shifted differences of the whole chunk are stacked, so the body
+    holds O(chunk x grid) scratch for the length of the call.
+    """
+    nx, ny = occ.shape
+    c, n_tiles = len(offsets), nx * ny
+    rects = [shift_rects(nx, ny, int(dx), int(dy)) for dx, dy in offsets]
+    # The displacement stack starts zeroed and is only ever written with
+    # finite differences, so the tiles an offset does not reach hold
+    # finite values (masked, never read).
+    d = np.zeros((c, nx, ny, 3), dtype=pos.dtype)
+    within = np.zeros((c, nx, ny), dtype=bool)
+    for i, rect in enumerate(rects):
+        if rect is None:
+            continue
+        dst, src = rect
+        np.subtract(pos[src], pos[dst], out=d[i][dst])
+        np.logical_and(occ[dst], occ[src], out=within[i][dst])
+        n_cand[dst] += occ[dst]
+    minimum_image(d.reshape(-1, 3), lengths, periodic)
+    # the coarse cut only marks the stack: one plane of scratch each
+    r2 = np.empty((nx, ny), dtype=pos.dtype)
+    cmp = np.empty((nx, ny), dtype=bool)
+    for i, rect in enumerate(rects):
+        if rect is None:
+            continue
+        np.einsum("xyk,xyk->xy", d[i], d[i], out=r2)
+        np.less(r2, reach2, out=cmp)
+        within[i] &= cmp
+    hit = np.flatnonzero(within)
+    starts = np.searchsorted(hit, np.arange(c + 1) * n_tiles)
+    which = np.repeat(np.arange(c), np.diff(starts))
+    ctr = (hit - which * n_tiles).astype(np.int32)
+    shift = np.array([int(dx) * ny + int(dy) for dx, dy in offsets],
+                     dtype=np.int64)
+    src = ctr + shift[which].astype(np.int32)
+    return starts.astype(np.int32), ctr, src
+
+
 # -- the lockstep wafer's two sweeps, one chunk of offsets at a time ------
 
 
@@ -390,3 +490,67 @@ def force_chunk(
             e_both[partner] = 0.0
         else:
             e_flat[at] += e_half
+
+
+# -- the rest of the wafer's timestep -------------------------------------
+
+
+def wafer_integrate(
+    pos_rows: np.ndarray,
+    vel_rows: np.ndarray,
+    force_rows: np.ndarray,
+    occ_flat: np.ndarray,
+    typ_flat: np.ndarray,
+    masses: np.ndarray,
+    dt: float,
+) -> int:
+    """The wafer's leap-frog update (Eq. 5) over the occupied tiles.
+
+    ``accel = f / (m * MVV2E)``, ``v += accel * dt``, ``p += v * dt``,
+    each increment cast to the machine dtype of the ``(n_tiles, 3)``
+    ``pos_rows`` / ``vel_rows``, which are updated in place; empty tiles
+    are never touched.  Returns how many of the coordinates written are
+    not finite (the caller decides what that means).
+    """
+    # flat occupied-tile indices: one index array, ``take`` gathers,
+    # integer-indexed row scatters
+    tiles = np.flatnonzero(occ_flat)
+    mass = masses.take(typ_flat.take(tiles))
+    accel = force_rows.take(tiles, axis=0) / (mass[:, None] * MVV2E)
+    vel = vel_rows.take(tiles, axis=0)
+    vel += (accel * dt).astype(vel_rows.dtype)
+    vel_rows[tiles] = vel
+    pos = pos_rows.take(tiles, axis=0)
+    pos += (vel * dt).astype(pos_rows.dtype)
+    pos_rows[tiles] = pos
+    return int(pos.size - np.count_nonzero(np.isfinite(pos)))
+
+
+def wafer_cycles(
+    occ_flat: np.ndarray,
+    n_cand: np.ndarray,
+    n_int: np.ndarray,
+    exchange: float,
+    c_cand: float,
+    c_int: float,
+    c_fixed: float,
+    noise: np.ndarray | None = None,
+    jitter: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step's per-tile cycle counts from the tiles' work counts.
+
+    An occupied tile costs ``((exchange + c_cand * n_cand) + c_int *
+    n_int) + c_fixed`` (:meth:`~repro.core.cycle_model.CycleCostModel.
+    step_cycles`), an empty one ``exchange + c_fixed``; with a ``noise``
+    plane every tile is scaled by ``1 + jitter * noise``.  Returns the
+    float64 cycles plane and the int32 candidate and interaction counts
+    with the empty tiles zeroed.
+    """
+    cycles = exchange + c_cand * n_cand.astype(np.float64)
+    cycles = cycles + c_int * n_int.astype(np.float64)
+    cycles = np.where(occ_flat, cycles + c_fixed, exchange + c_fixed)
+    if noise is not None:
+        cycles = cycles * (1.0 + jitter * noise)
+    cand = np.where(occ_flat, n_cand, 0).astype(np.int32)
+    inter = np.where(occ_flat, n_int, 0).astype(np.int32)
+    return cycles, cand, inter

@@ -106,11 +106,22 @@ class Histogram:
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
-        self.count += int(arr.size)
-        self.total += float(arr.sum())
-        self.sum_sq += float(np.dot(arr, arr))
-        self.min = min(self.min, float(arr.min()))
-        self.max = max(self.max, float(arr.max()))
+        self.observe_moments(
+            arr.size, float(arr.sum()), float(np.dot(arr, arr)),
+            float(arr.min()), float(arr.max()),
+        )
+
+    def observe_moments(
+        self, count: int, total: float, sum_sq: float, lo: float, hi: float
+    ) -> None:
+        """Record ``count`` samples already reduced to their sum, sum of
+        squares, min and max (bitwise :meth:`observe_many` of them when
+        the reductions are numpy's)."""
+        self.count += int(count)
+        self.total += total
+        self.sum_sq += sum_sq
+        self.min = min(self.min, lo)
+        self.max = max(self.max, hi)
 
     @property
     def mean(self) -> float:

@@ -75,13 +75,15 @@ class CycleTrace:
         per_tile_cycles: np.ndarray,
         n_candidates: np.ndarray | None = None,
         n_interactions: np.ndarray | None = None,
-    ) -> None:
+    ) -> tuple[float, float, float, float]:
         """Record one timestep's per-tile cycle counts.
 
         When the per-tile candidate and interaction counts are supplied
         as well, the trace can later be regressed against the paper's
         linear step model (:meth:`count_samples`); counts must then be
-        provided for *every* recorded step.
+        provided for *every* recorded step.  Returns the plane's
+        ``(sum, sum of squares, min, max)``, so a caller can summarise
+        the same samples without reducing them again.
         """
         arr = self._tile_array(per_tile_cycles, np.float64)
         if (n_candidates is None) != (n_interactions is None):
@@ -102,10 +104,13 @@ class CycleTrace:
             self._interactions.append(
                 self._tile_array(n_interactions, np.int32)
             )
+        total, sum_sq = float(arr.sum()), float(np.dot(arr, arr))
+        lo, hi = float(arr.min()), float(arr.max())
         self._steps.append(arr)
-        self._step_max.append(float(arr.max()))
-        self._step_mean.append(float(arr.mean()))
-        self._sum_sq += float(np.dot(arr, arr))
+        self._step_max.append(hi)
+        self._step_mean.append(total / self.n_tiles)
+        self._sum_sq += sum_sq
+        return total, sum_sq, lo, hi
 
     def _tile_array(self, values, dtype) -> np.ndarray:
         arr = np.asarray(values, dtype=dtype).ravel()

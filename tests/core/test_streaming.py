@@ -40,6 +40,8 @@ from repro.core.streaming import (
     auto_chunk,
 )
 from repro.core.wse_md import WseMd
+import repro.kernels as kernels
+from repro.kernels import numpy_backend
 from repro.lattice.cells import BCC
 from repro.lattice.crystals import replicate
 from repro.md.boundary import Box
@@ -713,23 +715,59 @@ def _peak_rss_run(reps, steps=2):
     return peak, sim
 
 
+def _list_build_peak(backend, sweeps, pos, occ):
+    """Peak bytes allocated while ``backend`` lists the first chunk, and
+    the bytes its result holds."""
+    import tracemalloc
+
+    n_cand = np.zeros(occ.shape, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        listed = backend.list_chunk(
+            pos, occ, sweeps._chunks[0], sweeps.lengths, sweeps.periodic,
+            sweeps._reach2, n_cand,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in listed)
+
+
 @pytest.mark.parametrize("force_symmetry", [False, True])
 def test_streaming_buffers_are_chunk_sized(ta_potential, force_symmetry):
-    """The sweeper's grid-proportional buffers obey the chunk budget."""
+    """A list build's grid-proportional scratch belongs to the tier and
+    to the call: the numpy body stacks one chunk's shifted differences
+    (O(chunk x grid), never O(offsets x grid)), the native loop walks
+    pair by pair and allocates nothing beyond its outputs, and neither
+    keeps anything once the call returns (the sweeper holds no
+    buffers)."""
+    nx = ny = 120
+    offsets = [(dx, dy) for dx in range(-5, 6) for dy in range(-5, 6)
+               if (dx, dy) != (0, 0)]
     sweeps = StreamingSweeps(
-        nx=500, ny=500, dtype=np.float64,
+        nx=nx, ny=ny, dtype=np.float64,
         lengths=(1e3, 1e3, 1e3), periodic=(False,) * 3,
         cutoff=ta_potential.cutoff, skin=0.5, tables=ta_potential.tables,
-        offsets=[(dx, dy) for dx in range(-5, 6) for dy in range(-5, 6)
-                 if (dx, dy) != (0, 0)],
-        chunk=0,
-        force_symmetry=force_symmetry,
+        offsets=offsets, chunk=0, force_symmetry=force_symmetry,
     )
-    depth = min(auto_chunk(500, 500), 120)
-    # d-stack + mask per stacked tile, one r2 + one compare plane for
-    # the coarse cut; never O(offsets), and the reverse reduction owns
-    # no full-grid scratch of its own
-    assert sweeps.buffer_bytes() == 500 * 500 * (depth * (3 * 8 + 1) + 8 + 1)
+    depth = auto_chunk(nx, ny)
+    assert sweeps.chunk == depth == len(sweeps._chunks[0]) < len(offsets)
+    grid = np.stack(np.meshgrid(np.arange(nx), np.arange(ny),
+                                indexing="ij"), axis=-1) * 1.6
+    pos = np.concatenate([grid, np.zeros((nx, ny, 1))], axis=2)
+    occ = np.ones((nx, ny), dtype=bool)
+    stack = depth * nx * ny * (3 * 8 + 1)  # displacements + mask
+    peak, held = _list_build_peak(numpy_backend, sweeps, pos, occ)
+    assert stack <= peak <= stack + 16 * depth * nx * ny
+    assert peak < len(sweeps.offsets) * nx * ny * (3 * 8 + 1)
+    if kernels.backend_status()["native"] == "ok":
+        from repro.kernels import native_backend
+
+        # the int32 (ctr, src) rows at their upper bound, then shrunk
+        peak, held_native = _list_build_peak(native_backend, sweeps, pos, occ)
+        assert held_native == held
+        assert peak <= 2 * 4 * depth * nx * ny + 4096
 
 
 @pytest.mark.skipif(not SCALE_TESTS, reason="set REPRO_SCALE_TESTS to run")

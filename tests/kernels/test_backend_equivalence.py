@@ -12,6 +12,7 @@ reports.  Sharded == serial is ``tests/parallel``'s, not a tier's.
 import numpy as np
 import pytest
 
+from repro.core.streaming import FAR
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_FUNCTIONS,
@@ -174,20 +175,70 @@ def _force_chunk_inputs(rng):
     ), {}, (force, e_flat)
 
 
+def _wafer_grid(rng):
+    """A holed wafer: ``(nx, ny, 3)`` positions, empty tiles at the far
+    sentinel, and the occupancy plane."""
+    nx, ny = rng.integers(3, 10, size=2)
+    occ = rng.random((nx, ny)) < 0.8
+    pos = np.full((nx, ny, 3), FAR)
+    pos[occ] = rng.uniform(0.0, 6.0, size=(occ.sum(), 3))
+    return pos, occ
+
+
+def _list_valid_inputs(rng):
+    pos, occ = _wafer_grid(rng)
+    step = np.where(occ[..., None], rng.normal(0.0, 0.1, pos.shape), 0.0)
+    bound2 = float(rng.uniform(0.0, 0.12))
+    return (pos + step, occ, pos, occ.copy(), bound2), {}
+
+
+def _list_chunk_inputs(rng):
+    pos, occ = _wafer_grid(rng)
+    offsets = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2))
+    periodic = rng.integers(0, 2, size=3).astype(bool)
+    n_cand = np.zeros(occ.shape, dtype=np.int32)
+    return (
+        pos, occ, offsets, np.full(3, 6.0), periodic,
+        float(rng.uniform(1.0, 12.0)), n_cand,
+    ), {}, (n_cand,)
+
+
+def _wafer_integrate_inputs(rng):
+    pos, occ = _wafer_grid(rng)
+    pos, occ = pos.reshape(-1, 3), occ.ravel()
+    vel = rng.normal(size=pos.shape) * occ[:, None]
+    typ = rng.integers(0, 2, size=len(occ)) * occ
+    return (
+        pos, vel, rng.normal(size=pos.shape), occ, typ,
+        np.array([180.9, 183.8]), 0.002,
+    ), {}, (pos, vel)
+
+
+def _wafer_cycles_inputs(rng):
+    occ = rng.random(60) < 0.8
+    n_cand, n_int = rng.integers(0, 300, size=(2, 60))
+    jitter = (rng.normal(size=60), 1e-3) if rng.integers(0, 2) else ()
+    return (occ, n_cand, n_int, 301.5, 24.2, 64.9, 521.8, *jitter), {}
+
+
 _INPUTS = {
     "grouped_spline_eval": _grouped_spline_eval_inputs,
     "neighbor_prefilter": _neighbor_prefilter_inputs,
     "fused_density_pass": _fused_density_pass_inputs,
     "fused_force_pass": _fused_force_pass_inputs,
+    "list_valid": _list_valid_inputs,
+    "list_chunk": _list_chunk_inputs,
     "density_chunk": _density_chunk_inputs,
     "force_chunk": _force_chunk_inputs,
+    "wafer_integrate": _wafer_integrate_inputs,
+    "wafer_cycles": _wafer_cycles_inputs,
 }
 
 
 def _call(fn_name, seed):
     """Invoke on the active backend with freshly generated inputs (the
-    chunk kernels accumulate into their arguments); the outputs plus
-    whatever was accumulated into, as one tuple."""
+    wafer kernels accumulate into or update their arguments); the
+    outputs plus whatever was written into, as one tuple."""
     args, kwargs, *inplace = _INPUTS[fn_name](np.random.default_rng(seed))
     out = getattr(active_backend(), fn_name)(*args, **kwargs)
     if out is None:

@@ -110,8 +110,11 @@ class TestRegistry:
     def test_interface_is_one_tuple_every_name_on_numpy(self):
         """No CORE/FUSED split: one list, and the numpy tier (what the
         ledger builds its traced backend from) provides all of it."""
-        assert len(set(KERNEL_FUNCTIONS)) == len(KERNEL_FUNCTIONS) == 6
+        assert len(set(KERNEL_FUNCTIONS)) == len(KERNEL_FUNCTIONS) == 10
         assert "spline_eval" not in KERNEL_FUNCTIONS  # one spline evaluator
+        # the whole wafer step is in the registry
+        assert {"list_valid", "list_chunk", "wafer_integrate",
+                "wafer_cycles"} < set(KERNEL_FUNCTIONS)
         for fn in KERNEL_FUNCTIONS:
             assert callable(getattr(numpy_backend, fn))
         assert not hasattr(kernels, "CORE_KERNEL_FUNCTIONS")

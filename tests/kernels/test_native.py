@@ -2,12 +2,14 @@
 
 The equivalence proof is PR 17's Hypothesis harness
 (``test_numpy_floor.py``) pointed at native-vs-numpy for the pair
-kernels it already sweeps, plus the same treatment for the wafer's two
-chunk kernels: every output ``np.array_equal`` with equal dtype and
-shape, and the same exception *type* where numpy raises (out-of-range
-index -> ``IndexError``, coincident atoms -> ``FloatingPointError``).
-Then whole trajectories: reference and wafer runs end on the same
-SHA-256 under ``native`` and ``numpy``.
+kernels it already sweeps, plus the same treatment for the six kernels
+of a wafer step (list test and build on holed grids in open and
+periodic boxes, the two chunk sweeps, the leap-frog, the cycle
+counter): every output ``np.array_equal`` with equal dtype and shape,
+and the same exception *type* where numpy raises (out-of-range index
+-> ``IndexError``, coincident atoms -> ``FloatingPointError``).  Then
+whole trajectories: reference and wafer runs end on the same SHA-256
+under ``native`` and ``numpy``, and a float32 wafer declines to numpy.
 
 The build-path tests run against a private cache directory
 (``XDG_CACHE_HOME``), in a child interpreter wherever the registry's
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
+from repro.core.streaming import FAR
 from repro.kernels import numpy_backend
 from tests.kernels import test_numpy_floor as floor
 
@@ -220,6 +223,226 @@ class TestChunkKernels:
         for a, b in zip(got, want):
             assert np.asarray(a).dtype == np.asarray(b).dtype
             assert np.array_equal(a, b)
+
+
+# -- the rest of the wafer step: list test and build, leap-frog, cycles ------
+
+
+def _wafer_grid(seed, nx, ny, holes, box):
+    """A jittered one-atom-per-tile slab on an ``nx x ny`` grid with
+    ``holes`` of its tiles empty (far sentinel), in an open or periodic
+    box whose in-plane edges the slab just fills."""
+    rng = np.random.default_rng(seed)
+    pitch = rng.uniform(1.2, 1.8)
+    occ = rng.random((nx, ny)) >= holes
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    pos = np.stack([gx, gy, rng.integers(0, 3, (nx, ny))], axis=-1) * pitch
+    pos = pos + rng.uniform(-0.4, 0.4, pos.shape)
+    pos[~occ] = FAR
+    lengths = np.array([nx * pitch, ny * pitch, 60.0])
+    return rng, pos, occ, lengths, np.array(floor.BOXES[box])
+
+
+def _outcome(fn, *args):
+    """Every output and every array argument after the call, or the type
+    of what was raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    out = out if isinstance(out, tuple) else (out,)
+    return [*out, *(a for a in args if isinstance(a, np.ndarray))]
+
+
+def _assert_same(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+_GRIDS = dict(
+    seed=st.integers(0, 10_000),
+    nx=st.integers(1, 14),
+    ny=st.integers(1, 14),
+    holes=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    box=st.sampled_from(sorted(floor.BOXES)),
+)
+
+
+@needs_native
+class TestWaferStepKernels:
+    """Native == numpy, bitwise, on random holed grids."""
+
+    @given(**_GRIDS, skin=st.sampled_from([0.0, 0.2, 1.0]),
+           flip=st.booleans(), nan=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_list_valid(self, seed, nx, ny, holes, box, skin, flip, nan):
+        rng, held, occ, _, _ = _wafer_grid(seed, nx, ny, holes, box)
+        pos = held + np.where(occ[..., None],
+                              rng.normal(0.0, 0.2, held.shape), 0.0)
+        now = occ.copy()
+        if flip:
+            now[rng.integers(nx), rng.integers(ny)] ^= True
+        if nan:
+            pos[rng.integers(nx), rng.integers(ny), rng.integers(3)] = np.nan
+        args = (pos, now, held, occ, (0.5 * skin) ** 2)
+        want = numpy_backend.list_valid(*args)
+        assert native_backend.list_valid(*args) is want
+        if flip or nan:
+            assert want is False
+
+    @given(**_GRIDS, reach=st.sampled_from([0.0, 2.0, 3.6, 40.0]),
+           b=st.integers(1, 4), chunk=st.sampled_from([1, 3, 0]))
+    @settings(max_examples=200, deadline=None)
+    def test_list_chunk(self, seed, nx, ny, holes, box, reach, b, chunk):
+        _, pos, occ, lengths, periodic = _wafer_grid(seed, nx, ny, holes, box)
+        offsets = np.array([(dx, dy) for dx in range(-b, b + 1)
+                            for dy in range(-b, b + 1) if (dx, dy) != (0, 0)])
+        step = chunk or len(offsets)
+        for start in range(0, len(offsets), step):
+            part = offsets[start:start + step]
+            want, got = (
+                _outcome(side.list_chunk, pos, occ, part, lengths, periodic,
+                         reach * reach, np.zeros((nx, ny), dtype=np.int32))
+                for side in (numpy_backend, native_backend)
+            )
+            _assert_same(got, want)
+
+    @given(**_GRIDS, n_types=st.integers(1, 3),
+           dt=st.sampled_from([0.002, 0.01]),
+           poison=st.sampled_from([None, np.nan, np.inf]))
+    @settings(max_examples=200, deadline=None)
+    def test_wafer_integrate(self, seed, nx, ny, holes, box, n_types, dt,
+                             poison):
+        rng, pos, occ, _, _ = _wafer_grid(seed, nx, ny, holes, box)
+        rows, occ = pos.reshape(-1, 3), occ.ravel()
+        vel = rng.normal(size=rows.shape) * occ[:, None]
+        force = rng.normal(size=rows.shape) * 5.0
+        if poison is not None:
+            force[rng.integers(len(force)), rng.integers(3)] = poison
+        typ = rng.integers(0, n_types, len(occ)) * occ
+        masses = rng.uniform(10.0, 200.0, n_types)
+        want, got = (
+            _outcome(side.wafer_integrate, rows.copy(), vel.copy(), force,
+                     occ, typ, masses, dt)
+            for side in (numpy_backend, native_backend)
+        )
+        _assert_same(got, want)
+
+    @given(**_GRIDS, jitter=st.sampled_from([None, 1e-3, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_wafer_cycles(self, seed, nx, ny, holes, box, jitter):
+        rng, _, occ, _, _ = _wafer_grid(seed, nx, ny, holes, box)
+        occ = occ.ravel()
+        n_cand, n_int = rng.integers(0, 400, (2, len(occ)))
+        extra = () if jitter is None else (rng.normal(size=len(occ)), jitter)
+        args = (occ, n_cand, n_int, 412.0, 24.18, 64.91, 521.8, *extra)
+        _assert_same(_outcome(native_backend.wafer_cycles, *args),
+                     _outcome(numpy_backend.wafer_cycles, *args))
+
+    def test_clean_input_runs_in_c(self, no_declines):
+        rng, pos, occ, lengths, periodic = _wafer_grid(3, 12, 9, 0.1, "mixed")
+        offsets = np.array([[1, 0], [0, 1], [2, -1]])
+        native_backend.list_valid(pos, occ, pos.copy(), occ.copy(), 0.01)
+        native_backend.list_chunk(pos, occ, offsets, lengths, periodic, 9.0,
+                                  np.zeros(occ.shape, dtype=np.int32))
+        rows, flat = pos.reshape(-1, 3), occ.ravel()
+        native_backend.wafer_integrate(
+            rows, np.zeros_like(rows), rng.normal(size=rows.shape), flat,
+            np.zeros(len(flat), dtype=np.int64), np.array([180.9]), 0.002,
+        )
+        counts = np.ones((2, len(flat)), dtype=np.int64)
+        native_backend.wafer_cycles(flat, *counts, 1.0, 2.0, 3.0, 4.0)
+
+    def test_probe_covers_every_kernel(self):
+        assert set(native_backend._expected()) == set(kernels.KERNEL_FUNCTIONS)
+
+    def test_type_outside_the_mass_table_writes_nothing(self):
+        """The C loop checks every occupied tile's type first, so the
+        numpy body that raises starts from the untouched grids."""
+        rng, pos, occ, _, _ = _wafer_grid(4, 6, 6, 0.0, "open")
+        rows, vel = pos.reshape(-1, 3).copy(), np.ones((36, 3))
+        typ = np.zeros(36, dtype=np.int64)
+        typ[-1] = 2
+        before = rows.copy()
+        with pytest.raises(IndexError):
+            native_backend.wafer_integrate(rows, vel, np.ones((36, 3)),
+                                           occ.ravel(), typ,
+                                           np.array([180.9, 50.0]), 0.002)
+        assert np.array_equal(rows, before) and (vel == 1.0).all()
+
+
+def _wafer_engine(backend, **spec):
+    from repro.runtime import RunSpec, build_engine
+
+    return build_engine(RunSpec(
+        element="Ta", reps=(6, 6, 2), engine="wse", seed=3, backend=backend,
+        **spec,
+    ))
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_nan_force_raises_naming_the_step(backend, monkeypatch):
+    engine = _wafer_engine(backend)
+    engine.step(3)
+    sim = engine.sim
+    honest = sim._force_sweep
+
+    def poisoned(f_der, **kw):
+        force, e_pair, n = honest(f_der, **kw)
+        x, y = np.argwhere(sim.occ)[0]
+        force[x, y, 2] = np.nan
+        return force, e_pair, n
+
+    monkeypatch.setattr(sim, "_force_sweep", poisoned)
+    with pytest.raises(FloatingPointError, match="after step 4"):
+        engine.step(1)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_list_valid_false_on_nan_and_on_an_occupancy_flip(backend):
+    sim = _wafer_engine(backend).sim  # the spec's backend is now active
+    tier = kernels.active_backend()
+    held = sim.pos.copy(), sim.occ.copy()
+    assert tier.list_valid(sim.pos, sim.occ, *held, 0.0625)
+    x, y = np.argwhere(sim.occ)[0]
+    sim.pos[x, y, 0] = np.nan
+    assert tier.list_valid(sim.pos, sim.occ, *held, 0.0625) is False
+    sim.pos[x, y, 0] = held[0][x, y, 0]
+    sim.occ[x, y] = False
+    assert tier.list_valid(sim.pos, sim.occ, *held, 0.0625) is False
+
+
+@needs_native
+def test_float32_wafer_declines_with_unchanged_digests():
+    """Every wafer kernel native.c cannot read in float32 goes to numpy:
+    the run ends on the numpy tier's digests.  (A RunSpec has no dtype,
+    so the machines are built directly.)"""
+    from repro.core.wse_md import WseMd
+    from repro.potentials.elements import make_element_potential
+    from tests.conftest import small_slab_state
+
+    shas = []
+    for backend in ("numpy", "native"):
+        kernels.set_backend(backend)
+        before = native_backend.declined
+        sim = WseMd(small_slab_state(reps=(6, 6, 2), temperature=600.0),
+                    make_element_potential("Ta"), dtype=np.float32,
+                    swap_interval=4, force_symmetry=True)
+        sim.step(12)
+        state = sim.gather_state()
+        shas.append(hashlib.sha256(state.positions.tobytes()
+                                   + state.velocities.tobytes()).hexdigest())
+        if backend == "native":
+            # per step at least: the density sweep, the force sweep and
+            # the leap-frog (the list kernels on top)
+            assert native_backend.declined - before >= 12 * 3
+    assert shas[0] == shas[1]
 
 
 # -- whole trajectories ---------------------------------------------------------

@@ -114,6 +114,16 @@ class TestCaseTable:
         for name in ("wse-Ta", "wse-Ta-100k", "wse-Ta-800k"):
             assert BY_NAME[name].spec.backend == "native"
 
+    def test_lockstep_scaling_cases_are_best_of_three_past_the_build(self):
+        # one window after one warm-up step read whatever the case timed
+        # before it left behind (7.8-21.8 steps/s on the 100k case)
+        for name in ("wse-Ta-100k", "wse-Ta-800k"):
+            case = BY_NAME[name]
+            assert case.windows == 3, name
+            assert min(case.warmup) >= 2, name  # past the set-up build
+        assert BY_NAME["wse-Ta-800k"].spec.steps == 6
+        assert all(case.windows == 3 for case in CASES)
+
 
 class TestCompare:
     def test_within_allowance_passes(self):
