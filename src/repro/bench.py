@@ -216,6 +216,8 @@ def _case_extra(engine: str, telemetry) -> dict:
         # streaming-sweep knobs, so the memory/speed trajectory in the
         # history is auditable (chunk is the resolved, auto-sized value)
         "offset_chunk": int(c["offset_chunk"]),
+        # how many CPUs the native sweeps ran on (derived, not a knob)
+        "sweep_threads": int(c["sweep_threads"]),
         # how many of the window's sweeps rebuilt the Verlet list: a
         # short window can hold none, and then reads the reuse rate
         "list_builds": int(c["list_builds"]),
@@ -277,7 +279,11 @@ def run_case(case: BenchCase, *, quick: bool = False,
     try:
         engine = build_engine(spec)
         try:
-            engine.step(case.warmup[1 if quick else 0])
+            # the first step builds the wafer's Verlet list: timed alone
+            t0 = time.perf_counter()
+            engine.step(1)
+            first_step_s = time.perf_counter() - t0
+            engine.step(case.warmup[1 if quick else 0] - 1)
             # every window re-times the same steady-state workload; the
             # engine keeps running, so later windows span the same
             # rebuild cadence as the first
@@ -298,6 +304,8 @@ def run_case(case: BenchCase, *, quick: bool = False,
         extra["window_steps_per_s"] = [
             round(w.steps_per_s, 3) for w in windows
         ]
+    if spec.engine == "wse":
+        extra["build_step_s"] = round(first_step_s, 4)
     extra["kernel_backend"] = kernel_backend
     extra["compile_s"] = round(compile_s, 4)
     peak = peak_rss_bytes()

@@ -163,8 +163,11 @@ def _report_run(runner, spec) -> int:
         out = engine.state
         if n > 0:
             cand, inter = sim.mean_counts()
+            threads = sim.sweep_threads
             print(f"after {n} steps: T={out.temperature():.0f} K, "
-                  f"mean work {cand:.0f} cand / {inter:.1f} int per atom")
+                  f"mean work {cand:.0f} cand / {inter:.1f} int per atom "
+                  f"({active_backend_name()} kernels, {threads} sweep "
+                  f"thread{'s' if threads > 1 else ''})")
             print(f"modeled WSE-2 rate: "
                   f"{sim.measured_rate():,.0f} timesteps/s")
         else:

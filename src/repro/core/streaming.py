@@ -30,7 +30,9 @@ This module owns the validity *policy* (when a list exists to test, what
 the skin allows), the chunking and the record plumbing; the arithmetic
 of the list and of both sweeps lives behind the four kernels (whose
 numpy bodies are the code that used to live here), so the wafer runs on
-whichever tier the registry has active.
+whichever tier the registry has active.  The native tier runs the list
+build and both sweeps on every usable CPU at the same bits;
+:attr:`StreamingSweeps.threads` says how many the last step used.
 
 Validity is decided from values alone, so nothing has to tell the
 sweeps about an atom swap, a restored checkpoint or a caller writing
@@ -243,6 +245,9 @@ class StreamingSweeps:
         self._records: deque[SurvivorRecord] | None = None
         #: the list carried across steps (None: next density builds)
         self._list: _SkinList | None = None
+        #: the most threads a kernel call of the last density sweep and
+        #: the force sweep after it ran on (1 on a tier without threads)
+        self.threads = 1
 
     def record_bytes(self) -> int:
         """Bytes of survivor records awaiting the force sweep (0
@@ -291,6 +296,7 @@ class StreamingSweeps:
             self._list = None  # a build that raises leaves no list
             chunks, cand = [], np.zeros((self.nx, self.ny), dtype=np.int32)
         t_build = 0.0
+        self.threads = 1
         for k, offsets in enumerate(self._chunks):
             if not reused:
                 t0 = time.perf_counter()
@@ -299,11 +305,13 @@ class StreamingSweeps:
                     self._reach2, cand,
                 ))
                 t_build += time.perf_counter() - t0
+                self._count_threads(kernels)
             record = SurvivorRecord(*kernels.density_chunk(
                 pos_rows, chunks[k], self.lengths, self.periodic,
                 self.cutoff, typ_flat, grouped.rho.bank(),
                 grouped.phi_index, self.force_symmetry, rho_flat, int_flat,
             ))
+            self._count_threads(kernels)
             calls.inc()
             if len(record.r):
                 records.append(record)
@@ -333,7 +341,7 @@ class StreamingSweeps:
                 "records are consumed by the first force sweep after "
                 "each density sweep"
             )
-        kernel = active_backend().force_chunk
+        kernels = active_backend()
         calls = metrics().counter("kernels.force_chunk.calls")
         phi_bank = self.tables.grouped().phi.bank()
         fder_flat = _flat(f_der)
@@ -343,7 +351,12 @@ class StreamingSweeps:
         while records:
             record = records.popleft()
             n_pts += len(record.r)
-            kernel(record, fder_flat, phi_bank, self.force_symmetry,
-                   force_rows, e_flat)
+            kernels.force_chunk(record, fder_flat, phi_bank,
+                                self.force_symmetry, force_rows, e_flat)
+            self._count_threads(kernels)
             calls.inc()
         return n_pts
+
+    def _count_threads(self, kernels) -> None:
+        """Fold in the threads the tier's last kernel call ran on."""
+        self.threads = max(self.threads, getattr(kernels, "threads", 1))

@@ -254,6 +254,11 @@ class WseMd:
         """The resolved streaming chunk (auto-sized when 0 was passed)."""
         return self._sweeps.chunk
 
+    @property
+    def sweep_threads(self) -> int:
+        """The most threads a sweep kernel of the last step ran on."""
+        return self._sweeps.threads
+
     # -- the five-step timestep ------------------------------------------------
 
     def _density_sweep(self):
@@ -453,9 +458,8 @@ class WseMd:
         state = self.gather_state()
         from repro.md.neighbor_list import NeighborList
 
-        pairs = NeighborList(self.box, self.potential.cutoff, skin=0.0).pairs(
-            state.positions
-        )
+        nl = NeighborList(self.box, self.potential.cutoff, skin=0.0)
+        pairs = nl.pairs(state.positions)
         order = np.argsort(self.aid[self.occ])
         fx, fy = np.nonzero(self.occ)
         cx, cy = fx[order], fy[order]
@@ -484,9 +488,8 @@ class WseMd:
 
     def mean_counts(self) -> tuple[float, float]:
         """Mean (candidates, interactions) per occupied tile, last step."""
-        occ = self.occ
-        return (float(self.last_candidates[occ].mean()),
-                float(self.last_interactions[occ].mean()))
+        return (float(self.last_candidates[self.occ].mean()),
+                float(self.last_interactions[self.occ].mean()))
 
     def measured_rate(self) -> float:
         """Timesteps/second implied by the recorded cycle trace."""

@@ -18,7 +18,9 @@ cycle counter:
 
 A tier is what each core executes, not how atoms are laid out: domain
 sharding is an option of :class:`~repro.md.simulation.Simulation`,
-whose ranks run the tier their parent had active.
+whose ranks run the tier their parent had active.  :func:`usable_cpus`
+is the one count of CPUs both read: the native tier sizes its sweep
+threads by it, the sharded engine its default rank count.
 
 Selection: an explicit :func:`set_backend` call, else
 :data:`DEFAULT_BACKEND`.  A backend that is unknown or cannot load — no
@@ -31,6 +33,7 @@ for, and never for ``numpy``.
 
 from __future__ import annotations
 
+import os
 import warnings
 from importlib import import_module
 from types import ModuleType, SimpleNamespace
@@ -46,6 +49,7 @@ __all__ = [
     "active_backend_name",
     "backend_status",
     "reset_warnings",
+    "usable_cpus",
 ]
 
 #: The interface every backend provides; one missing is a malformed
@@ -77,6 +81,22 @@ _resolved: dict[str, ModuleType | SimpleNamespace] = {}
 #: Backend names whose fallback warning has already been emitted: a
 #: campaign calling ``set_backend`` per run warns once per name.
 _warned_fallbacks: set[str] = set()
+
+
+def _affinity() -> list[int]:
+    """The CPUs this process may run on ([] where the platform has no
+    affinity mask)."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-linux
+        return []
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask (a
+    cpuset can be smaller than the machine), else the machine's count;
+    never less than 1."""
+    return len(_affinity()) or os.cpu_count() or 1
 
 
 def reset_warnings() -> None:

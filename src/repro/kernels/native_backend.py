@@ -7,6 +7,10 @@ PAPERS.md) — with outputs **bitwise** those of the numpy body of the
 same name (``native.c``'s header lists the four places that is easy to
 lose).  With all ten kernels native, a lockstep wafer step runs in C
 from the list test to the cycle counter, and Python only sequences it.
+The list build and both sweeps run on one thread per usable CPU, each
+thread adding only into the tiles of the owner block it holds, so the
+bits do not depend on the thread count (``native.c``, "owner blocks");
+the count is derived (:func:`_sweep_threads`), never configured.
 The numpy tier stays the definition; this one may only be faster.
 
 :func:`load`, called by the registry the first time the tier is asked
@@ -42,19 +46,32 @@ from pathlib import Path
 import numpy as np
 
 from repro.constants import MVV2E
-from repro.kernels import KERNEL_FUNCTIONS, numpy_backend
+from repro.kernels import KERNEL_FUNCTIONS, numpy_backend, usable_cpus
 
 name = "native"
 
 SOURCE = Path(__file__).with_name("native.c")
 #: No fast-math and no FMA contraction: bitwise is the contract.
-FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-pthread", "-shared",
+         "-fPIC")
 COMPILERS = ("cc", "gcc", "clang")
+
+#: Listed rows (for the list build: candidate tiles) each sweep thread
+#: must have.  A thread costs a call ~30 us (create, gate, join; 2-vCPU
+#: host) and a row ~19 ns of ``force_chunk`` (~25 of ``density_chunk``),
+#: so this many rows, ~0.6 ms, keep it under 5% (DESIGN.md §5b).
+ROWS_PER_THREAD = 32_768
+#: Owner blocks per sweep thread: claimed, not dealt, so a CPU the host
+#: runs slower claims fewer (DESIGN.md §5b).
+BLOCKS_PER_THREAD = 4
 
 #: Seconds :func:`load` spent in the compiler (0.0 on a warm cache).
 compile_s = 0.0
 #: Calls declined to the numpy bodies since import.
 declined = 0
+#: Threads the last ``list_chunk``, ``density_chunk`` or ``force_chunk``
+#: call swept on; 1 after a call that declined.
+threads = 1
 
 _lib = None
 _F8, _I8, _I4 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int32)
@@ -145,11 +162,12 @@ def _kernel(body):
 
     @functools.wraps(fallback)
     def kernel(*args, **kwargs):
-        global declined
+        global declined, threads
         try:
             return body(*args, **kwargs)
         except _Decline:
             declined += 1
+            threads = 1
             return fallback(*args, **kwargs)
 
     return kernel
@@ -186,9 +204,9 @@ _SIGNATURES = {
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
     "list_valid": "PPPPid",
-    "list_chunk": "PPiiPiPPdPPPP",
-    "density_chunk": "PiPiPPPPdPBPiPPPPPPPPPPP",
-    "force_chunk": "PiPPPPPPPiBPiiPPPP",
+    "list_chunk": "PPiiPiPPdPPPPPiP",
+    "density_chunk": "PiPiPPPPdPBPiPPPPPPPPPPPiPiP",
+    "force_chunk": "PiPPPPPPPiBPiiPPPPiiP",
     "wafer_integrate": "PPPPPiPidd",
     "wafer_cycles": "PPPiddddPdPPP",
 }
@@ -255,6 +273,36 @@ def _shrink(kept: int, *arrays) -> None:
     place: the tail pages native.c never touched were never resident."""
     for a in arrays:
         a.resize((kept, *a.shape[1:]), refcheck=False)
+
+
+def _sweep_threads(rows: int) -> int:
+    """Threads for a call over ``rows`` listed rows: one per CPU this
+    process may run on, none with fewer than :data:`ROWS_PER_THREAD`
+    rows.  Derived, never configured; tests replace it to force a
+    count."""
+    return max(1, min(usable_cpus(), rows // ROWS_PER_THREAD))
+
+
+def _plan(rows: int) -> tuple[int, int]:
+    """``(threads, owner blocks)`` for a call over ``rows`` rows."""
+    asked = _sweep_threads(rows)
+    return asked, 1 if asked == 1 else BLOCKS_PER_THREAD * asked
+
+
+def _segments(n_off: int, blocks: int) -> np.ndarray:
+    """Scratch for the (first row, rows) of every (offset, block)."""
+    return np.empty(2 * n_off * blocks, dtype=_I8)
+
+
+def _swept(fn: str, asked: int, *args) -> int:
+    """:func:`_c` for a kernel that sweeps in owner blocks; its last
+    argument, appended here, is the thread count: ``asked`` in, the
+    threads that swept out (kept in :data:`threads`)."""
+    global threads
+    swept = np.array([asked])
+    done = _c(fn, *args, swept)
+    threads = int(swept[0])
+    return done
 
 
 # -- the ten kernels (signatures and contracts: numpy_backend) ---------------
@@ -342,9 +390,12 @@ def list_chunk(pos, occ, offsets, lengths, periodic, reach2, n_cand):
                 for dx, dy in offsets.tolist())
     starts = np.empty(len(offsets) + 1, dtype=_I4)
     ctr, src = np.empty(bound, dtype=_I4), np.empty(bound, dtype=_I4)
-    listed = _c("list_chunk", pos, occ, nx, ny, offsets, len(offsets),
-                *_box(lengths, periodic), float(reach2), n_cand, starts,
-                ctr, src)
+    asked, blocks = _plan(bound)
+    listed = _swept(
+        "list_chunk", asked, pos, occ, nx, ny, offsets, len(offsets),
+        *_box(lengths, periodic), float(reach2), n_cand, starts, ctr, src,
+        _segments(len(offsets), blocks), blocks,
+    )
     _shrink(listed, ctr, src)
     return starts, ctr, src
 
@@ -370,11 +421,15 @@ def density_chunk(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
     o_ctr, o_src = np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
     o_r, o_unit, d_src = np.empty(n), np.empty((n, 3)), np.empty(n)
     extra = () if single else (np.empty(n), np.empty(n, dtype=_I8))
-    kept = _c("density_chunk", pos_rows, n_tiles, starts, len(starts) - 1,
-              ctr, src, *_box(lengths, periodic), float(cutoff**2), typ_flat,
-              bank, phi_index, bool(symmetry), rho_flat, int_flat, o_starts,
-              o_ctr, o_src, o_r, o_unit, d_src, *(extra or (None, None)),
-              np.empty(rows))
+    asked, blocks = _plan(n)
+    kept = _swept(
+        "density_chunk", asked, pos_rows, n_tiles, starts, len(starts) - 1,
+        ctr, src, *_box(lengths, periodic), float(cutoff**2), typ_flat, bank,
+        phi_index, bool(symmetry), rho_flat, int_flat, o_starts, o_ctr, o_src,
+        o_r, o_unit, d_src, *(extra or (None, None)),
+        np.empty((asked, rows)), rows, _segments(len(starts) - 1, blocks),
+        blocks,
+    )
     _shrink(kept, o_ctr, o_src, o_r, o_unit, d_src, *extra)
     d_ctr, member = extra or (d_src, 0)
     return o_starts, o_ctr, o_src, o_r, o_unit, d_src, d_ctr, member
@@ -391,9 +446,11 @@ def force_chunk(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
         _arr(e_flat, _F8, n_tiles)
         e_both = np.zeros(n_tiles) if symmetry else None
     rows = _rows(_arr(starts, _I8, -1), n)
-    _c("force_chunk", starts, len(starts) - 1, ctr, src, r, unit, d_src,
-       d_ctr, *_member(member, n), _bank(phi_bank), f_der, n_tiles,
-       bool(symmetry), force_rows, e_flat, e_both, np.empty((rows, 3)))
+    asked, blocks = _plan(n)
+    _swept("force_chunk", asked, starts, len(starts) - 1, ctr, src, r, unit,
+           d_src, d_ctr, *_member(member, n), _bank(phi_bank), f_der,
+           n_tiles, bool(symmetry), force_rows, e_flat, e_both,
+           np.empty((asked, rows, 3)), rows, blocks)
 
 
 @_kernel

@@ -107,7 +107,7 @@ class Histogram:
         if arr.size == 0:
             return
         self.observe_moments(
-            arr.size, float(arr.sum()), float(np.dot(arr, arr)),
+            arr.size, float(arr.sum()), float(np.einsum("i,i", arr, arr)),
             float(arr.min()), float(arr.max()),
         )
 

@@ -40,6 +40,8 @@ import time
 
 import numpy as np
 
+# the CPU count lives with the kernels, which size their threads by it
+from repro.kernels import _affinity, usable_cpus
 from repro.parallel.shm import SharedArena
 
 __all__ = [
@@ -79,22 +81,6 @@ class WorkerLost(RuntimeError):
 def fork_available() -> bool:
     """Whether this platform supports the fork start method."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _affinity() -> list[int]:
-    """The CPUs this process may run on ([] where the platform has no
-    affinity mask)."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-linux
-        return []
-
-
-def usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity mask (a
-    cpuset can be smaller than the machine), else the machine's count;
-    never less than 1."""
-    return len(_affinity()) or os.cpu_count() or 1
 
 
 # -- the worker protocol (transport-independent) ---------------------------

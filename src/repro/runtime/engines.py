@@ -309,6 +309,7 @@ class WseEngine:
             "b": sim.b,
             "swap_count": sim.swap_count,
             "offset_chunk": sim.effective_offset_chunk,
+            "sweep_threads": sim.sweep_threads,
             "list_builds": sim.list_builds,
             "list_reuse_ratio": sim.list_reuses
             / max(sim.list_builds + sim.list_reuses, 1),

@@ -290,9 +290,8 @@ class RunSpec:
         if self.engine == "wse" and self.workers:
             raise SpecError(
                 f"workers={self.workers} requires engine='reference': "
-                "the wse offset-dispatch pool was removed because it "
-                "did not beat the serial sweeps (EXPERIMENTS.md, "
-                "issue 16)"
+                "the wse engine sizes its sweep threads itself, one per "
+                "usable CPU (DESIGN.md §5b)"
             )
         layout = [n for n in ("workers", "topology", "transport")
                   if getattr(self, n)]

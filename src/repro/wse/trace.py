@@ -104,7 +104,10 @@ class CycleTrace:
             self._interactions.append(
                 self._tile_array(n_interactions, np.int32)
             )
-        total, sum_sq = float(arr.sum()), float(np.dot(arr, arr))
+        # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's
+        # worker, which then spins on the other CPU through the next
+        # step's sweep threads
+        total, sum_sq = float(arr.sum()), float(np.einsum("i,i", arr, arr))
         lo, hi = float(arr.min()), float(arr.max())
         self._steps.append(arr)
         self._step_max.append(hi)

@@ -2,8 +2,9 @@
 
 Every value below was recorded *before* the lockstep step's integrate,
 cycle accounting, list validity and list build moved behind the kernel
-registry, and must hold unedited on ``numpy`` and on ``native``: the
-SHA-256 of the id-ordered positions and velocities, and of the
+registry, and must hold unedited on ``numpy`` and on ``native`` -- there
+also with the list build and both sweeps forced onto one thread and
+onto two: the SHA-256 of the id-ordered positions and velocities, and of the
 ``CycleTrace`` planes (cycles, candidate and interaction counts) of
 the retained window, plus the modeled rate, the candidates per atom
 and the number of list builds.  Every case builds its list at least
@@ -155,3 +156,17 @@ def test_wafer_trajectory_pinned(case, backend):
     got = pinned_values(case, backend)
     assert got == PINS[case]
     assert got[4] == STEPS if case == "skin0" else got[4] >= 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_wafer_trajectory_pinned_on_forced_sweep_threads(
+    case, threads, monkeypatch
+):
+    if kernels.backend_status()["native"] != "ok":
+        pytest.skip("native tier unavailable on this host")
+    from repro.kernels import native_backend
+
+    monkeypatch.setattr(native_backend, "_sweep_threads", lambda rows: threads)
+    assert pinned_values(case, "native") == PINS[case]
+    assert native_backend.threads == threads

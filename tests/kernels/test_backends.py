@@ -1,5 +1,7 @@
 """Backend registry + numpy kernel correctness tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,24 @@ class TestRegistry:
         monkeypatch.setattr(kernels, "_active_name", None)
         expected = "native" if backend_status()["native"] == "ok" else "numpy"
         assert active_backend_name() == expected
+
+    def test_cpu_count_lives_with_the_kernels(self):
+        """The native sweeps and the sharded engine size themselves by
+        one ``usable_cpus``, which the kernels layer owns: loading a
+        tier never imports ``repro.parallel``, which re-exports it."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.kernels as k\n"
+            "k.active_backend()\n"
+            "assert not [m for m in sys.modules\n"
+            "            if m.startswith('repro.parallel')]\n"
+            "import repro.parallel as p, repro.parallel.transport as t\n"
+            "assert p.usable_cpus is t.usable_cpus is k.usable_cpus\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": ":".join(sys.path)})
 
     def test_registry_holds_kernel_tiers_only(self):
         """Sharding is an engine option (``Simulation(workers=...)``,

@@ -16,6 +16,7 @@ The build-path tests run against a private cache directory
 process state would otherwise leak between cases.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -375,6 +376,192 @@ class TestWaferStepKernels:
                                            occ.ravel(), typ,
                                            np.array([180.9, 50.0]), 0.002)
         assert np.array_equal(rows, before) and (vel == 1.0).all()
+
+
+# -- the list build and both sweeps on several threads -----------------------
+
+
+THREADS = (1, 2, 3, 7)
+
+
+@contextlib.contextmanager
+def forced_threads(n):
+    """The native wrapper's thread count forced to ``n``: the test seam
+    of a derived value, not an option."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native_backend, "_sweep_threads", lambda rows: n)
+        yield
+
+
+def _threaded_case(seed, nx, ny, holes, box, b, symmetry, n_members, jitter):
+    """A holed grid whose list is built at ``held`` and swept at ``pos``
+    (``jitter`` moves the occupied tiles, so some listed rows miss the
+    exact cut and their segments leave gaps), with the engine's
+    offsets: the whole neighbourhood, or its half under symmetry
+    (negative dx included either way)."""
+    rng, held, occ, lengths, periodic = _wafer_grid(seed, nx, ny, holes, box)
+    pos = held + np.where(occ[..., None],
+                          rng.normal(0.0, jitter, held.shape), 0.0)
+    offsets = np.array([
+        (dx, dy) for dx in range(-b, b + 1) for dy in range(-b, b + 1)
+        if (dx, dy) != (0, 0)
+        and (not symmetry or dy > 0 or (dy == 0 and dx > 0))
+    ])
+    rho = floor._group(rng, n_members, "linear", True)
+    n_phi = n_members * (n_members + 1) // 2
+    phi = floor._group(rng, n_phi, "linear", True)
+    phi_index = np.zeros((n_members, n_members), dtype=np.int64)
+    phi_index[np.triu_indices(n_members)] = np.arange(n_phi)
+    phi_index = np.maximum(phi_index, phi_index.T)
+    typ = rng.integers(0, n_members, occ.size)
+    f_der = rng.normal(size=occ.size)
+    return (held, pos, occ, lengths, periodic, offsets, typ, rho, phi,
+            phi_index, f_der)
+
+
+def _list_and_sweeps(backend, case, chunk, cutoff, skin, symmetry, energy):
+    """Build the list chunk by chunk, then both sweeps over it, through
+    ``backend``: every output and accumulator, and the threads each
+    native call ran on."""
+    (held, pos, occ, lengths, periodic, offsets, typ, rho, phi, phi_index,
+     f_der) = case
+    n = occ.size
+    n_cand = np.zeros(occ.shape, dtype=np.int32)
+    rho_flat, int_flat = np.zeros(n), np.zeros(n, dtype=np.int64)
+    force, e_flat = np.zeros((n, 3)), np.zeros(n) if energy else None
+    out, threads = [], []
+    for start in range(0, len(offsets), chunk or len(offsets)):
+        part = offsets[start:start + (chunk or len(offsets))]
+        listed = backend.list_chunk(held, occ, part, lengths, periodic,
+                                    (cutoff + skin) ** 2, n_cand)
+        threads.append(getattr(backend, "threads", 1))
+        record = backend.density_chunk(
+            pos.reshape(-1, 3), listed, lengths, periodic, cutoff, typ,
+            rho.bank(), phi_index, symmetry, rho_flat, int_flat,
+        )
+        threads.append(getattr(backend, "threads", 1))
+        backend.force_chunk(record, f_der, phi.bank(), symmetry, force,
+                            e_flat)
+        threads.append(getattr(backend, "threads", 1))
+        out += [*listed, *record]
+    out += [n_cand, rho_flat, int_flat, force]
+    return out + ([e_flat] if energy else []), threads
+
+
+def _tasks() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_native
+class TestSweepThreads:
+    """Every thread count is bitwise the numpy body: each tile is owned
+    by one thread at a time and sees its additions in the same order."""
+
+    @given(**_GRIDS, b=st.integers(1, 3), symmetry=st.booleans(),
+           n_members=st.sampled_from([1, 2]),
+           chunk=st.sampled_from([1, 3, 0]),
+           skin=st.sampled_from([0.0, 0.4]),
+           jitter=st.sampled_from([0.0, 0.15]), energy=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_every_thread_count_is_the_numpy_body(
+        self, seed, nx, ny, holes, box, b, symmetry, n_members, chunk, skin,
+        jitter, energy,
+    ):
+        case = _threaded_case(seed, nx, ny, holes, box, b, symmetry,
+                              n_members, jitter)
+        want, _ = _list_and_sweeps(numpy_backend, case, chunk, 2.6, skin,
+                                   symmetry, energy)
+        for n in THREADS:
+            with forced_threads(n):
+                got, threads = _list_and_sweeps(native_backend, case, chunk,
+                                                2.6, skin, symmetry, energy)
+            assert threads == [n] * len(threads)
+            _assert_same(got, want)
+
+    def test_segments_with_gaps_close_on_every_thread_count(self):
+        """A jittered 40 x 40 slab: rows the exact cut drops leave gaps
+        the fix-up closes (more listed than kept), bitwise."""
+        case = _threaded_case(9, 40, 40, 0.05, "periodic", 2, True, 2, 0.15)
+        want, _ = _list_and_sweeps(numpy_backend, case, 3, 2.6, 0.4, True,
+                                   True)
+        starts, kept = want[3], want[4]  # the first chunk's record
+        assert len(kept) < len(want[1])
+        assert starts[-1] == len(kept)
+        for n in THREADS:
+            with forced_threads(n):
+                got, _ = _list_and_sweeps(native_backend, case, 3, 2.6, 0.4,
+                                          True, True)
+            _assert_same(got, want)
+
+    def test_rows_out_of_order_run_on_one_thread(self):
+        case = _wafer_case(5, n_tiles=60, n_off=4, n_members=2, box="mixed")
+        want = _both_sweeps(numpy_backend, case, 3.0, True, True)
+        with forced_threads(2):
+            got = _both_sweeps(native_backend, case, 3.0, True, True)
+        assert native_backend.threads == 1
+        _assert_same(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_bad_index_declines_before_any_write(self, n):
+        """The last row is checked by the last thread, and no thread
+        writes until every thread's check has passed."""
+        pos, (starts, ctr, src), lengths, periodic, typ, rho, phi, \
+            phi_index, f_der = _wafer_case(7, n_tiles=40, n_off=3,
+                                           n_members=1, box="open")
+        rho_flat, int_flat = np.zeros(40), np.zeros(40, dtype=np.int64)
+        record = numpy_backend.density_chunk(
+            pos, (starts, ctr, src), lengths, periodic, 50.0, typ,
+            rho.bank(), phi_index, True, rho_flat, int_flat,
+        )
+        rho_flat[:], int_flat[:] = 0.0, 0
+        src = src.copy()
+        src[-1] = ctr[-1] = 40 + 3
+        record[1][-1] = 40 + 3  # the record's last centre tile
+        force = np.zeros((40, 3))
+        before = native_backend.declined
+        with forced_threads(n), pytest.raises(IndexError):
+            native_backend.density_chunk(
+                pos, (starts, ctr, src), lengths, periodic, 3.0, typ,
+                rho.bank(), phi_index, True, rho_flat, int_flat,
+            )
+        with forced_threads(n), pytest.raises(IndexError):
+            native_backend.force_chunk(record, f_der, phi.bank(), True, force)
+        assert native_backend.declined == before + 2
+        assert not rho_flat.any() and not int_flat.any() and not force.any()
+
+    def test_nan_geometry_is_cut_as_numpy_cuts_it(self):
+        case = list(_threaded_case(3, 30, 30, 0.0, "mixed", 2, True, 1, 0.1))
+        x, y = np.argwhere(case[2])[len(case[2]) // 2]
+        case[1] = case[1].copy()
+        case[1][x, y, 1] = np.nan
+        want, _ = _list_and_sweeps(numpy_backend, case, 0, 2.6, 0.4, True,
+                                   True)
+        with forced_threads(2):
+            got, threads = _list_and_sweeps(native_backend, case, 0, 2.6,
+                                            0.4, True, True)
+        assert set(threads) == {2}
+        _assert_same(got, want)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads through /proc")
+    def test_no_thread_outlives_a_call(self):
+        case = _threaded_case(1, 30, 30, 0.1, "periodic", 2, True, 1, 0.1)
+        before = _tasks()
+        with forced_threads(3):
+            _, threads = _list_and_sweeps(native_backend, case, 0, 2.6, 0.4,
+                                          True, False)
+        assert set(threads) == {3}
+        assert _tasks() == before
+
+    def test_thread_count_is_derived_from_cpus_and_rows(self, monkeypatch):
+        rows = native_backend.ROWS_PER_THREAD
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")  # not read
+        monkeypatch.setattr(native_backend, "usable_cpus", lambda: 4)
+        threads = native_backend._sweep_threads
+        assert [threads(0), threads(rows - 1), threads(2 * rows),
+                threads(3 * rows + 1), threads(100 * rows)] == [1, 1, 2, 3, 4]
+        monkeypatch.setattr(native_backend, "usable_cpus", lambda: 1)
+        assert threads(100 * rows) == 1
 
 
 def _wafer_engine(backend, **spec):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels import backend_status
 from repro.runtime import (
     Engine,
     ReferenceEngine,
@@ -201,6 +202,21 @@ class TestFactory:
         counters = every.telemetry().counters
         assert counters["list_builds"] == 2
         assert counters["list_reuse_ratio"] == 0.0
+
+    def test_wse_reports_the_sweep_threads_of_its_last_step(self, monkeypatch):
+        """How many CPUs produced a number is in its telemetry: the most
+        threads a sweep kernel of the last step ran on."""
+        eng = build_engine(RunSpec(engine="wse", backend="numpy", **QUICK))
+        eng.step(1)
+        assert eng.telemetry().counters["sweep_threads"] == 1
+        if backend_status()["native"] != "ok":
+            return
+        from repro.kernels import native_backend
+
+        monkeypatch.setattr(native_backend, "_sweep_threads", lambda rows: 2)
+        eng = build_engine(RunSpec(engine="wse", backend="native", **QUICK))
+        eng.step(2)
+        assert eng.telemetry().counters["sweep_threads"] == 2
 
     def test_seed_streams_are_independent_and_named(self):
         streams = seed_streams(0)

@@ -73,8 +73,8 @@ class TestValidation:
             RunSpec(engine="wse", thermostat=ts)
 
     def test_workers_on_wse_rejected_with_the_reason(self):
-        # the offset-dispatch pool is gone; the message says why
-        with pytest.raises(SpecError, match="did not beat the serial"):
+        # the wafer sizes its own sweep threads; the message says so
+        with pytest.raises(SpecError, match="sizes its sweep threads itself"):
             RunSpec(engine="wse", workers=2)
         assert RunSpec(engine="wse", workers=0).workers == 0
         assert RunSpec(

@@ -230,7 +230,9 @@ class TestExecution:
         assert result.n_atoms == 100  # (5, 5, 2) BCC thin slab
         # the lockstep extras the history is audited by
         assert {"list_builds", "list_reuse_ratio", "offset_chunk",
-                "modeled_wse2_steps_per_s"} <= set(result.extra)
+                "modeled_wse2_steps_per_s", "sweep_threads",
+                "build_step_s"} <= set(result.extra)
+        assert result.extra["sweep_threads"] >= 1
 
     def test_run_case_quick_reference_collects_stats(self):
         result = run_case(BY_NAME["ref-Ta"], quick=True, steps=2)

@@ -189,6 +189,8 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "timesteps/s" in out
+        # which tier and how many CPUs produced the numbers
+        assert "kernels, 1 sweep thread)" in out
 
     def test_run_reference(self, capsys):
         rc = main(["run", "--engine", "reference", "--reps", "4", "4", "2",
@@ -246,7 +248,7 @@ class TestSpecRuns:
                      "--reps", "4", "4", "2", "--steps", "1"]) == 2
         err = capsys.readouterr().err
         assert "invalid run spec" in err
-        assert "offset-dispatch pool was removed" in err
+        assert "sizes its sweep threads itself" in err
 
     @pytest.mark.parametrize("backend", [[], ["--backend", "numpy"]])
     @pytest.mark.parametrize("layout", [
