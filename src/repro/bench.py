@@ -128,8 +128,8 @@ CASES: tuple[BenchCase, ...] = (
         element="Ta", reps=(8, 8, 3), steps=20, engine="wse",
         backend="native", force_symmetry=True,
     ), {"reps": (5, 5, 2), "steps": 30}),
-    # Lockstep scaling cases: the streaming sweeps keep peak memory at
-    # O(chunk x grid), so the machine runs the paper's actual experiment
+    # Lockstep scaling cases: the streaming sweeps keep their scratch at
+    # O(grid), so the machine runs the paper's actual experiment
     # sizes.  100k is the everyday scaling case (its quick slab covers
     # the >=10k-atom regime the CI gate watches); 800k is the paper's
     # 801,792-atom Ta slab (256 x 261 x 6 BCC cells), which has no small
@@ -213,9 +213,6 @@ def _case_extra(engine: str, telemetry) -> dict:
         "grid": [c["grid_nx"], c["grid_ny"]],
         "b": c["b"],
         "modeled_wse2_steps_per_s": round(c["modeled_steps_per_s"], 1),
-        # streaming-sweep knobs, so the memory/speed trajectory in the
-        # history is auditable (chunk is the resolved, auto-sized value)
-        "offset_chunk": int(c["offset_chunk"]),
         # how many CPUs the native sweeps ran on (derived, not a knob)
         "sweep_threads": int(c["sweep_threads"]),
         # how many of the window's sweeps rebuilt the Verlet list: a

@@ -11,27 +11,29 @@ list across steps and redo only the exact geometry:
    kernel (:mod:`repro.kernels`) whether the list it holds still covers
    every pair within the cutoff for the positions and occupancy it is
    handed (same occupancy, every tile moved less than ``skin / 2`` since
-   the build).  If not, it **builds**: the ``list_chunk`` kernel shifts
-   each *chunk* of neighborhood offsets (the candidate exchange),
-   coarse-filters it at ``cutoff + skin`` and keeps only the flat center
-   / source tile of each listed pair.  Either way the ``density_chunk``
-   kernel then runs over the listed rows of each chunk — gather
-   ``pos[src] - pos[ctr]``, minimum image, keep ``0 < r^2 < rc^2``,
-   ``rho`` and ``rho'`` through the table bank, each offset's density
-   added to the running accumulator *in exchange order* — and leaves one
-   compact :class:`SurvivorRecord` per chunk: the survivors' tiles,
-   distance, unit vector and ``rho'``.
-2. :meth:`StreamingSweeps.force` hands those records, in the same
-   order, to the ``force_chunk`` kernel — gather ``F'`` at the recorded
-   tiles (the second exchange), evaluate only ``phi``, scatter Eq. 4
-   per offset — and drops each as it is used.
+   the build).  If not, it **builds**: the ``wafer_list`` kernel shifts
+   the grid by every neighborhood offset (the candidate exchange),
+   coarse-filters at ``cutoff + skin`` and keeps only the flat center /
+   source tile of each listed pair.  Either way the ``wafer_density``
+   kernel then runs over every listed row — gather ``pos[src] -
+   pos[ctr]``, minimum image, keep ``0 < r^2 < rc^2``, ``rho`` and
+   ``rho'`` through the table bank, each offset's density added to the
+   running accumulator *in exchange order* — and leaves one compact
+   :class:`SurvivorRecord`: the survivors' tiles, distance, unit vector
+   and ``rho'``.
+2. :meth:`StreamingSweeps.force` hands that record to the
+   ``wafer_force`` kernel — gather ``F'`` at the recorded tiles (the
+   second exchange), evaluate only ``phi``, scatter Eq. 4 per offset —
+   and drops it.
 
-This module owns the validity *policy* (when a list exists to test, what
-the skin allows), the chunking and the record plumbing; the arithmetic
-of the list and of both sweeps lives behind the four kernels (whose
-numpy bodies are the code that used to live here), so the wafer runs on
-whichever tier the registry has active.  The native tier runs the list
-build and both sweeps on every usable CPU at the same bits;
+Each sweep is one kernel call over all of its offsets, as the paper's
+step is one marching multicast over the whole neighborhood.  This module
+owns the validity *policy* (when a list exists to test, what the skin
+allows) and the record plumbing; the arithmetic of the list and of both
+sweeps lives behind the four kernels (whose numpy bodies are the code
+that used to live here), so the wafer runs on whichever tier the
+registry has active.  The native tier runs the list build and both
+sweeps on every usable CPU at the same bits;
 :attr:`StreamingSweeps.threads` says how many the last step used.
 
 Validity is decided from values alone, so nothing has to tell the
@@ -46,14 +48,13 @@ tile-minor), so the survivor set, its order and every accumulation are
 the same on a build step and on a reuse step: trajectories do not
 depend on the skin.
 
-Memory: a build's scratch belongs to the tier — the numpy body stacks
-one chunk's shifted differences, O(chunk x nx x ny) for the length of
-the call (``chunk`` is the ``offset_chunk`` RunSpec knob); the native
-loop walks pair by pair and holds none.  The records in flight between
-the two sweeps of one step are O(interactions)
-(:meth:`StreamingSweeps.record_bytes`, 0 outside a step); between
-steps the list is at most 8 B per listed pair plus the build-time
-position and occupancy planes and the candidate-count plane
+Memory: a build's scratch belongs to the tier and is O(grid) for any
+number of offsets — the numpy body reuses one displacement plane and
+one mask plane, the native loop walks pair by pair and holds none.  The
+record in flight between the two sweeps of one step is
+O(interactions) (:meth:`StreamingSweeps.record_bytes`, 0 outside a
+step); between steps the list is at most 8 B per listed pair plus the
+build-time position and occupancy planes and the candidate-count plane
 (:meth:`StreamingSweeps.list_bytes`).  The arithmetic per surviving
 candidate and the per-tile accumulation order are exactly those of the
 record-per-offset passes this module replaced, so trajectories are
@@ -66,7 +67,6 @@ The sweeps are self-contained (no reference to the parent machine).
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +78,6 @@ __all__ = [
     "StreamingSweeps",
     "SurvivorRecord",
     "SweepRecordError",
-    "auto_chunk",
     "FAR",
 ]
 
@@ -88,36 +87,19 @@ __all__ = [
 #: when subtracted and squared in the machine dtype.
 FAR = 1.0e15
 
-#: Element budget for the auto-sized chunk: chunk * nx * ny stays at or
-#: under this many stacked tiles (~96 MB of float64 displacement stack
-#: in the numpy list build), capped so small grids do not build absurdly
-#: deep stacks.
-_AUTO_CHUNK_ELEMENTS = 4_000_000
-_AUTO_CHUNK_MAX = 16
-
-
-def auto_chunk(nx: int, ny: int) -> int:
-    """Default offset-chunk size for an ``nx x ny`` grid.
-
-    Sized so the numpy list build's stacked exchange scratch stays
-    around 100 MB however large the grid is, while small grids still
-    batch enough offsets to amortize per-chunk dispatch.
-    """
-    return max(1, min(_AUTO_CHUNK_MAX, _AUTO_CHUNK_ELEMENTS // (nx * ny)))
-
 
 class SweepRecordError(RuntimeError):
     """A force sweep was asked to run without a fresh density sweep."""
 
 
 class SurvivorRecord(NamedTuple):
-    """One chunk's surviving candidates, offset-major (exchange order).
+    """The step's surviving candidates, offset-major (exchange order).
 
-    Everything the force sweep needs about the chunk, so it never
-    re-runs the exchange or the filter.  Row ``p`` is one (center tile,
-    source tile) interaction; ``starts[i]:starts[i + 1]`` are the rows
-    of the chunk's ``i``-th offset, and within one offset every center
-    (and every source) tile appears at most once.
+    Everything the force sweep needs, so it never re-runs the exchange
+    or the filter.  Row ``p`` is one (center tile, source tile)
+    interaction; ``starts[i]:starts[i + 1]`` are the rows of the
+    ``i``-th offset, and within one offset every center (and every
+    source) tile appears at most once.
     """
 
     starts: np.ndarray
@@ -142,19 +124,19 @@ class SurvivorRecord(NamedTuple):
 class _SkinList(NamedTuple):
     """The index-only Verlet list and what its validity is judged by.
 
-    ``chunks[k]`` lists chunk ``k``'s pairs within ``cutoff + skin`` at
-    build time as ``(starts, ctr, src)`` — int32, offset-major and
-    tile-minor like :class:`SurvivorRecord`, no geometry.
+    ``listed`` holds every pair within ``cutoff + skin`` at build time
+    as ``(starts, ctr, src)`` — int32, offset-major and tile-minor like
+    :class:`SurvivorRecord`, no geometry.
     """
 
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    listed: tuple[np.ndarray, np.ndarray, np.ndarray]
     pos: np.ndarray  # build-time position plane (a copy)
     occ: np.ndarray  # build-time occupancy plane (a copy)
     n_cand: np.ndarray  # received candidates per tile, int32
 
     @property
     def nbytes(self) -> int:
-        index = sum(a.nbytes for chunk in self.chunks for a in chunk)
+        index = sum(a.nbytes for a in self.listed)
         return index + self.pos.nbytes + self.occ.nbytes + self.n_cand.nbytes
 
 
@@ -191,8 +173,6 @@ class StreamingSweeps:
         The ``(dx, dy)`` neighborhood offsets this sweeper owns, in
         exchange order (already cropped to the half neighborhood when
         force symmetry is on).
-    chunk:
-        Offsets stacked per batch (0 = :func:`auto_chunk`).
     force_symmetry:
         Paper Sec. VI-A half-neighborhood mode: every pair term is
         computed once and the partner's share is added at the source
@@ -211,11 +191,8 @@ class StreamingSweeps:
         skin: float,
         tables,
         offsets: list[tuple[int, int]],
-        chunk: int = 0,
         force_symmetry: bool = False,
     ) -> None:
-        if chunk < 0:
-            raise ValueError(f"offset chunk must be >= 0, got {chunk}")
         if not skin >= 0:
             raise ValueError(f"skin must be >= 0, got {skin}")
         self.nx = int(nx)
@@ -233,16 +210,11 @@ class StreamingSweeps:
         )
         self.tables = tables
         self.offsets = [(int(dx), int(dy)) for dx, dy in offsets]
+        #: the offsets as the list kernel takes them, an int64 (n, 2) array
+        self._offset_rows = np.array(self.offsets, dtype=np.int64)
         self.force_symmetry = bool(force_symmetry)
-        self.chunk = int(chunk) if chunk else auto_chunk(self.nx, self.ny)
-        depth = max(1, min(self.chunk, len(self.offsets)))
-        #: per chunk: its ``(dx, dy)`` offsets, an int64 (c, 2) array
-        self._chunks = [
-            np.array(self.offsets[start:start + depth], dtype=np.int64)
-            for start in range(0, len(self.offsets), depth)
-        ]
-        #: survivor records between a density sweep and its force sweep
-        self._records: deque[SurvivorRecord] | None = None
+        #: the survivor record between a density sweep and its force sweep
+        self._record: SurvivorRecord | None = None
         #: the list carried across steps (None: next density builds)
         self._list: _SkinList | None = None
         #: the most threads a kernel call of the last density sweep and
@@ -250,9 +222,9 @@ class StreamingSweeps:
         self.threads = 1
 
     def record_bytes(self) -> int:
-        """Bytes of survivor records awaiting the force sweep (0
+        """Bytes of the survivor record awaiting the force sweep (0
         outside a step)."""
-        return sum(rec.nbytes for rec in self._records or ())
+        return self._record.nbytes if self._record is not None else 0
 
     def list_bytes(self) -> int:
         """Bytes retained between steps: the index list plus the
@@ -266,58 +238,48 @@ class StreamingSweeps:
 
         Builds the list first unless the one held is still valid for
         ``pos``/``occ``.  Accumulates into the caller's ``rho_bar``
-        (float64), ``n_cand``/``n_int`` (int64) grids, leaves one
-        :class:`SurvivorRecord` per non-empty chunk for :meth:`force`
-        (replacing any unconsumed ones) and returns
-        ``(t_build, t_valid, reused)`` — the seconds the list build
-        spent (0.0 on a reuse step; the shift and the coarse cut are one
-        kernel) and the seconds the validity test spent (0.0 when no
-        list was held).  The kernel's gather and exact test are fused
-        with the density arithmetic and cannot be timed apart.
+        (float64), ``n_cand``/``n_int`` (int64) grids, leaves the
+        :class:`SurvivorRecord` for :meth:`force` (replacing an
+        unconsumed one) and returns ``(t_build, t_valid, reused)`` — the
+        seconds the list build spent (0.0 on a reuse step; the shift and
+        the coarse cut are one kernel) and the seconds the validity test
+        spent (0.0 when no list was held).  The kernel's gather and
+        exact test are fused with the density arithmetic and cannot be
+        timed apart.
         """
         kernels = active_backend()
         grouped = self.tables.grouped()
-        calls = metrics().counter("kernels.density_chunk.calls")
-        pos_rows = _flat(pos, 3)
-        rho_flat = _flat(rho_bar)
-        int_flat = _flat(n_int)
-        typ_flat = _flat(typ)
-        records: deque[SurvivorRecord] = deque()
-        self._records = records
+        self._record = None
         held = self._list
         t0 = time.perf_counter()
         reused = held is not None and kernels.list_valid(
             pos, occ, held.pos, held.occ, (0.5 * self.skin) ** 2
         )
         t_valid = time.perf_counter() - t0 if held is not None else 0.0
+        self.threads = 1
+        t_build = 0.0
         if reused:
-            chunks, cand = held.chunks, held.n_cand
+            listed, cand = held.listed, held.n_cand
         else:
             self._list = None  # a build that raises leaves no list
-            chunks, cand = [], np.zeros((self.nx, self.ny), dtype=np.int32)
-        t_build = 0.0
-        self.threads = 1
-        for k, offsets in enumerate(self._chunks):
-            if not reused:
-                t0 = time.perf_counter()
-                chunks.append(kernels.list_chunk(
-                    pos, occ, offsets, self.lengths, self.periodic,
-                    self._reach2, cand,
-                ))
-                t_build += time.perf_counter() - t0
-                self._count_threads(kernels)
-            record = SurvivorRecord(*kernels.density_chunk(
-                pos_rows, chunks[k], self.lengths, self.periodic,
-                self.cutoff, typ_flat, grouped.rho.bank(),
-                grouped.phi_index, self.force_symmetry, rho_flat, int_flat,
-            ))
+            cand = np.zeros((self.nx, self.ny), dtype=np.int32)
+            t0 = time.perf_counter()
+            listed = kernels.wafer_list(
+                pos, occ, self._offset_rows, self.lengths, self.periodic,
+                self._reach2, cand,
+            )
+            t_build = time.perf_counter() - t0
             self._count_threads(kernels)
-            calls.inc()
-            if len(record.r):
-                records.append(record)
+        self._record = SurvivorRecord(*kernels.wafer_density(
+            _flat(pos, 3), listed, self.lengths, self.periodic, self.cutoff,
+            _flat(typ), grouped.rho.bank(), grouped.phi_index,
+            self.force_symmetry, _flat(rho_bar), _flat(n_int),
+        ))
+        self._count_threads(kernels)
+        metrics().counter("kernels.wafer_density.calls").inc()
         n_cand += cand
         if not reused and self.skin > 0.0:
-            self._list = _SkinList(chunks, pos.copy(), occ.copy(), cand)
+            self._list = _SkinList(listed, pos.copy(), occ.copy(), cand)
         return t_build, t_valid, reused
 
     # -- sweep 2: forces --------------------------------------------------
@@ -325,37 +287,30 @@ class StreamingSweeps:
     def force(self, f_der, force, e_pair=None):
         """F' exchange + Eq. 4 force (and pair-energy) accumulation.
 
-        Consumes the records the last :meth:`density` left — each is
-        dropped as soon as it is scattered — and accumulates into the
-        caller's float64 ``force`` grid, and into ``e_pair`` when one
-        is passed.  Returns the number of interactions scattered (the
-        ``F'`` exchange is the kernel's own gather at the recorded
-        tiles).  Raises :class:`SweepRecordError` when no fresh records
-        exist: positions may have moved since whatever density sweep
-        came before.
+        Consumes the record the last :meth:`density` left and
+        accumulates into the caller's float64 ``force`` grid, and into
+        ``e_pair`` when one is passed.  Returns the number of
+        interactions scattered (the ``F'`` exchange is the kernel's own
+        gather at the recorded tiles).  Raises :class:`SweepRecordError`
+        when no fresh record exists: positions may have moved since
+        whatever density sweep came before.
         """
-        records, self._records = self._records, None
-        if records is None:
+        record, self._record = self._record, None
+        if record is None:
             raise SweepRecordError(
-                "force sweep without a fresh density sweep: survivor "
-                "records are consumed by the first force sweep after "
-                "each density sweep"
+                "force sweep without a fresh density sweep: the survivor "
+                "record is consumed by the first force sweep after each "
+                "density sweep"
             )
         kernels = active_backend()
-        calls = metrics().counter("kernels.force_chunk.calls")
-        phi_bank = self.tables.grouped().phi.bank()
-        fder_flat = _flat(f_der)
-        force_rows = _flat(force, 3)
-        e_flat = _flat(e_pair) if e_pair is not None else None
-        n_pts = 0
-        while records:
-            record = records.popleft()
-            n_pts += len(record.r)
-            kernels.force_chunk(record, fder_flat, phi_bank,
-                                self.force_symmetry, force_rows, e_flat)
-            self._count_threads(kernels)
-            calls.inc()
-        return n_pts
+        kernels.wafer_force(
+            record, _flat(f_der), self.tables.grouped().phi.bank(),
+            self.force_symmetry, _flat(force, 3),
+            _flat(e_pair) if e_pair is not None else None,
+        )
+        self._count_threads(kernels)
+        metrics().counter("kernels.wafer_force.calls").inc()
+        return len(record.r)
 
     def _count_threads(self, kernels) -> None:
         """Fold in the threads the tier's last kernel call ran on."""

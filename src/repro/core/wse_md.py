@@ -3,18 +3,18 @@
 Executes every tile's worker program simultaneously on per-tile grid
 arrays, following the five-step timestep of paper Sec. III-A:
 
-1. **Candidate exchange** — streamed over the (2b+1)^2 neighborhood
-   offsets in fixed-size chunks (:mod:`repro.core.streaming`), the
-   functional equivalent of the marching multicast.  The wafer repeats
-   it every step because it is free there; the host keeps its result —
-   an index-only Verlet list at ``cutoff + skin`` — and repeats the
+1. **Candidate exchange** — one kernel call over all (2b+1)^2
+   neighborhood offsets (:mod:`repro.core.streaming`), the functional
+   equivalent of the marching multicast.  The wafer repeats it every
+   step because it is free there; the host keeps its result — an
+   index-only Verlet list at ``cutoff + skin`` — and repeats the
    exchange only when an atom has moved ``skin / 2`` or the occupancy
-   changed.  A build shifts and filters one chunk at a time.
+   changed.
 2. **Neighbor list** — every step, the exact ``r < rc`` test over the
-   listed pairs only; the survivors per offset are kept as compact
-   per-chunk records (candidates arrive in deterministic order; the
-   record order *is* the ordinal list) until the force sweep of the
-   same step has consumed them.
+   listed pairs only; the survivors are kept as one compact record
+   (candidates arrive in deterministic order; the record order *is*
+   the ordinal list) until the force sweep of the same step has
+   consumed it.
 3. **Embedding calculation and exchange** — density accumulation, then
    ``F`` and ``F'`` per tile; the second exchange ships only ``F'``,
    gathered at the recorded tiles.
@@ -105,11 +105,6 @@ class WseMd:
         policy).  A speed / memory knob only: survivors are always
         chosen by the exact cutoff test, so any skin produces
         bitwise-identical trajectories.
-    offset_chunk:
-        Offsets stacked per streaming batch (0 auto-sizes from the
-        grid; see :func:`repro.core.streaming.auto_chunk`).  A speed /
-        memory knob only — any chunking produces bitwise-identical
-        trajectories.
     """
 
     def __init__(
@@ -132,7 +127,6 @@ class WseMd:
         rng: np.random.Generator | None = None,
         force_symmetry: bool = False,
         skin: float = 0.5,
-        offset_chunk: int = 0,
         tracer=None,
     ) -> None:
         if not np.isfinite(state.positions).all():
@@ -214,15 +208,9 @@ class WseMd:
         # worker processes only the "i < j" half (the multicast is
         # cropped, Sec. VI-A) and each pair's partner share travels
         # back via the reverse reduction.  The sweeper owns the survivor
-        # records between the two sweeps of one step (O(interactions))
+        # record between the two sweeps of one step (O(interactions))
         # and across steps the index-only list it decides on its own
         # when to rebuild.
-        if not skin >= 0:
-            raise ValueError(f"skin must be >= 0, got {skin}")
-        self.skin = float(skin)
-        if offset_chunk < 0:
-            raise ValueError(f"offset_chunk must be >= 0, got {offset_chunk}")
-        self.offset_chunk = int(offset_chunk)
         self._offsets = [(int(dx), int(dy)) for dx, dy
                          in self.grid.neighborhood_offsets(self.b)]
         self._pass_offsets = [
@@ -232,10 +220,10 @@ class WseMd:
         self._sweeps = StreamingSweeps(
             nx=nx, ny=ny, dtype=self.dtype, lengths=self.box.lengths,
             periodic=self.box.periodic, cutoff=potential.cutoff,
-            skin=self.skin, tables=potential.tables,
-            offsets=self._pass_offsets, chunk=self.offset_chunk,
+            skin=skin, tables=potential.tables, offsets=self._pass_offsets,
             force_symmetry=self.force_symmetry,
         )
+        self.skin = self._sweeps.skin
 
     # -- helpers ---------------------------------------------------------------
 
@@ -248,11 +236,6 @@ class WseMd:
     def rng(self) -> np.random.Generator:
         """The timing-noise generator (for checkpointing its state)."""
         return self._rng
-
-    @property
-    def effective_offset_chunk(self) -> int:
-        """The resolved streaming chunk (auto-sized when 0 was passed)."""
-        return self._sweeps.chunk
 
     @property
     def sweep_threads(self) -> int:
@@ -307,7 +290,7 @@ class WseMd:
     def _force_sweep(self, f_der: np.ndarray, *, energy: bool = False):
         """Steps 3c-4a: F' exchange and Eq. 4 force accumulation.
 
-        Consumes the survivor records the density sweep of this step
+        Consumes the survivor record the density sweep of this step
         left (positions are never exchanged or filtered a second time
         in a step); only ``F'`` travels here.  The pair energy is
         accumulated only when ``energy`` is set — a timestep never

@@ -60,9 +60,9 @@ KERNEL_FUNCTIONS = (
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
     "list_valid",           # does the wafer's held list still cover? -> bool
-    "list_chunk",           # wafer list build, one chunk -> (starts, ctr, src)
-    "density_chunk",        # wafer density sweep, one chunk -> record
-    "force_chunk",          # wafer force sweep over one record
+    "wafer_list",           # wafer list build -> (starts, ctr, src)
+    "wafer_density",        # wafer density sweep over the list -> record
+    "wafer_force",          # wafer force sweep over the record
     "wafer_integrate",      # leap-frog over occupied tiles -> non-finite count
     "wafer_cycles",         # per-tile cycle counter -> (cycles, cand, int)
 )

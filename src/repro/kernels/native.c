@@ -26,8 +26,8 @@
  * indices passed.  No function allocates: outputs of unknown length
  * arrive at their upper bound and the caller shrinks them.
  *
- * The three kernels that walk listed rows (list_chunk, density_chunk,
- * force_chunk) run on several threads in owner blocks (see "owner
+ * The three kernels that walk listed rows (wafer_list, wafer_density,
+ * wafer_force) run on several threads in owner blocks (see "owner
  * blocks" below); every other function runs on the calling thread.
  */
 #define _GNU_SOURCE  /* sched_getcpu, the sweep threads' CPU affinity */
@@ -372,7 +372,7 @@ static inline int64_t edge(int64_t n, int64_t k, int64_t parts)
     return n * k / parts;
 }
 
-/* Rows [r0, r1) of a chunk whose offset o holds rows starts[o] to
+/* Rows [r0, r1) of a list whose offset o holds rows starts[o] to
  * starts[o + 1] (int32 s32 or int64 s64): -1 when a ctr or src lies
  * outside [0, n_tiles), else whether both ascend within each offset. */
 static int check_rows(const int32_t *s32, const int64_t *s64, int64_t n_off,
@@ -523,7 +523,7 @@ static int64_t rect_before(int64_t x0, int64_t x1, int64_t y0, int64_t y1,
     return n;
 }
 
-/* Block b of list_chunk: the tiles of each offset's overlap rectangle
+/* Block b of wafer_list: the tiles of each offset's overlap rectangle
  * that it owns, written from the block's first possible output row (the
  * outputs are allocated at the sum of the rectangles). */
 static void list_block(const void *args, int64_t k, int64_t b)
@@ -564,13 +564,13 @@ static void list_block(const void *args, int64_t k, int64_t b)
     }
 }
 
-/* One chunk of the list build (numpy_backend.list_chunk), one pair at a
+/* The wafer's list build (numpy_backend.wafer_list), one pair at a
  * time: per offset (dx, dy), every occupied tile whose neighbour exists
  * on the nx x ny fabric counts a candidate, and a pair of occupied
  * tiles under reach2 is listed, offset-major and tile-minor.  o_starts
  * gets the n_off + 1 bounds; seg is 2 * n_off * blocks scratch.  Returns
  * the number listed. */
-int64_t list_chunk(const double *pos, const uint8_t *occ, int64_t nx,
+int64_t wafer_list(const double *pos, const uint8_t *occ, int64_t nx,
                    int64_t ny, const int64_t *offsets, int64_t n_off,
                    const double *lengths, const uint8_t *periodic,
                    double reach2, int32_t *n_cand, int32_t *o_starts,
@@ -608,7 +608,7 @@ typedef struct {
     int64_t stride, blocks, *seg;
 } density_args;
 
-/* Thread k's share of density_chunk's input: rows, and tiles' types. */
+/* Thread k's share of wafer_density's input: rows, and tiles' types. */
 static int density_check(const void *args, int64_t k, int64_t threads)
 {
     const density_args *A = args;
@@ -632,7 +632,7 @@ static int partner_share(const density_args *A, int64_t q, double *share)
     return 1;
 }
 
-/* Block bl of density_chunk on thread k, whose stride-long share
+/* Block bl of wafer_density on thread k, whose stride-long share
  * scratch holds one offset's partner values. */
 static void density_block(const void *args, int64_t k, int64_t bl)
 {
@@ -687,14 +687,14 @@ static void density_block(const void *args, int64_t k, int64_t bl)
     }
 }
 
-/* The wafer's density sweep over one chunk of n listed pairs
- * (numpy_backend.density_chunk), in one walk.  Rows starts[i]:starts[i+1]
- * belong to the chunk's i-th offset.  Survivors are written, compacted,
+/* The wafer's density sweep over its n listed pairs
+ * (numpy_backend.wafer_density), in one walk.  Rows starts[i]:starts[i+1]
+ * belong to the i-th offset.  Survivors are written, compacted,
  * to the o_* record arrays (allocated for all n rows); o_starts gets
  * their per-offset bounds.  typ == NULL means one table.  share is
  * threads x stride scratch (stride: the most rows in one offset), seg
  * 2 * n_off * blocks.  Returns the survivor count. */
-int64_t density_chunk(const double *pos, int64_t n_tiles,
+int64_t wafer_density(const double *pos, int64_t n_tiles,
                       const int32_t *starts, int64_t n_off,
                       const int32_t *ctr, const int32_t *src,
                       const double *lengths, const uint8_t *periodic,
@@ -736,7 +736,7 @@ typedef struct {
     int64_t stride, blocks;
 } force_args;
 
-/* Thread k's share of force_chunk's input: rows and their tables. */
+/* Thread k's share of wafer_force's input: rows and their tables. */
 static int force_check(const void *args, int64_t k, int64_t threads)
 {
     const force_args *A = args;
@@ -761,7 +761,7 @@ static void pair_term(const force_args *A, int64_t q, double *phi_v,
     for (int j = 0; j < 3; j++) f[j] = s * A->unit[3 * q + j];
 }
 
-/* Block bl of force_chunk on thread k, whose (stride, 3) fvec scratch
+/* Block bl of wafer_force on thread k, whose (stride, 3) fvec scratch
  * holds one offset's force vectors. */
 static void force_block(const void *args, int64_t k, int64_t bl)
 {
@@ -809,13 +809,13 @@ static void force_block(const void *args, int64_t k, int64_t bl)
 }
 
 /* The wafer's force sweep over one survivor record
- * (numpy_backend.force_chunk).  d_ctr == d_src and member == NULL
+ * (numpy_backend.wafer_force).  d_ctr == d_src and member == NULL
  * (every row through table g0) for one table.  e_flat == NULL skips
  * the pair energy; with symmetry e_both is a zeroed n_tiles plane on
  * which an offset's centre and partner halves meet before they join
  * e_flat (one rounding per tile per offset, the whole plane added as
  * numpy adds it).  fvec is (threads, stride, 3) scratch. */
-int64_t force_chunk(const int64_t *starts, int64_t n_off, const int32_t *ctr,
+int64_t wafer_force(const int64_t *starts, int64_t n_off, const int32_t *ctr,
                     const int32_t *src, const double *r, const double *unit,
                     const double *d_src, const double *d_ctr,
                     const int64_t *member, int64_t g0, const bank_t *phi,

@@ -58,7 +58,7 @@ COMPILERS = ("cc", "gcc", "clang")
 
 #: Listed rows (for the list build: candidate tiles) each sweep thread
 #: must have.  A thread costs a call ~30 us (create, gate, join; 2-vCPU
-#: host) and a row ~19 ns of ``force_chunk`` (~25 of ``density_chunk``),
+#: host) and a row ~19 ns of ``wafer_force`` (~25 of ``wafer_density``),
 #: so this many rows, ~0.6 ms, keep it under 5% (DESIGN.md §5b).
 ROWS_PER_THREAD = 32_768
 #: Owner blocks per sweep thread: claimed, not dealt, so a CPU the host
@@ -69,7 +69,7 @@ BLOCKS_PER_THREAD = 4
 compile_s = 0.0
 #: Calls declined to the numpy bodies since import.
 declined = 0
-#: Threads the last ``list_chunk``, ``density_chunk`` or ``force_chunk``
+#: Threads the last ``wafer_list``, ``wafer_density`` or ``wafer_force``
 #: call swept on; 1 after a call that declined.
 threads = 1
 
@@ -204,9 +204,9 @@ _SIGNATURES = {
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
     "list_valid": "PPPPid",
-    "list_chunk": "PPiiPiPPdPPPPPiP",
-    "density_chunk": "PiPiPPPPdPBPiPPPPPPPPPPPiPiP",
-    "force_chunk": "PiPPPPPPPiBPiiPPPPiiP",
+    "wafer_list": "PPiiPiPPdPPPPPiP",
+    "wafer_density": "PiPiPPPPdPBPiPPPPPPPPPPPiPiP",
+    "wafer_force": "PiPPPPPPPiBPiiPPPPiiP",
     "wafer_integrate": "PPPPPiPidd",
     "wafer_cycles": "PPPiddddPdPPP",
 }
@@ -380,7 +380,7 @@ def list_valid(pos, occ, held_pos, held_occ, bound2):
 
 
 @_kernel
-def list_chunk(pos, occ, offsets, lengths, periodic, reach2, n_cand):
+def wafer_list(pos, occ, offsets, lengths, periodic, reach2, n_cand):
     nx, ny = _arr(occ, bool, -1, -1).shape
     _arr(pos, _F8, nx, ny, 3), _arr(n_cand, _I4, nx, ny)
     offsets = _arr(np.ascontiguousarray(offsets, dtype=_I8), _I8, -1, 2)
@@ -392,7 +392,7 @@ def list_chunk(pos, occ, offsets, lengths, periodic, reach2, n_cand):
     ctr, src = np.empty(bound, dtype=_I4), np.empty(bound, dtype=_I4)
     asked, blocks = _plan(bound)
     listed = _swept(
-        "list_chunk", asked, pos, occ, nx, ny, offsets, len(offsets),
+        "wafer_list", asked, pos, occ, nx, ny, offsets, len(offsets),
         *_box(lengths, periodic), float(reach2), n_cand, starts, ctr, src,
         _segments(len(offsets), blocks), blocks,
     )
@@ -401,7 +401,7 @@ def list_chunk(pos, occ, offsets, lengths, periodic, reach2, n_cand):
 
 
 @_kernel
-def density_chunk(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
+def wafer_density(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
                   rho_bank, phi_index, symmetry, rho_flat, int_flat):
     starts, ctr, src = listed
     n_tiles = len(_arr(pos_rows, _F8, -1, 3))
@@ -423,7 +423,7 @@ def density_chunk(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
     extra = () if single else (np.empty(n), np.empty(n, dtype=_I8))
     asked, blocks = _plan(n)
     kept = _swept(
-        "density_chunk", asked, pos_rows, n_tiles, starts, len(starts) - 1,
+        "wafer_density", asked, pos_rows, n_tiles, starts, len(starts) - 1,
         ctr, src, *_box(lengths, periodic), float(cutoff**2), typ_flat, bank,
         phi_index, bool(symmetry), rho_flat, int_flat, o_starts, o_ctr, o_src,
         o_r, o_unit, d_src, *(extra or (None, None)),
@@ -436,7 +436,7 @@ def density_chunk(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
 
 
 @_kernel
-def force_chunk(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
+def wafer_force(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
     starts, ctr, src, r, unit, d_src, d_ctr, member = record
     n, n_tiles = len(_arr(ctr, _I4, -1)), len(_arr(f_der, _F8, -1))
     _arr(src, _I4, n), _arr(unit, _F8, n, 3), _arr(force_rows, _F8, n_tiles, 3)
@@ -447,7 +447,7 @@ def force_chunk(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
         e_both = np.zeros(n_tiles) if symmetry else None
     rows = _rows(_arr(starts, _I8, -1), n)
     asked, blocks = _plan(n)
-    _swept("force_chunk", asked, starts, len(starts) - 1, ctr, src, r, unit,
+    _swept("wafer_force", asked, starts, len(starts) - 1, ctr, src, r, unit,
            d_src, d_ctr, *_member(member, n), _bank(phi_bank), f_der,
            n_tiles, bool(symmetry), force_rows, e_flat, e_both,
            np.empty((asked, rows, 3)), rows, blocks)
@@ -517,19 +517,19 @@ def _probe_outputs(backend) -> dict[str, tuple]:
         ki, kj, rij, r, f_der, d_ji, d_ij, phi,
         phi_index[types[ki], types[kj]], n,
     )
-    # the wafer's chunk kernels: three offsets, tiles unique per offset
+    # the wafer's sweeps: three offsets, tiles unique per offset
     ctr = np.concatenate([rng.permutation(n)[:200] for _ in range(3)])
     src = ((ctr + np.repeat([1, 7, 19], 200)) % n).astype(np.int32)
     ctr, starts = ctr.astype(np.int32), np.arange(0, 601, 200, dtype=np.int32)
     rho_flat, int_flat = np.zeros(n), np.zeros(n, dtype=np.int64)
-    record = backend.density_chunk(
+    record = backend.wafer_density(
         pos, (starts, ctr, src), lengths, periodic, 3.0, types, rho,
         phi_index, True, rho_flat, int_flat,
     )
-    out["density_chunk"] = (*record, rho_flat, int_flat)
+    out["wafer_density"] = (*record, rho_flat, int_flat)
     force, e_flat = np.zeros((n, 3)), np.zeros(n)
-    backend.force_chunk(record, f_der, phi, True, force, e_flat)
-    out["force_chunk"] = force, e_flat
+    backend.wafer_force(record, f_der, phi, True, force, e_flat)
+    out["wafer_force"] = force, e_flat
     out.update(_probe_wafer(backend, rng, lengths, periodic))
     return out
 
@@ -549,7 +549,7 @@ def _probe_wafer(backend, rng, lengths, periodic) -> dict[str, tuple]:
     r2 = np.einsum("xyk,xyk->xy", d, d)[occ[1:] & occ[:-1]]
     reach2 = float(r2[len(r2) // 2])
     n_cand = np.zeros((nx, ny), dtype=np.int32)
-    listed = backend.list_chunk(pos, occ, offsets, lengths, periodic,
+    listed = backend.wafer_list(pos, occ, offsets, lengths, periodic,
                                 reach2, n_cand)
     moved = pos + np.where(occ[..., None], rng.normal(0.0, 0.1, pos.shape), 0)
     step = moved - pos
@@ -574,7 +574,7 @@ def _probe_wafer(backend, rng, lengths, periodic) -> dict[str, tuple]:
                                    71.4 / 1.1, 574.0, *jitter)
               for jitter in ((), (noise, 1e-3))]
     return {
-        "list_chunk": (*listed, n_cand),
+        "wafer_list": (*listed, n_cand),
         "list_valid": valid,
         "wafer_integrate": (rows, vel, bad),
         "wafer_cycles": (*cycles[0], *cycles[1]),

@@ -10,8 +10,8 @@ tile's per-segment SRAM rows).  A single spline is a one-member bank.
 
 The whole-pass kernels are the numpy ports of the loops that used to
 live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`,
-:mod:`repro.core.streaming` (``list_valid``, ``list_chunk``,
-``density_chunk``, ``force_chunk``) and :mod:`repro.core.wse_md`
+:mod:`repro.core.streaming` (``list_valid``, ``wafer_list``,
+``wafer_density``, ``wafer_force``) and :mod:`repro.core.wse_md`
 (``wafer_integrate``, ``wafer_cycles``).  Per element they perform the
 *identical* IEEE operations, on the same operands in the same order, as
 those call sites did (the pair kernels' first port is frozen as
@@ -284,7 +284,7 @@ def fused_force_pass(
     return e_pair, forces
 
 
-# -- the lockstep wafer's list, one chunk of offsets at a time ------------
+# -- the lockstep wafer's list and its two sweeps --------------------------
 
 
 def shift_rects(nx: int, ny: int, dx: int, dy: int):
@@ -322,7 +322,7 @@ def list_valid(
     return bool(moved2.max() < bound2)
 
 
-def list_chunk(
+def wafer_list(
     pos: np.ndarray,
     occ: np.ndarray,
     offsets: np.ndarray,
@@ -331,58 +331,58 @@ def list_chunk(
     reach2: float,
     n_cand: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chunk of the wafer's list build: shift, then a coarse cut.
+    """The wafer's list build: shift, then a coarse cut, per offset.
 
     For each ``(dx, dy)`` row of ``offsets`` every occupied tile of the
     ``(nx, ny)`` grid whose neighbor at the offset exists on the fabric
     receives one candidate, counted into the int32 ``n_cand`` plane;
     a pair of occupied tiles whose minimum-image ``r^2`` is under
-    ``reach2`` is listed.  Returns the chunk's int32 ``(starts, ctr,
-    src)`` flat-tile rows, offset-major and tile-minor;
-    ``starts[i]:starts[i + 1]`` are the rows of offset ``i``.
+    ``reach2`` is listed.  Returns int32 ``(starts, ctr, src)`` flat-tile
+    rows, offset-major and tile-minor; ``starts[i]:starts[i + 1]`` are
+    the rows of offset ``i``.
 
-    The shifted differences of the whole chunk are stacked, so the body
-    holds O(chunk x grid) scratch for the length of the call.
+    The offsets pass one at a time through one reused contiguous
+    ``(nx, ny, 3)`` displacement plane (the layout whose ``einsum``
+    reduction order native.c's ``R2`` mirrors) and one ``(nx, ny)`` mask
+    plane, so the scratch beside the outputs is O(grid) for any number
+    of offsets.
     """
     nx, ny = occ.shape
-    c, n_tiles = len(offsets), nx * ny
-    rects = [shift_rects(nx, ny, int(dx), int(dy)) for dx, dy in offsets]
-    # The displacement stack starts zeroed and is only ever written with
-    # finite differences, so the tiles an offset does not reach hold
-    # finite values (masked, never read).
-    d = np.zeros((c, nx, ny, 3), dtype=pos.dtype)
-    within = np.zeros((c, nx, ny), dtype=bool)
-    for i, rect in enumerate(rects):
+    pairs = np.asarray(offsets).tolist()
+    # The plane starts zeroed and is only ever written with finite
+    # differences, so the tiles an offset does not reach hold finite
+    # values (masked, never read).
+    d = np.zeros((nx, ny, 3), dtype=pos.dtype)
+    within = np.empty((nx, ny), dtype=bool)
+    cmp = np.empty((nx, ny), dtype=bool)
+    r2 = np.empty((nx, ny), dtype=pos.dtype)
+    counts = np.zeros(len(pairs) + 1, dtype=np.int64)
+    hits = [np.empty(0, dtype=np.int32)]
+    for i, (dx, dy) in enumerate(pairs):
+        rect = shift_rects(nx, ny, dx, dy)
         if rect is None:
             continue
         dst, src = rect
-        np.subtract(pos[src], pos[dst], out=d[i][dst])
-        np.logical_and(occ[dst], occ[src], out=within[i][dst])
+        within.fill(False)
+        np.subtract(pos[src], pos[dst], out=d[dst])
+        np.logical_and(occ[dst], occ[src], out=within[dst])
         n_cand[dst] += occ[dst]
-    minimum_image(d.reshape(-1, 3), lengths, periodic)
-    # the coarse cut only marks the stack: one plane of scratch each
-    r2 = np.empty((nx, ny), dtype=pos.dtype)
-    cmp = np.empty((nx, ny), dtype=bool)
-    for i, rect in enumerate(rects):
-        if rect is None:
-            continue
-        np.einsum("xyk,xyk->xy", d[i], d[i], out=r2)
+        minimum_image(d.reshape(-1, 3), lengths, periodic)
+        np.einsum("xyk,xyk->xy", d, d, out=r2)
         np.less(r2, reach2, out=cmp)
-        within[i] &= cmp
-    hit = np.flatnonzero(within)
-    starts = np.searchsorted(hit, np.arange(c + 1) * n_tiles)
-    which = np.repeat(np.arange(c), np.diff(starts))
-    ctr = (hit - which * n_tiles).astype(np.int32)
-    shift = np.array([int(dx) * ny + int(dy) for dx, dy in offsets],
-                     dtype=np.int64)
-    src = ctr + shift[which].astype(np.int32)
-    return starts.astype(np.int32), ctr, src
+        within &= cmp
+        hit = np.flatnonzero(within)
+        counts[i + 1] = len(hit)
+        hits.append(hit.astype(np.int32))
+    ctr = np.concatenate(hits)
+    del hits  # the per-offset pieces go before src is built
+    shift = np.array([dx * ny + dy for dx, dy in pairs], dtype=np.int32)
+    src = np.repeat(shift, counts[1:])
+    src += ctr
+    return np.cumsum(counts).astype(np.int32), ctr, src
 
 
-# -- the lockstep wafer's two sweeps, one chunk of offsets at a time ------
-
-
-def density_chunk(
+def wafer_density(
     pos_rows: np.ndarray,
     listed: tuple[np.ndarray, np.ndarray, np.ndarray],
     lengths,
@@ -395,18 +395,19 @@ def density_chunk(
     rho_flat: np.ndarray,
     int_flat: np.ndarray,
 ) -> tuple:
-    """The wafer's density sweep over one chunk of listed pairs.
+    """The wafer's density sweep over its listed pairs.
 
-    ``listed`` is the chunk's ``(starts, ctr, src)`` index rows (int32;
-    ``starts[i]:starts[i + 1]`` are the rows of its ``i``-th offset, in
-    which every center and every source tile appears at most once).
+    ``listed`` is the :func:`wafer_list` ``(starts, ctr, src)`` index
+    rows (int32; ``starts[i]:starts[i + 1]`` are the rows of offset
+    ``i``, in which every center and every source tile appears at most
+    once).
     The one place a pair is admitted: gather ``pos[src] - pos[ctr]``,
     minimum image, keep ``0 < r^2 < cutoff^2``.  The survivors' ``rho``
     is added to the flat ``rho_flat`` one offset at a time, in exchange
     order — with ``symmetry`` every center share of the offset, then
     every partner share (the reverse reduction) — and their count to
     ``int_flat``.  Returns the survivor record ``(starts, ctr, src, r,
-    unit, rho_d_src, rho_d_ctr, phi_member)`` for :func:`force_chunk`;
+    unit, rho_d_src, rho_d_ctr, phi_member)`` for :func:`wafer_force`;
     with one table ``rho_d_ctr is rho_d_src`` and ``phi_member`` is 0.
     """
     starts, ctr, src = listed
@@ -444,7 +445,7 @@ def density_chunk(
     return starts, ctr, src, r, unit, rho_d, rho_d_ctr, phi_member
 
 
-def force_chunk(
+def wafer_force(
     record: tuple,
     f_der: np.ndarray,
     phi_bank: tuple,
@@ -452,7 +453,7 @@ def force_chunk(
     force_rows: np.ndarray,
     e_flat: np.ndarray | None = None,
 ) -> None:
-    """The wafer's force sweep over one :func:`density_chunk` record.
+    """The wafer's force sweep over the :func:`wafer_density` record.
 
     Gathers the flat ``f_der`` (``F'``, the second exchange) at the
     recorded tiles, evaluates only ``phi`` and adds the Eq. 4 force to

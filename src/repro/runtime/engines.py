@@ -308,7 +308,9 @@ class WseEngine:
             "grid_ny": sim.grid.ny,
             "b": sim.b,
             "swap_count": sim.swap_count,
-            "offset_chunk": sim.effective_offset_chunk,
+            # offsets per sweep call (one call sweeps them all); the
+            # benchmark ledger reads this key as core.offset_chunk
+            "offset_chunk": len(sim._pass_offsets),
             "sweep_threads": sim.sweep_threads,
             "list_builds": sim.list_builds,
             "list_reuse_ratio": sim.list_reuses
@@ -423,7 +425,6 @@ def build_engine(
             "skin": spec.skin,
             "swap_interval": spec.swap_interval,
             "force_symmetry": spec.force_symmetry,
-            "offset_chunk": spec.offset_chunk,
             "rng": streams["engine"],
         }
         kwargs.update(engine_kwargs)

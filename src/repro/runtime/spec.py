@@ -158,13 +158,6 @@ class RunSpec:
         core-starved, shared otherwise).  Never physics — every
         transport produces bitwise-identical trajectories — so it is
         excluded from the spec hash.
-    offset_chunk:
-        WSE streaming-sweep batch size: how many neighborhood offsets
-        are stacked per exchange chunk (0 auto-sizes from the grid so
-        the chunk buffers stay around 100 MB).  Peak memory is
-        O(chunk x grid); any chunking yields bitwise-identical
-        trajectories, so this is a speed/memory knob, never physics.
-        Ignored by ``reference``.
     thermostat:
         Optional temperature control applied every step.  ``langevin``
         requires the reference engine (per-atom noise needs a stable
@@ -212,9 +205,6 @@ class RunSpec:
     transport: str | None = _spec_field(
         None, "parallel-backend transport (default: auto - inline on "
         "core-starved hosts, else shared memory)", choices=TRANSPORT_CHOICES)
-    offset_chunk: int = _spec_field(
-        0, "wse streaming-sweep batch size in offsets (0 = auto-sized from "
-        "the grid); a speed/memory knob, never physics", min=0)
     thermostat: ThermostatSpec | None = _spec_field(
         None, "temperature-control table (kind, temperature, tau_fs); "
         "spec-file only", physics=True)

@@ -9,10 +9,10 @@ run's telemetry (``<hash>-<steps>.telemetry.json``), indexed by
 Because ``spec_hash`` digests only the physics-determining fields
 (those declared ``physics=True`` in :class:`~repro.runtime.spec.RunSpec`'s
 field metadata), a request that differs solely in the others — the
-speed knobs ``backend``, ``workers``, ``topology``, ``transport`` and
-``offset_chunk`` — maps to the same key and hits.  A request for *more* steps of a cached spec
-finds the deepest shallower entry via :meth:`best_resume` and continues
-from its checkpoint instead of restarting.
+speed knobs ``backend``, ``workers``, ``topology`` and ``transport`` —
+maps to the same key and hits.  A request for *more* steps of a cached
+spec finds the deepest shallower entry via :meth:`best_resume` and
+continues from its checkpoint instead of restarting.
 
 Durability and corruption tolerance:
 

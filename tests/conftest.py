@@ -209,7 +209,6 @@ def run_specs():
             workers=workers if engine == "reference" else 0,
             topology=topology,
             transport=transport,
-            offset_chunk=draw(small),
             thermostat=draw(st.none() | st.builds(
                 ThermostatSpec, st.sampled_from(kinds), non_negative,
                 positive)),

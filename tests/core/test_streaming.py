@@ -7,19 +7,19 @@ per candidate, the arithmetic and the per-tile accumulation order are
 exactly those of the old passes.  This module pins that contract
 against a reference implementation of the record-based passes embedded
 below (the pre-streaming ``_collect_pairs`` / ``_density_pass`` /
-``_force_pass`` logic, verbatim in structure), across dtypes, chunk
-sizes, b values, non-square grids and the force-symmetry path — a fixed
-matrix plus a Hypothesis sweep over vacancies, alloys and periodic
-boxes.  The record tests pin the lifetime contract of the per-chunk
-survivor records that carry the one filter's result from the density
-sweep to the force sweep.  The list tests pin the index-only Verlet list
+``_force_pass`` logic, verbatim in structure), across dtypes, b values,
+non-square grids and the force-symmetry path — a fixed matrix plus a
+Hypothesis sweep over vacancies, alloys and periodic boxes.  The record
+tests pin the lifetime contract of the survivor record that carries the
+one filter's result from the density sweep to the force sweep.  The list tests pin the index-only Verlet list
 the sweeps carry across steps: a machine with a skin is bitwise the
 machine that filters every step (``skin=0``), whatever is done to its
 grids between steps, and it builds exactly when an independent reading
 of the rule says it must.
 
-The memory tests assert the whole point of the restructuring: peak
-memory is O(chunk x grid), so paper-scale grids fit.  The expensive
+The memory tests assert the whole point of the restructuring: a list
+build's scratch is O(grid) for any number of offsets and the records
+are O(interactions), so paper-scale grids fit.  The expensive
 scale tiers are opt-in via ``REPRO_SCALE_TESTS`` (any value enables the
 ~50k-atom smoke the CI scaling leg runs; ``paper`` additionally runs
 the 801,792-atom paper grid).
@@ -33,12 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exchange import iter_neighborhood, shift2d_into
-from repro.core.streaming import (
-    FAR,
-    StreamingSweeps,
-    SweepRecordError,
-    auto_chunk,
-)
+from repro.core.streaming import FAR, SweepRecordError
 from repro.core.wse_md import WseMd
 import repro.kernels as kernels
 from repro.kernels import numpy_backend
@@ -187,25 +182,24 @@ def reference_density_force(sim: WseMd):
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
 @pytest.mark.parametrize(
-    "reps,dtype,chunk,b",
+    "reps,dtype,b",
     [
-        ((4, 4, 2), np.float64, 0, None),
-        ((4, 4, 2), np.float32, 1, None),
-        ((5, 3, 2), np.float64, 7, None),  # non-square grid
-        ((3, 5, 2), np.float64, 3, None),  # non-square, other axis
-        ((6, 6, 2), np.float64, 0, 5),  # wider-than-needed b
-        ((4, 4, 2), np.float64, 10_000, 4),  # chunk > n_offsets
+        ((4, 4, 2), np.float64, None),
+        ((4, 4, 2), np.float32, None),
+        ((5, 3, 2), np.float64, None),  # non-square grid
+        ((3, 5, 2), np.float64, None),  # non-square, other axis
+        ((6, 6, 2), np.float64, 5),  # wider-than-needed b
+        ((4, 4, 2), np.float64, 4),  # b as wide as the grid allows
     ],
 )
 def test_sweeps_match_record_passes_bitwise(
-    ta_potential, reps, dtype, chunk, b, force_symmetry
+    ta_potential, reps, dtype, b, force_symmetry
 ):
     kw = {"b": b} if b is not None else {}
     sim = WseMd(
         small_slab_state(reps=reps),
         ta_potential,
         dtype=dtype,
-        offset_chunk=chunk,
         force_symmetry=force_symmetry,
         **kw,
     )
@@ -229,7 +223,6 @@ def test_periodic_box_matches_record_passes(ta_potential):
     sim = WseMd(
         bulk_state(reps=(3, 3, 3), temperature=400.0),
         ta_potential,
-        offset_chunk=5,
     )
     sim.step(2)
     rho_ref, _, _, force_ref, _ = reference_density_force(sim)
@@ -238,25 +231,6 @@ def test_periodic_box_matches_record_passes(ta_potential):
     force, _, _ = sim._force_sweep(f_der)
     assert np.array_equal(rho, rho_ref)
     assert np.array_equal(force, force_ref)
-
-
-@pytest.mark.parametrize("force_symmetry", [False, True])
-def test_trajectory_chunk_invariant(ta_potential, force_symmetry):
-    """Any chunking is a pure memory knob: trajectories are identical."""
-    outs = []
-    for chunk in (1, 7, 0):
-        sim = WseMd(
-            small_slab_state(reps=(4, 4, 2)),
-            ta_potential,
-            offset_chunk=chunk,
-            force_symmetry=force_symmetry,
-            swap_interval=4,
-        )
-        sim.step(10)
-        outs.append(sim.gather_state())
-    for other in outs[1:]:
-        assert np.array_equal(outs[0].positions, other.positions)
-        assert np.array_equal(outs[0].velocities, other.velocities)
 
 
 # -- property sweep: the one-filter sweeps vs the record passes ---------------
@@ -278,7 +252,6 @@ def sweep_case(draw):
         vacancy=draw(st.sampled_from([0.0, 0.15, 0.4])),
         fill=draw(st.sampled_from([0.94, 0.6])),
         dtype=draw(st.sampled_from([np.float32, np.float64])),
-        chunk=draw(st.sampled_from([1, 3, 0])),
         force_symmetry=draw(st.booleans()),
         seed=draw(st.integers(0, 10_000)),
     )
@@ -316,7 +289,6 @@ def _sweep_machine(case, ta_potential, wta_potential, speed=0.0, **machine):
         state,
         wta_potential if case["alloy"] else ta_potential,
         dtype=case["dtype"],
-        offset_chunk=case["chunk"],
         force_symmetry=case["force_symmetry"],
         fill=case["fill"],
         **machine,
@@ -361,29 +333,25 @@ def _kernel_calls():
     reg = metrics()
     return tuple(
         reg.counter(f"kernels.{name}.calls").value
-        for name in ("density_chunk", "force_chunk", "grouped_spline_eval")
+        for name in ("wafer_density", "wafer_force", "grouped_spline_eval")
     )
 
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
-def test_one_rho_and_one_phi_call_per_chunk(ta_potential, force_symmetry):
-    """Each chunk costs one ``density_chunk`` call per step, each
-    non-empty chunk one ``force_chunk`` call (no second filter, no
-    duplicate partner pass); the only spline call the engine itself
-    makes is the step's one embedding evaluation."""
+def test_one_call_of_each_sweep_per_step(ta_potential, force_symmetry):
+    """A step costs one ``wafer_density`` and one ``wafer_force`` call
+    over all of its offsets (no second filter, no duplicate partner
+    pass); the only spline call the engine itself makes is the step's
+    one embedding evaluation."""
     sim = WseMd(
         small_slab_state(reps=(5, 5, 2)), ta_potential,
-        offset_chunk=3, force_symmetry=force_symmetry,
+        force_symmetry=force_symmetry,
     )
-    sim._density_sweep()
-    chunks = len(sim._sweeps._chunks)
-    records = len(sim._sweeps._records)
-    assert 1 < records <= chunks
-    sim._force_sweep(np.zeros(sim.occ.shape))
+    assert len(sim._pass_offsets) > 1
     before = _kernel_calls()
     sim.step(3)
     spent = tuple(b - a for a, b in zip(before, _kernel_calls()))
-    assert spent == (3 * chunks, 3 * records, 3)
+    assert spent == (3, 3, 3)
 
 
 @pytest.mark.parametrize("alloy,per_row", [(False, 48), (True, 64)])
@@ -391,13 +359,13 @@ def test_record_bytes_accounting(ta_potential, wta_potential, alloy, per_row):
     """48 B per interaction (float64, one type), 64 B for an alloy."""
     case = dict(
         reps=(5, 5, 2), alloy=alloy, inplane_periodic=False, vacancy=0.0,
-        fill=0.94, dtype=np.float64, chunk=4, force_symmetry=True, seed=1,
+        fill=0.94, dtype=np.float64, force_symmetry=True, seed=1,
     )
     sim = _sweep_machine(case, ta_potential, wta_potential)
     sweeps = sim._sweeps
     assert sweeps.record_bytes() == 0
     _, _, n_int, _, _ = sim._density_sweep()
-    bounds = sum(rec.starts.nbytes for rec in sweeps._records)
+    bounds = sweeps._record.starts.nbytes
     assert sweeps.record_bytes() == per_row * int(n_int.sum()) + bounds
 
 
@@ -421,7 +389,7 @@ def test_no_record_outlives_a_public_call(ta_potential):
     ):
         call()
         assert sim._sweeps.record_bytes() == 0
-        assert sim._sweeps._records is None
+        assert sim._sweeps._record is None
 
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
@@ -526,7 +494,7 @@ def test_default_skin_matches_skin_zero_property(
 
 
 def _listed_pairs(sweeps) -> int:
-    return sum(len(ctr) for _, ctr, _ in sweeps._list.chunks)
+    return len(sweeps._list.listed[1])
 
 
 def _twins(state, potential, **machine):
@@ -612,12 +580,11 @@ def test_positions_overwritten_between_steps(ta_potential):
 
 
 def test_list_bytes_accounting(ta_potential):
-    """Between steps: 8 B per listed pair (two int32 tiles), the chunk
+    """Between steps: 8 B per listed pair (two int32 tiles), the offset
     bounds, and three planes — the build-time positions and occupancy
     and the int32 candidate counts.  Nothing at skin 0."""
     sim, twin, _ = _twins(
-        small_slab_state(reps=(5, 5, 2)), ta_potential,
-        offset_chunk=4, force_symmetry=True,
+        small_slab_state(reps=(5, 5, 2)), ta_potential, force_symmetry=True,
     )
     sweeps = sim._sweeps
     assert sweeps.list_bytes() == 0 and sweeps._list is None
@@ -625,8 +592,8 @@ def test_list_bytes_accounting(ta_potential):
     twin.step(1)
     pairs = _listed_pairs(sweeps)
     assert pairs >= int(sim.last_interactions.sum()) > 0
-    bounds = sum(starts.nbytes for starts, _, _ in sweeps._list.chunks)
-    assert bounds == 4 * (len(sim._pass_offsets) + len(sweeps._chunks))
+    bounds = sweeps._list.listed[0].nbytes
+    assert bounds == 4 * (len(sim._pass_offsets) + 1)
     planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
     assert sweeps.list_bytes() == 8 * pairs + bounds + planes
     assert sweeps.record_bytes() == 0
@@ -639,21 +606,6 @@ def test_negative_skin_rejected(ta_potential):
     with pytest.raises(ValueError, match="skin"):
         WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential,
               skin=float("nan"))
-
-
-def test_auto_chunk_bounds():
-    assert auto_chunk(10, 10) == 16  # small grids cap at the max depth
-    assert auto_chunk(2000, 2000) == 1  # huge grids degrade to 1
-    nx = ny = 924  # ~the paper grid
-    chunk = auto_chunk(nx, ny)
-    assert 1 <= chunk <= 16
-    assert chunk * nx * ny <= 4_000_000
-
-
-def test_invalid_chunk_rejected(ta_potential):
-    with pytest.raises(ValueError, match="offset_chunk"):
-        WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential,
-              offset_chunk=-1)
 
 
 # -- grouped spline evaluation ------------------------------------------------
@@ -715,59 +667,95 @@ def _peak_rss_run(reps, steps=2):
     return peak, sim
 
 
-def _list_build_peak(backend, sweeps, pos, occ):
-    """Peak bytes allocated while ``backend`` lists the first chunk, and
-    the bytes its result holds."""
+def _tier(backend):
+    """The kernel module of ``backend`` (skips when native cannot load)."""
+    if backend == "numpy":
+        return numpy_backend
+    if kernels.backend_status()["native"] != "ok":
+        pytest.skip("native tier unavailable on this host")
+    from repro.kernels import native_backend
+
+    return native_backend
+
+
+def _list_build_peak(backend, b, nx=48, ny=48):
+    """Peak bytes traced while ``backend`` lists the half neighbourhood
+    of width ``b`` (force symmetry's offsets) on a full ``nx x ny``
+    slab, the bytes its result holds, and the offset count."""
     import tracemalloc
 
-    n_cand = np.zeros(occ.shape, dtype=np.int32)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        listed = backend.list_chunk(
-            pos, occ, sweeps._chunks[0], sweeps.lengths, sweeps.periodic,
-            sweeps._reach2, n_cand,
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, sum(a.nbytes for a in listed)
-
-
-@pytest.mark.parametrize("force_symmetry", [False, True])
-def test_streaming_buffers_are_chunk_sized(ta_potential, force_symmetry):
-    """A list build's grid-proportional scratch belongs to the tier and
-    to the call: the numpy body stacks one chunk's shifted differences
-    (O(chunk x grid), never O(offsets x grid)), the native loop walks
-    pair by pair and allocates nothing beyond its outputs, and neither
-    keeps anything once the call returns (the sweeper holds no
-    buffers)."""
-    nx = ny = 120
-    offsets = [(dx, dy) for dx in range(-5, 6) for dy in range(-5, 6)
-               if (dx, dy) != (0, 0)]
-    sweeps = StreamingSweeps(
-        nx=nx, ny=ny, dtype=np.float64,
-        lengths=(1e3, 1e3, 1e3), periodic=(False,) * 3,
-        cutoff=ta_potential.cutoff, skin=0.5, tables=ta_potential.tables,
-        offsets=offsets, chunk=0, force_symmetry=force_symmetry,
-    )
-    depth = auto_chunk(nx, ny)
-    assert sweeps.chunk == depth == len(sweeps._chunks[0]) < len(offsets)
+    offsets = np.array([(dx, dy) for dx in range(-b, b + 1)
+                        for dy in range(-b, b + 1)
+                        if dy > 0 or (dy == 0 and dx > 0)])
     grid = np.stack(np.meshgrid(np.arange(nx), np.arange(ny),
                                 indexing="ij"), axis=-1) * 1.6
     pos = np.concatenate([grid, np.zeros((nx, ny, 1))], axis=2)
     occ = np.ones((nx, ny), dtype=bool)
-    stack = depth * nx * ny * (3 * 8 + 1)  # displacements + mask
-    peak, held = _list_build_peak(numpy_backend, sweeps, pos, occ)
-    assert stack <= peak <= stack + 16 * depth * nx * ny
-    assert peak < len(sweeps.offsets) * nx * ny * (3 * 8 + 1)
-    if kernels.backend_status()["native"] == "ok":
-        from repro.kernels import native_backend
+    lengths, periodic = (1.6 * nx, 1.6 * ny, 1e3), (True, True, False)
+    n_cand = np.zeros((nx, ny), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        listed = backend.wafer_list(pos, occ, offsets, lengths, periodic,
+                                    4.0**2, n_cand)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in listed), len(offsets)
 
-        # the int32 (ctr, src) rows at their upper bound, then shrunk
-        peak, held_native = _list_build_peak(native_backend, sweeps, pos, occ)
-        assert held_native == held
-        assert peak <= 2 * 4 * depth * nx * ny + 4096
+
+@pytest.mark.parametrize("backend", ["numpy", "native"])
+def test_list_build_scratch_is_grid_sized(backend):
+    """A list build's scratch belongs to the tier and to the call, and
+    does not grow with the offsets: the numpy body walks them through
+    one reused (nx, ny, 3) displacement plane and one mask plane, the
+    native loop walks pair by pair and allocates nothing beyond its
+    outputs (int32 rows at their upper bound, then shrunk)."""
+    nx = ny = 48
+    plane = nx * ny * 3 * 8
+    tier = _tier(backend)
+    peak, held, n_off = _list_build_peak(tier, 5, nx, ny)
+    assert n_off == 60 and held > 0
+    if tier is numpy_backend:
+        # beside its outputs: a few planes (and numpy's fixed ufunc
+        # buffers) for 4 offsets and for 60 alike, where one stack of
+        # the 60 offsets' differences alone would be 60 planes
+        small_peak, small_held, small_n = _list_build_peak(tier, 1, nx, ny)
+        assert small_n == 4
+        assert peak - held <= 6 * plane
+        assert small_peak - small_held <= 6 * plane
+    else:
+        assert held == _list_build_peak(numpy_backend, 5, nx, ny)[1]
+        assert peak <= 2 * 4 * n_off * nx * ny + 16_384
+
+
+@pytest.mark.parametrize("backend", ["numpy", "native"])
+def test_one_list_call_is_its_offsets_one_by_one(backend):
+    """The list is offset-major: listing every offset in one call gives
+    the rows, bounds and candidate counts of listing them one call each
+    and concatenating — what splitting the offsets into chunks relied
+    on, and what one call per sweep now relies on."""
+    tier = _tier(backend)
+    rng = np.random.default_rng(8)
+    nx, ny = 17, 13
+    occ = rng.random((nx, ny)) < 0.9
+    pos = np.full((nx, ny, 3), FAR)
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    pos[occ] = (np.stack([gx, gy, 0 * gx], axis=-1)[occ] * 1.6
+                + rng.uniform(-0.3, 0.3, (occ.sum(), 3)))
+    offsets = np.array([(dx, dy) for dx in range(-3, 4)
+                        for dy in range(-3, 4) if (dx, dy) != (0, 0)])
+    box = ((1.6 * nx, 1.6 * ny, 1e3), (True, False, False), 3.5**2)
+    whole = np.zeros((nx, ny), dtype=np.int32)
+    starts, ctr, src = tier.wafer_list(pos, occ, offsets, *box, whole)
+    one_by_one = np.zeros((nx, ny), dtype=np.int32)
+    parts = [tier.wafer_list(pos, occ, offsets[i:i + 1], *box, one_by_one)
+             for i in range(len(offsets))]
+    assert np.array_equal(starts, np.cumsum(
+        [0] + [len(c) for _, c, _ in parts]).astype(np.int32))
+    assert np.array_equal(ctr, np.concatenate([c for _, c, _ in parts]))
+    assert np.array_equal(src, np.concatenate([s for _, _, s in parts]))
+    assert np.array_equal(whole, one_by_one) and len(ctr) > 0
 
 
 @pytest.mark.skipif(not SCALE_TESTS, reason="set REPRO_SCALE_TESTS to run")
@@ -779,7 +767,7 @@ def test_memory_smoke_50k_atoms():
 
 
 #: Survivor-record budget: 48 B per interaction in flight (float64, one
-#: type) plus chunk bookkeeping.
+#: type) plus the offset bounds.
 _RECORD_BYTES_PER_INTERACTION = 56
 
 #: Retained-list budget: two int32 tile indices per listed pair.
@@ -806,7 +794,7 @@ def test_record_budget_50k_atoms():
     sim.step(1)
     assert sim._sweeps.record_bytes() == 0
     # what does stay between steps: the index list at cutoff + skin
-    # (a thin shell more than the survivors in a crystal), chunk
+    # (a thin shell more than the survivors in a crystal), offset
     # bounds, and three grid planes
     pairs = _listed_pairs(sim._sweeps)
     assert rows <= pairs <= 1.25 * rows

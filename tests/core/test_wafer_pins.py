@@ -9,7 +9,11 @@ onto two: the SHA-256 of the id-ordered positions and velocities, and of the
 the retained window, plus the modeled rate, the candidates per atom
 and the number of list builds.  Every case builds its list at least
 twice, so the window holds a list build beside the set-up one, except
-``skin 0``, which builds every step.
+``skin 0``, which builds every step.  The cases ``b6`` (84 offsets in
+one sweep call instead of 60), ``rect-wide`` and ``rect-tall``
+(non-square tile grids, long along one axis and then the other) were
+recorded on the code that still split each sweep into offset chunks,
+so they pin one call per sweep to the chunked sums.
 """
 
 import hashlib
@@ -38,27 +42,33 @@ CASES = {
     "swap5": ({"swap_interval": 5}, None, {}),
     "jitter": ({}, None, {"jitter_rel": 1e-3}),
     "skin0": ({"skin": 0.0}, None, {}),
-    "chunk1": ({"offset_chunk": 1}, None, {}),
-    "chunk3": ({"offset_chunk": 3}, None, {}),
+    "b6": ({}, None, {"b": 6}),
+    "rect-wide": ({"reps": (48, 32, 3)}, None, {}),
+    "rect-tall": ({"reps": (32, 48, 3)}, None, {}),
 }
 
 #: case -> (positions+velocities sha, cycle-trace sha, modeled steps/s
 #: as float.hex, candidates per atom as float.hex, list builds)
 PINS = {
-    "chunk1": (
+    "b6": (
         "b04f02749b8d99f8941e7db53341722305924027bf957451208475762c0a8948",
-        "f52aa36249520838ea11d102754b273c74f0387143195f9764e79cc26dbbd0a6",
-        "0x1.39dbe69f62b3bp+18", "0x1.ca4425ed097b4p+5", 2,
-    ),
-    "chunk3": (
-        "b04f02749b8d99f8941e7db53341722305924027bf957451208475762c0a8948",
-        "f52aa36249520838ea11d102754b273c74f0387143195f9764e79cc26dbbd0a6",
-        "0x1.39dbe69f62b3bp+18", "0x1.ca4425ed097b4p+5", 2,
+        "c46e0685ae4c50d0e0396e7468e43417e46456dbd9a712c782c05f7e34ba18ff",
+        "0x1.ffd83a08e8158p+17", "0x1.3e0e38e38e38ep+6", 2,
     ),
     "jitter": (
         "b04f02749b8d99f8941e7db53341722305924027bf957451208475762c0a8948",
         "44c13bb383393e1550af173c9379301abf3c4461cb264b69e1c92cb2f04399e3",
         "0x1.3927c2d8fe2cdp+18", "0x1.ca4425ed097b4p+5", 2,
+    ),
+    "rect-tall": (
+        "34a727fccf0a6396e25c8b99b00dc56ef5cb8e7d174ba0e0900e3f24983a51d6",
+        "c1850aefd73ab7251972295511e981d879fae8eb9af13768a5506009e4abfb13",
+        "0x1.32d17d3d1dbbdp+18", "0x1.c4f0000000000p+5", 2,
+    ),
+    "rect-wide": (
+        "969c20df43ccebb0490590ac826fa2ff79586f7a983be406b04b624b4760c906",
+        "d4eeb65731c306c5f9bbea5e35cee6b7ff81a6bc5e6625b6000f55e96686c8fd",
+        "0x1.39dbe69f62b3bp+18", "0x1.c4cc71c71c71cp+5", 2,
     ),
     "skin0": (
         "b04f02749b8d99f8941e7db53341722305924027bf957451208475762c0a8948",

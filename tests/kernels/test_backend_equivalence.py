@@ -120,7 +120,7 @@ def _fused_force_pass_inputs(rng):
     return (i, j, rij, r, f_der, d_ji, d_ij, bank, member, n_atoms), {}
 
 
-def _wafer_chunk(rng, n_members):
+def _wafer_listed(rng, n_members):
     """Three offsets of listed wafer pairs, tiles unique per offset."""
     n_tiles = 40
     lengths = rng.uniform(4.0, 7.0, size=3)
@@ -142,9 +142,9 @@ def _wafer_chunk(rng, n_members):
     return pos, (starts, ctr, src), lengths, periodic, typ, phi_index
 
 
-def _density_chunk_inputs(rng):
+def _wafer_density_inputs(rng):
     n_members = int(rng.integers(1, 3))
-    pos, listed, lengths, periodic, typ, phi_index = _wafer_chunk(
+    pos, listed, lengths, periodic, typ, phi_index = _wafer_listed(
         rng, n_members
     )
     rho_flat = np.zeros(len(pos))
@@ -155,15 +155,15 @@ def _density_chunk_inputs(rng):
     ), {}, (rho_flat, int_flat)
 
 
-def _force_chunk_inputs(rng):
+def _wafer_force_inputs(rng):
     from repro.kernels import numpy_backend
 
     n_members = int(rng.integers(1, 3))
-    pos, listed, lengths, periodic, typ, phi_index = _wafer_chunk(
+    pos, listed, lengths, periodic, typ, phi_index = _wafer_listed(
         rng, n_members
     )
     symmetry = bool(rng.integers(0, 2))
-    record = numpy_backend.density_chunk(
+    record = numpy_backend.wafer_density(
         pos, listed, lengths, periodic, 3.0, typ, _bank(rng, n_members),
         phi_index, symmetry, np.zeros(len(pos)),
         np.zeros(len(pos), dtype=np.int64),
@@ -192,7 +192,7 @@ def _list_valid_inputs(rng):
     return (pos + step, occ, pos, occ.copy(), bound2), {}
 
 
-def _list_chunk_inputs(rng):
+def _wafer_list_inputs(rng):
     pos, occ = _wafer_grid(rng)
     offsets = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2))
     periodic = rng.integers(0, 2, size=3).astype(bool)
@@ -227,9 +227,9 @@ _INPUTS = {
     "fused_density_pass": _fused_density_pass_inputs,
     "fused_force_pass": _fused_force_pass_inputs,
     "list_valid": _list_valid_inputs,
-    "list_chunk": _list_chunk_inputs,
-    "density_chunk": _density_chunk_inputs,
-    "force_chunk": _force_chunk_inputs,
+    "wafer_list": _wafer_list_inputs,
+    "wafer_density": _wafer_density_inputs,
+    "wafer_force": _wafer_force_inputs,
     "wafer_integrate": _wafer_integrate_inputs,
     "wafer_cycles": _wafer_cycles_inputs,
 }

@@ -133,7 +133,7 @@ class TestRegistry:
         assert len(set(KERNEL_FUNCTIONS)) == len(KERNEL_FUNCTIONS) == 10
         assert "spline_eval" not in KERNEL_FUNCTIONS  # one spline evaluator
         # the whole wafer step is in the registry
-        assert {"list_valid", "list_chunk", "wafer_integrate",
+        assert {"list_valid", "wafer_list", "wafer_integrate",
                 "wafer_cycles"} < set(KERNEL_FUNCTIONS)
         for fn in KERNEL_FUNCTIONS:
             assert callable(getattr(numpy_backend, fn))

@@ -4,7 +4,7 @@ The equivalence proof is PR 17's Hypothesis harness
 (``test_numpy_floor.py``) pointed at native-vs-numpy for the pair
 kernels it already sweeps, plus the same treatment for the six kernels
 of a wafer step (list test and build on holed grids in open and
-periodic boxes, the two chunk sweeps, the leap-frog, the cycle
+periodic boxes, the two sweeps, the leap-frog, the cycle
 counter): every output ``np.array_equal`` with equal dtype and shape,
 and the same exception *type* where numpy raises (out-of-range index
 -> ``IndexError``, coincident atoms -> ``FloatingPointError``).  Then
@@ -101,13 +101,13 @@ class TestPairKernels:
         assert native_backend.declined == before + 3
 
 
-# -- the wafer's chunk kernels -------------------------------------------------
+# -- the wafer's two sweeps ---------------------------------------------------
 
 
 def _wafer_case(seed, *, n_tiles, n_off, n_members, box, bad_index=False,
                 coincident=False):
-    """One chunk of listed pairs on a random cloud: per offset, unique
-    center tiles and unique source tiles, as the list build guarantees."""
+    """A wafer list on a random cloud: per offset, unique center tiles
+    and unique source tiles, as the list build guarantees."""
     rng = np.random.default_rng(seed)
     lengths = rng.uniform(4.0, 7.0, 3)
     pos = rng.uniform(0.0, 1.0, (n_tiles, 3)) * lengths
@@ -145,11 +145,11 @@ def _both_sweeps(backend, case, cutoff, symmetry, energy):
     force = np.zeros((n, 3))
     e_flat = np.zeros(n) if energy else None
     try:
-        record = backend.density_chunk(
+        record = backend.wafer_density(
             pos, listed, lengths, periodic, cutoff, typ, rho.bank(),
             phi_index, symmetry, rho_flat, int_flat,
         )
-        backend.force_chunk(
+        backend.wafer_force(
             record, f_der, phi.bank(), symmetry, force, e_flat
         )
     except Exception as exc:
@@ -159,7 +159,7 @@ def _both_sweeps(backend, case, cutoff, symmetry, energy):
 
 
 @needs_native
-class TestChunkKernels:
+class TestWaferSweeps:
     @given(
         seed=st.integers(0, 10_000),
         n_tiles=st.sampled_from([1, 2, 9, 60]),
@@ -207,7 +207,7 @@ class TestChunkKernels:
         )
         rho_flat, int_flat = np.zeros(40), np.zeros(40, dtype=np.int64)
         with pytest.raises(IndexError):
-            native_backend.density_chunk(
+            native_backend.wafer_density(
                 pos, listed, lengths, periodic, 3.0, typ, rho.bank(),
                 phi_index, True, rho_flat, int_flat,
             )
@@ -298,21 +298,18 @@ class TestWaferStepKernels:
             assert want is False
 
     @given(**_GRIDS, reach=st.sampled_from([0.0, 2.0, 3.6, 40.0]),
-           b=st.integers(1, 4), chunk=st.sampled_from([1, 3, 0]))
+           b=st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
-    def test_list_chunk(self, seed, nx, ny, holes, box, reach, b, chunk):
+    def test_wafer_list(self, seed, nx, ny, holes, box, reach, b):
         _, pos, occ, lengths, periodic = _wafer_grid(seed, nx, ny, holes, box)
         offsets = np.array([(dx, dy) for dx in range(-b, b + 1)
                             for dy in range(-b, b + 1) if (dx, dy) != (0, 0)])
-        step = chunk or len(offsets)
-        for start in range(0, len(offsets), step):
-            part = offsets[start:start + step]
-            want, got = (
-                _outcome(side.list_chunk, pos, occ, part, lengths, periodic,
-                         reach * reach, np.zeros((nx, ny), dtype=np.int32))
-                for side in (numpy_backend, native_backend)
-            )
-            _assert_same(got, want)
+        want, got = (
+            _outcome(side.wafer_list, pos, occ, offsets, lengths, periodic,
+                     reach * reach, np.zeros((nx, ny), dtype=np.int32))
+            for side in (numpy_backend, native_backend)
+        )
+        _assert_same(got, want)
 
     @given(**_GRIDS, n_types=st.integers(1, 3),
            dt=st.sampled_from([0.002, 0.01]),
@@ -350,7 +347,7 @@ class TestWaferStepKernels:
         rng, pos, occ, lengths, periodic = _wafer_grid(3, 12, 9, 0.1, "mixed")
         offsets = np.array([[1, 0], [0, 1], [2, -1]])
         native_backend.list_valid(pos, occ, pos.copy(), occ.copy(), 0.01)
-        native_backend.list_chunk(pos, occ, offsets, lengths, periodic, 9.0,
+        native_backend.wafer_list(pos, occ, offsets, lengths, periodic, 9.0,
                                   np.zeros(occ.shape, dtype=np.int32))
         rows, flat = pos.reshape(-1, 3), occ.ravel()
         native_backend.wafer_integrate(
@@ -419,32 +416,28 @@ def _threaded_case(seed, nx, ny, holes, box, b, symmetry, n_members, jitter):
             phi_index, f_der)
 
 
-def _list_and_sweeps(backend, case, chunk, cutoff, skin, symmetry, energy):
-    """Build the list chunk by chunk, then both sweeps over it, through
-    ``backend``: every output and accumulator, and the threads each
-    native call ran on."""
+def _list_and_sweeps(backend, case, cutoff, skin, symmetry, energy):
+    """Build the list, then both sweeps over it, through ``backend``:
+    every output and accumulator, and the threads each native call ran
+    on."""
     (held, pos, occ, lengths, periodic, offsets, typ, rho, phi, phi_index,
      f_der) = case
     n = occ.size
     n_cand = np.zeros(occ.shape, dtype=np.int32)
     rho_flat, int_flat = np.zeros(n), np.zeros(n, dtype=np.int64)
     force, e_flat = np.zeros((n, 3)), np.zeros(n) if energy else None
-    out, threads = [], []
-    for start in range(0, len(offsets), chunk or len(offsets)):
-        part = offsets[start:start + (chunk or len(offsets))]
-        listed = backend.list_chunk(held, occ, part, lengths, periodic,
-                                    (cutoff + skin) ** 2, n_cand)
-        threads.append(getattr(backend, "threads", 1))
-        record = backend.density_chunk(
-            pos.reshape(-1, 3), listed, lengths, periodic, cutoff, typ,
-            rho.bank(), phi_index, symmetry, rho_flat, int_flat,
-        )
-        threads.append(getattr(backend, "threads", 1))
-        backend.force_chunk(record, f_der, phi.bank(), symmetry, force,
-                            e_flat)
-        threads.append(getattr(backend, "threads", 1))
-        out += [*listed, *record]
-    out += [n_cand, rho_flat, int_flat, force]
+    threads = []
+    listed = backend.wafer_list(held, occ, offsets, lengths, periodic,
+                                (cutoff + skin) ** 2, n_cand)
+    threads.append(getattr(backend, "threads", 1))
+    record = backend.wafer_density(
+        pos.reshape(-1, 3), listed, lengths, periodic, cutoff, typ,
+        rho.bank(), phi_index, symmetry, rho_flat, int_flat,
+    )
+    threads.append(getattr(backend, "threads", 1))
+    backend.wafer_force(record, f_der, phi.bank(), symmetry, force, e_flat)
+    threads.append(getattr(backend, "threads", 1))
+    out = [*listed, *record, n_cand, rho_flat, int_flat, force]
     return out + ([e_flat] if energy else []), threads
 
 
@@ -459,22 +452,21 @@ class TestSweepThreads:
 
     @given(**_GRIDS, b=st.integers(1, 3), symmetry=st.booleans(),
            n_members=st.sampled_from([1, 2]),
-           chunk=st.sampled_from([1, 3, 0]),
            skin=st.sampled_from([0.0, 0.4]),
            jitter=st.sampled_from([0.0, 0.15]), energy=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_every_thread_count_is_the_numpy_body(
-        self, seed, nx, ny, holes, box, b, symmetry, n_members, chunk, skin,
+        self, seed, nx, ny, holes, box, b, symmetry, n_members, skin,
         jitter, energy,
     ):
         case = _threaded_case(seed, nx, ny, holes, box, b, symmetry,
                               n_members, jitter)
-        want, _ = _list_and_sweeps(numpy_backend, case, chunk, 2.6, skin,
-                                   symmetry, energy)
+        want, _ = _list_and_sweeps(numpy_backend, case, 2.6, skin, symmetry,
+                                   energy)
         for n in THREADS:
             with forced_threads(n):
-                got, threads = _list_and_sweeps(native_backend, case, chunk,
-                                                2.6, skin, symmetry, energy)
+                got, threads = _list_and_sweeps(native_backend, case, 2.6,
+                                                skin, symmetry, energy)
             assert threads == [n] * len(threads)
             _assert_same(got, want)
 
@@ -482,14 +474,13 @@ class TestSweepThreads:
         """A jittered 40 x 40 slab: rows the exact cut drops leave gaps
         the fix-up closes (more listed than kept), bitwise."""
         case = _threaded_case(9, 40, 40, 0.05, "periodic", 2, True, 2, 0.15)
-        want, _ = _list_and_sweeps(numpy_backend, case, 3, 2.6, 0.4, True,
-                                   True)
-        starts, kept = want[3], want[4]  # the first chunk's record
+        want, _ = _list_and_sweeps(numpy_backend, case, 2.6, 0.4, True, True)
+        starts, kept = want[3], want[4]  # the record's bounds and centres
         assert len(kept) < len(want[1])
         assert starts[-1] == len(kept)
         for n in THREADS:
             with forced_threads(n):
-                got, _ = _list_and_sweeps(native_backend, case, 3, 2.6, 0.4,
+                got, _ = _list_and_sweeps(native_backend, case, 2.6, 0.4,
                                           True, True)
             _assert_same(got, want)
 
@@ -509,7 +500,7 @@ class TestSweepThreads:
             phi_index, f_der = _wafer_case(7, n_tiles=40, n_off=3,
                                            n_members=1, box="open")
         rho_flat, int_flat = np.zeros(40), np.zeros(40, dtype=np.int64)
-        record = numpy_backend.density_chunk(
+        record = numpy_backend.wafer_density(
             pos, (starts, ctr, src), lengths, periodic, 50.0, typ,
             rho.bank(), phi_index, True, rho_flat, int_flat,
         )
@@ -520,12 +511,12 @@ class TestSweepThreads:
         force = np.zeros((40, 3))
         before = native_backend.declined
         with forced_threads(n), pytest.raises(IndexError):
-            native_backend.density_chunk(
+            native_backend.wafer_density(
                 pos, (starts, ctr, src), lengths, periodic, 3.0, typ,
                 rho.bank(), phi_index, True, rho_flat, int_flat,
             )
         with forced_threads(n), pytest.raises(IndexError):
-            native_backend.force_chunk(record, f_der, phi.bank(), True, force)
+            native_backend.wafer_force(record, f_der, phi.bank(), True, force)
         assert native_backend.declined == before + 2
         assert not rho_flat.any() and not int_flat.any() and not force.any()
 
@@ -534,11 +525,10 @@ class TestSweepThreads:
         x, y = np.argwhere(case[2])[len(case[2]) // 2]
         case[1] = case[1].copy()
         case[1][x, y, 1] = np.nan
-        want, _ = _list_and_sweeps(numpy_backend, case, 0, 2.6, 0.4, True,
-                                   True)
+        want, _ = _list_and_sweeps(numpy_backend, case, 2.6, 0.4, True, True)
         with forced_threads(2):
-            got, threads = _list_and_sweeps(native_backend, case, 0, 2.6,
-                                            0.4, True, True)
+            got, threads = _list_and_sweeps(native_backend, case, 2.6, 0.4,
+                                            True, True)
         assert set(threads) == {2}
         _assert_same(got, want)
 
@@ -548,7 +538,7 @@ class TestSweepThreads:
         case = _threaded_case(1, 30, 30, 0.1, "periodic", 2, True, 1, 0.1)
         before = _tasks()
         with forced_threads(3):
-            _, threads = _list_and_sweeps(native_backend, case, 0, 2.6, 0.4,
+            _, threads = _list_and_sweeps(native_backend, case, 2.6, 0.4,
                                           True, False)
         assert set(threads) == {3}
         assert _tasks() == before

@@ -46,7 +46,6 @@ class TestValidation:
             ("swap_interval", -5, ">= 0"),
             ("checkpoint_interval", -1, ">= 0"),
             ("workers", -2, ">= 0"),
-            ("offset_chunk", -4, ">= 0"),
         ],
     )
     def test_out_of_range_scalars(self, name, value, bound):
@@ -162,6 +161,15 @@ class TestSerialization:
         # still carries it is rejected like any other typo
         with pytest.raises(SpecError, match="unknown spec keys.*fuse_integrate"):
             RunSpec.from_dict({"element": "Ta", "fuse_integrate": True})
+
+    def test_removed_offset_chunk_is_an_unknown_key(self, tmp_path):
+        # every wafer sweep is one kernel call: a spec file that still
+        # sets the chunk is rejected like any other typo
+        path = tmp_path / "old.toml"
+        path.write_text('element = "Ta"\nengine = "wse"\noffset_chunk = 4\n')
+        with pytest.raises(SpecError, match="unknown spec keys.*offset_chunk"):
+            RunSpec.from_file(path)
+        assert "offset_chunk" not in RunSpec().to_dict()
 
     def test_to_dict_is_json_safe(self):
         spec = RunSpec(thermostat={"kind": "langevin", "temperature": 290.0})

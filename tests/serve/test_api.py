@@ -126,6 +126,7 @@ class TestErrors:
         ({"element": "Unobtanium"}, "unknown element"),
         # a field that no longer exists is an unknown key like any other
         ({"element": "Ta", "fuse_integrate": True}, "unknown spec keys"),
+        ({"element": "Ta", "offset_chunk": 4}, "unknown spec keys"),
     ])
     def test_bad_spec_maps_to_code_2(self, tmp_path, spec, complaint):
         response = _with_server(tmp_path, lambda c: c.submit(spec))

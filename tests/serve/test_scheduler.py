@@ -101,13 +101,13 @@ class TestCacheSemantics:
         )
 
     def test_speed_knob_change_still_hits(self, tmp_path):
-        """backend/offset_chunk are not physics: same cache key."""
+        """backend is not physics: same cache key."""
         from dataclasses import replace
 
         async def body():
             sched = _scheduler(tmp_path)
             await sched.wait(await sched.submit(SPEC))
-            tweaked = replace(SPEC, backend="numpy", offset_chunk=7)
+            tweaked = replace(SPEC, backend="numpy")
             job = await sched.submit(tweaked)
             await sched.wait(job)
             await sched.close()

@@ -229,9 +229,10 @@ class TestExecution:
         assert result.steps_per_s > 0
         assert result.n_atoms == 100  # (5, 5, 2) BCC thin slab
         # the lockstep extras the history is audited by
-        assert {"list_builds", "list_reuse_ratio", "offset_chunk",
+        assert {"list_builds", "list_reuse_ratio",
                 "modeled_wse2_steps_per_s", "sweep_threads",
                 "build_step_s"} <= set(result.extra)
+        assert "offset_chunk" not in result.extra  # no chunk to record
         assert result.extra["sweep_threads"] >= 1
 
     def test_run_case_quick_reference_collects_stats(self):

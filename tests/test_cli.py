@@ -243,6 +243,18 @@ class TestSpecRuns:
     def test_missing_spec_file_exit_code_2(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "nope.toml")]) == 2
 
+    def test_removed_offset_chunk_flag_exit_code_2(self, tmp_path, capsys):
+        # no RunSpec field, no generated flag: argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--engine", "wse", "--reps", "4", "4", "2",
+                  "--steps", "1", "--offset-chunk", "4"])
+        assert exc.value.code == 2
+        assert "--offset-chunk" in capsys.readouterr().err
+        path = tmp_path / "old.toml"
+        path.write_text('engine = "wse"\noffset_chunk = 4\n')
+        assert main(["run", "--spec", str(path)]) == 2
+        assert "offset_chunk" in capsys.readouterr().err
+
     def test_workers_on_the_wse_engine_exit_code_2(self, capsys):
         assert main(["run", "--engine", "wse", "--workers", "2",
                      "--reps", "4", "4", "2", "--steps", "1"]) == 2
