@@ -128,7 +128,7 @@ CASES: tuple[BenchCase, ...] = (
         element="Ta", reps=(8, 8, 3), steps=20, engine="wse",
         backend="native", force_symmetry=True,
     ), {"reps": (5, 5, 2), "steps": 30}),
-    # Lockstep scaling cases: the streaming sweeps keep their scratch at
+    # Lockstep scaling cases: the wafer's sweeps keep their scratch at
     # O(grid), so the machine runs the paper's actual experiment
     # sizes.  100k is the everyday scaling case (its quick slab covers
     # the >=10k-atom regime the CI gate watches); 800k is the paper's

@@ -8,8 +8,10 @@ Composition (paper Sec. III):
   neighbors stay two fabric hops apart (Sec. III-E, Fig. 5).
 * :mod:`repro.core.neighborhood` — choosing the neighborhood half-width
   ``b`` from ``2 C(g) + r_cut``.
-* :mod:`repro.core.exchange` — the functional neighborhood exchange the
-  lockstep machine uses (validated against the event-level fabric sim).
+* :mod:`repro.core.exchange` — the functional neighborhood exchange as
+  grid shifts (validated against the event-level fabric sim); the swap
+  engine's shifts and the tests' oracle.  The lockstep machine's own
+  exchange is the ``wafer_list`` kernel.
 * :mod:`repro.core.worker` — the scalar per-tile worker program
   (the five-step timestep of Sec. III-A).
 * :mod:`repro.core.swap` — the greedy mutual atom-swap remapping

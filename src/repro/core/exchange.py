@@ -1,8 +1,7 @@
-"""Functional neighborhood exchange for the lockstep machine.
+"""Functional neighborhood exchange on per-tile grids.
 
-The lockstep simulator executes every tile's worker simultaneously on
-per-tile grid arrays of shape ``(nx, ny, ...)``.  The candidate exchange
-then becomes, for each neighborhood offset ``(dx, dy)``, an aligned
+On per-tile grid arrays of shape ``(nx, ny, ...)`` the candidate
+exchange becomes, for each neighborhood offset ``(dx, dy)``, an aligned
 array shift: ``shifted[x, y] = grid[x + dx, y + dy]`` (out-of-fabric
 reads yield the fill value — the "atom at infinity" the paper uses for
 empty tiles).  Iterating offsets in the deterministic exchange order and
@@ -13,6 +12,12 @@ they arrive rather than materializing them.
 The equivalence of this functional exchange with the wavelet-level
 marching multicast is established by tests: the event simulator's
 per-tile delivered source sets equal these shifts' source sets.
+
+The lockstep machine does not call this module: its exchange is the
+``wafer_list`` registry kernel (:mod:`repro.kernels`), whose numpy body
+shifts through :func:`~repro.kernels.numpy_backend.shift_rects` too.
+Here the shifts serve :class:`~repro.core.swap.SwapEngine`
+(:func:`shift2d`) and the tests' exchange oracles.
 """
 
 from __future__ import annotations

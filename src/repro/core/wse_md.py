@@ -3,13 +3,12 @@
 Executes every tile's worker program simultaneously on per-tile grid
 arrays, following the five-step timestep of paper Sec. III-A:
 
-1. **Candidate exchange** — one kernel call over all (2b+1)^2
-   neighborhood offsets (:mod:`repro.core.streaming`), the functional
-   equivalent of the marching multicast.  The wafer repeats it every
-   step because it is free there; the host keeps its result — an
-   index-only Verlet list at ``cutoff + skin`` — and repeats the
-   exchange only when an atom has moved ``skin / 2`` or the occupancy
-   changed.
+1. **Candidate exchange** — one ``wafer_list`` kernel call over all
+   (2b+1)^2 neighborhood offsets, the functional equivalent of the
+   marching multicast.  The wafer repeats it every step because it is
+   free there; the host keeps its result — an index-only Verlet list at
+   ``cutoff + skin`` — and repeats the exchange only when an atom has
+   moved ``skin / 2`` or the occupancy changed.
 2. **Neighbor list** — every step, the exact ``r < rc`` test over the
    listed pairs only; the survivors are kept as one compact record
    (candidates arrive in deterministic order; the record order *is*
@@ -31,18 +30,26 @@ counter in a scratch buffer" (Sec. IV-B).
 
 Everything per tile — list test and build, both sweeps, the leap-frog
 and the cycle counter — is a kernel of the active registry tier
-(:mod:`repro.kernels`); this class sequences them and owns the grids.
-The physics is identical to the reference engine
-(:mod:`repro.md.simulation`); tests assert trajectory equivalence.
+(:mod:`repro.kernels`); this class sequences them, owns the grids and
+decides when the held list is reused: from values alone (the same
+occupancy, every tile within ``skin / 2`` of its build-time position),
+so an atom swap, a restored checkpoint or a caller writing into the
+grids needs no hook, and a NaN, which fails that test, reaches a build
+that refuses it.  Survivors are always chosen by the exact cutoff test,
+in list order, so trajectories do not depend on the skin.  The physics
+is identical to the reference engine (:mod:`repro.md.simulation`);
+tests assert trajectory equivalence.
 """
 
 from __future__ import annotations
+
+import time
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.cycle_model import CycleCostModel
 from repro.core.mapping import Mapping, build_mapping
-from repro.core.streaming import FAR as _FAR, StreamingSweeps, _flat
 from repro.core.neighborhood import required_b
 from repro.core.swap import SwapEngine
 from repro.kernels import active_backend
@@ -52,7 +59,63 @@ from repro.potentials.eam import EAMPotential
 from repro.wse.geometry import TileGrid
 from repro.wse.trace import CycleTrace
 
-__all__ = ["WseMd"]
+__all__ = ["WseMd", "SweepRecordError", "FAR"]
+
+#: Sentinel coordinate of an empty tile's "atom at infinity": masked by
+#: the occupancy bit, it only has to stay finite when squared.
+FAR = 1.0e15
+
+
+class SweepRecordError(RuntimeError):
+    """A force sweep was asked to run without a fresh density sweep."""
+
+
+class _SurvivorRecord(NamedTuple):
+    """The step's surviving candidates, offset-major (exchange order):
+    everything the force sweep needs.  ``starts[i]:starts[i + 1]`` are
+    the rows of the ``i``-th offset, within which every center (and
+    every source) tile appears at most once."""
+
+    starts: np.ndarray
+    ctr: np.ndarray  # flat center tile, int32
+    src: np.ndarray  # flat source tile (the partner), int32
+    r: np.ndarray  # distance, machine dtype
+    unit: np.ndarray  # (n, 3) unit vector center -> source, machine dtype
+    rho_d_src: np.ndarray  # rho' through the source's type
+    rho_d_ctr: np.ndarray  # rho' through the center's type
+    phi_member: np.ndarray | int  # phi table per row (0 = single type)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, counting a shared single-type ``rho'`` once."""
+        arrays = [self.starts, self.ctr, self.src, self.r, self.unit,
+                  self.rho_d_src]
+        if self.rho_d_ctr is not self.rho_d_src:
+            arrays += [self.rho_d_ctr, self.phi_member]
+        return sum(a.nbytes for a in arrays)
+
+
+class _SkinList(NamedTuple):
+    """The index-only Verlet list: every pair within ``cutoff + skin``
+    at build time as int32 ``(starts, ctr, src)``, ordered like
+    :class:`_SurvivorRecord`, and what its validity is judged by."""
+
+    listed: tuple[np.ndarray, np.ndarray, np.ndarray]
+    pos: np.ndarray  # build-time position plane (a copy)
+    occ: np.ndarray  # build-time occupancy plane (a copy)
+    n_cand: np.ndarray  # received candidates per tile, int32
+
+    @property
+    def nbytes(self) -> int:
+        index = sum(a.nbytes for a in self.listed)
+        return index + self.pos.nbytes + self.occ.nbytes + self.n_cand.nbytes
+
+
+def _flat(grid: np.ndarray, *tail: int) -> np.ndarray:
+    """A flat-tile *view* of an (nx, ny, ...) grid."""
+    if not grid.flags.c_contiguous:
+        raise ValueError("sweep accumulators must be C-contiguous")
+    return grid.reshape(-1, *tail)
 
 
 class WseMd:
@@ -73,12 +136,18 @@ class WseMd:
     b_margin:
         Physical slack (A) added when auto-choosing ``b`` — headroom
         for atom motion between swap rounds.
+    fill:
+        Target occupancy (atoms per tile) of an auto-sized grid.
     dt_fs:
         Timestep (fs).
     cost_model:
         Cycle pricing; defaults to the calibrated baseline model.
     swap_interval:
         Apply a swap round every this many steps (0 disables).
+    swap_engine:
+        The remapping a swap round applies (default: greedy mutual).
+    mapping:
+        A pre-built atom-to-core mapping (wins over ``grid``/``fill``).
     dtype:
         Storage/compute dtype for per-tile state; ``np.float32``
         matches the WSE's single-precision implementation.
@@ -86,25 +155,27 @@ class WseMd:
         Relative per-tile timing noise (models hardware effects like
         bank conflicts; the paper measures 0.11 %).  Deterministic via
         ``seed`` (or the passed ``rng``).
+    seed:
+        Seed of the timing-noise generator when no ``rng`` is passed.
     rng:
-        Pre-built generator for the timing noise (wins over ``seed``).
-        The runtime passes its "engine" seed stream here so the noise
-        sequence is checkpointable.
+        Pre-built generator for the timing noise (wins over ``seed``);
+        the runtime passes its checkpointable "engine" seed stream.
     force_symmetry:
         Enable the paper's "Force Symmetry" future optimization
         (Sec. VI-A): pair terms are computed once per undirected pair
         (half the neighborhood offsets) and the partner's share is
-        returned by the reverse-multicast reduction — functionally a
-        scatter through the opposite offset.  Physics is identical;
-        pair work halves (price it with an
+        returned by the reverse-multicast reduction.  Physics is
+        identical; pair work halves (price it with an
         :class:`~repro.core.cycle_model.OptimizationConfig` whose
         ``interaction_factor`` is 0.5).
     skin:
-        Verlet skin (A) of the list the sweeps carry across steps; 0
-        re-runs the exchange and filter every step (the paper's
-        policy).  A speed / memory knob only: survivors are always
-        chosen by the exact cutoff test, so any skin produces
-        bitwise-identical trajectories.
+        Verlet skin (A) of the list carried across steps, reused while
+        every tile stays within ``skin / 2`` of its build-time position;
+        0 re-runs the exchange and filter every step (the paper's
+        policy) and retains nothing.  A speed / memory knob only: any
+        skin produces bitwise-identical trajectories.
+    tracer:
+        :mod:`repro.obs` tracer for :meth:`step`'s phase spans.
     """
 
     def __init__(
@@ -133,6 +204,8 @@ class WseMd:
             raise FloatingPointError(
                 "non-finite positions in the state handed to the wafer"
             )
+        if not skin >= 0:
+            raise ValueError(f"skin must be >= 0, got {skin}")
         self.potential = potential
         self.box = state.box
         self.masses = state.masses.copy()
@@ -146,6 +219,7 @@ class WseMd:
         self.dtype = np.dtype(dtype)
         self.jitter_rel = float(jitter_rel)
         self.force_symmetry = bool(force_symmetry)
+        self.skin = float(skin)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self.pbc_inplane = bool(state.box.periodic[0] or state.box.periodic[1])
@@ -158,11 +232,9 @@ class WseMd:
         if b is None:
             b = required_b(self.mapping, state.positions, state.box,
                            potential.cutoff, margin=b_margin)
-            # Tiny workloads can need a neighborhood wider than the
-            # snug auto-sized grid.  Embed the mapping in a larger grid
-            # with an empty border at the *same pitch* (the wafer always
-            # has spare tiles around a small problem); b is unchanged
-            # because worker separations are unchanged.
+            # a tiny workload can need a neighborhood wider than the snug
+            # auto-sized grid: add an empty border at the *same pitch*
+            # (worker separations, and so b, are unchanged)
             if auto_sized and 2 * b + 1 > min(self.grid.nx, self.grid.ny):
                 self.mapping = self.mapping.with_border(b)
                 self.grid = self.mapping.grid
@@ -172,7 +244,7 @@ class WseMd:
 
         nx, ny = self.grid.nx, self.grid.ny
         self.occ = np.zeros((nx, ny), dtype=bool)
-        self.pos = np.full((nx, ny, 3), _FAR, dtype=self.dtype)
+        self.pos = np.full((nx, ny, 3), FAR, dtype=self.dtype)
         self.vel = np.zeros((nx, ny, 3), dtype=self.dtype)
         self.aid = np.full((nx, ny), -1, dtype=np.int64)
         self.typ = np.zeros((nx, ny), dtype=np.int64)
@@ -199,31 +271,33 @@ class WseMd:
         self.list_builds = 0
         self.list_reuses = 0
         self.last_reused = False
+        #: the most threads a kernel call of the last density sweep and
+        #: the force sweep after it ran on (1 on a tier without threads)
+        self.sweep_threads = 1
         if 2 * self.b + 1 > max(nx, ny):
             raise ValueError(f"neighborhood 2b+1={2 * self.b + 1} exceeds "
                              f"grid {nx}x{ny}")
 
-        # Streaming-sweep state: the (2b+1)^2 - 1 neighborhood offsets
-        # depend only on the (fixed) grid and b; with force symmetry a
-        # worker processes only the "i < j" half (the multicast is
-        # cropped, Sec. VI-A) and each pair's partner share travels
-        # back via the reverse reduction.  The sweeper owns the survivor
-        # record between the two sweeps of one step (O(interactions))
-        # and across steps the index-only list it decides on its own
-        # when to rebuild.
-        self._offsets = [(int(dx), int(dy)) for dx, dy
-                         in self.grid.neighborhood_offsets(self.b)]
+        # The sweeps' offsets; with force symmetry a worker processes
+        # only the "i < j" half (the multicast is cropped, Sec. VI-A) and
+        # each pair's partner share travels back by the reverse reduction.
         self._pass_offsets = [
-            (dx, dy) for dx, dy in self._offsets
+            (int(dx), int(dy)) for dx, dy
+            in self.grid.neighborhood_offsets(self.b)
             if not self.force_symmetry or dy > 0 or (dy == 0 and dx > 0)
         ]
-        self._sweeps = StreamingSweeps(
-            nx=nx, ny=ny, dtype=self.dtype, lengths=self.box.lengths,
-            periodic=self.box.periodic, cutoff=potential.cutoff,
-            skin=skin, tables=potential.tables, offsets=self._pass_offsets,
-            force_symmetry=self.force_symmetry,
+        self._offset_rows = np.array(self._pass_offsets, dtype=np.int64)
+        self._lengths = tuple(float(v) for v in self.box.lengths)
+        self._periodic = tuple(bool(v) for v in self.box.periodic)
+        # the coarse and the exact cut are separate reductions: a few-ulp
+        # pad keeps the list a superset of the survivors even at skin 0
+        self._reach2 = (float(potential.cutoff) + self.skin) ** 2 * (
+            1.0 + 8.0 * float(np.finfo(self.dtype).eps)
         )
-        self.skin = self._sweeps.skin
+        #: the survivor record between the two sweeps of one step, and
+        #: the list held across steps (None: the next density builds)
+        self._record: _SurvivorRecord | None = None
+        self._list: _SkinList | None = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -237,31 +311,73 @@ class WseMd:
         """The timing-noise generator (for checkpointing its state)."""
         return self._rng
 
-    @property
-    def sweep_threads(self) -> int:
-        """The most threads a sweep kernel of the last step ran on."""
-        return self._sweeps.threads
+    def record_bytes(self) -> int:
+        """Bytes of the survivor record awaiting the force sweep (0
+        outside a step)."""
+        return self._record.nbytes if self._record is not None else 0
+
+    def list_bytes(self) -> int:
+        """Bytes retained between steps: the index list plus the
+        build-time planes (0 before the first build and at skin 0)."""
+        return self._list.nbytes if self._list is not None else 0
 
     # -- the five-step timestep ------------------------------------------------
 
     def _density_sweep(self):
         """Steps 1-3a: candidate exchange (on a list build), neighbor
-        test, density sums.
+        test, density sums; leaves the survivor record for
+        :meth:`_force_sweep` (replacing an unconsumed one).
 
-        Returns the accumulated grids plus the seconds the streaming
-        sweep spent building the list and testing the held one
-        (recorded as the ``exchange`` / ``neighbor`` child spans of the
-        ``density`` phase by :meth:`step`).
+        Returns the accumulated grids plus the seconds the list build
+        (0.0 on a reuse step) and the test of the held list (0.0 when
+        none was held) took: the ``exchange`` / ``neighbor`` child spans
+        of :meth:`step`'s ``density`` phase.
         """
+        kernels = active_backend()
         nx, ny = self.grid.nx, self.grid.ny
         rho_bar = np.zeros((nx, ny))
         n_cand = np.zeros((nx, ny), dtype=np.int64)
         n_int = np.zeros((nx, ny), dtype=np.int64)
-        t_build, t_valid, reused = self._sweeps.density(
-            self.pos, self.occ, self.typ, rho_bar, n_cand, n_int
+        grouped = self.potential.tables.grouped()
+        self._record = None
+        held = self._list
+        t0 = time.perf_counter()
+        reused = held is not None and kernels.list_valid(
+            self.pos, self.occ, held.pos, held.occ, (0.5 * self.skin) ** 2
         )
-        self.last_candidates = n_cand
-        self.last_interactions = n_int
+        t_valid = time.perf_counter() - t0 if held is not None else 0.0
+        threads, t_build = 1, 0.0
+        if reused:
+            listed, cand = held.listed, held.n_cand
+        else:
+            self._list = None  # a build that raises leaves no list
+            # every NaN fails the list test; empty tiles hold a finite FAR
+            if not np.isfinite(self.pos).all():
+                raise FloatingPointError(
+                    f"non-finite positions on the wafer at step "
+                    f"{self.step_count + 1}"
+                )
+            cand = np.zeros((nx, ny), dtype=np.int32)
+            t0 = time.perf_counter()
+            listed = kernels.wafer_list(
+                self.pos, self.occ, self._offset_rows, self._lengths,
+                self._periodic, self._reach2, cand,
+            )
+            t_build = time.perf_counter() - t0
+            threads = getattr(kernels, "threads", 1)
+        self._record = _SurvivorRecord(*kernels.wafer_density(
+            _flat(self.pos, 3), listed, self._lengths, self._periodic,
+            float(self.potential.cutoff), _flat(self.typ),
+            grouped.rho.bank(), grouped.phi_index, self.force_symmetry,
+            _flat(rho_bar), _flat(n_int),
+        ))
+        self.sweep_threads = max(threads, getattr(kernels, "threads", 1))
+        metrics().counter("kernels.wafer_density.calls").inc()
+        n_cand += cand
+        if not reused and self.skin > 0.0:
+            self._list = _SkinList(listed, self.pos.copy(), self.occ.copy(),
+                                   cand)
+        self.last_candidates, self.last_interactions = n_cand, n_int
         self.last_reused = reused
         if reused:
             self.list_reuses += 1
@@ -272,12 +388,9 @@ class WseMd:
         return rho_bar, n_cand, n_int, t_build, t_valid
 
     def _embed(self, rho_bar: np.ndarray):
-        """Step 3b: embedding energy and derivative per tile.
-
-        Gathers and scatters through the occupancy mask: on a wafer this
-        dense (~94% occupied) numpy's boolean indexing beats a
-        ``flatnonzero`` index with ``take`` and ``put``.
-        """
+        """Step 3b: embedding energy and derivative per tile, through the
+        occupancy mask (at ~94% occupancy boolean indexing beats a
+        ``flatnonzero`` index with ``take`` and ``put``)."""
         f_val = np.zeros(self.occ.shape)
         f_der = np.zeros(self.occ.shape)
         occ = self.occ
@@ -290,17 +403,30 @@ class WseMd:
     def _force_sweep(self, f_der: np.ndarray, *, energy: bool = False):
         """Steps 3c-4a: F' exchange and Eq. 4 force accumulation.
 
-        Consumes the survivor record the density sweep of this step
-        left (positions are never exchanged or filtered a second time
-        in a step); only ``F'`` travels here.  The pair energy is
-        accumulated only when ``energy`` is set — a timestep never
-        reads it.  Returns ``(force, e_pair or None, n_interactions)``.
+        Consumes this step's survivor record (only ``F'`` travels,
+        gathered at the recorded tiles; the pair energy only when
+        ``energy`` is set) and returns ``(force, e_pair or None,
+        n_interactions)``; :class:`SweepRecordError` without one.
         """
+        record, self._record = self._record, None
+        if record is None:
+            raise SweepRecordError(
+                "force sweep without a fresh density sweep: the survivor "
+                "record is consumed by the first force sweep after each "
+                "density sweep")
         nx, ny = self.grid.nx, self.grid.ny
         force = np.zeros((nx, ny, 3))
         e_pair = np.zeros((nx, ny)) if energy else None
-        n_pts = self._sweeps.force(f_der, force, e_pair)
-        return force, e_pair, n_pts
+        kernels = active_backend()
+        kernels.wafer_force(
+            record, _flat(f_der), self.potential.tables.grouped().phi.bank(),
+            self.force_symmetry, _flat(force, 3),
+            _flat(e_pair) if e_pair is not None else None,
+        )
+        self.sweep_threads = max(self.sweep_threads,
+                                 getattr(kernels, "threads", 1))
+        metrics().counter("kernels.wafer_force.calls").inc()
+        return force, e_pair, len(record.r)
 
     def _integrate(self, force: np.ndarray) -> None:
         """Step 4b: leap-frog update, restricted to the occupied tiles.
@@ -308,9 +434,8 @@ class WseMd:
         Empty tiles must never integrate: their sentinel positions and
         zero velocities are load-bearing for the exchange masks, and a
         stray force value on a vacated tile would silently corrupt the
-        next atom swapped onto it.  A NaN coordinate fails every cutoff
-        test, so the atom would silently stop interacting; a non-finite
-        force or velocity lands here too, one step later at most.
+        next atom swapped onto it.  A non-finite force or velocity
+        raises here, naming the step.
         """
         non_finite = active_backend().wafer_integrate(
             _flat(self.pos, 3), _flat(self.vel, 3), _flat(force, 3),
@@ -328,9 +453,8 @@ class WseMd:
         costs, and did no candidate or interaction work)."""
         cost, pbc = self.cost_model, self.pbc_inplane
         exchange = cost.exchange_cycles(self.b, pbc=pbc)
-        noise = None
-        if self.jitter_rel > 0.0:
-            noise = self._rng.standard_normal(self.occ.shape).ravel()
+        noise = (self._rng.standard_normal(self.occ.shape).ravel()
+                 if self.jitter_rel > 0.0 else None)
         cycles, cand, cnt_int = active_backend().wafer_cycles(
             _flat(self.occ), _flat(n_cand), _flat(n_int), exchange,
             cost.candidate_cycles(pbc=pbc), cost.interaction_cycles(),
@@ -350,11 +474,10 @@ class WseMd:
             grids, proj, self.occ, self.core_centers, self.mapping.pitch
         )
         # Re-assert the empty-tile invariants after the remap: a tile an
-        # atom just left must look exactly like it never held one (far
-        # sentinel position, zero velocity, id -1), or the exchange
-        # masks and a later swap onto it would see stale state.
+        # atom just left must look exactly like it never held one, or
+        # the exchange masks and a later swap onto it see stale state.
         vac = ~self.occ
-        self.pos[vac] = _FAR
+        self.pos[vac] = FAR
         self.vel[vac] = 0.0
         self.aid[vac] = -1
         self.typ[vac] = 0
@@ -367,7 +490,7 @@ class WseMd:
         nx, ny = self.grid.nx, self.grid.ny
         flat = pos3.reshape(-1, 3)
         proj = self.mapping.projection.project(flat).reshape(nx, ny, 2)
-        proj[~self.occ] = _FAR
+        proj[~self.occ] = FAR
         return proj
 
     # -- public API --------------------------------------------------------------
@@ -380,13 +503,9 @@ class WseMd:
         n_offsets = len(self._pass_offsets)
         for _ in range(n_steps):
             # the "step" envelope's self-time is the loop glue between
-            # phases (LAMMPS's "Other" row), so traced time tiles the
-            # engine wall time.  The density phase reports two child
-            # spans: "exchange", a list build (candidate shift and
-            # coarse cut, one kernel; 0 on a reuse step), and "neighbor",
-            # the test of the held list.  The per-step gathers and the
-            # exact filter run fused inside the two sweep kernels and
-            # are the density / pair_force phases' own time.
+            # phases; the density phase's child spans are "exchange", a
+            # list build (0 on a reuse step), and "neighbor", the test
+            # of the held list
             with tr.phase("step"):
                 with tr.phase("density") as ph:
                     rho_bar, n_cand, n_int, t_build, t_valid = (
@@ -433,10 +552,8 @@ class WseMd:
 
         Returns the number of *uncovered* pairs (0 means the current
         ``b`` is safe).  The wafer algorithm's correctness rests on
-        this invariant (Sec. III-A: "every (2b+1)-wide square
-        neighborhood contains all interactions"); it can be violated if
-        atoms drift or the mapping is perturbed beyond the margin ``b``
-        was chosen for, in which case forces are silently wrong.
+        this invariant (Sec. III-A); atoms that drift beyond the margin
+        ``b`` was chosen for silently lose interactions.
         """
         state = self.gather_state()
         from repro.md.neighbor_list import NeighborList

@@ -9,10 +9,10 @@ binned table lookup of the FPGA pipelines in PAPERS.md, and of a WSE
 tile's per-segment SRAM rows).  A single spline is a one-member bank.
 
 The whole-pass kernels are the numpy ports of the loops that used to
-live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`,
-:mod:`repro.core.streaming` (``list_valid``, ``wafer_list``,
-``wafer_density``, ``wafer_force``) and :mod:`repro.core.wse_md`
-(``wafer_integrate``, ``wafer_cycles``).  Per element they perform the
+live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`
+and the lockstep machine, :mod:`repro.core.wse_md` (``list_valid``,
+``wafer_list``, ``wafer_density``, ``wafer_force``, ``wafer_integrate``,
+``wafer_cycles``).  Per element they perform the
 *identical* IEEE operations, on the same operands in the same order, as
 those call sites did (the pair kernels' first port is frozen as
 ``tests.legacy_kernels``).  What the bodies are

@@ -42,11 +42,12 @@ emits ``parallel.pool`` — the one-time
 worker-pool spawn, its own phase so pool setup never inflates
 ``neighbor`` nor counts against the ``repro profile --check``
 wall-coverage gate (teardown happens outside the measured wall time).
-The lockstep machine's streaming sweeps report ``exchange`` and
-``neighbor`` as pre-measured child spans inside ``density`` (the
-position shift and the one filter of the step) and ``exchange`` again
-inside ``pair_force`` (the ``F'`` gather at the recorded survivors), so
-the wse taxonomy is unchanged.  Sharded runs keep the standard taxonomy
+The lockstep machine reports ``exchange`` and ``neighbor`` as
+pre-measured child spans inside ``density``: the list build (candidate
+shift and coarse cut, one kernel; 0 on a reuse step) and the test of
+the held list.  The exact filter and the ``F'`` gather are fused into
+the sweep kernels, so ``pair_force`` has no children and the wse
+taxonomy is unchanged.  Sharded runs keep the standard taxonomy
 too: the ranks step their own atoms, so stages that run rank-side
 inside another phase's round (density, embedding, the look-ahead
 filter) arrive as pre-measured children, per-shard timings ride as span

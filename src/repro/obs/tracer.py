@@ -12,10 +12,10 @@ Two recording styles:
 * :meth:`Tracer.phase` — a context manager wrapping a code region;
   counters can be attached up front or via :meth:`SpanHandle.add`
   once the phase has computed them.
-* :meth:`Tracer.record` — a pre-measured leaf span (for costs
-  accumulated across loop iterations, e.g. the per-offset neighbor
-  filter inside the lockstep exchange sweep).  The duration is
-  credited as child time of the currently open span.
+* :meth:`Tracer.record` — a pre-measured leaf span (for costs timed
+  inside another phase, e.g. the lockstep machine's list build and
+  list test inside its density sweep).  The duration is credited as
+  child time of the currently open span.
 
 The module-level :data:`NULL_TRACER` is a no-op with the same surface;
 engines default to it so untraced runs pay (almost) nothing.

@@ -107,9 +107,10 @@ class EAMTables:
     def grouped(self) -> GroupedEAMTables:
         """Fused :class:`~repro.potentials.spline.SplineGroup` banks.
 
-        Built once and cached: the streaming lockstep passes evaluate
-        whole offset chunks in one batch per table family instead of
-        looping types, with bitwise-identical per-point results.
+        Built once and cached: the lockstep machine's sweeps evaluate
+        every listed pair of a step in one batch per table family
+        instead of looping types, with bitwise-identical per-point
+        results.
         """
         cached = getattr(self, "_grouped", None)
         if cached is not None:

@@ -182,8 +182,8 @@ class UniformCubicSpline:
 class SplineGroup:
     """Several uniform-knot splines fused into one coefficient bank.
 
-    The lockstep machine's streaming passes evaluate every candidate of
-    a whole offset chunk in one batch; with more than one atom type the
+    The lockstep machine's sweeps evaluate every listed pair of a step,
+    all offsets at once, in one batch; with more than one atom type the
     points of that batch hit *different* splines (per source type, per
     type pair).  Rather than looping splines and masking, the group
     concatenates the member tables into a single packed ``(sum nseg, 4)``

@@ -8,8 +8,10 @@ errors or detections rather than silent corruption.
 import numpy as np
 import pytest
 
+import repro.kernels as kernels
 from repro.core.wse_md import WseMd
 from repro.potentials.elements import make_element_potential
+from repro.runtime import RunSpec, build_engine
 from repro.wse.fabric import ChainFabric
 from repro.wse.router import MarchingRouter, RouterState
 from repro.wse.tile import SramBudget
@@ -80,6 +82,49 @@ class TestStateCorruption:
         with pytest.raises(FloatingPointError, match="step 3"):
             sim.step(4)
         assert sim.step_count == 2
+
+    @pytest.mark.parametrize("skin", [0.5, 0.0])
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_nan_on_the_wafer_fails_the_observables(
+        self, ta_potential, backend, skin
+    ):
+        # outside step() the NaN atom used to drop out of every
+        # neighborhood: the energy read -1608.61 eV against -1616.33
+        # clean, where the reference engine raises
+        if backend == "native" and kernels.backend_status()["native"] != "ok":
+            pytest.skip("native tier unavailable on this host")
+        kernels.set_backend(backend)
+        try:
+            sim = WseMd(small_slab_state("Ta", (6, 6, 3)), ta_potential,
+                        skin=skin)
+            sim.step(2)
+            x, y = np.argwhere(sim.occ)[7]
+            sim.pos[x, y, 1] = np.nan
+            for observable in (sim.compute_energy, sim.compute_forces):
+                with pytest.raises(FloatingPointError,
+                                   match="non-finite positions.*step 3"):
+                    observable()
+            assert sim.step_count == 2
+        finally:
+            kernels.set_backend(kernels.DEFAULT_BACKEND)
+
+    def test_energy_after_a_failed_step_is_not_finite_either(self):
+        # the leap-frog writes the NaN before it raises: the engine's
+        # energy query after the failed step must not read finite
+        engine = build_engine(RunSpec(engine="wse", element="Ta",
+                                      reps=(6, 6, 3), seed=3))
+        try:
+            engine.step(2)
+            sim = engine.sim
+            x, y = np.argwhere(sim.occ)[7]
+            sim.vel[x, y, 0] = np.nan
+            with pytest.raises(FloatingPointError, match="after step 3"):
+                engine.step(1)
+            assert not np.isfinite(sim.pos[x, y]).all()
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                engine.potential_energy()
+        finally:
+            engine.close()
 
 
 class TestFabricMisconfiguration:

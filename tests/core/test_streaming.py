@@ -1,8 +1,9 @@
-"""Streaming-sweep equivalence and memory-scaling tests.
+"""Wafer-sweep equivalence and memory-scaling tests.
 
-The streaming, offset-fused sweeps (:mod:`repro.core.streaming`)
-replaced the record-based lockstep passes that kept one full-grid
-record per neighborhood offset.  The contract is **bitwise** identity:
+The lockstep machine's two sweeps (:meth:`WseMd._density_sweep` and
+:meth:`WseMd._force_sweep`, one registry kernel call each over every
+neighborhood offset) replaced the record-based passes that kept one
+full-grid record per offset.  The contract is **bitwise** identity:
 per candidate, the arithmetic and the per-tile accumulation order are
 exactly those of the old passes.  This module pins that contract
 against a reference implementation of the record-based passes embedded
@@ -11,8 +12,10 @@ below (the pre-streaming ``_collect_pairs`` / ``_density_pass`` /
 non-square grids and the force-symmetry path — a fixed matrix plus a
 Hypothesis sweep over vacancies, alloys and periodic boxes.  The record
 tests pin the lifetime contract of the survivor record that carries the
-one filter's result from the density sweep to the force sweep.  The list tests pin the index-only Verlet list
-the sweeps carry across steps: a machine with a skin is bitwise the
+one filter's result from the density sweep to the force sweep
+(:meth:`WseMd.record_bytes`).  The list tests pin the index-only Verlet
+list the machine carries across steps (:meth:`WseMd.list_bytes`): a
+machine with a skin is bitwise the
 machine that filters every step (``skin=0``), whatever is done to its
 grids between steps, and it builds exactly when an independent reading
 of the rule says it must.
@@ -33,8 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exchange import iter_neighborhood, shift2d_into
-from repro.core.streaming import FAR, SweepRecordError
-from repro.core.wse_md import WseMd
+from repro.core.wse_md import FAR, SweepRecordError, WseMd
 import repro.kernels as kernels
 from repro.kernels import numpy_backend
 from repro.lattice.cells import BCC
@@ -56,7 +58,7 @@ SCALE_TESTS = os.environ.get("REPRO_SCALE_TESTS", "")
 # A faithful transcription of the pre-streaming WseMd pass logic: one
 # full-grid record per offset, per-type spline loops, identical offset
 # and accumulation order.  Deliberately kept independent of
-# repro.core.streaming so the equivalence test has a second opinion.
+# the machine's sweeps so the equivalence test has a second opinion.
 
 
 def reference_density_force(sim: WseMd):
@@ -362,11 +364,10 @@ def test_record_bytes_accounting(ta_potential, wta_potential, alloy, per_row):
         fill=0.94, dtype=np.float64, force_symmetry=True, seed=1,
     )
     sim = _sweep_machine(case, ta_potential, wta_potential)
-    sweeps = sim._sweeps
-    assert sweeps.record_bytes() == 0
+    assert sim.record_bytes() == 0
     _, _, n_int, _, _ = sim._density_sweep()
-    bounds = sweeps._record.starts.nbytes
-    assert sweeps.record_bytes() == per_row * int(n_int.sum()) + bounds
+    bounds = sim._record.starts.nbytes
+    assert sim.record_bytes() == per_row * int(n_int.sum()) + bounds
 
 
 def test_force_needs_a_fresh_density_sweep(ta_potential):
@@ -388,8 +389,8 @@ def test_no_record_outlives_a_public_call(ta_potential):
         lambda: sim.step(2), sim.compute_forces, sim.compute_energy
     ):
         call()
-        assert sim._sweeps.record_bytes() == 0
-        assert sim._sweeps._record is None
+        assert sim.record_bytes() == 0
+        assert sim._record is None
 
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
@@ -406,7 +407,7 @@ def test_swap_every_step_matches_record_passes(ta_potential, force_symmetry):
         twin._integrate(reference_density_force(twin)[3])
         twin.step_count += 1
         twin._swap_round()
-        assert sim._sweeps.record_bytes() == 0
+        assert sim.record_bytes() == 0
         assert np.array_equal(sim.aid, twin.aid)
         assert np.array_equal(sim.pos, twin.pos)
         assert np.array_equal(sim.vel, twin.vel)
@@ -493,8 +494,8 @@ def test_default_skin_matches_skin_zero_property(
     _assert_same_observables(sim, twin, oracle)
 
 
-def _listed_pairs(sweeps) -> int:
-    return len(sweeps._list.listed[1])
+def _listed_pairs(sim) -> int:
+    return len(sim._list.listed[1])
 
 
 def _twins(state, potential, **machine):
@@ -586,18 +587,17 @@ def test_list_bytes_accounting(ta_potential):
     sim, twin, _ = _twins(
         small_slab_state(reps=(5, 5, 2)), ta_potential, force_symmetry=True,
     )
-    sweeps = sim._sweeps
-    assert sweeps.list_bytes() == 0 and sweeps._list is None
+    assert sim.list_bytes() == 0 and sim._list is None
     sim.step(1)
     twin.step(1)
-    pairs = _listed_pairs(sweeps)
+    pairs = _listed_pairs(sim)
     assert pairs >= int(sim.last_interactions.sum()) > 0
-    bounds = sweeps._list.listed[0].nbytes
+    bounds = sim._list.listed[0].nbytes
     assert bounds == 4 * (len(sim._pass_offsets) + 1)
     planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
-    assert sweeps.list_bytes() == 8 * pairs + bounds + planes
-    assert sweeps.record_bytes() == 0
-    assert twin._sweeps.list_bytes() == 0 and twin._sweeps._list is None
+    assert sim.list_bytes() == 8 * pairs + bounds + planes
+    assert sim.record_bytes() == 0
+    assert twin.list_bytes() == 0 and twin._list is None
 
 
 def test_negative_skin_rejected(ta_potential):
@@ -788,19 +788,19 @@ def test_record_budget_50k_atoms():
     )
     _, _, n_int, _, _ = sim._density_sweep()
     rows = int(n_int.sum())
-    held = sim._sweeps.record_bytes()
+    held = sim.record_bytes()
     assert 0 < held <= _RECORD_BYTES_PER_INTERACTION * rows
     sim._force_sweep(np.zeros(sim.occ.shape))
     sim.step(1)
-    assert sim._sweeps.record_bytes() == 0
+    assert sim.record_bytes() == 0
     # what does stay between steps: the index list at cutoff + skin
     # (a thin shell more than the survivors in a crystal), offset
     # bounds, and three grid planes
-    pairs = _listed_pairs(sim._sweeps)
+    pairs = _listed_pairs(sim)
     assert rows <= pairs <= 1.25 * rows
     planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
     assert sim.list_reuses == 1
-    assert sim._sweeps.list_bytes() <= (
+    assert sim.list_bytes() <= (
         _LIST_BYTES_PER_PAIR * pairs + planes + 4096
     )
 

@@ -218,7 +218,7 @@ class TestMachineBehaviour:
         assert with_swaps.assignment_cost() <= without.assignment_cost() + 0.5
 
     def test_vacated_tiles_reset_after_swaps(self, ta_potential):
-        from repro.core.wse_md import _FAR
+        from repro.core.wse_md import FAR
 
         state = small_slab_state("Ta", (6, 6, 2), temperature=400.0, seed=4)
         wse = WseMd(state.copy(), ta_potential, swap_interval=5, b_margin=2.0)
@@ -226,7 +226,7 @@ class TestMachineBehaviour:
         vac = ~wse.occ
         assert vac.any()  # grid is larger than the atom count
         # a vacated tile must look exactly like it never held an atom
-        assert np.all(wse.pos[vac] == _FAR)
+        assert np.all(wse.pos[vac] == FAR)
         assert np.all(wse.vel[vac] == 0.0)
         assert np.all(wse.aid[vac] == -1)
         assert np.all(wse.typ[vac] == 0)

@@ -12,7 +12,7 @@ reports.  Sharded == serial is ``tests/parallel``'s, not a tier's.
 import numpy as np
 import pytest
 
-from repro.core.streaming import FAR
+from repro.core.wse_md import FAR
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_FUNCTIONS,

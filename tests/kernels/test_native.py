@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
-from repro.core.streaming import FAR
+from repro.core.wse_md import FAR
 from repro.kernels import numpy_backend
 from tests.kernels import test_numpy_floor as floor
 
