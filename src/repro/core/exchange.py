@@ -22,19 +22,11 @@ Here the shifts serve :class:`~repro.core.swap.SwapEngine`
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.kernels.numpy_backend import shift_rects
-from repro.wse.geometry import TileGrid
 
-__all__ = [
-    "shift2d",
-    "shift2d_into",
-    "iter_neighborhood",
-    "neighborhood_sources",
-]
+__all__ = ["shift2d", "shift2d_into"]
 
 
 def shift2d_into(
@@ -62,39 +54,3 @@ def shift2d(grid: np.ndarray, dx: int, dy: int, fill=0) -> np.ndarray:
     leading two axes.  Non-periodic fabric: out-of-range reads fill.
     """
     return shift2d_into(np.empty_like(grid), grid, dx, dy, fill=fill)
-
-
-def iter_neighborhood(
-    grid: TileGrid, b: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (dx, dy, in_fabric_mask) for each neighborhood offset.
-
-    Offsets follow the deterministic arrival order of the exchange
-    (:meth:`repro.wse.geometry.TileGrid.neighborhood_offsets`); the mask
-    marks tiles whose neighbor at that offset exists on the fabric (the
-    candidate is *received* there — edge tiles see fewer candidates).
-    """
-    xs = np.arange(grid.nx)[:, None]
-    ys = np.arange(grid.ny)[None, :]
-    for dx, dy in grid.neighborhood_offsets(b):
-        mask = (
-            (xs + dx >= 0)
-            & (xs + dx < grid.nx)
-            & (ys + dy >= 0)
-            & (ys + dy < grid.ny)
-        )
-        yield int(dx), int(dy), np.broadcast_to(mask, (grid.nx, grid.ny))
-
-
-def neighborhood_sources(grid: TileGrid, b: int, tile_x: int, tile_y: int) -> set[int]:
-    """Flat indices of the tiles whose data reaches (tile_x, tile_y).
-
-    Reference implementation used to cross-check the event-level fabric
-    simulation and the shift-based exchange against each other.
-    """
-    out: set[int] = set()
-    for dx, dy in grid.neighborhood_offsets(b):
-        x, y = tile_x + dx, tile_y + dy
-        if 0 <= x < grid.nx and 0 <= y < grid.ny:
-            out.add(int(grid.flatten(x, y)))
-    return out

@@ -1,10 +1,10 @@
 """Trajectory equivalence between the WSE machine and the reference engine.
 
 The central correctness claim: the wafer mapping changes *where* each
-atom's arithmetic happens, not *what* is computed.  These helpers run
-the same initial state through both engines and compare atom-by-atom
-(ids make the comparison permutation-proof: the WSE machine may shuffle
-storage via atom swaps).
+atom's arithmetic happens, not *what* is computed.
+:func:`validate_spec` runs the same initial state through both engines
+and compares atom-by-atom (ids make the comparison permutation-proof:
+the WSE machine may shuffle storage via atom swaps).
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.wse_md import WseMd
-from repro.md.simulation import Simulation
-from repro.md.state import AtomsState
-
-__all__ = ["TrajectoryComparison", "compare_trajectories", "validate_spec"]
+__all__ = ["TrajectoryComparison", "validate_spec"]
 
 
 @dataclass(frozen=True)
@@ -36,36 +32,6 @@ class TrajectoryComparison:
             self.max_position_error <= tol_pos
             and self.max_velocity_error <= tol_vel
         )
-
-
-def compare_trajectories(
-    state: AtomsState,
-    wse: WseMd,
-    reference: Simulation,
-    n_steps: int,
-) -> TrajectoryComparison:
-    """Advance both engines ``n_steps`` and measure deviations.
-
-    ``wse`` and ``reference`` must have been built from copies of
-    ``state``; ``state`` itself is untouched.
-    """
-    wse.step(n_steps)
-    reference.run(n_steps)
-    a = wse.gather_state()
-    b = reference.state
-    order_b = np.argsort(b.ids)
-    if not np.array_equal(a.ids, b.ids[order_b]):
-        raise ValueError("engines hold different atom id sets")
-    dp = np.abs(a.positions - b.positions[order_b]).max() if a.n_atoms else 0.0
-    dv = np.abs(a.velocities - b.velocities[order_b]).max() if a.n_atoms else 0.0
-    e_wse = wse.compute_energy()
-    e_ref = reference.potential_energy()
-    return TrajectoryComparison(
-        n_steps=n_steps,
-        max_position_error=float(dp),
-        max_velocity_error=float(dv),
-        energy_error=abs(e_wse - e_ref),
-    )
 
 
 def validate_spec(

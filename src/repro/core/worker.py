@@ -105,11 +105,6 @@ class Worker:
         self.f_der = float(self.f_der)
         return self.f_der
 
-    def embedding_energy(self) -> float:
-        """F(rho_bar) for this atom."""
-        val, _ = self.tables.embed[self.type_index].evaluate(self.rho_bar)
-        return float(val)
-
     def compute_force(self, neighbor_f_der: np.ndarray) -> np.ndarray:
         """Step 4a: Eq. 4 force from gathered neighbors and their F'."""
         if self.gathered is None:

@@ -10,10 +10,10 @@ arrays, following the five-step timestep of paper Sec. III-A:
    ``cutoff + skin`` — and repeats the exchange only when an atom has
    moved ``skin / 2`` or the occupancy changed.
 2. **Neighbor list** — every step, the exact ``r < rc`` test over the
-   listed pairs only; the survivors are kept as one compact record
+   listed pairs only; the survivors form one compact record
    (candidates arrive in deterministic order; the record order *is*
-   the ordinal list) until the force sweep of the same step has
-   consumed it.
+   the ordinal list), a value the density sweep returns and the force
+   sweep of the same step takes.
 3. **Embedding calculation and exchange** — density accumulation, then
    ``F`` and ``F'`` per tile; the second exchange ships only ``F'``,
    gathered at the recorded tiles.
@@ -30,10 +30,13 @@ counter in a scratch buffer" (Sec. IV-B).
 
 Everything per tile — list test and build, both sweeps, the leap-frog
 and the cycle counter — is a kernel of the active registry tier
-(:mod:`repro.kernels`); this class sequences them, owns the grids and
-decides when the held list is reused: from values alone (the same
-occupancy, every tile within ``skin / 2`` of its build-time position),
-so an atom swap, a restored checkpoint or a caller writing into the
+(:mod:`repro.kernels`).  This class owns the grids and sequences the
+kernels: one evaluation (list test or build, density, embedding,
+force) serves :meth:`step` and both observables, and holds nothing
+between its sweeps.  Across steps it holds the list, and decides when
+that list is reused from values alone (the same occupancy, every tile
+within ``skin / 2`` of its build-time position), so an atom swap, a
+restored checkpoint or a caller writing into the
 grids needs no hook, and a NaN, which fails that test, reaches a build
 that refuses it.  Survivors are always chosen by the exact cutoff test,
 in list order, so trajectories do not depend on the skin.  The physics
@@ -59,15 +62,11 @@ from repro.potentials.eam import EAMPotential
 from repro.wse.geometry import TileGrid
 from repro.wse.trace import CycleTrace
 
-__all__ = ["WseMd", "SweepRecordError", "FAR"]
+__all__ = ["WseMd", "FAR"]
 
 #: Sentinel coordinate of an empty tile's "atom at infinity": masked by
 #: the occupancy bit, it only has to stay finite when squared.
 FAR = 1.0e15
-
-
-class SweepRecordError(RuntimeError):
-    """A force sweep was asked to run without a fresh density sweep."""
 
 
 class _SurvivorRecord(NamedTuple):
@@ -270,9 +269,8 @@ class WseMd:
         #: density sweeps that built the list / ran on the held one
         self.list_builds = 0
         self.list_reuses = 0
-        self.last_reused = False
-        #: the most threads a kernel call of the last density sweep and
-        #: the force sweep after it ran on (1 on a tier without threads)
+        #: the most threads a kernel call of the last evaluation ran on
+        #: (1 on a tier without threads)
         self.sweep_threads = 1
         if 2 * self.b + 1 > max(nx, ny):
             raise ValueError(f"neighborhood 2b+1={2 * self.b + 1} exceeds "
@@ -281,12 +279,11 @@ class WseMd:
         # The sweeps' offsets; with force symmetry a worker processes
         # only the "i < j" half (the multicast is cropped, Sec. VI-A) and
         # each pair's partner share travels back by the reverse reduction.
-        self._pass_offsets = [
-            (int(dx), int(dy)) for dx, dy
-            in self.grid.neighborhood_offsets(self.b)
-            if not self.force_symmetry or dy > 0 or (dy == 0 and dx > 0)
-        ]
-        self._offset_rows = np.array(self._pass_offsets, dtype=np.int64)
+        offsets = self.grid.neighborhood_offsets(self.b)
+        if self.force_symmetry:
+            dx, dy = offsets.T
+            offsets = offsets[(dy > 0) | ((dy == 0) & (dx > 0))]
+        self._offset_rows = np.ascontiguousarray(offsets, dtype=np.int64)
         self._lengths = tuple(float(v) for v in self.box.lengths)
         self._periodic = tuple(bool(v) for v in self.box.periodic)
         # the coarse and the exact cut are separate reductions: a few-ulp
@@ -294,9 +291,7 @@ class WseMd:
         self._reach2 = (float(potential.cutoff) + self.skin) ** 2 * (
             1.0 + 8.0 * float(np.finfo(self.dtype).eps)
         )
-        #: the survivor record between the two sweeps of one step, and
         #: the list held across steps (None: the next density builds)
-        self._record: _SurvivorRecord | None = None
         self._list: _SkinList | None = None
 
     # -- helpers ---------------------------------------------------------------
@@ -311,11 +306,6 @@ class WseMd:
         """The timing-noise generator (for checkpointing its state)."""
         return self._rng
 
-    def record_bytes(self) -> int:
-        """Bytes of the survivor record awaiting the force sweep (0
-        outside a step)."""
-        return self._record.nbytes if self._record is not None else 0
-
     def list_bytes(self) -> int:
         """Bytes retained between steps: the index list plus the
         build-time planes (0 before the first build and at skin 0)."""
@@ -323,23 +313,22 @@ class WseMd:
 
     # -- the five-step timestep ------------------------------------------------
 
-    def _density_sweep(self):
+    def _density_sweep(self, tr=NULL_TRACER):
         """Steps 1-3a: candidate exchange (on a list build), neighbor
-        test, density sums; leaves the survivor record for
-        :meth:`_force_sweep` (replacing an unconsumed one).
+        test, density sums.
 
-        Returns the accumulated grids plus the seconds the list build
-        (0.0 on a reuse step) and the test of the held list (0.0 when
-        none was held) took: the ``exchange`` / ``neighbor`` child spans
-        of :meth:`step`'s ``density`` phase.
+        Returns ``(rho_bar, n_cand, n_int, record, threads)``: the
+        accumulated grids, the survivor record :meth:`_force_sweep`
+        takes, and the most threads a kernel call here ran on.  The
+        seconds the list build (0.0 on a reuse step) and the test of the
+        held list (0.0 when none was held) took go to ``tr`` as the
+        ``exchange`` / ``neighbor`` child spans of the ``density`` phase.
         """
         kernels = active_backend()
         nx, ny = self.grid.nx, self.grid.ny
         rho_bar = np.zeros((nx, ny))
-        n_cand = np.zeros((nx, ny), dtype=np.int64)
         n_int = np.zeros((nx, ny), dtype=np.int64)
         grouped = self.potential.tables.grouped()
-        self._record = None
         held = self._list
         t0 = time.perf_counter()
         reused = held is not None and kernels.list_valid(
@@ -365,27 +354,30 @@ class WseMd:
             )
             t_build = time.perf_counter() - t0
             threads = getattr(kernels, "threads", 1)
-        self._record = _SurvivorRecord(*kernels.wafer_density(
+        record = _SurvivorRecord(*kernels.wafer_density(
             _flat(self.pos, 3), listed, self._lengths, self._periodic,
             float(self.potential.cutoff), _flat(self.typ),
             grouped.rho.bank(), grouped.phi_index, self.force_symmetry,
             _flat(rho_bar), _flat(n_int),
         ))
-        self.sweep_threads = max(threads, getattr(kernels, "threads", 1))
+        threads = max(threads, getattr(kernels, "threads", 1))
         metrics().counter("kernels.wafer_density.calls").inc()
-        n_cand += cand
+        n_cand = cand.astype(np.int64)
         if not reused and self.skin > 0.0:
             self._list = _SkinList(listed, self.pos.copy(), self.occ.copy(),
                                    cand)
         self.last_candidates, self.last_interactions = n_cand, n_int
-        self.last_reused = reused
         if reused:
             self.list_reuses += 1
             metrics().counter("wse.list.reuses").inc()
         else:
             self.list_builds += 1
             metrics().counter("wse.list.builds").inc()
-        return rho_bar, n_cand, n_int, t_build, t_valid
+        n_offsets = len(self._offset_rows)
+        tr.record("exchange", t_build, {"offsets": n_offsets})
+        tr.record("neighbor", t_valid, {"offsets": n_offsets,
+                                        "reused": reused})
+        return rho_bar, n_cand, n_int, record, threads
 
     def _embed(self, rho_bar: np.ndarray):
         """Step 3b: embedding energy and derivative per tile, through the
@@ -400,33 +392,44 @@ class WseMd:
         f_val[occ], f_der[occ] = self.potential.embed(rho_bar[occ], typ)
         return f_val, f_der
 
-    def _force_sweep(self, f_der: np.ndarray, *, energy: bool = False):
-        """Steps 3c-4a: F' exchange and Eq. 4 force accumulation.
-
-        Consumes this step's survivor record (only ``F'`` travels,
+    def _force_sweep(self, record: _SurvivorRecord, f_der: np.ndarray, *,
+                     energy: bool = False):
+        """Steps 3c-4a: F' exchange and Eq. 4 force accumulation over
+        the density sweep's survivor ``record`` (only ``F'`` travels,
         gathered at the recorded tiles; the pair energy only when
-        ``energy`` is set) and returns ``(force, e_pair or None,
-        n_interactions)``; :class:`SweepRecordError` without one.
+        ``energy`` is set).  Returns ``(force, e_pair or None)``.
         """
-        record, self._record = self._record, None
-        if record is None:
-            raise SweepRecordError(
-                "force sweep without a fresh density sweep: the survivor "
-                "record is consumed by the first force sweep after each "
-                "density sweep")
         nx, ny = self.grid.nx, self.grid.ny
         force = np.zeros((nx, ny, 3))
         e_pair = np.zeros((nx, ny)) if energy else None
-        kernels = active_backend()
-        kernels.wafer_force(
+        active_backend().wafer_force(
             record, _flat(f_der), self.potential.tables.grouped().phi.bank(),
             self.force_symmetry, _flat(force, 3),
             _flat(e_pair) if e_pair is not None else None,
         )
-        self.sweep_threads = max(self.sweep_threads,
-                                 getattr(kernels, "threads", 1))
         metrics().counter("kernels.wafer_force.calls").inc()
-        return force, e_pair, len(record.r)
+        return force, e_pair
+
+    def _evaluate(self, tr, *, energy: bool = False):
+        """Steps 1-4a at the current positions, each in its ``tr``
+        phase: list test or build, density, embedding, force.
+
+        Returns ``(force, e_pot or None, n_cand, n_int)``, the potential
+        energy (eV) only when ``energy`` is set.
+        """
+        with tr.phase("density") as ph:
+            rho_bar, n_cand, n_int, record, threads = self._density_sweep(tr)
+            ph.add(candidates=int(n_cand.sum()),
+                   interactions=int(n_int.sum()))
+        with tr.phase("embedding"):
+            f_val, f_der = self._embed(rho_bar)
+        with tr.phase("pair_force"):
+            force, e_pair = self._force_sweep(record, f_der, energy=energy)
+        self.sweep_threads = max(threads,
+                                 getattr(active_backend(), "threads", 1))
+        e_pot = (float(f_val[self.occ].sum() + e_pair[self.occ].sum())
+                 if energy else None)
+        return force, e_pot, n_cand, n_int
 
     def _integrate(self, force: np.ndarray) -> None:
         """Step 4b: leap-frog update, restricted to the occupied tiles.
@@ -500,27 +503,11 @@ class WseMd:
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
         tr = self.tracer
-        n_offsets = len(self._pass_offsets)
         for _ in range(n_steps):
             # the "step" envelope's self-time is the loop glue between
-            # phases; the density phase's child spans are "exchange", a
-            # list build (0 on a reuse step), and "neighbor", the test
-            # of the held list
+            # phases
             with tr.phase("step"):
-                with tr.phase("density") as ph:
-                    rho_bar, n_cand, n_int, t_build, t_valid = (
-                        self._density_sweep()
-                    )
-                    tr.record("exchange", t_build, {"offsets": n_offsets})
-                    tr.record("neighbor", t_valid, {
-                        "offsets": n_offsets, "reused": self.last_reused,
-                    })
-                    ph.add(candidates=int(n_cand.sum()),
-                           interactions=int(n_int.sum()))
-                with tr.phase("embedding"):
-                    _, f_der = self._embed(rho_bar)
-                with tr.phase("pair_force"):
-                    force, _, _ = self._force_sweep(f_der)
+                force, _, n_cand, n_int = self._evaluate(tr)
                 with tr.phase("integrate"):
                     self._integrate(force)
                 with tr.phase("cycle_account"):
@@ -534,16 +521,11 @@ class WseMd:
 
     def compute_energy(self) -> float:
         """Total potential energy at the current positions (eV)."""
-        rho_bar, _, _, _, _ = self._density_sweep()
-        f_val, f_der = self._embed(rho_bar)
-        _, e_pair, _ = self._force_sweep(f_der, energy=True)
-        return float(f_val[self.occ].sum() + e_pair[self.occ].sum())
+        return self._evaluate(NULL_TRACER, energy=True)[1]
 
     def compute_forces(self) -> np.ndarray:
         """Forces on the occupied tiles' atoms, id order, (N, 3)."""
-        rho_bar, _, _, _, _ = self._density_sweep()
-        _, f_der = self._embed(rho_bar)
-        force, _, _ = self._force_sweep(f_der)
+        force = self._evaluate(NULL_TRACER)[0]
         order = np.argsort(self.aid[self.occ])
         return force[self.occ][order]
 

@@ -34,7 +34,6 @@ for, and never for ``numpy``.
 from __future__ import annotations
 
 import os
-import warnings
 from importlib import import_module
 from types import ModuleType, SimpleNamespace
 
@@ -48,7 +47,6 @@ __all__ = [
     "active_backend",
     "active_backend_name",
     "backend_status",
-    "reset_warnings",
     "usable_cpus",
 ]
 
@@ -78,9 +76,6 @@ _active_name: str | None = None
 #: Why a backend failed to load (a failure is paid for once a process).
 _failures: dict[str, str] = {}
 _resolved: dict[str, ModuleType | SimpleNamespace] = {}
-#: Backend names whose fallback warning has already been emitted: a
-#: campaign calling ``set_backend`` per run warns once per name.
-_warned_fallbacks: set[str] = set()
 
 
 def _affinity() -> list[int]:
@@ -97,17 +92,6 @@ def usable_cpus() -> int:
     cpuset can be smaller than the machine), else the machine's count;
     never less than 1."""
     return len(_affinity()) or os.cpu_count() or 1
-
-
-def reset_warnings() -> None:
-    """Re-arm the once-per-name fallback warnings.
-
-    The warn-once cache is module state: without a reset it suppresses
-    warnings for the life of the process *and* across fork, so a
-    worker or a served job never hears about degradations that predate
-    it.  A serve slot calls this before each job.
-    """
-    _warned_fallbacks.clear()
 
 
 def register_backend(name: str, loader) -> None:
@@ -156,24 +140,23 @@ def set_backend(name: str) -> str:
     """Select the active backend; returns the name actually activated.
 
     Unknown or unavailable names fall back to :data:`FALLBACK_BACKEND`
-    with a warning (once per name) — performance degrades gracefully,
-    physics never depends on the choice.
+    with a warning (once per name, :func:`repro.obs.warn_once`): a
+    campaign calling ``set_backend`` per run is not spammed —
+    performance degrades gracefully, physics never depends on the
+    choice.
     """
+    from repro.obs import metrics, warn_once
+
     global _active, _active_name
     _active, _active_name = _load(name), name
     if _active is None:
-        if name not in _warned_fallbacks:
-            _warned_fallbacks.add(name)
-            warnings.warn(
-                f"kernel backend {name!r} unavailable "
-                f"({_failures.get(name, 'not registered')}); "
-                f"falling back to {FALLBACK_BACKEND!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        warn_once(
+            name,
+            f"kernel backend {name!r} unavailable "
+            f"({_failures.get(name, 'not registered')}); "
+            f"falling back to {FALLBACK_BACKEND!r}",
+        )
         _active, _active_name = _load(FALLBACK_BACKEND), FALLBACK_BACKEND
-    from repro.obs import metrics
-
     metrics().counter(f"kernels.set_backend.{_active_name}").inc()
     return _active_name
 

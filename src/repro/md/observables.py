@@ -2,57 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.md.state import AtomsState
-
-__all__ = ["EnergyReport", "energy_report", "max_displacement", "msd"]
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy bookkeeping for one configuration.
-
-    Attributes are total quantities in eV, plus temperature in K.
-    """
-
-    potential: float
-    kinetic: float
-    temperature: float
-
-    @property
-    def total(self) -> float:
-        """Total (potential + kinetic) energy in eV."""
-        return self.potential + self.kinetic
-
-
-def energy_report(state: AtomsState, potential_energy: float) -> EnergyReport:
-    """Bundle potential energy with the state's kinetic quantities."""
-    return EnergyReport(
-        potential=float(potential_energy),
-        kinetic=state.kinetic_energy(),
-        temperature=state.temperature(),
-    )
-
-
-def max_displacement(
-    positions: np.ndarray, reference: np.ndarray, *, norm: str = "euclidean"
-) -> float:
-    """Largest per-atom displacement between two configurations.
-
-    ``norm="max_xy"`` gives the paper's Fig. 9 metric: the largest
-    max-norm of any atom's displacement in the x-y plane (the quantity
-    that determines how far apart interacting atoms' worker cores can
-    drift on the wafer).
-    """
-    delta = np.asarray(positions) - np.asarray(reference)
-    if norm == "euclidean":
-        return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
-    if norm == "max_xy":
-        return float(np.max(np.abs(delta[:, :2])))
-    raise ValueError(f"unknown norm {norm!r}")
+__all__ = ["msd"]
 
 
 def msd(positions: np.ndarray, reference: np.ndarray) -> float:

@@ -185,21 +185,10 @@ class Simulation:
                 rebuilds=self.neighbors.n_builds - builds_before,
             )
         t1 = time.perf_counter()
-        if self.potential.supports_tracer and tr.enabled:
-            # EAM-style potentials split force work into the taxonomy's
-            # density/embedding/pair_force phases themselves.
-            out = self.potential.compute(
-                self.state.n_atoms, pairs, self.state.types, tracer=tr
-            )
-        elif tr.enabled:
-            with tr.phase("pair_force", pairs=pairs.n_pairs):
-                out = self.potential.compute(
-                    self.state.n_atoms, pairs, self.state.types
-                )
-        else:
-            out = self.potential.compute(
-                self.state.n_atoms, pairs, self.state.types
-            )
+        # the potential splits its work into the taxonomy's phases
+        out = self.potential.compute(
+            self.state.n_atoms, pairs, self.state.types, tracer=tr
+        )
         t2 = time.perf_counter()
         st = self.stats
         st.force_evaluations += 1

@@ -16,6 +16,10 @@ spends its time.  This package is the software analogue, LAMMPS-style:
   end-of-run summary table.
 * :mod:`repro.obs.profile` — run a spec under tracing and reduce it to
   a phase breakdown (the ``repro profile`` CLI command).
+* :func:`warn_once` / :func:`reset_warnings` — the one warn-once cache
+  every degradation warning goes through (a kernel tier that cannot
+  load, a sharded run that falls back to serial, a degenerate domain
+  decomposition).
 
 Phase taxonomy
 --------------
@@ -61,6 +65,8 @@ subset each engine is *required* to produce, which the ``repro profile
 ``halo_exchange`` for runs the sharded pipeline actually drove.
 """
 
+import warnings
+
 from repro.obs.metrics import (
     REGISTRY,
     Counter,
@@ -97,7 +103,36 @@ __all__ = [
     "ListSink",
     "read_trace",
     "render_phase_table",
+    "warn_once",
+    "reset_warnings",
 ]
+
+#: Keys whose warning this process has already emitted.  Module state,
+#: so it outlives a job and survives fork: :func:`reset_warnings`
+#: re-arms it.
+_warned: set = set()
+
+
+def warn_once(key, message: str) -> None:
+    """Emit ``message`` as a RuntimeWarning once per ``key`` (any
+    hashable) until the next :func:`reset_warnings`; the warning is
+    attributed to the caller of the function that calls this."""
+    if key in _warned:
+        return
+    _warned.add(key)
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+
+def reset_warnings() -> None:
+    """Re-arm every warn-once warning.
+
+    Without a reset the cache silences a warning for the life of the
+    process *and* across fork, so a worker or a served job never hears
+    about degradations that predate it.  A serve slot calls this before
+    each job.
+    """
+    _warned.clear()
+
 
 #: The full phase vocabulary, in canonical (timestep) order.
 PHASES = (

@@ -35,10 +35,9 @@ fall back to the serial path with a once-per-reason warning.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
+from repro.obs import warn_once
 from repro.parallel.domains import DomainGrid, plan_grid
 from repro.parallel.pipeline import ShardedForcePipeline
 from repro.parallel.shm import SharedArena
@@ -74,29 +73,7 @@ __all__ = [
     "usable_cpus",
     "unsupported_reason",
     "warn_fallback",
-    "warn_once",
-    "reset_warnings",
 ]
-
-#: Fallback reasons already warned about (once per reason per process,
-#: mirroring the kernel registry's once-per-name policy).  Reset via
-#: :func:`reset_warnings` in long-lived processes — otherwise one job's
-#: fallback permanently silences every later (unrelated) job's, and
-#: forked workers inherit the suppression.
-_warned_reasons: set[str] = set()
-
-
-def reset_warnings() -> None:
-    """Re-arm the once-per-reason fallback warnings (and the domain
-    planner's once-per-shape degenerate-decomposition warnings).
-
-    Called per served job by the serve slot; forked workers that
-    inherited a populated cache can call it to hear warnings again.
-    """
-    from repro.parallel import domains
-
-    _warned_reasons.clear()
-    domains._warned_degenerate.clear()
 
 
 def unsupported_reason(box, potential) -> str | None:
@@ -121,23 +98,10 @@ def unsupported_reason(box, potential) -> str | None:
 
 
 def warn_fallback(reason: str) -> None:
-    """Warn once per distinct reason that parallel fell back to serial."""
+    """Warn once per distinct reason (:func:`repro.obs.warn_once`) that
+    parallel fell back to serial."""
     warn_once(
         reason,
         f"parallel pipeline unavailable ({reason}); "
         "running the serial force path",
     )
-
-
-def warn_once(key: str, message: str) -> None:
-    """Emit ``message`` as a RuntimeWarning once per ``key`` per process.
-
-    Shares the :func:`reset_warnings`-cleared cache with the fallback
-    warnings, so served jobs (whose scheduler re-arms the caches) hear
-    degradations like a core-starved ``transport="auto"`` falling back
-    to the inline tier again.
-    """
-    if key in _warned_reasons:
-        return
-    _warned_reasons.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=4)

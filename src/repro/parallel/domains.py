@@ -31,10 +31,11 @@ Invariants
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.obs import warn_once
 
 __all__ = [
     "DomainGrid",
@@ -45,11 +46,6 @@ __all__ = [
     "seam_plan",
     "warn_halo_dominated",
 ]
-
-#: Degenerate-decomposition warnings already issued (once per distinct
-#: (axis, requested, available) shape per process, mirroring the
-#: registry's once-per-name policy).
-_warned_degenerate: set[tuple] = set()
 
 
 def plan_axis(
@@ -83,17 +79,13 @@ def plan_axis(
     ncol = max(1, int(np.floor(extent / cell_width)))
     effective = min(n_parts, ncol)
     if effective < n_parts:
-        key = (axis, n_parts, ncol)
-        if key not in _warned_degenerate:
-            _warned_degenerate.add(key)
-            warnings.warn(
-                f"{axis}-axis decomposition requested {n_parts} domains "
-                f"but the data spans only {ncol} cell column(s); capping "
-                f"at {effective} ({n_parts - effective} shard(s) stay "
-                f"empty)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        warn_once(
+            (axis, n_parts, ncol),
+            f"{axis}-axis decomposition requested {n_parts} domains "
+            f"but the data spans only {ncol} cell column(s); capping "
+            f"at {effective} ({n_parts - effective} shard(s) stay "
+            f"empty)",
+        )
     width = extent / ncol
     col = np.clip((coords - lo) // width, 0, ncol - 1).astype(np.int64)
     cum = np.cumsum(np.bincount(col, minlength=ncol))
@@ -260,9 +252,9 @@ def warn_halo_dominated(
     rule only needs owned-rectangle-dilated-by-reach locality), but
     when an axis's average tile width drops below ``2 x reach`` the
     ghost ring is wider than the owned region, so the sparse halo
-    exchange degenerates toward the full broadcast it replaced.  Keyed
-    into the same once-per-shape cache as the capped-decomposition
-    warning and re-armed by ``repro.parallel.reset_warnings()``.
+    exchange degenerates toward the full broadcast it replaced.  Warned
+    once per shape through :func:`repro.obs.warn_once`, like the
+    capped-decomposition warning.
     """
     if len(positions) == 0:
         return
@@ -275,15 +267,10 @@ def warn_halo_dominated(
         width = (float(coords.max()) - float(coords.min())) / parts
         if width >= 2.0 * reach:
             continue
-        key = ("halo", axis, parts)
-        if key in _warned_degenerate:
-            continue
-        _warned_degenerate.add(key)
-        warnings.warn(
+        warn_once(
+            ("halo", axis, parts),
             f"{axis}-axis tiles average {width:.2f} wide but the halo "
             f"reaches {reach:.2f} on each side; ghost regions dominate "
             f"owned regions, so the sparse halo exchange carries "
             f"near-broadcast volume",
-            RuntimeWarning,
-            stacklevel=3,
         )

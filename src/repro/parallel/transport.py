@@ -818,7 +818,7 @@ def resolve_transport(kind: str | None, n_workers: int) -> str:
         return "inline"
     cpus = usable_cpus()
     if cpus < n_workers:
-        from repro.parallel import warn_once
+        from repro.obs import warn_once
 
         warn_once(
             f"auto-inline-{n_workers}w-{cpus}c",

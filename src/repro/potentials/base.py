@@ -102,14 +102,7 @@ class Potential(ABC):
     forces from a :class:`PairTable`.  ``cutoff`` is the interaction
     cutoff radius in angstroms; neighbor searches must include every pair
     with ``r < cutoff``.
-
-    ``supports_tracer`` marks implementations whose :meth:`compute`
-    accepts a ``tracer`` keyword and emits per-phase spans (density /
-    embedding / pair_force); callers check it before passing one, so
-    plain pair potentials need not change.
     """
-
-    supports_tracer = False
 
     @property
     @abstractmethod
@@ -122,8 +115,15 @@ class Potential(ABC):
         n_atoms: int,
         pairs: PairTable,
         types: np.ndarray | None = None,
+        *,
+        tracer=None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-atom energies (N,) and forces (N, 3) from a pair table."""
+        """Per-atom energies (N,) and forces (N, 3) from a pair table.
+
+        A ``tracer`` (:mod:`repro.obs`) receives the work as the phase
+        taxonomy's spans: ``pair_force`` for a pair potential,
+        ``density`` / ``embedding`` / ``pair_force`` for EAM.
+        """
 
     def total_energy(
         self,

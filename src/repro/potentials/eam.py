@@ -141,8 +141,6 @@ class EAMTables:
 class EAMPotential(Potential):
     """EAM potential evaluated from :class:`EAMTables`."""
 
-    supports_tracer = True
-
     def __init__(self, tables: EAMTables, cap: PairDistanceCap | None = None) -> None:
         self.tables = tables
         self.cap = cap or PairDistanceCap()

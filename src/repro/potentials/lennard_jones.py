@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs import NULL_TRACER
 from repro.potentials.base import PairDistanceCap, PairTable, Potential
 
 __all__ = ["LennardJones"]
@@ -76,26 +77,31 @@ class LennardJones(Potential):
         n_atoms: int,
         pairs: PairTable,
         types: np.ndarray | None = None,
+        *,
+        tracer=None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        self.cap.check(pairs.r)
-        energies = np.zeros(n_atoms, dtype=np.float64)
-        forces = np.zeros((n_atoms, 3), dtype=np.float64)
-        if pairs.n_pairs == 0:
-            return energies, forces
-        e, s = self.pair_energy_force(pairs.r)
-        unit = pairs.rij / pairs.r[:, None]
-        fvec = s[:, None] * unit
-        for axis in range(3):
-            forces[:, axis] += np.bincount(
-                pairs.i, weights=fvec[:, axis], minlength=n_atoms
-            )
-        if pairs.half:
+        tr = tracer if tracer is not None else NULL_TRACER
+        with tr.phase("pair_force", pairs=pairs.n_pairs):
+            self.cap.check(pairs.r)
+            energies = np.zeros(n_atoms, dtype=np.float64)
+            forces = np.zeros((n_atoms, 3), dtype=np.float64)
+            if pairs.n_pairs == 0:
+                return energies, forces
+            e, s = self.pair_energy_force(pairs.r)
+            unit = pairs.rij / pairs.r[:, None]
+            fvec = s[:, None] * unit
             for axis in range(3):
-                forces[:, axis] -= np.bincount(
-                    pairs.j, weights=fvec[:, axis], minlength=n_atoms
+                forces[:, axis] += np.bincount(
+                    pairs.i, weights=fvec[:, axis], minlength=n_atoms
                 )
-            energies += 0.5 * np.bincount(pairs.i, weights=e, minlength=n_atoms)
-            energies += 0.5 * np.bincount(pairs.j, weights=e, minlength=n_atoms)
-        else:
-            energies += 0.5 * np.bincount(pairs.i, weights=e, minlength=n_atoms)
-        return energies, forces
+            if pairs.half:
+                for axis in range(3):
+                    forces[:, axis] -= np.bincount(
+                        pairs.j, weights=fvec[:, axis], minlength=n_atoms
+                    )
+                ends = (pairs.i, pairs.j)
+            else:
+                ends = (pairs.i,)
+            for end in ends:
+                energies += 0.5 * np.bincount(end, weights=e, minlength=n_atoms)
+            return energies, forces

@@ -48,6 +48,7 @@ __all__ = [
     "checkpoint_paths",
     "write_checkpoint",
     "read_checkpoint",
+    "replace_synced",
     "sweep_orphan_tmp",
 ]
 
@@ -81,13 +82,14 @@ def checkpoint_paths(prefix: str | Path) -> tuple[Path, Path, Path]:
     )
 
 
-def _replace_synced(tmp: Path, final: Path) -> None:
+def replace_synced(tmp: Path, final: Path) -> None:
     """Fsync ``tmp`` then rename it over ``final`` (durable publish).
 
     Without the fsync, ``os.replace`` can publish a name whose blocks
     are still in the page cache — a crash then leaves a *complete-
     looking* but torn file under the final name, which a result cache
-    would happily index.
+    would happily index.  Every checkpoint file and every file of the
+    serve cache (:mod:`repro.serve.cache`) is published through here.
     """
     fd = os.open(tmp, os.O_RDONLY)
     try:
@@ -153,7 +155,7 @@ def write_checkpoint(
             # replaced, the other not) is detectable on read
             step_count=np.int64(step_count),
         )
-    _replace_synced(tmp, npz_path)
+    replace_synced(tmp, npz_path)
 
     sidecar = {
         "schema": CHECKPOINT_SCHEMA,
@@ -165,11 +167,11 @@ def write_checkpoint(
     }
     tmp = json_path.with_name(json_path.name + ".tmp")
     tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    _replace_synced(tmp, json_path)
+    replace_synced(tmp, json_path)
 
     tmp = xyz_path.with_name(xyz_path.name + ".tmp")
     write_xyz(state, tmp, symbols=symbols, comment=f"step={int(step_count)}")
-    _replace_synced(tmp, xyz_path)
+    replace_synced(tmp, xyz_path)
 
     return npz_path, json_path, xyz_path
 

@@ -18,6 +18,11 @@ Durability and corruption tolerance:
 
 * entries are registered in the index only after their files are fully
   published, so a crash mid-run never indexes a partial result;
+* ``index.json`` and each telemetry file are published like the
+  checkpoint files (:func:`~repro.runtime.checkpoint.replace_synced`:
+  fsync, then rename), so a power loss cannot leave an empty or torn
+  index — which loading would read as an empty cache, unlinking every
+  entry's files as unreferenced;
 * loading sweeps orphaned ``*.tmp`` files an interrupted write left
   behind and drops index entries whose files are missing;
 * every lookup re-validates the checkpoint through
@@ -50,6 +55,7 @@ from repro.runtime.checkpoint import (
     CheckpointError,
     checkpoint_paths,
     read_checkpoint,
+    replace_synced,
     sweep_orphan_tmp,
 )
 
@@ -178,7 +184,7 @@ class ResultCache:
         }
         tmp = index_path.with_name(index_path.name + ".tmp")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, index_path)
+        replace_synced(tmp, index_path)
 
     # -- queries -----------------------------------------------------------
 
@@ -309,7 +315,7 @@ class ResultCache:
             tmp.write_text(
                 json.dumps(telemetry, indent=2, sort_keys=True) + "\n"
             )
-            os.replace(tmp, tele_path)
+            replace_synced(tmp, tele_path)
             nbytes = sum(
                 p.stat().st_size for p in self._entry_files(spec_hash, steps)
             )

@@ -33,6 +33,7 @@ import stat
 import warnings
 
 from repro import kernels
+from repro.obs import reset_warnings
 from repro.runtime.runner import Runner
 
 __all__ = ["Slot", "SlotLost", "slot_main"]
@@ -84,12 +85,9 @@ def slot_main(conn, forked: bool) -> None:
 
 def _run(conn, job_id: str, spec, prefix, resume, interval: int) -> tuple:
     """One job: ``(telemetry dict, reached step)``."""
-    from repro import parallel  # late, as in Slot._spawn
-
     # per-job re-arm: an earlier job's fallback must not silence this
-    # job's (warn-once caches are process state that survives fork)
-    kernels.reset_warnings()
-    parallel.reset_warnings()
+    # job's (the warn-once cache is process state that survives fork)
+    reset_warnings()
     # ... nor may this job's backend= become the next job's default
     base_backend = kernels.active_backend_name()
 

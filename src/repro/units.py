@@ -12,16 +12,6 @@ PS_PER_S = 1.0e12
 FS_PER_S = 1.0e15
 
 
-def ns_to_s(t_ns: float) -> float:
-    """Nanoseconds to seconds."""
-    return t_ns / NS_PER_S
-
-
-def s_to_ns(t_s: float) -> float:
-    """Seconds to nanoseconds."""
-    return t_s * NS_PER_S
-
-
 def cycles_to_ns(cycles: float, clock_hz: float) -> float:
     """Clock cycles to nanoseconds at ``clock_hz``."""
     if clock_hz <= 0:

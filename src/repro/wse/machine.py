@@ -65,11 +65,6 @@ class MachineConfig:
         """One clock period in nanoseconds."""
         return 1.0e9 / self.clock_hz
 
-    @property
-    def peak_flops_per_core(self) -> float:
-        """Per-core FP32 peak (FLOP/s)."""
-        return self.clock_hz * self.fp32_per_cycle
-
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count to wall seconds."""
         return cycles / self.clock_hz

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.validate import compare_trajectories
 from repro.core.wse_md import WseMd
 from repro.md.simulation import Simulation
 from tests.conftest import small_slab_state
+from tests.oracles import compare_trajectories
 
 
 @st.composite

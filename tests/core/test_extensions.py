@@ -6,12 +6,12 @@ import pytest
 from repro.core.cycle_model import CycleCostModel, OptimizationConfig
 from repro.core.mapping import build_mapping
 from repro.core.optimize import optimize_mapping
-from repro.core.validate import compare_trajectories
 from repro.core.wse_md import WseMd
 from repro.md.simulation import Simulation
 from repro.perfmodel.packing import packed_step_cycles, packing_sweep
 from repro.potentials.elements import ELEMENTS
 from tests.conftest import small_slab_state
+from tests.oracles import compare_trajectories
 
 
 class TestForceSymmetry:

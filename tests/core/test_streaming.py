@@ -11,9 +11,9 @@ below (the pre-streaming ``_collect_pairs`` / ``_density_pass`` /
 ``_force_pass`` logic, verbatim in structure), across dtypes, b values,
 non-square grids and the force-symmetry path — a fixed matrix plus a
 Hypothesis sweep over vacancies, alloys and periodic boxes.  The record
-tests pin the lifetime contract of the survivor record that carries the
-one filter's result from the density sweep to the force sweep
-(:meth:`WseMd.record_bytes`).  The list tests pin the index-only Verlet
+tests pin the survivor record that carries the one filter's result
+from the density sweep to the force sweep: its size, and that it is a
+value the machine never keeps.  The list tests pin the index-only Verlet
 list the machine carries across steps (:meth:`WseMd.list_bytes`): a
 machine with a skin is bitwise the
 machine that filters every step (``skin=0``), whatever is done to its
@@ -35,8 +35,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.exchange import iter_neighborhood, shift2d_into
-from repro.core.wse_md import FAR, SweepRecordError, WseMd
+from repro.core.exchange import shift2d_into
+from repro.core.wse_md import FAR, WseMd, _SurvivorRecord
 import repro.kernels as kernels
 from repro.kernels import numpy_backend
 from repro.lattice.cells import BCC
@@ -49,6 +49,7 @@ from repro.potentials.eam import EAMPotential
 from repro.potentials.elements import ELEMENTS, make_element_tables
 from repro.potentials.spline import SplineGroup, UniformCubicSpline
 from tests.conftest import bulk_state, small_slab_state
+from tests.oracles import iter_neighborhood
 
 SCALE_TESTS = os.environ.get("REPRO_SCALE_TESTS", "")
 
@@ -209,9 +210,9 @@ def test_sweeps_match_record_passes_bitwise(
     rho_ref, cand_ref, int_ref, force_ref, epair_ref = (
         reference_density_force(sim)
     )
-    rho, n_cand, n_int, _, _ = sim._density_sweep()
+    rho, n_cand, n_int, record, _ = sim._density_sweep()
     _, f_der = sim._embed(rho)
-    force, e_pair, _ = sim._force_sweep(f_der, energy=True)
+    force, e_pair = sim._force_sweep(record, f_der, energy=True)
     # bitwise: the streaming sweeps ARE the record passes, reordered
     # only where reordering is exact
     assert np.array_equal(rho, rho_ref)
@@ -228,9 +229,9 @@ def test_periodic_box_matches_record_passes(ta_potential):
     )
     sim.step(2)
     rho_ref, _, _, force_ref, _ = reference_density_force(sim)
-    rho, *_ = sim._density_sweep()
+    rho, _, _, record, _ = sim._density_sweep()
     _, f_der = sim._embed(rho)
-    force, _, _ = sim._force_sweep(f_der)
+    force, _ = sim._force_sweep(record, f_der)
     assert np.array_equal(rho, rho_ref)
     assert np.array_equal(force, force_ref)
 
@@ -312,9 +313,9 @@ def test_sweeps_match_record_passes_property(
     rho_ref, cand_ref, int_ref, force_ref, epair_ref = (
         reference_density_force(sim)
     )
-    rho, n_cand, n_int, _, _ = sim._density_sweep()
+    rho, n_cand, n_int, record, _ = sim._density_sweep()
     _, f_der = sim._embed(rho)
-    force, e_pair, _ = sim._force_sweep(f_der, energy=True)
+    force, e_pair = sim._force_sweep(record, f_der, energy=True)
     assert int_ref.sum() > 0, case
     assert np.array_equal(rho, rho_ref), case
     assert np.array_equal(n_cand, cand_ref), case
@@ -322,8 +323,8 @@ def test_sweeps_match_record_passes_property(
     assert np.array_equal(force, force_ref), case
     assert np.array_equal(e_pair, epair_ref), case
     # a timestep skips the pair energy; the forces must not notice
-    sim._density_sweep()
-    force_only, none, _ = sim._force_sweep(f_der)
+    record = sim._density_sweep()[3]
+    force_only, none = sim._force_sweep(record, f_der)
     assert none is None
     assert np.array_equal(force_only, force_ref), case
 
@@ -349,7 +350,7 @@ def test_one_call_of_each_sweep_per_step(ta_potential, force_symmetry):
         small_slab_state(reps=(5, 5, 2)), ta_potential,
         force_symmetry=force_symmetry,
     )
-    assert len(sim._pass_offsets) > 1
+    assert len(sim._offset_rows) > 1
     before = _kernel_calls()
     sim.step(3)
     spent = tuple(b - a for a, b in zip(before, _kernel_calls()))
@@ -364,33 +365,26 @@ def test_record_bytes_accounting(ta_potential, wta_potential, alloy, per_row):
         fill=0.94, dtype=np.float64, force_symmetry=True, seed=1,
     )
     sim = _sweep_machine(case, ta_potential, wta_potential)
-    assert sim.record_bytes() == 0
-    _, _, n_int, _, _ = sim._density_sweep()
-    bounds = sim._record.starts.nbytes
-    assert sim.record_bytes() == per_row * int(n_int.sum()) + bounds
+    _, _, n_int, record, _ = sim._density_sweep()
+    bounds = record.starts.nbytes
+    assert record.nbytes == per_row * int(n_int.sum()) + bounds
 
 
-def test_force_needs_a_fresh_density_sweep(ta_potential):
-    sim = WseMd(small_slab_state(reps=(4, 4, 2)), ta_potential)
-    f_der = np.zeros(sim.occ.shape)
-    with pytest.raises(SweepRecordError, match="fresh density"):
-        sim._force_sweep(f_der)
-    sim._density_sweep()
-    sim._force_sweep(f_der)
-    with pytest.raises(SweepRecordError, match="fresh density"):
-        sim._force_sweep(f_der)  # records are consumed, not replayed
+def _holds_no_record(sim) -> bool:
+    """No attribute of the machine is a survivor record."""
+    return not any(isinstance(v, _SurvivorRecord) for v in vars(sim).values())
 
 
 def test_no_record_outlives_a_public_call(ta_potential):
     sim = WseMd(
         small_slab_state(reps=(4, 4, 2)), ta_potential, force_symmetry=True
     )
+    assert _holds_no_record(sim)
     for call in (
         lambda: sim.step(2), sim.compute_forces, sim.compute_energy
     ):
         call()
-        assert sim.record_bytes() == 0
-        assert sim._record is None
+        assert _holds_no_record(sim)
 
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
@@ -407,7 +401,7 @@ def test_swap_every_step_matches_record_passes(ta_potential, force_symmetry):
         twin._integrate(reference_density_force(twin)[3])
         twin.step_count += 1
         twin._swap_round()
-        assert sim.record_bytes() == 0
+        assert _holds_no_record(sim)
         assert np.array_equal(sim.aid, twin.aid)
         assert np.array_equal(sim.pos, twin.pos)
         assert np.array_equal(sim.vel, twin.vel)
@@ -452,10 +446,11 @@ def _step_twins(sim, twin, oracle, n_steps=1):
     says, and the twin never reuses."""
     for _ in range(n_steps):
         must_build = oracle.observe(sim)
+        reuses = sim.list_reuses
         sim.step(1)
         twin.step(1)
-        assert sim.last_reused == (not must_build)
-        assert not twin.last_reused
+        assert sim.list_reuses - reuses == (not must_build)
+        assert twin.list_reuses == 0
         _assert_same_machine(sim, twin)
     assert sim.list_builds == oracle.builds
 
@@ -593,10 +588,10 @@ def test_list_bytes_accounting(ta_potential):
     pairs = _listed_pairs(sim)
     assert pairs >= int(sim.last_interactions.sum()) > 0
     bounds = sim._list.listed[0].nbytes
-    assert bounds == 4 * (len(sim._pass_offsets) + 1)
+    assert bounds == 4 * (len(sim._offset_rows) + 1)
     planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
     assert sim.list_bytes() == 8 * pairs + bounds + planes
-    assert sim.record_bytes() == 0
+    assert _holds_no_record(sim)
     assert twin.list_bytes() == 0 and twin._list is None
 
 
@@ -786,13 +781,12 @@ def test_record_budget_50k_atoms():
         make_element_potential("Ta"),
         force_symmetry=True,
     )
-    _, _, n_int, _, _ = sim._density_sweep()
+    _, _, n_int, record, _ = sim._density_sweep()
     rows = int(n_int.sum())
-    held = sim.record_bytes()
-    assert 0 < held <= _RECORD_BYTES_PER_INTERACTION * rows
-    sim._force_sweep(np.zeros(sim.occ.shape))
+    assert 0 < record.nbytes <= _RECORD_BYTES_PER_INTERACTION * rows
+    sim._force_sweep(record, np.zeros(sim.occ.shape))
     sim.step(1)
-    assert sim.record_bytes() == 0
+    assert _holds_no_record(sim)
     # what does stay between steps: the index list at cutoff + skin
     # (a thin shell more than the survivors in a crystal), offset
     # bounds, and three grid planes

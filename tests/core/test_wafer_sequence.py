@@ -82,11 +82,11 @@ def test_a_held_list_is_tested_then_reused_or_rebuilt(spy, ta_potential):
     sim.step(1)
     _names(spy)
     sim.step(1)
-    assert sim.last_reused
+    assert (sim.list_builds, sim.list_reuses) == (1, 1)
     assert _names(spy) == ["list_valid", *STEP]
     sim.pos[sim.occ] += sim.dtype.type(1.0)  # every tile a full angstrom
     sim.step(1)
-    assert not sim.last_reused
+    assert (sim.list_builds, sim.list_reuses) == (2, 1)
     assert _names(spy) == ["list_valid", "wafer_list", *STEP]
 
 

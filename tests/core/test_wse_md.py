@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.exchange import neighborhood_sources, shift2d
+from repro.core.exchange import shift2d
 from repro.core.neighborhood import candidate_count, choose_b, required_b
-from repro.core.validate import compare_trajectories
 from repro.core.wse_md import WseMd
 from repro.md.boundary import Box
 from repro.md.simulation import Simulation
@@ -13,6 +12,7 @@ from repro.md.state import AtomsState
 from repro.md.thermostat import maxwell_boltzmann_velocities
 from repro.wse.geometry import TileGrid
 from tests.conftest import small_slab_state
+from tests.oracles import compare_trajectories, neighborhood_sources
 
 
 class TestShift2d:

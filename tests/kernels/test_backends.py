@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.kernels as kernels
+from repro import obs
 from repro.kernels import (
     DEFAULT_BACKEND,
     FALLBACK_BACKEND,
@@ -51,7 +52,7 @@ class TestRegistry:
     def test_native_loads_or_degrades_gracefully(self):
         # with or without a C compiler this must activate *some*
         # working backend without raising, and say which
-        kernels.reset_warnings()
+        obs.reset_warnings()
         if "native" in available_backends():
             assert set_backend("native") == "native"
             assert backend_status()["native"] == "ok"
@@ -174,7 +175,7 @@ class TestRegistry:
         finally:
             kernels._loaders.pop("flaky-probe", None)
             kernels._failures.pop("flaky-probe", None)
-            kernels._warned_fallbacks.discard("flaky-probe")
+            obs._warned.discard("flaky-probe")
 
     def test_fallback_warns_once_per_name(self):
         # a campaign calling set_backend per run must not spam warnings;

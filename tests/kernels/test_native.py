@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
+from repro import obs
 from repro.core.wse_md import FAR
 from repro.kernels import numpy_backend
 from tests.kernels import test_numpy_floor as floor
@@ -570,11 +571,11 @@ def test_nan_force_raises_naming_the_step(backend, monkeypatch):
     sim = engine.sim
     honest = sim._force_sweep
 
-    def poisoned(f_der, **kw):
-        force, e_pair, n = honest(f_der, **kw)
+    def poisoned(record, f_der, **kw):
+        force, e_pair = honest(record, f_der, **kw)
         x, y = np.argwhere(sim.occ)[0]
         force[x, y, 2] = np.nan
-        return force, e_pair, n
+        return force, e_pair
 
     monkeypatch.setattr(sim, "_force_sweep", poisoned)
     with pytest.raises(FloatingPointError, match="after step 4"):
@@ -763,7 +764,7 @@ def fresh_registry(monkeypatch, tmp_path):
         monkeypatch.setattr(kernels, attr, {
             k: v for k, v in getattr(kernels, attr).items() if k != "native"
         })
-    monkeypatch.setattr(kernels, "_warned_fallbacks", set())
+    monkeypatch.setattr(obs, "_warned", set())
     monkeypatch.setattr(nb, "_lib", None)
     monkeypatch.setattr(nb, "compile_s", 0.0)
     return nb

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
 from repro.md.neighbor_list import NeighborList, build_candidates
-from repro.obs import metrics
+from repro.obs import metrics, reset_warnings
 from repro.parallel import domains
 from repro.parallel.domains import DomainGrid, plan_axis, plan_grid
 from tests.conftest import (
@@ -53,7 +53,7 @@ class TestPlanAxisDegenerate:
     """Satellite regression: n_parts > available cell columns."""
 
     def setup_method(self):
-        domains._warned_degenerate.clear()
+        reset_warnings()
 
     def test_caps_and_warns_once(self):
         x = np.full(50, 2.5)  # one cell column, however wide the cells

@@ -13,10 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.parallel as par
 from repro.kernels import active_backend_name, set_backend
 from repro.md.simulation import Simulation
-from repro.obs import metrics
+from repro.obs import metrics, reset_warnings
 from repro.parallel import (
     ShardedForcePipeline,
     fork_available,
@@ -135,7 +134,7 @@ class TestGating:
 
     def test_fallback_warns_once_and_stays_correct(self, ta_potential):
         state = bulk_state("Ta", (3, 3, 3), temperature=200.0)
-        par._warned_reasons.clear()
+        reset_warnings()
         with pytest.warns(RuntimeWarning, match="periodic"):
             sim = Simulation(state, ta_potential, workers=2)
             e_fallback = sim.potential_energy()

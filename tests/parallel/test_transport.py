@@ -21,6 +21,7 @@ import pytest
 
 from repro.kernels import active_backend_name, set_backend
 from repro.md.simulation import Simulation
+from repro.obs import reset_warnings
 from repro.parallel import ShardedForcePipeline, WorkerLost, fork_available
 from repro.parallel.transport import (
     _REAP_TIMEOUT_S,
@@ -657,14 +658,13 @@ class TestAutoSelection:
 
     @staticmethod
     def _resolve(monkeypatch, cpus, workers):
-        import repro.parallel as par
         from repro.parallel.transport import resolve_transport
 
         # force the os.cpu_count() fallback path (including None) by
         # removing the affinity API resolve_transport prefers
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        par.reset_warnings()
+        reset_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             kind = resolve_transport("auto", workers)
@@ -700,12 +700,11 @@ class TestAutoSelection:
         assert messages == []
 
     def test_starved_pick_warns_once_per_shape(self, monkeypatch):
-        import repro.parallel as par
         from repro.parallel.transport import resolve_transport
 
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        par.reset_warnings()
+        reset_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             resolve_transport("auto", 2)
@@ -727,7 +726,7 @@ class TestAutoSelection:
             os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
         )
         assert par.usable_cpus() == 2
-        par.reset_warnings()
+        reset_warnings()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_transport("auto", 2) == "shared"

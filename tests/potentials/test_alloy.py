@@ -126,7 +126,7 @@ class TestAlloyOnTheWafer:
         state = alloy_state(temperature=250.0, seed=3)
         wse = WseMd(state.copy(), wta_potential, dt_fs=2.0)
         ref = Simulation(state.copy(), wta_potential, dt_fs=2.0, skin=0.6)
-        from repro.core.validate import compare_trajectories
+        from tests.oracles import compare_trajectories
         cmp = compare_trajectories(state, wse, ref, 15)
         assert cmp.max_position_error < 1e-10
         assert cmp.energy_error < 1e-8

@@ -1,6 +1,7 @@
 """ResultCache: hits, resume depth, corruption tolerance, LRU cap."""
 
 import json
+import os
 
 import pytest
 
@@ -129,6 +130,33 @@ class TestCorruptionTolerance:
         stray.write_text("{}")
         ResultCache(tmp_path)
         assert not stray.exists()
+
+
+class TestDurability:
+    def test_every_published_file_is_fsynced(
+        self, tmp_path, monkeypatch
+    ):
+        """The index and the telemetry are fsynced like the checkpoint
+        trio (the inode a published name points at was synced): an
+        index left empty or torn by a power loss would load as an empty
+        cache and unlink every entry's files as unreferenced."""
+        synced = set()
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            synced.add((st.st_dev, st.st_ino))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        _populate(ResultCache(tmp_path))
+        published = sorted(p for p in tmp_path.iterdir() if p.is_file())
+        assert {p.name for p in published} >= {
+            "index.json", f"{SPEC.spec_hash()}-4.telemetry.json",
+        }
+        for path in published:
+            st = path.stat()
+            assert (st.st_dev, st.st_ino) in synced, path.name
 
 
 class TestLRU:

@@ -1,9 +1,8 @@
 """Served jobs hear parallel degradation warnings, every job.
 
-The warn-once caches (``repro.parallel._warned_reasons`` for a
-core-starved ``transport="auto"`` falling back to the inline tier,
-``repro.parallel.domains._warned_degenerate`` for degenerate halo
-widths) are process state: without the scheduler's per-job
+The warn-once cache (``repro.obs.warn_once``: a core-starved
+``transport="auto"`` falling back to the inline tier, degenerate halo
+widths) is process state: without the scheduler's per-job
 ``reset_warnings()`` re-arm, the first job would permanently silence
 every later job's degradation report.  These tests pin that two
 sequential served jobs each emit the warnings.
@@ -65,20 +64,17 @@ def test_each_served_job_hears_degradations():
 
 @pytest.fixture(autouse=True)
 def _one_core_host(monkeypatch):
-    import repro.parallel as par
     from repro.kernels import active_backend_name, set_backend
-    from repro.parallel import domains
+    from repro.obs import reset_warnings
 
     # resolve_transport falls back to os.cpu_count() without the
     # affinity API: a 1-core host, whatever runs the suite
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     # start from a clean slate so earlier tests' warnings don't mask
-    par._warned_reasons.clear()
-    domains._warned_degenerate.clear()
+    reset_warnings()
     base = active_backend_name()
     yield
     # the served parallel job switches the process-wide backend
     set_backend(base)
-    par._warned_reasons.clear()
-    domains._warned_degenerate.clear()
+    reset_warnings()

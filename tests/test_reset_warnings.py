@@ -1,10 +1,11 @@
-"""The warn-once caches: reset hooks and fork inheritance.
+"""The warn-once cache: its reset and fork inheritance.
 
 The kernel and parallel layers warn once per degradation for the life
-of the process.  That cache is plain module state, so it survives
-``fork`` — a worker (or a served job) inheriting a populated cache
-never hears about degradations that predate it.  ``reset_warnings()``
-re-arms the caches; the serve scheduler calls it before every job.
+of the process, through one cache (:func:`repro.obs.warn_once`).  That
+cache is plain module state, so it survives ``fork`` — a worker (or a
+served job) inheriting a populated cache never hears about
+degradations that predate it.  ``repro.obs.reset_warnings()`` re-arms
+it; the serve scheduler calls it before every job.
 """
 
 import multiprocessing
@@ -13,19 +14,19 @@ import warnings
 
 import pytest
 
-from repro import kernels, parallel
-from repro.parallel import domains
+from repro import kernels, obs
+from repro.obs import reset_warnings
 
 
 class TestKernelReset:
     def test_clears_fallback_cache(self):
-        kernels._warned_fallbacks.add("probe:test")
-        kernels.reset_warnings()
-        assert kernels._warned_fallbacks == set()
+        obs._warned.add("probe:test")
+        reset_warnings()
+        assert obs._warned == set()
 
     def test_rearms_the_warning(self):
         previous = kernels.active_backend_name()
-        kernels.reset_warnings()
+        reset_warnings()
         try:
             with warnings.catch_warnings(record=True) as first:
                 warnings.simplefilter("always")
@@ -37,33 +38,31 @@ class TestKernelReset:
                 kernels.set_backend("no-such-backend-xyz")
             assert len(second) == 0
             # reset: audible again
-            kernels.reset_warnings()
+            reset_warnings()
             with warnings.catch_warnings(record=True) as third:
                 warnings.simplefilter("always")
                 kernels.set_backend("no-such-backend-xyz")
             assert len(third) == 1
         finally:
-            kernels.reset_warnings()
+            reset_warnings()
             kernels.set_backend(previous)
 
 
 class TestParallelReset:
     def test_clears_both_caches(self):
-        parallel._warned_reasons.add("probe reason")
-        domains._warned_degenerate.add(("x", 9, 1))
-        parallel.reset_warnings()
-        assert parallel._warned_reasons == set()
-        assert domains._warned_degenerate == set()
+        obs._warned.add("probe reason")
+        obs._warned.add(("x", 9, 1))
+        reset_warnings()
+        assert obs._warned == set()
 
 
 def _forked_child(queue) -> None:
     """Runs in the fork: report the inherited cache, reset, re-check."""
-    inherited = set(kernels._warned_fallbacks)
-    kernels.reset_warnings()
-    parallel.reset_warnings()
+    inherited = list(obs._warned)
+    reset_warnings()
     queue.put({
-        "inherited": sorted(inherited),
-        "after_reset": sorted(kernels._warned_fallbacks),
+        "inherited": inherited,
+        "after_reset": list(obs._warned),
     })
 
 
@@ -74,7 +73,7 @@ def test_fork_inherits_cache_and_reset_clears_it():
     """A forked worker inherits the parent's warn-once cache (the bug
     surface) and reset_warnings() gives it a clean slate."""
     marker = "fork-probe:backend"
-    kernels._warned_fallbacks.add(marker)
+    obs._warned.add(marker)
     try:
         ctx = multiprocessing.get_context("fork")
         queue = ctx.SimpleQueue()
@@ -86,6 +85,6 @@ def test_fork_inherits_cache_and_reset_clears_it():
         assert marker in report["inherited"]
         assert report["after_reset"] == []
         # the parent's cache is untouched by the child's reset
-        assert marker in kernels._warned_fallbacks
+        assert marker in obs._warned
     finally:
-        kernels._warned_fallbacks.discard(marker)
+        obs._warned.discard(marker)

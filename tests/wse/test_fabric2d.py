@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.exchange import neighborhood_sources
 from repro.wse.fabric2d import ExchangeFabric2D
 from repro.wse.geometry import TileGrid
 from repro.wse.multicast import exchange_cycle_model
+from tests.oracles import neighborhood_sources
 
 
 class TestExchange2D:

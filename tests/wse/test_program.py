@@ -2,12 +2,28 @@
 
 import pytest
 
-from repro.wse.program import (
-    StreamKind,
-    TileProgram,
-    VectorMove,
-    exchange_program,
-)
+from repro.wse.program import StreamKind, TileProgram, VectorMove
+
+
+def exchange_program(b: int, vector_len: int) -> TileProgram:
+    """The four-thread neighborhood-exchange program of Fig. 4c.
+
+    Two virtual channels per stage (positive / negative direction),
+    one send and one receive thread each.  Send vectors carry this
+    tile's record; receive vectors accumulate ``b`` neighbors' records.
+    """
+    if b < 1 or vector_len < 1:
+        raise ValueError(f"bad exchange geometry: b={b}, L={vector_len}")
+    return TileProgram([
+        VectorMove("send_pos", StreamKind.MEMORY, StreamKind.FABRIC_TX,
+                   vector_len),
+        VectorMove("send_neg", StreamKind.MEMORY, StreamKind.FABRIC_TX,
+                   vector_len),
+        VectorMove("recv_pos", StreamKind.FABRIC_RX, StreamKind.MEMORY,
+                   b * vector_len),
+        VectorMove("recv_neg", StreamKind.FABRIC_RX, StreamKind.MEMORY,
+                   b * vector_len),
+    ])
 
 
 class TestVectorMove:
