@@ -10,10 +10,9 @@ arrays, following the five-step timestep of paper Sec. III-A:
    ``cutoff + skin`` — and repeats the exchange only when an atom has
    moved ``skin / 2`` or the occupancy changed.
 2. **Neighbor list** — every step, the exact ``r < rc`` test over the
-   listed pairs only; the survivors form one compact record
-   (candidates arrive in deterministic order; the record order *is*
-   the ordinal list), a value the density sweep returns and the force
-   sweep of the same step takes.
+   listed pairs only; the survivors form one record (candidates arrive
+   in deterministic order; the record order *is* the ordinal list),
+   which lives only inside the step's kernel call.
 3. **Embedding calculation and exchange** — density accumulation, then
    ``F`` and ``F'`` per tile; the second exchange ships only ``F'``,
    gathered at the recorded tiles.
@@ -28,15 +27,16 @@ tile's actual candidate and interaction counts, into a
 :class:`~repro.wse.trace.CycleTrace` — the machine's "hardware cycle
 counter in a scratch buffer" (Sec. IV-B).
 
-Everything per tile — list test and build, both sweeps, the leap-frog
-and the cycle counter — is a kernel of the active registry tier
-(:mod:`repro.kernels`).  This class owns the grids and sequences the
-kernels: one evaluation (list test or build, density, embedding,
-force) serves :meth:`step` and both observables, and holds nothing
-between its sweeps.  Across steps it holds the list, and decides when
-that list is reused from values alone (the same occupancy, every tile
-within ``skin / 2`` of its build-time position), so an atom swap, a
-restored checkpoint or a caller writing into the
+Everything per tile — list test and build, both sweeps, the
+embedding, the leap-frog and the cycle counter — is one ``wafer_step``
+call of the active registry tier (:mod:`repro.kernels`), on one team of
+threads.  This class owns the grids and makes the call: the same call
+serves :meth:`step` and, without the leap-frog and the counter, both
+observables.  Between calls run the swap rounds and the trace's
+moments.  Across steps it holds the list (and the tier's working
+memory), and the list is reused when the values say so (the same
+occupancy, every tile within ``skin / 2`` of its build-time position),
+so an atom swap, a restored checkpoint or a caller writing into the
 grids needs no hook, and a NaN, which fails that test, reaches a build
 that refuses it.  Survivors are always chosen by the exact cutoff test,
 in list order, so trajectories do not depend on the skin.  The physics
@@ -56,6 +56,7 @@ from repro.core.mapping import Mapping, build_mapping
 from repro.core.neighborhood import required_b
 from repro.core.swap import SwapEngine
 from repro.kernels import active_backend
+from repro.kernels.numpy_backend import STEP_PHASES
 from repro.md.state import AtomsState
 from repro.obs import NULL_TRACER, metrics
 from repro.potentials.eam import EAMPotential
@@ -69,35 +70,11 @@ __all__ = ["WseMd", "FAR"]
 FAR = 1.0e15
 
 
-class _SurvivorRecord(NamedTuple):
-    """The step's surviving candidates, offset-major (exchange order):
-    everything the force sweep needs.  ``starts[i]:starts[i + 1]`` are
-    the rows of the ``i``-th offset, within which every center (and
-    every source) tile appears at most once."""
-
-    starts: np.ndarray
-    ctr: np.ndarray  # flat center tile, int32
-    src: np.ndarray  # flat source tile (the partner), int32
-    r: np.ndarray  # distance, machine dtype
-    unit: np.ndarray  # (n, 3) unit vector center -> source, machine dtype
-    rho_d_src: np.ndarray  # rho' through the source's type
-    rho_d_ctr: np.ndarray  # rho' through the center's type
-    phi_member: np.ndarray | int  # phi table per row (0 = single type)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held, counting a shared single-type ``rho'`` once."""
-        arrays = [self.starts, self.ctr, self.src, self.r, self.unit,
-                  self.rho_d_src]
-        if self.rho_d_ctr is not self.rho_d_src:
-            arrays += [self.rho_d_ctr, self.phi_member]
-        return sum(a.nbytes for a in arrays)
-
-
 class _SkinList(NamedTuple):
     """The index-only Verlet list: every pair within ``cutoff + skin``
-    at build time as int32 ``(starts, ctr, src)``, ordered like
-    :class:`_SurvivorRecord`, and what its validity is judged by."""
+    at build time as int32 ``(starts, ctr, src)`` flat-tile rows,
+    offset-major (``starts[i]:starts[i + 1]`` are the rows of the
+    ``i``-th offset, tile-minor), and what its validity is judged by."""
 
     listed: tuple[np.ndarray, np.ndarray, np.ndarray]
     pos: np.ndarray  # build-time position plane (a copy)
@@ -108,13 +85,6 @@ class _SkinList(NamedTuple):
     def nbytes(self) -> int:
         index = sum(a.nbytes for a in self.listed)
         return index + self.pos.nbytes + self.occ.nbytes + self.n_cand.nbytes
-
-
-def _flat(grid: np.ndarray, *tail: int) -> np.ndarray:
-    """A flat-tile *view* of an (nx, ny, ...) grid."""
-    if not grid.flags.c_contiguous:
-        raise ValueError("sweep accumulators must be C-contiguous")
-    return grid.reshape(-1, *tail)
 
 
 class WseMd:
@@ -293,6 +263,10 @@ class WseMd:
         )
         #: the list held across steps (None: the next density builds)
         self._list: _SkinList | None = None
+        #: working memory the kernel tier reuses from one call to the
+        #: next (the survivor record's columns, per-tile planes); the
+        #: machine never reads it
+        self._scratch: dict = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -313,160 +287,87 @@ class WseMd:
 
     # -- the five-step timestep ------------------------------------------------
 
-    def _density_sweep(self, tr=NULL_TRACER):
-        """Steps 1-3a: candidate exchange (on a list build), neighbor
-        test, density sums.
+    def _evaluate(self, tr, *, advance: bool = False, energy: bool = False):
+        """Steps 1-4 at the current positions in one ``wafer_step`` call:
+        the list test (or a build), density, embedding, force and, when
+        ``advance`` is set, the leap-frog and the cycle counter.
 
-        Returns ``(rho_bar, n_cand, n_int, record, threads)``: the
-        accumulated grids, the survivor record :meth:`_force_sweep`
-        takes, and the most threads a kernel call here ran on.  The
-        seconds the list build (0.0 on a reuse step) and the test of the
-        held list (0.0 when none was held) took go to ``tr`` as the
-        ``exchange`` / ``neighbor`` child spans of the ``density`` phase.
+        Holds the list the call returns, keeps the step's counts, and
+        records the call's phases in ``tr``.  Returns the kernel's
+        :class:`~repro.kernels.numpy_backend.WaferStep`.
         """
         kernels = active_backend()
-        nx, ny = self.grid.nx, self.grid.ny
-        rho_bar = np.zeros((nx, ny))
-        n_int = np.zeros((nx, ny), dtype=np.int64)
         grouped = self.potential.tables.grouped()
-        held = self._list
-        t0 = time.perf_counter()
-        reused = held is not None and kernels.list_valid(
-            self.pos, self.occ, held.pos, held.occ, (0.5 * self.skin) ** 2
+        cost, pbc = self.cost_model, self.pbc_inplane
+        held, self._list = self._list, None  # a call that raises holds none
+        step = kernels.wafer_step(
+            self.pos, self.vel, self.occ, self.typ, held, self._offset_rows,
+            self._lengths, self._periodic, self._reach2,
+            (0.5 * self.skin) ** 2, float(self.potential.cutoff),
+            (grouped.rho.bank(), grouped.embed.bank(), grouped.phi.bank()),
+            grouped.phi_index, self.force_symmetry, keep=self.skin > 0.0,
+            masses=self.masses if advance else None, dt=self.dt,
+            cost=(cost.exchange_cycles(self.b, pbc=pbc),
+                  cost.candidate_cycles(pbc=pbc), cost.interaction_cycles(),
+                  cost.fixed_cycles()) if advance else None,
+            # the timing noise is drawn before the step, from the same
+            # stream, in the order the counter always drew it
+            noise=(self._rng.standard_normal(self.occ.shape).ravel()
+                   if advance and self.jitter_rel > 0.0 else None),
+            jitter=self.jitter_rel, energy=energy, scratch=self._scratch,
         )
-        t_valid = time.perf_counter() - t0 if held is not None else 0.0
-        threads, t_build = 1, 0.0
-        if reused:
-            listed, cand = held.listed, held.n_cand
-        else:
-            self._list = None  # a build that raises leaves no list
+        metrics().counter("kernels.wafer_step.calls").inc()
+        if not step.ran:
             # every NaN fails the list test; empty tiles hold a finite FAR
-            if not np.isfinite(self.pos).all():
-                raise FloatingPointError(
-                    f"non-finite positions on the wafer at step "
-                    f"{self.step_count + 1}"
-                )
-            cand = np.zeros((nx, ny), dtype=np.int32)
-            t0 = time.perf_counter()
-            listed = kernels.wafer_list(
-                self.pos, self.occ, self._offset_rows, self._lengths,
-                self._periodic, self._reach2, cand,
+            raise FloatingPointError(
+                f"non-finite positions on the wafer at step "
+                f"{self.step_count + 1}"
             )
-            t_build = time.perf_counter() - t0
-            threads = getattr(kernels, "threads", 1)
-        record = _SurvivorRecord(*kernels.wafer_density(
-            _flat(self.pos, 3), listed, self._lengths, self._periodic,
-            float(self.potential.cutoff), _flat(self.typ),
-            grouped.rho.bank(), grouped.phi_index, self.force_symmetry,
-            _flat(rho_bar), _flat(n_int),
-        ))
-        threads = max(threads, getattr(kernels, "threads", 1))
-        metrics().counter("kernels.wafer_density.calls").inc()
-        n_cand = cand.astype(np.int64)
-        if not reused and self.skin > 0.0:
-            self._list = _SkinList(listed, self.pos.copy(), self.occ.copy(),
-                                   cand)
-        self.last_candidates, self.last_interactions = n_cand, n_int
-        if reused:
+        if step.held is not None:
+            self._list = (held if step.reused
+                          else _SkinList(*step.held))
+        self.last_candidates = step.n_cand.astype(np.int64)
+        self.last_interactions = step.n_int
+        self.sweep_threads = step.threads
+        if step.reused:
             self.list_reuses += 1
             metrics().counter("wse.list.reuses").inc()
         else:
             self.list_builds += 1
             metrics().counter("wse.list.builds").inc()
-        n_offsets = len(self._offset_rows)
-        tr.record("exchange", t_build, {"offsets": n_offsets})
-        tr.record("neighbor", t_valid, {"offsets": n_offsets,
-                                        "reused": reused})
-        return rho_bar, n_cand, n_int, record, threads
+        if tr.enabled:
+            n_offsets = len(self._offset_rows)
+            spans = dict(zip(STEP_PHASES, step.phase_ns))
+            spans.pop("cycle_account")  # priced once the trace has it
+            counters = {
+                "neighbor": {"offsets": n_offsets, "reused": step.reused},
+                "exchange": {"offsets": n_offsets},
+                "density": {"candidates": int(step.n_cand.sum()),
+                            "interactions": int(step.n_int.sum())},
+            }
+            for name, ns in spans.items():
+                tr.record(name, ns * 1e-9, counters.get(name))
+        return step
 
-    def _embed(self, rho_bar: np.ndarray):
-        """Step 3b: embedding energy and derivative per tile, through the
-        occupancy mask (at ~94% occupancy boolean indexing beats a
-        ``flatnonzero`` index with ``take`` and ``put``)."""
-        f_val = np.zeros(self.occ.shape)
-        f_der = np.zeros(self.occ.shape)
-        occ = self.occ
-        # a one-type table ignores types: gather none (the potential
-        # would also keep each fresh vector alive in its seen-cache)
-        typ = self.typ[occ] if self.potential.tables.n_types > 1 else None
-        f_val[occ], f_der[occ] = self.potential.embed(rho_bar[occ], typ)
-        return f_val, f_der
-
-    def _force_sweep(self, record: _SurvivorRecord, f_der: np.ndarray, *,
-                     energy: bool = False):
-        """Steps 3c-4a: F' exchange and Eq. 4 force accumulation over
-        the density sweep's survivor ``record`` (only ``F'`` travels,
-        gathered at the recorded tiles; the pair energy only when
-        ``energy`` is set).  Returns ``(force, e_pair or None)``.
-        """
-        nx, ny = self.grid.nx, self.grid.ny
-        force = np.zeros((nx, ny, 3))
-        e_pair = np.zeros((nx, ny)) if energy else None
-        active_backend().wafer_force(
-            record, _flat(f_der), self.potential.tables.grouped().phi.bank(),
-            self.force_symmetry, _flat(force, 3),
-            _flat(e_pair) if e_pair is not None else None,
-        )
-        metrics().counter("kernels.wafer_force.calls").inc()
-        return force, e_pair
-
-    def _evaluate(self, tr, *, energy: bool = False):
-        """Steps 1-4a at the current positions, each in its ``tr``
-        phase: list test or build, density, embedding, force.
-
-        Returns ``(force, e_pot or None, n_cand, n_int)``, the potential
-        energy (eV) only when ``energy`` is set.
-        """
-        with tr.phase("density") as ph:
-            rho_bar, n_cand, n_int, record, threads = self._density_sweep(tr)
-            ph.add(candidates=int(n_cand.sum()),
-                   interactions=int(n_int.sum()))
-        with tr.phase("embedding"):
-            f_val, f_der = self._embed(rho_bar)
-        with tr.phase("pair_force"):
-            force, e_pair = self._force_sweep(record, f_der, energy=energy)
-        self.sweep_threads = max(threads,
-                                 getattr(active_backend(), "threads", 1))
-        e_pot = (float(f_val[self.occ].sum() + e_pair[self.occ].sum())
-                 if energy else None)
-        return force, e_pot, n_cand, n_int
-
-    def _integrate(self, force: np.ndarray) -> None:
-        """Step 4b: leap-frog update, restricted to the occupied tiles.
-
-        Empty tiles must never integrate: their sentinel positions and
-        zero velocities are load-bearing for the exchange masks, and a
-        stray force value on a vacated tile would silently corrupt the
-        next atom swapped onto it.  A non-finite force or velocity
-        raises here, naming the step.
-        """
-        non_finite = active_backend().wafer_integrate(
-            _flat(self.pos, 3), _flat(self.vel, 3), _flat(force, 3),
-            _flat(self.occ), _flat(self.typ), self.masses, self.dt,
-        )
-        if non_finite:
+    def _account(self, step) -> None:
+        """The step's end: a non-finite coordinate the leap-frog wrote
+        raises, naming the step; else the cycle counter's plane joins
+        the trace.  Empty tiles never integrate: their sentinel
+        positions and zero velocities are load-bearing for the exchange
+        masks, and a stray force on a vacated tile would silently
+        corrupt the next atom swapped onto it."""
+        if step.non_finite:
             raise FloatingPointError(
                 f"non-finite positions on the wafer after step "
                 f"{self.step_count + 1}"
             )
-
-    def _record_cycles(self, n_cand: np.ndarray, n_int: np.ndarray) -> None:
-        """Per-tile cycle counter: the model's price of each tile's
-        counts (empty tiles still pay the exchange and fixed control
-        costs, and did no candidate or interaction work)."""
-        cost, pbc = self.cost_model, self.pbc_inplane
-        exchange = cost.exchange_cycles(self.b, pbc=pbc)
-        noise = (self._rng.standard_normal(self.occ.shape).ravel()
-                 if self.jitter_rel > 0.0 else None)
-        cycles, cand, cnt_int = active_backend().wafer_cycles(
-            _flat(self.occ), _flat(n_cand), _flat(n_int), exchange,
-            cost.candidate_cycles(pbc=pbc), cost.interaction_cycles(),
-            cost.fixed_cycles(), noise, self.jitter_rel,
-        )
+        cycles, cand, cnt_int = step.cycles
         moments = self.trace.record(cycles, cand, cnt_int)
         reg = metrics()
         reg.histogram("wse.cycles_per_tile").observe_moments(
             cycles.size, *moments)
+        exchange = self.cost_model.exchange_cycles(self.b,
+                                                   pbc=self.pbc_inplane)
         reg.counter("wse.multicast.cycles").inc(float(cycles.size) * exchange)
 
     def _swap_round(self) -> int:
@@ -504,14 +405,14 @@ class WseMd:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
         tr = self.tracer
         for _ in range(n_steps):
-            # the "step" envelope's self-time is the loop glue between
-            # phases
+            # the "step" envelope's self-time is the glue around the
+            # kernel call
             with tr.phase("step"):
-                force, _, n_cand, n_int = self._evaluate(tr)
-                with tr.phase("integrate"):
-                    self._integrate(force)
-                with tr.phase("cycle_account"):
-                    self._record_cycles(n_cand, n_int)
+                step = self._evaluate(tr, advance=True)
+                t0 = time.perf_counter_ns()
+                self._account(step)
+                tr.record("cycle_account", 1e-9 * (
+                    time.perf_counter_ns() - t0 + step.phase_ns[-1]))
                 self.step_count += 1
                 if (self.swap_interval
                         and self.step_count % self.swap_interval == 0):
@@ -521,11 +422,13 @@ class WseMd:
 
     def compute_energy(self) -> float:
         """Total potential energy at the current positions (eV)."""
-        return self._evaluate(NULL_TRACER, energy=True)[1]
+        step = self._evaluate(NULL_TRACER, energy=True)
+        occ = self.occ
+        return float(step.f_val[occ].sum() + step.e_pair[occ].sum())
 
     def compute_forces(self) -> np.ndarray:
         """Forces on the occupied tiles' atoms, id order, (N, 3)."""
-        force = self._evaluate(NULL_TRACER)[0]
+        force = self._evaluate(NULL_TRACER).force
         order = np.argsort(self.aid[self.occ])
         return force[self.occ][order]
 
@@ -535,8 +438,11 @@ class WseMd:
         Returns the number of *uncovered* pairs (0 means the current
         ``b`` is safe).  The wafer algorithm's correctness rests on
         this invariant (Sec. III-A); atoms that drift beyond the margin
-        ``b`` was chosen for silently lose interactions.
+        ``b`` was chosen for silently lose interactions.  The check
+        builds a reference list of every pair, so it first lets the
+        kernel's working memory go (the next step takes it again).
         """
+        self._scratch.clear()
         state = self.gather_state()
         from repro.md.neighbor_list import NeighborList
 

@@ -3,10 +3,11 @@
 The physics modules (:mod:`repro.potentials`, :mod:`repro.md`,
 :mod:`repro.core`) describe *what* is computed; the kernels layer owns
 *how* the inner loops run.  Each backend is a module exposing the same
-ten functions (:data:`KERNEL_FUNCTIONS`): four pair kernels for the
-reference engine and the six pieces of a lockstep wafer step, so a
-wafer step runs on whichever tier is active from its list test to its
-cycle counter:
+eight functions (:data:`KERNEL_FUNCTIONS`): four pair kernels for the
+reference engine, and for the lockstep wafer its list build, its two
+sweeps and ``wafer_step``, which runs a whole step -- list test, build,
+both sweeps with the embedding between them, leap-frog and cycle
+counter -- in one call on whichever tier is active:
 
 ``numpy``
     The definition: fused vectorized NumPy kernels.  Always available,
@@ -57,12 +58,10 @@ KERNEL_FUNCTIONS = (
     "neighbor_prefilter",   # candidate distance filter -> (i, j, rij, r)
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
-    "list_valid",           # does the wafer's held list still cover? -> bool
     "wafer_list",           # wafer list build -> (starts, ctr, src)
     "wafer_density",        # wafer density sweep over the list -> record
     "wafer_force",          # wafer force sweep over the record
-    "wafer_integrate",      # leap-frog over occupied tiles -> non-finite count
-    "wafer_cycles",         # per-tile cycle counter -> (cycles, cand, int)
+    "wafer_step",           # a whole wafer step, list test to cycles -> WaferStep
 )
 
 #: The fastest bitwise tier; resolves to :data:`FALLBACK_BACKEND` (one

@@ -1,7 +1,8 @@
-/* Native kernels: the registry's ten kernels as C99 loops -- the four
- * pair kernels of the reference engine and the six that make up a
- * lockstep wafer step (list validity and build, the two sweeps, the
- * leap-frog and the cycle counter).
+/* Native kernels: the registry's eight kernels as C99 loops -- the four
+ * pair kernels of the reference engine, and the lockstep wafer's list
+ * build, its two sweeps and its whole step (wafer_step: list test,
+ * build, both sweeps with the embedding between them, leap-frog and
+ * cycle counter, in one call).
  *
  * Built by native_backend.py with
  *   cc -O2 -fno-fast-math -ffp-contract=off -pthread -shared -fPIC
@@ -24,11 +25,13 @@
  * IndexError or raises FloatingPointError exactly as it always has.
  * Caller-owned accumulators and state are only written after the
  * indices passed.  No function allocates: outputs of unknown length
- * arrive at their upper bound and the caller shrinks them.
+ * arrive at their upper bound and the caller shrinks them, and scratch
+ * comes from the caller.
  *
- * The three kernels that walk listed rows (wafer_list, wafer_density,
- * wafer_force) run on several threads in owner blocks (see "owner
- * blocks" below); every other function runs on the calling thread.
+ * The four kernels that walk listed rows (wafer_list, wafer_density,
+ * wafer_force, wafer_step) run on a team of threads in owner blocks
+ * (see "owner blocks" below); every other function runs on the calling
+ * thread.
  */
 #define _GNU_SOURCE  /* sched_getcpu, the sweep threads' CPU affinity */
 #include <math.h>
@@ -36,7 +39,9 @@
 #include <sched.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #define R2(x, y, z) (((x) * (x) + (z) * (z)) + (y) * (y))
 
@@ -235,70 +240,63 @@ int64_t fused_force_pass(const int64_t *i, const int64_t *j,
  * waits inside a sweep.  Blocks are claimed, not dealt: a CPU that runs
  * slower (a busy host) simply claims fewer.
  *
- * A call starts its threads first and each checks a share of the input
- * (indices in range, rows in order); at the gate every thread waits for
- * every verdict, so nothing is written unless all passed, and a thread's
- * start-up overlaps the checks.  A block's rows in one offset are found
- * by binary search, which needs ctr and src ascending within each
- * offset, as the list build leaves them; a list that is not runs as one
- * block.  Each (offset, block) segment writes its rows compacted from
- * the first row it could own (one block: from where the last one
- * ended); after the join close_gaps moves the segments left, in order.
- * The caller's thread sweeps too, and every thread is joined before the
- * call returns: none outlives it, so a fork between calls is safe.
- * `threads` arrives as the number asked for and leaves as the number
- * that swept.
+ * A call starts its team first and each member checks a share of the
+ * input (indices in range, rows in order); at a barrier every member
+ * waits for every verdict, so nothing is written unless all passed, and
+ * a thread's start-up overlaps the checks.  A block's rows in one offset
+ * are found by binary search, which needs ctr and src ascending within
+ * each offset, as the list build leaves them; a list that is not runs
+ * as one block.  Each (offset, block) segment writes its rows compacted
+ * from the first row it could own (one block: from where the last one
+ * ended); a list, or a record a caller keeps, then has its segments
+ * moved left, in order (close_gaps).  The caller's thread is member 0,
+ * and every thread is joined before the call returns: none outlives it,
+ * so a fork between calls is safe.  `threads` arrives as the number
+ * asked for and leaves as the number that swept.
  */
 #define MAX_THREADS 64
+#define MAX_BLOCKS (4 * MAX_THREADS)
 
-enum { BAD_INDEX = 1, OUT_OF_ORDER = 2 };
+enum { BAD_INDEX = 1, OUT_OF_ORDER = 2, STALE = 4, NOT_FINITE = 8 };
 
-/* One call.  check(args, k, threads) returns -1 when thread k's share
- * of the input holds an index out of range, 0 when it holds rows out of
- * order, else 1; work(args, k, b) sweeps block b with thread k's
- * scratch. */
-typedef struct {
-    int (*check)(const void *args, int64_t k, int64_t threads);
-    void (*work)(const void *args, int64_t k, int64_t block);
-    const void *args;
-    int64_t *blocks;  /* the args' block count: 1 when rows are out of order */
-    int64_t threads;
-    atomic_int arrived, flags;
-    atomic_llong next;  /* the first unclaimed block */
-} block_run;
+/* A team: the calling thread (member 0) and up to threads - 1 more run
+ * body(team, k) once each.  Members meet at barriers and claim owner
+ * blocks from one counter per phase; `flags` collects what their checks
+ * found. */
+typedef struct team {
+    void (*body)(struct team *t, int64_t k);
+    void *args;
+    int64_t threads;  /* asked for; the members once `ready` is set */
+    atomic_int ready, arrived, generation, flags;
+    atomic_llong ids, next[4];
+} team_t;
 
-typedef struct {
-    block_run *run;
-    int64_t thread;
-} block_job;
-
-static void check_in(block_run *r, int64_t k)
+/* Every member waits here until all have arrived.  A waiting member
+ * yields its CPU, which more threads than CPUs need. */
+static void barrier(team_t *t)
 {
-    int v = r->check(r->args, k, r->threads);
-    atomic_fetch_or(&r->flags, v < 0 ? BAD_INDEX : v == 0 ? OUT_OF_ORDER : 0);
-    atomic_fetch_add(&r->arrived, 1);
+    int gen = atomic_load(&t->generation);
+    if (atomic_fetch_add(&t->arrived, 1) == t->threads - 1) {
+        atomic_store(&t->arrived, 0);
+        atomic_fetch_add(&t->generation, 1);
+    } else {
+        while (atomic_load(&t->generation) == gen)
+            sched_yield();
+    }
 }
 
-/* The gate: waits until every thread checked in; returns their flags.
- * A waiting thread yields its CPU, which more threads than CPUs need. */
-static int gate(block_run *r)
+/* The next unclaimed block of `phase`. */
+static int64_t claim(team_t *t, int phase)
 {
-    while (atomic_load(&r->arrived) < r->threads)
+    return atomic_fetch_add(&t->next[phase], 1);
+}
+
+static void *member_main(void *team)
+{
+    team_t *t = team;
+    while (!atomic_load(&t->ready))
         sched_yield();
-    return atomic_load(&r->flags);
-}
-
-static void sweep(block_run *r, int64_t k)
-{
-    for (int64_t b; (b = atomic_fetch_add(&r->next, 1)) < *r->blocks;)
-        r->work(r->args, k, b);
-}
-
-static void *thread_main(void *job)
-{
-    const block_job *j = job;
-    check_in(j->run, j->thread);
-    if (gate(j->run) == 0) sweep(j->run, j->thread);
+    t->body(t, atomic_fetch_add(&t->ids, 1));
     return NULL;
 }
 
@@ -328,37 +326,72 @@ static void place(pthread_attr_t *attr, int64_t k)
 static void place(pthread_attr_t *attr, int64_t k) { (void)attr, (void)k; }
 #endif
 
-/* Runs r on the calling thread (thread 0) and r->threads - 1 more,
- * joined before this returns; a thread that cannot be created is
- * checked for by the caller and its blocks are claimed by the others.
- * Returns -1 (nothing written) on a bad index, else the threads that
- * swept. */
-static int64_t run_blocks(block_run *r)
+/* Runs the team: creates its threads pinned, fixes its size at the
+ * threads that could be created (a member takes its id only then, so
+ * ids stay 0..threads-1), runs member 0 here and joins every thread
+ * before it returns.  Returns the team's size. */
+static int64_t run_team(team_t *t)
 {
     pthread_t tid[MAX_THREADS];
-    block_job job[MAX_THREADS];
-    int started[MAX_THREADS] = {0};
-    int64_t swept = 1;
-    for (int64_t k = 1; k < r->threads; k++) {
+    int64_t started = 0;
+    atomic_store(&t->ids, 1);
+    for (int64_t k = 1; k < t->threads; k++) {
         pthread_attr_t attr;
-        job[k] = (block_job){r, k};
         if (pthread_attr_init(&attr) != 0) continue;
         place(&attr, k);
-        started[k] = pthread_create(tid + k, &attr, thread_main, job + k) == 0;
-        swept += started[k];
+        started += pthread_create(tid + started, &attr, member_main, t) == 0;
         pthread_attr_destroy(&attr);
     }
-    for (int64_t k = 0; k < r->threads; k++)
-        if (!started[k]) check_in(r, k);
-    int flags = gate(r);
-    if (flags == OUT_OF_ORDER) {
+    t->threads = started + 1;
+    atomic_store(&t->ready, 1);
+    t->body(t, 0);
+    for (int64_t k = 0; k < started; k++)
+        pthread_join(tid[k], NULL);
+    return t->threads;
+}
+
+/* One sweep kernel call.  check(args, k, threads) returns -1 when
+ * member k's share of the input holds an index out of range, 0 when it
+ * holds rows out of order, else 1; work(args, k, b) sweeps block b with
+ * member k's scratch. */
+typedef struct {
+    int (*check)(const void *args, int64_t k, int64_t threads);
+    void (*work)(const void *args, int64_t k, int64_t block);
+    const void *args;
+    int64_t *blocks;  /* the args' block count: 1 when rows are out of order */
+} block_run;
+
+static int check_flags(int verdict)
+{
+    return verdict < 0 ? BAD_INDEX : verdict == 0 ? OUT_OF_ORDER : 0;
+}
+
+/* Each member checks its share, and at the barrier learns every
+ * verdict: nothing is written unless all passed, and a thread's start-up
+ * overlaps the checks.  Rows out of order run as one block, on member 0. */
+static void blocks_body(team_t *t, int64_t k)
+{
+    const block_run *r = t->args;
+    atomic_fetch_or(&t->flags, check_flags(r->check(r->args, k, t->threads)));
+    barrier(t);
+    int flags = atomic_load(&t->flags);
+    if (flags & BAD_INDEX) return;
+    if (flags & OUT_OF_ORDER) {
+        if (k != 0) return;
         *r->blocks = 1;
-        swept = 1;
     }
-    if (!(flags & BAD_INDEX)) sweep(r, 0);
-    for (int64_t k = 1; k < r->threads; k++)
-        if (started[k]) pthread_join(tid[k], NULL);
-    return flags & BAD_INDEX ? -1 : swept;
+    for (int64_t b; (b = claim(t, 0)) < *r->blocks;)
+        r->work(r->args, k, b);
+}
+
+/* Runs r on `threads` threads.  Returns -1 (nothing written) on a bad
+ * index, else the threads that swept. */
+static int64_t run_blocks(block_run *r, int64_t threads)
+{
+    team_t t = {.body = blocks_body, .args = r, .threads = threads};
+    int64_t members = run_team(&t);
+    int flags = atomic_load(&t.flags);
+    return flags & BAD_INDEX ? -1 : flags & OUT_OF_ORDER ? 1 : members;
 }
 
 static int64_t clamp_threads(int64_t threads)
@@ -450,51 +483,46 @@ static void close_column(const void *args, int64_t k, int64_t c)
                     (size_t)(G->seg[2 * s + 1] * size));
 }
 
-/* The fix-up after the join: segment s = o * blocks + b holds
- * seg[2s + 1] rows from row seg[2s] of every column.  Offset o's first
- * row goes to starts[o] (int64 when starts64, else int32), and unless
- * the segments already touch they close their gaps on `threads`
- * threads, a column at a time (columns are separate arrays; the largest
- * comes first).  Returns the rows kept. */
+/* Segment s = o * blocks + b holds seg[2s + 1] rows from row seg[2s].
+ * Offset o's first row once the segments are closed goes to starts[o]
+ * (int64 when starts64, else int32); *gaps tells whether any segment
+ * must move.  Returns the rows kept. */
+static int64_t segment_starts(const int64_t *seg, int64_t n_off,
+                              int64_t blocks, int64_t *starts64,
+                              int32_t *starts32, int *gaps)
+{
+    int64_t w = 0;
+    *gaps = 0;
+    for (int64_t o = 0; o <= n_off; o++) {
+        if (starts64)
+            starts64[o] = w;
+        else if (starts32)
+            starts32[o] = (int32_t)w;
+        for (int64_t s = o * blocks; o < n_off && s < (o + 1) * blocks; s++) {
+            *gaps |= seg[2 * s] != w;
+            w += seg[2 * s + 1];
+        }
+    }
+    return w;
+}
+
+/* The fix-up after the join: unless the segments already touch they
+ * close their gaps on `threads` threads, a column at a time (columns
+ * are separate arrays; the largest comes first).  Returns the rows
+ * kept. */
 static int64_t close_gaps(const int64_t *seg, int64_t n_off, int64_t blocks,
                           const column_t *cols, int64_t n_cols,
                           int64_t *starts64, int32_t *starts32,
                           int64_t threads)
 {
-    int64_t w = 0, gaps = 0;
-    for (int64_t o = 0; o <= n_off; o++) {
-        if (starts64)
-            starts64[o] = w;
-        else
-            starts32[o] = (int32_t)w;
-        for (int64_t s = o * blocks; o < n_off && s < (o + 1) * blocks; s++) {
-            gaps |= seg[2 * s] != w;
-            w += seg[2 * s + 1];
-        }
-    }
+    int gaps;
+    int64_t w = segment_starts(seg, n_off, blocks, starts64, starts32, &gaps);
     if (gaps) {
         gaps_args G = {seg, n_off * blocks, cols, n_cols};
-        block_run run = {nothing_to_check, close_column, &G, &G.n_cols,
-                         threads, 0, 0, 0};
-        run_blocks(&run);
+        block_run run = {nothing_to_check, close_column, &G, &G.n_cols};
+        run_blocks(&run, threads);
     }
     return w;
-}
-
-/* Does the list built at (held_pos, held_occ) still cover (pos, occ)?
- * (numpy_backend.list_valid.)  Exits at the first tile whose occupancy
- * differs or which moved bound2 or more (a NaN fails too). */
-int64_t list_valid(const double *pos, const uint8_t *occ,
-                   const double *held_pos, const uint8_t *held_occ,
-                   int64_t n_tiles, double bound2)
-{
-    for (int64_t t = 0; t < n_tiles; t++) {
-        if (occ[t] != held_occ[t]) return 0;
-        const double *a = pos + 3 * t, *b = held_pos + 3 * t;
-        double dx = a[0] - b[0], dy = a[1] - b[1], dz = a[2] - b[2];
-        if (!(R2(dx, dy, dz) < bound2)) return 0;
-    }
-    return 1;
 }
 
 typedef struct {
@@ -579,9 +607,8 @@ int64_t wafer_list(const double *pos, const uint8_t *occ, int64_t nx,
 {
     list_args A = {pos, occ, nx, ny, offsets, n_off, lengths, periodic,
                    reach2, n_cand, o_ctr, o_src, blocks, seg};
-    block_run run = {nothing_to_check, list_block, &A, &A.blocks,
-                     clamp_threads(*threads), 0, 0, 0};
-    *threads = run_blocks(&run);
+    block_run run = {nothing_to_check, list_block, &A, &A.blocks};
+    *threads = run_blocks(&run, clamp_threads(*threads));
     column_t cols[] = {{(char *)o_ctr, 4}, {(char *)o_src, 4}};
     return close_gaps(seg, n_off, A.blocks, cols, 2, NULL, o_starts, *threads);
 }
@@ -710,9 +737,8 @@ int64_t wafer_density(const double *pos, int64_t n_tiles,
                       periodic, cutoff2, typ, rho, phi_index, symmetry,
                       rho_flat, int_flat, o_ctr, o_src, o_r, o_unit, o_d_src,
                       o_d_ctr, o_member, share, stride, blocks, seg};
-    block_run run = {density_check, density_block, &A, &A.blocks,
-                     clamp_threads(*threads), 0, 0, 0};
-    if ((*threads = run_blocks(&run)) < 0) return -1;
+    block_run run = {density_check, density_block, &A, &A.blocks};
+    if ((*threads = run_blocks(&run, clamp_threads(*threads))) < 0) return -1;
     column_t cols[] = {  /* one table: the first five */
         {(char *)o_unit, 24}, {(char *)o_r, 8}, {(char *)o_d_src, 8},
         {(char *)o_ctr, 4}, {(char *)o_src, 4}, {(char *)o_d_ctr, 8},
@@ -723,7 +749,7 @@ int64_t wafer_density(const double *pos, int64_t n_tiles,
 }
 
 typedef struct {
-    const int64_t *starts;
+    const int64_t *starts;  /* NULL: the record is in (offset, block) segments */
     int64_t n_off;
     const int32_t *ctr, *src;
     const double *r, *unit, *d_src, *d_ctr;
@@ -734,6 +760,8 @@ typedef struct {
     int64_t n_tiles, symmetry;
     double *force, *e_flat, *e_both, *fvec;
     int64_t stride, blocks;
+    const int64_t *seg;  /* the segments, when starts is NULL */
+    int64_t reach;  /* ... of which a block reads those within reach */
 } force_args;
 
 /* Thread k's share of wafer_force's input: rows and their tables. */
@@ -761,6 +789,35 @@ static void pair_term(const force_args *A, int64_t q, double *phi_v,
     for (int j = 0; j < 3; j++) f[j] = s * A->unit[3 * q + j];
 }
 
+/* The record rows of offset o whose `key` tile lies in [lo, hi), as up
+ * to `blocks` ranges part[2i]..part[2i + 1]; returns how many.  A
+ * compacted record has one run per offset; a segmented one a run per
+ * (offset, block), each ascending, and only the blocks within reach of
+ * [lo, hi) can hold such a row. */
+static int64_t record_rows(const force_args *A, const int32_t *key, int64_t o,
+                           int64_t lo, int64_t hi, int64_t *part)
+{
+    int64_t runs = A->starts ? 1 : A->blocks, n = 0;
+    for (int64_t i = 0; i < runs; i++) {
+        int64_t s0, s1;
+        if (!A->starts && (edge(A->n_tiles, i + 1, runs) <= lo - A->reach
+                           || edge(A->n_tiles, i, runs) >= hi + A->reach))
+            continue;
+        if (A->starts) {
+            s0 = A->starts[o];
+            s1 = A->starts[o + 1];
+        } else {
+            s0 = A->seg[2 * (o * A->blocks + i)];
+            s1 = s0 + A->seg[2 * (o * A->blocks + i) + 1];
+        }
+        if (s0 == s1) continue;
+        block_rows(key, s0, s1, lo, hi, A->blocks, part + 2 * n,
+                   part + 2 * n + 1);
+        n += part[2 * n] < part[2 * n + 1];
+    }
+    return n;
+}
+
 /* Block bl of wafer_force on thread k, whose (stride, 3) fvec scratch
  * holds one offset's force vectors. */
 static void force_block(const void *args, int64_t k, int64_t bl)
@@ -769,10 +826,11 @@ static void force_block(const void *args, int64_t k, int64_t bl)
     int64_t lo = edge(A->n_tiles, bl, A->blocks);
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
     double *fvec = A->fvec + 3 * k * A->stride;
+    int64_t own[2 * MAX_BLOCKS], part[2 * MAX_BLOCKS];
     for (int64_t o = 0; o < A->n_off; o++) {
-        int64_t s0 = A->starts[o], s1 = A->starts[o + 1], a, b, c, e;
-        if (s0 == s1) continue;
-        block_rows(A->ctr, s0, s1, lo, hi, A->blocks, &a, &b);
+        /* the centres this block owns lie in one run */
+        if (!record_rows(A, A->ctr, o, lo, hi, own)) own[0] = own[1] = 0;
+        int64_t a = own[0], b = own[1];
         for (int64_t q = a; q < b; q++) {
             int64_t at = A->ctr[q];
             double phi_v, *f = fvec + 3 * (q - a);
@@ -785,26 +843,31 @@ static void force_block(const void *args, int64_t k, int64_t bl)
                 A->e_flat[at] += 0.5 * phi_v;
         }
         if (!A->symmetry) continue;
-        block_rows(A->src, s0, s1, lo, hi, A->blocks, &c, &e);
-        for (int64_t q = c; q < e; q++) {  /* the partner's negated share */
-            double phi_v, g[3];
-            const double *f = g;
-            if (q >= a && q < b)
-                f = fvec + 3 * (q - a);
-            else
-                pair_term(A, q, &phi_v, g);
-            for (int j = 0; j < 3; j++) A->force[3 * A->src[q] + j] -= f[j];
-        }
+        int64_t runs = record_rows(A, A->src, o, lo, hi, part);
+        for (int64_t i = 0; i < runs; i++)
+            for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++) {
+                double phi_v, g[3];  /* the partner's negated share */
+                const double *f = g;
+                if (q >= a && q < b)
+                    f = fvec + 3 * (q - a);
+                else
+                    pair_term(A, q, &phi_v, g);
+                for (int j = 0; j < 3; j++)
+                    A->force[3 * A->src[q] + j] -= f[j];
+            }
         if (!A->e_flat) continue;
-        for (int64_t q = c; q < e; q++) {
-            double phi_v, phi_d;
-            eval_point(A->phi, A->r[q], A->member ? A->member[q] : A->g0,
-                       &phi_v, &phi_d);
-            A->e_both[A->src[q]] += 0.5 * phi_v;
-        }
+        for (int64_t i = 0; i < runs; i++)
+            for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++) {
+                double phi_v, phi_d;
+                eval_point(A->phi, A->r[q],
+                           A->member ? A->member[q] : A->g0, &phi_v, &phi_d);
+                A->e_both[A->src[q]] += 0.5 * phi_v;
+            }
         for (int64_t t = lo; t < hi; t++) A->e_flat[t] += A->e_both[t];
         for (int64_t q = a; q < b; q++) A->e_both[A->ctr[q]] = 0.0;
-        for (int64_t q = c; q < e; q++) A->e_both[A->src[q]] = 0.0;
+        for (int64_t i = 0; i < runs; i++)
+            for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++)
+                A->e_both[A->src[q]] = 0.0;
     }
 }
 
@@ -826,55 +889,415 @@ int64_t wafer_force(const int64_t *starts, int64_t n_off, const int32_t *ctr,
 {
     force_args A = {starts, n_off, ctr, src, r, unit, d_src, d_ctr, member,
                     g0, phi, f_der, n_tiles, symmetry, force, e_flat, e_both,
-                    fvec, stride, blocks};
-    block_run run = {force_check, force_block, &A, &A.blocks,
-                     clamp_threads(*threads), 0, 0, 0};
-    if ((*threads = run_blocks(&run)) < 0) return -1;
+                    fvec, stride, blocks, NULL, 0};
+    block_run run = {force_check, force_block, &A, &A.blocks};
+    if ((*threads = run_blocks(&run, clamp_threads(*threads))) < 0) return -1;
     return starts[n_off];
 }
 
-/* The leap-frog over the occupied tiles (numpy_backend.wafer_integrate):
- * accel = f / (m * mvv2e), v += accel * dt, p += v * dt.  A type outside
- * the mass table declines before anything is written.  Returns how many
- * coordinates written are not finite. */
-int64_t wafer_integrate(double *pos, double *vel, const double *force,
-                        const uint8_t *occ, const int64_t *typ,
-                        int64_t n_tiles, const double *masses,
-                        int64_t n_types, double dt, double mvv2e)
+/* -- the whole step ---------------------------------------------------
+ *
+ * wafer_step runs one lockstep step (numpy_backend.wafer_step) on one
+ * team, in four phases separated by barriers:
+ *
+ *  1. the test: each member takes a share of the tiles (still on the held
+ *     list's position, types in range, finite) and of the held list's
+ *     rows (in range, ascending, each pairing the tiles its offset
+ *     pairs);
+ *  2. a list build when the test failed or nothing is held: list blocks,
+ *     then the segments close, a column per member -- the list is held
+ *     across steps, so it is compacted;
+ *  3. density: a block sums its tiles' density, then evaluates their
+ *     embedding F and F' at once -- only that block adds into them;
+ *  4. force: a block sums its tiles' forces, then integrates them, counts
+ *     their non-finite coordinates and writes their cycle counts -- it
+ *     reads only the survivor record and F', never a position another
+ *     block may be moving.  In place of a barrier between 3 and 4, a
+ *     force block waits for the density of the blocks within reach of
+ *     its tiles (await_density).
+ *
+ * The survivor record lives only inside the call, in memory the caller
+ * keeps for it (a build whose list needs more rows than it holds stops
+ * after the build and says so), and the force phase walks it in the
+ * (offset, block) segments density wrote, so it is never compacted.
+ * Every per-tile sum sees the additions of
+ * the separate kernels in their order, so the step is bitwise theirs
+ * for any team size; the arithmetic of the leap-frog and the cycle
+ * counter is that of their numpy bodies.
+ */
+
+static int64_t now_ns(void)
 {
-    for (int64_t t = 0; t < n_tiles; t++)
-        if (occ[t] && bad(typ[t], n_types)) return -1;
-    int64_t non_finite = 0;
-    for (int64_t t = 0; t < n_tiles; t++) {
-        if (!occ[t]) continue;
-        double m = masses[typ[t]] * mvv2e;
-        for (int64_t k = 3 * t; k < 3 * t + 3; k++) {
-            vel[k] += force[k] / m * dt;
-            pos[k] += vel[k] * dt;
-            non_finite += !isfinite(pos[k]);
-        }
-    }
-    return non_finite;
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* One step's cycles plane and masked int32 work counts
- * (numpy_backend.wafer_cycles); noise == NULL: no jitter. */
-int64_t wafer_cycles(const uint8_t *occ, const int64_t *n_cand,
-                     const int64_t *n_int, int64_t n_tiles, double exchange,
-                     double c_cand, double c_int, double c_fixed,
-                     const double *noise, double jitter, double *cycles,
-                     int32_t *cand, int32_t *inter)
+enum { EMBED_NS, LEAPFROG_NS, COUNTER_NS };
+
+typedef struct {
+    /* the machine; only the leap-frog writes pos and vel */
+    double *pos, *vel;
+    const uint8_t *occ;
+    const int64_t *typ;
+    int64_t n_tiles, n_off;
+    /* the held list (h_ctr == NULL: none held) */
+    const int32_t *h_starts, *h_ctr, *h_src;
+    const double *h_pos;
+    const uint8_t *h_occ;
+    int64_t h_rows, trusted;  /* trusted: rows this kernel built */
+    double bound2;
+    /* a build: its list, and the planes it is held with (keep_pos NULL:
+     * it is not held) */
+    list_args L;
+    int32_t *starts;
+    double *keep_pos;
+    uint8_t *keep_occ;
+    /* the sweeps */
+    const double *lengths;
+    const uint8_t *periodic;
+    double cutoff2;
+    const bank_t *rho, *embed, *phi;
+    const int64_t *phi_index;
+    int64_t symmetry, typed;  /* typed: a table per type */
+    /* the leap-frog (masses NULL: none) and the counter (cost NULL: none) */
+    const double *masses;
+    int64_t n_masses;
+    double dt, mvv2e;
+    const double *cost, *noise;
+    double jitter;
+    /* per-tile outputs (f_val, e_flat, cycles NULL: not asked for) */
+    double *f_val, *force, *e_flat, *cycles;
+    int64_t *int_flat;
+    int32_t *o_cand, *o_inter;
+    /* the caller's scratch: the record's columns hold `cap` rows */
+    void *const *scratch;
+    int64_t cap;
+    /* set by member 0 between barriers */
+    int64_t blocks, rows, built, grow;
+    const int32_t *cand;
+    double *f_der;
+    density_args D;
+    force_args F;
+    int64_t reach;  /* the most tiles an offset reaches */
+    atomic_int summed[MAX_BLOCKS];  /* density block b is done */
+    atomic_llong non_finite;
+    int64_t t_tested, t_listed, t_summed, busy[MAX_THREADS][3];
+} step_args;
+
+/* Member k's share of the test: a verdict per flag. */
+static int step_check(const step_args *S, int64_t k, int64_t threads)
 {
-    for (int64_t t = 0; t < n_tiles; t++) {
-        double c = exchange + c_fixed;
-        cand[t] = inter[t] = 0;
-        if (occ[t]) {
-            c = ((exchange + c_cand * (double)n_cand[t])
-                 + c_int * (double)n_int[t]) + c_fixed;
-            cand[t] = (int32_t)n_cand[t];
-            inter[t] = (int32_t)n_int[t];
+    int flags = 0;
+    for (int64_t t = edge(S->n_tiles, k, threads);
+         t < edge(S->n_tiles, k + 1, threads); t++) {
+        const double *p = S->pos + 3 * t;
+        if (!(isfinite(p[0]) && isfinite(p[1]) && isfinite(p[2])))
+            flags |= NOT_FINITE;
+        if (S->occ[t] && ((S->typed && bad(S->typ[t], S->rho->n_members))
+                          || (S->masses && bad(S->typ[t], S->n_masses))))
+            flags |= BAD_INDEX;
+        if (S->h_ctr && !(flags & STALE)) {
+            const double *h = S->h_pos + 3 * t;
+            double dx = p[0] - h[0], dy = p[1] - h[1], dz = p[2] - h[2];
+            if (S->occ[t] != S->h_occ[t] || !(R2(dx, dy, dz) < S->bound2))
+                flags |= STALE;
         }
-        cycles[t] = noise ? c * (1.0 + jitter * noise[t]) : c;
     }
+    if (S->h_ctr && !S->trusted) {
+        int64_t r0 = edge(S->h_rows, k, threads);
+        int64_t r1 = edge(S->h_rows, k + 1, threads);
+        flags |= check_flags(check_rows(S->h_starts, NULL, S->n_off, S->h_ctr,
+                                        S->h_src, S->n_tiles, r0, r1));
+        /* the force phase finds a tile's partner rows within reach of
+         * it: a row must pair the tiles its offset pairs */
+        for (int64_t o = 0; o < S->n_off; o++) {
+            int64_t shift = S->L.offsets[2 * o] * S->L.ny
+                            + S->L.offsets[2 * o + 1];
+            for (int64_t q = S->h_starts[o] > r0 ? S->h_starts[o] : r0;
+                 q < S->h_starts[o + 1] && q < r1; q++)
+                if (S->h_src[q] - (int64_t)S->h_ctr[q] != shift)
+                    flags |= BAD_INDEX;
+        }
+    }
+    return flags;
+}
+
+/* The scratch a caller passes, by position: the record's columns (cap
+ * rows; d_ctr and member unused with one table per family), per-member
+ * rows of partner values and force vectors (threads x n_tiles), the
+ * segment tables of the list and the record (2 x n_off x blocks), and
+ * tile planes (e_both unused without the energy under symmetry). */
+enum {
+    SCR_CTR, SCR_SRC, SCR_R, SCR_UNIT, SCR_D_SRC, SCR_D_CTR, SCR_MEMBER,
+    SCR_SHARE, SCR_FVEC, SCR_SEG_LIST, SCR_SEG_RECORD, SCR_RHO, SCR_F_DER,
+    SCR_E_BOTH,
+};
+
+/* Member 0: the sweeps over the list (starts, ctr, src) of `rows` rows
+ * in `blocks` owner blocks, in the record and scratch the caller
+ * passed. */
+static void step_sweeps(step_args *S, const int32_t *starts,
+                        const int32_t *ctr, const int32_t *src, int64_t rows,
+                        int64_t blocks)
+{
+    int64_t stride = 0, n = S->n_tiles;
+    void *const *m = S->scratch;
+    for (int64_t o = 0; o < S->n_off; o++)
+        if (starts[o + 1] - starts[o] > stride)
+            stride = starts[o + 1] - starts[o];
+    int32_t *o_ctr = m[SCR_CTR], *o_src = m[SCR_SRC];
+    double *o_r = m[SCR_R], *o_unit = m[SCR_UNIT], *d_src = m[SCR_D_SRC];
+    double *d_ctr = S->typed ? m[SCR_D_CTR] : d_src;
+    int64_t *member = S->typed ? m[SCR_MEMBER] : NULL;
+    double *share = m[SCR_SHARE], *fvec = m[SCR_FVEC];
+    int64_t *seg = m[SCR_SEG_RECORD];
+    double *rho_flat = m[SCR_RHO], *f_der = m[SCR_F_DER];
+    double *e_both = S->e_flat && S->symmetry ? m[SCR_E_BOTH] : NULL;
+    S->blocks = blocks;
+    S->rows = rows;
+    S->f_der = f_der;
+    S->D = (density_args){
+        S->pos, n, starts, S->n_off, ctr, src, S->lengths, S->periodic,
+        S->cutoff2, S->typed ? S->typ : NULL, S->rho, S->phi_index,
+        S->symmetry, rho_flat, S->int_flat, o_ctr, o_src, o_r, o_unit, d_src,
+        d_ctr, member, share, stride, blocks, seg};
+    S->F = (force_args){
+        NULL, S->n_off, o_ctr, o_src, o_r, o_unit, d_src, d_ctr, member, 0,
+        S->phi, f_der, n, S->symmetry, S->force, S->e_flat, e_both, fvec,
+        stride, blocks, seg, S->reach};
+}
+
+/* Build block b: its tiles' candidate counts start at 0, and the planes
+ * the list is held with take its tiles. */
+static void step_list_block(step_args *S, int64_t b)
+{
+    int64_t lo = edge(S->n_tiles, b, S->L.blocks);
+    int64_t hi = edge(S->n_tiles, b + 1, S->L.blocks);
+    memset(S->L.n_cand + lo, 0, 4 * (size_t)(hi - lo));
+    if (S->keep_pos) {
+        memcpy(S->keep_pos + 3 * lo, S->pos + 3 * lo, 24 * (size_t)(hi - lo));
+        memcpy(S->keep_occ + lo, S->occ + lo, (size_t)(hi - lo));
+    }
+    list_block(&S->L, 0, b);
+}
+
+/* Density block b on member k, then its tiles' F and F' (through the
+ * tile's type when there is a table per type; empty tiles 0). */
+static void step_density_block(step_args *S, int64_t k, int64_t b)
+{
+    int64_t lo = edge(S->n_tiles, b, S->blocks);
+    int64_t hi = edge(S->n_tiles, b + 1, S->blocks);
+    double *rho = S->D.rho_flat, *f_der = S->f_der;
+    memset(rho + lo, 0, 8 * (size_t)(hi - lo));
+    memset(S->int_flat + lo, 0, 8 * (size_t)(hi - lo));
+    density_block(&S->D, k, b);
+    int64_t t0 = now_ns();
+    for (int64_t t = lo; t < hi; t++) {
+        double val = 0.0, der = 0.0;
+        if (S->occ[t])
+            eval_point(S->embed, rho[t], S->typed ? S->typ[t] : 0, &val, &der);
+        f_der[t] = der;
+        if (S->f_val) S->f_val[t] = val;
+    }
+    S->busy[k][EMBED_NS] += now_ns() - t0;
+}
+
+/* Force block b on member k, then its tiles' leap-frog (numpy_backend's
+ * accel = f / (m * mvv2e), v += accel * dt, p += v * dt) and cycle
+ * counts. */
+static void step_force_block(step_args *S, int64_t k, int64_t b)
+{
+    int64_t lo = edge(S->n_tiles, b, S->blocks);
+    int64_t hi = edge(S->n_tiles, b + 1, S->blocks);
+    memset(S->force + 3 * lo, 0, 24 * (size_t)(hi - lo));
+    if (S->e_flat) {
+        memset(S->e_flat + lo, 0, 8 * (size_t)(hi - lo));
+        if (S->F.e_both) memset(S->F.e_both + lo, 0, 8 * (size_t)(hi - lo));
+    }
+    force_block(&S->F, k, b);
+    int64_t t0 = now_ns(), bad_coords = 0;
+    for (int64_t t = lo; S->masses && t < hi; t++) {
+        if (!S->occ[t]) continue;
+        double m = S->masses[S->typ[t]] * S->mvv2e;
+        for (int64_t c = 3 * t; c < 3 * t + 3; c++) {
+            S->vel[c] += S->force[c] / m * S->dt;
+            S->pos[c] += S->vel[c] * S->dt;
+            bad_coords += !isfinite(S->pos[c]);
+        }
+    }
+    atomic_fetch_add(&S->non_finite, bad_coords);
+    int64_t t1 = now_ns();
+    const double *c = S->cost;  /* exchange, candidate, interaction, fixed */
+    for (int64_t t = lo; c && t < hi; t++) {
+        double cyc = c[0] + c[3];
+        S->o_cand[t] = S->o_inter[t] = 0;
+        if (S->occ[t]) {
+            cyc = ((c[0] + c[1] * (double)S->cand[t])
+                   + c[2] * (double)S->int_flat[t]) + c[3];
+            S->o_cand[t] = S->cand[t];
+            S->o_inter[t] = (int32_t)S->int_flat[t];
+        }
+        S->cycles[t] = S->noise ? cyc * (1.0 + S->jitter * S->noise[t]) : cyc;
+    }
+    S->busy[k][LEAPFROG_NS] += t1 - t0;
+    S->busy[k][COUNTER_NS] += now_ns() - t1;
+}
+
+/* Force block b reads the record rows and F' of every tile within reach
+ * of its own, and integrates its tiles, whose positions the density of
+ * every block within reach reads: it waits for those blocks' density
+ * instead of for every block's. */
+static void await_density(step_args *S, int64_t b)
+{
+    int64_t n = S->n_tiles, blocks = S->blocks;
+    int64_t lo = edge(n, b, blocks) - S->reach;
+    int64_t hi = edge(n, b + 1, blocks) + S->reach;
+    for (int64_t d = 0; d < blocks; d++)
+        if (edge(n, d + 1, blocks) > lo && edge(n, d, blocks) < hi)
+            while (!atomic_load(&S->summed[d]))
+                sched_yield();
+}
+
+static void step_body(team_t *t, int64_t k)
+{
+    step_args *S = t->args;
+    atomic_fetch_or(&t->flags, step_check(S, k, t->threads));
+    barrier(t);
+    int flags = atomic_load(&t->flags);
+    int build = !S->h_ctr || (flags & STALE);
+    if (k == 0) S->t_tested = now_ns();
+    if ((flags & BAD_INDEX) || (build && (flags & NOT_FINITE))) return;
+    if (build) {
+        for (int64_t b; (b = claim(t, 0)) < S->L.blocks;)
+            step_list_block(S, b);
+        barrier(t);
+        int gaps;
+        int64_t rows = segment_starts(S->L.seg, S->n_off, S->L.blocks, NULL,
+                                      k == 0 ? S->starts : NULL, &gaps);
+        column_t cols[] = {{(char *)S->L.o_ctr, 4}, {(char *)S->L.o_src, 4}};
+        gaps_args G = {S->L.seg, S->n_off * S->L.blocks, cols, 2};
+        for (int64_t c; gaps && (c = claim(t, 1)) < 2;)
+            close_column(&G, k, c);
+        if (k == 0) {
+            S->built = 1;
+            S->cand = S->L.n_cand;
+            S->rows = rows;
+            if (rows > S->cap)
+                S->grow = 1;
+            else
+                step_sweeps(S, S->starts, S->L.o_ctr, S->L.o_src, rows,
+                            S->L.blocks);
+        }
+    } else if (k == 0) {
+        step_sweeps(S, S->h_starts, S->h_ctr, S->h_src, S->h_rows,
+                    flags & OUT_OF_ORDER ? 1 : S->L.blocks);
+    }
+    barrier(t);
+    if (S->grow) return;
+    if (k == 0) S->t_listed = now_ns();
+    for (int64_t b; (b = claim(t, 2)) < S->blocks;) {
+        step_density_block(S, k, b);
+        atomic_store(&S->summed[b], 1);
+    }
+    /* every density block is claimed: a member waits only for those in
+     * flight within reach of the force block it claims */
+    if (k == 0) S->t_summed = now_ns();
+    for (int64_t b; (b = claim(t, 3)) < S->blocks;) {
+        await_density(S, b);
+        step_force_block(S, k, b);
+    }
+}
+
+/* One lockstep step (numpy_backend.wafer_step) over the nx x ny grid,
+ * on a team of up to `threads`, in `blocks` owner blocks.  A held list
+ * is (h_starts, h_ctr, h_src) of h_rows rows, built at (h_pos, h_occ),
+ * or h_ctr == NULL (trusted: rows a build of this kernel wrote, left
+ * unchanged since, are not checked again); a build writes n_cand,
+ * starts and the list rows (allocated at their bound), and keep_pos /
+ * keep_occ when not NULL.  masses == NULL skips the leap-frog, cost ==
+ * NULL (exchange, candidate, interaction and fixed cycles) the counter,
+ * f_val / e_flat == NULL the energy.  cand_in is the held list's
+ * candidate counts, scratch the addresses of the buffers the SCR_*
+ * names list, whose record columns hold `cap` rows.  out gets: 1 when
+ * the step ran, 0 when the list needed a build and a position was not
+ * finite (nothing else ran), 2 when the list built needs a record of
+ * more than cap rows (nothing after the build ran); then built, listed
+ * rows, survivors, non-finite coordinates written, team size, and the
+ * nanoseconds of the neighbor, exchange, density, embedding,
+ * pair_force, integrate and cycle_account phases.  Returns 0, or -1 to
+ * decline (a type or held row out of range, or a held row pairing tiles
+ * its offset does not; nothing written). */
+int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
+                   const int64_t *typ, int64_t nx, int64_t ny,
+                   const int64_t *offsets, int64_t n_off,
+                   const double *lengths, const uint8_t *periodic,
+                   double reach2, double bound2, double cutoff2,
+                   const int32_t *h_starts, const int32_t *h_ctr,
+                   const int32_t *h_src, const int32_t *cand_in,
+                   const double *h_pos, const uint8_t *h_occ, int64_t h_rows,
+                   int64_t trusted, int32_t *n_cand, int32_t *starts,
+                   int32_t *b_ctr, int32_t *b_src, double *keep_pos,
+                   uint8_t *keep_occ, const bank_t *rho, const bank_t *embed,
+                   const bank_t *phi, const int64_t *phi_index,
+                   int64_t symmetry, const double *masses, int64_t n_masses,
+                   double dt, double mvv2e, const double *cost,
+                   const double *noise, double jitter, double *f_val,
+                   double *force, double *e_flat, int64_t *int_flat,
+                   double *cycles, int32_t *o_cand, int32_t *o_inter,
+                   void *const *scratch, int64_t cap, int64_t blocks,
+                   int64_t threads, int64_t *out)
+{
+    int64_t t_start = now_ns(), n = nx * ny;
+    step_args S = {
+        .pos = pos, .vel = vel, .occ = occ, .typ = typ, .n_tiles = n,
+        .n_off = n_off, .h_starts = h_starts, .h_ctr = h_ctr, .h_src = h_src,
+        .h_pos = h_pos, .h_occ = h_occ, .h_rows = h_rows, .trusted = trusted,
+        .bound2 = bound2,
+        .L = {pos, occ, nx, ny, offsets, n_off, lengths, periodic, reach2,
+              n_cand, b_ctr, b_src, blocks, scratch[SCR_SEG_LIST]},
+        .starts = starts, .keep_pos = keep_pos, .keep_occ = keep_occ,
+        .lengths = lengths, .periodic = periodic, .cutoff2 = cutoff2,
+        .rho = rho, .embed = embed, .phi = phi, .phi_index = phi_index,
+        .symmetry = symmetry, .typed = rho->n_members > 1, .masses = masses,
+        .n_masses = n_masses, .dt = dt, .mvv2e = mvv2e, .cost = cost,
+        .noise = noise, .jitter = jitter, .f_val = f_val, .force = force,
+        .e_flat = e_flat, .cycles = cycles, .int_flat = int_flat,
+        .o_cand = o_cand, .o_inter = o_inter, .scratch = scratch, .cap = cap,
+        .cand = cand_in,
+    };
+    for (int64_t o = 0; o < n_off; o++) {
+        int64_t shift = llabs(offsets[2 * o] * ny + offsets[2 * o + 1]);
+        if (shift > S.reach) S.reach = shift;
+    }
+    team_t t = {.body = step_body, .args = &S,
+                .threads = clamp_threads(threads)};
+    int64_t members = run_team(&t);
+    int64_t t_end = now_ns();
+    int flags = atomic_load(&t.flags), ran = S.t_summed != 0;
+    if (flags & BAD_INDEX) return -1;
+    int64_t kept = 0, busy[3] = {0, 0, 0};
+    for (int64_t s = 0; ran && s < n_off * S.blocks; s++)
+        kept += S.D.seg[2 * s + 1];
+    for (int64_t k = 0; k < members; k++)
+        for (int i = 0; i < 3; i++) busy[i] += S.busy[k][i] / members;
+    int64_t held = h_ctr != NULL, built = S.built;
+    int64_t tested = S.t_tested - t_start, listed = S.t_listed - S.t_tested;
+    int64_t result[] = {
+        ran ? 1 : S.grow ? 2 : 0, built, S.rows, kept,
+        atomic_load(&S.non_finite),
+        flags & OUT_OF_ORDER && !built ? 1 : members,
+        held ? tested : 0,
+        built ? listed + (held ? 0 : tested) : 0,
+        S.t_summed - S.t_listed - busy[EMBED_NS] + (built ? 0 : listed),
+        busy[EMBED_NS],
+        t_end - S.t_summed - busy[LEAPFROG_NS] - busy[COUNTER_NS],
+        busy[LEAPFROG_NS], busy[COUNTER_NS],
+    };
+    if (!ran) {  /* a refused or growing call times its test and build */
+        result[7] = built ? t_end - S.t_tested + (held ? 0 : tested) : 0;
+        for (int i = 8; i < 13; i++) result[i] = 0;
+    }
+    memcpy(out, result, sizeof result);
     return 0;
 }

@@ -5,9 +5,10 @@ measured, looked up, turned into a contribution and accumulated without
 any intermediate leaving the loop (the FPGA force pipelines of
 PAPERS.md) — with outputs **bitwise** those of the numpy body of the
 same name (``native.c``'s header lists the four places that is easy to
-lose).  With all ten kernels native, a lockstep wafer step runs in C
-from the list test to the cycle counter, and Python only sequences it.
-The list build and both sweeps run on one thread per usable CPU, each
+lose).  A lockstep wafer step is one native call, ``wafer_step``, from
+the list test to the cycle counter; between two calls Python only runs
+the swap rounds, the thermostat and the trace's moments.  The step, the
+list build and both sweeps run on one thread per usable CPU, each
 thread adding only into the tiles of the owner block it holds, so the
 bits do not depend on the thread count (``native.c``, "owner blocks");
 the count is derived (:func:`_sweep_threads`), never configured.
@@ -36,11 +37,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
+import mmap
 import os
 import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +60,12 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-pthread", "-shared",
          "-fPIC")
 COMPILERS = ("cc", "gcc", "clang")
 
-#: Listed rows (for the list build: candidate tiles) each sweep thread
-#: must have.  A thread costs a call ~30 us (create, gate, join; 2-vCPU
-#: host) and a row ~19 ns of ``wafer_force`` (~25 of ``wafer_density``),
-#: so this many rows, ~0.6 ms, keep it under 5% (DESIGN.md §5b).
+#: Listed rows (for the list build: candidate tiles) each team member
+#: must have.  A member costs a ``wafer_step`` call ~50-90 us (created
+#: pinned, the barriers, the join; medians of 2,000 tiny calls on a
+#: 2-vCPU host) and a listed row ~67-71 ns of one thread's step
+#: (``wse-ta100k``: 600,883 rows, 40-43 ms), so this many rows, ~2.2 ms,
+#: keep it under 5% (DESIGN.md §5b).
 ROWS_PER_THREAD = 32_768
 #: Owner blocks per sweep thread: claimed, not dealt, so a CPU the host
 #: runs slower claims fewer (DESIGN.md §5b).
@@ -75,6 +81,9 @@ threads = 1
 
 _lib = None
 _F8, _I8, _I4 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int32)
+#: The lists ``wafer_step`` built, by the id of their centre rows, and
+#: left read-only: held again, such a list needs no check of its rows.
+_built: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # -- build, cache, load ------------------------------------------------------
@@ -203,12 +212,10 @@ _SIGNATURES = {
     "neighbor_prefilter": "PiPPiPPdiiPPPP",
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
-    "list_valid": "PPPPid",
     "wafer_list": "PPiiPiPPdPPPPPiP",
     "wafer_density": "PiPiPPPPdPBPiPPPPPPPPPPPiPiP",
     "wafer_force": "PiPPPPPPPiBPiiPPPPiiP",
-    "wafer_integrate": "PPPPPiPidd",
-    "wafer_cycles": "PPPiddddPdPPP",
+    "wafer_step": "PPPPiiPiPPdddPPPPPPiiPPPPPPBBBPiPiddPPdPPPPPPPPiiiP",
 }
 
 
@@ -273,6 +280,17 @@ def _shrink(kept: int, *arrays) -> None:
     place: the tail pages native.c never touched were never resident."""
     for a in arrays:
         a.resize((kept, *a.shape[1:]), refcheck=False)
+
+
+def _mapped(shape, dtype) -> np.ndarray:
+    """An array on its own anonymous mapping: its pages cost nothing
+    until written (an output a call may not write), it is resident page
+    by page (no huge page rounds a partly written column up), and
+    allocating one a step leaves the heap's top, which glibc trims and
+    the next step faults back in, alone."""
+    count = math.prod(np.atleast_1d(shape).tolist())
+    buffer = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 def _sweep_threads(rows: int) -> int:
@@ -369,17 +387,6 @@ def fused_force_pass(i, j, rij, r, f_der, d_ji, d_ij, phi_bank, phi_member,
 
 
 @_kernel
-def list_valid(pos, occ, held_pos, held_occ, bound2):
-    nx, ny = _arr(occ, bool, -1, -1).shape
-    _arr(held_occ, bool, nx, ny)
-    _arr(pos, _F8, nx, ny, 3), _arr(held_pos, _F8, nx, ny, 3)
-    if not occ.size:  # numpy's max of nothing raises
-        raise _Decline
-    return bool(_c("list_valid", pos, occ, held_pos, held_occ, occ.size,
-                   float(bound2)))
-
-
-@_kernel
 def wafer_list(pos, occ, offsets, lengths, periodic, reach2, n_cand):
     nx, ny = _arr(occ, bool, -1, -1).shape
     _arr(pos, _F8, nx, ny, 3), _arr(n_cand, _I4, nx, ny)
@@ -453,29 +460,120 @@ def wafer_force(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
            np.empty((asked, rows, 3)), rows, blocks)
 
 
-@_kernel
-def wafer_integrate(pos_rows, vel_rows, force_rows, occ_flat, typ_flat,
-                    masses, dt):
-    n = len(_arr(pos_rows, _F8, -1, 3))
-    _arr(vel_rows, _F8, n, 3), _arr(force_rows, _F8, n, 3)
-    _arr(occ_flat, bool, n), _arr(typ_flat, _I8, n), _arr(masses, _F8, -1)
-    return _c("wafer_integrate", pos_rows, vel_rows, force_rows, occ_flat,
-              typ_flat, n, masses, len(masses), float(dt), MVV2E)
+def _scratch(store: dict, name: str, n: int, dtype, *tail) -> np.ndarray:
+    """``store[name]``, grown to at least ``n`` rows (by a quarter more,
+    so a list that grows a little does not reallocate every build)."""
+    have = store.get(name)
+    if have is None or len(have) < n or have.shape[1:] != tail:
+        have = store[name] = _mapped((n + n // 4, *tail), dtype)
+    return have
 
 
 @_kernel
-def wafer_cycles(occ_flat, n_cand, n_int, exchange, c_cand, c_int, c_fixed,
-                 noise=None, jitter=0.0):
-    n = len(_arr(occ_flat, bool, -1))
-    _arr(n_cand, _I8, n), _arr(n_int, _I8, n)
+def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
+               bound2, cutoff, banks, phi_index, symmetry, *, keep=True,
+               masses=None, dt=0.0, cost=None, noise=None, jitter=0.0,
+               energy=False, scratch=None):
+    global threads
+    nx, ny = _arr(occ, bool, -1, -1).shape
+    n = nx * ny
+    _arr(pos, _F8, nx, ny, 3), _arr(typ, _I8, nx, ny)
+    offsets = _arr(np.ascontiguousarray(offsets, dtype=_I8), _I8, -1, 2)
+    n_off = len(offsets)
+    rho, embed, phi = (_bank(bank) for bank in banks)
+    typed = rho.n_members > 1
+    if not n or n >= 2**31 or embed.n_members != rho.n_members:
+        raise _Decline  # flat tiles are int32; one type, one table each
+    if typed:
+        _arr(phi_index, _I8, rho.n_members, rho.n_members)
+        if ((phi_index < 0) | (phi_index >= phi.n_members)).any():
+            raise _Decline
+    if masses is not None:
+        _arr(vel, _F8, nx, ny, 3), _arr(masses, _F8, -1)
     if noise is not None:
         _arr(noise, _F8, n)
-    cycles = np.empty(n)
-    cand, inter = np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
-    _c("wafer_cycles", occ_flat, n_cand, n_int, n, float(exchange),
-       float(c_cand), float(c_int), float(c_fixed), noise, float(jitter),
-       cycles, cand, inter)
-    return cycles, cand, inter
+    h_args, rows, tested, trusted = (None,) * 6, 0, held is not None, False
+    if tested:
+        (starts, ctr, src), h_pos, h_occ, h_cand = held
+        rows = len(_arr(ctr, _I4, -1))
+        _arr(src, _I4, rows), _arr(starts, _I4, n_off + 1)
+        trusted = _built.get(id(ctr)) is ctr and not any(
+            a.flags.writeable for a in (starts, ctr, src))
+        if not trusted:
+            _rows(starts, rows)
+        _arr(h_pos, _F8, nx, ny, 3), _arr(h_occ, bool, nx, ny)
+        h_args = (starts, ctr, src, _arr(h_cand, _I4, nx, ny), h_pos, h_occ)
+    # a build's outputs, its rows at their bound
+    dx, dy = np.abs(offsets).T
+    bound = int((np.maximum(nx - dx, 0) * np.maximum(ny - dy, 0)).sum())
+    n_cand, starts = _mapped((nx, ny), _I4), np.empty(n_off + 1, _I4)
+    ctr, src = _mapped(bound, _I4), _mapped(bound, _I4)
+    kept = ((_mapped(pos.shape, _F8), _mapped(occ.shape, bool)) if keep
+            else (None, None))
+    f_val = np.empty((nx, ny)) if energy else None
+    e_pair = np.empty((nx, ny)) if energy else None
+    force, n_int = np.empty((nx, ny, 3)), np.empty((nx, ny), dtype=_I8)
+    cycles = None
+    if cost is not None:
+        cycles = np.empty(n), np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
+    asked = _sweep_threads(rows if tested else bound)
+    blocks = 1 if asked == 1 else BLOCKS_PER_THREAD * asked
+    # the caller's scratch, kept between its calls (none: this call's)
+    store = {} if scratch is None else scratch
+
+    def run(h_args, rows, trusted, bound2):
+        cap = len(_scratch(store, "ctr", rows, _I4))  # the record's rows
+        segments = 2 * n_off * blocks
+        sizes = {
+            "ctr": (cap, _I4), "src": (cap, _I4), "r": (cap, _F8),
+            "unit": (cap, _F8, 3), "d_src": (cap, _F8),
+            "d_ctr": (cap * typed, _F8), "member": (cap * typed, _I8),
+            "share": (asked * n, _F8), "fvec": (asked * n, _F8, 3),
+            "seg_list": (segments, _I8), "seg_record": (segments, _I8),
+            "rho": (n, _F8), "f_der": (n, _F8), "e_both": (n, _F8),
+        }  # in native.c's SCR_* order
+        addresses = np.array(
+            [_scratch(store, name, *size).ctypes.data
+             for name, size in sizes.items()], dtype=np.uintp)
+        out = np.empty(13, dtype=_I8)
+        _c("wafer_step", pos, vel, occ, typ, nx, ny, offsets, n_off,
+           *_box(lengths, periodic), float(reach2), float(bound2),
+           float(cutoff**2), *h_args, rows, trusted, n_cand, starts, ctr,
+           src, *kept, rho, embed, phi, phi_index, bool(symmetry), masses,
+           0 if masses is None else len(masses), float(dt), MVV2E,
+           None if cost is None else np.array(cost, dtype=_F8), noise,
+           float(jitter), f_val, force, e_pair, n_int,
+           *(cycles or (None, None, None)), addresses, cap, blocks, asked,
+           out)
+        return out.tolist()
+
+    status, built, listed, survivors, non_finite, threads, *ns = run(
+        h_args, rows, trusted, bound2)
+    if status == 2:
+        # the list built needs a larger record: the same step again, on
+        # that list, which still covers the unchanged positions
+        built_ns = ns
+        ctr, src = ctr[:listed], src[:listed]
+        status, _, _, survivors, non_finite, threads, *ns = run(
+            (starts, ctr, src, n_cand, pos, occ), listed, True, np.inf)
+        ns[1] = built_ns[1] + ns[0]
+        ns[0] = built_ns[0]
+    if status == 0:
+        return numpy_backend._refused(tested, ns, threads)
+    if built:
+        ctr, src = ctr[:listed], src[:listed]
+        for a in (starts, ctr, src):
+            a.flags.writeable = False
+        _built[id(ctr)] = ctr
+        held = ((starts, ctr, src), *kept, n_cand) if keep else None
+    row_bytes = 48 if rho.n_members == 1 else 64
+    return numpy_backend.WaferStep(
+        True, held, not built, n_cand if built else held[3], n_int, force,
+        f_val, e_pair, cycles, non_finite, survivors * row_bytes,
+        numpy_backend._phases(tested, bool(built), masses is not None,
+                              cost is not None),
+        tuple(ns), threads,
+    )
 
 
 # -- the load-time probe -----------------------------------------------------
@@ -530,14 +628,18 @@ def _probe_outputs(backend) -> dict[str, tuple]:
     force, e_flat = np.zeros((n, 3)), np.zeros(n)
     backend.wafer_force(record, f_der, phi, True, force, e_flat)
     out["wafer_force"] = force, e_flat
-    out.update(_probe_wafer(backend, rng, lengths, periodic))
+    out.update(_probe_wafer(backend, rng, lengths, periodic, rho, phi,
+                            phi_index))
     return out
 
 
-def _probe_wafer(backend, rng, lengths, periodic) -> dict[str, tuple]:
-    """The list and step kernels on a 13 x 11 wafer with holes, every
-    cut placed exactly on a value numpy computed (so one ulp of
-    difference in ``r^2`` flips the answer)."""
+def _probe_wafer(backend, rng, lengths, periodic, rho, phi,
+                 phi_index) -> dict[str, tuple]:
+    """The list build and the whole step on a 13 x 11 wafer with holes,
+    every cut placed exactly on a value numpy computed (so one ulp of
+    difference in ``r^2`` flips the answer): a step that builds, an
+    energy evaluation on the list it holds, and one whose list test a
+    moved tile fails."""
     nx, ny = 13, 11
     occ = rng.random((nx, ny)) < 0.8
     pos = np.full((nx, ny, 3), 1.0e15)
@@ -551,34 +653,39 @@ def _probe_wafer(backend, rng, lengths, periodic) -> dict[str, tuple]:
     n_cand = np.zeros((nx, ny), dtype=np.int32)
     listed = backend.wafer_list(pos, occ, offsets, lengths, periodic,
                                 reach2, n_cand)
-    moved = pos + np.where(occ[..., None], rng.normal(0.0, 0.1, pos.shape), 0)
-    step = moved - pos
-    worst = float(np.einsum("xyk,xyk->xy", step, step).max())
-    flipped, poisoned = ~occ, moved.copy()
-    poisoned[occ.nonzero()[0][0], occ.nonzero()[1][0], 1] = np.nan
-    valid = tuple(
-        backend.list_valid(p, o, pos, occ, bound2)
-        for p, o, bound2 in (
-            (moved, occ, worst), (moved, occ, np.nextafter(worst, np.inf)),
-            (moved, flipped, 1.0e3), (poisoned, occ, 1.0e3),
-        )
-    )
-    rows, vel = pos.reshape(-1, 3).copy(), rng.normal(size=(nx * ny, 3))
-    force = rng.normal(size=(nx * ny, 3))
-    typ = rng.integers(0, 2, nx * ny)
-    bad = backend.wafer_integrate(rows, vel, force, occ.ravel(), typ,
-                                  np.array([180.9, 183.8]), 0.002)
-    counts = rng.integers(0, 500, (2, nx * ny))
+    typ = rng.integers(0, 2, (nx, ny)) * occ
+    vel = rng.normal(size=(nx, ny, 3)) * occ[..., None]
     noise = rng.normal(size=nx * ny)
-    cycles = [backend.wafer_cycles(occ.ravel(), *counts, 301.5, 26.6 / 1.1,
-                                   71.4 / 1.1, 574.0, *jitter)
-              for jitter in ((), (noise, 1e-3))]
+    grid = dict(offsets=offsets, lengths=lengths, periodic=periodic,
+                reach2=reach2, cutoff=np.sqrt(reach2) * 0.9,
+                banks=(rho, rho, phi), phi_index=phi_index, symmetry=True)
+    built = backend.wafer_step(
+        pos, vel, occ, typ, None, bound2=0.01, **grid,
+        masses=np.array([180.9, 183.8]), dt=0.002,
+        cost=(301.5, 26.6 / 1.1, 71.4 / 1.1, 574.0), noise=noise,
+        jitter=1e-3,
+    )
+    energy = backend.wafer_step(pos, vel, occ, typ, built.held, bound2=1e3,
+                                **grid, energy=True)
+    pos[occ.nonzero()[0][0], occ.nonzero()[1][0], 0] += 0.5
+    moved = backend.wafer_step(pos, vel, occ, typ, built.held, bound2=0.01,
+                               **grid, keep=False)
     return {
         "wafer_list": (*listed, n_cand),
-        "list_valid": valid,
-        "wafer_integrate": (rows, vel, bad),
-        "wafer_cycles": (*cycles[0], *cycles[1]),
+        "wafer_step": (pos, vel, *step_outputs(built), *step_outputs(energy),
+                       *step_outputs(moved)),
     }
+
+
+def step_outputs(step) -> tuple:
+    """A :class:`~repro.kernels.numpy_backend.WaferStep`'s outputs, flat:
+    every field but the timings and the thread count, the held list's
+    arrays, and nothing for a field that is None."""
+    held = () if step.held is None else (*step.held[0], *step.held[1:])
+    fields = (step.ran, step.reused, *held, step.n_cand, step.n_int,
+              step.force, step.f_val, step.e_pair, *(step.cycles or ()),
+              step.non_finite, step.record_nbytes)
+    return tuple(f for f in fields if f is not None)
 
 
 def _expected() -> dict[str, tuple]:

@@ -10,9 +10,11 @@ tile's per-segment SRAM rows).  A single spline is a one-member bank.
 
 The whole-pass kernels are the numpy ports of the loops that used to
 live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`
-and the lockstep machine, :mod:`repro.core.wse_md` (``list_valid``,
-``wafer_list``, ``wafer_density``, ``wafer_force``, ``wafer_integrate``,
-``wafer_cycles``).  Per element they perform the
+and the lockstep machine, :mod:`repro.core.wse_md` (``wafer_list``,
+``wafer_density``, ``wafer_force``, and ``wafer_step``, the machine's
+whole step: the list test and build, the two sweeps with the embedding
+between them, the leap-frog and the cycle counter).  Per element they
+perform the
 *identical* IEEE operations, on the same operands in the same order, as
 those call sites did (the pair kernels' first port is frozen as
 ``tests.legacy_kernels``).  What the bodies are
@@ -53,6 +55,9 @@ kernels.
 """
 
 from __future__ import annotations
+
+import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -303,7 +308,7 @@ def shift_rects(nx: int, ny: int, dx: int, dy: int):
     return dst, (slice(xs0, xs1), slice(ys0, ys1))
 
 
-def list_valid(
+def _covers(
     pos: np.ndarray,
     occ: np.ndarray,
     held_pos: np.ndarray,
@@ -496,7 +501,7 @@ def wafer_force(
 # -- the rest of the wafer's timestep -------------------------------------
 
 
-def wafer_integrate(
+def _leapfrog(
     pos_rows: np.ndarray,
     vel_rows: np.ndarray,
     force_rows: np.ndarray,
@@ -527,7 +532,7 @@ def wafer_integrate(
     return int(pos.size - np.count_nonzero(np.isfinite(pos)))
 
 
-def wafer_cycles(
+def _cycle_counts(
     occ_flat: np.ndarray,
     n_cand: np.ndarray,
     n_int: np.ndarray,
@@ -555,3 +560,168 @@ def wafer_cycles(
     cand = np.where(occ_flat, n_cand, 0).astype(np.int32)
     inter = np.where(occ_flat, n_int, 0).astype(np.int32)
     return cycles, cand, inter
+
+
+#: The phases a :func:`wafer_step` times, in the order of
+#: :attr:`WaferStep.phase_ns` (the lockstep machine's span names).
+STEP_PHASES = ("neighbor", "exchange", "density", "embedding", "pair_force",
+               "integrate", "cycle_account")
+
+
+class WaferStep(NamedTuple):
+    """What one :func:`wafer_step` call found and computed."""
+
+    #: False: the list needed a build and a position is not finite;
+    #: nothing else ran and every other field is empty
+    ran: bool
+    #: the list to hold across steps: the ``held`` argument when it was
+    #: reused, a built ``(listed, pos, occ, n_cand)``, or None
+    held: tuple | None
+    reused: bool
+    n_cand: np.ndarray | None  # int32 (nx, ny): candidates per tile
+    n_int: np.ndarray | None  # int64 (nx, ny): interactions per tile
+    force: np.ndarray | None  # (nx, ny, 3)
+    f_val: np.ndarray | None  # (nx, ny) embedding energy, with ``energy``
+    e_pair: np.ndarray | None  # (nx, ny) pair energy, with ``energy``
+    #: flat ``(cycles, cand, inter)`` of the cycle counter, with ``cost``
+    cycles: tuple | None
+    #: coordinates the leap-frog wrote that are not finite
+    non_finite: int
+    #: bytes of the survivor record's rows (it lives only in the call)
+    record_nbytes: int
+    #: the :data:`STEP_PHASES` that ran, in order
+    phases: tuple
+    #: nanoseconds per :data:`STEP_PHASES` entry (0 for one that did not run)
+    phase_ns: tuple
+    #: the threads the step ran on
+    threads: int
+
+
+def _phases(tested: bool, built: bool, integrated: bool,
+            counted: bool) -> tuple:
+    """The :data:`STEP_PHASES` a step with these parts runs."""
+    ran = (tested, built, True, True, True, integrated, counted)
+    return tuple(p for p, on in zip(STEP_PHASES, ran) if on)
+
+
+def _refused(tested: bool, ns, threads: int = 1) -> WaferStep:
+    return WaferStep(False, None, False, None, None, None, None, None, None,
+                     0, 0, ("neighbor",) if tested else (), tuple(ns),
+                     threads)
+
+
+def _tiles(grid: np.ndarray, *tail: int) -> np.ndarray:
+    """A flat-tile *view* of an (nx, ny, ...) grid."""
+    if not grid.flags.c_contiguous:
+        raise ValueError("wafer grids must be C-contiguous")
+    return grid.reshape(-1, *tail)
+
+
+def wafer_step(
+    pos: np.ndarray,
+    vel: np.ndarray,
+    occ: np.ndarray,
+    typ: np.ndarray,
+    held: tuple | None,
+    offsets: np.ndarray,
+    lengths,
+    periodic,
+    reach2: float,
+    bound2: float,
+    cutoff: float,
+    banks: tuple,
+    phi_index: np.ndarray,
+    symmetry: bool,
+    *,
+    keep: bool = True,
+    masses: np.ndarray | None = None,
+    dt: float = 0.0,
+    cost: tuple | None = None,
+    noise: np.ndarray | None = None,
+    jitter: float = 0.0,
+    energy: bool = False,
+    scratch: dict | None = None,
+) -> WaferStep:
+    """One lockstep step of the ``(nx, ny)`` wafer, list test to cycle
+    counter.
+
+    ``held`` is the list a previous call returned, ``(listed, pos, occ,
+    n_cand)``, or None.  It is reused when it still covers the grids
+    (:func:`_covers`: the same ``occ``, every tile within
+    ``sqrt(bound2)`` of the ``pos`` it was built at); otherwise, unless
+    a position is not finite, :func:`wafer_list` builds one at
+    ``reach2`` over ``offsets`` (returned to be held when ``keep``).
+    Then :func:`wafer_density` over the list with ``cutoff`` and the
+    rho bank of ``banks = (rho, embed, phi)``, the embedding ``F`` and
+    ``F'`` of every occupied tile (through its type when the bank has a
+    member per type), and :func:`wafer_force` with the phi bank.  With
+    ``masses`` the occupied tiles' ``pos`` and ``vel`` take the
+    leap-frog of step ``dt`` in place (:func:`_leapfrog`); with ``cost
+    = (exchange, candidate, interaction, fixed)`` cycles, every tile is
+    priced (:func:`_cycle_counts`, ``noise`` and ``jitter`` its timing
+    noise); with ``energy`` the per-tile ``F`` and pair energy come back
+    too.  The survivor record lives only in the call.  ``scratch`` is a
+    dict a tier may keep its working memory in between one caller's
+    calls (this body keeps none there).
+    """
+    clock = time.perf_counter_ns
+    ns = [0] * len(STEP_PHASES)
+    t0 = clock()
+    tested = held is not None
+    reused = tested and _covers(pos, occ, held[1], held[2], bound2)
+    t1 = clock()
+    if tested:
+        ns[0] = t1 - t0
+    if reused:
+        listed, n_cand = held[0], held[3]
+    else:
+        if not np.isfinite(pos).all():
+            return _refused(held is not None, ns)
+        n_cand = np.zeros(occ.shape, dtype=np.int32)
+        listed = wafer_list(pos, occ, offsets, lengths, periodic, reach2,
+                            n_cand)
+        held = (listed, pos.copy(), occ.copy(), n_cand) if keep else None
+        t0, t1 = t1, clock()
+        ns[1] = t1 - t0
+    rho_bank, embed_bank, phi_bank = banks
+    rho = np.zeros(occ.shape)
+    n_int = np.zeros(occ.shape, dtype=np.int64)
+    record = wafer_density(
+        _tiles(pos, 3), listed, lengths, periodic, cutoff, _tiles(typ),
+        rho_bank, phi_index, symmetry, _tiles(rho), _tiles(n_int),
+    )
+    t0, t1 = t1, clock()
+    ns[2] = t1 - t0
+    # at ~94% occupancy boolean indexing beats a ``flatnonzero`` index
+    # with ``take`` and ``put``
+    f_val = np.zeros(occ.shape)
+    f_der = np.zeros(occ.shape)
+    member = typ[occ] if len(embed_bank[2]) > 1 else 0
+    f_val[occ], f_der[occ] = grouped_spline_eval(embed_bank, rho[occ], member)
+    t0, t1 = t1, clock()
+    ns[3] = t1 - t0
+    force = np.zeros((*occ.shape, 3))
+    e_pair = np.zeros(occ.shape) if energy else None
+    wafer_force(record, _tiles(f_der), phi_bank, symmetry, _tiles(force, 3),
+                _tiles(e_pair) if energy else None)
+    t0, t1 = t1, clock()
+    ns[4] = t1 - t0
+    non_finite = 0
+    if masses is not None:
+        non_finite = _leapfrog(_tiles(pos, 3), _tiles(vel, 3),
+                               _tiles(force, 3), _tiles(occ), _tiles(typ),
+                               masses, dt)
+    t0, t1 = t1, clock()
+    ns[5] = t1 - t0
+    cycles = None
+    if cost is not None:
+        cycles = _cycle_counts(_tiles(occ), _tiles(n_cand), _tiles(n_int),
+                               *cost, noise, jitter)
+    ns[6] = clock() - t1
+    rows = record[1:6] if record[6] is record[5] else record[1:]
+    return WaferStep(
+        True, held, reused, n_cand, n_int, force, f_val if energy else None,
+        e_pair, cycles, non_finite, sum(a.nbytes for a in rows),
+        _phases(tested, not reused, masses is not None, cost is not None),
+        tuple(ns), 1,
+    )

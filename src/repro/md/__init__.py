@@ -23,7 +23,6 @@ from repro.md.langevin import LangevinThermostat
 from repro.md.minimize import FireMinimizer
 from repro.md.simulation import Simulation
 from repro.md.stress import pair_virial, pressure
-from repro.md import observables
 
 __all__ = [
     "AtomsState",
@@ -40,5 +39,4 @@ __all__ = [
     "pair_virial",
     "pressure",
     "Simulation",
-    "observables",
 ]

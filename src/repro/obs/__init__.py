@@ -46,12 +46,12 @@ emits ``parallel.pool`` — the one-time
 worker-pool spawn, its own phase so pool setup never inflates
 ``neighbor`` nor counts against the ``repro profile --check``
 wall-coverage gate (teardown happens outside the measured wall time).
-The lockstep machine reports ``exchange`` and ``neighbor`` as
-pre-measured child spans inside ``density``: the list build (candidate
-shift and coarse cut, one kernel; 0 on a reuse step) and the test of
-the held list.  The exact filter and the ``F'`` gather are fused into
-the sweep kernels, so ``pair_force`` has no children and the wse
-taxonomy is unchanged.  Sharded runs keep the standard taxonomy
+The lockstep machine's step is one kernel call that times its own
+phases, so every wse phase is a pre-measured leaf span inside ``step``:
+``neighbor`` the test of the held list, ``exchange`` the list build
+(candidate shift and coarse cut; 0 on a reuse step), then ``density``,
+``embedding``, ``pair_force``, ``integrate`` and ``cycle_account``; the
+wse taxonomy is unchanged.  Sharded runs keep the standard taxonomy
 too: the ranks step their own atoms, so stages that run rank-side
 inside another phase's round (density, embedding, the look-ahead
 filter) arrive as pre-measured children, per-shard timings ride as span

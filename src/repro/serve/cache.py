@@ -304,22 +304,33 @@ class ResultCache:
         """
         with self._lock:
             steps = int(steps)
+            key = (spec_hash, steps)
             dst = self.prefix(spec_hash, steps)
-            if src_prefix is not None and Path(src_prefix) != dst:
-                for src, final in zip(
-                    checkpoint_paths(src_prefix), checkpoint_paths(dst)
-                ):
-                    os.replace(src, final)
             tele_path = self._telemetry_path(spec_hash, steps)
             tmp = tele_path.with_name(tele_path.name + ".tmp")
-            tmp.write_text(
-                json.dumps(telemetry, indent=2, sort_keys=True) + "\n"
-            )
-            replace_synced(tmp, tele_path)
-            nbytes = sum(
-                p.stat().st_size for p in self._entry_files(spec_hash, steps)
-            )
-            key = (spec_hash, steps)
+            try:
+                if src_prefix is not None and Path(src_prefix) != dst:
+                    for src, final in zip(
+                        checkpoint_paths(src_prefix), checkpoint_paths(dst)
+                    ):
+                        os.replace(src, final)
+                tmp.write_text(
+                    json.dumps(telemetry, indent=2, sort_keys=True) + "\n"
+                )
+                replace_synced(tmp, tele_path)
+                nbytes = sum(
+                    p.stat().st_size
+                    for p in self._entry_files(spec_hash, steps)
+                )
+            except BaseException:
+                # e.g. a full disk: what was written for a key no index
+                # row holds would be referenced by nothing
+                stray = [tmp]
+                if key not in self._entries:
+                    stray += self._entry_files(spec_hash, steps)
+                for path in stray:
+                    path.unlink(missing_ok=True)
+                raise
             self._clock += 1
             self._entries[key] = {"bytes": nbytes, "used": self._clock}
             self._evict_over_cap(keep=key)

@@ -108,6 +108,29 @@ class TestStateCorruption:
         finally:
             kernels.set_backend(kernels.DEFAULT_BACKEND)
 
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_a_refused_build_holds_no_list(self, ta_potential, backend):
+        if backend == "native" and kernels.backend_status()["native"] != "ok":
+            pytest.skip("native tier unavailable on this host")
+        kernels.set_backend(backend)
+        try:
+            sim = WseMd(small_slab_state("Ta", (6, 6, 3)), ta_potential)
+            sim.step(2)
+            assert sim.list_bytes() > 0
+            x, y = np.argwhere(sim.occ)[7]
+            sim.pos[x, y, 2] += 1.0  # fails the list test
+            saved = sim.pos[x, y, 1]
+            sim.pos[x, y, 1] = np.inf
+            with pytest.raises(FloatingPointError, match="at step 3"):
+                sim.step(1)
+            assert sim.list_bytes() == 0 and sim.step_count == 2
+            sim.pos[x, y, 1] = saved
+            builds = sim.list_builds
+            sim.step(1)
+            assert sim.list_builds == builds + 1 and sim.step_count == 3
+        finally:
+            kernels.set_backend(kernels.DEFAULT_BACKEND)
+
     def test_energy_after_a_failed_step_is_not_finite_either(self):
         # the leap-frog writes the NaN before it raises: the engine's
         # energy query after the failed step must not read finite

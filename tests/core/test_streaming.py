@@ -1,9 +1,8 @@
 """Wafer-sweep equivalence and memory-scaling tests.
 
-The lockstep machine's two sweeps (:meth:`WseMd._density_sweep` and
-:meth:`WseMd._force_sweep`, one registry kernel call each over every
-neighborhood offset) replaced the record-based passes that kept one
-full-grid record per offset.  The contract is **bitwise** identity:
+The lockstep machine's two sweeps (inside one ``wafer_step`` registry
+call, :meth:`WseMd._evaluate`, over every neighborhood offset) replaced
+the record-based passes that kept one full-grid record per offset.  The contract is **bitwise** identity:
 per candidate, the arithmetic and the per-tile accumulation order are
 exactly those of the old passes.  This module pins that contract
 against a reference implementation of the record-based passes embedded
@@ -36,14 +35,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exchange import shift2d_into
-from repro.core.wse_md import FAR, WseMd, _SurvivorRecord
+from repro.core.wse_md import FAR, WseMd
 import repro.kernels as kernels
 from repro.kernels import numpy_backend
 from repro.lattice.cells import BCC
 from repro.lattice.crystals import replicate
 from repro.md.boundary import Box
 from repro.md.state import AtomsState
-from repro.obs import metrics
+from repro.obs import NULL_TRACER, metrics
 from repro.potentials.alloy import mix_tables
 from repro.potentials.eam import EAMPotential
 from repro.potentials.elements import ELEMENTS, make_element_tables
@@ -131,7 +130,7 @@ def reference_density_force(sim: WseMd):
                 np.empty((nx, ny)), contrib, -dx, -dy, fill=0.0
             )
 
-    _, f_der = sim._embed(rho_bar)
+    _, f_der = _embed(sim, rho_bar)
     force = np.zeros((nx, ny, 3))
     e_pair = np.zeros((nx, ny))
     for dx, dy, _fabric, within, r, unit in records:
@@ -180,6 +179,42 @@ def reference_density_force(sim: WseMd):
     return rho_bar, n_cand, n_int, force, e_pair
 
 
+def _embed(sim: WseMd, rho_bar: np.ndarray):
+    """``F`` and ``F'`` per tile through the potential, occupied tiles
+    only."""
+    f_val, f_der = np.zeros(sim.occ.shape), np.zeros(sim.occ.shape)
+    occ = sim.occ
+    typ = sim.typ[occ] if sim.potential.tables.n_types > 1 else None
+    f_val[occ], f_der[occ] = sim.potential.embed(rho_bar[occ], typ)
+    return f_val, f_der
+
+
+def _sweeps(sim: WseMd, energy: bool = True):
+    """The machine's evaluation at its positions (one ``wafer_step``
+    call, no integration), and the density the registry's
+    ``wafer_density`` sums over the list that call held."""
+    step = sim._evaluate(NULL_TRACER, energy=energy)
+    rho = np.zeros(sim.occ.shape)
+    grouped = sim.potential.tables.grouped()
+    kernels.active_backend().wafer_density(
+        sim.pos.reshape(-1, 3), sim._list.listed, sim._lengths,
+        sim._periodic, float(sim.potential.cutoff), sim.typ.reshape(-1),
+        grouped.rho.bank(), grouped.phi_index, sim.force_symmetry,
+        rho.reshape(-1), np.zeros(sim.occ.size, dtype=np.int64),
+    )
+    return rho, step
+
+
+def _assert_same_sweeps(sim, rho, step, reference):
+    rho_ref, cand_ref, int_ref, force_ref, epair_ref = reference
+    assert np.array_equal(rho, rho_ref)
+    assert np.array_equal(step.f_val, _embed(sim, rho_ref)[0])
+    assert np.array_equal(step.n_cand, cand_ref)
+    assert np.array_equal(step.n_int, int_ref)
+    assert np.array_equal(step.force, force_ref)
+    assert np.array_equal(step.e_pair, epair_ref)
+
+
 # -- bitwise equivalence ------------------------------------------------------
 
 
@@ -207,19 +242,10 @@ def test_sweeps_match_record_passes_bitwise(
         **kw,
     )
     sim.step(3)  # off-lattice positions exercise the minimum image
-    rho_ref, cand_ref, int_ref, force_ref, epair_ref = (
-        reference_density_force(sim)
-    )
-    rho, n_cand, n_int, record, _ = sim._density_sweep()
-    _, f_der = sim._embed(rho)
-    force, e_pair = sim._force_sweep(record, f_der, energy=True)
+    reference = reference_density_force(sim)
     # bitwise: the streaming sweeps ARE the record passes, reordered
     # only where reordering is exact
-    assert np.array_equal(rho, rho_ref)
-    assert np.array_equal(n_cand, cand_ref)
-    assert np.array_equal(n_int, int_ref)
-    assert np.array_equal(force, force_ref)
-    assert np.array_equal(e_pair, epair_ref)
+    _assert_same_sweeps(sim, *_sweeps(sim), reference)
 
 
 def test_periodic_box_matches_record_passes(ta_potential):
@@ -229,11 +255,9 @@ def test_periodic_box_matches_record_passes(ta_potential):
     )
     sim.step(2)
     rho_ref, _, _, force_ref, _ = reference_density_force(sim)
-    rho, _, _, record, _ = sim._density_sweep()
-    _, f_der = sim._embed(rho)
-    force, _ = sim._force_sweep(record, f_der)
+    rho, step = _sweeps(sim, energy=False)
     assert np.array_equal(rho, rho_ref)
-    assert np.array_equal(force, force_ref)
+    assert np.array_equal(step.force, force_ref)
 
 
 # -- property sweep: the one-filter sweeps vs the record passes ---------------
@@ -310,23 +334,13 @@ def test_sweeps_match_record_passes_property(
     case, ta_potential, wta_potential
 ):
     sim = _sweep_machine(case, ta_potential, wta_potential)
-    rho_ref, cand_ref, int_ref, force_ref, epair_ref = (
-        reference_density_force(sim)
-    )
-    rho, n_cand, n_int, record, _ = sim._density_sweep()
-    _, f_der = sim._embed(rho)
-    force, e_pair = sim._force_sweep(record, f_der, energy=True)
-    assert int_ref.sum() > 0, case
-    assert np.array_equal(rho, rho_ref), case
-    assert np.array_equal(n_cand, cand_ref), case
-    assert np.array_equal(n_int, int_ref), case
-    assert np.array_equal(force, force_ref), case
-    assert np.array_equal(e_pair, epair_ref), case
+    reference = reference_density_force(sim)
+    assert reference[2].sum() > 0, case
+    _assert_same_sweeps(sim, *_sweeps(sim), reference)
     # a timestep skips the pair energy; the forces must not notice
-    record = sim._density_sweep()[3]
-    force_only, none = sim._force_sweep(record, f_der)
-    assert none is None
-    assert np.array_equal(force_only, force_ref), case
+    force_only = sim._evaluate(NULL_TRACER)
+    assert force_only.e_pair is None and force_only.f_val is None
+    assert np.array_equal(force_only.force, reference[3]), case
 
 
 # -- survivor records: one filter per step, nothing left behind --------------
@@ -336,16 +350,15 @@ def _kernel_calls():
     reg = metrics()
     return tuple(
         reg.counter(f"kernels.{name}.calls").value
-        for name in ("wafer_density", "wafer_force", "grouped_spline_eval")
+        for name in ("wafer_step", "grouped_spline_eval")
     )
 
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
-def test_one_call_of_each_sweep_per_step(ta_potential, force_symmetry):
-    """A step costs one ``wafer_density`` and one ``wafer_force`` call
-    over all of its offsets (no second filter, no duplicate partner
-    pass); the only spline call the engine itself makes is the step's
-    one embedding evaluation."""
+def test_one_call_per_step(ta_potential, force_symmetry):
+    """A step costs one ``wafer_step`` call over all of its offsets
+    (no second filter, no duplicate partner pass), and the engine
+    makes no spline call of its own: the embedding is in the step."""
     sim = WseMd(
         small_slab_state(reps=(5, 5, 2)), ta_potential,
         force_symmetry=force_symmetry,
@@ -354,7 +367,7 @@ def test_one_call_of_each_sweep_per_step(ta_potential, force_symmetry):
     before = _kernel_calls()
     sim.step(3)
     spent = tuple(b - a for a, b in zip(before, _kernel_calls()))
-    assert spent == (3, 3, 3)
+    assert spent == (3, 0)
 
 
 @pytest.mark.parametrize("alloy,per_row", [(False, 48), (True, 64)])
@@ -365,14 +378,29 @@ def test_record_bytes_accounting(ta_potential, wta_potential, alloy, per_row):
         fill=0.94, dtype=np.float64, force_symmetry=True, seed=1,
     )
     sim = _sweep_machine(case, ta_potential, wta_potential)
-    _, _, n_int, record, _ = sim._density_sweep()
-    bounds = record.starts.nbytes
-    assert record.nbytes == per_row * int(n_int.sum()) + bounds
+    step = sim._evaluate(NULL_TRACER)
+    assert step.record_nbytes == per_row * int(step.n_int.sum()) > 0
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
 
 
 def _holds_no_record(sim) -> bool:
-    """No attribute of the machine is a survivor record."""
-    return not any(isinstance(v, _SurvivorRecord) for v in vars(sim).values())
+    """Nothing the machine holds beside its list has a row per
+    interaction of its last evaluation: the survivor record lives only
+    in the kernel call.  (``_scratch`` is the kernel tier's working
+    memory, which the machine never reads.)"""
+    rows = int(sim.last_interactions.sum())
+    return not any(
+        a.ndim and len(a) == rows
+        for name, v in vars(sim).items() if name not in ("_list", "_scratch")
+        for a in _arrays(v)
+    )
 
 
 def test_no_record_outlives_a_public_call(ta_potential):
@@ -387,6 +415,14 @@ def test_no_record_outlives_a_public_call(ta_potential):
         assert _holds_no_record(sim)
 
 
+def _leapfrog(sim, force):
+    """The leap-frog of the numpy tier over ``sim``'s occupied tiles."""
+    numpy_backend._leapfrog(
+        sim.pos.reshape(-1, 3), sim.vel.reshape(-1, 3), force.reshape(-1, 3),
+        sim.occ.reshape(-1), sim.typ.reshape(-1), sim.masses, sim.dt,
+    )
+
+
 @pytest.mark.parametrize("force_symmetry", [False, True])
 def test_swap_every_step_matches_record_passes(ta_potential, force_symmetry):
     """A swap round between every two steps re-homes atoms; records
@@ -398,7 +434,7 @@ def test_swap_every_step_matches_record_passes(ta_potential, force_symmetry):
     twin = WseMd(state.copy(), ta_potential, **kw)
     for _ in range(12):
         sim.step(1)
-        twin._integrate(reference_density_force(twin)[3])
+        _leapfrog(twin, reference_density_force(twin)[3])
         twin.step_count += 1
         twin._swap_round()
         assert _holds_no_record(sim)
@@ -781,10 +817,9 @@ def test_record_budget_50k_atoms():
         make_element_potential("Ta"),
         force_symmetry=True,
     )
-    _, _, n_int, record, _ = sim._density_sweep()
-    rows = int(n_int.sum())
-    assert 0 < record.nbytes <= _RECORD_BYTES_PER_INTERACTION * rows
-    sim._force_sweep(record, np.zeros(sim.occ.shape))
+    step = sim._evaluate(NULL_TRACER)
+    rows = int(step.n_int.sum())
+    assert 0 < step.record_nbytes <= _RECORD_BYTES_PER_INTERACTION * rows
     sim.step(1)
     assert _holds_no_record(sim)
     # what does stay between steps: the index list at cutoff + skin

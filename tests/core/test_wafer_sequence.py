@@ -1,9 +1,10 @@
-"""The wafer step's kernel sequence, read off a spy tier.
+"""The wafer step's phase sequence, read off a spy tier.
 
 A spy registered through :func:`repro.kernels.register_backend` wraps a
 real tier (numpy, and native where it loads) and records, for every
-kernel of the wafer step the machine calls, its name and the sweep
-threads the tier reports after it.  The sequence is the machine's
+phase the machine's ``wafer_step`` calls report they ran (and for any
+other wafer kernel it called), its name and the sweep threads the tier
+reports after the call.  The sequence is the machine's
 contract with the registry: a fresh machine builds its list before the
 first density sweep, a held list is tested before it is reused, a skin
 of 0 never tests one, the observables neither integrate nor count
@@ -18,11 +19,10 @@ import repro.kernels as kernels
 from repro.core.wse_md import WseMd
 from tests.conftest import small_slab_state
 
-#: the registry kernels a wafer step is made of
-WAFER_KERNELS = ("list_valid", "wafer_list", "wafer_density", "wafer_force",
-                 "wafer_integrate", "wafer_cycles")
-SWEEPS = ("wafer_list", "wafer_density", "wafer_force")
-STEP = ["wafer_density", "wafer_force", "wafer_integrate", "wafer_cycles"]
+#: the registry's wafer kernels besides ``wafer_step``
+WAFER_KERNELS = ("wafer_list", "wafer_density", "wafer_force")
+SWEEPS = ("exchange", "density", "pair_force")
+STEP = ["density", "embedding", "pair_force", "integrate", "cycle_account"]
 
 
 @pytest.fixture(params=["numpy", "native"])
@@ -42,6 +42,8 @@ def spy(request, monkeypatch):
         def call(*args, **kwargs):
             out = kernel(*args, **kwargs)
             spy.threads = getattr(base, "threads", 1)
+            if name == "wafer_step":
+                spy.calls += [(phase, spy.threads) for phase in out.phases]
             if name in WAFER_KERNELS:
                 spy.calls.append((name, spy.threads))
             return out
@@ -73,7 +75,7 @@ def test_a_fresh_machine_builds_before_its_first_sweep(
     sim = WseMd(small_slab_state(reps=(5, 5, 2)), ta_potential,
                 force_symmetry=force_symmetry)
     sim.step(1)
-    assert _names(spy) == ["wafer_list", *STEP]
+    assert _names(spy) == ["exchange", *STEP]
 
 
 def test_a_held_list_is_tested_then_reused_or_rebuilt(spy, ta_potential):
@@ -83,11 +85,11 @@ def test_a_held_list_is_tested_then_reused_or_rebuilt(spy, ta_potential):
     _names(spy)
     sim.step(1)
     assert (sim.list_builds, sim.list_reuses) == (1, 1)
-    assert _names(spy) == ["list_valid", *STEP]
+    assert _names(spy) == ["neighbor", *STEP]
     sim.pos[sim.occ] += sim.dtype.type(1.0)  # every tile a full angstrom
     sim.step(1)
     assert (sim.list_builds, sim.list_reuses) == (2, 1)
-    assert _names(spy) == ["list_valid", "wafer_list", *STEP]
+    assert _names(spy) == ["neighbor", "exchange", *STEP]
 
 
 def test_skin_zero_never_tests_a_list(spy, ta_potential):
@@ -97,8 +99,8 @@ def test_skin_zero_never_tests_a_list(spy, ta_potential):
     sim.compute_energy()
     sim.compute_forces()
     names = _names(spy)
-    assert "list_valid" not in names
-    assert names.count("wafer_list") == names.count("wafer_density") == 5
+    assert "neighbor" not in names
+    assert names.count("exchange") == names.count("density") == 5
 
 
 @pytest.mark.parametrize("skin", [0.5, 0.0])
@@ -109,10 +111,10 @@ def test_the_observables_neither_integrate_nor_count_cycles(
                 ta_potential, skin=skin)
     sim.step(1)
     _names(spy)
-    first = "list_valid" if skin else "wafer_list"
+    first = "neighbor" if skin else "exchange"
     for observable in (sim.compute_energy, sim.compute_forces):
         observable()
-        assert _names(spy) == [first, "wafer_density", "wafer_force"]
+        assert _names(spy) == [first, "density", "embedding", "pair_force"]
     assert sim.step_count == sim.trace.n_steps == 1
 
 
@@ -131,3 +133,36 @@ def test_sweep_threads_is_what_the_tier_reported(
         reported = [threads for name, threads in spy.calls if name in SWEEPS]
         assert sim.sweep_threads == max(reported)
     assert sim.sweep_threads == (forced if spy.tier == "native" else 1)
+
+
+@pytest.mark.parametrize("force_symmetry", [False, True])
+def test_the_step_records_every_phase_the_kernel_timed(
+    spy, ta_potential, force_symmetry
+):
+    """``step`` records the call's per-phase nanoseconds as leaf spans
+    inside ``step``, under the phase names, and the observables record
+    none."""
+    from repro.kernels.numpy_backend import STEP_PHASES
+    from repro.obs import Tracer
+
+    spans = []
+    sink = SimpleNamespace(emit=spans.append)
+    tracer = Tracer(sinks=[sink])
+    sim = WseMd(small_slab_state(reps=(5, 5, 2), temperature=100.0),
+                ta_potential, force_symmetry=force_symmetry, tracer=tracer)
+    sim.step(2)
+    sim.compute_energy()
+    names = [span.name for span in spans]
+    assert names == [*STEP_PHASES, "step"] * 2
+    for span in spans:
+        assert span.duration_s >= 0.0
+        if span.name != "step":
+            assert span.path == f"step/{span.name}"
+    steps = [span for span in spans if span.name == "step"]
+    children = sum(span.duration_s for span in spans if span.depth == 1)
+    assert children <= sum(span.duration_s for span in steps)
+    density = spans[STEP_PHASES.index("density")].counters
+    assert density["interactions"] == int(sim.last_interactions.sum()) > 0
+    # the first step built (no list to test), the second reused
+    assert spans[0].duration_s == 0.0
+    assert spans[len(STEP_PHASES) + 2].duration_s == 0.0

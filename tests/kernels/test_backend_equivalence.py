@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.wse_md import FAR
+from repro.kernels.native_backend import step_outputs
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_FUNCTIONS,
@@ -185,13 +186,6 @@ def _wafer_grid(rng):
     return pos, occ
 
 
-def _list_valid_inputs(rng):
-    pos, occ = _wafer_grid(rng)
-    step = np.where(occ[..., None], rng.normal(0.0, 0.1, pos.shape), 0.0)
-    bound2 = float(rng.uniform(0.0, 0.12))
-    return (pos + step, occ, pos, occ.copy(), bound2), {}
-
-
 def _wafer_list_inputs(rng):
     pos, occ = _wafer_grid(rng)
     offsets = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2))
@@ -203,22 +197,34 @@ def _wafer_list_inputs(rng):
     ), {}, (n_cand,)
 
 
-def _wafer_integrate_inputs(rng):
+def _wafer_step_inputs(rng):
+    """A holed grid stepped with the leap-frog, the cycle counter and the
+    energy: from no list, or (every other draw) from the list one step of
+    the numpy tier holds."""
     pos, occ = _wafer_grid(rng)
-    pos, occ = pos.reshape(-1, 3), occ.ravel()
-    vel = rng.normal(size=pos.shape) * occ[:, None]
-    typ = rng.integers(0, 2, size=len(occ)) * occ
-    return (
-        pos, vel, rng.normal(size=pos.shape), occ, typ,
-        np.array([180.9, 183.8]), 0.002,
-    ), {}, (pos, vel)
+    n_types = int(rng.integers(1, 3))
+    n_phi = n_types * (n_types + 1) // 2
+    banks = (_bank(rng, n_types, clamp_low=True),
+             _bank(rng, n_types, clamp_low=True), _bank(rng, n_phi))
+    phi_index = np.zeros((n_types, n_types), dtype=np.int64)
+    phi_index[np.triu_indices(n_types)] = np.arange(n_phi)
+    phi_index = np.maximum(phi_index, phi_index.T)
+    typ = rng.integers(0, n_types, size=occ.shape) * occ
+    vel = rng.normal(size=pos.shape) * occ[..., None]
+    offsets = np.array([(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
+                        if dy > 0 or (dy == 0 and dx > 0)])
+    grid = (offsets, np.full(3, 6.0), rng.integers(0, 2, size=3).astype(bool),
+            3.2**2, 0.04, 2.9, banks, phi_index, True)
+    held = None
+    if rng.integers(0, 2):
+        from repro.kernels import numpy_backend
 
-
-def _wafer_cycles_inputs(rng):
-    occ = rng.random(60) < 0.8
-    n_cand, n_int = rng.integers(0, 300, size=(2, 60))
-    jitter = (rng.normal(size=60), 1e-3) if rng.integers(0, 2) else ()
-    return (occ, n_cand, n_int, 301.5, 24.2, 64.9, 521.8, *jitter), {}
+        held = numpy_backend.wafer_step(pos.copy(), vel.copy(), occ, typ,
+                                        None, *grid).held
+    kwargs = dict(masses=rng.uniform(10.0, 200.0, n_types), dt=0.002,
+                  cost=(301.5, 24.2, 64.9, 521.8),
+                  noise=rng.normal(size=occ.size), jitter=1e-3, energy=True)
+    return (pos, vel, occ, typ, held, *grid), kwargs, (pos, vel)
 
 
 _INPUTS = {
@@ -226,12 +232,10 @@ _INPUTS = {
     "neighbor_prefilter": _neighbor_prefilter_inputs,
     "fused_density_pass": _fused_density_pass_inputs,
     "fused_force_pass": _fused_force_pass_inputs,
-    "list_valid": _list_valid_inputs,
     "wafer_list": _wafer_list_inputs,
     "wafer_density": _wafer_density_inputs,
     "wafer_force": _wafer_force_inputs,
-    "wafer_integrate": _wafer_integrate_inputs,
-    "wafer_cycles": _wafer_cycles_inputs,
+    "wafer_step": _wafer_step_inputs,
 }
 
 
@@ -241,6 +245,8 @@ def _call(fn_name, seed):
     outputs plus whatever was written into, as one tuple."""
     args, kwargs, *inplace = _INPUTS[fn_name](np.random.default_rng(seed))
     out = getattr(active_backend(), fn_name)(*args, **kwargs)
+    if fn_name == "wafer_step":  # its timings and team are not outputs
+        out = step_outputs(out)
     if out is None:
         out = ()
     out = out if isinstance(out, tuple) else (out,)

@@ -2,10 +2,11 @@
 
 The equivalence proof is PR 17's Hypothesis harness
 (``test_numpy_floor.py``) pointed at native-vs-numpy for the pair
-kernels it already sweeps, plus the same treatment for the six kernels
-of a wafer step (list test and build on holed grids in open and
-periodic boxes, the two sweeps, the leap-frog, the cycle
-counter): every output ``np.array_equal`` with equal dtype and shape,
+kernels it already sweeps, plus the same treatment for the wafer's
+kernels (the list build on holed grids in open and periodic boxes, the
+two sweeps, and the whole step -- list test, build, sweeps, embedding,
+leap-frog and cycle counter -- on every team size): every output
+``np.array_equal`` with equal dtype and shape,
 and the same exception *type* where numpy raises (out-of-range index
 -> ``IndexError``, coincident atoms -> ``FloatingPointError``).  Then
 whole trajectories: reference and wafer runs end on the same SHA-256
@@ -227,7 +228,7 @@ class TestWaferSweeps:
             assert np.array_equal(a, b)
 
 
-# -- the rest of the wafer step: list test and build, leap-frog, cycles ------
+# -- the wafer's list build, and its whole step ------------------------------
 
 
 def _wafer_grid(seed, nx, ny, holes, box):
@@ -280,24 +281,6 @@ _GRIDS = dict(
 class TestWaferStepKernels:
     """Native == numpy, bitwise, on random holed grids."""
 
-    @given(**_GRIDS, skin=st.sampled_from([0.0, 0.2, 1.0]),
-           flip=st.booleans(), nan=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_list_valid(self, seed, nx, ny, holes, box, skin, flip, nan):
-        rng, held, occ, _, _ = _wafer_grid(seed, nx, ny, holes, box)
-        pos = held + np.where(occ[..., None],
-                              rng.normal(0.0, 0.2, held.shape), 0.0)
-        now = occ.copy()
-        if flip:
-            now[rng.integers(nx), rng.integers(ny)] ^= True
-        if nan:
-            pos[rng.integers(nx), rng.integers(ny), rng.integers(3)] = np.nan
-        args = (pos, now, held, occ, (0.5 * skin) ** 2)
-        want = numpy_backend.list_valid(*args)
-        assert native_backend.list_valid(*args) is want
-        if flip or nan:
-            assert want is False
-
     @given(**_GRIDS, reach=st.sampled_from([0.0, 2.0, 3.6, 40.0]),
            b=st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
@@ -312,68 +295,32 @@ class TestWaferStepKernels:
         )
         _assert_same(got, want)
 
-    @given(**_GRIDS, n_types=st.integers(1, 3),
-           dt=st.sampled_from([0.002, 0.01]),
-           poison=st.sampled_from([None, np.nan, np.inf]))
-    @settings(max_examples=200, deadline=None)
-    def test_wafer_integrate(self, seed, nx, ny, holes, box, n_types, dt,
-                             poison):
-        rng, pos, occ, _, _ = _wafer_grid(seed, nx, ny, holes, box)
-        rows, occ = pos.reshape(-1, 3), occ.ravel()
-        vel = rng.normal(size=rows.shape) * occ[:, None]
-        force = rng.normal(size=rows.shape) * 5.0
-        if poison is not None:
-            force[rng.integers(len(force)), rng.integers(3)] = poison
-        typ = rng.integers(0, n_types, len(occ)) * occ
-        masses = rng.uniform(10.0, 200.0, n_types)
-        want, got = (
-            _outcome(side.wafer_integrate, rows.copy(), vel.copy(), force,
-                     occ, typ, masses, dt)
-            for side in (numpy_backend, native_backend)
-        )
-        _assert_same(got, want)
-
-    @given(**_GRIDS, jitter=st.sampled_from([None, 1e-3, 0.3]))
-    @settings(max_examples=200, deadline=None)
-    def test_wafer_cycles(self, seed, nx, ny, holes, box, jitter):
-        rng, _, occ, _, _ = _wafer_grid(seed, nx, ny, holes, box)
-        occ = occ.ravel()
-        n_cand, n_int = rng.integers(0, 400, (2, len(occ)))
-        extra = () if jitter is None else (rng.normal(size=len(occ)), jitter)
-        args = (occ, n_cand, n_int, 412.0, 24.18, 64.91, 521.8, *extra)
-        _assert_same(_outcome(native_backend.wafer_cycles, *args),
-                     _outcome(numpy_backend.wafer_cycles, *args))
-
     def test_clean_input_runs_in_c(self, no_declines):
-        rng, pos, occ, lengths, periodic = _wafer_grid(3, 12, 9, 0.1, "mixed")
-        offsets = np.array([[1, 0], [0, 1], [2, -1]])
-        native_backend.list_valid(pos, occ, pos.copy(), occ.copy(), 0.01)
-        native_backend.wafer_list(pos, occ, offsets, lengths, periodic, 9.0,
+        _, pos, occ, lengths, periodic = _wafer_grid(3, 12, 9, 0.1, "mixed")
+        native_backend.wafer_list(pos, occ, [[1, 0], [0, 1], [2, -1]],
+                                  lengths, periodic, 9.0,
                                   np.zeros(occ.shape, dtype=np.int32))
-        rows, flat = pos.reshape(-1, 3), occ.ravel()
-        native_backend.wafer_integrate(
-            rows, np.zeros_like(rows), rng.normal(size=rows.shape), flat,
-            np.zeros(len(flat), dtype=np.int64), np.array([180.9]), 0.002,
-        )
-        counts = np.ones((2, len(flat)), dtype=np.int64)
-        native_backend.wafer_cycles(flat, *counts, 1.0, 2.0, 3.0, 4.0)
+        case = _threaded_case(3, 12, 9, 0.1, "mixed", 2, True, 2, 0.0)
+        _step(native_backend, case, 2.6, 0.4, "step", noise=True)
 
     def test_probe_covers_every_kernel(self):
         assert set(native_backend._expected()) == set(kernels.KERNEL_FUNCTIONS)
 
     def test_type_outside_the_mass_table_writes_nothing(self):
-        """The C loop checks every occupied tile's type first, so the
-        numpy body that raises starts from the untouched grids."""
-        rng, pos, occ, _, _ = _wafer_grid(4, 6, 6, 0.0, "open")
-        rows, vel = pos.reshape(-1, 3).copy(), np.ones((36, 3))
-        typ = np.zeros(36, dtype=np.int64)
-        typ[-1] = 2
-        before = rows.copy()
-        with pytest.raises(IndexError):
-            native_backend.wafer_integrate(rows, vel, np.ones((36, 3)),
-                                           occ.ravel(), typ,
-                                           np.array([180.9, 50.0]), 0.002)
-        assert np.array_equal(rows, before) and (vel == 1.0).all()
+        """The team checks every occupied tile's type before anything is
+        written, so the numpy body that raises starts from the untouched
+        grids."""
+        case = list(_threaded_case(4, 6, 6, 0.0, "open", 1, True, 1, 0.0))
+        typ = case[6].reshape(6, 6).copy()
+        typ[-1, -1] = 2
+        case[6] = typ.ravel()
+        pos, vel = case[1].copy(), np.ones(case[1].shape)
+        before = native_backend.declined
+        got, _ = _step(native_backend, case, 2.6, 0.0, "step",
+                       grids=(pos, vel), masses=np.array([180.9, 50.0]))
+        assert got is IndexError
+        assert native_backend.declined == before + 1
+        assert np.array_equal(pos, case[1]) and (vel == 1.0).all()
 
 
 # -- the list build and both sweeps on several threads -----------------------
@@ -555,6 +502,227 @@ class TestSweepThreads:
         assert threads(100 * rows) == 1
 
 
+def _step(backend, case, cutoff, skin, mode, *, symmetry=True, grids=None,
+          masses=None, noise=False, poison=None, flip=False):
+    """One ``wafer_step`` of ``backend`` at the case's ``pos``: from the
+    list the numpy body built at ``held`` (skin > 0; ``flip`` then turns
+    one occupancy bit since) or from none (skin 0, nothing kept).
+    ``mode`` "step" integrates and counts cycles (with a timing-noise
+    plane when ``noise``), "observe" does neither, "energy" adds the
+    energy planes; ``poison`` puts a NaN into "pos" or "vel" first.
+    Returns every output and the grids after, or the type of what was
+    raised, and the step."""
+    (held_pos, pos, occ, lengths, periodic, offsets, typ, rho, phi,
+     phi_index, _) = case
+    nx, ny = occ.shape
+    rng = np.random.default_rng(nx * ny)
+    embed = floor._group(rng, rho.n_members, "clamp", False)
+    typ = typ.reshape(nx, ny)
+    pos, vel = grids or (pos.copy(), rng.normal(size=pos.shape) * occ[..., None])
+    grid = (offsets, lengths, periodic, (cutoff + skin) ** 2,
+            (0.5 * skin) ** 2, cutoff, (rho.bank(), embed.bank(), phi.bank()),
+            phi_index, symmetry)
+    held = None
+    if skin > 0.0:
+        held = numpy_backend.wafer_step(held_pos.copy(), vel.copy(), occ, typ,
+                                        None, *grid).held
+    if flip:
+        occ = occ.copy()
+        occ[rng.integers(nx), rng.integers(ny)] ^= True
+    if poison is not None:
+        x, y = np.argwhere(occ)[0] if occ.any() else (0, 0)
+        (pos if poison == "pos" else vel)[x, y, 1] = np.nan
+    kw = dict(keep=skin > 0.0, energy=mode == "energy")
+    if mode == "step":
+        kw.update(
+            masses=(rng.uniform(10.0, 200.0, rho.n_members)
+                    if masses is None else masses),
+            dt=0.002, cost=(412.0, 24.18, 64.91, 521.8),
+            noise=rng.normal(size=occ.size) if noise else None,
+            jitter=1e-3 if noise else 0.0,
+        )
+    try:
+        step = backend.wafer_step(pos, vel, occ, typ, held, *grid, **kw)
+    except Exception as exc:
+        return type(exc), None
+    return [*native_backend.step_outputs(step), pos, vel], step
+
+
+@needs_native
+class TestWaferStep:
+    """``wafer_step`` on every forced team size is bitwise its numpy
+    body: one team runs the list test, the build, density with the
+    embedding, and force with the leap-frog and the cycle counter, each
+    block adding only into its own tiles."""
+
+    @given(**_GRIDS, b=st.integers(1, 3), symmetry=st.booleans(),
+           n_members=st.sampled_from([1, 2]),
+           skin=st.sampled_from([0.0, 0.4]),
+           jitter=st.sampled_from([0.0, 0.15]),
+           mode=st.sampled_from(["step", "observe", "energy"]),
+           noise=st.booleans(), poison=st.sampled_from([None, "pos", "vel"]),
+           flip=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_every_team_size_is_the_numpy_body(
+        self, seed, nx, ny, holes, box, b, symmetry, n_members, skin, jitter,
+        mode, noise, poison, flip,
+    ):
+        case = _threaded_case(seed, nx, ny, holes, box, b, symmetry,
+                              n_members, jitter)
+        kw = dict(symmetry=symmetry, noise=noise, poison=poison, flip=flip)
+        want, _ = _step(numpy_backend, case, 2.6, skin, mode, **kw)
+        for n in THREADS:
+            with forced_threads(n):
+                got, step = _step(native_backend, case, 2.6, skin, mode, **kw)
+            _assert_same(got, want)
+            assert step is None or step.threads == n
+
+    def test_the_list_test_reuses_exactly_when_the_list_covers(self):
+        case = _threaded_case(2, 20, 20, 0.1, "periodic", 2, True, 1, 0.0)
+        for flip, poison, reused in ((False, None, True), (True, None, False),
+                                     (False, "pos", None)):
+            want, _ = _step(numpy_backend, case, 2.6, 0.4, "observe",
+                            flip=flip, poison=poison)
+            with forced_threads(2):
+                got, step = _step(native_backend, case, 2.6, 0.4, "observe",
+                                  flip=flip, poison=poison)
+            _assert_same(got, want)
+            # a NaN fails the test, and the build it calls for refuses
+            assert step.ran is (reused is not None)
+            assert step.phases[0] == "neighbor"
+            if reused is not None:
+                assert step.reused is reused
+
+    def test_held_rows_out_of_order_run_as_one_block(self):
+        case = _threaded_case(6, 24, 24, 0.0, "open", 2, True, 1, 0.0)
+        _, step = _step(numpy_backend, case, 2.6, 0.4, "observe")
+        (starts, ctr, src), *planes = step.held
+        order = np.arange(len(ctr))
+        order[starts[0]:starts[1]] = order[starts[0]:starts[1]][::-1]
+        held = ((starts, ctr[order], src[order]), *planes)
+        outs = []
+        for tier in (numpy_backend, native_backend):
+            with forced_threads(2), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tier, "_covers", lambda *a: True, raising=False)
+                out = tier.wafer_step(
+                    case[1].copy(), np.zeros(case[1].shape), case[2],
+                    case[6].reshape(24, 24), held, case[5], case[3], case[4],
+                    9.0, 0.04, 2.6, (case[7].bank(), case[7].bank(),
+                                     case[8].bank()), case[9], True)
+            outs.append(out)
+        assert outs[1].threads == 1 and outs[1].reused
+        _assert_same(native_backend.step_outputs(outs[1]),
+                     native_backend.step_outputs(outs[0]))
+
+    @pytest.mark.parametrize("bad", ["out of range", "off its offset"])
+    def test_a_bad_held_row_declines_before_any_write(self, bad):
+        """A held row out of range, or pairing tiles its offset does not
+        pair (the force phase looks for a tile's partners within reach
+        of it), declines to the numpy body before anything is written."""
+        case = _threaded_case(8, 16, 16, 0.0, "mixed", 2, True, 1, 0.0)
+        _, step = _step(numpy_backend, case, 2.6, 0.4, "observe")
+        (starts, ctr, src), *planes = step.held
+        src = src.copy()
+        src[-1] = 16 * 16 + 5 if bad == "out of range" else src[-1] - 1
+        pos, vel = case[1].copy(), np.ones(case[1].shape)
+        args = (case[2], case[6].reshape(16, 16),
+                ((starts, ctr, src), *planes), case[5], case[3], case[4], 9.0,
+                1e3, 2.6, (case[7].bank(), case[7].bank(), case[8].bank()),
+                case[9], True)
+        before = native_backend.declined
+        if bad == "out of range":
+            with forced_threads(3), pytest.raises(IndexError):
+                native_backend.wafer_step(pos, vel, *args,
+                                          masses=np.array([180.9]), dt=0.002)
+            assert np.array_equal(pos, case[1]) and (vel == 1.0).all()
+        else:
+            with forced_threads(3):
+                got = native_backend.wafer_step(pos, vel, *args)
+            want = numpy_backend.wafer_step(case[1].copy(), vel, *args)
+            _assert_same(native_backend.step_outputs(got),
+                         native_backend.step_outputs(want))
+        assert native_backend.declined == before + 1
+
+    def test_a_built_list_is_read_only_and_checked_once_writeable(self):
+        """The rows a build wrote are left read-only and not checked
+        when held again; rows made writeable are checked like any."""
+        case = _threaded_case(8, 16, 16, 0.0, "mixed", 2, True, 1, 0.0)
+        with forced_threads(2):
+            _, step = _step(native_backend, case, 2.6, 0.0, "observe")
+            held = native_backend.wafer_step(
+                case[1], np.zeros(case[1].shape), case[2],
+                case[6].reshape(16, 16), None, case[5], case[3], case[4],
+                9.0, 1e3, 2.6, (case[7].bank(),) * 2 + (case[8].bank(),),
+                case[9], True).held
+        starts, ctr, src = held[0]
+        assert not any(a.flags.writeable for a in (starts, ctr, src))
+        src.flags.writeable = True
+        src[-1] = 16 * 16 + 5
+        before = native_backend.declined
+        with forced_threads(2), pytest.raises(IndexError):
+            native_backend.wafer_step(
+                case[1], np.zeros(case[1].shape), case[2],
+                case[6].reshape(16, 16), held, case[5], case[3], case[4],
+                9.0, 1e3, 2.6, (case[7].bank(),) * 2 + (case[8].bank(),),
+                case[9], True)
+        assert native_backend.declined == before + 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads through /proc")
+    @pytest.mark.parametrize("n", THREADS)
+    def test_no_thread_outlives_a_step(self, n):
+        from repro.core.wse_md import WseMd
+        from repro.potentials.elements import make_element_potential
+        from tests.conftest import small_slab_state
+
+        kernels.set_backend("native")
+        sim = WseMd(small_slab_state(reps=(8, 8, 2), temperature=300.0),
+                    make_element_potential("Ta"), force_symmetry=True,
+                    swap_interval=1)
+        before = _tasks()
+        with forced_threads(n):
+            sim.step(2)
+        assert sim.sweep_threads == n
+        assert _tasks() == before
+
+    @pytest.mark.parametrize("n_members", [1, 2])
+    def test_the_record_is_sized_alike_on_both_tiers(self, n_members):
+        """48 B per survivor with one table, 64 B with a table per type,
+        counted by the numpy body from the record it returned and by the
+        team from the segments it wrote."""
+        case = _threaded_case(5, 18, 18, 0.1, "mixed", 2, True, n_members,
+                              0.1)
+        _, want = _step(numpy_backend, case, 2.6, 0.4, "observe")
+        with forced_threads(2):
+            _, got = _step(native_backend, case, 2.6, 0.4, "observe")
+        per_row = 48 if n_members == 1 else 64
+        assert got.record_nbytes == want.record_nbytes
+        assert want.record_nbytes == per_row * int(want.n_int.sum()) > 0
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_the_timing_noise_keeps_its_stream(self, symmetry):
+        """With jitter on, the noise plane is drawn before each call from
+        the machine's generator: every tier records the same cycle
+        planes and leaves the generator in the same state."""
+        from repro.core.wse_md import WseMd
+        from repro.potentials.elements import make_element_potential
+        from tests.conftest import small_slab_state
+
+        runs = []
+        for backend in ("numpy", "native"):
+            kernels.set_backend(backend)
+            sim = WseMd(small_slab_state(reps=(6, 6, 2)),
+                        make_element_potential("Ta"), jitter_rel=0.01,
+                        seed=5, force_symmetry=symmetry, swap_interval=3)
+            sim.step(7)
+            runs.append((sim.trace.count_samples(), sim.rng.random()))
+        (cycles, cand, inter), draw = runs[0]
+        assert np.array_equal(runs[1][0][0], cycles) and cycles.std() > 0
+        assert np.array_equal(runs[1][0][1], cand)
+        assert np.array_equal(runs[1][0][2], inter)
+        assert runs[1][1] == draw
+
+
 def _wafer_engine(backend, **spec):
     from repro.runtime import RunSpec, build_engine
 
@@ -565,35 +733,34 @@ def _wafer_engine(backend, **spec):
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())
-def test_nan_force_raises_naming_the_step(backend, monkeypatch):
+def test_non_finite_leap_frog_raises_naming_the_step(backend):
     engine = _wafer_engine(backend)
     engine.step(3)
-    sim = engine.sim
-    honest = sim._force_sweep
-
-    def poisoned(record, f_der, **kw):
-        force, e_pair = honest(record, f_der, **kw)
-        x, y = np.argwhere(sim.occ)[0]
-        force[x, y, 2] = np.nan
-        return force, e_pair
-
-    monkeypatch.setattr(sim, "_force_sweep", poisoned)
-    with pytest.raises(FloatingPointError, match="after step 4"):
+    engine.sim.masses[:] = 0.0  # every acceleration is infinite
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="after step 4"):
         engine.step(1)
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())
-def test_list_valid_false_on_nan_and_on_an_occupancy_flip(backend):
+def test_the_list_test_fails_on_nan_and_on_an_occupancy_flip(backend):
     sim = _wafer_engine(backend).sim  # the spec's backend is now active
-    tier = kernels.active_backend()
-    held = sim.pos.copy(), sim.occ.copy()
-    assert tier.list_valid(sim.pos, sim.occ, *held, 0.0625)
+    sim.compute_forces()  # builds the list it holds
+    sim.compute_forces()
+    assert (sim.list_builds, sim.list_reuses) == (1, 1)
     x, y = np.argwhere(sim.occ)[0]
+    held = sim.pos[x, y, 0]
     sim.pos[x, y, 0] = np.nan
-    assert tier.list_valid(sim.pos, sim.occ, *held, 0.0625) is False
-    sim.pos[x, y, 0] = held[0][x, y, 0]
+    # a held list would still cover every other tile; only a failed
+    # test reaches the build that refuses the NaN
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        sim.compute_forces()
+    sim.pos[x, y, 0] = held
+    sim.compute_forces()
+    assert (sim.list_builds, sim.list_reuses) == (2, 1)
     sim.occ[x, y] = False
-    assert tier.list_valid(sim.pos, sim.occ, *held, 0.0625) is False
+    sim.compute_forces()
+    assert (sim.list_builds, sim.list_reuses) == (3, 1)
 
 
 @needs_native
@@ -617,9 +784,8 @@ def test_float32_wafer_declines_with_unchanged_digests():
         shas.append(hashlib.sha256(state.positions.tobytes()
                                    + state.velocities.tobytes()).hexdigest())
         if backend == "native":
-            # per step at least: the density sweep, the force sweep and
-            # the leap-frog (the list kernels on top)
-            assert native_backend.declined - before >= 12 * 3
+            # per step: the one wafer_step call
+            assert native_backend.declined - before == 12
     assert shas[0] == shas[1]
 
 

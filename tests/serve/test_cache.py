@@ -1,5 +1,6 @@
 """ResultCache: hits, resume depth, corruption tolerance, LRU cap."""
 
+import errno
 import json
 import os
 
@@ -157,6 +158,58 @@ class TestDurability:
         for path in published:
             st = path.stat()
             assert (st.st_dev, st.st_ino) in synced, path.name
+
+
+    def test_a_full_disk_in_put_leaves_no_stray_file(
+        self, tmp_path, monkeypatch
+    ):
+        """The trio renamed onto a key the index does not hold yet, and
+        the telemetry's tmp, go again when the telemetry cannot be
+        published; the index and the files of what it holds stay."""
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        _populate(cache)
+        spec = RunSpec.from_dict({**SPEC.to_dict(), "seed": 4})
+        runner = Runner.from_spec(spec, checkpoint_prefix=tmp_path / "run")
+        telemetry = runner.run(4)
+        runner.close()
+        before = sorted(p.name for p in root.iterdir())
+        index = (root / "index.json").read_text()
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError) as raised:
+            cache.put(spec.spec_hash(), 4, telemetry.as_dict(),
+                      src_prefix=tmp_path / "run")
+        monkeypatch.undo()
+        assert raised.value.errno == errno.ENOSPC
+        assert sorted(p.name for p in root.iterdir()) == before
+        assert (root / "index.json").read_text() == index
+        assert cache.lookup(spec.spec_hash(), 4) is None
+        assert cache.lookup(SPEC.spec_hash(), 4) is not None
+
+
+    def test_a_full_disk_in_a_re_put_keeps_the_indexed_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """A key the index already holds keeps its files: only the
+        telemetry's tmp goes."""
+        cache = ResultCache(tmp_path)
+        entry = _populate(cache)
+        telemetry = cache.telemetry(SPEC.spec_hash(), 4)
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError):
+            cache.put(SPEC.spec_hash(), 4, telemetry)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert cache.lookup(SPEC.spec_hash(), 4) == entry
 
 
 class TestLRU:

@@ -323,16 +323,17 @@ class TestSpecRuns:
     def test_nan_on_the_wafer_exit_code_1(self, tmp_path, capsys, monkeypatch):
         from repro.core.wse_md import WseMd
 
-        plain_integrate = WseMd._integrate
+        plain_evaluate = WseMd._evaluate
         calls = []
 
-        def poisoned_integrate(self, force):
-            calls.append(1)
-            if len(calls) == 3:
-                force[tuple(np.argwhere(self.occ)[2])] = float("nan")
-            plain_integrate(self, force)
+        def poisoned_evaluate(self, tr, *, advance=False, energy=False):
+            if advance:
+                calls.append(1)
+                if len(calls) == 3:
+                    self.vel[tuple(np.argwhere(self.occ)[2])] = float("nan")
+            return plain_evaluate(self, tr, advance=advance, energy=energy)
 
-        monkeypatch.setattr(WseMd, "_integrate", poisoned_integrate)
+        monkeypatch.setattr(WseMd, "_evaluate", poisoned_evaluate)
         path = self._write_spec(tmp_path, engine="wse", steps=8)
         assert main(["run", "--spec", str(path)]) == 1
         err = capsys.readouterr().err
