@@ -11,7 +11,7 @@ Composition (paper Sec. III):
 * :mod:`repro.core.exchange` — the functional neighborhood exchange as
   grid shifts (validated against the event-level fabric sim); the swap
   engine's shifts and the tests' oracle.  The lockstep machine's own
-  exchange is the ``wafer_list`` kernel.
+  exchange is the list build inside the ``wafer_step`` kernel.
 * :mod:`repro.core.worker` — the scalar per-tile worker program
   (the five-step timestep of Sec. III-A).
 * :mod:`repro.core.swap` — the greedy mutual atom-swap remapping

@@ -14,8 +14,9 @@ marching multicast is established by tests: the event simulator's
 per-tile delivered source sets equal these shifts' source sets.
 
 The lockstep machine does not call this module: its exchange is the
-``wafer_list`` registry kernel (:mod:`repro.kernels`), whose numpy body
-shifts through :func:`~repro.kernels.numpy_backend.shift_rects` too.
+list build inside the ``wafer_step`` registry kernel
+(:mod:`repro.kernels`), whose numpy body shifts through
+:func:`~repro.kernels.numpy_backend.shift_rects` too.
 Here the shifts serve :class:`~repro.core.swap.SwapEngine`
 (:func:`shift2d`) and the tests' exchange oracles.
 """

@@ -3,8 +3,8 @@
 Executes every tile's worker program simultaneously on per-tile grid
 arrays, following the five-step timestep of paper Sec. III-A:
 
-1. **Candidate exchange** — one ``wafer_list`` kernel call over all
-   (2b+1)^2 neighborhood offsets, the functional equivalent of the
+1. **Candidate exchange** — one list build over all (2b+1)^2
+   neighborhood offsets, the functional equivalent of the
    marching multicast.  The wafer repeats it every step because it is
    free there; the host keeps its result — an index-only Verlet list at
    ``cutoff + skin`` — and repeats the exchange only when an atom has

@@ -3,11 +3,11 @@
 The physics modules (:mod:`repro.potentials`, :mod:`repro.md`,
 :mod:`repro.core`) describe *what* is computed; the kernels layer owns
 *how* the inner loops run.  Each backend is a module exposing the same
-eight functions (:data:`KERNEL_FUNCTIONS`): four pair kernels for the
-reference engine, and for the lockstep wafer its list build, its two
-sweeps and ``wafer_step``, which runs a whole step -- list test, build,
-both sweeps with the embedding between them, leap-frog and cycle
-counter -- in one call on whichever tier is active:
+five functions (:data:`KERNEL_FUNCTIONS`): four pair kernels for the
+reference engine, and for the lockstep wafer ``wafer_step``, which runs
+a whole step -- list test, list build, both sweeps with the embedding
+between them, leap-frog and cycle counter -- in one call on whichever
+tier is active:
 
 ``numpy``
     The definition: fused vectorized NumPy kernels.  Always available,
@@ -58,9 +58,6 @@ KERNEL_FUNCTIONS = (
     "neighbor_prefilter",   # candidate distance filter -> (i, j, rij, r)
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
-    "wafer_list",           # wafer list build -> (starts, ctr, src)
-    "wafer_density",        # wafer density sweep over the list -> record
-    "wafer_force",          # wafer force sweep over the record
     "wafer_step",           # a whole wafer step, list test to cycles -> WaferStep
 )
 

@@ -1,8 +1,7 @@
-/* Native kernels: the registry's eight kernels as C99 loops -- the four
- * pair kernels of the reference engine, and the lockstep wafer's list
- * build, its two sweeps and its whole step (wafer_step: list test,
- * build, both sweeps with the embedding between them, leap-frog and
- * cycle counter, in one call).
+/* Native kernels: the registry's five kernels as C99 loops -- the four
+ * pair kernels of the reference engine, and the lockstep wafer's whole
+ * step (wafer_step: list test, list build, both sweeps with the
+ * embedding between them, leap-frog and cycle counter, in one call).
  *
  * Built by native_backend.py with
  *   cc -O2 -fno-fast-math -ffp-contract=off -pthread -shared -fPIC
@@ -28,10 +27,8 @@
  * arrive at their upper bound and the caller shrinks them, and scratch
  * comes from the caller.
  *
- * The four kernels that walk listed rows (wafer_list, wafer_density,
- * wafer_force, wafer_step) run on a team of threads in owner blocks
- * (see "owner blocks" below); every other function runs on the calling
- * thread.
+ * wafer_step runs on a team of threads in owner blocks (see "owner
+ * blocks" below); every other function runs on the calling thread.
  */
 #define _GNU_SOURCE  /* sched_getcpu, the sweep threads' CPU affinity */
 #include <math.h>
@@ -227,37 +224,34 @@ int64_t fused_force_pass(const int64_t *i, const int64_t *j,
 
 /* -- owner blocks -------------------------------------------------------
  *
- * The wafer's list kernels split the flat tile range [0, n_tiles) into
- * `blocks` contiguous owner blocks; a thread claims blocks one at a
- * time and makes only the additions whose target tile lies in the block
- * it holds -- the paper's one owner per atom.  Per offset, in exchange
+ * wafer_step splits the flat tile range [0, n_tiles) into `blocks`
+ * contiguous owner blocks; a team member claims blocks one at a time
+ * and makes only the additions whose target tile lies in the block it
+ * holds -- the paper's one owner per atom.  Per offset, in exchange
  * order, a block takes the centre shares of the rows whose ctr it owns,
  * then the partner shares of the rows whose src it owns, recomputing
  * with the same operations the share of a row whose centre another
  * block owns.  So every tile sees the same additions in the same order
- * for any block count and whichever thread holds it, and no two
- * threads ever write the same word: nothing is exchanged and nothing
- * waits inside a sweep.  Blocks are claimed, not dealt: a CPU that runs
- * slower (a busy host) simply claims fewer.
+ * for any block count and whichever member holds it, and no two members
+ * ever write the same word.  Blocks are claimed, not dealt: a CPU that
+ * runs slower (a busy host) simply claims fewer.
  *
- * A call starts its team first and each member checks a share of the
- * input (indices in range, rows in order); at a barrier every member
- * waits for every verdict, so nothing is written unless all passed, and
- * a thread's start-up overlaps the checks.  A block's rows in one offset
- * are found by binary search, which needs ctr and src ascending within
- * each offset, as the list build leaves them; a list that is not runs
- * as one block.  Each (offset, block) segment writes its rows compacted
- * from the first row it could own (one block: from where the last one
- * ended); a list, or a record a caller keeps, then has its segments
- * moved left, in order (close_gaps).  The caller's thread is member 0,
- * and every thread is joined before the call returns: none outlives it,
- * so a fork between calls is safe.  `threads` arrives as the number
- * asked for and leaves as the number that swept.
+ * A block's rows in one offset are found by binary search, which needs
+ * ctr and src ascending within each offset, as the list build leaves
+ * them; a list that is not runs as one block.  Each (offset, block)
+ * segment writes its rows compacted from the first row it could own
+ * (one block: from where the last one ended).  The caller's thread is
+ * member 0, and every thread is joined before the call returns: none
+ * outlives it, so a fork between calls is safe.
  */
 #define MAX_THREADS 64
 #define MAX_BLOCKS (4 * MAX_THREADS)
 
-enum { BAD_INDEX = 1, OUT_OF_ORDER = 2, STALE = 4, NOT_FINITE = 8 };
+/* What a member's checks found; NO_ROOM: the caller's scratch is too
+ * small for the list (the call declines). */
+enum {
+    BAD_INDEX = 1, OUT_OF_ORDER = 2, STALE = 4, NOT_FINITE = 8, NO_ROOM = 16,
+};
 
 /* A team: the calling thread (member 0) and up to threads - 1 more run
  * body(team, k) once each.  Members meet at barriers and claim owner
@@ -350,48 +344,9 @@ static int64_t run_team(team_t *t)
     return t->threads;
 }
 
-/* One sweep kernel call.  check(args, k, threads) returns -1 when
- * member k's share of the input holds an index out of range, 0 when it
- * holds rows out of order, else 1; work(args, k, b) sweeps block b with
- * member k's scratch. */
-typedef struct {
-    int (*check)(const void *args, int64_t k, int64_t threads);
-    void (*work)(const void *args, int64_t k, int64_t block);
-    const void *args;
-    int64_t *blocks;  /* the args' block count: 1 when rows are out of order */
-} block_run;
-
 static int check_flags(int verdict)
 {
     return verdict < 0 ? BAD_INDEX : verdict == 0 ? OUT_OF_ORDER : 0;
-}
-
-/* Each member checks its share, and at the barrier learns every
- * verdict: nothing is written unless all passed, and a thread's start-up
- * overlaps the checks.  Rows out of order run as one block, on member 0. */
-static void blocks_body(team_t *t, int64_t k)
-{
-    const block_run *r = t->args;
-    atomic_fetch_or(&t->flags, check_flags(r->check(r->args, k, t->threads)));
-    barrier(t);
-    int flags = atomic_load(&t->flags);
-    if (flags & BAD_INDEX) return;
-    if (flags & OUT_OF_ORDER) {
-        if (k != 0) return;
-        *r->blocks = 1;
-    }
-    for (int64_t b; (b = claim(t, 0)) < *r->blocks;)
-        r->work(r->args, k, b);
-}
-
-/* Runs r on `threads` threads.  Returns -1 (nothing written) on a bad
- * index, else the threads that swept. */
-static int64_t run_blocks(block_run *r, int64_t threads)
-{
-    team_t t = {.body = blocks_body, .args = r, .threads = threads};
-    int64_t members = run_team(&t);
-    int flags = atomic_load(&t.flags);
-    return flags & BAD_INDEX ? -1 : flags & OUT_OF_ORDER ? 1 : members;
 }
 
 static int64_t clamp_threads(int64_t threads)
@@ -406,15 +361,15 @@ static inline int64_t edge(int64_t n, int64_t k, int64_t parts)
 }
 
 /* Rows [r0, r1) of a list whose offset o holds rows starts[o] to
- * starts[o + 1] (int32 s32 or int64 s64): -1 when a ctr or src lies
- * outside [0, n_tiles), else whether both ascend within each offset. */
-static int check_rows(const int32_t *s32, const int64_t *s64, int64_t n_off,
+ * starts[o + 1]: -1 when a ctr or src lies outside [0, n_tiles), else
+ * whether both ascend within each offset. */
+static int check_rows(const int32_t *starts, int64_t n_off,
                       const int32_t *ctr, const int32_t *src, int64_t n_tiles,
                       int64_t r0, int64_t r1)
 {
     int ascending = 1;
     for (int64_t o = 0; o < n_off; o++) {
-        int64_t s0 = s32 ? s32[o] : s64[o], s1 = s32 ? s32[o + 1] : s64[o + 1];
+        int64_t s0 = starts[o], s1 = starts[o + 1];
         for (int64_t q = s0 > r0 ? s0 : r0; q < s1 && q < r1; q++) {
             if (bad(ctr[q], n_tiles) || bad(src[q], n_tiles)) return -1;
             if (q > s0 && (ctr[q] <= ctr[q - 1] || src[q] <= src[q - 1]))
@@ -422,12 +377,6 @@ static int check_rows(const int32_t *s32, const int64_t *s64, int64_t n_off,
         }
     }
     return ascending;
-}
-
-static int nothing_to_check(const void *args, int64_t k, int64_t threads)
-{
-    (void)args, (void)k, (void)threads;
-    return 1;
 }
 
 /* First row of [lo, hi) whose key is >= v, keys ascending. */
@@ -466,17 +415,14 @@ typedef struct {
     const int64_t *seg;
     int64_t n_segs;
     const column_t *cols;
-    int64_t n_cols;
 } gaps_args;
 
-/* Column c of the fix-up: every segment moves left, in order, over the
- * gaps before it. */
-static void close_column(const void *args, int64_t k, int64_t c)
+/* Column c of a built list: every segment moves left, in order, over
+ * the gaps before it. */
+static void close_column(const gaps_args *G, int64_t c)
 {
-    const gaps_args *G = args;
     char *base = G->cols[c].base;
     int64_t size = G->cols[c].size, w = 0;
-    (void)k;
     for (int64_t s = 0; s < G->n_segs; w += G->seg[2 * s + 1], s++)
         if (G->seg[2 * s] != w)
             memmove(base + w * size, base + G->seg[2 * s] * size,
@@ -485,42 +431,19 @@ static void close_column(const void *args, int64_t k, int64_t c)
 
 /* Segment s = o * blocks + b holds seg[2s + 1] rows from row seg[2s].
  * Offset o's first row once the segments are closed goes to starts[o]
- * (int64 when starts64, else int32); *gaps tells whether any segment
- * must move.  Returns the rows kept. */
+ * (when starts is not NULL); *gaps tells whether any segment must move.
+ * Returns the rows kept. */
 static int64_t segment_starts(const int64_t *seg, int64_t n_off,
-                              int64_t blocks, int64_t *starts64,
-                              int32_t *starts32, int *gaps)
+                              int64_t blocks, int32_t *starts, int *gaps)
 {
     int64_t w = 0;
     *gaps = 0;
     for (int64_t o = 0; o <= n_off; o++) {
-        if (starts64)
-            starts64[o] = w;
-        else if (starts32)
-            starts32[o] = (int32_t)w;
+        if (starts) starts[o] = (int32_t)w;
         for (int64_t s = o * blocks; o < n_off && s < (o + 1) * blocks; s++) {
             *gaps |= seg[2 * s] != w;
             w += seg[2 * s + 1];
         }
-    }
-    return w;
-}
-
-/* The fix-up after the join: unless the segments already touch they
- * close their gaps on `threads` threads, a column at a time (columns
- * are separate arrays; the largest comes first).  Returns the rows
- * kept. */
-static int64_t close_gaps(const int64_t *seg, int64_t n_off, int64_t blocks,
-                          const column_t *cols, int64_t n_cols,
-                          int64_t *starts64, int32_t *starts32,
-                          int64_t threads)
-{
-    int gaps;
-    int64_t w = segment_starts(seg, n_off, blocks, starts64, starts32, &gaps);
-    if (gaps) {
-        gaps_args G = {seg, n_off * blocks, cols, n_cols};
-        block_run run = {nothing_to_check, close_column, &G, &G.n_cols};
-        run_blocks(&run, threads);
     }
     return w;
 }
@@ -551,16 +474,17 @@ static int64_t rect_before(int64_t x0, int64_t x1, int64_t y0, int64_t y1,
     return n;
 }
 
-/* Block b of wafer_list: the tiles of each offset's overlap rectangle
- * that it owns, written from the block's first possible output row (the
- * outputs are allocated at the sum of the rectangles). */
-static void list_block(const void *args, int64_t k, int64_t b)
+/* Block b of the list build (numpy_backend._wafer_list), one pair at a
+ * time: per offset (dx, dy), every occupied tile the block owns whose
+ * neighbour exists on the nx x ny fabric counts a candidate, and a pair
+ * of occupied tiles under reach2 is listed, offset-major and
+ * tile-minor -- written from the block's first possible output row (the
+ * outputs are allocated at the sum of the offsets' rectangles). */
+static void list_block(const list_args *A, int64_t b)
 {
-    const list_args *A = args;
     int64_t nx = A->nx, ny = A->ny, base = 0, next = 0;
     int64_t lo = edge(nx * ny, b, A->blocks);
     int64_t hi = edge(nx * ny, b + 1, A->blocks);
-    (void)k;
     for (int64_t o = 0; o < A->n_off; o++) {
         int64_t dx = A->offsets[2 * o], dy = A->offsets[2 * o + 1];
         int64_t x0 = dx < 0 ? -dx : 0, x1 = nx - (dx > 0 ? dx : 0);
@@ -592,27 +516,6 @@ static void list_block(const void *args, int64_t k, int64_t b)
     }
 }
 
-/* The wafer's list build (numpy_backend.wafer_list), one pair at a
- * time: per offset (dx, dy), every occupied tile whose neighbour exists
- * on the nx x ny fabric counts a candidate, and a pair of occupied
- * tiles under reach2 is listed, offset-major and tile-minor.  o_starts
- * gets the n_off + 1 bounds; seg is 2 * n_off * blocks scratch.  Returns
- * the number listed. */
-int64_t wafer_list(const double *pos, const uint8_t *occ, int64_t nx,
-                   int64_t ny, const int64_t *offsets, int64_t n_off,
-                   const double *lengths, const uint8_t *periodic,
-                   double reach2, int32_t *n_cand, int32_t *o_starts,
-                   int32_t *o_ctr, int32_t *o_src, int64_t *seg,
-                   int64_t blocks, int64_t *threads)
-{
-    list_args A = {pos, occ, nx, ny, offsets, n_off, lengths, periodic,
-                   reach2, n_cand, o_ctr, o_src, blocks, seg};
-    block_run run = {nothing_to_check, list_block, &A, &A.blocks};
-    *threads = run_blocks(&run, clamp_threads(*threads));
-    column_t cols[] = {{(char *)o_ctr, 4}, {(char *)o_src, 4}};
-    return close_gaps(seg, n_off, A.blocks, cols, 2, NULL, o_starts, *threads);
-}
-
 typedef struct {
     const double *pos;
     int64_t n_tiles;
@@ -635,18 +538,6 @@ typedef struct {
     int64_t stride, blocks, *seg;
 } density_args;
 
-/* Thread k's share of wafer_density's input: rows, and tiles' types. */
-static int density_check(const void *args, int64_t k, int64_t threads)
-{
-    const density_args *A = args;
-    int64_t n = A->starts[A->n_off];
-    int64_t t0 = edge(A->n_tiles, k, threads);
-    int64_t t1 = edge(A->n_tiles, k + 1, threads);
-    if (A->typ && bad_any(A->typ + t0, t1 - t0, A->rho->n_members)) return -1;
-    return check_rows(A->starts, NULL, A->n_off, A->ctr, A->src, A->n_tiles,
-                      edge(n, k, threads), edge(n, k + 1, threads));
-}
-
 /* Listed row q's partner share as the block owning its centre computes
  * it (0 when the exact cut drops the row). */
 static int partner_share(const density_args *A, int64_t q, double *share)
@@ -659,11 +550,14 @@ static int partner_share(const density_args *A, int64_t q, double *share)
     return 1;
 }
 
-/* Block bl of wafer_density on thread k, whose stride-long share
- * scratch holds one offset's partner values. */
-static void density_block(const void *args, int64_t k, int64_t bl)
+/* Density block bl (numpy_backend._wafer_density) on member k, whose
+ * stride-long share scratch holds the partner values of the block's
+ * rows in one offset.  The survivors of the rows starts[i]:starts[i+1]
+ * of offset i are written to the o_* record columns, one segment per
+ * (offset, block) from the segment's first listed row; typ == NULL
+ * means one table. */
+static void density_block(const density_args *A, int64_t k, int64_t bl)
 {
-    const density_args *A = args;
     int64_t nt = A->rho->n_members, next = 0;
     int64_t lo = edge(A->n_tiles, bl, A->blocks);
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
@@ -714,42 +608,7 @@ static void density_block(const void *args, int64_t k, int64_t bl)
     }
 }
 
-/* The wafer's density sweep over its n listed pairs
- * (numpy_backend.wafer_density), in one walk.  Rows starts[i]:starts[i+1]
- * belong to the i-th offset.  Survivors are written, compacted,
- * to the o_* record arrays (allocated for all n rows); o_starts gets
- * their per-offset bounds.  typ == NULL means one table.  share is
- * threads x stride scratch (stride: the most rows in one offset), seg
- * 2 * n_off * blocks.  Returns the survivor count. */
-int64_t wafer_density(const double *pos, int64_t n_tiles,
-                      const int32_t *starts, int64_t n_off,
-                      const int32_t *ctr, const int32_t *src,
-                      const double *lengths, const uint8_t *periodic,
-                      double cutoff2, const int64_t *typ, const bank_t *rho,
-                      const int64_t *phi_index, int64_t symmetry,
-                      double *rho_flat, int64_t *int_flat, int64_t *o_starts,
-                      int32_t *o_ctr, int32_t *o_src, double *o_r,
-                      double *o_unit, double *o_d_src, double *o_d_ctr,
-                      int64_t *o_member, double *share, int64_t stride,
-                      int64_t *seg, int64_t blocks, int64_t *threads)
-{
-    density_args A = {pos, n_tiles, starts, n_off, ctr, src, lengths,
-                      periodic, cutoff2, typ, rho, phi_index, symmetry,
-                      rho_flat, int_flat, o_ctr, o_src, o_r, o_unit, o_d_src,
-                      o_d_ctr, o_member, share, stride, blocks, seg};
-    block_run run = {density_check, density_block, &A, &A.blocks};
-    if ((*threads = run_blocks(&run, clamp_threads(*threads))) < 0) return -1;
-    column_t cols[] = {  /* one table: the first five */
-        {(char *)o_unit, 24}, {(char *)o_r, 8}, {(char *)o_d_src, 8},
-        {(char *)o_ctr, 4}, {(char *)o_src, 4}, {(char *)o_d_ctr, 8},
-        {(char *)o_member, 8},
-    };
-    return close_gaps(seg, n_off, A.blocks, cols, typ ? 7 : 5, o_starts, NULL,
-                      *threads);
-}
-
 typedef struct {
-    const int64_t *starts;  /* NULL: the record is in (offset, block) segments */
     int64_t n_off;
     const int32_t *ctr, *src;
     const double *r, *unit, *d_src, *d_ctr;
@@ -760,22 +619,9 @@ typedef struct {
     int64_t n_tiles, symmetry;
     double *force, *e_flat, *e_both, *fvec;
     int64_t stride, blocks;
-    const int64_t *seg;  /* the segments, when starts is NULL */
+    const int64_t *seg;  /* the record's (offset, block) segments */
     int64_t reach;  /* ... of which a block reads those within reach */
 } force_args;
-
-/* Thread k's share of wafer_force's input: rows and their tables. */
-static int force_check(const void *args, int64_t k, int64_t threads)
-{
-    const force_args *A = args;
-    int64_t n = A->starts[A->n_off];
-    int64_t r0 = edge(n, k, threads), r1 = edge(n, k + 1, threads);
-    if (A->member ? bad_any(A->member + r0, r1 - r0, A->phi->n_members)
-                  : bad(A->g0, A->phi->n_members))
-        return -1;
-    return check_rows(NULL, A->starts, A->n_off, A->ctr, A->src, A->n_tiles,
-                      r0, r1);
-}
 
 /* Record row q's phi value and Eq. 4 force vector f. */
 static void pair_term(const force_args *A, int64_t q, double *phi_v,
@@ -790,39 +636,35 @@ static void pair_term(const force_args *A, int64_t q, double *phi_v,
 }
 
 /* The record rows of offset o whose `key` tile lies in [lo, hi), as up
- * to `blocks` ranges part[2i]..part[2i + 1]; returns how many.  A
- * compacted record has one run per offset; a segmented one a run per
- * (offset, block), each ascending, and only the blocks within reach of
- * [lo, hi) can hold such a row. */
+ * to `blocks` ranges part[2i]..part[2i + 1]; returns how many.  Each
+ * (offset, block) segment is ascending, and only the blocks within
+ * reach of [lo, hi) can hold such a row. */
 static int64_t record_rows(const force_args *A, const int32_t *key, int64_t o,
                            int64_t lo, int64_t hi, int64_t *part)
 {
-    int64_t runs = A->starts ? 1 : A->blocks, n = 0;
-    for (int64_t i = 0; i < runs; i++) {
-        int64_t s0, s1;
-        if (!A->starts && (edge(A->n_tiles, i + 1, runs) <= lo - A->reach
-                           || edge(A->n_tiles, i, runs) >= hi + A->reach))
+    int64_t n = 0;
+    for (int64_t i = 0; i < A->blocks; i++) {
+        const int64_t *s = A->seg + 2 * (o * A->blocks + i);
+        if (s[1] == 0 || edge(A->n_tiles, i + 1, A->blocks) <= lo - A->reach
+            || edge(A->n_tiles, i, A->blocks) >= hi + A->reach)
             continue;
-        if (A->starts) {
-            s0 = A->starts[o];
-            s1 = A->starts[o + 1];
-        } else {
-            s0 = A->seg[2 * (o * A->blocks + i)];
-            s1 = s0 + A->seg[2 * (o * A->blocks + i) + 1];
-        }
-        if (s0 == s1) continue;
-        block_rows(key, s0, s1, lo, hi, A->blocks, part + 2 * n,
+        block_rows(key, s[0], s[0] + s[1], lo, hi, A->blocks, part + 2 * n,
                    part + 2 * n + 1);
         n += part[2 * n] < part[2 * n + 1];
     }
     return n;
 }
 
-/* Block bl of wafer_force on thread k, whose (stride, 3) fvec scratch
- * holds one offset's force vectors. */
-static void force_block(const void *args, int64_t k, int64_t bl)
+/* Force block bl (numpy_backend._wafer_force) on member k, whose
+ * (stride, 3) fvec scratch holds the force vectors of the block's
+ * centres in one offset.  d_ctr == d_src and member == NULL (every row
+ * through table g0) for one table.  e_flat == NULL skips the pair
+ * energy; with symmetry e_both is a zeroed n_tiles plane on which an
+ * offset's centre and partner halves meet before they join e_flat (one
+ * rounding per tile per offset, the whole plane added as numpy adds
+ * it). */
+static void force_block(const force_args *A, int64_t k, int64_t bl)
 {
-    const force_args *A = args;
     int64_t lo = edge(A->n_tiles, bl, A->blocks);
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
     double *fvec = A->fvec + 3 * k * A->stride;
@@ -871,30 +713,6 @@ static void force_block(const void *args, int64_t k, int64_t bl)
     }
 }
 
-/* The wafer's force sweep over one survivor record
- * (numpy_backend.wafer_force).  d_ctr == d_src and member == NULL
- * (every row through table g0) for one table.  e_flat == NULL skips
- * the pair energy; with symmetry e_both is a zeroed n_tiles plane on
- * which an offset's centre and partner halves meet before they join
- * e_flat (one rounding per tile per offset, the whole plane added as
- * numpy adds it).  fvec is (threads, stride, 3) scratch. */
-int64_t wafer_force(const int64_t *starts, int64_t n_off, const int32_t *ctr,
-                    const int32_t *src, const double *r, const double *unit,
-                    const double *d_src, const double *d_ctr,
-                    const int64_t *member, int64_t g0, const bank_t *phi,
-                    const double *f_der, int64_t n_tiles, int64_t symmetry,
-                    double *force, double *e_flat, double *e_both,
-                    double *fvec, int64_t stride, int64_t blocks,
-                    int64_t *threads)
-{
-    force_args A = {starts, n_off, ctr, src, r, unit, d_src, d_ctr, member,
-                    g0, phi, f_der, n_tiles, symmetry, force, e_flat, e_both,
-                    fvec, stride, blocks, NULL, 0};
-    block_run run = {force_check, force_block, &A, &A.blocks};
-    if ((*threads = run_blocks(&run, clamp_threads(*threads))) < 0) return -1;
-    return starts[n_off];
-}
-
 /* -- the whole step ---------------------------------------------------
  *
  * wafer_step runs one lockstep step (numpy_backend.wafer_step) on one
@@ -917,13 +735,12 @@ int64_t wafer_force(const int64_t *starts, int64_t n_off, const int32_t *ctr,
  *     its tiles (await_density).
  *
  * The survivor record lives only inside the call, in memory the caller
- * keeps for it (a build whose list needs more rows than it holds stops
- * after the build and says so), and the force phase walks it in the
- * (offset, block) segments density wrote, so it is never compacted.
- * Every per-tile sum sees the additions of
- * the separate kernels in their order, so the step is bitwise theirs
- * for any team size; the arithmetic of the leap-frog and the cycle
- * counter is that of their numpy bodies.
+ * keeps for it at a row per listed row, and the force phase walks it in
+ * the (offset, block) segments density wrote, so it is never compacted.
+ * Every per-tile sum sees the additions of the numpy body's list build
+ * and sweeps in their order, so the step is bitwise that body for any
+ * team size; the arithmetic of the leap-frog and the cycle counter is
+ * that of its numpy helpers.
  */
 
 static int64_t now_ns(void)
@@ -970,11 +787,12 @@ typedef struct {
     double *f_val, *force, *e_flat, *cycles;
     int64_t *int_flat;
     int32_t *o_cand, *o_inter;
-    /* the caller's scratch: the record's columns hold `cap` rows */
+    /* the caller's scratch: the record's columns hold `cap` rows, a
+     * member's partner values and force vectors `stride` rows */
     void *const *scratch;
-    int64_t cap;
+    int64_t cap, stride;
     /* set by member 0 between barriers */
-    int64_t blocks, rows, built, grow;
+    int64_t blocks, rows, built;
     const int32_t *cand;
     double *f_der;
     density_args D;
@@ -1007,7 +825,7 @@ static int step_check(const step_args *S, int64_t k, int64_t threads)
     if (S->h_ctr && !S->trusted) {
         int64_t r0 = edge(S->h_rows, k, threads);
         int64_t r1 = edge(S->h_rows, k + 1, threads);
-        flags |= check_flags(check_rows(S->h_starts, NULL, S->n_off, S->h_ctr,
+        flags |= check_flags(check_rows(S->h_starts, S->n_off, S->h_ctr,
                                         S->h_src, S->n_tiles, r0, r1));
         /* the force phase finds a tile's partner rows within reach of
          * it: a row must pair the tiles its offset pairs */
@@ -1025,7 +843,7 @@ static int step_check(const step_args *S, int64_t k, int64_t threads)
 
 /* The scratch a caller passes, by position: the record's columns (cap
  * rows; d_ctr and member unused with one table per family), per-member
- * rows of partner values and force vectors (threads x n_tiles), the
+ * rows of partner values and force vectors (threads x stride), the
  * segment tables of the list and the record (2 x n_off x blocks), and
  * tile planes (e_both unused without the energy under symmetry). */
 enum {
@@ -1036,16 +854,20 @@ enum {
 
 /* Member 0: the sweeps over the list (starts, ctr, src) of `rows` rows
  * in `blocks` owner blocks, in the record and scratch the caller
- * passed. */
-static void step_sweeps(step_args *S, const int32_t *starts,
-                        const int32_t *ctr, const int32_t *src, int64_t rows,
-                        int64_t blocks)
+ * passed.  A block's rows in one offset are at most its tiles (its
+ * centres ascend), one block's at most the offset's rows.  Returns
+ * NO_ROOM when the scratch cannot hold them, else 0. */
+static int step_sweeps(step_args *S, const int32_t *starts,
+                       const int32_t *ctr, const int32_t *src, int64_t rows,
+                       int64_t blocks)
 {
-    int64_t stride = 0, n = S->n_tiles;
+    int64_t n = S->n_tiles, stride = S->stride;
+    int64_t need = blocks == 1 ? 0 : (n + blocks - 1) / blocks;
     void *const *m = S->scratch;
-    for (int64_t o = 0; o < S->n_off; o++)
-        if (starts[o + 1] - starts[o] > stride)
-            stride = starts[o + 1] - starts[o];
+    for (int64_t o = 0; blocks == 1 && o < S->n_off; o++)
+        if (starts[o + 1] - starts[o] > need)
+            need = starts[o + 1] - starts[o];
+    if (rows > S->cap || need > stride) return NO_ROOM;
     int32_t *o_ctr = m[SCR_CTR], *o_src = m[SCR_SRC];
     double *o_r = m[SCR_R], *o_unit = m[SCR_UNIT], *d_src = m[SCR_D_SRC];
     double *d_ctr = S->typed ? m[SCR_D_CTR] : d_src;
@@ -1063,9 +885,10 @@ static void step_sweeps(step_args *S, const int32_t *starts,
         S->symmetry, rho_flat, S->int_flat, o_ctr, o_src, o_r, o_unit, d_src,
         d_ctr, member, share, stride, blocks, seg};
     S->F = (force_args){
-        NULL, S->n_off, o_ctr, o_src, o_r, o_unit, d_src, d_ctr, member, 0,
+        S->n_off, o_ctr, o_src, o_r, o_unit, d_src, d_ctr, member, 0,
         S->phi, f_der, n, S->symmetry, S->force, S->e_flat, e_both, fvec,
         stride, blocks, seg, S->reach};
+    return 0;
 }
 
 /* Build block b: its tiles' candidate counts start at 0, and the planes
@@ -1079,7 +902,7 @@ static void step_list_block(step_args *S, int64_t b)
         memcpy(S->keep_pos + 3 * lo, S->pos + 3 * lo, 24 * (size_t)(hi - lo));
         memcpy(S->keep_occ + lo, S->occ + lo, (size_t)(hi - lo));
     }
-    list_block(&S->L, 0, b);
+    list_block(&S->L, b);
 }
 
 /* Density block b on member k, then its tiles' F and F' (through the
@@ -1173,28 +996,26 @@ static void step_body(team_t *t, int64_t k)
             step_list_block(S, b);
         barrier(t);
         int gaps;
-        int64_t rows = segment_starts(S->L.seg, S->n_off, S->L.blocks, NULL,
+        int64_t rows = segment_starts(S->L.seg, S->n_off, S->L.blocks,
                                       k == 0 ? S->starts : NULL, &gaps);
         column_t cols[] = {{(char *)S->L.o_ctr, 4}, {(char *)S->L.o_src, 4}};
-        gaps_args G = {S->L.seg, S->n_off * S->L.blocks, cols, 2};
+        gaps_args G = {S->L.seg, S->n_off * S->L.blocks, cols};
         for (int64_t c; gaps && (c = claim(t, 1)) < 2;)
-            close_column(&G, k, c);
+            close_column(&G, c);
         if (k == 0) {
             S->built = 1;
             S->cand = S->L.n_cand;
             S->rows = rows;
-            if (rows > S->cap)
-                S->grow = 1;
-            else
-                step_sweeps(S, S->starts, S->L.o_ctr, S->L.o_src, rows,
-                            S->L.blocks);
+            atomic_fetch_or(&t->flags, step_sweeps(
+                S, S->starts, S->L.o_ctr, S->L.o_src, rows, S->L.blocks));
         }
     } else if (k == 0) {
-        step_sweeps(S, S->h_starts, S->h_ctr, S->h_src, S->h_rows,
-                    flags & OUT_OF_ORDER ? 1 : S->L.blocks);
+        atomic_fetch_or(&t->flags, step_sweeps(
+            S, S->h_starts, S->h_ctr, S->h_src, S->h_rows,
+            flags & OUT_OF_ORDER ? 1 : S->L.blocks));
     }
     barrier(t);
-    if (S->grow) return;
+    if (atomic_load(&t->flags) & NO_ROOM) return;
     if (k == 0) S->t_listed = now_ns();
     for (int64_t b; (b = claim(t, 2)) < S->blocks;) {
         step_density_block(S, k, b);
@@ -1219,15 +1040,16 @@ static void step_body(team_t *t, int64_t k)
  * NULL (exchange, candidate, interaction and fixed cycles) the counter,
  * f_val / e_flat == NULL the energy.  cand_in is the held list's
  * candidate counts, scratch the addresses of the buffers the SCR_*
- * names list, whose record columns hold `cap` rows.  out gets: 1 when
+ * names list, whose record columns hold `cap` rows and whose partner
+ * values and force vectors `stride` rows per member.  out gets: 1 when
  * the step ran, 0 when the list needed a build and a position was not
- * finite (nothing else ran), 2 when the list built needs a record of
- * more than cap rows (nothing after the build ran); then built, listed
- * rows, survivors, non-finite coordinates written, team size, and the
- * nanoseconds of the neighbor, exchange, density, embedding,
- * pair_force, integrate and cycle_account phases.  Returns 0, or -1 to
- * decline (a type or held row out of range, or a held row pairing tiles
- * its offset does not; nothing written). */
+ * finite (nothing else ran); then built, listed rows, survivors,
+ * non-finite coordinates written, team size, and the nanoseconds of the
+ * neighbor, exchange, density, embedding, pair_force, integrate and
+ * cycle_account phases.  Returns 0, or -1 to decline: more than
+ * MAX_BLOCKS blocks, a type or held row out of range, a held row
+ * pairing tiles its offset does not, or a list the scratch cannot hold
+ * (nothing of the caller's written). */
 int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
                    const int64_t *typ, int64_t nx, int64_t ny,
                    const int64_t *offsets, int64_t n_off,
@@ -1245,10 +1067,11 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
                    const double *noise, double jitter, double *f_val,
                    double *force, double *e_flat, int64_t *int_flat,
                    double *cycles, int32_t *o_cand, int32_t *o_inter,
-                   void *const *scratch, int64_t cap, int64_t blocks,
-                   int64_t threads, int64_t *out)
+                   void *const *scratch, int64_t cap, int64_t stride,
+                   int64_t blocks, int64_t threads, int64_t *out)
 {
     int64_t t_start = now_ns(), n = nx * ny;
+    if (blocks < 1 || blocks > MAX_BLOCKS) return -1;
     step_args S = {
         .pos = pos, .vel = vel, .occ = occ, .typ = typ, .n_tiles = n,
         .n_off = n_off, .h_starts = h_starts, .h_ctr = h_ctr, .h_src = h_src,
@@ -1264,7 +1087,7 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
         .noise = noise, .jitter = jitter, .f_val = f_val, .force = force,
         .e_flat = e_flat, .cycles = cycles, .int_flat = int_flat,
         .o_cand = o_cand, .o_inter = o_inter, .scratch = scratch, .cap = cap,
-        .cand = cand_in,
+        .stride = stride, .cand = cand_in,
     };
     for (int64_t o = 0; o < n_off; o++) {
         int64_t shift = llabs(offsets[2 * o] * ny + offsets[2 * o + 1]);
@@ -1275,7 +1098,7 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
     int64_t members = run_team(&t);
     int64_t t_end = now_ns();
     int flags = atomic_load(&t.flags), ran = S.t_summed != 0;
-    if (flags & BAD_INDEX) return -1;
+    if (flags & (BAD_INDEX | NO_ROOM)) return -1;
     int64_t kept = 0, busy[3] = {0, 0, 0};
     for (int64_t s = 0; ran && s < n_off * S.blocks; s++)
         kept += S.D.seg[2 * s + 1];
@@ -1284,7 +1107,7 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
     int64_t held = h_ctr != NULL, built = S.built;
     int64_t tested = S.t_tested - t_start, listed = S.t_listed - S.t_tested;
     int64_t result[] = {
-        ran ? 1 : S.grow ? 2 : 0, built, S.rows, kept,
+        ran, built, S.rows, kept,
         atomic_load(&S.non_finite),
         flags & OUT_OF_ORDER && !built ? 1 : members,
         held ? tested : 0,
@@ -1294,10 +1117,8 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
         t_end - S.t_summed - busy[LEAPFROG_NS] - busy[COUNTER_NS],
         busy[LEAPFROG_NS], busy[COUNTER_NS],
     };
-    if (!ran) {  /* a refused or growing call times its test and build */
-        result[7] = built ? t_end - S.t_tested + (held ? 0 : tested) : 0;
-        for (int i = 8; i < 13; i++) result[i] = 0;
-    }
+    for (int i = 8; !ran && i < 13; i++)  /* a refused call ran no sweep */
+        result[i] = 0;
     memcpy(out, result, sizeof result);
     return 0;
 }

@@ -7,11 +7,11 @@ PAPERS.md) — with outputs **bitwise** those of the numpy body of the
 same name (``native.c``'s header lists the four places that is easy to
 lose).  A lockstep wafer step is one native call, ``wafer_step``, from
 the list test to the cycle counter; between two calls Python only runs
-the swap rounds, the thermostat and the trace's moments.  The step, the
-list build and both sweeps run on one thread per usable CPU, each
-thread adding only into the tiles of the owner block it holds, so the
-bits do not depend on the thread count (``native.c``, "owner blocks");
-the count is derived (:func:`_sweep_threads`), never configured.
+the swap rounds, the thermostat and the trace's moments.  The step runs
+on one thread per usable CPU, each thread adding only into the tiles of
+the owner block it holds, so the bits do not depend on the thread count
+(``native.c``, "owner blocks"); the count is derived
+(:func:`_sweep_threads`), never configured.
 The numpy tier stays the definition; this one may only be faster.
 
 :func:`load`, called by the registry the first time the tier is asked
@@ -40,6 +40,7 @@ import hashlib
 import math
 import mmap
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -70,13 +71,16 @@ ROWS_PER_THREAD = 32_768
 #: Owner blocks per sweep thread: claimed, not dealt, so a CPU the host
 #: runs slower claims fewer (DESIGN.md §5b).
 BLOCKS_PER_THREAD = 4
+#: native.c's MAX_THREADS: the most members a team has (the owner
+#: blocks, at most BLOCKS_PER_THREAD per member, are as bounded there).
+MAX_THREADS = 64
 
 #: Seconds :func:`load` spent in the compiler (0.0 on a warm cache).
 compile_s = 0.0
 #: Calls declined to the numpy bodies since import.
 declined = 0
-#: Threads the last ``wafer_list``, ``wafer_density`` or ``wafer_force``
-#: call swept on; 1 after a call that declined.
+#: Threads the last ``wafer_step`` call ran on; 1 after a call that
+#: declined.
 threads = 1
 
 _lib = None
@@ -84,6 +88,15 @@ _F8, _I8, _I4 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int32)
 #: The lists ``wafer_step`` built, by the id of their centre rows, and
 #: left read-only: held again, such a list needs no check of its rows.
 _built: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: Private anonymous pages that reserve no swap: a column mapped at its
+#: bound costs the pages written, and a fork shares none of them.
+#: (An older mmap module does not name MAP_NORESERVE; 0x4000 is its
+#: Linux value on x86-64 and arm64.)
+_MAP_FLAGS = mmap.MAP_PRIVATE | getattr(
+    mmap, "MAP_NORESERVE",
+    0x4000 if sys.platform == "linux"
+    and platform.machine() in ("x86_64", "aarch64") else 0,
+)
 
 
 # -- build, cache, load ------------------------------------------------------
@@ -212,10 +225,7 @@ _SIGNATURES = {
     "neighbor_prefilter": "PiPPiPPdiiPPPP",
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
-    "wafer_list": "PPiiPiPPdPPPPPiP",
-    "wafer_density": "PiPiPPPPdPBPiPPPPPPPPPPPiPiP",
-    "wafer_force": "PiPPPPPPPiBPiiPPPPiiP",
-    "wafer_step": "PPPPiiPiPPdddPPPPPPiiPPPPPPBBBPiPiddPPdPPPPPPPPiiiP",
+    "wafer_step": "PPPPiiPiPPdddPPPPPPiiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
 }
 
 
@@ -283,13 +293,15 @@ def _shrink(kept: int, *arrays) -> None:
 
 
 def _mapped(shape, dtype) -> np.ndarray:
-    """An array on its own anonymous mapping: its pages cost nothing
-    until written (an output a call may not write), it is resident page
-    by page (no huge page rounds a partly written column up), and
-    allocating one a step leaves the heap's top, which glibc trims and
-    the next step faults back in, alone."""
+    """An array on its own private anonymous mapping (:data:`_MAP_FLAGS`):
+    its pages cost nothing until written (an output a call may not
+    write, a column sized at its bound), it is resident page by page (no
+    huge page rounds a partly written column up), and allocating one a
+    step leaves the heap's top, which glibc trims and the next step
+    faults back in, alone."""
     count = math.prod(np.atleast_1d(shape).tolist())
-    buffer = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    buffer = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1),
+                       flags=_MAP_FLAGS)
     return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
@@ -301,29 +313,7 @@ def _sweep_threads(rows: int) -> int:
     return max(1, min(usable_cpus(), rows // ROWS_PER_THREAD))
 
 
-def _plan(rows: int) -> tuple[int, int]:
-    """``(threads, owner blocks)`` for a call over ``rows`` rows."""
-    asked = _sweep_threads(rows)
-    return asked, 1 if asked == 1 else BLOCKS_PER_THREAD * asked
-
-
-def _segments(n_off: int, blocks: int) -> np.ndarray:
-    """Scratch for the (first row, rows) of every (offset, block)."""
-    return np.empty(2 * n_off * blocks, dtype=_I8)
-
-
-def _swept(fn: str, asked: int, *args) -> int:
-    """:func:`_c` for a kernel that sweeps in owner blocks; its last
-    argument, appended here, is the thread count: ``asked`` in, the
-    threads that swept out (kept in :data:`threads`)."""
-    global threads
-    swept = np.array([asked])
-    done = _c(fn, *args, swept)
-    threads = int(swept[0])
-    return done
-
-
-# -- the ten kernels (signatures and contracts: numpy_backend) ---------------
+# -- the five kernels (signatures and contracts: numpy_backend) --------------
 
 
 @_kernel
@@ -386,86 +376,11 @@ def fused_force_pass(i, j, rij, r, f_der, d_ji, d_ij, phi_bank, phi_member,
     return e_pair, forces
 
 
-@_kernel
-def wafer_list(pos, occ, offsets, lengths, periodic, reach2, n_cand):
-    nx, ny = _arr(occ, bool, -1, -1).shape
-    _arr(pos, _F8, nx, ny, 3), _arr(n_cand, _I4, nx, ny)
-    offsets = _arr(np.ascontiguousarray(offsets, dtype=_I8), _I8, -1, 2)
-    if nx * ny >= 2**31:  # flat tiles are int32
-        raise _Decline
-    bound = sum(max(0, nx - abs(dx)) * max(0, ny - abs(dy))
-                for dx, dy in offsets.tolist())
-    starts = np.empty(len(offsets) + 1, dtype=_I4)
-    ctr, src = np.empty(bound, dtype=_I4), np.empty(bound, dtype=_I4)
-    asked, blocks = _plan(bound)
-    listed = _swept(
-        "wafer_list", asked, pos, occ, nx, ny, offsets, len(offsets),
-        *_box(lengths, periodic), float(reach2), n_cand, starts, ctr, src,
-        _segments(len(offsets), blocks), blocks,
-    )
-    _shrink(listed, ctr, src)
-    return starts, ctr, src
-
-
-@_kernel
-def wafer_density(pos_rows, listed, lengths, periodic, cutoff, typ_flat,
-                  rho_bank, phi_index, symmetry, rho_flat, int_flat):
-    starts, ctr, src = listed
-    n_tiles = len(_arr(pos_rows, _F8, -1, 3))
-    n = len(_arr(ctr, _I4, -1))
-    _arr(src, _I4, n), _arr(rho_flat, _F8, n_tiles), _arr(int_flat, _I8, n_tiles)
-    rows = _rows(_arr(starts, _I4, -1), n)
-    bank = _bank(rho_bank)
-    single = bank.n_members == 1
-    if single:
-        typ_flat = phi_index = None
-    else:
-        _arr(typ_flat, _I8, n_tiles)
-        _arr(phi_index, _I8, bank.n_members, bank.n_members)
-    # one walk: the record is allocated for every listed row, filled with
-    # the survivors, then shrunk to them
-    o_starts = np.empty(len(starts), dtype=_I8)
-    o_ctr, o_src = np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
-    o_r, o_unit, d_src = np.empty(n), np.empty((n, 3)), np.empty(n)
-    extra = () if single else (np.empty(n), np.empty(n, dtype=_I8))
-    asked, blocks = _plan(n)
-    kept = _swept(
-        "wafer_density", asked, pos_rows, n_tiles, starts, len(starts) - 1,
-        ctr, src, *_box(lengths, periodic), float(cutoff**2), typ_flat, bank,
-        phi_index, bool(symmetry), rho_flat, int_flat, o_starts, o_ctr, o_src,
-        o_r, o_unit, d_src, *(extra or (None, None)),
-        np.empty((asked, rows)), rows, _segments(len(starts) - 1, blocks),
-        blocks,
-    )
-    _shrink(kept, o_ctr, o_src, o_r, o_unit, d_src, *extra)
-    d_ctr, member = extra or (d_src, 0)
-    return o_starts, o_ctr, o_src, o_r, o_unit, d_src, d_ctr, member
-
-
-@_kernel
-def wafer_force(record, f_der, phi_bank, symmetry, force_rows, e_flat=None):
-    starts, ctr, src, r, unit, d_src, d_ctr, member = record
-    n, n_tiles = len(_arr(ctr, _I4, -1)), len(_arr(f_der, _F8, -1))
-    _arr(src, _I4, n), _arr(unit, _F8, n, 3), _arr(force_rows, _F8, n_tiles, 3)
-    _arr(r, _F8, n), _arr(d_src, _F8, n), _arr(d_ctr, _F8, n)
-    e_both = None
-    if e_flat is not None:
-        _arr(e_flat, _F8, n_tiles)
-        e_both = np.zeros(n_tiles) if symmetry else None
-    rows = _rows(_arr(starts, _I8, -1), n)
-    asked, blocks = _plan(n)
-    _swept("wafer_force", asked, starts, len(starts) - 1, ctr, src, r, unit,
-           d_src, d_ctr, *_member(member, n), _bank(phi_bank), f_der,
-           n_tiles, bool(symmetry), force_rows, e_flat, e_both,
-           np.empty((asked, rows, 3)), rows, blocks)
-
-
 def _scratch(store: dict, name: str, n: int, dtype, *tail) -> np.ndarray:
-    """``store[name]``, grown to at least ``n`` rows (by a quarter more,
-    so a list that grows a little does not reallocate every build)."""
+    """``store[name]``, mapped again when it holds fewer than ``n`` rows."""
     have = store.get(name)
     if have is None or len(have) < n or have.shape[1:] != tail:
-        have = store[name] = _mapped((n + n // 4, *tail), dtype)
+        have = store[name] = _mapped((n, *tail), dtype)
     return have
 
 
@@ -493,19 +408,25 @@ def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
     if noise is not None:
         _arr(noise, _F8, n)
     h_args, rows, tested, trusted = (None,) * 6, 0, held is not None, False
+    # a build's outputs, its rows at their bound
+    dx, dy = np.abs(offsets).T
+    bound = int((np.maximum(nx - dx, 0) * np.maximum(ny - dy, 0)).sum())
+    asked = min(_sweep_threads(bound), MAX_THREADS)
     if tested:
         (starts, ctr, src), h_pos, h_occ, h_cand = held
         rows = len(_arr(ctr, _I4, -1))
         _arr(src, _I4, rows), _arr(starts, _I4, n_off + 1)
         trusted = _built.get(id(ctr)) is ctr and not any(
             a.flags.writeable for a in (starts, ctr, src))
-        if not trusted:
-            _rows(starts, rows)
         _arr(h_pos, _F8, nx, ny, 3), _arr(h_occ, bool, nx, ny)
         h_args = (starts, ctr, src, _arr(h_cand, _I4, nx, ny), h_pos, h_occ)
-    # a build's outputs, its rows at their bound
-    dx, dy = np.abs(offsets).T
-    bound = int((np.maximum(nx - dx, 0) * np.maximum(ny - dy, 0)).sum())
+        asked = min(_sweep_threads(rows), MAX_THREADS)
+    blocks = 1 if asked == 1 else BLOCKS_PER_THREAD * asked
+    # A block's rows in one offset are at most its tiles; a list this
+    # tier did not build may run as one block, of an offset's rows.
+    stride = -(-n // blocks)
+    if tested and not trusted:
+        stride = max(stride, _rows(starts, rows))
     n_cand, starts = _mapped((nx, ny), _I4), np.empty(n_off + 1, _I4)
     ctr, src = _mapped(bound, _I4), _mapped(bound, _I4)
     kept = ((_mapped(pos.shape, _F8), _mapped(occ.shape, bool)) if keep
@@ -516,49 +437,34 @@ def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
     cycles = None
     if cost is not None:
         cycles = np.empty(n), np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
-    asked = _sweep_threads(rows if tested else bound)
-    blocks = 1 if asked == 1 else BLOCKS_PER_THREAD * asked
-    # the caller's scratch, kept between its calls (none: this call's)
+    # The caller's scratch, kept between its calls (none: this call's).
+    # The record has a row per row the call can list, mapped at that
+    # bound and resident where density writes: its survivors, in the
+    # segments of the listed rows.
     store = {} if scratch is None else scratch
-
-    def run(h_args, rows, trusted, bound2):
-        cap = len(_scratch(store, "ctr", rows, _I4))  # the record's rows
-        segments = 2 * n_off * blocks
-        sizes = {
-            "ctr": (cap, _I4), "src": (cap, _I4), "r": (cap, _F8),
-            "unit": (cap, _F8, 3), "d_src": (cap, _F8),
-            "d_ctr": (cap * typed, _F8), "member": (cap * typed, _I8),
-            "share": (asked * n, _F8), "fvec": (asked * n, _F8, 3),
-            "seg_list": (segments, _I8), "seg_record": (segments, _I8),
-            "rho": (n, _F8), "f_der": (n, _F8), "e_both": (n, _F8),
-        }  # in native.c's SCR_* order
-        addresses = np.array(
-            [_scratch(store, name, *size).ctypes.data
-             for name, size in sizes.items()], dtype=np.uintp)
-        out = np.empty(13, dtype=_I8)
-        _c("wafer_step", pos, vel, occ, typ, nx, ny, offsets, n_off,
-           *_box(lengths, periodic), float(reach2), float(bound2),
-           float(cutoff**2), *h_args, rows, trusted, n_cand, starts, ctr,
-           src, *kept, rho, embed, phi, phi_index, bool(symmetry), masses,
-           0 if masses is None else len(masses), float(dt), MVV2E,
-           None if cost is None else np.array(cost, dtype=_F8), noise,
-           float(jitter), f_val, force, e_pair, n_int,
-           *(cycles or (None, None, None)), addresses, cap, blocks, asked,
-           out)
-        return out.tolist()
-
-    status, built, listed, survivors, non_finite, threads, *ns = run(
-        h_args, rows, trusted, bound2)
-    if status == 2:
-        # the list built needs a larger record: the same step again, on
-        # that list, which still covers the unchanged positions
-        built_ns = ns
-        ctr, src = ctr[:listed], src[:listed]
-        status, _, _, survivors, non_finite, threads, *ns = run(
-            (starts, ctr, src, n_cand, pos, occ), listed, True, np.inf)
-        ns[1] = built_ns[1] + ns[0]
-        ns[0] = built_ns[0]
-    if status == 0:
+    cap, segments = max(bound, rows), 2 * n_off * blocks
+    sizes = {
+        "ctr": (cap, _I4), "src": (cap, _I4), "r": (cap, _F8),
+        "unit": (cap, _F8, 3), "d_src": (cap, _F8),
+        "d_ctr": (cap * typed, _F8), "member": (cap * typed, _I8),
+        "share": (asked * stride, _F8), "fvec": (asked * stride, _F8, 3),
+        "seg_list": (segments, _I8), "seg_record": (segments, _I8),
+        "rho": (n, _F8), "f_der": (n, _F8), "e_both": (n, _F8),
+    }  # in native.c's SCR_* order
+    addresses = np.array([_scratch(store, name, *size).ctypes.data
+                          for name, size in sizes.items()], dtype=np.uintp)
+    out = np.empty(13, dtype=_I8)
+    _c("wafer_step", pos, vel, occ, typ, nx, ny, offsets, n_off,
+       *_box(lengths, periodic), float(reach2), float(bound2),
+       float(cutoff**2), *h_args, rows, trusted, n_cand, starts, ctr, src,
+       *kept, rho, embed, phi, phi_index, bool(symmetry), masses,
+       0 if masses is None else len(masses), float(dt), MVV2E,
+       None if cost is None else np.array(cost, dtype=_F8), noise,
+       float(jitter), f_val, force, e_pair, n_int,
+       *(cycles or (None, None, None)), addresses, cap, stride, blocks,
+       asked, out)
+    ran, built, listed, survivors, non_finite, threads, *ns = out.tolist()
+    if not ran:
         return numpy_backend._refused(tested, ns, threads)
     if built:
         ctr, src = ctr[:listed], src[:listed]
@@ -615,31 +521,17 @@ def _probe_outputs(backend) -> dict[str, tuple]:
         ki, kj, rij, r, f_der, d_ji, d_ij, phi,
         phi_index[types[ki], types[kj]], n,
     )
-    # the wafer's sweeps: three offsets, tiles unique per offset
-    ctr = np.concatenate([rng.permutation(n)[:200] for _ in range(3)])
-    src = ((ctr + np.repeat([1, 7, 19], 200)) % n).astype(np.int32)
-    ctr, starts = ctr.astype(np.int32), np.arange(0, 601, 200, dtype=np.int32)
-    rho_flat, int_flat = np.zeros(n), np.zeros(n, dtype=np.int64)
-    record = backend.wafer_density(
-        pos, (starts, ctr, src), lengths, periodic, 3.0, types, rho,
-        phi_index, True, rho_flat, int_flat,
-    )
-    out["wafer_density"] = (*record, rho_flat, int_flat)
-    force, e_flat = np.zeros((n, 3)), np.zeros(n)
-    backend.wafer_force(record, f_der, phi, True, force, e_flat)
-    out["wafer_force"] = force, e_flat
-    out.update(_probe_wafer(backend, rng, lengths, periodic, rho, phi,
-                            phi_index))
+    out["wafer_step"] = _probe_wafer(backend, rng, lengths, periodic, rho,
+                                     phi, phi_index)
     return out
 
 
 def _probe_wafer(backend, rng, lengths, periodic, rho, phi,
-                 phi_index) -> dict[str, tuple]:
-    """The list build and the whole step on a 13 x 11 wafer with holes,
-    every cut placed exactly on a value numpy computed (so one ulp of
-    difference in ``r^2`` flips the answer): a step that builds, an
-    energy evaluation on the list it holds, and one whose list test a
-    moved tile fails."""
+                 phi_index) -> tuple:
+    """The whole step on a 13 x 11 wafer with holes, every cut placed
+    exactly on a value numpy computed (so one ulp of difference in
+    ``r^2`` flips the answer): a step that builds, an energy evaluation
+    on the list it holds, and one whose list test a moved tile fails."""
     nx, ny = 13, 11
     occ = rng.random((nx, ny)) < 0.8
     pos = np.full((nx, ny, 3), 1.0e15)
@@ -650,9 +542,6 @@ def _probe_wafer(backend, rng, lengths, periodic, rho, phi,
     numpy_backend.minimum_image(d.reshape(-1, 3), lengths, periodic)
     r2 = np.einsum("xyk,xyk->xy", d, d)[occ[1:] & occ[:-1]]
     reach2 = float(r2[len(r2) // 2])
-    n_cand = np.zeros((nx, ny), dtype=np.int32)
-    listed = backend.wafer_list(pos, occ, offsets, lengths, periodic,
-                                reach2, n_cand)
     typ = rng.integers(0, 2, (nx, ny)) * occ
     vel = rng.normal(size=(nx, ny, 3)) * occ[..., None]
     noise = rng.normal(size=nx * ny)
@@ -670,11 +559,8 @@ def _probe_wafer(backend, rng, lengths, periodic, rho, phi,
     pos[occ.nonzero()[0][0], occ.nonzero()[1][0], 0] += 0.5
     moved = backend.wafer_step(pos, vel, occ, typ, built.held, bound2=0.01,
                                **grid, keep=False)
-    return {
-        "wafer_list": (*listed, n_cand),
-        "wafer_step": (pos, vel, *step_outputs(built), *step_outputs(energy),
-                       *step_outputs(moved)),
-    }
+    return (pos, vel, *step_outputs(built), *step_outputs(energy),
+            *step_outputs(moved))
 
 
 def step_outputs(step) -> tuple:

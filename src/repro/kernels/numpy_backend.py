@@ -10,11 +10,10 @@ tile's per-segment SRAM rows).  A single spline is a one-member bank.
 
 The whole-pass kernels are the numpy ports of the loops that used to
 live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`
-and the lockstep machine, :mod:`repro.core.wse_md` (``wafer_list``,
-``wafer_density``, ``wafer_force``, and ``wafer_step``, the machine's
-whole step: the list test and build, the two sweeps with the embedding
-between them, the leap-frog and the cycle counter).  Per element they
-perform the
+and the lockstep machine, :mod:`repro.core.wse_md` (``wafer_step``, the
+machine's whole step: the list test and build, the two sweeps with the
+embedding between them, the leap-frog and the cycle counter, each a
+private helper here).  Per element they perform the
 *identical* IEEE operations, on the same operands in the same order, as
 those call sites did (the pair kernels' first port is frozen as
 ``tests.legacy_kernels``).  What the bodies are
@@ -327,7 +326,7 @@ def _covers(
     return bool(moved2.max() < bound2)
 
 
-def wafer_list(
+def _wafer_list(
     pos: np.ndarray,
     occ: np.ndarray,
     offsets: np.ndarray,
@@ -387,7 +386,7 @@ def wafer_list(
     return np.cumsum(counts).astype(np.int32), ctr, src
 
 
-def wafer_density(
+def _wafer_density(
     pos_rows: np.ndarray,
     listed: tuple[np.ndarray, np.ndarray, np.ndarray],
     lengths,
@@ -402,7 +401,7 @@ def wafer_density(
 ) -> tuple:
     """The wafer's density sweep over its listed pairs.
 
-    ``listed`` is the :func:`wafer_list` ``(starts, ctr, src)`` index
+    ``listed`` is the :func:`_wafer_list` ``(starts, ctr, src)`` index
     rows (int32; ``starts[i]:starts[i + 1]`` are the rows of offset
     ``i``, in which every center and every source tile appears at most
     once).
@@ -412,7 +411,7 @@ def wafer_density(
     order — with ``symmetry`` every center share of the offset, then
     every partner share (the reverse reduction) — and their count to
     ``int_flat``.  Returns the survivor record ``(starts, ctr, src, r,
-    unit, rho_d_src, rho_d_ctr, phi_member)`` for :func:`wafer_force`;
+    unit, rho_d_src, rho_d_ctr, phi_member)`` for :func:`_wafer_force`;
     with one table ``rho_d_ctr is rho_d_src`` and ``phi_member`` is 0.
     """
     starts, ctr, src = listed
@@ -450,7 +449,7 @@ def wafer_density(
     return starts, ctr, src, r, unit, rho_d, rho_d_ctr, phi_member
 
 
-def wafer_force(
+def _wafer_force(
     record: tuple,
     f_der: np.ndarray,
     phi_bank: tuple,
@@ -458,7 +457,7 @@ def wafer_force(
     force_rows: np.ndarray,
     e_flat: np.ndarray | None = None,
 ) -> None:
-    """The wafer's force sweep over the :func:`wafer_density` record.
+    """The wafer's force sweep over the :func:`_wafer_density` record.
 
     Gathers the flat ``f_der`` (``F'``, the second exchange) at the
     recorded tiles, evaluates only ``phi`` and adds the Eq. 4 force to
@@ -649,12 +648,12 @@ def wafer_step(
     n_cand)``, or None.  It is reused when it still covers the grids
     (:func:`_covers`: the same ``occ``, every tile within
     ``sqrt(bound2)`` of the ``pos`` it was built at); otherwise, unless
-    a position is not finite, :func:`wafer_list` builds one at
+    a position is not finite, :func:`_wafer_list` builds one at
     ``reach2`` over ``offsets`` (returned to be held when ``keep``).
-    Then :func:`wafer_density` over the list with ``cutoff`` and the
+    Then :func:`_wafer_density` over the list with ``cutoff`` and the
     rho bank of ``banks = (rho, embed, phi)``, the embedding ``F`` and
     ``F'`` of every occupied tile (through its type when the bank has a
-    member per type), and :func:`wafer_force` with the phi bank.  With
+    member per type), and :func:`_wafer_force` with the phi bank.  With
     ``masses`` the occupied tiles' ``pos`` and ``vel`` take the
     leap-frog of step ``dt`` in place (:func:`_leapfrog`); with ``cost
     = (exchange, candidate, interaction, fixed)`` cycles, every tile is
@@ -678,7 +677,7 @@ def wafer_step(
         if not np.isfinite(pos).all():
             return _refused(held is not None, ns)
         n_cand = np.zeros(occ.shape, dtype=np.int32)
-        listed = wafer_list(pos, occ, offsets, lengths, periodic, reach2,
+        listed = _wafer_list(pos, occ, offsets, lengths, periodic, reach2,
                             n_cand)
         held = (listed, pos.copy(), occ.copy(), n_cand) if keep else None
         t0, t1 = t1, clock()
@@ -686,7 +685,7 @@ def wafer_step(
     rho_bank, embed_bank, phi_bank = banks
     rho = np.zeros(occ.shape)
     n_int = np.zeros(occ.shape, dtype=np.int64)
-    record = wafer_density(
+    record = _wafer_density(
         _tiles(pos, 3), listed, lengths, periodic, cutoff, _tiles(typ),
         rho_bank, phi_index, symmetry, _tiles(rho), _tiles(n_int),
     )
@@ -702,7 +701,7 @@ def wafer_step(
     ns[3] = t1 - t0
     force = np.zeros((*occ.shape, 3))
     e_pair = np.zeros(occ.shape) if energy else None
-    wafer_force(record, _tiles(f_der), phi_bank, symmetry, _tiles(force, 3),
+    _wafer_force(record, _tiles(f_der), phi_bank, symmetry, _tiles(force, 3),
                 _tiles(e_pair) if energy else None)
     t0, t1 = t1, clock()
     ns[4] = t1 - t0

@@ -20,13 +20,16 @@ grids between steps, and it builds exactly when an independent reading
 of the rule says it must.
 
 The memory tests assert the whole point of the restructuring: a list
-build's scratch is O(grid) for any number of offsets and the records
-are O(interactions), so paper-scale grids fit.  The expensive
+build's scratch is O(grid) for any number of offsets, and the records,
+and what the kernel tier keeps resident for them between steps, are
+O(listed pairs), so paper-scale grids fit.  The expensive
 scale tiers are opt-in via ``REPRO_SCALE_TESTS`` (any value enables the
 ~50k-atom smoke the CI scaling leg runs; ``paper`` additionally runs
 the 801,792-atom paper grid).
 """
 
+import ctypes
+import mmap
 import os
 
 import numpy as np
@@ -191,12 +194,12 @@ def _embed(sim: WseMd, rho_bar: np.ndarray):
 
 def _sweeps(sim: WseMd, energy: bool = True):
     """The machine's evaluation at its positions (one ``wafer_step``
-    call, no integration), and the density the registry's
-    ``wafer_density`` sums over the list that call held."""
+    call, no integration), and the density the numpy tier's density
+    sweep sums over the list that call held."""
     step = sim._evaluate(NULL_TRACER, energy=energy)
     rho = np.zeros(sim.occ.shape)
     grouped = sim.potential.tables.grouped()
-    kernels.active_backend().wafer_density(
+    numpy_backend._wafer_density(
         sim.pos.reshape(-1, 3), sim._list.listed, sim._lengths,
         sim._periodic, float(sim.potential.cutoff), sim.typ.reshape(-1),
         grouped.rho.bank(), grouped.phi_index, sim.force_symmetry,
@@ -388,6 +391,60 @@ def _arrays(value):
     elif isinstance(value, tuple):
         for item in value:
             yield from _arrays(item)
+
+
+def _resident(arrays) -> int:
+    """Bytes of the pages of ``arrays`` (each on its own mapping, as the
+    native tier's scratch is) that are resident in this process."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    if not hasattr(libc, "mincore"):  # pragma: no cover - non-Linux
+        pytest.skip("mincore unavailable on this platform")
+    libc.mincore.argtypes = (ctypes.c_void_p, ctypes.c_size_t,
+                             ctypes.POINTER(ctypes.c_ubyte))
+    page, total = mmap.PAGESIZE, 0
+    for a in arrays:
+        start = a.ctypes.data // page * page
+        length = a.ctypes.data + max(a.nbytes, 1) - start
+        pages = (ctypes.c_ubyte * -(-length // page))()
+        assert libc.mincore(start, length, pages) == 0, ctypes.get_errno()
+        total += page * sum(p & 1 for p in pages)
+    return total
+
+
+#: What the native tier keeps resident between one machine's calls:
+#: the record's columns, at most a row per listed pair (48 B, 64 B for
+#: an alloy) ...
+_SCRATCH_BYTES_PER_PAIR = {False: 48, True: 64}
+#: ... plus per tile: partner values and force vectors of the members'
+#: blocks (32 B with one member, 8 B with several) and three planes.
+_SCRATCH_BYTES_PER_TILE = 56
+
+
+def _scratch_budget(sim, alloy) -> int:
+    pages = mmap.PAGESIZE * len(sim._scratch)  # a part-written last page
+    return (_SCRATCH_BYTES_PER_PAIR[alloy] * _listed_pairs(sim)
+            + _SCRATCH_BYTES_PER_TILE * sim.occ.size + pages)
+
+
+@pytest.mark.parametrize("alloy", [False, True])
+def test_the_kernel_scratch_is_resident_within_its_budget(
+    ta_potential, wta_potential, alloy
+):
+    """The native tier keeps the record's columns between steps, mapped
+    at the rows a call can list: resident are only the pages density
+    wrote, a record row per listed pair at most."""
+    _tier("native")
+    case = dict(
+        reps=(8, 8, 2), alloy=alloy, inplane_periodic=False, vacancy=0.02,
+        fill=0.94, dtype=np.float64, force_symmetry=True, seed=2,
+    )
+    sim = _sweep_machine(case, ta_potential, wta_potential, speed=0.05)
+    sim.step(4)
+    mapped = sum(a.nbytes for a in sim._scratch.values())
+    held = _resident(sim._scratch.values())
+    assert 0 < held <= _scratch_budget(sim, alloy) < mapped
+    sim.verify_coverage()
+    assert not sim._scratch
 
 
 def _holds_no_record(sim) -> bool:
@@ -709,6 +766,22 @@ def _tier(backend):
     return native_backend
 
 
+def _build(tier, pos, occ, offsets, lengths, periodic, reach2):
+    """``(starts, ctr, src, n_cand)`` of the list ``tier`` builds: the
+    numpy body's list build itself, or a native ``wafer_step`` from no
+    list that integrates nothing."""
+    if tier is numpy_backend:
+        n_cand = np.zeros(occ.shape, dtype=np.int32)
+        return (*tier._wafer_list(pos, occ, offsets, lengths, periodic,
+                                  reach2, n_cand), n_cand)
+    bank = SplineGroup([UniformCubicSpline(0.0, 1.0, np.zeros(8))]).bank()
+    held = tier.wafer_step(
+        pos, np.zeros(pos.shape), occ, np.zeros(occ.shape, dtype=np.int64),
+        None, offsets, lengths, periodic, reach2, 0.0, 1.0, (bank,) * 3,
+        np.zeros((1, 1), dtype=np.int64), True).held
+    return (*held[0], held[3])
+
+
 def _list_build_peak(backend, b, nx=48, ny=48):
     """Peak bytes traced while ``backend`` lists the half neighbourhood
     of width ``b`` (force symmetry's offsets) on a full ``nx x ny``
@@ -723,12 +796,11 @@ def _list_build_peak(backend, b, nx=48, ny=48):
     pos = np.concatenate([grid, np.zeros((nx, ny, 1))], axis=2)
     occ = np.ones((nx, ny), dtype=bool)
     lengths, periodic = (1.6 * nx, 1.6 * ny, 1e3), (True, True, False)
-    n_cand = np.zeros((nx, ny), dtype=np.int32)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        listed = backend.wafer_list(pos, occ, offsets, lengths, periodic,
-                                    4.0**2, n_cand)
+        *listed, _ = _build(backend, pos, occ, offsets, lengths, periodic,
+                            4.0**2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -739,25 +811,24 @@ def _list_build_peak(backend, b, nx=48, ny=48):
 def test_list_build_scratch_is_grid_sized(backend):
     """A list build's scratch belongs to the tier and to the call, and
     does not grow with the offsets: the numpy body walks them through
-    one reused (nx, ny, 3) displacement plane and one mask plane, the
-    native loop walks pair by pair and allocates nothing beyond its
-    outputs (int32 rows at their upper bound, then shrunk)."""
+    one reused (nx, ny, 3) displacement plane and one mask plane; the
+    native step walks pair by pair, writes its rows to mappings (not
+    traced here) and takes from the heap only its per-tile outputs."""
     nx = ny = 48
     plane = nx * ny * 3 * 8
     tier = _tier(backend)
     peak, held, n_off = _list_build_peak(tier, 5, nx, ny)
-    assert n_off == 60 and held > 0
+    small_peak, small_held, small_n = _list_build_peak(tier, 1, nx, ny)
+    assert n_off == 60 and small_n == 4 and held > 0
     if tier is numpy_backend:
         # beside its outputs: a few planes (and numpy's fixed ufunc
         # buffers) for 4 offsets and for 60 alike, where one stack of
         # the 60 offsets' differences alone would be 60 planes
-        small_peak, small_held, small_n = _list_build_peak(tier, 1, nx, ny)
-        assert small_n == 4
         assert peak - held <= 6 * plane
         assert small_peak - small_held <= 6 * plane
     else:
         assert held == _list_build_peak(numpy_backend, 5, nx, ny)[1]
-        assert peak <= 2 * 4 * n_off * nx * ny + 16_384
+        assert peak <= 6 * plane and small_peak <= 6 * plane
 
 
 @pytest.mark.parametrize("backend", ["numpy", "native"])
@@ -777,16 +848,14 @@ def test_one_list_call_is_its_offsets_one_by_one(backend):
     offsets = np.array([(dx, dy) for dx in range(-3, 4)
                         for dy in range(-3, 4) if (dx, dy) != (0, 0)])
     box = ((1.6 * nx, 1.6 * ny, 1e3), (True, False, False), 3.5**2)
-    whole = np.zeros((nx, ny), dtype=np.int32)
-    starts, ctr, src = tier.wafer_list(pos, occ, offsets, *box, whole)
-    one_by_one = np.zeros((nx, ny), dtype=np.int32)
-    parts = [tier.wafer_list(pos, occ, offsets[i:i + 1], *box, one_by_one)
+    starts, ctr, src, whole = _build(tier, pos, occ, offsets, *box)
+    parts = [_build(tier, pos, occ, offsets[i:i + 1], *box)
              for i in range(len(offsets))]
     assert np.array_equal(starts, np.cumsum(
-        [0] + [len(c) for _, c, _ in parts]).astype(np.int32))
-    assert np.array_equal(ctr, np.concatenate([c for _, c, _ in parts]))
-    assert np.array_equal(src, np.concatenate([s for _, _, s in parts]))
-    assert np.array_equal(whole, one_by_one) and len(ctr) > 0
+        [0] + [len(c) for _, c, _, _ in parts]).astype(np.int32))
+    assert np.array_equal(ctr, np.concatenate([c for _, c, _, _ in parts]))
+    assert np.array_equal(src, np.concatenate([s for _, _, s, _ in parts]))
+    assert np.array_equal(whole, sum(n for *_, n in parts)) and len(ctr) > 0
 
 
 @pytest.mark.skipif(not SCALE_TESTS, reason="set REPRO_SCALE_TESTS to run")
@@ -822,6 +891,8 @@ def test_record_budget_50k_atoms():
     assert 0 < step.record_nbytes <= _RECORD_BYTES_PER_INTERACTION * rows
     sim.step(1)
     assert _holds_no_record(sim)
+    if sim._scratch:  # what the native tier keeps resident for the record
+        assert _resident(sim._scratch.values()) <= _scratch_budget(sim, False)
     # what does stay between steps: the index list at cutoff + skin
     # (a thin shell more than the survivors in a crystal), offset
     # bounds, and three grid planes

@@ -2,13 +2,12 @@
 
 A spy registered through :func:`repro.kernels.register_backend` wraps a
 real tier (numpy, and native where it loads) and records, for every
-phase the machine's ``wafer_step`` calls report they ran (and for any
-other wafer kernel it called), its name and the sweep threads the tier
-reports after the call.  The sequence is the machine's
-contract with the registry: a fresh machine builds its list before the
-first density sweep, a held list is tested before it is reused, a skin
-of 0 never tests one, the observables neither integrate nor count
-cycles, and ``sweep_threads`` is what the tier reported.
+phase the machine's ``wafer_step`` calls report they ran, its name and
+the sweep threads the tier reports after the call.  The sequence is the
+machine's contract with the registry: a fresh machine builds its list
+before the first density sweep, a held list is tested before it is
+reused, a skin of 0 never tests one, the observables neither integrate
+nor count cycles, and ``sweep_threads`` is what the tier reported.
 """
 
 from types import SimpleNamespace
@@ -19,8 +18,6 @@ import repro.kernels as kernels
 from repro.core.wse_md import WseMd
 from tests.conftest import small_slab_state
 
-#: the registry's wafer kernels besides ``wafer_step``
-WAFER_KERNELS = ("wafer_list", "wafer_density", "wafer_force")
 SWEEPS = ("exchange", "density", "pair_force")
 STEP = ["density", "embedding", "pair_force", "integrate", "cycle_account"]
 
@@ -28,7 +25,7 @@ STEP = ["density", "embedding", "pair_force", "integrate", "cycle_account"]
 @pytest.fixture(params=["numpy", "native"])
 def spy(request, monkeypatch):
     """The active tier, a spy over ``request.param``: ``spy.calls`` is
-    the ``(kernel, threads)`` of every wafer kernel called since."""
+    the ``(phase, threads)`` of every wafer step phase run since."""
     if (request.param == "native"
             and kernels.backend_status()["native"] != "ok"):
         pytest.skip("native tier unavailable on this host")
@@ -44,8 +41,6 @@ def spy(request, monkeypatch):
             spy.threads = getattr(base, "threads", 1)
             if name == "wafer_step":
                 spy.calls += [(phase, spy.threads) for phase in out.phases]
-            if name in WAFER_KERNELS:
-                spy.calls.append((name, spy.threads))
             return out
 
         return call
@@ -62,7 +57,7 @@ def spy(request, monkeypatch):
 
 
 def _names(spy) -> list[str]:
-    """The kernels called since the last read, oldest first."""
+    """The phases run since the last read, oldest first."""
     names = [name for name, _ in spy.calls]
     spy.calls.clear()
     return names

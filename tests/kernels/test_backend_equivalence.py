@@ -121,61 +121,6 @@ def _fused_force_pass_inputs(rng):
     return (i, j, rij, r, f_der, d_ji, d_ij, bank, member, n_atoms), {}
 
 
-def _wafer_listed(rng, n_members):
-    """Three offsets of listed wafer pairs, tiles unique per offset."""
-    n_tiles = 40
-    lengths = rng.uniform(4.0, 7.0, size=3)
-    pos = rng.uniform(0.0, 1.0, size=(n_tiles, 3)) * lengths
-    ctr = np.concatenate(
-        [np.sort(rng.permutation(n_tiles)[:25]) for _ in range(3)]
-    ).astype(np.int32)
-    src = np.concatenate(
-        [rng.permutation(n_tiles)[:25] for _ in range(3)]
-    ).astype(np.int32)
-    starts = np.array([0, 25, 50, 75], dtype=np.int32)
-    typ = rng.integers(0, n_members, size=n_tiles)
-    phi_index = np.zeros((n_members, n_members), dtype=np.int64)
-    phi_index[np.triu_indices(n_members)] = np.arange(
-        n_members * (n_members + 1) // 2
-    )
-    phi_index = np.maximum(phi_index, phi_index.T)
-    periodic = rng.integers(0, 2, size=3).astype(bool)
-    return pos, (starts, ctr, src), lengths, periodic, typ, phi_index
-
-
-def _wafer_density_inputs(rng):
-    n_members = int(rng.integers(1, 3))
-    pos, listed, lengths, periodic, typ, phi_index = _wafer_listed(
-        rng, n_members
-    )
-    rho_flat = np.zeros(len(pos))
-    int_flat = np.zeros(len(pos), dtype=np.int64)
-    return (
-        pos, listed, lengths, periodic, 3.0, typ, _bank(rng, n_members),
-        phi_index, bool(rng.integers(0, 2)), rho_flat, int_flat,
-    ), {}, (rho_flat, int_flat)
-
-
-def _wafer_force_inputs(rng):
-    from repro.kernels import numpy_backend
-
-    n_members = int(rng.integers(1, 3))
-    pos, listed, lengths, periodic, typ, phi_index = _wafer_listed(
-        rng, n_members
-    )
-    symmetry = bool(rng.integers(0, 2))
-    record = numpy_backend.wafer_density(
-        pos, listed, lengths, periodic, 3.0, typ, _bank(rng, n_members),
-        phi_index, symmetry, np.zeros(len(pos)),
-        np.zeros(len(pos), dtype=np.int64),
-    )
-    force, e_flat = np.zeros((len(pos), 3)), np.zeros(len(pos))
-    phi = _bank(rng, n_members * (n_members + 1) // 2)
-    return (
-        record, rng.normal(size=len(pos)), phi, symmetry, force, e_flat,
-    ), {}, (force, e_flat)
-
-
 def _wafer_grid(rng):
     """A holed wafer: ``(nx, ny, 3)`` positions, empty tiles at the far
     sentinel, and the occupancy plane."""
@@ -186,15 +131,23 @@ def _wafer_grid(rng):
     return pos, occ
 
 
-def _wafer_list_inputs(rng):
-    pos, occ = _wafer_grid(rng)
-    offsets = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2))
-    periodic = rng.integers(0, 2, size=3).astype(bool)
-    n_cand = np.zeros(occ.shape, dtype=np.int32)
-    return (
-        pos, occ, offsets, np.full(3, 6.0), periodic,
-        float(rng.uniform(1.0, 12.0)), n_cand,
-    ), {}, (n_cand,)
+def _wafer_banks(rng, n_types):
+    """``(rho, embed, phi)`` banks for ``n_types`` atom types, and the
+    pair-table index."""
+    n_phi = n_types * (n_types + 1) // 2
+    banks = (_bank(rng, n_types, clamp_low=True),
+             _bank(rng, n_types, clamp_low=True), _bank(rng, n_phi))
+    phi_index = np.zeros((n_types, n_types), dtype=np.int64)
+    phi_index[np.triu_indices(n_types)] = np.arange(n_phi)
+    return banks, np.maximum(phi_index, phi_index.T)
+
+
+def _offsets(symmetry):
+    """The engine's offsets of half-width 2: the whole neighbourhood, or
+    its half under force symmetry."""
+    return np.array([(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
+                     if (dx, dy) != (0, 0)
+                     and (not symmetry or dy > 0 or (dy == 0 and dx > 0))])
 
 
 def _wafer_step_inputs(rng):
@@ -203,18 +156,12 @@ def _wafer_step_inputs(rng):
     the numpy tier holds."""
     pos, occ = _wafer_grid(rng)
     n_types = int(rng.integers(1, 3))
-    n_phi = n_types * (n_types + 1) // 2
-    banks = (_bank(rng, n_types, clamp_low=True),
-             _bank(rng, n_types, clamp_low=True), _bank(rng, n_phi))
-    phi_index = np.zeros((n_types, n_types), dtype=np.int64)
-    phi_index[np.triu_indices(n_types)] = np.arange(n_phi)
-    phi_index = np.maximum(phi_index, phi_index.T)
+    banks, phi_index = _wafer_banks(rng, n_types)
     typ = rng.integers(0, n_types, size=occ.shape) * occ
     vel = rng.normal(size=pos.shape) * occ[..., None]
-    offsets = np.array([(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
-                        if dy > 0 or (dy == 0 and dx > 0)])
-    grid = (offsets, np.full(3, 6.0), rng.integers(0, 2, size=3).astype(bool),
-            3.2**2, 0.04, 2.9, banks, phi_index, True)
+    grid = (_offsets(True), np.full(3, 6.0),
+            rng.integers(0, 2, size=3).astype(bool), 3.2**2, 0.04, 2.9,
+            banks, phi_index, True)
     held = None
     if rng.integers(0, 2):
         from repro.kernels import numpy_backend
@@ -227,15 +174,54 @@ def _wafer_step_inputs(rng):
     return (pos, vel, occ, typ, held, *grid), kwargs, (pos, vel)
 
 
+def _wafer_build_inputs(rng):
+    """The list build as a step runs it: from no list, over random
+    offsets at a random reach, nothing integrated."""
+    pos, occ = _wafer_grid(rng)
+    offsets = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2))
+    offsets = offsets[(offsets != 0).any(axis=1)]
+    banks, phi_index = _wafer_banks(rng, 1)
+    reach2 = float(rng.uniform(1.0, 12.0))
+    return (
+        pos, np.zeros(pos.shape), occ, np.zeros(occ.shape, dtype=np.int64),
+        None, offsets, np.full(3, 6.0),
+        rng.integers(0, 2, size=3).astype(bool), reach2, 0.04,
+        0.9 * np.sqrt(reach2), banks, phi_index, False,
+    ), {}, (pos,)
+
+
+def _wafer_held_inputs(rng, bound2):
+    """Positions moved since the numpy tier built the list it holds
+    (symmetry drawn): reused when ``bound2`` covers the moves, else
+    rebuilt; with the energy, without the leap-frog."""
+    from repro.kernels import numpy_backend
+
+    pos, occ = _wafer_grid(rng)
+    n_types = int(rng.integers(1, 3))
+    banks, phi_index = _wafer_banks(rng, n_types)
+    typ = rng.integers(0, n_types, size=occ.shape) * occ
+    symmetry = bool(rng.integers(0, 2))
+    grid = (_offsets(symmetry), np.full(3, 6.0),
+            rng.integers(0, 2, size=3).astype(bool), 3.2**2, bound2, 2.9,
+            banks, phi_index, symmetry)
+    vel = np.zeros(pos.shape)
+    held = numpy_backend.wafer_step(pos.copy(), vel, occ, typ, None,
+                                    *grid).held
+    pos = pos + rng.normal(0.0, 0.2, pos.shape) * occ[..., None]
+    return (pos, vel, occ, typ, held, *grid), dict(energy=True), (pos,)
+
+
 _INPUTS = {
     "grouped_spline_eval": _grouped_spline_eval_inputs,
     "neighbor_prefilter": _neighbor_prefilter_inputs,
     "fused_density_pass": _fused_density_pass_inputs,
     "fused_force_pass": _fused_force_pass_inputs,
-    "wafer_list": _wafer_list_inputs,
-    "wafer_density": _wafer_density_inputs,
-    "wafer_force": _wafer_force_inputs,
     "wafer_step": _wafer_step_inputs,
+    # the step's parts: the list build, and both sweeps over a held list
+    # that covers the positions (reused) or does not (rebuilt)
+    "wafer_step/build": _wafer_build_inputs,
+    "wafer_step/reused": lambda rng: _wafer_held_inputs(rng, 1e6),
+    "wafer_step/rebuilt": lambda rng: _wafer_held_inputs(rng, 1e-4),
 }
 
 
@@ -244,6 +230,7 @@ def _call(fn_name, seed):
     wafer kernels accumulate into or update their arguments); the
     outputs plus whatever was written into, as one tuple."""
     args, kwargs, *inplace = _INPUTS[fn_name](np.random.default_rng(seed))
+    fn_name = fn_name.split("/")[0]  # a case of the kernel before the "/"
     out = getattr(active_backend(), fn_name)(*args, **kwargs)
     if fn_name == "wafer_step":  # its timings and team are not outputs
         out = step_outputs(out)
@@ -254,7 +241,7 @@ def _call(fn_name, seed):
 
 
 def test_generators_cover_interface():
-    assert set(_INPUTS) == set(KERNEL_FUNCTIONS)
+    assert {name.split("/")[0] for name in _INPUTS} == set(KERNEL_FUNCTIONS)
 
 
 class TestKernelEquivalence:
@@ -262,7 +249,7 @@ class TestKernelEquivalence:
     def backend_name(self, request):
         return request.param
 
-    @pytest.mark.parametrize("fn_name", sorted(KERNEL_FUNCTIONS))
+    @pytest.mark.parametrize("fn_name", sorted(_INPUTS))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_numpy(self, backend_name, fn_name, seed):
         set_backend("numpy")

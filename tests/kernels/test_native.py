@@ -1,12 +1,12 @@
 """The native tier: bitwise against the numpy bodies, and its build path.
 
-The equivalence proof is PR 17's Hypothesis harness
-(``test_numpy_floor.py``) pointed at native-vs-numpy for the pair
-kernels it already sweeps, plus the same treatment for the wafer's
-kernels (the list build on holed grids in open and periodic boxes, the
-two sweeps, and the whole step -- list test, build, sweeps, embedding,
-leap-frog and cycle counter -- on every team size): every output
-``np.array_equal`` with equal dtype and shape,
+The equivalence proof is the Hypothesis harness of
+``test_numpy_floor.py`` pointed at native-vs-numpy for the pair kernels
+it already sweeps, plus the same treatment for the wafer's one kernel
+(the whole step -- list test, list build on holed grids in open and
+periodic boxes, both sweeps, embedding, leap-frog and cycle counter --
+on every team size): every output ``np.array_equal`` with equal dtype
+and shape,
 and the same exception *type* where numpy raises (out-of-range index
 -> ``IndexError``, coincident atoms -> ``FloatingPointError``).  Then
 whole trajectories: reference and wafer runs end on the same SHA-256
@@ -103,131 +103,6 @@ class TestPairKernels:
         assert native_backend.declined == before + 3
 
 
-# -- the wafer's two sweeps ---------------------------------------------------
-
-
-def _wafer_case(seed, *, n_tiles, n_off, n_members, box, bad_index=False,
-                coincident=False):
-    """A wafer list on a random cloud: per offset, unique center tiles
-    and unique source tiles, as the list build guarantees."""
-    rng = np.random.default_rng(seed)
-    lengths = rng.uniform(4.0, 7.0, 3)
-    pos = rng.uniform(0.0, 1.0, (n_tiles, 3)) * lengths
-    parts_c = [np.empty(0, dtype=np.int64)]  # n_off == 0 concatenates too
-    parts_s = [np.empty(0, dtype=np.int64)]
-    for _ in range(n_off):
-        rows = int(rng.integers(0, n_tiles + 1))
-        parts_c.append(np.sort(rng.permutation(n_tiles)[:rows]))
-        parts_s.append(rng.permutation(n_tiles)[:rows])
-    ctr = np.concatenate(parts_c).astype(np.int32)
-    src = np.concatenate(parts_s).astype(np.int32)
-    starts = np.cumsum([len(p) for p in parts_c]).astype(np.int32)
-    if coincident and len(ctr):
-        pos[src[0]] = pos[ctr[0]]  # r2 == 0: cut, never divided by
-    if bad_index and len(ctr):
-        src[len(src) // 2] = n_tiles + 3
-    rho = floor._group(rng, n_members, "linear", True)
-    n_phi = n_members * (n_members + 1) // 2
-    phi = floor._group(rng, n_phi, "linear", True)
-    phi_index = np.zeros((n_members, n_members), dtype=np.int64)
-    phi_index[np.triu_indices(n_members)] = np.arange(n_phi)
-    phi_index = np.maximum(phi_index, phi_index.T)
-    typ = rng.integers(0, n_members, n_tiles)
-    f_der = rng.normal(size=n_tiles)
-    return (pos, (starts, ctr, src), lengths, np.array(floor.BOXES[box]),
-            typ, rho, phi, phi_index, f_der)
-
-
-def _both_sweeps(backend, case, cutoff, symmetry, energy):
-    """Density then force sweep through ``backend``; every output and
-    accumulator, or the type of what was raised."""
-    pos, listed, lengths, periodic, typ, rho, phi, phi_index, f_der = case
-    n = len(pos)
-    rho_flat, int_flat = np.zeros(n), np.zeros(n, dtype=np.int64)
-    force = np.zeros((n, 3))
-    e_flat = np.zeros(n) if energy else None
-    try:
-        record = backend.wafer_density(
-            pos, listed, lengths, periodic, cutoff, typ, rho.bank(),
-            phi_index, symmetry, rho_flat, int_flat,
-        )
-        backend.wafer_force(
-            record, f_der, phi.bank(), symmetry, force, e_flat
-        )
-    except Exception as exc:
-        return type(exc)
-    out = [*record, rho_flat, int_flat, force]
-    return out + [e_flat] if energy else out
-
-
-@needs_native
-class TestWaferSweeps:
-    @given(
-        seed=st.integers(0, 10_000),
-        n_tiles=st.sampled_from([1, 2, 9, 60]),
-        n_off=st.sampled_from([0, 1, 3, 6]),
-        n_members=st.sampled_from([1, 2, 3]),
-        box=st.sampled_from(sorted(floor.BOXES)),
-        cutoff=st.sampled_from([0.0, 1.5, 3.0, 50.0]),
-        symmetry=st.booleans(),
-        energy=st.booleans(),
-        bad_index=st.booleans(),
-        coincident=st.booleans(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_density_then_force(self, seed, n_tiles, n_off, n_members, box,
-                                cutoff, symmetry, energy, bad_index,
-                                coincident):
-        case = _wafer_case(
-            seed, n_tiles=n_tiles, n_off=n_off, n_members=n_members,
-            box=box, bad_index=bad_index, coincident=coincident,
-        )
-        want = _both_sweeps(numpy_backend, case, cutoff, symmetry, energy)
-        got = _both_sweeps(native_backend, case, cutoff, symmetry, energy)
-        if isinstance(want, type):
-            assert got is want
-            assert bad_index and want is IndexError
-            return
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b)
-
-    def test_clean_input_runs_in_c(self, no_declines):
-        case = _wafer_case(5, n_tiles=60, n_off=4, n_members=2, box="mixed")
-        assert not isinstance(
-            _both_sweeps(native_backend, case, 3.0, True, True), type
-        )
-
-    def test_out_of_range_index_leaves_accumulators_untouched(self):
-        """The C loop scatters only after the indices passed, so the
-        numpy body that raises starts from clean accumulators."""
-        pos, listed, lengths, periodic, typ, rho, _, phi_index, _ = (
-            _wafer_case(7, n_tiles=40, n_off=3, n_members=1, box="open",
-                        bad_index=True)
-        )
-        rho_flat, int_flat = np.zeros(40), np.zeros(40, dtype=np.int64)
-        with pytest.raises(IndexError):
-            native_backend.wafer_density(
-                pos, listed, lengths, periodic, 3.0, typ, rho.bank(),
-                phi_index, True, rho_flat, int_flat,
-            )
-        assert not rho_flat.any() and not int_flat.any()
-
-    def test_float32_wafer_is_declined(self):
-        case = list(_wafer_case(3, n_tiles=30, n_off=2, n_members=1,
-                                box="open"))
-        case[0] = case[0].astype(np.float32)
-        before = native_backend.declined
-        want = _both_sweeps(numpy_backend, case, 3.0, True, False)
-        got = _both_sweeps(native_backend, case, 3.0, True, False)
-        assert native_backend.declined == before + 2
-        for a, b in zip(got, want):
-            assert np.asarray(a).dtype == np.asarray(b).dtype
-            assert np.array_equal(a, b)
-
-
 # -- the wafer's list build, and its whole step ------------------------------
 
 
@@ -277,6 +152,20 @@ _GRIDS = dict(
 )
 
 
+def _built_list(backend, pos, occ, offsets, lengths, periodic, reach2):
+    """The list one ``wafer_step`` of ``backend`` builds from no list
+    (whole neighbourhood, no symmetry, nothing integrated): its rows,
+    candidate counts and what the sweeps over it found."""
+    rng = np.random.default_rng(occ.size)
+    bank = floor._group(rng, 1, "linear", True).bank()
+    step = backend.wafer_step(
+        pos, np.zeros(pos.shape), occ, np.zeros(occ.shape, dtype=np.int64),
+        None, offsets, lengths, periodic, reach2, 0.0,
+        0.5 * float(np.sqrt(reach2)), (bank, bank, bank),
+        np.zeros((1, 1), dtype=np.int64), False)
+    return (*step.held[0], step.held[3], step.n_int, step.force)
+
+
 @needs_native
 class TestWaferStepKernels:
     """Native == numpy, bitwise, on random holed grids."""
@@ -284,22 +173,18 @@ class TestWaferStepKernels:
     @given(**_GRIDS, reach=st.sampled_from([0.0, 2.0, 3.6, 40.0]),
            b=st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
-    def test_wafer_list(self, seed, nx, ny, holes, box, reach, b):
+    def test_list_build(self, seed, nx, ny, holes, box, reach, b):
         _, pos, occ, lengths, periodic = _wafer_grid(seed, nx, ny, holes, box)
         offsets = np.array([(dx, dy) for dx in range(-b, b + 1)
                             for dy in range(-b, b + 1) if (dx, dy) != (0, 0)])
         want, got = (
-            _outcome(side.wafer_list, pos, occ, offsets, lengths, periodic,
-                     reach * reach, np.zeros((nx, ny), dtype=np.int32))
+            _outcome(_built_list, side, pos, occ, offsets, lengths, periodic,
+                     reach * reach)
             for side in (numpy_backend, native_backend)
         )
         _assert_same(got, want)
 
     def test_clean_input_runs_in_c(self, no_declines):
-        _, pos, occ, lengths, periodic = _wafer_grid(3, 12, 9, 0.1, "mixed")
-        native_backend.wafer_list(pos, occ, [[1, 0], [0, 1], [2, -1]],
-                                  lengths, periodic, 9.0,
-                                  np.zeros(occ.shape, dtype=np.int32))
         case = _threaded_case(3, 12, 9, 0.1, "mixed", 2, True, 2, 0.0)
         _step(native_backend, case, 2.6, 0.4, "step", noise=True)
 
@@ -364,29 +249,26 @@ def _threaded_case(seed, nx, ny, holes, box, b, symmetry, n_members, jitter):
             phi_index, f_der)
 
 
-def _list_and_sweeps(backend, case, cutoff, skin, symmetry, energy):
-    """Build the list, then both sweeps over it, through ``backend``:
-    every output and accumulator, and the threads each native call ran
-    on."""
+def _build_then_sweep(backend, case, cutoff, skin, symmetry, energy):
+    """Two ``wafer_step`` calls of ``backend`` that integrate nothing: a
+    list built at ``held``, then both sweeps over it at ``pos`` (an
+    infinite ``bound2`` reuses it, so the rows the jitter moved past the
+    exact cut leave gaps in the record's segments).  Every output, and
+    the two steps."""
     (held, pos, occ, lengths, periodic, offsets, typ, rho, phi, phi_index,
-     f_der) = case
-    n = occ.size
-    n_cand = np.zeros(occ.shape, dtype=np.int32)
-    rho_flat, int_flat = np.zeros(n), np.zeros(n, dtype=np.int64)
-    force, e_flat = np.zeros((n, 3)), np.zeros(n) if energy else None
-    threads = []
-    listed = backend.wafer_list(held, occ, offsets, lengths, periodic,
-                                (cutoff + skin) ** 2, n_cand)
-    threads.append(getattr(backend, "threads", 1))
-    record = backend.wafer_density(
-        pos.reshape(-1, 3), listed, lengths, periodic, cutoff, typ,
-        rho.bank(), phi_index, symmetry, rho_flat, int_flat,
-    )
-    threads.append(getattr(backend, "threads", 1))
-    backend.wafer_force(record, f_der, phi.bank(), symmetry, force, e_flat)
-    threads.append(getattr(backend, "threads", 1))
-    out = [*listed, *record, n_cand, rho_flat, int_flat, force]
-    return out + ([e_flat] if energy else []), threads
+     _) = case
+    nx, ny = occ.shape
+    embed = floor._group(np.random.default_rng(nx * ny), rho.n_members,
+                         "clamp", False)
+    grid = (offsets, lengths, periodic, (cutoff + skin) ** 2, np.inf, cutoff,
+            (rho.bank(), embed.bank(), phi.bank()), phi_index, symmetry)
+    typ, vel = typ.reshape(nx, ny), np.zeros(pos.shape)
+    built = backend.wafer_step(held.copy(), vel, occ, typ, None, *grid)
+    swept = backend.wafer_step(pos.copy(), vel, occ, typ, built.held, *grid,
+                               energy=energy)
+    steps = (built, swept)
+    return [out for step in steps
+            for out in native_backend.step_outputs(step)], steps
 
 
 def _tasks() -> int:
@@ -409,75 +291,89 @@ class TestSweepThreads:
     ):
         case = _threaded_case(seed, nx, ny, holes, box, b, symmetry,
                               n_members, jitter)
-        want, _ = _list_and_sweeps(numpy_backend, case, 2.6, skin, symmetry,
-                                   energy)
+        want, _ = _build_then_sweep(numpy_backend, case, 2.6, skin, symmetry,
+                                    energy)
         for n in THREADS:
             with forced_threads(n):
-                got, threads = _list_and_sweeps(native_backend, case, 2.6,
-                                                skin, symmetry, energy)
-            assert threads == [n] * len(threads)
+                got, steps = _build_then_sweep(native_backend, case, 2.6,
+                                               skin, symmetry, energy)
+            assert [step.threads for step in steps] == [n, n]
             _assert_same(got, want)
 
-    def test_segments_with_gaps_close_on_every_thread_count(self):
+    def test_segments_with_gaps_are_walked_on_every_thread_count(self):
         """A jittered 40 x 40 slab: rows the exact cut drops leave gaps
-        the fix-up closes (more listed than kept), bitwise."""
+        between the record's segments (more listed than kept), which the
+        force phase walks as they lie, bitwise."""
         case = _threaded_case(9, 40, 40, 0.05, "periodic", 2, True, 2, 0.15)
-        want, _ = _list_and_sweeps(numpy_backend, case, 2.6, 0.4, True, True)
-        starts, kept = want[3], want[4]  # the record's bounds and centres
-        assert len(kept) < len(want[1])
-        assert starts[-1] == len(kept)
+        want, (built, swept) = _build_then_sweep(numpy_backend, case, 2.6,
+                                                 0.4, True, True)
+        assert swept.reused
+        assert 0 < swept.n_int.sum() < len(built.held[0][1])
         for n in THREADS:
             with forced_threads(n):
-                got, _ = _list_and_sweeps(native_backend, case, 2.6, 0.4,
-                                          True, True)
+                got, _ = _build_then_sweep(native_backend, case, 2.6, 0.4,
+                                           True, True)
             _assert_same(got, want)
 
-    def test_rows_out_of_order_run_on_one_thread(self):
-        case = _wafer_case(5, n_tiles=60, n_off=4, n_members=2, box="mixed")
-        want = _both_sweeps(numpy_backend, case, 3.0, True, True)
-        with forced_threads(2):
-            got = _both_sweeps(native_backend, case, 3.0, True, True)
-        assert native_backend.threads == 1
+    def test_more_threads_than_a_team_holds_run_on_a_full_team(self):
+        """A count above native.c's MAX_THREADS runs on MAX_THREADS
+        members, whose owner blocks fit its tables, bitwise."""
+        case = _threaded_case(9, 40, 40, 0.05, "periodic", 2, True, 2, 0.15)
+        want, _ = _build_then_sweep(numpy_backend, case, 2.6, 0.4, True, True)
+        most = native_backend.MAX_THREADS
+        with forced_threads(most + 36):
+            got, steps = _build_then_sweep(native_backend, case, 2.6, 0.4,
+                                           True, True)
+        assert [step.threads for step in steps] == [most, most]
+        _assert_same(got, want)
+
+    def test_more_blocks_than_native_holds_decline(self, monkeypatch):
+        """A call of more owner blocks than native.c's tables hold
+        declines to the numpy body before anything is written."""
+        case = _threaded_case(4, 30, 30, 0.1, "mixed", 2, True, 1, 0.1)
+        want, _ = _build_then_sweep(numpy_backend, case, 2.6, 0.4, True, True)
+        monkeypatch.setattr(native_backend, "BLOCKS_PER_THREAD", 5)
+        before = native_backend.declined
+        with forced_threads(native_backend.MAX_THREADS):
+            got, steps = _build_then_sweep(native_backend, case, 2.6, 0.4,
+                                           True, True)
+        assert native_backend.declined == before + 2
+        assert [step.threads for step in steps] == [1, 1]
         _assert_same(got, want)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_a_bad_index_declines_before_any_write(self, n):
-        """The last row is checked by the last thread, and no thread
-        writes until every thread's check has passed."""
-        pos, (starts, ctr, src), lengths, periodic, typ, rho, phi, \
-            phi_index, f_der = _wafer_case(7, n_tiles=40, n_off=3,
-                                           n_members=1, box="open")
-        rho_flat, int_flat = np.zeros(40), np.zeros(40, dtype=np.int64)
-        record = numpy_backend.wafer_density(
-            pos, (starts, ctr, src), lengths, periodic, 50.0, typ,
-            rho.bank(), phi_index, True, rho_flat, int_flat,
-        )
-        rho_flat[:], int_flat[:] = 0.0, 0
+    def test_a_bad_last_row_declines_before_any_write(self, n):
+        """The last held row is checked by the last member, and no member
+        writes until every member's check has passed."""
+        case = _threaded_case(7, 20, 20, 0.0, "open", 2, True, 1, 0.0)
+        _, step = _step(numpy_backend, case, 2.6, 0.4, "observe")
+        (starts, ctr, src), *planes = step.held
         src = src.copy()
-        src[-1] = ctr[-1] = 40 + 3
-        record[1][-1] = 40 + 3  # the record's last centre tile
-        force = np.zeros((40, 3))
+        src[-1] = 20 * 20 + 3
+        pos, vel = case[1].copy(), np.ones(case[1].shape)
         before = native_backend.declined
         with forced_threads(n), pytest.raises(IndexError):
-            native_backend.wafer_density(
-                pos, (starts, ctr, src), lengths, periodic, 3.0, typ,
-                rho.bank(), phi_index, True, rho_flat, int_flat,
-            )
-        with forced_threads(n), pytest.raises(IndexError):
-            native_backend.wafer_force(record, f_der, phi.bank(), True, force)
-        assert native_backend.declined == before + 2
-        assert not rho_flat.any() and not int_flat.any() and not force.any()
+            native_backend.wafer_step(
+                pos, vel, case[2], case[6].reshape(20, 20),
+                ((starts, ctr, src), *planes), case[5], case[3], case[4],
+                9.0, 1e3, 2.6, (case[7].bank(),) * 2 + (case[8].bank(),),
+                case[9], True, masses=np.array([180.9]), dt=0.002)
+        assert native_backend.declined == before + 1
+        assert np.array_equal(pos, case[1]) and (vel == 1.0).all()
 
-    def test_nan_geometry_is_cut_as_numpy_cuts_it(self):
+    def test_nan_geometry_refuses_as_numpy_refuses(self):
+        """A NaN fails the list test (it moved no finite distance), and
+        the build it calls for refuses the step, on every team."""
         case = list(_threaded_case(3, 30, 30, 0.0, "mixed", 2, True, 1, 0.1))
         x, y = np.argwhere(case[2])[len(case[2]) // 2]
         case[1] = case[1].copy()
         case[1][x, y, 1] = np.nan
-        want, _ = _list_and_sweeps(numpy_backend, case, 2.6, 0.4, True, True)
+        want, _ = _build_then_sweep(numpy_backend, case, 2.6, 0.4, True, True)
         with forced_threads(2):
-            got, threads = _list_and_sweeps(native_backend, case, 2.6, 0.4,
-                                            True, True)
-        assert set(threads) == {2}
+            got, steps = _build_then_sweep(native_backend, case, 2.6, 0.4,
+                                           True, True)
+        assert [step.threads for step in steps] == [2, 2]
+        assert not steps[1].ran
         _assert_same(got, want)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -486,10 +382,23 @@ class TestSweepThreads:
         case = _threaded_case(1, 30, 30, 0.1, "periodic", 2, True, 1, 0.1)
         before = _tasks()
         with forced_threads(3):
-            _, threads = _list_and_sweeps(native_backend, case, 2.6, 0.4,
-                                          True, False)
-        assert set(threads) == {3}
+            _, steps = _build_then_sweep(native_backend, case, 2.6, 0.4,
+                                         True, False)
+        assert [step.threads for step in steps] == [3, 3]
         assert _tasks() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child")
+    def test_the_working_memory_is_private_to_the_process(self):
+        """The scratch a machine keeps between calls is a private
+        mapping: a child forked while it is alive writes its own copy."""
+        scratch = native_backend._mapped((1024,), np.float64)
+        scratch[:] = 1.0
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            scratch[:] = 2.0
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert (scratch == 1.0).all()
 
     def test_thread_count_is_derived_from_cpus_and_rows(self, monkeypatch):
         rows = native_backend.ROWS_PER_THREAD
@@ -613,6 +522,16 @@ class TestWaferStep:
         assert outs[1].threads == 1 and outs[1].reused
         _assert_same(native_backend.step_outputs(outs[1]),
                      native_backend.step_outputs(outs[0]))
+
+    def test_a_float32_wafer_declines_whole(self):
+        case = list(_threaded_case(3, 12, 12, 0.1, "open", 2, True, 1, 0.0))
+        case[0], case[1] = (case[0].astype(np.float32),
+                            case[1].astype(np.float32))
+        want, _ = _step(numpy_backend, case, 2.6, 0.4, "energy")
+        before = native_backend.declined
+        got, step = _step(native_backend, case, 2.6, 0.4, "energy")
+        assert native_backend.declined == before + 1 and step.threads == 1
+        _assert_same(got, want)
 
     @pytest.mark.parametrize("bad", ["out of range", "off its offset"])
     def test_a_bad_held_row_declines_before_any_write(self, bad):
