@@ -6,9 +6,10 @@ arrays, following the five-step timestep of paper Sec. III-A:
 1. **Candidate exchange** — one list build over all (2b+1)^2
    neighborhood offsets, the functional equivalent of the
    marching multicast.  The wafer repeats it every step because it is
-   free there; the host keeps its result — an index-only Verlet list at
-   ``cutoff + skin`` — and repeats the exchange only when an atom has
-   moved ``skin / 2`` or the occupancy changed.
+   free there; the kernel tier that built it keeps its result — an
+   index-only Verlet list at ``cutoff + skin`` — and repeats the
+   exchange only when an atom has moved ``skin / 2`` or the occupancy
+   changed.
 2. **Neighbor list** — every step, the exact ``r < rc`` test over the
    listed pairs only; the survivors form one record (candidates arrive
    in deterministic order; the record order *is* the ordinal list),
@@ -33,21 +34,21 @@ call of the active registry tier (:mod:`repro.kernels`), on one team of
 threads.  This class owns the grids and makes the call: the same call
 serves :meth:`step` and, without the leap-frog and the counter, both
 observables.  Between calls run the swap rounds and the trace's
-moments.  Across steps it holds the list (and the tier's working
-memory), and the list is reused when the values say so (the same
-occupancy, every tile within ``skin / 2`` of its build-time position),
-so an atom swap, a restored checkpoint or a caller writing into the
-grids needs no hook, and a NaN, which fails that test, reaches a build
-that refuses it.  Survivors are always chosen by the exact cutoff test,
-in list order, so trajectories do not depend on the skin.  The physics
-is identical to the reference engine (:mod:`repro.md.simulation`);
-tests assert trajectory equivalence.
+moments.  Across steps the machine hands the tier one scratch dict, in
+which the tier keeps its own list (as each core of the paper keeps the
+list it built) and its working memory; the tier reuses its list when
+the values say so (the same occupancy, every tile within ``skin / 2``
+of its build-time position), so an atom swap, a restored checkpoint or
+a caller writing into the grids needs no hook, and a NaN, which fails
+that test, reaches a build that refuses it.  Survivors are always
+chosen by the exact cutoff test, in list order, so trajectories do not
+depend on the skin.  The physics is identical to the reference engine
+(:mod:`repro.md.simulation`); tests assert trajectory equivalence.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,23 +69,6 @@ __all__ = ["WseMd", "FAR"]
 #: Sentinel coordinate of an empty tile's "atom at infinity": masked by
 #: the occupancy bit, it only has to stay finite when squared.
 FAR = 1.0e15
-
-
-class _SkinList(NamedTuple):
-    """The index-only Verlet list: every pair within ``cutoff + skin``
-    at build time as int32 ``(starts, ctr, src)`` flat-tile rows,
-    offset-major (``starts[i]:starts[i + 1]`` are the rows of the
-    ``i``-th offset, tile-minor), and what its validity is judged by."""
-
-    listed: tuple[np.ndarray, np.ndarray, np.ndarray]
-    pos: np.ndarray  # build-time position plane (a copy)
-    occ: np.ndarray  # build-time occupancy plane (a copy)
-    n_cand: np.ndarray  # received candidates per tile, int32
-
-    @property
-    def nbytes(self) -> int:
-        index = sum(a.nbytes for a in self.listed)
-        return index + self.pos.nbytes + self.occ.nbytes + self.n_cand.nbytes
 
 
 class WseMd:
@@ -138,11 +122,11 @@ class WseMd:
         :class:`~repro.core.cycle_model.OptimizationConfig` whose
         ``interaction_factor`` is 0.5).
     skin:
-        Verlet skin (A) of the list carried across steps, reused while
-        every tile stays within ``skin / 2`` of its build-time position;
-        0 re-runs the exchange and filter every step (the paper's
-        policy) and retains nothing.  A speed / memory knob only: any
-        skin produces bitwise-identical trajectories.
+        Verlet skin (A) of the list the kernel tier keeps across steps,
+        reused while every tile stays within ``skin / 2`` of its
+        build-time position; 0 re-runs the exchange and filter every
+        step (the paper's policy) and keeps no list.  A speed / memory
+        knob only: any skin produces bitwise-identical trajectories.
     tracer:
         :mod:`repro.obs` tracer for :meth:`step`'s phase spans.
     """
@@ -261,12 +245,12 @@ class WseMd:
         self._reach2 = (float(potential.cutoff) + self.skin) ** 2 * (
             1.0 + 8.0 * float(np.finfo(self.dtype).eps)
         )
-        #: the list held across steps (None: the next density builds)
-        self._list: _SkinList | None = None
-        #: working memory the kernel tier reuses from one call to the
-        #: next (the survivor record's columns, per-tile planes); the
-        #: machine never reads it
+        #: what the kernel tier keeps from one call to the next, in its
+        #: own slot (its list, the survivor record's columns, per-tile
+        #: planes); the machine never reads it, and empties it when
+        #: another tier takes over (the next call builds, bitwise)
         self._scratch: dict = {}
+        self._tier = None  # the tier of the last call
 
     # -- helpers ---------------------------------------------------------------
 
@@ -280,11 +264,6 @@ class WseMd:
         """The timing-noise generator (for checkpointing its state)."""
         return self._rng
 
-    def list_bytes(self) -> int:
-        """Bytes retained between steps: the index list plus the
-        build-time planes (0 before the first build and at skin 0)."""
-        return self._list.nbytes if self._list is not None else 0
-
     # -- the five-step timestep ------------------------------------------------
 
     def _evaluate(self, tr, *, advance: bool = False, energy: bool = False):
@@ -292,20 +271,22 @@ class WseMd:
         the list test (or a build), density, embedding, force and, when
         ``advance`` is set, the leap-frog and the cycle counter.
 
-        Holds the list the call returns, keeps the step's counts, and
-        records the call's phases in ``tr``.  Returns the kernel's
+        Keeps the step's counts and records the call's phases in
+        ``tr``.  Returns the kernel's
         :class:`~repro.kernels.numpy_backend.WaferStep`.
         """
         kernels = active_backend()
+        if kernels is not self._tier:
+            self._scratch.clear()
+            self._tier = kernels
         grouped = self.potential.tables.grouped()
         cost, pbc = self.cost_model, self.pbc_inplane
-        held, self._list = self._list, None  # a call that raises holds none
         step = kernels.wafer_step(
-            self.pos, self.vel, self.occ, self.typ, held, self._offset_rows,
+            self.pos, self.vel, self.occ, self.typ, self._offset_rows,
             self._lengths, self._periodic, self._reach2,
             (0.5 * self.skin) ** 2, float(self.potential.cutoff),
             (grouped.rho.bank(), grouped.embed.bank(), grouped.phi.bank()),
-            grouped.phi_index, self.force_symmetry, keep=self.skin > 0.0,
+            grouped.phi_index, self.force_symmetry,
             masses=self.masses if advance else None, dt=self.dt,
             cost=(cost.exchange_cycles(self.b, pbc=pbc),
                   cost.candidate_cycles(pbc=pbc), cost.interaction_cycles(),
@@ -323,9 +304,6 @@ class WseMd:
                 f"non-finite positions on the wafer at step "
                 f"{self.step_count + 1}"
             )
-        if step.held is not None:
-            self._list = (held if step.reused
-                          else _SkinList(*step.held))
         self.last_candidates = step.n_cand.astype(np.int64)
         self.last_interactions = step.n_int
         self.sweep_threads = step.threads
@@ -439,8 +417,9 @@ class WseMd:
         ``b`` is safe).  The wafer algorithm's correctness rests on
         this invariant (Sec. III-A); atoms that drift beyond the margin
         ``b`` was chosen for silently lose interactions.  The check
-        builds a reference list of every pair, so it first lets the
-        kernel's working memory go (the next step takes it again).
+        builds a reference list of every pair, so it first lets what
+        the kernel tier keeps go, its list too (the next step rebuilds
+        it, bitwise).
         """
         self._scratch.clear()
         state = self.gather_state()

@@ -238,20 +238,18 @@ int64_t fused_force_pass(const int64_t *i, const int64_t *j,
  *
  * A block's rows in one offset are found by binary search, which needs
  * ctr and src ascending within each offset, as the list build leaves
- * them; a list that is not runs as one block.  Each (offset, block)
- * segment writes its rows compacted from the first row it could own
- * (one block: from where the last one ended).  The caller's thread is
- * member 0, and every thread is joined before the call returns: none
- * outlives it, so a fork between calls is safe.
+ * them (the list a step sweeps is always one this kernel built).  Each
+ * (offset, block) segment writes its rows compacted from the first row
+ * it could own.  The caller's thread is member 0, and every thread is
+ * joined before the call returns: none outlives it, so a fork between
+ * calls is safe.
  */
 #define MAX_THREADS 64
 #define MAX_BLOCKS (4 * MAX_THREADS)
 
 /* What a member's checks found; NO_ROOM: the caller's scratch is too
  * small for the list (the call declines). */
-enum {
-    BAD_INDEX = 1, OUT_OF_ORDER = 2, STALE = 4, NOT_FINITE = 8, NO_ROOM = 16,
-};
+enum { BAD_INDEX = 1, STALE = 2, NOT_FINITE = 4, NO_ROOM = 8 };
 
 /* A team: the calling thread (member 0) and up to threads - 1 more run
  * body(team, k) once each.  Members meet at barriers and claim owner
@@ -344,11 +342,6 @@ static int64_t run_team(team_t *t)
     return t->threads;
 }
 
-static int check_flags(int verdict)
-{
-    return verdict < 0 ? BAD_INDEX : verdict == 0 ? OUT_OF_ORDER : 0;
-}
-
 static int64_t clamp_threads(int64_t threads)
 {
     return threads < 1 ? 1 : threads > MAX_THREADS ? MAX_THREADS : threads;
@@ -358,25 +351,6 @@ static int64_t clamp_threads(int64_t threads)
 static inline int64_t edge(int64_t n, int64_t k, int64_t parts)
 {
     return n * k / parts;
-}
-
-/* Rows [r0, r1) of a list whose offset o holds rows starts[o] to
- * starts[o + 1]: -1 when a ctr or src lies outside [0, n_tiles), else
- * whether both ascend within each offset. */
-static int check_rows(const int32_t *starts, int64_t n_off,
-                      const int32_t *ctr, const int32_t *src, int64_t n_tiles,
-                      int64_t r0, int64_t r1)
-{
-    int ascending = 1;
-    for (int64_t o = 0; o < n_off; o++) {
-        int64_t s0 = starts[o], s1 = starts[o + 1];
-        for (int64_t q = s0 > r0 ? s0 : r0; q < s1 && q < r1; q++) {
-            if (bad(ctr[q], n_tiles) || bad(src[q], n_tiles)) return -1;
-            if (q > s0 && (ctr[q] <= ctr[q - 1] || src[q] <= src[q - 1]))
-                ascending = 0;
-        }
-    }
-    return ascending;
 }
 
 /* First row of [lo, hi) whose key is >= v, keys ascending. */
@@ -393,15 +367,10 @@ static int64_t lower(const int32_t *key, int64_t lo, int64_t hi, int64_t v)
 }
 
 /* The rows [*a, *b) of [s0, s1) whose key lies in the tile range
- * [lo, hi); one block owns every row, in whatever order. */
+ * [lo, hi). */
 static void block_rows(const int32_t *key, int64_t s0, int64_t s1, int64_t lo,
-                       int64_t hi, int64_t blocks, int64_t *a, int64_t *b)
+                       int64_t hi, int64_t *a, int64_t *b)
 {
-    if (blocks == 1) {
-        *a = s0;
-        *b = s1;
-        return;
-    }
     *a = lower(key, s0, s1, lo);
     *b = lower(key, *a, s1, hi);
 }
@@ -482,16 +451,14 @@ static int64_t rect_before(int64_t x0, int64_t x1, int64_t y0, int64_t y1,
  * outputs are allocated at the sum of the offsets' rectangles). */
 static void list_block(const list_args *A, int64_t b)
 {
-    int64_t nx = A->nx, ny = A->ny, base = 0, next = 0;
+    int64_t nx = A->nx, ny = A->ny, base = 0;
     int64_t lo = edge(nx * ny, b, A->blocks);
     int64_t hi = edge(nx * ny, b + 1, A->blocks);
     for (int64_t o = 0; o < A->n_off; o++) {
         int64_t dx = A->offsets[2 * o], dy = A->offsets[2 * o + 1];
         int64_t x0 = dx < 0 ? -dx : 0, x1 = nx - (dx > 0 ? dx : 0);
         int64_t y0 = dy < 0 ? -dy : 0, y1 = ny - (dy > 0 ? dy : 0);
-        int64_t w0 = A->blocks == 1
-                         ? next : base + rect_before(x0, x1, y0, y1, ny, lo);
-        int64_t w = w0;
+        int64_t w0 = base + rect_before(x0, x1, y0, y1, ny, lo), w = w0;
         for (int64_t x = x0; x < x1; x++) {
             int64_t ya = lo - x * ny > y0 ? lo - x * ny : y0;
             int64_t yb = hi - x * ny < y1 ? hi - x * ny : y1;
@@ -512,7 +479,6 @@ static void list_block(const list_args *A, int64_t b)
         A->seg[2 * (o * A->blocks + b)] = w0;
         A->seg[2 * (o * A->blocks + b) + 1] = w - w0;
         if (x1 > x0 && y1 > y0) base += (x1 - x0) * (y1 - y0);
-        next = w;
     }
 }
 
@@ -558,14 +524,14 @@ static int partner_share(const density_args *A, int64_t q, double *share)
  * means one table. */
 static void density_block(const density_args *A, int64_t k, int64_t bl)
 {
-    int64_t nt = A->rho->n_members, next = 0;
+    int64_t nt = A->rho->n_members;
     int64_t lo = edge(A->n_tiles, bl, A->blocks);
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
     double *share = A->share + k * A->stride;
     for (int64_t o = 0; o < A->n_off; o++) {
         int64_t s0 = A->starts[o], s1 = A->starts[o + 1], a, b, c, e;
-        block_rows(A->ctr, s0, s1, lo, hi, A->blocks, &a, &b);
-        int64_t w0 = A->blocks == 1 ? next : a, w = w0;
+        block_rows(A->ctr, s0, s1, lo, hi, &a, &b);
+        int64_t w0 = a, w = w0;
         for (int64_t q = a; q < b; q++) {
             int64_t at = A->ctr[q], from = A->src[q];
             double d[3], val;
@@ -592,14 +558,13 @@ static void density_block(const density_args *A, int64_t k, int64_t bl)
         }
         A->seg[2 * (o * A->blocks + bl)] = w0;
         A->seg[2 * (o * A->blocks + bl) + 1] = w - w0;
-        next = w;
         if (!A->symmetry) continue;
         /* reverse reduction: the partner shares this block owns -- its
          * own rows' from the scratch, its neighbours' recomputed */
         for (int64_t q = w0; q < w; q++)
             if (A->o_src[q] >= lo && A->o_src[q] < hi)
                 A->rho_flat[A->o_src[q]] += share[q - w0];
-        block_rows(A->src, s0, s1, lo, hi, A->blocks, &c, &e);
+        block_rows(A->src, s0, s1, lo, hi, &c, &e);
         for (int64_t q = c; q < e; q++) {
             double v;
             if ((q < a || q >= b) && partner_share(A, q, &v))
@@ -648,7 +613,7 @@ static int64_t record_rows(const force_args *A, const int32_t *key, int64_t o,
         if (s[1] == 0 || edge(A->n_tiles, i + 1, A->blocks) <= lo - A->reach
             || edge(A->n_tiles, i, A->blocks) >= hi + A->reach)
             continue;
-        block_rows(key, s[0], s[0] + s[1], lo, hi, A->blocks, part + 2 * n,
+        block_rows(key, s[0], s[0] + s[1], lo, hi, part + 2 * n,
                    part + 2 * n + 1);
         n += part[2 * n] < part[2 * n + 1];
     }
@@ -719,9 +684,7 @@ static void force_block(const force_args *A, int64_t k, int64_t bl)
  * team, in four phases separated by barriers:
  *
  *  1. the test: each member takes a share of the tiles (still on the held
- *     list's position, types in range, finite) and of the held list's
- *     rows (in range, ascending, each pairing the tiles its offset
- *     pairs);
+ *     list's position, types in range, finite);
  *  2. a list build when the test failed or nothing is held: list blocks,
  *     then the segments close, a column per member -- the list is held
  *     across steps, so it is compacted;
@@ -758,11 +721,11 @@ typedef struct {
     const uint8_t *occ;
     const int64_t *typ;
     int64_t n_tiles, n_off;
-    /* the held list (h_ctr == NULL: none held) */
+    /* the held list, one this kernel built (h_ctr == NULL: none held) */
     const int32_t *h_starts, *h_ctr, *h_src;
     const double *h_pos;
     const uint8_t *h_occ;
-    int64_t h_rows, trusted;  /* trusted: rows this kernel built */
+    int64_t h_rows;
     double bound2;
     /* a build: its list, and the planes it is held with (keep_pos NULL:
      * it is not held) */
@@ -822,22 +785,6 @@ static int step_check(const step_args *S, int64_t k, int64_t threads)
                 flags |= STALE;
         }
     }
-    if (S->h_ctr && !S->trusted) {
-        int64_t r0 = edge(S->h_rows, k, threads);
-        int64_t r1 = edge(S->h_rows, k + 1, threads);
-        flags |= check_flags(check_rows(S->h_starts, S->n_off, S->h_ctr,
-                                        S->h_src, S->n_tiles, r0, r1));
-        /* the force phase finds a tile's partner rows within reach of
-         * it: a row must pair the tiles its offset pairs */
-        for (int64_t o = 0; o < S->n_off; o++) {
-            int64_t shift = S->L.offsets[2 * o] * S->L.ny
-                            + S->L.offsets[2 * o + 1];
-            for (int64_t q = S->h_starts[o] > r0 ? S->h_starts[o] : r0;
-                 q < S->h_starts[o + 1] && q < r1; q++)
-                if (S->h_src[q] - (int64_t)S->h_ctr[q] != shift)
-                    flags |= BAD_INDEX;
-        }
-    }
     return flags;
 }
 
@@ -855,19 +802,15 @@ enum {
 /* Member 0: the sweeps over the list (starts, ctr, src) of `rows` rows
  * in `blocks` owner blocks, in the record and scratch the caller
  * passed.  A block's rows in one offset are at most its tiles (its
- * centres ascend), one block's at most the offset's rows.  Returns
- * NO_ROOM when the scratch cannot hold them, else 0. */
+ * centres ascend).  Returns NO_ROOM when the scratch cannot hold them,
+ * else 0. */
 static int step_sweeps(step_args *S, const int32_t *starts,
                        const int32_t *ctr, const int32_t *src, int64_t rows,
                        int64_t blocks)
 {
     int64_t n = S->n_tiles, stride = S->stride;
-    int64_t need = blocks == 1 ? 0 : (n + blocks - 1) / blocks;
     void *const *m = S->scratch;
-    for (int64_t o = 0; blocks == 1 && o < S->n_off; o++)
-        if (starts[o + 1] - starts[o] > need)
-            need = starts[o + 1] - starts[o];
-    if (rows > S->cap || need > stride) return NO_ROOM;
+    if (rows > S->cap || (n + blocks - 1) / blocks > stride) return NO_ROOM;
     int32_t *o_ctr = m[SCR_CTR], *o_src = m[SCR_SRC];
     double *o_r = m[SCR_R], *o_unit = m[SCR_UNIT], *d_src = m[SCR_D_SRC];
     double *d_ctr = S->typed ? m[SCR_D_CTR] : d_src;
@@ -1011,8 +954,7 @@ static void step_body(team_t *t, int64_t k)
         }
     } else if (k == 0) {
         atomic_fetch_or(&t->flags, step_sweeps(
-            S, S->h_starts, S->h_ctr, S->h_src, S->h_rows,
-            flags & OUT_OF_ORDER ? 1 : S->L.blocks));
+            S, S->h_starts, S->h_ctr, S->h_src, S->h_rows, S->L.blocks));
     }
     barrier(t);
     if (atomic_load(&t->flags) & NO_ROOM) return;
@@ -1032,13 +974,13 @@ static void step_body(team_t *t, int64_t k)
 
 /* One lockstep step (numpy_backend.wafer_step) over the nx x ny grid,
  * on a team of up to `threads`, in `blocks` owner blocks.  A held list
- * is (h_starts, h_ctr, h_src) of h_rows rows, built at (h_pos, h_occ),
- * or h_ctr == NULL (trusted: rows a build of this kernel wrote, left
- * unchanged since, are not checked again); a build writes n_cand,
- * starts and the list rows (allocated at their bound), and keep_pos /
- * keep_occ when not NULL.  masses == NULL skips the leap-frog, cost ==
- * NULL (exchange, candidate, interaction and fixed cycles) the counter,
- * f_val / e_flat == NULL the energy.  cand_in is the held list's
+ * is (h_starts, h_ctr, h_src) of h_rows rows that a build of this
+ * kernel wrote at (h_pos, h_occ) for the same grid and offsets, or
+ * h_ctr == NULL; a build writes n_cand, starts and the list rows
+ * (allocated at their bound), and keep_pos / keep_occ when not NULL.
+ * masses == NULL skips the leap-frog, cost == NULL (exchange,
+ * candidate, interaction and fixed cycles) the counter, f_val /
+ * e_flat == NULL the energy.  cand_in is the held list's
  * candidate counts, scratch the addresses of the buffers the SCR_*
  * names list, whose record columns hold `cap` rows and whose partner
  * values and force vectors `stride` rows per member.  out gets: 1 when
@@ -1047,9 +989,8 @@ static void step_body(team_t *t, int64_t k)
  * non-finite coordinates written, team size, and the nanoseconds of the
  * neighbor, exchange, density, embedding, pair_force, integrate and
  * cycle_account phases.  Returns 0, or -1 to decline: more than
- * MAX_BLOCKS blocks, a type or held row out of range, a held row
- * pairing tiles its offset does not, or a list the scratch cannot hold
- * (nothing of the caller's written). */
+ * MAX_BLOCKS blocks, a type out of range, or a list the scratch cannot
+ * hold (nothing of the caller's written). */
 int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
                    const int64_t *typ, int64_t nx, int64_t ny,
                    const int64_t *offsets, int64_t n_off,
@@ -1058,7 +999,7 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
                    const int32_t *h_starts, const int32_t *h_ctr,
                    const int32_t *h_src, const int32_t *cand_in,
                    const double *h_pos, const uint8_t *h_occ, int64_t h_rows,
-                   int64_t trusted, int32_t *n_cand, int32_t *starts,
+                   int32_t *n_cand, int32_t *starts,
                    int32_t *b_ctr, int32_t *b_src, double *keep_pos,
                    uint8_t *keep_occ, const bank_t *rho, const bank_t *embed,
                    const bank_t *phi, const int64_t *phi_index,
@@ -1075,8 +1016,7 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
     step_args S = {
         .pos = pos, .vel = vel, .occ = occ, .typ = typ, .n_tiles = n,
         .n_off = n_off, .h_starts = h_starts, .h_ctr = h_ctr, .h_src = h_src,
-        .h_pos = h_pos, .h_occ = h_occ, .h_rows = h_rows, .trusted = trusted,
-        .bound2 = bound2,
+        .h_pos = h_pos, .h_occ = h_occ, .h_rows = h_rows, .bound2 = bound2,
         .L = {pos, occ, nx, ny, offsets, n_off, lengths, periodic, reach2,
               n_cand, b_ctr, b_src, blocks, scratch[SCR_SEG_LIST]},
         .starts = starts, .keep_pos = keep_pos, .keep_occ = keep_occ,
@@ -1109,7 +1049,7 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
     int64_t result[] = {
         ran, built, S.rows, kept,
         atomic_load(&S.non_finite),
-        flags & OUT_OF_ORDER && !built ? 1 : members,
+        members,
         held ? tested : 0,
         built ? listed + (held ? 0 : tested) : 0,
         S.t_summed - S.t_listed - busy[EMBED_NS] + (built ? 0 : listed),

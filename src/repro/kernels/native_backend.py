@@ -24,12 +24,14 @@ compile, an unwritable cache or a probe mismatch raise
 fall-back to numpy, never a different trajectory.
 
 Per call, a kernel *declines* to its numpy body what ``native.c`` does
-not read (a float32 wafer, index arrays other than the int64 pair lists
-and int32 wafer lists the engines build, non-contiguous views, an empty
-scatter) and what the C loop itself declines: an index or atom type
-outside ``[0, n)`` or geometry numpy raises on.  Wrapped negatives,
-``IndexError`` and ``FloatingPointError`` so come out of the same numpy
-code as ever.
+not read (a float32 wafer, pair index arrays other than the int64 lists
+the engines build, non-contiguous views, an empty scatter) and what the
+C loop itself declines: an index or atom type outside ``[0, n)`` or
+geometry numpy raises on.  Wrapped negatives, ``IndexError`` and
+``FloatingPointError`` so come out of the same numpy code as ever.  The
+wafer's list is never an argument: ``wafer_step`` keeps the list it
+built in its slot of the caller's scratch, so no list another tier
+built reaches the C loop, and its rows are not checked again.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import shutil
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +86,6 @@ threads = 1
 
 _lib = None
 _F8, _I8, _I4 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int32)
-#: The lists ``wafer_step`` built, by the id of their centre rows, and
-#: left read-only: held again, such a list needs no check of its rows.
-_built: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 #: Private anonymous pages that reserve no swap: a column mapped at its
 #: bound costs the pages written, and a fork shares none of them.
 #: (An older mmap module does not name MAP_NORESERVE; 0x4000 is its
@@ -225,7 +223,7 @@ _SIGNATURES = {
     "neighbor_prefilter": "PiPPiPPdiiPPPP",
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
-    "wafer_step": "PPPPiiPiPPdddPPPPPPiiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
+    "wafer_step": "PPPPiiPiPPdddPPPPPPiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
 }
 
 
@@ -275,14 +273,6 @@ def _member(member, n: int) -> tuple:
 def _box(lengths, periodic) -> tuple:
     return (_arr(np.ascontiguousarray(lengths, dtype=_F8), _F8, 3),
             _arr(np.ascontiguousarray(periodic, dtype=bool), bool, 3))
-
-
-def _rows(starts: np.ndarray, n: int) -> int:
-    """Most rows in one offset, once ``starts`` partitions ``n`` rows."""
-    sizes = np.diff(starts)
-    if not len(starts) or starts[0] != 0 or starts[-1] != n or (sizes < 0).any():
-        raise _Decline
-    return int(sizes.max(initial=0))
 
 
 def _shrink(kept: int, *arrays) -> None:
@@ -385,10 +375,9 @@ def _scratch(store: dict, name: str, n: int, dtype, *tail) -> np.ndarray:
 
 
 @_kernel
-def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
-               bound2, cutoff, banks, phi_index, symmetry, *, keep=True,
-               masses=None, dt=0.0, cost=None, noise=None, jitter=0.0,
-               energy=False, scratch=None):
+def wafer_step(pos, vel, occ, typ, offsets, lengths, periodic, reach2, bound2,
+               cutoff, banks, phi_index, symmetry, *, masses=None, dt=0.0,
+               cost=None, noise=None, jitter=0.0, energy=False, scratch=None):
     global threads
     nx, ny = _arr(occ, bool, -1, -1).shape
     n = nx * ny
@@ -407,28 +396,27 @@ def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
         _arr(vel, _F8, nx, ny, 3), _arr(masses, _F8, -1)
     if noise is not None:
         _arr(noise, _F8, n)
-    h_args, rows, tested, trusted = (None,) * 6, 0, held is not None, False
+    # This tier's slot of the caller's scratch, kept between its calls
+    # (none: this call's): the list it built, and its working memory.
+    # The list goes back only when the call reuses it or builds another
+    # to hold; a call that declines or refuses holds none.
+    store = {} if scratch is None else scratch.setdefault(name, {})
+    held = store.pop("list", None)
+    h_args, rows = (None,) * 6, 0
     # a build's outputs, its rows at their bound
     dx, dy = np.abs(offsets).T
     bound = int((np.maximum(nx - dx, 0) * np.maximum(ny - dy, 0)).sum())
-    asked = min(_sweep_threads(bound), MAX_THREADS)
-    if tested:
+    if held is not None:
         (starts, ctr, src), h_pos, h_occ, h_cand = held
         rows = len(_arr(ctr, _I4, -1))
         _arr(src, _I4, rows), _arr(starts, _I4, n_off + 1)
-        trusted = _built.get(id(ctr)) is ctr and not any(
-            a.flags.writeable for a in (starts, ctr, src))
         _arr(h_pos, _F8, nx, ny, 3), _arr(h_occ, bool, nx, ny)
         h_args = (starts, ctr, src, _arr(h_cand, _I4, nx, ny), h_pos, h_occ)
-        asked = min(_sweep_threads(rows), MAX_THREADS)
+    asked = min(_sweep_threads(bound if held is None else rows), MAX_THREADS)
     blocks = 1 if asked == 1 else BLOCKS_PER_THREAD * asked
-    # A block's rows in one offset are at most its tiles; a list this
-    # tier did not build may run as one block, of an offset's rows.
-    stride = -(-n // blocks)
-    if tested and not trusted:
-        stride = max(stride, _rows(starts, rows))
     n_cand, starts = _mapped((nx, ny), _I4), np.empty(n_off + 1, _I4)
     ctr, src = _mapped(bound, _I4), _mapped(bound, _I4)
+    keep = bound2 > 0.0
     kept = ((_mapped(pos.shape, _F8), _mapped(occ.shape, bool)) if keep
             else (None, None))
     f_val = np.empty((nx, ny)) if energy else None
@@ -437,12 +425,12 @@ def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
     cycles = None
     if cost is not None:
         cycles = np.empty(n), np.empty(n, dtype=_I4), np.empty(n, dtype=_I4)
-    # The caller's scratch, kept between its calls (none: this call's).
     # The record has a row per row the call can list, mapped at that
     # bound and resident where density writes: its survivors, in the
-    # segments of the listed rows.
-    store = {} if scratch is None else scratch
-    cap, segments = max(bound, rows), 2 * n_off * blocks
+    # segments of the listed rows.  A block's rows in one offset are at
+    # most its tiles.
+    cap, stride = max(bound, rows), -(-n // blocks)
+    segments = 2 * n_off * blocks
     sizes = {
         "ctr": (cap, _I4), "src": (cap, _I4), "r": (cap, _F8),
         "unit": (cap, _F8, 3), "d_src": (cap, _F8),
@@ -451,31 +439,30 @@ def wafer_step(pos, vel, occ, typ, held, offsets, lengths, periodic, reach2,
         "seg_list": (segments, _I8), "seg_record": (segments, _I8),
         "rho": (n, _F8), "f_der": (n, _F8), "e_both": (n, _F8),
     }  # in native.c's SCR_* order
-    addresses = np.array([_scratch(store, name, *size).ctypes.data
-                          for name, size in sizes.items()], dtype=np.uintp)
+    addresses = np.array([_scratch(store, key, *size).ctypes.data
+                          for key, size in sizes.items()], dtype=np.uintp)
     out = np.empty(13, dtype=_I8)
     _c("wafer_step", pos, vel, occ, typ, nx, ny, offsets, n_off,
        *_box(lengths, periodic), float(reach2), float(bound2),
-       float(cutoff**2), *h_args, rows, trusted, n_cand, starts, ctr, src,
-       *kept, rho, embed, phi, phi_index, bool(symmetry), masses,
+       float(cutoff**2), *h_args, rows, n_cand, starts, ctr, src, *kept,
+       rho, embed, phi, phi_index, bool(symmetry), masses,
        0 if masses is None else len(masses), float(dt), MVV2E,
        None if cost is None else np.array(cost, dtype=_F8), noise,
        float(jitter), f_val, force, e_pair, n_int,
        *(cycles or (None, None, None)), addresses, cap, stride, blocks,
        asked, out)
     ran, built, listed, survivors, non_finite, threads, *ns = out.tolist()
+    tested = held is not None
     if not ran:
         return numpy_backend._refused(tested, ns, threads)
-    if built:
-        ctr, src = ctr[:listed], src[:listed]
-        for a in (starts, ctr, src):
-            a.flags.writeable = False
-        _built[id(ctr)] = ctr
-        held = ((starts, ctr, src), *kept, n_cand) if keep else None
+    if not built:
+        store["list"], n_cand = held, held[3]
+    elif keep:
+        store["list"] = ((starts, ctr[:listed], src[:listed]), *kept, n_cand)
     row_bytes = 48 if rho.n_members == 1 else 64
     return numpy_backend.WaferStep(
-        True, held, not built, n_cand if built else held[3], n_int, force,
-        f_val, e_pair, cycles, non_finite, survivors * row_bytes,
+        True, not built, n_cand, n_int, force, f_val, e_pair, cycles,
+        non_finite, survivors * row_bytes,
         numpy_backend._phases(tested, bool(built), masses is not None,
                               cost is not None),
         tuple(ns), threads,
@@ -530,8 +517,9 @@ def _probe_wafer(backend, rng, lengths, periodic, rho, phi,
                  phi_index) -> tuple:
     """The whole step on a 13 x 11 wafer with holes, every cut placed
     exactly on a value numpy computed (so one ulp of difference in
-    ``r^2`` flips the answer): a step that builds, an energy evaluation
-    on the list it holds, and one whose list test a moved tile fails."""
+    ``r^2`` flips the answer), in one scratch: a step that builds, an
+    energy evaluation on the list it holds, and one whose list test a
+    moved tile fails."""
     nx, ny = 13, 11
     occ = rng.random((nx, ny)) < 0.8
     pos = np.full((nx, ny, 3), 1.0e15)
@@ -548,30 +536,34 @@ def _probe_wafer(backend, rng, lengths, periodic, rho, phi,
     grid = dict(offsets=offsets, lengths=lengths, periodic=periodic,
                 reach2=reach2, cutoff=np.sqrt(reach2) * 0.9,
                 banks=(rho, rho, phi), phi_index=phi_index, symmetry=True)
+    scratch = {}
     built = backend.wafer_step(
-        pos, vel, occ, typ, None, bound2=0.01, **grid,
+        pos, vel, occ, typ, bound2=0.01, **grid,
         masses=np.array([180.9, 183.8]), dt=0.002,
         cost=(301.5, 26.6 / 1.1, 71.4 / 1.1, 574.0), noise=noise,
-        jitter=1e-3,
+        jitter=1e-3, scratch=scratch,
     )
-    energy = backend.wafer_step(pos, vel, occ, typ, built.held, bound2=1e3,
-                                **grid, energy=True)
+    out = step_outputs(built, scratch)
+    energy = backend.wafer_step(pos, vel, occ, typ, bound2=1e3, **grid,
+                                energy=True, scratch=scratch)
+    out += step_outputs(energy, scratch)
     pos[occ.nonzero()[0][0], occ.nonzero()[1][0], 0] += 0.5
-    moved = backend.wafer_step(pos, vel, occ, typ, built.held, bound2=0.01,
-                               **grid, keep=False)
-    return (pos, vel, *step_outputs(built), *step_outputs(energy),
-            *step_outputs(moved))
+    moved = backend.wafer_step(pos, vel, occ, typ, bound2=0.01, **grid,
+                               scratch=scratch)
+    return (pos, vel, *out, *step_outputs(moved, scratch))
 
 
-def step_outputs(step) -> tuple:
+def step_outputs(step, scratch: dict) -> tuple:
     """A :class:`~repro.kernels.numpy_backend.WaferStep`'s outputs, flat:
-    every field but the timings and the thread count, the held list's
-    arrays, and nothing for a field that is None."""
-    held = () if step.held is None else (*step.held[0], *step.held[1:])
-    fields = (step.ran, step.reused, *held, step.n_cand, step.n_int,
-              step.force, step.f_val, step.e_pair, *(step.cycles or ()),
+    every field but the timings and the thread count, and nothing for a
+    field that is None; then the arrays of every list a tier holds in
+    ``scratch``."""
+    fields = (step.ran, step.reused, step.n_cand, step.n_int, step.force,
+              step.f_val, step.e_pair, *(step.cycles or ()),
               step.non_finite, step.record_nbytes)
-    return tuple(f for f in fields if f is not None)
+    held = [store["list"] for store in scratch.values() if "list" in store]
+    return (*(f for f in fields if f is not None),
+            *(a for (listed, *planes) in held for a in (*listed, *planes)))
 
 
 def _expected() -> dict[str, tuple]:

@@ -37,7 +37,8 @@ that, not arithmetic, is the cost.  Three rules:
 
 Temporaries are reused in place where the operand order allows
 (``np.add(c, val, out=val)`` is ``c + val`` written into ``val``); no
-buffer outlives a call, and a kernel writes only to the arguments its
+buffer outlives a call but the list ``wafer_step`` keeps in its
+caller's scratch, and a kernel writes only to the arguments its
 docstring names as accumulators or state.
 
 Spline *banks* are the packed-group tuples built by
@@ -573,9 +574,7 @@ class WaferStep(NamedTuple):
     #: False: the list needed a build and a position is not finite;
     #: nothing else ran and every other field is empty
     ran: bool
-    #: the list to hold across steps: the ``held`` argument when it was
-    #: reused, a built ``(listed, pos, occ, n_cand)``, or None
-    held: tuple | None
+    #: the step swept the list the tier held (else it built one)
     reused: bool
     n_cand: np.ndarray | None  # int32 (nx, ny): candidates per tile
     n_int: np.ndarray | None  # int64 (nx, ny): interactions per tile
@@ -604,9 +603,8 @@ def _phases(tested: bool, built: bool, integrated: bool,
 
 
 def _refused(tested: bool, ns, threads: int = 1) -> WaferStep:
-    return WaferStep(False, None, False, None, None, None, None, None, None,
-                     0, 0, ("neighbor",) if tested else (), tuple(ns),
-                     threads)
+    return WaferStep(False, False, None, None, None, None, None, None, 0, 0,
+                     ("neighbor",) if tested else (), tuple(ns), threads)
 
 
 def _tiles(grid: np.ndarray, *tail: int) -> np.ndarray:
@@ -621,7 +619,6 @@ def wafer_step(
     vel: np.ndarray,
     occ: np.ndarray,
     typ: np.ndarray,
-    held: tuple | None,
     offsets: np.ndarray,
     lengths,
     periodic,
@@ -632,7 +629,6 @@ def wafer_step(
     phi_index: np.ndarray,
     symmetry: bool,
     *,
-    keep: bool = True,
     masses: np.ndarray | None = None,
     dt: float = 0.0,
     cost: tuple | None = None,
@@ -644,14 +640,18 @@ def wafer_step(
     """One lockstep step of the ``(nx, ny)`` wafer, list test to cycle
     counter.
 
-    ``held`` is the list a previous call returned, ``(listed, pos, occ,
-    n_cand)``, or None.  It is reused when it still covers the grids
-    (:func:`_covers`: the same ``occ``, every tile within
-    ``sqrt(bound2)`` of the ``pos`` it was built at); otherwise, unless
-    a position is not finite, :func:`_wafer_list` builds one at
-    ``reach2`` over ``offsets`` (returned to be held when ``keep``).
-    Then :func:`_wafer_density` over the list with ``cutoff`` and the
-    rho bank of ``banks = (rho, embed, phi)``, the embedding ``F`` and
+    ``scratch`` is a dict one caller hands every call (one grid, one
+    set of ``offsets``, ``lengths``, ``periodic`` and ``reach2``); each
+    tier keeps what it holds between that caller's calls in its own
+    slot, ``scratch[name]``, and None keeps nothing.  This body holds
+    only its list there, ``"list": (listed, pos, occ, n_cand)``.  The
+    list is reused when it still covers the grids (:func:`_covers`: the
+    same ``occ``, every tile within ``sqrt(bound2)`` of the ``pos`` it
+    was built at) and dropped when it does not; then, unless a position
+    is not finite, :func:`_wafer_list` builds one at ``reach2`` over
+    ``offsets``, held only when ``bound2 > 0``.  Then
+    :func:`_wafer_density` over the list with ``cutoff`` and the rho
+    bank of ``banks = (rho, embed, phi)``, the embedding ``F`` and
     ``F'`` of every occupied tile (through its type when the bank has a
     member per type), and :func:`_wafer_force` with the phi bank.  With
     ``masses`` the occupied tiles' ``pos`` and ``vel`` take the
@@ -659,13 +659,13 @@ def wafer_step(
     = (exchange, candidate, interaction, fixed)`` cycles, every tile is
     priced (:func:`_cycle_counts`, ``noise`` and ``jitter`` its timing
     noise); with ``energy`` the per-tile ``F`` and pair energy come back
-    too.  The survivor record lives only in the call.  ``scratch`` is a
-    dict a tier may keep its working memory in between one caller's
-    calls (this body keeps none there).
+    too.  The survivor record lives only in the call.
     """
     clock = time.perf_counter_ns
     ns = [0] * len(STEP_PHASES)
     t0 = clock()
+    store = {} if scratch is None else scratch.setdefault(name, {})
+    held = store.pop("list", None)  # back at the end: a raise holds none
     tested = held is not None
     reused = tested and _covers(pos, occ, held[1], held[2], bound2)
     t1 = clock()
@@ -675,11 +675,12 @@ def wafer_step(
         listed, n_cand = held[0], held[3]
     else:
         if not np.isfinite(pos).all():
-            return _refused(held is not None, ns)
+            return _refused(tested, ns)
         n_cand = np.zeros(occ.shape, dtype=np.int32)
         listed = _wafer_list(pos, occ, offsets, lengths, periodic, reach2,
                             n_cand)
-        held = (listed, pos.copy(), occ.copy(), n_cand) if keep else None
+        held = ((listed, pos.copy(), occ.copy(), n_cand) if bound2 > 0.0
+                else None)
         t0, t1 = t1, clock()
         ns[1] = t1 - t0
     rho_bank, embed_bank, phi_bank = banks
@@ -717,9 +718,11 @@ def wafer_step(
         cycles = _cycle_counts(_tiles(occ), _tiles(n_cand), _tiles(n_int),
                                *cost, noise, jitter)
     ns[6] = clock() - t1
+    if held is not None:
+        store["list"] = held
     rows = record[1:6] if record[6] is record[5] else record[1:]
     return WaferStep(
-        True, held, reused, n_cand, n_int, force, f_val if energy else None,
+        True, reused, n_cand, n_int, force, f_val if energy else None,
         e_pair, cycles, non_finite, sum(a.nbytes for a in rows),
         _phases(tested, not reused, masses is not None, cost is not None),
         tuple(ns), 1,

@@ -12,8 +12,9 @@ Ops
     Liveness probe.
 ``submit``
     ``spec`` (a :meth:`RunSpec.to_dict` mapping), optional ``steps``
-    override, ``replicas``/``sweep`` for ensembles, ``wait`` (default
-    true) to block until terminal, ``watch`` to stream each
+    override (an integer or null), ``replicas`` (an integer >= 1) and
+    ``sweep`` (a spec field -> list of values) for ensembles, ``wait``
+    (default true) to block until terminal, ``watch`` to stream each
     :class:`~repro.serve.events.JobEvent` as an interim
     ``{"event": ...}`` line before the final response.
 ``jobs`` / ``status`` / ``cancel``
@@ -175,14 +176,12 @@ class ServeServer:
     ) -> None:
         try:
             spec = RunSpec.from_dict(request.get("spec") or {})
+            steps, replicas, sweep = _submit_fields(request)
         except SpecError as exc:
             await self._send(writer, {
                 "ok": False, "error": f"invalid run spec: {exc}", "code": 2,
             })
             return
-        steps = request.get("steps")
-        replicas = int(request.get("replicas") or 1)
-        sweep = request.get("sweep") or None
         watch = bool(request.get("watch"))
         wait = bool(request.get("wait", True)) or watch
 
@@ -221,6 +220,30 @@ class ServeServer:
         if len(jobs) == 1:
             payload["job"] = payload["jobs"][0]
         await self._send(writer, payload)
+
+
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _submit_fields(request: dict) -> tuple:
+    """A submit's ``(steps, replicas, sweep)``; :class:`SpecError`
+    names the first that is malformed."""
+    steps, sweep = request.get("steps"), request.get("sweep") or None
+    replicas = request.get("replicas")
+    replicas = 1 if replicas is None else replicas
+    if steps is not None and not _whole(steps):
+        raise SpecError(f"steps must be an integer or null, got {steps!r}")
+    if not _whole(replicas) or replicas < 1:
+        raise SpecError(f"replicas must be an integer >= 1, got {replicas!r}")
+    if sweep is not None and not (
+        isinstance(sweep, dict)
+        and all(isinstance(v, list) for v in sweep.values())
+    ):
+        raise SpecError(
+            f"sweep must map spec fields to lists of values, got {sweep!r}"
+        )
+    return steps, replicas, sweep
 
 
 class ServeClient:

@@ -13,8 +13,8 @@ Hypothesis sweep over vacancies, alloys and periodic boxes.  The record
 tests pin the survivor record that carries the one filter's result
 from the density sweep to the force sweep: its size, and that it is a
 value the machine never keeps.  The list tests pin the index-only Verlet
-list the machine carries across steps (:meth:`WseMd.list_bytes`): a
-machine with a skin is bitwise the
+list the kernel tier keeps across steps in its slot of the machine's
+scratch (:func:`_held`): a machine with a skin is bitwise the
 machine that filters every step (``skin=0``), whatever is done to its
 grids between steps, and it builds exactly when an independent reading
 of the rule says it must.
@@ -192,6 +192,25 @@ def _embed(sim: WseMd, rho_bar: np.ndarray):
     return f_val, f_der
 
 
+def _held(sim: WseMd):
+    """The list the machine's kernel tier holds in its slot of the
+    scratch, ``(listed, pos, occ, n_cand)``, or None."""
+    lists = [store["list"] for store in sim._scratch.values()
+             if "list" in store]
+    assert len(lists) <= 1
+    return lists[0] if lists else None
+
+
+def _list_bytes(sim: WseMd) -> int:
+    """Bytes of the list held between steps: the index rows plus the
+    build-time planes (0 when none is held)."""
+    held = _held(sim)
+    if held is None:
+        return 0
+    listed, *planes = held
+    return sum(a.nbytes for a in (*listed, *planes))
+
+
 def _sweeps(sim: WseMd, energy: bool = True):
     """The machine's evaluation at its positions (one ``wafer_step``
     call, no integration), and the density the numpy tier's density
@@ -200,7 +219,7 @@ def _sweeps(sim: WseMd, energy: bool = True):
     rho = np.zeros(sim.occ.shape)
     grouped = sim.potential.tables.grouped()
     numpy_backend._wafer_density(
-        sim.pos.reshape(-1, 3), sim._list.listed, sim._lengths,
+        sim.pos.reshape(-1, 3), _held(sim)[0], sim._lengths,
         sim._periodic, float(sim.potential.cutoff), sim.typ.reshape(-1),
         grouped.rho.bank(), grouped.phi_index, sim.force_symmetry,
         rho.reshape(-1), np.zeros(sim.occ.size, dtype=np.int64),
@@ -420,8 +439,14 @@ _SCRATCH_BYTES_PER_PAIR = {False: 48, True: 64}
 _SCRATCH_BYTES_PER_TILE = 56
 
 
+def _working_memory(sim) -> list:
+    """What the kernel tier keeps between calls beside its list."""
+    return [a for store in sim._scratch.values()
+            for key, a in store.items() if key != "list"]
+
+
 def _scratch_budget(sim, alloy) -> int:
-    pages = mmap.PAGESIZE * len(sim._scratch)  # a part-written last page
+    pages = mmap.PAGESIZE * len(_working_memory(sim))  # a part-written page
     return (_SCRATCH_BYTES_PER_PAIR[alloy] * _listed_pairs(sim)
             + _SCRATCH_BYTES_PER_TILE * sim.occ.size + pages)
 
@@ -432,7 +457,8 @@ def test_the_kernel_scratch_is_resident_within_its_budget(
 ):
     """The native tier keeps the record's columns between steps, mapped
     at the rows a call can list: resident are only the pages density
-    wrote, a record row per listed pair at most."""
+    wrote, a record row per listed pair at most.  Its list, in the same
+    slot, stays within the list's own budget."""
     _tier("native")
     case = dict(
         reps=(8, 8, 2), alloy=alloy, inplane_periodic=False, vacancy=0.02,
@@ -440,22 +466,25 @@ def test_the_kernel_scratch_is_resident_within_its_budget(
     )
     sim = _sweep_machine(case, ta_potential, wta_potential, speed=0.05)
     sim.step(4)
-    mapped = sum(a.nbytes for a in sim._scratch.values())
-    held = _resident(sim._scratch.values())
+    mapped = sum(a.nbytes for a in _working_memory(sim))
+    held = _resident(_working_memory(sim))
     assert 0 < held <= _scratch_budget(sim, alloy) < mapped
+    planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
+    assert 0 < _list_bytes(sim) <= (
+        _LIST_BYTES_PER_PAIR * _listed_pairs(sim) + planes + 4096)
     sim.verify_coverage()
     assert not sim._scratch
 
 
 def _holds_no_record(sim) -> bool:
-    """Nothing the machine holds beside its list has a row per
-    interaction of its last evaluation: the survivor record lives only
-    in the kernel call.  (``_scratch`` is the kernel tier's working
-    memory, which the machine never reads.)"""
+    """Nothing the machine holds has a row per interaction of its last
+    evaluation: the survivor record lives only in the kernel call.
+    (``_scratch`` is the kernel tier's list and working memory, which
+    the machine never reads.)"""
     rows = int(sim.last_interactions.sum())
     return not any(
         a.ndim and len(a) == rows
-        for name, v in vars(sim).items() if name not in ("_list", "_scratch")
+        for name, v in vars(sim).items() if name != "_scratch"
         for a in _arrays(v)
     )
 
@@ -583,7 +612,7 @@ def test_default_skin_matches_skin_zero_property(
 
 
 def _listed_pairs(sim) -> int:
-    return len(sim._list.listed[1])
+    return len(_held(sim)[0][1])
 
 
 def _twins(state, potential, **machine):
@@ -668,6 +697,39 @@ def test_positions_overwritten_between_steps(ta_potential):
     _assert_same_observables(sim, twin, oracle)
 
 
+@pytest.mark.parametrize("between", ["tier switch", "coverage check"])
+def test_a_dropped_list_costs_one_build_and_no_bit(ta_potential, between):
+    """The list belongs to the tier that built it: a switch of tier
+    (numpy -> native -> numpy), or a coverage check, between steps
+    lets it go, and the next step rebuilds.  The machine ends bitwise on
+    its uninterrupted twin -- state, counts, cycle trace, timing noise
+    and modeled rate -- with one build more per interruption."""
+    if between == "tier switch":
+        _tier("native")
+    kw = dict(force_symmetry=True, jitter_rel=0.01, seed=3)
+    state = small_slab_state(reps=(6, 6, 2), temperature=100.0)
+    sim = WseMd(state.copy(), ta_potential, **kw)
+    twin = WseMd(state.copy(), ta_potential, **kw)
+    try:
+        for i, tier in enumerate(("numpy", "native", "numpy")):
+            if between == "coverage check" and i:
+                assert sim.verify_coverage() == 0
+            kernels.set_backend(tier if between == "tier switch" else "numpy")
+            sim.step(4)
+            kernels.set_backend("numpy")
+            twin.step(4)
+    finally:
+        kernels.set_backend(kernels.DEFAULT_BACKEND)
+    _assert_same_machine(sim, twin)
+    for got, want in zip(sim.trace.count_samples(),
+                         twin.trace.count_samples()):
+        assert np.array_equal(got, want)
+    assert sim.measured_rate() == twin.measured_rate()
+    assert sim.rng.random() == twin.rng.random()
+    assert (twin.list_builds, twin.list_reuses) == (1, 11)
+    assert (sim.list_builds, sim.list_reuses) == (3, 9)
+
+
 def test_list_bytes_accounting(ta_potential):
     """Between steps: 8 B per listed pair (two int32 tiles), the offset
     bounds, and three planes — the build-time positions and occupancy
@@ -675,17 +737,17 @@ def test_list_bytes_accounting(ta_potential):
     sim, twin, _ = _twins(
         small_slab_state(reps=(5, 5, 2)), ta_potential, force_symmetry=True,
     )
-    assert sim.list_bytes() == 0 and sim._list is None
+    assert _list_bytes(sim) == 0 and _held(sim) is None
     sim.step(1)
     twin.step(1)
     pairs = _listed_pairs(sim)
     assert pairs >= int(sim.last_interactions.sum()) > 0
-    bounds = sim._list.listed[0].nbytes
+    bounds = _held(sim)[0][0].nbytes
     assert bounds == 4 * (len(sim._offset_rows) + 1)
     planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
-    assert sim.list_bytes() == 8 * pairs + bounds + planes
+    assert _list_bytes(sim) == 8 * pairs + bounds + planes
     assert _holds_no_record(sim)
-    assert twin.list_bytes() == 0 and twin._list is None
+    assert _list_bytes(twin) == 0 and _held(twin) is None
 
 
 def test_negative_skin_rejected(ta_potential):
@@ -768,18 +830,20 @@ def _tier(backend):
 
 def _build(tier, pos, occ, offsets, lengths, periodic, reach2):
     """``(starts, ctr, src, n_cand)`` of the list ``tier`` builds: the
-    numpy body's list build itself, or a native ``wafer_step`` from no
-    list that integrates nothing."""
+    numpy body's list build itself, or the list a native ``wafer_step``
+    from no list that integrates nothing holds."""
     if tier is numpy_backend:
         n_cand = np.zeros(occ.shape, dtype=np.int32)
         return (*tier._wafer_list(pos, occ, offsets, lengths, periodic,
                                   reach2, n_cand), n_cand)
     bank = SplineGroup([UniformCubicSpline(0.0, 1.0, np.zeros(8))]).bank()
-    held = tier.wafer_step(
+    scratch = {}
+    tier.wafer_step(
         pos, np.zeros(pos.shape), occ, np.zeros(occ.shape, dtype=np.int64),
-        None, offsets, lengths, periodic, reach2, 0.0, 1.0, (bank,) * 3,
-        np.zeros((1, 1), dtype=np.int64), True).held
-    return (*held[0], held[3])
+        offsets, lengths, periodic, reach2, 1.0, 1.0, (bank,) * 3,
+        np.zeros((1, 1), dtype=np.int64), True, scratch=scratch)
+    listed, *_, n_cand = scratch[tier.name]["list"]
+    return (*listed, n_cand)
 
 
 def _list_build_peak(backend, b, nx=48, ny=48):
@@ -891,8 +955,8 @@ def test_record_budget_50k_atoms():
     assert 0 < step.record_nbytes <= _RECORD_BYTES_PER_INTERACTION * rows
     sim.step(1)
     assert _holds_no_record(sim)
-    if sim._scratch:  # what the native tier keeps resident for the record
-        assert _resident(sim._scratch.values()) <= _scratch_budget(sim, False)
+    if _working_memory(sim):  # what the native tier keeps for the record
+        assert _resident(_working_memory(sim)) <= _scratch_budget(sim, False)
     # what does stay between steps: the index list at cutoff + skin
     # (a thin shell more than the survivors in a crystal), offset
     # bounds, and three grid planes
@@ -900,7 +964,7 @@ def test_record_budget_50k_atoms():
     assert rows <= pairs <= 1.25 * rows
     planes = sim.pos.nbytes + sim.occ.nbytes + 4 * sim.occ.size
     assert sim.list_reuses == 1
-    assert sim.list_bytes() <= (
+    assert _list_bytes(sim) <= (
         _LIST_BYTES_PER_PAIR * pairs + planes + 4096
     )
 

@@ -153,7 +153,7 @@ def _offsets(symmetry):
 def _wafer_step_inputs(rng):
     """A holed grid stepped with the leap-frog, the cycle counter and the
     energy: from no list, or (every other draw) from the list one step of
-    the numpy tier holds."""
+    the active tier holds in the scratch the step is handed."""
     pos, occ = _wafer_grid(rng)
     n_types = int(rng.integers(1, 3))
     banks, phi_index = _wafer_banks(rng, n_types)
@@ -162,21 +162,21 @@ def _wafer_step_inputs(rng):
     grid = (_offsets(True), np.full(3, 6.0),
             rng.integers(0, 2, size=3).astype(bool), 3.2**2, 0.04, 2.9,
             banks, phi_index, True)
-    held = None
+    scratch = {}
     if rng.integers(0, 2):
-        from repro.kernels import numpy_backend
-
-        held = numpy_backend.wafer_step(pos.copy(), vel.copy(), occ, typ,
-                                        None, *grid).held
+        active_backend().wafer_step(pos.copy(), vel.copy(), occ, typ, *grid,
+                                    scratch=scratch)
     kwargs = dict(masses=rng.uniform(10.0, 200.0, n_types), dt=0.002,
                   cost=(301.5, 24.2, 64.9, 521.8),
-                  noise=rng.normal(size=occ.size), jitter=1e-3, energy=True)
-    return (pos, vel, occ, typ, held, *grid), kwargs, (pos, vel)
+                  noise=rng.normal(size=occ.size), jitter=1e-3, energy=True,
+                  scratch=scratch)
+    return (pos, vel, occ, typ, *grid), kwargs, (pos, vel)
 
 
 def _wafer_build_inputs(rng):
     """The list build as a step runs it: from no list, over random
-    offsets at a random reach, nothing integrated."""
+    offsets at a random reach, nothing integrated; the list it holds
+    is compared too."""
     pos, occ = _wafer_grid(rng)
     offsets = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2))
     offsets = offsets[(offsets != 0).any(axis=1)]
@@ -184,18 +184,16 @@ def _wafer_build_inputs(rng):
     reach2 = float(rng.uniform(1.0, 12.0))
     return (
         pos, np.zeros(pos.shape), occ, np.zeros(occ.shape, dtype=np.int64),
-        None, offsets, np.full(3, 6.0),
+        offsets, np.full(3, 6.0),
         rng.integers(0, 2, size=3).astype(bool), reach2, 0.04,
         0.9 * np.sqrt(reach2), banks, phi_index, False,
-    ), {}, (pos,)
+    ), dict(scratch={}), (pos,)
 
 
 def _wafer_held_inputs(rng, bound2):
-    """Positions moved since the numpy tier built the list it holds
+    """Positions moved since the active tier built the list it holds
     (symmetry drawn): reused when ``bound2`` covers the moves, else
     rebuilt; with the energy, without the leap-frog."""
-    from repro.kernels import numpy_backend
-
     pos, occ = _wafer_grid(rng)
     n_types = int(rng.integers(1, 3))
     banks, phi_index = _wafer_banks(rng, n_types)
@@ -204,11 +202,12 @@ def _wafer_held_inputs(rng, bound2):
     grid = (_offsets(symmetry), np.full(3, 6.0),
             rng.integers(0, 2, size=3).astype(bool), 3.2**2, bound2, 2.9,
             banks, phi_index, symmetry)
-    vel = np.zeros(pos.shape)
-    held = numpy_backend.wafer_step(pos.copy(), vel, occ, typ, None,
-                                    *grid).held
+    vel, scratch = np.zeros(pos.shape), {}
+    active_backend().wafer_step(pos.copy(), vel, occ, typ, *grid,
+                                scratch=scratch)
     pos = pos + rng.normal(0.0, 0.2, pos.shape) * occ[..., None]
-    return (pos, vel, occ, typ, held, *grid), dict(energy=True), (pos,)
+    return ((pos, vel, occ, typ, *grid), dict(energy=True, scratch=scratch),
+            (pos,))
 
 
 _INPUTS = {
@@ -233,7 +232,7 @@ def _call(fn_name, seed):
     fn_name = fn_name.split("/")[0]  # a case of the kernel before the "/"
     out = getattr(active_backend(), fn_name)(*args, **kwargs)
     if fn_name == "wafer_step":  # its timings and team are not outputs
-        out = step_outputs(out)
+        out = step_outputs(out, kwargs["scratch"])
     if out is None:
         out = ()
     out = out if isinstance(out, tuple) else (out,)

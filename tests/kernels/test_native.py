@@ -154,16 +154,18 @@ _GRIDS = dict(
 
 def _built_list(backend, pos, occ, offsets, lengths, periodic, reach2):
     """The list one ``wafer_step`` of ``backend`` builds from no list
-    (whole neighbourhood, no symmetry, nothing integrated): its rows,
-    candidate counts and what the sweeps over it found."""
+    (whole neighbourhood, no symmetry, nothing integrated) and holds:
+    its rows, candidate counts and what the sweeps over it found."""
     rng = np.random.default_rng(occ.size)
     bank = floor._group(rng, 1, "linear", True).bank()
+    scratch = {}
     step = backend.wafer_step(
         pos, np.zeros(pos.shape), occ, np.zeros(occ.shape, dtype=np.int64),
-        None, offsets, lengths, periodic, reach2, 0.0,
+        offsets, lengths, periodic, reach2, 1.0,
         0.5 * float(np.sqrt(reach2)), (bank, bank, bank),
-        np.zeros((1, 1), dtype=np.int64), False)
-    return (*step.held[0], step.held[3], step.n_int, step.force)
+        np.zeros((1, 1), dtype=np.int64), False, scratch=scratch)
+    listed, *_, n_cand = scratch[backend.name]["list"]
+    return (*listed, n_cand, step.n_int, step.force)
 
 
 @needs_native
@@ -250,11 +252,11 @@ def _threaded_case(seed, nx, ny, holes, box, b, symmetry, n_members, jitter):
 
 
 def _build_then_sweep(backend, case, cutoff, skin, symmetry, energy):
-    """Two ``wafer_step`` calls of ``backend`` that integrate nothing: a
-    list built at ``held``, then both sweeps over it at ``pos`` (an
-    infinite ``bound2`` reuses it, so the rows the jitter moved past the
-    exact cut leave gaps in the record's segments).  Every output, and
-    the two steps."""
+    """Two ``wafer_step`` calls of ``backend`` in one scratch that
+    integrate nothing: a list built at ``held``, then both sweeps over
+    it at ``pos`` (an infinite ``bound2`` reuses it, so the rows the
+    jitter moved past the exact cut leave gaps in the record's
+    segments).  Every output and held list, and the two steps."""
     (held, pos, occ, lengths, periodic, offsets, typ, rho, phi, phi_index,
      _) = case
     nx, ny = occ.shape
@@ -262,13 +264,14 @@ def _build_then_sweep(backend, case, cutoff, skin, symmetry, energy):
                          "clamp", False)
     grid = (offsets, lengths, periodic, (cutoff + skin) ** 2, np.inf, cutoff,
             (rho.bank(), embed.bank(), phi.bank()), phi_index, symmetry)
-    typ, vel = typ.reshape(nx, ny), np.zeros(pos.shape)
-    built = backend.wafer_step(held.copy(), vel, occ, typ, None, *grid)
-    swept = backend.wafer_step(pos.copy(), vel, occ, typ, built.held, *grid,
-                               energy=energy)
-    steps = (built, swept)
-    return [out for step in steps
-            for out in native_backend.step_outputs(step)], steps
+    typ, vel, scratch = typ.reshape(nx, ny), np.zeros(pos.shape), {}
+    built = backend.wafer_step(held.copy(), vel, occ, typ, *grid,
+                               scratch=scratch)
+    outs = list(native_backend.step_outputs(built, scratch))
+    swept = backend.wafer_step(pos.copy(), vel, occ, typ, *grid,
+                               energy=energy, scratch=scratch)
+    outs += native_backend.step_outputs(swept, scratch)
+    return outs, (built, swept)
 
 
 def _tasks() -> int:
@@ -305,10 +308,14 @@ class TestSweepThreads:
         between the record's segments (more listed than kept), which the
         force phase walks as they lie, bitwise."""
         case = _threaded_case(9, 40, 40, 0.05, "periodic", 2, True, 2, 0.15)
-        want, (built, swept) = _build_then_sweep(numpy_backend, case, 2.6,
-                                                 0.4, True, True)
+        want, (_, swept) = _build_then_sweep(numpy_backend, case, 2.6, 0.4,
+                                             True, True)
+        held, _, occ, lengths, periodic, offsets = case[:6]
+        _, listed, _ = numpy_backend._wafer_list(
+            held, occ, offsets, lengths, periodic, 3.0**2,
+            np.zeros(occ.shape, dtype=np.int32))
         assert swept.reused
-        assert 0 < swept.n_int.sum() < len(built.held[0][1])
+        assert 0 < swept.n_int.sum() < len(listed)
         for n in THREADS:
             with forced_threads(n):
                 got, _ = _build_then_sweep(native_backend, case, 2.6, 0.4,
@@ -342,22 +349,19 @@ class TestSweepThreads:
         _assert_same(got, want)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_a_bad_last_row_declines_before_any_write(self, n):
-        """The last held row is checked by the last member, and no member
-        writes until every member's check has passed."""
-        case = _threaded_case(7, 20, 20, 0.0, "open", 2, True, 1, 0.0)
-        _, step = _step(numpy_backend, case, 2.6, 0.4, "observe")
-        (starts, ctr, src), *planes = step.held
-        src = src.copy()
-        src[-1] = 20 * 20 + 3
+    def test_a_bad_last_type_declines_before_any_write(self, n):
+        """The last tile is checked by the last member, and no member
+        writes until every member's check has passed, on a team that
+        holds its list."""
+        case = list(_threaded_case(7, 20, 20, 0.0, "open", 2, True, 1, 0.0))
+        case[6] = case[6].copy()
+        case[6][-1] = 1  # past the one-entry mass table
         pos, vel = case[1].copy(), np.ones(case[1].shape)
         before = native_backend.declined
-        with forced_threads(n), pytest.raises(IndexError):
-            native_backend.wafer_step(
-                pos, vel, case[2], case[6].reshape(20, 20),
-                ((starts, ctr, src), *planes), case[5], case[3], case[4],
-                9.0, 1e3, 2.6, (case[7].bank(),) * 2 + (case[8].bank(),),
-                case[9], True, masses=np.array([180.9]), dt=0.002)
+        with forced_threads(n):
+            got, _ = _step(native_backend, case, 2.6, 0.4, "step",
+                           grids=(pos, vel), masses=np.array([180.9]))
+        assert got is IndexError
         assert native_backend.declined == before + 1
         assert np.array_equal(pos, case[1]) and (vel == 1.0).all()
 
@@ -414,13 +418,14 @@ class TestSweepThreads:
 def _step(backend, case, cutoff, skin, mode, *, symmetry=True, grids=None,
           masses=None, noise=False, poison=None, flip=False):
     """One ``wafer_step`` of ``backend`` at the case's ``pos``: from the
-    list the numpy body built at ``held`` (skin > 0; ``flip`` then turns
-    one occupancy bit since) or from none (skin 0, nothing kept).
+    list a step of ``backend`` built at ``held`` and holds in the
+    scratch of both calls (skin > 0; ``flip`` then turns one occupancy
+    bit since) or from none (skin 0, nothing kept).
     ``mode`` "step" integrates and counts cycles (with a timing-noise
     plane when ``noise``), "observe" does neither, "energy" adds the
     energy planes; ``poison`` puts a NaN into "pos" or "vel" first.
-    Returns every output and the grids after, or the type of what was
-    raised, and the step."""
+    Returns every output, the list held after and the grids after, or
+    the type of what was raised, and the step."""
     (held_pos, pos, occ, lengths, periodic, offsets, typ, rho, phi,
      phi_index, _) = case
     nx, ny = occ.shape
@@ -431,17 +436,17 @@ def _step(backend, case, cutoff, skin, mode, *, symmetry=True, grids=None,
     grid = (offsets, lengths, periodic, (cutoff + skin) ** 2,
             (0.5 * skin) ** 2, cutoff, (rho.bank(), embed.bank(), phi.bank()),
             phi_index, symmetry)
-    held = None
+    scratch = {}
     if skin > 0.0:
-        held = numpy_backend.wafer_step(held_pos.copy(), vel.copy(), occ, typ,
-                                        None, *grid).held
+        backend.wafer_step(held_pos.copy(), vel.copy(), occ, typ, *grid,
+                           scratch=scratch)
     if flip:
         occ = occ.copy()
         occ[rng.integers(nx), rng.integers(ny)] ^= True
     if poison is not None:
         x, y = np.argwhere(occ)[0] if occ.any() else (0, 0)
         (pos if poison == "pos" else vel)[x, y, 1] = np.nan
-    kw = dict(keep=skin > 0.0, energy=mode == "energy")
+    kw = dict(energy=mode == "energy", scratch=scratch)
     if mode == "step":
         kw.update(
             masses=(rng.uniform(10.0, 200.0, rho.n_members)
@@ -451,10 +456,10 @@ def _step(backend, case, cutoff, skin, mode, *, symmetry=True, grids=None,
             jitter=1e-3 if noise else 0.0,
         )
     try:
-        step = backend.wafer_step(pos, vel, occ, typ, held, *grid, **kw)
+        step = backend.wafer_step(pos, vel, occ, typ, *grid, **kw)
     except Exception as exc:
         return type(exc), None
-    return [*native_backend.step_outputs(step), pos, vel], step
+    return [*native_backend.step_outputs(step, scratch), pos, vel], step
 
 
 @needs_native
@@ -502,27 +507,6 @@ class TestWaferStep:
             if reused is not None:
                 assert step.reused is reused
 
-    def test_held_rows_out_of_order_run_as_one_block(self):
-        case = _threaded_case(6, 24, 24, 0.0, "open", 2, True, 1, 0.0)
-        _, step = _step(numpy_backend, case, 2.6, 0.4, "observe")
-        (starts, ctr, src), *planes = step.held
-        order = np.arange(len(ctr))
-        order[starts[0]:starts[1]] = order[starts[0]:starts[1]][::-1]
-        held = ((starts, ctr[order], src[order]), *planes)
-        outs = []
-        for tier in (numpy_backend, native_backend):
-            with forced_threads(2), pytest.MonkeyPatch.context() as mp:
-                mp.setattr(tier, "_covers", lambda *a: True, raising=False)
-                out = tier.wafer_step(
-                    case[1].copy(), np.zeros(case[1].shape), case[2],
-                    case[6].reshape(24, 24), held, case[5], case[3], case[4],
-                    9.0, 0.04, 2.6, (case[7].bank(), case[7].bank(),
-                                     case[8].bank()), case[9], True)
-            outs.append(out)
-        assert outs[1].threads == 1 and outs[1].reused
-        _assert_same(native_backend.step_outputs(outs[1]),
-                     native_backend.step_outputs(outs[0]))
-
     def test_a_float32_wafer_declines_whole(self):
         case = list(_threaded_case(3, 12, 12, 0.1, "open", 2, True, 1, 0.0))
         case[0], case[1] = (case[0].astype(np.float32),
@@ -530,61 +514,9 @@ class TestWaferStep:
         want, _ = _step(numpy_backend, case, 2.6, 0.4, "energy")
         before = native_backend.declined
         got, step = _step(native_backend, case, 2.6, 0.4, "energy")
-        assert native_backend.declined == before + 1 and step.threads == 1
+        # the build and the step: numpy holds the list in its own slot
+        assert native_backend.declined == before + 2 and step.threads == 1
         _assert_same(got, want)
-
-    @pytest.mark.parametrize("bad", ["out of range", "off its offset"])
-    def test_a_bad_held_row_declines_before_any_write(self, bad):
-        """A held row out of range, or pairing tiles its offset does not
-        pair (the force phase looks for a tile's partners within reach
-        of it), declines to the numpy body before anything is written."""
-        case = _threaded_case(8, 16, 16, 0.0, "mixed", 2, True, 1, 0.0)
-        _, step = _step(numpy_backend, case, 2.6, 0.4, "observe")
-        (starts, ctr, src), *planes = step.held
-        src = src.copy()
-        src[-1] = 16 * 16 + 5 if bad == "out of range" else src[-1] - 1
-        pos, vel = case[1].copy(), np.ones(case[1].shape)
-        args = (case[2], case[6].reshape(16, 16),
-                ((starts, ctr, src), *planes), case[5], case[3], case[4], 9.0,
-                1e3, 2.6, (case[7].bank(), case[7].bank(), case[8].bank()),
-                case[9], True)
-        before = native_backend.declined
-        if bad == "out of range":
-            with forced_threads(3), pytest.raises(IndexError):
-                native_backend.wafer_step(pos, vel, *args,
-                                          masses=np.array([180.9]), dt=0.002)
-            assert np.array_equal(pos, case[1]) and (vel == 1.0).all()
-        else:
-            with forced_threads(3):
-                got = native_backend.wafer_step(pos, vel, *args)
-            want = numpy_backend.wafer_step(case[1].copy(), vel, *args)
-            _assert_same(native_backend.step_outputs(got),
-                         native_backend.step_outputs(want))
-        assert native_backend.declined == before + 1
-
-    def test_a_built_list_is_read_only_and_checked_once_writeable(self):
-        """The rows a build wrote are left read-only and not checked
-        when held again; rows made writeable are checked like any."""
-        case = _threaded_case(8, 16, 16, 0.0, "mixed", 2, True, 1, 0.0)
-        with forced_threads(2):
-            _, step = _step(native_backend, case, 2.6, 0.0, "observe")
-            held = native_backend.wafer_step(
-                case[1], np.zeros(case[1].shape), case[2],
-                case[6].reshape(16, 16), None, case[5], case[3], case[4],
-                9.0, 1e3, 2.6, (case[7].bank(),) * 2 + (case[8].bank(),),
-                case[9], True).held
-        starts, ctr, src = held[0]
-        assert not any(a.flags.writeable for a in (starts, ctr, src))
-        src.flags.writeable = True
-        src[-1] = 16 * 16 + 5
-        before = native_backend.declined
-        with forced_threads(2), pytest.raises(IndexError):
-            native_backend.wafer_step(
-                case[1], np.zeros(case[1].shape), case[2],
-                case[6].reshape(16, 16), held, case[5], case[3], case[4],
-                9.0, 1e3, 2.6, (case[7].bank(),) * 2 + (case[8].bank(),),
-                case[9], True)
-        assert native_backend.declined == before + 1
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="counts threads through /proc")

@@ -187,6 +187,35 @@ class TestErrors:
         assert not caplog.records
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("replicas", "x"), ("replicas", -2), ("steps", "abc"),
+        ("sweep", [1, 2]),
+    ])
+    def test_a_malformed_submit_field_is_answered(
+        self, tmp_path, caplog, field, value
+    ):
+        """A submit field of the wrong type used to raise out of the
+        handler (the client saw the connection close, the server logged
+        an unhandled traceback), and a negative replica count ran one
+        job."""
+        def run(client):
+            with socket.create_connection(
+                (client.host, client.port), timeout=30
+            ) as conn:
+                frame = json.dumps(
+                    {"op": "submit", "spec": SPEC.to_dict(), field: value})
+                conn.sendall(frame.encode() + b"\n")
+                reply = json.loads(conn.makefile().readline() or "null")
+            return reply, client.ping()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            reply, alive = _with_server(tmp_path, run)
+        assert reply["ok"] is False and reply["code"] == 2
+        assert reply["error"].startswith(f"invalid run spec: {field} ")
+        assert alive
+        assert not caplog.records
+
+
 class TestWatch:
     def test_watch_streams_events_then_result(self, tmp_path):
         events = []
