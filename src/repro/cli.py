@@ -476,11 +476,12 @@ def _cmd_profile(args) -> int:
             prof.phase_seconds,
             prof.wall_s,
         ))
-        if any(prof.funnel.values()):
-            print("rebuild funnel: " + ", ".join(
-                f"{key.split('.', 1)[1]} {count}"
-                for key, count in prof.funnel.items()
-            ))
+        counts = prof.counters
+        if counts.get("raw_candidates"):
+            print(f"rebuild funnel: rebuilds {counts['neighbor_rebuilds']}, "
+                  f"raw_candidates {counts['raw_candidates']}, "
+                  f"coarse_kept {counts['coarse_kept']}, "
+                  f"exact_kept {counts['exact_kept']}")
         if prof.minor_faults_per_step is not None:
             print(f"minor page faults/step: "
                   f"{prof.minor_faults_per_step:.0f}")

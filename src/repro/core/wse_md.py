@@ -59,7 +59,7 @@ from repro.core.swap import SwapEngine
 from repro.kernels import active_backend
 from repro.kernels.numpy_backend import STEP_PHASES
 from repro.md.state import AtomsState
-from repro.obs import NULL_TRACER, metrics
+from repro.obs import NULL_TRACER
 from repro.potentials.eam import EAMPotential
 from repro.wse.geometry import TileGrid
 from repro.wse.trace import CycleTrace
@@ -297,7 +297,6 @@ class WseMd:
                    if advance and self.jitter_rel > 0.0 else None),
             jitter=self.jitter_rel, energy=energy, scratch=self._scratch,
         )
-        metrics().counter("kernels.wafer_step.calls").inc()
         if not step.ran:
             # every NaN fails the list test; empty tiles hold a finite FAR
             raise FloatingPointError(
@@ -309,10 +308,8 @@ class WseMd:
         self.sweep_threads = step.threads
         if step.reused:
             self.list_reuses += 1
-            metrics().counter("wse.list.reuses").inc()
         else:
             self.list_builds += 1
-            metrics().counter("wse.list.builds").inc()
         if tr.enabled:
             n_offsets = len(self._offset_rows)
             spans = dict(zip(STEP_PHASES, step.phase_ns))
@@ -339,14 +336,7 @@ class WseMd:
                 f"non-finite positions on the wafer after step "
                 f"{self.step_count + 1}"
             )
-        cycles, cand, cnt_int = step.cycles
-        moments = self.trace.record(cycles, cand, cnt_int)
-        reg = metrics()
-        reg.histogram("wse.cycles_per_tile").observe_moments(
-            cycles.size, *moments)
-        exchange = self.cost_model.exchange_cycles(self.b,
-                                                   pbc=self.pbc_inplane)
-        reg.counter("wse.multicast.cycles").inc(float(cycles.size) * exchange)
+        self.trace.record(*step.cycles)
 
     def _swap_round(self) -> int:
         proj = self._project_grid(self.pos.copy())
@@ -364,7 +354,6 @@ class WseMd:
         self.aid[vac] = -1
         self.typ[vac] = 0
         self.swap_count += n
-        metrics().counter("swap.moves").inc(float(n))
         return n
 
     def _project_grid(self, pos3: np.ndarray) -> np.ndarray:

@@ -141,7 +141,7 @@ def set_backend(name: str) -> str:
     performance degrades gracefully, physics never depends on the
     choice.
     """
-    from repro.obs import metrics, warn_once
+    from repro.obs import warn_once
 
     global _active, _active_name
     _active, _active_name = _load(name), name
@@ -153,7 +153,6 @@ def set_backend(name: str) -> str:
             f"falling back to {FALLBACK_BACKEND!r}",
         )
         _active, _active_name = _load(FALLBACK_BACKEND), FALLBACK_BACKEND
-    metrics().counter(f"kernels.set_backend.{_active_name}").inc()
     return _active_name
 
 

@@ -164,9 +164,6 @@ def load() -> None:
     except ImportError:
         _lib = None
         raise
-    from repro.obs import metrics
-
-    metrics().gauge("kernels.native.compile_s").set(compile_s)
 
 
 # -- calling convention ------------------------------------------------------

@@ -38,14 +38,12 @@ import numpy as np
 from repro.kernels import active_backend
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
-from repro.obs import metrics
 from repro.potentials.base import PairTable
 
 __all__ = [
     "Candidates",
     "NeighborList",
     "build_candidates",
-    "count_funnel",
     "displacement2",
     "displacement_trigger",
     "skin_trigger",
@@ -105,21 +103,6 @@ def displacement_trigger(
     return None, math.sqrt(max_d2)
 
 
-def count_funnel(n_raw: int, n_coarse: int, n_exact: int) -> None:
-    """Add one rebuild's candidate funnel to the metrics registry.
-
-    ``neighbor.raw_candidates`` (stencil pairs enumerated) >=
-    ``neighbor.coarse_kept`` (survivors of the sweep's in-block cut) >=
-    ``neighbor.exact_kept`` (candidates the exact kernel kept).  All
-    three are exact, seed-repeatable counts: a loosened coarse bound
-    shows up as ``coarse_kept - exact_kept`` growing, not as noise.
-    """
-    reg = metrics()
-    reg.counter("neighbor.raw_candidates").inc(n_raw)
-    reg.counter("neighbor.coarse_kept").inc(n_coarse)
-    reg.counter("neighbor.exact_kept").inc(n_exact)
-
-
 @dataclass
 class Candidates:
     """A built Verlet candidate set: half index pairs ``(i, j)`` with
@@ -133,11 +116,15 @@ class Candidates:
     j: np.ndarray
     r_build: np.ndarray
     #: (raw, coarse_kept, exact_kept) counts of the build that made this
-    #: set (see :func:`count_funnel`): raw is what the sweep enumerated,
-    #: a tile's halo ring included; coarse and exact are counted after
-    #: the seam rule, so exact sums over tiles to the serial build's
-    #: (and coarse does wherever the rounding sliver past the reach is
-    #: empty).
+    #: set, widest first: raw is what the sweep enumerated, a tile's
+    #: halo ring included; coarse_kept survived the sweep's in-block
+    #: cut; exact_kept the exact kernel.  Coarse and exact are counted
+    #: after the seam rule, so exact sums over tiles to the serial
+    #: build's (and coarse does wherever the rounding sliver past the
+    #: reach is empty).  All three are exact, seed-repeatable counts: a
+    #: loosened coarse bound shows as ``coarse_kept - exact_kept``
+    #: growing, not as noise.  The reference engine sums them over its
+    #: builds into :class:`~repro.md.simulation.SimStats`.
     funnel: tuple[int, int, int] = (0, 0, 0)
     _r_build_max: float | None = field(default=None, init=False, repr=False)
     _premask_dead_bound: float = field(default=np.inf, init=False, repr=False)
@@ -346,7 +333,6 @@ class NeighborList:
         self._ref_positions = np.array(positions, copy=True)
         self._built_n_atoms = len(self._ref_positions)
         self.n_builds += 1
-        count_funnel(*self.candidates.funnel)
         return rij
 
     def pairs(self, positions: np.ndarray) -> PairTable:
@@ -364,19 +350,14 @@ class NeighborList:
             # differently-sized position array, even if the reference
             # positions were tampered with between queries.
             reason = "stale_guard"
-        reg = metrics()
         table = None
         if reason is not None:
             rij = self.rebuild(positions)
-            reg.counter("neighbor.rebuilds").inc()
-            reg.counter(f"neighbor.rebuilds.{reason}").inc()
             # The build just measured every candidate at these very
             # positions; only here — never across calls — is its
             # geometry the query's geometry.
             table = self._cut_built(rij)
             d_max = None
-        else:
-            reg.counter("neighbor.reuses").inc()
         if table is None:
             table = self.candidates.pairs(
                 positions, self.box, self.cutoff, max_disp=d_max

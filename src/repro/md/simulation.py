@@ -36,16 +36,29 @@ class SimStats:
     Wall times split the Verlet loop into its three phases: neighbor
     search (cell-list rebuild + distance filter), force evaluation
     (the potential kernels), and integration (leap-frog + thermostat).
+    ``raw_candidates`` / ``coarse_kept`` / ``exact_kept`` sum every
+    list build's :attr:`~repro.md.neighbor_list.Candidates.funnel`
+    (each rank's, when sharded).
     """
 
     steps: int = 0
     force_evaluations: int = 0
     neighbor_rebuilds: int = 0
+    raw_candidates: int = 0
+    coarse_kept: int = 0
+    exact_kept: int = 0
     pairs_last: int = 0
     pairs_total: int = 0
     time_neighbor_s: float = 0.0
     time_force_s: float = 0.0
     time_integrate_s: float = 0.0
+
+    def add_funnel(self, funnel: tuple[int, int, int]) -> None:
+        """Add one build's (raw, coarse_kept, exact_kept) counts."""
+        raw, coarse, exact = funnel
+        self.raw_candidates += raw
+        self.coarse_kept += coarse
+        self.exact_kept += exact
 
     @property
     def wall_time_s(self) -> float:
@@ -192,7 +205,9 @@ class Simulation:
         t2 = time.perf_counter()
         st = self.stats
         st.force_evaluations += 1
-        st.neighbor_rebuilds += self.neighbors.n_builds - builds_before
+        if self.neighbors.n_builds != builds_before:
+            st.neighbor_rebuilds += 1
+            st.add_funnel(self.neighbors.candidates.funnel)
         st.pairs_last = pairs.n_pairs
         st.pairs_total += pairs.n_pairs
         st.time_neighbor_s += t1 - t0

@@ -1,4 +1,4 @@
-"""``repro.obs``: structured tracing and metrics for both engines.
+"""``repro.obs``: structured tracing for both engines.
 
 The paper's headline claim rests on per-phase accounting — Table II's
 ``t = A*n_cand + B*n_int + C`` regression and Sec. V-B's per-tile
@@ -8,10 +8,6 @@ spends its time.  This package is the software analogue, LAMMPS-style:
 * :class:`~repro.obs.tracer.Tracer` — nested phase spans (wall time +
   counter payloads) with self-time accounting, so per-phase totals sum
   to the traced wall time.
-* :class:`~repro.obs.metrics.MetricsRegistry` — process-wide counters,
-  gauges and histograms (``neighbor.rebuilds``, ``wse.list.builds`` /
-  ``wse.list.reuses``, ``swap.moves``, per-tile cycle distributions,
-  kernel dispatch counts).
 * Sinks (:mod:`repro.obs.sinks`) — JSONL trace files and the
   end-of-run summary table.
 * :mod:`repro.obs.profile` — run a spec under tracing and reduce it to
@@ -20,6 +16,13 @@ spends its time.  This package is the software analogue, LAMMPS-style:
   every degradation warning goes through (a kernel tier that cannot
   load, a sharded run that falls back to serial, a degenerate domain
   decomposition).
+
+Counts are not kept here.  Each lives on the object that made it —
+``WseMd.list_builds``, ``NeighborList.n_builds``, the reference
+engine's rebuild funnel in its ``SimStats``, the pipeline's rounds and
+halo bytes, ``ResultCache.hits`` — and reaches readers through the
+engine's :class:`~repro.runtime.telemetry.Telemetry` (or, for the job
+server, its ``stats`` op).  There is no process-wide registry.
 
 Phase taxonomy
 --------------
@@ -55,7 +58,7 @@ wse taxonomy is unchanged.  Sharded runs keep the standard taxonomy
 too: the ranks step their own atoms, so stages that run rank-side
 inside another phase's round (density, embedding, the look-ahead
 filter) arrive as pre-measured children, per-shard timings ride as span
-counters (``shard_sum_s``/``shard_max_s``) and ``parallel.*`` metrics,
+counters (``shard_sum_s``/``shard_max_s``) and the engine's telemetry,
 and each command round's exposed communication time lands as one extra
 leaf, a pre-measured ``halo_exchange`` child span (with
 ``bytes_sent``/``bytes_recv`` counters from the transport) — the host
@@ -67,15 +70,6 @@ subset each engine is *required* to produce, which the ``repro profile
 
 import warnings
 
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    label,
-    metrics,
-)
 from repro.obs.sinks import (
     JsonlSink,
     ListSink,
@@ -92,13 +86,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "Span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "label",
-    "metrics",
     "JsonlSink",
     "ListSink",
     "read_trace",

@@ -5,9 +5,12 @@ observability smoke: build each requested engine from the *same*
 physics spec, attach a :class:`~repro.obs.tracer.Tracer` (optionally
 feeding a shared JSONL trace file), run it, and reduce the result to an
 :class:`EngineProfile` — per-phase wall seconds, coverage against the
-engine's measured wall time, and, for the lockstep machine, the paper's
-Table II (A, B, C) constants fitted from the traced per-tile cycle
-counts and compared against the cycle model's calibration targets.
+engine's measured wall time, the engine's own telemetry counters (the
+reference engine's rebuild funnel among them: counts of that run
+alone, whatever else the process ran), and, for the lockstep machine,
+the paper's Table II (A, B, C) constants fitted from the traced
+per-tile cycle counts and compared against the cycle model's
+calibration targets.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     resource = None
 
-from repro.obs import metrics, required_phases
+from repro.obs import required_phases
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.perfmodel.linear import LinearStepModel, fit_linear_model
@@ -29,16 +32,7 @@ __all__ = [
     "profile_spec",
     "fit_traced_linear",
     "expected_linear_constants",
-    "FUNNEL_COUNTERS",
 ]
-
-#: The neighbor rebuild funnel, widest first (registry counter names).
-FUNNEL_COUNTERS = (
-    "neighbor.rebuilds",
-    "neighbor.raw_candidates",
-    "neighbor.coarse_kept",
-    "neighbor.exact_kept",
-)
 
 
 @dataclass(frozen=True)
@@ -63,12 +57,11 @@ class EngineProfile:
         Required taxonomy phases the run failed to emit (empty on a
         healthy run).
     counters:
-        Engine-shaped work counters from its telemetry.
-    funnel:
-        What the run added to the :data:`FUNNEL_COUNTERS` registry
-        counters: rebuilds, and the candidates entering and leaving
-        the sweep's coarse cut and the exact kernel (exact,
-        seed-repeatable counts; all zero for the lockstep engine).
+        Engine-shaped work counters from its telemetry — the
+        reference engine's include its rebuild funnel
+        (``neighbor_rebuilds``, ``raw_candidates``, ``coarse_kept``,
+        ``exact_kept``: exact, seed-repeatable counts of this run
+        alone).
     minor_faults_per_step:
         Minor page faults this process took per profiled step
         (``ru_minflt`` delta over the run, first step included): the
@@ -91,7 +84,6 @@ class EngineProfile:
     coverage: float = 0.0
     missing_phases: tuple[str, ...] = ()
     counters: dict = field(default_factory=dict)
-    funnel: dict[str, int] = field(default_factory=dict)
     minor_faults_per_step: float | None = None
     fit: LinearStepModel | None = None
     fit_expected: dict[str, float] | None = None
@@ -180,8 +172,6 @@ def profile_spec(
                 sink.write_meta(spec=espec.to_dict())
                 tracer.add_sink(sink)
             runner = Runner.from_spec(espec, tracer=tracer)
-            reg = metrics()
-            before = {n: reg.counter(n).value for n in FUNNEL_COUNTERS}
             faults = _minor_faults()
             try:
                 telemetry = runner.run(steps)
@@ -217,10 +207,6 @@ def profile_spec(
                 coverage=coverage,
                 missing_phases=missing,
                 counters=dict(telemetry.counters),
-                funnel={
-                    n: int(reg.counter(n).value - before[n])
-                    for n in FUNNEL_COUNTERS
-                },
                 minor_faults_per_step=(
                     (faults_after - faults) / telemetry.steps
                     if faults is not None and telemetry.steps else None

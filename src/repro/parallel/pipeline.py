@@ -55,9 +55,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.md.neighbor_list import count_funnel, displacement_trigger
+from repro.md.neighbor_list import displacement_trigger
 from repro.md.simulation import SimStats
-from repro.obs import NULL_TRACER, metrics
+from repro.obs import NULL_TRACER
 from repro.parallel.domains import (
     owned_mask_local,
     plan_grid,
@@ -78,8 +78,8 @@ class ShardedForcePipeline:
     Construct once per :class:`~repro.md.simulation.Simulation` (the
     cost — arena/sockets + worker spawn — is what the ``parallel.pool``
     phase accounts for); :meth:`advance` runs whole chunks of timesteps
-    rank-side, :meth:`compute` evaluates without moving.  Must be
-    :meth:`close`\ d to reap the workers (an abandoned pipeline is
+    rank-side, :meth:`compute` evaluates without moving.  Call
+    :meth:`close` to reap the workers (an abandoned pipeline is
     cleaned up by GC/daemon semantics).
 
     ``topology`` is the ``(px, py)`` domain grid; ``None`` picks the
@@ -191,10 +191,6 @@ class ShardedForcePipeline:
         }
         #: cumulative exposed halo-exchange seconds (bench telemetry)
         self.halo_seconds = 0.0
-        reg = metrics()
-        reg.gauge("parallel.workers").set(float(self.n_workers))
-        reg.gauge("parallel.topology.px").set(float(px))
-        reg.gauge("parallel.topology.py").set(float(py))
 
     @property
     def transport_kind(self) -> str:
@@ -321,7 +317,6 @@ class ShardedForcePipeline:
         """A step up to its forces: the density pass (the one the last
         move ran ahead, else a ``dens`` or ``rebuild`` round), then the
         force round."""
-        reg = metrics()
         rebuilt, t_dens = 0, 0.0
         t0 = time.perf_counter()
         with tr.phase("neighbor") as ph:
@@ -336,18 +331,14 @@ class ShardedForcePipeline:
                     if self._ahead:
                         self._pull(("positions", "velocities"), tr)
                     replies = self._rebuild_round(tr)
-                    reg.counter("neighbor.rebuilds").inc()
-                    reg.counter(f"neighbor.rebuilds.{reason}").inc()
                     for r in replies:
-                        count_funnel(*r[3])
+                        stats.add_funnel(r[3])
                     rebuilt = 1
                 else:
                     replies = self._command("neighbor", ("dens",), tr)
                 self._dens = [(r[1], r[2], r[0] - r[2]) for r in replies]
                 t_dens = max(d[1] for d in self._dens)
                 tr.record("density", t_dens)
-            if not rebuilt:
-                reg.counter("neighbor.reuses").inc()
             dens, self._dens = self._dens, None
             n_pairs = int(sum(d[0] for d in dens))
             self._account("density", [d[1] for d in dens])
@@ -367,8 +358,6 @@ class ShardedForcePipeline:
         stats.pairs_total += n_pairs
         stats.time_neighbor_s += t1 - t0 - t_dens
         stats.time_force_s += time.perf_counter() - t1 + t_dens
-        reg.counter("parallel.steps").inc()
-        reg.counter("parallel.pairs").inc(float(n_pairs))
 
     def _move(self, integrator, tr, stats: SimStats) -> None:
         """The move round: reduce energies and forces at every holder,
@@ -423,7 +412,6 @@ class ShardedForcePipeline:
         ]
         self._seam = ([len(rows) for rows in seam], take)
         self.ghost_atoms = int(sum(len(i) for i in ids)) - self.n_atoms
-        metrics().gauge("parallel.ghost_atoms").set(float(self.ghost_atoms))
         self.n_builds += 1
         self._max_d2 = self._d_last = 0.0
         for name, source in (
@@ -471,11 +459,6 @@ class ShardedForcePipeline:
             "halo_exchange", exposed,
             {"bytes_sent": d_sent, "bytes_recv": d_recv, "stage": stage},
         )
-        reg = metrics()
-        reg.counter("parallel.rounds").inc()
-        reg.counter("parallel.halo.seconds").inc(exposed)
-        reg.counter("parallel.halo.bytes_sent").inc(float(d_sent))
-        reg.counter("parallel.halo.bytes_recv").inc(float(d_recv))
         return replies
 
     def _account(self, stage: str, secs: list[float], ph=None) -> None:

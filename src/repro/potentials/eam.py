@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels import active_backend
-from repro.obs import NULL_TRACER, metrics
+from repro.obs import NULL_TRACER
 from repro.potentials.base import PairDistanceCap, PairTable, Potential
 from repro.potentials.spline import SplineGroup, UniformCubicSpline
 
@@ -343,7 +343,6 @@ class EAMPotential(Potential):
             i, j, pairs.r, ti, tj,
             self.tables.grouped().rho.bank(), n_atoms,
         )
-        metrics().counter("kernels.fused_density_pass.calls").inc()
         return rho_bar, {"rho_ji_d": rho_ji_d, "rho_ij_d": rho_ij_d}
 
     def fused_pair_force(
@@ -385,7 +384,6 @@ class EAMPotential(Potential):
             cache["rho_ji_d"], cache["rho_ij_d"],
             grouped.phi.bank(), member, n_atoms,
         )
-        metrics().counter("kernels.fused_force_pass.calls").inc()
         return e_pair, forces
 
     def _compute_half_fused(

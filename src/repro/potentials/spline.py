@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import active_backend
-from repro.obs import metrics
 
 __all__ = [
     "UniformCubicSpline",
@@ -276,7 +275,6 @@ class SplineGroup:
             x, g = np.broadcast_arrays(x, g)
         # the kernels take a 1-D batch (and a scalar or 1-D member)
         shape = x.shape
-        metrics().counter("kernels.grouped_spline_eval.calls").inc()
         val, der = active_backend().grouped_spline_eval(
             self.bank(), x.reshape(-1), g.reshape(-1) if g.ndim else g
         )

@@ -167,6 +167,9 @@ class ReferenceEngine:
             "n_atoms": self.sim.state.n_atoms,
             "pairs_per_step": st.pairs_per_step,
             "neighbor_rebuilds": st.neighbor_rebuilds,
+            "raw_candidates": st.raw_candidates,
+            "coarse_kept": st.coarse_kept,
+            "exact_kept": st.exact_kept,
             "force_evaluations": st.force_evaluations,
         }
         pipeline = getattr(self.sim, "_pipeline", None)

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -52,6 +54,17 @@ class SpecError(ValueError):
     """A run spec is malformed, out of range, or inconsistent."""
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite real number (an int counts), but not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ThermostatSpec:
     """Temperature-control section of a run spec.
@@ -70,6 +83,12 @@ class ThermostatSpec:
                 f"unknown thermostat kind {self.kind!r}; "
                 f"expected one of {THERMOSTAT_KINDS}"
             )
+        for name in ("temperature", "tau_fs"):
+            if not _is_finite(getattr(self, name)):
+                raise SpecError(
+                    f"thermostat {name} must be a finite number, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.temperature < 0:
             raise SpecError(
                 f"thermostat temperature must be >= 0, got {self.temperature}"
@@ -185,7 +204,7 @@ class RunSpec:
         "wafer machine)", choices=ENGINES, physics=True)
     steps: int = _spec_field(100, "run length in timesteps", min=0)
     seed: int = _spec_field(
-        0, "master seed of the run's random streams", physics=True)
+        0, "master seed of the run's random streams", min=0, physics=True)
     dt_fs: float = _spec_field(
         2.0, "timestep in fs (the paper uses 2)", above=0, physics=True)
     skin: float = _spec_field(
@@ -222,6 +241,14 @@ class RunSpec:
             value, meta = getattr(self, f.name), f.metadata
             if value is None:
                 continue
+            # the declared type: a NaN passes every range check below,
+            # and a float step count or seed fails only at engine build
+            if type(f.default) is int and not _is_int(value):
+                raise SpecError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is float and not _is_finite(value):
+                raise SpecError(
+                    f"{f.name} must be a finite number, got {value!r}"
+                )
             if "choices" in meta and value not in meta["choices"]:
                 raise SpecError(
                     f"unknown {f.name} {value!r}; "
@@ -277,14 +304,14 @@ class RunSpec:
                 "langevin thermostat requires engine='reference' "
                 "(per-atom noise needs a stable atom order)"
             )
-        if self.engine == "wse" and self.workers:
-            raise SpecError(
-                f"workers={self.workers} requires engine='reference': "
-                "the wse engine sizes its sweep threads itself, one per "
-                "usable CPU (DESIGN.md §5b)"
-            )
         layout = [n for n in ("workers", "topology", "transport")
                   if getattr(self, n)]
+        if self.engine == "wse" and layout:
+            raise SpecError(
+                f"{', '.join(layout)} requires engine='reference': the "
+                "wse engine is never sharded and sizes its sweep threads "
+                "itself, one per usable CPU (DESIGN.md §5b)"
+            )
         if layout and self.backend != "parallel":
             raise SpecError(
                 f"{', '.join(layout)} set with backend={self.backend!r}: "

@@ -50,7 +50,6 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs import metrics
 from repro.runtime.checkpoint import (
     CheckpointError,
     checkpoint_paths,
@@ -228,11 +227,9 @@ class ResultCache:
             checkpoint = read_checkpoint(prefix, expected_spec_hash=spec_hash)
         except CheckpointError:
             self.evict(spec_hash, steps)
-            metrics().counter("serve.cache.corrupt").inc()
             return False
         if checkpoint.step_count != steps:
             self.evict(spec_hash, steps)
-            metrics().counter("serve.cache.corrupt").inc()
             return False
         return True
 
@@ -243,12 +240,10 @@ class ResultCache:
             row = self._entries.get(key)
             if row is None or not self._validate(*key):
                 self.misses += 1
-                metrics().counter("serve.cache.miss").inc()
                 return None
             self._touch(key)
             self._persist()
             self.hits += 1
-            metrics().counter("serve.cache.hit").inc()
             return CacheEntry(key[0], key[1], row["bytes"])
 
     def best_resume(self, spec_hash: str, steps: int) -> CacheEntry | None:
@@ -269,7 +264,6 @@ class ResultCache:
                     self._touch(key)
                     self._persist()
                     self.resumes += 1
-                    metrics().counter("serve.cache.resume").inc()
                     return CacheEntry(
                         key[0], key[1], self._entries[key]["bytes"]
                     )
@@ -335,7 +329,6 @@ class ResultCache:
             self._entries[key] = {"bytes": nbytes, "used": self._clock}
             self._evict_over_cap(keep=key)
             self._persist()
-            metrics().counter("serve.cache.put").inc()
             return CacheEntry(spec_hash, steps, nbytes)
 
     def evict(self, spec_hash: str, steps: int) -> None:
@@ -366,7 +359,6 @@ class ResultCache:
                 except OSError:
                     pass
             self.evictions += 1
-            metrics().counter("serve.cache.evicted").inc()
 
     def clear(self) -> None:
         """Drop everything (directory survives, empty and indexed)."""

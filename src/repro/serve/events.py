@@ -19,8 +19,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.obs import metrics
-
 __all__ = ["JobEvent", "Subscription", "EventBus"]
 
 
@@ -98,6 +96,4 @@ class EventBus:
                 except asyncio.QueueEmpty:  # pragma: no cover - race-free
                     pass
                 sub.queue.put_nowait(event)
-                metrics().counter("serve.events.dropped").inc()
-        metrics().counter("serve.events.published").inc()
         return event

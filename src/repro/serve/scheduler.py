@@ -27,7 +27,7 @@ One :class:`JobScheduler` owns everything between an accepted
   bus) pushed to :class:`~repro.serve.events.EventBus` subscribers.
 
 Process discipline: everything that decides or mutates — cache index,
-coalescing, job states, event bus, ``serve.*`` metrics — lives on the
+coalescing, job states, event bus, the cache's counts — lives on the
 event loop of the server process, which starts no thread and never
 executes ``Runner.run``.  A slot gets a spec and two checkpoint
 prefixes and answers with telemetry; it writes checkpoint files into
@@ -41,7 +41,6 @@ import warnings
 from dataclasses import replace
 from functools import partial
 
-from repro.obs import label, metrics
 from repro.runtime.spec import RunSpec, SpecError
 from repro.serve.cache import ResultCache
 from repro.serve.events import EventBus
@@ -118,12 +117,10 @@ class JobScheduler:
         if existing is not None and not existing.terminal:
             existing.coalesced += 1
             self._log(existing, "coalesced a duplicate submission")
-            metrics().counter("serve.coalesced").inc()
             return existing
         job = self.jobs.new(spec, target, ensemble=ensemble)
         job.done_event = asyncio.Event()
         self._inflight[key] = job
-        metrics().counter("serve.submitted").inc()
         self._log(job, f"queued: {spec.element} {spec.reps} "
                        f"x {target} steps ({spec.engine})")
         self.bus.publish(job.id, "state", {"state": job.state.value})
@@ -185,7 +182,6 @@ class JobScheduler:
                 jobs.append(
                     await self.submit(member, steps=steps, ensemble=batch)
                 )
-        metrics().counter("serve.ensembles").inc()
         return jobs
 
     async def wait(self, job: Job) -> Job:
@@ -219,14 +215,10 @@ class JobScheduler:
 
     def _set_state(self, job: Job, state: JobState, **payload) -> None:
         job.state = state
-        metrics().counter(label("serve.jobs", state=state.value)).inc()
         self.bus.publish(
             job.id, "state", {"state": state.value, **payload}
         )
         if job.terminal:
-            metrics().gauge(
-                label("serve.job.resume_step", job=job.id)
-            ).set(job.resume_step)
             job.done_event.set()
 
     def _log(self, job: Job, line: str) -> None:
@@ -317,7 +309,6 @@ class JobScheduler:
             job.cache = "miss"
             self._log(job, "cache miss: fresh engine run")
         interval = self.progress_interval or max(1, target // 10)
-        metrics().counter("serve.engine_runs").inc()
         job.slot, job.slot_pid = slot, slot.process.pid
         tele, reached = await slot.run(
             ("run", job.id, job.spec, prefix, resume, interval),
@@ -349,9 +340,6 @@ class JobScheduler:
         """What a slot streams while its engine steps."""
         if kind == "progress":
             (sample,) = payload
-            metrics().gauge(
-                label("serve.job.step", job=job.id)
-            ).set(sample["step"])
             self.bus.publish(job.id, "progress", sample)
         elif kind == "warning":
             category, text = payload

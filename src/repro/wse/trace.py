@@ -75,15 +75,13 @@ class CycleTrace:
         per_tile_cycles: np.ndarray,
         n_candidates: np.ndarray | None = None,
         n_interactions: np.ndarray | None = None,
-    ) -> tuple[float, float, float, float]:
+    ) -> None:
         """Record one timestep's per-tile cycle counts.
 
         When the per-tile candidate and interaction counts are supplied
         as well, the trace can later be regressed against the paper's
         linear step model (:meth:`count_samples`); counts must then be
-        provided for *every* recorded step.  Returns the plane's
-        ``(sum, sum of squares, min, max)``, so a caller can summarise
-        the same samples without reducing them again.
+        provided for *every* recorded step.
         """
         arr = self._tile_array(per_tile_cycles, np.float64)
         if (n_candidates is None) != (n_interactions is None):
@@ -104,16 +102,13 @@ class CycleTrace:
             self._interactions.append(
                 self._tile_array(n_interactions, np.int32)
             )
+        self._steps.append(arr)
+        self._step_max.append(float(arr.max()))
+        self._step_mean.append(float(arr.sum()) / self.n_tiles)
         # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's
         # worker, which then spins on the other CPU through the next
         # step's sweep threads
-        total, sum_sq = float(arr.sum()), float(np.einsum("i,i", arr, arr))
-        lo, hi = float(arr.min()), float(arr.max())
-        self._steps.append(arr)
-        self._step_max.append(hi)
-        self._step_mean.append(total / self.n_tiles)
-        self._sum_sq += sum_sq
-        return total, sum_sq, lo, hi
+        self._sum_sq += float(np.einsum("i,i", arr, arr))
 
     def _tile_array(self, values, dtype) -> np.ndarray:
         arr = np.asarray(values, dtype=dtype).ravel()

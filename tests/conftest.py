@@ -166,8 +166,8 @@ def wait_gone(pids, timeout=5.0) -> bool:
 def run_specs():
     """Hypothesis strategy: valid :class:`RunSpec`\\ s over every field.
 
-    Honours the cross-field rules (langevin and ``workers`` need the
-    reference engine; ``workers`` must agree with ``topology``; the
+    Honours the cross-field rules (langevin and the layout fields need
+    the reference engine; ``workers`` must agree with ``topology``; the
     layout fields need ``backend="parallel"``), so every drawn spec
     constructs.
     """
@@ -189,7 +189,7 @@ def run_specs():
         backend = draw(st.none() | st.sampled_from(
             ("numpy", "native", "parallel")))
         topology, workers, transport = None, 0, None
-        if backend == "parallel":
+        if backend == "parallel" and engine == "reference":
             topology = draw(st.none() | st.tuples(st.integers(1, 3),
                                                   st.integers(1, 3)))
             domains = topology[0] * topology[1] if topology else draw(small)
@@ -206,7 +206,7 @@ def run_specs():
             dt_fs=draw(positive),
             skin=draw(non_negative),
             backend=backend,
-            workers=workers if engine == "reference" else 0,
+            workers=workers,
             topology=topology,
             transport=transport,
             thermostat=draw(st.none() | st.builds(

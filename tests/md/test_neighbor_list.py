@@ -11,7 +11,6 @@ from repro.kernels import active_backend, active_backend_name, set_backend
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList, all_pairs
 from repro.md.neighbor_list import Candidates, NeighborList
-from repro.obs import metrics
 from repro.potentials.base import PairTable
 from repro.runtime import RunSpec
 from repro.runtime.engines import build_engine
@@ -146,16 +145,14 @@ class TestRebuildReasons:
         assert undirected_set(pairs.i, pairs.j) == undirected_set(bi, bj)
 
     def test_metrics_count_rebuilds_and_reuses(self, cluster):
-        metrics().reset()
         nl = NeighborList(Box.open([25, 25, 25]), 3.0, skin=1.0)
-        nl.pairs(cluster)          # first build
-        nl.pairs(cluster + 0.1)    # reuse
-        nl.pairs(cluster + 5.0)    # displacement rebuild
-        counters = metrics().as_dict()["counters"]
-        assert counters["neighbor.rebuilds"] == 2
-        assert counters["neighbor.rebuilds.first"] == 1
-        assert counters["neighbor.rebuilds.displacement"] == 1
-        assert counters["neighbor.reuses"] == 1
+        reasons = []
+        for positions in (cluster, cluster + 0.1, cluster + 5.0):
+            reasons.append(nl.rebuild_reason(positions))
+            nl.pairs(positions)
+        # first build, reuse, displacement rebuild
+        assert reasons == ["first", None, "displacement"]
+        assert nl.n_builds == 2
 
 
 class TestSkinProperty:
@@ -340,15 +337,16 @@ class TestFunnelCounters:
         box = Box.open([25, 25, 25])
         seen = []
         for _ in range(2):
-            metrics().reset()
             nl = NeighborList(box, 3.0, skin=1.0)
-            nl.pairs(cluster)
-            nl.pairs(cluster + 0.1)   # reuse: no funnel
-            nl.pairs(cluster * 1.5)   # rebuild
-            counters = metrics().as_dict()["counters"]
-            seen.append([counters[f"neighbor.{key}"] for key in (
-                "raw_candidates", "coarse_kept", "exact_kept"
-            )])
+            total = np.zeros(3, dtype=np.int64)
+            # build, reuse (no funnel of its own), rebuild
+            for positions in (cluster, cluster + 0.1, cluster * 1.5):
+                builds = nl.n_builds
+                nl.pairs(positions)
+                if nl.n_builds > builds:
+                    total += nl.candidates.funnel
+            assert nl.n_builds == 2
+            seen.append(total.tolist())
         raw, coarse, exact = seen[0]
         assert seen[0] == seen[1]
         assert raw > coarse >= exact > 0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
 from repro.md.neighbor_list import NeighborList, build_candidates
-from repro.obs import metrics, reset_warnings
+from repro.obs import reset_warnings
 from repro.parallel import domains
 from repro.parallel.domains import DomainGrid, plan_axis, plan_grid
 from tests.conftest import (
@@ -245,14 +245,10 @@ class TestShardSweep:
     def test_tile_funnels_sum_to_the_serial_funnel_on_ta(self, ta_potential):
         state = small_slab_state("Ta", (6, 6, 3), temperature=400.0)
         reach = ta_potential.cutoff + 0.5
-        metrics().reset()
-        NeighborList(state.box, ta_potential.cutoff, 0.5).rebuild(
-            state.positions
-        )
-        serial = {
-            key: metrics().counter(f"neighbor.{key}").value
-            for key in ("raw_candidates", "coarse_kept", "exact_kept")
-        }
+        serial_list = NeighborList(state.box, ta_potential.cutoff, 0.5)
+        serial_list.rebuild(state.positions)
+        serial = dict(zip(("raw_candidates", "coarse_kept", "exact_kept"),
+                          serial_list.candidates.funnel))
         grid = plan_grid(state.positions, 2, 2, reach)
         funnels = np.array([
             tile_candidates(state.positions, grid, t, state.box, reach)[2]

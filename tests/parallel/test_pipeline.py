@@ -15,7 +15,7 @@ import pytest
 
 from repro.kernels import active_backend_name, set_backend
 from repro.md.simulation import Simulation
-from repro.obs import metrics, reset_warnings
+from repro.obs import reset_warnings
 from repro.parallel import (
     ShardedForcePipeline,
     fork_available,
@@ -377,24 +377,29 @@ class TestNonFinitePositions:
 
 
 class TestFunnelCounters:
-    """Shard-side rebuild funnels reach the parent's registry — once,
-    whether the ranks share its process (inline) or not (shared)."""
+    """Shard-side rebuild funnels reach the parent's telemetry — once,
+    whether the ranks share its process (inline) or not (shared) — and
+    an engine's counts are its own, whatever else the process runs."""
+
+    KEYS = ("neighbor_rebuilds", "raw_candidates", "coarse_kept",
+            "exact_kept")
+
+    @staticmethod
+    def _serial_engine():
+        return build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, backend="numpy", skin=0.0,
+        ))
 
     def _funnel(self, engine, steps=3):
-        metrics().reset()
         try:
             engine.step(steps)
+            counters = engine.telemetry().counters
         finally:
             engine.close()
-        counters = metrics().as_dict()["counters"]
-        return [counters[f"neighbor.{key}"] for key in (
-            "rebuilds", "raw_candidates", "coarse_kept", "exact_kept"
-        )]
+        return [counters[key] for key in self.KEYS]
 
     def test_tiles_sum_to_serial_and_repeat_exactly(self):
-        serial = self._funnel(build_engine(RunSpec(
-            element="Ta", reps=(4, 4, 2), seed=3, backend="numpy", skin=0.0,
-        )))
+        serial = self._funnel(self._serial_engine())
         inline = self._funnel(_inline_engine(skin=0.0))
         again = self._funnel(_inline_engine(skin=0.0))
         forked = self._funnel(build_engine(RunSpec(
@@ -406,3 +411,23 @@ class TestFunnelCounters:
         assert rebuilds == serial[0] > 1
         assert exact == serial[3]
         assert raw >= coarse >= exact > 0
+
+    def test_two_engines_stepped_in_turn_count_only_their_own(self):
+        alone = [self._funnel(self._serial_engine()),
+                 self._funnel(_inline_engine(skin=0.0))]
+        engines = [self._serial_engine(), _inline_engine(skin=0.0)]
+        try:
+            for _ in range(3):
+                for engine in engines:
+                    engine.step(1)
+            together = [
+                [engine.telemetry().counters[key] for key in self.KEYS]
+                for engine in engines
+            ]
+        finally:
+            for engine in engines:
+                engine.close()
+        assert together == alone
+        # the tiles enumerate their halo rings: the two funnels differ,
+        # so a count that leaked from one engine to the other would show
+        assert alone[0][1] != alone[1][1]

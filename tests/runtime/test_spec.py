@@ -3,12 +3,15 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.runtime import RunSpec, SpecError, ThermostatSpec
 from repro.runtime.spec import PHYSICS_FIELDS, TRANSPORT_CHOICES
 from tests.conftest import run_specs
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestValidation:
@@ -55,6 +58,38 @@ class TestValidation:
             RunSpec(**{name: value})
         assert str(exc.value) == f"{name} must be {bound}, got {value}"
 
+    @pytest.mark.parametrize("fields", [
+        {"thermostat": {"kind": "berendsen", "temperature": NAN}},
+        {"thermostat": {"kind": "berendsen", "temperature": 290.0,
+                        "tau_fs": INF}},
+        {"thermostat": {"kind": "berendsen", "temperature": 290.0,
+                        "tau_fs": NAN}},
+        {"temperature": NAN},
+        {"skin": NAN},
+        {"dt_fs": INF},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"steps": 2.5},
+        {"checkpoint_interval": 2.5},
+        {"swap_interval": True},
+    ], ids=["thermostat-temperature-nan", "thermostat-tau-inf",
+            "thermostat-tau-nan", "temperature-nan", "skin-nan", "dt-inf",
+            "seed-negative", "seed-float", "steps-float",
+            "checkpoint-interval-float", "swap-interval-bool"])
+    def test_non_finite_and_mistyped_fields_rejected(self, fields):
+        # each used to pass validation, then run cold, turn the state
+        # non-finite, emit bare NaN as JSON, or fail at engine build
+        with pytest.raises(SpecError):
+            RunSpec(**fields)
+        with pytest.raises(SpecError):
+            RunSpec.from_dict(fields)
+
+    def test_numpy_scalars_and_ints_for_floats_stay_valid(self):
+        spec = RunSpec(seed=np.int64(7), steps=np.int64(3), temperature=300,
+                       dt_fs=np.float64(1.0), skin=0)
+        assert spec.to_dict()["seed"] == 7
+        assert spec.to_dict()["temperature"] == 300.0
+
     def test_unknown_transport_names_the_choices(self):
         with pytest.raises(SpecError, match="unknown transport 'pigeon'"):
             RunSpec(transport="pigeon")
@@ -71,10 +106,16 @@ class TestValidation:
         with pytest.raises(SpecError, match="langevin"):
             RunSpec(engine="wse", thermostat=ts)
 
-    def test_workers_on_wse_rejected_with_the_reason(self):
-        # the wafer sizes its own sweep threads; the message says so
+    @pytest.mark.parametrize("layout", [
+        {"workers": 2},
+        {"backend": "parallel", "topology": (2, 1)},
+        {"backend": "parallel", "transport": "inline"},
+    ], ids=["workers", "topology", "transport"])
+    def test_workers_on_wse_rejected_with_the_reason(self, layout):
+        # the wafer sizes its own sweep threads; the message says so,
+        # and no layout field is silently ignored on it
         with pytest.raises(SpecError, match="sizes its sweep threads itself"):
-            RunSpec(engine="wse", workers=2)
+            RunSpec(engine="wse", **layout)
         assert RunSpec(engine="wse", workers=0).workers == 0
         assert RunSpec(
             engine="reference", backend="parallel", workers=2).workers == 2
