@@ -37,7 +37,6 @@ def optimize_mapping(
     *,
     max_rounds: int = 200,
     patience: int = 5,
-    engine: SwapEngine | None = None,
 ) -> OptimizeResult:
     """Improve a mapping by repeated swap rounds until converged.
 
@@ -49,7 +48,7 @@ def optimize_mapping(
         raise ValueError(
             f"{len(positions)} positions for {mapping.n_atoms} mapped atoms"
         )
-    engine = engine or SwapEngine()
+    engine = SwapEngine()
     grid = mapping.grid
     nx, ny = grid.nx, grid.ny
 

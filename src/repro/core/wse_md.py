@@ -53,7 +53,7 @@ import time
 import numpy as np
 
 from repro.core.cycle_model import CycleCostModel
-from repro.core.mapping import Mapping, build_mapping
+from repro.core.mapping import build_mapping
 from repro.core.neighborhood import required_b
 from repro.core.swap import SwapEngine
 from repro.kernels import active_backend
@@ -93,17 +93,9 @@ class WseMd:
         Target occupancy (atoms per tile) of an auto-sized grid.
     dt_fs:
         Timestep (fs).
-    cost_model:
-        Cycle pricing; defaults to the calibrated baseline model.
     swap_interval:
-        Apply a swap round every this many steps (0 disables).
-    swap_engine:
-        The remapping a swap round applies (default: greedy mutual).
-    mapping:
-        A pre-built atom-to-core mapping (wins over ``grid``/``fill``).
-    dtype:
-        Storage/compute dtype for per-tile state; ``np.float32``
-        matches the WSE's single-precision implementation.
+        Apply a greedy mutual swap round every this many steps (0
+        disables).
     jitter_rel:
         Relative per-tile timing noise (models hardware effects like
         bank conflicts; the paper measures 0.11 %).  Deterministic via
@@ -141,11 +133,7 @@ class WseMd:
         b_margin: float = 1.0,
         fill: float = 0.94,
         dt_fs: float = 2.0,
-        cost_model: CycleCostModel | None = None,
         swap_interval: int = 0,
-        swap_engine: SwapEngine | None = None,
-        mapping: Mapping | None = None,
-        dtype=np.float64,
         jitter_rel: float = 0.0,
         seed: int = 0,
         rng: np.random.Generator | None = None,
@@ -164,12 +152,10 @@ class WseMd:
         self.masses = state.masses.copy()
         self.dt = dt_fs / 1000.0
         self.dt_fs = float(dt_fs)
-        self.cost_model = cost_model or CycleCostModel()
+        self.cost_model = CycleCostModel()
         if swap_interval < 0:
             raise ValueError(f"swap interval must be >= 0, got {swap_interval}")
         self.swap_interval = swap_interval
-        self.swap_engine = swap_engine or SwapEngine()
-        self.dtype = np.dtype(dtype)
         self.jitter_rel = float(jitter_rel)
         self.force_symmetry = bool(force_symmetry)
         self.skin = float(skin)
@@ -177,18 +163,17 @@ class WseMd:
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self.pbc_inplane = bool(state.box.periodic[0] or state.box.periodic[1])
 
-        self.mapping = mapping or build_mapping(
+        self.mapping = build_mapping(
             state.positions, state.box, grid=grid, fill=fill
         )
         self.grid = self.mapping.grid
-        auto_sized = mapping is None and grid is None
         if b is None:
             b = required_b(self.mapping, state.positions, state.box,
                            potential.cutoff, margin=b_margin)
             # a tiny workload can need a neighborhood wider than the snug
             # auto-sized grid: add an empty border at the *same pitch*
             # (worker separations, and so b, are unchanged)
-            if auto_sized and 2 * b + 1 > min(self.grid.nx, self.grid.ny):
+            if grid is None and 2 * b + 1 > min(self.grid.nx, self.grid.ny):
                 self.mapping = self.mapping.with_border(b)
                 self.grid = self.mapping.grid
         if b < 1:
@@ -197,14 +182,14 @@ class WseMd:
 
         nx, ny = self.grid.nx, self.grid.ny
         self.occ = np.zeros((nx, ny), dtype=bool)
-        self.pos = np.full((nx, ny, 3), FAR, dtype=self.dtype)
-        self.vel = np.zeros((nx, ny, 3), dtype=self.dtype)
+        self.pos = np.full((nx, ny, 3), FAR)
+        self.vel = np.zeros((nx, ny, 3))
         self.aid = np.full((nx, ny), -1, dtype=np.int64)
         self.typ = np.zeros((nx, ny), dtype=np.int64)
         cx, cy = self.mapping.core_xy()
         self.occ[cx, cy] = True
-        self.pos[cx, cy] = state.positions.astype(self.dtype)
-        self.vel[cx, cy] = state.velocities.astype(self.dtype)
+        self.pos[cx, cy] = state.positions
+        self.vel[cx, cy] = state.velocities
         self.aid[cx, cy] = state.ids
         self.typ[cx, cy] = state.types
 
@@ -243,7 +228,7 @@ class WseMd:
         # the coarse and the exact cut are separate reductions: a few-ulp
         # pad keeps the list a superset of the survivors even at skin 0
         self._reach2 = (float(potential.cutoff) + self.skin) ** 2 * (
-            1.0 + 8.0 * float(np.finfo(self.dtype).eps)
+            1.0 + 8.0 * float(np.finfo(np.float64).eps)
         )
         #: what the kernel tier keeps from one call to the next, in its
         #: own slot (its list, the survivor record's columns, per-tile
@@ -342,7 +327,7 @@ class WseMd:
         proj = self._project_grid(self.pos.copy())
         grids = {"pos": self.pos, "vel": self.vel, "aid": self.aid,
                  "typ": self.typ, "occ": self.occ}
-        n = self.swap_engine.apply(
+        n = SwapEngine().apply(
             grids, proj, self.occ, self.core_centers, self.mapping.pitch
         )
         # Re-assert the empty-tile invariants after the remap: a tile an
@@ -434,8 +419,8 @@ class WseMd:
         occ = self.occ
         order = np.argsort(self.aid[occ])
         return AtomsState(
-            positions=self.pos[occ][order].astype(np.float64),
-            velocities=self.vel[occ][order].astype(np.float64),
+            positions=self.pos[occ][order],
+            velocities=self.vel[occ][order],
             types=self.typ[occ][order],
             masses=self.masses.copy(),
             box=self.box,

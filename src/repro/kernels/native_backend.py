@@ -24,14 +24,15 @@ compile, an unwritable cache or a probe mismatch raise
 fall-back to numpy, never a different trajectory.
 
 Per call, a kernel *declines* to its numpy body what ``native.c`` does
-not read (a float32 wafer, pair index arrays other than the int64 lists
-the engines build, non-contiguous views, an empty scatter) and what the
-C loop itself declines: an index or atom type outside ``[0, n)`` or
-geometry numpy raises on.  Wrapped negatives, ``IndexError`` and
-``FloatingPointError`` so come out of the same numpy code as ever.  The
-wafer's list is never an argument: ``wafer_step`` keeps the list it
-built in its slot of the caller's scratch, so no list another tier
-built reaches the C loop, and its rows are not checked again.
+not read (geometry other than float64, pair index arrays other than the
+int64 lists the engines build, non-contiguous views, an empty scatter)
+and what the C loop itself declines: an index or atom type outside
+``[0, n)`` or geometry numpy raises on.  Wrapped negatives,
+``IndexError`` and ``FloatingPointError`` so come out of the same numpy
+code as ever.  The wafer's list is never an argument: ``wafer_step``
+keeps the list it built in its slot of the caller's scratch, so no list
+another tier built reaches the C loop, and its rows are not checked
+again.
 """
 
 from __future__ import annotations

@@ -154,8 +154,7 @@ def minimum_image(rij: np.ndarray, lengths, periodic) -> None:
     half-box ties (exactly +-L/2) to the nearest *even* multiple, so the
     wrapped sign would depend on which image the separation came from.
     ``floor`` maps both ties to -L/2, matching ``Box.minimum_image``, so
-    every engine wraps alike.  The edge is a Python float, so a float32
-    wafer wraps in float32.
+    every engine wraps alike.
     """
     for d in range(3):
         if periodic[d]:
@@ -357,10 +356,10 @@ def _wafer_list(
     # The plane starts zeroed and is only ever written with finite
     # differences, so the tiles an offset does not reach hold finite
     # values (masked, never read).
-    d = np.zeros((nx, ny, 3), dtype=pos.dtype)
+    d = np.zeros((nx, ny, 3))
     within = np.empty((nx, ny), dtype=bool)
     cmp = np.empty((nx, ny), dtype=bool)
-    r2 = np.empty((nx, ny), dtype=pos.dtype)
+    r2 = np.empty((nx, ny))
     counts = np.zeros(len(pairs) + 1, dtype=np.int64)
     hits = [np.empty(0, dtype=np.int32)]
     for i, (dx, dy) in enumerate(pairs):
@@ -429,16 +428,15 @@ def _wafer_density(
     # within one offset a center tile appears at most once, so this is
     # the per-tile count of offsets that interact
     int_flat += np.bincount(ctr, minlength=len(int_flat))
-    x = np.asarray(r, dtype=np.float64)
     if len(rho_bank[2]) == 1:
         # one table: the partner's share is the same value
-        vals, rho_d = grouped_spline_eval(rho_bank, x, 0)
+        vals, rho_d = grouped_spline_eval(rho_bank, r, 0)
         vals_ctr, rho_d_ctr, phi_member = vals, rho_d, 0
     else:
         src_t = typ_flat.take(src)
         ctr_t = typ_flat.take(ctr)
-        vals, rho_d = grouped_spline_eval(rho_bank, x, src_t)
-        vals_ctr, rho_d_ctr = grouped_spline_eval(rho_bank, x, ctr_t)
+        vals, rho_d = grouped_spline_eval(rho_bank, r, src_t)
+        vals_ctr, rho_d_ctr = grouped_spline_eval(rho_bank, r, ctr_t)
         phi_member = phi_index[ctr_t, src_t]
     for i in range(len(starts) - 1):
         s0, s1 = starts[i], starts[i + 1]
@@ -468,9 +466,7 @@ def _wafer_force(
     pair energy per member tile.
     """
     starts, ctr, src, r, unit, rho_d_src, rho_d_ctr, member = record
-    phi_v, phi_d = grouped_spline_eval(
-        phi_bank, np.asarray(r, dtype=np.float64), member
-    )
+    phi_v, phi_d = grouped_spline_eval(phi_bank, r, member)
     s = f_der.take(ctr) * rho_d_src + f_der.take(src) * rho_d_ctr + phi_d
     fvec = s[:, None] * unit
     if e_flat is not None and symmetry:
@@ -512,11 +508,11 @@ def _leapfrog(
 ) -> int:
     """The wafer's leap-frog update (Eq. 5) over the occupied tiles.
 
-    ``accel = f / (m * MVV2E)``, ``v += accel * dt``, ``p += v * dt``,
-    each increment cast to the machine dtype of the ``(n_tiles, 3)``
-    ``pos_rows`` / ``vel_rows``, which are updated in place; empty tiles
-    are never touched.  Returns how many of the coordinates written are
-    not finite (the caller decides what that means).
+    ``accel = f / (m * MVV2E)``, ``v += accel * dt``, ``p += v * dt``
+    into the ``(n_tiles, 3)`` ``pos_rows`` / ``vel_rows``, which are
+    updated in place; empty tiles are never touched.  Returns how many
+    of the coordinates written are not finite (the caller decides what
+    that means).
     """
     # flat occupied-tile indices: one index array, ``take`` gathers,
     # integer-indexed row scatters
@@ -524,10 +520,10 @@ def _leapfrog(
     mass = masses.take(typ_flat.take(tiles))
     accel = force_rows.take(tiles, axis=0) / (mass[:, None] * MVV2E)
     vel = vel_rows.take(tiles, axis=0)
-    vel += (accel * dt).astype(vel_rows.dtype)
+    vel += accel * dt
     vel_rows[tiles] = vel
     pos = pos_rows.take(tiles, axis=0)
-    pos += (vel * dt).astype(pos_rows.dtype)
+    pos += vel * dt
     pos_rows[tiles] = pos
     return int(pos.size - np.count_nonzero(np.isfinite(pos)))
 

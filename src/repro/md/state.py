@@ -1,10 +1,10 @@
 """Mutable per-atom simulation state.
 
-Positions and velocities are stored as (N, 3) float64 arrays — the
-paper's WSE code uses FP32 throughout, and the lockstep simulator can be
-run in FP32 to match, but the reference engine defaults to FP64 so it
-can serve as the accuracy baseline (Sec. II-B notes production codes
-often mix FP32 forces with FP64 integration).
+Positions and velocities are stored as (N, 3) float64 arrays, in both
+engines: the paper's WSE code uses FP32 throughout, which the lockstep
+simulator models only in its SRAM and FLOP accounting, so that either
+engine can serve as the other's accuracy baseline (Sec. II-B notes
+production codes often mix FP32 forces with FP64 integration).
 """
 
 from __future__ import annotations

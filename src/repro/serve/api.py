@@ -333,7 +333,8 @@ def run_server(
     progress_interval: int = 0,
     announce=print,
 ) -> int:
-    """Blocking entry point: serve until a ``shutdown`` op arrives."""
+    """Blocking entry point: serve until a ``shutdown`` op arrives; a bad
+    option raises :class:`ValueError` before any slot forks."""
     from repro.serve.cache import ResultCache
 
     async def _serve() -> None:

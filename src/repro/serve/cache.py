@@ -88,6 +88,8 @@ class ResultCache:
     def __init__(
         self, root: str | Path, *, max_bytes: int = 2 * 1024**3
     ) -> None:
+        if max_bytes < 0:
+            raise ValueError(f"cache cap must be >= 0 bytes, got {max_bytes}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_bytes = int(max_bytes)

@@ -80,6 +80,10 @@ class JobScheduler:
     ) -> None:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
+        if progress_interval < 0:
+            raise ValueError(
+                f"progress interval must be >= 0, got {progress_interval}"
+            )
         self.slots = int(slots)
         self.cache = cache
         self.bus = bus if bus is not None else EventBus()

@@ -94,6 +94,8 @@ class TestOfflineOptimization:
         mapping = build_mapping(state.positions, state.box)
         with pytest.raises(ValueError):
             optimize_mapping(mapping, state.positions[:-1])
+        with pytest.raises(TypeError):  # one swap rule: greedy mutual
+            optimize_mapping(mapping, state.positions, engine=None)
 
 
 class TestPacking:

@@ -7,7 +7,7 @@ per candidate, the arithmetic and the per-tile accumulation order are
 exactly those of the old passes.  This module pins that contract
 against a reference implementation of the record-based passes embedded
 below (the pre-streaming ``_collect_pairs`` / ``_density_pass`` /
-``_force_pass`` logic, verbatim in structure), across dtypes, b values,
+``_force_pass`` logic, verbatim in structure), across b values,
 non-square grids and the force-symmetry path — a fixed matrix plus a
 Hypothesis sweep over vacancies, alloys and periodic boxes.  The record
 tests pin the survivor record that carries the one filter's result
@@ -97,7 +97,6 @@ def reference_density_force(sim: WseMd):
         np.copyto(d, 0.0, where=~both[:, :, None])
         for dim in range(3):
             if sim.box.periodic[dim]:
-                # a Python float, so a float32 machine wraps in float32
                 ld = float(sim.box.lengths[dim])
                 d[..., dim] -= ld * np.floor(d[..., dim] / ld + 0.5)
         r2 = np.einsum("xyk,xyk->xy", d, d)
@@ -243,24 +242,22 @@ def _assert_same_sweeps(sim, rho, step, reference):
 
 @pytest.mark.parametrize("force_symmetry", [False, True])
 @pytest.mark.parametrize(
-    "reps,dtype,b",
+    "reps,b",
     [
-        ((4, 4, 2), np.float64, None),
-        ((4, 4, 2), np.float32, None),
-        ((5, 3, 2), np.float64, None),  # non-square grid
-        ((3, 5, 2), np.float64, None),  # non-square, other axis
-        ((6, 6, 2), np.float64, 5),  # wider-than-needed b
-        ((4, 4, 2), np.float64, 4),  # b as wide as the grid allows
+        ((4, 4, 2), None),
+        ((5, 3, 2), None),  # non-square grid
+        ((3, 5, 2), None),  # non-square, other axis
+        ((6, 6, 2), 5),  # wider-than-needed b
+        ((4, 4, 2), 4),  # b as wide as the grid allows
     ],
 )
 def test_sweeps_match_record_passes_bitwise(
-    ta_potential, reps, dtype, b, force_symmetry
+    ta_potential, reps, b, force_symmetry
 ):
     kw = {"b": b} if b is not None else {}
     sim = WseMd(
         small_slab_state(reps=reps),
         ta_potential,
-        dtype=dtype,
         force_symmetry=force_symmetry,
         **kw,
     )
@@ -301,7 +298,6 @@ def sweep_case(draw):
         inplane_periodic=draw(st.booleans()),
         vacancy=draw(st.sampled_from([0.0, 0.15, 0.4])),
         fill=draw(st.sampled_from([0.94, 0.6])),
-        dtype=draw(st.sampled_from([np.float32, np.float64])),
         force_symmetry=draw(st.booleans()),
         seed=draw(st.integers(0, 10_000)),
     )
@@ -338,7 +334,6 @@ def _sweep_machine(case, ta_potential, wta_potential, speed=0.0, **machine):
     return WseMd(
         state,
         wta_potential if case["alloy"] else ta_potential,
-        dtype=case["dtype"],
         force_symmetry=case["force_symmetry"],
         fill=case["fill"],
         **machine,
@@ -412,7 +407,7 @@ def test_record_bytes_accounting(ta_potential, wta_potential, alloy, per_row):
     """48 B per interaction (float64, one type), 64 B for an alloy."""
     case = dict(
         reps=(5, 5, 2), alloy=alloy, inplane_periodic=False, vacancy=0.0,
-        fill=0.94, dtype=np.float64, force_symmetry=True, seed=1,
+        fill=0.94, force_symmetry=True, seed=1,
     )
     sim = _sweep_machine(case, ta_potential, wta_potential)
     step = sim._evaluate(NULL_TRACER)
@@ -477,7 +472,7 @@ def test_the_kernel_scratch_is_resident_within_its_budget(
     _tier("native")
     case = dict(
         reps=(8, 8, 2), alloy=alloy, inplane_periodic=False, vacancy=0.02,
-        fill=0.94, dtype=np.float64, force_symmetry=True, seed=2,
+        fill=0.94, force_symmetry=True, seed=2,
     )
     sim = _sweep_machine(case, ta_potential, wta_potential, speed=0.05)
     sim.step(4)
@@ -695,12 +690,12 @@ def test_positions_overwritten_between_steps(ta_potential):
     (ax, ay), (bx, by) = np.argwhere(sim.occ)[[0, -1]]
     # a nudge inside skin/2: the list still covers it
     for m in (sim, twin):
-        m.pos[ax, ay, 0] += m.dtype.type(0.1)
+        m.pos[ax, ay, 0] += 0.1
     _step_twins(sim, twin, oracle)
     assert (sim.list_builds, sim.list_reuses) == (1, 1)
     # a rigid shift moves every tile a full angstrom
     for m in (sim, twin):
-        m.pos[m.occ] += m.dtype.type(1.0)
+        m.pos[m.occ] += 1.0
     _step_twins(sim, twin, oracle)
     assert (sim.list_builds, sim.list_reuses) == (2, 1)
     # two atoms trade tiles by hand: same occupancy, different geometry

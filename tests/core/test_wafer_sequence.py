@@ -81,7 +81,7 @@ def test_a_held_list_is_tested_then_reused_or_rebuilt(spy, ta_potential):
     sim.step(1)
     assert (sim.list_builds, sim.list_reuses) == (1, 1)
     assert _names(spy) == ["neighbor", *STEP]
-    sim.pos[sim.occ] += sim.dtype.type(1.0)  # every tile a full angstrom
+    sim.pos[sim.occ] += 1.0  # every tile a full angstrom
     sim.step(1)
     assert (sim.list_builds, sim.list_reuses) == (2, 1)
     assert _names(spy) == ["neighbor", "exchange", *STEP]

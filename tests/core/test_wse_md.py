@@ -142,15 +142,6 @@ class TestTrajectoryEquivalence:
         cmp = compare_trajectories(state, wse, ref, 30)
         assert cmp.max_position_error < 1e-9
 
-    def test_fp32_mode_close_to_fp64(self, ta_potential):
-        state = small_slab_state("Ta", (5, 5, 2), temperature=290.0)
-        wse32 = WseMd(state.copy(), ta_potential, dtype=np.float32)
-        ref = Simulation(state.copy(), ta_potential, dt_fs=2.0, skin=0.6)
-        cmp = compare_trajectories(state, wse32, ref, 10)
-        # FP32 storage: agreement at single precision, not double
-        assert cmp.max_position_error < 1e-3
-        assert cmp.max_position_error > 0.0
-
 
 class TestMachineBehaviour:
     def test_counts_match_reference_neighbor_counts(self, ta_potential):
@@ -260,6 +251,18 @@ class TestMachineBehaviour:
             wse.step(-1)
         with pytest.raises(RuntimeError):
             WseMd(state.copy(), ta_potential).measured_rate()
+
+    @pytest.mark.parametrize(
+        "option", ["dtype", "swap_engine", "mapping", "cost_model"]
+    )
+    def test_has_one_precision_mapping_swap_and_cost_model(
+        self, ta_potential, option
+    ):
+        """The wafer is float64, maps with build_mapping, swaps with
+        the greedy mutual rule and prices with the calibrated model."""
+        with pytest.raises(TypeError):
+            WseMd(small_slab_state("Ta", (4, 4, 2)), ta_potential,
+                  **{option: None})
 
     def test_explicit_grid_and_b(self, ta_potential):
         state = small_slab_state("Ta", (4, 4, 2))

@@ -10,7 +10,7 @@ and shape,
 and the same exception *type* where numpy raises (out-of-range index
 -> ``IndexError``, coincident atoms -> ``FloatingPointError``).  Then
 whole trajectories: reference and wafer runs end on the same SHA-256
-under ``native`` and ``numpy``, and a float32 wafer declines to numpy.
+under ``native`` and ``numpy``.
 
 The build-path tests run against a private cache directory
 (``XDG_CACHE_HOME``), in a child interpreter wherever the registry's
@@ -507,17 +507,6 @@ class TestWaferStep:
             if reused is not None:
                 assert step.reused is reused
 
-    def test_a_float32_wafer_declines_whole(self):
-        case = list(_threaded_case(3, 12, 12, 0.1, "open", 2, True, 1, 0.0))
-        case[0], case[1] = (case[0].astype(np.float32),
-                            case[1].astype(np.float32))
-        want, _ = _step(numpy_backend, case, 2.6, 0.4, "energy")
-        before = native_backend.declined
-        got, step = _step(native_backend, case, 2.6, 0.4, "energy")
-        # the build and the step: numpy holds the list in its own slot
-        assert native_backend.declined == before + 2 and step.threads == 1
-        _assert_same(got, want)
-
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="counts threads through /proc")
     @pytest.mark.parametrize("n", THREADS)
@@ -612,32 +601,6 @@ def test_the_list_test_fails_on_nan_and_on_an_occupancy_flip(backend):
     sim.occ[x, y] = False
     sim.compute_forces()
     assert (sim.list_builds, sim.list_reuses) == (3, 1)
-
-
-@needs_native
-def test_float32_wafer_declines_with_unchanged_digests():
-    """Every wafer kernel native.c cannot read in float32 goes to numpy:
-    the run ends on the numpy tier's digests.  (A RunSpec has no dtype,
-    so the machines are built directly.)"""
-    from repro.core.wse_md import WseMd
-    from repro.potentials.elements import make_element_potential
-    from tests.conftest import small_slab_state
-
-    shas = []
-    for backend in ("numpy", "native"):
-        kernels.set_backend(backend)
-        before = native_backend.declined
-        sim = WseMd(small_slab_state(reps=(6, 6, 2), temperature=600.0),
-                    make_element_potential("Ta"), dtype=np.float32,
-                    swap_interval=4, force_symmetry=True)
-        sim.step(12)
-        state = sim.gather_state()
-        shas.append(hashlib.sha256(state.positions.tobytes()
-                                   + state.velocities.tobytes()).hexdigest())
-        if backend == "native":
-            # per step: the one wafer_step call
-            assert native_backend.declined - before == 12
-    assert shas[0] == shas[1]
 
 
 # -- whole trajectories ---------------------------------------------------------

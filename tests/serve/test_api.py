@@ -245,6 +245,51 @@ class TestWatch:
         response = _with_server(tmp_path, run)
         assert response["ok"] and response["cancelled"] is False
 
+    def test_a_client_gone_mid_watch_leaves_nothing_behind(self, tmp_path):
+        """The job still ends done and cached, its slot is freed, and
+        the dead connection's subscription leaves the bus."""
+        cache = ResultCache(tmp_path / "cache")
+
+        async def body():
+            scheduler = JobScheduler(cache=cache)
+            server = ServeServer(scheduler, port=0)
+            await server.start()
+
+            def submit_watch_and_vanish():
+                with socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=60.0
+                ) as sock:
+                    sock.sendall(json.dumps({
+                        "op": "submit", "spec": SPEC.to_dict(), "watch": True,
+                    }).encode() + b"\n")
+                    with sock.makefile("r") as stream:
+                        return json.loads(stream.readline())
+
+            try:
+                first = await asyncio.get_running_loop().run_in_executor(
+                    None, submit_watch_and_vanish
+                )
+                [job] = scheduler.jobs.all()
+                await scheduler.wait(job)
+                # the handler ends on the send that fails or on the
+                # job's last state event, whichever comes first
+                for _ in range(200):
+                    if not scheduler.bus._subs:
+                        break
+                    await asyncio.sleep(0.05)
+                return (first, job, len(scheduler.bus._subs),
+                        scheduler.snapshot()["slots_busy"])
+            finally:
+                await server.close()
+                await scheduler.close()
+
+        first, job, subscribers, busy = asyncio.run(body())
+        assert "event" in first
+        assert job.state.value == "done"
+        assert cache.lookup(*job.key) is not None
+        assert busy == 0
+        assert subscribers == 0
+
 
 def test_shutdown_op_stops_serve_loop(tmp_path):
     async def body():

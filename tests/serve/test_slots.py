@@ -422,15 +422,18 @@ class TestSlotLoss:
 
 
 class TestServerProcess:
-    def _start(self, tmp_path):
+    def _serve(self, tmp_path, *flags, **popen):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
+        return subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--slots", "2", "--cache-dir", str(tmp_path / "cache")],
-            stdout=subprocess.PIPE, env=env, text=True,
+             "--slots", "2", "--cache-dir", str(tmp_path / "cache"), *flags],
+            stdout=subprocess.PIPE, env=env, text=True, **popen,
         )
+
+    def _start(self, tmp_path):
+        proc = self._serve(tmp_path)
         line = proc.stdout.readline()
         port = int(re.search(r"listening on [^:]+:(\d+)", line).group(1))
         return proc, ServeClient(port=port, timeout=60.0)
@@ -466,3 +469,24 @@ class TestServerProcess:
             proc.kill()
             proc.wait()
             proc.stdout.close()
+
+    @pytest.mark.parametrize("flag,value,complaint", [
+        ("--slots", "0", "slots must be >= 1, got 0"),
+        ("--progress-interval", "-3", "progress interval must be >= 0, got -3"),
+        ("--cache-bytes", "-5", "cache cap must be >= 0 bytes, got -5"),
+    ], ids=["slots", "progress-interval", "cache-bytes"])
+    def test_a_bad_flag_exits_2_before_listening(
+        self, tmp_path, flag, value, complaint
+    ):
+        """One stderr line and exit 2, not a traceback or a server on
+        which every job fails."""
+        proc = self._serve(tmp_path, flag, value, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == ""  # never listened
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read().splitlines() == [f"error: {complaint}"]
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()

@@ -407,8 +407,12 @@ class TestProfile:
         assert {r.get("engine") for r in records} == {"reference", "wse"}
 
     def test_profile_check_mode_passes(self, tmp_path, capsys):
+        # ~4% of a quick step is outside the spans at any length, so 30
+        # steps (~26 ms) leave the 95% gate one scheduler stall from
+        # failing; 300 steps make the gate measure coverage, not stalls
         out = tmp_path / "trace.jsonl"
-        rc = main(["profile", "--quick", "--out", str(out), "--check"])
+        rc = main(["profile", "--quick", "--steps", "300", "--out", str(out),
+                   "--check"])
         assert rc == 0
         assert "profile checks passed" in capsys.readouterr().out
 
