@@ -240,18 +240,14 @@ def _cmd_run(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serve import run_server
 
-    try:
-        return run_server(
-            args.host,
-            args.port,
-            slots=args.slots,
-            cache_dir=args.cache_dir,
-            cache_bytes=args.cache_bytes,
-            progress_interval=args.progress_interval or 0,
-        )
-    except ValueError as exc:  # a bad option, before any slot forked
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+    return run_server(
+        args.host,
+        args.port,
+        slots=args.slots,
+        cache_dir=args.cache_dir,
+        cache_bytes=args.cache_bytes,
+        progress_interval=args.progress_interval or 0,
+    )
 
 
 def _describe_served_job(job: dict, verbose: bool = True) -> None:

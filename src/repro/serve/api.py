@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import sys
 
 from repro.runtime.spec import RunSpec, SpecError
 from repro.serve.queue import Job
@@ -333,20 +334,28 @@ def run_server(
     progress_interval: int = 0,
     announce=print,
 ) -> int:
-    """Blocking entry point: serve until a ``shutdown`` op arrives; a bad
-    option raises :class:`ValueError` before any slot forks."""
+    """Blocking entry point: serve until a ``shutdown`` op arrives.
+
+    Returns the exit code: 0, or 2 after one ``error:`` line on stderr
+    when ``slots``, ``cache_bytes`` or ``progress_interval`` is out of
+    range (before any slot forks).
+    """
     from repro.serve.cache import ResultCache
 
-    async def _serve() -> None:
-        cache = (
-            ResultCache(cache_dir, max_bytes=cache_bytes)
-            if cache_dir
-            else None
-        )
-        # the slots fork here, before a listener or connection exists
-        scheduler = JobScheduler(
-            slots=slots, cache=cache, progress_interval=progress_interval
-        )
+    async def _serve() -> int:
+        try:
+            cache = (
+                ResultCache(cache_dir, max_bytes=cache_bytes)
+                if cache_dir
+                else None
+            )
+            # the slots fork here, before a listener or connection exists
+            scheduler = JobScheduler(
+                slots=slots, cache=cache, progress_interval=progress_interval
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         server = ServeServer(scheduler, host=host, port=port)
         await server.start()
         announce(
@@ -355,9 +364,9 @@ def run_server(
             f"cache {cache_dir or 'off'})"
         )
         await server.serve_until_shutdown()
+        return 0
 
     try:
-        asyncio.run(_serve())
+        return asyncio.run(_serve())
     except KeyboardInterrupt:
-        pass
-    return 0
+        return 0
