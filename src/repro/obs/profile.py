@@ -167,6 +167,7 @@ def profile_spec(
         for name in engines:
             espec = spec.with_engine(name)
             tracer = Tracer()
+            sink = None
             if fh is not None:
                 sink = JsonlSink(fh, static={"engine": name})
                 sink.write_meta(spec=espec.to_dict())
@@ -181,6 +182,8 @@ def profile_spec(
                 # wall time; spawn is traced as ``parallel.pool``, so
                 # neither counts against the coverage gate
                 runner.close()
+                if sink is not None:  # this engine's spans, after its meta
+                    sink.close()
             totals = tracer.phase_totals()
             wall = telemetry.wall_time_s
             coverage = tracer.total_s() / wall if wall > 0 else 0.0

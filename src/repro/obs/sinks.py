@@ -1,10 +1,11 @@
 """Trace sinks: where closed spans go.
 
 * :class:`ListSink` — in-memory collection (tests, ad-hoc analysis).
-* :class:`JsonlSink` — one JSON object per line.  A ``static`` dict
-  (engine name, run id, ...) is merged into every record, so several
-  tracers can share one file and stay distinguishable.  Meta lines
-  (``{"type": "meta", ...}``) describe the producing run.
+* :class:`JsonlSink` — one JSON object per line, written at
+  ``close()``: spans are kept while the run is timed.  A ``static``
+  dict (engine name, run id, ...) is merged into every record, so
+  several tracers can share one file and stay distinguishable.  Meta
+  lines (``{"type": "meta", ...}``) describe the producing run.
 * :func:`read_trace` — parse a JSONL trace back into dicts (the CI
   smoke check and tests use it).
 * :func:`render_phase_table` — the end-of-run summary table.
@@ -36,6 +37,10 @@ class ListSink:
 class JsonlSink:
     """Writes one JSON line per span (plus optional meta lines).
 
+    :meth:`emit` only keeps the span; :meth:`close` serializes and
+    writes every kept span after the meta lines, so no ``json.dumps``
+    or write runs inside a traced step.
+
     Parameters
     ----------
     target:
@@ -53,6 +58,7 @@ class JsonlSink:
             self._fh = open(target, "w")
             self._owns = True
         self.static = dict(static) if static else {}
+        self._spans: list[Span] = []
 
     def write_meta(self, **fields) -> None:
         """Emit a ``{"type": "meta", ...}`` header line."""
@@ -60,11 +66,15 @@ class JsonlSink:
         self._fh.write(json.dumps(record) + "\n")
 
     def emit(self, span: Span) -> None:
-        record = span.as_dict()
-        record.update(self.static)
-        self._fh.write(json.dumps(record) + "\n")
+        self._spans.append(span)
 
     def close(self) -> None:
+        """Write the kept spans, flush, and close a file this sink
+        opened."""
+        for span in self._spans:
+            record = {**span.as_dict(), **self.static}
+            self._fh.write(json.dumps(record) + "\n")
+        self._spans = []
         self._fh.flush()
         if self._owns:
             self._fh.close()

@@ -13,9 +13,9 @@ This package is the host-side analogue, in three layers:
   own builder, whose own-smaller-global-id seam rule keeps the tile
   union bit-identical to the serial candidate set.
 * **Transport** (:mod:`~repro.parallel.transport`): one synchronous
-  round driver over three byte movers — forked workers on a
-  :class:`~repro.parallel.shm.SharedArena`, the same worker protocol
-  over loopback TCP sockets, or virtual workers inside the parent —
+  round driver over three byte movers — forked workers on anonymous
+  shared mappings made before the fork, the same worker protocol over
+  loopback TCP sockets, or virtual workers inside the parent —
   and the :class:`~repro.parallel.transport.ShardWorker` that steps a
   tile: filter, density, seam reduction, embedding, forces, leap-frog.
 * **Pipeline** (:class:`~repro.parallel.pipeline.ShardedForcePipeline`):
@@ -40,7 +40,6 @@ import numpy as np
 from repro.obs import warn_once
 from repro.parallel.domains import DomainGrid, plan_grid
 from repro.parallel.pipeline import ShardedForcePipeline
-from repro.parallel.shm import SharedArena
 from repro.parallel.transport import (
     TRANSPORTS,
     ForkMover,
@@ -57,7 +56,6 @@ from repro.parallel.transport import (
 
 __all__ = [
     "ShardedForcePipeline",
-    "SharedArena",
     "DomainGrid",
     "plan_grid",
     "ForkMover",

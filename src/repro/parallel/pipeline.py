@@ -76,9 +76,10 @@ class ShardedForcePipeline:
     """Persistent domain-sharded stepper for one simulation.
 
     Construct once per :class:`~repro.md.simulation.Simulation` (the
-    cost — arena/sockets + worker spawn — is what the ``parallel.pool``
-    phase accounts for); :meth:`advance` runs whole chunks of timesteps
-    rank-side, :meth:`compute` evaluates without moving.  Call
+    cost — shared mappings/sockets + worker spawn — is what the
+    ``parallel.pool`` phase accounts for); :meth:`advance` runs whole
+    chunks of timesteps rank-side, :meth:`compute` evaluates without
+    moving.  Call
     :meth:`close` to reap the workers (an abandoned pipeline is
     cleaned up by GC/daemon semantics).
 

@@ -34,6 +34,7 @@ so traffic numbers are real sparse volumes, identical across movers too.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
 import time
@@ -42,7 +43,6 @@ import numpy as np
 
 # the CPU count lives with the kernels, which size their threads by it
 from repro.kernels import _affinity, usable_cpus
-from repro.parallel.shm import SharedArena
 
 __all__ = [
     "Transport",
@@ -341,10 +341,10 @@ def worker_loop(channel, wid: int, cfg: dict) -> None:
 # -- worker-side channels (get / put / recv / send) ------------------------
 
 
-class _ArenaChannel:
-    """Worker-side channel over fork-inherited shared memory + a pipe.
+class _SharedChannel:
+    """Worker-side channel over fork-inherited shared mappings + a pipe.
 
-    Every arena array is ``(n_workers, capacity, ...)``; this worker
+    Every shared array is ``(n_workers, capacity, ...)``; this worker
     reads input pack prefixes from — and writes output pack prefixes
     into — its own row.  The parent finishes a pack write before it
     sends the round's command, so the pipe's send/receive pair is all
@@ -431,7 +431,7 @@ class _InlineChannel:
 def _fork_worker_entry(
     conn, wid: int, shared: dict, cfg: dict, parent_ends: list
 ) -> None:
-    """Fork-mover worker entry: wrap the inherited arena into a channel.
+    """Fork-mover worker entry: wrap the inherited mappings into a channel.
 
     ``parent_ends`` are the parent's pipe ends that existed at the fork
     — this worker's own and its elder siblings'.  Held here they would
@@ -440,7 +440,7 @@ def _fork_worker_entry(
     """
     for end in parent_ends:
         end.close()
-    worker_loop(_ArenaChannel(conn, wid, shared), wid, cfg)
+    worker_loop(_SharedChannel(conn, wid, shared), wid, cfg)
 
 
 def _no_delay(conn) -> None:
@@ -489,7 +489,7 @@ class Transport:
         self.mover = mover
         self.kind: str = mover.kind
         #: per-rank ``{channel: capacity-sized buffer}`` the packs are
-        #: staged into — the mover's own (arena rows under ``shared``),
+        #: staged into — the mover's own (shared rows under ``shared``),
         #: reused every round, so steady steps allocate nothing here
         self._buffers: list[dict[str, np.ndarray]] = mover.inputs
         self.n_workers = len(self._buffers)
@@ -603,6 +603,15 @@ def _plain_buffers(n_workers: int, inputs: dict) -> list[dict]:
     ]
 
 
+def _shared_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed array on its own anonymous ``MAP_SHARED`` mapping: a
+    process forked after this call maps the same pages, nothing names
+    them, and they go with the last process that maps them."""
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
 def _stop_and_reap(conns: list, procs: list, stop_msg) -> None:
     """Tell every worker to stop, then join them with a timeout.
 
@@ -627,15 +636,16 @@ def _stop_and_reap(conns: list, procs: list, stop_msg) -> None:
 
 
 class ForkMover:
-    """Shared-memory mover: a SharedArena + forked daemon workers.
+    """Shared-memory mover: anonymous shared mappings + forked daemon
+    workers.
 
     ``inputs``/``outputs`` are ``{name: (shape, dtype)}`` per-rank
-    capacity specs; every channel gets a leading ``n_workers`` row
-    dimension in the arena, created **before** the fork so the children
-    inherit the mapping.  The driver stages packs straight into the
-    arena rows, so only messages cross the pipe.  Workers are daemons:
-    an abandoned mover dies with the parent instead of orphaning
-    processes.
+    capacity specs; every channel gets one ``(n_workers, *shape)`` array
+    on its own anonymous shared mapping, made **before** the fork so the
+    children map the same pages.  The driver stages packs straight into
+    the shared rows, so only messages cross the pipe.  Workers are
+    daemons: an abandoned mover dies with the parent instead of
+    orphaning processes.
     """
 
     kind = "shared"
@@ -643,12 +653,12 @@ class ForkMover:
     def __init__(
         self, n_workers: int, inputs: dict, outputs: dict, cfg: dict
     ) -> None:
-        self.arena = SharedArena({
-            cname: ((n_workers, *shape), dtype)
+        self._shared = {
+            cname: _shared_zeros((n_workers, *shape), dtype)
             for cname, (shape, dtype) in {**inputs, **outputs}.items()
-        })
+        }
         self.inputs = [
-            {cname: self.arena[cname][k] for cname in inputs}
+            {cname: self._shared[cname][k] for cname in inputs}
             for k in range(n_workers)
         ]
         ctx = multiprocessing.get_context("fork")
@@ -659,7 +669,7 @@ class ForkMover:
             proc = ctx.Process(
                 target=_fork_worker_entry,
                 args=(
-                    child_conn, wid, self.arena.arrays, cfg,
+                    child_conn, wid, self._shared, cfg,
                     [*self._conns, parent_conn],
                 ),
                 daemon=True,
@@ -671,21 +681,21 @@ class ForkMover:
             self._procs.append(proc)
 
     def send(self, rank: int, msg: tuple, packs: dict) -> None:
-        # the packs already sit in the rank's arena row
+        # the packs already sit in the rank's shared row
         self._conns[rank].send(msg)
 
     def recv(self, rank: int) -> tuple:
         return self._conns[rank].recv()
 
     def fetch(self, rank: int, name: str, n: int) -> np.ndarray:
-        return self.arena[name][rank, :n]
+        return self._shared[name][rank, :n]
 
     def close(self) -> None:
-        """Stop and reap the workers, release the arena (idempotent)."""
+        """Stop and reap the workers (idempotent); the shared pages go
+        with the last process that maps them."""
         conns, self._conns = self._conns, []
         procs, self._procs = self._procs, []
         _stop_and_reap(conns, procs, ("stop",))
-        self.arena.close()
 
 
 class SocketMover:
@@ -703,7 +713,7 @@ class SocketMover:
     def __init__(
         self, n_workers: int, inputs: dict, outputs: dict, cfg: dict
     ) -> None:
-        from multiprocessing.connection import Listener
+        from multiprocessing.connection import Listener, wait
 
         self.inputs = _plain_buffers(n_workers, inputs)
         self._received: list[dict[str, np.ndarray]] = [
@@ -723,12 +733,27 @@ class SocketMover:
             proc.start()
             self._procs.append(proc)
         # Accept in arrival order, then seat by handshake rank so the
-        # pack reduction order is the topology's, not the race's.
+        # pack reduction order is the topology's, not the race's.  A
+        # rank that exits before its hello never connects, so wait on
+        # the listening socket (what accept() reads) and on every
+        # unseated rank's exit at once.
+        listening = self._listener._listener._socket
         self._conns: list = [None] * n_workers
-        for _ in range(n_workers):
-            conn = self._listener.accept()
-            _no_delay(conn)
-            hello = conn.recv()
+        while None in self._conns:
+            unseated = {
+                self._procs[rank].sentinel: rank
+                for rank, conn in enumerate(self._conns) if conn is None
+            }
+            ready = wait([listening, *unseated])
+            gone = [unseated[s] for s in ready if s in unseated]
+            if gone:
+                self._lost_before_hello(min(gone))
+            try:
+                conn = self._listener.accept()
+                _no_delay(conn)
+                hello = conn.recv()
+            except (EOFError, OSError):
+                continue  # died mid-handshake: its sentinel names it next
             if hello[0] != "hello":  # pragma: no cover - protocol violation
                 raise RuntimeError(f"expected hello, got {hello[0]!r}")
             rank = int(hello[1])
@@ -737,6 +762,23 @@ class SocketMover:
             self._conns[rank] = conn
         for conn in self._conns:
             conn.send(("setup", cfg))
+
+    def _lost_before_hello(self, rank: int) -> None:
+        """Reap every started rank, then raise :class:`WorkerLost`.
+
+        The others are terminated, not stopped: an unseated one is still
+        connecting and a seated one waits for its ``setup``, so neither
+        would read a ``stop``.
+        """
+        lost = self._procs[rank]
+        for proc in self._procs:
+            proc.terminate()
+        self._conns = [conn for conn in self._conns if conn is not None]
+        self.close()
+        raise WorkerLost(
+            f"shard worker {rank} exited (code {lost.exitcode}) "
+            "before its handshake"
+        )
 
     def send(self, rank: int, msg: tuple, packs: dict) -> None:
         self._conns[rank].send((msg, packs))

@@ -47,6 +47,18 @@ class TestProfileSpec:
         assert engines == {"reference", "wse"}
         assert any(r["type"] == "meta" for r in records)
 
+    def test_trace_holds_each_engine_meta_first_then_its_spans(
+        self, tiny_spec, tmp_path
+    ):
+        trace = tmp_path / "order.jsonl"
+        profile_spec(tiny_spec, trace_path=str(trace))
+        records = read_trace(trace)
+        blocks = [(r["type"], r["engine"]) for r in records]
+        n_ref = blocks.index(("meta", "wse"))
+        assert blocks[0] == ("meta", "reference")
+        assert set(blocks[1:n_ref]) == {("span", "reference")}
+        assert set(blocks[n_ref + 1:]) == {("span", "wse")}
+
     def test_phase_seconds_tile_traced_wall(self, tiny_spec):
         profiles = profile_spec(tiny_spec, engines=("reference",))
         prof = profiles["reference"]

@@ -107,6 +107,21 @@ class TestSinks:
         assert span["engine"] == "wse"
         assert span["counters"] == {"candidates": 12}
 
+    def test_jsonl_spans_are_written_at_close(self, tmp_path):
+        """No span is serialized inside the traced run: the file holds
+        the meta line until the sink closes."""
+        path = tmp_path / "late.jsonl"
+        with open(path, "w") as fh:
+            sink = JsonlSink(fh, static={"engine": "wse"})
+            sink.write_meta(spec={})
+            tr = Tracer(sinks=[sink])
+            with tr.phase("density"):
+                pass
+            fh.flush()
+            assert [r["type"] for r in read_trace(path)] == ["meta"]
+            sink.close()
+        assert [r["type"] for r in read_trace(path)] == ["meta", "span"]
+
     def test_read_trace_rejects_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "span"}\nnot json\n')

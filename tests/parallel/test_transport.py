@@ -600,6 +600,93 @@ class TestOwnerDeath:
                     pass
 
 
+def _owner_process(script: str, *args: str) -> subprocess.Popen:
+    """``python -c script *args`` on this checkout's ``src``, both
+    output streams piped."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, text=True,
+    )
+
+
+def _maps_a_named_segment(pid: int) -> bool:
+    """Whether ``pid`` maps a file under ``/dev/shm`` (a named segment;
+    an anonymous shared mapping reads ``/dev/zero (deleted)``)."""
+    return "/dev/shm/" in Path(f"/proc/{pid}/maps").read_text()
+
+
+class TestAnonymousSharedPages:
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    def test_shared_owner_has_only_its_ranks_and_names_nothing(self):
+        """The shared mover's pages are inherited at the fork: no helper
+        process, no named segment, nothing to warn about at SIGKILL."""
+        owner = _owner_process(_OWNER, "shared")
+        pids = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            children = Path(
+                f"/proc/{owner.pid}/task/{owner.pid}/children"
+            ).read_text().split()
+            assert sorted(int(pid) for pid in children) == sorted(pids)
+            assert not any(
+                _maps_a_named_segment(pid) for pid in (owner.pid, *pids)
+            )
+            os.kill(owner.pid, signal.SIGKILL)
+            _, err = owner.communicate(timeout=10)
+            assert "resource_tracker" not in err
+        finally:
+            owner.kill()
+            owner.communicate()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+#: An owner whose socket rank 1 exits before its hello: at once, or
+#: right after its connection is accepted.
+_EARLY_EXIT_OWNER = """
+import os, sys
+from multiprocessing.connection import Client
+from repro.parallel import WorkerLost, transport
+entry = transport._socket_worker_entry
+def entry_or_exit(address, authkey, rank):
+    if rank == 1:
+        if sys.argv[1] == "connected":
+            Client(address, authkey=authkey)
+        os._exit(3)
+    entry(address, authkey, rank)
+transport._socket_worker_entry = entry_or_exit
+try:
+    transport.SocketMover(2, {}, {}, {})
+except WorkerLost as exc:
+    print(exc, flush=True)
+"""
+
+
+class TestHandshake:
+    @pytest.mark.parametrize("when", ("at_once", "connected"))
+    def test_a_rank_gone_before_its_hello_raises_worker_lost(self, when):
+        owner = _owner_process(_EARLY_EXIT_OWNER, when)
+        try:
+            out, err = owner.communicate(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            pytest.fail("SocketMover still waits for a rank that exited")
+        finally:
+            owner.kill()
+            owner.communicate()
+        assert "shard worker 1 exited (code 3) before its handshake" in out
+        assert "Traceback" not in err  # rank 0 was reaped, not left to fail
+
+
 class TestTelemetry:
     def test_engine_reports_layout_and_halo(self):
         spec = RunSpec(
