@@ -654,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(run, RUN_DEFAULTS)
     run.add_argument("--checkpoint", default=None, metavar="PREFIX",
                      help="write checkpoints under this path prefix "
-                          "(<prefix>.npz/.json/.xyz)")
+                          "(one file, <prefix>.npz)")
     run.add_argument("--resume", default=None, metavar="PREFIX",
                      help="resume from this checkpoint prefix (spec "
                           "physics must match its spec_hash; a missing "

@@ -239,7 +239,6 @@ def build_mapping(
     *,
     grid: TileGrid | None = None,
     fill: float = 0.94,
-    layer_aware: bool = True,
 ) -> Mapping:
     """Construct the locality-preserving mapping for a configuration."""
     positions = np.asarray(positions, dtype=np.float64)
@@ -260,7 +259,7 @@ def build_mapping(
     # Effective coordinates: project, then displace each atom by its
     # z-layer's pattern offset so stacked atoms spread consistently.
     eff = proj.copy()
-    offsets = layer_offsets(positions[:, 2]) if layer_aware else None
+    offsets = layer_offsets(positions[:, 2])
     if offsets is not None:
         eff = eff + offsets * pitch
 

@@ -14,7 +14,7 @@ The layers, bottom to top:
     The :class:`Engine` protocol, the two adapters, and the
     :func:`build_engine` factory.
 :mod:`repro.runtime.checkpoint`
-    Full-precision ``.npz`` + JSON sidecar + extended-XYZ snapshots.
+    Full-precision one-file ``.npz`` snapshots (state + JSON ``meta``).
 :mod:`repro.runtime.runner`
     The :class:`Runner` loop: observers, checkpoints, resume.
 

@@ -214,17 +214,12 @@ class Runner:
             prefix = self.checkpoint_prefix
         if prefix is None:
             raise ValueError("no checkpoint prefix configured")
-        state = self.engine.state
-        # spec element labels the xyz frame for the single-type workload;
-        # custom multi-type states fall back to generic type symbols
-        symbols = [self.spec.element] if len(state.masses) == 1 else None
         return write_checkpoint(
             prefix,
-            state,
+            self.engine.state,
             step_count=self.engine.step_count,
             spec_hash=self.spec.spec_hash(),
             engine=self.engine.name,
             rng_states=self.engine.rng_states(),
             extra=self.engine.checkpoint_extra(),
-            symbols=symbols,
         )

@@ -1,10 +1,9 @@
 """Spec-hash result cache over the atomic checkpoint store.
 
 The cache directory holds one entry per ``(spec_hash, n_steps)`` key:
-the checkpoint trio (``<hash>-<steps>.npz/.json/.xyz`` — the same
-atomic, fsynced files :mod:`repro.runtime.checkpoint` writes) plus the
-run's telemetry (``<hash>-<steps>.telemetry.json``), indexed by
-``index.json``.
+the checkpoint (``<hash>-<steps>.npz`` — the same atomic, fsynced file
+:mod:`repro.runtime.checkpoint` writes) plus the run's telemetry
+(``<hash>-<steps>.telemetry.json``), indexed by ``index.json``.
 
 Because ``spec_hash`` digests only the physics-determining fields
 (those declared ``physics=True`` in :class:`~repro.runtime.spec.RunSpec`'s
@@ -19,22 +18,21 @@ Durability and corruption tolerance:
 * entries are registered in the index only after their files are fully
   published, so a crash mid-run never indexes a partial result;
 * ``index.json`` and each telemetry file are published like the
-  checkpoint files (:func:`~repro.runtime.checkpoint.replace_synced`:
+  checkpoint (:func:`~repro.runtime.checkpoint.replace_synced`:
   fsync, then rename), so a power loss cannot leave an empty or torn
   index — which loading would read as an empty cache, unlinking every
   entry's files as unreferenced;
 * loading sweeps orphaned ``*.tmp`` files an interrupted write left
   behind and drops index entries whose files are missing;
 * every lookup re-validates the checkpoint through
-  :func:`~repro.runtime.checkpoint.read_checkpoint` — a torn or
-  physics-mismatched trio (including a sidecar step count disagreeing
-  with the npz payload) evicts the entry and reports a miss instead of
-  serving garbage;
+  :func:`~repro.runtime.checkpoint.read_checkpoint` — a torn, bit-flipped
+  or physics-mismatched file evicts the entry and reports a miss instead
+  of serving garbage;
 * an LRU byte cap bounds the directory; eviction order is a persisted
   logical clock, not wall time, so it is deterministic under test.
 
 One process owns a cache directory.  Under ``repro serve`` that is the
-server: slot processes write checkpoint trios under prefixes it hands
+server: slot processes write checkpoints under prefixes it hands
 them, but every call below is made on its event loop, so the index
 needs no cross-process locking.  The reentrant lock keeps an instance
 shareable between threads — concurrent ``put`` calls must not race the
@@ -218,8 +216,8 @@ class ResultCache:
     def _validate(self, spec_hash: str, steps: int) -> bool:
         """Re-check an entry's checkpoint before serving it.
 
-        Corruption-tolerant: any :class:`CheckpointError` (torn npz,
-        bad sidecar, step-count disagreement, physics mismatch) — or a
+        Corruption-tolerant: any :class:`CheckpointError` (torn or
+        bit-flipped file, bad schema, physics mismatch) — or a
         checkpoint whose recorded step count is not the key's — evicts
         the entry and reports it unusable.
         """
@@ -292,11 +290,11 @@ class ResultCache:
     ) -> CacheEntry:
         """Publish a finished run under ``(spec_hash, steps)``.
 
-        The checkpoint trio is expected at :meth:`prefix` (the
+        The checkpoint is expected at :meth:`prefix` (the
         scheduler points the runner's checkpoint prefix there), or at
         ``src_prefix`` — e.g. when a cancelled run stopped short of its
-        target and the files carry the target's name — in which case
-        the trio is renamed onto the key it actually computed.
+        target and the file carries the target's name — in which case
+        the file is renamed onto the key it actually computed.
         """
         with self._lock:
             steps = int(steps)

@@ -1,11 +1,12 @@
 """Checkpoint write/read round-trips and the resume-refusal guards."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.io.xyz import read_xyz
 from repro.runtime import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
@@ -61,18 +62,53 @@ def test_round_trip_is_lossless(tmp_path, state):
     np.testing.assert_array_equal(restored.random(5), rng.random(5))
 
 
-def test_trio_files_written(tmp_path, state):
+def _rewrite_meta(prefix, text):
+    """Re-save a checkpoint with its ``meta`` member replaced."""
+    (path,) = checkpoint_paths(prefix)
+    data = dict(np.load(path))
+    data["meta"] = np.array(text)
+    np.savez(path, **data)
+
+
+def _same_checkpoint(a, b):
+    """Bitwise equal arrays (and dtypes), step, hash, engine, RNG, extra."""
+    x, y = a.state, b.state
+    arrays = [
+        (x.positions, y.positions), (x.velocities, y.velocities),
+        (x.types, y.types), (x.masses, y.masses), (x.ids, y.ids),
+        (x.box.lengths, y.box.lengths), (x.box.periodic, y.box.periodic),
+        (x.box.origin, y.box.origin),
+    ]
+    return all(
+        u.dtype == v.dtype and np.array_equal(u, v) for u, v in arrays
+    ) and (a.step_count, a.spec_hash, a.engine, a.rng_states, a.extra) == (
+        b.step_count, b.spec_hash, b.engine, b.rng_states, b.extra
+    )
+
+
+def test_one_file_through_one_fsync_and_rename(tmp_path, state, monkeypatch):
+    synced, renamed = [], []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(
+        os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
+    )
+    monkeypatch.setattr(
+        os, "replace",
+        lambda src, dst: (renamed.append(Path(dst)), real_replace(src, dst))[1],
+    )
     prefix = tmp_path / "c"
     paths = write_checkpoint(
         prefix, state, step_count=0, spec_hash="x", engine="wse"
     )
-    assert paths == checkpoint_paths(prefix)
-    for p in paths:
-        assert p.exists(), p
-    assert not list(tmp_path.glob("*.tmp"))  # atomic renames left no temps
+    assert paths == checkpoint_paths(prefix) == (tmp_path / "c.npz",)
+    assert len(synced) == 1
+    assert renamed == [tmp_path / "c.npz"]
+    # nothing but the published file: no sidecar, no frame, no temps
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c.npz"]
 
 
 def test_sidecar_is_plain_json(tmp_path, state):
+    """The metadata is plain JSON in the npz's ``meta`` member."""
     prefix = tmp_path / "c"
     write_checkpoint(
         prefix,
@@ -82,24 +118,12 @@ def test_sidecar_is_plain_json(tmp_path, state):
         engine="reference",
         rng_states={"thermostat": get_rng_state(seed_streams(1)["thermostat"])},
     )
-    sidecar = json.loads(checkpoint_paths(prefix)[1].read_text())
-    assert sidecar["schema"] == CHECKPOINT_SCHEMA
-    assert sidecar["step_count"] == 7
-
-
-def test_xyz_frame_preserves_velocities(tmp_path, state):
-    """The human-readable frame keeps velocities to ~1e-9 A/ps."""
-    prefix = tmp_path / "c"
-    write_checkpoint(
-        prefix, state, step_count=0, spec_hash="x", engine="reference",
-        symbols=["Ta"],
-    )
-    frame = read_xyz(checkpoint_paths(prefix)[2], masses=state.masses)
-    np.testing.assert_allclose(
-        frame.velocities, state.velocities, atol=1e-9
-    )
-    np.testing.assert_allclose(frame.positions, state.positions, atol=1e-9)
-    np.testing.assert_array_equal(frame.ids, state.ids)
+    with np.load(checkpoint_paths(prefix)[0]) as data:
+        assert data["meta"].shape == ()
+        meta = json.loads(str(data["meta"]))
+    assert meta["schema"] == CHECKPOINT_SCHEMA
+    assert meta["step_count"] == 7
+    assert meta["spec_hash"] == SPEC.spec_hash()
 
 
 def test_spec_hash_mismatch_refused(tmp_path, state):
@@ -120,12 +144,18 @@ def test_missing_checkpoint_raises(tmp_path):
         read_checkpoint(tmp_path / "nope")
 
 
+def test_missing_checkpoint_raises(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read"):
+        read_checkpoint(tmp_path / "nope")
+
+
 def test_corrupt_sidecar_raises(tmp_path, state):
+    """Unparseable metadata in the one file is a corrupt checkpoint."""
     prefix = tmp_path / "c"
     write_checkpoint(
         prefix, state, step_count=0, spec_hash="x", engine="reference"
     )
-    checkpoint_paths(prefix)[1].write_text("{broken")
+    _rewrite_meta(prefix, "{broken")
     with pytest.raises(CheckpointError, match="corrupt"):
         read_checkpoint(prefix)
 
@@ -135,35 +165,75 @@ def test_wrong_schema_raises(tmp_path, state):
     write_checkpoint(
         prefix, state, step_count=0, spec_hash="x", engine="reference"
     )
-    sidecar = json.loads(checkpoint_paths(prefix)[1].read_text())
-    sidecar["schema"] = "repro-checkpoint/99"
-    checkpoint_paths(prefix)[1].write_text(json.dumps(sidecar))
+    with np.load(checkpoint_paths(prefix)[0]) as data:
+        meta = json.loads(str(data["meta"]))
+    meta["schema"] = "repro-checkpoint/99"
+    _rewrite_meta(prefix, json.dumps(meta))
     with pytest.raises(CheckpointError, match="schema"):
         read_checkpoint(prefix)
 
 
-def test_torn_trio_step_disagreement_raises(tmp_path, state):
-    """A sidecar whose step count disagrees with the npz payload is a
-    torn checkpoint (one file from an older write survived a crash)."""
+def _flip_fixture(tmp_path, state):
+    prefix = tmp_path / "c"
+    rng = seed_streams(4)["thermostat"]
+    rng.random(3)
+    write_checkpoint(
+        prefix, state, step_count=42, spec_hash=SPEC.spec_hash(),
+        engine="reference", rng_states={"thermostat": get_rng_state(rng)},
+        extra={"swap_count": 3},
+    )
+    return prefix, checkpoint_paths(prefix)[0]
+
+
+#: Offsets stride: 7 is coprime to the 8-byte words, so the sweep
+#: lands on every byte position of a float and (via ``offset % 8``)
+#: flips every bit position; about 850 reads of a 36-atom file, ~1 s.
+_FLIP_STRIDE = 7
+
+
+def test_every_byte_flip_is_refused_or_harmless(tmp_path, state):
+    """A flipped byte raises CheckpointError or changes nothing read.
+
+    The zip members' CRC-32 catches flips in the data; flips in
+    headers either fail to decode (mapped to "corrupt") or land in a
+    field the reader ignores (timestamps, version bytes).
+    """
+    prefix, path = _flip_fixture(tmp_path, state)
+    good = path.read_bytes()
+    want = read_checkpoint(prefix)
+    for offset in range(0, len(good), _FLIP_STRIDE):
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << (offset % 8)
+        path.write_bytes(flipped)
+        try:
+            got = read_checkpoint(prefix)
+        except CheckpointError:
+            continue
+        assert _same_checkpoint(got, want), f"flip at byte {offset}"
+
+
+def test_every_truncation_is_refused(tmp_path, state):
+    prefix, path = _flip_fixture(tmp_path, state)
+    good = path.read_bytes()
+    for size in range(0, len(good), _FLIP_STRIDE):
+        path.write_bytes(good[:size])
+        with pytest.raises(CheckpointError, match="corrupt"):
+            read_checkpoint(prefix)
+
+
+def test_pre_meta_checkpoint_is_a_schema_error(tmp_path, state):
+    """An npz with the arrays but no ``meta`` (the old three-file
+    layout's payload) is refused by schema, not read as step 0."""
     prefix = tmp_path / "c"
     write_checkpoint(
-        prefix, state, step_count=10, spec_hash="x", engine="reference"
+        prefix, state, step_count=5, spec_hash="x", engine="reference"
     )
-    json_path = checkpoint_paths(prefix)[1]
-    sidecar = json.loads(json_path.read_text())
-    sidecar["step_count"] = 99
-    json_path.write_text(json.dumps(sidecar))
-    with pytest.raises(CheckpointError, match="torn checkpoint"):
+    (path,) = checkpoint_paths(prefix)
+    data = dict(np.load(path))
+    del data["meta"]
+    np.savez(path, **data)
+    with pytest.raises(CheckpointError, match="schema"):
         read_checkpoint(prefix)
-
-
-def test_payload_step_count_stored_in_npz(tmp_path, state):
-    prefix = tmp_path / "c"
-    write_checkpoint(
-        prefix, state, step_count=12, spec_hash="x", engine="reference"
-    )
-    with np.load(checkpoint_paths(prefix)[0]) as data:
-        assert int(data["step_count"]) == 12
 
 
 def test_sweep_orphan_tmp_removes_only_tmp_siblings(tmp_path, state):
@@ -171,7 +241,7 @@ def test_sweep_orphan_tmp_removes_only_tmp_siblings(tmp_path, state):
     write_checkpoint(
         prefix, state, step_count=3, spec_hash="x", engine="reference"
     )
-    # simulate a crash mid-write: staged temps next to the live trio
+    # simulate a crash mid-write: a staged temp next to the live file
     orphans = [
         p.with_name(p.name + ".tmp") for p in checkpoint_paths(prefix)
     ]
@@ -183,7 +253,7 @@ def test_sweep_orphan_tmp_removes_only_tmp_siblings(tmp_path, state):
     assert sorted(removed) == sorted(orphans)
     assert not any(p.exists() for p in orphans)
     assert bystander.exists()
-    # the live trio is untouched and still reads back
+    # the live file is untouched and still reads back
     assert read_checkpoint(prefix).step_count == 3
 
 

@@ -291,6 +291,31 @@ class TestWatch:
         assert subscribers == 0
 
 
+class TestFaults:
+    def test_index_torn_under_a_live_server(self, tmp_path):
+        """The live server's in-memory index is authoritative: a torn
+        ``index.json`` costs nothing — the next hit rewrites it whole,
+        a longer submit still resumes, and a reload sees every entry."""
+        root = tmp_path / "cache"
+        index = root / "index.json"
+
+        def run(client):
+            client.submit(SPEC.to_dict())
+            index.write_bytes(index.read_bytes()[: index.stat().st_size // 2])
+            hit = client.submit(SPEC.to_dict())["job"]
+            rewritten = json.loads(index.read_text())
+            longer = client.submit(SPEC.to_dict(), steps=7)["job"]
+            return hit, rewritten, longer, client.stats()["stats"]
+
+        hit, rewritten, longer, stats = _with_server(tmp_path, run)
+        assert (hit["state"], hit["cache"]) == ("done", "hit")
+        assert [row["steps"] for row in rewritten["entries"]] == [3]
+        assert (longer["state"], longer["cache"]) == ("done", "resume")
+        assert longer["resume_step"] == 3
+        assert stats["slots_busy"] == 0
+        assert len(ResultCache(root)) == 2
+
+
 def test_shutdown_op_stops_serve_loop(tmp_path):
     async def body():
         scheduler = JobScheduler(cache=None)

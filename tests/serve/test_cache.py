@@ -4,6 +4,7 @@ import errno
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.runtime import RunSpec, Runner, checkpoint_paths
@@ -97,11 +98,25 @@ class TestCorruptionTolerance:
         assert cache.lookup(SPEC.spec_hash(), 4) is None
         assert len(cache) == 0  # evicted, not retried forever
 
+    def test_half_truncated_npz_evicts_and_misses(self, tmp_path):
+        """A zip cut mid-member (BadZipFile, not the no-header
+        ValueError above) is a miss that evicts, not an escape."""
+        cache = ResultCache(tmp_path)
+        _populate(cache)
+        npz = checkpoint_paths(cache.prefix(SPEC.spec_hash(), 4))[0]
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        assert cache.lookup(SPEC.spec_hash(), 4) is None
+        assert len(cache) == 0
+        assert not npz.exists()
+
     def test_corrupt_sidecar_evicts_on_resume_path(self, tmp_path):
+        """Unparseable ``meta`` in the entry's npz evicts it."""
         cache = ResultCache(tmp_path)
         _populate(cache, steps=2)
-        sidecar = checkpoint_paths(cache.prefix(SPEC.spec_hash(), 2))[1]
-        sidecar.write_text("{torn")
+        npz = checkpoint_paths(cache.prefix(SPEC.spec_hash(), 2))[0]
+        data = dict(np.load(npz))
+        data["meta"] = np.array("{torn")
+        np.savez(npz, **data)
         assert cache.best_resume(SPEC.spec_hash(), 10) is None
         assert len(cache) == 0
 

@@ -142,6 +142,38 @@ class TestCacheSemantics:
         a, b = asyncio.run(body())
         assert a.cache == "miss" and b.cache == "miss"
 
+    def test_torn_checkpoint_is_rerun_not_a_poisoned_key(self, tmp_path):
+        """A half-truncated cached npz is evicted and recomputed, for an
+        identical submit and for a longer one (``best_resume``)."""
+
+        def tear(cache, steps):
+            npz = cache.prefix(SPEC.spec_hash(), steps).with_suffix(".npz")
+            npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+
+        async def run(sched, steps=None):
+            job = await sched.submit(SPEC, steps=steps)
+            await sched.wait(job)
+            return job
+
+        async def body():
+            sched = _scheduler(tmp_path)
+            first = await run(sched)
+            tear(sched.cache, 4)
+            rerun = await run(sched)
+            hit = await run(sched)
+            tear(sched.cache, 4)
+            longer = await run(sched, steps=8)
+            await sched.close()
+            return [first, rerun, hit, longer]
+
+        jobs = asyncio.run(body())
+        assert [(j.state, j.cache) for j in jobs] == [
+            (JobState.DONE, "miss"),
+            (JobState.DONE, "miss"),  # torn: evicted and rerun
+            (JobState.DONE, "hit"),   # the rerun's entry serves
+            (JobState.DONE, "miss"),  # torn again: no resume source
+        ]
+
     def test_cache_survives_scheduler_restart(self, tmp_path):
         async def first_life():
             sched = _scheduler(tmp_path)

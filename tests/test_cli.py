@@ -370,12 +370,33 @@ class TestSpecRuns:
         assert main(["run", "--spec", str(path),
                      "--checkpoint", str(prefix)]) == 0
         capsys.readouterr()
-        (tmp_path / "ckpt.json").write_text("{torn")
+        npz = tmp_path / "ckpt.npz"
+        data = dict(np.load(npz))
+        data["meta"] = np.array("{torn")
+        np.savez(npz, **data)
         rc = main(["run", "--spec", str(path), "--steps", "4",
                    "--resume", str(prefix)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "cannot resume" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_resume_half_truncated_checkpoint_exit_code_2(
+        self, tmp_path, capsys
+    ):
+        """A zip cut mid-member is bad input too, not a failed run."""
+        path = self._write_spec(tmp_path, engine="reference", steps=2)
+        prefix = tmp_path / "ckpt"
+        assert main(["run", "--spec", str(path),
+                     "--checkpoint", str(prefix)]) == 0
+        capsys.readouterr()
+        npz = tmp_path / "ckpt.npz"
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        rc = main(["run", "--spec", str(path), "--steps", "4",
+                   "--resume", str(prefix)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and "corrupt" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_resume_wrong_physics_exit_code_2(self, tmp_path, capsys):
