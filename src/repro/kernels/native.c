@@ -3,11 +3,13 @@
  * step (wafer_step: list test, list build, both sweeps with the
  * embedding between them, leap-frog and cycle counter, in one call).
  *
- * Built by native_backend.py with
- *   cc -O2 -fno-fast-math -ffp-contract=off -pthread -shared -fPIC
- * and called through ctypes.  Every function performs, per element, the
- * IEEE operations of its numpy body (numpy_backend.py) on the same
- * operands in the same order, so outputs are bitwise equal:
+ * Built by native_backend.py with its FLAGS,
+ *   cc -O3 -march=native -fno-fast-math -ffp-contract=off
+ *      -fno-math-errno -fno-trapping-math -pthread -shared -fPIC
+ * for the CPU it runs on, and called through ctypes.  Every function
+ * performs, per element, the IEEE operations of its numpy body
+ * (numpy_backend.py) on the same operands in the same order, so outputs
+ * are bitwise equal:
  *
  *  - r^2 is (x*x + z*z) + y*y: numpy's einsum reduces a length-3 axis
  *    in 128-bit lanes plus a tail, not left to right (R2 below);
@@ -29,6 +31,7 @@
  *
  * wafer_step runs on a team of threads in owner blocks (see "owner
  * blocks" below); every other function runs on the calling thread.
+ * Its row loops are chunked passes (see "chunked passes" below).
  */
 #define _GNU_SOURCE  /* sched_getcpu, the sweep threads' CPU affinity */
 #include <math.h>
@@ -57,35 +60,44 @@ typedef struct {
  * INT64_MIN as the x86 conversion numpy uses does. */
 static inline int64_t to_i64(double t)
 {
-    if (t >= -9223372036854775808.0 && t < 9223372036854775808.0)
-        return (int64_t)t;
-    return INT64_MIN;
+    int in = t >= -9223372036854775808.0 && t < 9223372036854775808.0;
+    int64_t k = (int64_t)(in ? t : 0.0);
+    return in ? k : INT64_MIN;
 }
 
-/* One cubic row: value and derivative in numpy_backend._horner's order. */
-static inline void horner(const double *c, double dx, double *val, double *der)
+/* The cubic whose four coefficients start at c[r]: value and
+ * derivative in numpy_backend._horner's order. */
+static inline void horner(const double *c, int64_t r, double dx, double *val,
+                          double *der)
 {
-    *val = c[0] + dx * (c[1] + dx * (c[2] + dx * c[3]));
-    *der = c[1] + dx * (2.0 * c[2] + dx * 3.0 * c[3]);
+    double c0 = c[r], c1 = c[r + 1], c2 = c[r + 2], c3 = c[r + 3];
+    *val = c0 + dx * (c1 + dx * (c2 + dx * c3));
+    *der = c1 + dx * (2.0 * c2 + dx * 3.0 * c3);
 }
 
-/* One point through member g (numpy_backend.grouped_spline_eval);
- * the wrapper has checked row0[g] + nseg[g] <= n_rows for every g. */
+/* One point through member g (numpy_backend.grouped_spline_eval), the
+ * only spline evaluator; one table is member 0.  Branch free: every
+ * load is made, the segment clamp and the boundary fix-ups are
+ * selects, so a pass of evaluations has no control flow and
+ * vectorises.  The wrapper has checked row0[g] + nseg[g] <= n_rows
+ * for every g. */
 static inline void eval_point(const bank_t *b, double x, int64_t g,
                               double *val, double *der)
 {
-    double x0 = b->x0[g], h = b->h[g], xm = b->x_max[g];
-    int64_t last = b->nseg[g] - 1;
-    int64_t k = to_i64(floor((x - x0) / h));
-    if (k < 0) k = 0;
-    if (k > last) k = last;
+    double x0 = b->x0[g], h = b->h[g], xm = b->x_max[g], top = b->y_last[g];
+    int64_t last = b->nseg[g] - 1, row = b->row0[g], k;
+    double v, d;
+    k = to_i64(floor((x - x0) / h));
+    k = k < 0 ? 0 : k;
+    k = k > last ? last : k;
     double dx = x - (x0 + (double)k * h);
-    if (b->clamp_low && x < x0) dx = 0.0;
-    horner(b->coeffs + 4 * (k + b->row0[g]), dx, val, der);
-    if (b->zero_above ? x >= xm : x > xm) {
-        *val = b->zero_above ? 0.0 : b->y_last[g];
-        *der = 0.0;
-    }
+    dx = b->clamp_low & (x < x0) ? 0.0 : dx;
+    horner(b->coeffs, 4 * (k + row), dx, &v, &d);
+    /* above: x >= x_max with zero_above, else x > x_max */
+    int above = (x > xm) | (b->zero_above & (x == xm));
+    top = b->zero_above ? 0.0 : top;
+    *val = above ? top : v;
+    *der = above ? 0.0 : d;
 }
 
 static inline int bad(int64_t idx, int64_t n) { return idx < 0 || idx >= n; }
@@ -417,6 +429,89 @@ static int64_t segment_starts(const int64_t *seg, int64_t n_off,
     return w;
 }
 
+/* -- chunked passes -----------------------------------------------------
+ *
+ * wafer_step's row loops (the list build's candidates, density's listed
+ * rows and its partner shares, force's own rows) take CHUNK rows at a
+ * time through passes without control flow in their bodies: the
+ * separations, minimum image and r^2 of every row; a compaction that
+ * packs the rows that pass the cut to the front; the evaluation of the
+ * survivors (r, unit vectors, splines, record columns; eval_rows); and
+ * last an in-order pass that makes the chunk's additions into the
+ * tiles, row by row as the one-loop walk made them.  Each row's
+ * operations and each tile's additions are those of the walk, in its
+ * order, so a chunk changes no bit; what it changes is that a pass's
+ * rows are independent of each other, so the CPU overlaps them and the
+ * compiler vectorises the arithmetic passes.  A chunk's buffers
+ * (20 KiB) stay in L1.
+ */
+#define CHUNK 256
+
+typedef struct {
+    double d[3][CHUNK], r2[CHUNK];  /* separation axes and r^2 per row */
+    int32_t at[CHUNK], from[CHUNK];  /* the rows' tiles */
+    int64_t g[2][CHUNK];  /* spline members per row */
+    double r[CHUNK], val[CHUNK], der[CHUNK];  /* r, a spline's values */
+} chunk_t;
+
+/* Pass 1 over the n rows at[i] -> from[i]: minimum-image separations
+ * (Box.minimum_image's floor rule, a periodic axis at a time) and r^2. */
+static void chunk_r2(chunk_t *restrict c, const double *restrict pos,
+                     const int32_t *at, const int32_t *from, int64_t n,
+                     const double *lengths, const uint8_t *periodic)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *a = pos + 3 * (int64_t)at[i];
+        const double *e = pos + 3 * (int64_t)from[i];
+        c->d[0][i] = e[0] - a[0];
+        c->d[1][i] = e[1] - a[1];
+        c->d[2][i] = e[2] - a[2];
+    }
+    for (int k = 0; k < 3; k++) {
+        if (!periodic[k]) continue;
+        double ld = lengths[k], *d = c->d[k];
+        for (int64_t i = 0; i < n; i++) d[i] -= ld * floor(d[i] / ld + 0.5);
+    }
+    for (int64_t i = 0; i < n; i++)
+        c->r2[i] = R2(c->d[0][i], c->d[1][i], c->d[2][i]);
+}
+
+/* Pass 2 of a sweep: the rows with 0 < r^2 < cutoff2 (the exact cut),
+ * their separations, r^2 and tiles packed to the front in row order;
+ * returns how many.  Every row is written, and kept or overwritten. */
+static int64_t chunk_pack(chunk_t *restrict c, const int32_t *at,
+                          const int32_t *from, int64_t n, double cutoff2)
+{
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double r2 = c->r2[i];
+        c->at[m] = at[i];
+        c->from[m] = from[i];
+        c->r2[m] = r2;
+        for (int k = 0; k < 3; k++) c->d[k][m] = c->d[k][i];
+        m += (r2 < cutoff2) & (r2 > 0.0);
+    }
+    return m;
+}
+
+/* eval_point over n points x[i] through members g[i]; out of line, so
+ * the compiler sees its restrict arguments and vectorises the loop. */
+__attribute__((noinline))
+static void eval_rows(const bank_t *b, int64_t n, const double *restrict x,
+                      const int64_t *restrict g, double *restrict val,
+                      double *restrict der)
+{
+    for (int64_t i = 0; i < n; i++)
+        eval_point(b, x[i], g[i], val + i, der + i);
+}
+
+/* g[i] = typ[tile[i]] for n rows, or member 0 (typ == NULL). */
+static void row_members(int64_t *restrict g, const int64_t *typ,
+                        const int32_t *restrict tile, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) g[i] = typ ? typ[tile[i]] : 0;
+}
+
 typedef struct {
     const double *pos;
     const uint8_t *occ;
@@ -454,6 +549,8 @@ static void list_block(const list_args *A, int64_t b)
     int64_t nx = A->nx, ny = A->ny, base = 0;
     int64_t lo = edge(nx * ny, b, A->blocks);
     int64_t hi = edge(nx * ny, b + 1, A->blocks);
+    const uint8_t *occ = A->occ;
+    chunk_t c;
     for (int64_t o = 0; o < A->n_off; o++) {
         int64_t dx = A->offsets[2 * o], dy = A->offsets[2 * o + 1];
         int64_t x0 = dx < 0 ? -dx : 0, x1 = nx - (dx > 0 ? dx : 0);
@@ -462,17 +559,25 @@ static void list_block(const list_args *A, int64_t b)
         for (int64_t x = x0; x < x1; x++) {
             int64_t ya = lo - x * ny > y0 ? lo - x * ny : y0;
             int64_t yb = hi - x * ny < y1 ? hi - x * ny : y1;
-            for (int64_t y = ya; y < yb; y++) {
-                int64_t at = x * ny + y, from = at + dx * ny + dy;
-                if (!A->occ[at]) continue;
-                A->n_cand[at] += 1;
-                if (!A->occ[from]) continue;
-                double d[3];
-                if (separation(A->pos, at, from, A->lengths, A->periodic, d)
-                        < A->reach2) {
-                    A->o_ctr[w] = (int32_t)at;
-                    A->o_src[w] = (int32_t)from;
-                    w++;
+            for (int64_t y = ya; y < yb; y += CHUNK) {
+                /* a run of tiles and the run dx * ny + dy past it */
+                int64_t n = yb - y < CHUNK ? yb - y : CHUNK;
+                int32_t at = (int32_t)(x * ny + y);
+                int32_t from = (int32_t)(at + dx * ny + dy);
+                for (int32_t i = 0; i < n; i++) {
+                    c.at[i] = at + i;
+                    c.from[i] = from + i;
+                    A->n_cand[at + i] += occ[at + i];
+                }
+                chunk_r2(&c, A->pos, c.at, c.from, n, A->lengths,
+                         A->periodic);
+                /* compacted in place: the block's output rows hold one
+                 * per candidate, so a row written and not kept is still
+                 * its own */
+                for (int32_t i = 0; i < n; i++) {
+                    A->o_ctr[w] = at + i;
+                    A->o_src[w] = from + i;
+                    w += occ[at + i] & occ[from + i] & (c.r2[i] < A->reach2);
                 }
             }
         }
@@ -504,16 +609,51 @@ typedef struct {
     int64_t stride, blocks, *seg;
 } density_args;
 
-/* Listed row q's partner share as the block owning its centre computes
- * it (0 when the exact cut drops the row). */
-static int partner_share(const density_args *A, int64_t q, double *share)
+/* The partner shares of the listed rows [q0, q1) as the blocks owning
+ * their centres compute them, added to their partners in row order;
+ * rows the exact cut drops add nothing. */
+static void partner_shares(const density_args *A, int64_t q0, int64_t q1,
+                           chunk_t *c)
 {
-    int64_t at = A->ctr[q];
-    double d[3], der;
-    double r2 = separation(A->pos, at, A->src[q], A->lengths, A->periodic, d);
-    if (!(r2 < A->cutoff2 && r2 > 0.0)) return 0;
-    eval_point(A->rho, sqrt(r2), A->typ ? A->typ[at] : 0, share, &der);
-    return 1;
+    for (; q0 < q1; q0 += CHUNK) {
+        int64_t n = q1 - q0 < CHUNK ? q1 - q0 : CHUNK;
+        chunk_r2(c, A->pos, A->ctr + q0, A->src + q0, n, A->lengths,
+                 A->periodic);
+        int64_t m = chunk_pack(c, A->ctr + q0, A->src + q0, n, A->cutoff2);
+        for (int64_t s = 0; s < m; s++) c->r[s] = sqrt(c->r2[s]);
+        row_members(c->g[0], A->typ, c->at, m);
+        eval_rows(A->rho, m, c->r, c->g[0], c->val, c->der);
+        for (int64_t s = 0; s < m; s++)
+            A->rho_flat[c->from[s]] += c->val[s];
+    }
+}
+
+/* Density of the chunk's m packed survivors, record row v on: their
+ * record rows, rho values (into c->val) and partner shares (into
+ * share). */
+static void density_chunk(const density_args *A, chunk_t *restrict c,
+                          int64_t m, int64_t v, double *restrict share)
+{
+    int32_t *restrict o_ctr = A->o_ctr + v, *restrict o_src = A->o_src + v;
+    double *restrict o_r = A->o_r + v, *restrict o_unit = A->o_unit + 3 * v;
+    for (int64_t s = 0; s < m; s++) {
+        double r = sqrt(c->r2[s]);
+        o_ctr[s] = c->at[s];
+        o_src[s] = c->from[s];
+        o_r[s] = c->r[s] = r;
+        for (int j = 0; j < 3; j++) o_unit[3 * s + j] = c->d[j][s] / r;
+    }
+    row_members(c->g[0], A->typ, c->from, m);
+    eval_rows(A->rho, m, c->r, c->g[0], c->val, A->o_d_src + v);
+    if (!A->typ) {
+        memcpy(share, c->val, 8 * (size_t)m);
+        return;
+    }
+    row_members(c->g[1], A->typ, c->at, m);
+    eval_rows(A->rho, m, c->r, c->g[1], share, A->o_d_ctr + v);
+    int64_t nt = A->rho->n_members, *restrict member = A->o_member + v;
+    for (int64_t s = 0; s < m; s++)
+        member[s] = A->phi_index[c->g[1][s] * nt + c->g[0][s]];
 }
 
 /* Density block bl (numpy_backend._wafer_density) on member k, whose
@@ -521,40 +661,31 @@ static int partner_share(const density_args *A, int64_t q, double *share)
  * rows in one offset.  The survivors of the rows starts[i]:starts[i+1]
  * of offset i are written to the o_* record columns, one segment per
  * (offset, block) from the segment's first listed row; typ == NULL
- * means one table. */
+ * means one table (member 0 on every row, whose partner share is the
+ * centre's value). */
 static void density_block(const density_args *A, int64_t k, int64_t bl)
 {
-    int64_t nt = A->rho->n_members;
     int64_t lo = edge(A->n_tiles, bl, A->blocks);
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
     double *share = A->share + k * A->stride;
+    chunk_t c;
     for (int64_t o = 0; o < A->n_off; o++) {
-        int64_t s0 = A->starts[o], s1 = A->starts[o + 1], a, b, c, e;
+        int64_t s0 = A->starts[o], s1 = A->starts[o + 1], a, b, e0, e1;
         block_rows(A->ctr, s0, s1, lo, hi, &a, &b);
         int64_t w0 = a, w = w0;
-        for (int64_t q = a; q < b; q++) {
-            int64_t at = A->ctr[q], from = A->src[q];
-            double d[3], val;
-            double r2 = separation(A->pos, at, from, A->lengths,
-                                   A->periodic, d);
-            if (!(r2 < A->cutoff2 && r2 > 0.0)) continue;
-            double r = sqrt(r2);
-            A->o_ctr[w] = (int32_t)at;
-            A->o_src[w] = (int32_t)from;
-            A->o_r[w] = r;
-            for (int j = 0; j < 3; j++) A->o_unit[3 * w + j] = d[j] / r;
-            eval_point(A->rho, r, A->typ ? A->typ[from] : 0, &val,
-                       A->o_d_src + w);
-            if (A->typ) {
-                eval_point(A->rho, r, A->typ[at], share + (w - w0),
-                           A->o_d_ctr + w);
-                A->o_member[w] = A->phi_index[A->typ[at] * nt + A->typ[from]];
-            } else if (A->symmetry) {
-                share[w - w0] = val;
+        for (int64_t q0 = a; q0 < b; q0 += CHUNK) {
+            int64_t n = b - q0 < CHUNK ? b - q0 : CHUNK;
+            chunk_r2(&c, A->pos, A->ctr + q0, A->src + q0, n, A->lengths,
+                     A->periodic);
+            int64_t m = chunk_pack(&c, A->ctr + q0, A->src + q0, n,
+                                   A->cutoff2);
+            density_chunk(A, &c, m, w, share + (w - w0));
+            /* the centre shares, in row order */
+            for (int64_t s = 0; s < m; s++) {
+                A->int_flat[c.at[s]] += 1;
+                A->rho_flat[c.at[s]] += c.val[s];
             }
-            A->int_flat[at] += 1;
-            A->rho_flat[at] += val;
-            w++;
+            w += m;
         }
         A->seg[2 * (o * A->blocks + bl)] = w0;
         A->seg[2 * (o * A->blocks + bl) + 1] = w - w0;
@@ -564,12 +695,9 @@ static void density_block(const density_args *A, int64_t k, int64_t bl)
         for (int64_t q = w0; q < w; q++)
             if (A->o_src[q] >= lo && A->o_src[q] < hi)
                 A->rho_flat[A->o_src[q]] += share[q - w0];
-        block_rows(A->src, s0, s1, lo, hi, &c, &e);
-        for (int64_t q = c; q < e; q++) {
-            double v;
-            if ((q < a || q >= b) && partner_share(A, q, &v))
-                A->rho_flat[A->src[q]] += v;
-        }
+        block_rows(A->src, s0, s1, lo, hi, &e0, &e1);
+        partner_shares(A, e0, e1 < a ? e1 : a, &c);
+        partner_shares(A, e0 > b ? e0 : b, e1, &c);
     }
 }
 
@@ -598,6 +726,27 @@ static void pair_term(const force_args *A, int64_t q, double *phi_v,
     double s = A->f_der[A->ctr[q]] * A->d_src[q]
                + A->f_der[A->src[q]] * A->d_ctr[q] + phi_d;
     for (int j = 0; j < 3; j++) f[j] = s * A->unit[3 * q + j];
+}
+
+/* The phi values (into c->val) and Eq. 4 force vectors f of the n
+ * record rows from q0: pair_term's operations, a pass at a time. */
+static void force_chunk(const force_args *A, chunk_t *restrict c, int64_t q0,
+                        int64_t n, double *restrict f)
+{
+    const int32_t *restrict ctr = A->ctr + q0, *restrict src = A->src + q0;
+    const double *restrict d_src = A->d_src + q0;
+    const double *restrict d_ctr = A->d_ctr + q0;
+    const double *restrict unit = A->unit + 3 * q0, *restrict f_der = A->f_der;
+    if (A->member)
+        memcpy(c->g[0], A->member + q0, 8 * (size_t)n);
+    else
+        for (int64_t i = 0; i < n; i++) c->g[0][i] = A->g0;
+    eval_rows(A->phi, n, A->r + q0, c->g[0], c->val, c->der);
+    for (int64_t i = 0; i < n; i++) {
+        double s = f_der[ctr[i]] * d_src[i] + f_der[src[i]] * d_ctr[i]
+                   + c->der[i];
+        for (int j = 0; j < 3; j++) f[3 * i + j] = s * unit[3 * i + j];
+    }
 }
 
 /* The record rows of offset o whose `key` tile lies in [lo, hi), as up
@@ -633,42 +782,50 @@ static void force_block(const force_args *A, int64_t k, int64_t bl)
     int64_t lo = edge(A->n_tiles, bl, A->blocks);
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
     double *fvec = A->fvec + 3 * k * A->stride;
+    chunk_t c;
     int64_t own[2 * MAX_BLOCKS], part[2 * MAX_BLOCKS];
     for (int64_t o = 0; o < A->n_off; o++) {
-        /* the centres this block owns lie in one run */
+        /* the centres this block owns lie in one run: their phi values
+         * and force vectors a chunk at a time, then its sums in order */
         if (!record_rows(A, A->ctr, o, lo, hi, own)) own[0] = own[1] = 0;
         int64_t a = own[0], b = own[1];
-        for (int64_t q = a; q < b; q++) {
-            int64_t at = A->ctr[q];
-            double phi_v, *f = fvec + 3 * (q - a);
-            pair_term(A, q, &phi_v, f);
-            for (int j = 0; j < 3; j++) A->force[3 * at + j] += f[j];
+        for (int64_t q0 = a; q0 < b; q0 += CHUNK) {
+            int64_t n = b - q0 < CHUNK ? b - q0 : CHUNK;
+            const int32_t *ctr = A->ctr + q0;
+            double *f = fvec + 3 * (q0 - a);
+            force_chunk(A, &c, q0, n, f);
+            for (int64_t i = 0; i < n; i++) {
+                double *t = A->force + 3 * (int64_t)ctr[i];
+                for (int j = 0; j < 3; j++) t[j] += f[3 * i + j];
+            }
             if (!A->e_flat) continue;
-            if (A->symmetry)
-                A->e_both[at] = 0.5 * phi_v;
-            else
-                A->e_flat[at] += 0.5 * phi_v;
+            for (int64_t i = 0; i < n; i++) {
+                if (A->symmetry)
+                    A->e_both[ctr[i]] = 0.5 * c.val[i];
+                else
+                    A->e_flat[ctr[i]] += 0.5 * c.val[i];
+            }
         }
         if (!A->symmetry) continue;
         int64_t runs = record_rows(A, A->src, o, lo, hi, part);
         for (int64_t i = 0; i < runs; i++)
             for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++) {
-                double phi_v, g[3];  /* the partner's negated share */
+                double pv, g[3];  /* the partner's negated share */
                 const double *f = g;
                 if (q >= a && q < b)
                     f = fvec + 3 * (q - a);
                 else
-                    pair_term(A, q, &phi_v, g);
+                    pair_term(A, q, &pv, g);
                 for (int j = 0; j < 3; j++)
                     A->force[3 * A->src[q] + j] -= f[j];
             }
         if (!A->e_flat) continue;
         for (int64_t i = 0; i < runs; i++)
             for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++) {
-                double phi_v, phi_d;
+                double pv, pd;
                 eval_point(A->phi, A->r[q],
-                           A->member ? A->member[q] : A->g0, &phi_v, &phi_d);
-                A->e_both[A->src[q]] += 0.5 * phi_v;
+                           A->member ? A->member[q] : A->g0, &pv, &pd);
+                A->e_both[A->src[q]] += 0.5 * pv;
             }
         for (int64_t t = lo; t < hi; t++) A->e_flat[t] += A->e_both[t];
         for (int64_t q = a; q < b; q++) A->e_both[A->ctr[q]] = 0.0;

@@ -15,10 +15,10 @@ the owner block it holds, so the bits do not depend on the thread count
 The numpy tier stays the definition; this one may only be faster.
 
 :func:`load`, called by the registry the first time the tier is asked
-for, compiles ``native.c`` once per (source, flags, compiler) into the
-user cache directory, loads it, and runs every kernel against its numpy
-body on a few thousand fixed pairs and a small holed wafer, bit for
-bit.  No compiler, a failed
+for, compiles ``native.c`` once per (source, flags, compiler, CPU: the
+flags build for the host's) into the user cache directory, loads it,
+and runs every kernel against its numpy body on a few thousand fixed
+pairs and a small holed wafer, bit for bit.  No compiler, a failed
 compile, an unwritable cache or a probe mismatch raise
 :class:`ImportError` with the reason — the registry's one-warning
 fall-back to numpy, never a different trajectory.
@@ -58,18 +58,25 @@ from repro.kernels import KERNEL_FUNCTIONS, numpy_backend, usable_cpus
 name = "native"
 
 SOURCE = Path(__file__).with_name("native.c")
-#: No fast-math and no FMA contraction: bitwise is the contract.
-FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-pthread", "-shared",
+#: For the CPU it runs on, but no fast-math and no FMA contraction:
+#: every operation stays one IEEE operation on the same operands, so
+#: bitwise is still the contract (the load-time probe guards it).  No
+#: errno from sqrt and no trapping floating point change no value; they
+#: let the branch-free passes of native.c (floor, sqrt, the spline
+#: selects) vectorise.
+FLAGS = ("-O3", "-march=native", "-fno-fast-math", "-ffp-contract=off",
+         "-fno-math-errno", "-fno-trapping-math", "-pthread", "-shared",
          "-fPIC")
 COMPILERS = ("cc", "gcc", "clang")
 
 #: Listed rows (for the list build: candidate tiles) each team member
-#: must have.  A member costs a ``wafer_step`` call ~50-90 us (created
-#: pinned, the barriers, the join; medians of 2,000 tiny calls on a
-#: 2-vCPU host) and a listed row ~67-71 ns of one thread's step
-#: (``wse-ta100k``: 600,883 rows, 40-43 ms), so this many rows, ~2.2 ms,
+#: must have.  A member costs a ``wafer_step`` call ~165-190 us (created
+#: pinned, the barriers, the join; T = 2 against T = 1, medians of 2,000
+#: tiny calls on a 2-vCPU host) and a listed row ~50-56 ns of one
+#: thread's step with the chunked passes (``wse-ta100k``: 599,509 rows,
+#: 30-33 ms, the same host and hour), so this many rows, ~4.1-4.6 ms,
 #: keep it under 5% (DESIGN.md §5b).
-ROWS_PER_THREAD = 32_768
+ROWS_PER_THREAD = 81_920
 #: Owner blocks per sweep thread: claimed, not dealt, so a CPU the host
 #: runs slower claims fewer (DESIGN.md §5b).
 BLOCKS_PER_THREAD = 4
@@ -121,6 +128,26 @@ def _compile(cc: str, target: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _cpu_identity() -> str:
+    """The CPU ``-march=native`` compiles for: the first processor's
+    identity lines of ``/proc/cpuinfo`` (``vendor_id``, ``model name``
+    and ``flags`` on x86; their arm64 counterparts), else the machine
+    name.  Read, never run: a warm start spawns no process."""
+    keys = ("vendor_id", "model name", "flags", "CPU implementer",
+            "CPU architecture", "CPU variant", "CPU part", "Features")
+    lines = []
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as f:
+            for line in f:  # the first processor's block only
+                if not line.strip():
+                    break
+                if line.split(":", 1)[0].strip() in keys:
+                    lines.append(line.strip())
+    except OSError:
+        pass
+    return "\n".join(lines) or platform.machine()
+
+
 def load() -> None:
     """Compile (first use), load and probe; :class:`ImportError` names
     the reason when the tier cannot be used bit for bit on this host."""
@@ -132,15 +159,18 @@ def load() -> None:
         raise ImportError("no C compiler (cc, gcc, clang) on PATH")
     try:
         # ${XDG_CACHE_HOME:-~/.cache}/repro/kernels/<key>.so, keyed by
-        # everything that decides the machine code.  The compiler is
-        # identified by its binary, not by running ``cc --version``: a
-        # warm start must not spawn a process (RUSAGE_CHILDREN charges a
-        # child its parent's resident set at the fork: +140 MiB of peak
-        # RSS on the wse-ta100k ledger cell).
+        # everything that decides the machine code: the source, the
+        # flags, the compiler and (-march=native) the CPU.  The compiler
+        # is identified by its binary, not by running ``cc --version``:
+        # a warm start must not spawn a process (RUSAGE_CHILDREN charges
+        # a child its parent's resident set at the fork: +140 MiB of
+        # peak RSS on the wse-ta100k ledger cell).
         st = os.stat(cc)
         binary = f"{os.path.realpath(cc)}:{st.st_size}:{st.st_mtime_ns}"
-        key = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode()
-                             + binary.encode()).hexdigest()
+        key = hashlib.sha256(b"\0".join((
+            SOURCE.read_bytes(), " ".join(FLAGS).encode(), binary.encode(),
+            _cpu_identity().encode(),
+        ))).hexdigest()
         cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
         target = Path(cache) / "repro" / "kernels" / f"{key}.so"
         lib = None

@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -563,6 +564,92 @@ class TestWaferStep:
         assert runs[1][1] == draw
 
 
+def _chunk_rows() -> int:
+    """native.c's CHUNK: the rows a chunked pass takes at a time."""
+    source = native_backend.SOURCE.read_text()
+    return int(re.search(r"#define CHUNK (\d+)", source).group(1))
+
+
+def _edge_slab(count, blocks, tables, jitter):
+    """A slab on which every owner block is one x row of ``count + 2``
+    tiles, the first ``count + 1`` occupied at a pitch under the cutoff
+    (the rest empty), so each (offset, block) segment of the list holds
+    ``count`` rows for the offsets (0, +-1) and (1, +-1) (none where
+    x + 1 is off the grid), and so does the record unless ``jitter``
+    moves a pair past the cutoff.  ``tables``: the Ta table or the
+    W/Ta bank with random types."""
+    from repro.potentials.alloy import mix_tables
+    from repro.potentials.eam import EAMPotential
+    from repro.potentials.elements import make_element_tables
+
+    rng = np.random.default_rng(count * 31 + blocks)
+    parts = [make_element_tables(e) for e in tables.split("/")]
+    potential = EAMPotential(parts[0] if len(parts) == 1 else
+                             mix_tables(*parts))
+    cut = float(potential.cutoff)
+    nx, ny = blocks, count + 2
+    occ = np.zeros((nx, ny), dtype=bool)
+    occ[:, :count + 1] = True
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    held = np.stack([0.3 * gx, 0.92 * gy, np.zeros((nx, ny))], -1) * cut
+    held[~occ] = FAR
+    pos = held + np.where(occ[..., None],
+                          rng.normal(0.0, jitter * cut, held.shape), 0.0)
+    typ = rng.integers(0, len(parts), (nx, ny)) * occ
+    lengths = np.array([0.3 * cut * nx, 0.92 * cut * ny, 60.0])
+    return potential, held, pos, occ, typ, lengths
+
+
+def _edge_steps(backend, slab, offsets, symmetry, energy):
+    """A build at the slab's lattice, then a step at its jittered
+    positions over the held list: every output and held list."""
+    potential, held, pos, occ, typ, lengths = slab
+    grouped = potential.tables.grouped()
+    cut = float(potential.cutoff)
+    grid = (offsets, lengths, np.array([True, False, False]),
+            (1.1 * cut) ** 2, np.inf, cut,
+            (grouped.rho.bank(), grouped.embed.bank(), grouped.phi.bank()),
+            grouped.phi_index, symmetry)
+    vel, scratch = np.zeros(pos.shape), {}
+    built = backend.wafer_step(held.copy(), vel, occ, typ, *grid,
+                               scratch=scratch)
+    outs = [*native_backend.step_outputs(built, scratch)]
+    swept = backend.wafer_step(pos.copy(), vel, occ, typ, *grid,
+                               energy=energy, scratch=scratch)
+    outs += native_backend.step_outputs(swept, scratch)
+    return outs, scratch[backend.name]["list"][0][0]
+
+
+@needs_native
+class TestChunkEdges:
+    """The chunked passes are bitwise the numpy body where an (offset,
+    block) segment holds 0, 1, CHUNK - 1, CHUNK and CHUNK + 1 rows: a
+    chunk boundary that dropped or repeated a row would move a sum."""
+
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize("tables", ["Ta", "W/Ta"])
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_segments_around_a_chunk(self, threads, tables, symmetry):
+        chunk = _chunk_rows()
+        blocks = 1 if threads == 1 else (native_backend.BLOCKS_PER_THREAD
+                                         * threads)
+        half = [(0, 1), (1, 1), (1, -1)]
+        offsets = np.array(half + ([] if symmetry else
+                                   [(-dx, -dy) for dx, dy in half]))
+        for count in (0, 1, chunk - 1, chunk, chunk + 1):
+            for jitter, energy in ((0.0, False), (0.02, True)):
+                slab = _edge_slab(count, blocks, tables, jitter)
+                want, starts = _edge_steps(numpy_backend, slab, offsets,
+                                           symmetry, energy)
+                # every x row is a block; dx = +-1 has one row fewer
+                rows = [count * (blocks - abs(dx)) for dx, _ in offsets]
+                assert np.diff(starts).tolist() == rows
+                with forced_threads(threads):
+                    got, _ = _edge_steps(native_backend, slab, offsets,
+                                         symmetry, energy)
+                _assert_same(got, want)
+
+
 def _wafer_engine(backend, **spec):
     from repro.runtime import RunSpec, build_engine
 
@@ -731,6 +818,26 @@ class TestBuildPath:
         native_backend.load()
         assert native_backend._lib is not None
         assert native_backend.compile_s == 0.0
+
+    def test_each_cpu_gets_its_own_artefact(self, tmp_path, monkeypatch):
+        """The flags build for the host's CPU, so a cache two CPUs share
+        holds an artefact per CPU: each load builds its own, and the
+        first CPU's next load finds its first one, without compiling."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native_backend, "compile_s", 0.0)
+        loaded = []
+        for cpu in ("vendor_id: A\nflags: x", "vendor_id: B\nflags: x",
+                    "vendor_id: A\nflags: x"):
+            monkeypatch.setattr(native_backend, "_cpu_identity", lambda: cpu)
+            monkeypatch.setattr(native_backend, "_lib", None)
+            native_backend.compile_s = 0.0
+            native_backend.load()
+            loaded.append((native_backend._lib._name,
+                           native_backend.compile_s > 0.0))
+        (a, built_a), (b, built_b), (again, built_again) = loaded
+        assert a != b and again == a
+        assert (built_a, built_b, built_again) == (True, True, False)
+        assert [str(p) for p in _artefacts(tmp_path)] == sorted([a, b])
 
 
 @pytest.fixture()
