@@ -631,8 +631,8 @@ static void partner_shares(const density_args *A, int64_t q0, int64_t q1,
 /* Density of the chunk's m packed survivors, record row v on: their
  * record rows, rho values (into c->val) and partner shares (into
  * share). */
-static void density_chunk(const density_args *A, chunk_t *restrict c,
-                          int64_t m, int64_t v, double *restrict share)
+static void density_survivors(const density_args *A, chunk_t *restrict c,
+                              int64_t m, int64_t v, double *restrict share)
 {
     int32_t *restrict o_ctr = A->o_ctr + v, *restrict o_src = A->o_src + v;
     double *restrict o_r = A->o_r + v, *restrict o_unit = A->o_unit + 3 * v;
@@ -679,7 +679,7 @@ static void density_block(const density_args *A, int64_t k, int64_t bl)
                      A->periodic);
             int64_t m = chunk_pack(&c, A->ctr + q0, A->src + q0, n,
                                    A->cutoff2);
-            density_chunk(A, &c, m, w, share + (w - w0));
+            density_survivors(A, &c, m, w, share + (w - w0));
             /* the centre shares, in row order */
             for (int64_t s = 0; s < m; s++) {
                 A->int_flat[c.at[s]] += 1;
@@ -730,7 +730,7 @@ static void pair_term(const force_args *A, int64_t q, double *phi_v,
 
 /* The phi values (into c->val) and Eq. 4 force vectors f of the n
  * record rows from q0: pair_term's operations, a pass at a time. */
-static void force_chunk(const force_args *A, chunk_t *restrict c, int64_t q0,
+static void force_terms(const force_args *A, chunk_t *restrict c, int64_t q0,
                         int64_t n, double *restrict f)
 {
     const int32_t *restrict ctr = A->ctr + q0, *restrict src = A->src + q0;
@@ -793,7 +793,7 @@ static void force_block(const force_args *A, int64_t k, int64_t bl)
             int64_t n = b - q0 < CHUNK ? b - q0 : CHUNK;
             const int32_t *ctr = A->ctr + q0;
             double *f = fvec + 3 * (q0 - a);
-            force_chunk(A, &c, q0, n, f);
+            force_terms(A, &c, q0, n, f);
             for (int64_t i = 0; i < n; i++) {
                 double *t = A->force + 3 * (int64_t)ctr[i];
                 for (int j = 0; j < 3; j++) t[j] += f[3 * i + j];

@@ -5,9 +5,12 @@ measured, looked up, turned into a contribution and accumulated without
 any intermediate leaving the loop (the FPGA force pipelines of
 PAPERS.md) — with outputs **bitwise** those of the numpy body of the
 same name (``native.c``'s header lists the four places that is easy to
-lose).  A lockstep wafer step is one native call, ``wafer_step``, from
-the list test to the cycle counter; between two calls Python only runs
-the swap rounds, the thermostat and the trace's moments.  The step runs
+lose).  The wafer step's row loops do it a chunk of rows at a time, one
+pass per stage, with only the chunk's L1 buffers between the stages
+(``native.c``, "chunked passes").  A lockstep wafer step is one native
+call, ``wafer_step``, from the list test to the cycle counter; between
+two calls Python only runs the swap rounds, the thermostat and the
+trace's moments.  The step runs
 on one thread per usable CPU, each thread adding only into the tiles of
 the owner block it holds, so the bits do not depend on the thread count
 (``native.c``, "owner blocks"); the count is derived
