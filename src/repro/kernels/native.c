@@ -432,9 +432,9 @@ static int64_t segment_starts(const int64_t *seg, int64_t n_off,
 /* -- chunked passes -----------------------------------------------------
  *
  * wafer_step's row loops (the list build's candidates, density's listed
- * rows and its partner shares, force's own rows) take CHUNK rows at a
- * time through passes without control flow in their bodies: the
- * separations, minimum image and r^2 of every row; a compaction that
+ * rows and its partner shares, force's own and partner rows) take CHUNK
+ * rows at a time through passes without control flow in their bodies:
+ * the separations, minimum image and r^2 of every row; a compaction that
  * packs the rows that pass the cut to the front; the evaluation of the
  * survivors (r, unit vectors, splines, record columns; eval_rows); and
  * last an in-order pass that makes the chunk's additions into the
@@ -443,7 +443,7 @@ static int64_t segment_starts(const int64_t *seg, int64_t n_off,
  * order, so a chunk changes no bit; what it changes is that a pass's
  * rows are independent of each other, so the CPU overlaps them and the
  * compiler vectorises the arithmetic passes.  A chunk's buffers
- * (20 KiB) stay in L1.
+ * (20 KiB, and 6 KiB of partner force vectors) stay in L1.
  */
 #define CHUNK 256
 
@@ -716,20 +716,20 @@ typedef struct {
     int64_t reach;  /* ... of which a block reads those within reach */
 } force_args;
 
-/* Record row q's phi value and Eq. 4 force vector f. */
-static void pair_term(const force_args *A, int64_t q, double *phi_v,
-                      double *f)
+/* The phi values and derivatives (into c->val, c->der) of the n record
+ * rows from q0. */
+static void phi_rows(const force_args *A, chunk_t *restrict c, int64_t q0,
+                     int64_t n)
 {
-    double phi_d;
-    eval_point(A->phi, A->r[q], A->member ? A->member[q] : A->g0, phi_v,
-               &phi_d);
-    double s = A->f_der[A->ctr[q]] * A->d_src[q]
-               + A->f_der[A->src[q]] * A->d_ctr[q] + phi_d;
-    for (int j = 0; j < 3; j++) f[j] = s * A->unit[3 * q + j];
+    if (A->member)
+        memcpy(c->g[0], A->member + q0, 8 * (size_t)n);
+    else
+        for (int64_t i = 0; i < n; i++) c->g[0][i] = A->g0;
+    eval_rows(A->phi, n, A->r + q0, c->g[0], c->val, c->der);
 }
 
 /* The phi values (into c->val) and Eq. 4 force vectors f of the n
- * record rows from q0: pair_term's operations, a pass at a time. */
+ * record rows from q0, a pass at a time. */
 static void force_terms(const force_args *A, chunk_t *restrict c, int64_t q0,
                         int64_t n, double *restrict f)
 {
@@ -737,11 +737,7 @@ static void force_terms(const force_args *A, chunk_t *restrict c, int64_t q0,
     const double *restrict d_src = A->d_src + q0;
     const double *restrict d_ctr = A->d_ctr + q0;
     const double *restrict unit = A->unit + 3 * q0, *restrict f_der = A->f_der;
-    if (A->member)
-        memcpy(c->g[0], A->member + q0, 8 * (size_t)n);
-    else
-        for (int64_t i = 0; i < n; i++) c->g[0][i] = A->g0;
-    eval_rows(A->phi, n, A->r + q0, c->g[0], c->val, c->der);
+    phi_rows(A, c, q0, n);
     for (int64_t i = 0; i < n; i++) {
         double s = f_der[ctr[i]] * d_src[i] + f_der[src[i]] * d_ctr[i]
                    + c->der[i];
@@ -783,6 +779,7 @@ static void force_block(const force_args *A, int64_t k, int64_t bl)
     int64_t hi = edge(A->n_tiles, bl + 1, A->blocks);
     double *fvec = A->fvec + 3 * k * A->stride;
     chunk_t c;
+    double g[3 * CHUNK];  /* the force vectors of a chunk of partners */
     int64_t own[2 * MAX_BLOCKS], part[2 * MAX_BLOCKS];
     for (int64_t o = 0; o < A->n_off; o++) {
         /* the centres this block owns lie in one run: their phi values
@@ -807,26 +804,34 @@ static void force_block(const force_args *A, int64_t k, int64_t bl)
             }
         }
         if (!A->symmetry) continue;
+        /* the partners this block owns, a chunk at a time: their
+         * negated shares and pair energies, each in row order.  A run
+         * lies in one segment, so it is the own run's (whose force
+         * vectors are in fvec) or wholly apart from it. */
         int64_t runs = record_rows(A, A->src, o, lo, hi, part);
-        for (int64_t i = 0; i < runs; i++)
-            for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++) {
-                double pv, g[3];  /* the partner's negated share */
+        for (int64_t u = 0; u < runs; u++) {
+            int64_t q1 = part[2 * u + 1];
+            int in_own = part[2 * u] >= a && part[2 * u] < b;
+            for (int64_t q0 = part[2 * u], n; q0 < q1; q0 += n) {
+                n = q1 - q0 < CHUNK ? q1 - q0 : CHUNK;
+                const int32_t *src = A->src + q0;
                 const double *f = g;
-                if (q >= a && q < b)
-                    f = fvec + 3 * (q - a);
-                else
-                    pair_term(A, q, &pv, g);
-                for (int j = 0; j < 3; j++)
-                    A->force[3 * A->src[q] + j] -= f[j];
+                if (in_own) {
+                    f = fvec + 3 * (q0 - a);
+                    if (A->e_flat) phi_rows(A, &c, q0, n);
+                } else {
+                    force_terms(A, &c, q0, n, g);
+                }
+                for (int64_t i = 0; i < n; i++) {
+                    double *t = A->force + 3 * (int64_t)src[i];
+                    for (int j = 0; j < 3; j++) t[j] -= f[3 * i + j];
+                }
+                if (!A->e_flat) continue;
+                for (int64_t i = 0; i < n; i++)
+                    A->e_both[src[i]] += 0.5 * c.val[i];
             }
+        }
         if (!A->e_flat) continue;
-        for (int64_t i = 0; i < runs; i++)
-            for (int64_t q = part[2 * i]; q < part[2 * i + 1]; q++) {
-                double pv, pd;
-                eval_point(A->phi, A->r[q],
-                           A->member ? A->member[q] : A->g0, &pv, &pd);
-                A->e_both[A->src[q]] += 0.5 * pv;
-            }
         for (int64_t t = lo; t < hi; t++) A->e_flat[t] += A->e_both[t];
         for (int64_t q = a; q < b; q++) A->e_both[A->ctr[q]] = 0.0;
         for (int64_t i = 0; i < runs; i++)

@@ -73,13 +73,15 @@ FLAGS = ("-O3", "-march=native", "-fno-fast-math", "-ffp-contract=off",
 COMPILERS = ("cc", "gcc", "clang")
 
 #: Listed rows (for the list build: candidate tiles) each team member
-#: must have.  A member costs a ``wafer_step`` call ~165-190 us (created
-#: pinned, the barriers, the join; T = 2 against T = 1, medians of 2,000
-#: tiny calls on a 2-vCPU host) and a listed row ~50-56 ns of one
-#: thread's step with the chunked passes (``wse-ta100k``: 599,509 rows,
-#: 30-33 ms, the same host and hour), so this many rows, ~4.1-4.6 ms,
-#: keep it under 5% (DESIGN.md §5b).
-ROWS_PER_THREAD = 81_920
+#: must have: set where a second member pays for itself end to end.
+#: With the chunked passes, Ta slabs on a 2-vCPU host, T = 2 against
+#: T = 1 in alternating blocks of steps in one process: 0.93-1.07x at
+#: 36,119 rows, 1.03-1.12x at 52,353, 1.18-1.33x from 71,267 up, so
+#: two members from 65,536 rows (DESIGN.md §5b).  A member's fixed cost
+#: (~130-190 us a call) is 10-15% of its work at that size; a "< 5% of
+#: the work" rule would leave these wafers on one thread, 1.2-1.3x
+#: slower.
+ROWS_PER_THREAD = 32_768
 #: Owner blocks per sweep thread: claimed, not dealt, so a CPU the host
 #: runs slower claims fewer (DESIGN.md §5b).
 BLOCKS_PER_THREAD = 4
