@@ -3,8 +3,9 @@
 The physics modules (:mod:`repro.potentials`, :mod:`repro.md`,
 :mod:`repro.core`) describe *what* is computed; the kernels layer owns
 *how* the inner loops run.  Each backend is a module exposing the same
-five functions (:data:`KERNEL_FUNCTIONS`): four pair kernels for the
-reference engine, and for the lockstep wafer ``wafer_step``, which runs
+six functions (:data:`KERNEL_FUNCTIONS`): for the reference engine the
+cell sweep of a neighbor-list rebuild (``cell_pairs``) and four pair
+kernels, and for the lockstep wafer ``wafer_step``, which runs
 a whole step -- list test, list build, both sweeps with the embedding
 between them, leap-frog and cycle counter -- in one call on whichever
 tier is active:
@@ -56,6 +57,7 @@ __all__ = [
 KERNEL_FUNCTIONS = (
     "grouped_spline_eval",  # (bank, x, member) -> (value, derivative)
     "neighbor_prefilter",   # candidate distance filter -> (i, j, rij, r)
+    "cell_pairs",           # cell plan's half-stencil sweep -> (i, j, n_raw)
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
     "wafer_step",           # a whole wafer step, list test to cycles -> WaferStep

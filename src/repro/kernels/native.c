@@ -1,7 +1,8 @@
-/* Native kernels: the registry's five kernels as C99 loops -- the four
- * pair kernels of the reference engine, and the lockstep wafer's whole
- * step (wafer_step: list test, list build, both sweeps with the
- * embedding between them, leap-frog and cycle counter, in one call).
+/* Native kernels: the registry's six kernels as C99 loops -- the cell
+ * sweep of a reference-engine list rebuild (cell_pairs), the four pair
+ * kernels of the reference engine, and the lockstep wafer's whole step
+ * (wafer_step: list test, list build, both sweeps with the embedding
+ * between them, leap-frog and cycle counter, in one call).
  *
  * Built by native_backend.py with its FLAGS,
  *   cc -O3 -march=native -fno-fast-math -ffp-contract=off
@@ -168,6 +169,138 @@ int64_t neighbor_prefilter(const double *pos, int64_t n_atoms,
         w++;
     }
     return w;
+}
+
+/* -- the cell sweep -------------------------------------------------------
+ *
+ * cell_pairs is numpy_backend.cell_pairs: a cell plan's half-stencil
+ * stream (numpy_backend.cell_blocks) cut at r2 <= r2_max, the same pairs
+ * in the same order.  The numpy body walks offsets, then slots; slots
+ * ascend by cell, so offsets, then cells, then each cell's slots is the
+ * same walk, and the partners of a (slot, neighbour cell) block are that
+ * cell's contiguous slots.  The walk relies on the plan being a plan
+ * (slots ascending by cell, starts the prefix sums of counts, coords the
+ * cell id unravelled), so it checks that first and declines otherwise.
+ */
+
+/* d - L*floor(d/L + 0.5) is exactly d when |d| <= L/4: floor is 0 there
+ * and d - L*0.0 is d, so a row that does not wrap skips the division.
+ * q = L/4 along a periodic dim and +inf along an open one, which has no
+ * wrap in the numpy body either. */
+static inline double nearest(double d, double L, double q)
+{
+    return fabs(d) > q ? d - L * floor(d / L + 0.5) : d;
+}
+
+/* Cell v + delta along an axis of n cells: wrapped, or -1 off an open
+ * edge. */
+static inline int64_t shifted(int64_t v, int64_t n, int wraps)
+{
+    if (wraps) {
+        v %= n;
+        return v < 0 ? v + n : v;
+    }
+    return v >= 0 && v < n ? v : -1;
+}
+
+typedef struct {
+    const double *x, *y, *z;  /* the cell-sorted coordinate columns */
+    const int64_t *order;     /* slot -> atom id */
+    double L[3], q[3], r2_max;
+    int64_t cap, w;           /* output rows: bound, written */
+    int64_t *oi, *oj;
+} sweep_t;
+
+/* Slot a against slots [t0, t1); 0, or -1 once the outputs are full. */
+static int sweep_block(sweep_t *S, int64_t a, int64_t t0, int64_t t1)
+{
+    const double xa = S->x[a], ya = S->y[a], za = S->z[a];
+    const int64_t ia = S->order[a];
+    for (int64_t t = t0; t < t1; t++) {
+        double dx = nearest(S->x[t] - xa, S->L[0], S->q[0]);
+        double dy = nearest(S->y[t] - ya, S->L[1], S->q[1]);
+        double dz = nearest(S->z[t] - za, S->L[2], S->q[2]);
+        if ((dx * dx + dy * dy) + dz * dz <= S->r2_max) {
+            if (S->w == S->cap) return -1;
+            S->oi[S->w] = ia;
+            S->oj[S->w++] = S->order[t];
+        }
+    }
+    return 0;
+}
+
+/* Returns the number of pairs kept (written to oi/oj, at most cap) and
+ * the raw stream's length in *n_raw; declines a plan that is not one,
+ * a periodic length numpy's formula would not treat as a length, an
+ * offset far off any grid, and more survivors than cap. */
+int64_t cell_pairs(const double *cols, int64_t n, const int64_t *order,
+                   const int64_t *cid, const int64_t *coords,
+                   const int64_t *starts, const int64_t *counts,
+                   const int64_t *ncell, const uint8_t *periodic,
+                   const int64_t *stencil, int64_t n_off,
+                   const uint8_t *live, const double *lengths, double r2_max,
+                   int64_t cap, int64_t *oi, int64_t *oj, int64_t *n_raw)
+{
+    const int64_t nx = ncell[0], ny = ncell[1], nz = ncell[2];
+    const int64_t ntot = nx * ny * nz;
+    sweep_t S = {cols, cols + n, cols + 2 * n, order, {1.0, 1.0, 1.0},
+                 {INFINITY, INFINITY, INFINITY}, r2_max, cap, 0, oi, oj};
+    for (int k = 0; k < 3; k++)
+        if (periodic[k]) {
+            if (!(lengths[k] > 0.0 && isfinite(lengths[k]))) return -1;
+            S.L[k] = lengths[k];
+            S.q[k] = 0.25 * lengths[k];
+        }
+    for (int64_t q = 0; q < 3 * n_off; q++)
+        if (stencil[q] < -(INT64_C(1) << 40) || stencil[q] > INT64_C(1) << 40)
+            return -1;
+    int64_t s = 0, c = 0;
+    for (int64_t x = 0; x < nx; x++)
+        for (int64_t y = 0; y < ny; y++)
+            for (int64_t z = 0; z < nz; z++, c++) {
+                if (starts[c] != s || counts[c] < 0 || counts[c] > n - s)
+                    return -1;
+                for (const int64_t e = s + counts[c]; s < e; s++)
+                    if (cid[s] != c || coords[3 * s] != x
+                        || coords[3 * s + 1] != y || coords[3 * s + 2] != z)
+                        return -1;
+            }
+    if (s != n) return -1;
+
+    int64_t raw = 0;
+    /* same-cell pairs: each slot with the rest of its cell after it */
+    for (c = 0; c < ntot; c++) {
+        if (live && !live[c]) continue;
+        const int64_t e = starts[c] + counts[c];
+        for (int64_t a = starts[c]; a < e - 1; a++) {
+            raw += e - a - 1;
+            if (sweep_block(&S, a, a + 1, e)) return -1;
+        }
+    }
+    for (int64_t o = 0; o < n_off; o++) {
+        const int64_t *off = stencil + 3 * o;
+        for (int64_t x = 0; x < nx; x++) {
+            const int64_t bx = shifted(x + off[0], nx, periodic[0]);
+            if (bx < 0) continue;
+            for (int64_t y = 0; y < ny; y++) {
+                const int64_t by = shifted(y + off[1], ny, periodic[1]);
+                if (by < 0) continue;
+                for (int64_t z = 0; z < nz; z++) {
+                    c = (x * ny + y) * nz + z;
+                    const int64_t bz = shifted(z + off[2], nz, periodic[2]);
+                    if (!counts[c] || bz < 0) continue;
+                    const int64_t nc = (bx * ny + by) * nz + bz;
+                    const int64_t m = counts[nc], t0 = starts[nc];
+                    if (!m || (live && !(live[c] | live[nc]))) continue;
+                    raw += counts[c] * m;
+                    for (int64_t a = starts[c]; a < starts[c] + counts[c]; a++)
+                        if (sweep_block(&S, a, t0, t0 + m)) return -1;
+                }
+            }
+        }
+    }
+    *n_raw = raw;
+    return S.w;
 }
 
 /* ti == NULL: one table, both directions share the value.  acc_i

@@ -30,9 +30,9 @@ Per call, a kernel *declines* to its numpy body what ``native.c`` does
 not read (geometry other than float64, pair index arrays other than the
 int64 lists the engines build, non-contiguous views, an empty scatter)
 and what the C loop itself declines: an index or atom type outside
-``[0, n)`` or geometry numpy raises on.  Wrapped negatives,
-``IndexError`` and ``FloatingPointError`` so come out of the same numpy
-code as ever.  The wafer's list is never an argument: ``wafer_step``
+``[0, n)``, geometry numpy raises on, or a cell plan that is not one.
+Wrapped negatives, ``IndexError`` and ``FloatingPointError`` so come
+out of the same numpy code as ever.  The wafer's list is never an argument: ``wafer_step``
 keeps the list it built in its slot of the caller's scratch, so no list
 another tier built reaches the C loop, and its rows are not checked
 again.
@@ -43,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import math
 import mmap
 import os
@@ -254,6 +255,7 @@ _CTYPES = {"P": ctypes.c_void_p, "i": ctypes.c_int64, "d": ctypes.c_double,
 _SIGNATURES = {
     "grouped_spline_eval": "BPPiiPP",
     "neighbor_prefilter": "PiPPiPPdiiPPPP",
+    "cell_pairs": "PiPPPPPPPPiPPdiPPP",
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
     "wafer_step": "PPPPiiPiPPdddPPPPPPiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
@@ -336,7 +338,7 @@ def _sweep_threads(rows: int) -> int:
     return max(1, min(usable_cpus(), rows // ROWS_PER_THREAD))
 
 
-# -- the five kernels (signatures and contracts: numpy_backend) --------------
+# -- the six kernels (signatures and contracts: numpy_backend) ---------------
 
 
 @_kernel
@@ -366,6 +368,34 @@ def neighbor_prefilter(positions, i, j, lengths, periodic, rmax, *,
         return i, j, rij, r
     _shrink(kept, oi, oj, rij, r)
     return oi, oj, rij, r
+
+
+@_kernel
+def cell_pairs(cols, order, cid, coords, starts, counts, ncell, periodic,
+               stencil, live, lengths, r2_max):
+    n = len(_arr(order, _I8, -1))
+    _arr(cols, _F8, 3, n), _arr(cid, _I8, n), _arr(coords, _I8, n, 3)
+    ntot = len(_arr(counts, _I8, -1))
+    _arr(starts, _I8, ntot)
+    ncell = _arr(np.ascontiguousarray(ncell, dtype=_I8), _I8, 3)
+    stencil = _arr(np.ascontiguousarray(stencil, dtype=_I8), _I8, -1, 3)
+    if live is not None:
+        _arr(live, bool, ntot)
+    if (ncell < 1).any() or math.prod(ncell.tolist()) != ntot:
+        raise _Decline
+    # The outputs at a bound from the plan: a slot pairs with at most
+    # the largest cell once per offset and once in its own cell, and an
+    # alias-free plan emits each unordered pair once.  A plan with more
+    # survivors than that declines in the loop.
+    most = int(counts.max()) if ntot else 0
+    cap = max(0, min(n * (n - 1) // 2, n * most * (len(stencil) + 1)))
+    oi, oj, n_raw = np.empty(cap, _I8), np.empty(cap, _I8), np.zeros(1, _I8)
+    lengths, periodic = _box(lengths, periodic)
+    kept = _c("cell_pairs", cols, n, order, cid, coords, starts, counts,
+              ncell, periodic, stencil, len(stencil), live, lengths,
+              float(r2_max), cap, oi, oj, n_raw)
+    _shrink(kept, oi, oj)
+    return oi, oj, int(n_raw[0])
 
 
 @_kernel
@@ -543,7 +573,39 @@ def _probe_outputs(backend) -> dict[str, tuple]:
     )
     out["wafer_step"] = _probe_wafer(backend, rng, lengths, periodic, rho,
                                      phi, phi_index)
+    out["cell_pairs"] = _probe_cells(backend, rng, lengths, periodic)
     return out
+
+
+def _probe_cells(backend, rng, lengths, periodic) -> tuple:
+    """The cell sweep over a 5 x 5 x 4 plan of 150 atoms (periodic x
+    and y, some a box length outside), the half stencil and three
+    offsets of radius 2, with no live mask and with one, cut exactly at
+    the ``r^2`` numpy computes for one listed pair (so one ulp of
+    difference flips it)."""
+    n, ncell = 150, np.array([5, 5, 4])
+    cell = rng.integers(0, ncell, (n, 3))
+    size = np.where(periodic, lengths / ncell, 1.5)
+    pos = (cell + rng.random((n, 3))) * size
+    pos += rng.integers(-1, 2, (n, 3)) * lengths * periodic
+    flat = (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=int(ncell.prod()))
+    starts = np.cumsum(counts) - counts
+    # the half stencil: (dz, dy, dx) lexicographically positive
+    stencil = np.array([
+        o for o in np.ndindex(3, 3, 3) if (o[2], o[1], o[0]) > (1, 1, 1)
+    ] + [(3, 2, 1), (-1, 1, 2), (2, -1, 2)]) - 1
+    plan = (np.ascontiguousarray(pos.T[:, order]), order, flat[order],
+            cell[order], starts, counts, ncell, periodic, stencil)
+    src, start, _ = next(itertools.islice(
+        numpy_backend.cell_blocks(*plan[2:], None), 1, None))
+    d = plan[0][:, start[len(src) // 2]] - plan[0][:, src[len(src) // 2]]
+    d -= periodic * lengths * np.floor(d / lengths + 0.5)
+    r2_max = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+    live = rng.random(len(counts)) < 0.3
+    return (*backend.cell_pairs(*plan, None, lengths, r2_max),
+            *backend.cell_pairs(*plan, live, lengths, r2_max))
 
 
 def _probe_wafer(backend, rng, lengths, periodic, rho, phi,

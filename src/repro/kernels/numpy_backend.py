@@ -9,7 +9,8 @@ binned table lookup of the FPGA pipelines in PAPERS.md, and of a WSE
 tile's per-segment SRAM rows).  A single spline is a one-member bank.
 
 The whole-pass kernels are the numpy ports of the loops that used to
-live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam`
+live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.md.cell_list`
+(``cell_pairs``, a rebuild's cell sweep), :mod:`repro.potentials.eam`
 and the lockstep machine, :mod:`repro.core.wse_md` (``wafer_step``, the
 machine's whole step: the list test and build, the two sweeps with the
 embedding between them, the leap-frog and the cycle counter, each a
@@ -209,6 +210,168 @@ def neighbor_prefilter(
     keep = np.flatnonzero(r2 <= rmax2 if inclusive else r2 < rmax2)
     r = r2.take(keep)
     return i.take(keep), j.take(keep), rij.take(keep, axis=0), np.sqrt(r, out=r)
+
+
+# -- the reference engine's cell sweep ---------------------------------------
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` for each (s, c) pair."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    # arange(total) restarts at each range when the range's own offset
+    # into the output is subtracted from its start
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
+
+
+def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil, live):
+    """The half-stencil pair stream of a cell plan, one block per offset.
+
+    The plan (:class:`repro.md.cell_list.CellList` makes it) is over
+    *slots*, positions in the cell-sorted order: ``cid`` / ``coords``
+    are each slot's flat cell id and ``(n, 3)`` cell coordinates,
+    ascending; cell ``c`` holds the ``counts[c]`` slots from
+    ``starts[c]``; ``ncell`` is the grid's shape, ``stencil`` the
+    ``(n_off, 3)`` nonzero offsets, and ``live`` (per cell, or None)
+    marks the cells holding a live atom.
+
+    Yields ``(src, start, count)`` int64 triples: slot ``src[k]`` pairs
+    with the ``count[k] > 0`` consecutive slots from ``start[k]``.
+    Walking the blocks in order, rows in order, partners in order is
+    the one enumeration order every consumer of the stream emits
+    (:func:`cell_pairs` on each tier, ``CellList.candidate_pairs``).
+    The first block is the same-cell pairs, each slot with the rest of
+    its cell after it; then one block per offset, from the slots whose
+    cell has a neighbor cell there (wrapped along periodic dims), each
+    with all of that cell.  With ``live``, a block row is kept only
+    where its cell or the neighbor cell is live (same-cell rows: its
+    own cell).
+    """
+    nx, ny, nz = ncell
+    n = len(cid)
+    src_live = None
+    if live is not None:
+        src_live = live[cid]
+    # Same-cell pairs, i < j: the sort is stable, so within a cell
+    # slot order is id order and each atom pairs with the rest of
+    # its cell's slot range after itself.
+    slots = np.arange(n)
+    start = slots + 1
+    count = starts[cid] + counts[cid] - start
+    keep = count > 0
+    if src_live is not None:
+        keep &= src_live
+    yield slots[keep], start[keep], count[keep]
+    # Cross-cell pairs: each unordered cell pair visited from one
+    # side only (>= 2k+1 cells along periodic dims guarantees +o
+    # and -o never wrap to the same neighbor, see CellList.build).
+    # Per-(axis, shift) validity masks are shared across the
+    # offsets of one enumeration (a radius-k stencil reuses each
+    # shift mask ~(2k+1)^2 times).
+    shift_masks: dict = {}
+    nb = np.empty((n, 3), dtype=np.int64)
+    for offset in np.asarray(stencil, dtype=np.int64).tolist():
+        if not any(delta and periodic[d] for d, delta in enumerate(offset)):
+            # No wrap on this offset: the neighbor cell's flat id is
+            # the atom's flat id plus a constant, and validity is a
+            # one-sided range test per shifted axis — exact integer
+            # identities of the generic path below, at a fraction of
+            # its per-offset cost.
+            valid = None
+            for d, delta in enumerate(offset):
+                if not delta:
+                    continue
+                m = shift_masks.get((d, delta))
+                if m is None:
+                    col = coords[:, d]
+                    if delta > 0:
+                        m = col < ncell[d] - delta
+                    else:
+                        m = col >= -delta
+                    shift_masks[(d, delta)] = m
+                valid = m if valid is None else valid & m
+            src = np.nonzero(valid)[0]
+            ncid = cid.take(src)
+            ncid += (offset[0] * ny + offset[1]) * nz + offset[2]
+        else:
+            np.add(coords, np.asarray(offset, dtype=np.int64), out=nb)
+            valid = np.ones(n, dtype=bool)
+            for d in range(3):
+                if periodic[d]:
+                    nb[:, d] = np.mod(nb[:, d], ncell[d])
+                else:
+                    valid &= (nb[:, d] >= 0) & (nb[:, d] < ncell[d])
+            src = np.nonzero(valid)[0]
+            cell = nb.take(src, axis=0)
+            ncid = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
+        count = counts.take(ncid)
+        keep = count > 0
+        if live is not None:
+            # Dead-cell pruning: with every atom of both cells
+            # dead, no pair of this block can own a live endpoint.
+            keep &= src_live.take(src) | live.take(ncid)
+        if not keep.all():
+            src, ncid, count = src[keep], ncid[keep], count[keep]
+        if len(src):
+            yield src, starts.take(ncid), count
+
+
+def cell_pairs(
+    cols: np.ndarray,
+    order: np.ndarray,
+    cid: np.ndarray,
+    coords: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    ncell: np.ndarray,
+    periodic: np.ndarray,
+    stencil: np.ndarray,
+    live: np.ndarray | None,
+    lengths: np.ndarray,
+    r2_max: float,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The :func:`cell_blocks` stream of a cell plan, coarsely cut.
+
+    ``cols`` are the ``(3, n)`` cell-sorted coordinate columns and
+    ``order[slot]`` the atom id of a slot, then come the plan of
+    :func:`cell_blocks` and the box ``lengths``.  Each block is measured where it is
+    enumerated: separation ``cols[:, t] - cols[:, s]``, the nearest-image
+    formula along periodic dims, ``r2 = (dx*dx + dy*dy) + dz*dz``, kept
+    at ``r2 <= r2_max``.  Only the survivors are mapped through
+    ``order`` to atom ids; the raw ``(i, j)`` arrays never exist.
+
+    Returns ``(i, j, n_raw)``: the surviving pairs in stream order and
+    the length of the raw stream they were cut from.
+    """
+    n_raw = 0
+    out_i = [_EMPTY]
+    out_j = [_EMPTY]
+    for src, start, count in cell_blocks(cid, coords, starts, counts, ncell,
+                                         periodic, stencil, live):
+        n_raw += int(count.sum())
+        islot = np.repeat(src, count)
+        jslot = concatenated_ranges(start, count)
+        r2 = None
+        for d in range(3):
+            col = cols[d]
+            dd = col.take(jslot)
+            dd -= col.take(islot)
+            if periodic[d]:
+                ld = lengths[d]
+                dd -= ld * np.floor(dd / ld + 0.5)
+            np.multiply(dd, dd, out=dd)
+            r2 = dd if r2 is None else np.add(r2, dd, out=r2)
+        keep = np.nonzero(r2 <= r2_max)[0]
+        out_i.append(order.take(islot.take(keep)))
+        out_j.append(order.take(jslot.take(keep)))
+    return np.concatenate(out_i), np.concatenate(out_j), n_raw
 
 
 def fused_density_pass(

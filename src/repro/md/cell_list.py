@@ -4,8 +4,14 @@ The reference engine's neighbor search: atoms are binned into cells of
 edge >= cutoff, and candidate pairs are drawn from each atom's 27-cell
 stencil.  Each undirected pair is generated exactly *once* (the half
 stencil plus ordered same-cell pairs), halving the candidate stream the
-distance filter and force kernels consume.  All stages are vectorized;
-the only Python-level loop is over the 13 half-stencil offsets.
+distance filter and force kernels consume.  This module plans the
+sweep -- binning, the stable sort into cell order, the stencil and its
+pruning, the over-inclusion bound, the live-cell mask -- and the sweep
+itself is one call of the active tier's ``cell_pairs`` kernel
+(:mod:`repro.kernels`): the numpy body walks the blocks of
+:func:`~repro.kernels.numpy_backend.cell_blocks`, the one definition of
+the stream's order, with a Python loop over the stencil offsets only;
+the native body emits the same stream from a C loop.
 
 For periodic dimensions the box must span at least three cells
 (= 3 x cutoff) for the stencil to be alias-free; smaller periodic
@@ -19,6 +25,8 @@ import itertools
 
 import numpy as np
 
+from repro.kernels import active_backend, numpy_backend
+from repro.kernels.numpy_backend import concatenated_ranges
 from repro.md.boundary import Box
 
 __all__ = ["CellList", "all_pairs", "concatenated_ranges"]
@@ -27,25 +35,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 #: Half stencil: one offset per unordered offset pair (+o covers -o).
 #: (0, 0, 0) is excluded — same-cell pairs are generated with i < j.
-_HALF_STENCIL = [
+_HALF_STENCIL = np.array([
     (dx, dy, dz)
     for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
     if dz > 0 or (dz == 0 and dy > 0) or (dz == 0 and dy == 0 and dx > 0)
-]
-
-
-def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` for each (s, c) pair."""
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # arange(total) restarts at each range when the range's own offset
-    # into the output is subtracted from its start
-    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    out += np.arange(total, dtype=np.int64)
-    return out
+], dtype=np.int64)
 
 
 def all_pairs(
@@ -96,7 +90,7 @@ class CellList:
         self.box = box
         self.cutoff = float(cutoff)
         self.subdivide = int(subdivide)
-        self._stencil: list[tuple[int, int, int]] = _HALF_STENCIL
+        self._stencil = _HALF_STENCIL
         # Decided at build time (open dims depend on the configuration).
         self._lo = np.zeros(3)
         self._ncell = np.ones(3, dtype=np.int64)
@@ -153,7 +147,6 @@ class CellList:
             self._coords = np.empty((n, 3), dtype=np.int64)
             self._sorted_coords = np.empty((n, 3), dtype=np.int64)
             self._cid = np.empty(n, dtype=np.int64)
-            self._nb = np.empty((n, 3), dtype=np.int64)
             self._cols = np.empty((3, n), dtype=np.float64)
             self._n_buf = n
         self._bin_into_buffers(positions)
@@ -166,21 +159,19 @@ class CellList:
         self._starts[0] = 0
         np.cumsum(self._counts[:-1], out=self._starts[1:])
         self._order = np.argsort(self._cid, kind="stable")
-        # Cell-sorted coords: candidate generation walks atoms in bin
-        # order, so the starts/counts gathers and the j-range gathers
-        # below touch memory near-sequentially.
+        # The plan the sweep kernels walk (_plan): cell-sorted coords
+        # and flat ids, so candidate generation walks atoms in bin
+        # order and its gathers touch memory near-sequentially (the
+        # numpy body locates the neighbor cells of an offset that
+        # crosses no periodic dim by pure flat-id arithmetic).
         np.take(self._coords, self._order, axis=0, out=self._sorted_coords)
-        # Cell-sorted flat ids: offsets that cross no periodic dim
-        # locate their neighbor cells by pure flat-id arithmetic
-        # (see _neighbor_cells), skipping the per-offset coordinate
-        # add + re-flatten.
         self._cid_sorted = self._cid[self._order]
-        # Cell-sorted coordinate columns: the fused sweep measures pair
-        # blocks in these, one contiguous 1-D take per axis.
+        # Cell-sorted coordinate columns: the sweep measures pair
+        # blocks in these, one contiguous column per axis.
         np.take(positions.T, self._order, axis=1, out=self._cols)
         self._positions = positions
 
-    def _half_stencil(self, k: int) -> list[tuple[int, int, int]]:
+    def _half_stencil(self, k: int) -> np.ndarray:
         """Radius-``k`` half stencil, pruned to blocks within reach.
 
         One offset per unordered offset pair (the positivity rule that
@@ -204,7 +195,7 @@ class CellList:
             )
             if gap2 <= self.cutoff * self.cutoff:
                 stencil.append(o)
-        return stencil
+        return np.array(stencil, dtype=np.int64).reshape(-1, 3)
 
     def _bin_into_buffers(self, positions: np.ndarray) -> None:
         """Cell coords + flat cell ids, written into reused scratch."""
@@ -224,10 +215,6 @@ class CellList:
         self._cid *= nz
         self._cid += self._coords[:, 2]
 
-    def _flatten(self, coords: np.ndarray) -> np.ndarray:
-        nx, ny, nz = self._ncell
-        return (coords[:, 0] * ny + coords[:, 1]) * nz + coords[:, 2]
-
     def candidate_pairs(
         self, live: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -241,11 +228,12 @@ class CellList:
 
         Pairs are a superset of interacting pairs and carry no distance
         information.  This is the *raw* enumerator: the hot rebuild
-        path uses :meth:`pairs_within`, which walks the same block
-        stream but measures each block before mapping it to atom ids;
-        ``candidate_pairs`` stays as the oracle that stream is tested
-        against and as the probe of the raw stencil volume.  Callers
-        that need both directions expand via
+        path uses :meth:`pairs_within`, whose kernel walks the same
+        block stream (:func:`~repro.kernels.numpy_backend.cell_blocks`,
+        the one definition of its order) but measures each block before
+        mapping it to atom ids; ``candidate_pairs`` stays as the oracle
+        that stream is tested against and as the probe of the raw
+        stencil volume.  Callers that need both directions expand via
         :meth:`directed_candidate_pairs`.
 
         ``live`` (optional, per-atom bool) prunes pair blocks where
@@ -260,7 +248,7 @@ class CellList:
             return self._brute_pairs()
         out_i = [_EMPTY]
         out_j = [_EMPTY]
-        for src, start, count in self._blocks(live):
+        for src, start, count in numpy_backend.cell_blocks(*self._plan(live)):
             out_i.append(np.repeat(self._order[src], count))
             out_j.append(self._order[concatenated_ranges(start, count)])
         return np.concatenate(out_i), np.concatenate(out_j)
@@ -279,10 +267,11 @@ class CellList:
         kernel on the result decides the same set in the same order as
         running it on the raw stream, on a fraction of the rows.
 
-        Each stencil block is measured where it is enumerated, in
-        cell-sorted coordinate columns (contiguous 1-D ``take`` /
-        ``repeat``), and only the survivors are mapped through the sort
-        order to atom ids; the raw ``(i, j)`` arrays never exist.
+        The sweep is one call of the active tier's ``cell_pairs``
+        kernel on this build's plan: each stencil block is measured
+        where it is enumerated, in cell-sorted coordinate columns, and
+        only the survivors are mapped through the sort order to atom
+        ids; the raw ``(i, j)`` arrays never exist.
 
         Over-inclusion bound.  Along an open dimension the coarse
         component is the same IEEE subtraction of the same two doubles
@@ -302,133 +291,48 @@ class CellList:
         if self._use_brute:
             i, j = self._brute_pairs()
             return i, j, len(i)
+        return active_backend().cell_pairs(*self._sweep_args(reach, live))
+
+    def _brute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        ii, jj = np.triu_indices(len(self._positions), k=1)
+        return ii.astype(np.int64), jj.astype(np.int64)
+
+    def _sweep_args(self, reach: float, live: np.ndarray | None) -> tuple:
+        """The ``cell_pairs`` kernel's arguments for this build's sweep
+        at ``reach``: the coordinate columns, the sort order, the
+        :meth:`_plan`, the box lengths and the over-inclusive cut
+        (:meth:`pairs_within`)."""
+        plan = self._plan(live)
         eps = np.finfo(np.float64).eps
         slack = sum(
             4.0 * eps * (np.ptp(self._cols[d]) + self.box.lengths[d])
             for d in range(3) if self.box.periodic[d]
         )
         r2_max = reach * reach * (1.0 + 16.0 * eps) + 8.0 * reach * slack
-        n_raw = 0
-        out_i = [_EMPTY]
-        out_j = [_EMPTY]
-        for src, start, count in self._blocks(live):
-            n_raw += int(count.sum())
-            islot = np.repeat(src, count)
-            jslot = concatenated_ranges(start, count)
-            r2 = None
-            for d in range(3):
-                col = self._cols[d]
-                dd = col.take(jslot)
-                dd -= col.take(islot)
-                if self.box.periodic[d]:
-                    ld = self.box.lengths[d]
-                    dd -= ld * np.floor(dd / ld + 0.5)
-                np.multiply(dd, dd, out=dd)
-                r2 = dd if r2 is None else np.add(r2, dd, out=r2)
-            keep = np.nonzero(r2 <= r2_max)[0]
-            out_i.append(self._order.take(islot.take(keep)))
-            out_j.append(self._order.take(jslot.take(keep)))
-        return np.concatenate(out_i), np.concatenate(out_j), n_raw
+        return (self._cols, self._order, *plan, self.box.lengths, r2_max)
 
-    def _brute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        ii, jj = np.triu_indices(len(self._positions), k=1)
-        return ii.astype(np.int64), jj.astype(np.int64)
-
-    def _blocks(self, live: np.ndarray | None):
-        """The half-stencil pair stream, one block per stencil offset.
-
-        Yields ``(src, start, count)`` int64 triples over *slots*
-        (positions in the cell-sorted order; ``self._order[slot]`` is
-        the atom id): slot ``src[k]`` pairs with the ``count[k] > 0``
-        consecutive slots from ``start[k]``.  Walking the blocks in
-        order, rows in order, partners in order is the one enumeration
-        order both :meth:`candidate_pairs` and :meth:`pairs_within`
-        emit.
+    def _plan(self, live: np.ndarray | None) -> tuple:
+        """This build's plan of the half-stencil stream, as the sweep
+        kernels take it (:func:`~repro.kernels.numpy_backend.cell_blocks`):
+        ``(cid, coords, starts, counts, ncell, periodic, stencil,
+        live_cells)`` over slots, the positions in cell-sorted order
+        (``self._order[slot]`` is the atom id).
 
         Atoms are visited in cell-sorted order (stable argsort of the
         flat cell id): neighbors-in-space become neighbors-in-stream,
         so every gather downstream walks memory near-sequentially.
+        ``live`` (per atom) becomes the per-cell mask of the cells
+        holding a live atom.
         """
         if self._cid is None:
             raise RuntimeError("pair enumeration before build()")
-        live_cells = src_live = None
+        live_cells = None
         if live is not None:
-            live_cells = np.zeros(int(np.prod(self._ncell)), dtype=bool)
+            live_cells = np.zeros(len(self._counts), dtype=bool)
             live_cells[self._cid[np.asarray(live, dtype=bool)]] = True
-            src_live = live_cells[self._cid_sorted]
-        # Same-cell pairs, i < j: the sort is stable, so within a cell
-        # slot order is id order and each atom pairs with the rest of
-        # its cell's slot range after itself.
-        slots = np.arange(len(self._order))
-        cid = self._cid_sorted
-        start = slots + 1
-        count = self._starts[cid] + self._counts[cid] - start
-        keep = count > 0
-        if src_live is not None:
-            keep &= src_live
-        yield slots[keep], start[keep], count[keep]
-        # Cross-cell pairs: each unordered cell pair visited from one
-        # side only (>= 2k+1 cells along periodic dims guarantees +o
-        # and -o never wrap to the same neighbor, see build()).
-        # Per-(axis, shift) validity masks are shared across the
-        # offsets of one enumeration (a radius-k stencil reuses each
-        # shift mask ~(2k+1)^2 times).
-        shift_masks: dict = {}
-        for offset in self._stencil:
-            src, ncid = self._neighbor_cells(offset, shift_masks)
-            count = self._counts.take(ncid)
-            keep = count > 0
-            if live_cells is not None:
-                # Dead-cell pruning: with every atom of both cells
-                # dead, no pair of this block can own a live endpoint.
-                keep &= src_live.take(src) | live_cells.take(ncid)
-            if not keep.all():
-                src, ncid, count = src[keep], ncid[keep], count[keep]
-            if len(src):
-                yield src, self._starts.take(ncid), count
-
-    def _neighbor_cells(
-        self, offset: tuple[int, int, int], shift_masks: dict
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Slots whose cell has a neighbor cell at the (nonzero)
-        ``offset``, and that cell's flat id per such slot."""
-        nx, ny, nz = self._ncell
-        if not any(
-            delta and self.box.periodic[d] for d, delta in enumerate(offset)
-        ):
-            # No wrap on this offset: the neighbor cell's flat id is
-            # the atom's flat id plus a constant, and validity is a
-            # one-sided range test per shifted axis — exact integer
-            # identities of the generic path below, at a fraction of
-            # its per-offset cost.
-            valid = None
-            for d, delta in enumerate(offset):
-                if not delta:
-                    continue
-                m = shift_masks.get((d, delta))
-                if m is None:
-                    col = self._sorted_coords[:, d]
-                    if delta > 0:
-                        m = col < self._ncell[d] - delta
-                    else:
-                        m = col >= -delta
-                    shift_masks[(d, delta)] = m
-                valid = m if valid is None else valid & m
-            src = np.nonzero(valid)[0]
-            ncid = self._cid_sorted.take(src)
-            ncid += (offset[0] * ny + offset[1]) * nz + offset[2]
-            return src, ncid
-        np.add(self._sorted_coords, np.asarray(offset, dtype=np.int64),
-               out=self._nb)
-        nb = self._nb
-        valid = np.ones(len(nb), dtype=bool)
-        for d in range(3):
-            if self.box.periodic[d]:
-                nb[:, d] = np.mod(nb[:, d], self._ncell[d])
-            else:
-                valid &= (nb[:, d] >= 0) & (nb[:, d] < self._ncell[d])
-        src = np.nonzero(valid)[0]
-        return src, self._flatten(nb.take(src, axis=0))
+        return (self._cid_sorted, self._sorted_coords, self._starts,
+                self._counts, self._ncell, self.box.periodic, self._stencil,
+                live_cells)
 
     def directed_candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed (double-counted) view of :meth:`candidate_pairs`."""

@@ -83,6 +83,25 @@ def _neighbor_prefilter_inputs(rng):
     }
 
 
+def _cell_pairs_inputs(rng):
+    """A built cell list's sweep (either subdivision, a live mask drawn)
+    over a cloud in a random box, partly outside it along periodic
+    dims."""
+    from repro.md.boundary import Box
+    from repro.md.cell_list import CellList
+
+    n, reach = 120, float(rng.uniform(1.5, 3.0))
+    periodic = rng.integers(0, 2, size=3).astype(bool)
+    lengths = reach * rng.uniform(3.2, 6.0, size=3)
+    positions = rng.uniform(0.0, 1.0, size=(n, 3)) * lengths
+    positions += rng.integers(-1, 2, size=(n, 3)) * lengths * periodic
+    cells = CellList(Box(lengths, periodic=periodic, origin=np.zeros(3)),
+                     reach, subdivide=int(rng.integers(1, 3)))
+    cells.build(positions)
+    live = rng.random(n) < 0.5 if rng.integers(0, 2) else None
+    return cells._sweep_args(reach, live), {}
+
+
 def _half_pairs(rng, n_atoms, p):
     i = rng.integers(0, n_atoms - 1, size=p)
     j = (i + 1 + rng.integers(0, n_atoms - 1, size=p)) % n_atoms
@@ -213,6 +232,7 @@ def _wafer_held_inputs(rng, bound2):
 _INPUTS = {
     "grouped_spline_eval": _grouped_spline_eval_inputs,
     "neighbor_prefilter": _neighbor_prefilter_inputs,
+    "cell_pairs": _cell_pairs_inputs,
     "fused_density_pass": _fused_density_pass_inputs,
     "fused_force_pass": _fused_force_pass_inputs,
     "wafer_step": _wafer_step_inputs,

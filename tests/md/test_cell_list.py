@@ -192,6 +192,35 @@ def sweep_cases(draw):
     return positions, box, cutoff, draw(st.sampled_from([1, 2])), live
 
 
+def assert_sweep_is_the_staged_oracle(cells, positions, reach, live, sweep):
+    """``sweep`` = ``(ci, cj, n_raw)``, a coarse sweep of ``cells`` (built
+    at ``positions``) at ``reach``, against the staged composition it
+    replaced (:func:`tests.conftest.legacy_candidates`): the exact
+    kernel decides the same pairs in the same order from it as from the
+    raw stream, which it is an over-inclusive sub-stream of."""
+    ci, cj, n_raw = sweep
+    box = cells.box
+    legacy, (ri, rj) = legacy_candidates(cells, positions, reach, live=live)
+    assert n_raw == len(ri)
+    stream = numpy_backend.neighbor_prefilter(
+        positions, ci, cj, box.lengths, box.periodic, reach,
+        inclusive=True,
+    )
+    # element for element, in order: indices, vectors, distances
+    for got, want in zip(stream, legacy):
+        assert np.array_equal(got, want)
+    # the coarse cut is a sub-stream of the raw stream (each
+    # undirected pair is enumerated once, so keys are unique) ...
+    n = len(positions)
+    raw_keys = ri * n + rj
+    coarse_keys = ci * n + cj
+    assert np.array_equal(
+        raw_keys[np.isin(raw_keys, coarse_keys)], coarse_keys
+    )
+    # ... and only ever over-includes
+    assert np.all(np.isin(legacy[0] * n + legacy[1], coarse_keys))
+
+
 class TestStreamingSweep:
     """``pairs_within`` against the staged composition it replaced."""
 
@@ -201,28 +230,10 @@ class TestStreamingSweep:
         positions, box, cutoff, subdivide, live = case
         cells = CellList(box, cutoff, subdivide=subdivide)
         cells.build(positions)
-        legacy, (ri, rj) = legacy_candidates(
-            cells, positions, cutoff, live=live
+        assert_sweep_is_the_staged_oracle(
+            cells, positions, cutoff, live,
+            cells.pairs_within(cutoff, live=live),
         )
-        ci, cj, n_raw = cells.pairs_within(cutoff, live=live)
-        assert n_raw == len(ri)
-        stream = numpy_backend.neighbor_prefilter(
-            positions, ci, cj, box.lengths, box.periodic, cutoff,
-            inclusive=True,
-        )
-        # element for element, in order: indices, vectors, distances
-        for got, want in zip(stream, legacy):
-            assert np.array_equal(got, want)
-        # the coarse cut is a sub-stream of the raw stream (each
-        # undirected pair is enumerated once, so keys are unique) ...
-        n = len(positions)
-        raw_keys = ri * n + rj
-        coarse_keys = ci * n + cj
-        assert np.array_equal(
-            raw_keys[np.isin(raw_keys, coarse_keys)], coarse_keys
-        )
-        # ... and only ever over-includes
-        assert np.all(np.isin(legacy[0] * n + legacy[1], coarse_keys))
 
     def test_pairs_within_before_build_raises(self):
         cells = CellList(Box.open([10, 10, 10]), 2.0)
