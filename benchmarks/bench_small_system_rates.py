@@ -7,16 +7,50 @@ while a million-step-per-second rate is what O(100 us) of simulated time
 per day requires.  The wafer closes that gap: the same 1k-atom workload
 mapped one-atom-per-core is fixed-cost dominated and lands deep into the
 hundreds of thousands of steps per second.
+
+Beside the three modelled rows, one is measured: the same 1,000-atom LJ
+workload (argon, FCC, periodic) stepped by the reference engine on the
+host running the bench.
 """
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.baselines.cpu_model import SKYLAKE_LJ_MODEL
 from repro.baselines.gpu_model import V100_LJ_MODEL
 from repro.core.cycle_model import CycleCostModel
 from repro.io.table_io import Table
+from repro.lattice.cells import FCC
+from repro.lattice.crystals import replicate
+from repro.md.boundary import Box
+from repro.md.simulation import Simulation
+from repro.md.state import AtomsState
+from repro.md.thermostat import maxwell_boltzmann_velocities
+from repro.potentials.lennard_jones import LennardJones
 
 N_SMALL = 1_000
+#: argon: eps (eV), sigma (A), FCC lattice constant (A), mass (g/mol)
+ARGON = {"epsilon": 0.0104, "sigma": 3.405, "a0": 5.26, "mass": 39.948}
+HOST_STEPS = 200
+
+
+def host_lj_rate(steps: int = HOST_STEPS) -> float:
+    """Steps/s of the reference engine on 1,000 LJ atoms (5 x 5 x 10
+    FCC cells, periodic, 50 K, 2 fs, cutoff 2.5 sigma), after a short
+    warm-up that builds the neighbour list."""
+    crystal = replicate(FCC, ARGON["a0"], (5, 5, 10))
+    box = Box(crystal.box, periodic=[True] * 3, origin=np.zeros(3))
+    state = AtomsState.from_positions(crystal.positions, box, mass=ARGON["mass"])
+    assert state.n_atoms == N_SMALL
+    maxwell_boltzmann_velocities(state, 50.0, np.random.default_rng(0))
+    lj = LennardJones(ARGON["epsilon"], ARGON["sigma"], 2.5 * ARGON["sigma"])
+    sim = Simulation(state, lj, dt_fs=2.0, skin=0.5)
+    sim.run(5)
+    t0 = time.perf_counter()
+    sim.run(steps)
+    return steps / (time.perf_counter() - t0)
 
 
 def build_rates():
@@ -33,6 +67,7 @@ def build_rates():
 
 def test_small_system_rates(benchmark):
     rates = benchmark(build_rates)
+    host = host_lj_rate()
     table = Table(
         "Sec. II-B - 1,000-atom strong-scaling limit (timesteps/s)",
         ["platform", "steps/s", "paper says"],
@@ -44,6 +79,7 @@ def test_small_system_rates(benchmark):
     table.add_row("WSE (one atom per core)",
                   round(rates["WSE (one atom per core)"]),
                   "fixed-cost bound")
+    table.add_row("this host, reference engine (measured)", round(host), "-")
     table.print()
     assert rates["V100 GPU (LAMMPS LJ)"] < 10_000
     assert rates["2x Skylake, 36 ranks (LAMMPS LJ)"] == pytest.approx(

@@ -5,16 +5,28 @@ benchmark geometry, scaled down); the runtime factory builds it on the
 simulated WSE *and* the reference MD engine, both engines run 100
 timesteps through the same ``Runner``, and the trajectories are
 compared — then the modeled full-wafer timestep rate is reported.
+Last, the Ta tables go out as a LAMMPS ``eam/alloy`` (setfl) file and
+back in, and the reloaded potential must give the final slab the same
+energy to within the resampling error.
 
 Run:  python examples/quickstart.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro.core import CycleCostModel
-from repro.potentials.elements import ELEMENTS
+from repro.md.simulation import Simulation
+from repro.potentials.eam import EAMPotential
+from repro.potentials.elements import ELEMENTS, make_element_tables
+from repro.potentials.setfl import read_setfl, write_setfl
 from repro.runtime import RunSpec, Runner
 from repro.units import simulated_time_per_day_us
+
+#: largest per-atom energy change a setfl round trip may make
+SETFL_TOLERANCE_EV = 1e-8
 
 
 def main() -> None:
@@ -63,6 +75,21 @@ def main() -> None:
     print(f"  predicted rate: {rate:,.0f} timesteps/s "
           f"(paper measured: 274,016)")
     print(f"  simulated time per wall-clock day: {per_day:.1f} us")
+
+    # the same tables as a file LAMMPS reads (pair_style eam/alloy)
+    tables = make_element_tables(spec.element)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, f"{spec.element}.eam.alloy")
+        write_setfl(tables, path, names=[spec.element], masses=[el.mass])
+        loaded = read_setfl(path)
+    energies = [Simulation(ref.copy(), EAMPotential(t)).potential_energy()
+                for t in (tables, loaded)]
+    per_atom = abs(energies[1] - energies[0]) / ref.n_atoms
+    print(f"\nsetfl round trip ({path.name}): slab energy "
+          f"{energies[0]:.6f} eV, reloaded {energies[1]:.6f} eV "
+          f"({per_atom:.1e} eV/atom apart)")
+    # write_setfl resamples every spline on a 2000-point grid
+    assert per_atom < SETFL_TOLERANCE_EV, per_atom
 
 
 if __name__ == "__main__":

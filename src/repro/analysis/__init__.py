@@ -1,17 +1,12 @@
-"""Trajectory analysis: displacement tracking, RDF, MSD."""
+"""Trajectory analysis: displacement tracking, defect classifiers."""
 
 from repro.analysis.displacement import DisplacementTracker
-from repro.analysis.rdf import radial_distribution
-from repro.analysis.msd import MsdTracker
-from repro.analysis.centrosymmetry import centrosymmetry, classify_boundary_atoms
+from repro.analysis.centrosymmetry import centrosymmetry
 from repro.analysis.cna import common_neighbor_analysis, StructureType
 
 __all__ = [
     "DisplacementTracker",
-    "radial_distribution",
-    "MsdTracker",
     "centrosymmetry",
-    "classify_boundary_atoms",
     "common_neighbor_analysis",
     "StructureType",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from repro.md.boundary import Box
 from repro.md.neighbor_list import NeighborList
 
-__all__ = ["centrosymmetry", "classify_boundary_atoms"]
+__all__ = ["centrosymmetry"]
 
 
 def centrosymmetry(
@@ -69,21 +69,3 @@ def centrosymmetry(
             remaining.pop(k)
         csp[atom] = total
     return csp
-
-
-def classify_boundary_atoms(
-    positions: np.ndarray,
-    box: Box,
-    *,
-    n_neighbors: int = 8,
-    threshold: float = 1.0,
-    cutoff: float | None = None,
-) -> np.ndarray:
-    """Boolean mask of defective (grain-boundary/surface) atoms.
-
-    ``threshold`` in A^2; bulk atoms at moderate temperature stay well
-    below 1 A^2 while boundary atoms exceed it.
-    """
-    csp = centrosymmetry(positions, box, n_neighbors=n_neighbors,
-                         cutoff=cutoff)
-    return csp > threshold

@@ -6,14 +6,12 @@ Composition (paper Sec. III):
   ``g`` with assignment cost ``C(g)`` (Sec. III-A).
 * :mod:`repro.core.folding` — periodic-dimension folding so periodic
   neighbors stay two fabric hops apart (Sec. III-E, Fig. 5).
-* :mod:`repro.core.neighborhood` — choosing the neighborhood half-width
-  ``b`` from ``2 C(g) + r_cut``.
+* :mod:`repro.core.neighborhood` — the neighborhood half-width ``b``
+  from the widest interacting pair.
 * :mod:`repro.core.exchange` — the functional neighborhood exchange as
   grid shifts (validated against the event-level fabric sim); the swap
   engine's shifts and the tests' oracle.  The lockstep machine's own
   exchange is the list build inside the ``wafer_step`` kernel.
-* :mod:`repro.core.worker` — the scalar per-tile worker program
-  (the five-step timestep of Sec. III-A).
 * :mod:`repro.core.swap` — the greedy mutual atom-swap remapping
   (Sec. III-D).
 * :mod:`repro.core.cycle_model` — per-tile cycle accounting with the
@@ -25,7 +23,6 @@ Composition (paper Sec. III):
 
 from repro.core.mapping import Mapping, build_mapping, grid_for_atoms
 from repro.core.folding import fold_coordinate, FabricProjection
-from repro.core.neighborhood import choose_b
 from repro.core.swap import SwapEngine
 from repro.core.cycle_model import (
     CycleCostModel,
@@ -36,7 +33,6 @@ from repro.core.cycle_model import (
 )
 from repro.core.optimize import optimize_mapping, OptimizeResult
 from repro.core.wse_md import WseMd
-from repro.core.worker import Worker
 
 __all__ = [
     "Mapping",
@@ -44,7 +40,6 @@ __all__ = [
     "grid_for_atoms",
     "fold_coordinate",
     "FabricProjection",
-    "choose_b",
     "SwapEngine",
     "CycleCostModel",
     "OptimizationConfig",
@@ -54,5 +49,4 @@ __all__ = [
     "optimize_mapping",
     "OptimizeResult",
     "WseMd",
-    "Worker",
 ]

@@ -1,7 +1,6 @@
-"""I/O: extended-XYZ trajectories, LAMMPS data files, benchmark tables."""
+"""I/O: extended-XYZ trajectories and benchmark tables."""
 
-from repro.io.xyz import write_xyz, read_xyz, read_xyz_frames
-from repro.io.lammps_data import write_lammps_data
+from repro.io.xyz import write_xyz, read_xyz_frames
 from repro.io.table_io import Table
 
-__all__ = ["write_xyz", "read_xyz", "read_xyz_frames", "write_lammps_data", "Table"]
+__all__ = ["write_xyz", "read_xyz_frames", "Table"]

@@ -10,7 +10,7 @@ import numpy as np
 from repro.md.boundary import Box
 from repro.md.state import AtomsState
 
-__all__ = ["write_xyz", "read_xyz", "read_xyz_frames"]
+__all__ = ["write_xyz", "read_xyz_frames"]
 
 
 def write_xyz(
@@ -76,24 +76,6 @@ def read_xyz_frames(
     if not frames:
         raise ValueError("no frames in xyz file")
     return frames
-
-
-def read_xyz(
-    path: str | Path | io.TextIOBase,
-    *,
-    masses: np.ndarray | None = None,
-) -> AtomsState:
-    """Read the first frame of an extended-XYZ file written by us."""
-    if isinstance(path, io.TextIOBase):
-        lines = path.read().splitlines()
-    else:
-        lines = Path(path).read_text().splitlines()
-    if len(lines) < 2:
-        raise ValueError("truncated xyz file")
-    n = int(lines[0])
-    if len(lines) < 2 + n:
-        raise ValueError(f"xyz declares {n} atoms but has {len(lines) - 2}")
-    return _parse_frame(lines[: 2 + n], masses)
 
 
 def _parse_frame(lines: list[str], masses: np.ndarray | None) -> AtomsState:

@@ -13,16 +13,14 @@ from repro.md.state import AtomsState
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
 from repro.md.neighbor_list import NeighborList
-from repro.md.integrators import LeapfrogVerlet, VelocityVerlet
+from repro.md.integrators import LeapfrogVerlet
 from repro.md.thermostat import (
     maxwell_boltzmann_velocities,
     rescale_to_temperature,
     BerendsenThermostat,
 )
 from repro.md.langevin import LangevinThermostat
-from repro.md.minimize import FireMinimizer
 from repro.md.simulation import Simulation
-from repro.md.stress import pair_virial, pressure
 
 __all__ = [
     "AtomsState",
@@ -30,13 +28,9 @@ __all__ = [
     "CellList",
     "NeighborList",
     "LeapfrogVerlet",
-    "VelocityVerlet",
     "maxwell_boltzmann_velocities",
     "rescale_to_temperature",
     "BerendsenThermostat",
     "LangevinThermostat",
-    "FireMinimizer",
-    "pair_virial",
-    "pressure",
     "Simulation",
 ]

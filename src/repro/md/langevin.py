@@ -54,11 +54,6 @@ class LangevinThermostat:
         self.damping_ps = damping_fs / 1000.0
         self._rng = rng if rng is not None else np.random.default_rng(seed)
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The noise generator (for checkpointing its state)."""
-        return self._rng
-
     def apply(self, state: AtomsState, dt_fs: float) -> None:
         """One friction + fluctuation kick, in place."""
         dt = dt_fs / 1000.0

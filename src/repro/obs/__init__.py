@@ -72,7 +72,6 @@ import warnings
 
 from repro.obs.sinks import (
     JsonlSink,
-    ListSink,
     read_trace,
     render_phase_table,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "JsonlSink",
-    "ListSink",
     "read_trace",
     "render_phase_table",
     "warn_once",

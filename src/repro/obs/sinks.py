@@ -1,6 +1,5 @@
 """Trace sinks: where closed spans go.
 
-* :class:`ListSink` — in-memory collection (tests, ad-hoc analysis).
 * :class:`JsonlSink` — one JSON object per line, written at
   ``close()``: spans are kept while the run is timed.  A ``static``
   dict (engine name, run id, ...) is merged into every record, so
@@ -18,20 +17,7 @@ import json
 from repro.io.table_io import Table
 from repro.obs.tracer import Span
 
-__all__ = ["ListSink", "JsonlSink", "read_trace", "render_phase_table"]
-
-
-class ListSink:
-    """Collects spans in memory."""
-
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
-
-    def emit(self, span: Span) -> None:
-        self.spans.append(span)
-
-    def close(self) -> None:
-        pass
+__all__ = ["JsonlSink", "read_trace", "render_phase_table"]
 
 
 class JsonlSink:

@@ -133,10 +133,6 @@ class DomainGrid:
                 f"{self.px}x{self.py}"
             )
 
-    @property
-    def n_tiles(self) -> int:
-        return self.px * self.py
-
     def tile_coords(self, tile: int) -> tuple[int, int]:
         """``(ix, iy)`` of tile ``tile`` (row-major over columns first)."""
         return tile % self.px, tile // self.px

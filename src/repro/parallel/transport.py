@@ -566,9 +566,6 @@ class Transport:
         self.post(msg, parts)
         return self.collect()
 
-    def barrier(self) -> None:
-        self.command(("ping",))
-
     def gather(self, name: str, counts: list[int]) -> list[np.ndarray]:
         """Each rank's staged ``name`` output pack (``counts[k]`` rows),
         in rank order."""

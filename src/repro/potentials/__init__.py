@@ -9,6 +9,9 @@ Potentials for the paper's three benchmark metals (Cu, W, Ta) are
 constructed from material data via the Rose universal equation of state
 (:mod:`repro.potentials.builder`); see DESIGN.md for why this substitution
 preserves the published interaction counts and crystal behaviour.
+:mod:`repro.potentials.setfl` writes these tables as LAMMPS ``eam/alloy``
+files and reads such files back, and :class:`LennardJones` is the
+Sec. II-B small-system baseline.
 """
 
 from repro.potentials.spline import UniformCubicSpline

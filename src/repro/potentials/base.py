@@ -124,13 +124,3 @@ class Potential(ABC):
         taxonomy's spans: ``pair_force`` for a pair potential,
         ``density`` / ``embedding`` / ``pair_force`` for EAM.
         """
-
-    def total_energy(
-        self,
-        n_atoms: int,
-        pairs: PairTable,
-        types: np.ndarray | None = None,
-    ) -> float:
-        """Total potential energy (eV)."""
-        e, _ = self.compute(n_atoms, pairs, types)
-        return float(np.sum(e))

@@ -10,12 +10,14 @@ follow Eq. 4: the radial scalar for a pair is
 
     s_ij = F'(rho_bar_i) rho'_j(r) + F'(rho_bar_j) rho'_i(r) + phi'_ij(r).
 
-The evaluation is deliberately split into three stages —
-:meth:`EAMPotential.accumulate_density`, :meth:`EAMPotential.embed`, and
-:meth:`EAMPotential.pair_energy_forces` — because the WSE timestep
-communicates between exactly those stages (candidate exchange, then
-embedding-derivative exchange, then force evaluation).  The reference MD
-engine simply composes all three in :meth:`EAMPotential.compute`.
+:meth:`EAMPotential.compute` takes two paths.  A half pair table (the
+reference engine's and the ranks') runs the fused kernel passes,
+:meth:`~EAMPotential.fused_density` and
+:meth:`~EAMPotential.fused_pair_force`.  A directed table composes three
+staged methods — :meth:`~EAMPotential.accumulate_density`,
+:meth:`~EAMPotential.embed` and :meth:`~EAMPotential.pair_energy_forces`,
+the stages the WSE timestep communicates between — which are the
+oracle the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -129,13 +131,6 @@ class EAMTables:
         )
         self._grouped = grouped
         return grouped
-
-    def sram_bytes(self, dtype_size: int = 4) -> int:
-        """Total table footprint a WSE tile would hold (paper Sec. III-A)."""
-        total = sum(s.nbytes(dtype_size) for s in self.rho)
-        total += sum(s.nbytes(dtype_size) for s in self.embed)
-        total += sum(s.nbytes(dtype_size) for s in self.phi.values())
-        return total
 
 
 class EAMPotential(Potential):
@@ -251,8 +246,8 @@ class EAMPotential(Potential):
         """Per pair ``rho'_{type(i)}(r)``, ``rho'_{type(j)}(r)``, ``phi``
         and ``phi'``: one grouped-bank batch per lookup, member arrays
         ``types[i]``, ``types[j]`` and ``phi_index[ti, tj]`` (one table,
-        one evaluation shared by both directions).  Shared by
-        :meth:`pair_energy_forces` and :func:`repro.md.stress.pair_virial`.
+        one evaluation shared by both directions).  The spline stage of
+        :meth:`pair_energy_forces`.
         """
         grouped = self.tables.grouped()
         if self.tables.n_types == 1:

@@ -44,20 +44,6 @@ class LennardJones(Potential):
     def cutoff(self) -> float:
         return self._cutoff
 
-    def pair_energy(self, r: np.ndarray) -> np.ndarray:
-        """Shifted pair energy at distances ``r`` (beyond cutoff: 0)."""
-        r = np.asarray(r, dtype=np.float64)
-        sr6 = (self.sigma / r) ** 6
-        e = 4.0 * self.epsilon * (sr6 * sr6 - sr6) - self.shift
-        return np.where(r < self._cutoff, e, 0.0)
-
-    def pair_force_scalar(self, r: np.ndarray) -> np.ndarray:
-        """dU/dr at distances ``r`` (beyond cutoff: 0)."""
-        r = np.asarray(r, dtype=np.float64)
-        sr6 = (self.sigma / r) ** 6
-        d = -24.0 * self.epsilon * (2.0 * sr6 * sr6 - sr6) / r
-        return np.where(r < self._cutoff, d, 0.0)
-
     def pair_energy_force(
         self, r: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -48,6 +48,8 @@ def read_setfl(path: str | Path | io.TextIOBase) -> EAMTables:
         raise ValueError(f"{source}: truncated setfl file ({len(lines)} lines)")
     comments = lines[:3]
     header = lines[3].split()
+    if not header:
+        raise ValueError(f"{source}: line 4 has no element count")
     n_elem = int(header[0])
     names = header[1 : 1 + n_elem]
     if len(names) != n_elem:
@@ -55,6 +57,10 @@ def read_setfl(path: str | Path | io.TextIOBase) -> EAMTables:
             f"{source}: header declares {n_elem} elements but lists {names}"
         )
     grid = lines[4].split()
+    if len(grid) < 5:
+        raise ValueError(
+            f"{source}: line 5 needs Nrho drho Nr dr cutoff, got {grid}"
+        )
     n_rho, d_rho, n_r, d_r, cutoff = (
         int(grid[0]),
         float(grid[1]),
@@ -62,6 +68,9 @@ def read_setfl(path: str | Path | io.TextIOBase) -> EAMTables:
         float(grid[3]),
         float(grid[4]),
     )
+    if n_r < 3:
+        # phi(0) is continued from the samples at r = dr and 2 dr
+        raise ValueError(f"{source}: Nr = {n_r}, need at least 3 r points")
 
     # Flatten everything after line 5 into one token stream (the
     # per-element header line contains the lattice-type *string*, so

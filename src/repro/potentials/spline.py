@@ -125,10 +125,6 @@ class UniformCubicSpline:
         """Position of the last knot."""
         return self.x0 + (self.n - 1) * self.h
 
-    def knots(self) -> np.ndarray:
-        """Knot abscissae as an array."""
-        return self.x0 + self.h * np.arange(self.n)
-
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Value and first derivative at ``x``, in the shape of ``x``
         (scalars for a 0-d ``x``): a one-member :class:`SplineGroup`,
@@ -141,41 +137,6 @@ class UniformCubicSpline:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Value only (convenience wrapper around :meth:`evaluate`)."""
         return self.evaluate(x)[0]
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        """First derivative only."""
-        return self.evaluate(x)[1]
-
-    @classmethod
-    def from_function(
-        cls,
-        fn,
-        x0: float,
-        x1: float,
-        n: int,
-        **kwargs,
-    ) -> "UniformCubicSpline":
-        """Sample ``fn`` on ``n`` uniform knots over ``[x0, x1]``."""
-        if n < 2:
-            raise ValueError(f"need at least 2 knots, got {n}")
-        if x1 <= x0:
-            raise ValueError(f"empty interval [{x0}, {x1}]")
-        xs = np.linspace(x0, x1, n)
-        ys = np.asarray([fn(float(x)) for x in xs], dtype=np.float64)
-        return cls(x0, (x1 - x0) / (n - 1), ys, **kwargs)
-
-    def group_with(self, *others: "UniformCubicSpline") -> "SplineGroup":
-        """Pack this spline with ``others`` into one :class:`SplineGroup`."""
-        return SplineGroup([self, *others])
-
-    def nbytes(self, dtype_size: int = 4) -> int:
-        """SRAM footprint of the table at a given element size.
-
-        The WSE stores tables in FP32; with 4 coefficient arrays this is
-        what a tile must budget out of its 48 kB (see
-        :mod:`repro.wse.tile`).
-        """
-        return 4 * (self.n - 1) * dtype_size
 
 
 class SplineGroup:
@@ -222,10 +183,6 @@ class SplineGroup:
             np.concatenate([s.coeffs for s in splines], axis=0)
         )
         self._bank: tuple | None = None
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
 
     def bank(self) -> tuple:
         """The packed coefficient bank as a kernel-ready tuple.

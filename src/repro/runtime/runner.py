@@ -187,11 +187,6 @@ class Runner:
         """
         self._stop.set()
 
-    @property
-    def stop_requested(self) -> bool:
-        """Whether :meth:`request_stop` has been called."""
-        return self._stop.is_set()
-
     def close(self) -> None:
         """Release engine resources (e.g. the parallel worker pool).
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,10 +69,6 @@ class CacheEntry:
     spec_hash: str
     steps: int
     nbytes: int
-
-    @property
-    def key(self) -> tuple:
-        return (self.spec_hash, self.steps)
 
 
 def _key_name(spec_hash: str, steps: int) -> str:
@@ -186,10 +181,6 @@ class ResultCache:
         replace_synced(tmp, index_path)
 
     # -- queries -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     @property
     def total_bytes(self) -> int:
@@ -359,12 +350,3 @@ class ResultCache:
                 except OSError:
                     pass
             self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop everything (directory survives, empty and indexed)."""
-        with self._lock:
-            for key in list(self._entries):
-                self.evict(*key)
-            shutil.rmtree(self.root, ignore_errors=True)
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._persist()

@@ -18,9 +18,8 @@ from repro.wse.geometry import TileGrid
 from repro.wse.wavelet import Wavelet, WaveletKind, RouterCommand
 from repro.wse.router import MarchingRouter, RouterState
 from repro.wse.multicast import MarchingMulticastSchedule, exchange_cycle_model
-from repro.wse.fabric import ChainFabric, MulticastChainSim
-from repro.wse.fabric2d import ExchangeFabric2D
-from repro.wse.tile import TileCoreModel, SramBudget
+from repro.wse.fabric import ChainFabric
+from repro.wse.tile import TileCoreModel
 from repro.wse.trace import CycleTrace
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "MarchingMulticastSchedule",
     "exchange_cycle_model",
     "ChainFabric",
-    "MulticastChainSim",
-    "ExchangeFabric2D",
     "TileCoreModel",
-    "SramBudget",
     "CycleTrace",
 ]

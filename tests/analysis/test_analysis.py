@@ -1,14 +1,9 @@
-"""Analysis utilities: displacement tracking, RDF, MSD."""
+"""Analysis utilities: displacement tracking."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.displacement import DisplacementTracker
-from repro.analysis.msd import MsdTracker
-from repro.analysis.rdf import radial_distribution
-from repro.lattice.cells import FCC
-from repro.lattice.crystals import replicate
-from repro.md.boundary import Box
 
 
 class TestDisplacementTracker:
@@ -19,15 +14,6 @@ class TestDisplacementTracker:
         moved[1] = [0.5, -2.0, 100.0]
         assert t.max_xy_norm(moved) == pytest.approx(2.0)
 
-    def test_series_accumulates(self):
-        ref = np.zeros((2, 3))
-        t = DisplacementTracker(ref)
-        t.record(0.0, ref)
-        t.record(1.0, ref + [1.0, 0, 0])
-        times, vals = t.series()
-        assert times.tolist() == [0.0, 1.0]
-        assert vals.tolist() == [0.0, 1.0]
-
     def test_shape_mismatch_rejected(self):
         t = DisplacementTracker(np.zeros((3, 3)))
         with pytest.raises(ValueError):
@@ -36,61 +22,3 @@ class TestDisplacementTracker:
     def test_rejects_bad_reference(self):
         with pytest.raises(ValueError):
             DisplacementTracker(np.zeros((3, 2)))
-
-
-class TestRdf:
-    def test_fcc_peak_at_nn_distance(self):
-        a = 3.615
-        crystal = replicate(FCC, a, (5, 5, 5))
-        box = Box(crystal.box, periodic=[True] * 3, origin=np.zeros(3))
-        r, g = radial_distribution(crystal.positions, box, r_max=5.0,
-                                   n_bins=100)
-        nn = a / np.sqrt(2)
-        peak_r = r[np.argmax(g)]
-        assert peak_r == pytest.approx(nn, abs=0.1)
-
-    def test_no_pairs_below_nn(self):
-        a = 3.615
-        crystal = replicate(FCC, a, (4, 4, 4))
-        box = Box(crystal.box, periodic=[True] * 3, origin=np.zeros(3))
-        r, g = radial_distribution(crystal.positions, box, r_max=5.0)
-        nn = a / np.sqrt(2)
-        assert np.all(g[r < nn * 0.9] == 0)
-
-    def test_rejects_tiny_system(self):
-        with pytest.raises(ValueError):
-            radial_distribution(np.zeros((1, 3)), Box.open([5, 5, 5]), 2.0)
-
-
-class TestMsd:
-    def test_linear_growth_gives_diffusion_coefficient(self):
-        rng = np.random.default_rng(0)
-        n = 200
-        ref = np.zeros((n, 3))
-        t = MsdTracker(ref)
-        # synthetic Brownian motion: MSD = 6 D t with D = 0.5
-        d_true = 0.5
-        pos = ref.copy()
-        for step in range(1, 50):
-            pos = pos + rng.normal(scale=np.sqrt(2 * d_true * 0.1), size=(n, 3))
-            t.record(step * 0.1, pos)
-        d_est = t.diffusion_coefficient()
-        assert d_est == pytest.approx(d_true, rel=0.25)
-
-    def test_static_system_zero_msd(self):
-        ref = np.random.default_rng(1).normal(size=(10, 3))
-        t = MsdTracker(ref)
-        assert t.record(1.0, ref) == 0.0
-
-    def test_needs_two_samples(self):
-        t = MsdTracker(np.zeros((5, 3)))
-        t.record(0.0, np.zeros((5, 3)))
-        with pytest.raises(RuntimeError):
-            t.diffusion_coefficient()
-
-    def test_distinct_times_required(self):
-        t = MsdTracker(np.zeros((5, 3)))
-        t.record(1.0, np.zeros((5, 3)))
-        t.record(1.0, np.ones((5, 3)))
-        with pytest.raises(RuntimeError):
-            t.diffusion_coefficient()

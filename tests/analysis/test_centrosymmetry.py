@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.centrosymmetry import (
-    centrosymmetry,
-    classify_boundary_atoms,
-)
+from repro.analysis.centrosymmetry import centrosymmetry
 from repro.lattice.cells import BCC, FCC
 from repro.lattice.crystals import replicate
 from repro.lattice.grain_boundary import make_grain_boundary_slab
@@ -40,7 +37,7 @@ class TestBulkCrystals:
         crystal = replicate(BCC, 3.3, (4, 4, 2))
         box = Box.open(crystal.box + 20.0)
         pos = crystal.positions - crystal.box / 2
-        flags = classify_boundary_atoms(pos, box, n_neighbors=8, cutoff=3.2)
+        flags = centrosymmetry(pos, box, n_neighbors=8, cutoff=3.2) > 1.0
         # top/bottom layers are surfaces: many flagged atoms
         assert flags.mean() > 0.3
 
@@ -57,8 +54,8 @@ class TestGrainBoundary:
             misorientation_deg=22.6,
         )
         box = Box.open(gb.box + 20.0)
-        flags = classify_boundary_atoms(gb.positions, box, n_neighbors=8,
-                                        threshold=1.0, cutoff=3.2)
+        flags = centrosymmetry(gb.positions, box, n_neighbors=8,
+                               cutoff=3.2) > 1.0
         y = gb.positions[:, 1]
         z = gb.positions[:, 2]
         mid_plane = np.abs(z) < 2.0  # avoid the slab's free z surfaces

@@ -94,6 +94,50 @@ def runner_over(sim):
     return Runner(ReferenceEngine(RunSpec(engine="reference"), sim))
 
 
+def periodic_cube(length: float) -> Box:
+    """A fully periodic cubic box."""
+    return Box(np.full(3, float(length)), np.ones(3, dtype=bool))
+
+
+class ListSink:
+    """A trace sink that keeps closed spans in memory."""
+
+    def __init__(self) -> None:
+        self.spans = []
+
+    def emit(self, span) -> None:
+        self.spans.append(span)
+
+    def close(self) -> None:
+        pass
+
+
+def knots(spline) -> np.ndarray:
+    """Knot abscissae of a uniform spline."""
+    return spline.x0 + spline.h * np.arange(spline.n)
+
+
+def spline_from_function(fn, x0: float, x1: float, n: int, **kwargs):
+    """A :class:`~repro.potentials.spline.UniformCubicSpline` through
+    ``fn`` sampled on ``n`` uniform knots over ``[x0, x1]``."""
+    from repro.potentials.spline import UniformCubicSpline
+
+    xs = np.linspace(x0, x1, n)
+    ys = np.asarray([fn(float(x)) for x in xs], dtype=np.float64)
+    return UniformCubicSpline(x0, (x1 - x0) / (n - 1), ys, **kwargs)
+
+
+def total_energy(potential, n_atoms, pairs, types=None) -> float:
+    """Total potential energy (eV) of a pair table."""
+    e, _ = potential.compute(n_atoms, pairs, types)
+    return float(np.sum(e))
+
+
+def momentum(state: AtomsState) -> np.ndarray:
+    """Total momentum vector (g/mol * A/ps)."""
+    return (state.atom_masses[:, None] * state.velocities).sum(axis=0)
+
+
 def legacy_candidates(cells, positions, reach, live=None, seam=False):
     """The staged rebuild the streaming sweep replaced, as an oracle.
 

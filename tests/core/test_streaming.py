@@ -51,7 +51,7 @@ from repro.potentials.alloy import mix_tables
 from repro.potentials.eam import EAMPotential
 from repro.potentials.elements import ELEMENTS, make_element_tables
 from repro.potentials.spline import SplineGroup, UniformCubicSpline
-from tests.conftest import bulk_state, small_slab_state
+from tests.conftest import bulk_state, small_slab_state, spline_from_function
 from tests.oracles import iter_neighborhood
 
 SCALE_TESTS = os.environ.get("REPRO_SCALE_TESTS", "")
@@ -782,10 +782,10 @@ class TestSplineGroup:
         assert np.array_equal(d, d_ref)
 
     def test_mixed_members_route_per_point(self):
-        a = UniformCubicSpline.from_function(np.sin, 0.0, 3.0, 20)
-        b = UniformCubicSpline.from_function(np.cos, 0.5, 4.0, 30)
-        group = a.group_with(b)
-        assert group.n_members == 2
+        a = spline_from_function(np.sin, 0.0, 3.0, 20)
+        b = spline_from_function(np.cos, 0.5, 4.0, 30)
+        group = SplineGroup([a, b])
+        assert len(group.members) == 2
         x = np.linspace(0.6, 2.9, 57)
         member = np.arange(len(x)) % 2
         v, d = group.evaluate(x, member)
@@ -797,8 +797,8 @@ class TestSplineGroup:
         assert np.array_equal(d[member == 1], db[member == 1])
 
     def test_mismatched_boundary_flags_rejected(self):
-        a = UniformCubicSpline.from_function(np.sin, 0.0, 3.0, 20)
-        b = UniformCubicSpline.from_function(
+        a = spline_from_function(np.sin, 0.0, 3.0, 20)
+        b = spline_from_function(
             np.cos, 0.0, 3.0, 20, zero_above=False
         )
         with pytest.raises(ValueError, match="boundary handling"):

@@ -1,14 +1,12 @@
-"""I/O round trips: xyz, LAMMPS data, table rendering."""
+"""I/O round trips: xyz, table rendering."""
 
 import io
-import json
 
 import numpy as np
 import pytest
 
-from repro.io.lammps_data import write_lammps_data
 from repro.io.table_io import Table
-from repro.io.xyz import read_xyz, write_xyz
+from repro.io.xyz import read_xyz_frames, write_xyz
 from repro.md.boundary import Box
 from repro.md.state import AtomsState
 
@@ -30,7 +28,7 @@ class TestXyz:
         buf = io.StringIO()
         write_xyz(state, buf, symbols=["Cu", "Ta"])
         buf.seek(0)
-        loaded = read_xyz(buf, masses=state.masses)
+        loaded = read_xyz_frames(buf, masses=state.masses)[0]
         assert np.allclose(loaded.positions, state.positions)
         assert np.allclose(loaded.velocities, state.velocities)
         assert np.array_equal(loaded.ids, state.ids)
@@ -39,7 +37,7 @@ class TestXyz:
         buf = io.StringIO()
         write_xyz(state, buf)
         buf.seek(0)
-        loaded = read_xyz(buf)
+        loaded = read_xyz_frames(buf)[0]
         assert loaded.box.periodic.tolist() == [True, False, True]
         assert np.allclose(loaded.box.lengths, state.box.lengths)
 
@@ -47,47 +45,19 @@ class TestXyz:
         buf = io.StringIO()
         write_xyz(state, buf, symbols=["Cu", "Ta"])
         buf.seek(0)
-        loaded = read_xyz(buf)
+        loaded = read_xyz_frames(buf)[0]
         # species sorted alphabetically: Cu=0, Ta=1 (happens to match)
         assert np.array_equal(loaded.types, state.types)
 
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):
-            read_xyz(io.StringIO("5\n"))
+            read_xyz_frames(io.StringIO("5\n"))
 
     def test_file_roundtrip(self, state, tmp_path):
         path = tmp_path / "frame.xyz"
         write_xyz(state, path)
-        loaded = read_xyz(path)
+        loaded = read_xyz_frames(path)[0]
         assert loaded.n_atoms == 8
-
-
-class TestLammpsData:
-    def test_header_counts(self, state):
-        buf = io.StringIO()
-        write_lammps_data(state, buf)
-        text = buf.getvalue()
-        assert "8 atoms" in text
-        assert "2 atom types" in text
-        assert "Velocities" in text
-
-    def test_atom_lines_one_indexed(self, state):
-        buf = io.StringIO()
-        write_lammps_data(state, buf)
-        atoms_block = buf.getvalue().split("Atoms # atomic")[1]
-        first = atoms_block.strip().splitlines()[0].split()
-        assert first[0] == "1"  # id 0 -> 1
-        assert first[1] in ("1", "2")  # type 1-indexed
-
-    def test_velocities_optional(self, state):
-        buf = io.StringIO()
-        write_lammps_data(state, buf, include_velocities=False)
-        assert "Velocities" not in buf.getvalue()
-
-    def test_box_bounds(self, state):
-        buf = io.StringIO()
-        write_lammps_data(state, buf)
-        assert "xlo xhi" in buf.getvalue()
 
 
 class TestTable:
@@ -104,15 +74,6 @@ class TestTable:
         t = Table("demo", ["a", "b"])
         with pytest.raises(ValueError, match="cells"):
             t.add_row(1)
-
-    def test_json_serialization(self, tmp_path):
-        t = Table("demo", ["x"])
-        t.add_row(3.14)
-        p = tmp_path / "t.json"
-        t.to_json(p)
-        data = json.loads(p.read_text())
-        assert data["title"] == "demo"
-        assert data["rows"] == [[3.14]]
 
     def test_thousands_formatting(self):
         t = Table("demo", ["rate"])

@@ -261,7 +261,7 @@ def _build_then_sweep(backend, case, cutoff, skin, symmetry, energy):
     (held, pos, occ, lengths, periodic, offsets, typ, rho, phi, phi_index,
      _) = case
     nx, ny = occ.shape
-    embed = floor._group(np.random.default_rng(nx * ny), rho.n_members,
+    embed = floor._group(np.random.default_rng(nx * ny), len(rho.members),
                          "clamp", False)
     grid = (offsets, lengths, periodic, (cutoff + skin) ** 2, np.inf, cutoff,
             (rho.bank(), embed.bank(), phi.bank()), phi_index, symmetry)
@@ -431,7 +431,7 @@ def _step(backend, case, cutoff, skin, mode, *, symmetry=True, grids=None,
      phi_index, _) = case
     nx, ny = occ.shape
     rng = np.random.default_rng(nx * ny)
-    embed = floor._group(rng, rho.n_members, "clamp", False)
+    embed = floor._group(rng, len(rho.members), "clamp", False)
     typ = typ.reshape(nx, ny)
     pos, vel = grids or (pos.copy(), rng.normal(size=pos.shape) * occ[..., None])
     grid = (offsets, lengths, periodic, (cutoff + skin) ** 2,
@@ -450,7 +450,7 @@ def _step(backend, case, cutoff, skin, mode, *, symmetry=True, grids=None,
     kw = dict(energy=mode == "energy", scratch=scratch)
     if mode == "step":
         kw.update(
-            masses=(rng.uniform(10.0, 200.0, rho.n_members)
+            masses=(rng.uniform(10.0, 200.0, len(rho.members))
                     if masses is None else masses),
             dt=0.002, cost=(412.0, 24.18, 64.91, 521.8),
             noise=rng.normal(size=occ.size) if noise else None,

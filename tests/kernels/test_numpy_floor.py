@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.kernels import numpy_backend as new
 from repro.potentials.spline import SplineGroup, UniformCubicSpline
 from tests import legacy_kernels as old
+from tests.conftest import knots
 
 
 def _outcome(fn, *args, **kwargs):
@@ -81,7 +82,7 @@ def _abscissae(rng, group, member, n):
         if kind == 0:
             x[p] = s.x0 - rng.random() * 2.0 * s.h
         elif kind == 1:
-            x[p] = s.knots()[rng.integers(0, s.n)]
+            x[p] = knots(s)[rng.integers(0, s.n)]
         elif kind == 2:
             x[p] = s.x_max
         elif kind == 3:

@@ -7,13 +7,13 @@ from repro.obs import (
     NULL_TRACER,
     PHASES,
     JsonlSink,
-    ListSink,
     NullTracer,
     Tracer,
     read_trace,
     render_phase_table,
     required_phases,
 )
+from tests.conftest import ListSink
 
 
 class FakeClock:

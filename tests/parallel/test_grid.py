@@ -100,7 +100,7 @@ class TestDomainGrid:
                 domains.owned_mask_local(
                     positions, grid.tile_bounds(tile)
                 ).astype(int)
-                for tile in range(grid.n_tiles)
+                for tile in range(grid.px * grid.py)
             )
             assert np.all(owners == 1)
 
@@ -108,11 +108,11 @@ class TestDomainGrid:
         positions, _ = _random_cloud(6)
         grid = plan_grid(positions, 3, 2, cell_width=3.0)
         seen = set()
-        for tile in range(grid.n_tiles):
+        for tile in range(grid.px * grid.py):
             ix, iy = grid.tile_coords(tile)
             assert 0 <= ix < 3 and 0 <= iy < 2
             seen.add((ix, iy))
-        assert len(seen) == grid.n_tiles
+        assert len(seen) == grid.px * grid.py
 
     def test_balanced_counts_on_uniform_cloud(self):
         positions, _ = _random_cloud(7, n=4000, span=(40.0, 40.0, 4.0))
@@ -148,7 +148,7 @@ class TestSeamRule:
         serial = _serial_candidates(positions, box, reach)
         union: set = set()
         total = 0
-        for tile in range(grid.n_tiles):
+        for tile in range(grid.px * grid.py):
             local, _, cand = tile_candidates(
                 positions, grid, tile, box, reach
             )
@@ -164,7 +164,7 @@ class TestSeamRule:
         grid = plan_grid(positions, px, py, cell_width=3.0)
         owned = [
             np.count_nonzero(tile_candidates(positions, grid, t, box, 3.0)[1])
-            for t in range(grid.n_tiles)
+            for t in range(grid.px * grid.py)
         ]
         assert sum(owned) == len(positions)
 
@@ -291,7 +291,7 @@ class TestSeamPlan:
             grid = plan_grid(positions, *topology, cell_width=reach)
         ids = [
             domains.tile_local_ids(positions, grid, t, reach)
-            for t in range(grid.n_tiles)
+            for t in range(grid.px * grid.py)
         ]
         return positions, box, ids
 

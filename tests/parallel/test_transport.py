@@ -282,7 +282,7 @@ class TestWorkerErrorSurface:
                 assert kind in str(info.value)
             # rank 1's error reply was drained too: the next round on
             # the same transport starts clean
-            pipe.transport.barrier()
+            pipe.transport.command(("ping",))
         finally:
             pipe.close()
 
@@ -338,7 +338,7 @@ class TestRankStageErrorSurface:
                 pipe.compute(state.positions)
             assert type(info.value) is raised
             assert "injected fault" in str(info.value)
-            pipe.transport.barrier()  # rank 1's reply was drained too
+            pipe.transport.command(("ping",))  # rank 1's reply was drained too
         finally:
             pipe.close()
 
@@ -497,7 +497,7 @@ class TestTeardownRobustness:
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             with pytest.raises(WorkerLost, match="worker 1 died"):
-                pipe.transport.barrier()
+                pipe.transport.command(("ping",))
         finally:
             pipe.close()
 

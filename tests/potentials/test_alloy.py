@@ -15,6 +15,7 @@ from repro.potentials.alloy import mix_tables
 from repro.potentials.base import PairTable
 from repro.potentials.eam import EAMPotential
 from repro.potentials.elements import ELEMENTS, make_element_tables
+from tests.conftest import total_energy
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +91,8 @@ class TestAlloyPhysics:
 
         def energy(p):
             i, j, rij, r = all_pairs(p, wta_potential.cutoff, state.box)
-            return wta_potential.total_energy(
-                len(p), PairTable(i=i, j=j, rij=rij, r=r), state.types
-            )
+            return total_energy(wta_potential, len(p),
+                                PairTable(i=i, j=j, rij=rij, r=r), state.types)
 
         i, j, rij, r = all_pairs(pos, wta_potential.cutoff, state.box)
         _, forces = wta_potential.compute(
@@ -113,9 +113,8 @@ class TestAlloyPhysics:
         state = alloy_state()
         i, j, rij, r = all_pairs(state.positions, wta_potential.cutoff,
                                  state.box)
-        e = wta_potential.total_energy(
-            state.n_atoms, PairTable(i=i, j=j, rij=rij, r=r), state.types
-        )
+        e = total_energy(wta_potential, state.n_atoms,
+                         PairTable(i=i, j=j, rij=rij, r=r), state.types)
         # cohesive: between the two pure cohesive energies, roughly
         assert -9.5 < e / state.n_atoms < -5.0
 

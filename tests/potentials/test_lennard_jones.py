@@ -19,18 +19,18 @@ class TestLennardJones:
     def test_minimum_at_r_min(self):
         lj = LennardJones()
         r_min = 2 ** (1 / 6)
-        assert lj.pair_force_scalar(np.array([r_min]))[0] == pytest.approx(
+        assert lj.pair_energy_force(np.array([r_min]))[1][0] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_energy_shift_makes_cutoff_continuous(self):
         lj = LennardJones(cutoff=2.5)
-        e = lj.pair_energy(np.array([2.5 - 1e-9]))
+        e, _ = lj.pair_energy_force(np.array([2.5 - 1e-9]))
         assert abs(e[0]) < 1e-6
 
     def test_repulsive_inside_minimum(self):
         lj = LennardJones()
-        s = lj.pair_force_scalar(np.array([0.9]))
+        _, s = lj.pair_energy_force(np.array([0.9]))
         assert s[0] < 0  # dU/dr < 0: force pushes atoms apart
 
     def test_dimer_forces_match_gradient(self):

@@ -1,8 +1,8 @@
-"""SHA-256 pins of spline, EAM and virial outputs.
+"""SHA-256 pins of spline and EAM outputs.
 
 Recorded while ``UniformCubicSpline.evaluate`` still had its own segment
-lookup and Horner step and the staged EAM pair stage and ``pair_virial``
-still looped per-type masks.  Both now read the packed
+lookup and Horner step and the staged EAM pair stage still looped
+per-type masks.  Both now read the packed
 :class:`~repro.potentials.spline.SplineGroup` banks through
 ``grouped_spline_eval``, which performs the same IEEE operations per
 point — so none of these digests may move.  A failure here is a changed
@@ -16,10 +16,10 @@ import pytest
 
 from repro.md.boundary import Box
 from repro.md.neighbor_list import NeighborList
-from repro.md.stress import pair_virial
 from repro.potentials.alloy import mix_tables
 from repro.potentials.eam import EAMPotential
 from repro.potentials.elements import make_element_tables
+from tests.conftest import knots
 
 
 def digest(*arrays) -> str:
@@ -55,7 +55,7 @@ def spline_points(spline, seed: int) -> np.ndarray:
     x0, xm, h = spline.x0, spline.x_max, spline.h
     return np.concatenate([
         x0 - h * rng.uniform(0.0, 3.0, 6),
-        spline.knots()[rng.integers(0, spline.n, 6)],
+        knots(spline)[rng.integers(0, spline.n, 6)],
         [xm, np.nextafter(xm, -np.inf), np.nextafter(xm, np.inf)],
         rng.uniform(x0, xm, 41),
         xm + h * rng.uniform(0.0, 3.0, 4),
@@ -132,22 +132,6 @@ EAM_PINS = {
         "c707fa4e35fc059becda787e78ffbca587790884a8317ae0c394b56537029097",
 }
 
-VIRIAL_PINS = {
-    "Ta":
-        "f10fe57a3a89cf0acde0064d58d8e8c7ec7b0abb28c021c0a739768e956fba40",
-    "WTa":
-        "50ec1886ae8fa4a275a3e7c0f78502942c23f5aa5fca71f1fd6ef9937c3bf06d",
-}
-
-#: the half-table virial before it stopped double-counting: exactly
-#: twice today's
-HALF_VIRIAL_PINS = {
-    "Ta":
-        "fbc2ac4a934eda7ab5f119c8b5d6a90ca42553784271ea2cc2ea5d6820dadeb9",
-    "WTa":
-        "6a2c52413b091bae69ebd8f5767ad4cadbebcfd90fac5810fa30ea9678c0fe61",
-}
-
 
 def spline_digest(splines, name: str) -> str:
     spline = splines[name]
@@ -166,12 +150,6 @@ def eam_digest(tables, name: str) -> str:
     return digest(*pot.compute(n, pairs, types))
 
 
-def virial_digest(tables, name: str, *, directed: bool = True) -> str:
-    pot, n, half, types = cluster_case(tables, name)
-    return digest(pair_virial(pot, n, half.directed() if directed else half,
-                              types))
-
-
 @pytest.mark.parametrize("name", sorted(SPLINE_PINS))
 def test_spline_evaluate_pinned(tables, name):
     assert spline_digest(_splines(tables), name) == SPLINE_PINS[name]
@@ -180,21 +158,6 @@ def test_spline_evaluate_pinned(tables, name):
 @pytest.mark.parametrize("name", sorted(EAM_PINS))
 def test_eam_compute_pinned(tables, name):
     assert eam_digest(tables, name) == EAM_PINS[name]
-
-
-@pytest.mark.parametrize("name", sorted(VIRIAL_PINS))
-def test_pair_virial_directed_pinned(tables, name):
-    assert virial_digest(tables, name) == VIRIAL_PINS[name]
-
-
-@pytest.mark.parametrize("name", sorted(HALF_VIRIAL_PINS))
-def test_pair_virial_half_table_is_exactly_half_the_old_result(tables, name):
-    """A stored half pair used to add its whole outer product to both
-    atoms; each now takes half.  Scaling by 0.5 is exact, so twice
-    today's tensor is the old one bit for bit."""
-    pot, n, half, types = cluster_case(tables, name)
-    w = pair_virial(pot, n, half, types)
-    assert digest(2.0 * w) == HALF_VIRIAL_PINS[name]
 
 
 if __name__ == "__main__":  # pragma: no cover - how the pins were recorded
@@ -209,8 +172,4 @@ if __name__ == "__main__":  # pragma: no cover - how the pins were recorded
         "spline": {k: spline_digest(splines, k) for k in sorted(splines)},
         "eam": {f"{e}-{kind}": eam_digest(tabs, f"{e}-{kind}")
                 for e in ("Ta", "WTa") for kind in ("half", "directed")},
-        "virial": {e: virial_digest(tabs, e) for e in ("Ta", "WTa")},
-        # recorded before the half-table fix; today's is half of it
-        "virial_half": {e: virial_digest(tabs, e, directed=False)
-                        for e in ("Ta", "WTa")},
     }, indent=1))

@@ -8,6 +8,7 @@ import pytest
 from repro.potentials.eam import EAMPotential
 from repro.potentials.elements import ELEMENTS, make_element_tables
 from repro.potentials.setfl import read_setfl, write_setfl
+from tests.conftest import total_energy
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestRoundTrip:
         for tables in (orig, loaded):
             pot = EAMPotential(tables)
             i, j, rij, r = all_pairs(pos, tables.cutoff, box)
-            e = pot.total_energy(2, PairTable(i=i, j=j, rij=rij, r=r))
+            e = total_energy(pot, 2, PairTable(i=i, j=j, rij=rij, r=r))
             if tables is orig:
                 e_orig = e
         assert e == pytest.approx(e_orig, abs=1e-4)
@@ -76,6 +77,16 @@ class TestFormatErrors:
     def test_short_data_rejected(self):
         text = "c\nc\nc\n1 X\n10 0.1 10 0.01 5.0\n1 1.0 3.0 fcc\n1.0 2.0\n"
         with pytest.raises(ValueError, match="ran out of data"):
+            read_setfl(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "c\nc\nc\n1 X\n10 0.1 10 0.01\n1 1.0 3.0 fcc\n",   # grid line short
+        "c\nc\nc\n\n10 0.1 10 0.01 5.0\n1 1.0 3.0 fcc\n",  # no element count
+        "c\nc\nc\n1 X\n2 0.1 2 0.01 5.0\n1 1.0 3.0 fcc\n"  # Nr = 2
+        "1.0 2.0\n1.0 2.0\n1.0 2.0\n",
+    ], ids=["short-grid-line", "empty-element-line", "two-r-points"])
+    def test_malformed_header_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="^<stream>: "):
             read_setfl(io.StringIO(text))
 
     def test_mismatched_writer_args_rejected(self):

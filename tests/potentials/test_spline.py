@@ -10,6 +10,7 @@ from repro.potentials.spline import (
     UniformCubicSpline,
     natural_cubic_second_derivatives,
 )
+from tests.conftest import knots, spline_from_function
 from tests.kernels.test_numpy_floor import _outcome
 from tests.legacy_kernels import uniform_spline_evaluate
 
@@ -30,7 +31,7 @@ class TestConstruction:
     def test_x_max(self):
         s = UniformCubicSpline(1.0, 0.5, np.zeros(5))
         assert s.x_max == pytest.approx(3.0)
-        assert np.allclose(s.knots(), [1.0, 1.5, 2.0, 2.5, 3.0])
+        assert np.allclose(knots(s), [1.0, 1.5, 2.0, 2.5, 3.0])
 
 
 class TestExactness:
@@ -51,7 +52,7 @@ class TestExactness:
         assert np.allclose(ders, 3.0, atol=1e-10)
 
     def test_smooth_function_accuracy(self):
-        s = UniformCubicSpline.from_function(
+        s = spline_from_function(
             np.exp, 0.0, 2.0, 200, zero_above=False
         )
         q = np.linspace(0.0, 2.0, 501)
@@ -64,7 +65,7 @@ class TestExactness:
         assert np.max(np.abs(vals[interior] - np.exp(q[interior]))) < 1e-7
 
     def test_derivative_consistent_with_finite_difference(self):
-        s = UniformCubicSpline.from_function(
+        s = spline_from_function(
             lambda x: np.cos(2 * x), 0.0, 3.0, 100, zero_above=False
         )
         q = np.linspace(0.1, 2.9, 37)
@@ -76,7 +77,7 @@ class TestExactness:
 
 class TestBoundaries:
     def test_zero_above_cutoff(self):
-        s = UniformCubicSpline.from_function(np.exp, 0.0, 1.0, 10, zero_above=True)
+        s = spline_from_function(np.exp, 0.0, 1.0, 10, zero_above=True)
         v, d = s.evaluate(np.array([1.0, 1.5, 100.0]))
         assert np.all(v == 0.0)
         assert np.all(d == 0.0)
@@ -120,7 +121,7 @@ class TestEdgeCases:
         ys = np.array([1.0, 4.0, 2.0, 7.0, 3.0])
         s = UniformCubicSpline(2.0, 0.5, ys, extrapolate_low=low,
                                zero_above=False)
-        v, _ = s.evaluate(s.knots())
+        v, _ = s.evaluate(knots(s))
         assert np.allclose(v, ys, atol=1e-12)
 
     def test_x_max_exactly_returns_last_knot(self):
@@ -192,7 +193,7 @@ class TestEdgeCases:
         assert s.coeffs.shape == (11, 4)
         assert s.coeffs.flags["C_CONTIGUOUS"]
         assert np.allclose(s.coeffs[:, 0], ys[:-1], atol=1e-12)
-        v, d = s.evaluate(s.knots()[:-1])
+        v, d = s.evaluate(knots(s)[:-1])
         assert np.allclose(s.coeffs[:, 1], d, atol=1e-12)
 
 
@@ -206,8 +207,8 @@ class TestShapes:
     @staticmethod
     def _pair(low, zero_above):
         kw = {"extrapolate_low": low, "zero_above": zero_above}
-        a = UniformCubicSpline.from_function(np.sin, 0.0, 3.0, 20, **kw)
-        b = UniformCubicSpline.from_function(np.cos, 0.5, 4.0, 30, **kw)
+        a = spline_from_function(np.sin, 0.0, 3.0, 20, **kw)
+        b = spline_from_function(np.cos, 0.5, 4.0, 30, **kw)
         return a, b
 
     @staticmethod
@@ -233,7 +234,7 @@ class TestShapes:
         group = SplineGroup(list(splines))
         rng = np.random.default_rng(len(shape) + 7 * sum(shape))
         # inside, below both first knots, on a knot, above both last knots
-        pool = np.array([1.3, -0.4, splines[1].knots()[4], 2.2, 4.5, 3.0])
+        pool = np.array([1.3, -0.4, knots(splines[1])[4], 2.2, 4.5, 3.0])
         x = rng.choice(pool, size=shape)
         member = rng.integers(0, 2, size=shape) if array_member else 1
         val, der = group.evaluate(x, member)
@@ -297,7 +298,7 @@ class TestProperties:
     def test_quadratics_interpolated_within_tolerance(self, coeffs, n):
         a, b, c = coeffs
         fn = lambda x: a * x * x + b * x + c
-        s = UniformCubicSpline.from_function(fn, 0.0, 2.0, n, zero_above=False)
+        s = spline_from_function(fn, 0.0, 2.0, n, zero_above=False)
         q = np.linspace(0.0, 2.0, 101)
         vals, _ = s.evaluate(q)
         scale = max(1.0, abs(a), abs(b), abs(c))
@@ -351,7 +352,7 @@ class TestFrozenEvaluate:
             rng.normal(size=int(rng.integers(2, 15))),
             extrapolate_low=low, zero_above=zero_above,
         )
-        inside = [*s.knots(), *rng.uniform(s.x0, s.x_max, 8),
+        inside = [*knots(s), *rng.uniform(s.x0, s.x_max, 8),
                   np.nextafter(s.x_max, -np.inf)]
         edges = [s.x0 - rng.uniform(0.0, 3.0) * s.h, s.x_max,
                  np.nextafter(s.x_max, np.inf),
@@ -369,10 +370,3 @@ class TestFrozenEvaluate:
             assert (a.dtype, a.shape) == (b.dtype, b.shape) == (
                 np.float64, shape)
             assert a.tobytes() == b.tobytes()
-
-
-class TestSram:
-    def test_nbytes(self):
-        s = UniformCubicSpline(0.0, 1.0, np.zeros(65))
-        # 64 segments x 4 coefficients x 4 bytes
-        assert s.nbytes() == 64 * 4 * 4

@@ -15,6 +15,7 @@ from repro.runtime import (
     build_state,
     seed_streams,
 )
+from tests.conftest import ListSink
 
 QUICK = dict(element="Ta", reps=(3, 3, 2), temperature=150.0, steps=4, seed=2)
 
@@ -165,7 +166,6 @@ class TestFactory:
         assert eng.sim is not None  # constructed without error
 
     def test_wse_honours_spec_skin_and_reports_its_list(self):
-        from repro.obs.sinks import ListSink
         from repro.obs.tracer import Tracer
 
         sink = ListSink()

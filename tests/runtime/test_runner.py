@@ -326,7 +326,6 @@ class TestTeardown:
             2, lambda ev: runner.request_stop() if ev.step >= 4 else None
         )
         runner.run()
-        assert runner.stop_requested
         assert runner.engine.step_count == 4  # not the target 10
 
         # the stopped run still wrote its final checkpoint and resumes

@@ -38,7 +38,7 @@ class TestLookup:
         entry = _populate(cache)
         hit = cache.lookup(SPEC.spec_hash(), 4)
         assert hit is not None
-        assert hit.key == entry.key
+        assert (hit.spec_hash, hit.steps) == (entry.spec_hash, entry.steps)
         assert cache.hits == 1
 
     def test_telemetry_roundtrip_is_bitwise(self, tmp_path):
@@ -60,7 +60,7 @@ class TestLookup:
     def test_survives_reload(self, tmp_path):
         _populate(ResultCache(tmp_path))
         reloaded = ResultCache(tmp_path)
-        assert len(reloaded) == 1
+        assert reloaded.stats()["entries"] == 1
         assert reloaded.lookup(SPEC.spec_hash(), 4) is not None
 
 
@@ -96,7 +96,7 @@ class TestCorruptionTolerance:
         npz = checkpoint_paths(cache.prefix(SPEC.spec_hash(), 4))[0]
         npz.write_bytes(b"not a zipfile")
         assert cache.lookup(SPEC.spec_hash(), 4) is None
-        assert len(cache) == 0  # evicted, not retried forever
+        assert cache.stats()["entries"] == 0  # evicted, not retried forever
 
     def test_half_truncated_npz_evicts_and_misses(self, tmp_path):
         """A zip cut mid-member (BadZipFile, not the no-header
@@ -106,7 +106,7 @@ class TestCorruptionTolerance:
         npz = checkpoint_paths(cache.prefix(SPEC.spec_hash(), 4))[0]
         npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
         assert cache.lookup(SPEC.spec_hash(), 4) is None
-        assert len(cache) == 0
+        assert cache.stats()["entries"] == 0
         assert not npz.exists()
 
     def test_corrupt_sidecar_evicts_on_resume_path(self, tmp_path):
@@ -118,20 +118,20 @@ class TestCorruptionTolerance:
         data["meta"] = np.array("{torn")
         np.savez(npz, **data)
         assert cache.best_resume(SPEC.spec_hash(), 10) is None
-        assert len(cache) == 0
+        assert cache.stats()["entries"] == 0
 
     def test_corrupt_index_is_an_empty_cache(self, tmp_path):
         _populate(ResultCache(tmp_path))
         (tmp_path / "index.json").write_text("}{ garbage")
         cache = ResultCache(tmp_path)
-        assert len(cache) == 0
+        assert cache.stats()["entries"] == 0
 
     def test_missing_entry_files_drop_the_row(self, tmp_path):
         cache = ResultCache(tmp_path)
         _populate(cache)
         checkpoint_paths(cache.prefix(SPEC.spec_hash(), 4))[0].unlink()
         reloaded = ResultCache(tmp_path)
-        assert len(reloaded) == 0
+        assert reloaded.stats()["entries"] == 0
 
     def test_orphan_tmp_swept_on_load(self, tmp_path):
         orphan = tmp_path / "deadbeef-4.npz.tmp"
@@ -246,7 +246,7 @@ class TestLRU:
     def test_never_evicts_the_entry_just_added(self, tmp_path):
         cache = ResultCache(tmp_path, max_bytes=1)  # everything oversized
         entry = _populate(cache, steps=2)
-        assert entry.key in {key for key in cache._entries}
+        assert (entry.spec_hash, entry.steps) in cache._entries
 
     def test_eviction_order_survives_reload(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -271,15 +271,6 @@ def test_stats_are_json_ready(tmp_path):
     assert stats["entries"] == 1
     assert stats["hits"] == 1
     assert stats["misses"] == 1
-
-
-def test_clear_empties_directory_but_keeps_it(tmp_path):
-    cache = ResultCache(tmp_path)
-    _populate(cache)
-    cache.clear()
-    assert len(cache) == 0
-    assert (tmp_path / "index.json").exists()
-    assert cache.lookup(SPEC.spec_hash(), 4) is None
 
 
 def test_concurrent_puts_from_worker_threads(tmp_path):
@@ -307,6 +298,6 @@ def test_concurrent_puts_from_worker_threads(tmp_path):
         )
 
     assert all(entry.nbytes == seeded.nbytes for entry in entries)
-    assert len(cache) == len(keys) + 1
+    assert cache.stats()["entries"] == len(keys) + 1
     reloaded = ResultCache(tmp_path)
-    assert len(reloaded) == len(keys) + 1
+    assert reloaded.stats()["entries"] == len(keys) + 1
