@@ -312,10 +312,10 @@ def report(reached: set[tuple[str, int, str]]) -> str:
 # --------------------------------------------------------------------------
 # the static gate
 
-def _module_name(path: Path) -> str | None:
-    if not path.is_relative_to(SRC):
+def _module_name(path: Path, src: Path = SRC) -> str | None:
+    if not path.is_relative_to(src):
         return None
-    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    parts = list(path.relative_to(src).with_suffix("").parts)
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
@@ -332,8 +332,8 @@ def _resolve(module: str, level: int, here: str, is_pkg: bool) -> str:
 class _Module:
     """One file's imports: plain edges, and ``from X import name`` pairs."""
 
-    def __init__(self, path: Path, modules: set[str]) -> None:
-        self.name = _module_name(path)
+    def __init__(self, path: Path, modules: set[str], src: Path = SRC) -> None:
+        self.name = _module_name(path, src)
         self.is_pkg = path.name == "__init__.py"
         self.edges: set[str] = set()
         self.from_names: list[tuple[str, str]] = []
@@ -366,11 +366,14 @@ class _Module:
                     self.edges.add(node.value)
 
 
-def static_check() -> int:
-    files = [p for p in REPO.rglob("*.py")
-             if not {"tests", ".git", "build"} & set(p.relative_to(REPO).parts)]
-    modules = {_module_name(p) for p in files if _module_name(p)}
-    parsed = {p: _Module(p, modules) for p in files}
+def import_graph(repo: Path = REPO) -> tuple[list[str], set[str]]:
+    """Every non-package module under ``repo/src`` (``__main__`` left
+    out: it is a root), and the set of modules the roots reach."""
+    src = repo / "src"
+    files = [p for p in repo.rglob("*.py")
+             if not {"tests", ".git", "build"} & set(p.relative_to(repo).parts)]
+    modules = {_module_name(p, src) for p in files if _module_name(p, src)}
+    parsed = {p: _Module(p, modules, src) for p in files}
     by_name = {m.name: m for m in parsed.values() if m.name}
 
     def targets(m: _Module) -> set[str]:
@@ -391,7 +394,7 @@ def static_check() -> int:
         return {t for t in out if t in modules}
 
     roots = [m for p, m in parsed.items()
-             if not p.is_relative_to(SRC) or m.name == "repro.__main__"]
+             if not p.is_relative_to(src) or m.name == "repro.__main__"]
     seen: set[str] = set()
     todo = [t for m in roots for t in targets(m)]
     while todo:
@@ -402,14 +405,17 @@ def static_check() -> int:
         todo.extend(targets(by_name[name]))
         # importing a.b.c runs a/__init__ and a/b/__init__ first
         todo.extend(name.rsplit(".", k)[0] for k in range(1, name.count(".") + 1))
-    unreached = sorted(
-        m.name for m in by_name.values()
-        if not m.is_pkg and m.name not in seen and m.name != "repro.__main__"
-        and m.name not in ALLOW_UNREACHED
-    )
+    return sorted(m.name for m in by_name.values()
+                  if not m.is_pkg and m.name != "repro.__main__"), seen
+
+
+def static_check() -> int:
+    modules, seen = import_graph()
+    unreached = [name for name in modules
+                 if name not in seen and name not in ALLOW_UNREACHED]
     for name in unreached:
         print(f"{name}: imported by nothing outside tests/", file=sys.stderr)
-    print(f"{len(by_name)} modules under src/repro, {len(unreached)} unreached "
+    print(f"{len(modules)} modules under src/repro, {len(unreached)} unreached "
           f"({len(ALLOW_UNREACHED)} allowed)")
     return 1 if unreached else 0
 

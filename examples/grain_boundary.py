@@ -50,7 +50,7 @@ def main() -> None:
               f"{'C(g)/A':>8} {'swaps':>6}")
 
         def report(ev, sim=sim, tracker=tracker):
-            disp = tracker.max_xy_norm(ev.state.positions)
+            disp = tracker.record(ev.step * 0.002, ev.state.positions)
             print(f"  {ev.step:>6} {ev.step * 0.002:>8.2f} "
                   f"{disp:>14.2f} {sim.assignment_cost():>8.2f} "
                   f"{sim.swap_count:>6}")

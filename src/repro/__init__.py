@@ -8,9 +8,8 @@ every evaluation table/figure regenerated by the benchmark harness.
 
 Quick start::
 
-    from repro.runtime import RunSpec, build_engine
-    spec = RunSpec(element="Ta", reps=(8, 8, 3), engine="wse")
-    sim = build_engine(spec).sim
+    from repro import quick_wse_simulation
+    sim = quick_wse_simulation("Ta", reps=(8, 8, 3), temperature=290.0)
     sim.step(100)
     print(sim.measured_rate(), "timesteps/s (modeled on WSE-2)")
 
@@ -42,6 +41,8 @@ __all__ = [
     "Box",
     "ELEMENTS",
     "make_element_potential",
+    "quick_wse_simulation",
+    "quick_reference_simulation",
 ]
 
 
@@ -52,3 +53,51 @@ def __getattr__(name: str):
 
         return getattr(elements, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _quick_spec(element, reps, temperature, seed, engine):
+    from repro.runtime import RunSpec
+
+    return RunSpec(
+        element=element,
+        reps=tuple(reps),
+        temperature=temperature,
+        engine=engine,
+        seed=seed,
+        steps=0,
+    )
+
+
+def quick_wse_simulation(
+    element: str = "Ta",
+    reps: tuple[int, int, int] = (8, 8, 3),
+    temperature: float = 290.0,
+    *,
+    seed: int = 0,
+    **kwargs,
+) -> WseMd:
+    """A ready-to-step :class:`WseMd` on a thin slab of Cu, W, or Ta.
+
+    Built through the :mod:`repro.runtime` engine factory, so the seed
+    determines the trajectory exactly as it does for a
+    :class:`~repro.runtime.RunSpec` run of the same workload.
+    """
+    from repro.runtime import build_engine
+
+    spec = _quick_spec(element, reps, temperature, seed, "wse")
+    return build_engine(spec, **kwargs).sim
+
+
+def quick_reference_simulation(
+    element: str = "Ta",
+    reps: tuple[int, int, int] = (8, 8, 3),
+    temperature: float = 290.0,
+    *,
+    seed: int = 0,
+    **kwargs,
+) -> Simulation:
+    """The same workload on the reference engine."""
+    from repro.runtime import build_engine
+
+    spec = _quick_spec(element, reps, temperature, seed, "reference")
+    return build_engine(spec, **kwargs).sim

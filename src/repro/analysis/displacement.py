@@ -20,6 +20,7 @@ class DisplacementTracker:
         if ref.ndim != 2 or ref.shape[1] != 3:
             raise ValueError(f"reference must be (N, 3), got {ref.shape}")
         self.reference = ref.copy()
+        self.history: list[tuple[float, float]] = []  # (time_ps, max xy)
 
     def max_xy_norm(self, positions: np.ndarray) -> float:
         """Largest max-norm x-y displacement of any atom (A)."""
@@ -30,3 +31,16 @@ class DisplacementTracker:
                 f"{self.reference.shape}"
             )
         return float(np.max(np.abs(delta[:, :2])))
+
+    def record(self, time_ps: float, positions: np.ndarray) -> float:
+        """Record and return the current max x-y displacement."""
+        d = self.max_xy_norm(positions)
+        self.history.append((float(time_ps), d))
+        return d
+
+    def series(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times_ps, displacements) as arrays."""
+        if not self.history:
+            return np.empty(0), np.empty(0)
+        arr = np.asarray(self.history)
+        return arr[:, 0], arr[:, 1]

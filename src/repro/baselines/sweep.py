@@ -8,7 +8,7 @@ from repro.baselines.cpu_model import CpuStrongScalingModel
 from repro.baselines.gpu_model import GpuStrongScalingModel
 from repro.baselines.platform import PlatformSpec
 
-__all__ = ["ScalingPoint", "sweep_gpu", "sweep_cpu"]
+__all__ = ["ScalingPoint", "sweep_gpu", "sweep_cpu", "powers_of_two"]
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,27 @@ class ScalingPoint:
         return self.rate_steps_per_s / self.power_watts
 
 
+def powers_of_two(lo: int, hi: int) -> list[int]:
+    """Powers of two in [lo, hi]."""
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    out = []
+    n = 1
+    while n <= hi:
+        if n >= lo:
+            out.append(n)
+        n *= 2
+    return out
+
+
 def sweep_gpu(
     model: GpuStrongScalingModel,
     platform: PlatformSpec,
     n_atoms: int,
-    unit_counts: list[int],
+    unit_counts: list[int] | None = None,
 ) -> list[ScalingPoint]:
     """Rate and power across GCD counts."""
+    unit_counts = unit_counts or powers_of_two(1, 2048)
     return [
         ScalingPoint(
             machine=platform.name,
@@ -50,9 +64,10 @@ def sweep_cpu(
     model: CpuStrongScalingModel,
     platform: PlatformSpec,
     n_atoms: int,
-    node_counts: list[int],
+    node_counts: list[int] | None = None,
 ) -> list[ScalingPoint]:
     """Rate and power across node counts (all sockets engaged)."""
+    node_counts = node_counts or powers_of_two(1, 2048)
     return [
         ScalingPoint(
             machine=platform.name,

@@ -69,6 +69,11 @@ def kinetic_energy_to_temperature(ke_ev: float, n_dof: int) -> float:
     return 2.0 * ke_ev / (n_dof * KB_EV)
 
 
+def temperature_to_kinetic_energy(temp_k: float, n_dof: int) -> float:
+    """Equipartition kinetic energy (eV) at temperature ``temp_k``."""
+    return 0.5 * n_dof * KB_EV * temp_k
+
+
 def thermal_velocity_scale(temp_k: float, mass_gmol: float) -> float:
     """Standard deviation (A/ps) of one velocity component at ``temp_k``.
 

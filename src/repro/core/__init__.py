@@ -23,6 +23,7 @@ Composition (paper Sec. III):
 
 from repro.core.mapping import Mapping, build_mapping, grid_for_atoms
 from repro.core.folding import fold_coordinate, FabricProjection
+from repro.core.neighborhood import choose_b
 from repro.core.swap import SwapEngine
 from repro.core.cycle_model import (
     CycleCostModel,
@@ -40,6 +41,7 @@ __all__ = [
     "grid_for_atoms",
     "fold_coordinate",
     "FabricProjection",
+    "choose_b",
     "SwapEngine",
     "CycleCostModel",
     "OptimizationConfig",

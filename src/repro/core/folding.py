@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.md.boundary import Box
 
-__all__ = ["fold_coordinate", "FabricProjection"]
+__all__ = ["fold_coordinate", "circle_distance", "FabricProjection"]
 
 
 def fold_coordinate(u: np.ndarray, length: float) -> np.ndarray:
@@ -41,6 +41,12 @@ def fold_coordinate(u: np.ndarray, length: float) -> np.ndarray:
     near = np.minimum(u, length - u)
     far_side = u > length / 2.0
     return 2.0 * near - far_side.astype(np.float64)
+
+
+def circle_distance(u1: np.ndarray, u2: np.ndarray, length: float) -> np.ndarray:
+    """Distance on the circle of circumference ``length``."""
+    d = np.abs(np.mod(np.asarray(u1) - np.asarray(u2), length))
+    return np.minimum(d, length - d)
 
 
 @dataclass

@@ -162,6 +162,12 @@ class Mapping:
         """The paper's C(g): worst-case coordinate displacement."""
         return float(np.max(self.per_atom_cost(positions)))
 
+    def occupancy(self) -> np.ndarray:
+        """Boolean per-tile occupancy, shape (grid.nx, grid.ny)."""
+        occ = np.zeros(self.grid.n_tiles, dtype=bool)
+        occ[self.atom_core] = True
+        return occ.reshape(self.grid.nx, self.grid.ny)
+
     def with_border(self, b: int) -> "Mapping":
         """This mapping re-hosted on a grid at least (2b+2) wide, same
         pitch.

@@ -2,10 +2,11 @@
 
 Interacting atoms are at most ``r_cut`` apart; each is at most ``C(g)``
 (max-norm, fabric plane) from its core's nominal coordinate; so their
-worker cores are at most ``(2 C(g) + r_cut) / pitch`` tiles apart.  That
-bound is loose: :func:`required_b` sizes ``b`` from the widest pair that
-actually interacts, so every (2b+1)-wide square neighborhood contains all
-interactions for the atom at its center.
+worker cores are at most ``(2 C(g) + r_cut) / pitch`` tiles apart,
+amplified by the folding projection's Lipschitz factor when in-plane
+periodic boundaries are active.  ``b`` is the ceiling of that bound:
+every (2b+1)-wide square neighborhood then contains all interactions for
+the atom at its center.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.mapping import Mapping
 from repro.md.boundary import Box
 from repro.md.neighbor_list import NeighborList
 
-__all__ = ["required_b"]
+__all__ = ["choose_b", "required_b", "candidate_count"]
 
 
 def required_b(
@@ -52,3 +53,51 @@ def required_b(
         mapping.projection.separation_bound(margin) / float(min(mapping.pitch))
     ) if margin > 0 else 0
     return base + slack
+
+
+def choose_b(
+    mapping: Mapping,
+    positions,
+    cutoff: float,
+    *,
+    cost: float | None = None,
+    margin: float = 0.0,
+) -> int:
+    """Smallest safe neighborhood half-width for the current mapping.
+
+    Parameters
+    ----------
+    mapping, positions:
+        The assignment whose cost bounds worker separation.
+    cutoff:
+        Interaction cutoff radius (A).
+    cost:
+        Override for the assignment cost ``C(g)`` (e.g. a budget the
+        swap remapping is expected to maintain, Fig. 9); computed from
+        the positions when omitted.
+    margin:
+        Extra physical distance (A) of slack, e.g. anticipated atom
+        motion between remappings.
+    """
+    if cutoff <= 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    c = mapping.assignment_cost(positions) if cost is None else float(cost)
+    if c < 0:
+        raise ValueError(f"assignment cost must be non-negative, got {c}")
+    reach = mapping.projection.separation_bound(cutoff + margin) + 2.0 * c
+    pitch = float(min(mapping.pitch))
+    b = max(1, math.ceil(reach / pitch))
+    if 2 * b + 1 > max(mapping.grid.nx, mapping.grid.ny):
+        raise ValueError(
+            f"required neighborhood b={b} exceeds the {mapping.grid.nx}"
+            f"x{mapping.grid.ny} grid; mapping cost {c:.2f} A is too high"
+        )
+    return b
+
+
+def candidate_count(b: int) -> int:
+    """Candidates received per atom: the (2b+1)^2 square minus itself."""
+    if b < 0:
+        raise ValueError(f"b must be non-negative, got {b}")
+    side = 2 * b + 1
+    return side * side - 1

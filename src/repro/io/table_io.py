@@ -1,12 +1,14 @@
 """Plain-text table rendering for the benchmark harness.
 
 Every benchmark prints the rows of the paper table/figure it
-regenerates; this tiny formatter keeps them aligned.
+regenerates; this tiny formatter keeps them aligned and serializable.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 __all__ = ["Table"]
 
@@ -58,3 +60,13 @@ class Table:
     def print(self) -> None:
         """Print to stdout with surrounding blank lines."""
         print("\n" + self.render() + "\n")
+
+    def to_json(self, path: str | Path) -> None:
+        """Serialize title/columns/rows as JSON."""
+        Path(path).write_text(
+            json.dumps(
+                {"title": self.title, "columns": self.columns, "rows": self.rows},
+                indent=2,
+                default=float,
+            )
+        )

@@ -5,9 +5,9 @@ crystals of Cu/W/Ta (Sec. IV-B type 1), controlled 2-D grids (type 2),
 and bicrystal grain-boundary slabs (type 3 / Fig. 2 / Fig. 9).
 """
 
-from repro.lattice.cells import BravaisCell, FCC, BCC
+from repro.lattice.cells import BravaisCell, FCC, BCC, cell_by_name
 from repro.lattice.crystals import replicate, Crystal
-from repro.lattice.slab import make_slab
+from repro.lattice.slab import make_slab, slab_for_element
 from repro.lattice.grain_boundary import make_grain_boundary_slab
 from repro.lattice.neighbors_ideal import neighbor_shells, coordination_within
 
@@ -15,9 +15,11 @@ __all__ = [
     "BravaisCell",
     "FCC",
     "BCC",
+    "cell_by_name",
     "replicate",
     "Crystal",
     "make_slab",
+    "slab_for_element",
     "make_grain_boundary_slab",
     "neighbor_shells",
     "coordination_within",

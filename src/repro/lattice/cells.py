@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BravaisCell", "FCC", "BCC", "SC"]
+__all__ = ["BravaisCell", "FCC", "BCC", "SC", "cell_by_name"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,11 @@ class BravaisCell:
         """Volume per atom (A^3) at lattice constant ``a``."""
         return a**3 / self.atoms_per_cell
 
+    def number_density(self, a: float) -> float:
+        """Atoms per A^3 at lattice constant ``a``."""
+        return self.atoms_per_cell / a**3
+
+
 FCC = BravaisCell(
     name="fcc",
     basis=np.array(
@@ -73,3 +78,15 @@ SC = BravaisCell(
     basis=np.array([[0.0, 0.0, 0.0]]),
     nn_factor=1.0,
 )
+
+_CELLS = {"fcc": FCC, "bcc": BCC, "sc": SC}
+
+
+def cell_by_name(name: str) -> BravaisCell:
+    """Look up a cell definition by structure name."""
+    try:
+        return _CELLS[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown structure {name!r}; known: {sorted(_CELLS)}"
+        ) from None

@@ -15,7 +15,7 @@ import numpy as np
 from repro.lattice.cells import BravaisCell
 from repro.lattice.crystals import Crystal, replicate
 
-__all__ = ["make_slab"]
+__all__ = ["make_slab", "slab_for_element"]
 
 
 def make_slab(
@@ -35,3 +35,20 @@ def make_slab(
     if center:
         crystal.positions -= crystal.box / 2.0
     return crystal
+
+
+def slab_for_element(element, *, scale: float = 1.0) -> Crystal:
+    """The Table I benchmark slab for an :class:`ElementData`.
+
+    ``scale`` < 1 shrinks the in-plane replication for affordable
+    functional runs while preserving thickness (the z replication),
+    which keeps per-atom interaction counts representative.  The full
+    Table I slab is ``scale = 1``.
+    """
+    nx, ny, nz = element.replication
+    if scale != 1.0:
+        if not 0.0 < scale <= 1.0:
+            raise ValueError(f"scale must be in (0, 1], got {scale}")
+        nx = max(2, int(round(nx * scale)))
+        ny = max(2, int(round(ny * scale)))
+    return make_slab(element.cell, element.lattice_constant, (nx, ny, nz))

@@ -13,7 +13,7 @@ from repro.md.state import AtomsState
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
 from repro.md.neighbor_list import NeighborList
-from repro.md.integrators import LeapfrogVerlet
+from repro.md.integrators import LeapfrogVerlet, VelocityVerlet
 from repro.md.thermostat import (
     maxwell_boltzmann_velocities,
     rescale_to_temperature,
@@ -28,6 +28,7 @@ __all__ = [
     "CellList",
     "NeighborList",
     "LeapfrogVerlet",
+    "VelocityVerlet",
     "maxwell_boltzmann_velocities",
     "rescale_to_temperature",
     "BerendsenThermostat",

@@ -51,6 +51,16 @@ class Box:
         """Fully open box (all boundaries non-periodic)."""
         return cls(np.asarray(lengths, dtype=np.float64))
 
+    @classmethod
+    def cube_periodic(cls, length: float) -> "Box":
+        """Fully periodic cubic box."""
+        return cls(np.full(3, float(length)), np.ones(3, dtype=bool))
+
+    @property
+    def volume(self) -> float:
+        """Box volume (A^3)."""
+        return float(np.prod(self.lengths))
+
     def check_minimum_image_valid(self, cutoff: float) -> None:
         """Raise if any periodic dimension is too small for minimum image.
 
@@ -63,6 +73,16 @@ class Box:
                 f"periodic box lengths {self.lengths[too_small]} are below "
                 f"2 x cutoff = {2.0 * cutoff}; minimum image is ambiguous"
             )
+
+    def wrap(self, positions: np.ndarray) -> np.ndarray:
+        """Map positions into the primary cell along periodic dimensions."""
+        positions = np.asarray(positions, dtype=np.float64)
+        out = positions.copy()
+        for d in range(3):
+            if self.periodic[d]:
+                rel = out[:, d] - self.origin[d]
+                out[:, d] = self.origin[d] + np.mod(rel, self.lengths[d])
+        return out
 
     def minimum_image(self, displacements: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention along periodic dimensions.
@@ -81,3 +101,14 @@ class Box:
                 ld = self.lengths[d]
                 out[..., d] -= ld * np.floor(out[..., d] / ld + 0.5)
         return out
+
+    def contains(self, positions: np.ndarray, *, slack: float = 0.0) -> np.ndarray:
+        """Boolean mask of atoms inside the box (+/- ``slack``).
+
+        Open-boundary atoms may legitimately leave; this is a diagnostic,
+        not an invariant.
+        """
+        positions = np.asarray(positions)
+        lo = self.origin - slack
+        hi = self.origin + self.lengths + slack
+        return np.all((positions >= lo) & (positions <= hi), axis=1)

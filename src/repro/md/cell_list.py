@@ -233,7 +233,8 @@ class CellList:
         the one definition of its order) but measures each block before
         mapping it to atom ids; ``candidate_pairs`` stays as the oracle
         that stream is tested against and as the probe of the raw
-        stencil volume.
+        stencil volume.  Callers that need both directions expand via
+        :meth:`directed_candidate_pairs`.
 
         ``live`` (optional, per-atom bool) prunes pair blocks where
         *neither* side's cell holds a live atom.  Domain shards mark
@@ -332,3 +333,8 @@ class CellList:
         return (self._cid_sorted, self._sorted_coords, self._starts,
                 self._counts, self._ncell, self.box.periodic, self._stencil,
                 live_cells)
+
+    def directed_candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed (double-counted) view of :meth:`candidate_pairs`."""
+        i, j = self.candidate_pairs()
+        return np.concatenate([i, j]), np.concatenate([j, i])

@@ -3,7 +3,9 @@
 The paper uses Verlet leap-frog: velocities live at half steps,
 positions at whole steps.  The scheme is symplectic and time-reversible,
 which is what makes very long trajectories physically meaningful
-(Sec. II-A).
+(Sec. II-A).  Velocity Verlet is provided as well — it generates the
+identical position trajectory and is convenient when synchronized
+velocities are needed for observables.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from repro.constants import MVV2E
 from repro.md.state import AtomsState
 
-__all__ = ["LeapfrogVerlet", "accelerations"]
+__all__ = ["LeapfrogVerlet", "VelocityVerlet", "accelerations"]
 
 
 def accelerations(state: AtomsState, forces: np.ndarray) -> np.ndarray:
@@ -44,3 +46,35 @@ class LeapfrogVerlet:
         state.velocities += a * self.dt
         state.positions += state.velocities * self.dt
 
+
+class VelocityVerlet:
+    """Velocity Verlet (kick-drift-kick); synchronized velocities.
+
+    Produces the same discrete position trajectory as leap-frog when
+    started consistently; used where on-step velocities are required.
+    """
+
+    def __init__(self, dt_fs: float) -> None:
+        if dt_fs <= 0:
+            raise ValueError(f"timestep must be positive, got {dt_fs}")
+        self.dt = dt_fs / 1000.0
+
+    def half_kick(self, state: AtomsState, forces: np.ndarray) -> None:
+        """v += a dt/2."""
+        state.velocities += accelerations(state, forces) * (self.dt / 2.0)
+
+    def drift(self, state: AtomsState) -> None:
+        """r += v dt."""
+        state.positions += state.velocities * self.dt
+
+    def step(self, state: AtomsState, forces: np.ndarray, force_fn) -> np.ndarray:
+        """Full KDK step; returns forces at the new positions.
+
+        ``force_fn(state) -> forces`` evaluates forces at the current
+        positions.
+        """
+        self.half_kick(state, forces)
+        self.drift(state)
+        new_forces = force_fn(state)
+        self.half_kick(state, new_forces)
+        return new_forces

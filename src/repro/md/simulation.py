@@ -61,11 +61,23 @@ class SimStats:
         self.exact_kept += exact
 
     @property
+    def wall_time_s(self) -> float:
+        """Total accounted wall time across the three phases."""
+        return self.time_neighbor_s + self.time_force_s + self.time_integrate_s
+
+    @property
     def pairs_per_step(self) -> float:
         """Mean stored (half) pairs per force evaluation."""
         if self.force_evaluations == 0:
             return 0.0
         return self.pairs_total / self.force_evaluations
+
+    @property
+    def steps_per_s(self) -> float:
+        """Throughput implied by the accounted wall time."""
+        if self.steps == 0 or self.wall_time_s == 0.0:
+            return 0.0
+        return self.steps / self.wall_time_s
 
 
 class Simulation:
@@ -258,3 +270,14 @@ class Simulation:
                 self.stats.time_integrate_s += time.perf_counter() - t0
             self.step_count += chunk
             done += chunk
+
+    def equilibrate(
+        self, n_steps: int, temperature: float, tau_fs: float = 100.0
+    ) -> None:
+        """Run with a temporary Berendsen thermostat (paper Sec. IV-B prep)."""
+        saved = self.thermostat
+        self.thermostat = BerendsenThermostat(temperature, tau_fs)
+        try:
+            self.run(n_steps)
+        finally:
+            self.thermostat = saved

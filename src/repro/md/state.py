@@ -118,6 +118,10 @@ class AtomsState:
         """Instantaneous temperature (K), 3N degrees of freedom."""
         return kinetic_energy_to_temperature(self.kinetic_energy(), 3 * self.n_atoms)
 
+    def momentum(self) -> np.ndarray:
+        """Total momentum vector (g/mol * A/ps)."""
+        return (self.atom_masses[:, None] * self.velocities).sum(axis=0)
+
     def copy(self) -> "AtomsState":
         """Deep copy (box shared: boxes are not mutated by integration)."""
         return AtomsState(
@@ -127,4 +131,18 @@ class AtomsState:
             masses=self.masses.copy(),
             box=self.box,
             ids=self.ids.copy(),
+        )
+
+    def reorder(self, perm: np.ndarray) -> "AtomsState":
+        """New state with atoms permuted by ``perm`` (ids follow atoms)."""
+        perm = np.asarray(perm)
+        if sorted(perm.tolist()) != list(range(self.n_atoms)):
+            raise ValueError("perm must be a permutation of all atom indices")
+        return AtomsState(
+            positions=self.positions[perm],
+            velocities=self.velocities[perm],
+            types=self.types[perm],
+            masses=self.masses.copy(),
+            box=self.box,
+            ids=self.ids[perm],
         )

@@ -15,7 +15,7 @@ from repro.perfmodel.flops import flop_table, flops_per_atom_step
 from repro.perfmodel.utilization import utilization, UtilizationRow
 from repro.perfmodel.projections import project_optimizations, ProjectionRow
 from repro.perfmodel.multiwafer import MultiWaferModel, MultiWaferPoint
-from repro.perfmodel.energy import EfficiencyPoint
+from repro.perfmodel.energy import EnergyModel, EfficiencyPoint
 from repro.perfmodel.timescale import achievable_timescale_um, TimescalePoint
 from repro.perfmodel.packing import packing_sweep, PackedConfig
 
@@ -30,6 +30,7 @@ __all__ = [
     "ProjectionRow",
     "MultiWaferModel",
     "MultiWaferPoint",
+    "EnergyModel",
     "EfficiencyPoint",
     "achievable_timescale_um",
     "TimescalePoint",

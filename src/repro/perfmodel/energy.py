@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["EfficiencyPoint", "pareto_front"]
+__all__ = ["EfficiencyPoint", "EnergyModel", "pareto_front"]
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,31 @@ class EfficiencyPoint:
     def steps_per_joule(self) -> float:
         """Energy efficiency."""
         return self.rate_steps_per_s / self.power_watts
+
+    def relative_to(self, other: "EfficiencyPoint") -> tuple[float, float]:
+        """(performance, efficiency) of ``other`` normalized to this point.
+
+        The paper's Fig. 7c normalizes every WSE result to 1 and plots
+        CPU/GPU systems relative to it.
+        """
+        return (
+            other.rate_steps_per_s / self.rate_steps_per_s,
+            other.steps_per_joule / self.steps_per_joule,
+        )
+
+
+@dataclass(frozen=True)
+class EnergyModel:
+    """Per-unit power draw of a cluster machine."""
+
+    unit_power_watts: float
+    base_power_watts: float = 0.0
+
+    def power(self, units: float) -> float:
+        """System power with ``units`` nodes/GCDs engaged."""
+        if units <= 0:
+            raise ValueError(f"units must be positive, got {units}")
+        return self.base_power_watts + self.unit_power_watts * units
 
 
 def pareto_front(points: list[EfficiencyPoint]) -> list[EfficiencyPoint]:

@@ -56,6 +56,13 @@ class LinearStepModel:
             raise ValueError(f"non-positive predicted step time {t}")
         return 1.0e9 / t
 
+    def relative_error(self, measured_rate: float, n_candidate: float,
+                       n_interaction: float) -> float:
+        """Prediction error vs a measured rate (paper Table I column)."""
+        predicted = self.steps_per_second(n_candidate, n_interaction)
+        return abs(predicted - measured_rate) / measured_rate
+
+
 #: The constants the paper reports in Table II.
 PAPER_TABLE2 = LinearStepModel(
     a_candidate=26.6, b_interaction=71.4, c_fixed=574.0, r_squared=0.9998

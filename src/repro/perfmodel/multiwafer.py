@@ -115,3 +115,36 @@ class MultiWaferModel:
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
         return point.n_interior * n_nodes
+
+    def facility_strong_scaling(
+        self,
+        element: str,
+        n_atoms: int,
+        z_sites: int,
+        lam: int,
+        cutoff_per_lattice: float,
+        t_wall_s: float,
+        single_wafer_rate: float,
+        node_counts: tuple[int, ...] = (1, 4, 16, 64, 256),
+    ) -> list[tuple[int, MultiWaferPoint]]:
+        """Divide a *fixed* problem across wafers (paper Sec. VI-D outlook).
+
+        The instructive result: because one-atom-per-core step time does
+        not depend on the atom count, splitting a fixed problem across
+        more wafers leaves the timestep *rate* essentially flat (it is
+        already the single-wafer rate, minus the ghost-period latency) —
+        wafer clusters buy capacity, not speed.  Breaking the timescale
+        barrier further needs faster steps (Table V), not more wafers.
+        """
+        if n_atoms < 1:
+            raise ValueError(f"n_atoms must be positive, got {n_atoms}")
+        out = []
+        for nodes in node_counts:
+            interior = n_atoms // nodes
+            x = max(2 * lam + 1, int(round((interior / z_sites) ** 0.5)))
+            point = self.evaluate(
+                element, x, z_sites, lam, cutoff_per_lattice, t_wall_s,
+                single_wafer_rate,
+            )
+            out.append((nodes, point))
+        return out

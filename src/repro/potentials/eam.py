@@ -132,6 +132,13 @@ class EAMTables:
         self._grouped = grouped
         return grouped
 
+    def sram_bytes(self, dtype_size: int = 4) -> int:
+        """Total table footprint a WSE tile would hold (paper Sec. III-A)."""
+        total = sum(s.nbytes(dtype_size) for s in self.rho)
+        total += sum(s.nbytes(dtype_size) for s in self.embed)
+        total += sum(s.nbytes(dtype_size) for s in self.phi.values())
+        return total
+
 
 class EAMPotential(Potential):
     """EAM potential evaluated from :class:`EAMTables`."""

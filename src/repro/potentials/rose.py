@@ -65,3 +65,17 @@ class RoseEOS:
         """Cohesive energy per atom (eV) at lattice scale ``a / a0``."""
         a_star = self.reduced(scale)
         return -self.cohesive_energy * (1.0 + a_star) * np.exp(-a_star)
+
+    def energy_derivative(self, scale: np.ndarray) -> np.ndarray:
+        """d E / d(scale); zero at the equilibrium scale of 1."""
+        a_star = self.reduced(scale)
+        # dE/da* = Ec a* exp(-a*);  chain rule through the reduced coordinate.
+        return self.cohesive_energy * a_star * np.exp(-a_star) / self.length_scale
+
+    def curvature_check(self) -> float:
+        """Second derivative of E wrt scale at equilibrium.
+
+        Equals ``9 B Omega`` — useful as an internal consistency check
+        and in tests.
+        """
+        return self.cohesive_energy / self.length_scale**2

@@ -138,6 +138,15 @@ class UniformCubicSpline:
         """Value only (convenience wrapper around :meth:`evaluate`)."""
         return self.evaluate(x)[0]
 
+    def nbytes(self, dtype_size: int = 4) -> int:
+        """SRAM footprint of the table at a given element size.
+
+        The WSE stores tables in FP32; with 4 coefficient arrays this is
+        what a tile must budget out of its 48 kB (see
+        :mod:`repro.wse.tile`).
+        """
+        return 4 * (self.n - 1) * dtype_size
+
 
 class SplineGroup:
     """Several uniform-knot splines fused into one coefficient bank.

@@ -17,8 +17,8 @@ Ops
     (default true) to block until terminal, ``watch`` to stream each
     :class:`~repro.serve.events.JobEvent` as an interim
     ``{"event": ...}`` line before the final response.
-``jobs`` / ``cancel``
-    The job table and cancellation.
+``jobs`` / ``status`` / ``cancel``
+    The job table, one job by id, and cancellation.
 ``stats``
     Scheduler snapshot: slots (pids, busy, restarts), job states,
     cache counters.
@@ -141,6 +141,16 @@ class ServeServer:
                     self._summary(job) for job in self.scheduler.jobs.all()
                 ],
             })
+        elif op == "status":
+            job = self.scheduler.jobs.get(str(request.get("id")))
+            if job is None:
+                await self._send(writer, {
+                    "ok": False,
+                    "error": f"no such job {request.get('id')!r}",
+                    "code": 1,
+                })
+            else:
+                await self._send(writer, {"ok": True, "job": job.as_dict()})
         elif op == "cancel":
             cancelled = await self.scheduler.cancel(str(request.get("id")))
             await self._send(writer, {"ok": True, "cancelled": cancelled})
@@ -300,6 +310,9 @@ class ServeClient:
 
     def jobs(self) -> dict:
         return self.request({"op": "jobs"})
+
+    def status(self, job_id: str) -> dict:
+        return self.request({"op": "status", "id": job_id})
 
     def cancel(self, job_id: str) -> dict:
         return self.request({"op": "cancel", "id": job_id})

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -350,3 +351,12 @@ class ResultCache:
                 except OSError:
                     pass
             self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop everything (directory survives, empty and indexed)."""
+        with self._lock:
+            for key in list(self._entries):
+                self.evict(*key)
+            shutil.rmtree(self.root, ignore_errors=True)
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._persist()

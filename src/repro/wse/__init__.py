@@ -18,8 +18,8 @@ from repro.wse.geometry import TileGrid
 from repro.wse.wavelet import Wavelet, WaveletKind, RouterCommand
 from repro.wse.router import MarchingRouter, RouterState
 from repro.wse.multicast import MarchingMulticastSchedule, exchange_cycle_model
-from repro.wse.fabric import ChainFabric
-from repro.wse.tile import TileCoreModel
+from repro.wse.fabric import ChainFabric, MulticastChainSim
+from repro.wse.tile import TileCoreModel, SramBudget
 from repro.wse.trace import CycleTrace
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "MarchingMulticastSchedule",
     "exchange_cycle_model",
     "ChainFabric",
+    "MulticastChainSim",
     "TileCoreModel",
+    "SramBudget",
     "CycleTrace",
 ]

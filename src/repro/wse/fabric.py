@@ -27,7 +27,7 @@ from repro.wse.router import (
 )
 from repro.wse.wavelet import Wavelet, WaveletKind
 
-__all__ = ["ChainFabric", "ChainResult"]
+__all__ = ["ChainFabric", "MulticastChainSim", "ChainResult"]
 
 
 @dataclass
@@ -180,3 +180,30 @@ class ChainFabric:
         return ChainResult(
             cycles=cycle, received=received, link_busy_cycles=link_busy
         )
+
+
+class MulticastChainSim:
+    """Both directions of one stage (separate virtual channels).
+
+    Opposite directions use disjoint links (each mesh link is
+    full-duplex) and disjoint VCs, so they run concurrently: the stage
+    time is the max of the two runs.  The negative direction is
+    simulated by running a mirrored chain.
+    """
+
+    def __init__(self, n_tiles: int, b: int, vector_len: int) -> None:
+        self.n = n_tiles
+        self.b = b
+        self.vector_len = vector_len
+
+    def run(self) -> tuple[int, list[list[int]]]:
+        """Returns (stage cycles, per-tile ordered source lists)."""
+        pos = ChainFabric(self.n, self.b, self.vector_len).run()
+        neg = ChainFabric(self.n, self.b, self.vector_len).run()
+        sources: list[list[int]] = []
+        for t in range(self.n):
+            left = pos.sources_for(t)  # data moving +x: sources to the left
+            mirrored = self.n - 1 - t
+            right = [self.n - 1 - s for s in neg.sources_for(mirrored)]
+            sources.append(left + right)
+        return max(pos.cycles, neg.cycles), sources

@@ -1,4 +1,4 @@
-"""Tile-grid geometry: coordinates and square neighborhood offsets.
+"""Tile-grid geometry: coordinates, distances, neighborhoods, strips.
 
 The wafer is a Cartesian mesh; the MD mapping identifies the core array
 with the base of the simulation domain so each core has a nominal (x, y)
@@ -38,6 +38,12 @@ class TileGrid:
         """Total tile count."""
         return self.nx * self.ny
 
+    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Boolean mask: are (x, y) valid tile coordinates?"""
+        x = np.asarray(x)
+        y = np.asarray(y)
+        return (x >= 0) & (x < self.nx) & (y >= 0) & (y < self.ny)
+
     def flatten(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row-major flat tile index."""
         return np.asarray(x) * self.ny + np.asarray(y)
@@ -46,6 +52,16 @@ class TileGrid:
         """Inverse of :meth:`flatten`."""
         idx = np.asarray(idx)
         return idx // self.ny, idx % self.ny
+
+    @staticmethod
+    def max_norm_distance(
+        x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
+    ) -> np.ndarray:
+        """Chebyshev distance between tile coordinates."""
+        return np.maximum(
+            np.abs(np.asarray(x1) - np.asarray(x2)),
+            np.abs(np.asarray(y1) - np.asarray(y2)),
+        )
 
     def neighborhood_offsets(self, b: int, *, include_center: bool = False) -> np.ndarray:
         """Offsets of the (2b+1)^2 square neighborhood, shape (K, 2).
@@ -65,3 +81,23 @@ class TileGrid:
         if not include_center:
             offsets = offsets[~np.all(offsets == 0, axis=1)]
         return offsets
+
+    def neighborhood(self, cx: int, cy: int, b: int) -> np.ndarray:
+        """In-grid tiles of the (2b+1)-square around (cx, cy), shape (M, 2)."""
+        offs = self.neighborhood_offsets(b, include_center=True)
+        pts = offs + np.array([cx, cy])
+        mask = self.contains(pts[:, 0], pts[:, 1])
+        return pts[mask]
+
+    def strips(self, width: int) -> list[tuple[int, int]]:
+        """Non-overlapping vertical strips [(x_start, x_end), ...).
+
+        The marching multicast partitions the worker grid into strips of
+        width ``b + 1`` (paper Sec. III-B); the final strip may be
+        narrower at the fabric edge.
+        """
+        if width < 1:
+            raise ValueError(f"strip width must be >= 1, got {width}")
+        return [
+            (s, min(s + width, self.nx)) for s in range(0, self.nx, width)
+        ]

@@ -1,4 +1,10 @@
-"""Per-tile core model: instruction-level cycle costs.
+"""Per-tile core model: SRAM budget and instruction-level cycle costs.
+
+Each WSE tile has 48 kB of SRAM holding the worker's atom state, its
+spline tables, and the candidate receive buffers (paper Sec. III-A).
+:class:`SramBudget` checks that a worker configuration actually fits —
+the constraint that shapes how large ``b`` (and therefore the candidate
+count) may grow.
 
 :class:`TileCoreModel` prices the worker's compute phases in cycles from
 the FLOP counts of paper Table III plus overhead factors, and is the
@@ -8,9 +14,9 @@ higher-level cycle model (:mod:`repro.core.cycle_model`) uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["TileCoreModel", "FlopCounts", "TABLE3_FLOPS"]
+__all__ = ["SramBudget", "TileCoreModel", "FlopCounts", "TABLE3_FLOPS"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,70 @@ TABLE3_FLOPS = {
     "interaction": FlopCounts(adds=14, muls=19, other=3),
     "fixed": FlopCounts(adds=8, muls=2, other=2),
 }
+
+
+@dataclass
+class SramBudget:
+    """SRAM accounting for one worker tile.
+
+    All sizes in bytes; FP32 storage throughout (the WSE implementation
+    is single precision).
+    """
+
+    capacity: int = 48 * 1024
+    word: int = 4
+
+    def atom_state(self) -> int:
+        """Identity, position, velocity, type: i32 + 3f + 3f + i32."""
+        return self.word * 8
+
+    def candidate_buffers(self, b: int) -> int:
+        """Receive buffers for one exchange: (2b+1)^2 atom records.
+
+        Each record: id + position (4 words) during candidate exchange,
+        plus one word per candidate for the embedding-derivative
+        exchange, plus the gathered (compacted) copy used for vectorized
+        force evaluation.
+        """
+        n = (2 * b + 1) ** 2
+        record = 4 * self.word
+        gathered = 4 * self.word
+        embed = self.word
+        return n * (record + gathered + embed)
+
+    def table_bytes(self, n_rho_knots: int, n_phi_knots: int, n_embed_knots: int) -> int:
+        """Spline tables: 4 coefficient words per segment."""
+        return 4 * self.word * (
+            (n_rho_knots - 1) + (n_phi_knots - 1) + (n_embed_knots - 1)
+        )
+
+    def total(
+        self,
+        b: int,
+        *,
+        n_rho_knots: int = 64,
+        n_phi_knots: int = 64,
+        n_embed_knots: int = 64,
+        code_and_stack: int = 8 * 1024,
+    ) -> int:
+        """Total footprint of a worker configuration."""
+        return (
+            self.atom_state()
+            + self.candidate_buffers(b)
+            + self.table_bytes(n_rho_knots, n_phi_knots, n_embed_knots)
+            + code_and_stack
+        )
+
+    def fits(self, b: int, **kwargs) -> bool:
+        """Does the configuration fit in tile SRAM?"""
+        return self.total(b, **kwargs) <= self.capacity
+
+    def max_b(self, **kwargs) -> int:
+        """Largest neighborhood half-width that fits."""
+        b = 1
+        while self.fits(b + 1, **kwargs):
+            b += 1
+        return b
 
 
 @dataclass
@@ -73,4 +143,12 @@ class TileCoreModel:
         """Embedding + integration + loop control per timestep."""
         return TABLE3_FLOPS["fixed"].total / self.flops_per_cycle + (
             self.overhead_fixed
+        )
+
+    def flops_per_step(self, n_candidate: float, n_interaction: float) -> float:
+        """Algorithm-specified FLOPs per atom per timestep (Table III)."""
+        return (
+            TABLE3_FLOPS["candidate"].total * n_candidate
+            + TABLE3_FLOPS["interaction"].total * n_interaction
+            + TABLE3_FLOPS["fixed"].total
         )

@@ -1,29 +1,56 @@
-"""Cycle tracing (paper Sec. IV-B type 2, V-B).
+"""Cycle tracing and stability statistics (paper Sec. IV-B type 2, V-B).
 
 The paper's controlled measurements record a hardware cycle counter at
 the end of every timestep on every tile, then report two stabilities:
 the per-tile standard deviation of timestep time (0.11 %), and the
 standard deviation of the *array-averaged* timestep time (91 ppm).
-:class:`CycleTrace` holds the per-tile, per-timestep cycle samples both
-are reduced from (``benchmarks/bench_table2_regression.py``).
+:class:`CycleTrace` reproduces both reductions from per-tile,
+per-timestep cycle samples.
 
-A trace is bounded: whole-run reductions (per-step maximum and mean)
-are kept for every step, the per-tile planes themselves only for the
-last :data:`WINDOW_STEPS` steps — three planes per step would otherwise
-grow by ~20 MB a step on the paper grid.
+A trace is bounded: whole-run reductions (per-step maximum and mean,
+a running sum of squares) are kept for every step, the per-tile
+planes themselves only for the last :data:`WINDOW_STEPS` steps — three
+planes per step would otherwise grow by ~20 MB a step on the paper
+grid.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CycleTrace", "WINDOW_STEPS"]
+__all__ = ["CycleTrace", "StabilityReport", "WINDOW_STEPS"]
 
 #: Most recent steps whose per-tile planes a trace retains (cycles as
 #: float64, work counts as int32: 16 bytes per tile per step).
 WINDOW_STEPS = 8
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    """Timestep-time stability in the paper's two senses.
+
+    Attributes
+    ----------
+    mean_cycles:
+        Mean timestep duration across all tiles and steps.
+    per_tile_std:
+        Standard deviation of per-tile timestep samples.
+    per_tile_rel:
+        ``per_tile_std / mean_cycles`` (the paper reports 0.11 %).
+    array_avg_std:
+        Standard deviation of per-step array-averaged durations.
+    array_avg_rel:
+        ``array_avg_std / mean_cycles`` (the paper reports 91 ppm).
+    """
+
+    mean_cycles: float
+    per_tile_std: float
+    per_tile_rel: float
+    array_avg_std: float
+    array_avg_rel: float
 
 
 class CycleTrace:
@@ -33,9 +60,11 @@ class CycleTrace:
         if n_tiles < 1:
             raise ValueError(f"need at least one tile, got {n_tiles}")
         self.n_tiles = n_tiles
-        # whole run: one scalar pair per step
+        # whole run: one scalar pair per step plus the running sum of
+        # squares (the first moment is the mean of the step means)
         self._step_max: list[float] = []
         self._step_mean: list[float] = []
+        self._sum_sq = 0.0
         # recent window: the per-tile planes
         self._steps: deque[np.ndarray] = deque(maxlen=WINDOW_STEPS)
         self._candidates: deque[np.ndarray] = deque(maxlen=WINDOW_STEPS)
@@ -76,6 +105,10 @@ class CycleTrace:
         self._steps.append(arr)
         self._step_max.append(float(arr.max()))
         self._step_mean.append(float(arr.sum()) / self.n_tiles)
+        # einsum, not np.dot: a BLAS dot this long wakes OpenBLAS's
+        # worker, which then spins on the other CPU through the next
+        # step's sweep threads
+        self._sum_sq += float(np.einsum("i,i", arr, arr))
 
     def _tile_array(self, values, dtype) -> np.ndarray:
         arr = np.asarray(values, dtype=dtype).ravel()
@@ -143,3 +176,19 @@ class CycleTrace:
     def total_cycles(self) -> float:
         """Whole-run cycle count (sum of per-step maxima)."""
         return float(self.step_cycles(reduce="max").sum())
+
+    def stability(self) -> StabilityReport:
+        """Both of the paper's stability statistics, over the whole run
+        (from the running moments and the per-step means)."""
+        array_avg = self.step_cycles(reduce="mean")
+        mean = float(array_avg.mean())
+        mean_sq = self._sum_sq / (self.n_steps * self.n_tiles)
+        per_tile_std = max(mean_sq - mean * mean, 0.0) ** 0.5
+        array_avg_std = float(array_avg.std())
+        return StabilityReport(
+            mean_cycles=mean,
+            per_tile_std=per_tile_std,
+            per_tile_rel=per_tile_std / mean if mean else 0.0,
+            array_avg_std=array_avg_std,
+            array_avg_rel=array_avg_std / mean if mean else 0.0,
+        )

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.cpu_model import QUARTZ_MODELS, SKYLAKE_LJ_MODEL
 from repro.baselines.gpu_model import FRONTIER_MODELS, V100_LJ_MODEL
 from repro.baselines.platform import FRONTIER, QUARTZ
-from repro.baselines.sweep import sweep_cpu, sweep_gpu
+from repro.baselines.sweep import powers_of_two, sweep_cpu, sweep_gpu
 
 N_PAPER = 801_792
 
@@ -94,13 +94,15 @@ class TestPlatforms:
             QUARTZ.power(100_000)
 
 
-#: 1, 2, 4, ..., 2048 GCDs
-GCD_COUNTS = [2 ** k for k in range(12)]
-
-
 class TestSweeps:
+    def test_powers_of_two(self):
+        assert powers_of_two(1, 8) == [1, 2, 4, 8]
+        assert powers_of_two(3, 20) == [4, 8, 16]
+        with pytest.raises(ValueError):
+            powers_of_two(0, 4)
+
     def test_gpu_sweep_shape(self):
-        pts = sweep_gpu(FRONTIER_MODELS["Ta"], FRONTIER, N_PAPER, GCD_COUNTS)
+        pts = sweep_gpu(FRONTIER_MODELS["Ta"], FRONTIER, N_PAPER)
         rates = [p.rate_steps_per_s for p in pts]
         # rises then flattens/declines
         assert max(rates) == pytest.approx(1_530, rel=0.05)
@@ -114,6 +116,6 @@ class TestSweeps:
 
     def test_gpu_best_efficiency_at_one_gcd(self):
         """Paper: best GPU energy efficiency using only one GCD."""
-        pts = sweep_gpu(FRONTIER_MODELS["Ta"], FRONTIER, N_PAPER, GCD_COUNTS)
+        pts = sweep_gpu(FRONTIER_MODELS["Ta"], FRONTIER, N_PAPER)
         best = max(pts, key=lambda p: p.steps_per_joule)
         assert best.units == 1

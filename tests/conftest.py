@@ -94,11 +94,6 @@ def runner_over(sim):
     return Runner(ReferenceEngine(RunSpec(engine="reference"), sim))
 
 
-def periodic_cube(length: float) -> Box:
-    """A fully periodic cubic box."""
-    return Box(np.full(3, float(length)), np.ones(3, dtype=bool))
-
-
 class ListSink:
     """A trace sink that keeps closed spans in memory."""
 
@@ -131,11 +126,6 @@ def total_energy(potential, n_atoms, pairs, types=None) -> float:
     """Total potential energy (eV) of a pair table."""
     e, _ = potential.compute(n_atoms, pairs, types)
     return float(np.sum(e))
-
-
-def momentum(state: AtomsState) -> np.ndarray:
-    """Total momentum vector (g/mol * A/ps)."""
-    return (state.atom_masses[:, None] * state.velocities).sum(axis=0)
 
 
 def legacy_candidates(cells, positions, reach, live=None, seam=False):

@@ -1,8 +1,8 @@
 """Failure injection: the machine detects broken invariants loudly.
 
-The wafer algorithm rests on invariants (neighborhood coverage, finite
-state); these tests verify that violations surface as errors or
-detections rather than silent corruption.
+The wafer algorithm rests on invariants (neighborhood coverage, SRAM
+capacity, finite state); these tests verify that violations surface as
+errors or detections rather than silent corruption.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from repro.potentials.elements import make_element_potential
 from repro.runtime import RunSpec, build_engine
 from repro.wse.fabric import ChainFabric
 from repro.wse.router import MarchingRouter, RouterState
+from repro.wse.tile import SramBudget
 from repro.wse.wavelet import RouterCommand, Wavelet, WaveletKind
 from tests.conftest import small_slab_state
 
@@ -179,3 +180,16 @@ class TestFabricMisconfiguration:
                 r.state = RouterState.BODY
         with pytest.raises(RuntimeError, match="did not drain|stuck"):
             fabric.run(max_cycles=200)
+
+
+class TestSramPressure:
+    def test_paper_b_values_fit_with_margin(self):
+        budget = SramBudget()
+        for b in (4, 7):
+            assert budget.total(b) < budget.capacity * 0.9
+
+    def test_capacity_exceeded_is_detectable(self):
+        budget = SramBudget()
+        big_b = budget.max_b() + 1
+        assert not budget.fits(big_b)
+        assert budget.total(big_b) > budget.capacity

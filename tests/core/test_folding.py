@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.folding import FabricProjection, fold_coordinate
+from repro.core.folding import FabricProjection, circle_distance, fold_coordinate
 from repro.md.boundary import Box
 
 
@@ -37,8 +37,7 @@ class TestFoldCoordinate:
         length = 25.0
         w1 = fold_coordinate(np.array([u1]), length)[0]
         w2 = fold_coordinate(np.array([u2]), length)[0]
-        d = abs(u1 - u2) % length
-        d = min(d, length - d)  # distance on the circle
+        d = circle_distance(np.array([u1]), np.array([u2]), length)[0]
         assert abs(w1 - w2) <= 2.0 * d + 1.0 + 1e-9
 
     def test_output_range(self):
@@ -46,6 +45,19 @@ class TestFoldCoordinate:
         w = fold_coordinate(u, 30.0)
         assert w.min() >= -1.0 - 1e-9
         assert w.max() <= 30.0 + 1e-9
+
+
+class TestCircleDistance:
+    def test_wraps(self):
+        assert circle_distance(1.0, 19.0, 20.0) == pytest.approx(2.0)
+
+    def test_symmetry(self):
+        assert circle_distance(3.0, 15.0, 20.0) == circle_distance(
+            15.0, 3.0, 20.0
+        )
+
+    def test_max_is_half_period(self):
+        assert circle_distance(0.0, 10.0, 20.0) == pytest.approx(10.0)
 
 
 class TestFabricProjection:

@@ -132,6 +132,13 @@ class TestBuildMapping:
         assert per.shape == (slab.n_atoms,)
         assert m.assignment_cost(slab.positions) == pytest.approx(per.max())
 
+    def test_occupancy_counts(self):
+        slab, box = slab_and_box()
+        m = build_mapping(slab.positions, box)
+        occ = m.occupancy()
+        assert occ.sum() == slab.n_atoms
+        assert occ.shape == (m.grid.nx, m.grid.ny)
+
     def test_explicit_grid_respected(self):
         slab, box = slab_and_box("Ta", (4, 4, 2))
         g = TileGrid(30, 30)

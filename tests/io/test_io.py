@@ -1,6 +1,7 @@
 """I/O round trips: xyz, table rendering."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ class TestTable:
         t = Table("demo", ["a", "b"])
         with pytest.raises(ValueError, match="cells"):
             t.add_row(1)
+
+    def test_json_serialization(self, tmp_path):
+        t = Table("demo", ["x"])
+        t.add_row(3.14)
+        p = tmp_path / "t.json"
+        t.to_json(p)
+        data = json.loads(p.read_text())
+        assert data["title"] == "demo"
+        assert data["rows"] == [[3.14]]
 
     def test_thousands_formatting(self):
         t = Table("demo", ["rate"])

@@ -64,3 +64,18 @@ class TestFrames:
         write_xyz(make_state(1), buf)
         buf.seek(0)
         assert len(read_xyz_frames(buf)) == 2
+
+
+class TestFacilityStrongScaling:
+    def test_rate_flat_with_node_count(self):
+        """Sec. VI-D outlook: wafer clusters buy capacity, not rate."""
+        from repro.perfmodel.multiwafer import MultiWaferModel
+        m = MultiWaferModel()
+        sweep = m.facility_strong_scaling(
+            "Ta", 40_000_000, 8, 88, 1.39, 3.65e-6, 274_016,
+        )
+        rates = [p.rate_steps_per_s for _, p in sweep]
+        assert max(rates) / min(rates) < 1.05
+        # subdomains shrink with node count
+        interiors = [p.n_interior for _, p in sweep]
+        assert interiors[0] > interiors[-1]

@@ -20,7 +20,6 @@ from repro.md.boundary import Box
 from repro.md.cell_list import CellList
 from repro.md.neighbor_list import build_candidates
 from repro.potentials.elements import ELEMENTS
-from tests.conftest import periodic_cube
 from tests.md.test_cell_list import BOX_KINDS, assert_sweep_is_the_staged_oracle
 
 _NATIVE_STATUS = kernels.backend_status()["native"]
@@ -101,7 +100,7 @@ class TestCellPairsEquivalence:
 
     def test_pairs_within_runs_the_active_tier(self, monkeypatch):
         rng = np.random.default_rng(2)
-        cells = CellList(periodic_cube(12.0), 3.0)
+        cells = CellList(Box.cube_periodic(12.0), 3.0)
         cells.build(rng.uniform(0.0, 12.0, size=(200, 3)))
         seen = []
         for tier in (native_backend, numpy_backend):

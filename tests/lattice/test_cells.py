@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.lattice.cells import BCC, FCC, SC, BravaisCell
+from repro.lattice.cells import BCC, FCC, SC, BravaisCell, cell_by_name
 
 
 class TestCells:
@@ -22,6 +22,18 @@ class TestCells:
     def test_atomic_volume(self):
         assert FCC.atomic_volume(3.615) == pytest.approx(3.615**3 / 4)
         assert BCC.atomic_volume(3.304) == pytest.approx(3.304**3 / 2)
+
+    def test_number_density_inverse_of_volume(self):
+        for cell in (FCC, BCC, SC):
+            assert cell.number_density(2.0) * cell.atomic_volume(2.0) == (
+                pytest.approx(1.0)
+            )
+
+    def test_lookup_by_name(self):
+        assert cell_by_name("FCC") is FCC
+        assert cell_by_name("bcc") is BCC
+        with pytest.raises(ValueError, match="unknown structure"):
+            cell_by_name("hcp")
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Thin-slab geometry tests."""
 
 import numpy as np
+import pytest
 
 from repro.lattice.cells import BCC
-from repro.lattice.slab import make_slab
+from repro.lattice.slab import make_slab, slab_for_element
 from repro.potentials.elements import ELEMENTS
 
 
@@ -26,14 +27,27 @@ class TestMakeSlab:
 class TestSlabForElement:
     def test_full_scale_matches_table1(self):
         el = ELEMENTS["Ta"]
-        s = make_slab(el.cell, el.lattice_constant, el.replication)
+        s = slab_for_element(el)
         assert s.n_atoms == 801_792
+
+    def test_scaled_preserves_thickness(self):
+        el = ELEMENTS["Cu"]
+        full = slab_for_element(el)
+        small = slab_for_element(el, scale=0.1)
+        assert np.ptp(small.positions[:, 2]) == pytest.approx(
+            np.ptp(full.positions[:, 2])
+        )
+        assert small.n_atoms < full.n_atoms * 0.05
+
+    def test_rejects_bad_scale(self):
+        with pytest.raises(ValueError):
+            slab_for_element(ELEMENTS["Ta"], scale=1.5)
 
     def test_paper_slab_dimensions(self):
         # ~60nm x 60nm x 2nm (Sec. IV-B): in-plane extents of the same
         # order, z about 2 nm
         el = ELEMENTS["Ta"]
-        s = make_slab(el.cell, el.lattice_constant, el.replication)
+        s = slab_for_element(el)
         extent = np.ptp(s.positions, axis=0)
         assert 600 < extent[0] < 1000  # A
         assert 600 < extent[1] < 1000

@@ -15,7 +15,7 @@ from repro.kernels import numpy_backend
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList, all_pairs, concatenated_ranges
 from repro.potentials.elements import ELEMENTS
-from tests.conftest import legacy_candidates, periodic_cube, small_slab_state
+from tests.conftest import legacy_candidates, small_slab_state
 
 
 def undirected_set(i, j):
@@ -117,6 +117,18 @@ class TestStructure:
         # each unordered pair once: never both (a, b) and (b, a)
         assert all((b, a) not in seen for a, b in seen)
         assert all(a != b for a, b in seen)
+
+    def test_directed_view_doubles(self):
+        rng = np.random.default_rng(1)
+        pos = rng.uniform(0, 8, size=(20, 3))
+        box = Box.open([20, 20, 20])
+        cl = CellList(box, 3.0)
+        cl.build(pos)
+        hi, hj = cl.candidate_pairs()
+        di, dj = cl.directed_candidate_pairs()
+        assert len(di) == 2 * len(hi)
+        s = set(zip(di.tolist(), dj.tolist()))
+        assert all((b, a) in s for a, b in s)
 
     def test_no_self_pairs_with_duplicated_positions(self):
         # two atoms at identical positions: pair appears, but no (i, i)
@@ -230,7 +242,7 @@ class TestStreamingSweep:
 
     def test_brute_fallback_returns_raw_stream_whole(self):
         rng = np.random.default_rng(3)
-        box = periodic_cube(7.0)  # < 3 cells at cutoff 3
+        box = Box.cube_periodic(7.0)  # < 3 cells at cutoff 3
         cells = CellList(box, 3.0)
         cells.build(rng.uniform(0, 7.0, size=(12, 3)))
         i, j, n_raw = cells.pairs_within(3.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import MVV2E
 from repro.md.boundary import Box
-from repro.md.integrators import LeapfrogVerlet, accelerations
+from repro.md.integrators import LeapfrogVerlet, VelocityVerlet, accelerations
 from repro.md.state import AtomsState
 
 
@@ -90,3 +90,27 @@ class TestLeapfrog:
     def test_rejects_bad_timestep(self):
         with pytest.raises(ValueError):
             LeapfrogVerlet(0.0)
+
+
+class TestVelocityVerlet:
+    def test_matches_leapfrog_positions(self):
+        """Same discrete trajectory when started consistently."""
+        k = 1.5
+        m = 10.0
+        dt_fs = 1.0
+        # leapfrog run
+        s1 = free_particle_state(v=0.0)
+        s1.positions[0, 0] = 1.0
+        # consistent start: leapfrog velocity is v(-dt/2)
+        a0 = -k * 1.0 / (m * MVV2E)
+        s1.velocities[0, 0] = -0.5 * a0 * (dt_fs / 1000.0)
+        lf = LeapfrogVerlet(dt_fs)
+        # velocity verlet run
+        s2 = free_particle_state(v=0.0)
+        s2.positions[0, 0] = 1.0
+        vv = VelocityVerlet(dt_fs)
+        forces = -k * s2.positions
+        for _ in range(100):
+            lf.step(s1, -k * s1.positions)
+            forces = vv.step(s2, forces, lambda st: -k * st.positions)
+        assert s1.positions[0, 0] == pytest.approx(s2.positions[0, 0], abs=1e-10)

@@ -14,7 +14,6 @@ from repro.md.neighbor_list import Candidates, NeighborList
 from repro.potentials.base import PairTable
 from repro.runtime import RunSpec
 from repro.runtime.engines import build_engine
-from tests.conftest import periodic_cube
 
 
 @pytest.fixture(autouse=True)
@@ -227,7 +226,7 @@ class TestBuildGeometryReuse:
     def test_rebuild_query_equals_a_fresh_kernel_query(
         self, cluster, skin, periodic
     ):
-        box = periodic_cube(10.0) if periodic else Box.open([25, 25, 25])
+        box = Box.cube_periodic(10.0) if periodic else Box.open([25, 25, 25])
         nl = NeighborList(box, 3.0, skin=skin)
         table = nl.pairs(cluster)
         assert nl.n_builds == 1

@@ -34,7 +34,9 @@ class TestAccumulation:
         st = lj_sim.stats
         assert st.steps == 0
         assert st.force_evaluations == 0
+        assert st.wall_time_s == 0.0
         assert st.pairs_per_step == 0.0
+        assert st.steps_per_s == 0.0
 
     def test_counts_steps_and_evaluations(self, lj_sim):
         lj_sim.run(5)
@@ -59,6 +61,11 @@ class TestAccumulation:
         st = lj_sim.stats
         assert st.force_evaluations == 1
         assert st.steps == 0
+
+    def test_steps_per_s_consistent(self, lj_sim):
+        lj_sim.run(3)
+        st = lj_sim.stats
+        assert st.steps_per_s == pytest.approx(st.steps / st.wall_time_s)
 
 
 class TestObserverSnapshot:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.md.simulation import Simulation
-from repro.md.thermostat import BerendsenThermostat
-from tests.conftest import bulk_state, momentum, runner_over, small_slab_state
+from tests.conftest import bulk_state, runner_over, small_slab_state
 
 #: the serial loop, and the same loop handed a layout: two shard workers
 #: step the atoms (an open slab, so the pipeline takes it)
@@ -19,7 +18,6 @@ def _run_closing(sim, n_steps):
         sim.run(n_steps)
     finally:
         sim.close()
-
 
 class TestConservation:
     def test_energy_conservation_bulk_ta(self, ta_potential):
@@ -48,9 +46,9 @@ class TestConservation:
         # partials: Newton's third law must survive the reduction
         state = small_slab_state("Ta", (4, 4, 2), temperature=290.0)
         sim = Simulation(state, ta_potential, dt_fs=2.0, workers=workers)
-        p0 = momentum(state)
+        p0 = state.momentum()
         _run_closing(sim, 80)
-        assert np.allclose(momentum(state), p0, atol=1e-7 * state.n_atoms)
+        assert np.allclose(state.momentum(), p0, atol=1e-7 * state.n_atoms)
 
     def test_smaller_timestep_conserves_better(self, ta_potential):
         drifts = []
@@ -133,15 +131,20 @@ class TestDriverMechanics:
         with pytest.raises(ValueError):
             sim.run(-1)
 
+    def test_equilibrate_restores_thermostat(self, ta_potential):
+        state = small_slab_state("Ta", (3, 3, 2), temperature=100.0)
+        sim = Simulation(state, ta_potential)
+        sim.equilibrate(10, 290.0)
+        assert sim.thermostat is None
+
     @layouts
     def test_equilibration_warms_system(self, ta_potential, workers):
         # sharded, the parent-side thermostat costs a velocity pull and
         # push per step; the ranks must integrate the rescaled values
         state = small_slab_state("Ta", (4, 4, 2), temperature=50.0, seed=3)
-        sim = Simulation(state, ta_potential, workers=workers,
-                         thermostat=BerendsenThermostat(290.0, 50.0))
+        sim = Simulation(state, ta_potential, workers=workers)
         try:
-            sim.run(300)
+            sim.equilibrate(300, 290.0, tau_fs=50.0)
         finally:
             sim.close()
         assert state.temperature() > 150.0

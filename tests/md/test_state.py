@@ -74,6 +74,11 @@ class TestObservables:
             2 * s.kinetic_energy() / (3 * 1000 * KB_EV)
         )
 
+    def test_momentum_zero_for_zero_velocities(self):
+        s = make_state()
+        s.velocities[:] = 0
+        assert np.allclose(s.momentum(), 0)
+
 
 class TestCopyReorder:
     def test_copy_is_deep(self):
@@ -81,6 +86,18 @@ class TestCopyReorder:
         c = s.copy()
         c.positions[0, 0] = 999.0
         assert s.positions[0, 0] != 999.0
+
+    def test_reorder_moves_ids_with_atoms(self):
+        s = make_state(5)
+        perm = np.array([4, 3, 2, 1, 0])
+        r = s.reorder(perm)
+        assert r.ids.tolist() == [4, 3, 2, 1, 0]
+        assert np.allclose(r.positions[0], s.positions[4])
+
+    def test_reorder_rejects_non_permutation(self):
+        s = make_state(5)
+        with pytest.raises(ValueError):
+            s.reorder(np.array([0, 0, 1, 2, 3]))
 
     def test_from_positions_factory(self):
         pos = np.random.default_rng(0).uniform(0, 5, (6, 3))

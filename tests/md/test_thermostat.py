@@ -11,7 +11,6 @@ from repro.md.thermostat import (
     rescale_to_temperature,
     zero_net_momentum,
 )
-from tests.conftest import momentum
 
 
 def state(n=500, seed=0):
@@ -30,7 +29,7 @@ class TestMaxwellBoltzmann:
     def test_zero_momentum(self):
         s = state()
         maxwell_boltzmann_velocities(s, 290.0, np.random.default_rng(1))
-        p = momentum(s)
+        p = s.momentum()
         assert np.allclose(p / s.n_atoms, 0.0, atol=1e-10)
 
     def test_zero_temperature_zeroes_velocities(self):
@@ -79,7 +78,7 @@ class TestRescale:
         s = state()
         s.velocities[:] = [1.0, 2.0, 3.0]
         zero_net_momentum(s)
-        assert np.allclose(momentum(s), 0.0, atol=1e-9)
+        assert np.allclose(s.momentum(), 0.0, atol=1e-9)
 
 
 class TestBerendsen:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perfmodel.energy import EfficiencyPoint, pareto_front
+from repro.perfmodel.energy import EfficiencyPoint, EnergyModel, pareto_front
 
 
 def pt(machine, rate, power, units=1.0, element="Ta"):
@@ -16,6 +16,20 @@ class TestEfficiency:
     def test_wse_steps_per_joule(self):
         p = pt("WSE", 274_016, 23_000)
         assert p.steps_per_joule == pytest.approx(11.9, rel=0.01)
+
+    def test_relative_normalization(self):
+        wse = pt("WSE", 274_016, 23_000)
+        gpu = pt("Frontier", 1_530, 13_760)
+        rel_perf, rel_eff = wse.relative_to(gpu)
+        assert rel_perf == pytest.approx(1_530 / 274_016)
+        # WSE ~100x more efficient (paper: one to two orders)
+        assert 1.0 / rel_eff > 30
+
+    def test_energy_model_power(self):
+        m = EnergyModel(unit_power_watts=430.0)
+        assert m.power(32) == pytest.approx(13_760)
+        with pytest.raises(ValueError):
+            m.power(0)
 
 
 class TestParetoFront:

@@ -23,6 +23,11 @@ class TestPaperModel:
             expected, rel=0.001
         )
 
+    def test_relative_error_against_measured(self):
+        # paper Table I "Prediction (error)": Ta 1.4%
+        err = PAPER_TABLE2.relative_error(274_016, 80, 14)
+        assert err == pytest.approx(0.014, abs=0.003)
+
     def test_vectorized_step_time(self):
         t = PAPER_TABLE2.step_time_ns(np.array([80, 224]), np.array([14, 42]))
         assert t.shape == (2,)

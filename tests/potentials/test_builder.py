@@ -44,6 +44,11 @@ class TestRoseEOS:
     def test_minimum_at_equilibrium(self):
         eos = RoseEOS(cohesive_energy=3.54, bulk_modulus=0.86, atomic_volume=11.8)
         assert eos.energy(np.array([1.0]))[0] == pytest.approx(-3.54)
+        assert eos.energy_derivative(np.array([1.0]))[0] == pytest.approx(0.0)
+
+    def test_curvature_equals_9_b_omega(self):
+        eos = RoseEOS(cohesive_energy=3.54, bulk_modulus=0.86, atomic_volume=11.8)
+        assert eos.curvature_check() == pytest.approx(9 * 0.86 * 11.8)
 
     def test_energy_approaches_zero_at_large_separation(self):
         eos = RoseEOS(cohesive_energy=8.1, bulk_modulus=1.2, atomic_volume=18.0)

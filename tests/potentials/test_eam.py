@@ -44,6 +44,9 @@ class TestTables:
     def test_phi_symmetric_lookup(self, ta_tables):
         assert ta_tables.phi_for(0, 0) is ta_tables.phi[(0, 0)]
 
+    def test_sram_footprint_positive(self, ta_tables):
+        assert ta_tables.sram_bytes() > 0
+
 
 class TestDimerPhysics:
     """Two Ta atoms: everything can be computed by hand from the tables."""

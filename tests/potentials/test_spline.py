@@ -370,3 +370,10 @@ class TestFrozenEvaluate:
             assert (a.dtype, a.shape) == (b.dtype, b.shape) == (
                 np.float64, shape)
             assert a.tobytes() == b.tobytes()
+
+
+class TestSram:
+    def test_nbytes(self):
+        s = UniformCubicSpline(0.0, 1.0, np.zeros(65))
+        # 64 segments x 4 coefficients x 4 bytes
+        assert s.nbytes() == 64 * 4 * 4

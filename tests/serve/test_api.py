@@ -92,6 +92,15 @@ class TestOps:
         assert "result" not in listing[0]
         assert listing[0]["state"] == "done"
 
+    def test_status_and_unknown_job(self, tmp_path):
+        def run(client):
+            job_id = client.submit(SPEC.to_dict())["job"]["id"]
+            return client.status(job_id), client.status("j9999")
+
+        found, missing = _with_server(tmp_path, run)
+        assert found["ok"] and found["job"]["log"]
+        assert not missing["ok"] and "no such job" in missing["error"]
+
     def test_stats_include_cache_counters(self, tmp_path):
         def run(client):
             client.submit(SPEC.to_dict())

@@ -273,6 +273,15 @@ def test_stats_are_json_ready(tmp_path):
     assert stats["misses"] == 1
 
 
+def test_clear_empties_directory_but_keeps_it(tmp_path):
+    cache = ResultCache(tmp_path)
+    _populate(cache)
+    cache.clear()
+    assert cache.stats()["entries"] == 0
+    assert (tmp_path / "index.json").exists()
+    assert cache.lookup(SPEC.spec_hash(), 4) is None
+
+
 def test_concurrent_puts_from_worker_threads(tmp_path):
     # Every runner slot publishes through the same cache: racing puts
     # must not trip over each other's index.json.tmp -> index.json

@@ -275,8 +275,11 @@ class TestLifecycle:
     def test_close_cancels_outstanding_jobs(self, tmp_path):
         async def body():
             sched = _scheduler(tmp_path, slots=1)
-            running = await sched.submit(SPEC, steps=200)
-            queued = await sched.submit(SPEC, steps=300)
+            # long enough that a warm slot is still stepping it at close:
+            # 200 steps finished inside the sleep and let the queued job
+            # run to done
+            running = await sched.submit(SPEC, steps=20_000)
+            queued = await sched.submit(SPEC, steps=30_000)
             await asyncio.sleep(0.05)
             await sched.close()
             return running, queued

@@ -24,6 +24,10 @@ class TestMetalUnits:
 
 
 class TestTemperature:
+    def test_roundtrip(self):
+        ke = constants.temperature_to_kinetic_energy(300.0, 3000)
+        assert constants.kinetic_energy_to_temperature(ke, 3000) == pytest.approx(300.0)
+
     def test_zero_dof(self):
         assert constants.kinetic_energy_to_temperature(1.0, 0) == 0.0
 
@@ -41,7 +45,27 @@ class TestTemperature:
 
 
 class TestUnitHelpers:
+    def test_cycles_ns_roundtrip(self):
+        ns = units.cycles_to_ns(1000, 1e9)
+        assert ns == pytest.approx(1000.0)
+        assert units.ns_to_cycles(ns, 1e9) == pytest.approx(1000.0)
+
+    def test_steps_per_second(self):
+        assert units.steps_per_second(1000.0) == pytest.approx(1e6)
+        assert units.step_time_ns(1e6) == pytest.approx(1000.0)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            units.steps_per_second(0.0)
+        with pytest.raises(ValueError):
+            units.cycles_to_ns(10, 0.0)
+
     def test_simulated_time_per_day(self):
         # 274,016 steps/s at 2 fs -> ~47 us/day (the paper's Ta rate)
         us = units.simulated_time_per_day_us(274016, 2.0)
         assert us == pytest.approx(47.35, rel=0.01)
+
+    def test_timesteps_per_joule(self):
+        assert units.timesteps_per_joule(274016, 23000) == pytest.approx(
+            11.91, rel=0.01
+        )

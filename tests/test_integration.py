@@ -8,11 +8,11 @@ paper leads with.
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import FRONTIER_MODELS, QUARTZ_MODELS
 from repro.core import CycleCostModel
 from repro.perfmodel.linear import PAPER_TABLE2, fit_linear_model
 from repro.potentials.elements import ELEMENTS
-from repro.runtime import RunSpec, build_engine
 
 
 class TestHeadlineNumbers:
@@ -82,14 +82,36 @@ class TestSimulatedSweepRegression:
         assert fit.r_squared > 0.999
 
 
+class TestQuickstartApi:
+    def test_wse_quickstart(self):
+        sim = repro.quick_wse_simulation("Ta", reps=(5, 5, 2),
+                                         temperature=290.0)
+        sim.step(5)
+        assert sim.measured_rate() > 50_000
+
+    def test_reference_quickstart(self):
+        sim = repro.quick_reference_simulation("Ta", reps=(4, 4, 2),
+                                               temperature=290.0)
+        sim.run(5)
+        assert sim.step_count == 5
+
+    def test_both_engines_agree(self):
+        wse = repro.quick_wse_simulation("Cu", reps=(4, 4, 2),
+                                         temperature=150.0, seed=5)
+        ref = repro.quick_reference_simulation("Cu", reps=(4, 4, 2),
+                                               temperature=150.0, seed=5)
+        wse.step(10)
+        ref.run(10)
+        out = wse.gather_state()
+        assert np.allclose(out.positions, ref.state.positions, atol=1e-10)
+
+
 class TestWeakScalingInvariant:
     def test_per_tile_cycles_independent_of_system_size(self, ta_potential):
         """Fig. 8's mechanism: tiles do identical work at any scale."""
         rates = []
         for reps in ((4, 4, 2), (8, 8, 2)):
-            spec = RunSpec(element="Ta", reps=reps, temperature=0.0,
-                           engine="wse")
-            sim = build_engine(spec).sim
+            sim = repro.quick_wse_simulation("Ta", reps=reps, temperature=0.0)
             sim.step(1)
             rates.append(sim.measured_rate())
         # within a few percent despite 4x the atoms (b may differ by edge

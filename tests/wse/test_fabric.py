@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.wse.fabric import ChainFabric
+from repro.wse.fabric import ChainFabric, MulticastChainSim
 from repro.wse.multicast import (
     MarchingMulticastSchedule,
     exchange_cycle_model,
@@ -158,6 +158,18 @@ class TestChainFabric:
         for t in range(n):
             got = {src for src, _ in res.received[t]}
             assert got == set(range(max(0, t - b), t))
+
+
+class TestBidirectional:
+    def test_sources_cover_both_directions(self):
+        cyc, sources = MulticastChainSim(15, 3, 3).run()
+        assert cyc == stage_cycles(3, 3)
+        assert sorted(sources[7]) == [4, 5, 6, 8, 9, 10]
+
+    def test_edge_tiles_have_truncated_neighborhoods(self):
+        _, sources = MulticastChainSim(10, 3, 1).run()
+        assert sorted(sources[0]) == [1, 2, 3]
+        assert sorted(sources[9]) == [6, 7, 8]
 
 
 class TestExchangeModel:

@@ -17,6 +17,17 @@ class TestGrid:
         x, y = g.unflatten(idx)
         assert np.array_equal(g.flatten(x, y), idx)
 
+    def test_contains(self):
+        g = TileGrid(4, 4)
+        assert g.contains(0, 0)
+        assert g.contains(3, 3)
+        assert not g.contains(4, 0)
+        assert not g.contains(-1, 2)
+
+    def test_max_norm_distance(self):
+        assert TileGrid.max_norm_distance(0, 0, 3, 2) == 3
+        assert TileGrid.max_norm_distance(5, 5, 5, 5) == 0
+
 
 class TestNeighborhood:
     def test_offset_count(self):
@@ -38,6 +49,13 @@ class TestNeighborhood:
         # complete: every in-range offset present exactly once
         assert len(np.unique(offs, axis=0)) == len(offs) == 48
 
+    def test_neighborhood_clipped_at_edges(self):
+        g = TileGrid(5, 5)
+        pts = g.neighborhood(0, 0, 2)
+        assert len(pts) == 9  # 3x3 corner
+        pts = g.neighborhood(2, 2, 2)
+        assert len(pts) == 25
+
     def test_deterministic_arrival_order(self):
         """Offsets iterate raster-style: dy major, dx minor."""
         g = TileGrid(10, 10)
@@ -47,3 +65,26 @@ class TestNeighborhood:
             [-1, 0], [1, 0],
             [-1, 1], [0, 1], [1, 1],
         ]
+
+
+class TestStrips:
+    def test_partition_exact(self):
+        g = TileGrid(12, 4)
+        strips = g.strips(3)
+        assert strips == [(0, 3), (3, 6), (6, 9), (9, 12)]
+
+    def test_final_strip_narrow(self):
+        g = TileGrid(10, 4)
+        strips = g.strips(4)
+        assert strips[-1] == (8, 10)
+
+    def test_covers_all_columns(self):
+        g = TileGrid(17, 3)
+        covered = set()
+        for a, b in g.strips(5):
+            covered.update(range(a, b))
+        assert covered == set(range(17))
+
+    def test_rejects_bad_width(self):
+        with pytest.raises(ValueError):
+            TileGrid(5, 5).strips(0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.wse.machine import WSE2, MachineConfig
-from repro.wse.tile import TABLE3_FLOPS, TileCoreModel
+from repro.wse.tile import TABLE3_FLOPS, SramBudget, TileCoreModel
 from repro.wse.trace import WINDOW_STEPS, CycleTrace
 
 import numpy as np
@@ -48,7 +48,35 @@ class TestTable3Flops:
         ) == pytest.approx(7.1, abs=0.1)
 
 
+class TestSramBudget:
+    def test_paper_configs_fit(self):
+        budget = SramBudget()
+        # Ta b=4 and Cu/W b=7 must fit in 48 kB
+        assert budget.fits(4)
+        assert budget.fits(7)
+
+    def test_oversized_neighborhood_does_not_fit(self):
+        assert not SramBudget().fits(25)
+
+    def test_max_b_consistent(self):
+        budget = SramBudget()
+        b = budget.max_b()
+        assert budget.fits(b)
+        assert not budget.fits(b + 1)
+
+    def test_budget_grows_quadratically_with_b(self):
+        budget = SramBudget()
+        d1 = budget.candidate_buffers(4)
+        d2 = budget.candidate_buffers(8)
+        assert d2 / d1 == pytest.approx((17 / 9) ** 2, rel=0.01)
+
+
 class TestTileCoreModel:
+    def test_flops_per_step_ta(self):
+        model = TileCoreModel()
+        # Ta: 9*80 + 36*14 + 12 = 1236 FLOPs per atom-step
+        assert model.flops_per_step(80, 14) == 1236
+
     def test_cycle_costs_exceed_at_peak(self):
         model = TileCoreModel()
         assert model.candidate_cycles() > 9 / 2
@@ -57,6 +85,17 @@ class TestTileCoreModel:
 
 
 class TestCycleTrace:
+    def test_stability_reductions(self):
+        rng = np.random.default_rng(0)
+        trace = CycleTrace(n_tiles=100)
+        base = 3477.0
+        for _ in range(50):
+            trace.record(base * (1 + 0.0011 * rng.standard_normal(100)))
+        rep = trace.stability()
+        # array-averaging shrinks the std by ~sqrt(n_tiles)
+        assert rep.array_avg_rel < rep.per_tile_rel / 5
+        assert rep.per_tile_rel == pytest.approx(0.0011, rel=0.3)
+
     def test_step_cycles_max_vs_mean(self):
         trace = CycleTrace(4)
         trace.record([10.0, 20.0, 30.0, 40.0])
@@ -104,6 +143,12 @@ class TestCycleTrace:
         )
         np.testing.assert_allclose(
             trace.step_cycles(reduce="mean"), rows.mean(axis=1), rtol=1e-14
+        )
+        rep = trace.stability()
+        assert rep.mean_cycles == pytest.approx(rows.mean(), rel=1e-12)
+        assert rep.per_tile_std == pytest.approx(rows.std(), rel=1e-6)
+        assert rep.array_avg_std == pytest.approx(
+            rows.mean(axis=1).std(), rel=1e-9
         )
         # the window is the most recent steps
         assert np.array_equal(trace.as_array(), rows[-WINDOW_STEPS:])
