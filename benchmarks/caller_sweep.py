@@ -157,9 +157,11 @@ ENTRY_POINTS += [(f"example: {p.name}", [PY, str(p.relative_to(REPO))])
 ENTRY_POINTS += [(f"bench: {p.name}", _pytest(str(p.relative_to(REPO))))
                  for p in sorted((REPO / "benchmarks").glob("bench_*.py"))]
 
-#: the served session: (argv after ``python -m repro``) in order; the
-#: server is started first, ``KILL_SLOT`` kills one slot with SIGKILL and
-#: ``CANCEL`` cancels the job the step before it queued
+#: the served session: the server (argv after ``python -m repro``; each
+#: command gets ``--port`` after its name) is started first, then
+#: ``SERVE_STEPS`` run in order; ``KILL_SLOT`` kills one slot with
+#: SIGKILL and ``CANCEL`` cancels the job the step before it queued
+SERVE_ARGV = ["serve", "--slots", "2", "--cache-dir", "{tmp}/sc"]
 KILL_SLOT, CANCEL = "kill-slot", "cancel"
 SERVE_STEPS: list[list[str] | str] = [
     ["submit", "--spec", QUICK],                 # miss
@@ -209,7 +211,8 @@ def _free_port() -> int:
 def _serve_session(env: dict, tmp: str) -> None:
     port = str(_free_port())
     server = subprocess.Popen(
-        _repro("serve", "--port", port, "--slots", "2", "--cache-dir", f"{tmp}/sc"),
+        _repro(SERVE_ARGV[0], "--port", port,
+               *(a.replace("{tmp}", tmp) for a in SERVE_ARGV[1:])),
         cwd=REPO, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         for _ in range(100):

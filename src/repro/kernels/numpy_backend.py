@@ -270,11 +270,11 @@ def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil, live):
         keep &= src_live
     yield slots[keep], start[keep], count[keep]
     # Cross-cell pairs: each unordered cell pair visited from one
-    # side only (>= 2k+1 cells along periodic dims guarantees +o
-    # and -o never wrap to the same neighbor, see CellList.build).
-    # Per-(axis, shift) validity masks are shared across the
-    # offsets of one enumeration (a radius-k stencil reuses each
-    # shift mask ~(2k+1)^2 times).
+    # side only (the plan keeps +o and -o from wrapping onto the same
+    # neighbor: CellList.build falls back to brute force below 3
+    # cells along a periodic dim).  Per-(axis, shift) validity masks
+    # are shared across the offsets of one enumeration (the 13-offset
+    # half stencil reuses one shift mask up to 9 times).
     shift_masks: dict = {}
     nb = np.empty((n, 3), dtype=np.int64)
     for offset in np.asarray(stencil, dtype=np.int64).tolist():

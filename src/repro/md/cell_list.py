@@ -5,9 +5,9 @@ edge >= cutoff, and candidate pairs are drawn from each atom's 27-cell
 stencil.  Each undirected pair is generated exactly *once* (the half
 stencil plus ordered same-cell pairs), halving the candidate stream the
 distance filter and force kernels consume.  This module plans the
-sweep -- binning, the stable sort into cell order, the stencil and its
-pruning, the over-inclusion bound, the live-cell mask -- and the sweep
-itself is one call of the active tier's ``cell_pairs`` kernel
+sweep -- binning, the stable sort into cell order, the over-inclusion
+bound, the live-cell mask -- and the sweep itself is one call of the
+active tier's ``cell_pairs`` kernel
 (:mod:`repro.kernels`): the numpy body walks the blocks of
 :func:`~repro.kernels.numpy_backend.cell_blocks`, the one definition of
 the stream's order, with a Python loop over the stencil offsets only;
@@ -67,30 +67,17 @@ class CellList:
     Build once per neighbor-list rebuild; ``candidate_pairs`` then
     produces every undirected pair within the bin cutoff exactly once,
     and ``pairs_within`` the same stream already cut at a radius (the
-    form rebuilds consume).
-
-    ``subdivide=k`` bins at cell edge >= cutoff/k and widens the half
-    stencil to radius k (with corner blocks farther than the cutoff
-    pruned per build).  Finer cells hug the cutoff sphere tighter, so
-    the raw candidate stream the distance filter consumes shrinks —
-    at k=2 by roughly 40% — at the price of more stencil offsets per
-    build.  The candidate *set* within the cutoff is identical for
-    every k; only the enumeration order changes, so callers that pin
-    bitwise stream order must keep the default ``subdivide=1``.
-    Periodic dims need >= 2k+1 cells to stay alias-free; a build that
-    cannot afford that falls back to k=1 (then to brute force).
+    form rebuilds consume).  Cells have edge >= cutoff and the stencil
+    is the fixed 13-offset half of the 27-cell cube, for the serial
+    list and every shard rank alike.
     """
 
-    def __init__(self, box: Box, cutoff: float, subdivide: int = 1) -> None:
+    def __init__(self, box: Box, cutoff: float) -> None:
         if cutoff <= 0:
             raise ValueError(f"cutoff must be positive, got {cutoff}")
-        if subdivide < 1:
-            raise ValueError(f"subdivide must be >= 1, got {subdivide}")
         box.check_minimum_image_valid(cutoff)
         self.box = box
         self.cutoff = float(cutoff)
-        self.subdivide = int(subdivide)
-        self._stencil = _HALF_STENCIL
         # Decided at build time (open dims depend on the configuration).
         self._lo = np.zeros(3)
         self._ncell = np.ones(3, dtype=np.int64)
@@ -121,19 +108,12 @@ class CellList:
                 hi = float(positions[:, d].max()) + eps
                 lengths[d] = max(hi - lo, self.cutoff)
                 self._lo[d] = lo
-        # Finest alias-free subdivision this box affords: periodic dims
-        # need >= 2k+1 cells of edge >= cutoff/k for +o/-o offsets of a
-        # radius-k stencil to never wrap onto the same neighbor.
-        for k in range(self.subdivide, 0, -1):
-            ncell = np.maximum(
-                1, np.floor(lengths * k / self.cutoff).astype(np.int64)
-            )
-            if not np.any(self.box.periodic & (ncell < 2 * k + 1)):
-                break
-        self._ncell[:] = ncell
+        self._ncell[:] = np.maximum(
+            1, np.floor(lengths / self.cutoff).astype(np.int64)
+        )
         self._cell_size[:] = lengths / self._ncell
-        self._stencil = self._half_stencil(k)
-        # Alias-free stencil needs >= 3 cells along periodic dims.
+        # Alias-free stencil needs >= 3 cells along periodic dims: with
+        # fewer, +o and -o could wrap onto the same neighbor cell.
         self._use_brute = bool(
             np.any(self.box.periodic & (self._ncell < 3))
         )
@@ -170,32 +150,6 @@ class CellList:
         # blocks in these, one contiguous column per axis.
         np.take(positions.T, self._order, axis=1, out=self._cols)
         self._positions = positions
-
-    def _half_stencil(self, k: int) -> np.ndarray:
-        """Radius-``k`` half stencil, pruned to blocks within reach.
-
-        One offset per unordered offset pair (the positivity rule that
-        defines ``_HALF_STENCIL``), dropping offsets whose nearest cell
-        corners are already farther apart than the cutoff — at k >= 2
-        the corner blocks of the (2k+1)^3 cube can't hold any pair
-        within the cutoff sphere.  Pruning depends on the actual cell
-        sizes, so the stencil is recomputed each build.
-        """
-        if k == 1:
-            return _HALF_STENCIL
-        stencil = []
-        for o in itertools.product(range(-k, k + 1), repeat=3):
-            dx, dy, dz = o
-            if not (dz > 0 or (dz == 0 and dy > 0)
-                    or (dz == 0 and dy == 0 and dx > 0)):
-                continue
-            gap2 = sum(
-                (max(0, abs(o[d]) - 1) * self._cell_size[d]) ** 2
-                for d in range(3)
-            )
-            if gap2 <= self.cutoff * self.cutoff:
-                stencil.append(o)
-        return np.array(stencil, dtype=np.int64).reshape(-1, 3)
 
     def _bin_into_buffers(self, positions: np.ndarray) -> None:
         """Cell coords + flat cell ids, written into reused scratch."""
@@ -331,7 +285,7 @@ class CellList:
             live_cells = np.zeros(len(self._counts), dtype=bool)
             live_cells[self._cid[np.asarray(live, dtype=bool)]] = True
         return (self._cid_sorted, self._sorted_coords, self._starts,
-                self._counts, self._ncell, self.box.periodic, self._stencil,
+                self._counts, self._ncell, self.box.periodic, _HALF_STENCIL,
                 live_cells)
 
     def directed_candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:

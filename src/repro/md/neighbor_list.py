@@ -18,9 +18,9 @@ Three pieces, shared by the serial loop and every shard of
   displacement bound that feeds those cuts.
 
 :class:`NeighborList` is the trigger plus one :class:`Candidates`; a
-shard worker holds two (interior / boundary) and measures the
-displacement of the rows it owns, which its pipeline max-reduces and
-puts to the same trigger.
+shard worker holds one too, built by the same call on its tile's rows
+with its owned mask, and measures the displacement of the rows it
+owns, which its pipeline max-reduces and puts to the same trigger.
 
 Candidates and the resulting :class:`~repro.potentials.base.PairTable`
 are *half* lists — each undirected pair stored once, the software
@@ -223,22 +223,6 @@ class Candidates:
             cutoff, inclusive=False, assume_inside=all_inside,
         )
         return PairTable(i=i, j=j, rij=rij, r=r, half=True)
-
-    def split(self, mask: np.ndarray) -> tuple[Candidates, Candidates]:
-        """Partition into the candidates ``mask`` selects and the rest.
-
-        A stable mask split: candidate order within each part is the
-        build order, so the two parts in that fixed order are a
-        permutation of the original list.  ``r_build`` subsets ride
-        along, so the cuts of :meth:`pairs` stay available per part
-        (with per-part ``r_build_max``, which can only tighten the
-        bound).
-        """
-        rest = ~mask
-        return (
-            Candidates(self.i[mask], self.j[mask], self.r_build[mask]),
-            Candidates(self.i[rest], self.j[rest], self.r_build[rest]),
-        )
 
 
 def build_candidates(

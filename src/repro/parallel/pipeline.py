@@ -1,12 +1,14 @@
 """The sharded pipeline: shard-resident stepping over a transport.
 
 Between rebuilds every rank *owns* its tile — positions and velocities
-of its local (owned + ghost) rows, types, candidates, the rebuild
-reference — and runs the timestep itself; the parent is round clock,
-router and observer.  A steady step is **two** synchronous rounds, and
-only the partial sums of *seam rows* (rows local to more than one tile)
-move, routed holder <-> holder through :meth:`Transport.gather` /
-:meth:`Transport.scatter` over index lists cut once per rebuild
+of its local (owned + ghost) rows, types, one candidate set built as
+the serial list builds its own, the rebuild reference — and runs the
+timestep itself (one filter, one density and one pair-force pass per
+step); the parent is round clock, router and observer.  A steady step
+is **two** synchronous rounds, and only the partial sums of *seam
+rows* (rows local to more than one tile) move, routed holder <-> holder
+through :meth:`Transport.gather` / :meth:`Transport.scatter` over
+index lists cut once per rebuild
 (:func:`~repro.parallel.domains.seam_plan`):
 
 1. **force** (``pair_force`` phase) — seam ``rho`` partials are routed;
@@ -30,8 +32,9 @@ move, routed holder <-> holder through :meth:`Transport.gather` /
    only rounds that move full state.
 
 A plain ``dens`` round serves the evaluations no move precedes.  A
-single tile has no seam, so ``workers=1`` stays bitwise-serial; a run
-is bitwise-reproducible per topology and identical across transports.
+single tile has no seam and its candidates are the serial list's, so
+``workers=1`` stays bitwise-serial; a run is bitwise-reproducible per
+topology and identical across transports.
 
 **Authority is decided by value.**  The pipeline keeps the positions
 and velocities it last pulled or pushed; :meth:`advance` /
@@ -132,14 +135,6 @@ class ShardedForcePipeline:
             "masses": state.masses,
             "cutoff": float(potential.cutoff),
             "reach": self.reach,
-            # Tile builds bin at half the reach (radius-2 stencil): the
-            # finer grid hugs the reach sphere tighter, cutting the raw
-            # candidate stream the build prefilter consumes by ~40%.
-            # Only the enumeration *order* changes — the prefiltered
-            # candidate set is identical — so the w=1 bitwise-serial
-            # contract pins single-tile runs to the serial radius-1
-            # enumeration.
-            "build_subdivide": 1 if self.n_workers == 1 else 2,
         }
         # Per-rank capacities: a tile can hold every atom, and a row
         # with w holders is routed w - 1 partials.  Capacity is address

@@ -92,15 +92,14 @@ class ShardWorker:
     Between rebuilds the worker *owns* its tile: an
     :class:`~repro.md.state.AtomsState` of its local rows (owned +
     ghost, ascending global id; the velocities live only here), the
-    rebuild reference and the candidate list, held as the
-    **interior/boundary split** of what
-    :func:`~repro.md.neighbor_list.build_candidates` builds from the
-    local rows (interior candidates touch only owned rows, boundary
-    candidates a ghost).  Each class runs its own filter + kernel pass
-    and the per-atom results merge as whole partial sums in a pinned
-    order (``interior + boundary``); an empty class skips the merge, so
-    a single tile (no ghosts) computes the exact unsplit bits — the
-    ``w=1`` bitwise-serial hinge.
+    rebuild reference and **one** candidate set, built from the local
+    rows exactly as the serial list builds its own
+    (:func:`~repro.md.neighbor_list.build_candidates` over a
+    :class:`~repro.md.cell_list.CellList` at the reach, with the owned
+    mask as the seam rule).  Each step runs one filter, one density
+    and one pair-force pass on it; a single tile (no ghosts) therefore
+    runs the serial list's own calls on the serial list's own pairs —
+    the ``w=1`` bitwise-serial hinge.
 
     Where a row has several holders (a *seam* row) its per-tile partial
     sums meet in :meth:`_reduce` — at **every** holder, in one order, so
@@ -113,12 +112,12 @@ class ShardWorker:
     * ``("rebuild", n_local, bounds, seam, segs)`` — read a freshly
       planned pack (local positions, velocities, types), recompute the
       owned mask from the tile bounds, keep the seam plan
-      (:func:`~repro.parallel.domains.seam_plan`), rebuild and split
-      the candidates, then ``dens``; the reply adds the build's funnel.
+      (:func:`~repro.parallel.domains.seam_plan`), rebuild the
+      candidates, then ``dens``; the reply adds the build's funnel.
     * ``("dens",)`` — distance-filter under the local displacement
-      bound (any valid bound emits the same pairs), run the interior
-      then the boundary density pass, merge, stage the seam rows of
-      ``rho``.  Reply: ``n_pairs, density_seconds``.
+      bound (any valid bound emits the same pairs), run the density
+      pass, stage the seam rows of ``rho``.  Reply: ``n_pairs,
+      density_seconds``.
     * ``("force",)`` — reduce ``rho``, embed (elementwise, hence
       subset-safe), run the pair-force pass, stage the seam rows'
       pair-energy and force partials.  Reply: reduce + embed seconds.
@@ -147,10 +146,7 @@ class ShardWorker:
         self.cutoff = cfg["cutoff"]
         self.masses = cfg["masses"]
         # knows the box and the reach; buffers reused across rebuilds
-        self.cells = CellList(
-            cfg["box"], cfg["reach"],
-            subdivide=cfg.get("build_subdivide", 1),
-        )
+        self.cells = CellList(cfg["box"], cfg["reach"])
         self.state = None  # AtomsState of the local rows (see above)
         self.d_max = 0.0  # local displacement bound since the rebuild
 
@@ -168,60 +164,33 @@ class ShardWorker:
         self.owned = np.nonzero(mask)[0]
         self.ref = state.positions.copy()
         self.seam, self.segs = seam, segs
-        cand, _ = build_candidates(self.cells, state.positions, owned=mask)
-        self.cand_int, self.cand_bnd = cand.split(mask[cand.i] & mask[cand.j])
+        self.candidates, _ = build_candidates(
+            self.cells, state.positions, owned=mask
+        )
         self.d_max = 0.0
-        return cand.funnel
+        return self.candidates.funnel
 
-    def _two_phase_density(self) -> tuple:
-        """Interior filter + density, boundary filter + density, merge."""
-        st, box, n = self.state, self.cells.box, self.state.n_atoms
-        self.table_int = self.cand_int.pairs(
-            st.positions, box, self.cutoff, max_disp=self.d_max
+    def _density(self) -> tuple:
+        """Distance-filter the candidates, then the density pass."""
+        st = self.state
+        self.table = self.candidates.pairs(
+            st.positions, self.cells.box, self.cutoff, max_disp=self.d_max
         )
         td = time.perf_counter()
-        rho_int, self.cache_int = self.potential.fused_density(
-            n, self.table_int, st.types
+        rho, self.cache = self.potential.fused_density(
+            st.n_atoms, self.table, st.types
         )
         t_dens = time.perf_counter() - td
-        self.table_bnd = self.cand_bnd.pairs(
-            st.positions, box, self.cutoff, max_disp=self.d_max
-        )
-        td = time.perf_counter()
-        if self.table_bnd.n_pairs:
-            rho_bnd, self.cache_bnd = self.potential.fused_density(
-                n, self.table_bnd, st.types
-            )
-            # pinned merge order: interior partial + boundary partial;
-            # an empty class skips the merge so the populated class's
-            # bits pass through untouched (the w=1 exactness hinge)
-            if self.table_int.n_pairs:
-                rho = np.add(rho_int, rho_bnd, out=rho_int)
-            else:
-                rho = rho_bnd
-        else:
-            self.cache_bnd = {}
-            rho = rho_int
-        t_dens += time.perf_counter() - td
         self.rho, self.rho_mine = rho, self._stage("rho", rho)
-        return self.table_int.n_pairs + self.table_bnd.n_pairs, t_dens
+        return self.table.n_pairs, t_dens
 
     def _pair_force(self, f_der: np.ndarray) -> None:
-        """Interior pass, boundary pass, same pinned merge; stage the
-        seam rows' partials for the other holders."""
-        st, n = self.state, self.state.n_atoms
+        """The pair-force pass; stage the seam rows' partials for the
+        other holders."""
+        st = self.state
         e_pair, forces = self.potential.fused_pair_force(
-            n, self.table_int, f_der, st.types, cache=self.cache_int
+            st.n_atoms, self.table, f_der, st.types, cache=self.cache
         )
-        if self.table_bnd.n_pairs:
-            e_bnd, f_bnd = self.potential.fused_pair_force(
-                n, self.table_bnd, f_der, st.types, cache=self.cache_bnd
-            )
-            if self.table_int.n_pairs:
-                np.add(e_pair, e_bnd, out=e_pair)
-                np.add(forces, f_bnd, out=forces)
-            else:
-                e_pair, forces = e_bnd, f_bnd
         self.e_pair, self.e_mine = e_pair, self._stage("epair", e_pair)
         self.forces, self.f_mine = forces, self._stage("forces", forces)
 
@@ -275,10 +244,10 @@ class ShardWorker:
         tail: tuple = ()
         try:
             if cmd == "dens":
-                tail = self._two_phase_density()
+                tail = self._density()
             elif cmd == "rebuild":
                 funnel = self._rebuild(*msg[1:])
-                tail = (*self._two_phase_density(), funnel)
+                tail = (*self._density(), funnel)
             elif cmd == "force":
                 self._reduce(self.rho, self.rho_mine, "rho_in")
                 self.f_val, f_der = self.potential.embed(self.rho, st.types)
@@ -292,7 +261,7 @@ class ShardWorker:
                     tail = self._displacement()
                     tail += (time.perf_counter() - t0,)
                     if msg[2]:
-                        tail += self._two_phase_density()
+                        tail += self._density()
             elif cmd == "push":
                 for name in msg[1]:
                     getattr(st, name)[:] = ch.get(name, st.n_atoms)

@@ -84,9 +84,8 @@ def _neighbor_prefilter_inputs(rng):
 
 
 def _cell_pairs_inputs(rng):
-    """A built cell list's sweep (either subdivision, a live mask drawn)
-    over a cloud in a random box, partly outside it along periodic
-    dims."""
+    """A built cell list's sweep (a live mask drawn) over a cloud in a
+    random box, partly outside it along periodic dims."""
     from repro.md.boundary import Box
     from repro.md.cell_list import CellList
 
@@ -95,8 +94,7 @@ def _cell_pairs_inputs(rng):
     lengths = reach * rng.uniform(3.2, 6.0, size=3)
     positions = rng.uniform(0.0, 1.0, size=(n, 3)) * lengths
     positions += rng.integers(-1, 2, size=(n, 3)) * lengths * periodic
-    cells = CellList(Box(lengths, periodic=periodic, origin=np.zeros(3)),
-                     reach, subdivide=int(rng.integers(1, 3)))
+    cells = CellList(Box(lengths, periodic=periodic, origin=np.zeros(3)), reach)
     cells.build(positions)
     live = rng.random(n) < 0.5 if rng.integers(0, 2) else None
     return cells._sweep_args(reach, live), {}

@@ -51,7 +51,7 @@ def hostile_sweeps(draw):
     """A cloud and a cell list built on it, hostile on purpose.
 
     Open, periodic and mixed boxes; edges from just over two reaches
-    (``subdivide=2`` falls back to 1, then to brute force) up, or
+    (periodic dims that thin fall back to brute force) up, or
     exactly three cells along every periodic dim; atoms several box
     lengths outside along periodic dims; duplicated positions; a live
     mask of no, some or every atom.
@@ -75,7 +75,7 @@ def hostile_sweeps(draw):
     live = {"none": None, "some": rng.random(n) < 0.4,
             "all": np.ones(n, dtype=bool)}[live]
     box = Box(lengths, periodic=periodic, origin=np.zeros(3))
-    cells = CellList(box, reach, subdivide=draw(st.sampled_from([1, 2])))
+    cells = CellList(box, reach)
     cells.build(positions)
     return cells, positions, reach, live
 

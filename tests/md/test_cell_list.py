@@ -170,8 +170,8 @@ def sweep_cases(draw):
     """A random cloud in a random box, hostile on purpose.
 
     Box edges run from just over two cutoffs (periodic dims that thin
-    cannot afford a subdivided — or any — stencil: k falls back 2 -> 1
-    -> brute force) to seven; atoms may sit unwrapped several box
+    cannot afford the stencil: the build falls back to brute force) to
+    seven; atoms may sit unwrapped several box
     lengths outside along periodic dims; the whole cloud may be
     translated by 1e6 A, where one ulp is ~1e-10 A.
     """
@@ -189,7 +189,7 @@ def sweep_cases(draw):
         positions += 1e6
     live = rng.random(n) < 0.4 if draw(st.booleans()) else None
     box = Box(lengths, periodic=periodic, origin=np.zeros(3))
-    return positions, box, cutoff, draw(st.sampled_from([1, 2])), live
+    return positions, box, cutoff, live
 
 
 def assert_sweep_is_the_staged_oracle(cells, positions, reach, live, sweep):
@@ -227,8 +227,8 @@ class TestStreamingSweep:
     @given(sweep_cases())
     @settings(max_examples=150, deadline=None)
     def test_stream_equals_legacy_composition_in_order(self, case):
-        positions, box, cutoff, subdivide, live = case
-        cells = CellList(box, cutoff, subdivide=subdivide)
+        positions, box, cutoff, live = case
+        cells = CellList(box, cutoff)
         cells.build(positions)
         assert_sweep_is_the_staged_oracle(
             cells, positions, cutoff, live,

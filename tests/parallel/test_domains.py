@@ -5,14 +5,25 @@ logic (``tile_local_ids`` / ``owned_mask_local`` feeding the serial
 list's ``build_candidates``, composed by ``conftest.tile_candidates``),
 so pinning it here covers the sharded pipeline's correctness core
 without any multiprocessing in the loop.  Columns are ``px x 1`` grids.
+The ranks themselves are checked against that same composition over
+the ``inline`` mover, which runs them in this process.
 """
 
 import numpy as np
 import pytest
 
-from repro.md.neighbor_list import NeighborList
+from repro.md.integrators import LeapfrogVerlet
+from repro.md.neighbor_list import Candidates, NeighborList
+from repro.parallel import ShardedForcePipeline
 from repro.parallel.domains import plan_axis, plan_grid
+from repro.potentials.elements import make_element_potential
 from tests.conftest import small_slab_state, tile_candidates
+
+TOPOLOGIES = ((1, 2), (2, 2), (4, 1))
+
+
+def _layout_id(topology):
+    return f"{topology[0]}x{topology[1]}"
 
 
 def _pair_set(i, j):
@@ -173,61 +184,86 @@ class TestCrossStepCuts:
         self._assert_tables_equal(a, b)
 
 
-class TestInteriorBoundarySplit:
-    """The interior/boundary pair partition behind the overlap protocol.
+class _CountingPotential:
+    """A rank's potential, counting its fused density / force calls."""
 
-    Interior pairs touch only owned atoms (computable before any halo
-    data arrives); boundary pairs touch at least one ghost.  The split
-    must be exact and lossless — every candidate lands in exactly one
-    class, with its ``r_build`` record riding along — because the
-    worker sums the two passes back together and the result must match
-    the unsplit pass bit for bit.
+    def __init__(self, potential):
+        self._potential = potential
+        self.calls = {"fused_density": 0, "fused_pair_force": 0}
+
+    def __getattr__(self, name):
+        attr = getattr(self._potential, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # halo-dominated
+class TestOneClassRank:
+    """A rank rebuilds and steps exactly as the serial list does.
+
+    Its candidates are one :class:`~repro.md.neighbor_list.Candidates`,
+    the serial builder's own output on the rank's pack with its owned
+    mask, and a steady step runs one density and one pair-force pass on
+    it.  Driven through the ``inline`` mover, whose ranks are
+    :class:`~repro.parallel.transport.ShardWorker` objects in this
+    process.
     """
 
-    def _shard_with_ghosts(self, ta_potential, reps=(5, 5, 2)):
-        state = small_slab_state("Ta", reps, temperature=400.0)
-        reach = ta_potential.cutoff + 0.5
-        grid = plan_grid(state.positions, 2, 1, reach)
-        _, owned, sp = tile_candidates(
-            state.positions, grid, 0, state.box, reach
-        )
-        return sp, owned
-
     @staticmethod
-    def _interior(sp, owned):
-        """The mask ``ShardWorker`` splits at: both endpoints owned."""
-        return owned[sp.i] & owned[sp.j]
-
-    def test_split_is_an_exact_partition(self, ta_potential):
-        sp, owned = self._shard_with_ghosts(ta_potential)
-        inside, seam = sp.split(self._interior(sp, owned))
-        assert len(inside) + len(seam) == len(sp)
-        assert len(seam) > 0  # a 2-column shard has a seam
-        assert len(inside) > 0
-        split = _pair_set(
-            np.concatenate([inside.i, seam.i]),
-            np.concatenate([inside.j, seam.j]),
+    def _pipeline(topology):
+        state = small_slab_state("Ta", (6, 6, 2), temperature=350.0)
+        pipe = ShardedForcePipeline(
+            state, make_element_potential("Ta"),
+            topology=topology, transport="inline",
         )
-        assert split == _pair_set(sp.i, sp.j)
+        return state, pipe
 
-    def test_classes_honor_the_ownership_rule(self, ta_potential):
-        sp, owned = self._shard_with_ghosts(ta_potential)
-        inside, seam = sp.split(self._interior(sp, owned))
-        assert np.all(owned[inside.i] & owned[inside.j])
-        assert not np.any(owned[seam.i] & owned[seam.j])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=_layout_id)
+    def test_rank_candidates_are_the_serial_build_on_its_pack(
+        self, topology
+    ):
+        state, pipe = self._pipeline(topology)
+        try:
+            pipe.compute(state.positions)  # the first rebuild
+            grid = plan_grid(state.positions, *topology, pipe.reach)
+            ranks = pipe.transport.mover._workers
+            assert len(ranks) == topology[0] * topology[1]
+            for tile, rank in enumerate(ranks):
+                local, _, want = tile_candidates(
+                    state.positions, grid, tile, state.box, pipe.reach
+                )
+                assert np.array_equal(local, pipe._ids[tile])
+                got = rank.candidates
+                assert isinstance(got, Candidates)
+                for name in ("i", "j", "r_build"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b), name
+                assert got.funnel == want.funnel
+        finally:
+            pipe.close()
 
-    def test_r_build_rides_the_split(self, ta_potential):
-        sp, owned = self._shard_with_ghosts(ta_potential)
-        mask = self._interior(sp, owned)
-        inside, seam = sp.split(mask)
-        assert np.array_equal(inside.r_build, sp.r_build[mask])
-        assert np.array_equal(seam.r_build, sp.r_build[~mask])
-
-    def test_all_owned_yields_empty_boundary(self, ta_potential):
-        sp, owned = self._shard_with_ghosts(ta_potential)
-        everything = np.ones_like(owned)
-        inside, seam = sp.split(self._interior(sp, everything))
-        assert len(inside) == len(sp)
-        assert len(seam) == 0
-        assert np.array_equal(inside.i, sp.i)
-        assert np.array_equal(inside.j, sp.j)
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=_layout_id)
+    def test_steady_step_runs_one_density_and_one_force_pass(
+        self, topology
+    ):
+        state, pipe = self._pipeline(topology)
+        try:
+            pipe.advance(state, 1, LeapfrogVerlet(2.0))  # rebuild + step
+            ranks = pipe.transport.mover._workers
+            for rank in ranks:
+                rank.potential = _CountingPotential(rank.potential)
+            pipe.advance(state, 1, LeapfrogVerlet(2.0))
+            assert pipe.n_builds == 1  # the counted step was steady
+            for rank in ranks:
+                assert rank.potential.calls == {
+                    "fused_density": 1, "fused_pair_force": 1,
+                }
+        finally:
+            pipe.close()

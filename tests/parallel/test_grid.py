@@ -225,11 +225,11 @@ def tile_cases(draw):
 class TestShardSweep:
     """An owned subset rides the serial rebuild's streaming sweep."""
 
-    @given(tile_cases(), st.sampled_from([1, 2]))
+    @given(tile_cases())
     @settings(max_examples=120, deadline=None)
-    def test_equals_legacy_composition_in_order(self, case, subdivide):
+    def test_equals_legacy_composition_in_order(self, case):
         positions, box, reach, owned = case
-        cells = CellList(box, reach, subdivide=subdivide)
+        cells = CellList(box, reach)
         sp, rij_build = build_candidates(cells, positions, owned=owned)
         (li, lj, rij, r), (ri, _) = legacy_candidates(
             cells, positions, reach, live=owned, seam=True

@@ -9,10 +9,9 @@ sub-linearly when one does, and sits far below the whole-pack protocol
 it replaced; full state moves only on a rebuild round and on the exit
 pull.  Trajectories agree with the serial path across every
 {1x2, 2x2, 4x1} x {shared, socket, inline} pairing, bitwise across
-transports for a fixed topology — and bitwise equal to position digests
-recorded before the transport layer was rebuilt as one round driver
-over three byte movers, and to a longer matrix recorded before the
-ranks took over the stepping.  Steady steps reuse their staging buffers
+transports for a fixed topology — and bitwise equal to pinned position
+digests: a 12-step and a longer matrix, each w > 1 digest last
+re-recorded when a rank's candidates became the serial list's own.  Steady steps reuse their staging buffers
 instead of allocating fresh packs.  The skin-trigger property rides
 along: rebuilding every step (``skin=0.0``) reproduces the lazy-reuse
 trajectory to seam-reduction tolerance.
@@ -249,16 +248,22 @@ TOPOLOGIES = ((1, 2), (2, 2), (4, 1))
 MATRIX_TRANSPORTS = ("shared", "socket", "inline")
 
 #: SHA-256 of the float64 positions after 12 steps of
-#: ``_run_trajectory`` (seed 3), recorded at the commit before the
-#: transport layer was rebuilt (asynchronous halo publication still in
-#: place): every transport agreed per layout, and ``w1`` is the serial
-#: digest.  A change that alters pack contents, pack order or the
-#: reduction order breaks these.
+#: ``_run_trajectory`` (seed 3).  ``w1`` is the serial digest, recorded
+#: at the commit before the transport layer was rebuilt.  The w > 1
+#: digests were re-recorded on the commit after 397db17, which gives
+#: each rank one candidate set built as the serial list builds its own
+#: (radius-1 cells, one density and one force pass) in place of the
+#: interior/boundary classes over half-reach cells: per-rank summation
+#: and pair-stream order changed, nothing else.  Before re-recording,
+#: every transport agreed bitwise per layout and each layout stayed
+#: within this module's serial bounds (1e-10 A, 1e-9 relative energy).
+#: A change that alters pack contents, pack order or the reduction
+#: order breaks these.
 PINNED_SHA256 = {
     "w1": "e570b266c19c59734e19dd652528fbef6297785c48a5cee363bd8f94b03c71ee",
-    "1x2": "6d2a19c1da3567630fb9c2e98e83fc78c61699e454295a089c8d6eb630b10a1b",
-    "2x2": "35eef546c71ff483aa748cc244d8882326e3650135ada004f269d7216018777f",
-    "4x1": "025c2f8f8afc3fa55983d7344af6b101e40d5377a14e3e8fd234b8022c8c5854",
+    "1x2": "4886d985bf94b81e23cc9c5bfc6f6ffcc014fc00164f64e5e6dd53c7890d2d94",
+    "2x2": "c78d8086bff79939e5bc7327c139e857c4f4c15c90ffd7094f01698528ca1e33",
+    "4x1": "a0694b4d4c7ce66efc7b55824bc1b929d4fbf34923e144bd6f1ef747d9f4715d",
 }
 
 
@@ -342,8 +347,11 @@ class TestSkinTriggerProperty:
         assert np.max(np.abs(pos_forced - pos_lazy)) < 1e-10
 
 
-# -- the long pinned matrix (recorded at the commit before shard-resident
-# stepping: the parent still integrated, reduced and embedded) -----------
+# -- the long pinned matrix (``w1`` recorded at the commit before
+# shard-resident stepping: the parent still integrated, reduced and
+# embedded; every w > 1 digest below re-recorded on the commit after
+# 397db17 for the one-candidate-set rank, as PINNED_SHA256, after the
+# same cross-transport and serial-bound checks at 60 steps) -------------
 
 LONG_STEPS = 60
 
@@ -405,22 +413,22 @@ def _hand_edit(engine) -> float:
 
 LONG_PINNED_SHA256 = {
     "w1": "b4f26296656c0e1a1d640e1762830e75e5407f49f7e93cdc016848b82a9fc7c0",
-    "1x2": "24bc54143e5164a5a9cb9d3cfd625114d9e3829b59e759b51c5c42fdcde12fc5",
-    "2x2": "1fce5e46a561c76f2ef1fcf5d8b2ff4e5b2d70f803c28a5ece3fcf4bb3af10f5",
-    "4x1": "01c354806f9cfafaa9854e2167ed4ba19b5f4a677d5b9929f3e9896a48b595d5",
+    "1x2": "efe009745995f0ebd81650b6c1dfda797e565bca157dffaa19e8a0aee9b32d77",
+    "2x2": "d2cca29a33cddb07722065152eaa3f2bea086906d79f71c035f666fe5c4a0b2e",
+    "4x1": "89fb5349fe2c6351674ed98c202f3c7144fc9805ae474b813daf9586502c42ba",
 }
 
 #: the same slab on 1x2 with a thermostat acting on the parent's state
 #: every step
 THERMOSTAT_PINNED_SHA256 = {
-    "berendsen": "6c230bde68be64a60b1344ff780afdfa343453fd07c55e80d34899a85e82fef6",
-    "langevin": "9b4b8fe1056c9599bd4b7fde85e9a5dc1d0dfb81a9412e264404f279668753a0",
+    "berendsen": "ec8555b6154175b684b095d02de7ac29204179edaa796ce1870242ae6e930612",
+    "langevin": "2edccc4f1a24cd57e6a0c30559a5528fecba261983fceddf0c5dd67974597f98",
 }
 
 #: 1x2 stepped as 6 x 10 with ``total_energy()`` asked / a hand edit
 #: made between the chunks
-ENERGY_QUERY_PINNED_SHA256 = "d2546cc73c555b1bab51ae1919d9ef2b51710cc9fa8a71aad78813d722a968af"
-HAND_EDIT_PINNED_SHA256 = "1ad11f671bc21191f5eeee72e799180168d781839d98f568eb4cbf00472a97d7"
+ENERGY_QUERY_PINNED_SHA256 = "284d518656ab9fc708e7aab8b6c93fc3c2fae1e80d3ae8ea3c8ab317aa644c5e"
+HAND_EDIT_PINNED_SHA256 = "86c79f76eca7333b461c73569acea36e150a43969364e2a633ed9edcb8d9f7ee"
 
 
 class TestLongPinnedMatrix:

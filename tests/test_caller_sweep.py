@@ -5,9 +5,14 @@
 reaches is test-only code and goes, unless ``ALLOW_UNREACHED`` keeps it
 with a reason.  One case per module here, so an orphan is named by the
 failing id; the graph rules are checked on small synthetic trees.
+
+The traced sweep runs what CI runs: every ``python -m repro`` command
+of the CI workflow must be one of its entry points (one case per
+command), so a CI step added without one fails here.
 """
 
 import importlib.util
+import shlex
 from pathlib import Path
 
 import pytest
@@ -99,3 +104,71 @@ def test_module_named_as_a_string_is_reached(tmp_path):
     })
     _, reached = caller_sweep.import_graph(repo)
     assert {"pkg.dyn", "pkg.helper"} <= reached
+
+
+# -- the traced sweep runs every CI ``python -m repro`` command ------------
+
+CI = REPO / ".github" / "workflows" / "ci.yml"
+#: options whose value is where a run writes or finds its files (or the
+#: server's port): CI uses its workspace, the sweep a scratch directory
+_PLACE_OPTIONS = {"--out", "--checkpoint", "--resume", "--cache-dir", "--port"}
+_SHELL = {"|", "&", ">", "2>"}
+
+
+def _normalised(args) -> tuple[str, ...]:
+    """A ``repro`` argv up to any shell operator, place values blanked."""
+    out: list[str] = []
+    for arg in args:
+        if arg in _SHELL:
+            break
+        out.append("_" if out and out[-1] in _PLACE_OPTIONS else arg)
+    return tuple(out)
+
+
+def _ci_invocations() -> list[tuple[str, ...]]:
+    """Every ``python -m repro`` command in the CI workflow, normalised."""
+    text = CI.read_text().replace("\\\n", " ")
+    found = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("#") or "python -m repro " not in line:
+            continue
+        found.append(_normalised(
+            shlex.split(line.split("python -m repro ", 1)[1])))
+    return found
+
+
+def _sweep_entries() -> set[tuple[str, ...]]:
+    """The ``repro`` commands the traced sweep runs, normalised the same
+    way: its entry points and its served session."""
+    entries = {
+        _normalised(argv[3:]) for _, argv in caller_sweep.ENTRY_POINTS
+        if argv[1:3] == ["-m", "repro"]
+    }
+    served = [caller_sweep.SERVE_ARGV] + [
+        step for step in caller_sweep.SERVE_STEPS if isinstance(step, list)
+    ]
+    entries |= {
+        _normalised([argv[0], "--port", "_", *argv[1:]]) for argv in served
+    }
+    return entries
+
+
+CI_INVOCATIONS = _ci_invocations()
+
+
+def test_ci_commands_are_found():
+    commands = {argv[0] for argv in CI_INVOCATIONS}
+    assert {"run", "validate", "profile", "bench", "serve", "submit",
+            "jobs"} <= commands
+
+
+@pytest.mark.parametrize(
+    "argv", CI_INVOCATIONS, ids=[" ".join(a) for a in CI_INVOCATIONS]
+)
+def test_ci_command_is_a_sweep_entry_point(argv):
+    assert argv in _sweep_entries(), (
+        f"CI runs `python -m repro {' '.join(argv)}`, which "
+        "benchmarks/caller_sweep.py does not: add it to ENTRY_POINTS "
+        "(or SERVE_STEPS for the served session)"
+    )
