@@ -8,12 +8,14 @@ per day requires.  The wafer closes that gap: the same 1k-atom workload
 mapped one-atom-per-core is fixed-cost dominated and lands deep into the
 hundreds of thousands of steps per second.
 
-Beside the three modelled rows, one is measured: the same 1,000-atom LJ
-workload (argon, FCC, periodic) stepped by the reference engine on the
-host running the bench.  The LJ pair loop is numpy only (no kernel tier
-serves ``LennardJones``), so that row prices numpy, not the engine's
-compiled kernels: ~66 ns a stored pair against 28.6 ns for the native
-EAM pair force, on a 2-vCPU host.
+Beside the three modelled rows, two are measured on the host running
+the bench.  One is the same 1,000-atom LJ workload (argon, FCC,
+periodic) stepped by the reference engine; the LJ pair loop is numpy
+only (no kernel tier serves ``LennardJones``), so that row prices
+numpy: ~66 ns a stored pair on a 2-vCPU host.  The other is the
+reference engine's own workload at the same size, a 1,024-atom Ta slab
+on the default kernel tier, whose steps on one held Verlet list are one
+``md_step`` call.
 """
 
 import time
@@ -32,6 +34,7 @@ from repro.md.simulation import Simulation
 from repro.md.state import AtomsState
 from repro.md.thermostat import maxwell_boltzmann_velocities
 from repro.potentials.lennard_jones import LennardJones
+from repro.runtime import RunSpec, build_engine
 
 N_SMALL = 1_000
 #: argon: eps (eV), sigma (A), FCC lattice constant (A), mass (g/mol)
@@ -56,6 +59,24 @@ def host_lj_rate(steps: int = HOST_STEPS) -> float:
     return steps / (time.perf_counter() - t0)
 
 
+def host_eam_rate(steps: int = HOST_STEPS) -> tuple[float, str]:
+    """Steps/s of the reference engine on a 1,024-atom Ta slab (8 x 8 x
+    8 BCC cells, open box, 300 K, 2 fs, skin 0.5) on the default kernel
+    tier, after a short warm-up; and the tier's name."""
+    from repro.kernels import active_backend_name
+
+    engine = build_engine(RunSpec(element="Ta", reps=(8, 8, 8),
+                                  engine="reference", temperature=300.0))
+    try:
+        assert engine.state.n_atoms == 1_024
+        engine.step(5)
+        t0 = time.perf_counter()
+        engine.step(steps)
+        return steps / (time.perf_counter() - t0), active_backend_name()
+    finally:
+        engine.close()
+
+
 def build_rates():
     model = CycleCostModel()
     # 1k atoms in 3-D at LJ-like density: ~55 neighbors within 2.5 sigma,
@@ -71,6 +92,7 @@ def build_rates():
 def test_small_system_rates(benchmark):
     rates = benchmark(build_rates)
     host = host_lj_rate()
+    eam, tier = host_eam_rate()
     table = Table(
         "Sec. II-B - 1,000-atom strong-scaling limit (timesteps/s)",
         ["platform", "steps/s", "paper says"],
@@ -84,6 +106,8 @@ def test_small_system_rates(benchmark):
                   "fixed-cost bound")
     table.add_row("this host, reference engine, numpy LJ (measured)",
                   round(host), "-")
+    table.add_row(f"this host, reference engine, {tier} EAM Ta (measured)",
+                  round(eam), "-")
     table.print()
     assert rates["V100 GPU (LAMMPS LJ)"] < 10_000
     assert rates["2x Skylake, 36 ranks (LAMMPS LJ)"] == pytest.approx(

@@ -129,6 +129,8 @@ ENTRY_POINTS: list[tuple[str, list[str]]] = [
     ("ci: profile sharded", _repro("profile", "--quick", "--check", "--engines", "reference",
                                    "--backend", "parallel", "--workers", "2",
                                    "--out", "{tmp}/pp.jsonl")),
+    ("ci: profile reference", _repro("profile", "--quick", "--check", "--engines",
+                                     "reference")),
     ("ci: bench 2x2 socket", _repro("bench", "--quick", "--cases", "par-Ta-2x2-socket",
                                     "--out", "{tmp}/bd.json", "--baseline", BASELINE)),
     ("ci: profile 2x2 socket", _repro("profile", "--check", "--engines", "reference", "--spec",

@@ -1,6 +1,8 @@
-/* Native kernels: the registry's six kernels as C99 loops -- the cell
+/* Native kernels: the registry's seven kernels as C99 loops -- the cell
  * sweep of a reference-engine list rebuild (cell_pairs), the four pair
- * kernels of the reference engine, and the lockstep wafer's whole step
+ * kernels of the reference engine, its steps on a held Verlet list
+ * (md_step: list test, prefilter, density, embedding, force and
+ * leap-frog, in one call), and the lockstep wafer's whole step
  * (wafer_step: list test, list build, both sweeps with the embedding
  * between them, leap-frog and cycle counter, in one call).
  *
@@ -32,7 +34,8 @@
  *
  * wafer_step runs on a team of threads in owner blocks (see "owner
  * blocks" below); every other function runs on the calling thread.
- * Its row loops are chunked passes (see "chunked passes" below).
+ * Its row loops, and md_step's pair loops, are chunked passes (see
+ * "chunked passes" below).
  */
 #define _GNU_SOURCE  /* sched_getcpu, the sweep threads' CPU affinity */
 #include <math.h>
@@ -1356,4 +1359,328 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
         result[i] = 0;
     memcpy(out, result, sizeof result);
     return 0;
+}
+
+/* -- the reference engine's whole step ----------------------------------
+ *
+ * md_step runs up to n steps of numpy_backend.md_step on the calling
+ * thread, each: the skin/2 list test over the atoms, the reuse
+ * prefilter under its all-inside and pre-mask cuts, the distance cap,
+ * density, the embedding, force and the leap-frog.  Its pair loops are
+ * chunked passes, as wafer_step's are: the prefilter gathers a chunk's
+ * separations, wraps and squares them a pass at a time and compacts the
+ * rows under the cutoff into the table's columns without a branch;
+ * density and force evaluate a chunk's splines a pass at a time, then
+ * make its additions in row order, into the two accumulators per plane
+ * that bincount(i) and bincount(j) are.  The table and the per-atom
+ * planes live in the caller's scratch between calls.
+ */
+
+/* The scratch an md_step caller passes, by position: the table's
+ * columns (cap rows; D_IJ unused with one table per family), then
+ * per-atom planes (n, and 3n for the force accumulators). */
+enum {
+    MD_I, MD_J, MD_DX, MD_DY, MD_DZ, MD_R, MD_D_JI, MD_D_IJ, MD_ACC_I,
+    MD_ACC_J, MD_F_DER, MD_F_I, MD_F_J,
+};
+
+/* Why a call returned (numpy_backend.MD_STOPS). */
+enum { MD_STEPS, MD_LIST, MD_NON_FINITE, MD_CAP };
+
+typedef struct {
+    double *pos, *vel;
+    const int64_t *typ;
+    int64_t n, typed;  /* typed: a table per type */
+    const double *masses;
+    double mvv2e, dt;
+    /* the held list, built at ref */
+    const double *ref;
+    const int64_t *ci, *cj;
+    const double *r_build;
+    int64_t n_cand;
+    const double *lengths;
+    const uint8_t *periodic;
+    double cutoff;
+    const bank_t *rho, *embed, *phi;
+    const int64_t *phi_index;
+    /* the step's table and planes (the caller's scratch) */
+    int64_t *pi, *pj;
+    double *d[3], *r, *d_ji, *d_ij;
+    double *acc_i, *acc_j, *f_der, *f_i, *f_j;
+} md_args;
+
+/* The list test: MD_NON_FINITE when a displacement since ref is not
+ * finite, else the largest squared one in *max_d2. */
+static int md_displacement(const md_args *M, double *max_d2)
+{
+    double top = 0.0;
+    int finite = 1;
+    for (int64_t a = 0; a < 3 * M->n; a += 3) {
+        double dx = M->pos[a] - M->ref[a], dy = M->pos[a + 1] - M->ref[a + 1];
+        double dz = M->pos[a + 2] - M->ref[a + 2], d2 = R2(dx, dy, dz);
+        finite &= isfinite(d2);
+        top = d2 > top ? d2 : top;
+    }
+    *max_d2 = top;
+    return finite ? MD_STEPS : MD_NON_FINITE;
+}
+
+/* The strict r^2 < cutoff^2 table of the held list at the current
+ * positions (numpy_backend.neighbor_prefilter, inclusive=False) in the
+ * table's columns: rows whose r_build is over lim are not measured (the
+ * pre-mask; lim = +inf measures all) and `inside` keeps every row
+ * measured (the all-inside cut).  A chunk's rows pass through L1
+ * buffers: the rows measured, their separations, minimum image and r^2,
+ * the rows kept (a branch-free compaction of their indices), then a
+ * column at a time into the table.  Returns the rows kept. */
+static int64_t md_prefilter(const md_args *M, int inside, double lim)
+{
+    const double cutoff2 = M->cutoff * M->cutoff;
+    const double *pos = M->pos;
+    int64_t rows[CHUNK], a[CHUNK], b[CHUNK], keep[CHUNK], w = 0;
+    double d[3][CHUNK], r2[CHUNK];
+    for (int64_t q0 = 0; q0 < M->n_cand; q0 += CHUNK) {
+        int64_t n = M->n_cand - q0 < CHUNK ? M->n_cand - q0 : CHUNK;
+        int64_t m = 0, kept = 0;
+        for (int64_t q = q0; q < q0 + n; q++) {
+            rows[m] = q;
+            m += M->r_build[q] <= lim;
+        }
+        for (int64_t s = 0; s < m; s++) {
+            const double *pa = pos + 3 * (a[s] = M->ci[rows[s]]);
+            const double *pb = pos + 3 * (b[s] = M->cj[rows[s]]);
+            for (int k = 0; k < 3; k++) d[k][s] = pb[k] - pa[k];
+        }
+        for (int k = 0; k < 3; k++) {
+            if (!M->periodic[k]) continue;
+            double ld = M->lengths[k], *restrict dk = d[k];
+            for (int64_t s = 0; s < m; s++)
+                dk[s] -= ld * floor(dk[s] / ld + 0.5);
+        }
+        for (int64_t s = 0; s < m; s++) r2[s] = R2(d[0][s], d[1][s], d[2][s]);
+        for (int64_t s = 0; s < m; s++) {
+            keep[kept] = s;
+            kept += inside | (r2[s] < cutoff2);
+        }
+        int64_t *restrict pi = M->pi + w, *restrict pj = M->pj + w;
+        double *restrict r = M->r + w;
+        for (int64_t t = 0; t < kept; t++) pi[t] = a[keep[t]];
+        for (int64_t t = 0; t < kept; t++) pj[t] = b[keep[t]];
+        for (int k = 0; k < 3; k++) {
+            double *restrict dk = M->d[k] + w;
+            for (int64_t t = 0; t < kept; t++) dk[t] = d[k][keep[t]];
+        }
+        for (int64_t t = 0; t < kept; t++) r[t] = sqrt(r2[keep[t]]);
+        w += kept;
+    }
+    return w;
+}
+
+/* The first step's table, a build's (i, j, rij (p, 3), r), in the
+ * table's columns. */
+static void md_take_table(const md_args *M, const int64_t *i,
+                          const int64_t *j, const double *rij,
+                          const double *r, int64_t p)
+{
+    memcpy(M->pi, i, 8 * (size_t)p);
+    memcpy(M->pj, j, 8 * (size_t)p);
+    memcpy(M->r, r, 8 * (size_t)p);
+    for (int64_t q = 0; q < p; q++)
+        for (int k = 0; k < 3; k++) M->d[k][q] = rij[3 * q + k];
+}
+
+/* PairDistanceCap.check and the unit vectors' division: 0 when every
+ * r >= r_min and r > 0 (a NaN r fails both). */
+static int md_capped(const md_args *M, int64_t p, double r_min)
+{
+    int ok = 1;
+    for (int64_t q = 0; q < p; q++)
+        ok &= (M->r[q] >= r_min) & (M->r[q] > 0.0);
+    return !ok;
+}
+
+/* g[s] = typ[atom[s]] for n rows, or member 0 (typ == NULL). */
+static void md_members(int64_t *restrict g, const int64_t *typ,
+                       const int64_t *restrict atom, int64_t n)
+{
+    for (int64_t s = 0; s < n; s++) g[s] = typ ? typ[atom[s]] : 0;
+}
+
+/* numpy_backend.fused_density_pass over the p rows, then the embedding
+ * F' of every atom (through its type when there is a table per type). */
+static void md_density(const md_args *M, int64_t p)
+{
+    const int64_t *typ = M->typed ? M->typ : NULL;
+    int64_t g[CHUNK];
+    double v_ji[CHUNK], v_ij[CHUNK];
+    memset(M->acc_i, 0, 8 * (size_t)M->n);
+    memset(M->acc_j, 0, 8 * (size_t)M->n);
+    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
+        int64_t n = p - q0 < CHUNK ? p - q0 : CHUNK;
+        const int64_t *i = M->pi + q0, *j = M->pj + q0;
+        md_members(g, typ, j, n);
+        eval_rows(M->rho, n, M->r + q0, g, v_ji, M->d_ji + q0);
+        const double *v = v_ji;
+        if (typ) {
+            md_members(g, typ, i, n);
+            eval_rows(M->rho, n, M->r + q0, g, v_ij, M->d_ij + q0);
+            v = v_ij;
+        }
+        for (int64_t s = 0; s < n; s++) {
+            M->acc_i[i[s]] += v_ji[s];
+            M->acc_j[j[s]] += v[s];
+        }
+    }
+    for (int64_t a = 0; a < M->n; a++) M->acc_i[a] += M->acc_j[a];
+}
+
+/* F and F' at every atom's density (acc_i), F' into f_der. */
+static void md_embedding(const md_args *M)
+{
+    int64_t g[CHUNK], atoms[CHUNK];
+    double val[CHUNK];
+    for (int64_t a0 = 0; a0 < M->n; a0 += CHUNK) {
+        int64_t n = M->n - a0 < CHUNK ? M->n - a0 : CHUNK;
+        for (int64_t s = 0; s < n; s++) atoms[s] = a0 + s;
+        md_members(g, M->typed ? M->typ : NULL, atoms, n);
+        eval_rows(M->embed, n, M->acc_i + a0, g, val, M->f_der + a0);
+    }
+}
+
+/* numpy_backend.fused_force_pass over the p rows into f_i (the forces,
+ * once f_j is taken off); no pair energy. */
+static void md_force(const md_args *M, int64_t p)
+{
+    int64_t g[CHUNK];
+    double phi_v[CHUNK], phi_d[CHUNK], w[3][CHUNK];
+    const double *f_der = M->f_der;
+    const double *d_ij = M->typed ? M->d_ij : M->d_ji;
+    int64_t nt = M->rho->n_members;
+    memset(M->f_i, 0, 24 * (size_t)M->n);
+    memset(M->f_j, 0, 24 * (size_t)M->n);
+    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
+        int64_t n = p - q0 < CHUNK ? p - q0 : CHUNK;
+        const int64_t *i = M->pi + q0, *j = M->pj + q0;
+        for (int64_t s = 0; s < n; s++)
+            g[s] = M->typed ? M->phi_index[M->typ[i[s]] * nt + M->typ[j[s]]]
+                            : 0;
+        eval_rows(M->phi, n, M->r + q0, g, phi_v, phi_d);
+        for (int64_t s = 0; s < n; s++) {
+            int64_t q = q0 + s;
+            double sc = f_der[i[s]] * M->d_ji[q] + f_der[j[s]] * d_ij[q]
+                        + phi_d[s];
+            for (int k = 0; k < 3; k++) w[k][s] = sc * (M->d[k][q] / M->r[q]);
+        }
+        for (int64_t s = 0; s < n; s++)
+            for (int k = 0; k < 3; k++) {
+                M->f_i[3 * i[s] + k] += w[k][s];
+                M->f_j[3 * j[s] + k] += w[k][s];
+            }
+    }
+    for (int64_t c = 0; c < 3 * M->n; c++) M->f_i[c] -= M->f_j[c];
+}
+
+/* The leap-frog (LeapfrogVerlet.step): accel = f / (m * mvv2e),
+ * v += accel * dt, p += v * dt. */
+static void md_leapfrog(const md_args *M)
+{
+    for (int64_t a = 0; a < M->n; a++) {
+        double m = M->masses[M->typ[a]] * M->mvv2e;
+        for (int64_t c = 3 * a; c < 3 * a + 3; c++) {
+            M->vel[c] += M->f_i[c] / m * M->dt;
+            M->pos[c] += M->vel[c] * M->dt;
+        }
+    }
+}
+
+/* Up to n_steps steps (numpy_backend.md_step) of the n atoms at pos,
+ * vel with types typ, per-type masses (n_masses), on the held list
+ * (ci, cj, r_build) of n_cand rows built at ref.  fi != NULL: the first
+ * step takes the table (fi, fj, frij, fr) of fp rows in place of the
+ * test and the filter.  half_skin2 is (skin / 2)^2, *dead the
+ * pre-mask's dead bound (updated).  scratch holds the buffers the MD_*
+ * names list, the table's columns at cap rows.  Each step run writes a
+ * row of `rows`: the nanoseconds of its neighbor, density, embedding,
+ * pair_force and integrate phases, and its pairs.  out gets why the
+ * call returned (MD_*) and the nanoseconds of the test that stopped it.
+ * Returns the steps run, or -1 to decline (an index or type out of
+ * range, a table over cap), having written nothing. */
+int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
+                const double *masses, int64_t n_masses, double mvv2e,
+                double dt, const double *ref, const int64_t *ci,
+                const int64_t *cj, const double *r_build, int64_t n_cand,
+                double r_build_max, const double *lengths,
+                const uint8_t *periodic, double cutoff, double skin,
+                double half_skin2, double r_min, const int64_t *fi,
+                const int64_t *fj, const double *frij, const double *fr,
+                int64_t fp, const bank_t *rho, const bank_t *embed,
+                const bank_t *phi, const int64_t *phi_index, int64_t n_steps,
+                void *const *scratch, int64_t cap, double *dead,
+                int64_t *rows, int64_t *out)
+{
+    int64_t typed = rho->n_members > 1;
+    if (n_cand > cap || (fi && fp > cap) || bad_any(ci, n_cand, n)
+        || bad_any(cj, n_cand, n)
+        || (fi && (bad_any(fi, fp, n) || bad_any(fj, fp, n))))
+        return -1;
+    for (int64_t a = 0; a < n; a++)
+        if (bad(typ[a], n_masses)
+            || (typed && (bad(typ[a], rho->n_members)
+                          || bad(typ[a], embed->n_members))))
+            return -1;
+    void *const *m = scratch;
+    md_args M = {
+        pos, vel, typ, n, typed, masses, mvv2e, dt, ref, ci, cj, r_build,
+        n_cand, lengths, periodic, cutoff, rho, embed, phi, phi_index,
+        m[MD_I], m[MD_J], {m[MD_DX], m[MD_DY], m[MD_DZ]}, m[MD_R],
+        m[MD_D_JI], m[MD_D_IJ], m[MD_ACC_I], m[MD_ACC_J], m[MD_F_DER],
+        m[MD_F_I], m[MD_F_J]};
+    int64_t done = 0, stop = MD_STEPS, test_ns = 0;
+    double bound_dead = *dead;
+    for (; done < n_steps; done++) {
+        int64_t t0 = now_ns(), p;
+        if (done == 0 && fi) {
+            md_take_table(&M, fi, fj, frij, fr, fp);
+            p = fp;
+        } else {
+            double max_d2 = 0.0;
+            stop = skin == 0.0 ? MD_LIST : md_displacement(&M, &max_d2);
+            if (stop == MD_STEPS && max_d2 > half_skin2) stop = MD_LIST;
+            if (stop != MD_STEPS) {
+                test_ns = now_ns() - t0;
+                break;
+            }
+            double bound = 2.0 * sqrt(max_d2) + 1e-9, lim = INFINITY;
+            int inside = r_build_max + bound < cutoff;
+            if (!inside && r_build_max > cutoff + 1e-9 && bound < bound_dead) {
+                double cut = cutoff + bound;
+                int64_t kept = 0;
+                for (int64_t q = 0; q < n_cand; q++) kept += r_build[q] <= cut;
+                if ((double)kept <= 0.9 * (double)n_cand)
+                    lim = cut;
+                else
+                    bound_dead = bound;
+            }
+            p = md_prefilter(&M, inside, lim);
+        }
+        int64_t t1 = now_ns();
+        if (md_capped(&M, p, r_min)) {
+            stop = MD_CAP;
+            break;
+        }
+        md_density(&M, p);
+        int64_t t2 = now_ns();
+        md_embedding(&M);
+        int64_t t3 = now_ns();
+        md_force(&M, p);
+        int64_t t4 = now_ns();
+        md_leapfrog(&M);
+        int64_t t5 = now_ns();
+        int64_t row[] = {t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, p};
+        memcpy(rows + 6 * done, row, sizeof row);
+    }
+    out[0] = stop;
+    out[1] = test_ns;
+    *dead = bound_dead;
+    return done;
 }

@@ -10,7 +10,9 @@ pass per stage, with only the chunk's L1 buffers between the stages
 (``native.c``, "chunked passes").  A lockstep wafer step is one native
 call, ``wafer_step``, from the list test to the cycle counter; between
 two calls Python only runs the swap rounds, the thermostat and the
-trace's moments.  The step runs
+trace's moments.  The reference engine's steps on a held Verlet list are
+one call too, ``md_step``, on the calling thread; between two calls
+Python only rebuilds the list.  The step runs
 on one thread per usable CPU, each thread adding only into the tiles of
 the owner block it holds, so the bits do not depend on the thread count
 (``native.c``, "owner blocks"); the count is derived
@@ -259,6 +261,7 @@ _SIGNATURES = {
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
     "wafer_step": "PPPPiiPiPPdddPPPPPPiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
+    "md_step": "PPPiPiddPPPPidPPddddPPPPiBBBPiPiPPP",
 }
 
 
@@ -338,7 +341,7 @@ def _sweep_threads(rows: int) -> int:
     return max(1, min(usable_cpus(), rows // ROWS_PER_THREAD))
 
 
-# -- the six kernels (signatures and contracts: numpy_backend) ---------------
+# -- the seven kernels (signatures and contracts: numpy_backend) -------------
 
 
 @_kernel
@@ -532,6 +535,60 @@ def wafer_step(pos, vel, occ, typ, offsets, lengths, periodic, reach2, bound2,
     )
 
 
+@_kernel
+def md_step(positions, velocities, types, masses, ref, cand_i, cand_j,
+            r_build, r_build_max, lengths, periodic, cutoff, skin, r_min,
+            banks, phi_index, dt, n_steps, *, first=None, dead_bound=np.inf,
+            scratch=None):
+    n = len(_arr(positions, _F8, -1, 3))
+    _arr(velocities, _F8, n, 3), _arr(types, _I8, n), _arr(ref, _F8, n, 3)
+    _arr(masses, _F8, -1)
+    n_cand = len(_arr(cand_i, _I8, -1))
+    _arr(cand_j, _I8, n_cand), _arr(r_build, _F8, n_cand)
+    rho, embed, phi = (_bank(bank) for bank in banks)
+    typed = rho.n_members > 1
+    if typed:
+        _arr(phi_index, _I8, rho.n_members, rho.n_members)
+        if ((phi_index < 0) | (phi_index >= phi.n_members)).any():
+            raise _Decline
+    f_args, fp = (None,) * 4, 0
+    if first is not None:
+        fp = len(_arr(first[0], _I8, -1))
+        f_args = (first[0], _arr(first[1], _I8, fp),
+                  _arr(first[2], _F8, fp, 3), _arr(first[3], _F8, fp))
+    # This tier's slot of the caller's scratch: the step's table at the
+    # larger of the two tables' rows (a quarter more, as a list grows a
+    # little from one build to the next), the per-atom planes, and their
+    # addresses, taken again only when a buffer must grow.
+    store = {} if scratch is None else scratch.setdefault(name, {})
+    cap = max(n_cand, fp)
+    fits = store.get("md_fits")
+    if fits is None or cap > fits[0] or n > fits[1] or typed > fits[2]:
+        cap += cap // 4
+        sizes = {
+            "i": (cap, _I8), "j": (cap, _I8), "dx": (cap, _F8),
+            "dy": (cap, _F8), "dz": (cap, _F8), "r": (cap, _F8),
+            "d_ji": (cap, _F8), "d_ij": (cap * typed, _F8),
+            "acc_i": (n, _F8), "acc_j": (n, _F8), "f_der": (n, _F8),
+            "f_i": (n, _F8, 3), "f_j": (n, _F8, 3),
+        }  # in native.c's MD_* order
+        store["md_fits"] = fits = (cap, n, typed, np.array(
+            [_scratch(store, key, *size).ctypes.data
+             for key, size in sizes.items()], dtype=np.uintp))
+    dead, out = np.array([dead_bound], dtype=_F8), np.empty(2, dtype=_I8)
+    rows = np.empty((n_steps, len(numpy_backend.MD_PHASES) + 1), dtype=_I8)
+    done = _c("md_step", positions, velocities, types, n, masses, len(masses),
+              MVV2E, float(dt), ref, cand_i, cand_j, r_build, n_cand,
+              float(r_build_max), *_box(lengths, periodic), float(cutoff),
+              float(skin), (skin / 2.0) ** 2, float(r_min), *f_args, fp,
+              rho, embed, phi, phi_index, int(n_steps), fits[3], fits[0], dead,
+              rows, out)
+    stop, test_ns = out.tolist()
+    return numpy_backend.MdStep(done, numpy_backend.MD_STOPS[stop],
+                                rows[:done, -1], rows[:done, :-1], test_ns,
+                                float(dead[0]))
+
+
 # -- the load-time probe -----------------------------------------------------
 
 
@@ -574,7 +631,35 @@ def _probe_outputs(backend) -> dict[str, tuple]:
     out["wafer_step"] = _probe_wafer(backend, rng, lengths, periodic, rho,
                                      phi, phi_index)
     out["cell_pairs"] = _probe_cells(backend, rng, lengths, periodic)
+    out["md_step"] = _probe_md(backend, rng, lengths, periodic,
+                               (rho, rho, phi), phi_index)
     return out
+
+
+def _probe_md(backend, rng, lengths, periodic, banks, phi_index) -> tuple:
+    """Two reference steps of 40 atoms of two types, every pair a
+    candidate at reach 2.5 in a box periodic along x and y: the first
+    from a build's table, the second through the list test and the
+    pre-mask cut."""
+    n = 40
+    pos = rng.uniform(0.0, 1.0, (n, 3)) * [7.0, 8.0, 3.0]
+    i, j = np.triu_indices(n, k=1)
+    ci, cj, _, r_build = numpy_backend.neighbor_prefilter(
+        pos, i, j, lengths, periodic, 2.5, inclusive=True)
+    first = numpy_backend.neighbor_prefilter(
+        pos, ci, cj, lengths, periodic, 2.0, inclusive=False)
+    state = (pos.copy(), rng.normal(size=(n, 3)), rng.integers(0, 2, n),
+             np.array([180.9, 183.8]))
+    step = backend.md_step(*state, pos, ci, cj, r_build,
+                           float(r_build.max()), lengths, periodic, 2.0, 0.5,
+                           0.05, banks, phi_index, 0.002, 2, first=first)
+    return (*state[:2], *md_outputs(step))
+
+
+def md_outputs(step) -> tuple:
+    """An :class:`~repro.kernels.numpy_backend.MdStep`'s outputs: every
+    field but the timings."""
+    return step.steps, step.stop, step.pairs, step.dead_bound
 
 
 def _probe_cells(backend, rng, lengths, periodic) -> tuple:

@@ -14,7 +14,10 @@ live inline in :mod:`repro.md.neighbor_list`, :mod:`repro.md.cell_list`
 and the lockstep machine, :mod:`repro.core.wse_md` (``wafer_step``, the
 machine's whole step: the list test and build, the two sweeps with the
 embedding between them, the leap-frog and the cycle counter, each a
-private helper here).  Per element they perform the
+private helper here).  ``md_step`` is the reference engine's step
+sequence -- the list test and the filter of a held Verlet list, the
+fused EAM passes and the leap-frog -- moved here whole and run for as
+many steps as the list lasts.  Per element they perform the
 *identical* IEEE operations, on the same operands in the same order, as
 those call sites did (the pair kernels' first port is frozen as
 ``tests.legacy_kernels``).  What the bodies are
@@ -57,6 +60,7 @@ kernels.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import NamedTuple
 
@@ -449,6 +453,198 @@ def fused_force_pass(
     e_pair = _scatter(i, half_phi, n_atoms)
     e_pair += _scatter(j, half_phi, n_atoms)
     return e_pair, forces
+
+
+# -- the reference engine's whole step -----------------------------------
+
+
+#: The phases an :func:`md_step` times, in the order of
+#: :attr:`MdStep.phase_ns` (the reference engine's span names).
+MD_PHASES = ("neighbor", "density", "embedding", "pair_force", "integrate")
+#: Why an :func:`md_step` call returned: it ran the steps it was asked
+#: for, the list test fired, a displacement was not finite, or a pair
+#: fell under the distance cap (or sits at r = 0, or is not a number).
+MD_STOPS = ("steps", "list", "non_finite", "cap")
+
+
+class MdStep(NamedTuple):
+    """What one :func:`md_step` call ran."""
+
+    #: steps completed; the state is at the last of them
+    steps: int
+    #: one of :data:`MD_STOPS`
+    stop: str
+    #: int64 ``(steps,)``: interacting pairs of each completed step
+    pairs: np.ndarray
+    #: int64 ``(steps, len(MD_PHASES))``: each completed step's phases, ns
+    phase_ns: np.ndarray
+    #: nanoseconds of the list test that stopped the call (else 0)
+    test_ns: int
+    #: the pre-mask's dead bound when the call returned
+    dead_bound: float
+
+
+def md_step(
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    types: np.ndarray,
+    masses: np.ndarray,
+    ref: np.ndarray,
+    cand_i: np.ndarray,
+    cand_j: np.ndarray,
+    r_build: np.ndarray,
+    r_build_max: float,
+    lengths,
+    periodic,
+    cutoff: float,
+    skin: float,
+    r_min: float,
+    banks: tuple,
+    phi_index: np.ndarray,
+    dt: float,
+    n_steps: int,
+    *,
+    first: tuple | None = None,
+    dead_bound: float = np.inf,
+    scratch: dict | None = None,
+) -> MdStep:
+    """Up to ``n_steps`` steps of the reference engine on a held
+    Verlet list; ``positions`` and ``velocities`` advance in place.
+
+    The held list is the half candidate pairs ``(cand_i, cand_j)`` with
+    their build-time separations ``r_build`` (largest ``r_build_max``),
+    built at ``ref``.  Each step is, in order, what
+    :class:`~repro.md.neighbor_list.NeighborList`,
+    :class:`~repro.potentials.eam.EAMPotential` and
+    :class:`~repro.md.integrators.LeapfrogVerlet` do one call at a time:
+
+    * the list test (:func:`~repro.md.neighbor_list.skin_trigger`): the
+      call stops, the step not run, at skin 0, on a displacement that is
+      not finite, or on one over ``skin / 2``;
+    * the strict ``r < cutoff`` table through :func:`neighbor_prefilter`
+      under ``Candidates.pairs``'s all-inside and pre-mask cuts
+      (``dead_bound`` is the pre-mask's state, returned updated);
+    * the distance cap: a pair under ``r_min`` (or at 0, or NaN) stops
+      the call before anything is written;
+    * :func:`fused_density_pass` with the rho bank of ``banks = (rho,
+      embed, phi)``, the embedding ``F'`` through each atom's type (when
+      the bank has a member per type), :func:`fused_force_pass`;
+    * the leap-frog with per-type ``masses`` and step ``dt`` (ps).
+
+    ``first`` is the ``(i, j, rij, r)`` table of a build made at the
+    current positions, taken as the first step's in place of the test
+    and the filter.  ``scratch`` is the caller's dict, in which a tier
+    keeps what it holds between that caller's calls in its own slot;
+    this body keeps nothing.
+    """
+    held = (ref, cand_i, cand_j, r_build, r_build_max, lengths, periodic,
+            cutoff, skin)
+    rows = []  # each completed step's phase ns and pairs
+    stop, test_ns = "steps", 0
+    while len(rows) < n_steps and stop == "steps":
+        # a step's temporaries end with its call, before the next step's
+        stop, row, test_ns, dead_bound = _md_one(
+            positions, velocities, types, masses, held, r_min, banks,
+            phi_index, dt, first if not rows else None, dead_bound)
+        if stop == "steps":
+            rows.append(row)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, len(MD_PHASES) + 1)
+    return MdStep(len(rows), stop, rows[:, -1], rows[:, :-1], test_ns,
+                  dead_bound)
+
+
+def _md_one(positions, velocities, types, masses, held, r_min, banks,
+            phi_index, dt, table, dead_bound) -> tuple:
+    """One :func:`md_step` step, from a build's ``table`` or from the
+    list test: ``(stop, (phase ns..., pairs), test ns, dead bound)``;
+    nothing is written unless the stop is ``"steps"``.  Each part's
+    temporaries end with its call, as they did when the parts were
+    separate calls."""
+    clock = time.perf_counter_ns
+    t0 = clock()
+    if table is None:
+        stop, max_d2 = _md_test(positions, held)
+        if stop != "steps":
+            return stop, None, clock() - t0, dead_bound
+        table, dead_bound = _md_table(positions, held, max_d2, dead_bound)
+    t1 = clock()
+    p = len(table[0])
+    forces, ns = _md_forces(len(positions), types, table, r_min, banks,
+                            phi_index)
+    if forces is None:
+        return "cap", None, 0, dead_bound
+    del table
+    t4 = clock()
+    accel = forces / (masses.take(types)[:, None] * MVV2E)
+    velocities += accel * dt
+    positions += velocities * dt
+    t5 = clock()
+    return "steps", (t1 - t0, *ns, t5 - t4, p), 0, dead_bound
+
+
+def _md_test(positions, held) -> tuple[str, float]:
+    """The skin/2 test of the held list (``skin_trigger``): ``(stop,
+    largest squared displacement)``."""
+    ref, skin = held[0], held[-1]
+    if skin == 0.0:
+        return "list", 0.0
+    delta = positions - ref
+    max_d2 = float(np.max(np.einsum("ij,ij->i", delta, delta), initial=0.0))
+    if not math.isfinite(max_d2):
+        return "non_finite", max_d2
+    return ("list" if max_d2 > (skin / 2.0) ** 2 else "steps"), max_d2
+
+
+def _md_table(positions, held, max_d2: float, dead_bound: float) -> tuple:
+    """The strict table of the held list (``Candidates.pairs`` at the
+    displacement bound ``sqrt(max_d2)``): ``((i, j, rij, r), dead
+    bound)``."""
+    _, i, j, r_build, r_build_max, lengths, periodic, cutoff, _ = held
+    bound = 2.0 * math.sqrt(max_d2) + 1e-9
+    all_inside = r_build_max + bound < cutoff
+    if (not all_inside and r_build_max > cutoff + 1e-9
+            and bound < dead_bound):
+        sel = r_build <= cutoff + bound
+        if np.count_nonzero(sel) <= 0.9 * len(sel):
+            i = i[sel]
+            j = j[sel]
+        else:
+            dead_bound = bound
+    table = neighbor_prefilter(positions, i, j, lengths, periodic, cutoff,
+                               inclusive=False, assume_inside=all_inside)
+    return table, dead_bound
+
+
+def _md_forces(n: int, types, table, r_min: float, banks,
+               phi_index) -> tuple:
+    """``EAMPotential.compute``'s fused path over the half ``table``:
+    the forces (None: a pair under the cap, at 0 or NaN), and the ns of
+    the density, embedding and pair_force phases."""
+    clock = time.perf_counter_ns
+    t1 = clock()
+    i, j, rij, r = table
+    rho_bank, embed_bank, phi_bank = banks
+    typed = len(rho_bank[2]) > 1
+    p = len(i)
+    if p:
+        r_lo = np.min(r)  # NaN if any is
+        if not (r_lo >= r_min and r_lo > 0.0):
+            return None, ()
+        ti = types.take(i) if typed else 0
+        tj = types.take(j) if typed else 0
+        rho_bar, d_ji, d_ij = fused_density_pass(i, j, r, ti, tj, rho_bank, n)
+    else:
+        rho_bar = np.zeros(n, dtype=np.float64)
+    t2 = clock()
+    _, f_der = grouped_spline_eval(embed_bank, rho_bar, types if typed else 0)
+    t3 = clock()
+    if p:
+        member = phi_index[ti, tj] if typed else 0
+        _, forces = fused_force_pass(i, j, rij, r, f_der, d_ji, d_ij,
+                                     phi_bank, member, n)
+    else:
+        forces = np.zeros((n, 3), dtype=np.float64)
+    return forces, (t2 - t1, t3 - t2, clock() - t3)
 
 
 # -- the lockstep wafer's list and its two sweeps --------------------------

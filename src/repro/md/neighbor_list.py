@@ -127,7 +127,9 @@ class Candidates:
     #: builds into :class:`~repro.md.simulation.SimStats`.
     funnel: tuple[int, int, int] = (0, 0, 0)
     _r_build_max: float | None = field(default=None, init=False, repr=False)
-    _premask_dead_bound: float = field(default=np.inf, init=False, repr=False)
+    #: the pre-mask's state: the smallest displacement bound at which the
+    #: cut failed to pay (it fails at every larger one)
+    premask_dead_bound: float = field(default=np.inf, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.i)
@@ -211,13 +213,13 @@ class Candidates:
                 # it fails at every later one and the probe is skipped
                 # for the rest of the window (bit-neutral: an unapplied
                 # probe never touched the emitted pairs).
-                if bound < self._premask_dead_bound:
+                if bound < self.premask_dead_bound:
                     sel = self.r_build <= cutoff + bound
                     if np.count_nonzero(sel) <= 0.9 * len(sel):
                         i = i[sel]
                         j = j[sel]
                     else:
-                        self._premask_dead_bound = bound
+                        self.premask_dead_bound = bound
         i, j, rij, r = active_backend().neighbor_prefilter(
             positions, i, j, box.lengths, box.periodic,
             cutoff, inclusive=False, assume_inside=all_inside,
@@ -334,20 +336,42 @@ class NeighborList:
             # differently-sized position array, even if the reference
             # positions were tampered with between queries.
             reason = "stale_guard"
-        table = None
         if reason is not None:
-            rij = self.rebuild(positions)
-            # The build just measured every candidate at these very
-            # positions; only here — never across calls — is its
-            # geometry the query's geometry.
-            table = self._cut_built(rij)
-            d_max = None
-        if table is None:
+            table = self.build(positions)
+        else:
             table = self.candidates.pairs(
                 positions, self.box, self.cutoff, max_disp=d_max
             )
         self.last_pair_count = table.n_pairs
         return table
+
+    def build(self, positions: np.ndarray) -> PairTable:
+        """:meth:`rebuild`, then the half interacting pairs at the very
+        positions it was built at."""
+        rij = self.rebuild(positions)
+        # The build just measured every candidate at these very
+        # positions; only here — never across calls — is its geometry
+        # the query's geometry.
+        table = self._cut_built(rij)
+        if table is None:
+            table = self.candidates.pairs(positions, self.box, self.cutoff)
+        return table
+
+    def held_for(self, positions: np.ndarray) -> bool:
+        """Whether the held list is one the skin/2 test can keep at
+        ``positions``: one is built, for as many atoms, at a skin over 0
+        (every other reason :meth:`pairs` rebuilds for)."""
+        return (
+            self.skin > 0.0
+            and self._ref_positions is not None
+            and self._built_n_atoms == len(positions)
+            == len(self._ref_positions)
+        )
+
+    @property
+    def ref_positions(self) -> np.ndarray | None:
+        """The positions the held list was built at (None: no build)."""
+        return self._ref_positions
 
     def _cut_built(self, rij: np.ndarray) -> PairTable | None:
         """The strict ``r2 < cutoff**2`` table from build-time geometry.

@@ -2,7 +2,10 @@
 
 Composes neighbor search, potential evaluation and leap-frog
 integration into the Verlet loop the paper times ("Loop time" in the
-LAMMPS log, Sec. IV-B).  Sampling state at an interval is the job of
+LAMMPS log, Sec. IV-B).  With an EAM potential the steps on one held
+Verlet list are one call of the active kernel tier's ``md_step``, the
+list rebuild between two calls; a pair potential steps phase by phase.
+Sampling state at an interval is the job of
 :class:`repro.runtime.runner.Runner`'s observers, which cut the run into
 chunks; the loop itself has no callbacks.  The driver keeps per-phase
 wall-time and neighbor-list statistics (:class:`SimStats`) — the
@@ -27,6 +30,10 @@ from repro.obs import NULL_TRACER
 from repro.potentials.base import Potential
 
 __all__ = ["Simulation", "SimStats"]
+
+#: The most steps one ``md_step`` call is asked for: its per-step rows
+#: (six int64 a step) stay within 48 KiB however long a list is held.
+CALL_STEPS = 1024
 
 
 @dataclass
@@ -146,6 +153,10 @@ class Simulation:
         # evaluation, in the traced ``parallel.pool`` phase.
         active_backend()
         self._layout = None  # the pipeline's arguments until it spawns
+        #: what the kernel tier keeps between md_step calls, in its own
+        #: slot; emptied when another tier takes over
+        self._scratch: dict = {}
+        self._tier = None  # the tier of the last md_step call
         if workers is not None or topology is not None:
             import repro.parallel  # noqa: F401
 
@@ -234,20 +245,126 @@ class Simulation:
             self._init_pipeline()
         if self._pipeline is not None:
             return self._run_sharded(n_steps)
-        for _ in range(n_steps):
-            # the "step" envelope's self-time is the loop glue between
-            # phases (LAMMPS's "Other" row), so traced time tiles the
-            # engine wall time
+        done = 0
+        while done < n_steps:
+            # a thermostat sees every step.  The "step" envelope's
+            # self-time is the loop glue between phases (LAMMPS's
+            # "Other" row), so traced time tiles the engine wall time.
+            chunk = 1 if self.thermostat is not None else n_steps - done
             with tr.phase("step"):
-                _, forces = self.compute_forces()
-                t0 = time.perf_counter()
-                with tr.phase("integrate"):
-                    self.integrator.step(self.state, forces)
-                    if self.thermostat is not None:
-                        self.thermostat.apply(self.state, self.dt_fs)
-                self.stats.time_integrate_s += time.perf_counter() - t0
-                self.step_count += 1
-                self.stats.steps += 1
+                done += self._advance(min(chunk, CALL_STEPS))
+
+    def _advance(self, n_steps: int) -> int:
+        """``n_steps`` steps; returns how many ran (all, or a raise).
+
+        A potential with bank tables (EAM) is stepped by the registry's
+        ``md_step``, one call per held Verlet list: a call runs until
+        the steps are done or its list test fires, and then
+        :meth:`NeighborList.build` hands the next call its table for the
+        first step (as it does when no list is held for the atoms).  Any
+        other potential runs one step, phase by phase.
+        """
+        state, tr = self.state, self.tracer
+        tables = self.potential.bank_tables(state.n_atoms, state.types)
+        if tables is None:
+            _, forces = self.compute_forces()
+            t0 = time.perf_counter()
+            with tr.phase("integrate"):
+                self.integrator.step(state, forces)
+                self._thermostat_step()
+            self.stats.time_integrate_s += time.perf_counter() - t0
+            self.step_count += 1
+            self.stats.steps += 1
+            return 1
+        kernels = active_backend()
+        if kernels is not self._tier:
+            self._scratch.clear()
+            self._tier = kernels
+        nl = self.neighbors
+        neighbor_s, first, done = 0.0, None, 0
+        while done < n_steps:
+            if first is None and not nl.held_for(state.positions):
+                neighbor_s, first = self._build()
+            cand = nl.candidates
+            # a build's table is a call's first step, and that call's
+            # only one: the table is not held through the steps after it
+            step = kernels.md_step(
+                state.positions, state.velocities, state.types, state.masses,
+                nl.ref_positions, cand.i, cand.j, cand.r_build,
+                cand.r_build_max(), nl.box.lengths, nl.box.periodic,
+                nl.cutoff, nl.skin, self.potential.cap.r_min, *tables,
+                self.integrator.dt, n_steps - done if first is None else 1,
+                first=None if first is None else (
+                    first.i, first.j, first.rij, first.r),
+                dead_bound=cand.premask_dead_bound, scratch=self._scratch,
+            )
+            cand.premask_dead_bound = step.dead_bound
+            self._account(step, neighbor_s, first is not None)
+            done += step.steps
+            neighbor_s, first = 0.0, None
+            if step.stop == "list":
+                # the test and the build are the neighbor time of the
+                # step the next call runs first
+                build_s, first = self._build()
+                neighbor_s = 1e-9 * step.test_ns + build_s
+            elif step.stop != "steps":
+                # the public path raises this step's error, word for word
+                self.compute_forces()
+                raise FloatingPointError(
+                    "non-finite pair distance at step "
+                    f"{self.step_count + 1}"
+                )
+        return done
+
+    def _build(self):
+        """:meth:`NeighborList.build` at the current positions, counted:
+        ``(seconds, table)``."""
+        nl = self.neighbors
+        t0 = time.perf_counter()
+        table = nl.build(self.state.positions)
+        seconds = time.perf_counter() - t0
+        self.stats.neighbor_rebuilds += 1
+        self.stats.add_funnel(nl.candidates.funnel)
+        return seconds, table
+
+    def _account(self, step, neighbor_s: float, rebuilt: bool) -> None:
+        """Count an ``md_step`` call's steps in :attr:`step_count` and
+        :attr:`stats`, apply the thermostat (a call of one step) and,
+        traced, record each step's phases; ``neighbor_s`` is owed to the
+        first step (its list build)."""
+        n = step.steps
+        if not n:
+            return
+        seconds = step.phase_ns * 1e-9
+        seconds[0, 0] += neighbor_s
+        t0 = time.perf_counter()
+        self._thermostat_step()
+        seconds[-1, -1] += time.perf_counter() - t0
+        tr, st = self.tracer, self.stats
+        if tr.enabled:
+            for k, ((neighbor, density, embedding, pair_force, integrate),
+                    pairs) in enumerate(zip(seconds.tolist(),
+                                            step.pairs.tolist())):
+                tr.record("neighbor", neighbor,
+                          {"pairs": pairs, "rebuilds": int(rebuilt and k == 0)})
+                tr.record("density", density, {"pairs": pairs})
+                tr.record("embedding", embedding)
+                tr.record("pair_force", pair_force)
+                tr.record("integrate", integrate)
+        neighbor, density, embedding, pair_force, integrate = seconds.sum(
+            axis=0).tolist()
+        self.step_count += n
+        st.steps += n
+        st.force_evaluations += n
+        st.pairs_last = self.neighbors.last_pair_count = int(step.pairs[-1])
+        st.pairs_total += int(step.pairs.sum())
+        st.time_neighbor_s += neighbor
+        st.time_force_s += density + embedding + pair_force
+        st.time_integrate_s += integrate
+
+    def _thermostat_step(self) -> None:
+        if self.thermostat is not None:
+            self.thermostat.apply(self.state, self.dt_fs)
 
     def _run_sharded(self, n_steps: int) -> None:
         """:meth:`run` with the ranks stepping their own atoms.

@@ -124,3 +124,9 @@ class Potential(ABC):
         taxonomy's spans: ``pair_force`` for a pair potential,
         ``density`` / ``embedding`` / ``pair_force`` for EAM.
         """
+
+    def bank_tables(self, n_atoms: int, types: np.ndarray | None = None):
+        """The packed spline banks the registry's ``md_step`` kernel
+        evaluates this potential through, or ``None``: a potential
+        without them is stepped phase by phase."""
+        return None

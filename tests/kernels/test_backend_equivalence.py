@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.wse_md import FAR
-from repro.kernels.native_backend import step_outputs
+from repro.kernels.native_backend import md_outputs, step_outputs
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_FUNCTIONS,
@@ -227,6 +227,37 @@ def _wafer_held_inputs(rng, bound2):
             (pos,))
 
 
+def _md_step_inputs(rng):
+    """Steps of a random cloud of one or two types on a held list of
+    every pair within the reach, in a random box: from a build's table
+    or (every other draw) from the list test, after random moves that
+    the skin/2 test may or may not keep."""
+    from repro.kernels import numpy_backend
+
+    n, cutoff, skin = 40, 2.4, 0.4
+    lengths = rng.uniform(6.0, 9.0, size=3)
+    periodic = rng.integers(0, 2, size=3).astype(bool)
+    pos = rng.uniform(0.0, 1.0, size=(n, 3)) * lengths
+    n_types = int(rng.integers(1, 3))
+    banks, phi_index = _wafer_banks(rng, n_types)
+    types = rng.integers(0, n_types, size=n)
+    vel = rng.normal(size=(n, 3))
+    i, j = np.triu_indices(n, k=1)
+    ci, cj, _, r_build = numpy_backend.neighbor_prefilter(
+        pos, i, j, lengths, periodic, cutoff + skin, inclusive=True)
+    ref, first = pos.copy(), None
+    if rng.integers(0, 2):
+        first = numpy_backend.neighbor_prefilter(
+            pos, ci, cj, lengths, periodic, cutoff, inclusive=False)
+    else:
+        pos += rng.normal(0.0, float(rng.choice([0.01, 0.2])), pos.shape)
+    args = (pos, vel, types, rng.uniform(10.0, 200.0, n_types), ref, ci, cj,
+            r_build, float(r_build.max(initial=0.0)), lengths, periodic,
+            cutoff, skin, 0.05, banks, phi_index, 0.002,
+            int(rng.integers(1, 6)))
+    return args, dict(first=first, scratch={}), (pos, vel)
+
+
 _INPUTS = {
     "grouped_spline_eval": _grouped_spline_eval_inputs,
     "neighbor_prefilter": _neighbor_prefilter_inputs,
@@ -239,6 +270,7 @@ _INPUTS = {
     "wafer_step/build": _wafer_build_inputs,
     "wafer_step/reused": lambda rng: _wafer_held_inputs(rng, 1e6),
     "wafer_step/rebuilt": lambda rng: _wafer_held_inputs(rng, 1e-4),
+    "md_step": _md_step_inputs,
 }
 
 
@@ -251,6 +283,8 @@ def _call(fn_name, seed):
     out = getattr(active_backend(), fn_name)(*args, **kwargs)
     if fn_name == "wafer_step":  # its timings and team are not outputs
         out = step_outputs(out, kwargs["scratch"])
+    if fn_name == "md_step":  # nor are its timings
+        out = md_outputs(out)
     if out is None:
         out = ()
     out = out if isinstance(out, tuple) else (out,)

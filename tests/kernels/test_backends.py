@@ -131,12 +131,14 @@ class TestRegistry:
     def test_interface_is_one_tuple_every_name_on_numpy(self):
         """No CORE/FUSED split: one list, and the numpy tier (what the
         ledger builds its traced backend from) provides all of it."""
-        assert len(set(KERNEL_FUNCTIONS)) == len(KERNEL_FUNCTIONS) == 6
+        assert len(set(KERNEL_FUNCTIONS)) == len(KERNEL_FUNCTIONS) == 7
         assert "spline_eval" not in KERNEL_FUNCTIONS  # one spline evaluator
         # the reference engine's cell sweep is a kernel too
         assert "cell_pairs" in KERNEL_FUNCTIONS
-        # the whole wafer step is in the registry, as one kernel
+        # the whole wafer step is in the registry, as one kernel, and
+        # so are the reference engine's steps on a held list
         assert "wafer_step" in KERNEL_FUNCTIONS
+        assert "md_step" in KERNEL_FUNCTIONS
         assert not {"wafer_list", "wafer_density", "wafer_force",
                     "list_valid", "wafer_integrate",
                     "wafer_cycles"} & set(KERNEL_FUNCTIONS)

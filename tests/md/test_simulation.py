@@ -148,3 +148,63 @@ class TestDriverMechanics:
         finally:
             sim.close()
         assert state.temperature() > 150.0
+
+
+def _ledger_probes():
+    """``benchmarks/ledger/probes.py``, imported as the ledger imports
+    it (its directory on the path, for its ``spans`` import)."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    here = str(Path(__file__).resolve().parents[2] / "benchmarks" / "ledger")
+    sys.path.insert(0, here)
+    try:
+        return importlib.import_module("probes"), importlib.import_module(
+            "spans")
+    finally:
+        sys.path.remove(here)
+
+
+class TestLedgerTracedPass:
+    """``Simulation.run`` is bitwise the public-step sequence of the
+    ledger's ``decomposed_steps`` (``NeighborList.pairs`` ->
+    ``EAMPotential.compute`` -> ``LeapfrogVerlet.step``): the ledger's
+    ``paths_bitwise_equal`` check on ``ta16k-steady`` and
+    ``ta16k-rebuild`` at ``--trace 1`` rests on it."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize("skin", [0.5, 0.0])
+    @pytest.mark.parametrize("tier", ["numpy", "native"])
+    def test_run_is_the_decomposed_steps(self, tier, skin, traced):
+        import repro.kernels as kernels
+        from repro.obs import Tracer
+        from repro.runtime import RunSpec, build_engine
+
+        if kernels.backend_status()[tier] != "ok":
+            pytest.skip(f"{tier} tier unavailable")
+        probes, spans = _ledger_probes()
+        spec = RunSpec(element="Ta", reps=(4, 4, 3), temperature=900.0,
+                       engine="reference", backend=tier, skin=skin)
+        try:
+            engines = [build_engine(spec, tracer=Tracer() if traced else None)
+                       for _ in range(2)]
+            engines[0].step(60)
+            probes.decomposed_steps(engines[1].sim, 60,
+                                    spans.SpanRecorder("test"), [])
+            run, decomposed = (e.sim for e in engines)
+            assert run.step_count == decomposed.step_count == 60
+            assert run.neighbors.n_builds == decomposed.neighbors.n_builds
+            assert run.neighbors.n_builds >= (60 if skin == 0.0 else 3)
+            for a, b in ((run.state.positions, decomposed.state.positions),
+                         (run.state.velocities,
+                          decomposed.state.velocities)):
+                assert a.tobytes() == b.tobytes()
+            assert run.stats.steps == 60
+            assert run.stats.neighbor_rebuilds == run.neighbors.n_builds
+            if traced:
+                totals = run.tracer.phase_totals()
+                assert {"step", "neighbor", "density", "embedding",
+                        "pair_force", "integrate"} <= set(totals)
+        finally:
+            kernels.set_backend(kernels.DEFAULT_BACKEND)

@@ -301,19 +301,29 @@ class TestSpecRuns:
 
     def test_nan_mid_run_exit_code_1(self, tmp_path, capsys, monkeypatch):
         # a position going non-finite on a neighbor-list *reuse* step
-        # is a failed run with a one-line diagnostic, not a quiet one
-        from repro.md.integrators import LeapfrogVerlet
+        # is a failed run with a one-line diagnostic, not a quiet one.
+        # The leap-frog runs inside the tier's md_step, so the NaN goes
+        # in after the call that ends on the third step (the tiers are
+        # loaded first: the native tier's load-time probe calls md_step).
+        from repro.kernels import backend_status, native_backend, numpy_backend
 
-        plain_step = LeapfrogVerlet.step
-        calls = []
+        backend_status()
+        done = []
 
-        def poisoned_step(self, state, forces):
-            plain_step(self, state, forces)
-            calls.append(1)
-            if len(calls) == 3:
-                state.positions[2, 1] = float("nan")
+        def poisoned(plain):
+            def md_step(positions, *args, **kwargs):
+                *args, n_steps = args
+                if sum(done) < 3:
+                    n_steps = min(n_steps, 3 - sum(done))
+                step = plain(positions, *args, n_steps, **kwargs)
+                done.append(step.steps)
+                if step.steps and sum(done) == 3:
+                    positions[2, 1] = float("nan")
+                return step
+            return md_step
 
-        monkeypatch.setattr(LeapfrogVerlet, "step", poisoned_step)
+        for tier in (native_backend, numpy_backend):
+            monkeypatch.setattr(tier, "md_step", poisoned(tier.md_step))
         path = self._write_spec(tmp_path, engine="reference", steps=8)
         assert main(["run", "--spec", str(path)]) == 1
         err = capsys.readouterr().err
