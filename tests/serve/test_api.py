@@ -315,6 +315,30 @@ class TestFaults:
         assert stats["slots_busy"] == 0
         assert ResultCache(root).stats()["entries"] == 2
 
+    def test_journal_torn_under_a_live_server(self, tmp_path):
+        """The same for the index's journal: a truncated
+        ``index.journal`` makes the next hit rewrite the snapshot whole
+        and start a fresh journal."""
+        root = tmp_path / "cache"
+        journal = root / "index.journal"
+
+        def run(client):
+            client.submit(SPEC.to_dict())
+            journal.write_bytes(
+                journal.read_bytes()[: journal.stat().st_size // 2])
+            hit = client.submit(SPEC.to_dict())["job"]
+            rewritten = json.loads((root / "index.json").read_text())
+            longer = client.submit(SPEC.to_dict(), steps=7)["job"]
+            return hit, rewritten, longer, client.stats()["stats"]
+
+        hit, rewritten, longer, stats = _with_server(tmp_path, run)
+        assert (hit["state"], hit["cache"]) == ("done", "hit")
+        assert [row["steps"] for row in rewritten["entries"]] == [3]
+        assert (longer["state"], longer["cache"]) == ("done", "resume")
+        assert longer["resume_step"] == 3
+        assert stats["slots_busy"] == 0
+        assert ResultCache(root).stats()["entries"] == 2
+
 
 def test_shutdown_op_stops_serve_loop(tmp_path):
     async def body():
