@@ -14,8 +14,8 @@ periodic) stepped by the reference engine; the LJ pair loop is numpy
 only (no kernel tier serves ``LennardJones``), so that row prices
 numpy: ~66 ns a stored pair on a 2-vCPU host.  The other is the
 reference engine's own workload at the same size, a 1,024-atom Ta slab
-on the default kernel tier, whose steps on one held Verlet list are one
-``md_step`` call.
+on the default kernel tier, whose steps, list rebuilds included, are
+one ``md_step`` call.
 """
 
 import time

@@ -5,9 +5,9 @@ The physics modules (:mod:`repro.potentials`, :mod:`repro.md`,
 *how* the inner loops run.  Each backend is a module exposing the same
 seven functions (:data:`KERNEL_FUNCTIONS`): for the reference engine the
 cell sweep of a neighbor-list rebuild (``cell_pairs``), four pair
-kernels and ``md_step``, which runs its steps on a held Verlet list --
-list test, prefilter, density, embedding, force and leap-frog -- in one
-call, and for the lockstep wafer ``wafer_step``, which runs a whole
+kernels and ``md_step``, which runs its steps with their Verlet list --
+list test, list build or prefilter, density, embedding, force and
+leap-frog -- in one call, and for the lockstep wafer ``wafer_step``, which runs a whole
 step -- list test, list build, both sweeps with the embedding between
 them, leap-frog and cycle counter -- in one call on whichever tier is
 active:
@@ -63,7 +63,7 @@ KERNEL_FUNCTIONS = (
     "fused_density_pass",   # half-pair EAM stage 1 -> (rho_bar, d_ji, d_ij)
     "fused_force_pass",     # half-pair EAM stage 2 -> (e_pair, forces)
     "wafer_step",           # a whole wafer step, list test to cycles -> WaferStep
-    "md_step",              # reference steps on a held list, test to leap-frog -> MdStep
+    "md_step",              # reference steps and their list, test to leap-frog -> MdStep
 )
 
 #: The fastest bitwise tier; resolves to :data:`FALLBACK_BACKEND` (one

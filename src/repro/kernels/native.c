@@ -1,8 +1,8 @@
 /* Native kernels: the registry's seven kernels as C99 loops -- the cell
  * sweep of a reference-engine list rebuild (cell_pairs), the four pair
- * kernels of the reference engine, its steps on a held Verlet list
- * (md_step: list test, prefilter, density, embedding, force and
- * leap-frog, in one call), and the lockstep wafer's whole step
+ * kernels of the reference engine, its steps with their Verlet list
+ * (md_step: list test, list build or prefilter, density, embedding,
+ * force and leap-frog, in one call), and the lockstep wafer's whole step
  * (wafer_step: list test, list build, both sweeps with the embedding
  * between them, leap-frog and cycle counter, in one call).
  *
@@ -210,12 +210,32 @@ typedef struct {
     const double *x, *y, *z;  /* the cell-sorted coordinate columns */
     const int64_t *order;     /* slot -> atom id */
     double L[3], q[3], r2_max;
-    int64_t cap, w;           /* output rows: bound, written */
+    int64_t cap, w;           /* output rows: bound, kept (may pass cap) */
     int64_t *oi, *oj;
 } sweep_t;
 
-/* Slot a against slots [t0, t1); 0, or -1 once the outputs are full. */
-static int sweep_block(sweep_t *S, int64_t a, int64_t t0, int64_t t1)
+/* A sweep of the n slots of cols at r2_max into (oi, oj) at cap rows;
+ * 0, or -1 for a periodic length numpy's formula would not treat as a
+ * length. */
+static int sweep_init(sweep_t *S, const double *cols, int64_t n,
+                      const int64_t *order, const uint8_t *periodic,
+                      const double *lengths, double r2_max, int64_t cap,
+                      int64_t *oi, int64_t *oj)
+{
+    *S = (sweep_t){cols, cols + n, cols + 2 * n, order, {1.0, 1.0, 1.0},
+                   {INFINITY, INFINITY, INFINITY}, r2_max, cap, 0, oi, oj};
+    for (int k = 0; k < 3; k++)
+        if (periodic[k]) {
+            if (!(lengths[k] > 0.0 && isfinite(lengths[k]))) return -1;
+            S->L[k] = lengths[k];
+            S->q[k] = 0.25 * lengths[k];
+        }
+    return 0;
+}
+
+/* Slot a against slots [t0, t1): the survivors are counted, and written
+ * while the outputs have room. */
+static void sweep_block(sweep_t *S, int64_t a, int64_t t0, int64_t t1)
 {
     const double xa = S->x[a], ya = S->y[a], za = S->z[a];
     const int64_t ia = S->order[a];
@@ -224,12 +244,58 @@ static int sweep_block(sweep_t *S, int64_t a, int64_t t0, int64_t t1)
         double dy = nearest(S->y[t] - ya, S->L[1], S->q[1]);
         double dz = nearest(S->z[t] - za, S->L[2], S->q[2]);
         if ((dx * dx + dy * dy) + dz * dz <= S->r2_max) {
-            if (S->w == S->cap) return -1;
-            S->oi[S->w] = ia;
-            S->oj[S->w++] = S->order[t];
+            if (S->w < S->cap) {
+                S->oi[S->w] = ia;
+                S->oj[S->w] = S->order[t];
+            }
+            S->w++;
         }
     }
-    return 0;
+}
+
+/* The half-stencil stream of a cell plan (ncell cells, starts/counts
+ * over slots ascending by cell, the stencil's n_off offsets, live cells
+ * or NULL) through sweep_block; returns the raw stream's length. */
+static int64_t sweep_cells(sweep_t *S, const int64_t *starts,
+                           const int64_t *counts, const int64_t *ncell,
+                           const uint8_t *periodic, const int64_t *stencil,
+                           int64_t n_off, const uint8_t *live)
+{
+    const int64_t nx = ncell[0], ny = ncell[1], nz = ncell[2];
+    const int64_t ntot = nx * ny * nz;
+    int64_t raw = 0;
+    /* same-cell pairs: each slot with the rest of its cell after it */
+    for (int64_t c = 0; c < ntot; c++) {
+        if (live && !live[c]) continue;
+        const int64_t e = starts[c] + counts[c];
+        for (int64_t a = starts[c]; a < e - 1; a++) {
+            raw += e - a - 1;
+            sweep_block(S, a, a + 1, e);
+        }
+    }
+    for (int64_t o = 0; o < n_off; o++) {
+        const int64_t *off = stencil + 3 * o;
+        for (int64_t x = 0; x < nx; x++) {
+            const int64_t bx = shifted(x + off[0], nx, periodic[0]);
+            if (bx < 0) continue;
+            for (int64_t y = 0; y < ny; y++) {
+                const int64_t by = shifted(y + off[1], ny, periodic[1]);
+                if (by < 0) continue;
+                for (int64_t z = 0; z < nz; z++) {
+                    const int64_t c = (x * ny + y) * nz + z;
+                    const int64_t bz = shifted(z + off[2], nz, periodic[2]);
+                    if (!counts[c] || bz < 0) continue;
+                    const int64_t nc = (bx * ny + by) * nz + bz;
+                    const int64_t m = counts[nc], t0 = starts[nc];
+                    if (!m || (live && !(live[c] | live[nc]))) continue;
+                    raw += counts[c] * m;
+                    for (int64_t a = starts[c]; a < starts[c] + counts[c]; a++)
+                        sweep_block(S, a, t0, t0 + m);
+                }
+            }
+        }
+    }
+    return raw;
 }
 
 /* Returns the number of pairs kept (written to oi/oj, at most cap) and
@@ -245,15 +311,10 @@ int64_t cell_pairs(const double *cols, int64_t n, const int64_t *order,
                    int64_t cap, int64_t *oi, int64_t *oj, int64_t *n_raw)
 {
     const int64_t nx = ncell[0], ny = ncell[1], nz = ncell[2];
-    const int64_t ntot = nx * ny * nz;
-    sweep_t S = {cols, cols + n, cols + 2 * n, order, {1.0, 1.0, 1.0},
-                 {INFINITY, INFINITY, INFINITY}, r2_max, cap, 0, oi, oj};
-    for (int k = 0; k < 3; k++)
-        if (periodic[k]) {
-            if (!(lengths[k] > 0.0 && isfinite(lengths[k]))) return -1;
-            S.L[k] = lengths[k];
-            S.q[k] = 0.25 * lengths[k];
-        }
+    sweep_t S;
+    if (sweep_init(&S, cols, n, order, periodic, lengths, r2_max, cap, oi,
+                   oj))
+        return -1;
     for (int64_t q = 0; q < 3 * n_off; q++)
         if (stencil[q] < -(INT64_C(1) << 40) || stencil[q] > INT64_C(1) << 40)
             return -1;
@@ -269,39 +330,9 @@ int64_t cell_pairs(const double *cols, int64_t n, const int64_t *order,
                         return -1;
             }
     if (s != n) return -1;
-
-    int64_t raw = 0;
-    /* same-cell pairs: each slot with the rest of its cell after it */
-    for (c = 0; c < ntot; c++) {
-        if (live && !live[c]) continue;
-        const int64_t e = starts[c] + counts[c];
-        for (int64_t a = starts[c]; a < e - 1; a++) {
-            raw += e - a - 1;
-            if (sweep_block(&S, a, a + 1, e)) return -1;
-        }
-    }
-    for (int64_t o = 0; o < n_off; o++) {
-        const int64_t *off = stencil + 3 * o;
-        for (int64_t x = 0; x < nx; x++) {
-            const int64_t bx = shifted(x + off[0], nx, periodic[0]);
-            if (bx < 0) continue;
-            for (int64_t y = 0; y < ny; y++) {
-                const int64_t by = shifted(y + off[1], ny, periodic[1]);
-                if (by < 0) continue;
-                for (int64_t z = 0; z < nz; z++) {
-                    c = (x * ny + y) * nz + z;
-                    const int64_t bz = shifted(z + off[2], nz, periodic[2]);
-                    if (!counts[c] || bz < 0) continue;
-                    const int64_t nc = (bx * ny + by) * nz + bz;
-                    const int64_t m = counts[nc], t0 = starts[nc];
-                    if (!m || (live && !(live[c] | live[nc]))) continue;
-                    raw += counts[c] * m;
-                    for (int64_t a = starts[c]; a < starts[c] + counts[c]; a++)
-                        if (sweep_block(&S, a, t0, t0 + m)) return -1;
-                }
-            }
-        }
-    }
+    int64_t raw = sweep_cells(&S, starts, counts, ncell, periodic, stencil,
+                              n_off, live);
+    if (S.w > cap) return -1;
     *n_raw = raw;
     return S.w;
 }
@@ -1364,28 +1395,41 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
 /* -- the reference engine's whole step ----------------------------------
  *
  * md_step runs up to n steps of numpy_backend.md_step on the calling
- * thread, each: the skin/2 list test over the atoms, the reuse
- * prefilter under its all-inside and pre-mask cuts, the distance cap,
- * density, the embedding, force and the leap-frog.  Its pair loops are
- * chunked passes, as wafer_step's are: the prefilter gathers a chunk's
- * separations, wraps and squares them a pass at a time and compacts the
- * rows under the cutoff into the table's columns without a branch;
- * density and force evaluate a chunk's splines a pass at a time, then
- * make its additions in row order, into the two accumulators per plane
- * that bincount(i) and bincount(j) are.  The table and the per-atom
- * planes live in the caller's scratch between calls.
+ * thread, its Verlet list included, each: the skin/2 list test over the
+ * atoms; where it fires, at skin 0 or with no list held, the list build
+ * -- cell_plan's binning and counting sort, cell_pairs' sweep
+ * (sweep_cells) or the brute-force stream, the inclusive
+ * neighbor_prefilter at the reach and cut_built's strict cut, whose
+ * table is the step's -- else the reuse prefilter under its all-inside
+ * and pre-mask cuts; then the distance cap, density, the embedding,
+ * force and the leap-frog.  Its pair loops are chunked passes, as
+ * wafer_step's are: the prefilter gathers a chunk's separations, wraps
+ * and squares them a pass at a time and compacts the rows under the
+ * cutoff into the table's columns without a branch; density and force
+ * evaluate a chunk's splines a pass at a time, then make its additions
+ * in row order, into the two accumulators per plane that bincount(i)
+ * and bincount(j) are.  The list it builds, the build's plan, the
+ * table and the per-atom planes live in the caller's scratch between
+ * calls.
  */
 
 /* The scratch an md_step caller passes, by position: the table's
- * columns (cap rows; D_IJ unused with one table per family), then
- * per-atom planes (n, and 3n for the force accumulators). */
+ * columns (cap rows; D_IJ unused with one table per family; I and J
+ * hold a build's swept pairs before its table), the held list's
+ * columns and the build's rij (cap rows, 3 cap), then per-atom planes
+ * (n, and 3n for the force accumulators, the list's build positions and
+ * the sweep's coordinate columns), the plan's cells (cells_cap) and the
+ * half stencil. */
 enum {
-    MD_I, MD_J, MD_DX, MD_DY, MD_DZ, MD_R, MD_D_JI, MD_D_IJ, MD_ACC_I,
-    MD_ACC_J, MD_F_DER, MD_F_I, MD_F_J,
+    MD_I, MD_J, MD_DX, MD_DY, MD_DZ, MD_R, MD_D_JI, MD_D_IJ, MD_L_I,
+    MD_L_J, MD_L_R, MD_L_RIJ, MD_ACC_I, MD_ACC_J, MD_F_DER, MD_F_I, MD_F_J,
+    MD_L_REF, MD_CID, MD_ORDER, MD_COLS, MD_COUNTS, MD_STARTS, MD_STENCIL,
 };
 
-/* Why a call returned (numpy_backend.MD_STOPS). */
-enum { MD_STEPS, MD_LIST, MD_NON_FINITE, MD_CAP };
+/* Why a call returned (numpy_backend.MD_STOPS), or MD_GROW: a build
+ * needs more scratch than the call was given (the caller regrows it and
+ * calls again from that step, with no list held). */
+enum { MD_STEPS, MD_NON_FINITE, MD_CAP, MD_GROW };
 
 typedef struct {
     double *pos, *vel;
@@ -1393,20 +1437,24 @@ typedef struct {
     int64_t n, typed;  /* typed: a table per type */
     const double *masses;
     double mvv2e, dt;
-    /* the held list, built at ref */
+    /* the held list, built at ref (n_cand < 0: none) */
     const double *ref;
     const int64_t *ci, *cj;
     const double *r_build;
     int64_t n_cand;
-    const double *lengths;
+    double r_build_max;
+    const double *origin, *lengths;
     const uint8_t *periodic;
-    double cutoff;
+    double cutoff, skin;
     const bank_t *rho, *embed, *phi;
     const int64_t *phi_index;
     /* the step's table and planes (the caller's scratch) */
     int64_t *pi, *pj;
     double *d[3], *r, *d_ji, *d_ij;
     double *acc_i, *acc_j, *f_der, *f_i, *f_j;
+    /* the scratch, its rows for pairs and for cells, the stencil */
+    void *const *m;
+    int64_t cap, cells_cap, n_off;
 } md_args;
 
 /* The list test: MD_NON_FINITE when a displacement since ref is not
@@ -1476,17 +1524,161 @@ static int64_t md_prefilter(const md_args *M, int inside, double lim)
     return w;
 }
 
-/* The first step's table, a build's (i, j, rij (p, 3), r), in the
- * table's columns. */
-static void md_take_table(const md_args *M, const int64_t *i,
-                          const int64_t *j, const double *rij,
-                          const double *r, int64_t p)
+/* The list build at the current positions (numpy_backend._md_build)
+ * into the scratch's list, which the call holds from then on.  Returns
+ * MD_STEPS with the build's table in the table's columns (*p rows) and
+ * its funnel (raw, coarse, exact); MD_NON_FINITE when a position is
+ * not finite; MD_GROW with the pair rows (need[0]) or cells (need[1])
+ * the scratch lacks.  Either way the list held before is gone. */
+static int md_build(md_args *M, int64_t *p, int64_t *funnel, int64_t *need)
 {
-    memcpy(M->pi, i, 8 * (size_t)p);
-    memcpy(M->pj, j, 8 * (size_t)p);
-    memcpy(M->r, r, 8 * (size_t)p);
-    for (int64_t q = 0; q < p; q++)
-        for (int k = 0; k < 3; k++) M->d[k][q] = rij[3 * q + k];
+    void *const *m = M->m;
+    const double *pos = M->pos;
+    const int64_t n = M->n;
+    const double reach = M->cutoff + M->skin;
+    int64_t *ci = m[MD_I], *cj = m[MD_J], raw = 0, coarse = 0;
+    M->n_cand = -1;
+    for (int64_t a = 0; a < 3 * n; a++)
+        if (!isfinite(pos[a])) return MD_NON_FINITE;
+    if (n > 0) {
+        /* cell_plan's grid: periodic dims span the box from its origin,
+         * open ones the positions' extent padded by 1e-9, at least the
+         * reach; floor(span / reach) cells, at least 1 (a count past
+         * int64 is numpy's cast of it, then 1) */
+        double lo[3], size[3];
+        int64_t nc[3], brute = 0;
+        for (int d = 0; d < 3; d++) {
+            double span;
+            if (M->periodic[d]) {
+                span = M->lengths[d];
+                lo[d] = M->origin[d];
+            } else {
+                double mn = pos[d], mx = pos[d];
+                for (int64_t a = 3 + d; a < 3 * n; a += 3) {
+                    mn = pos[a] < mn ? pos[a] : mn;
+                    mx = pos[a] > mx ? pos[a] : mx;
+                }
+                lo[d] = mn - 1e-9;
+                span = (mx + 1e-9) - lo[d];
+                span = reach > span ? reach : span;
+            }
+            double k = floor(span / reach);
+            nc[d] = k >= 1.0 && k < 0x1p63 ? (int64_t)k : 1;
+            size[d] = span / (double)nc[d];
+            brute |= M->periodic[d] && nc[d] < 3;
+        }
+        if (brute) {
+            /* the brute-force stream: every a < b, row-major */
+            coarse = raw = n * (n - 1) / 2;
+            if (coarse > M->cap) {
+                need[0] = coarse;
+                return MD_GROW;
+            }
+            int64_t w = 0;
+            for (int64_t a = 0; a < n; a++)
+                for (int64_t b = a + 1; b < n; b++) {
+                    ci[w] = a;
+                    cj[w++] = b;
+                }
+        } else {
+            const int64_t ntot = nc[0] * nc[1] * nc[2];
+            if (ntot > M->cells_cap) {
+                need[1] = ntot;
+                return MD_GROW;
+            }
+            int64_t *cid = m[MD_CID], *order = m[MD_ORDER];
+            int64_t *counts = m[MD_COUNTS], *starts = m[MD_STARTS];
+            double *cols = m[MD_COLS];
+            /* each atom's cell, wrapped or clamped, and the cells'
+             * counts; then a stable counting sort into slots */
+            memset(counts, 0, 8 * (size_t)ntot);
+            for (int64_t a = 0; a < n; a++) {
+                int64_t c[3];
+                for (int d = 0; d < 3; d++) {
+                    int64_t v = (int64_t)floor((pos[3 * a + d] - lo[d])
+                                               / size[d]);
+                    if (M->periodic[d]) {
+                        v %= nc[d];
+                        v += v < 0 ? nc[d] : 0;
+                    } else {
+                        v = v < 0 ? 0 : v > nc[d] - 1 ? nc[d] - 1 : v;
+                    }
+                    c[d] = v;
+                }
+                cid[a] = (c[0] * nc[1] + c[1]) * nc[2] + c[2];
+                counts[cid[a]]++;
+            }
+            for (int64_t c = 0, s = 0; c < ntot; s += counts[c++])
+                starts[c] = s;
+            for (int64_t a = 0; a < n; a++) order[starts[cid[a]]++] = a;
+            for (int64_t c = 0; c < ntot; c++) starts[c] -= counts[c];
+            for (int d = 0; d < 3; d++)
+                for (int64_t s = 0; s < n; s++)
+                    cols[d * n + s] = pos[3 * order[s] + d];
+            /* sweep_cut: the over-inclusive bound at the reach */
+            const double eps = 0x1p-52;
+            double slack = 0.0;
+            for (int d = 0; d < 3; d++) {
+                if (!M->periodic[d]) continue;
+                const double *col = cols + d * n;
+                double mn = col[0], mx = col[0];
+                for (int64_t s = 1; s < n; s++) {
+                    mn = col[s] < mn ? col[s] : mn;
+                    mx = col[s] > mx ? col[s] : mx;
+                }
+                slack += 4.0 * eps * ((mx - mn) + M->lengths[d]);
+            }
+            double r2_max = reach * reach * (1.0 + 16.0 * eps)
+                            + 8.0 * reach * slack;
+            sweep_t S;
+            sweep_init(&S, cols, n, order, M->periodic, M->lengths, r2_max,
+                       M->cap, ci, cj);
+            raw = sweep_cells(&S, starts, counts, nc, M->periodic,
+                              m[MD_STENCIL], M->n_off, NULL);
+            if (S.w > M->cap) {
+                need[0] = S.w;
+                return MD_GROW;
+            }
+            coarse = S.w;
+        }
+    }
+    /* the inclusive prefilter at the reach: the list, its rij */
+    int64_t *li = m[MD_L_I], *lj = m[MD_L_J];
+    double *lr = m[MD_L_R], *lrij = m[MD_L_RIJ], *ref = m[MD_L_REF];
+    const int64_t exact = neighbor_prefilter(
+        pos, n, ci, cj, coarse, M->lengths, M->periodic, reach * reach, 1, 0,
+        li, lj, lrij, lr);
+    memcpy(ref, pos, 24 * (size_t)n);
+    double top = 0.0;
+    for (int64_t q = 0; q < exact; q++) top = lr[q] > top ? lr[q] : top;
+    M->ref = ref;
+    M->ci = li;
+    M->cj = lj;
+    M->r_build = lr;
+    M->n_cand = exact;
+    M->r_build_max = top;
+    funnel[0] = raw;
+    funnel[1] = coarse;
+    funnel[2] = exact;
+    /* cut_built: the strict table from the build's own geometry, or
+     * the strict prefilter when an r sits on sqrt(cutoff^2) */
+    const double rc = sqrt(M->cutoff * M->cutoff);
+    int on_cut = 0;
+    for (int64_t q = 0; q < exact; q++) on_cut |= lr[q] == rc;
+    if (on_cut) {
+        *p = md_prefilter(M, 0, INFINITY);
+        return MD_STEPS;
+    }
+    int64_t w = 0;
+    for (int64_t q = 0; q < exact; q++) {
+        if (!(lr[q] < rc)) continue;
+        M->pi[w] = li[q];
+        M->pj[w] = lj[q];
+        for (int k = 0; k < 3; k++) M->d[k][w] = lrij[3 * q + k];
+        M->r[w++] = lr[q];
+    }
+    *p = w;
+    return MD_STEPS;
 }
 
 /* PairDistanceCap.check and the unit vectors' division: 0 when every
@@ -1594,69 +1786,84 @@ static void md_leapfrog(const md_args *M)
 }
 
 /* Up to n_steps steps (numpy_backend.md_step) of the n atoms at pos,
- * vel with types typ, per-type masses (n_masses), on the held list
- * (ci, cj, r_build) of n_cand rows built at ref.  fi != NULL: the first
- * step takes the table (fi, fj, frij, fr) of fp rows in place of the
- * test and the filter.  half_skin2 is (skin / 2)^2, *dead the
- * pre-mask's dead bound (updated).  scratch holds the buffers the MD_*
- * names list, the table's columns at cap rows.  Each step run writes a
- * row of `rows`: the nanoseconds of its neighbor, density, embedding,
- * pair_force and integrate phases, and its pairs.  out gets why the
- * call returned (MD_*) and the nanoseconds of the test that stopped it.
- * Returns the steps run, or -1 to decline (an index or type out of
- * range, a table over cap), having written nothing. */
+ * vel with types typ, per-type masses (n_masses), the Verlet list
+ * included.  The call starts from the held list (ci, cj, r_build) of
+ * n_cand rows built at ref, or, ref NULL, the list this scratch holds
+ * (n_cand < 0: none); bounds is {the pre-mask's dead bound, the list's
+ * r_build_max}, both updated.  The box has its origin, lengths and
+ * periodic dims; half_skin2 is (skin / 2)^2; the build sweeps the
+ * n_off offsets of the scratch's stencil.  scratch holds the buffers
+ * the MD_* names list, pair rows at cap and cells at cells_cap.  Each
+ * step run writes a row of `rows`: the nanoseconds of its neighbor,
+ * density, embedding, pair_force and integrate phases, and its pairs;
+ * each build a row of `builds`: its step and its funnel.  out gets why
+ * the call returned (MD_*), its builds, the held list's rows (-1: none)
+ * and, on MD_GROW, the pair rows and cells it needs.  Returns the steps
+ * run, or -1 to decline (an index or type out of range, a list over
+ * cap), having written nothing. */
 int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
                 const double *masses, int64_t n_masses, double mvv2e,
                 double dt, const double *ref, const int64_t *ci,
                 const int64_t *cj, const double *r_build, int64_t n_cand,
-                double r_build_max, const double *lengths,
+                const double *origin, const double *lengths,
                 const uint8_t *periodic, double cutoff, double skin,
-                double half_skin2, double r_min, const int64_t *fi,
-                const int64_t *fj, const double *frij, const double *fr,
-                int64_t fp, const bank_t *rho, const bank_t *embed,
-                const bank_t *phi, const int64_t *phi_index, int64_t n_steps,
-                void *const *scratch, int64_t cap, double *dead,
-                int64_t *rows, int64_t *out)
+                double half_skin2, double r_min, const bank_t *rho,
+                const bank_t *embed, const bank_t *phi,
+                const int64_t *phi_index, int64_t n_off, int64_t n_steps,
+                void *const *scratch, int64_t cap, int64_t cells_cap,
+                double *bounds, int64_t *rows, int64_t *builds, int64_t *out)
 {
     int64_t typed = rho->n_members > 1;
-    if (n_cand > cap || (fi && fp > cap) || bad_any(ci, n_cand, n)
-        || bad_any(cj, n_cand, n)
-        || (fi && (bad_any(fi, fp, n) || bad_any(fj, fp, n))))
+    void *const *m = scratch;
+    if (!ref && n_cand >= 0) {  /* the list this scratch holds */
+        ref = m[MD_L_REF];
+        ci = m[MD_L_I];
+        cj = m[MD_L_J];
+        r_build = m[MD_L_R];
+    } else if (n_cand > cap || bad_any(ci, n_cand, n)
+               || bad_any(cj, n_cand, n)) {
         return -1;
+    }
     for (int64_t a = 0; a < n; a++)
         if (bad(typ[a], n_masses)
             || (typed && (bad(typ[a], rho->n_members)
                           || bad(typ[a], embed->n_members))))
             return -1;
-    void *const *m = scratch;
     md_args M = {
         pos, vel, typ, n, typed, masses, mvv2e, dt, ref, ci, cj, r_build,
-        n_cand, lengths, periodic, cutoff, rho, embed, phi, phi_index,
-        m[MD_I], m[MD_J], {m[MD_DX], m[MD_DY], m[MD_DZ]}, m[MD_R],
-        m[MD_D_JI], m[MD_D_IJ], m[MD_ACC_I], m[MD_ACC_J], m[MD_F_DER],
-        m[MD_F_I], m[MD_F_J]};
-    int64_t done = 0, stop = MD_STEPS, test_ns = 0;
-    double bound_dead = *dead;
+        n_cand, bounds[1], origin, lengths, periodic, cutoff, skin, rho,
+        embed, phi, phi_index, m[MD_I], m[MD_J],
+        {m[MD_DX], m[MD_DY], m[MD_DZ]}, m[MD_R], m[MD_D_JI], m[MD_D_IJ],
+        m[MD_ACC_I], m[MD_ACC_J], m[MD_F_DER], m[MD_F_I], m[MD_F_J], m, cap,
+        cells_cap, n_off};
+    int64_t done = 0, stop = MD_STEPS, n_builds = 0, need[2] = {0, 0};
+    double bound_dead = bounds[0];
     for (; done < n_steps; done++) {
         int64_t t0 = now_ns(), p;
-        if (done == 0 && fi) {
-            md_take_table(&M, fi, fj, frij, fr, fp);
-            p = fp;
+        int build = M.n_cand < 0 || skin == 0.0;
+        double max_d2 = 0.0;
+        if (!build) {
+            stop = md_displacement(&M, &max_d2);
+            if (stop != MD_STEPS) break;
+            build = max_d2 > half_skin2;
+        }
+        if (build) {
+            int64_t *b = builds + 4 * n_builds;
+            stop = md_build(&M, &p, b + 1, need);
+            if (stop != MD_STEPS) break;
+            b[0] = done;
+            n_builds++;
+            bound_dead = INFINITY;
         } else {
-            double max_d2 = 0.0;
-            stop = skin == 0.0 ? MD_LIST : md_displacement(&M, &max_d2);
-            if (stop == MD_STEPS && max_d2 > half_skin2) stop = MD_LIST;
-            if (stop != MD_STEPS) {
-                test_ns = now_ns() - t0;
-                break;
-            }
             double bound = 2.0 * sqrt(max_d2) + 1e-9, lim = INFINITY;
+            double r_build_max = M.r_build_max;
             int inside = r_build_max + bound < cutoff;
             if (!inside && r_build_max > cutoff + 1e-9 && bound < bound_dead) {
                 double cut = cutoff + bound;
                 int64_t kept = 0;
-                for (int64_t q = 0; q < n_cand; q++) kept += r_build[q] <= cut;
-                if ((double)kept <= 0.9 * (double)n_cand)
+                for (int64_t q = 0; q < M.n_cand; q++)
+                    kept += M.r_build[q] <= cut;
+                if ((double)kept <= 0.9 * (double)M.n_cand)
                     lim = cut;
                 else
                     bound_dead = bound;
@@ -1680,7 +1887,11 @@ int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
         memcpy(rows + 6 * done, row, sizeof row);
     }
     out[0] = stop;
-    out[1] = test_ns;
-    *dead = bound_dead;
+    out[1] = n_builds;
+    out[2] = M.n_cand;
+    out[3] = need[0];
+    out[4] = need[1];
+    bounds[0] = bound_dead;
+    bounds[1] = M.r_build_max;
     return done;
 }

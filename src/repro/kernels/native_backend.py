@@ -10,9 +10,10 @@ pass per stage, with only the chunk's L1 buffers between the stages
 (``native.c``, "chunked passes").  A lockstep wafer step is one native
 call, ``wafer_step``, from the list test to the cycle counter; between
 two calls Python only runs the swap rounds, the thermostat and the
-trace's moments.  The reference engine's steps on a held Verlet list are
-one call too, ``md_step``, on the calling thread; between two calls
-Python only rebuilds the list.  The step runs
+trace's moments.  The reference engine's steps are one call too,
+``md_step``, on the calling thread, its list rebuilds included: the
+list it builds stays in its slot of the caller's scratch, handed out as
+views.  The wafer step runs
 on one thread per usable CPU, each thread adding only into the tiles of
 the owner block it holds, so the bits do not depend on the thread count
 (``native.c``, "owner blocks"); the count is derived
@@ -261,7 +262,7 @@ _SIGNATURES = {
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
     "wafer_step": "PPPPiiPiPPdddPPPPPPiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
-    "md_step": "PPPiPiddPPPPidPPddddPPPPiBBBPiPiPPP",
+    "md_step": "PPPiPiddPPPPiPPPddddBBBPiiPiiPPPP",
 }
 
 
@@ -535,58 +536,127 @@ def wafer_step(pos, vel, occ, typ, offsets, lengths, periodic, reach2, bound2,
     )
 
 
+#: native.c's MD_GROW: a build needs more scratch than the call had.
+_MD_GROW = len(numpy_backend.MD_STOPS)
+
+
+def _carve(store: dict, sizes: dict) -> None:
+    """``store[name]`` for each ``name: (rows, dtype, *tail)`` of
+    ``sizes``, each from a 64-byte boundary of one mapping
+    (:func:`_mapped`): one system call for a group of buffers."""
+    offsets, total = [], 0
+    for rows, dtype, *tail in sizes.values():
+        offsets.append(total)
+        nbytes = rows * math.prod(tail) * np.dtype(dtype).itemsize
+        total += -(-nbytes // 64) * 64
+    buffer = _mapped(max(total, 1), np.uint8)
+    for (key, (rows, dtype, *tail)), offset in zip(sizes.items(), offsets):
+        store[key] = np.frombuffer(buffer, dtype, rows * math.prod(tail),
+                                   offset).reshape(rows, *tail)
+
+
+def _md_scratch(store: dict, rows: int, n: int, typed: bool,
+                cells: int) -> tuple:
+    """``(rows, cells, addresses)`` of this tier's md_step scratch, in
+    three mappings (pair rows, atom rows, cells).  A group is mapped
+    again, a quarter over what is asked (as a list grows a little from
+    one build to the next), only when it must grow; that forgets the
+    list the scratch held, which is no longer there."""
+    have = store.get("md_fits", (-1, -1, False, -1, None))
+    grow = (rows > have[0] or typed > have[2], n > have[1], cells > have[3])
+    if not any(grow):
+        return have[0], have[3], have[4]
+    rows = max(rows + rows // 4, have[0]) if grow[0] else have[0]
+    cells = max(cells + cells // 4, have[3]) if grow[2] else have[3]
+    typed, n = max(typed, have[2]), max(n, have[1])
+    groups = ({
+        "i": (rows, _I8), "j": (rows, _I8), "dx": (rows, _F8),
+        "dy": (rows, _F8), "dz": (rows, _F8), "r": (rows, _F8),
+        "d_ji": (rows, _F8), "d_ij": (rows * typed, _F8),
+        "l_i": (rows, _I8), "l_j": (rows, _I8), "l_r": (rows, _F8),
+        "l_rij": (rows, _F8, 3),
+    }, {
+        "acc_i": (n, _F8), "acc_j": (n, _F8), "f_der": (n, _F8),
+        "f_i": (n, _F8, 3), "f_j": (n, _F8, 3), "l_ref": (n, _F8, 3),
+        "cid": (n, _I8), "order": (n, _I8), "cols": (3 * n, _F8),
+    }, {
+        "counts": (cells, _I8), "starts": (cells, _I8),
+    })  # in native.c's MD_* order, then its stencil
+    for group, regrow in zip(groups, grow):
+        if regrow:
+            _carve(store, group)
+    addresses = np.array(
+        [store[key].ctypes.data for group in groups for key in group]
+        + [numpy_backend.HALF_STENCIL.ctypes.data], dtype=np.uintp)
+    store.pop("held", None)
+    store["md_fits"] = (rows, n, typed, cells, addresses)
+    return rows, cells, addresses
+
+
 @_kernel
-def md_step(positions, velocities, types, masses, ref, cand_i, cand_j,
-            r_build, r_build_max, lengths, periodic, cutoff, skin, r_min,
-            banks, phi_index, dt, n_steps, *, first=None, dead_bound=np.inf,
-            scratch=None):
+def md_step(positions, velocities, types, masses, held, origin, lengths,
+            periodic, cutoff, skin, r_min, banks, phi_index, dt, n_steps, *,
+            dead_bound=np.inf, scratch=None):
     n = len(_arr(positions, _F8, -1, 3))
-    _arr(velocities, _F8, n, 3), _arr(types, _I8, n), _arr(ref, _F8, n, 3)
-    _arr(masses, _F8, -1)
-    n_cand = len(_arr(cand_i, _I8, -1))
-    _arr(cand_j, _I8, n_cand), _arr(r_build, _F8, n_cand)
+    _arr(velocities, _F8, n, 3), _arr(types, _I8, n), _arr(masses, _F8, -1)
     rho, embed, phi = (_bank(bank) for bank in banks)
     typed = rho.n_members > 1
     if typed:
         _arr(phi_index, _I8, rho.n_members, rho.n_members)
         if ((phi_index < 0) | (phi_index >= phi.n_members)).any():
             raise _Decline
-    f_args, fp = (None,) * 4, 0
-    if first is not None:
-        fp = len(_arr(first[0], _I8, -1))
-        f_args = (first[0], _arr(first[1], _I8, fp),
-                  _arr(first[2], _F8, fp, 3), _arr(first[3], _F8, fp))
-    # This tier's slot of the caller's scratch: the step's table at the
-    # larger of the two tables' rows (a quarter more, as a list grows a
-    # little from one build to the next), the per-atom planes, and their
-    # addresses, taken again only when a buffer must grow.
+    lengths, periodic = _box(lengths, periodic)
+    origin = _arr(np.ascontiguousarray(origin, dtype=_F8), _F8, 3)
+    if not np.all(~periodic | ((lengths > 0.0) & np.isfinite(lengths))):
+        raise _Decline
+    # This tier's slot of the caller's scratch: the list it built last
+    # (held there and handed out as views), the plan, the step's table
+    # and the per-atom planes, their addresses taken once.  A held list
+    # that is not that one is read where it lies, until a build.
     store = {} if scratch is None else scratch.setdefault(name, {})
-    cap = max(n_cand, fp)
-    fits = store.get("md_fits")
-    if fits is None or cap > fits[0] or n > fits[1] or typed > fits[2]:
-        cap += cap // 4
-        sizes = {
-            "i": (cap, _I8), "j": (cap, _I8), "dx": (cap, _F8),
-            "dy": (cap, _F8), "dz": (cap, _F8), "r": (cap, _F8),
-            "d_ji": (cap, _F8), "d_ij": (cap * typed, _F8),
-            "acc_i": (n, _F8), "acc_j": (n, _F8), "f_der": (n, _F8),
-            "f_i": (n, _F8, 3), "f_j": (n, _F8, 3),
-        }  # in native.c's MD_* order
-        store["md_fits"] = fits = (cap, n, typed, np.array(
-            [_scratch(store, key, *size).ctypes.data
-             for key, size in sizes.items()], dtype=np.uintp))
-    dead, out = np.array([dead_bound], dtype=_F8), np.empty(2, dtype=_I8)
+    n_cand = len(held[1]) if held and len(held[0]) == n else -1
+    # (no list: room for a first build of ~16 rows an atom, the cells
+    # at most one an atom; a build that needs more asks for it)
+    fits = _md_scratch(store, n_cand if n_cand >= 0 else 16 * n, n, typed,
+                       0 if n_cand >= 0 else n)
+    h_args, own = (None,) * 4, store.get("held")
+    if n_cand >= 0 and (own is None or any(
+            a is not b for a, b in zip(held, own))):
+        ref, ci, cj, r_build = held[:4]
+        _arr(ref, _F8, n, 3), _arr(ci, _I8, n_cand)
+        _arr(cj, _I8, n_cand), _arr(r_build, _F8, n_cand)
+        h_args = (ref, ci, cj, r_build)
+    bounds = np.array([dead_bound, held[4] if n_cand >= 0 else 0.0])
     rows = np.empty((n_steps, len(numpy_backend.MD_PHASES) + 1), dtype=_I8)
-    done = _c("md_step", positions, velocities, types, n, masses, len(masses),
-              MVV2E, float(dt), ref, cand_i, cand_j, r_build, n_cand,
-              float(r_build_max), *_box(lengths, periodic), float(cutoff),
-              float(skin), (skin / 2.0) ** 2, float(r_min), *f_args, fp,
-              rho, embed, phi, phi_index, int(n_steps), fits[3], fits[0], dead,
-              rows, out)
-    stop, test_ns = out.tolist()
+    builds, out = np.empty((n_steps, 4), dtype=_I8), np.empty(5, dtype=_I8)
+    done = n_builds = 0
+    while True:
+        ran = _c("md_step", positions, velocities, types, n, masses,
+                 len(masses), MVV2E, float(dt), *h_args, n_cand, origin,
+                 lengths, periodic, float(cutoff), float(skin),
+                 (skin / 2.0) ** 2, float(r_min), rho, embed, phi, phi_index,
+                 len(numpy_backend.HALF_STENCIL), n_steps - done, fits[2],
+                 fits[0], fits[1], bounds, rows[done:], builds[n_builds:],
+                 out)
+        stop, k, n_cand, need_rows, need_cells = out.tolist()
+        builds[n_builds:n_builds + k, 0] += done
+        done, n_builds = done + ran, n_builds + k
+        if stop != _MD_GROW:
+            break
+        # regrow, and build again at the step whose build stopped
+        fits = _md_scratch(store, need_rows, n, typed, need_cells)
+        h_args, n_cand = (None,) * 4, -1
+    if n_cand < 0:
+        held.clear()
+        store.pop("held", None)
+    elif n_builds:  # the last build's, in the scratch
+        held[:] = [store["l_ref"][:n], store["l_i"][:n_cand],
+                   store["l_j"][:n_cand], store["l_r"][:n_cand],
+                   float(bounds[1])]
+        store["held"] = held[:4]
     return numpy_backend.MdStep(done, numpy_backend.MD_STOPS[stop],
-                                rows[:done, -1], rows[:done, :-1], test_ns,
-                                float(dead[0]))
+                                rows[:done, -1], rows[:done, :-1],
+                                builds[:n_builds], float(bounds[0]))
 
 
 # -- the load-time probe -----------------------------------------------------
@@ -630,45 +700,40 @@ def _probe_outputs(backend) -> dict[str, tuple]:
     )
     out["wafer_step"] = _probe_wafer(backend, rng, lengths, periodic, rho,
                                      phi, phi_index)
-    out["cell_pairs"] = _probe_cells(backend, rng, lengths, periodic)
     out["md_step"] = _probe_md(backend, rng, lengths, periodic,
                                (rho, rho, phi), phi_index)
+    out["cell_pairs"] = _probe_cells(backend, rng, lengths, periodic)
     return out
 
 
 def _probe_md(backend, rng, lengths, periodic, banks, phi_index) -> tuple:
-    """Two reference steps of 40 atoms of two types, every pair a
-    candidate at reach 2.5 in a box periodic along x and y: the first
-    from a build's table, the second through the list test and the
-    pre-mask cut."""
-    n = 40
-    pos = rng.uniform(0.0, 1.0, (n, 3)) * [7.0, 8.0, 3.0]
-    i, j = np.triu_indices(n, k=1)
-    ci, cj, _, r_build = numpy_backend.neighbor_prefilter(
-        pos, i, j, lengths, periodic, 2.5, inclusive=True)
-    first = numpy_backend.neighbor_prefilter(
-        pos, ci, cj, lengths, periodic, 2.0, inclusive=False)
-    state = (pos.copy(), rng.normal(size=(n, 3)), rng.integers(0, 2, n),
+    """Two reference steps of 60 fast atoms of two types in a box
+    periodic along x and y, from no list: a build on a cell sweep's
+    plan, then a step on its list through the pre-mask cut."""
+    pos = rng.uniform(0.0, 1.0, (60, 3)) * [7.0, 8.0, 3.0]
+    state = (pos, rng.normal(0.0, 12.0, (60, 3)), rng.integers(0, 2, 60),
              np.array([180.9, 183.8]))
-    step = backend.md_step(*state, pos, ci, cj, r_build,
-                           float(r_build.max()), lengths, periodic, 2.0, 0.5,
-                           0.05, banks, phi_index, 0.002, 2, first=first)
-    return (*state[:2], *md_outputs(step))
+    held = []
+    step = backend.md_step(*state, held, np.zeros(3), lengths, periodic, 1.2,
+                           0.5, 0.05, banks, phi_index, 0.002, 2, scratch={})
+    return (*md_outputs(step), *held, *state[:2])
 
 
 def md_outputs(step) -> tuple:
     """An :class:`~repro.kernels.numpy_backend.MdStep`'s outputs: every
     field but the timings."""
-    return step.steps, step.stop, step.pairs, step.dead_bound
+    return step.steps, step.stop, step.pairs, step.builds, step.dead_bound
 
 
 def _probe_cells(backend, rng, lengths, periodic) -> tuple:
-    """The cell sweep over a 5 x 5 x 4 plan of 150 atoms (periodic x
-    and y, some a box length outside), the half stencil and three
-    offsets of radius 2, with no live mask and with one, cut exactly at
-    the ``r^2`` numpy computes for one listed pair (so one ulp of
-    difference flips it)."""
-    n, ncell = 150, np.array([5, 5, 4])
+    """The cell sweep over a 4 x 4 x 3 plan of 80 atoms (periodic x
+    and y, some a box length outside) with a live mask, along six
+    offsets: one along the open axis only, two of the half stencil that
+    wrap, three of radius 2 (the half stencil without a mask is
+    ``md_step``'s build, in its own probe); cut exactly at the ``r^2``
+    numpy computes for one listed pair (so one ulp of difference flips
+    it)."""
+    n, ncell = 80, np.array([4, 4, 3])
     cell = rng.integers(0, ncell, (n, 3))
     size = np.where(periodic, lengths / ncell, 1.5)
     pos = (cell + rng.random((n, 3))) * size
@@ -677,10 +742,8 @@ def _probe_cells(backend, rng, lengths, periodic) -> tuple:
     order = np.argsort(flat, kind="stable")
     counts = np.bincount(flat, minlength=int(ncell.prod()))
     starts = np.cumsum(counts) - counts
-    # the half stencil: (dz, dy, dx) lexicographically positive
-    stencil = np.array([
-        o for o in np.ndindex(3, 3, 3) if (o[2], o[1], o[0]) > (1, 1, 1)
-    ] + [(3, 2, 1), (-1, 1, 2), (2, -1, 2)]) - 1
+    stencil = np.array([(0, 0, 1), (1, 1, 0), (1, -1, 1), (2, 1, 0),
+                        (-2, 0, 1), (1, -2, 1)])
     plan = (np.ascontiguousarray(pos.T[:, order]), order, flat[order],
             cell[order], starts, counts, ncell, periodic, stencil)
     src, start, _ = next(itertools.islice(
@@ -689,8 +752,7 @@ def _probe_cells(backend, rng, lengths, periodic) -> tuple:
     d -= periodic * lengths * np.floor(d / lengths + 0.5)
     r2_max = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
     live = rng.random(len(counts)) < 0.3
-    return (*backend.cell_pairs(*plan, None, lengths, r2_max),
-            *backend.cell_pairs(*plan, live, lengths, r2_max))
+    return backend.cell_pairs(*plan, live, lengths, r2_max)
 
 
 def _probe_wafer(backend, rng, lengths, periodic, rho, phi,

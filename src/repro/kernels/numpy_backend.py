@@ -15,9 +15,11 @@ and the lockstep machine, :mod:`repro.core.wse_md` (``wafer_step``, the
 machine's whole step: the list test and build, the two sweeps with the
 embedding between them, the leap-frog and the cycle counter, each a
 private helper here).  ``md_step`` is the reference engine's step
-sequence -- the list test and the filter of a held Verlet list, the
-fused EAM passes and the leap-frog -- moved here whole and run for as
-many steps as the list lasts.  Per element they perform the
+sequence -- the list test, the list build or the filter of the held
+list, the fused EAM passes and the leap-frog -- moved here whole and run
+for as many steps as it is asked; the build is the one ``CellList`` and
+``NeighborList`` make (:func:`cell_plan`, :func:`cell_pairs`,
+:func:`cut_built` are theirs too).  Per element they perform the
 *identical* IEEE operations, on the same operands in the same order, as
 those call sites did (the pair kernels' first port is frozen as
 ``tests.legacy_kernels``).  What the bodies are
@@ -42,8 +44,9 @@ that, not arithmetic, is the cost.  Three rules:
 Temporaries are reused in place where the operand order allows
 (``np.add(c, val, out=val)`` is ``c + val`` written into ``val``); no
 buffer outlives a call but the list ``wafer_step`` keeps in its
-caller's scratch, and a kernel writes only to the arguments its
-docstring names as accumulators or state.
+caller's scratch and the binning buffers ``md_step`` keeps there, and a
+kernel writes only to the arguments its docstring names as accumulators
+or state.
 
 Spline *banks* are the packed-group tuples built by
 :meth:`repro.potentials.spline.SplineGroup.bank`::
@@ -60,6 +63,7 @@ kernels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from typing import NamedTuple
@@ -219,6 +223,151 @@ def neighbor_prefilter(
 # -- the reference engine's cell sweep ---------------------------------------
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Half stencil: one offset per unordered offset pair (+o covers -o).
+#: (0, 0, 0) is excluded — same-cell pairs are generated with i < j.
+HALF_STENCIL = np.array([
+    (dx, dy, dz)
+    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+    if dz > 0 or (dz == 0 and dy > 0) or (dz == 0 and dy == 0 and dx > 0)
+], dtype=np.int64)
+
+
+class CellPlan(NamedTuple):
+    """One binning of a configuration (:func:`cell_plan`).
+
+    ``brute`` plans have no cells: a periodic dim spans fewer than three
+    (the half stencil would alias), and the stream is
+    :func:`brute_pairs`.  Otherwise the fields are the sweep's plan over
+    *slots*, positions in cell-sorted order (``order[slot]`` is the atom
+    id), as :func:`cell_blocks` and :func:`cell_pairs` take it.
+    """
+
+    brute: bool
+    ncell: np.ndarray
+    cid: np.ndarray | None = None  # per atom
+    order: np.ndarray | None = None
+    cid_sorted: np.ndarray | None = None
+    coords_sorted: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    cols: np.ndarray | None = None  # (3, n) cell-sorted coordinate columns
+
+
+def cell_plan(positions: np.ndarray, origin, lengths, periodic,
+              reach: float, buffers: dict) -> CellPlan | None:
+    """Bin ``positions`` into cells of edge >= ``reach`` (``None``: a
+    position is not finite).
+
+    Periodic dims span the box from ``origin``; open dims the positions'
+    extent padded by 1e-9, at least ``reach``.  Each dim holds
+    ``max(1, floor(span / reach))`` cells; an atom's cell is
+    ``floor((x - lo) / size)``, wrapped along periodic dims and clamped
+    along open ones, and the flat id is ``(cx * ny + cy) * nz + cz``.
+    Slots are atoms stably sorted by flat id, so within a cell slot
+    order is id order.  ``buffers`` (the caller's dict) keeps the
+    per-atom and per-cell arrays between builds of the same sizes, so a
+    rebuild costs no fresh large allocations.
+    """
+    if not np.all(np.isfinite(positions)):
+        return None
+    eps = 1e-9
+    lo, span = np.empty(3), np.empty(3)
+    for d in range(3):
+        if periodic[d]:
+            span[d] = lengths[d]
+            lo[d] = origin[d]
+        else:
+            low = float(positions[:, d].min()) - eps
+            high = float(positions[:, d].max()) + eps
+            span[d] = max(high - low, reach)
+            lo[d] = low
+    ncell = np.maximum(1, np.floor(span / reach).astype(np.int64))
+    # Alias-free stencil needs >= 3 cells along periodic dims: with
+    # fewer, +o and -o could wrap onto the same neighbor cell.
+    if np.any(periodic & (ncell < 3)):
+        return CellPlan(True, ncell)
+    n = len(positions)
+    if buffers.get("n") != n:
+        buffers.update(
+            n=n, rel=np.empty((n, 3)), coords=np.empty((n, 3), np.int64),
+            coords_sorted=np.empty((n, 3), np.int64),
+            cid=np.empty(n, np.int64), cols=np.empty((3, n)),
+        )
+    rel, coords, cid = buffers["rel"], buffers["coords"], buffers["cid"]
+    np.subtract(positions, lo, out=rel)
+    np.divide(rel, span / ncell, out=rel)
+    np.floor(rel, out=rel)
+    np.copyto(coords, rel, casting="unsafe")
+    for d in range(3):
+        col = coords[:, d]
+        if periodic[d]:
+            np.mod(col, ncell[d], out=col)
+        else:
+            np.clip(col, 0, ncell[d] - 1, out=col)
+    nx, ny, nz = ncell
+    np.multiply(coords[:, 0], ny, out=cid)
+    cid += coords[:, 1]
+    cid *= nz
+    cid += coords[:, 2]
+    ntot = int(np.prod(ncell))
+    if buffers.get("ntot") != ntot:
+        buffers.update(ntot=ntot, counts=np.empty(ntot, np.int64),
+                       starts=np.empty(ntot, np.int64))
+    counts, starts = buffers["counts"], buffers["starts"]
+    counts[:] = np.bincount(cid, minlength=ntot)
+    starts[0] = 0
+    np.cumsum(counts[:-1], out=starts[1:])
+    order = np.argsort(cid, kind="stable")
+    # cell-sorted coords and flat ids, so candidate generation walks
+    # atoms in bin order and its gathers touch memory near-sequentially;
+    # the sweep measures pair blocks in cell-sorted coordinate columns
+    coords_sorted, cols = buffers["coords_sorted"], buffers["cols"]
+    np.take(coords, order, axis=0, out=coords_sorted)
+    np.take(positions.T, order, axis=1, out=cols)
+    return CellPlan(False, ncell, cid, order, cid[order], coords_sorted,
+                    starts, counts, cols)
+
+
+def sweep_cut(cols: np.ndarray, lengths, periodic, reach: float) -> float:
+    """The over-inclusive ``r2`` bound a sweep at ``reach`` cuts at
+    (``CellList.pairs_within`` derives it): ``reach**2 * (1 + 16 eps)``
+    plus ``8 * reach`` times a slack of ``4 * eps * (S + L)`` per
+    periodic dim, ``S`` the columns' span."""
+    eps = np.finfo(np.float64).eps
+    slack = sum(
+        4.0 * eps * (np.ptp(cols[d]) + lengths[d])
+        for d in range(3) if periodic[d]
+    )
+    return reach * reach * (1.0 + 16.0 * eps) + 8.0 * reach * slack
+
+
+def brute_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The brute-force stream of ``n`` atoms: every ``i < j``, row-major."""
+    ii, jj = np.triu_indices(n, k=1)
+    return ii.astype(np.int64), jj.astype(np.int64)
+
+
+def cut_built(i, j, rij, r, cutoff: float) -> tuple | None:
+    """The strict ``r2 < cutoff**2`` table ``(i, j, rij, r)`` of a build
+    from its own geometry (``r`` and ``rij`` at the build positions).
+
+    The kernel hands back ``r = sqrt(r2)``, not ``r2``.  ``sqrt`` is
+    correctly rounded, hence monotone: with ``rc = sqrt(cutoff *
+    cutoff)``, ``r < rc`` implies ``r2 < cutoff**2`` and ``r > rc``
+    implies ``r2 > cutoff**2``, for any backend.  Only ``r == rc``
+    leaves the kernel's decision open (a lattice shell sitting exactly
+    on the cutoff); then ``None`` sends the query through
+    :func:`neighbor_prefilter` as usual.
+    """
+    rc = math.sqrt(cutoff * cutoff)
+    if np.any(r == rc):
+        return None
+    keep = r < rc
+    if int(np.count_nonzero(keep)) == len(r):
+        # skin 0: every candidate interacts
+        return i, j, rij, r
+    return i[keep], j[keep], rij[keep], r[keep]
 
 
 def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -462,9 +611,9 @@ def fused_force_pass(
 #: :attr:`MdStep.phase_ns` (the reference engine's span names).
 MD_PHASES = ("neighbor", "density", "embedding", "pair_force", "integrate")
 #: Why an :func:`md_step` call returned: it ran the steps it was asked
-#: for, the list test fired, a displacement was not finite, or a pair
-#: fell under the distance cap (or sits at r = 0, or is not a number).
-MD_STOPS = ("steps", "list", "non_finite", "cap")
+#: for, a position or displacement was not finite, or a pair fell under
+#: the distance cap (or sits at r = 0, or is not a number).
+MD_STOPS = ("steps", "non_finite", "cap")
 
 
 class MdStep(NamedTuple):
@@ -478,8 +627,9 @@ class MdStep(NamedTuple):
     pairs: np.ndarray
     #: int64 ``(steps, len(MD_PHASES))``: each completed step's phases, ns
     phase_ns: np.ndarray
-    #: nanoseconds of the list test that stopped the call (else 0)
-    test_ns: int
+    #: int64 ``(builds, 4)``: each list build's step (0 = the call's
+    #: first) and funnel, raw, coarse_kept and exact_kept, in order
+    builds: np.ndarray
     #: the pre-mask's dead bound when the call returned
     dead_bound: float
 
@@ -489,11 +639,8 @@ def md_step(
     velocities: np.ndarray,
     types: np.ndarray,
     masses: np.ndarray,
-    ref: np.ndarray,
-    cand_i: np.ndarray,
-    cand_j: np.ndarray,
-    r_build: np.ndarray,
-    r_build_max: float,
+    held: list,
+    origin,
     lengths,
     periodic,
     cutoff: float,
@@ -504,26 +651,39 @@ def md_step(
     dt: float,
     n_steps: int,
     *,
-    first: tuple | None = None,
     dead_bound: float = np.inf,
     scratch: dict | None = None,
 ) -> MdStep:
-    """Up to ``n_steps`` steps of the reference engine on a held
-    Verlet list; ``positions`` and ``velocities`` advance in place.
+    """Up to ``n_steps`` steps of the reference engine, its Verlet list
+    included; ``positions`` and ``velocities`` advance in place.
 
-    The held list is the half candidate pairs ``(cand_i, cand_j)`` with
-    their build-time separations ``r_build`` (largest ``r_build_max``),
-    built at ``ref``.  Each step is, in order, what
+    ``held`` is the list the call starts from and, when it returns, the
+    one it holds: ``[ref, cand_i, cand_j, r_build, r_build_max]``, the
+    half candidate pairs with their separations at the build positions
+    ``ref`` (largest ``r_build_max``), or ``[]`` for none.  The call
+    rewrites it in place: the old list ends when a build replaces it, as
+    it did in ``NeighborList.rebuild`` (freed before the build, its
+    pages go back to the system and the steps after fault theirs in
+    again).  Each step is, in order, what
     :class:`~repro.md.neighbor_list.NeighborList`,
     :class:`~repro.potentials.eam.EAMPotential` and
     :class:`~repro.md.integrators.LeapfrogVerlet` do one call at a time:
 
-    * the list test (:func:`~repro.md.neighbor_list.skin_trigger`): the
-      call stops, the step not run, at skin 0, on a displacement that is
-      not finite, or on one over ``skin / 2``;
-    * the strict ``r < cutoff`` table through :func:`neighbor_prefilter`
-      under ``Candidates.pairs``'s all-inside and pre-mask cuts
-      (``dead_bound`` is the pre-mask's state, returned updated);
+    * the list test (:func:`~repro.md.neighbor_list.skin_trigger`): a
+      displacement that is not finite stops the call, the step not run;
+      no list for these atoms, skin 0 or a displacement over
+      ``skin / 2`` builds one, and the build's table is the step's;
+    * a build (``NeighborList.build``): :func:`cell_plan` at the reach
+      ``cutoff + skin`` in the box from ``origin``, the
+      :func:`cell_pairs` sweep at :func:`sweep_cut` along
+      :data:`HALF_STENCIL` (or the :func:`brute_pairs` stream of a plan
+      with no cells), the inclusive :func:`neighbor_prefilter` at the
+      reach, then :func:`cut_built`; a position that is not finite stops
+      the call with no list held;
+    * else the strict ``r < cutoff`` table through
+      :func:`neighbor_prefilter` under ``Candidates.pairs``'s all-inside
+      and pre-mask cuts (``dead_bound`` is the pre-mask's state, reset
+      by a build, returned updated);
     * the distance cap: a pair under ``r_min`` (or at 0, or NaN) stops
       the call before anything is written;
     * :func:`fused_density_pass` with the rho bank of ``banks = (rho,
@@ -531,75 +691,125 @@ def md_step(
       the bank has a member per type), :func:`fused_force_pass`;
     * the leap-frog with per-type ``masses`` and step ``dt`` (ps).
 
-    ``first`` is the ``(i, j, rij, r)`` table of a build made at the
-    current positions, taken as the first step's in place of the test
-    and the filter.  ``scratch`` is the caller's dict, in which a tier
-    keeps what it holds between that caller's calls in its own slot;
-    this body keeps nothing.
+    ``scratch`` is the caller's dict, in which a tier keeps what it
+    holds between that caller's calls in its own slot: this body keeps
+    the binning's buffers, as ``CellList`` does between builds.  A tier
+    may hold the list it returns there too (the native one hands out
+    views of its slot): the list's arrays are then the caller's only
+    until the next call on that scratch builds.
     """
-    held = (ref, cand_i, cand_j, r_build, r_build_max, lengths, periodic,
-            cutoff, skin)
-    rows = []  # each completed step's phase ns and pairs
-    stop, test_ns = "steps", 0
+    store = {} if scratch is None else scratch.setdefault(name, {})
+    geometry = (origin, lengths, periodic, cutoff, skin)
+    rows, builds = [], []  # each completed step's phase ns and pairs
+    stop = "steps"
     while len(rows) < n_steps and stop == "steps":
         # a step's temporaries end with its call, before the next step's
-        stop, row, test_ns, dead_bound = _md_one(
-            positions, velocities, types, masses, held, r_min, banks,
-            phi_index, dt, first if not rows else None, dead_bound)
+        stop, row, funnel, dead_bound = _md_one(
+            positions, velocities, types, masses, held, geometry, r_min,
+            banks, phi_index, dt, dead_bound, store)
+        if funnel is not None:
+            builds.append((len(rows), *funnel))
         if stop == "steps":
             rows.append(row)
     rows = np.array(rows, dtype=np.int64).reshape(-1, len(MD_PHASES) + 1)
-    return MdStep(len(rows), stop, rows[:, -1], rows[:, :-1], test_ns,
+    builds = np.array(builds, dtype=np.int64).reshape(-1, 4)
+    return MdStep(len(rows), stop, rows[:, -1], rows[:, :-1], builds,
                   dead_bound)
 
 
-def _md_one(positions, velocities, types, masses, held, r_min, banks,
-            phi_index, dt, table, dead_bound) -> tuple:
-    """One :func:`md_step` step, from a build's ``table`` or from the
-    list test: ``(stop, (phase ns..., pairs), test ns, dead bound)``;
-    nothing is written unless the stop is ``"steps"``.  Each part's
-    temporaries end with its call, as they did when the parts were
-    separate calls."""
+def _md_one(positions, velocities, types, masses, held, geometry, r_min,
+            banks, phi_index, dt, dead_bound, store) -> tuple:
+    """One :func:`md_step` step: ``(stop, (phase ns..., pairs), the
+    funnel of its build or None, dead bound)``; nothing is written to
+    the state unless the stop is ``"steps"``.  Each part's temporaries
+    end with its call, as they did when the parts were separate calls."""
     clock = time.perf_counter_ns
     t0 = clock()
-    if table is None:
-        stop, max_d2 = _md_test(positions, held)
-        if stop != "steps":
-            return stop, None, clock() - t0, dead_bound
-        table, dead_bound = _md_table(positions, held, max_d2, dead_bound)
+    funnel = None
+    stop, max_d2 = _md_test(positions, held, geometry[-1])
+    if stop == "non_finite":
+        return stop, None, None, dead_bound
+    if stop == "build":
+        built = _md_build(positions, held, geometry, store)
+        if built is None:
+            held.clear()
+            return "non_finite", None, None, dead_bound
+        table, funnel = built
+        dead_bound = np.inf
+    else:
+        table, dead_bound = _md_table(positions, held, geometry, max_d2,
+                                      dead_bound)
     t1 = clock()
     p = len(table[0])
     forces, ns = _md_forces(len(positions), types, table, r_min, banks,
                             phi_index)
     if forces is None:
-        return "cap", None, 0, dead_bound
+        return "cap", None, funnel, dead_bound
     del table
     t4 = clock()
     accel = forces / (masses.take(types)[:, None] * MVV2E)
     velocities += accel * dt
     positions += velocities * dt
     t5 = clock()
-    return "steps", (t1 - t0, *ns, t5 - t4, p), 0, dead_bound
+    return "steps", (t1 - t0, *ns, t5 - t4, p), funnel, dead_bound
 
 
-def _md_test(positions, held) -> tuple[str, float]:
-    """The skin/2 test of the held list (``skin_trigger``): ``(stop,
-    largest squared displacement)``."""
-    ref, skin = held[0], held[-1]
-    if skin == 0.0:
-        return "list", 0.0
-    delta = positions - ref
+def _md_test(positions, held, skin: float) -> tuple[str, float]:
+    """The list test (``skin_trigger``): ``(stop, largest squared
+    displacement)``, the stop ``"build"`` when no list is held for these
+    atoms, at skin 0 or past ``skin / 2``."""
+    if not held or len(held[0]) != len(positions) or skin == 0.0:
+        return "build", 0.0
+    delta = positions - held[0]
     max_d2 = float(np.max(np.einsum("ij,ij->i", delta, delta), initial=0.0))
     if not math.isfinite(max_d2):
         return "non_finite", max_d2
-    return ("list" if max_d2 > (skin / 2.0) ** 2 else "steps"), max_d2
+    return ("build" if max_d2 > (skin / 2.0) ** 2 else "steps"), max_d2
 
 
-def _md_table(positions, held, max_d2: float, dead_bound: float) -> tuple:
+def _md_build(positions, held, geometry, store) -> tuple | None:
+    """``NeighborList.build`` at the current positions into ``held``:
+    ``(the build's table, its funnel)``, or None when a position is not
+    finite.  The sweep's pairs and the build's ``rij`` end with this
+    call, as they ended with ``NeighborList.build``."""
+    origin, lengths, periodic, cutoff, skin = geometry
+    reach = cutoff + skin
+    n = len(positions)
+    if n == 0:
+        ci = cj = _EMPTY
+        n_raw = 0
+    else:
+        plan = cell_plan(positions, origin, lengths, periodic, reach, store)
+        if plan is None:
+            return None
+        if plan.brute:
+            ci, cj = brute_pairs(n)
+            n_raw = len(ci)
+        else:
+            ci, cj, n_raw = cell_pairs(
+                plan.cols, plan.order, plan.cid_sorted, plan.coords_sorted,
+                plan.starts, plan.counts, plan.ncell, periodic, HALF_STENCIL,
+                None, lengths, sweep_cut(plan.cols, lengths, periodic, reach))
+    i, j, rij, r = neighbor_prefilter(positions, ci, cj, lengths, periodic,
+                                      reach, inclusive=True)
+    funnel = (n_raw, len(ci), len(i))
+    del ci, cj
+    held[:] = [np.array(positions, copy=True), i, j, r,
+               float(r.max()) if len(r) else 0.0]
+    table = cut_built(i, j, rij, r, cutoff)
+    if table is None:
+        table = neighbor_prefilter(positions, i, j, lengths, periodic, cutoff,
+                                   inclusive=False)
+    return table, funnel
+
+
+def _md_table(positions, held, geometry, max_d2: float,
+              dead_bound: float) -> tuple:
     """The strict table of the held list (``Candidates.pairs`` at the
     displacement bound ``sqrt(max_d2)``): ``((i, j, rij, r), dead
     bound)``."""
-    _, i, j, r_build, r_build_max, lengths, periodic, cutoff, _ = held
+    _, i, j, r_build, r_build_max = held
+    _, lengths, periodic, cutoff, _ = geometry
     bound = 2.0 * math.sqrt(max_d2) + 1e-9
     all_inside = r_build_max + bound < cutoff
     if (not all_inside and r_build_max > cutoff + 1e-9

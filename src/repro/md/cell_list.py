@@ -4,9 +4,12 @@ The reference engine's neighbor search: atoms are binned into cells of
 edge >= cutoff, and candidate pairs are drawn from each atom's 27-cell
 stencil.  Each undirected pair is generated exactly *once* (the half
 stencil plus ordered same-cell pairs), halving the candidate stream the
-distance filter and force kernels consume.  This module plans the
-sweep -- binning, the stable sort into cell order, the over-inclusion
-bound, the live-cell mask -- and the sweep itself is one call of the
+distance filter and force kernels consume.  This module holds a
+build's plan -- the binning and the stable sort into cell order
+(:func:`~repro.kernels.numpy_backend.cell_plan`), the over-inclusion
+bound (:func:`~repro.kernels.numpy_backend.sweep_cut`), the live-cell
+mask; the first two are the very functions the registry's ``md_step``
+builds its list with -- and the sweep itself is one call of the
 active tier's ``cell_pairs`` kernel
 (:mod:`repro.kernels`): the numpy body walks the blocks of
 :func:`~repro.kernels.numpy_backend.cell_blocks`, the one definition of
@@ -21,25 +24,15 @@ which handles any box permitted by minimum image.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.kernels import active_backend, numpy_backend
-from repro.kernels.numpy_backend import concatenated_ranges
+from repro.kernels.numpy_backend import HALF_STENCIL, concatenated_ranges
 from repro.md.boundary import Box
 
 __all__ = ["CellList", "all_pairs", "concatenated_ranges"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: Half stencil: one offset per unordered offset pair (+o covers -o).
-#: (0, 0, 0) is excluded — same-cell pairs are generated with i < j.
-_HALF_STENCIL = np.array([
-    (dx, dy, dz)
-    for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
-    if dz > 0 or (dz == 0 and dy > 0) or (dz == 0 and dy == 0 and dx > 0)
-], dtype=np.int64)
 
 
 def all_pairs(
@@ -78,96 +71,28 @@ class CellList:
         box.check_minimum_image_valid(cutoff)
         self.box = box
         self.cutoff = float(cutoff)
-        # Decided at build time (open dims depend on the configuration).
-        self._lo = np.zeros(3)
         self._ncell = np.ones(3, dtype=np.int64)
-        self._cell_size = np.ones(3)
-        self._cid: np.ndarray | None = None
-        self._order: np.ndarray | None = None
-        self._starts: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
         self._use_brute = False
-        # Scratch buffers, sized lazily and reused across rebuilds so a
-        # skin-policy rebuild costs no fresh large allocations.
-        self._n_buf = -1
-        self._ntot_buf = -1
+        self._n = 0
+        self._binned: numpy_backend.CellPlan | None = None
+        # the binning's buffers, reused across rebuilds of the same
+        # sizes so a skin-policy rebuild costs no fresh large allocations
+        self._buffers: dict = {}
 
     def build(self, positions: np.ndarray) -> None:
-        """Bin atoms; decides grid geometry from the current positions."""
+        """Bin atoms (:func:`~repro.kernels.numpy_backend.cell_plan`);
+        decides grid geometry from the current positions."""
         positions = np.asarray(positions, dtype=np.float64)
-        if not np.all(np.isfinite(positions)):
+        box = self.box
+        plan = numpy_backend.cell_plan(positions, box.origin, box.lengths,
+                                       box.periodic, self.cutoff,
+                                       self._buffers)
+        if plan is None:
             raise FloatingPointError("non-finite positions in cell-list build")
-        eps = 1e-9
-        lengths = np.empty(3)
-        for d in range(3):
-            if self.box.periodic[d]:
-                lengths[d] = self.box.lengths[d]
-                self._lo[d] = self.box.origin[d]
-            else:
-                lo = float(positions[:, d].min()) - eps
-                hi = float(positions[:, d].max()) + eps
-                lengths[d] = max(hi - lo, self.cutoff)
-                self._lo[d] = lo
-        self._ncell[:] = np.maximum(
-            1, np.floor(lengths / self.cutoff).astype(np.int64)
-        )
-        self._cell_size[:] = lengths / self._ncell
-        # Alias-free stencil needs >= 3 cells along periodic dims: with
-        # fewer, +o and -o could wrap onto the same neighbor cell.
-        self._use_brute = bool(
-            np.any(self.box.periodic & (self._ncell < 3))
-        )
-        if self._use_brute:
-            self._positions = positions
-            return
-
-        n = len(positions)
-        if n != self._n_buf:
-            self._rel = np.empty((n, 3), dtype=np.float64)
-            self._coords = np.empty((n, 3), dtype=np.int64)
-            self._sorted_coords = np.empty((n, 3), dtype=np.int64)
-            self._cid = np.empty(n, dtype=np.int64)
-            self._cols = np.empty((3, n), dtype=np.float64)
-            self._n_buf = n
-        self._bin_into_buffers(positions)
-        ntot = int(np.prod(self._ncell))
-        if ntot != self._ntot_buf:
-            self._counts = np.empty(ntot, dtype=np.int64)
-            self._starts = np.empty(ntot, dtype=np.int64)
-            self._ntot_buf = ntot
-        self._counts[:] = np.bincount(self._cid, minlength=ntot)
-        self._starts[0] = 0
-        np.cumsum(self._counts[:-1], out=self._starts[1:])
-        self._order = np.argsort(self._cid, kind="stable")
-        # The plan the sweep kernels walk (_plan): cell-sorted coords
-        # and flat ids, so candidate generation walks atoms in bin
-        # order and its gathers touch memory near-sequentially (the
-        # numpy body locates the neighbor cells of an offset that
-        # crosses no periodic dim by pure flat-id arithmetic).
-        np.take(self._coords, self._order, axis=0, out=self._sorted_coords)
-        self._cid_sorted = self._cid[self._order]
-        # Cell-sorted coordinate columns: the sweep measures pair
-        # blocks in these, one contiguous column per axis.
-        np.take(positions.T, self._order, axis=1, out=self._cols)
-        self._positions = positions
-
-    def _bin_into_buffers(self, positions: np.ndarray) -> None:
-        """Cell coords + flat cell ids, written into reused scratch."""
-        np.subtract(positions, self._lo, out=self._rel)
-        np.divide(self._rel, self._cell_size, out=self._rel)
-        np.floor(self._rel, out=self._rel)
-        np.copyto(self._coords, self._rel, casting="unsafe")
-        for d in range(3):
-            col = self._coords[:, d]
-            if self.box.periodic[d]:
-                np.mod(col, self._ncell[d], out=col)
-            else:
-                np.clip(col, 0, self._ncell[d] - 1, out=col)
-        nx, ny, nz = self._ncell
-        np.multiply(self._coords[:, 0], ny, out=self._cid)
-        self._cid += self._coords[:, 1]
-        self._cid *= nz
-        self._cid += self._coords[:, 2]
+        self._binned = plan
+        self._ncell = plan.ncell
+        self._use_brute = plan.brute
+        self._n = len(positions)
 
     def candidate_pairs(
         self, live: np.ndarray | None = None
@@ -203,8 +128,9 @@ class CellList:
         out_i = [_EMPTY]
         out_j = [_EMPTY]
         for src, start, count in numpy_backend.cell_blocks(*self._plan(live)):
-            out_i.append(np.repeat(self._order[src], count))
-            out_j.append(self._order[concatenated_ranges(start, count)])
+            order = self._binned.order
+            out_i.append(np.repeat(order[src], count))
+            out_j.append(order[concatenated_ranges(start, count)])
         return np.concatenate(out_i), np.concatenate(out_j)
 
     def pairs_within(
@@ -248,8 +174,7 @@ class CellList:
         return active_backend().cell_pairs(*self._sweep_args(reach, live))
 
     def _brute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        ii, jj = np.triu_indices(len(self._positions), k=1)
-        return ii.astype(np.int64), jj.astype(np.int64)
+        return numpy_backend.brute_pairs(self._n)
 
     def _sweep_args(self, reach: float, live: np.ndarray | None) -> tuple:
         """The ``cell_pairs`` kernel's arguments for this build's sweep
@@ -257,20 +182,17 @@ class CellList:
         :meth:`_plan`, the box lengths and the over-inclusive cut
         (:meth:`pairs_within`)."""
         plan = self._plan(live)
-        eps = np.finfo(np.float64).eps
-        slack = sum(
-            4.0 * eps * (np.ptp(self._cols[d]) + self.box.lengths[d])
-            for d in range(3) if self.box.periodic[d]
-        )
-        r2_max = reach * reach * (1.0 + 16.0 * eps) + 8.0 * reach * slack
-        return (self._cols, self._order, *plan, self.box.lengths, r2_max)
+        cols = self._binned.cols
+        r2_max = numpy_backend.sweep_cut(cols, self.box.lengths,
+                                         self.box.periodic, reach)
+        return (cols, self._binned.order, *plan, self.box.lengths, r2_max)
 
     def _plan(self, live: np.ndarray | None) -> tuple:
         """This build's plan of the half-stencil stream, as the sweep
         kernels take it (:func:`~repro.kernels.numpy_backend.cell_blocks`):
         ``(cid, coords, starts, counts, ncell, periodic, stencil,
         live_cells)`` over slots, the positions in cell-sorted order
-        (``self._order[slot]`` is the atom id).
+        (``order[slot]`` is the atom id).
 
         Atoms are visited in cell-sorted order (stable argsort of the
         flat cell id): neighbors-in-space become neighbors-in-stream,
@@ -278,14 +200,15 @@ class CellList:
         ``live`` (per atom) becomes the per-cell mask of the cells
         holding a live atom.
         """
-        if self._cid is None:
+        plan = self._binned
+        if plan is None:
             raise RuntimeError("pair enumeration before build()")
         live_cells = None
         if live is not None:
-            live_cells = np.zeros(len(self._counts), dtype=bool)
-            live_cells[self._cid[np.asarray(live, dtype=bool)]] = True
-        return (self._cid_sorted, self._sorted_coords, self._starts,
-                self._counts, self._ncell, self.box.periodic, _HALF_STENCIL,
+            live_cells = np.zeros(len(plan.counts), dtype=bool)
+            live_cells[plan.cid[np.asarray(live, dtype=bool)]] = True
+        return (plan.cid_sorted, plan.coords_sorted, plan.starts,
+                plan.counts, plan.ncell, self.box.periodic, HALF_STENCIL,
                 live_cells)
 
     def directed_candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels import active_backend
+from repro.kernels import active_backend, numpy_backend
 from repro.md.boundary import Box
 from repro.md.cell_list import CellList
 from repro.potentials.base import PairTable
@@ -303,6 +303,7 @@ class NeighborList:
         self._built_n_atoms = -1
         self.n_builds = 0
         self.last_pair_count = 0
+        self._funnel: tuple[int, int, int] | None = None  # while handed over
 
     def rebuild_reason(self, positions: np.ndarray) -> str | None:
         """Why the candidate set must be rebuilt, or ``None`` to reuse
@@ -357,48 +358,60 @@ class NeighborList:
             table = self.candidates.pairs(positions, self.box, self.cutoff)
         return table
 
-    def held_for(self, positions: np.ndarray) -> bool:
-        """Whether the held list is one the skin/2 test can keep at
-        ``positions``: one is built, for as many atoms, at a skin over 0
-        (every other reason :meth:`pairs` rebuilds for)."""
-        return (
-            self.skin > 0.0
-            and self._ref_positions is not None
-            and self._built_n_atoms == len(positions)
-            == len(self._ref_positions)
-        )
-
     @property
     def ref_positions(self) -> np.ndarray | None:
         """The positions the held list was built at (None: no build)."""
         return self._ref_positions
 
-    def _cut_built(self, rij: np.ndarray) -> PairTable | None:
-        """The strict ``r2 < cutoff**2`` table from build-time geometry.
+    def hand_over(self, positions: np.ndarray) -> tuple[list, float]:
+        """The held list as the registry's ``md_step`` takes it, and the
+        pre-mask's dead bound: ``[ref, i, j, r_build, r_build_max]``, or
+        ``[]`` when none is held for as many atoms as ``positions``.
 
-        The kernel hands back ``r = sqrt(r2)``, not ``r2``.  ``sqrt``
-        is correctly rounded, hence monotone: with
-        ``rc = sqrt(cutoff * cutoff)``, ``r < rc`` implies
-        ``r2 < cutoff**2`` and ``r > rc`` implies ``r2 > cutoff**2``,
-        for any backend.  Only ``r == rc`` leaves the kernel's decision
-        open (a lattice shell sitting exactly on the cutoff); then
-        ``None`` sends the query through the kernel as usual.
+        The list leaves this object until :meth:`take_over`: the call
+        owns it, and ends it when it builds the next (a call that raises
+        leaves no list, and the next query builds one).
         """
+        cand, held, dead = self.candidates, [], np.inf
+        if cand is not None and self._built_n_atoms == len(positions) == len(
+                self._ref_positions):
+            held = [self._ref_positions, cand.i, cand.j, cand.r_build,
+                    cand.r_build_max()]
+            dead = cand.premask_dead_bound
+        self._funnel = None if cand is None else cand.funnel
+        self.candidates, self._ref_positions = None, None
+        self._built_n_atoms = -1
+        return held, dead
+
+    def take_over(self, held: list, step) -> None:
+        """Hold the list an ``md_step`` call returned in ``held`` (its
+        :class:`~repro.kernels.numpy_backend.MdStep` is ``step``),
+        counting the call's builds and its last step's pairs."""
+        builds = step.builds
+        self.n_builds += len(builds)
+        if step.steps:
+            self.last_pair_count = int(step.pairs[-1])
+        if not held:
+            return
+        ref, i, j, r_build, r_build_max = held
+        funnel = (tuple(int(k) for k in builds[-1, 1:]) if len(builds)
+                  else self._funnel)
+        cand = Candidates(i, j, r_build, funnel=funnel)
+        cand._r_build_max = r_build_max
+        cand.premask_dead_bound = step.dead_bound
+        self.candidates, self._ref_positions = cand, ref
+        self._built_n_atoms = len(ref)
+
+    def _cut_built(self, rij: np.ndarray) -> PairTable | None:
+        """The strict table from build-time geometry
+        (:func:`~repro.kernels.numpy_backend.cut_built`)."""
         cand = self.candidates
-        r = cand.r_build
-        rc = math.sqrt(self.cutoff * self.cutoff)
-        if np.any(r == rc):
+        table = numpy_backend.cut_built(cand.i, cand.j, rij, cand.r_build,
+                                        self.cutoff)
+        if table is None:
             return None
-        keep = r < rc
-        n_keep = int(np.count_nonzero(keep))
-        if n_keep == len(r):
-            # skin 0: every candidate interacts.  The arrays are the
-            # kernel's fresh outputs; rebuilds rebind, never mutate.
-            return PairTable(i=cand.i, j=cand.j, rij=rij, r=r, half=True)
-        return PairTable(
-            i=cand.i[keep], j=cand.j[keep], rij=rij[keep], r=r[keep],
-            half=True,
-        )
+        i, j, rij, r = table
+        return PairTable(i=i, j=j, rij=rij, r=r, half=True)
 
     @property
     def n_candidates(self) -> int:

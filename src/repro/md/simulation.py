@@ -2,9 +2,9 @@
 
 Composes neighbor search, potential evaluation and leap-frog
 integration into the Verlet loop the paper times ("Loop time" in the
-LAMMPS log, Sec. IV-B).  With an EAM potential the steps on one held
-Verlet list are one call of the active kernel tier's ``md_step``, the
-list rebuild between two calls; a pair potential steps phase by phase.
+LAMMPS log, Sec. IV-B).  With an EAM potential a run's steps,
+Verlet-list rebuilds included, are one call of the active kernel tier's
+``md_step`` per chunk; a pair potential steps phase by phase.
 Sampling state at an interval is the job of
 :class:`repro.runtime.runner.Runner`'s observers, which cut the run into
 chunks; the loop itself has no callbacks.  The driver keeps per-phase
@@ -257,12 +257,11 @@ class Simulation:
     def _advance(self, n_steps: int) -> int:
         """``n_steps`` steps; returns how many ran (all, or a raise).
 
-        A potential with bank tables (EAM) is stepped by the registry's
-        ``md_step``, one call per held Verlet list: a call runs until
-        the steps are done or its list test fires, and then
-        :meth:`NeighborList.build` hands the next call its table for the
-        first step (as it does when no list is held for the atoms).  Any
-        other potential runs one step, phase by phase.
+        A potential with bank tables (EAM) is stepped by one call of the
+        registry's ``md_step``, its Verlet list included: the call takes
+        the list :attr:`neighbors` holds, rebuilds it where the list test
+        fires, and :meth:`NeighborList.take_over` holds the one it
+        returns.  Any other potential runs one step, phase by phase.
         """
         state, tr = self.state, self.tracer
         tables = self.potential.bank_tables(state.n_atoms, state.types)
@@ -280,73 +279,51 @@ class Simulation:
         if kernels is not self._tier:
             self._scratch.clear()
             self._tier = kernels
-        nl = self.neighbors
-        neighbor_s, first, done = 0.0, None, 0
-        while done < n_steps:
-            if first is None and not nl.held_for(state.positions):
-                neighbor_s, first = self._build()
-            cand = nl.candidates
-            # a build's table is a call's first step, and that call's
-            # only one: the table is not held through the steps after it
-            step = kernels.md_step(
-                state.positions, state.velocities, state.types, state.masses,
-                nl.ref_positions, cand.i, cand.j, cand.r_build,
-                cand.r_build_max(), nl.box.lengths, nl.box.periodic,
-                nl.cutoff, nl.skin, self.potential.cap.r_min, *tables,
-                self.integrator.dt, n_steps - done if first is None else 1,
-                first=None if first is None else (
-                    first.i, first.j, first.rij, first.r),
-                dead_bound=cand.premask_dead_bound, scratch=self._scratch,
+        nl, box = self.neighbors, self.neighbors.box
+        # one set of binning buffers whichever path builds: the numpy
+        # body's are those of the public path's cell list
+        self._scratch.setdefault("numpy", nl._cells._buffers)
+        held, dead_bound = nl.hand_over(state.positions)
+        step = kernels.md_step(
+            state.positions, state.velocities, state.types, state.masses,
+            held, box.origin, box.lengths, box.periodic, nl.cutoff, nl.skin,
+            self.potential.cap.r_min, *tables, self.integrator.dt, n_steps,
+            dead_bound=dead_bound, scratch=self._scratch,
+        )
+        nl.take_over(held, step)
+        self._account(step)
+        if step.stop != "steps":
+            # the public path raises this step's error, word for word
+            self.compute_forces()
+            raise FloatingPointError(
+                f"non-finite pair distance at step {self.step_count + 1}"
             )
-            cand.premask_dead_bound = step.dead_bound
-            self._account(step, neighbor_s, first is not None)
-            done += step.steps
-            neighbor_s, first = 0.0, None
-            if step.stop == "list":
-                # the test and the build are the neighbor time of the
-                # step the next call runs first
-                build_s, first = self._build()
-                neighbor_s = 1e-9 * step.test_ns + build_s
-            elif step.stop != "steps":
-                # the public path raises this step's error, word for word
-                self.compute_forces()
-                raise FloatingPointError(
-                    "non-finite pair distance at step "
-                    f"{self.step_count + 1}"
-                )
-        return done
+        return step.steps
 
-    def _build(self):
-        """:meth:`NeighborList.build` at the current positions, counted:
-        ``(seconds, table)``."""
-        nl = self.neighbors
-        t0 = time.perf_counter()
-        table = nl.build(self.state.positions)
-        seconds = time.perf_counter() - t0
-        self.stats.neighbor_rebuilds += 1
-        self.stats.add_funnel(nl.candidates.funnel)
-        return seconds, table
-
-    def _account(self, step, neighbor_s: float, rebuilt: bool) -> None:
-        """Count an ``md_step`` call's steps in :attr:`step_count` and
-        :attr:`stats`, apply the thermostat (a call of one step) and,
-        traced, record each step's phases; ``neighbor_s`` is owed to the
-        first step (its list build)."""
+    def _account(self, step) -> None:
+        """Count an ``md_step`` call's builds and steps in
+        :attr:`step_count` and :attr:`stats`, apply the thermostat (a
+        call of one step) and, traced, record each step's phases (a
+        build is in its step's neighbor phase)."""
+        st = self.stats
+        built = step.builds[:, 0].tolist()
+        st.neighbor_rebuilds += len(built)
+        for funnel in step.builds[:, 1:].tolist():
+            st.add_funnel(funnel)
         n = step.steps
         if not n:
             return
         seconds = step.phase_ns * 1e-9
-        seconds[0, 0] += neighbor_s
         t0 = time.perf_counter()
         self._thermostat_step()
         seconds[-1, -1] += time.perf_counter() - t0
-        tr, st = self.tracer, self.stats
+        tr = self.tracer
         if tr.enabled:
             for k, ((neighbor, density, embedding, pair_force, integrate),
                     pairs) in enumerate(zip(seconds.tolist(),
                                             step.pairs.tolist())):
                 tr.record("neighbor", neighbor,
-                          {"pairs": pairs, "rebuilds": int(rebuilt and k == 0)})
+                          {"pairs": pairs, "rebuilds": int(k in built)})
                 tr.record("density", density, {"pairs": pairs})
                 tr.record("embedding", embedding)
                 tr.record("pair_force", pair_force)
@@ -356,7 +333,7 @@ class Simulation:
         self.step_count += n
         st.steps += n
         st.force_evaluations += n
-        st.pairs_last = self.neighbors.last_pair_count = int(step.pairs[-1])
+        st.pairs_last = int(step.pairs[-1])
         st.pairs_total += int(step.pairs.sum())
         st.time_neighbor_s += neighbor
         st.time_force_s += density + embedding + pair_force

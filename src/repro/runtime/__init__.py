@@ -31,6 +31,7 @@ from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA,
     Checkpoint,
     CheckpointError,
+    check_checkpoint,
     checkpoint_paths,
     read_checkpoint,
     sweep_orphan_tmp,
@@ -72,6 +73,7 @@ __all__ = [
     "checkpoint_paths",
     "get_rng_state",
     "read_checkpoint",
+    "check_checkpoint",
     "seed_streams",
     "set_rng_state",
     "sweep_orphan_tmp",

@@ -24,6 +24,7 @@ the zip members' CRC-32 and reads as a :class:`CheckpointError`.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import zipfile
@@ -40,6 +41,7 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "Checkpoint",
     "CheckpointError",
+    "check_checkpoint",
     "checkpoint_paths",
     "write_checkpoint",
     "read_checkpoint",
@@ -59,6 +61,11 @@ _CORRUPT = (
     KeyError, ValueError, EOFError, NotImplementedError, RuntimeError,
     zipfile.BadZipFile, zlib.error,
 )
+
+
+#: The arrays of a checkpoint, beside its ``meta`` member.
+_ARRAYS = ("positions", "velocities", "types", "masses", "ids",
+           "box_lengths", "box_periodic", "box_origin")
 
 
 class CheckpointError(RuntimeError):
@@ -196,6 +203,59 @@ def read_checkpoint(
             f"corrupt checkpoint {npz_path}: {exc}"
         ) from exc
 
+    spec_hash = _checked_meta(meta, npz_path, expected_spec_hash)
+    return Checkpoint(
+        state=state,
+        step_count=int(meta.get("step_count", 0)),
+        spec_hash=spec_hash,
+        engine=meta.get("engine", ""),
+        rng_states=meta.get("rng_states", {}),
+        extra=meta.get("extra", {}),
+    )
+
+
+def check_checkpoint(
+    prefix: str | Path, *, expected_spec_hash: str | None = None
+) -> int:
+    """The step count of a checkpoint :func:`read_checkpoint` would read,
+    without building its state.
+
+    Every zip member is read to its end, so the CRC-32 of each is
+    checked; only ``meta`` is decoded.  A member missing, torn or
+    bit-flipped, a bad schema or (with ``expected_spec_hash``) a
+    physics mismatch raises :class:`CheckpointError`, as
+    :func:`read_checkpoint` does; a file this accepts,
+    :func:`read_checkpoint` reads.
+    """
+    (npz_path,) = checkpoint_paths(prefix)
+    try:
+        with zipfile.ZipFile(npz_path) as archive:
+            meta, names = {}, set()
+            for info in archive.infolist():
+                with archive.open(info) as member:
+                    raw = member.read()  # to its end: the CRC is checked
+                names.add(info.filename)
+                if info.filename == "meta.npy":
+                    meta = json.loads(str(np.lib.format.read_array(
+                        io.BytesIO(raw), allow_pickle=False)))
+            missing = [a for a in _ARRAYS if f"{a}.npy" not in names]
+            if missing:
+                raise KeyError(f"{missing[0]} is not a file in the archive")
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {npz_path}: {exc}"
+        ) from exc
+    except _CORRUPT as exc:
+        raise CheckpointError(
+            f"corrupt checkpoint {npz_path}: {exc}"
+        ) from exc
+    _checked_meta(meta, npz_path, expected_spec_hash)
+    return int(meta.get("step_count", 0))
+
+
+def _checked_meta(meta, npz_path: Path, expected_spec_hash: str | None) -> str:
+    """The spec hash of a decoded ``meta`` record, once its schema (and
+    the hash, when one is expected) passed."""
     schema = meta.get("schema") if isinstance(meta, dict) else None
     if schema != CHECKPOINT_SCHEMA:
         raise CheckpointError(
@@ -210,12 +270,4 @@ def read_checkpoint(
             f"{expected_spec_hash!r}; refusing to continue a trajectory "
             "under different physics"
         )
-
-    return Checkpoint(
-        state=state,
-        step_count=int(meta.get("step_count", 0)),
-        spec_hash=spec_hash,
-        engine=meta.get("engine", ""),
-        rng_states=meta.get("rng_states", {}),
-        extra=meta.get("extra", {}),
-    )
+    return spec_hash

@@ -57,7 +57,8 @@ Durability and corruption tolerance:
 * loading sweeps orphaned ``*.tmp`` files an interrupted write left
   behind and drops index entries whose files are missing;
 * every lookup re-validates the checkpoint through
-  :func:`~repro.runtime.checkpoint.read_checkpoint` — a torn, bit-flipped
+  :func:`~repro.runtime.checkpoint.check_checkpoint` (every member's
+  CRC, the ``meta`` record; no state is built) — a torn, bit-flipped
   or physics-mismatched file evicts the entry and reports a miss instead
   of serving garbage;
 * an LRU byte cap bounds the directory; eviction order is a persisted
@@ -84,8 +85,8 @@ from pathlib import Path
 
 from repro.runtime.checkpoint import (
     CheckpointError,
+    check_checkpoint,
     checkpoint_paths,
-    read_checkpoint,
     replace_synced,
     sweep_orphan_tmp,
 )
@@ -410,11 +411,11 @@ class ResultCache:
         prefix = self.prefix(spec_hash, steps)
         sweep_orphan_tmp(prefix)
         try:
-            checkpoint = read_checkpoint(prefix, expected_spec_hash=spec_hash)
+            step_count = check_checkpoint(prefix, expected_spec_hash=spec_hash)
         except CheckpointError:
             self.evict(spec_hash, steps)
             return False
-        if checkpoint.step_count != steps:
+        if step_count != steps:
             self.evict(spec_hash, steps)
             return False
         return True

@@ -228,10 +228,11 @@ def _wafer_held_inputs(rng, bound2):
 
 
 def _md_step_inputs(rng):
-    """Steps of a random cloud of one or two types on a held list of
-    every pair within the reach, in a random box: from a build's table
-    or (every other draw) from the list test, after random moves that
-    the skin/2 test may or may not keep."""
+    """Steps of a random cloud of one or two types in a random box (cells
+    or, with a periodic side under three reaches, the brute-force
+    stream): from no list, or (every other draw) from a held list of
+    every pair within the reach after random moves that the skin/2 test
+    may or may not keep; the list the call holds is an output too."""
     from repro.kernels import numpy_backend
 
     n, cutoff, skin = 40, 2.4, 0.4
@@ -242,20 +243,17 @@ def _md_step_inputs(rng):
     banks, phi_index = _wafer_banks(rng, n_types)
     types = rng.integers(0, n_types, size=n)
     vel = rng.normal(size=(n, 3))
-    i, j = np.triu_indices(n, k=1)
-    ci, cj, _, r_build = numpy_backend.neighbor_prefilter(
-        pos, i, j, lengths, periodic, cutoff + skin, inclusive=True)
-    ref, first = pos.copy(), None
+    held = []
     if rng.integers(0, 2):
-        first = numpy_backend.neighbor_prefilter(
-            pos, ci, cj, lengths, periodic, cutoff, inclusive=False)
-    else:
+        i, j = np.triu_indices(n, k=1)
+        ci, cj, _, r_build = numpy_backend.neighbor_prefilter(
+            pos, i, j, lengths, periodic, cutoff + skin, inclusive=True)
+        held = [pos.copy(), ci, cj, r_build, float(r_build.max(initial=0.0))]
         pos += rng.normal(0.0, float(rng.choice([0.01, 0.2])), pos.shape)
-    args = (pos, vel, types, rng.uniform(10.0, 200.0, n_types), ref, ci, cj,
-            r_build, float(r_build.max(initial=0.0)), lengths, periodic,
-            cutoff, skin, 0.05, banks, phi_index, 0.002,
-            int(rng.integers(1, 6)))
-    return args, dict(first=first, scratch={}), (pos, vel)
+    args = (pos, vel, types, rng.uniform(10.0, 200.0, n_types), held,
+            np.zeros(3), lengths, periodic, cutoff, skin, 0.05, banks,
+            phi_index, 0.002, int(rng.integers(1, 6)))
+    return args, dict(scratch={}), (pos, vel, held)
 
 
 _INPUTS = {
@@ -288,7 +286,10 @@ def _call(fn_name, seed):
     if out is None:
         out = ()
     out = out if isinstance(out, tuple) else (out,)
-    return (*out, *(inplace[0] if inplace else ()))
+    written = inplace[0] if inplace else ()
+    if fn_name == "md_step":  # the list it holds, flat
+        written = (*written[:-1], *written[-1])
+    return (*out, *written)
 
 
 def test_generators_cover_interface():

@@ -89,3 +89,56 @@ class TestObserverSnapshot:
         runner.run(4)
         assert first.steps == 1  # later steps must not mutate the snapshot
         assert lj_sim.stats.steps == 5
+
+
+class TestStatsParity:
+    """With an EAM potential ``Simulation.run`` builds its lists inside
+    the tier's ``md_step``; its stats and its list are still those of
+    the public sequence (``NeighborList.pairs`` -> ``compute`` ->
+    leap-frog), on both tiers, at skin 0.5 and 0."""
+
+    @pytest.mark.parametrize("skin", [0.5, 0.0])
+    @pytest.mark.parametrize("tier", ["numpy", "native"])
+    def test_run_stats_are_the_public_sequence(self, tier, skin):
+        import repro.kernels as kernels
+        from repro.runtime import RunSpec, build_engine
+
+        if kernels.backend_status()[tier] != "ok":
+            pytest.skip(f"{tier} tier unavailable")
+        spec = RunSpec(element="Ta", reps=(4, 4, 3), temperature=900.0,
+                       engine="reference", backend=tier, skin=skin)
+        engines = [build_engine(spec) for _ in range(2)]
+        try:
+            engines[0].step(60)
+            sim = engines[1].sim
+            nl, state = sim.neighbors, sim.state
+            rebuilds = pairs_total = pairs_last = 0
+            funnel = np.zeros(3, dtype=np.int64)
+            for _ in range(60):
+                before = nl.n_builds
+                table = nl.pairs(state.positions)
+                if nl.n_builds != before:
+                    rebuilds += 1
+                    funnel += nl.candidates.funnel
+                pairs_total += table.n_pairs
+                pairs_last = table.n_pairs
+                _, forces = sim.potential.compute(state.n_atoms, table,
+                                                  state.types)
+                sim.integrator.step(state, forces)
+            run = engines[0].sim
+            st = run.stats
+            assert (st.neighbor_rebuilds, st.raw_candidates, st.coarse_kept,
+                    st.exact_kept, st.pairs_total, st.pairs_last) == (
+                rebuilds, *funnel.tolist(), pairs_total, pairs_last)
+            assert run.neighbors.n_builds == nl.n_builds == rebuilds
+            assert rebuilds >= (60 if skin == 0.0 else 2)
+            assert (run.neighbors.last_pair_count, run.neighbors.n_candidates
+                    ) == (nl.last_pair_count, nl.n_candidates)
+            assert (run.neighbors.ref_positions.tobytes()
+                    == nl.ref_positions.tobytes())
+            assert (run.neighbors.candidates.funnel == nl.candidates.funnel)
+            assert run.state.positions.tobytes() == state.positions.tobytes()
+        finally:
+            for engine in engines:
+                engine.close()
+            kernels.set_backend(kernels.DEFAULT_BACKEND)

@@ -12,6 +12,7 @@ from repro.runtime import (
     CheckpointError,
     RunSpec,
     build_state,
+    check_checkpoint,
     checkpoint_paths,
     get_rng_state,
     read_checkpoint,
@@ -210,6 +211,53 @@ def test_every_byte_flip_is_refused_or_harmless(tmp_path, state):
         except CheckpointError:
             continue
         assert _same_checkpoint(got, want), f"flip at byte {offset}"
+
+
+def test_every_byte_flip_the_check_accepts_reads_unchanged(tmp_path, state):
+    """``check_checkpoint`` (the cache's re-validation) accepts a flipped
+    file only where ``read_checkpoint`` reads it back unchanged: a flip
+    it misses is one the reader ignores too."""
+    prefix, path = _flip_fixture(tmp_path, state)
+    good = path.read_bytes()
+    want = read_checkpoint(prefix)
+    assert check_checkpoint(prefix, expected_spec_hash=SPEC.spec_hash()) == 42
+    accepted = 0
+    for offset in range(0, len(good), _FLIP_STRIDE):
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << (offset % 8)
+        path.write_bytes(flipped)
+        try:
+            steps = check_checkpoint(prefix,
+                                     expected_spec_hash=SPEC.spec_hash())
+        except CheckpointError:
+            continue
+        accepted += 1
+        assert steps == 42, f"flip at byte {offset}"
+        assert _same_checkpoint(read_checkpoint(prefix), want), (
+            f"flip at byte {offset}")
+    assert 0 < accepted < len(good) // _FLIP_STRIDE
+
+
+def test_the_check_refuses_what_the_reader_refuses(tmp_path, state):
+    """Every truncation, a wrong hash and a missing array or ``meta``
+    raise :class:`CheckpointError` from the check as from the reader."""
+    prefix, path = _flip_fixture(tmp_path, state)
+    good = path.read_bytes()
+    with pytest.raises(CheckpointError, match="physics"):
+        check_checkpoint(prefix, expected_spec_hash="other")
+    for size in range(0, len(good), _FLIP_STRIDE):
+        path.write_bytes(good[:size])
+        with pytest.raises(CheckpointError, match="corrupt"):
+            check_checkpoint(prefix)
+    path.write_bytes(good)
+    for member, match in (("ids", "corrupt"), ("meta", "schema")):
+        data = dict(np.load(path))
+        del data[member]
+        np.savez(path, **data)
+        for check in (read_checkpoint, check_checkpoint):
+            with pytest.raises(CheckpointError, match=match):
+                check(prefix)
+        path.write_bytes(good)
 
 
 def test_every_truncation_is_refused(tmp_path, state):
