@@ -1409,13 +1409,14 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
  * evaluate a chunk's splines a pass at a time, then make its additions
  * in row order, into the two accumulators per plane that bincount(i)
  * and bincount(j) are.  The list it builds, the build's plan, the
- * table and the per-atom planes live in the caller's scratch between
- * calls.
+ * table and the per-atom planes live in the caller's scratch; the
+ * wrapper copies the last build's list out of it, so a list the call
+ * returned is never written again.
  */
 
 /* The scratch an md_step caller passes, by position: the table's
  * columns (cap rows; D_IJ unused with one table per family; I and J
- * hold a build's swept pairs before its table), the held list's
+ * hold a build's swept pairs before its table), the built list's
  * columns and the build's rij (cap rows, 3 cap), then per-atom planes
  * (n, and 3n for the force accumulators, the list's build positions and
  * the sweep's coordinate columns), the plan's cells (cells_cap) and the
@@ -1525,7 +1526,7 @@ static int64_t md_prefilter(const md_args *M, int inside, double lim)
 }
 
 /* The list build at the current positions (numpy_backend._md_build)
- * into the scratch's list, which the call holds from then on.  Returns
+ * into the scratch's list columns, which the call holds from then on.  Returns
  * MD_STEPS with the build's table in the table's columns (*p rows) and
  * its funnel (raw, coarse, exact); MD_NON_FINITE when a position is
  * not finite; MD_GROW with the pair rows (need[0]) or cells (need[1])
@@ -1788,8 +1789,7 @@ static void md_leapfrog(const md_args *M)
 /* Up to n_steps steps (numpy_backend.md_step) of the n atoms at pos,
  * vel with types typ, per-type masses (n_masses), the Verlet list
  * included.  The call starts from the held list (ci, cj, r_build) of
- * n_cand rows built at ref, or, ref NULL, the list this scratch holds
- * (n_cand < 0: none); bounds is {the pre-mask's dead bound, the list's
+ * n_cand rows built at ref (n_cand < 0: none); bounds is {the pre-mask's dead bound, the list's
  * r_build_max}, both updated.  The box has its origin, lengths and
  * periodic dims; half_skin2 is (skin / 2)^2; the build sweeps the
  * n_off offsets of the scratch's stencil.  scratch holds the buffers
@@ -1815,15 +1815,8 @@ int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
 {
     int64_t typed = rho->n_members > 1;
     void *const *m = scratch;
-    if (!ref && n_cand >= 0) {  /* the list this scratch holds */
-        ref = m[MD_L_REF];
-        ci = m[MD_L_I];
-        cj = m[MD_L_J];
-        r_build = m[MD_L_R];
-    } else if (n_cand > cap || bad_any(ci, n_cand, n)
-               || bad_any(cj, n_cand, n)) {
+    if (n_cand > cap || bad_any(ci, n_cand, n) || bad_any(cj, n_cand, n))
         return -1;
-    }
     for (int64_t a = 0; a < n; a++)
         if (bad(typ[a], n_masses)
             || (typed && (bad(typ[a], rho->n_members)

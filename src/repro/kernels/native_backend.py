@@ -560,8 +560,7 @@ def _md_scratch(store: dict, rows: int, n: int, typed: bool,
     """``(rows, cells, addresses)`` of this tier's md_step scratch, in
     three mappings (pair rows, atom rows, cells).  A group is mapped
     again, a quarter over what is asked (as a list grows a little from
-    one build to the next), only when it must grow; that forgets the
-    list the scratch held, which is no longer there."""
+    one build to the next), only when it must grow."""
     have = store.get("md_fits", (-1, -1, False, -1, None))
     grow = (rows > have[0] or typed > have[2], n > have[1], cells > have[3])
     if not any(grow):
@@ -588,7 +587,6 @@ def _md_scratch(store: dict, rows: int, n: int, typed: bool,
     addresses = np.array(
         [store[key].ctypes.data for group in groups for key in group]
         + [numpy_backend.HALF_STENCIL.ctypes.data], dtype=np.uintp)
-    store.pop("held", None)
     store["md_fits"] = (rows, n, typed, cells, addresses)
     return rows, cells, addresses
 
@@ -609,19 +607,17 @@ def md_step(positions, velocities, types, masses, held, origin, lengths,
     origin = _arr(np.ascontiguousarray(origin, dtype=_F8), _F8, 3)
     if not np.all(~periodic | ((lengths > 0.0) & np.isfinite(lengths))):
         raise _Decline
-    # This tier's slot of the caller's scratch: the list it built last
-    # (held there and handed out as views), the plan, the step's table
-    # and the per-atom planes, their addresses taken once.  A held list
-    # that is not that one is read where it lies, until a build.
+    # This tier's slot of the caller's scratch: the plan, the step's
+    # table, the per-atom planes and the list a build writes, their
+    # addresses taken once.
     store = {} if scratch is None else scratch.setdefault(name, {})
     n_cand = len(held[1]) if held and len(held[0]) == n else -1
     # (no list: room for a first build of ~16 rows an atom, the cells
     # at most one an atom; a build that needs more asks for it)
     fits = _md_scratch(store, n_cand if n_cand >= 0 else 16 * n, n, typed,
                        0 if n_cand >= 0 else n)
-    h_args, own = (None,) * 4, store.get("held")
-    if n_cand >= 0 and (own is None or any(
-            a is not b for a, b in zip(held, own))):
+    h_args = (None,) * 4
+    if n_cand >= 0:
         ref, ci, cj, r_build = held[:4]
         _arr(ref, _F8, n, 3), _arr(ci, _I8, n_cand)
         _arr(cj, _I8, n_cand), _arr(r_build, _F8, n_cand)
@@ -648,12 +644,10 @@ def md_step(positions, velocities, types, masses, held, origin, lengths,
         h_args, n_cand = (None,) * 4, -1
     if n_cand < 0:
         held.clear()
-        store.pop("held", None)
-    elif n_builds:  # the last build's, in the scratch
-        held[:] = [store["l_ref"][:n], store["l_i"][:n_cand],
-                   store["l_j"][:n_cand], store["l_r"][:n_cand],
+    elif n_builds:  # the last build's, out of the scratch the next writes
+        held[:] = [store["l_ref"][:n].copy(), store["l_i"][:n_cand].copy(),
+                   store["l_j"][:n_cand].copy(), store["l_r"][:n_cand].copy(),
                    float(bounds[1])]
-        store["held"] = held[:4]
     return numpy_backend.MdStep(done, numpy_backend.MD_STOPS[stop],
                                 rows[:done, -1], rows[:done, :-1],
                                 builds[:n_builds], float(bounds[0]))

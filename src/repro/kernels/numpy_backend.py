@@ -693,10 +693,9 @@ def md_step(
 
     ``scratch`` is the caller's dict, in which a tier keeps what it
     holds between that caller's calls in its own slot: this body keeps
-    the binning's buffers, as ``CellList`` does between builds.  A tier
-    may hold the list it returns there too (the native one hands out
-    views of its slot): the list's arrays are then the caller's only
-    until the next call on that scratch builds.
+    the binning's buffers, as ``CellList`` does between builds.  The
+    list a call leaves in ``held`` is the caller's on every tier: no
+    later call writes to its arrays.
     """
     store = {} if scratch is None else scratch.setdefault(name, {})
     geometry = (origin, lengths, periodic, cutoff, skin)

@@ -94,6 +94,15 @@ class CellList:
         self._use_brute = plan.brute
         self._n = len(positions)
 
+    def lend_buffers(self) -> dict:
+        """The binning's buffers, for a build elsewhere (the numpy body
+        of the registry's ``md_step``) to bin into.  Such a build
+        overwrites the plan of the last :meth:`build`, so that plan is
+        dropped here: a pair query raises until the next
+        :meth:`build`."""
+        self._binned = None
+        return self._buffers
+
     def candidate_pairs(
         self, live: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:

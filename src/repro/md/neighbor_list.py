@@ -304,6 +304,8 @@ class NeighborList:
         self.n_builds = 0
         self.last_pair_count = 0
         self._funnel: tuple[int, int, int] | None = None  # while handed over
+        self._scratch: dict = {}  # what md_step keeps between calls
+        self._tier = None  # the kernel tier of the last md_step call
 
     def rebuild_reason(self, positions: np.ndarray) -> str | None:
         """Why the candidate set must be rebuilt, or ``None`` to reuse
@@ -383,10 +385,26 @@ class NeighborList:
         self._built_n_atoms = -1
         return held, dead
 
+    def md_scratch(self, kernels) -> dict:
+        """The scratch the kernel tier ``kernels``' ``md_step`` keeps
+        between calls on this list, in its slot ``scratch[kernels.name]``
+        (a change of tier drops the other tiers' slots).  The numpy
+        body's slot is this list's cell-list buffers
+        (:meth:`CellList.lend_buffers`), so a build has one set of them
+        whichever path makes it."""
+        if kernels is not self._tier:
+            self._scratch.clear()
+            self._tier = kernels
+        self._scratch[numpy_backend.name] = self._cells.lend_buffers()
+        return self._scratch
+
     def take_over(self, held: list, step) -> None:
         """Hold the list an ``md_step`` call returned in ``held`` (its
         :class:`~repro.kernels.numpy_backend.MdStep` is ``step``),
-        counting the call's builds and its last step's pairs."""
+        counting the call's builds and its last step's pairs.  Its
+        arrays are this object's on every tier: no later call writes
+        them, so :attr:`candidates` and :attr:`ref_positions` kept
+        across a run stay what they were."""
         builds = step.builds
         self.n_builds += len(builds)
         if step.steps:

@@ -153,10 +153,6 @@ class Simulation:
         # evaluation, in the traced ``parallel.pool`` phase.
         active_backend()
         self._layout = None  # the pipeline's arguments until it spawns
-        #: what the kernel tier keeps between md_step calls, in its own
-        #: slot; emptied when another tier takes over
-        self._scratch: dict = {}
-        self._tier = None  # the tier of the last md_step call
         if workers is not None or topology is not None:
             import repro.parallel  # noqa: F401
 
@@ -276,19 +272,13 @@ class Simulation:
             self.stats.steps += 1
             return 1
         kernels = active_backend()
-        if kernels is not self._tier:
-            self._scratch.clear()
-            self._tier = kernels
         nl, box = self.neighbors, self.neighbors.box
-        # one set of binning buffers whichever path builds: the numpy
-        # body's are those of the public path's cell list
-        self._scratch.setdefault("numpy", nl._cells._buffers)
         held, dead_bound = nl.hand_over(state.positions)
         step = kernels.md_step(
             state.positions, state.velocities, state.types, state.masses,
             held, box.origin, box.lengths, box.periodic, nl.cutoff, nl.skin,
             self.potential.cap.r_min, *tables, self.integrator.dt, n_steps,
-            dead_bound=dead_bound, scratch=self._scratch,
+            dead_bound=dead_bound, scratch=nl.md_scratch(kernels),
         )
         nl.take_over(held, step)
         self._account(step)

@@ -63,9 +63,12 @@ _CORRUPT = (
 )
 
 
-#: The arrays of a checkpoint, beside its ``meta`` member.
+#: The arrays of a checkpoint, beside its ``meta`` member, by member
+#: name: the :class:`AtomsState` field of that name, ``box_<x>`` its
+#: box's ``x``.  The one list the writer, the reader and the check use.
 _ARRAYS = ("positions", "velocities", "types", "masses", "ids",
            "box_lengths", "box_periodic", "box_origin")
+_BOX = "box_"
 
 
 class CheckpointError(RuntimeError):
@@ -154,18 +157,13 @@ def write_checkpoint(
     }
     tmp = npz_path.with_name(npz_path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        np.savez(
-            fh,
-            positions=state.positions,
-            velocities=state.velocities,
-            types=state.types,
-            masses=state.masses,
-            ids=state.ids,
-            box_lengths=state.box.lengths,
-            box_periodic=state.box.periodic,
-            box_origin=state.box.origin,
-            meta=np.array(json.dumps(meta, sort_keys=True)),
-        )
+        arrays = {
+            name: (getattr(state.box, name[len(_BOX):])
+                   if name.startswith(_BOX) else getattr(state, name))
+            for name in _ARRAYS
+        }
+        np.savez(fh, **arrays,
+                 meta=np.array(json.dumps(meta, sort_keys=True)))
     replace_synced(tmp, npz_path)
     return (npz_path,)
 
@@ -182,18 +180,10 @@ def read_checkpoint(
     try:
         with np.load(npz_path) as data:
             meta = json.loads(str(data["meta"])) if "meta" in data else {}
-            state = AtomsState(
-                positions=data["positions"],
-                velocities=data["velocities"],
-                types=data["types"],
-                masses=data["masses"],
-                box=Box(
-                    lengths=data["box_lengths"],
-                    periodic=data["box_periodic"],
-                    origin=data["box_origin"],
-                ),
-                ids=data["ids"],
-            )
+            fields = {name: data[name] for name in _ARRAYS}
+        box = Box(**{name[len(_BOX):]: fields.pop(name)
+                     for name in _ARRAYS if name.startswith(_BOX)})
+        state = AtomsState(box=box, **fields)
     except OSError as exc:
         raise CheckpointError(
             f"cannot read checkpoint {npz_path}: {exc}"
@@ -217,15 +207,16 @@ def read_checkpoint(
 def check_checkpoint(
     prefix: str | Path, *, expected_spec_hash: str | None = None
 ) -> int:
-    """The step count of a checkpoint :func:`read_checkpoint` would read,
-    without building its state.
+    """The step count of a checkpoint, checked without building its
+    state.
 
     Every zip member is read to its end, so the CRC-32 of each is
     checked; only ``meta`` is decoded.  A member missing, torn or
     bit-flipped, a bad schema or (with ``expected_spec_hash``) a
     physics mismatch raises :class:`CheckpointError`, as
-    :func:`read_checkpoint` does; a file this accepts,
-    :func:`read_checkpoint` reads.
+    :func:`read_checkpoint` does.  The arrays' shapes and dtypes, which
+    :class:`AtomsState` checks when :func:`read_checkpoint` builds one,
+    are not checked here.
     """
     (npz_path,) = checkpoint_paths(prefix)
     try:

@@ -259,9 +259,9 @@ class TestAgainstNumpyBody:
 
 
 class TestScratch:
-    """The native body keeps its list, plan and table in its slot of the
-    caller's scratch; a build that needs more than the slot has regrows
-    it and builds again, never a truncated list."""
+    """The native body keeps its plan, table and the lists it builds in
+    its slot of the caller's scratch; a build that needs more than the
+    slot has regrows it and builds again, never a truncated list."""
 
     @needs_native
     @pytest.mark.parametrize("box_kind", sorted(BOXES))
@@ -288,29 +288,53 @@ class TestScratch:
         rows, _, typed, cells, _ = scratch["native"]["md_fits"]
         assert rows >= want[3][0][2] and cells > 1
 
-    @needs_native
-    def test_the_list_it_holds_is_read_again_from_its_scratch(self):
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_list_it_returned_is_never_written_again(self, tier):
         """Two calls on one scratch: the second starts from the list the
-        first returned (the tier's own, not read through the arguments),
-        and ends where one call of both lengths ends."""
-        state = _crystal("periodic", (5, 5, 5), False, 3000.0, 9)
+        first returned and builds its own, leaving the first's arrays as
+        they were, and ends where one call of both lengths ends."""
+        state = _crystal("periodic", (5, 5, 5), False, 6000.0, 9)
         potential = _potential(False)
-        one, h_one, s_one = _call("native", state, potential, 0.5, 20)
-        kernels.set_backend("native")
+        one, h_one, s_one = _call(tier, state, potential, 0.1, 20)
         s_two, held, scratch, dead = state.copy(), [], {}, np.inf
         box = s_two.box
+        kept = []
         for n_steps in (7, 13):
             step = kernels.active_backend().md_step(
                 s_two.positions, s_two.velocities, s_two.types, s_two.masses,
                 held, box.origin, box.lengths, box.periodic,
-                potential.cutoff, 0.5, potential.cap.r_min,
+                potential.cutoff, 0.1, potential.cap.r_min,
                 *potential.bank_tables(s_two.n_atoms, s_two.types), DT,
                 n_steps, dead_bound=dead, scratch=scratch)
-            assert step.stop == "steps"
+            assert step.stop == "steps" and len(step.builds) >= 2
             dead = step.dead_bound
-        assert held[1] is scratch["native"]["held"][1]
+            kept.append((held[:4], [np.copy(a) for a in held[:4]]))
+        for arrays, copies in kept:
+            _same_list(arrays, copies)
         assert s_two.positions.tobytes() == s_one.positions.tobytes()
-        _same_list([np.copy(a) for a in held], h_one)
+        _same_list(held, h_one)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_list_kept_across_run_does_not_change(tier):
+    """The candidates, build positions and a public ``pairs`` table kept
+    from a :class:`Simulation` stay as they were through later runs that
+    rebuild the list: the list a run leaves is the caller's."""
+    kernels.set_backend(tier)
+    for temperature in (30.0, 6000.0):  # an all-inside table, then a cut
+        sim = Simulation(_crystal("periodic", (5, 5, 5), False, temperature,
+                                  4), _potential(False), skin=0.1)
+        sim.run(10)
+        nl = sim.neighbors
+        table = nl.pairs(sim.state.positions)
+        cand = nl.candidates
+        kept = [cand.i, cand.j, cand.r_build, nl.ref_positions, table.i,
+                table.j, table.rij, table.r]
+        copies = [np.copy(a) for a in kept]
+        builds = nl.n_builds
+        sim.run(30)
+        assert nl.n_builds > builds
+        _same_list(kept, copies)
 
 
 class TestChunkEdges:

@@ -118,6 +118,21 @@ class TestStructure:
         assert all((b, a) not in seen for a, b in seen)
         assert all(a != b for a, b in seen)
 
+    def test_lent_buffers_end_the_plan(self):
+        """A build elsewhere bins into the lent buffers, so the plan of
+        the last build is gone until the next."""
+        rng = np.random.default_rng(2)
+        pos = rng.uniform(0, 8, size=(20, 3))
+        cl = CellList(Box.open([20, 20, 20]), 3.0)
+        cl.build(pos)
+        want = cl.candidate_pairs()
+        assert cl.lend_buffers() is cl.lend_buffers()
+        with pytest.raises(RuntimeError, match="before build"):
+            cl.candidate_pairs()
+        cl.build(pos)
+        got = cl.candidate_pairs()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_directed_view_doubles(self):
         rng = np.random.default_rng(1)
         pos = rng.uniform(0, 8, size=(20, 3))
