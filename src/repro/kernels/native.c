@@ -34,8 +34,9 @@
  *
  * wafer_step runs on a team of threads in owner blocks (see "owner
  * blocks" below); every other function runs on the calling thread.
- * Its row loops, and md_step's pair loops, are chunked passes (see
- * "chunked passes" below).
+ * Every pair kernel's loops, md_step's and wafer_step's are chunked
+ * passes (see "chunked passes" below); the cell sweep (sweep_cells)
+ * walks its blocks a row at a time.
  */
 #define _GNU_SOURCE  /* sched_getcpu, the sweep threads' CPU affinity */
 #include <math.h>
@@ -113,27 +114,197 @@ static int bad_any(const int64_t *idx, int64_t p, int64_t n)
     return 0;
 }
 
-/* Minimum image of one separation, Box.minimum_image's floor rule. */
-static inline void min_image(double *d, const double *lengths,
-                             const uint8_t *periodic)
+/* -- chunked passes -----------------------------------------------------
+ *
+ * A chunked pass takes CHUNK rows at a time through passes without
+ * control flow in their bodies (separations and r^2, a branch-free
+ * compaction of the rows that pass a cut, spline evaluations, force
+ * terms), then makes the chunk's additions into the per-atom (per-tile)
+ * accumulators in row order.  Each row's operations and each
+ * accumulator's additions are a one-loop walk's, in its order, so a
+ * chunk changes no bit; but a pass's rows are independent, so the CPU
+ * overlaps them and the compiler vectorises the arithmetic.  A chunk's
+ * buffers stay in L1.  The reference engine's passes (spline_pass,
+ * prefilter, density_pass, force_pass) are one body each, which the
+ * per-call kernels and md_step both run, with one member helper
+ * (members); separations are md_step's columns (cols > 0: three
+ * columns cols apart) or the per-call kernels' (p, 3) rows (cols == 0),
+ * which force_pass copies into L1 columns before its arithmetic.
+ */
+#define CHUNK 256
+
+/* eval_point over n points x[i] through members g[i]; out of line, so
+ * the compiler sees its restrict arguments and vectorises the loop. */
+__attribute__((noinline))
+static void eval_rows(const bank_t *b, int64_t n, const double *restrict x,
+                      const int64_t *restrict g, double *restrict val,
+                      double *restrict der)
 {
-    for (int k = 0; k < 3; k++)
-        if (periodic[k]) {
-            double ld = lengths[k];
-            d[k] -= ld * floor(d[k] / ld + 0.5);
-        }
+    for (int64_t i = 0; i < n; i++)
+        eval_point(b, x[i], g[i], val + i, der + i);
 }
 
-/* Minimum-image separation of atoms (tiles) a -> c into d; returns r^2. */
-static inline double separation(const double *pos, int64_t at, int64_t from,
-                                const double *lengths,
-                                const uint8_t *periodic, double *d)
+/* The bank member of a pass's row q with atoms a and b: row[q], else
+ * pair[typ[a] * nt + typ[b]], else typ[a], else g0. */
+typedef struct {
+    const int64_t *row, *typ, *pair;
+    int64_t nt, g0;
+} member_t;
+
+/* g[s] of the n rows from row q0, whose atoms are a[s] and b[s]. */
+static void members(int64_t *restrict g, const member_t *src, int64_t q0,
+                    const int64_t *restrict a, const int64_t *restrict b,
+                    int64_t n)
 {
-    const double *a = pos + 3 * at, *c = pos + 3 * from;
-    for (int k = 0; k < 3; k++) d[k] = c[k] - a[k];
-    min_image(d, lengths, periodic);
-    return R2(d[0], d[1], d[2]);
+    if (src->row)
+        memcpy(g, src->row + q0, 8 * (size_t)n);
+    else if (src->pair)
+        for (int64_t s = 0; s < n; s++)
+            g[s] = src->pair[src->typ[a[s]] * src->nt + src->typ[b[s]]];
+    else if (src->typ)
+        for (int64_t s = 0; s < n; s++) g[s] = src->typ[a[s]];
+    else
+        for (int64_t s = 0; s < n; s++) g[s] = src->g0;
 }
+
+/* numpy_backend.grouped_spline_eval of the p points x, point q through
+ * src's row q; val == NULL keeps no values. */
+static void spline_pass(const bank_t *b, member_t src, const double *x,
+                        int64_t p, double *val, double *der)
+{
+    int64_t g[CHUNK];
+    double v[CHUNK];
+    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
+        int64_t n = p - q0 < CHUNK ? p - q0 : CHUNK;
+        members(g, &src, q0, NULL, NULL, n);
+        eval_rows(b, n, x + q0, g, val ? val + q0 : v, der + q0);
+    }
+}
+
+/* numpy_backend.neighbor_prefilter of the candidate rows (i, j): a
+ * measured row's minimum-image separation (Box.minimum_image's floor
+ * rule) and r^2, kept at r^2 < rmax2, at r^2 <= rmax2 (inclusive) or
+ * always (inside: the caller proved every row passes).  With r_build,
+ * a row whose r_build is over lim is not measured (the pre-mask).  Every
+ * measured row is written at the next output row, which only a kept
+ * one advances: oi/oj (when not NULL), the separations d (cols) and r.
+ * Returns the rows kept. */
+static int64_t prefilter(const double *pos, const int64_t *i,
+                         const int64_t *j, int64_t p, const double *lengths,
+                         const uint8_t *periodic, const double *r_build,
+                         double lim, double rmax2, int64_t inclusive,
+                         int64_t inside, int64_t *oi, int64_t *oj, double *d,
+                         int64_t cols, double *r)
+{
+    int64_t rows[CHUNK], w = 0;
+    const int64_t sq = cols ? 1 : 3, sk = cols ? cols : 1;
+    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
+        int64_t n = p - q0 < CHUNK ? p - q0 : CHUNK, m = r_build ? 0 : n;
+        for (int64_t q = q0; r_build && q < q0 + n; q++) {
+            rows[m] = q;
+            m += r_build[q] <= lim;
+        }
+        for (int64_t s = 0; s < m; s++) {
+            int64_t q = r_build ? rows[s] : q0 + s, a = i[q], b = j[q];
+            double dc[3];
+            for (int k = 0; k < 3; k++) {
+                dc[k] = pos[3 * b + k] - pos[3 * a + k];
+                if (periodic[k])
+                    dc[k] -= lengths[k] * floor(dc[k] / lengths[k] + 0.5);
+            }
+            double r2 = R2(dc[0], dc[1], dc[2]);
+            if (oi) {
+                oi[w] = a;
+                oj[w] = b;
+            }
+            for (int k = 0; k < 3; k++) d[w * sq + k * sk] = dc[k];
+            r[w] = sqrt(r2);
+            w += inside | (r2 < rmax2) | (inclusive & (r2 == rmax2));
+        }
+    }
+    return w;
+}
+
+/* numpy_backend.fused_density_pass of p rows: rho_bar into acc_i (acc_j
+ * is scratch), through ji's member for j's density at i and ij's for
+ * i's at j; ij == NULL (one table) evaluates once and both directions
+ * share the value (d_ij unwritten). */
+static void density_pass(const int64_t *i, const int64_t *j, const double *r,
+                         int64_t p, const member_t *ji, const member_t *ij,
+                         const bank_t *rho, int64_t n, double *acc_i,
+                         double *acc_j, double *d_ji, double *d_ij)
+{
+    int64_t g[CHUNK];
+    double v_ji[CHUNK], v_ij[CHUNK];
+    const double *v = ij ? v_ij : v_ji;
+    memset(acc_i, 0, 8 * (size_t)n);
+    memset(acc_j, 0, 8 * (size_t)n);
+    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
+        int64_t c = p - q0 < CHUNK ? p - q0 : CHUNK;
+        members(g, ji, q0, j + q0, NULL, c);
+        eval_rows(rho, c, r + q0, g, v_ji, d_ji + q0);
+        if (ij) {
+            members(g, ij, q0, i + q0, NULL, c);
+            eval_rows(rho, c, r + q0, g, v_ij, d_ij + q0);
+        }
+        for (int64_t s = 0; s < c; s++) {
+            acc_i[i[q0 + s]] += v_ji[s];
+            acc_j[j[q0 + s]] += v[s];
+        }
+    }
+    for (int64_t a = 0; a < n; a++) acc_i[a] += acc_j[a];
+}
+
+/* numpy_backend.fused_force_pass of p rows with separations d (cols):
+ * the forces into f_i (f_j is scratch) and e_pair into e_i (e_j is
+ * scratch; e_i == NULL skips the pair energy). */
+static void force_pass(const int64_t *i, const int64_t *j, const double *d,
+                       int64_t cols, const double *r, int64_t p,
+                       const double *f_der, const double *d_ji,
+                       const double *d_ij, const bank_t *phi,
+                       const member_t *member, int64_t n, double *f_i,
+                       double *f_j, double *e_i, double *e_j)
+{
+    int64_t g[CHUNK];
+    double phi_v[CHUNK], phi_d[CHUNK], w[3][CHUNK], dc[3][CHUNK];
+    memset(f_i, 0, 24 * (size_t)n);
+    memset(f_j, 0, 24 * (size_t)n);
+    for (int64_t a = 0; e_i && a < n; a++) e_i[a] = e_j[a] = 0.0;
+    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
+        int64_t c = p - q0 < CHUNK ? p - q0 : CHUNK;
+        const int64_t *a = i + q0, *b = j + q0;
+        const double *dk[3];
+        members(g, member, q0, a, b, c);
+        eval_rows(phi, c, r + q0, g, phi_v, phi_d);
+        for (int k = 0; k < 3; k++) {
+            dk[k] = cols ? d + k * cols + q0 : dc[k];
+            for (int64_t s = 0; !cols && s < c; s++)
+                dc[k][s] = d[3 * (q0 + s) + k];
+        }
+        for (int64_t s = 0; s < c; s++) {
+            double sc = f_der[a[s]] * d_ji[q0 + s] + f_der[b[s]] * d_ij[q0 + s]
+                        + phi_d[s];
+            for (int k = 0; k < 3; k++)
+                w[k][s] = sc * (dk[k][s] / r[q0 + s]);
+        }
+        for (int64_t s = 0; s < c; s++)
+            for (int k = 0; k < 3; k++) {
+                f_i[3 * a[s] + k] += w[k][s];
+                f_j[3 * b[s] + k] += w[k][s];
+            }
+        for (int64_t s = 0; e_i && s < c; s++) {
+            e_i[a[s]] += 0.5 * phi_v[s];
+            e_j[b[s]] += 0.5 * phi_v[s];
+        }
+    }
+    for (int64_t c = 0; c < 3 * n; c++) f_i[c] -= f_j[c];
+    for (int64_t a = 0; e_i && a < n; a++) e_i[a] += e_j[a];
+}
+
+/* -- the per-call pair kernels: each declines what its numpy body
+ * would refuse, before it writes anything, then runs its pass.  (The
+ * density and force kernels decline an empty list: numpy's bincount of
+ * nothing is int64 zeros, weights or not, and that is numpy's to say.) */
 
 /* member == NULL evaluates the batch through member g0. */
 int64_t grouped_spline_eval(const bank_t *b, const double *x,
@@ -142,12 +313,12 @@ int64_t grouped_spline_eval(const bank_t *b, const double *x,
 {
     if (member ? bad_any(member, p, b->n_members) : bad(g0, b->n_members))
         return -1;
-    for (int64_t q = 0; q < p; q++)
-        eval_point(b, x[q], member ? member[q] : g0, val + q, der + q);
+    spline_pass(b, (member_t){.row = member, .g0 = g0}, x, p, val, der);
     return 0;
 }
 
-/* Returns the number of rows kept (compacted into the outputs). */
+/* Returns the number of rows kept (with assume_inside every row, and
+ * oi/oj are not written). */
 int64_t neighbor_prefilter(const double *pos, int64_t n_atoms,
                            const int64_t *i, const int64_t *j, int64_t p,
                            const double *lengths, const uint8_t *periodic,
@@ -155,23 +326,49 @@ int64_t neighbor_prefilter(const double *pos, int64_t n_atoms,
                            int64_t assume_inside, int64_t *oi, int64_t *oj,
                            double *orij, double *orr)
 {
-    int64_t w = 0;
+    if (bad_any(i, p, n_atoms) || bad_any(j, p, n_atoms)) return -1;
+    return prefilter(pos, i, j, p, lengths, periodic, NULL, 0.0, rmax2,
+                     inclusive, assume_inside, oi, oj, orij, 0, orr);
+}
+
+/* ti == NULL: one table.  rho_bar is returned in acc_i. */
+int64_t fused_density_pass(const int64_t *i, const int64_t *j,
+                           const double *r, int64_t p, const int64_t *ti,
+                           const int64_t *tj, const bank_t *b,
+                           int64_t n_atoms, double *acc_i, double *acc_j,
+                           double *d_ji, double *d_ij)
+{
+    if (p == 0 || bad_any(i, p, n_atoms) || bad_any(j, p, n_atoms)) return -1;
+    if (ti && (bad_any(ti, p, b->n_members) || bad_any(tj, p, b->n_members)))
+        return -1;
+    density_pass(i, j, r, p, &(member_t){.row = tj},
+                 ti ? &(member_t){.row = ti} : NULL, b, n_atoms, acc_i,
+                 acc_j, d_ji, d_ij);
+    return 0;
+}
+
+/* The forces are returned in f_i and e_pair in e_i.  Declines where the
+ * numpy unit-vector division could raise (r == 0) or on non-finite
+ * geometry. */
+int64_t fused_force_pass(const int64_t *i, const int64_t *j,
+                         const double *rij, const double *r, int64_t p,
+                         const double *f_der, const double *d_ji,
+                         const double *d_ij, const bank_t *phi,
+                         const int64_t *member, int64_t g0, int64_t n_atoms,
+                         double *f_i, double *f_j, double *e_i, double *e_j)
+{
+    if (p == 0 || bad_any(i, p, n_atoms) || bad_any(j, p, n_atoms)) return -1;
+    if (member ? bad_any(member, p, phi->n_members) : bad(g0, phi->n_members))
+        return -1;
     for (int64_t q = 0; q < p; q++) {
-        if (bad(i[q], n_atoms) || bad(j[q], n_atoms)) return -1;
-        double d[3];
-        double r2 = separation(pos, i[q], j[q], lengths, periodic, d);
-        if (!assume_inside) {
-            if (!(inclusive ? r2 <= rmax2 : r2 < rmax2)) continue;
-            oi[w] = i[q];
-            oj[w] = j[q];
-        }
-        orij[3 * w] = d[0];
-        orij[3 * w + 1] = d[1];
-        orij[3 * w + 2] = d[2];
-        orr[w] = sqrt(r2);
-        w++;
+        const double *d = rij + 3 * q;
+        if (r[q] == 0.0 || !isfinite(r[q]) || !isfinite(d[0] + d[1] + d[2]))
+            return -1;
     }
-    return w;
+    force_pass(i, j, rij, 0, r, p, f_der, d_ji, d_ij, phi,
+               &(member_t){.row = member, .g0 = g0}, n_atoms, f_i, f_j, e_i,
+               e_j);
+    return 0;
 }
 
 /* -- the cell sweep -------------------------------------------------------
@@ -335,70 +532,6 @@ int64_t cell_pairs(const double *cols, int64_t n, const int64_t *order,
     if (S.w > cap) return -1;
     *n_raw = raw;
     return S.w;
-}
-
-/* ti == NULL: one table, both directions share the value.  acc_i
- * (returned as rho_bar) and acc_j arrive zeroed.  (Both pair passes
- * decline an empty list: numpy's bincount of nothing is int64 zeros,
- * weights or not, and that is numpy's to say.) */
-int64_t fused_density_pass(const int64_t *i, const int64_t *j,
-                           const double *r, int64_t p, const int64_t *ti,
-                           const int64_t *tj, const bank_t *b,
-                           int64_t n_atoms, double *acc_i, double *acc_j,
-                           double *d_ji, double *d_ij)
-{
-    if (p == 0 || bad_any(i, p, n_atoms) || bad_any(j, p, n_atoms)) return -1;
-    if (ti && (bad_any(ti, p, b->n_members) || bad_any(tj, p, b->n_members)))
-        return -1;
-    for (int64_t q = 0; q < p; q++) {
-        double v_ji, v_ij;
-        eval_point(b, r[q], ti ? tj[q] : 0, &v_ji, d_ji + q);
-        if (ti)
-            eval_point(b, r[q], ti[q], &v_ij, d_ij + q);
-        else
-            v_ij = v_ji;
-        acc_i[i[q]] += v_ji;
-        acc_j[j[q]] += v_ij;
-    }
-    for (int64_t a = 0; a < n_atoms; a++) acc_i[a] += acc_j[a];
-    return 0;
-}
-
-/* f_i (returned as the forces) / f_j and e_i (returned as e_pair) /
- * e_j arrive zeroed.  Declines where the numpy unit-vector division
- * could raise (r == 0) or on non-finite geometry. */
-int64_t fused_force_pass(const int64_t *i, const int64_t *j,
-                         const double *rij, const double *r, int64_t p,
-                         const double *f_der, const double *d_ji,
-                         const double *d_ij, const bank_t *phi,
-                         const int64_t *member, int64_t g0, int64_t n_atoms,
-                         double *f_i, double *f_j, double *e_i, double *e_j)
-{
-    if (p == 0 || bad_any(i, p, n_atoms) || bad_any(j, p, n_atoms)) return -1;
-    if (member ? bad_any(member, p, phi->n_members) : bad(g0, phi->n_members))
-        return -1;
-    for (int64_t q = 0; q < p; q++) {
-        const double *d = rij + 3 * q;
-        if (r[q] == 0.0 || !isfinite(r[q]) || !isfinite(d[0] + d[1] + d[2]))
-            return -1;
-    }
-    for (int64_t q = 0; q < p; q++) {
-        double phi_v, phi_d;
-        eval_point(phi, r[q], member ? member[q] : g0, &phi_v, &phi_d);
-        int64_t a = i[q], c = j[q];
-        double s = f_der[a] * d_ji[q] + f_der[c] * d_ij[q] + phi_d;
-        for (int k = 0; k < 3; k++) {
-            double w = s * (rij[3 * q + k] / r[q]);
-            f_i[3 * a + k] += w;
-            f_j[3 * c + k] += w;
-        }
-        double half = 0.5 * phi_v;
-        e_i[a] += half;
-        e_j[c] += half;
-    }
-    for (int64_t a = 0; a < 3 * n_atoms; a++) f_i[a] -= f_j[a];
-    for (int64_t a = 0; a < n_atoms; a++) e_i[a] += e_j[a];
-    return 0;
 }
 
 /* -- owner blocks -------------------------------------------------------
@@ -596,24 +729,17 @@ static int64_t segment_starts(const int64_t *seg, int64_t n_off,
     return w;
 }
 
-/* -- chunked passes -----------------------------------------------------
+/* -- the wafer's chunked passes -------------------------------------------
  *
  * wafer_step's row loops (the list build's candidates, density's listed
- * rows and its partner shares, force's own and partner rows) take CHUNK
- * rows at a time through passes without control flow in their bodies:
- * the separations, minimum image and r^2 of every row; a compaction that
- * packs the rows that pass the cut to the front; the evaluation of the
+ * rows and its partner shares, force's own and partner rows) are
+ * chunked passes over int32 tile ids: the separations, minimum image
+ * and r^2 of every row (chunk_r2); a compaction that packs the rows
+ * that pass the cut to the front (chunk_pack); the evaluation of the
  * survivors (r, unit vectors, splines, record columns; eval_rows); and
- * last an in-order pass that makes the chunk's additions into the
- * tiles, row by row as the one-loop walk made them.  Each row's
- * operations and each tile's additions are those of the walk, in its
- * order, so a chunk changes no bit; what it changes is that a pass's
- * rows are independent of each other, so the CPU overlaps them and the
- * compiler vectorises the arithmetic passes.  A chunk's buffers
+ * last the in-order additions into the tiles.  A chunk's buffers
  * (20 KiB, and 6 KiB of partner force vectors) stay in L1.
  */
-#define CHUNK 256
-
 typedef struct {
     double d[3][CHUNK], r2[CHUNK];  /* separation axes and r^2 per row */
     int32_t at[CHUNK], from[CHUNK];  /* the rows' tiles */
@@ -659,17 +785,6 @@ static int64_t chunk_pack(chunk_t *restrict c, const int32_t *at,
         m += (r2 < cutoff2) & (r2 > 0.0);
     }
     return m;
-}
-
-/* eval_point over n points x[i] through members g[i]; out of line, so
- * the compiler sees its restrict arguments and vectorises the loop. */
-__attribute__((noinline))
-static void eval_rows(const bank_t *b, int64_t n, const double *restrict x,
-                      const int64_t *restrict g, double *restrict val,
-                      double *restrict der)
-{
-    for (int64_t i = 0; i < n; i++)
-        eval_point(b, x[i], g[i], val + i, der + i);
 }
 
 /* g[i] = typ[tile[i]] for n rows, or member 0 (typ == NULL). */
@@ -888,10 +1003,8 @@ typedef struct {
 static void phi_rows(const force_args *A, chunk_t *restrict c, int64_t q0,
                      int64_t n)
 {
-    if (A->member)
-        memcpy(c->g[0], A->member + q0, 8 * (size_t)n);
-    else
-        for (int64_t i = 0; i < n; i++) c->g[0][i] = A->g0;
+    members(c->g[0], &(member_t){.row = A->member, .g0 = A->g0}, q0, NULL,
+            NULL, n);
     eval_rows(A->phi, n, A->r + q0, c->g[0], c->val, c->der);
 }
 
@@ -1398,32 +1511,28 @@ int64_t wafer_step(double *pos, double *vel, const uint8_t *occ,
  * thread, its Verlet list included, each: the skin/2 list test over the
  * atoms; where it fires, at skin 0 or with no list held, the list build
  * -- cell_plan's binning and counting sort, cell_pairs' sweep
- * (sweep_cells) or the brute-force stream, the inclusive
- * neighbor_prefilter at the reach and cut_built's strict cut, whose
- * table is the step's -- else the reuse prefilter under its all-inside
- * and pre-mask cuts; then the distance cap, density, the embedding,
- * force and the leap-frog.  Its pair loops are chunked passes, as
- * wafer_step's are: the prefilter gathers a chunk's separations, wraps
- * and squares them a pass at a time and compacts the rows under the
- * cutoff into the table's columns without a branch; density and force
- * evaluate a chunk's splines a pass at a time, then make its additions
- * in row order, into the two accumulators per plane that bincount(i)
- * and bincount(j) are.  The list it builds, the build's plan, the
- * table and the per-atom planes live in the caller's scratch; the
- * wrapper copies the last build's list out of it, so a list the call
- * returned is never written again.
+ * (sweep_cells) or the brute-force stream, the inclusive prefilter at
+ * the reach and cut_built's strict cut, whose table is the step's --
+ * else the strict prefilter under its all-inside and pre-mask cuts;
+ * then the distance cap, density_pass, the embedding (spline_pass),
+ * force_pass without the pair energy, and the leap-frog: the passes of
+ * the per-call kernels, over the step's table, whose separations are
+ * columns.  The list it builds, the build's plan, the table and the
+ * per-atom planes live in the caller's scratch; the wrapper copies the
+ * last build's list out of it, so a list the call returned is never
+ * written again.
  */
 
 /* The scratch an md_step caller passes, by position: the table's
- * columns (cap rows; D_IJ unused with one table per family; I and J
- * hold a build's swept pairs before its table), the built list's
- * columns and the build's rij (cap rows, 3 cap), then per-atom planes
- * (n, and 3n for the force accumulators, the list's build positions and
- * the sweep's coordinate columns), the plan's cells (cells_cap) and the
- * half stencil. */
+ * columns (cap rows, and three for the separations D; D_IJ unused with
+ * one table per family; I and J hold a build's swept pairs before its
+ * table), the built list's columns (cap rows, and three for L_D), then
+ * per-atom planes (n, and 3n for the force accumulators, the list's
+ * build positions and the sweep's coordinate columns), the plan's cells
+ * (cells_cap) and the half stencil. */
 enum {
-    MD_I, MD_J, MD_DX, MD_DY, MD_DZ, MD_R, MD_D_JI, MD_D_IJ, MD_L_I,
-    MD_L_J, MD_L_R, MD_L_RIJ, MD_ACC_I, MD_ACC_J, MD_F_DER, MD_F_I, MD_F_J,
+    MD_I, MD_J, MD_D, MD_R, MD_D_JI, MD_D_IJ, MD_L_I, MD_L_J, MD_L_R,
+    MD_L_D, MD_ACC_I, MD_ACC_J, MD_F_DER, MD_F_I, MD_F_J,
     MD_L_REF, MD_CID, MD_ORDER, MD_COLS, MD_COUNTS, MD_STARTS, MD_STENCIL,
 };
 
@@ -1435,7 +1544,7 @@ enum { MD_STEPS, MD_NON_FINITE, MD_CAP, MD_GROW };
 typedef struct {
     double *pos, *vel;
     const int64_t *typ;
-    int64_t n, typed;  /* typed: a table per type */
+    int64_t n;
     const double *masses;
     double mvv2e, dt;
     /* the held list, built at ref (n_cand < 0: none) */
@@ -1447,11 +1556,12 @@ typedef struct {
     const double *origin, *lengths;
     const uint8_t *periodic;
     double cutoff, skin;
-    const bank_t *rho, *embed, *phi;
-    const int64_t *phi_index;
+    /* the members of rho and embed (by atom type) and phi (by type
+     * pair), through typ when there is a table per type */
+    member_t by_type, by_pair;
     /* the step's table and planes (the caller's scratch) */
     int64_t *pi, *pj;
-    double *d[3], *r, *d_ji, *d_ij;
+    double *d, *r, *d_ji, *d_ij;
     double *acc_i, *acc_j, *f_der, *f_i, *f_j;
     /* the scratch, its rows for pairs and for cells, the stencil */
     void *const *m;
@@ -1475,54 +1585,14 @@ static int md_displacement(const md_args *M, double *max_d2)
 }
 
 /* The strict r^2 < cutoff^2 table of the held list at the current
- * positions (numpy_backend.neighbor_prefilter, inclusive=False) in the
- * table's columns: rows whose r_build is over lim are not measured (the
- * pre-mask; lim = +inf measures all) and `inside` keeps every row
- * measured (the all-inside cut).  A chunk's rows pass through L1
- * buffers: the rows measured, their separations, minimum image and r^2,
- * the rows kept (a branch-free compaction of their indices), then a
- * column at a time into the table.  Returns the rows kept. */
-static int64_t md_prefilter(const md_args *M, int inside, double lim)
+ * positions in the table's columns, under the pre-mask at lim (when
+ * mask) and the all-inside cut (when inside).  Returns the rows kept. */
+static int64_t md_table(const md_args *M, int inside, int mask, double lim)
 {
-    const double cutoff2 = M->cutoff * M->cutoff;
-    const double *pos = M->pos;
-    int64_t rows[CHUNK], a[CHUNK], b[CHUNK], keep[CHUNK], w = 0;
-    double d[3][CHUNK], r2[CHUNK];
-    for (int64_t q0 = 0; q0 < M->n_cand; q0 += CHUNK) {
-        int64_t n = M->n_cand - q0 < CHUNK ? M->n_cand - q0 : CHUNK;
-        int64_t m = 0, kept = 0;
-        for (int64_t q = q0; q < q0 + n; q++) {
-            rows[m] = q;
-            m += M->r_build[q] <= lim;
-        }
-        for (int64_t s = 0; s < m; s++) {
-            const double *pa = pos + 3 * (a[s] = M->ci[rows[s]]);
-            const double *pb = pos + 3 * (b[s] = M->cj[rows[s]]);
-            for (int k = 0; k < 3; k++) d[k][s] = pb[k] - pa[k];
-        }
-        for (int k = 0; k < 3; k++) {
-            if (!M->periodic[k]) continue;
-            double ld = M->lengths[k], *restrict dk = d[k];
-            for (int64_t s = 0; s < m; s++)
-                dk[s] -= ld * floor(dk[s] / ld + 0.5);
-        }
-        for (int64_t s = 0; s < m; s++) r2[s] = R2(d[0][s], d[1][s], d[2][s]);
-        for (int64_t s = 0; s < m; s++) {
-            keep[kept] = s;
-            kept += inside | (r2[s] < cutoff2);
-        }
-        int64_t *restrict pi = M->pi + w, *restrict pj = M->pj + w;
-        double *restrict r = M->r + w;
-        for (int64_t t = 0; t < kept; t++) pi[t] = a[keep[t]];
-        for (int64_t t = 0; t < kept; t++) pj[t] = b[keep[t]];
-        for (int k = 0; k < 3; k++) {
-            double *restrict dk = M->d[k] + w;
-            for (int64_t t = 0; t < kept; t++) dk[t] = d[k][keep[t]];
-        }
-        for (int64_t t = 0; t < kept; t++) r[t] = sqrt(r2[keep[t]]);
-        w += kept;
-    }
-    return w;
+    return prefilter(M->pos, M->ci, M->cj, M->n_cand, M->lengths,
+                     M->periodic, mask ? M->r_build : NULL, lim,
+                     M->cutoff * M->cutoff, 0, inside, M->pi, M->pj, M->d,
+                     M->cap, M->r);
 }
 
 /* The list build at the current positions (numpy_backend._md_build)
@@ -1643,12 +1713,12 @@ static int md_build(md_args *M, int64_t *p, int64_t *funnel, int64_t *need)
             coarse = S.w;
         }
     }
-    /* the inclusive prefilter at the reach: the list, its rij */
+    /* the inclusive prefilter at the reach: the list, its separations */
     int64_t *li = m[MD_L_I], *lj = m[MD_L_J];
-    double *lr = m[MD_L_R], *lrij = m[MD_L_RIJ], *ref = m[MD_L_REF];
-    const int64_t exact = neighbor_prefilter(
-        pos, n, ci, cj, coarse, M->lengths, M->periodic, reach * reach, 1, 0,
-        li, lj, lrij, lr);
+    double *lr = m[MD_L_R], *ld = m[MD_L_D], *ref = m[MD_L_REF];
+    const int64_t exact = prefilter(pos, ci, cj, coarse, M->lengths,
+                                    M->periodic, NULL, 0.0, reach * reach, 1,
+                                    0, li, lj, ld, M->cap, lr);
     memcpy(ref, pos, 24 * (size_t)n);
     double top = 0.0;
     for (int64_t q = 0; q < exact; q++) top = lr[q] > top ? lr[q] : top;
@@ -1667,7 +1737,7 @@ static int md_build(md_args *M, int64_t *p, int64_t *funnel, int64_t *need)
     int on_cut = 0;
     for (int64_t q = 0; q < exact; q++) on_cut |= lr[q] == rc;
     if (on_cut) {
-        *p = md_prefilter(M, 0, INFINITY);
+        *p = md_table(M, 0, 0, INFINITY);
         return MD_STEPS;
     }
     int64_t w = 0;
@@ -1675,7 +1745,8 @@ static int md_build(md_args *M, int64_t *p, int64_t *funnel, int64_t *need)
         if (!(lr[q] < rc)) continue;
         M->pi[w] = li[q];
         M->pj[w] = lj[q];
-        for (int k = 0; k < 3; k++) M->d[k][w] = lrij[3 * q + k];
+        for (int64_t k = 0; k < 3 * M->cap; k += M->cap)
+            M->d[k + w] = ld[k + q];
         M->r[w++] = lr[q];
     }
     *p = w;
@@ -1690,87 +1761,6 @@ static int md_capped(const md_args *M, int64_t p, double r_min)
     for (int64_t q = 0; q < p; q++)
         ok &= (M->r[q] >= r_min) & (M->r[q] > 0.0);
     return !ok;
-}
-
-/* g[s] = typ[atom[s]] for n rows, or member 0 (typ == NULL). */
-static void md_members(int64_t *restrict g, const int64_t *typ,
-                       const int64_t *restrict atom, int64_t n)
-{
-    for (int64_t s = 0; s < n; s++) g[s] = typ ? typ[atom[s]] : 0;
-}
-
-/* numpy_backend.fused_density_pass over the p rows, then the embedding
- * F' of every atom (through its type when there is a table per type). */
-static void md_density(const md_args *M, int64_t p)
-{
-    const int64_t *typ = M->typed ? M->typ : NULL;
-    int64_t g[CHUNK];
-    double v_ji[CHUNK], v_ij[CHUNK];
-    memset(M->acc_i, 0, 8 * (size_t)M->n);
-    memset(M->acc_j, 0, 8 * (size_t)M->n);
-    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
-        int64_t n = p - q0 < CHUNK ? p - q0 : CHUNK;
-        const int64_t *i = M->pi + q0, *j = M->pj + q0;
-        md_members(g, typ, j, n);
-        eval_rows(M->rho, n, M->r + q0, g, v_ji, M->d_ji + q0);
-        const double *v = v_ji;
-        if (typ) {
-            md_members(g, typ, i, n);
-            eval_rows(M->rho, n, M->r + q0, g, v_ij, M->d_ij + q0);
-            v = v_ij;
-        }
-        for (int64_t s = 0; s < n; s++) {
-            M->acc_i[i[s]] += v_ji[s];
-            M->acc_j[j[s]] += v[s];
-        }
-    }
-    for (int64_t a = 0; a < M->n; a++) M->acc_i[a] += M->acc_j[a];
-}
-
-/* F and F' at every atom's density (acc_i), F' into f_der. */
-static void md_embedding(const md_args *M)
-{
-    int64_t g[CHUNK], atoms[CHUNK];
-    double val[CHUNK];
-    for (int64_t a0 = 0; a0 < M->n; a0 += CHUNK) {
-        int64_t n = M->n - a0 < CHUNK ? M->n - a0 : CHUNK;
-        for (int64_t s = 0; s < n; s++) atoms[s] = a0 + s;
-        md_members(g, M->typed ? M->typ : NULL, atoms, n);
-        eval_rows(M->embed, n, M->acc_i + a0, g, val, M->f_der + a0);
-    }
-}
-
-/* numpy_backend.fused_force_pass over the p rows into f_i (the forces,
- * once f_j is taken off); no pair energy. */
-static void md_force(const md_args *M, int64_t p)
-{
-    int64_t g[CHUNK];
-    double phi_v[CHUNK], phi_d[CHUNK], w[3][CHUNK];
-    const double *f_der = M->f_der;
-    const double *d_ij = M->typed ? M->d_ij : M->d_ji;
-    int64_t nt = M->rho->n_members;
-    memset(M->f_i, 0, 24 * (size_t)M->n);
-    memset(M->f_j, 0, 24 * (size_t)M->n);
-    for (int64_t q0 = 0; q0 < p; q0 += CHUNK) {
-        int64_t n = p - q0 < CHUNK ? p - q0 : CHUNK;
-        const int64_t *i = M->pi + q0, *j = M->pj + q0;
-        for (int64_t s = 0; s < n; s++)
-            g[s] = M->typed ? M->phi_index[M->typ[i[s]] * nt + M->typ[j[s]]]
-                            : 0;
-        eval_rows(M->phi, n, M->r + q0, g, phi_v, phi_d);
-        for (int64_t s = 0; s < n; s++) {
-            int64_t q = q0 + s;
-            double sc = f_der[i[s]] * M->d_ji[q] + f_der[j[s]] * d_ij[q]
-                        + phi_d[s];
-            for (int k = 0; k < 3; k++) w[k][s] = sc * (M->d[k][q] / M->r[q]);
-        }
-        for (int64_t s = 0; s < n; s++)
-            for (int k = 0; k < 3; k++) {
-                M->f_i[3 * i[s] + k] += w[k][s];
-                M->f_j[3 * j[s] + k] += w[k][s];
-            }
-    }
-    for (int64_t c = 0; c < 3 * M->n; c++) M->f_i[c] -= M->f_j[c];
 }
 
 /* The leap-frog (LeapfrogVerlet.step): accel = f / (m * mvv2e),
@@ -1789,18 +1779,18 @@ static void md_leapfrog(const md_args *M)
 /* Up to n_steps steps (numpy_backend.md_step) of the n atoms at pos,
  * vel with types typ, per-type masses (n_masses), the Verlet list
  * included.  The call starts from the held list (ci, cj, r_build) of
- * n_cand rows built at ref (n_cand < 0: none); bounds is {the pre-mask's dead bound, the list's
- * r_build_max}, both updated.  The box has its origin, lengths and
- * periodic dims; half_skin2 is (skin / 2)^2; the build sweeps the
- * n_off offsets of the scratch's stencil.  scratch holds the buffers
- * the MD_* names list, pair rows at cap and cells at cells_cap.  Each
- * step run writes a row of `rows`: the nanoseconds of its neighbor,
- * density, embedding, pair_force and integrate phases, and its pairs;
- * each build a row of `builds`: its step and its funnel.  out gets why
- * the call returned (MD_*), its builds, the held list's rows (-1: none)
- * and, on MD_GROW, the pair rows and cells it needs.  Returns the steps
- * run, or -1 to decline (an index or type out of range, a list over
- * cap), having written nothing. */
+ * n_cand rows built at ref (n_cand < 0: none); bounds is {the
+ * pre-mask's dead bound, the list's r_build_max}, both updated.  The box
+ * has its origin, lengths and periodic dims; half_skin2 is (skin / 2)^2;
+ * the build sweeps the n_off offsets of the scratch's stencil.  scratch
+ * holds the buffers the MD_* names list, pair rows at cap and cells at
+ * cells_cap.  Each step run writes a row of `rows`: the nanoseconds of
+ * its neighbor, density, embedding, pair_force and integrate phases, and
+ * its pairs; each build a row of `builds`: its step and its funnel.  out
+ * gets why the call returned (MD_*), its builds, the held list's rows
+ * (-1: none) and, on MD_GROW, the pair rows and cells it needs.  Returns
+ * the steps run, or -1 to decline (an index or type out of range, a
+ * list over cap), having written nothing. */
 int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
                 const double *masses, int64_t n_masses, double mvv2e,
                 double dt, const double *ref, const int64_t *ci,
@@ -1822,13 +1812,16 @@ int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
             || (typed && (bad(typ[a], rho->n_members)
                           || bad(typ[a], embed->n_members))))
             return -1;
+    const int64_t *by_type = typed ? typ : NULL;
     md_args M = {
-        pos, vel, typ, n, typed, masses, mvv2e, dt, ref, ci, cj, r_build,
-        n_cand, bounds[1], origin, lengths, periodic, cutoff, skin, rho,
-        embed, phi, phi_index, m[MD_I], m[MD_J],
-        {m[MD_DX], m[MD_DY], m[MD_DZ]}, m[MD_R], m[MD_D_JI], m[MD_D_IJ],
-        m[MD_ACC_I], m[MD_ACC_J], m[MD_F_DER], m[MD_F_I], m[MD_F_J], m, cap,
-        cells_cap, n_off};
+        pos, vel, typ, n, masses, mvv2e, dt, ref, ci, cj, r_build, n_cand,
+        bounds[1], origin, lengths, periodic, cutoff, skin, {.typ = by_type},
+        {.typ = by_type, .pair = typed ? phi_index : NULL,
+         .nt = rho->n_members},
+        m[MD_I], m[MD_J], m[MD_D], m[MD_R],
+        m[MD_D_JI], typed ? m[MD_D_IJ] : m[MD_D_JI], m[MD_ACC_I],
+        m[MD_ACC_J], m[MD_F_DER], m[MD_F_I], m[MD_F_J], m, cap, cells_cap,
+        n_off};
     int64_t done = 0, stop = MD_STEPS, n_builds = 0, need[2] = {0, 0};
     double bound_dead = bounds[0];
     for (; done < n_steps; done++) {
@@ -1848,31 +1841,34 @@ int64_t md_step(double *pos, double *vel, const int64_t *typ, int64_t n,
             n_builds++;
             bound_dead = INFINITY;
         } else {
-            double bound = 2.0 * sqrt(max_d2) + 1e-9, lim = INFINITY;
+            double bound = 2.0 * sqrt(max_d2) + 1e-9, cut = cutoff + bound;
             double r_build_max = M.r_build_max;
-            int inside = r_build_max + bound < cutoff;
+            int inside = r_build_max + bound < cutoff, mask = 0;
             if (!inside && r_build_max > cutoff + 1e-9 && bound < bound_dead) {
-                double cut = cutoff + bound;
                 int64_t kept = 0;
                 for (int64_t q = 0; q < M.n_cand; q++)
                     kept += M.r_build[q] <= cut;
                 if ((double)kept <= 0.9 * (double)M.n_cand)
-                    lim = cut;
+                    mask = 1;
                 else
                     bound_dead = bound;
             }
-            p = md_prefilter(&M, inside, lim);
+            p = md_table(&M, inside, mask, cut);
         }
         int64_t t1 = now_ns();
         if (md_capped(&M, p, r_min)) {
             stop = MD_CAP;
             break;
         }
-        md_density(&M, p);
+        density_pass(M.pi, M.pj, M.r, p, &M.by_type,
+                     typed ? &M.by_type : NULL, rho, n, M.acc_i, M.acc_j,
+                     M.d_ji, M.d_ij);
         int64_t t2 = now_ns();
-        md_embedding(&M);
+        spline_pass(embed, (member_t){.row = by_type}, M.acc_i, n, NULL,
+                    M.f_der);
         int64_t t3 = now_ns();
-        md_force(&M, p);
+        force_pass(M.pi, M.pj, M.d, cap, M.r, p, M.f_der, M.d_ji, M.d_ij,
+                   phi, &M.by_pair, n, M.f_i, M.f_j, NULL, NULL);
         int64_t t4 = now_ns();
         md_leapfrog(&M);
         int64_t t5 = now_ns();

@@ -407,7 +407,7 @@ def fused_density_pass(i, j, r, ti, tj, rho_bank, n_atoms):
     p = len(_arr(i, _I8, -1))
     _arr(j, _I8, p), _arr(r, _F8, p)
     bank = _bank(rho_bank)
-    rho_bar, acc_j, d_ji = np.zeros(n_atoms), np.zeros(n_atoms), np.empty(p)
+    rho_bar, acc_j, d_ji = np.empty(n_atoms), np.empty(n_atoms), np.empty(p)
     if bank.n_members == 1:
         ti = tj = None
         d_ij = d_ji
@@ -425,8 +425,8 @@ def fused_force_pass(i, j, rij, r, f_der, d_ji, d_ij, phi_bank, phi_member,
     p = len(_arr(i, _I8, -1))
     _arr(j, _I8, p), _arr(rij, _F8, p, 3), _arr(f_der, _F8, n_atoms)
     _arr(r, _F8, p), _arr(d_ji, _F8, p), _arr(d_ij, _F8, p)
-    forces, f_j = np.zeros((n_atoms, 3)), np.zeros((n_atoms, 3))
-    e_pair, e_j = np.zeros(n_atoms), np.zeros(n_atoms)
+    forces, f_j = np.empty((n_atoms, 3)), np.empty((n_atoms, 3))
+    e_pair, e_j = np.empty(n_atoms), np.empty(n_atoms)
     _c("fused_force_pass", i, j, rij, r, p, f_der, d_ji, d_ij,
        _bank(phi_bank), *_member(phi_member, p), n_atoms,
        forces, f_j, e_pair, e_j)
@@ -569,11 +569,11 @@ def _md_scratch(store: dict, rows: int, n: int, typed: bool,
     cells = max(cells + cells // 4, have[3]) if grow[2] else have[3]
     typed, n = max(typed, have[2]), max(n, have[1])
     groups = ({
-        "i": (rows, _I8), "j": (rows, _I8), "dx": (rows, _F8),
-        "dy": (rows, _F8), "dz": (rows, _F8), "r": (rows, _F8),
+        "i": (rows, _I8), "j": (rows, _I8), "d": (3 * rows, _F8),
+        "r": (rows, _F8),
         "d_ji": (rows, _F8), "d_ij": (rows * typed, _F8),
         "l_i": (rows, _I8), "l_j": (rows, _I8), "l_r": (rows, _F8),
-        "l_rij": (rows, _F8, 3),
+        "l_d": (3 * rows, _F8),
     }, {
         "acc_i": (n, _F8), "acc_j": (n, _F8), "f_der": (n, _F8),
         "f_i": (n, _F8, 3), "f_j": (n, _F8, 3), "l_ref": (n, _F8, 3),

@@ -736,8 +736,10 @@ def _md_one(positions, velocities, types, masses, held, geometry, r_min,
         table, funnel = built
         dead_bound = np.inf
     else:
-        table, dead_bound = _md_table(positions, held, geometry, max_d2,
-                                      dead_bound)
+        _, i, j, r_build, r_build_max = held
+        table, dead_bound = held_table(
+            neighbor_prefilter, positions, i, j, r_build, r_build_max,
+            *geometry[1:4], math.sqrt(max_d2), dead_bound)
     t1 = clock()
     p = len(table[0])
     forces, ns = _md_forces(len(positions), types, table, r_min, banks,
@@ -802,25 +804,49 @@ def _md_build(positions, held, geometry, store) -> tuple | None:
     return table, funnel
 
 
-def _md_table(positions, held, geometry, max_d2: float,
-              dead_bound: float) -> tuple:
-    """The strict table of the held list (``Candidates.pairs`` at the
-    displacement bound ``sqrt(max_d2)``): ``((i, j, rij, r), dead
-    bound)``."""
-    _, i, j, r_build, r_build_max = held
-    _, lengths, periodic, cutoff, _ = geometry
-    bound = 2.0 * math.sqrt(max_d2) + 1e-9
-    all_inside = r_build_max + bound < cutoff
-    if (not all_inside and r_build_max > cutoff + 1e-9
-            and bound < dead_bound):
-        sel = r_build <= cutoff + bound
-        if np.count_nonzero(sel) <= 0.9 * len(sel):
-            i = i[sel]
-            j = j[sel]
-        else:
-            dead_bound = bound
-    table = neighbor_prefilter(positions, i, j, lengths, periodic, cutoff,
-                               inclusive=False, assume_inside=all_inside)
+def held_table(prefilter, positions, i, j, r_build, r_build_max: float,
+               lengths, periodic, cutoff: float, max_disp: float | None,
+               dead_bound: float) -> tuple:
+    """The strict ``r < cutoff`` table ``(i, j, rij, r)`` of a held
+    candidate list ``(i, j)`` with build separations ``r_build`` (largest
+    ``r_build_max``), through ``prefilter`` (a tier's
+    :func:`neighbor_prefilter`), and the pre-mask's dead bound:
+    ``(table, dead_bound)``.
+
+    ``max_disp`` bounds the displacement of every atom since the build
+    (None: unknown, no cut).  With ``bound = 2 * max_disp + 1e-9`` (the
+    epsilon absorbs the rounding in ``r_build`` and ``max_disp``), two
+    cuts remove work and never change a bit of the table:
+
+    * **all-inside**: ``r_build_max + bound < cutoff`` proves every
+      candidate still inside, so the prefilter skips its predicate and
+      compaction (``assume_inside``);
+    * **pre-mask**: otherwise, when some candidate sat past
+      ``cutoff + 1e-9`` at the build, the candidates with ``r_build >
+      cutoff + bound`` cannot have closed inside the cutoff and are not
+      measured -- applied only when it removes at least a tenth of
+      them.  When it fails to pay at a bound it fails at every larger
+      one, and the bound only grows until the next build, so
+      ``dead_bound`` (the smallest such bound, ``inf`` after a build)
+      skips the probe for the rest of the window.
+
+    Both proofs hold under minimum image: the nearest-image separation
+    moves by at most ``2 * max_disp`` too.
+    """
+    all_inside = False
+    if max_disp is not None:
+        bound = 2.0 * max_disp + 1e-9
+        all_inside = r_build_max + bound < cutoff
+        if (not all_inside and r_build_max > cutoff + 1e-9
+                and bound < dead_bound):
+            sel = r_build <= cutoff + bound
+            if np.count_nonzero(sel) <= 0.9 * len(sel):
+                i = i[sel]
+                j = j[sel]
+            else:
+                dead_bound = bound
+    table = prefilter(positions, i, j, lengths, periodic, cutoff,
+                      inclusive=False, assume_inside=all_inside)
     return table, dead_bound
 
 

@@ -137,29 +137,14 @@ class Candidates:
     def r_build_max(self) -> float:
         """Largest build-time candidate separation (cached; 0.0 if none).
 
-        The one scalar both cross-step bounds below pivot on, computed
-        once per rebuild window.
+        The one scalar both cross-step cuts of :meth:`pairs` pivot on,
+        computed once per rebuild window.
         """
         if self._r_build_max is None:
             self._r_build_max = (
                 float(self.r_build.max()) if len(self.r_build) else 0.0
             )
         return self._r_build_max
-
-    def premask_can_cut(self, cutoff: float) -> bool:
-        """Whether the Verlet pre-mask can ever exclude a candidate.
-
-        The pre-mask bound ``cutoff + 2 * max_disp`` is tightest at
-        zero displacement, so when no candidate sat beyond ``cutoff``
-        at build time — a packed crystal whose populated shells all
-        fall inside the cutoff — the mask provably keeps every
-        candidate for the entire reuse window.  The probe is then
-        skipped (a pure wall-clock cut: the mask is a superset filter,
-        so skipping it emits identical bits).
-        """
-        # mirror the pairs() mask epsilon: a candidate at
-        # cutoff + 1e-9 is kept even at zero displacement
-        return self.r_build_max() > cutoff + 1e-9
 
     def pairs(
         self,
@@ -175,54 +160,15 @@ class Candidates:
         pair.  ``max_disp`` is an upper bound on the displacement of
         any atom since the build (any valid bound works —
         :func:`skin_trigger` has the global one in hand).  When known
-        it powers two provably bit-neutral cross-step cuts:
-
-        * **all-inside**: when ``max(r_build) + 2 * max_disp < cutoff``
-          no candidate can have crossed the cutoff outward, so the
-          strict filter's mask is all-True and the backend skips the
-          predicate and its four compaction copies outright
-          (``assume_inside`` — identical values, no copies).  In a
-          packed crystal whose populated shells sit inside the cutoff
-          this holds for the *entire* reuse window.
-        * **pre-mask**: otherwise, candidates with
-          ``r_build > cutoff + 2 * max_disp`` provably cannot have
-          closed inside the cutoff — each endpoint moved at most
-          ``max_disp`` — so their separations are never computed.  An
-          order-preserving *superset* cut (the strict filter below
-          still decides every survivor), applied only when it removes
-          enough candidates to pay for its own index gathers.
-
-        Both proofs hold under minimum image: the nearest-image
-        separation is a minimum of functions each 1-Lipschitz in either
-        endpoint, so it moves by at most ``2 * max_disp`` too.  The
-        epsilons absorb the floating-point slack in ``r_build`` and
-        ``max_disp``; either way the emitted pair list is bit-for-bit
-        the plain strict-filtered one.
+        it powers the all-inside and pre-mask cuts of
+        :func:`~repro.kernels.numpy_backend.held_table`, which skip
+        work and never change a bit: the emitted pair list is bit for
+        bit the plain strict-filtered one.
         """
-        i, j = self.i, self.j
-        all_inside = False
-        if max_disp is not None:
-            bound = 2.0 * max_disp + 1e-9
-            if self.r_build_max() + bound < cutoff:
-                all_inside = True
-            elif self.premask_can_cut(cutoff):
-                # The cut weakens monotonically as the displacement
-                # bound grows (a bigger bound keeps more candidates),
-                # and the bound itself only grows within a reuse
-                # window — so once the cut fails to pay at some bound,
-                # it fails at every later one and the probe is skipped
-                # for the rest of the window (bit-neutral: an unapplied
-                # probe never touched the emitted pairs).
-                if bound < self.premask_dead_bound:
-                    sel = self.r_build <= cutoff + bound
-                    if np.count_nonzero(sel) <= 0.9 * len(sel):
-                        i = i[sel]
-                        j = j[sel]
-                    else:
-                        self.premask_dead_bound = bound
-        i, j, rij, r = active_backend().neighbor_prefilter(
-            positions, i, j, box.lengths, box.periodic,
-            cutoff, inclusive=False, assume_inside=all_inside,
+        (i, j, rij, r), self.premask_dead_bound = numpy_backend.held_table(
+            active_backend().neighbor_prefilter, positions, self.i, self.j,
+            self.r_build, self.r_build_max(), box.lengths, box.periodic,
+            cutoff, max_disp, self.premask_dead_bound,
         )
         return PairTable(i=i, j=j, rij=rij, r=r, half=True)
 

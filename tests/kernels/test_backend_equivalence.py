@@ -9,6 +9,8 @@ this file is the flat matrix over whatever ``available_backends()``
 reports.  Sharded == serial is ``tests/parallel``'s, not a tier's.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,29 @@ def _neighbor_prefilter_inputs(rng):
     }
 
 
+def _prefilter_chunk_inputs(rng, p, form, box):
+    """``p`` candidate rows (a chunk of native.c's passes is 256) in a
+    periodic or open box, cut strictly or inclusively at the ``r`` of a
+    middle row, or under ``assume_inside`` past every row (as its
+    caller must prove)."""
+    from repro.kernels.numpy_backend import minimum_image
+
+    n = 60
+    lengths = rng.uniform(5.0, 8.0, size=3)
+    positions = rng.uniform(0.0, 1.0, size=(n, 3)) * lengths
+    i = rng.integers(0, n - 1, size=p)
+    j = i + 1 + rng.integers(0, n - 1 - i)
+    periodic = np.full(3, box == "periodic")
+    rij = positions[j] - positions[i]
+    minimum_image(rij, lengths, periodic)
+    r = np.sort(np.sqrt(np.einsum("ij,ij->i", rij, rij)))
+    rmax = float(r[p // 2] if form != "assume_inside" else r[-1] + 1.0)
+    return (positions, i, j, lengths, periodic, rmax), {
+        "inclusive": form == "inclusive",
+        "assume_inside": form == "assume_inside",
+    }
+
+
 def _cell_pairs_inputs(rng):
     """A built cell list's sweep (a live mask drawn) over a cloud in a
     random box, partly outside it along periodic dims."""
@@ -108,10 +133,10 @@ def _half_pairs(rng, n_atoms, p):
     return lo, hi
 
 
-def _fused_density_pass_inputs(rng):
+def _fused_density_pass_inputs(rng, p=180, n_members=None):
     n_atoms = 25
-    p = 180
-    n_members = int(rng.integers(1, 4))
+    if n_members is None:
+        n_members = int(rng.integers(1, 4))
     bank = _bank(rng, n_members)
     i, j = _half_pairs(rng, n_atoms, p)
     r = rng.uniform(0.2, 4.5, size=p)
@@ -123,10 +148,10 @@ def _fused_density_pass_inputs(rng):
     return (i, j, r, ti, tj, bank, n_atoms), {}
 
 
-def _fused_force_pass_inputs(rng):
+def _fused_force_pass_inputs(rng, p=180, n_members=None, member="rows"):
     n_atoms = 25
-    p = 180
-    n_members = int(rng.integers(1, 4))
+    if n_members is None:
+        n_members = int(rng.integers(1, 4))
     bank = _bank(rng, n_members)
     i, j = _half_pairs(rng, n_atoms, p)
     rij = rng.normal(size=(p, 3)) + 0.5  # bounded away from zero length
@@ -134,7 +159,8 @@ def _fused_force_pass_inputs(rng):
     f_der = rng.normal(size=n_atoms)
     d_ji = rng.normal(size=p)
     d_ij = rng.normal(size=p)
-    member = rng.integers(0, n_members, size=p)
+    member = (rng.integers(0, n_members, size=p) if member == "rows"
+              else int(rng.integers(0, n_members)))
     return (i, j, rij, r, f_der, d_ji, d_ij, bank, member, n_atoms), {}
 
 
@@ -270,6 +296,23 @@ _INPUTS = {
     "wafer_step/rebuilt": lambda rng: _wafer_held_inputs(rng, 1e-4),
     "md_step": _md_step_inputs,
 }
+
+#: Pair counts around native.c's chunk of 256 rows: one row, a partial
+#: chunk, exactly one, one past it, and two full chunks plus one.
+CHUNK_EDGES = (1, 255, 256, 257, 513)
+for _p in CHUNK_EDGES:
+    for _m in (1, 3):
+        _INPUTS[f"fused_density_pass/{_p}x{_m}"] = functools.partial(
+            _fused_density_pass_inputs, p=_p, n_members=_m)
+        for _member in ("scalar", "rows"):
+            _INPUTS[f"fused_force_pass/{_p}x{_m}/{_member}"] = (
+                functools.partial(_fused_force_pass_inputs, p=_p,
+                                  n_members=_m, member=_member))
+    for _form in ("strict", "inclusive", "assume_inside"):
+        for _box in ("periodic", "open"):
+            _INPUTS[f"neighbor_prefilter/{_p}/{_form}/{_box}"] = (
+                functools.partial(_prefilter_chunk_inputs, p=_p, form=_form,
+                                  box=_box))
 
 
 def _call(fn_name, seed):

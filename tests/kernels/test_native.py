@@ -74,18 +74,23 @@ class TestPairKernels:
     sides = (native_backend, numpy_backend)
 
     def test_clean_input_runs_in_c(self, no_declines):
-        positions, lengths, i, j, rho, phi, types, rng = floor._pair_inputs()
-        periodic = np.array([True, False, True])
-        ki, kj, rij, r = native_backend.neighbor_prefilter(
-            positions, i, j, lengths, periodic, 4.0, inclusive=False,
-        )
-        _, d_ji, d_ij = native_backend.fused_density_pass(
-            ki, kj, r, types[ki], types[kj], rho.bank(), len(positions)
-        )
-        native_backend.fused_force_pass(
-            ki, kj, rij, r, rng.normal(size=len(positions)), d_ji, d_ij,
-            phi.bank(), rng.integers(0, 3, len(r)), len(positions),
-        )
+        # 400 candidates keep 154 pairs, under one chunk of native.c's
+        # passes (256 rows); 800 keep 322, past it
+        for n_pairs in (400, 800):
+            positions, lengths, i, j, rho, phi, types, rng = (
+                floor._pair_inputs(n_pairs=n_pairs))
+            periodic = np.array([True, False, True])
+            ki, kj, rij, r = native_backend.neighbor_prefilter(
+                positions, i, j, lengths, periodic, 4.0, inclusive=False,
+            )
+            assert (len(ki) > 256) == (n_pairs == 800)
+            _, d_ji, d_ij = native_backend.fused_density_pass(
+                ki, kj, r, types[ki], types[kj], rho.bank(), len(positions)
+            )
+            native_backend.fused_force_pass(
+                ki, kj, rij, r, rng.normal(size=len(positions)), d_ji, d_ij,
+                phi.bank(), rng.integers(0, 3, len(r)), len(positions),
+            )
 
     def test_declined_per_call(self):
         """float32 geometry and non-int64 pair indices go to numpy."""

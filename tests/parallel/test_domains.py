@@ -171,7 +171,7 @@ class TestCrossStepCuts:
         # shrink the effective cutoff below the candidate shells so
         # the pre-mask arm (not all-inside) engages and actually cuts
         cutoff = 0.8 * float(np.median(sp.r_build))
-        assert sp.premask_can_cut(cutoff)
+        assert sp.r_build_max() > cutoff + 1e-9  # a candidate to cut
         plain = sp.pairs(state.positions, state.box, cutoff)
         masked = sp.pairs(state.positions, state.box, cutoff, max_disp=0.0)
         self._assert_tables_equal(plain, masked)
