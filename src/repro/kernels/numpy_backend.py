@@ -55,10 +55,7 @@ Spline *banks* are the packed-group tuples built by
 
 with per-member arrays indexed by the point's member id.  ``clamp_low``
 covers the ``extrapolate_low="clamp"`` boundary; ``"linear"`` needs no
-special-casing (the boundary polynomial continues naturally), and a
-bank cannot raise: ``"error"`` is honoured by
-:meth:`~repro.potentials.spline.SplineGroup.evaluate`, not by the
-kernels.
+special-casing (the boundary polynomial continues naturally).
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Composes neighbor search, potential evaluation and leap-frog
 integration into the Verlet loop the paper times ("Loop time" in the
-LAMMPS log, Sec. IV-B).  With an EAM potential a run's steps,
-Verlet-list rebuilds included, are one call of the active kernel tier's
-``md_step`` per chunk; a pair potential steps phase by phase.
+LAMMPS log, Sec. IV-B).  A run's steps, Verlet-list rebuilds
+included, are one call of the active kernel tier's ``md_step`` per
+chunk, for every potential (Lennard-Jones is a set of EAM tables).
 Sampling state at an interval is the job of
 :class:`repro.runtime.runner.Runner`'s observers, which cut the run into
 chunks; the loop itself has no callbacks.  The driver keeps per-phase
@@ -253,24 +253,14 @@ class Simulation:
     def _advance(self, n_steps: int) -> int:
         """``n_steps`` steps; returns how many ran (all, or a raise).
 
-        A potential with bank tables (EAM) is stepped by one call of the
-        registry's ``md_step``, its Verlet list included: the call takes
+        The steps are one call of the registry's ``md_step`` over the
+        potential's bank tables, its Verlet list included: the call takes
         the list :attr:`neighbors` holds, rebuilds it where the list test
         fires, and :meth:`NeighborList.take_over` holds the one it
-        returns.  Any other potential runs one step, phase by phase.
+        returns.
         """
-        state, tr = self.state, self.tracer
+        state = self.state
         tables = self.potential.bank_tables(state.n_atoms, state.types)
-        if tables is None:
-            _, forces = self.compute_forces()
-            t0 = time.perf_counter()
-            with tr.phase("integrate"):
-                self.integrator.step(state, forces)
-                self._thermostat_step()
-            self.stats.time_integrate_s += time.perf_counter() - t0
-            self.step_count += 1
-            self.stats.steps += 1
-            return 1
         kernels = active_backend()
         nl, box = self.neighbors, self.neighbors.box
         held, dead_bound = nl.hand_over(state.positions)
@@ -304,9 +294,10 @@ class Simulation:
         if not n:
             return
         seconds = step.phase_ns * 1e-9
-        t0 = time.perf_counter()
-        self._thermostat_step()
-        seconds[-1, -1] += time.perf_counter() - t0
+        if self.thermostat is not None:
+            t0 = time.perf_counter()
+            self.thermostat.apply(self.state, self.dt_fs)
+            seconds[-1, -1] += time.perf_counter() - t0
         tr = self.tracer
         if tr.enabled:
             for k, ((neighbor, density, embedding, pair_force, integrate),
@@ -328,10 +319,6 @@ class Simulation:
         st.time_neighbor_s += neighbor
         st.time_force_s += density + embedding + pair_force
         st.time_integrate_s += integrate
-
-    def _thermostat_step(self) -> None:
-        if self.thermostat is not None:
-            self.thermostat.apply(self.state, self.dt_fs)
 
     def _run_sharded(self, n_steps: int) -> None:
         """:meth:`run` with the ranks stepping their own atoms.

@@ -121,12 +121,10 @@ class Potential(ABC):
         """Per-atom energies (N,) and forces (N, 3) from a pair table.
 
         A ``tracer`` (:mod:`repro.obs`) receives the work as the phase
-        taxonomy's spans: ``pair_force`` for a pair potential,
-        ``density`` / ``embedding`` / ``pair_force`` for EAM.
+        taxonomy's spans: ``density``, ``embedding`` and ``pair_force``.
         """
 
+    @abstractmethod
     def bank_tables(self, n_atoms: int, types: np.ndarray | None = None):
         """The packed spline banks the registry's ``md_step`` kernel
-        evaluates this potential through, or ``None``: a potential
-        without them is stepped phase by phase."""
-        return None
+        evaluates this potential through."""

@@ -304,15 +304,11 @@ class EAMPotential(Potential):
 
     def bank_tables(
         self, n_atoms: int, types: np.ndarray | None = None
-    ) -> tuple[tuple, np.ndarray] | None:
+    ) -> tuple[tuple, np.ndarray]:
         """``((rho, embed, phi) banks, phi_index)`` for the registry's
-        ``md_step``, once ``types`` passed :meth:`embed`'s check; ``None``
-        where the embedding must refuse below its first knot, which only
-        :meth:`embed` does."""
+        ``md_step``, once ``types`` passed :meth:`embed`'s check."""
         self._types(n_atoms, types)
         grouped = self.tables.grouped()
-        if grouped.embed.extrapolate_low == "error":
-            return None
         return ((grouped.rho.bank(), grouped.embed.bank(), grouped.phi.bank()),
                 grouped.phi_index)
 

@@ -76,7 +76,7 @@ class UniformCubicSpline:
     extrapolate_low:
         Behaviour below ``x0``: ``"linear"`` continues with the boundary
         slope (safe for close-approach pair potentials), ``"clamp"``
-        evaluates at ``x0``, ``"error"`` raises.
+        evaluates at ``x0``.
     zero_above:
         If True (the default for cutoff potentials), evaluation above the
         last knot returns exactly 0 for both value and derivative.
@@ -94,7 +94,7 @@ class UniformCubicSpline:
     ) -> None:
         if h <= 0:
             raise ValueError(f"knot spacing must be positive, got {h}")
-        if extrapolate_low not in ("linear", "clamp", "error"):
+        if extrapolate_low not in ("linear", "clamp"):
             raise ValueError(f"unknown extrapolate_low: {extrapolate_low!r}")
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 1 or len(y) < 2:
@@ -229,14 +229,10 @@ class SplineGroup:
         (a scalar evaluates the whole batch through one member); the
         outputs have the broadcast shape, scalars for a 0-d result.
         The batch dispatches to the active backend's
-        ``grouped_spline_eval`` kernel; ``extrapolate_low="error"`` is
-        honoured here, the one place it is checked.
+        ``grouped_spline_eval`` kernel.
         """
         x = np.asarray(x, dtype=np.float64)
         g = np.asarray(member, dtype=np.int64)
-        if self.extrapolate_low == "error" and np.any(x < self._x0[g]):
-            bad = float(np.min(x - self._x0[g]))
-            raise ValueError(f"evaluation below first knot by {-bad}")
         if g.ndim and g.shape != x.shape:
             x, g = np.broadcast_arrays(x, g)
         # the kernels take a 1-D batch (and a scalar or 1-D member)

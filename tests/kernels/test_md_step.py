@@ -7,9 +7,10 @@ prefilter with its all-inside and pre-mask cuts, the distance cap,
 density, embedding, force and the leap-frog.  The native body must leave
 the state, the list it holds, the counts, the builds and the reason it
 stopped bitwise where the numpy body leaves them, on open, mixed and
-periodic boxes, one table or the W/Ta alloy's two types, at the pair
-counts around its 256-row chunks, with a scratch too small for a build,
-and when a value goes bad in the middle of a call.
+periodic boxes, one table, the W/Ta alloy's two types or Lennard-Jones'
+zero density tables, at the pair counts around its 256-row chunks, with
+a scratch too small for a build, and when a value goes bad in the middle
+of a call.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.potentials.elements import (
     make_element_potential,
     make_element_tables,
 )
+from repro.potentials.lennard_jones import LennardJones
 
 _NATIVE_STATUS = kernels.backend_status()["native"]
 needs_native = pytest.mark.skipif(
@@ -54,6 +56,17 @@ def _potential(alloy: bool) -> EAMPotential:
                                     make_element_tables("Ta")))
             if alloy else make_element_potential("Ta"))
     return _POTENTIALS[alloy]
+
+
+def _lennard_jones() -> LennardJones:
+    """An LJ whose minimum sits at BCC Ta's nearest-neighbour distance,
+    cut at Ta's cutoff, so it runs on :func:`_crystal`'s Ta boxes."""
+    if "LJ" not in _POTENTIALS:
+        ta = ELEMENTS["Ta"]
+        _POTENTIALS["LJ"] = LennardJones(
+            epsilon=0.05, sigma=ta.nn_distance / 2 ** (1 / 6),
+            cutoff=ta.cutoff)
+    return _POTENTIALS["LJ"]
 
 
 @pytest.fixture(autouse=True)
@@ -152,7 +165,7 @@ class TestAgainstNumpyBody:
     @needs_native
     @given(
         box_kind=st.sampled_from(sorted(BOXES)),
-        alloy=st.booleans(),
+        kind=st.sampled_from(["Ta", "W/Ta", "LJ"]),
         reps=st.tuples(st.integers(3, 4), st.integers(3, 4),
                        st.integers(3, 4)),
         temperature=st.sampled_from([0.0, 300.0, 3000.0]),
@@ -163,11 +176,12 @@ class TestAgainstNumpyBody:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bitwise(self, box_kind, alloy, reps, temperature, skin,
+    def test_bitwise(self, box_kind, kind, reps, temperature, skin,
                      n_steps, from_build, moved, seed):
         """From no list, or from a held list away from its build."""
-        state = _crystal(box_kind, reps, alloy, temperature, seed)
-        potential = _potential(alloy)
+        state = _crystal(box_kind, reps, kind == "W/Ta", temperature, seed)
+        potential = (_lennard_jones() if kind == "LJ"
+                     else _potential(kind == "W/Ta"))
         held = []
         if not from_build:
             held = _held(state, potential, skin)
@@ -508,8 +522,10 @@ class TestSimulationRaises:
 @pytest.mark.parametrize("tier", TIERS)
 def test_a_runner_chunk_is_one_call(tier, monkeypatch):
     """A 100-step job observed every 10 steps is ten ``md_step`` calls,
-    however many times its list is rebuilt."""
+    however many times its list is rebuilt: an EAM job, and a
+    Lennard-Jones one on a hand-built :class:`Simulation`."""
     from repro.runtime import RunSpec, Runner, build_engine
+    from repro.runtime.engines import ReferenceEngine
 
     kernels.backend_status()  # the native probe calls md_step: load first
     kernels.set_backend(tier)
@@ -521,14 +537,21 @@ def test_a_runner_chunk_is_one_call(tier, monkeypatch):
         return body(*args, **kwargs)
 
     monkeypatch.setattr(module, "md_step", counted)
-    engine = build_engine(RunSpec(element="Ta", reps=(8, 8, 4),
-                                  temperature=900.0, engine="reference",
-                                  backend=tier, skin=0.1))
-    try:
-        runner = Runner(engine)
-        runner.add_observer(10, lambda event: None)
-        runner.run(100)
-        assert calls == [10] * 10
-        assert engine.sim.neighbors.n_builds > 10
-    finally:
-        engine.close()
+    for make in (
+        lambda: build_engine(RunSpec(element="Ta", reps=(8, 8, 4),
+                                     temperature=900.0, engine="reference",
+                                     backend=tier, skin=0.1)),
+        lambda: ReferenceEngine(RunSpec(engine="reference"), Simulation(
+            _crystal("periodic", (8, 8, 4), False, 900.0, 0),
+            _lennard_jones(), skin=0.1)),
+    ):
+        calls.clear()
+        engine = make()
+        try:
+            runner = Runner(engine)
+            runner.add_observer(10, lambda event: None)
+            runner.run(100)
+            assert calls == [10] * 10
+            assert engine.sim.neighbors.n_builds > 10
+        finally:
+            engine.close()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.md.boundary import Box
 from repro.md.cell_list import all_pairs
-from repro.potentials.base import PairTable
+from repro.potentials.base import PairTable, Potential
 from repro.potentials.eam import EAMPotential, EAMTables
 from repro.potentials.elements import make_element_tables
 from tests.conftest import total_energy
@@ -175,3 +175,15 @@ class TestGuards:
                 i=np.array([0]), j=np.array([1, 2]),
                 rij=np.zeros((1, 3)), r=np.zeros(1),
             )
+
+    def test_a_potential_must_give_bank_tables(self):
+        """Every potential steps through ``md_step``: a subclass without
+        bank tables cannot be built."""
+        class NoBanks(Potential):
+            cutoff = 1.0
+
+            def compute(self, n_atoms, pairs, types=None, *, tracer=None):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="bank_tables"):
+            NoBanks()

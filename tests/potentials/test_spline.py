@@ -25,8 +25,10 @@ class TestConstruction:
             UniformCubicSpline(0.0, 1.0, np.array([1.0]))
 
     def test_rejects_unknown_extrapolation(self):
-        with pytest.raises(ValueError):
-            UniformCubicSpline(0.0, 1.0, np.zeros(4), extrapolate_low="nope")
+        # "error" (raise below the first knot) was a mode; it is gone
+        for low in ("nope", "error"):
+            with pytest.raises(ValueError, match="unknown extrapolate_low"):
+                UniformCubicSpline(0.0, 1.0, np.zeros(4), extrapolate_low=low)
 
     def test_x_max(self):
         s = UniformCubicSpline(1.0, 0.5, np.zeros(5))
@@ -97,13 +99,6 @@ class TestBoundaries:
         v, d = s.evaluate(np.array([0.5]))
         # continues with the boundary polynomial's slope
         assert v[0] == pytest.approx(v0[0] - 0.5 * d0[0], rel=0.2)
-
-    def test_error_below_raises(self):
-        s = UniformCubicSpline(
-            1.0, 0.5, np.zeros(3), extrapolate_low="error"
-        )
-        with pytest.raises(ValueError, match="below first knot"):
-            s.evaluate(np.array([0.0]))
 
     def test_scalar_evaluation(self):
         s = UniformCubicSpline(0.0, 1.0, np.array([0.0, 1.0, 0.0]),
@@ -178,12 +173,6 @@ class TestEdgeCases:
         v, d = s.evaluate(x)
         assert np.ndim(v) == 0
         assert np.ndim(d) == 0
-
-    def test_scalar_error_mode_raises_below(self):
-        s = UniformCubicSpline(1.0, 0.5, np.zeros(3),
-                               extrapolate_low="error")
-        with pytest.raises(ValueError, match="below first knot"):
-            s.evaluate(0.5)
 
     def test_packed_coefficients_shape_and_layout(self):
         # the kernel layer consumes coeffs[(nseg, 4)] = (c0, c1, c2, c3);
@@ -337,7 +326,7 @@ class TestFrozenEvaluate:
     Same bits, dtype, shape and scalar-ness, or the same exception."""
 
     @pytest.mark.parametrize("zero_above", [True, False])
-    @pytest.mark.parametrize("low", ["linear", "clamp", "error"])
+    @pytest.mark.parametrize("low", ["linear", "clamp"])
     @given(
         seed=st.integers(0, 10_000),
         shape=st.sampled_from([(), (0,), (1,), (9,), (3, 5), (2, 3, 2)]),
