@@ -162,7 +162,13 @@ ENTRY_POINTS += [(f"bench: {p.name}", _pytest(str(p.relative_to(REPO))))
 #: the served session: the server (argv after ``python -m repro``; each
 #: command gets ``--port`` after its name) is started first, then
 #: ``SERVE_STEPS`` run in order; ``KILL_SLOT`` kills one slot with
-#: SIGKILL and ``CANCEL`` cancels the job the step before it queued
+#: SIGKILL and ``CANCEL`` cancels the job the step before it queued.  That
+#: job runs ~100 times longer than the cancel takes to arrive, so the
+#: cancel always lands while it runs; the slot heeds it
+#: (``Runner.request_stop``) at the job's first progress event, a tenth of
+#: its steps in (~6 s on a 2-vCPU host).  The kill comes before that job:
+#: a process killed with SIGKILL writes no trace, so the slot that ran it
+#: must live to the shutdown.
 SERVE_ARGV = ["serve", "--slots", "2", "--cache-dir", "{tmp}/sc"]
 KILL_SLOT, CANCEL = "kill-slot", "cancel"
 SERVE_STEPS: list[list[str] | str] = [
@@ -172,12 +178,12 @@ SERVE_STEPS: list[list[str] | str] = [
     ["submit", "--engine", "reference", "--backend", "parallel", "--workers", "2",
      "--reps", "6", "6", "3", "--steps", "10"],  # a sharded job: slot -> ranks
     ["submit", "--spec", QUICK, "--sweep", "seed=1,2", "--watch"],  # an ensemble, streamed
-    ["submit", "--spec", QUICK, "--steps", "5000", "--no-wait"],
-    CANCEL,
-    ["jobs", "--verbose"],
-    ["jobs", "--stats"],
     KILL_SLOT,
     ["submit", "--spec", QUICK, "--steps", "36"],
+    ["jobs", "--stats"],
+    ["submit", "--spec", QUICK, "--steps", "100000", "--no-wait"],
+    CANCEL,
+    ["jobs", "--verbose"],
     ["jobs", "--stats"],
     ["jobs", "--shutdown"],
 ]

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.lattice.cells import BravaisCell
 from repro.lattice.neighbors_ideal import lattice_sum
@@ -43,6 +42,50 @@ def smootherstep_cut(r: np.ndarray, r_start: float, r_cut: float) -> np.ndarray:
     t = np.clip((r - r_start) / (r_cut - r_start), 0.0, 1.0)
     s = t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
     return 1.0 - s
+
+
+def _pchip(
+    x: np.ndarray, y: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Monotone cubic (PCHIP) through ``(x, y)``: its coefficients, its
+    values at ``v`` and its slope at ``x[-1]``.
+
+    Fritsch-Butland knot slopes with one-sided three-point ends, Hermite
+    coefficients ``c`` (highest power first, one column per interval);
+    a ``v`` outside the knots is evaluated on the nearer end interval's
+    cubic.  Every sum runs in SciPy 1.17's ``PchipInterpolator`` order, so
+    the table is bitwise the one that class gives.  ``x`` strictly
+    increasing, at least 3 knots.
+    """
+    if len(x) < 3 or len(x) != len(y):
+        raise ValueError(
+            f"PCHIP needs >= 3 knots and one y per x: {len(x)} x, {len(y)} y"
+        )
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    ends = ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2]))
+    for k, h0, h1, m0, m1 in ends:
+        d[k] = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d[k]) != np.sign(m0):
+            d[k] = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(d[k]) > 3.0 * abs(m0):
+            d[k] = 3.0 * m0
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    i = np.clip(np.searchsorted(x, v, "right") - 1, 0, len(x) - 2)
+    s = v - x[i]
+    values = (c[3, i] + c[2, i] * s + c[1, i] * (s * s)) + c[0, i] * ((s * s) * s)
+    s = h[-1]
+    end_slope = c[2, -1] + (c[1, -1] * 2.0) * s + (c[0, -1] * 3.0) * (s * s)
+    return c, values, end_slope
 
 
 @dataclass(frozen=True)
@@ -161,15 +204,16 @@ def build_rose_eam(
         f_sorted[0] = 0.0
     del rho_lo, f_lo
 
-    embed_interp = PchipInterpolator(rho_sorted, f_sorted)
     rho_max_table = float(rho_sorted[-1]) * 1.05
     rho_grid = np.linspace(0.0, rho_max_table, n_rho_knots)
+    _, f_inside, end_slope = _pchip(
+        rho_sorted, f_sorted, np.minimum(rho_grid, rho_sorted[-1])
+    )
     f_grid = np.where(
         rho_grid <= rho_sorted[-1],
-        embed_interp(np.minimum(rho_grid, rho_sorted[-1])),
+        f_inside,
         # linear continuation beyond the sampled compression range
-        f_sorted[-1]
-        + embed_interp.derivative()(rho_sorted[-1]) * (rho_grid - rho_sorted[-1]),
+        f_sorted[-1] + end_slope * (rho_grid - rho_sorted[-1]),
     )
     embed_spline = UniformCubicSpline(
         0.0,

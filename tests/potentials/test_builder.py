@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.lattice.cells import BCC, FCC
 from repro.lattice.neighbors_ideal import lattice_sum
 from repro.md.boundary import Box
 from repro.md.cell_list import all_pairs
+from repro.potentials import builder
 from repro.potentials.base import PairTable
 from repro.potentials.builder import RoseEAMSpec, build_rose_eam, smootherstep_cut
 from repro.potentials.eam import EAMPotential
@@ -131,3 +134,85 @@ class TestConstructedPotentials:
         pairs = PairTable(i=i, j=j, rij=rij, r=r)
         _, forces = ta_potential.compute(crystal.n_atoms, pairs)
         assert np.max(np.abs(forces)) < 1e-10
+
+
+def assert_scipy_pchip(x, y, v, out):
+    """``_pchip(x, y, v)`` returned ``out``: bitwise SciPy's PCHIP."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    ref = interpolate.PchipInterpolator(x, y)
+    c, values, end_slope = out
+    assert np.array_equal(c, ref.c)
+    assert np.array_equal(values, ref(v))
+    assert end_slope == ref.derivative()(x[-1])
+
+
+@st.composite
+def pchip_knots(draw):
+    """Strictly increasing ``x`` (n >= 3), a ``y`` with flat runs and
+    slope sign changes (small integers repeat), and evaluation points
+    inside, on and beyond the knots."""
+    n = draw(st.integers(3, 12))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    assume(np.all(np.diff(x) > 0))
+    level = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3)
+    y = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    v = np.concatenate([x, draw(st.lists(st.floats(x[0] - 1.0, x[-1] + 1.0), max_size=20))])
+    return x, y, v
+
+
+class TestPchip:
+    """The embedding table's PCHIP is SciPy 1.17's, bit for bit."""
+
+    @pytest.mark.parametrize("symbol", ["Cu", "W", "Ta"])
+    def test_builder_eos_path_bitwise(self, symbol, monkeypatch):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        pchip, calls = builder._pchip, []
+
+        def spy(x, y, v):
+            calls.append((x, y, v, pchip(x, y, v)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(builder, "_pchip", spy)
+        tables = build_rose_eam(ELEMENTS[symbol].rose_spec())
+        [(x, y, v, out)] = calls
+        assert len(x) > 3
+        assert_scipy_pchip(x, y, v, out)
+        # the whole embedding table: SciPy inside the path, its end
+        # slope beyond it
+        ref = interpolate.PchipInterpolator(x, y)
+        grid = np.linspace(0.0, float(x[-1]) * 1.05, len(v))
+        expect = np.where(
+            grid <= x[-1],
+            ref(np.minimum(grid, x[-1])),
+            y[-1] + ref.derivative()(x[-1]) * (grid - x[-1]),
+        )
+        assert np.array_equal(tables.embed[0].y, expect)
+
+    @given(pchip_knots())
+    @settings(max_examples=300, deadline=None)
+    # the one-sided end slopes' two shape-preserving cuts, at both ends
+    # (x = 0, 1, 2): d against m0's sign -> 0; |d| > 3|m0| -> 3 m0
+    @example((np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 5.0]), np.array([0.5])))
+    @example((np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -9.0]), np.array([0.5])))
+    @example((np.array([0.0, 1.0, 2.0]), np.array([5.0, 1.0, 0.0]), np.array([1.5])))
+    @example((np.array([0.0, 1.0, 2.0]), np.array([-9.0, 1.0, 0.0]), np.array([1.5])))
+    @example((np.arange(6.0), np.array([1.0, 1.0, 1.0, 2.0, 2.0, -1.0]), np.arange(6.0)))
+    def test_bitwise_scipy(self, knots):
+        x, y, v = knots
+        assert_scipy_pchip(x, y, v, builder._pchip(x, y, v))
+
+    @pytest.mark.parametrize("y, d_left, d_right", [
+        ([0.0, 1.0, 5.0], 0.0, 5.5),     # left: d = -0.5 against m0 = 1
+        ([0.0, 1.0, -9.0], 3.0, -15.5),  # left: d = 6.5 > 3|m0| = 3
+        ([5.0, 1.0, 0.0], -5.5, 0.0),    # right: d = 0.5 against m0 = -1
+        ([-9.0, 1.0, 0.0], 15.5, -3.0),  # right: d = -6.5, |d| > 3
+    ])
+    def test_end_slope_cuts(self, y, d_left, d_right):
+        c, _, end_slope = builder._pchip(np.array([0.0, 1.0, 2.0]), np.array(y), np.zeros(1))
+        assert c[2, 0] == d_left
+        assert end_slope == pytest.approx(d_right)
+
+    def test_rejects_fewer_than_three_knots(self):
+        with pytest.raises(ValueError, match=">= 3 knots"):
+            builder._pchip(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros(1))

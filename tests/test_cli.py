@@ -1,6 +1,9 @@
 """CLI smoke tests."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -505,3 +508,16 @@ class TestValidate:
         path = tmp_path / "v.toml"
         path.write_text('engine = "gpu"\n')
         assert main(["validate", "--spec", str(path)]) == 2
+
+
+def test_runtime_imports_numpy_only():
+    """A fresh interpreter importing the CLI, the server, the Runner and
+    the potentials loads no SciPy module: SciPy is a test dependency."""
+    code = (
+        "import sys, repro.cli, repro.serve, repro.runtime.runner, repro.potentials\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
