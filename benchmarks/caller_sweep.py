@@ -165,10 +165,10 @@ ENTRY_POINTS += [(f"bench: {p.name}", _pytest(str(p.relative_to(REPO))))
 #: SIGKILL and ``CANCEL`` cancels the job the step before it queued.  That
 #: job runs ~100 times longer than the cancel takes to arrive, so the
 #: cancel always lands while it runs; the slot heeds it
-#: (``Runner.request_stop``) at the job's first progress event, a tenth of
-#: its steps in (~6 s on a 2-vCPU host).  The kill comes before that job:
-#: a process killed with SIGKILL writes no trace, so the slot that ran it
-#: must live to the shutdown.
+#: (``Runner.request_stop``) at its next progress event, every 1,024 steps
+#: of a job this long (under a second on a 2-vCPU host).  The kill comes
+#: before that job: a process killed with SIGKILL writes no trace, so the
+#: slot that ran it must live to the shutdown.
 SERVE_ARGV = ["serve", "--slots", "2", "--cache-dir", "{tmp}/sc"]
 KILL_SLOT, CANCEL = "kill-slot", "cancel"
 SERVE_STEPS: list[list[str] | str] = [

@@ -27,12 +27,16 @@ Subpackages
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 __version__ = "1.0.0"
 
-from repro.core.wse_md import WseMd
 from repro.md.boundary import Box
 from repro.md.simulation import Simulation
 from repro.md.state import AtomsState
+
+if TYPE_CHECKING:
+    from repro.core.wse_md import WseMd
 
 __all__ = [
     "WseMd",
@@ -47,7 +51,11 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # keep the package import light: potentials load lazily
+    # keep the package import light: the wafer and potentials load lazily
+    if name == "WseMd":
+        from repro.core.wse_md import WseMd
+
+        return WseMd
     if name in ("ELEMENTS", "make_element_potential"):
         from repro.potentials import elements
 

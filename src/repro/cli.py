@@ -16,7 +16,9 @@ Commands
     slot processes behind a JSON-lines TCP API, with an on-disk result
     cache keyed by ``(spec_hash, n_steps)`` — identical submissions
     return the stored telemetry, longer ones resume from the stored
-    checkpoint.
+    checkpoint.  Once listening it prints (and flushes) ``repro serve:
+    listening on HOST:PORT``.  A running job streams progress and heeds
+    ``jobs --cancel`` every tenth of its steps, at most every 1,024.
 ``submit``
     Submit a run (or a ``--replicas``/``--sweep`` ensemble) to a
     running server and wait for — or ``--watch`` — the result.
@@ -246,7 +248,6 @@ def _cmd_serve(args) -> int:
         slots=args.slots,
         cache_dir=args.cache_dir,
         cache_bytes=args.cache_bytes,
-        progress_interval=args.progress_interval or 0,
     )
 
 
@@ -663,6 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="start the job server (slots + result cache over TCP)",
+        description="Start the job server.  Once listening it prints "
+                    "'repro serve: listening on HOST:PORT' on stdout.  A "
+                    "running job streams progress and heeds a cancel "
+                    "every tenth of its steps, at most every 1,024 steps.",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7421,
@@ -675,9 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(spec_hash, steps); omit to disable caching")
     serve.add_argument("--cache-bytes", type=int, default=2 * 1024**3,
                        help="cache LRU size cap in bytes (default 2 GiB)")
-    serve.add_argument("--progress-interval", type=int, default=None,
-                       help="steps between streamed progress events "
-                            "(default: a tenth of each job)")
 
     submit = sub.add_parser(
         "submit", help="submit a run to a job server and await the result"

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from repro.constants import MVV2E, kinetic_energy_to_temperature
-from repro.core.wse_md import WseMd
 from repro.kernels import DEFAULT_BACKEND, set_backend
 from repro.lattice.slab import make_slab
 from repro.md.boundary import Box
@@ -40,9 +39,9 @@ from repro.potentials.elements import ELEMENTS, make_element_potential
 from repro.runtime.rng import get_rng_state, seed_streams, set_rng_state
 from repro.runtime.spec import RunSpec, SpecError
 from repro.runtime.telemetry import Telemetry
-from repro.wse.trace import CycleTrace
 
 if TYPE_CHECKING:
+    from repro.core.wse_md import WseMd
     from repro.runtime.checkpoint import Checkpoint
 
 __all__ = [
@@ -346,6 +345,8 @@ class WseEngine:
 
     def reset_telemetry(self) -> None:
         """Zero the accounting (keep state); for steady-state timing."""
+        from repro.wse.trace import CycleTrace
+
         self.sim.trace = CycleTrace(self.sim.grid.n_tiles)
         self.sim.list_builds = self.sim.list_reuses = 0
         self._wall_s = 0.0
@@ -420,6 +421,9 @@ def build_engine(
             thermostat_rng=streams["thermostat"] if uses_rng else None,
         )
     if spec.engine == "wse":
+        # imported here: the reference and serve paths load no wafer module
+        from repro.core.wse_md import WseMd
+
         kwargs = {
             "dt_fs": spec.dt_fs,
             "skin": spec.skin,

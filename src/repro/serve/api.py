@@ -331,14 +331,14 @@ def run_server(
     slots: int = 2,
     cache_dir: str | None = None,
     cache_bytes: int = 2 * 1024**3,
-    progress_interval: int = 0,
-    announce=print,
 ) -> int:
     """Blocking entry point: serve until a ``shutdown`` op arrives.
 
-    Returns the exit code: 0, or 2 after one ``error:`` line on stderr
-    when ``slots``, ``cache_bytes`` or ``progress_interval`` is out of
-    range (before any slot forks).
+    Once listening, prints ``repro serve: listening on HOST:PORT ...``
+    to stdout and flushes it, so a supervisor reading a pipe learns a
+    ``port=0`` server's port at once.  Returns the exit code: 0, or 2
+    after one ``error:`` line on stderr when ``slots`` or
+    ``cache_bytes`` is out of range (before any slot forks).
     """
     from repro.serve.cache import ResultCache
 
@@ -350,18 +350,17 @@ def run_server(
                 else None
             )
             # the slots fork here, before a listener or connection exists
-            scheduler = JobScheduler(
-                slots=slots, cache=cache, progress_interval=progress_interval
-            )
+            scheduler = JobScheduler(slots=slots, cache=cache)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         server = ServeServer(scheduler, host=host, port=port)
         await server.start()
-        announce(
+        print(
             f"repro serve: listening on {host}:{server.port} "
             f"({slots} slot{'s' if slots != 1 else ''}, "
-            f"cache {cache_dir or 'off'})"
+            f"cache {cache_dir or 'off'})",
+            flush=True,
         )
         await server.serve_until_shutdown()
         return 0

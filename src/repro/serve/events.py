@@ -1,17 +1,17 @@
 """Event streaming: job lifecycle and telemetry to live subscribers.
 
 The scheduler publishes :class:`JobEvent` records — state transitions,
-per-interval progress samples (fed by the runner's existing observer
-bus), and log lines.  Subscribers attach an :class:`asyncio.Queue`
-through :meth:`EventBus.subscribe`, optionally filtered to one job; the
-API layer turns a subscription into a stream of JSON lines for
-``repro submit --watch``.
+progress samples (fed by the runner's existing observer bus), and log
+lines.  Subscribers attach an :class:`asyncio.Queue` through
+:meth:`EventBus.subscribe`, optionally filtered to one job; the API
+layer turns a subscription into a stream of JSON lines for ``repro
+submit --watch``.
 
 Publishing is loop-confined: only the scheduler's event loop calls
 :meth:`EventBus.publish` — progress samples taken in a slot process
 reach it as pipe messages the loop reads.  Slow subscribers never
-block the scheduler — a full queue drops the oldest event and counts
-the drop.
+block the scheduler — a full queue (:data:`QUEUE_SIZE` events) drops
+the oldest event.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import asyncio
 from dataclasses import dataclass, field
 
 __all__ = ["JobEvent", "Subscription", "EventBus"]
+
+#: Events a subscriber's queue holds before the oldest is dropped.
+QUEUE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,10 @@ class JobEvent:
 class Subscription:
     """One subscriber's queue plus its filter; detach when done."""
 
-    def __init__(self, bus: "EventBus", job_id: str | None, maxsize: int) -> None:
+    def __init__(self, bus: "EventBus", job_id: str | None) -> None:
         self._bus = bus
         self.job_id = job_id
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
+        self.queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_SIZE)
 
     def wants(self, event: JobEvent) -> bool:
         return self.job_id is None or event.job_id == self.job_id
@@ -63,14 +66,13 @@ class Subscription:
 class EventBus:
     """Fan-out of job events to any number of live subscribers."""
 
-    def __init__(self, *, maxsize: int = 1024) -> None:
+    def __init__(self) -> None:
         self._subs: list[Subscription] = []
         self._seq = 0
-        self._maxsize = maxsize
 
     def subscribe(self, job_id: str | None = None) -> Subscription:
         """Attach a queue receiving every event (or one job's)."""
-        sub = Subscription(self, job_id, self._maxsize)
+        sub = Subscription(self, job_id)
         self._subs.append(sub)
         return sub
 

@@ -18,13 +18,15 @@ One :class:`JobScheduler` owns everything between an accepted
   drain through the same persistent slots;
 * **lifecycle + cancellation**: ``queued -> running -> done | failed |
   cancelled``; a cancel crosses the pipe as a ``stop`` message, the
-  slot's loop breaks at the next chunk boundary and the partial
+  slot's loop breaks at its next poll — at most 1,024 steps away, one
+  ``md_step`` call of the reference engine — and the partial
   trajectory is cached, so cancelled work is still resumable; a slot
   that dies under its job fails it with
   :class:`~repro.serve.slots.SlotLost` and is replaced;
-* **event streaming**: state transitions, log lines, and per-interval
-  progress samples (taken inside the slot by the runner's observer
-  bus) pushed to :class:`~repro.serve.events.EventBus` subscribers.
+* **event streaming**: state transitions, log lines, and progress
+  samples (taken inside the slot by the runner's observer bus, at the
+  cadence the slot derives from the job) pushed to
+  :class:`~repro.serve.events.EventBus` subscribers.
 
 Process discipline: everything that decides or mutates — cache index,
 coalescing, job states, event bus, the cache's counts — lives on the
@@ -62,12 +64,10 @@ class JobScheduler:
     cache:
         Optional :class:`ResultCache`; without one every job is a fresh
         run and nothing is stored.
-    bus:
-        Optional :class:`EventBus` for subscribers; one is created when
-        omitted.
-    progress_interval:
-        Steps between streamed progress events (0 = one tenth of each
-        job's target, at least 1).
+
+    Subscribers attach to :attr:`bus`.  How often a running job
+    reports progress and heeds a cancel is the slot's rule, derived
+    from the job (:mod:`repro.serve.slots`).
     """
 
     def __init__(
@@ -75,19 +75,12 @@ class JobScheduler:
         *,
         slots: int = 2,
         cache: ResultCache | None = None,
-        bus: EventBus | None = None,
-        progress_interval: int = 0,
     ) -> None:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
-        if progress_interval < 0:
-            raise ValueError(
-                f"progress interval must be >= 0, got {progress_interval}"
-            )
         self.slots = int(slots)
         self.cache = cache
-        self.bus = bus if bus is not None else EventBus()
-        self.progress_interval = int(progress_interval)
+        self.bus = EventBus()
         self.jobs = JobTable()
         self._inflight: dict[tuple, Job] = {}
         self._slots = [Slot(index) for index in range(self.slots)]
@@ -197,7 +190,7 @@ class JobScheduler:
         """Cancel a queued or running job; ``False`` if already done.
 
         A queued job is dropped before it ever takes a slot; a running
-        job is asked to stop at the next chunk boundary, its partial
+        job is asked to stop at the slot's next poll, its partial
         checkpoint is cached, and its state becomes ``cancelled``.
         """
         job = self.jobs.get(job_id)
@@ -312,10 +305,9 @@ class JobScheduler:
         if resume is None:
             job.cache = "miss"
             self._log(job, "cache miss: fresh engine run")
-        interval = self.progress_interval or max(1, target // 10)
         job.slot, job.slot_pid = slot, slot.process.pid
         tele, reached = await slot.run(
-            ("run", job.id, job.spec, prefix, resume, interval),
+            ("run", job.id, job.spec, prefix, resume),
             partial(self._slot_event, job),
         )
 

@@ -5,17 +5,23 @@ A *slot* is a persistent, non-daemonic child of the server process
 otherwise) looping on one duplex pipe.  The server keeps every decision
 and sends a slot only what it needs to compute:
 
-``("run", job id, RunSpec, checkpoint prefix, resume prefix | None,
-progress interval)`` — build the fresh or resumed runner, run it to
-``spec.steps``, answer ``("done", telemetry dict, reached step)`` or
-``("error", exception type name, message)``; meanwhile ``("progress",
-payload)`` and ``("warning", category, text)`` stream back.
+``("run", job id, RunSpec, checkpoint prefix, resume prefix | None)``
+— build the fresh or resumed runner, run it to ``spec.steps``, answer
+``("done", telemetry dict, reached step)`` or ``("error", exception
+type name, message)``; meanwhile ``("progress", payload)`` and
+``("warning", category, text)`` stream back.
 
 ``("stop", job id)`` — ``runner.request_stop()`` on that job: its loop
 breaks at the next chunk boundary and still writes its checkpoint.  The
 slot reads its pipe only at those boundaries, the one place a stop can
 take effect, so it needs no second thread; a stop for any other job
 (it lost the race with its own job's reply) is dropped.
+
+One cadence, derived from the job, sets both the progress samples and
+the stop polls: a tenth of ``spec.steps``, but never more than
+:data:`~repro.md.simulation.CALL_STEPS` steps, the most one ``md_step``
+call takes — so a cancel lands within one engine call of the reference
+engine, and the cap adds no call to it.
 
 EOF on the pipe is the slot's exit signal, whether the server closed it
 or died.  Slots are not daemons because a daemon may not have children
@@ -33,6 +39,7 @@ import stat
 import warnings
 
 from repro import kernels
+from repro.md.simulation import CALL_STEPS
 from repro.obs import reset_warnings
 from repro.runtime.runner import Runner
 
@@ -83,8 +90,12 @@ def slot_main(conn, forked: bool) -> None:
             return
 
 
-def _run(conn, job_id: str, spec, prefix, resume, interval: int) -> tuple:
-    """One job: ``(telemetry dict, reached step)``."""
+def _run(conn, job_id: str, spec, prefix, resume) -> tuple:
+    """One job: ``(telemetry dict, reached step)``.
+
+    Every ``min(max(1, spec.steps // 10), CALL_STEPS)`` steps the slot
+    streams a progress sample and reads its pipe for a ``stop``.
+    """
     # per-job re-arm: an earlier job's fallback must not silence this
     # job's (the warn-once cache is process state that survives fork)
     reset_warnings()
@@ -118,7 +129,8 @@ def _run(conn, job_id: str, spec, prefix, resume, interval: int) -> tuple:
                 runner = Runner.from_spec(spec, checkpoint_prefix=prefix)
             try:
                 heed_stop()  # a cancel that arrived during the build
-                runner.add_observer(interval, observer)
+                every = min(max(1, spec.steps // 10), CALL_STEPS)
+                runner.add_observer(every, observer)
                 telemetry = runner.run(spec.steps - runner.engine.step_count)
                 return telemetry.as_dict(), runner.engine.step_count
             finally:

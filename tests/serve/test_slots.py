@@ -12,6 +12,7 @@ own loop with ``asyncio.run``.
 import asyncio
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.md.simulation import CALL_STEPS
 from repro.parallel import fork_available
 from repro.runtime import RunSpec, build_engine, read_checkpoint
 from repro.serve import (
@@ -178,7 +180,7 @@ class TestWhereJobsRun:
 class TestScheduling:
     def test_hit_does_not_queue_behind_a_running_engine(self, tmp_path):
         async def body():
-            sched = _scheduler(tmp_path, slots=1, progress_interval=20)
+            sched = _scheduler(tmp_path, slots=1)
             await sched.wait(await sched.submit(SPEC))  # fills the key
             long = await sched.submit(replace(SPEC, seed=6), steps=LONG)
             await _first_progress(sched, long)
@@ -207,7 +209,7 @@ class TestScheduling:
 
     def test_cancel_mid_run_caches_the_partial_trajectory(self, tmp_path):
         async def body():
-            sched = _scheduler(tmp_path, slots=1, progress_interval=10)
+            sched = _scheduler(tmp_path, slots=1)
             job = await sched.submit(SPEC, steps=LONG)
             await _first_progress(sched, job)
             cancelled = await asyncio.wait_for(
@@ -223,8 +225,9 @@ class TestScheduling:
 
         job, cancelled, reached, longer, entries = asyncio.run(body())
         assert cancelled and job.state is JobState.CANCELLED
-        # stopped at a chunk boundary, far short of the target ...
-        assert 10 <= reached < LONG and reached % 10 == 0
+        # stopped at a poll, within one engine call of the request and
+        # short of the tenth of the target a per-tenth cadence reaches
+        assert 1024 <= reached < LONG // 10 and reached % 1024 == 0
         assert f"stopped at step {reached} of {LONG}" in job.log
         # ... and what it computed is stored under the step it reached
         assert f"cached result under ({SPEC.spec_hash()}, {reached})" in job.log
@@ -232,6 +235,24 @@ class TestScheduling:
         assert longer.state is JobState.DONE and longer.cache == "resume"
         assert longer.resume_step == reached
         assert entries == 2
+
+
+    def test_a_long_job_reports_within_one_engine_call(self, tmp_path):
+        """The cadence is a tenth of the job, capped at CALL_STEPS: a
+        200,000-step job samples (and polls for a stop) every 1,024
+        steps, not every 20,000."""
+
+        async def body():
+            sched = _scheduler(tmp_path, slots=1)
+            job = await sched.submit(SPEC, steps=LONG)
+            first = await _first_progress(sched, job)
+            await sched.cancel(job.id)
+            await sched.close()
+            return first
+
+        first = asyncio.run(body())
+        assert CALL_STEPS == 1024
+        assert (first["step"], first["of"]) == (CALL_STEPS, LONG)
 
 
 def _forked_children(pid: int) -> list[int]:
@@ -255,7 +276,7 @@ def _forked_children(pid: int) -> list[int]:
 class TestSlotLoss:
     def test_killed_slot_fails_its_job_and_is_replaced(self, tmp_path):
         async def body():
-            sched = _scheduler(tmp_path, progress_interval=20)
+            sched = _scheduler(tmp_path)
             before = sched.snapshot()
             job = await sched.submit(SPEC, steps=LONG)
             await _first_progress(sched, job)
@@ -332,7 +353,7 @@ class TestSlotLoss:
         orphans = []
 
         async def body():
-            sched = _scheduler(tmp_path, slots=1, progress_interval=20)
+            sched = _scheduler(tmp_path, slots=1)
             job = await sched.submit(par, steps=LONG)
             await _first_progress(sched, job)
             orphans.extend(_forked_children(job.slot_pid))
@@ -375,7 +396,7 @@ class TestSlotLoss:
             return [link for link in links if link.startswith("socket:")]
 
         async def body():
-            sched = _scheduler(tmp_path, slots=1, progress_interval=20)
+            sched = _scheduler(tmp_path, slots=1)
             server = ServeServer(sched, port=0)
             await server.start()
             port = server.port
@@ -422,8 +443,8 @@ class TestSlotLoss:
 
 
 class TestServerProcess:
-    def _serve(self, tmp_path, *flags, **popen):
-        env = dict(os.environ)
+    def _serve(self, tmp_path, *flags, env=None, **popen):
+        env = dict(os.environ if env is None else env)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.Popen(
@@ -470,11 +491,30 @@ class TestServerProcess:
             proc.wait()
             proc.stdout.close()
 
+    def test_the_announcement_reaches_a_pipe_unbuffered(self, tmp_path):
+        """A supervisor learns a --port 0 server's port from its first
+        stdout line; that line must not wait in a block buffer."""
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = self._serve(tmp_path, env=env)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+            assert ready, "no announcement within 10 s"
+            line = proc.stdout.readline()
+            port = int(re.search(r"listening on [^:]+:(\d+)", line).group(1))
+            client = ServeClient(port=port, timeout=60.0)
+            assert client.ping()
+            client.shutdown()
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
     @pytest.mark.parametrize("flag,value,complaint", [
         ("--slots", "0", "slots must be >= 1, got 0"),
-        ("--progress-interval", "-3", "progress interval must be >= 0, got -3"),
         ("--cache-bytes", "-5", "cache cap must be >= 0 bytes, got -5"),
-    ], ids=["slots", "progress-interval", "cache-bytes"])
+    ], ids=["slots", "cache-bytes"])
     def test_a_bad_flag_exits_2_before_listening(
         self, tmp_path, flag, value, complaint
     ):

@@ -521,3 +521,20 @@ def test_runtime_imports_numpy_only():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_serve_and_reference_paths_import_no_wafer_module():
+    """A fresh interpreter importing the CLI, the server and the Runner
+    loads no ``repro.core`` or ``repro.wse`` module: the wafer loads
+    when a wafer engine is built, or ``repro.WseMd`` is read."""
+    code = (
+        "import sys, repro.cli, repro.serve, repro.runtime.runner\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[:2] in (['repro', 'core'], ['repro', 'wse']))\n"
+        "assert not loaded, loaded\n"
+        "import repro\n"
+        "assert repro.WseMd.__module__ == 'repro.core.wse_md'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
