@@ -199,7 +199,7 @@ def _case_extra(engine: str, telemetry) -> dict:
             from repro import parallel
 
             # sharded run: worker count, halo traffic and cumulative
-            # per-stage shard seconds, so imbalance and seam cost are
+            # per-stage shard seconds, so imbalance and ghost cost are
             # visible in the report; a row with more pinned ranks than
             # usable CPUs measures oversubscription, not scaling
             out["workers"] = c["workers"]

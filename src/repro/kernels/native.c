@@ -451,19 +451,18 @@ static void sweep_block(sweep_t *S, int64_t a, int64_t t0, int64_t t1)
 }
 
 /* The half-stencil stream of a cell plan (ncell cells, starts/counts
- * over slots ascending by cell, the stencil's n_off offsets, live cells
- * or NULL) through sweep_block; returns the raw stream's length. */
+ * over slots ascending by cell, the stencil's n_off offsets) through
+ * sweep_block; returns the raw stream's length. */
 static int64_t sweep_cells(sweep_t *S, const int64_t *starts,
                            const int64_t *counts, const int64_t *ncell,
                            const uint8_t *periodic, const int64_t *stencil,
-                           int64_t n_off, const uint8_t *live)
+                           int64_t n_off)
 {
     const int64_t nx = ncell[0], ny = ncell[1], nz = ncell[2];
     const int64_t ntot = nx * ny * nz;
     int64_t raw = 0;
     /* same-cell pairs: each slot with the rest of its cell after it */
     for (int64_t c = 0; c < ntot; c++) {
-        if (live && !live[c]) continue;
         const int64_t e = starts[c] + counts[c];
         for (int64_t a = starts[c]; a < e - 1; a++) {
             raw += e - a - 1;
@@ -484,7 +483,7 @@ static int64_t sweep_cells(sweep_t *S, const int64_t *starts,
                     if (!counts[c] || bz < 0) continue;
                     const int64_t nc = (bx * ny + by) * nz + bz;
                     const int64_t m = counts[nc], t0 = starts[nc];
-                    if (!m || (live && !(live[c] | live[nc]))) continue;
+                    if (!m) continue;
                     raw += counts[c] * m;
                     for (int64_t a = starts[c]; a < starts[c] + counts[c]; a++)
                         sweep_block(S, a, t0, t0 + m);
@@ -504,7 +503,7 @@ int64_t cell_pairs(const double *cols, int64_t n, const int64_t *order,
                    const int64_t *starts, const int64_t *counts,
                    const int64_t *ncell, const uint8_t *periodic,
                    const int64_t *stencil, int64_t n_off,
-                   const uint8_t *live, const double *lengths, double r2_max,
+                   const double *lengths, double r2_max,
                    int64_t cap, int64_t *oi, int64_t *oj, int64_t *n_raw)
 {
     const int64_t nx = ncell[0], ny = ncell[1], nz = ncell[2];
@@ -528,7 +527,7 @@ int64_t cell_pairs(const double *cols, int64_t n, const int64_t *order,
             }
     if (s != n) return -1;
     int64_t raw = sweep_cells(&S, starts, counts, ncell, periodic, stencil,
-                              n_off, live);
+                              n_off);
     if (S.w > cap) return -1;
     *n_raw = raw;
     return S.w;
@@ -1705,7 +1704,7 @@ static int md_build(md_args *M, int64_t *p, int64_t *funnel, int64_t *need)
             sweep_init(&S, cols, n, order, M->periodic, M->lengths, r2_max,
                        M->cap, ci, cj);
             raw = sweep_cells(&S, starts, counts, nc, M->periodic,
-                              m[MD_STENCIL], M->n_off, NULL);
+                              m[MD_STENCIL], M->n_off);
             if (S.w > M->cap) {
                 need[0] = S.w;
                 return MD_GROW;

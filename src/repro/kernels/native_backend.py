@@ -258,7 +258,7 @@ _CTYPES = {"P": ctypes.c_void_p, "i": ctypes.c_int64, "d": ctypes.c_double,
 _SIGNATURES = {
     "grouped_spline_eval": "BPPiiPP",
     "neighbor_prefilter": "PiPPiPPdiiPPPP",
-    "cell_pairs": "PiPPPPPPPPiPPdiPPP",
+    "cell_pairs": "PiPPPPPPPPiPdiPPP",
     "fused_density_pass": "PPPiPPBiPPPP",
     "fused_force_pass": "PPPPiPPPBPiiPPPP",
     "wafer_step": "PPPPiiPiPPdddPPPPPPiPPPPPPBBBPiPiddPPdPPPPPPPPiiiiP",
@@ -376,15 +376,13 @@ def neighbor_prefilter(positions, i, j, lengths, periodic, rmax, *,
 
 @_kernel
 def cell_pairs(cols, order, cid, coords, starts, counts, ncell, periodic,
-               stencil, live, lengths, r2_max):
+               stencil, lengths, r2_max):
     n = len(_arr(order, _I8, -1))
     _arr(cols, _F8, 3, n), _arr(cid, _I8, n), _arr(coords, _I8, n, 3)
     ntot = len(_arr(counts, _I8, -1))
     _arr(starts, _I8, ntot)
     ncell = _arr(np.ascontiguousarray(ncell, dtype=_I8), _I8, 3)
     stencil = _arr(np.ascontiguousarray(stencil, dtype=_I8), _I8, -1, 3)
-    if live is not None:
-        _arr(live, bool, ntot)
     if (ncell < 1).any() or math.prod(ncell.tolist()) != ntot:
         raise _Decline
     # The outputs at a bound from the plan: a slot pairs with at most
@@ -396,7 +394,7 @@ def cell_pairs(cols, order, cid, coords, starts, counts, ncell, periodic,
     oi, oj, n_raw = np.empty(cap, _I8), np.empty(cap, _I8), np.zeros(1, _I8)
     lengths, periodic = _box(lengths, periodic)
     kept = _c("cell_pairs", cols, n, order, cid, coords, starts, counts,
-              ncell, periodic, stencil, len(stencil), live, lengths,
+              ncell, periodic, stencil, len(stencil), lengths,
               float(r2_max), cap, oi, oj, n_raw)
     _shrink(kept, oi, oj)
     return oi, oj, int(n_raw[0])
@@ -721,10 +719,10 @@ def md_outputs(step) -> tuple:
 
 def _probe_cells(backend, rng, lengths, periodic) -> tuple:
     """The cell sweep over a 4 x 4 x 3 plan of 80 atoms (periodic x
-    and y, some a box length outside) with a live mask, along six
-    offsets: one along the open axis only, two of the half stencil that
-    wrap, three of radius 2 (the half stencil without a mask is
-    ``md_step``'s build, in its own probe); cut exactly at the ``r^2``
+    and y, some a box length outside) along six offsets: one along the
+    open axis only, two of the half stencil that wrap, three of radius
+    2 (the half stencil is ``md_step``'s build, in its own probe); cut
+    exactly at the ``r^2``
     numpy computes for one listed pair (so one ulp of difference flips
     it)."""
     n, ncell = 80, np.array([4, 4, 3])
@@ -741,12 +739,11 @@ def _probe_cells(backend, rng, lengths, periodic) -> tuple:
     plan = (np.ascontiguousarray(pos.T[:, order]), order, flat[order],
             cell[order], starts, counts, ncell, periodic, stencil)
     src, start, _ = next(itertools.islice(
-        numpy_backend.cell_blocks(*plan[2:], None), 1, None))
+        numpy_backend.cell_blocks(*plan[2:]), 1, None))
     d = plan[0][:, start[len(src) // 2]] - plan[0][:, src[len(src) // 2]]
     d -= periodic * lengths * np.floor(d / lengths + 0.5)
     r2_max = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
-    live = rng.random(len(counts)) < 0.3
-    return backend.cell_pairs(*plan, live, lengths, r2_max)
+    return backend.cell_pairs(*plan, lengths, r2_max)
 
 
 def _probe_wafer(backend, rng, lengths, periodic, rho, phi,

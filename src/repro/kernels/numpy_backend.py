@@ -381,16 +381,15 @@ def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil, live):
+def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil):
     """The half-stencil pair stream of a cell plan, one block per offset.
 
     The plan (:class:`repro.md.cell_list.CellList` makes it) is over
     *slots*, positions in the cell-sorted order: ``cid`` / ``coords``
     are each slot's flat cell id and ``(n, 3)`` cell coordinates,
     ascending; cell ``c`` holds the ``counts[c]`` slots from
-    ``starts[c]``; ``ncell`` is the grid's shape, ``stencil`` the
-    ``(n_off, 3)`` nonzero offsets, and ``live`` (per cell, or None)
-    marks the cells holding a live atom.
+    ``starts[c]``; ``ncell`` is the grid's shape and ``stencil`` the
+    ``(n_off, 3)`` nonzero offsets.
 
     Yields ``(src, start, count)`` int64 triples: slot ``src[k]`` pairs
     with the ``count[k] > 0`` consecutive slots from ``start[k]``.
@@ -400,15 +399,10 @@ def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil, live):
     The first block is the same-cell pairs, each slot with the rest of
     its cell after it; then one block per offset, from the slots whose
     cell has a neighbor cell there (wrapped along periodic dims), each
-    with all of that cell.  With ``live``, a block row is kept only
-    where its cell or the neighbor cell is live (same-cell rows: its
-    own cell).
+    with all of that cell.
     """
     nx, ny, nz = ncell
     n = len(cid)
-    src_live = None
-    if live is not None:
-        src_live = live[cid]
     # Same-cell pairs, i < j: the sort is stable, so within a cell
     # slot order is id order and each atom pairs with the rest of
     # its cell's slot range after itself.
@@ -416,8 +410,6 @@ def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil, live):
     start = slots + 1
     count = starts[cid] + counts[cid] - start
     keep = count > 0
-    if src_live is not None:
-        keep &= src_live
     yield slots[keep], start[keep], count[keep]
     # Cross-cell pairs: each unordered cell pair visited from one
     # side only (the plan keeps +o and -o from wrapping onto the same
@@ -463,10 +455,6 @@ def cell_blocks(cid, coords, starts, counts, ncell, periodic, stencil, live):
             ncid = (cell[:, 0] * ny + cell[:, 1]) * nz + cell[:, 2]
         count = counts.take(ncid)
         keep = count > 0
-        if live is not None:
-            # Dead-cell pruning: with every atom of both cells
-            # dead, no pair of this block can own a live endpoint.
-            keep &= src_live.take(src) | live.take(ncid)
         if not keep.all():
             src, ncid, count = src[keep], ncid[keep], count[keep]
         if len(src):
@@ -483,7 +471,6 @@ def cell_pairs(
     ncell: np.ndarray,
     periodic: np.ndarray,
     stencil: np.ndarray,
-    live: np.ndarray | None,
     lengths: np.ndarray,
     r2_max: float,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -504,7 +491,7 @@ def cell_pairs(
     out_i = [_EMPTY]
     out_j = [_EMPTY]
     for src, start, count in cell_blocks(cid, coords, starts, counts, ncell,
-                                         periodic, stencil, live):
+                                         periodic, stencil):
         n_raw += int(count.sum())
         islot = np.repeat(src, count)
         jslot = concatenated_ranges(start, count)
@@ -787,7 +774,7 @@ def _md_build(positions, held, geometry, store) -> tuple | None:
             ci, cj, n_raw = cell_pairs(
                 plan.cols, plan.order, plan.cid_sorted, plan.coords_sorted,
                 plan.starts, plan.counts, plan.ncell, periodic, HALF_STENCIL,
-                None, lengths, sweep_cut(plan.cols, lengths, periodic, reach))
+                lengths, sweep_cut(plan.cols, lengths, periodic, reach))
     i, j, rij, r = neighbor_prefilter(positions, ci, cj, lengths, periodic,
                                       reach, inclusive=True)
     funnel = (n_raw, len(ci), len(i))

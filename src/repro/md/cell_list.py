@@ -7,9 +7,9 @@ stencil plus ordered same-cell pairs), halving the candidate stream the
 distance filter and force kernels consume.  This module holds a
 build's plan -- the binning and the stable sort into cell order
 (:func:`~repro.kernels.numpy_backend.cell_plan`), the over-inclusion
-bound (:func:`~repro.kernels.numpy_backend.sweep_cut`), the live-cell
-mask; the first two are the very functions the registry's ``md_step``
-builds its list with -- and the sweep itself is one call of the
+bound (:func:`~repro.kernels.numpy_backend.sweep_cut`), the very
+functions the registry's ``md_step`` builds its list with -- and the
+sweep itself is one call of the
 active tier's ``cell_pairs`` kernel
 (:mod:`repro.kernels`): the numpy body walks the blocks of
 :func:`~repro.kernels.numpy_backend.cell_blocks`, the one definition of
@@ -103,9 +103,7 @@ class CellList:
         self._binned = None
         return self._buffers
 
-    def candidate_pairs(
-        self, live: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each undirected candidate pair (i, j) exactly once (half list).
 
         This is the software analogue of the paper's Force Symmetry
@@ -123,32 +121,22 @@ class CellList:
         that stream is tested against and as the probe of the raw
         stencil volume.  Callers that need both directions expand via
         :meth:`directed_candidate_pairs`.
-
-        ``live`` (optional, per-atom bool) prunes pair blocks where
-        *neither* side's cell holds a live atom.  Domain shards mark
-        their owned atoms live: a ghost-ghost pair can never survive an
-        owns-one-endpoint seam rule, so skipping dead-cell blocks drops
-        part of the halo-ring enumeration without touching the order of
-        the surviving stream (the result is exactly the full stream
-        filtered, never reordered).
         """
         if self._use_brute:
             return self._brute_pairs()
         out_i = [_EMPTY]
         out_j = [_EMPTY]
-        for src, start, count in numpy_backend.cell_blocks(*self._plan(live)):
+        for src, start, count in numpy_backend.cell_blocks(*self._plan()):
             order = self._binned.order
             out_i.append(np.repeat(order[src], count))
             out_j.append(order[concatenated_ranges(start, count)])
         return np.concatenate(out_i), np.concatenate(out_j)
 
-    def pairs_within(
-        self, reach: float, live: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    def pairs_within(self, reach: float) -> tuple[np.ndarray, np.ndarray, int]:
         """:meth:`candidate_pairs` coarsely cut at ``reach``, streamed.
 
         Returns ``(i, j, n_raw)``: the sub-stream of
-        ``candidate_pairs(live)`` — same pairs, same order — whose
+        ``candidate_pairs()`` — same pairs, same order — whose
         separation at the build positions may be within ``reach``, and
         the length ``n_raw`` of the raw stream it was cut from.  The cut
         only ever *over*-includes: every pair an exact distance kernel
@@ -180,45 +168,38 @@ class CellList:
         if self._use_brute:
             i, j = self._brute_pairs()
             return i, j, len(i)
-        return active_backend().cell_pairs(*self._sweep_args(reach, live))
+        return active_backend().cell_pairs(*self._sweep_args(reach))
 
     def _brute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return numpy_backend.brute_pairs(self._n)
 
-    def _sweep_args(self, reach: float, live: np.ndarray | None) -> tuple:
+    def _sweep_args(self, reach: float) -> tuple:
         """The ``cell_pairs`` kernel's arguments for this build's sweep
         at ``reach``: the coordinate columns, the sort order, the
         :meth:`_plan`, the box lengths and the over-inclusive cut
         (:meth:`pairs_within`)."""
-        plan = self._plan(live)
+        plan = self._plan()
         cols = self._binned.cols
         r2_max = numpy_backend.sweep_cut(cols, self.box.lengths,
                                          self.box.periodic, reach)
         return (cols, self._binned.order, *plan, self.box.lengths, r2_max)
 
-    def _plan(self, live: np.ndarray | None) -> tuple:
+    def _plan(self) -> tuple:
         """This build's plan of the half-stencil stream, as the sweep
         kernels take it (:func:`~repro.kernels.numpy_backend.cell_blocks`):
-        ``(cid, coords, starts, counts, ncell, periodic, stencil,
-        live_cells)`` over slots, the positions in cell-sorted order
-        (``order[slot]`` is the atom id).
+        ``(cid, coords, starts, counts, ncell, periodic, stencil)`` over
+        slots, the positions in cell-sorted order (``order[slot]`` is the
+        atom id).
 
         Atoms are visited in cell-sorted order (stable argsort of the
         flat cell id): neighbors-in-space become neighbors-in-stream,
         so every gather downstream walks memory near-sequentially.
-        ``live`` (per atom) becomes the per-cell mask of the cells
-        holding a live atom.
         """
         plan = self._binned
         if plan is None:
             raise RuntimeError("pair enumeration before build()")
-        live_cells = None
-        if live is not None:
-            live_cells = np.zeros(len(plan.counts), dtype=bool)
-            live_cells[plan.cid[np.asarray(live, dtype=bool)]] = True
         return (plan.cid_sorted, plan.coords_sorted, plan.starts,
-                plan.counts, plan.ncell, self.box.periodic, HALF_STENCIL,
-                live_cells)
+                plan.counts, plan.ncell, self.box.periodic, HALF_STENCIL)
 
     def directed_candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed (double-counted) view of :meth:`candidate_pairs`."""

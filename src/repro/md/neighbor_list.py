@@ -9,8 +9,8 @@ its projected future optimizations, Table V row "Neighbor list").
 Three pieces, shared by the serial loop and every shard of
 :mod:`repro.parallel`:
 
-* :func:`build_candidates` — cell sweep, optional owned-subset pruning
-  and seam rule, exact inclusive prefilter at the reach;
+* :func:`build_candidates` — cell sweep, exact inclusive prefilter at
+  the reach;
 * :class:`Candidates` — the built index pairs with their build-time
   separations, queried per step by the exact strict filter (the only
   place a pair is admitted) under two bit-neutral cross-step cuts;
@@ -18,9 +18,9 @@ Three pieces, shared by the serial loop and every shard of
   displacement bound that feeds those cuts.
 
 :class:`NeighborList` is the trigger plus one :class:`Candidates`; a
-shard worker holds one too, built by the same call on its tile's rows
-with its owned mask, and measures the displacement of the rows it
-owns, which its pipeline max-reduces and puts to the same trigger.
+shard rank is a plain ``Simulation`` on its tile's rows and holds one
+the same way, and measures the displacement of the rows it owns, which
+its pipeline max-reduces and puts to the same trigger.
 
 Candidates and the resulting :class:`~repro.potentials.base.PairTable`
 are *half* lists — each undirected pair stored once, the software
@@ -116,12 +116,9 @@ class Candidates:
     j: np.ndarray
     r_build: np.ndarray
     #: (raw, coarse_kept, exact_kept) counts of the build that made this
-    #: set, widest first: raw is what the sweep enumerated, a tile's
-    #: halo ring included; coarse_kept survived the sweep's in-block
-    #: cut; exact_kept the exact kernel.  Coarse and exact are counted
-    #: after the seam rule, so exact sums over tiles to the serial
-    #: build's (and coarse does wherever the rounding sliver past the
-    #: reach is empty).  All three are exact, seed-repeatable counts: a
+    #: set, widest first: raw is what the sweep enumerated;
+    #: coarse_kept survived the sweep's in-block cut; exact_kept the
+    #: exact kernel.  All three are exact, seed-repeatable counts: a
     #: loosened coarse bound shows as ``coarse_kept - exact_kept``
     #: growing, not as noise.  The reference engine sums them over its
     #: builds into :class:`~repro.md.simulation.SimStats`.
@@ -174,7 +171,7 @@ class Candidates:
 
 
 def build_candidates(
-    cells: CellList, positions: np.ndarray, owned: np.ndarray | None = None
+    cells: CellList, positions: np.ndarray
 ) -> tuple[Candidates, np.ndarray]:
     """Build the candidate set of ``positions`` at the reach ``cells``
     bins for (``cells.cutoff``, in ``cells.box``).
@@ -192,17 +189,6 @@ def build_candidates(
     rebuild (each atom moves < skin/2, so a pair's distance shrinks by
     < skin).
 
-    ``owned`` marks the atoms a tile owns among its local (owned +
-    ghost, globally ascending) atoms.  Two things then ride the sweep:
-    dead-cell pruning — a pair both of whose endpoints sit in cells
-    with no owned atom can never pass the seam rule, so the
-    ring-vs-ring part of the enumeration is skipped — and the seam rule
-    itself: keep the pair iff this tile owns the smaller id.  Local ids
-    ascend with global ids, so ``min()`` in local indices picks the
-    member the global rule would; the rule is a mask on the same stream
-    as the coarse cut, so the two commute, and the union over tiles is
-    the serial candidate set with each pair kept exactly once.
-
     Returns the candidates and the kernel's ``rij`` *at* ``positions``
     (with ``Candidates.r_build`` it lets a query at those same
     positions skip measuring them again; the set itself keeps no
@@ -214,11 +200,7 @@ def build_candidates(
         return empty, np.empty((0, 3), dtype=np.float64)
     box, reach = cells.box, cells.cutoff
     cells.build(positions)
-    ci, cj, n_raw = cells.pairs_within(reach, live=owned)
-    if owned is not None:
-        keep = owned[np.minimum(ci, cj)]
-        ci = ci[keep]
-        cj = cj[keep]
+    ci, cj, n_raw = cells.pairs_within(reach)
     i, j, rij, r = active_backend().neighbor_prefilter(
         positions, ci, cj, box.lengths, box.periodic, reach, inclusive=True
     )

@@ -108,9 +108,9 @@ class Simulation:
     workers:
         Given a layout — an int here (0 = one per usable CPU), or a
         ``topology`` — the atoms are *stepped* by shard workers, not
-        only their forces evaluated: each owns, reduces, embeds and
-        integrates the rows of its tile on the kernel tier active when
-        the pool forks (the first force evaluation), and :meth:`run`
+        only their forces evaluated: each runs this serial engine on the
+        rows of its tile and a ghost shell, on the kernel tier active
+        when the pool forks (the first force evaluation), and :meth:`run`
         hands whole chunks to
         :meth:`~repro.parallel.pipeline.ShardedForcePipeline.advance`
         (``state`` is rewritten when a chunk returns; anything written
@@ -120,7 +120,7 @@ class Simulation:
         ``(px, py)`` domain-grid shape (``None`` = the most nearly
         square factorization of ``workers``).  Layout, never physics.
     transport:
-        How seam rows reach the workers (``"shared"``/``"socket"``/
+        How ghost rows reach the workers (``"shared"``/``"socket"``/
         ``"inline"``/``"auto"``; ``None`` means ``auto``).
     """
 

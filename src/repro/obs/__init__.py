@@ -55,11 +55,10 @@ phases, so every wse phase is a pre-measured leaf span inside ``step``:
 (candidate shift and coarse cut; 0 on a reuse step), then ``density``,
 ``embedding``, ``pair_force``, ``integrate`` and ``cycle_account``; the
 wse taxonomy is unchanged.  Sharded runs keep the standard taxonomy
-too: the ranks step their own atoms, so stages that run rank-side
-inside another phase's round (density, embedding, the look-ahead
-filter) arrive as pre-measured children, per-shard timings ride as span
-counters (``shard_sum_s``/``shard_max_s``) and the engine's telemetry,
-and each command round's exposed communication time lands as one extra
+too: each rank runs the serial engine on its tile, so its phases
+arrive as pre-measured children (the slowest rank's, per phase),
+per-shard timings ride in the engine's telemetry, and each command
+round's exposed communication time lands as one extra
 leaf, a pre-measured ``halo_exchange`` child span (with
 ``bytes_sent``/``bytes_recv`` counters from the transport) — the host
 analogue of the wafer's exchange cost.  :data:`ENGINE_PHASES` names the

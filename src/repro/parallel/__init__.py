@@ -2,35 +2,35 @@
 
 The paper's speedup is spatial decomposition — one atom per PE with a
 locality-preserving cell-to-fabric mapping — and its multi-wafer design
-has every node own and integrate its atoms and ship only ghost rows.
-This package is the host-side analogue, in three layers:
+has every node run the same program on the atoms it owns and ship only
+ghost rows.  This package is the host-side analogue, in three layers:
 
 * **Domains** (:mod:`~repro.parallel.domains`): the box is tiled into a
   cell-aligned ``px x py`` :class:`~repro.parallel.domains.DomainGrid`
-  of rectangular domains with balanced atom counts and halo regions of
-  width cutoff + skin.  Planning only: each tile's pairs are built by
-  :func:`repro.md.neighbor_list.build_candidates`, the serial list's
-  own builder, whose own-smaller-global-id seam rule keeps the tile
-  union bit-identical to the serial candidate set.
+  of rectangular domains with balanced atom counts; each tile holds its
+  owned rows plus a ghost shell ``2 * cutoff + skin`` deep, and
+  :func:`~repro.parallel.domains.export_plan` says which owner each
+  ghost row comes from.  Planning only.
 * **Transport** (:mod:`~repro.parallel.transport`): one synchronous
   round driver over three byte movers — forked workers on anonymous
   shared mappings made before the fork, the same worker protocol over
   loopback TCP sockets, or virtual workers inside the parent —
   and the :class:`~repro.parallel.transport.ShardWorker` that steps a
-  tile: filter, density, seam reduction, embedding, forces, leap-frog.
+  tile: a plain :class:`~repro.md.simulation.Simulation`, one
+  ``run(1)`` a step.
 * **Pipeline** (:class:`~repro.parallel.pipeline.ShardedForcePipeline`):
-  round clock, router and observer.  It moves only seam-row partial
-  sums between the tiles that hold them (reduced at every holder in
-  one fixed rank order, so trajectories are bitwise-reproducible per
-  topology and bitwise-identical across transports) and touches full
-  state only to re-plan the grid and when a chunk of steps returns.
+  round clock, router and observer.  A steady step is one round that
+  moves only ghost rows' positions, each from its owner, so
+  trajectories are bitwise-reproducible per topology and
+  bitwise-identical across transports; it touches full state only to
+  re-plan the grid and when a chunk of steps returns.
 
 Selection is an engine option, not a kernel tier: a ``Simulation``
 given ``workers`` or ``topology`` (``RunSpec(backend="parallel")``)
 hands its atoms to the pipeline, whose ranks run the parent's tier;
 :func:`unsupported_reason` gates the cases it cannot shard (periodic
-boxes, potentials without the fused two-stage split, no fork), which
-fall back to the serial path with a once-per-reason warning.
+boxes, no fork), which fall back to the serial path with a
+once-per-reason warning.
 """
 
 from __future__ import annotations
@@ -78,20 +78,14 @@ def unsupported_reason(box, potential) -> str | None:
     """Why the sharded pipeline cannot run this workload, or ``None``.
 
     The pipeline shards fully open boxes (the paper's slab workloads;
-    periodic images across domain seams are out of scope) for
-    potentials exposing the fused two-stage EAM split.
+    periodic images across domain seams are out of scope).  A rank is a
+    plain :class:`~repro.md.simulation.Simulation`, so any potential
+    the serial engine steps, a rank steps.
     """
     if not fork_available():
         return "fork start method unavailable on this platform"
     if np.any(box.periodic):
         return "periodic boundaries are not supported by the sharded pipeline"
-    if not hasattr(potential, "fused_density") or not hasattr(
-        potential, "fused_pair_force"
-    ):
-        return (
-            "potential lacks the fused density/pair-force stages "
-            "(fused_density/fused_pair_force)"
-        )
     return None
 
 

@@ -1,4 +1,4 @@
-"""Spatial domain decomposition for the sharded force pipeline.
+"""Spatial domain decomposition for the sharded pipeline.
 
 The paper maps atoms to PEs through a locality-preserving assignment of
 spatial cells to the fabric's rows and columns; the host-side analogue
@@ -6,10 +6,8 @@ here tiles the (fully open) box into a :class:`DomainGrid` of
 ``px x py`` contiguous rectangles — ``px`` columns along x crossed with
 ``py`` rows along y — one tile per worker.  This module is planning
 only: where the edges go, which atoms a tile holds, which of them it
-owns.  The pairs a tile keeps are built by
-:func:`repro.md.neighbor_list.build_candidates` from exactly these
-outputs, and :func:`seam_plan` says which rows then travel between
-tiles.  Everything here is pure array logic, so the test suite pins the
+owns, and (:func:`export_plan`) which rows then travel between tiles.
+Everything here is pure array logic, so the test suite pins the
 decomposition invariants single-process, without any multiprocessing.
 
 Invariants
@@ -18,14 +16,12 @@ Invariants
   real line (``edges[0] = -inf``, ``edges[-1] = +inf``), so the tile
   rectangles partition the plane and every atom is owned by exactly
   one tile.
-* A tile's *local* set is its owned rectangle dilated by the halo width
-  (``cutoff + skin``) along x and y: every pair a tile is responsible
-  for has both members local, because a candidate pair's build-time
-  separation never exceeds the halo width.
-* A pair is kept by the tile that **owns the smaller global id** — a
-  total tie-free rule, so across tiles each undirected candidate pair
-  appears exactly once (the seam analogue of the half pair list).
-  Nothing in the rule depends on the edges being balanced or
+* A tile's *local* set is its owned rectangle dilated by the ghost
+  shell's depth along x and y.  The pipeline digs the shell
+  ``2 * cutoff + skin`` deep: while no atom has moved ``skin / 2``
+  since the plan, every partner of every owned row's density partners
+  is local, so a rank steps its owned rows exactly as the serial
+  engine steps them.  Nothing depends on the edges being balanced or
   cell-aligned; any partition of the plane works.
 """
 
@@ -43,7 +39,7 @@ __all__ = [
     "plan_grid",
     "tile_local_ids",
     "owned_mask_local",
-    "seam_plan",
+    "export_plan",
     "warn_halo_dominated",
 ]
 
@@ -155,7 +151,7 @@ def plan_grid(
 
     Each axis is planned independently (a tensor-product grid), so tile
     atom counts are near-equal for near-separable densities — the
-    paper's uniform slabs — and the seam rule stays correct regardless.
+    paper's uniform slabs — and the shell stays correct regardless.
     """
     return DomainGrid(
         px=px,
@@ -166,22 +162,17 @@ def plan_grid(
 
 
 def tile_local_ids(
-    positions: np.ndarray, grid: DomainGrid, tile: int, reach: float
+    positions: np.ndarray, grid: DomainGrid, tile: int, depth: float
 ) -> np.ndarray:
     """Global ids of a tile's *local* set — owned rectangle dilated by
-    the halo width ``reach`` along x and y — in ascending order.
-
-    Ascending order matters: it makes local-index comparisons order-
-    isomorphic to global-id comparisons, so the seam rule evaluated in
-    local indices (:func:`~repro.md.neighbor_list.build_candidates`)
-    keeps exactly the pairs the global rule would.
-    """
+    the shell ``depth`` along x and y — in ascending order (so a single
+    tile's rows are the global rows, in order)."""
     xlo, xhi, ylo, yhi = grid.tile_bounds(tile)
     x = positions[:, 0]
     y = positions[:, 1]
     return np.nonzero(
-        (x >= xlo - reach) & (x < xhi + reach)
-        & (y >= ylo - reach) & (y < yhi + reach)
+        (x >= xlo - depth) & (x < xhi + depth)
+        & (y >= ylo - depth) & (y < yhi + depth)
     )[0]
 
 
@@ -189,68 +180,57 @@ def owned_mask_local(
     local_positions: np.ndarray,
     bounds: tuple[float, float, float, float],
 ) -> np.ndarray:
-    """Which local atoms fall in the tile's owned rectangle.
-
-    Evaluated from the same half-open comparisons the parent's global
-    ownership test uses, so a worker holding only its halo pack makes
-    bit-identical ownership decisions.
-    """
+    """Which local atoms fall in the tile's owned rectangle (the
+    half-open comparisons that partition the plane)."""
     xlo, xhi, ylo, yhi = bounds
     x = local_positions[:, 0]
     y = local_positions[:, 1]
     return (x >= xlo) & (x < xhi) & (y >= ylo) & (y < yhi)
 
 
-def seam_plan(
-    ids: list[np.ndarray], n_atoms: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[list]]:
-    """Which rows travel between tiles each step, cut once per rebuild.
+def export_plan(
+    ids: list[np.ndarray], owned: list[np.ndarray], n_atoms: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Which rows travel between tiles each step, cut once per plan.
 
-    ``ids[k]`` are tile ``k``'s local global ids (ascending).  A *seam*
-    row is local to more than one tile; every holder stages its seam
-    rows' partial sums and is sent, for every *other* holder in
-    ascending rank, that holder's partials of the rows they share.
-    Returns ``(seam, take, segs)``: ``seam[k]`` are tile ``k``'s seam
-    rows (local indices — what it stages, in pack order); ``take[k]``
-    indexes the rank-concatenated staged packs (what
-    ``Transport.scatter`` ships rank ``k``); ``segs[k][m]`` says where
-    among ``seam[k]`` rank ``m``'s slice lands (``None`` at ``m == k``).
+    ``ids[k]`` are tile ``k``'s local global ids (ascending) and
+    ``owned[k]`` the mask of the ones it owns.  Every other local row
+    is a *ghost*, whose position its owner computes each step; the
+    owner stages each of its rows that some tile holds as a ghost once,
+    and the parent hands every holder its ghosts from the rank-
+    concatenated staged packs.  Returns ``(ghosts, exports, take)``:
+    ``ghosts[k]`` are tile ``k``'s ghost rows and ``exports[k]`` the
+    owned rows it stages (local indices, ascending — pack order);
+    ``take[k]`` indexes the rank-concatenated export packs, one entry
+    per ghost row of tile ``k`` (what ``Transport.scatter`` ships it).
+    Each ghost row has exactly one source: its owner.
     """
-    w = len(ids)
-    holders = np.bincount(np.concatenate(ids), minlength=n_atoms)
-    seam = [np.nonzero(holders[i] > 1)[0] for i in ids]
+    ghosts = [np.flatnonzero(~mask) for mask in owned]
+    wanted = np.zeros(n_atoms, dtype=bool)
+    for local, rows in zip(ids, ghosts):
+        wanted[local[rows]] = True
     slot = np.full(n_atoms, -1, dtype=np.int64)
-    take = [[np.empty(0, dtype=np.int64)] for _ in range(w)]
-    segs: list[list] = [[] for _ in range(w)]
-    offset = 0
-    for m in range(w):
-        staged = ids[m][seam[m]]
-        slot[staged] = offset + np.arange(len(staged))
-        for k in range(w):
-            if k == m:
-                segs[k].append(None)
-                continue
-            at = slot[ids[k][seam[k]]]
-            hit = np.nonzero(at >= 0)[0]
-            take[k].append(at[hit])
-            segs[k].append(hit)
-        slot[staged] = -1
-        offset += len(staged)
-    return seam, [np.concatenate(t) for t in take], segs
+    exports, offset = [], 0
+    for local, mask in zip(ids, owned):
+        rows = np.flatnonzero(mask & wanted[local])
+        slot[local[rows]] = offset + np.arange(len(rows))
+        offset += len(rows)
+        exports.append(rows)
+    take = [slot[local[rows]] for local, rows in zip(ids, ghosts)]
+    return ghosts, exports, take
 
 
 def warn_halo_dominated(
-    positions: np.ndarray, px: int, py: int, reach: float
+    positions: np.ndarray, px: int, py: int, depth: float
 ) -> None:
-    """Warn once when tiles are so narrow the halo dominates them.
+    """Warn once when tiles are so narrow the ghost shell dominates them.
 
-    The decomposition stays *correct* for any tile width (the seam
-    rule only needs owned-rectangle-dilated-by-reach locality), but
-    when an axis's average tile width drops below ``2 x reach`` the
-    ghost ring is wider than the owned region, so the sparse halo
-    exchange degenerates toward the full broadcast it replaced.  Warned
-    once per shape through :func:`repro.obs.warn_once`, like the
-    capped-decomposition warning.
+    The decomposition stays *correct* for any tile width, but when an
+    axis's average tile width drops below ``2 x depth`` the shell is
+    wider than the owned region, so each rank steps more ghost rows
+    than rows of its own and the ghost exchange nears a broadcast.
+    Warned once per shape through :func:`repro.obs.warn_once`, like
+    the capped-decomposition warning.
     """
     if len(positions) == 0:
         return
@@ -261,12 +241,12 @@ def warn_halo_dominated(
         if parts < 2:
             continue
         width = (float(coords.max()) - float(coords.min())) / parts
-        if width >= 2.0 * reach:
+        if width >= 2.0 * depth:
             continue
         warn_once(
             ("halo", axis, parts),
-            f"{axis}-axis tiles average {width:.2f} wide but the halo "
-            f"reaches {reach:.2f} on each side; ghost regions dominate "
-            f"owned regions, so the sparse halo exchange carries "
+            f"{axis}-axis tiles average {width:.2f} wide but the ghost "
+            f"shell reaches {depth:.2f} on each side; ghost regions "
+            f"dominate owned regions, so the ghost exchange carries "
             f"near-broadcast volume",
         )

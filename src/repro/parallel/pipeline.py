@@ -1,40 +1,33 @@
-"""The sharded pipeline: shard-resident stepping over a transport.
+"""The sharded pipeline: every rank runs the serial engine on its tile.
 
-Between rebuilds every rank *owns* its tile — positions and velocities
-of its local (owned + ghost) rows, types, one candidate set built as
-the serial list builds its own, the rebuild reference — and runs the
-timestep itself (one filter, one density and one pair-force pass per
-step); the parent is round clock, router and observer.  A steady step
-is **two** synchronous rounds, and only the partial sums of *seam
-rows* (rows local to more than one tile) move, routed holder <-> holder
-through :meth:`Transport.gather` / :meth:`Transport.scatter` over
-index lists cut once per rebuild
-(:func:`~repro.parallel.domains.seam_plan`):
+Between plans every rank *owns* its tile — positions and velocities of
+its local rows (owned rows plus a ghost shell ``2 * cutoff + skin``
+deep) stepped by a plain :class:`~repro.md.simulation.Simulation` —
+and the parent is round clock, router and observer.  A steady step is
+**one** synchronous round, and only ghost rows' positions move, each
+from its owner (:func:`~repro.parallel.domains.export_plan`, cut once
+per plan):
 
-1. **force** (``pair_force`` phase) — seam ``rho`` partials are routed;
-   each holder reduces them **in ascending rank order from 0.0** (the
-   addition sequence the parent's ``bincount`` over the
-   rank-concatenated ids used to perform, so every holder gets the same
-   bits), embeds its rows and runs the pair-force pass.
-2. **move** (``integrate``) — seam pair-energy/force partials are
-   routed and reduced the same way; each rank integrates all its local
-   rows with the caller's integrator (elementwise: an owned row gets
-   the serial bits, a ghost row the very bits its owner computes, so no
-   position ever travels), reports the largest squared displacement of
-   the rows it owns, and goes straight on to the next step's filter +
-   density.  The parent max-reduces the displacements (a maximum of
-   maxima over a partition is exact) and puts the result to
-   :func:`~repro.md.neighbor_list.displacement_trigger`, the serial
-   list's own decision.  When it trips, the density run ahead is
-   discarded and a ``rebuild`` round runs: owned positions and
-   velocities are pulled, a fresh balanced grid is planned exactly as
-   before, every tile is pushed its new pack — with the exit pull, the
-   only rounds that move full state.
+* the parent routes the rows each rank staged last step to the tiles
+  that hold them as ghosts (:meth:`Transport.gather` /
+  :meth:`Transport.scatter`);
+* each rank writes its ghosts, runs ``run(1)`` — one ``md_step`` call
+  of exactly one step, so a ghost's inexact move never reaches a pair
+  test — stages its exported rows, and replies with its owned rows'
+  largest squared displacement since the plan and the call's stage
+  seconds.
 
-A plain ``dens`` round serves the evaluations no move precedes.  A
-single tile has no seam and its candidates are the serial list's, so
-``workers=1`` stays bitwise-serial; a run is bitwise-reproducible per
-topology and identical across transports.
+The parent max-reduces the displacements (a maximum of maxima over a
+partition is exact) and puts the result to
+:func:`~repro.md.neighbor_list.displacement_trigger`, the serial list's
+own decision.  When it trips, owned positions and velocities are
+pulled, a fresh balanced grid is planned and every tile is pushed its
+new pack — with the exit pull, the only rounds that move full state —
+so a rank's list builds land on the serial engine's steps.  Energy
+queries run each rank's ``Simulation.compute_forces`` and pull the
+owned rows.  A single tile has no ghosts, so ``workers=1`` stays
+bitwise-serial; a run is bitwise-reproducible per topology and
+identical across transports.
 
 **Authority is decided by value.**  The pipeline keeps the positions
 and velocities it last pulled or pushed; :meth:`advance` /
@@ -45,14 +38,12 @@ users of a parent-side thermostat pay its pull + push per step.
 Accounting: a round's *exposed* communication time — routing plus the
 slack between the command's wall time and the slowest rank's compute
 time — is a pre-measured ``halo_exchange`` child span of the enclosing
-phase, with the transport's byte deltas as counters; stages that run
-rank-side inside another phase's round (density, embedding, the
-look-ahead filter) are pre-measured children too, slowest rank each.
+phase, with the transport's byte deltas as counters; the ranks' phases
+are pre-measured children too, slowest rank each.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -62,13 +53,18 @@ from repro.md.neighbor_list import displacement_trigger
 from repro.md.simulation import SimStats
 from repro.obs import NULL_TRACER
 from repro.parallel.domains import (
+    export_plan,
     owned_mask_local,
     plan_grid,
-    seam_plan,
     tile_local_ids,
     warn_halo_dominated,
 )
-from repro.parallel.transport import WorkerLost, make_transport, usable_cpus
+from repro.parallel.transport import (
+    PHASES,
+    WorkerLost,
+    make_transport,
+    usable_cpus,
+)
 
 __all__ = ["ShardedForcePipeline"]
 
@@ -87,12 +83,12 @@ class ShardedForcePipeline:
     cleaned up by GC/daemon semantics).
 
     ``topology`` is the ``(px, py)`` domain grid; ``None`` picks the
-    most nearly square factorization of the worker count (fewest seam
+    most nearly square factorization of the worker count (fewest ghost
     rows — pass ``(workers, 1)`` for 1D columns), and ``workers=None``
     means one per usable CPU.  ``transport`` selects the byte mover
     (``"shared"``, ``"socket"``, ``"inline"``, or ``"auto"``/``None``:
     inline when the host has fewer usable CPUs than workers, forked
-    shared memory otherwise).  ``skin=0.0`` rebuilds every step.
+    shared memory otherwise).  ``skin=0.0`` re-plans every step.
     """
 
     def __init__(
@@ -126,31 +122,33 @@ class ShardedForcePipeline:
         self.topology = (px, py)
         self.n_workers = px * py
         self.skin = float(skin)
-        self.reach = float(potential.cutoff) + self.skin
+        cutoff = float(potential.cutoff)
+        #: the width the grid's edges align to: the cells a rank bins at
+        self.reach = cutoff + self.skin
+        #: the ghost shell's depth: while no atom has moved skin/2 since
+        #: the plan, every partner of an owned row's density partners
+        #: lies within 2 * cutoff of it now, so within this of it then
+        self.depth = 2.0 * cutoff + self.skin
         self.n_atoms = n
         self._types = np.asarray(state.types, dtype=np.int64)
         cfg = {
             "potential": potential,
             "box": state.box,
             "masses": state.masses,
-            "cutoff": float(potential.cutoff),
-            "reach": self.reach,
+            "skin": self.skin,
         }
-        # Per-rank capacities: a tile can hold every atom, and a row
-        # with w holders is routed w - 1 partials.  Capacity is address
-        # space only — pages commit as pack prefixes touch them.
-        f8, fan = np.float64, max(1, self.n_workers - 1) * n
+        # Per-rank capacities: a tile can hold every atom.  Capacity is
+        # address space only — pages commit as pack prefixes touch them.
+        f8 = np.float64
         self.transport = make_transport(
             transport,
             self.n_workers,
             inputs={
                 "positions": ((n, 3), f8), "velocities": ((n, 3), f8),
-                "types": ((n,), np.int64), "rho_in": ((fan,), f8),
-                "epair_in": ((fan,), f8), "forces_in": ((fan, 3), f8),
+                "types": ((n,), np.int64), "ghosts": ((n, 3), f8),
             },
             outputs={
-                "rho": ((n,), f8), "epair": ((n,), f8),
-                "forces": ((n, 3), f8),
+                "exports": ((n, 3), f8),
                 "own_positions": ((n, 3), f8),
                 "own_velocities": ((n, 3), f8),
                 "own_energies": ((n,), f8), "own_forces": ((n, 3), f8),
@@ -162,17 +160,14 @@ class ShardedForcePipeline:
         self._pos: np.ndarray | None = None
         self._vel = np.array(state.velocities, dtype=f8)
         #: local (owned + ghost) and owned global ids per tile, valid
-        #: until the next rebuild (None = no build yet, or stale ranks)
+        #: until the next plan (None = no plan yet, or stale ranks)
         self._ids: list[np.ndarray] | None = None
         self._own_ids: list[np.ndarray] = []
-        #: the seam plan: rows each rank stages, scatter index lists
-        self._seam: tuple[list[int], list[np.ndarray]] = ([], [])
-        self._max_d2 = 0.0  # largest squared displacement since the build
-        self._d_last = 0.0  # the largest displacement one move earlier
-        #: per-rank ``(n_pairs, density_s, filter_s)`` of a density pass
-        #: already run at the current positions (None = none in hand)
-        self._dens: list[tuple] | None = None
+        #: the export plan: rows each rank stages, scatter index lists
+        self._exports: tuple[list[int], list[np.ndarray]] = ([], [])
+        self._stale = False  # ranks' ghosts lag the rows they staged
         self._ahead = False  # ranks have moved since the last pull
+        self._max_d2 = 0.0  # largest squared displacement since the plan
         self._route_s = 0.0  # routing seconds since the last round
         self._seen = (0, 0)  # transport byte counters at the last round
         self._closed = False
@@ -180,8 +175,9 @@ class ShardedForcePipeline:
         self.rounds = 0
         #: current ghost-row count, sum over tiles of (local - owned)
         self.ghost_atoms = 0
-        #: cumulative per-worker seconds per stage (bench telemetry);
-        #: ``integrate`` is every reduce, the embedding and the move
+        #: cumulative per-worker seconds per stage of the ranks'
+        #: ``Simulation`` calls (bench telemetry); ``integrate`` holds
+        #: the glue around the kernel phases too
         self.shard_seconds: dict[str, list[float]] = {
             s: [0.0] * self.n_workers for s in _STAGES
         }
@@ -217,9 +213,10 @@ class ShardedForcePipeline:
             self._sync(state.positions, state.velocities, tr)
             for _ in range(n_steps):
                 with tr.phase("step"):
-                    self._evaluate(tr, stats)
-                    with tr.phase("integrate"):
-                        self._move(integrator, tr, stats)
+                    self._plan_if_due(tr, stats)
+                    replies = self._round(("step", integrator), tr, stats)
+                    self._max_d2 = max(r[3] for r in replies)
+                    self._ahead = True
             t0 = time.perf_counter()
             with tr.phase("integrate"):
                 self._pull(("positions", "velocities"), tr)
@@ -233,16 +230,16 @@ class ShardedForcePipeline:
     ) -> tuple[np.ndarray, np.ndarray, SimStats]:
         """Energies, forces and accounting (a
         :class:`~repro.md.simulation.SimStats` to add) at ``positions``:
-        a step's density, force round and reduction, without the move."""
+        every rank's ``compute_forces``, its owned rows gathered."""
         stats = SimStats()
         with self._guard():
             self._sync(positions, None, tr)
-            self._evaluate(tr, stats)
-            t0 = time.perf_counter()
             with tr.phase("pair_force"):
-                self._move(None, tr, stats)
-                energies, forces = self._pull(("energies", "forces"), tr)
-            stats.time_force_s += time.perf_counter() - t0
+                self._plan_if_due(tr, stats)
+                self._round(("forces",), tr, stats)
+                t0 = time.perf_counter()
+                energies, forces = self._gather(("energies", "forces"))
+                stats.time_force_s += time.perf_counter() - t0
         return energies, forces, stats
 
     @contextmanager
@@ -257,7 +254,7 @@ class ShardedForcePipeline:
             raise
         except Exception:
             # ranks may be mid-step: the next call starts them afresh
-            self._ids, self._dens, self._ahead = None, None, False
+            self._ids, self._ahead = None, False
             raise
 
     # -- value-based authority ---------------------------------------------
@@ -269,7 +266,7 @@ class ShardedForcePipeline:
                 f"pipeline built for {self.n_atoms} atoms, "
                 f"got {len(positions)}"
             )
-        if self._ids is None:  # the rebuild about to run pushes it all
+        if self._ids is None:  # the plan about to run pushes it all
             self._pos = np.array(positions, dtype=np.float64)
             if velocities is not None:
                 self._vel[:] = velocities
@@ -285,15 +282,21 @@ class ShardedForcePipeline:
                 names.append(name)
         if names:
             replies = self._command("neighbor", ("push", tuple(names)), tr)
-            self._max_d2 = float(np.max([r[1] for r in replies]))
-            self._account("integrate", [r[0] for r in replies])
-            if "positions" in names:
-                self._dens = None
+            self._max_d2 = max(r[1] for r in replies)
+            self._account({"integrate": [r[0] for r in replies]})
+            if "positions" in names:  # every local row is exact again
+                self._stale = False
 
-    def _pull(self, names: tuple, tr) -> list[np.ndarray]:
-        """Gather the named owned-row arrays into global id order."""
+    def _pull(self, names: tuple, tr) -> None:
+        """Pull the owned rows' positions / velocities into the state."""
         replies = self._command("integrate", ("pull", names), tr)
-        self._account("integrate", [r[0] for r in replies])
+        self._account({"integrate": [r[0] for r in replies]})
+        self._gather(names)
+        self._ahead = False
+
+    def _gather(self, names: tuple) -> list[np.ndarray]:
+        """The named owned-row arrays the ranks staged, in global id
+        order (positions and velocities land in the pipeline's own)."""
         own = np.concatenate(self._own_ids)
         counts = [len(i) for i in self._own_ids]
         out = []
@@ -304,132 +307,99 @@ class ShardedForcePipeline:
                 dest = np.zeros((self.n_atoms, *packs[0].shape[1:]))
             dest[own] = np.concatenate(packs)
             out.append(dest)
-        self._ahead = False
         return out
 
     # -- the rounds of a step ----------------------------------------------
 
-    def _evaluate(self, tr, stats: SimStats) -> None:
-        """A step up to its forces: the density pass (the one the last
-        move ran ahead, else a ``dens`` or ``rebuild`` round), then the
-        force round."""
-        rebuilt, t_dens = 0, 0.0
-        t0 = time.perf_counter()
-        with tr.phase("neighbor") as ph:
-            if self._dens is None:
-                if self._ids is None:
-                    reason = "first"
-                elif self.skin == 0.0:
-                    reason = "skin_zero"
-                else:
-                    reason = displacement_trigger(self._max_d2, self.skin)[0]
-                if reason is not None:
-                    if self._ahead:
-                        self._pull(("positions", "velocities"), tr)
-                    replies = self._rebuild_round(tr)
-                    for r in replies:
-                        stats.add_funnel(r[3])
-                    rebuilt = 1
-                else:
-                    replies = self._command("neighbor", ("dens",), tr)
-                self._dens = [(r[1], r[2], r[0] - r[2]) for r in replies]
-                t_dens = max(d[1] for d in self._dens)
-                tr.record("density", t_dens)
-            dens, self._dens = self._dens, None
-            n_pairs = int(sum(d[0] for d in dens))
-            self._account("density", [d[1] for d in dens])
-            self._account("neighbor", [d[2] for d in dens], ph)
-            ph.add(pairs=n_pairs, rebuilds=rebuilt)
-        t1 = time.perf_counter()
-        with tr.phase("pair_force", pairs=n_pairs) as ph:
-            self._route(("rho",))
-            replies = self._command("pair_force", ("force",), tr)
-            emb_secs = [r[1] for r in replies]
-            tr.record("embedding", max(emb_secs))
-            self._account("integrate", emb_secs)
-            self._account("force", [r[0] - r[1] for r in replies], ph)
-        stats.force_evaluations += 1
-        stats.neighbor_rebuilds += rebuilt
-        stats.pairs_last = n_pairs
-        stats.pairs_total += n_pairs
-        stats.time_neighbor_s += t1 - t0 - t_dens
-        stats.time_force_s += time.perf_counter() - t1 + t_dens
-
-    def _move(self, integrator, tr, stats: SimStats) -> None:
-        """The move round: reduce energies and forces at every holder,
-        integrate, run the next density pass ahead and keep it unless
-        the trigger trips (``integrator=None``: reduce only).
-
-        The look-ahead is skipped when the largest displacement,
-        extrapolated one step along its last increment, crosses skin/2:
-        a rebuild is then the likely next round, and a wrong guess only
-        costs a plain ``dens`` round — never a bit.
-        """
-        t0 = time.perf_counter()
-        d_now = math.sqrt(self._max_d2)
-        ahead = self.skin > 0.0 and 2.0 * d_now - self._d_last <= self.skin / 2
-        self._route(("epair", "forces"))
-        replies = self._command(
-            "integrate", ("move", integrator, ahead), tr
-        )
-        wall = time.perf_counter() - t0
-        if integrator is None:
-            self._account("integrate", [r[0] for r in replies])
+    def _plan_if_due(self, tr, stats: SimStats) -> None:
+        """Re-plan where the serial list would rebuild: no plan yet,
+        skin 0, or a displacement over skin/2."""
+        if self._ids is None:
+            reason = "first"
+        elif self.skin == 0.0:
+            reason = "skin_zero"
+        else:
+            reason = displacement_trigger(self._max_d2, self.skin)[0]
+        if reason is None:
             return
-        self._ahead = True
-        self._d_last = d_now
-        self._max_d2 = float(np.max([r[1] for r in replies]))
-        self._account("integrate", [r[2] for r in replies])
-        if ahead and displacement_trigger(self._max_d2, self.skin)[0] is None:
-            self._dens = [(r[3], r[4], r[0] - r[2] - r[4]) for r in replies]
-            t_dens, t_filter = (
-                max(d[i] for d in self._dens) for i in (1, 2)
-            )
-            tr.record("neighbor", t_filter)
-            tr.record("density", t_dens)
-            stats.time_neighbor_s += t_filter
-            stats.time_force_s += t_dens
-            wall -= t_filter + t_dens
-        stats.time_integrate_s += wall
+        t0 = time.perf_counter()
+        with tr.phase("neighbor"):
+            if self._ahead:
+                self._pull(("positions", "velocities"), tr)
+            self._plan(tr)
+        stats.neighbor_rebuilds += 1
+        stats.time_neighbor_s += time.perf_counter() - t0
 
-    def _rebuild_round(self, tr) -> list[tuple]:
-        """Plan a fresh grid on the pulled state, push every tile its
-        pack and seam plan, run the rebuild round."""
+    def _plan(self, tr) -> None:
+        """Plan a fresh grid on the pulled state and push every tile its
+        pack and export plan."""
         pos, (px, py) = self._pos, self.topology
+        if not np.isfinite(pos).all():
+            raise FloatingPointError("non-finite positions in cell-list build")
         grid = plan_grid(pos, px, py, self.reach)
-        warn_halo_dominated(pos, px, py, self.reach)
+        warn_halo_dominated(pos, px, py, self.depth)
         tiles = range(self.n_workers)
-        ids = [tile_local_ids(pos, grid, t, self.reach) for t in tiles]
-        bounds = [grid.tile_bounds(t) for t in tiles]
-        seam, take, segs = seam_plan(ids, self.n_atoms)
+        ids = [tile_local_ids(pos, grid, t, self.depth) for t in tiles]
+        owned = [owned_mask_local(pos[i], grid.tile_bounds(t))
+                 for t, i in zip(tiles, ids)]
+        ghosts, exports, take = export_plan(ids, owned, self.n_atoms)
         self._ids = ids
-        self._own_ids = [
-            i[owned_mask_local(pos, b)[i]] for i, b in zip(ids, bounds)
-        ]
-        self._seam = ([len(rows) for rows in seam], take)
-        self.ghost_atoms = int(sum(len(i) for i in ids)) - self.n_atoms
+        self._own_ids = [i[m] for i, m in zip(ids, owned)]
+        self._exports = ([len(e) for e in exports], take)
+        self.ghost_atoms = int(sum(len(g) for g in ghosts))
         self.n_builds += 1
-        self._max_d2 = self._d_last = 0.0
+        self._max_d2 = 0.0
+        self._stale = False
         for name, source in (
             ("positions", pos), ("velocities", self._vel),
             ("types", self._types),
         ):
             self.transport.scatter(name, source, ids)
-        parts = [(len(ids[t]), bounds[t], seam[t], segs[t]) for t in tiles]
-        return self._command("neighbor", ("rebuild",), tr, parts)
+        parts = [(len(ids[t]), ghosts[t], exports[t]) for t in tiles]
+        replies = self._command("neighbor", ("plan",), tr, parts)
+        self._account({"neighbor": [r[0] for r in replies]})
 
-    def _route(self, names: tuple) -> None:
-        """Move seam partials: gather what each rank staged under each
-        name, scatter every rank the rows of the other holders (they
-        ride the next command as ``<name>_in``)."""
+    def _round(self, msg: tuple, tr, stats: SimStats) -> list[tuple]:
+        """One ``step`` / ``forces`` round: route the ghost rows the
+        ranks staged, run the command, account its stages."""
         t0 = time.perf_counter()
-        counts, take = self._seam
-        tp = self.transport
-        for name in names:
+        fresh = self._stale
+        if fresh:
+            counts, take = self._exports
+            tp = self.transport
             tp.scatter(
-                name + "_in", np.concatenate(tp.gather(name, counts)), take
+                "ghosts", np.concatenate(tp.gather("exports", counts)), take
             )
-        self._route_s += time.perf_counter() - t0
+            self._route_s += time.perf_counter() - t0
+        replies = self._command(
+            "integrate" if msg[0] == "step" else "pair_force",
+            msg + (fresh,), tr,
+        )
+        self._stale = msg[0] == "step"
+        wall = time.perf_counter() - t0
+        phases = np.array([r[1] for r in replies])  # (rank, phase)
+        neighbor, density, embedding, pair_force, integrate = phases.T
+        self._account({
+            "neighbor": neighbor, "density": density,
+            "force": embedding + pair_force, "integrate": integrate,
+        })
+        slow = phases.max(axis=0).tolist()
+        for name, seconds in zip(PHASES, slow):
+            tr.record(name, seconds)
+        pairs = 0
+        for r in replies:
+            rank = r[2]
+            stats.add_funnel(
+                (rank.raw_candidates, rank.coarse_kept, rank.exact_kept)
+            )
+            pairs += rank.pairs_last
+        stats.force_evaluations += 1
+        stats.pairs_last = pairs
+        stats.pairs_total += pairs
+        stats.time_neighbor_s += slow[0]
+        stats.time_force_s += slow[1] + slow[2] + slow[3]
+        stats.time_integrate_s += max(0.0, wall - sum(slow[:4]))
+        return replies
 
     def _command(self, stage: str, msg: tuple, tr, parts=None) -> list[tuple]:
         """One lockstep round, its exposed time accounted as halo exchange.
@@ -457,13 +427,12 @@ class ShardedForcePipeline:
         )
         return replies
 
-    def _account(self, stage: str, secs: list[float], ph=None) -> None:
-        """Add per-shard seconds to the telemetry (and a span)."""
-        total = self.shard_seconds[stage]
-        for wid, s in enumerate(secs):
-            total[wid] += s
-        if ph is not None:
-            ph.add(shard_sum_s=sum(secs), shard_max_s=max(secs))
+    def _account(self, secs: dict) -> None:
+        """Add per-shard seconds to the telemetry, stage by stage."""
+        for stage, per_rank in secs.items():
+            total = self.shard_seconds[stage]
+            for wid, s in enumerate(per_rank):
+                total[wid] += float(s)
 
     def reset_shard_stats(self) -> None:
         """Zero the cumulative shard timings (steady-state benching)."""

@@ -1,8 +1,8 @@
-"""One round driver over three byte movers: how seam rows reach the shards.
+"""One round driver over three byte movers: how ghost rows reach the shards.
 
 Ranks step their own atoms (:class:`ShardWorker`); what crosses this
-module is the partial sums of *seam rows* — rows more than one tile
-holds — plus full state on the rare rounds that re-plan or observe it,
+module is the positions of *ghost rows* — rows a tile holds but another
+owns — plus full state on the rare rounds that re-plan or observe it,
 in fixed synchronous rounds: every rank is sent its packs and one
 command, every rank computes, every reply is drained — the host
 analogue of the paper's lockstep neighbourhood exchange.  Two layers,
@@ -14,7 +14,7 @@ so the decomposition logic never knows how bytes travel:
   (:meth:`~Transport.post` + :meth:`~Transport.collect`, with the
   single drain-then-raise failure scan), :meth:`~Transport.gather`
   returns what the ranks staged.  The pipeline *routes* with these:
-  gather a seam pack, scatter its rows to the other holders.
+  gather the owners' export packs, scatter each holder its ghosts.
 * a **byte mover** — only how a staged pack and a message reach rank
   ``k`` and come back: ``inputs`` (the per-rank buffers the driver
   stages into), ``send(rank, msg, packs)``, ``recv(rank)``,
@@ -43,6 +43,10 @@ import numpy as np
 
 # the CPU count lives with the kernels, which size their threads by it
 from repro.kernels import _affinity, usable_cpus
+from repro.md.neighbor_list import displacement2, displacement_trigger
+from repro.md.simulation import SimStats, Simulation
+from repro.md.state import AtomsState
+from repro.obs import Tracer
 
 __all__ = [
     "Transport",
@@ -60,6 +64,9 @@ __all__ = [
 ]
 
 TRANSPORTS = ("shared", "socket", "inline")
+
+#: The phases a rank's ``Simulation`` call reports, in reply order.
+PHASES = ("neighbor", "density", "embedding", "pair_force", "integrate")
 
 #: Seconds to wait for a worker to exit before terminating it.
 _REAP_TIMEOUT_S = 5.0
@@ -87,51 +94,41 @@ def fork_available() -> bool:
 
 
 class ShardWorker:
-    """One tile's resident state and the steps it runs on it.
+    """One tile's resident state and the serial engine that steps it.
 
-    Between rebuilds the worker *owns* its tile: an
+    Between plans the worker *owns* its tile: an
     :class:`~repro.md.state.AtomsState` of its local rows (owned +
-    ghost, ascending global id; the velocities live only here), the
-    rebuild reference and **one** candidate set, built from the local
-    rows exactly as the serial list builds its own
-    (:func:`~repro.md.neighbor_list.build_candidates` over a
-    :class:`~repro.md.cell_list.CellList` at the reach, with the owned
-    mask as the seam rule).  Each step runs one filter, one density
-    and one pair-force pass on it; a single tile (no ghosts) therefore
-    runs the serial list's own calls on the serial list's own pairs —
-    the ``w=1`` bitwise-serial hinge.
+    ghost, ascending global id; the velocities live only here) stepped
+    by a plain :class:`~repro.md.simulation.Simulation` — the serial
+    engine, its Verlet list and ``md_step`` included.  The ghost shell
+    is deep enough (see :mod:`~repro.parallel.domains`) that one step
+    moves every owned row exactly as the serial engine moves it; the
+    ghosts' own moves are inexact, so their positions are overwritten
+    with their owners' before each step and each step is one
+    ``run(1)``: an inexact ghost never reaches a pair test.  A single
+    tile has no ghosts and is the serial engine, bit for bit.
 
-    Where a row has several holders (a *seam* row) its per-tile partial
-    sums meet in :meth:`_reduce` — at **every** holder, in one order, so
-    all of them land on the same bits.  A ghost is therefore a full
-    replica: same reduced force, same velocity, and the integrator
-    (elementwise) moves it here exactly as its owner does, so positions
-    never travel between rebuilds.  Commands (replies are ``("ok",
-    seconds, ...)`` or ``("error", type, text)``):
+    Commands (replies are ``("ok", seconds, ...)`` or ``("error",
+    type, text)``; ``fresh`` says the ghost rows' positions were
+    routed since the last command and are to be written first):
 
-    * ``("rebuild", n_local, bounds, seam, segs)`` — read a freshly
-      planned pack (local positions, velocities, types), recompute the
-      owned mask from the tile bounds, keep the seam plan
-      (:func:`~repro.parallel.domains.seam_plan`), rebuild the
-      candidates, then ``dens``; the reply adds the build's funnel.
-    * ``("dens",)`` — distance-filter under the local displacement
-      bound (any valid bound emits the same pairs), run the density
-      pass, stage the seam rows of ``rho``.  Reply: ``n_pairs,
-      density_seconds``.
-    * ``("force",)`` — reduce ``rho``, embed (elementwise, hence
-      subset-safe), run the pair-force pass, stage the seam rows'
-      pair-energy and force partials.  Reply: reduce + embed seconds.
-    * ``("move", integrator, ahead)`` — reduce pair energies and forces;
-      with an integrator (the serial loop's own ``LeapfrogVerlet``;
-      ``None`` = evaluate only) advance the local state and, if
-      ``ahead``, run the *next* step's ``dens`` on the spot (the parent
-      discards it if the max-reduced trigger trips).  Reply: the owned
-      rows' largest squared displacement since the rebuild, the move's
-      seconds, then (``ahead``) the ``dens`` reply.
+    * ``("plan", n_local, ghosts, exports)`` — read a freshly planned
+      pack (local positions, velocities, types) into a new
+      ``Simulation``; ``ghosts`` / ``exports`` are the local rows its
+      owners refresh and the owned rows it stages for other tiles
+      (:func:`~repro.parallel.domains.export_plan`).
+    * ``("step", integrator, fresh)`` — one ``run(1)`` at the
+      integrator's timestep, then stage the exported rows' positions.
+      Reply: the call's seconds per phase (:data:`PHASES`) and
+      :class:`~repro.md.simulation.SimStats`, then the owned rows'
+      largest squared displacement since the plan.
+    * ``("forces", fresh)`` — ``Simulation.compute_forces`` at the
+      current positions; stage the owned rows' energies and forces.
+      Reply: phase seconds and stats.
     * ``("push", names)`` / ``("pull", names)`` — overwrite local
       ``positions`` / ``velocities`` from the parent (reply: the
-      displacement, as ``move``), or stage the owned rows of
-      ``positions`` / ``velocities`` / ``energies`` / ``forces`` for it.
+      displacement, as ``step``), or stage the owned rows of
+      ``positions`` / ``velocities`` for it.
 
     The body is identical under every mover, and so is the kernel tier:
     a forked rank inherits the one its parent had active at the fork,
@@ -139,141 +136,82 @@ class ShardWorker:
     """
 
     def __init__(self, channel, cfg: dict):
-        from repro.md.cell_list import CellList
-
         self.channel = channel
-        self.potential = cfg["potential"]
-        self.cutoff = cfg["cutoff"]
-        self.masses = cfg["masses"]
-        # knows the box and the reach; buffers reused across rebuilds
-        self.cells = CellList(cfg["box"], cfg["reach"])
-        self.state = None  # AtomsState of the local rows (see above)
-        self.d_max = 0.0  # local displacement bound since the rebuild
+        self.cfg = cfg
+        self.sim = None  # the tile's Simulation, from the first plan
+        self.tracer = Tracer()  # its phase seconds, read per command
 
-    def _rebuild(self, n_local, bounds, seam, segs):
-        from repro.md.neighbor_list import build_candidates
-        from repro.md.state import AtomsState
-        from repro.parallel.domains import owned_mask_local
-
-        ch, n = self.channel, int(n_local)
-        self.state = state = AtomsState(
-            np.array(ch.get("positions", n)), np.array(ch.get("velocities", n)),
-            np.array(ch.get("types", n)), self.masses, self.cells.box,
+    def _plan(self, n_local, ghosts, exports) -> None:
+        ch, cfg, n = self.channel, self.cfg, int(n_local)
+        state = AtomsState(
+            np.array(ch.get("positions", n)),
+            np.array(ch.get("velocities", n)),
+            np.array(ch.get("types", n)), cfg["masses"], cfg["box"],
         )
-        mask = owned_mask_local(state.positions, bounds)
-        self.owned = np.nonzero(mask)[0]
-        self.ref = state.positions.copy()
-        self.seam, self.segs = seam, segs
-        self.candidates, _ = build_candidates(
-            self.cells, state.positions, owned=mask
-        )
-        self.d_max = 0.0
-        return self.candidates.funnel
+        self.tracer.reset()  # a failed command may have left phases
+        self.sim = Simulation(state, cfg["potential"], skin=cfg["skin"],
+                              tracer=self.tracer)
+        self.ghosts, self.exports = ghosts, exports
+        self.owned = np.setdiff1d(np.arange(n), ghosts)
+        self.ref = state.positions[self.owned]
 
-    def _density(self) -> tuple:
-        """Distance-filter the candidates, then the density pass."""
-        st = self.state
-        self.table = self.candidates.pairs(
-            st.positions, self.cells.box, self.cutoff, max_disp=self.d_max
-        )
-        td = time.perf_counter()
-        rho, self.cache = self.potential.fused_density(
-            st.n_atoms, self.table, st.types
-        )
-        t_dens = time.perf_counter() - td
-        self.rho, self.rho_mine = rho, self._stage("rho", rho)
-        return self.table.n_pairs, t_dens
+    def _ghosts(self, fresh: bool) -> None:
+        if fresh:
+            self.sim.state.positions[self.ghosts] = self.channel.get(
+                "ghosts", len(self.ghosts)
+            )
 
-    def _pair_force(self, f_der: np.ndarray) -> None:
-        """The pair-force pass; stage the seam rows' partials for the
-        other holders."""
-        st = self.state
-        e_pair, forces = self.potential.fused_pair_force(
-            st.n_atoms, self.table, f_der, st.types, cache=self.cache
-        )
-        self.e_pair, self.e_mine = e_pair, self._stage("epair", e_pair)
-        self.forces, self.f_mine = forces, self._stage("forces", forces)
+    def _displacement(self) -> float:
+        """The owned rows' largest squared displacement since the plan
+        (a non-finite one raises here, on the rank that holds it)."""
+        d2 = displacement2(self.sim.state.positions[self.owned], self.ref)
+        max_d2 = float(np.max(d2, initial=0.0))
+        displacement_trigger(max_d2, self.cfg["skin"])
+        return max_d2
 
-    def _stage(self, name: str, part: np.ndarray) -> np.ndarray:
-        """Stage the seam rows of ``part`` for the other holders; the
-        staged copy is this rank's own term of :meth:`_reduce`."""
-        mine = part[self.seam]
-        self.channel.put(name, mine)
-        return mine
-
-    def _reduce(self, part: np.ndarray, mine: np.ndarray, name: str) -> None:
-        """Overwrite the seam rows of ``part`` with their sum over holders.
-
-        ``self.segs`` lists, per rank in ascending order, where among
-        the seam rows that rank's routed slice of pack ``name`` lands
-        (``None`` marks ``mine``, this rank's own partial).  Starting
-        from 0.0 and adding in that order is, row by row, what
-        ``bincount`` over the rank-concatenated pack ids did: same
-        operands, same sequence.
-        """
-        segs = self.segs
-        pack = self.channel.get(
-            name, sum(len(at) for at in segs if at is not None)
-        )
-        acc = np.zeros_like(mine)
-        off = 0
-        for at in segs:
-            if at is None:
-                acc += mine
-            elif len(at) == len(acc):  # shares every seam row: in order
-                acc += pack[off:off + len(at)]
-                off += len(at)
-            else:
-                acc[at] += pack[off:off + len(at)]
-                off += len(at)
-        part[self.seam] = acc
-
-    def _displacement(self) -> tuple:
-        """Refresh the local bound; the owned rows' max |d|^2 for the
-        parent's trigger."""
-        from repro.md.neighbor_list import displacement2
-
-        d2 = displacement2(self.state.positions, self.ref)
-        self.d_max = math.sqrt(np.max(d2, initial=0.0))
-        return (float(np.max(d2[self.owned], initial=0.0)),)
+    def _stages(self, seconds: float) -> tuple:
+        """The command's seconds per phase of :data:`PHASES` (the
+        tracer's; ``integrate`` also holds the glue around the others)
+        and the stats it added, both reset for the next command."""
+        tr, sim = self.tracer, self.sim
+        totals = tr.phase_totals()
+        tr.reset()
+        phases = [totals.get(name, 0.0) for name in PHASES[:-1]]
+        phases.append(seconds - sum(phases))
+        stats, sim.stats = sim.stats, SimStats()
+        return tuple(phases), stats
 
     def handle(self, msg: tuple) -> tuple:
         """Serve one command, returning its reply tuple."""
-        cmd, ch, st = msg[0], self.channel, self.state
+        cmd, ch, sim = msg[0], self.channel, self.sim
         t0 = time.perf_counter()
         tail: tuple = ()
         try:
-            if cmd == "dens":
-                tail = self._density()
-            elif cmd == "rebuild":
-                funnel = self._rebuild(*msg[1:])
-                tail = (*self._density(), funnel)
-            elif cmd == "force":
-                self._reduce(self.rho, self.rho_mine, "rho_in")
-                self.f_val, f_der = self.potential.embed(self.rho, st.types)
-                tail = (time.perf_counter() - t0,)
-                self._pair_force(f_der)
-            elif cmd == "move":
-                self._reduce(self.e_pair, self.e_mine, "epair_in")
-                self._reduce(self.forces, self.f_mine, "forces_in")
-                if msg[1] is not None:
-                    msg[1].step(st, self.forces)
-                    tail = self._displacement()
-                    tail += (time.perf_counter() - t0,)
-                    if msg[2]:
-                        tail += self._density()
+            if cmd == "plan":
+                self._plan(*msg[1:])
+            elif cmd == "step":
+                self._ghosts(msg[2])
+                sim.integrator = msg[1]
+                sim.run(1)
+                ch.put("exports", sim.state.positions[self.exports])
+                max_d2 = self._displacement()
+                tail = (*self._stages(time.perf_counter() - t0), max_d2)
+            elif cmd == "forces":
+                self._ghosts(msg[1])
+                energies, forces = sim.compute_forces()
+                ch.put("own_energies", energies[self.owned])
+                ch.put("own_forces", forces[self.owned])
+                tail = self._stages(time.perf_counter() - t0)
             elif cmd == "push":
                 for name in msg[1]:
-                    getattr(st, name)[:] = ch.get(name, st.n_atoms)
-                tail = self._displacement()
+                    getattr(sim.state, name)[:] = ch.get(
+                        name, sim.state.n_atoms
+                    )
+                tail = (self._displacement(),)
             elif cmd == "pull":
                 for name in msg[1]:
-                    rows = (
-                        self.forces if name == "forces"
-                        else self.e_pair + self.f_val if name == "energies"
-                        else getattr(st, name)
-                    )
-                    ch.put("own_" + name, np.take(rows, self.owned, axis=0))
+                    ch.put("own_" + name,
+                           getattr(sim.state, name)[self.owned])
             elif cmd != "ping":
                 return ("error", "ValueError", f"unknown command {cmd!r}")
             return ("ok", time.perf_counter() - t0, *tail)
@@ -413,7 +351,7 @@ def _fork_worker_entry(
 
 
 def _no_delay(conn) -> None:
-    """Nagle off: a seam pack is a 4-byte header plus one sub-segment
+    """Nagle off: a ghost pack is a 4-byte header plus one sub-segment
     payload, which would wait on the header's delayed ACK — 40 ms a
     round."""
     import socket

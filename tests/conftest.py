@@ -128,50 +128,43 @@ def total_energy(potential, n_atoms, pairs, types=None) -> float:
     return float(np.sum(e))
 
 
-def legacy_candidates(cells, positions, reach, live=None, seam=False):
+def legacy_candidates(cells, positions, reach):
     """The staged rebuild the streaming sweep replaced, as an oracle.
 
-    ``candidate_pairs(live)`` materializes the raw stencil stream, the
-    own-smaller-id seam rule masks it (``seam=True``: ``live`` is the
-    tile's owned mask), and the exact numpy ``neighbor_prefilter`` cuts
-    it inclusively at ``reach``.  Returns the kernel's
-    ``(i, j, rij, r)`` plus the raw stream ``(ri, rj)`` the sweep's
-    coarse output must be a sub-stream of.  ``cells`` must already be
-    built at ``positions``.
+    ``candidate_pairs()`` materializes the raw stencil stream and the
+    exact numpy ``neighbor_prefilter`` cuts it inclusively at
+    ``reach``.  Returns the kernel's ``(i, j, rij, r)`` plus the raw
+    stream ``(ri, rj)`` the sweep's coarse output must be a sub-stream
+    of.  ``cells`` must already be built at ``positions``.
     """
     from repro.kernels import numpy_backend
 
-    ri, rj = cells.candidate_pairs(live=live)
-    ci, cj = ri, rj
-    if seam:
-        keep = live[np.minimum(ri, rj)]
-        ci, cj = ri[keep], rj[keep]
+    ri, rj = cells.candidate_pairs()
     exact = numpy_backend.neighbor_prefilter(
-        positions, ci, cj, cells.box.lengths, cells.box.periodic,
+        positions, ri, rj, cells.box.lengths, cells.box.periodic,
         reach, inclusive=True,
     )
     return exact, (ri, rj)
 
 
-def tile_candidates(positions, grid, tile, box, reach):
-    """One tile's candidates, built the way a shard worker builds them.
+def tile_candidates(positions, grid, tile, box, reach, depth=None):
+    """One tile's candidates, built the way a shard rank builds them.
 
-    The single-process twin of ``ShardWorker``'s rebuild: cut the
-    tile's halo pack (``tile_local_ids``), mark what it owns
-    (``owned_mask_local``) and hand both to the serial list's own
-    ``build_candidates``.  Returns ``(local, owned, candidates)``;
-    ``local[candidates.i]`` maps the pack-local indices back to global
-    ids.
+    The single-process twin of a rank's first list build: cut the
+    tile's pack (``tile_local_ids`` at the shell ``depth``, ``reach``
+    unless given), mark what it owns (``owned_mask_local``) and hand
+    the pack to the serial list's own ``build_candidates``.  Returns
+    ``(local, owned, candidates)``; ``local[candidates.i]`` maps the
+    pack-local indices back to global ids.
     """
     from repro.md.cell_list import CellList
     from repro.md.neighbor_list import build_candidates
     from repro.parallel.domains import owned_mask_local, tile_local_ids
 
-    local = tile_local_ids(positions, grid, tile, reach)
+    local = tile_local_ids(positions, grid, tile,
+                           reach if depth is None else depth)
     owned = owned_mask_local(positions[local], grid.tile_bounds(tile))
-    cand, _ = build_candidates(
-        CellList(box, reach), positions[local], owned=owned
-    )
+    cand, _ = build_candidates(CellList(box, reach), positions[local])
     return local, owned, cand
 
 

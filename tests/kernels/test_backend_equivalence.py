@@ -109,8 +109,8 @@ def _prefilter_chunk_inputs(rng, p, form, box):
 
 
 def _cell_pairs_inputs(rng):
-    """A built cell list's sweep (a live mask drawn) over a cloud in a
-    random box, partly outside it along periodic dims."""
+    """A built cell list's sweep over a cloud in a random box, partly
+    outside it along periodic dims."""
     from repro.md.boundary import Box
     from repro.md.cell_list import CellList
 
@@ -121,8 +121,7 @@ def _cell_pairs_inputs(rng):
     positions += rng.integers(-1, 2, size=(n, 3)) * lengths * periodic
     cells = CellList(Box(lengths, periodic=periodic, origin=np.zeros(3)), reach)
     cells.build(positions)
-    live = rng.random(n) < 0.5 if rng.integers(0, 2) else None
-    return cells._sweep_args(reach, live), {}
+    return cells._sweep_args(reach), {}
 
 
 def _half_pairs(rng, n_atoms, p):

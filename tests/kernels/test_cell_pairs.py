@@ -1,7 +1,7 @@
 """The cell sweep kernel, ``cell_pairs``: native against numpy, bitwise.
 
 ``CellList`` plans a rebuild's sweep (binning, the stable sort, the
-stencil, the live-cell mask, the over-inclusive cut) and the active
+stencil, the over-inclusive cut) and the active
 tier's ``cell_pairs`` walks it.  The native body must emit the numpy
 body's ``(i, j, n_raw)`` exactly -- the same pairs in the same order,
 the same dtype -- on every plan a build can make, and both must be the
@@ -53,8 +53,7 @@ def hostile_sweeps(draw):
     Open, periodic and mixed boxes; edges from just over two reaches
     (periodic dims that thin fall back to brute force) up, or
     exactly three cells along every periodic dim; atoms several box
-    lengths outside along periodic dims; duplicated positions; a live
-    mask of no, some or every atom.
+    lengths outside along periodic dims; duplicated positions.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 90))
@@ -71,13 +70,10 @@ def hostile_sweeps(draw):
     if draw(st.booleans()):  # some atoms share a position
         twins = rng.integers(0, n, size=n // 3)
         positions[rng.integers(0, n, size=n // 3)] = positions[twins]
-    live = draw(st.sampled_from(["none", "some", "all"]))
-    live = {"none": None, "some": rng.random(n) < 0.4,
-            "all": np.ones(n, dtype=bool)}[live]
     box = Box(lengths, periodic=periodic, origin=np.zeros(3))
     cells = CellList(box, reach)
     cells.build(positions)
-    return cells, positions, reach, live
+    return cells, positions, reach
 
 
 @needs_native
@@ -85,18 +81,18 @@ class TestCellPairsEquivalence:
     @given(hostile_sweeps())
     @settings(max_examples=120, deadline=None)
     def test_native_is_the_numpy_body_and_the_oracle(self, case):
-        cells, positions, reach, live = case
+        cells, positions, reach = case
         if cells._use_brute:  # no plan, no kernel: both tiers alike
-            want = cells.pairs_within(reach, live=live)
+            want = cells.pairs_within(reach)
             kernels.set_backend("numpy")
-            _same(cells.pairs_within(reach, live=live), want)
+            _same(cells.pairs_within(reach), want)
             return
-        args = cells._sweep_args(reach, live)
+        args = cells._sweep_args(reach)
         before = native_backend.declined
         got = native_backend.cell_pairs(*args)
         assert native_backend.declined == before  # the C loop ran
         _same(got, numpy_backend.cell_pairs(*args))
-        assert_sweep_is_the_staged_oracle(cells, positions, reach, live, got)
+        assert_sweep_is_the_staged_oracle(cells, positions, reach, got)
 
     def test_pairs_within_runs_the_active_tier(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -120,7 +116,7 @@ class TestCellPairsEquivalence:
         rng = np.random.default_rng(4)
         cells = CellList(Box.open([14.0, 14.0, 14.0]), 3.0)
         cells.build(rng.uniform(0.0, 12.0, size=(150, 3)))
-        cols, order, cid, coords, *rest = cells._sweep_args(3.0, None)
+        cols, order, cid, coords, *rest = cells._sweep_args(3.0)
         coords = coords.copy()
         coords[0] = (coords[0] + 1) % cells._ncell
         args = (cols, order, cid, coords, *rest)
@@ -137,10 +133,10 @@ class TestCellPairsEquivalence:
         cells = CellList(Box.open([3.0, 1.0, 1.0]), 1.0)
         cells.build(pos)
         cols, order, cid, coords, starts, counts, ncell, periodic, _, \
-            live, lengths, r2 = cells._sweep_args(1.0, None)
+            lengths, r2 = cells._sweep_args(1.0)
         stencil = np.array([[1, 0, 0]] * 4)
         args = (cols, order, cid, coords, starts, counts, ncell, periodic,
-                stencil, live, lengths, 10.0)
+                stencil, lengths, 10.0)
         before = native_backend.declined
         got = native_backend.cell_pairs(*args)
         assert native_backend.declined == before + 1

@@ -202,12 +202,11 @@ def sweep_cases(draw):
         positions += rng.integers(-3, 4, size=(n, 3)) * lengths * periodic
     if draw(st.booleans()):
         positions += 1e6
-    live = rng.random(n) < 0.4 if draw(st.booleans()) else None
     box = Box(lengths, periodic=periodic, origin=np.zeros(3))
-    return positions, box, cutoff, live
+    return positions, box, cutoff
 
 
-def assert_sweep_is_the_staged_oracle(cells, positions, reach, live, sweep):
+def assert_sweep_is_the_staged_oracle(cells, positions, reach, sweep):
     """``sweep`` = ``(ci, cj, n_raw)``, a coarse sweep of ``cells`` (built
     at ``positions``) at ``reach``, against the staged composition it
     replaced (:func:`tests.conftest.legacy_candidates`): the exact
@@ -215,7 +214,7 @@ def assert_sweep_is_the_staged_oracle(cells, positions, reach, live, sweep):
     raw stream, which it is an over-inclusive sub-stream of."""
     ci, cj, n_raw = sweep
     box = cells.box
-    legacy, (ri, rj) = legacy_candidates(cells, positions, reach, live=live)
+    legacy, (ri, rj) = legacy_candidates(cells, positions, reach)
     assert n_raw == len(ri)
     stream = numpy_backend.neighbor_prefilter(
         positions, ci, cj, box.lengths, box.periodic, reach,
@@ -242,12 +241,11 @@ class TestStreamingSweep:
     @given(sweep_cases())
     @settings(max_examples=150, deadline=None)
     def test_stream_equals_legacy_composition_in_order(self, case):
-        positions, box, cutoff, live = case
+        positions, box, cutoff = case
         cells = CellList(box, cutoff)
         cells.build(positions)
         assert_sweep_is_the_staged_oracle(
-            cells, positions, cutoff, live,
-            cells.pairs_within(cutoff, live=live),
+            cells, positions, cutoff, cells.pairs_within(cutoff)
         )
 
     def test_pairs_within_before_build_raises(self):

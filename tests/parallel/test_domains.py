@@ -1,12 +1,13 @@
-"""Decomposition invariants: column planning and shard pair ownership.
+"""Decomposition invariants: column planning and shard pair lists.
 
 All single-process — the worker processes call the exact same array
-logic (``tile_local_ids`` / ``owned_mask_local`` feeding the serial
-list's ``build_candidates``, composed by ``conftest.tile_candidates``),
-so pinning it here covers the sharded pipeline's correctness core
-without any multiprocessing in the loop.  Columns are ``px x 1`` grids.
-The ranks themselves are checked against that same composition over
-the ``inline`` mover, which runs them in this process.
+logic (``tile_local_ids`` / ``owned_mask_local`` cutting the pack the
+serial list's ``build_candidates`` builds on, composed by
+``conftest.tile_candidates``), so pinning it here covers the sharded
+pipeline's correctness core without any multiprocessing in the loop.
+Columns are ``px x 1`` grids.  The ranks themselves are checked
+against that same composition over the ``inline`` mover, which runs
+them in this process.
 """
 
 import numpy as np
@@ -90,12 +91,14 @@ class TestBuildShardPairs:
         total = 0
         for k in range(n_shards):
             local, _, cand = tile_candidates(
-                state.positions, grid, k, state.box, cutoff + skin
+                state.positions, grid, k, state.box, cutoff + skin,
+                2 * cutoff + skin,
             )
             total += len(cand)
             sharded |= _pair_set(local[cand.i], local[cand.j])
-        # exactly-once: no shard overlap (union size == summed sizes)
-        assert total == len(sharded)
+        # the ghost shells overlap: a pair near a seam is listed by
+        # every tile that holds both members
+        assert (total == len(sharded)) == (n_shards == 1)
         assert sharded == serial
 
     def test_owned_counts_partition_atoms(self, ta_potential):
@@ -184,33 +187,14 @@ class TestCrossStepCuts:
         self._assert_tables_equal(a, b)
 
 
-class _CountingPotential:
-    """A rank's potential, counting its fused density / force calls."""
-
-    def __init__(self, potential):
-        self._potential = potential
-        self.calls = {"fused_density": 0, "fused_pair_force": 0}
-
-    def __getattr__(self, name):
-        attr = getattr(self._potential, name)
-        if name not in self.calls:
-            return attr
-
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return attr(*args, **kwargs)
-
-        return counted
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # halo-dominated
 class TestOneClassRank:
-    """A rank rebuilds and steps exactly as the serial list does.
+    """A rank is the serial engine on its pack.
 
     Its candidates are one :class:`~repro.md.neighbor_list.Candidates`,
-    the serial builder's own output on the rank's pack with its owned
-    mask, and a steady step runs one density and one pair-force pass on
-    it.  Driven through the ``inline`` mover, whose ranks are
+    the serial builder's own output on the rank's pack (owned rows plus
+    the ghost shell), and a steady step is one ``md_step`` call of one
+    step.  Driven through the ``inline`` mover, whose ranks are
     :class:`~repro.parallel.transport.ShardWorker` objects in this
     process.
     """
@@ -230,16 +214,17 @@ class TestOneClassRank:
     ):
         state, pipe = self._pipeline(topology)
         try:
-            pipe.compute(state.positions)  # the first rebuild
+            pipe.compute(state.positions)  # the first plan
             grid = plan_grid(state.positions, *topology, pipe.reach)
             ranks = pipe.transport.mover._workers
             assert len(ranks) == topology[0] * topology[1]
             for tile, rank in enumerate(ranks):
                 local, _, want = tile_candidates(
-                    state.positions, grid, tile, state.box, pipe.reach
+                    state.positions, grid, tile, state.box, pipe.reach,
+                    pipe.depth,
                 )
                 assert np.array_equal(local, pipe._ids[tile])
-                got = rank.candidates
+                got = rank.sim.neighbors.candidates
                 assert isinstance(got, Candidates)
                 for name in ("i", "j", "r_build"):
                     a, b = getattr(got, name), getattr(want, name)
@@ -249,21 +234,33 @@ class TestOneClassRank:
         finally:
             pipe.close()
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=_layout_id)
-    def test_steady_step_runs_one_density_and_one_force_pass(
-        self, topology
+    @pytest.mark.parametrize("topology", ((1, 1), *TOPOLOGIES),
+                             ids=_layout_id)
+    def test_steady_step_is_one_md_step_call_per_rank(
+        self, topology, monkeypatch
     ):
+        from repro.kernels import (
+            active_backend_name,
+            numpy_backend,
+            set_backend,
+        )
+
+        base = active_backend_name()
+        set_backend("numpy")
         state, pipe = self._pipeline(topology)
         try:
-            pipe.advance(state, 1, LeapfrogVerlet(2.0))  # rebuild + step
-            ranks = pipe.transport.mover._workers
-            for rank in ranks:
-                rank.potential = _CountingPotential(rank.potential)
-            pipe.advance(state, 1, LeapfrogVerlet(2.0))
-            assert pipe.n_builds == 1  # the counted step was steady
-            for rank in ranks:
-                assert rank.potential.calls == {
-                    "fused_density": 1, "fused_pair_force": 1,
-                }
+            pipe.advance(state, 1, LeapfrogVerlet(2.0))  # plan + step
+            calls = []
+            md_step = numpy_backend.md_step
+
+            def counted(*args, **kwargs):
+                calls.append(args[-1])  # n_steps
+                return md_step(*args, **kwargs)
+
+            monkeypatch.setattr(numpy_backend, "md_step", counted)
+            pipe.advance(state, 3, LeapfrogVerlet(2.0))
+            assert pipe.n_builds == 1  # the counted steps were steady
+            assert calls == [1] * 3 * pipe.n_workers
         finally:
             pipe.close()
+            set_backend(base)

@@ -1,11 +1,14 @@
-"""2D domain-grid invariants: axis planning, tiling, seam ownership.
+"""2D domain-grid invariants: axis planning, tiling, the ghost shell.
 
-Property-based in spirit: the seam suite sweeps random point clouds and
-several topologies and asserts the two decomposition theorems the
-pipeline's correctness rests on — every undirected candidate pair is
-kept by *exactly one* tile, and the union over tiles is the serial
-:class:`~repro.md.neighbor_list.NeighborList` candidate set.  All
-single-process, like ``test_domains.py``.
+Property-based in spirit: the shell suite sweeps random point clouds and
+several topologies and asserts the decomposition theorems the
+pipeline's correctness rests on — while no atom has moved skin/2 since
+the plan, every partner of every owned row's partners is local to the
+owner's tile (so a rank steps its owned rows as the serial engine
+does), the union over tiles is the serial
+:class:`~repro.md.neighbor_list.NeighborList` candidate set, and every
+ghost row has exactly one source, its owner.  All single-process, like
+``test_domains.py``.
 """
 
 import warnings
@@ -133,29 +136,60 @@ class TestDomainGrid:
             DomainGrid(px=2, py=1, x_edges=inf, y_edges=inf)
 
 
-class TestSeamRule:
+class TestShellRule:
     """The decomposition theorems, swept over random configurations."""
+
+    CUTOFF, SKIN = 2.5, 0.5
+    REACH = CUTOFF + SKIN
+    DEPTH = 2 * CUTOFF + SKIN
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_each_pair_kept_exactly_once_and_union_is_serial(
+    def test_union_is_serial_and_owned_pairs_stay_home(
         self, seed, topology
     ):
+        """Every serial candidate pair with an owned member is in its
+        owner's tile list, and the tiles list nothing else."""
         positions, box = _random_cloud(seed)
-        reach = 3.0
         px, py = topology
-        grid = plan_grid(positions, px, py, cell_width=reach)
-        serial = _serial_candidates(positions, box, reach)
+        grid = plan_grid(positions, px, py, cell_width=self.REACH)
+        serial = _serial_candidates(positions, box, self.REACH)
         union: set = set()
-        total = 0
         for tile in range(grid.px * grid.py):
-            local, _, cand = tile_candidates(
-                positions, grid, tile, box, reach
+            local, owned, cand = tile_candidates(
+                positions, grid, tile, box, self.REACH, self.DEPTH
             )
-            total += len(cand)
-            union |= _pair_set(local[cand.i], local[cand.j])
-        assert total == len(union)  # no tile overlap
+            pairs = _pair_set(local[cand.i], local[cand.j])
+            mine = set(local[owned].tolist())
+            assert {p for p in serial if mine & set(p)} <= pairs
+            union |= pairs
         assert union == serial
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_shell_holds_every_partner_of_every_partner(
+        self, seed, topology
+    ):
+        """Plan, then move every atom by up to skin/2: each owned row's
+        density partners and *their* partners (within the cutoff, now)
+        are still local to the owner's tile."""
+        positions, _ = _random_cloud(seed)
+        px, py = topology
+        grid = plan_grid(positions, px, py, cell_width=self.REACH)
+        rng = np.random.default_rng(seed)
+        step = rng.normal(size=positions.shape)
+        step *= (0.4999 * self.SKIN * rng.random((len(positions), 1))
+                 / np.linalg.norm(step, axis=1, keepdims=True))
+        moved = positions + step
+        d = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
+        near = (d < self.CUTOFF) & ~np.eye(len(moved), dtype=bool)
+        for tile in range(grid.px * grid.py):
+            local = domains.tile_local_ids(positions, grid, tile, self.DEPTH)
+            owned = local[domains.owned_mask_local(
+                positions[local], grid.tile_bounds(tile))]
+            partners = near[owned].any(axis=0)
+            second = near[partners].any(axis=0) | partners
+            assert np.isin(np.flatnonzero(second), local).all()
 
     @pytest.mark.parametrize("topology", [(2, 2), (3, 2)])
     def test_owned_counts_partition_atoms(self, topology):
@@ -171,6 +205,7 @@ class TestSeamRule:
     def test_physical_slab_2x2_matches_serial(self, ta_potential):
         state = small_slab_state("Ta", (5, 5, 2), temperature=400.0)
         reach = ta_potential.cutoff + 0.5
+        depth = 2 * ta_potential.cutoff + 0.5
         grid = plan_grid(state.positions, 2, 2, reach)
         nl = NeighborList(state.box, ta_potential.cutoff, 0.5)
         nl.rebuild(state.positions)
@@ -178,39 +213,36 @@ class TestSeamRule:
         union: set = set()
         for tile in range(4):
             local, _, cand = tile_candidates(
-                state.positions, grid, tile, state.box, reach
+                state.positions, grid, tile, state.box, reach, depth
             )
             union |= _pair_set(local[cand.i], local[cand.j])
         assert union == serial
 
-    def test_seam_rule_survives_unbalanced_edges(self):
-        # the ownership theorem must not depend on balanced planning:
-        # hand the tiles a deliberately lopsided grid
+    def test_shell_survives_unbalanced_edges(self):
+        # the theorems must not depend on balanced planning: hand the
+        # tiles a deliberately lopsided grid
         positions, box = _random_cloud(12)
         grid = DomainGrid(
             px=2, py=2,
             x_edges=np.array([-np.inf, 2.0, np.inf]),
             y_edges=np.array([-np.inf, 9.5, np.inf]),
         )
-        serial = _serial_candidates(positions, box, 3.0)
+        serial = _serial_candidates(positions, box, self.REACH)
         union: set = set()
-        total = 0
         for tile in range(4):
-            local, _, cand = tile_candidates(positions, grid, tile, box, 3.0)
-            total += len(cand)
-            union |= _pair_set(local[cand.i], local[cand.j])
-        assert total == len(union)
+            local, owned, cand = tile_candidates(
+                positions, grid, tile, box, self.REACH, self.DEPTH
+            )
+            pairs = _pair_set(local[cand.i], local[cand.j])
+            mine = set(local[owned].tolist())
+            assert {p for p in serial if mine & set(p)} <= pairs
+            union |= pairs
         assert union == serial
 
 
 @st.composite
 def tile_cases(draw):
-    """A random open-box cloud with a random owned mask.
-
-    The mask is deliberately *not* a rectangle: the seam rule and the
-    dead-cell pruning are statements about an arbitrary owned subset,
-    and ragged subsets stress them harder than any tiling would.
-    """
+    """A random open-box cloud, offset far from the origin or not."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 120))
     reach = draw(st.floats(1.5, 3.5))
@@ -218,21 +250,20 @@ def tile_cases(draw):
     positions = rng.uniform(0.0, 1.0, size=(n, 3)) * span
     if draw(st.booleans()):
         positions += 1e6
-    owned = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
-    return positions, Box.open(span + 10.0), reach, owned
+    return positions, Box.open(span + 10.0), reach
 
 
 class TestShardSweep:
-    """An owned subset rides the serial rebuild's streaming sweep."""
+    """A tile's pack rides the serial rebuild's streaming sweep."""
 
     @given(tile_cases())
     @settings(max_examples=120, deadline=None)
     def test_equals_legacy_composition_in_order(self, case):
-        positions, box, reach, owned = case
+        positions, box, reach = case
         cells = CellList(box, reach)
-        sp, rij_build = build_candidates(cells, positions, owned=owned)
+        sp, rij_build = build_candidates(cells, positions)
         (li, lj, rij, r), (ri, _) = legacy_candidates(
-            cells, positions, reach, live=owned, seam=True
+            cells, positions, reach
         )
         assert np.array_equal(sp.i, li)
         assert np.array_equal(sp.j, lj)
@@ -242,110 +273,83 @@ class TestShardSweep:
         assert n_raw == len(ri)
         assert n_raw >= n_coarse >= n_exact == len(li)
 
-    def test_tile_funnels_sum_to_the_serial_funnel_on_ta(self, ta_potential):
+    def test_tile_funnels_count_the_serial_pairs_they_hold_on_ta(
+        self, ta_potential
+    ):
+        """Each tile keeps exactly the serial candidates both of whose
+        members it holds; the shells overlap, so the tiles together
+        keep more than the serial build."""
         state = small_slab_state("Ta", (6, 6, 3), temperature=400.0)
         reach = ta_potential.cutoff + 0.5
+        depth = 2 * ta_potential.cutoff + 0.5
         serial_list = NeighborList(state.box, ta_potential.cutoff, 0.5)
         serial_list.rebuild(state.positions)
-        serial = dict(zip(("raw_candidates", "coarse_kept", "exact_kept"),
-                          serial_list.candidates.funnel))
+        cand = serial_list.candidates
         grid = plan_grid(state.positions, 2, 2, reach)
-        funnels = np.array([
-            tile_candidates(state.positions, grid, t, state.box, reach)[2]
-            .funnel
-            for t in range(4)
-        ])
-        raw, coarse, exact = funnels.sum(axis=0)
-        assert exact == serial["exact_kept"]
-        # on a crystal nothing sits in the rounding sliver past the reach
-        assert coarse == serial["coarse_kept"]
-        assert coarse - exact <= 0.001 * exact
-        # halo rings are enumerated twice, dead ring-ring blocks never
-        assert raw != serial["raw_candidates"]
+        exact = 0
+        for t in range(4):
+            local, _, tile = tile_candidates(
+                state.positions, grid, t, state.box, reach, depth
+            )
+            held = np.isin(cand.i, local) & np.isin(cand.j, local)
+            assert tile.funnel[2] == len(tile) == np.count_nonzero(held)
+            exact += tile.funnel[2]
+        assert exact > cand.funnel[2]
 
 
-class _PackChannel:
-    """The two channel calls ``ShardWorker._reduce`` / ``_stage`` make."""
+class TestExportPlan:
+    """The export plan: which owned rows each rank stages, and where
+    every holder's ghosts come from."""
 
-    def __init__(self):
-        self.staged = {}
-        self.routed = {}
-
-    def put(self, name, data):
-        self.staged[name] = np.array(data)
-
-    def get(self, name, n):
-        assert len(self.routed[name]) == n
-        return self.routed[name]
-
-
-class TestSeamPlan:
-    """The seam plan and the holder-side reduction it feeds: what every
-    holder ends up with is, bit for bit, the parent-side ``bincount``
-    over the rank-concatenated ids that it replaced."""
-
-    def _tiles(self, seed, topology, reach=3.0):
+    def _tiles(self, seed, topology, depth=5.5):
         positions, box = _random_cloud(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            grid = plan_grid(positions, *topology, cell_width=reach)
+            grid = plan_grid(positions, *topology, cell_width=3.0)
         ids = [
-            domains.tile_local_ids(positions, grid, t, reach)
+            domains.tile_local_ids(positions, grid, t, depth)
             for t in range(grid.px * grid.py)
         ]
-        return positions, box, ids
+        owned = [
+            domains.owned_mask_local(positions[i], grid.tile_bounds(t))
+            for t, i in enumerate(ids)
+        ]
+        return positions, ids, owned
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_seam_rows_are_the_rows_with_several_holders(self, topology):
-        positions, _, ids = self._tiles(11, topology)
-        seam, take, segs = domains.seam_plan(ids, len(positions))
-        holders = np.bincount(np.concatenate(ids), minlength=len(positions))
+    def test_each_ghost_row_has_one_source_its_owner(self, topology):
+        positions, ids, owned = self._tiles(11, topology)
+        ghosts, exports, take = domains.export_plan(
+            ids, owned, len(positions)
+        )
+        staged = np.concatenate([i[e] for i, e in zip(ids, exports)])
+        source = np.repeat(np.arange(len(ids)), [len(e) for e in exports])
+        owner = np.full(len(positions), -1)
+        for k, (i, mask) in enumerate(zip(ids, owned)):
+            owner[i[mask]] = k
         for k, local in enumerate(ids):
-            assert np.array_equal(local[seam[k]], local[holders[local] > 1])
-            assert segs[k][k] is None
-            # one routed row per (seam row, other holder)
-            assert len(take[k]) == int(np.sum(holders[local[seam[k]]] - 1))
+            assert np.array_equal(ghosts[k], np.flatnonzero(~owned[k]))
+            rows = local[ghosts[k]]
+            assert np.array_equal(staged[take[k]], rows)
+            assert np.array_equal(source[take[k]], owner[rows])
+            assert np.all(source[take[k]] != k)
 
-    @pytest.mark.parametrize("columns", [(), (3,)])
-    @pytest.mark.parametrize("topology", [(2, 1), (2, 2), (3, 2), (4, 4)])
-    def test_every_holder_lands_on_the_bincount_bits(
-        self, topology, columns, ta_potential
-    ):
-        from repro.parallel.transport import ShardWorker
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_exports_are_owned_rows_another_tile_holds_once(self, topology):
+        positions, ids, owned = self._tiles(12, topology)
+        ghosts, exports, _ = domains.export_plan(ids, owned, len(positions))
+        held = [set(i[g].tolist()) for i, g in zip(ids, ghosts)]
+        staged = np.concatenate([i[e] for i, e in zip(ids, exports)])
+        assert len(np.unique(staged)) == len(staged)  # staged once each
+        assert set(staged.tolist()) == set().union(*held)
+        for k, (local, rows) in enumerate(zip(ids, exports)):
+            assert np.all(owned[k][rows])
+            assert np.all(np.diff(rows) > 0)  # ascending: pack order
 
-        positions, box, ids = self._tiles(12, topology)
-        n = len(positions)
-        seam, take, segs = domains.seam_plan(ids, n)
-        rng = np.random.default_rng(13)
-        # partials of wildly different magnitude, exact zeros included:
-        # any other addition order shows up in the low bits
-        parts = [
-            rng.normal(size=(len(i), *columns))
-            * 10.0 ** rng.integers(-8, 8, size=(len(i), *columns))
-            * (rng.random(size=(len(i), *columns)) > 0.2)
-            for i in ids
-        ]
-        flat = np.concatenate(ids)
-        stacked = np.concatenate(parts).reshape(len(flat), -1)
-        expected = np.stack([
-            np.bincount(flat, weights=column, minlength=n)
-            for column in stacked.T
-        ], axis=1).reshape(n, *columns)
-        cfg = {
-            "potential": ta_potential, "cutoff": ta_potential.cutoff,
-            "masses": np.array([1.0]), "box": box, "reach": 3.0,
-        }
-        workers = []
-        for k in range(len(ids)):
-            worker = ShardWorker(_PackChannel(), cfg)
-            worker.seam, worker.segs = seam[k], segs[k]
-            workers.append(worker)
-        mine = [w._stage("x", part) for w, part in zip(workers, parts)]
-        staged = np.concatenate([w.channel.staged["x"] for w in workers])
-        for k, worker in enumerate(workers):
-            worker.channel.routed["x_in"] = staged[take[k]]
-            worker._reduce(parts[k], mine[k], "x_in")
-            assert np.array_equal(parts[k], expected[ids[k]]), k
-            # idempotent: a repeated force round reads the staged copy
-            worker._reduce(parts[k], mine[k], "x_in")
-            assert np.array_equal(parts[k], expected[ids[k]]), k
+    def test_a_single_tile_exports_nothing(self):
+        positions, ids, owned = self._tiles(13, (1, 1))
+        ghosts, exports, take = domains.export_plan(
+            ids, owned, len(positions)
+        )
+        assert [len(g) for g in ghosts] == [len(e) for e in exports] == [0]
+        assert len(take[0]) == 0

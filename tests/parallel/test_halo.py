@@ -1,20 +1,21 @@
-"""Seam-row byte accounting and the topology x transport matrix.
+"""Ghost-row byte accounting and the topology x transport matrix.
 
-The acceptance bars pinned here: with the ranks stepping their own
-atoms a steady step moves *only* the partial sums of seam rows (rows
-local to more than one tile) — exactly ``seam rows x 40 B``, counted
-here from the tile id lists alone — so the traffic does not grow with
-the slab along an axis that does not lengthen the seam, grows
-sub-linearly when one does, and sits far below the whole-pack protocol
-it replaced; full state moves only on a rebuild round and on the exit
-pull.  Trajectories agree with the serial path across every
-{1x2, 2x2, 4x1} x {shared, socket, inline} pairing, bitwise across
-transports for a fixed topology — and bitwise equal to pinned position
-digests: a 12-step and a longer matrix, each w > 1 digest last
-re-recorded when a rank's candidates became the serial list's own.  Steady steps reuse their staging buffers
+The acceptance bars pinned here: with every rank stepping its tile as
+the serial engine, a steady step moves *only* ghost rows' positions,
+each from its owner — exactly ``ghost rows x 24 B`` sent and ``exported
+rows x 24 B`` received, counted here from the tile id lists alone — so
+the traffic does not grow with the slab along an axis that does not
+lengthen a seam, grows sub-linearly when one does, and sits far below
+a protocol that shipped every tile its whole pack; full state moves
+only on a re-plan round and on the exit pull.  Trajectories agree with
+the serial path across every {1x2, 2x2, 4x1} x {shared, socket,
+inline} pairing, bitwise across transports for a fixed topology — and
+bitwise equal to pinned position digests: a 12-step and a longer
+matrix, each w > 1 digest last re-recorded when a rank became the
+serial engine on its tile.  Steady steps reuse their staging buffers
 instead of allocating fresh packs.  The skin-trigger property rides
-along: rebuilding every step (``skin=0.0``) reproduces the lazy-reuse
-trajectory to seam-reduction tolerance.
+along: re-planning every step (``skin=0.0``) reproduces the lazy-reuse
+trajectory to the cross-topology tolerance.
 """
 
 import hashlib
@@ -34,16 +35,15 @@ pytestmark = pytest.mark.skipif(
     not fork_available(), reason="parallel backend requires fork"
 )
 
-#: Bytes per seam row and direction in one steady step: the density
-#: partial before the force round, the pair-energy and force partials
-#: before the move.
-SEAM_ROW_BYTES = 8 + 8 + 24
+#: Bytes per routed row and direction in one steady step: a position.
+GHOST_ROW_BYTES = 24
 #: Bytes per row of full state: positions + velocities pulled, and the
-#: same plus the int64 type pushed to a tile on a rebuild.
+#: same plus the int64 type pushed to a tile on a re-plan.
 PULL_ROW_BYTES = 24 + 24
 PUSH_ROW_BYTES = PULL_ROW_BYTES + 8
-#: What the protocol this replaced moved per local row and step
-#: (positions and F' scattered whole, rho / epair / forces gathered).
+#: What a protocol shipping every tile its whole pack moved per local
+#: row and step (positions and F' scattered whole, rho / epair / forces
+#: gathered).
 WHOLE_PACK_ROW_BYTES = 72
 
 
@@ -66,21 +66,18 @@ def _sharded(reps, topology, transport):
     return state, pipe
 
 
-def _seam_rows(pipe) -> tuple[int, int]:
-    """(rows routed to holders, rows staged by holders) of one seam
-    channel, counted from the tile id lists alone."""
-    ids = pipe._ids
-    holders = np.bincount(np.concatenate(ids), minlength=pipe.n_atoms)
-    seam = [i[holders[i] > 1] for i in ids]
-    routed = sum(
-        len(np.intersect1d(a, b))
-        for k, a in enumerate(seam) for m, b in enumerate(seam) if m != k
-    )
-    return routed, sum(len(rows) for rows in seam)
+def _ghost_rows(pipe) -> tuple[int, int]:
+    """(ghost rows summed over tiles, distinct rows they copy), counted
+    from the tile id lists alone."""
+    ghosts = [
+        np.setdiff1d(ids, own) for ids, own in zip(pipe._ids, pipe._own_ids)
+    ]
+    return (sum(len(g) for g in ghosts),
+            len(np.unique(np.concatenate(ghosts))))
 
 
 def _traffic(reps, topology=(2, 2), transport="inline", steady=2):
-    """Byte deltas of a first ``advance(1)`` (rebuild + step + pull) and
+    """Byte deltas of a first ``advance(1)`` (plan + step + pull) and
     of a following ``advance(steady)`` (steps + pull), with the counts
     they are to be explained by."""
     state, pipe = _sharded(reps, topology, transport)
@@ -92,10 +89,11 @@ def _traffic(reps, topology=(2, 2), transport="inline", steady=2):
         pipe.advance(state, steady, LeapfrogVerlet(2.0))
         later = np.array(pipe.halo_bytes) - first
         assert pipe.n_builds == 1  # the later steps were all steady
-        routed, staged = _seam_rows(pipe)
+        ghost, exported = _ghost_rows(pipe)
+        assert ghost == pipe.ghost_atoms
         return {
             "n": state.n_atoms, "local": sum(len(i) for i in pipe._ids),
-            "ghost": pipe.ghost_atoms, "routed": routed, "staged": staged,
+            "ghost": ghost, "exported": exported,
             "first": first, "later": later, "steady": steady,
         }
     finally:
@@ -109,40 +107,38 @@ def _step_bytes(t) -> int:
 
 class TestHaloBytes:
     @pytest.mark.parametrize("transport", ("inline", "socket", "shared"))
-    def test_steady_step_moves_exactly_the_seam_rows(self, transport):
-        """Per-step bytes = seam rows x channel bytes, both directions.
+    def test_steady_step_moves_exactly_the_ghost_rows(self, transport):
+        """Per-step bytes = ghost rows x 24 B out, exported rows x 24 B
+        in.
 
-        The pin that replaces ``(n + ghost) x 72``: every holder stages
-        its seam rows' three partial sums and is routed the other
-        holders' — nothing that scales with the tile interior moves.
-        The socket arm is the CI distributed leg's byte gate — a volume
-        assertion, deliberately not a wall-clock one.
+        Each owner stages every row some tile holds as a ghost once,
+        and each holder is sent its ghosts' positions — nothing that
+        scales with the tile interior moves.  The socket arm is the CI
+        distributed leg's byte gate — a volume assertion, deliberately
+        not a wall-clock one.
         """
         t = _traffic((8, 8, 2), transport=transport)
-        assert t["ghost"] > 0
+        assert t["ghost"] > t["exported"] > 0  # 2x2: corners fan out
         sent, recv = t["later"]
-        assert sent == t["steady"] * t["routed"] * SEAM_ROW_BYTES
+        assert sent == t["steady"] * t["ghost"] * GHOST_ROW_BYTES
         assert recv == (
-            t["steady"] * t["staged"] * SEAM_ROW_BYTES
+            t["steady"] * t["exported"] * GHOST_ROW_BYTES
             + t["n"] * PULL_ROW_BYTES
         )
 
     def test_full_state_moves_only_on_rebuild_and_exit_pull(self):
-        """The first chunk = one push + one step + one pull; every later
-        chunk = its steps + one pull (asserted above).  Nothing else in
-        the protocol carries a whole tile."""
+        """The first chunk = one push + one step + one pull, and its
+        step routes nothing (the push left every ghost exact); every
+        later chunk = its steps + one pull (asserted above).  Nothing
+        else in the protocol carries a whole tile."""
         t = _traffic((8, 8, 2), topology=(1, 2))
         sent, recv = t["first"]
-        assert sent == (
-            t["local"] * PUSH_ROW_BYTES + t["routed"] * SEAM_ROW_BYTES
-        )
-        assert recv == (
-            t["staged"] * SEAM_ROW_BYTES + t["n"] * PULL_ROW_BYTES
-        )
+        assert sent == t["local"] * PUSH_ROW_BYTES
+        assert recv == t["n"] * PULL_ROW_BYTES
 
     def test_steady_step_far_below_the_whole_pack_protocol(self):
-        """On a slab wider than its halo the seam traffic is a fraction
-        of what shipping every tile its whole pack twice a step cost."""
+        """On a slab wider than its shell the ghost traffic is a
+        fraction of what shipping every tile its whole pack cost."""
         t = _traffic((24, 12, 2))
         whole_pack = (t["n"] + t["ghost"]) * WHOLE_PACK_ROW_BYTES
         assert _step_bytes(t) <= 0.7 * whole_pack
@@ -173,8 +169,9 @@ class TestHaloBytes:
 
         The driver stages every routed pack into the mover's per-rank
         input buffers (arena rows under ``shared``); they must be the
-        *same arrays* for every later step — the seam plan only changes
-        on a rebuild, so per-step allocation would be pure churn.
+        *same arrays* for every later step — the export plan only
+        changes on a re-plan, so per-step allocation would be pure
+        churn.
         """
         state, pipe = _sharded((8, 8, 2), (2, 2), transport)
 
@@ -199,8 +196,11 @@ class TestHaloBytes:
             pipe.close()
 
     def test_counts_on_the_ledger_slab_are_todays(self):
-        """16k Ta on 1x2, seed 5, 40 steps: the exact counts the ledger
-        compares, as recorded before the ranks took over the stepping."""
+        """16k Ta on 2x1, seed 5, 40 steps: the exact counts the ledger
+        compares.  ``neighbor_rebuilds`` and ``force_evaluations`` are
+        the serial engine's; ``ghost_atoms`` and ``pairs_per_step`` (the
+        pairs the ranks evaluate, shell included) were re-recorded when
+        a rank became the serial engine on its tile."""
         engine = build_engine(RunSpec(
             element="Ta", reps=(20, 20, 20), seed=5, backend="parallel",
             workers=2, transport="shared",
@@ -219,8 +219,8 @@ class TestHaloBytes:
 
 
 LEDGER_SLAB_COUNTS = {
-    "ghost_atoms": 2400, "neighbor_rebuilds": 3,
-    "force_evaluations": 41, "pairs_per_step": 104919.0,
+    "ghost_atoms": 4000, "neighbor_rebuilds": 3,
+    "force_evaluations": 41, "pairs_per_step": 129408.0,
 }
 
 
@@ -250,20 +250,19 @@ MATRIX_TRANSPORTS = ("shared", "socket", "inline")
 #: SHA-256 of the float64 positions after 12 steps of
 #: ``_run_trajectory`` (seed 3).  ``w1`` is the serial digest, recorded
 #: at the commit before the transport layer was rebuilt.  The w > 1
-#: digests were re-recorded on the commit after 397db17, which gives
-#: each rank one candidate set built as the serial list builds its own
-#: (radius-1 cells, one density and one force pass) in place of the
-#: interior/boundary classes over half-reach cells: per-rank summation
-#: and pair-stream order changed, nothing else.  Before re-recording,
-#: every transport agreed bitwise per layout and each layout stayed
-#: within this module's serial bounds (1e-10 A, 1e-9 relative energy).
-#: A change that alters pack contents, pack order or the reduction
-#: order breaks these.
+#: digests were last re-recorded when each rank became a plain
+#: ``Simulation`` over its owned rows and a ghost shell (one ``run(1)``
+#: a step, no seam partial sums): on this small slab each owned row's
+#: pair stream is the serial one in the serial order, so all three
+#: equal ``w1``.  Before re-recording, every transport agreed bitwise
+#: per layout and each layout stayed within this module's serial
+#: bounds (1e-10 A, 1e-9 relative energy).  A change that alters the
+#: shell, the ghost routing or a rank's pair order breaks these.
 PINNED_SHA256 = {
     "w1": "e570b266c19c59734e19dd652528fbef6297785c48a5cee363bd8f94b03c71ee",
-    "1x2": "4886d985bf94b81e23cc9c5bfc6f6ffcc014fc00164f64e5e6dd53c7890d2d94",
-    "2x2": "c78d8086bff79939e5bc7327c139e857c4f4c15c90ffd7094f01698528ca1e33",
-    "4x1": "a0694b4d4c7ce66efc7b55824bc1b929d4fbf34923e144bd6f1ef747d9f4715d",
+    "1x2": "e570b266c19c59734e19dd652528fbef6297785c48a5cee363bd8f94b03c71ee",
+    "2x2": "e570b266c19c59734e19dd652528fbef6297785c48a5cee363bd8f94b03c71ee",
+    "4x1": "e570b266c19c59734e19dd652528fbef6297785c48a5cee363bd8f94b03c71ee",
 }
 
 
@@ -280,10 +279,10 @@ class TestTrajectoryMatrix:
     def test_every_transport_matches_serial_bitwise_across(self, topology):
         """{topology} x {shared, socket, inline} vs the serial path.
 
-        Physics agrees with serial to seam-reduction tolerance for
-        every pairing, and for a fixed topology the three transports
-        produce the bitwise-identical trajectory (same pack layout,
-        same fixed-order reduction — the carrier cannot matter).
+        Physics agrees with serial to the cross-topology tolerance
+        for every pairing, and for a fixed topology the three
+        transports produce the bitwise-identical trajectory (same
+        packs, same rank computation — the carrier cannot matter).
         """
         pos_ref, e_ref, _ = _run_trajectory()
         first = None
@@ -327,8 +326,8 @@ class TestSkinTriggerProperty:
         Candidate reuse is a pure work-avoidance: the strict filter
         emits the identical pair set either way, so a ``skin=0.0`` twin
         (a forced rebuild every step) must reproduce the lazy
-        trajectory.  Each forced step replans the grid, which reorders
-        the seam reduction — so the bar is the cross-topology
+        trajectory.  Each forced step re-plans the grid, which moves
+        rows between ranks — so the bar is the cross-topology
         tolerance, not bitwise.  n_builds pins that the twin and the
         trigger actually took different paths.
         """
@@ -349,9 +348,10 @@ class TestSkinTriggerProperty:
 
 # -- the long pinned matrix (``w1`` recorded at the commit before
 # shard-resident stepping: the parent still integrated, reduced and
-# embedded; every w > 1 digest below re-recorded on the commit after
-# 397db17 for the one-candidate-set rank, as PINNED_SHA256, after the
-# same cross-transport and serial-bound checks at 60 steps) -------------
+# embedded; every w > 1 digest below re-recorded when a rank became the
+# serial engine on its tile, as PINNED_SHA256, after the same
+# cross-transport and serial-bound checks at 60 steps: positions within
+# 1.8e-15 A of serial, energies equal) ------------------------------------
 
 LONG_STEPS = 60
 
@@ -413,22 +413,22 @@ def _hand_edit(engine) -> float:
 
 LONG_PINNED_SHA256 = {
     "w1": "b4f26296656c0e1a1d640e1762830e75e5407f49f7e93cdc016848b82a9fc7c0",
-    "1x2": "efe009745995f0ebd81650b6c1dfda797e565bca157dffaa19e8a0aee9b32d77",
-    "2x2": "d2cca29a33cddb07722065152eaa3f2bea086906d79f71c035f666fe5c4a0b2e",
-    "4x1": "89fb5349fe2c6351674ed98c202f3c7144fc9805ae474b813daf9586502c42ba",
+    "1x2": "67183159f39e9df5be6935c39f83479f9c8c3edd76dfa8e89cd533d9a4ec64a9",
+    "2x2": "f7420b41638096c34a71f3b3cddd2be15bff2ffb657a749b103405658e4ac80f",
+    "4x1": "b023dae13c831dc3be7c986305ccf49ecf9f66bd40542fb9506d90dab4b11e5b",
 }
 
 #: the same slab on 1x2 with a thermostat acting on the parent's state
 #: every step
 THERMOSTAT_PINNED_SHA256 = {
-    "berendsen": "ec8555b6154175b684b095d02de7ac29204179edaa796ce1870242ae6e930612",
-    "langevin": "2edccc4f1a24cd57e6a0c30559a5528fecba261983fceddf0c5dd67974597f98",
+    "berendsen": "2e43875cc75f7e428e34810783bbef63cdc953390fef6f73e038b9d308c6ffa2",
+    "langevin": "7d99ddee8a32ccaa61ccc4603eaf0729e52e8ac3103c3bfa9828798c9d952300",
 }
 
 #: 1x2 stepped as 6 x 10 with ``total_energy()`` asked / a hand edit
 #: made between the chunks
-ENERGY_QUERY_PINNED_SHA256 = "284d518656ab9fc708e7aab8b6c93fc3c2fae1e80d3ae8ea3c8ab317aa644c5e"
-HAND_EDIT_PINNED_SHA256 = "86c79f76eca7333b461c73569acea36e150a43969364e2a633ed9edcb8d9f7ee"
+ENERGY_QUERY_PINNED_SHA256 = "8610ab975a5387bfe70a36ea51a7f43803af8d187426d40cfe8e02abffbb7da3"
+HAND_EDIT_PINNED_SHA256 = "26a70f80236e3ef780ffdce2edf131f05f02d03f4646481768f22d8b444e2993"
 
 
 class TestLongPinnedMatrix:

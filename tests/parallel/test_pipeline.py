@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import active_backend_name, set_backend
+from repro.md.integrators import LeapfrogVerlet
 from repro.md.simulation import Simulation
 from repro.obs import reset_warnings
 from repro.parallel import (
@@ -21,6 +22,7 @@ from repro.parallel import (
     fork_available,
     unsupported_reason,
 )
+from repro.potentials.elements import make_element_potential
 from repro.runtime import RunSpec, SpecError, build_engine
 from tests.conftest import bulk_state, small_slab_state
 
@@ -74,16 +76,29 @@ class TestForceParity:
         assert np.array_equal(f_par, f_ref)
 
     def test_pair_count_matches_serial(self, ta_potential):
+        """One tile evaluates the serial pairs; three evaluate each
+        tile's own, its ghost shell included (what ``pairs_per_step``
+        counts when sharded)."""
+        from repro.md.neighbor_list import NeighborList
+
         state, _, _ = _serial_reference(ta_potential)
         set_backend("numpy")
         serial = Simulation(state, ta_potential)
         serial.compute_forces()
-        pipe = ShardedForcePipeline(state, ta_potential, workers=3)
-        try:
-            _, _, info = pipe.compute(state.positions)
-        finally:
-            pipe.close()
-        assert info.pairs_last == serial.stats.pairs_last
+        counts = {}
+        for workers in (1, 3):
+            pipe = ShardedForcePipeline(state, ta_potential, workers=workers)
+            try:
+                counts[workers] = pipe.compute(state.positions)[2].pairs_last
+                tiles = [state.positions[ids] for ids in pipe._ids]
+            finally:
+                pipe.close()
+        assert counts[1] == serial.stats.pairs_last
+        want = sum(
+            NeighborList(state.box, ta_potential.cutoff).pairs(rows).n_pairs
+            for rows in tiles
+        )
+        assert counts[3] == want > serial.stats.pairs_last
 
 
 def _run_trajectory(workers: int, steps: int = 5, seed: int = 3):
@@ -131,6 +146,25 @@ class TestGating:
     def test_open_slab_is_supported(self, ta_potential):
         state = small_slab_state("Ta", (4, 4, 2))
         assert unsupported_reason(state.box, ta_potential) is None
+
+    def test_any_potential_the_serial_engine_steps_is_supported(self):
+        """A rank is a plain ``Simulation``: a Lennard-Jones slab shards
+        and steps as the serial engine steps it."""
+        from repro.potentials.lennard_jones import LennardJones
+
+        lj = LennardJones(epsilon=0.01, sigma=2.5, cutoff=6.0)
+        runs = []
+        for layout in ({}, {"workers": 2, "transport": "inline"}):
+            state = small_slab_state("Ta", (4, 4, 2), temperature=300.0)
+            assert unsupported_reason(state.box, lj) is None
+            sim = Simulation(state, lj, **layout)
+            try:
+                sim.run(3)
+                assert (sim._pipeline is not None) == bool(layout)
+            finally:
+                sim.close()
+            runs.append(state.positions)
+        assert np.max(np.abs(runs[1] - runs[0])) < 1e-10
 
     def test_fallback_warns_once_and_stays_correct(self, ta_potential):
         state = bulk_state("Ta", (3, 3, 3), temperature=200.0)
@@ -269,8 +303,8 @@ class TestEngineOption:
     def test_ranks_run_the_parents_tier(
         self, ta_potential, tmp_path, transport
     ):
-        """A numpy tier under another name, whose force pass leaves the
-        pid of the process that ran it: every forked rank must appear
+        """A numpy tier under another name, whose step leaves the pid
+        of the process that ran it: every forked rank must appear
         (an inline rank is the parent itself), i.e. no rank switched to
         a tier of its own."""
         import os
@@ -279,15 +313,15 @@ class TestEngineOption:
         from repro import kernels
         from repro.kernels import KERNEL_FUNCTIONS, numpy_backend
 
-        def fused_force_pass(*args, **kwargs):
+        def md_step(*args, **kwargs):
             (tmp_path / str(os.getpid())).touch()
-            return numpy_backend.fused_force_pass(*args, **kwargs)
+            return numpy_backend.md_step(*args, **kwargs)
 
         spy = SimpleNamespace(
             name="rank-spy",
             **{fn: getattr(numpy_backend, fn) for fn in KERNEL_FUNCTIONS},
         )
-        spy.fused_force_pass = fused_force_pass
+        spy.md_step = md_step
         kernels.register_backend("rank-spy", lambda: spy)
         try:
             set_backend("rank-spy")
@@ -375,6 +409,18 @@ class TestNonFinitePositions:
         finally:
             engine.close()
 
+    def test_nan_before_the_first_plan_raises_instead_of_dropping_it(self):
+        """A NaN row is in no tile's rectangle: the plan refuses it with
+        the serial engine's error type, before the axis planner sees it."""
+        engine = _inline_engine()
+        try:
+            engine.state.positions[5, 0] = np.nan
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                engine.step(1)
+            assert engine.step_count == 0
+        finally:
+            engine.close()
+
 
 class TestFunnelCounters:
     """Shard-side rebuild funnels reach the parent's telemetry — once,
@@ -398,7 +444,7 @@ class TestFunnelCounters:
             engine.close()
         return [counters[key] for key in self.KEYS]
 
-    def test_tiles_sum_to_serial_and_repeat_exactly(self):
+    def test_tiles_count_their_shells_and_repeat_exactly(self):
         serial = self._funnel(self._serial_engine())
         inline = self._funnel(_inline_engine(skin=0.0))
         again = self._funnel(_inline_engine(skin=0.0))
@@ -409,7 +455,8 @@ class TestFunnelCounters:
         assert inline == again == forked
         rebuilds, raw, coarse, exact = inline
         assert rebuilds == serial[0] > 1
-        assert exact == serial[3]
+        # each tile lists its ghost shell's pairs too: the shells overlap
+        assert exact > serial[3]
         assert raw >= coarse >= exact > 0
 
     def test_two_engines_stepped_in_turn_count_only_their_own(self):
@@ -431,3 +478,58 @@ class TestFunnelCounters:
         # the tiles enumerate their halo rings: the two funnels differ,
         # so a count that leaked from one engine to the other would show
         assert alone[0][1] != alone[1][1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # halo-dominated
+class TestRankIsTheSerialEngine:
+    """Each rank is a plain ``Simulation`` over its owned rows and a
+    ghost shell ``2 * cutoff + skin`` deep: a steady step is one round
+    of one ``md_step`` call per rank, and the owned rows' forces are the
+    serial engine's."""
+
+    @staticmethod
+    def _pipeline(topology, reps=(6, 6, 2)):
+        state = small_slab_state("Ta", reps, temperature=350.0)
+        pipe = ShardedForcePipeline(
+            state, make_element_potential("Ta"), topology=topology,
+            transport="inline",
+        )
+        return state, pipe
+
+    @staticmethod
+    def _serial_forces(state):
+        set_backend("numpy")
+        sim = Simulation(state.copy(), make_element_potential("Ta"))
+        return sim.compute_forces()[1]
+
+    @pytest.mark.parametrize("topology", [(1, 2), (2, 2), (4, 1)],
+                             ids=lambda t: f"{t[0]}x{t[1]}")
+    def test_owned_forces_are_the_serial_forces(self, topology):
+        """At a re-plan (the first call) and at a reuse step (three
+        steady steps later, same plan) the forces gathered from the
+        owned rows are the serial engine's to 1e-12 relative."""
+        set_backend("numpy")
+        state, pipe = self._pipeline(topology)
+        try:
+            _, forces, _ = pipe.compute(state.positions)
+            want = self._serial_forces(state)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(forces - want)) <= 1e-12 * scale
+            pipe.advance(state, 3, LeapfrogVerlet(2.0))
+            assert pipe.n_builds == 1  # the steps reused the plan
+            _, forces, _ = pipe.compute(state.positions)
+            want = self._serial_forces(state)
+            assert np.max(np.abs(forces - want)) <= 1e-12 * scale
+        finally:
+            pipe.close()
+
+    def test_steady_two_worker_step_is_one_round(self):
+        state, pipe = self._pipeline((2, 1))
+        try:
+            pipe.advance(state, 1, LeapfrogVerlet(2.0))  # plan + step
+            rounds = pipe.rounds
+            pipe.advance(state, 5, LeapfrogVerlet(2.0))
+            assert pipe.n_builds == 1  # all five were steady
+            assert pipe.rounds - rounds == 5 + 1  # one a step, the pull
+        finally:
+            pipe.close()

@@ -115,8 +115,8 @@ class TestHealthyRound:
         self, driver, mover
     ):
         for rank, n in enumerate((2, 0, 3)):
-            mover.outputs[rank]["rho"] = np.full(n, float(rank))
-        packs = driver.gather("rho", [2, 0, 3])
+            mover.outputs[rank]["exports"] = np.full(n, float(rank))
+        packs = driver.gather("exports", [2, 0, 3])
         assert [len(p) for p in packs] == [2, 0, 3]
         assert driver.bytes_recv == 5 * 8
 
@@ -132,7 +132,7 @@ class TestFailures:
         mover.errors = {1: ("ValueError", "bad pack"),
                         2: ("FloatingPointError", "overlap")}
         with pytest.raises(ValueError, match="shard worker 1: bad pack"):
-            driver.command(("dens", 0.0))
+            driver.command(("step", None, False))
         # rank 2 replied after the failing rank and was still drained,
         # and its own error lost to the lower rank's
         assert mover.drained == [0, 1, 2]
@@ -142,7 +142,7 @@ class TestFailures:
     def test_unknown_error_kind_keeps_its_name(self, driver, mover):
         mover.errors = {2: ("SweepRecordError", "no fresh density")}
         with pytest.raises(RuntimeError) as info:
-            driver.command(("force",))
+            driver.command(("forces", False))
         assert type(info.value) is RuntimeError
         assert str(info.value) == (
             "shard worker 2: SweepRecordError: no fresh density"
@@ -153,7 +153,7 @@ class TestFailures:
     ):
         mover.dead_on_send = {1}
         with pytest.raises(WorkerLost, match="shard worker 1 died") as info:
-            driver.command(("dens", 0.0))
+            driver.command(("step", None, False))
         assert isinstance(info.value.__cause__, BrokenPipeError)
         assert [rank for rank, _, _ in mover.delivered] == [0, 2]
         assert mover.drained == [0, 2]
@@ -162,7 +162,7 @@ class TestFailures:
     def test_death_on_receive_drains_the_later_ranks(self, driver, mover):
         mover.dead_on_recv = {0}
         with pytest.raises(WorkerLost, match="shard worker 0 died") as info:
-            driver.command(("force",))
+            driver.command(("forces", False))
         assert isinstance(info.value.__cause__, EOFError)
         assert mover.drained == [1, 2]
 
@@ -191,9 +191,9 @@ class TestFailures:
 
     def test_short_pack_on_gather_is_rejected(self, driver, mover):
         for rank in range(3):
-            mover.outputs[rank]["rho"] = np.zeros(2)
-        mover.outputs[1]["rho"] = np.zeros(1)
+            mover.outputs[rank]["exports"] = np.zeros(2)
+        mover.outputs[1]["exports"] = np.zeros(1)
         with pytest.raises(
-            RuntimeError, match=r"rank 1 staged 1 rows of 'rho', expected 2"
+            RuntimeError, match=r"rank 1 staged 1 rows of 'exports', expected 2"
         ):
-            driver.gather("rho", [2, 2, 2])
+            driver.gather("exports", [2, 2, 2])

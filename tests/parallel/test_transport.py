@@ -230,8 +230,8 @@ class TestSpecFields:
 
 
 class _RaisingPotential:
-    """A potential whose density stage raises a named exception on
-    every rank — picklable by reference, so it also crosses the socket
+    """A potential whose evaluation raises a named exception on every
+    rank — picklable by reference, so it also crosses the socket
     mover's ``setup`` message."""
 
     _TYPES = {
@@ -246,7 +246,7 @@ class _RaisingPotential:
         self.cutoff = cutoff
         self.kind = kind
 
-    def fused_density(self, n_local, table, types):
+    def compute(self, *args, **kwargs):
         raise self._TYPES[self.kind]("injected fault")
 
 
@@ -287,35 +287,28 @@ class TestWorkerErrorSurface:
             pipe.close()
 
 
-class _RaisingEmbed(EAMPotential):
-    """A Ta potential whose embedding — which runs rank-side, right
-    after the seam reduction of ``rho`` — raises a named exception."""
+class _RaisingTables(EAMPotential):
+    """A Ta potential whose bank tables (what a rank's ``md_step`` call
+    is handed) and whose energy evaluation raise a named exception."""
 
     @classmethod
-    def of_kind(cls, kind: str) -> "_RaisingEmbed":
+    def of_kind(cls, kind: str) -> "_RaisingTables":
         potential = copy.copy(make_element_potential("Ta"))
         potential.__class__ = cls
         potential.kind = kind
         return potential
 
-    def embed(self, rho_bar, types=None):
+    def bank_tables(self, n_atoms, types):
         raise _RaisingPotential._TYPES[self.kind]("injected fault")
 
-
-class _RaisingIntegrator:
-    """An integrator whose step — run rank-side, on the rows a rank
-    holds — raises a named exception."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-
-    def step(self, state, forces):
+    def compute(self, *args, **kwargs):
         raise _RaisingPotential._TYPES[self.kind]("injected fault")
 
 
 class TestRankStageErrorSurface:
-    """The stages the ranks took over from the parent report the same
-    way the kernels do: by name, lowest rank first, round drained."""
+    """A rank's stages — its ``Simulation``'s step and energy query, and
+    the displacement it reports — fail the way the kernels do: by name,
+    lowest rank first, round drained."""
 
     KINDS = [
         ("KeyError", RuntimeError),
@@ -326,48 +319,72 @@ class TestRankStageErrorSurface:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("kind,raised", KINDS)
-    def test_fault_in_the_reduce_and_embed_stage(
+    def test_fault_in_the_step_leaves_the_state_unadvanced(
         self, transport, kind, raised
-    ):
-        state = small_slab_state("Ta", (4, 4, 2))
-        pipe = ShardedForcePipeline(
-            state, _RaisingEmbed.of_kind(kind), workers=2, transport=transport
-        )
-        try:
-            with pytest.raises(raised, match="shard worker 0") as info:
-                pipe.compute(state.positions)
-            assert type(info.value) is raised
-            assert "injected fault" in str(info.value)
-            pipe.transport.command(("ping",))  # rank 1's reply was drained too
-        finally:
-            pipe.close()
-
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("kind,raised", KINDS)
-    def test_fault_in_the_move_leaves_the_state_unadvanced(
-        self, ta_potential, transport, kind, raised
     ):
         from repro.md.integrators import LeapfrogVerlet
 
         state = small_slab_state("Ta", (4, 4, 2), temperature=300.0)
         before = state.copy()
         pipe = ShardedForcePipeline(
-            state, ta_potential, workers=2, transport=transport
+            state, _RaisingTables.of_kind(kind), workers=2,
+            transport=transport,
         )
         try:
             with pytest.raises(raised, match="shard worker 0") as info:
-                pipe.advance(state, 3, _RaisingIntegrator(kind))
+                pipe.advance(state, 3, LeapfrogVerlet(2.0))
             assert type(info.value) is raised
+            assert "injected fault" in str(info.value)
             assert np.array_equal(state.positions, before.positions)
             assert np.array_equal(state.velocities, before.velocities)
-            # the ranks are stale, not lost: the next call starts them
-            # afresh from the caller's state and runs
-            builds = pipe.n_builds
-            pipe.advance(state, 2, LeapfrogVerlet(2.0))
-            assert pipe.n_builds == builds + 1
-            assert not np.array_equal(state.positions, before.positions)
+            pipe.transport.command(("ping",))  # rank 1's reply was drained too
         finally:
             pipe.close()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind,raised", KINDS)
+    def test_fault_in_an_energy_query(self, transport, kind, raised):
+        state = small_slab_state("Ta", (4, 4, 2))
+        pipe = ShardedForcePipeline(
+            state, _RaisingTables.of_kind(kind), workers=2,
+            transport=transport,
+        )
+        try:
+            with pytest.raises(raised, match="shard worker 0") as info:
+                pipe.compute(state.positions)
+            assert type(info.value) is raised
+            assert "injected fault" in str(info.value)
+            pipe.transport.command(("ping",))
+        finally:
+            pipe.close()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_nan_position_surfaces_from_its_owner(self, transport):
+        """A NaN pushed into one row fails the displacement its owner
+        reports, on that rank; the ranks are stale, not lost: with the
+        row restored the next call re-plans and runs."""
+        engine = build_engine(RunSpec(
+            element="Ta", reps=(4, 4, 2), seed=3, backend="parallel",
+            workers=2, transport=transport,
+        ))
+        try:
+            engine.step(2)
+            pipe = engine.sim._pipeline
+            good = engine.state.positions[5].copy()
+            engine.state.positions[5, 0] = np.nan
+            with pytest.raises(FloatingPointError,
+                               match="shard worker .: non-finite") as info:
+                engine.step(3)
+            assert type(info.value) is FloatingPointError
+            pipe.transport.command(("ping",))
+            assert engine.step_count == 2
+            engine.state.positions[5] = good
+            builds = pipe.n_builds
+            engine.step(2)
+            assert pipe.n_builds == builds + 1
+            assert engine.step_count == 4
+        finally:
+            engine.close()
 
 
 def _kill_rank_on_round(pipe, round_no: int, rank: int = 1):
