@@ -152,7 +152,11 @@ class ShardWorker:
         self.sim = Simulation(state, cfg["potential"], skin=cfg["skin"],
                               tracer=self.tracer)
         self.ghosts, self.exports = ghosts, exports
-        self.owned = np.setdiff1d(np.arange(n), ghosts)
+        # a mask, not np.setdiff1d: its first call imports numpy.ma,
+        # 20-30 ms of each forked rank's first plan
+        owned = np.ones(n, dtype=bool)
+        owned[ghosts] = False
+        self.owned = np.flatnonzero(owned)
         self.ref = state.positions[self.owned]
 
     def _ghosts(self, fresh: bool) -> None:
